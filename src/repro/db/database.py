@@ -237,6 +237,34 @@ class Database:
             descriptor.partitions[number] = PartitionInfo(number)
             self.catalog.update(descriptor, txn)
 
+    def release_partition(self, address: PartitionAddress) -> None:
+        """Undo :meth:`on_partition_allocated` for an aborted growth.
+
+        Rollback restores the descriptor's catalog *bytes*; this drops
+        the three things bytes do not cover.  The catalog's own segment
+        keeps its partition (already published to the well-known areas),
+        and so does a partition that is in use after all: another
+        transaction placed entities in it, or its bin holds log records
+        (command replay re-allocating over a bin that survived the crash).
+        """
+        if address.segment == self.catalog.segment.segment_id:
+            return
+        segment = self.memory.segment(address.segment)
+        partition = segment.get(address.partition)
+        has_bin = self.slt.has_partition(address)
+        if (
+            len(partition)
+            or len(partition.heap)
+            or (has_bin and self.slt.bin_for_partition(address).active)
+        ):
+            return
+        segment.discard(address.partition)
+        self.catalog.descriptor_for_segment(address.segment).partitions.pop(
+            address.partition, None
+        )
+        if has_bin:
+            self.slt.drop_partition(address)
+
     def publish_catalog_locations(self) -> None:
         """Duplicate the catalog partition address list into both stable
         areas (see :class:`LoggingService`)."""

@@ -32,13 +32,34 @@ def pack_item(key: Key, value: EntityAddress) -> bytes:
     return _U16.pack(len(encoded)) + encoded + pack_address(value)
 
 
-def unpack_item(buf: bytes, pos: int) -> tuple[Key, EntityAddress, int]:
-    (key_len,) = _U16.unpack_from(buf, pos)
-    pos += _U16.size
-    key = decode_key(buf[pos : pos + key_len])
-    pos += key_len
-    value, pos = unpack_address(buf, pos)
-    return key, value, pos
+def unpack_items(buf: bytes, pos: int, count: int) -> tuple[tuple[Key, ...], bytes]:
+    """Decode ``count`` items into ``(keys, packed value addresses)``.
+
+    This is the compact, immutable shape decoded components are cached in
+    (see :meth:`NodeStore.load`): keys are compared on every visit, value
+    addresses only matter for the few items that match, so they stay
+    packed until :func:`value_at` / :func:`zip_items` asks for them.
+    """
+    keys = []
+    values = []
+    for _ in range(count):
+        (key_len,) = _U16.unpack_from(buf, pos)
+        pos += _U16.size
+        end = pos + key_len
+        keys.append(decode_key(buf[pos:end]))
+        pos = end + _ADDRESS.size
+        values.append(buf[end:pos])
+    return tuple(keys), b"".join(values)
+
+
+def value_at(values: bytes, index: int) -> EntityAddress:
+    """The ``index``-th address of a packed value array."""
+    return EntityAddress(*_ADDRESS.unpack_from(values, index * _ADDRESS.size))
+
+
+def zip_items(keys: tuple[Key, ...], values: bytes) -> Iterator[tuple[Key, EntityAddress]]:
+    """``(key, address)`` pairs of a decoded component, in stored order."""
+    return zip(keys, (EntityAddress(*fields) for fields in _ADDRESS.iter_unpack(values)))
 
 
 _F = TypeVar("_F", bound=Callable[..., Any])

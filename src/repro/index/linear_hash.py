@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.common.errors import IndexStructureError
 from repro.common.types import EntityAddress
@@ -35,7 +35,9 @@ from repro.index.base import (
     serialised,
     serialised_scan,
     unpack_address,
-    unpack_item,
+    unpack_items,
+    value_at,
+    zip_items,
 )
 from repro.index.keys import Key, encode_key
 from repro.index.node_store import NodeStore
@@ -69,8 +71,29 @@ def stable_hash(key: Key) -> int:
     return value
 
 
+class _BucketForm(NamedTuple):
+    """One bucket node decoded into the immutable shape the node store
+    caches; ``search`` uses it as is."""
+
+    overflow: EntityAddress
+    keys: tuple[Key, ...]
+    values: bytes  # packed addresses, see :func:`repro.index.base.value_at`
+
+
+def _decode_bucket(address: EntityAddress, blob: bytes) -> _BucketForm:
+    bucket_type, nitems = _BUCKET_HEADER.unpack_from(blob, 0)
+    if bucket_type != BUCKET_TYPE:
+        raise IndexStructureError(
+            f"entity at {address} is not a hash bucket (type {bucket_type})"
+        )
+    overflow, pos = unpack_address(blob, _BUCKET_HEADER.size)
+    return _BucketForm(overflow, *unpack_items(blob, pos, nitems))
+
+
 @dataclass
 class _Bucket:
+    """Mutable working copy of one bucket node (write paths only)."""
+
     address: EntityAddress
     items: list[tuple[Key, EntityAddress]] = field(default_factory=list)
     overflow: EntityAddress = NULL_ADDRESS
@@ -82,21 +105,6 @@ class _Bucket:
         ]
         parts.extend(pack_item(key, value) for key, value in self.items)
         return b"".join(parts)
-
-    @classmethod
-    def decode(cls, address: EntityAddress, blob: bytes) -> "_Bucket":
-        bucket_type, nitems = _BUCKET_HEADER.unpack_from(blob, 0)
-        if bucket_type != BUCKET_TYPE:
-            raise IndexStructureError(
-                f"entity at {address} is not a hash bucket (type {bucket_type})"
-            )
-        pos = _BUCKET_HEADER.size
-        overflow, pos = unpack_address(blob, pos)
-        items = []
-        for _ in range(nitems):
-            key, value, pos = unpack_item(blob, pos)
-            items.append((key, value))
-        return cls(address, items, overflow)
 
 
 class LinearHashIndex(Index):
@@ -166,8 +174,8 @@ class LinearHashIndex(Index):
         )
         return b"".join(parts)
 
-    def _decode_chunk(self, address: EntityAddress) -> list[EntityAddress]:
-        blob = self.store.read(address)
+    @staticmethod
+    def _decode_chunk(address: EntityAddress, blob: bytes) -> tuple[EntityAddress, ...]:
         chunk_type, count = _CHUNK_HEADER.unpack_from(blob, 0)
         if chunk_type != CHUNK_TYPE:
             raise IndexStructureError("directory chunk entity has wrong type")
@@ -176,7 +184,7 @@ class LinearHashIndex(Index):
         for _ in range(count):
             bucket_address, pos = unpack_address(blob, pos)
             addresses.append(bucket_address)
-        return addresses
+        return tuple(addresses)
 
     def _load_anchor(self) -> None:
         blob = self.store.read(self.anchor)
@@ -194,11 +202,10 @@ class LinearHashIndex(Index):
             self._chunk_addresses.append(address)
         self._directory = []
         for chunk_address in self._chunk_addresses:
-            self._directory.extend(self._decode_chunk(chunk_address))
+            self._directory.extend(self.store.load(chunk_address, self._decode_chunk))
         # the anchor's count is only persisted at structural changes, so
-        # recount on rebuild (mirrors the T-Tree's recovery behaviour)
-        self._count = count
-        self._count = sum(1 for _ in self.items())
+        # recount on rebuild
+        self._count = sum(len(bucket.keys) for _, bucket in self._buckets())
 
     def _save_anchor(self) -> None:
         self.store.write(self.anchor, self._encode_anchor())
@@ -235,8 +242,13 @@ class LinearHashIndex(Index):
         bucket.address = self.store.allocate(bucket.encode())
         return bucket
 
+    def _form(self, address: EntityAddress, keep: bool = True) -> _BucketForm:
+        return self.store.load(address, _decode_bucket, keep)
+
     def _load(self, address: EntityAddress) -> _Bucket:
-        return _Bucket.decode(address, self.store.read(address))
+        """A private mutable copy, for the reason ``TTreeIndex._load`` gives."""
+        form = self._form(address)
+        return _Bucket(address, list(zip_items(form.keys, form.values)), form.overflow)
 
     def _save(self, bucket: _Bucket) -> None:
         self.store.write(bucket.address, bucket.encode())
@@ -260,8 +272,12 @@ class LinearHashIndex(Index):
         address = self._directory[self._bucket_number(key)]
         results = []
         while address != NULL_ADDRESS:
-            bucket = self._load(address)
-            results.extend(v for k, v in bucket.items if k == key)
+            bucket = self._form(address)
+            results.extend(
+                value_at(bucket.values, index)
+                for index, stored in enumerate(bucket.keys)
+                if stored == key
+            )
             address = bucket.overflow
         return results
 
@@ -308,11 +324,16 @@ class LinearHashIndex(Index):
 
     @serialised_scan
     def items(self) -> Iterator[tuple[Key, EntityAddress]]:
-        for head in self._directory:
-            address = head
+        for _, bucket in self._buckets():
+            yield from zip_items(bucket.keys, bucket.values)
+
+    def _buckets(self) -> Iterator[tuple[int, _BucketForm]]:
+        """Every chain node as ``(bucket number, form)``; a whole-index
+        walk, so it leaves the component cache as it found it."""
+        for number, address in enumerate(self._directory):
             while address != NULL_ADDRESS:
-                bucket = self._load(address)
-                yield from bucket.items
+                bucket = self._form(address, False)
+                yield number, bucket
                 address = bucket.overflow
 
     # -- splitting ----------------------------------------------------------------------------
@@ -374,22 +395,18 @@ class LinearHashIndex(Index):
         """Every item must be reachable at its own bucket number, counts
         must agree, and chains must respect capacity."""
         seen = 0
-        for number, head in enumerate(self._directory):
-            address = head
-            while address != NULL_ADDRESS:
-                bucket = self._load(address)
-                if len(bucket.items) > self.bucket_capacity:
+        for number, bucket in self._buckets():
+            if len(bucket.keys) > self.bucket_capacity:
+                raise IndexStructureError(
+                    f"bucket {number} chain node exceeds capacity"
+                )
+            for key in bucket.keys:
+                if self._bucket_number(key) != number:
                     raise IndexStructureError(
-                        f"bucket {number} chain node exceeds capacity"
+                        f"key {key!r} stored in bucket {number}, "
+                        f"hashes to {self._bucket_number(key)}"
                     )
-                for key, _ in bucket.items:
-                    if self._bucket_number(key) != number:
-                        raise IndexStructureError(
-                            f"key {key!r} stored in bucket {number}, "
-                            f"hashes to {self._bucket_number(key)}"
-                        )
-                seen += len(bucket.items)
-                address = bucket.overflow
+            seen += len(bucket.keys)
         if seen != self._count:
             raise IndexStructureError(
                 f"anchor count {self._count} != items present {seen}"

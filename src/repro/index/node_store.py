@@ -15,12 +15,19 @@ partition and the Stable Log Tail must get its bin.
 from __future__ import annotations
 
 import threading
-from typing import Protocol
+from typing import Callable, Protocol, TypeVar
 
 from repro.common.errors import PartitionFullError
 from repro.common.types import EntityAddress
 from repro.storage.partition import Partition
 from repro.storage.segment import Segment
+
+_Form = TypeVar("_Form")
+
+#: Decoded components one store keeps at most.  The cache is emptied when
+#: it fills: entries are a few hundred bytes, so this bounds its memory
+#: per index without any bookkeeping on the read path.
+DECODED_CAPACITY = 8192
 
 
 class ChangeSink(Protocol):
@@ -81,6 +88,9 @@ class NodeStore:
         self._default_sink = sink
         self._sink_override = threading.local()
         self.growth_reserve = growth_reserve
+        #: address -> (blob, decoded form), see :meth:`load`.  Needs no
+        #: guard: each entry is one immutable pair, stored and fetched whole.
+        self._decoded: dict[EntityAddress, tuple[bytes, object]] = {}
 
     @property
     def sink(self) -> ChangeSink | None:
@@ -111,6 +121,33 @@ class NodeStore:
     def read(self, address: EntityAddress) -> bytes:
         return self.segment.get(address.partition).read(address.offset)
 
+    def load(
+        self,
+        address: EntityAddress,
+        decode: Callable[[EntityAddress, bytes], _Form],
+        keep: bool = True,
+    ) -> _Form:
+        """The component's decoded, *immutable* form, decoded once per blob.
+
+        The form is kept beside the exact ``bytes`` object it came from.
+        Entity bytes are immutable and every writer — :meth:`write`,
+        byte-level UNDO, REDO replay, a partition re-installed by restart
+        — *replaces* the object, so "the partition still holds it" implies
+        "the form is current": no invalidation hook exists or is needed.
+        Whole-index scans pass ``keep=False`` so they do not fill the
+        cache with components no point operation asked for.
+        """
+        blob = self.read(address)
+        entry = self._decoded.get(address)
+        if entry is not None and entry[0] is blob:
+            return entry[1]  # type: ignore[return-value]
+        form = decode(address, blob)
+        if keep:
+            if len(self._decoded) >= DECODED_CAPACITY:
+                self._decoded.clear()
+            self._decoded[address] = (blob, form)
+        return form
+
     def write(self, address: EntityAddress, data: bytes) -> None:
         partition = self.segment.get(address.partition)
         sink = self.sink
@@ -131,6 +168,7 @@ class NodeStore:
             sink.lock_component(address)  # see write(): lock, then mutate
         before = partition.read(address.offset)
         partition.delete(address.offset)
+        self._decoded.pop(address, None)
         if sink is not None:
             sink.index_node_freed(address, before)
 

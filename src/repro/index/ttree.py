@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.common.errors import IndexStructureError
 from repro.common.types import EntityAddress
@@ -32,7 +32,9 @@ from repro.index.base import (
     serialised,
     serialised_scan,
     unpack_address,
-    unpack_item,
+    unpack_items,
+    value_at,
+    zip_items,
 )
 from repro.index.keys import Key, compare_keys
 from repro.index.node_store import NodeStore
@@ -64,17 +66,37 @@ def compare_items(a: Item, b: Item) -> int:
     return 0
 
 
+class _NodeForm(NamedTuple):
+    """One T-Tree node decoded into the immutable shape the node store
+    caches; read paths use it as is."""
+
+    height: int
+    left: EntityAddress
+    right: EntityAddress
+    keys: tuple[Key, ...]
+    values: bytes  # packed addresses, see :func:`repro.index.base.value_at`
+
+
+def _decode_node(address: EntityAddress, blob: bytes) -> _NodeForm:
+    node_type, height, nitems = _NODE_HEADER.unpack_from(blob, 0)
+    if node_type != NODE_TYPE:
+        raise IndexStructureError(
+            f"entity at {address} is not a T-Tree node (type {node_type})"
+        )
+    left, pos = unpack_address(blob, _NODE_HEADER.size)
+    right, pos = unpack_address(blob, pos)
+    return _NodeForm(height, left, right, *unpack_items(blob, pos, nitems))
+
+
 @dataclass
 class _TNode:
-    """Deserialised working copy of one T-Tree node."""
+    """Mutable working copy of one T-Tree node (write paths only)."""
 
     address: EntityAddress
     height: int = 1
     items: list[tuple[Key, EntityAddress]] = field(default_factory=list)
     left: EntityAddress = NULL_ADDRESS
     right: EntityAddress = NULL_ADDRESS
-
-    # -- serialisation ----------------------------------------------------------
 
     def encode(self) -> bytes:
         parts = [
@@ -85,31 +107,7 @@ class _TNode:
         parts.extend(pack_item(key, value) for key, value in self.items)
         return b"".join(parts)
 
-    @classmethod
-    def decode(cls, address: EntityAddress, blob: bytes) -> "_TNode":
-        node_type, height, nitems = _NODE_HEADER.unpack_from(blob, 0)
-        if node_type != NODE_TYPE:
-            raise IndexStructureError(
-                f"entity at {address} is not a T-Tree node (type {node_type})"
-            )
-        pos = _NODE_HEADER.size
-        left, pos = unpack_address(blob, pos)
-        right, pos = unpack_address(blob, pos)
-        items = []
-        for _ in range(nitems):
-            key, value, pos = unpack_item(blob, pos)
-            items.append((key, value))
-        return cls(address, height, items, left, right)
-
     # -- item helpers ---------------------------------------------------------------
-
-    @property
-    def min_key(self) -> Key:
-        return self.items[0][0]
-
-    @property
-    def max_key(self) -> Key:
-        return self.items[-1][0]
 
     @property
     def min_item(self) -> tuple[Key, EntityAddress]:
@@ -140,9 +138,6 @@ class _TNode:
                 hi = mid
         return lo
 
-    def values_for(self, key: Key) -> list[EntityAddress]:
-        return [value for item_key, value in self.items if compare_keys(item_key, key) == 0]
-
 
 class TTreeIndex(Index):
     """An ordered index over ``(key, EntityAddress)`` pairs."""
@@ -163,13 +158,13 @@ class TTreeIndex(Index):
         self.min_items = min_items
         self.max_items = max_items
         self._root = NULL_ADDRESS
-        self._count = 0
+        #: Feeds only ``len()``; ``None`` = unknown, counted on demand.
+        self._count: int | None = 0
         if anchor is None:
             self.anchor = store.allocate(self._encode_anchor())
         else:
             self.anchor = anchor
-            self._load_anchor()
-            self._count = sum(1 for _ in self.items())
+            self._reload_mirror()
 
     # -- anchor ------------------------------------------------------------------
 
@@ -193,9 +188,10 @@ class TTreeIndex(Index):
 
         A transaction abort applies byte-level UNDO to the anchor and
         nodes; the decoded root address and item count held here would
-        otherwise keep the rolled-back structure."""
+        otherwise keep the rolled-back structure.  The recount is left to
+        the next ``len()``: a reload costs one anchor decode."""
         self._load_anchor()
-        self._count = sum(1 for _ in self.items())
+        self._count = None
 
     def _set_root(self, address: EntityAddress) -> None:
         if address != self._root:
@@ -204,8 +200,16 @@ class TTreeIndex(Index):
 
     # -- node I/O ------------------------------------------------------------------
 
-    def _load(self, address: EntityAddress) -> _TNode:
-        return _TNode.decode(address, self.store.read(address))
+    def _form(self, address: EntityAddress, keep: bool = True) -> _NodeForm:
+        return self.store.load(address, _decode_node, keep)
+
+    def _load(self, address: EntityAddress, keep: bool = True) -> _TNode:
+        """A private mutable copy: write paths edit ``items`` before
+        ``_save``, and a no-wait lock refusal inside ``store.write`` can
+        abort in between — the cached form must never see the edit."""
+        form = self._form(address, keep)
+        items = list(zip_items(form.keys, form.values))
+        return _TNode(address, form.height, items, form.left, form.right)
 
     def _save(self, node: _TNode) -> None:
         self.store.write(node.address, node.encode())
@@ -217,36 +221,49 @@ class TTreeIndex(Index):
 
     # -- public API --------------------------------------------------------------------
 
+    @serialised
     def __len__(self) -> int:
+        if self._count is None:
+            self._count = sum(1 for _ in self._scan(self._root, None, None, False))
         return self._count
+
+    def _counted(self, delta: int) -> None:
+        if self._count is not None:
+            self._count += delta
 
     @serialised
     def search(self, key: Key) -> list[EntityAddress]:
-        return self._collect(self._root, key)
+        return [value for _, value in self._scan(self._root, key, key)]
 
-    def _collect(self, address: EntityAddress, key: Key) -> list[EntityAddress]:
-        """Gather every value stored under ``key``.
+    def _scan(
+        self,
+        address: EntityAddress,
+        low: Key | None,
+        high: Key | None,
+        keep: bool = True,
+    ) -> Iterator[Item]:
+        """Items with ``low <= key <= high`` below ``address``, in order.
 
-        Equal keys are contiguous in compound order but may straddle node
-        boundaries, so when the key equals a node's min (max) the left
-        (right) subtree is searched as well.
+        An ordered descent: the left subtree is skipped when ``low`` is
+        above the node's minimum key and the right one when ``high`` is
+        below its maximum.  Equal keys are contiguous in compound order
+        but may straddle node boundaries, so only a *strict* inequality
+        prunes.
         """
         if address == NULL_ADDRESS:
-            return []
-        node = self._load(address)
-        low = compare_keys(key, node.min_key)
-        high = compare_keys(key, node.max_key)
-        if low < 0:
-            return self._collect(node.left, key)
-        if high > 0:
-            return self._collect(node.right, key)
-        results = []
-        if low == 0:
-            results.extend(self._collect(node.left, key))
-        results.extend(node.values_for(key))
-        if high == 0:
-            results.extend(self._collect(node.right, key))
-        return results
+            return
+        node = self._form(address, keep)
+        keys = node.keys
+        if low is None or compare_keys(low, keys[0]) <= 0:
+            yield from self._scan(node.left, low, high, keep)
+        for index, key in enumerate(keys):
+            if low is not None and compare_keys(key, low) < 0:
+                continue
+            if high is not None and compare_keys(key, high) > 0:
+                return
+            yield key, value_at(node.values, index)
+        if high is None or compare_keys(high, keys[-1]) >= 0:
+            yield from self._scan(node.right, low, high, keep)
 
     @serialised
     def insert(self, key: Key, value: EntityAddress) -> None:
@@ -254,7 +271,7 @@ class TTreeIndex(Index):
         if self._root == NULL_ADDRESS:
             root = self._new_node([item])
             self._set_root(root.address)
-            self._count += 1
+            self._counted(+1)
             return
         path = self._descend_for_insert(item)
         node = path[-1]
@@ -279,7 +296,7 @@ class TTreeIndex(Index):
                 node.right = leaf.address
             self._save(node)
             self._rebalance_path(path)
-        self._count += 1
+        self._counted(+1)
 
     @serialised
     def delete(self, key: Key, value: EntityAddress) -> None:
@@ -301,32 +318,19 @@ class TTreeIndex(Index):
         if node is None or item not in node.items:
             raise self._not_found(key, value)
         node.items.remove(item)
-        self._count -= 1
+        self._counted(-1)
         self._fix_after_delete(path)
 
     @serialised_scan
     def items(self) -> Iterator[tuple[Key, EntityAddress]]:
-        yield from self._in_order(self._root)
-
-    def _in_order(self, address: EntityAddress) -> Iterator[tuple[Key, EntityAddress]]:
-        if address == NULL_ADDRESS:
-            return
-        node = self._load(address)
-        yield from self._in_order(node.left)
-        yield from node.items
-        yield from self._in_order(node.right)
+        return self._scan(self._root, None, None, False)
 
     @serialised_scan
     def range_scan(
         self, low: Key | None = None, high: Key | None = None
     ) -> Iterator[tuple[Key, EntityAddress]]:
         """Items with ``low <= key <= high`` in key order (None = open end)."""
-        for key, value in self.items():
-            if low is not None and compare_keys(key, low) < 0:
-                continue
-            if high is not None and compare_keys(key, high) > 0:
-                break
-            yield key, value
+        return self._scan(self._root, low, high)
 
     # -- insert internals -------------------------------------------------------------------
 
@@ -433,7 +437,7 @@ class TTreeIndex(Index):
     def _height(self, address: EntityAddress) -> int:
         if address == NULL_ADDRESS:
             return 0
-        return self._load(address).height
+        return self._form(address).height
 
     def _rebalance_path(self, path: list[_TNode]) -> None:
         """Walk from the deepest touched node to the root, updating heights
@@ -546,7 +550,7 @@ class TTreeIndex(Index):
     def _verify_node(self, address: EntityAddress) -> int:
         if address == NULL_ADDRESS:
             return 0
-        node = self._load(address)
+        node = self._load(address, False)
         if not node.items:
             raise IndexStructureError(f"empty node at {address}")
         for item_a, item_b in zip(node.items, node.items[1:]):
@@ -574,13 +578,13 @@ class TTreeIndex(Index):
         return height
 
     def _load_subtree_max(self, address: EntityAddress) -> Item:
-        node = self._load(address)
+        node = self._load(address, False)
         while node.right != NULL_ADDRESS:
-            node = self._load(node.right)
+            node = self._load(node.right, False)
         return node.max_item
 
     def _load_subtree_min(self, address: EntityAddress) -> Item:
-        node = self._load(address)
+        node = self._load(address, False)
         while node.left != NULL_ADDRESS:
-            node = self._load(node.left)
+            node = self._load(node.left, False)
         return node.min_item

@@ -317,8 +317,7 @@ class CommandReplayPlanner:
         replayed = 0
         for command in batch:
             crash_point("replay.batch.before-command")
-            self._advance_to_barriers(streams, command.csn)
-            db.reload_index_mirrors(index_segments)
+            db.reload_index_mirrors(self._advance_to_barriers(streams, command.csn))
             self._execute(command)
             crash_point("replay.batch.command-executed")
             replayed += 1
@@ -372,8 +371,10 @@ class CommandReplayPlanner:
 
     def _advance_to_barriers(
         self, streams: list[_PartitionStream], csn: int
-    ) -> None:
-        """Apply value records up to command ``csn``'s barriers.
+    ) -> set[int]:
+        """Apply value records up to command ``csn``'s barriers; returns
+        the index segments a record was applied to (their cached index
+        objects' mirrors are stale, everyone else's are not).
 
         A barrier with a *higher* csn stops the cursor without being
         consumed: that partition joined the relation after ``csn``
@@ -381,6 +382,7 @@ class CommandReplayPlanner:
         runs dry is fine too — its bin was reset by a checkpoint
         acknowledgement and re-execution regenerates the effects.
         """
+        touched: set[int] = set()
         for stream in streams:
             records = stream.records
             position = stream.position
@@ -391,8 +393,11 @@ class CommandReplayPlanner:
                         position += 1  # consume this command's own barrier
                     break
                 record.apply(stream.partition)
+                if stream.is_index:
+                    touched.add(stream.address.segment)
                 position += 1
             stream.position = position
+        return touched
 
     def _apply_through(self, stream: _PartitionStream, end: int) -> None:
         while stream.position < end:

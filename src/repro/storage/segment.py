@@ -99,6 +99,17 @@ class Segment:
             if number >= self._next_partition:
                 self._next_partition = number + 1
 
+    def discard(self, number: int) -> None:
+        """Forget a partition whose allocation was rolled back.  Its number
+        is not reused: like entity offsets, numbers only grow.
+
+        Lock discipline: the aborting transaction still holds the IX lock
+        it allocated under; the map update runs under the segment's
+        internal mutex like every other residency change.
+        """
+        with self._mutex:
+            del self._partitions[number]
+
     def mark_missing(self, numbers: list[int]) -> None:
         """Record partitions known to the catalog but not yet recovered.
 

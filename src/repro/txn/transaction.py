@@ -547,6 +547,12 @@ class Transaction:
 
     def partition_allocated(self, partition: "Partition") -> None:
         self._ensure_active()
+        # UNDO first (as in _log): abort and statement rollback must take
+        # the growth back, or a later commit finds the partition already
+        # "catalogued" in memory and never logs it.
+        self._undo.append(
+            undo.UndoPartitionAllocated(partition.address, self.db.release_partition)
+        )
         self.db.on_partition_allocated(partition, self)
 
     def __repr__(self) -> str:

@@ -52,6 +52,9 @@ class RedoRecord:
     """Base class: header fields shared by every REDO record."""
 
     TAG: ClassVar[int] = 0
+    #: Payload bytes besides ``data``, the one variable-length field a
+    #: record may have; lets :attr:`size_bytes` skip packing the payload.
+    FIXED_BYTES: ClassVar[int] = 0
 
     txn_id: int
     bin_index: int
@@ -76,7 +79,7 @@ class RedoRecord:
 
     @property
     def size_bytes(self) -> int:
-        return _HEADER.size + len(self._payload())
+        return _HEADER.size + self.FIXED_BYTES + len(getattr(self, "data", b""))
 
     def with_bin_index(self, bin_index: int) -> "RedoRecord":
         """Copy of this record carrying a (re)assigned bin index."""
@@ -128,6 +131,7 @@ class TupleInsert(RedoRecord):
     """Install a new tuple at a recorded entity address."""
 
     TAG: ClassVar[int] = 1
+    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U32.size
 
     address: EntityAddress
     data: bytes
@@ -164,6 +168,7 @@ class TupleUpdate(RedoRecord):
     """Overwrite the whole tuple at an entity address."""
 
     TAG: ClassVar[int] = 2
+    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U32.size
 
     address: EntityAddress
     data: bytes
@@ -192,6 +197,7 @@ class TupleDelete(RedoRecord):
     """Remove the tuple at an entity address."""
 
     TAG: ClassVar[int] = 3
+    FIXED_BYTES: ClassVar[int] = _ENTITY.size
 
     address: EntityAddress
 
@@ -224,6 +230,7 @@ class FieldPatch(RedoRecord):
     """
 
     TAG: ClassVar[int] = 4
+    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U16.size + _U32.size
 
     address: EntityAddress
     start: int
@@ -272,6 +279,7 @@ class HeapPut(RedoRecord):
     """Re-execute a string-space put at its recorded handle."""
 
     TAG: ClassVar[int] = 5
+    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size + _U32.size
 
     partition: PartitionAddress
     handle: int
@@ -314,6 +322,7 @@ class HeapReplace(RedoRecord):
     """Re-execute an in-place string replacement."""
 
     TAG: ClassVar[int] = 6
+    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size + _U32.size
 
     partition: PartitionAddress
     handle: int
@@ -350,6 +359,7 @@ class HeapDelete(RedoRecord):
     """Re-execute a string-space delete."""
 
     TAG: ClassVar[int] = 7
+    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size
 
     partition: PartitionAddress
     handle: int
@@ -395,6 +405,7 @@ class IndexNodeWrite(RedoRecord):
     """
 
     TAG: ClassVar[int] = 8
+    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U32.size
 
     address: EntityAddress
     data: bytes
@@ -426,6 +437,7 @@ class IndexNodeFree(RedoRecord):
     """Release an index component (node merged away or bucket freed)."""
 
     TAG: ClassVar[int] = 9
+    FIXED_BYTES: ClassVar[int] = _ENTITY.size
 
     address: EntityAddress
 
@@ -475,6 +487,7 @@ class CommandBarrier(RedoRecord):
     """
 
     TAG: ClassVar[int] = 10
+    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size
 
     partition: PartitionAddress
     csn: int
@@ -518,6 +531,7 @@ class SweepMarker(RedoRecord):
     """
 
     TAG: ClassVar[int] = 11
+    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size
 
     partition: PartitionAddress
     watermark: int

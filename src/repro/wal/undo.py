@@ -14,6 +14,7 @@ are two-phase locked until commit (section 2.3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.common.types import EntityAddress, PartitionAddress
 from repro.storage.memory_manager import MemoryManager
@@ -165,3 +166,21 @@ class UndoIndexNodeFree(UndoRecord):
     @property
     def size_bytes(self) -> int:
         return 24 + len(self.before)
+
+
+@dataclass(frozen=True, slots=True)
+class UndoPartitionAllocated(UndoRecord):
+    """Take back a segment growth of the aborting transaction.
+
+    Logged *before* the catalog update that records the partition, so by
+    the time it applies every entity the transaction placed there is gone
+    and the descriptor's bytes are restored; ``release`` drops what bytes
+    do not cover — the decoded descriptor entry, the resident partition
+    and its Stable Log Tail bin (:meth:`Database.release_partition`).
+    """
+
+    address: PartitionAddress
+    release: Callable[[PartitionAddress], None]
+
+    def apply(self, memory: MemoryManager) -> None:
+        self.release(self.address)

@@ -159,3 +159,54 @@ class TestRedoApply:
         assert partition.read(1) == b"ALPHA"
         assert 2 not in partition
         assert partition.heap.get(1) == b"long string"
+
+
+class TestSizeBytesWithoutPacking:
+    """``size_bytes`` is computed from field lengths (``FIXED_BYTES`` plus
+    ``len(data)``), never by packing the payload.  Every stable-byte CPU
+    charge and every SLB/SLT byte counter is fed by it, so it must equal
+    the encoded length exactly, for every registered record class."""
+
+    DATA = [b"", b"x", b"tuple-data", bytes(300)]
+
+    @staticmethod
+    def samples():
+        from repro.wal import records
+
+        with_data = {
+            records.TupleInsert: lambda d: (EADDR, d),
+            records.TupleUpdate: lambda d: (EADDR, d),
+            records.FieldPatch: lambda d: (EADDR, 8, d),
+            records.HeapPut: lambda d: (PADDR, 3, d),
+            records.HeapReplace: lambda d: (PADDR, 3, d),
+            records.IndexNodeWrite: lambda d: (EADDR, d),
+        }
+        fixed = {
+            records.TupleDelete: (EADDR,),
+            records.HeapDelete: (PADDR, 3),
+            records.IndexNodeFree: (EADDR,),
+            records.CommandBarrier: (PADDR, 41),
+            records.SweepMarker: (PADDR, 40),
+        }
+        out = [
+            cls(7, 4, *fields(data))
+            for cls, fields in with_data.items()
+            for data in TestSizeBytesWithoutPacking.DATA
+        ]
+        out += [cls(7, 4, *fields) for cls, fields in fixed.items()]
+        out += [
+            records.TxnPrepare(7, "gtid-é", 1, 0, (0, 1, 2)),
+            records.TxnDecision(7, "gtid", "commit", ()),
+            records.TxnCommand(7, 9, "bump", "1", b"[1, 2]", ("a", "bé")),
+        ]
+        return out
+
+    def test_every_registered_class_is_sampled(self):
+        from repro.wal import records
+
+        registered = set(records._REGISTRY.values()) | set(records._CONTROL_REGISTRY.values())
+        assert {type(record) for record in self.samples()} == registered
+
+    def test_size_bytes_equals_encoded_length(self):
+        for record in self.samples():
+            assert record.size_bytes == len(record.encode()), record
