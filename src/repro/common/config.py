@@ -19,9 +19,57 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import KILOBYTE, MEGABYTE
+
+#: The four environment variables (docs/ENGINES.md has the table): the
+#: default engine, its worker pool size, and the defaults of
+#: ``SystemConfig.logging_mode`` and ``SystemConfig.condense_enabled``.
+ENGINE_ENV_VAR = "REPRO_ENGINE"
+WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
+LOGGING_MODE_ENV_VAR = "REPRO_LOGGING_MODE"
+CONDENSE_ENV_VAR = "REPRO_CONDENSE"
+
+LOGGING_MODES = ("value", "command", "adaptive")
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+class EnvSettings(NamedTuple):
+    engine: str
+    workers: int
+    logging_mode: str
+    condense: bool
+
+
+def env_settings() -> EnvSettings:
+    """Parse and validate every ``REPRO_*`` variable — the only place
+    the environment enters the library (the :class:`SystemConfig`
+    default factories and :func:`repro.engine.engine_from_env` read it
+    from here).  Unset or empty takes the default; anything unrecognised
+    raises :class:`ConfigurationError`."""
+
+    def choice(name: str, default: str, accepted: tuple[str, ...]) -> str:
+        value = os.environ.get(name, "").strip().lower() or default
+        if value not in accepted:
+            raise ConfigurationError(
+                f"{name}={value!r}: expected one of {', '.join(accepted)}"
+            )
+        return value
+
+    workers = os.environ.get(WORKERS_ENV_VAR, "").strip() or "4"
+    if not workers.isdecimal() or int(workers) < 1:
+        raise ConfigurationError(
+            f"{WORKERS_ENV_VAR}={workers!r}: expected a positive integer"
+        )
+    return EnvSettings(
+        engine=choice(ENGINE_ENV_VAR, "sim", ("sim", "threaded")),
+        workers=int(workers),
+        logging_mode=choice(LOGGING_MODE_ENV_VAR, "value", LOGGING_MODES),
+        condense=choice(CONDENSE_ENV_VAR, "0", _TRUE + _FALSE) in _TRUE,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,9 +229,7 @@ class SystemConfig:
     #: environment variable sets the default for configs that do not pass
     #: it explicitly (the CI logging-mode matrix axis, mirroring
     #: ``REPRO_ENGINE``).
-    logging_mode: str = field(
-        default_factory=lambda: os.environ.get("REPRO_LOGGING_MODE", "value")
-    )
+    logging_mode: str = field(default_factory=lambda: env_settings().logging_mode)
     #: Adaptive mode converts a declared transaction to command logging
     #: when its after-image chain reaches this many bytes; below it the
     #: value chain is cheaper than a command record plus barriers.
@@ -194,9 +240,7 @@ class SystemConfig:
     #: by default; the ``REPRO_CONDENSE`` environment variable turns it
     #: on for configs that do not pass the flag explicitly (a CI matrix
     #: axis, mirroring ``REPRO_LOGGING_MODE``).
-    condense_enabled: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_CONDENSE", "") == "1"
-    )
+    condense_enabled: bool = field(default_factory=lambda: env_settings().condense)
     #: Upper bound on log pages folded per condense slice — one slice is
     #: one unit of idle-time work, so this caps how long the recovery
     #: CPU stays busy before checking for real duties again.
@@ -235,7 +279,7 @@ class SystemConfig:
             raise ConfigurationError("log_page_cache_pages cannot be negative")
         if self.io_retry_budget < 0:
             raise ConfigurationError("io_retry_budget cannot be negative")
-        if self.logging_mode not in ("value", "command", "adaptive"):
+        if self.logging_mode not in LOGGING_MODES:
             raise ConfigurationError(
                 "logging_mode must be 'value', 'command', or 'adaptive'"
             )

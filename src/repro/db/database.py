@@ -32,6 +32,7 @@ section 2.5.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 
@@ -276,6 +277,7 @@ class Database:
         """Run the between-transactions duties of both processors."""
         self.engine.pump()
 
+    @contextlib.contextmanager
     def transaction(
         self, *, pump: bool = True, relations: list[str] | None = None
     ):
@@ -288,19 +290,13 @@ class Database:
         it can never stall on a missing partition mid-flight.  Without
         it, references recover partitions on demand (method 2).
         """
-        import contextlib
-
-        @contextlib.contextmanager
-        def _scope():
-            if relations and self.restart_coordinator is not None:
-                for name in relations:
-                    self.restart_coordinator.recover_relation(name)
-            with self.transactions.scope() as txn:
-                yield txn
-            if pump:
-                self.pump()
-
-        return _scope()
+        if relations and self.restart_coordinator is not None:
+            for name in relations:
+                self.restart_coordinator.recover_relation(name)
+        with self.transactions.scope() as txn:
+            yield txn
+        if pump:
+            self.pump()
 
     # -- scripted transactions (docs/LOGGING.md) -----------------------------------------------
 

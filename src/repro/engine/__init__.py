@@ -14,16 +14,21 @@ interchangeable schedulings of that design behind one interface:
   the per-partition replay streams of a whole-database media restore
   (:meth:`~repro.engine.base.ExecutionEngine.restore_map`).
 
+Both run the one duty list (:data:`~repro.engine.base.DUTIES`) and the
+one worker pool (:func:`~repro.engine.pool.run_pool`); they differ only
+in where a duty is dispatched.
+
 Select per database (``Database(engine=...)``) or process-wide with the
-``REPRO_ENGINE`` environment variable (``sim`` | ``threaded``), which CI
-uses to run the whole suite under the threaded engine.
+``REPRO_ENGINE`` environment variable (``sim`` | ``threaded``, parsed by
+:func:`repro.common.config.env_settings`), which CI uses to run the
+whole suite under the threaded engine.
 """
 
 from __future__ import annotations
 
-import os
-
+from repro.common.config import env_settings
 from repro.engine.base import ExecutionEngine
+from repro.engine.pool import run_pool
 from repro.engine.sim import SimEngine
 from repro.engine.threaded import ThreadedEngine
 
@@ -32,32 +37,13 @@ __all__ = [
     "SimEngine",
     "ThreadedEngine",
     "engine_from_env",
+    "run_pool",
 ]
-
-#: Environment variable naming the default engine for new databases.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-#: Environment variable sizing the threaded engine's restore pool.
-WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
-#: Environment variable opting the threaded engine into the relaxed
-#: (batched, one-mailbox-round-trip) pump.  Off by default so duty
-#: observation stays SimEngine-identical.
-RELAXED_ENV_VAR = "REPRO_ENGINE_RELAXED"
 
 
 def engine_from_env() -> ExecutionEngine:
     """Build the engine selected by ``REPRO_ENGINE`` (default: sim)."""
-    kind = os.environ.get(ENGINE_ENV_VAR, "sim").strip().lower()
-    if kind in ("", "sim"):
-        return SimEngine()
-    if kind == "threaded":
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "4"))
-        relaxed = os.environ.get(RELAXED_ENV_VAR, "").strip().lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-        return ThreadedEngine(workers=workers, relaxed_pump=relaxed)
-    raise ValueError(
-        f"unknown {ENGINE_ENV_VAR} value {kind!r}; expected 'sim' or 'threaded'"
-    )
+    settings = env_settings()
+    if settings.engine == "threaded":
+        return ThreadedEngine(workers=settings.workers)
+    return SimEngine()

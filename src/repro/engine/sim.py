@@ -9,7 +9,6 @@ bit-for-bit reproducible from run to run.
 
 from __future__ import annotations
 
-from repro.common.types import PartitionAddress
 from repro.engine.base import ExecutionEngine
 
 
@@ -18,18 +17,9 @@ class SimEngine(ExecutionEngine):
 
     name = "sim"
 
-    def drain_log(self) -> int:
-        db = self._require_db()
-        return db.recovery_service.drain()
+    def _dispatch(self, duty, processor):
+        return duty()
 
-    def pump(self) -> None:
-        db = self._require_db()
-        db.recovery_service.drain()
-        db.checkpoint_service.acknowledge()
-        db.checkpoint_service.process_pending()
-        db.checkpoint_service.acknowledge()
-        db.recovery_service.background_step()
-        db.recovery_service.condense_step()
-
-    def restore_partitions(self, addresses: list[PartitionAddress]) -> int:
-        return self._restore_sequential(addresses)
+    # The host benchmark's tracer patches ``SimEngine.__dict__["pump"]``,
+    # so the name has to live in this class body, not only in the base.
+    pump = ExecutionEngine.pump

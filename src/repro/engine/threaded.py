@@ -27,9 +27,7 @@ from __future__ import annotations
 import threading
 import weakref
 
-from repro.common.types import PartitionAddress
-from repro.engine.base import ExecutionEngine
-from repro.sim.chaos import crash_point
+from repro.engine.base import RECOVERY_CPU, ExecutionEngine
 
 
 class _RecoveryThread:
@@ -97,10 +95,6 @@ class _RecoveryThread:
                 self._job = None
                 self._cv.notify_all()
 
-    def idle(self) -> bool:
-        with self._cv:
-            return self._job is None
-
     def stop(self) -> None:
         with self._cv:
             thread = self._thread
@@ -117,12 +111,7 @@ class ThreadedEngine(ExecutionEngine):
 
     name = "threaded"
 
-    def __init__(
-        self,
-        workers: int = 4,
-        relaxed_pump: bool = False,
-        thread_prefix: str = "repro",
-    ):
+    def __init__(self, workers: int = 4, thread_prefix: str = "repro"):
         super().__init__()
         if workers < 1:
             raise ValueError("the threaded engine needs at least one worker")
@@ -130,165 +119,19 @@ class ThreadedEngine(ExecutionEngine):
         #: Host-thread name prefix; a sharded deployment gives each node
         #: its own (``repro-shard3``) so stack dumps attribute work.
         self.thread_prefix = thread_prefix
-        #: With relaxed determinism, :meth:`pump` makes ONE mailbox round
-        #: trip instead of four: the full duty sequence (sort → ack →
-        #: checkpoint → ack → background restore) runs as a single job on
-        #: the recovery thread, in the same order but without the
-        #: per-duty submit/observe barrier on the caller.  Duty *order*
-        #: still matches SimEngine; what is relaxed is only when the
-        #: caller observes intermediate state, so metered totals of a
-        #: quiet pump stay identical while the mailbox hot path drops to
-        #: a quarter of the round trips.
-        self.relaxed_pump = relaxed_pump
         self._recovery = _RecoveryThread(f"{thread_prefix}-recovery-cpu")
         # The databases under test are created by the hundred; tie the
         # thread's lifetime to the engine object so abandoned instances
         # cannot leak host threads.
         self._finalizer = weakref.finalize(self, _RecoveryThread.stop, self._recovery)
 
-    # -- recovery-CPU duties --------------------------------------------------
-
-    def drain_log(self) -> int:
-        db = self._require_db()
-        return self._recovery.run_job(db.recovery_service.drain)
-
-    def pump(self) -> None:
-        db = self._require_db()
-        if self.relaxed_pump:
-            # One mailbox round trip: the whole duty sequence runs as a
-            # single job, in the same order.  Checkpoint transactions are
-            # no-wait (conflicts defer the request), so hosting them on
-            # the recovery thread cannot block the mailbox on a user
-            # transaction's locks.
-            def batched() -> None:
-                db.recovery_service.drain()
-                db.checkpoint_service.acknowledge()
-                db.checkpoint_service.process_pending()
-                db.checkpoint_service.acknowledge()
-                db.recovery_service.background_step()
-                db.recovery_service.condense_step()
-
-            self._recovery.run_job(batched)
-            return
-        # Same duty order as SimEngine; the recovery CPU's share runs on
-        # the recovery thread, the checkpoint transactions (main-CPU work
-        # in the paper) stay on the calling thread.
-        self._recovery.run_job(db.recovery_service.drain)
-        self._recovery.run_job(db.checkpoint_service.acknowledge)
-        db.checkpoint_service.process_pending()
-        self._recovery.run_job(db.checkpoint_service.acknowledge)
-        db.recovery_service.background_step()
-        self._recovery.run_job(db.recovery_service.condense_step)
-
-    # -- restart phase 2 ------------------------------------------------------
-
-    def restore_partitions(self, addresses: list[PartitionAddress]) -> int:
-        db = self._require_db()
-        coordinator = db.restart_coordinator
-        if coordinator is None or not addresses:
-            return 0
-        pool_size = min(self.workers, len(addresses))
-        if pool_size <= 1:
-            return self._restore_sequential(addresses)
-        work = list(addresses)
-        state_lock = threading.Lock()
-        recovered = [0]
-        errors: list[BaseException] = []
-
-        def worker() -> None:
-            while True:
-                with state_lock:
-                    if errors or not work:
-                        return
-                    address = work.pop(0)
-                try:
-                    crash_point("engine.restore.before-partition")
-                    if coordinator.recover_partition(address) is not None:
-                        with state_lock:
-                            recovered[0] += 1
-                # Not a swallow: the first error stops the pool and is
-                # re-raised on the caller after the failed address is
-                # handed back to the restart queue.
-                except BaseException as exc:  # repro-check: ignore[RC04]
-                    with state_lock:
-                        errors.append(exc)
-                        work.insert(0, address)
-                    return
-
-        threads = [
-            threading.Thread(
-                target=worker, name=f"{self.thread_prefix}-restore-{i}", daemon=True
-            )
-            for i in range(pool_size)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            coordinator.requeue(work)
-            raise errors[0]
-        return recovered[0]
-
-    # -- restore fan-out (media recovery) -------------------------------------
-
-    def restore_map(self, fn, items: list) -> list:
-        """Run a restore fan-out on the worker pool, results in input
-        order.
-
-        Same pool shape as :meth:`restore_partitions`: workers claim items
-        by index, the first error stops the pool and is re-raised on the
-        caller.  One worker (or one item) degenerates to the sequential
-        base implementation, so SimEngine and ``workers=1`` apply in the
-        identical order.
-        """
-        items = list(items)
-        pool_size = min(self.workers, len(items))
-        if pool_size <= 1:
-            return super().restore_map(fn, items)
-        results: list = [None] * len(items)
-        state_lock = threading.Lock()
-        next_index = [0]
-        errors: list[BaseException] = []
-
-        def worker() -> None:
-            while True:
-                with state_lock:
-                    if errors or next_index[0] >= len(items):
-                        return
-                    index = next_index[0]
-                    next_index[0] += 1
-                try:
-                    results[index] = fn(items[index])
-                # Not a swallow: the first error stops the pool and is
-                # re-raised on the caller, same as restore_partitions.
-                except BaseException as exc:  # repro-check: ignore[RC04]
-                    with state_lock:
-                        errors.append(exc)
-                    return
-
-        threads = [
-            threading.Thread(
-                target=worker,
-                name=f"{self.thread_prefix}-media-restore-{i}",
-                daemon=True,
-            )
-            for i in range(pool_size)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def quiesce(self) -> None:
-        # Submissions are synchronous, so "idle mailbox" means settled.
-        while not self._recovery.idle():  # pragma: no cover - defensive
-            pass
+    def _dispatch(self, duty, processor):
+        # The recovery CPU's share crosses the mailbox; the checkpoint
+        # and recovery transactions (main-CPU work in the paper) stay on
+        # the calling thread.
+        if processor == RECOVERY_CPU:
+            return self._recovery.run_job(duty)
+        return duty()
 
     def shutdown(self) -> None:
         self._recovery.stop()

@@ -236,7 +236,7 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
         "pages_scanned": 0,
         "pages_skipped": 0,
         "streams": 0,
-        "workers": getattr(db.engine, "workers", 1),
+        "workers": db.engine.workers,
         "wall_seconds": 0.0,
     }
     if not entry:

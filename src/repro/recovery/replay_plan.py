@@ -239,9 +239,7 @@ class CommandReplayPlanner:
             batches = [batch for _, batch in _closures(pending)]
             stats["batches"] = len(batches)
             stats["max_batch"] = max(len(batch) for batch in batches)
-            stats["replay_workers"] = max(
-                1, min(getattr(db.engine, "workers", 1), len(batches))
-            )
+            stats["replay_workers"] = min(db.engine.workers, len(batches))
             replayed = db.engine.restore_map(self.replay_batch, batches)
             stats["commands_replayed"] = sum(replayed)
         db.last_command_replay = stats

@@ -15,9 +15,8 @@ from __future__ import annotations
 from repro.common.config import SystemConfig
 from repro.db.database import Database, RecoveryMode
 from repro.db.monitor import Monitor
-from repro.engine.sim import SimEngine
+from repro.engine import SimEngine, ThreadedEngine
 from repro.recovery.restart import RestartCoordinator
-from repro.shard.engine import ShardedEngine
 
 
 class ShardNode:
@@ -29,7 +28,6 @@ class ShardNode:
         config: SystemConfig | None = None,
         engine_kind: str = "sim",
         workers: int = 4,
-        relaxed_pump: bool = False,
     ):
         if engine_kind not in ("sim", "threaded"):
             raise ValueError(f"unknown engine kind {engine_kind!r}")
@@ -38,9 +36,9 @@ class ShardNode:
         if engine_kind == "sim":
             engine = SimEngine()
         else:
-            engine = ShardedEngine(
-                shard_id, workers=workers, relaxed_pump=relaxed_pump
-            )
+            # Per-node thread names (``repro-shard3-recovery-cpu`` …):
+            # nodes share no thread, and stack dumps attribute work.
+            engine = ThreadedEngine(workers, thread_prefix=f"repro-shard{shard_id}")
         self.db = Database(config, engine=engine)
         self.db.shard_id = shard_id
         self.monitor = Monitor(self.db)

@@ -19,14 +19,18 @@ the batch:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Iterator
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.common.errors import TransactionAborted
-from repro.shard.engine import fan_out
 from repro.shard.sharded import DistributedTransaction
 from repro.sim.faults import SimulatedCrash
 from repro.txn.concurrent import ConcurrentScheduler
-from repro.txn.scheduler import SchedulerError, ScriptResult
+from repro.txn.scheduler import (
+    SchedulerError,
+    ScriptResult,
+    _RunningScript,
+    run_round_robin,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.shard.sharded import ShardedDatabase
@@ -36,8 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CrossScript = Callable[[DistributedTransaction], Generator[None, None, None]]
 
 
-class _CrossScript:
-    """Book-keeping for one submitted cross-shard script."""
+class _CrossScript(_RunningScript):
+    """A submitted cross-shard script: each attempt starts a fresh
+    distributed transaction (kept in ``txn``) instead of a local one."""
 
     def __init__(
         self,
@@ -48,31 +53,20 @@ class _CrossScript:
         max_attempts: int,
         slot: int,
     ):
-        self.name = name
-        self.script = script
+        super().__init__(name, script, max_attempts, slot)
         self.relations = relations
         self.shard_ids = shard_ids
-        self.max_attempts = max_attempts
-        self.slot = slot
-        self.attempts = 0
         self.gtids: list[str] = []
-        self.generator: Iterator[None] | None = None
-        self.dtxn: DistributedTransaction | None = None
-        self.backoff = 0
-
-    def next_backoff(self) -> int:
-        # Same stagger as the single-node schedulers (livelock avoidance).
-        return min(2 * self.attempts + self.slot % 5, 24)
 
     def start(self, cluster: "ShardedDatabase") -> None:
         self.attempts += 1
         cluster.ensure_recovered(self.relations)
-        self.dtxn = DistributedTransaction(
+        self.txn = DistributedTransaction(
             cluster, cluster._mint_gtid(), self.shard_ids
         )
-        cluster.twopc.register(self.dtxn)
-        self.gtids.append(self.dtxn.gtid)
-        self.generator = iter(self.script(self.dtxn))
+        cluster.twopc.register(self.txn)
+        self.gtids.append(self.txn.gtid)
+        self.generator = iter(self.script(self.txn))
 
 
 class ShardedScheduler:
@@ -152,9 +146,7 @@ class ShardedScheduler:
             for sid in sorted(self._node_pools)
             if self._node_pools[sid]._scripts
         ]
-        pool_results = fan_out(
-            [pool.run for pool in pools], parallel=self.cluster.parallel
-        )
+        pool_results = self.cluster.fan_out([pool.run for pool in pools])
         for batch in pool_results:
             for result in batch:
                 results[result.name] = result
@@ -165,47 +157,28 @@ class ShardedScheduler:
         return ordered
 
     def _run_cross(self) -> list[ScriptResult]:
+        """The single-node round-robin, stepping distributed transactions."""
         submitted = list(self._cross)
         self._cross.clear()
-        results: dict[str, ScriptResult] = {}
-        pending = list(submitted)
-        while pending:
-            still_running: list[_CrossScript] = []
-            for running in pending:
-                if running.backoff > 0:
-                    running.backoff -= 1
-                    still_running.append(running)
-                    continue
-                outcome = self._step(running)
-                if outcome == "running":
-                    still_running.append(running)
-                elif outcome == "retry":
-                    self.cross_conflicts += 1
-                    if running.attempts >= running.max_attempts:
-                        self.cross_failed += 1
-                        results[running.name] = ScriptResult(
-                            running.name, False, running.attempts
-                        )
-                    else:
-                        running.generator = None
-                        running.dtxn = None
-                        running.backoff = running.next_backoff()
-                        still_running.append(running)
-                else:  # committed
-                    self.cross_committed += 1
-                    results[running.name] = ScriptResult(
-                        running.name, True, running.attempts
-                    )
-            pending = still_running
-        if submitted:
-            self.cluster.pump()
-        self.cross_runs += 1 if submitted else 0
-        return [results[s.name] for s in submitted]
+        if not submitted:
+            return []
+        results = run_round_robin(submitted, self._step, self._count_conflict)
+        for result in results:
+            if result.committed:
+                self.cross_committed += 1
+            else:
+                self.cross_failed += 1
+        self.cluster.pump()
+        self.cross_runs += 1
+        return results
+
+    def _count_conflict(self) -> None:
+        self.cross_conflicts += 1
 
     def _step(self, running: _CrossScript) -> str:
         if running.generator is None:
             running.start(self.cluster)
-        dtxn = running.dtxn
+        dtxn = running.txn
         assert dtxn is not None
         try:
             next(running.generator)  # type: ignore[arg-type]

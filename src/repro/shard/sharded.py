@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.db.database import RecoveryMode
 from repro.db.relation import Relation, Row
+from repro.engine import run_pool
 from repro.recovery.oracle import logical_digest
-from repro.shard.engine import fan_out
 from repro.shard.node import ShardNode
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import TwoPhaseCommit
@@ -219,7 +219,6 @@ class ShardedDatabase:
         config: SystemConfig | None = None,
         engine: str = "sim",
         workers: int = 4,
-        relaxed_pump: bool = False,
         placement: dict[str, int] | None = None,
     ):
         if engine not in ("sim", "threaded"):
@@ -227,13 +226,7 @@ class ShardedDatabase:
         self.engine_kind = engine
         self.router = ShardRouter(shards, placement)
         self.nodes = [
-            ShardNode(
-                sid,
-                config,
-                engine_kind=engine,
-                workers=workers,
-                relaxed_pump=relaxed_pump,
-            )
+            ShardNode(sid, config, engine_kind=engine, workers=workers)
             for sid in range(shards)
         ]
         self.twopc = TwoPhaseCommit(self)
@@ -252,10 +245,23 @@ class ShardedDatabase:
     def node(self, shard_id: int) -> ShardNode:
         return self.nodes[shard_id]
 
-    @property
-    def parallel(self) -> bool:
-        """Whether cluster-wide operations may fan out on host threads."""
-        return self.engine_kind == "threaded"
+    def fan_out(self, jobs: list[Callable[[], object]]) -> list:
+        """Run one job per node; results in input order.
+
+        A threaded cluster runs them on one host thread each, which is
+        safe precisely because nodes share no state.  There the first
+        error stops nothing early — every node's job runs to completion
+        so a surviving shard never sees a half-applied cluster operation
+        — and is re-raised on the caller.  A sim cluster applies the
+        jobs sequentially in order, keeping the deterministic schedule.
+        """
+        return run_pool(
+            lambda job: job(),
+            jobs,
+            workers=len(jobs) if self.engine_kind == "threaded" else 1,
+            name="repro-fanout",
+            stop_on_error=False,
+        )
 
     # -- DDL ----------------------------------------------------------------------
 
@@ -366,7 +372,7 @@ class ShardedDatabase:
 
     def pump(self) -> None:
         """Every node's between-transactions duties (parallel when threaded)."""
-        fan_out([node.pump for node in self.nodes], parallel=self.parallel)
+        self.fan_out([node.pump for node in self.nodes])
 
     # -- crash / restart ----------------------------------------------------------
 
@@ -394,15 +400,10 @@ class ShardedDatabase:
     def restart(self, mode: RecoveryMode = RecoveryMode.ON_DEMAND) -> None:
         """Restart every crashed node (parallel when threaded)."""
         crashed = [node for node in self.nodes if node.crashed]
-        fan_out(
-            [lambda n=node: n.restart(mode) for node in crashed],
-            parallel=self.parallel,
-        )
+        self.fan_out([lambda n=node: n.restart(mode) for node in crashed])
 
     def recover_everything(self) -> None:
-        fan_out(
-            [node.recover_everything for node in self.nodes], parallel=self.parallel
-        )
+        self.fan_out([node.recover_everything for node in self.nodes])
 
     @property
     def crashed_shards(self) -> list[int]:

@@ -26,19 +26,18 @@ pool of host worker threads when the database runs a
 whenever the pool size degenerates to one — :meth:`run` executes the
 inherited cooperative round-robin unchanged, so simulation-vs-model
 benchmarks and every metered total stay bit-identical to
-:class:`InterleavedScheduler`.  Real concurrency is opted into via the
-threaded engine plus ``workers > 1`` (default: the engine's worker count,
-overridable with ``REPRO_SCHEDULER_WORKERS``).
+:class:`InterleavedScheduler`.  Real concurrency is opted into via an
+engine with a worker pool plus ``workers > 1`` (default: the engine's
+worker count).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.engine.threaded import ThreadedEngine
+from repro.engine import run_pool
 from repro.sim.clock import host_now, host_pause
 from repro.txn.scheduler import (
     InterleavedScheduler,
@@ -60,16 +59,6 @@ BACKOFF_SLOT_SECONDS = 0.0005
 _IDLE_POLL_SECONDS = 0.0002
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("REPRO_SCHEDULER_WORKERS", "").strip()
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 class ConcurrentScheduler(InterleavedScheduler):
     """Executes transaction scripts on a pool of worker threads.
 
@@ -88,10 +77,7 @@ class ConcurrentScheduler(InterleavedScheduler):
     ):
         super().__init__(db, max_attempts)
         if workers is None:
-            workers = _workers_from_env()
-        if workers is None:
-            engine = db.engine
-            workers = engine.workers if isinstance(engine, ThreadedEngine) else 1
+            workers = db.engine.workers
         if workers < 1:
             raise SchedulerError("workers must be at least 1")
         self.workers = workers
@@ -111,12 +97,11 @@ class ConcurrentScheduler(InterleavedScheduler):
     def effective_workers(self) -> int:
         """Pool size the next :meth:`run` will actually use.
 
-        Real threads require the threaded engine; on ``SimEngine`` the
+        Real threads require an engine with a worker pool; on one that
+        runs everything inline (``SimEngine``, or ``workers=1``) the
         scheduler always degenerates to the deterministic round-robin.
         """
-        if not isinstance(self.db.engine, ThreadedEngine):
-            return 1
-        return self.workers
+        return self.workers if self.db.engine.workers > 1 else 1
 
     # -- running ----------------------------------------------------------------
 
@@ -167,7 +152,6 @@ class ConcurrentScheduler(InterleavedScheduler):
         results: dict[str, ScriptResult] = {}
         queue_mutex = threading.Lock()
         stop = threading.Event()
-        errors: list[BaseException] = []
         outstanding = len(scripts)
         worker_stats = [
             {"worker": i, "scripts": 0, "committed": 0, "conflicts": 0,
@@ -253,31 +237,20 @@ class ConcurrentScheduler(InterleavedScheduler):
                 busy_start = host_now()
                 try:
                     outcome = self._drive(running, stop)
-                except BaseException as exc:  # repro-check: ignore[RC04]
-                    # ferried to the caller below; simulated crashes
-                    # included — first error wins, peers just stop
-                    with queue_mutex:
-                        errors.append(exc)
+                except BaseException:
+                    # the pool ferries it to the caller, simulated
+                    # crashes included — first error wins, peers just stop
                     stop.set()
-                    return
+                    raise
                 finally:
                     stats["busy_seconds"] += host_now() - busy_start
                 settle(running, outcome, stats)
 
-        threads = [
-            threading.Thread(
-                target=worker, args=(i,), name=f"repro-txn-worker-{i}", daemon=True
-            )
-            for i in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        with self._stats_mutex:
-            self._worker_stats = worker_stats
-        if errors:
-            raise errors[0]
+        try:
+            run_pool(worker, range(workers), workers=workers, name="repro-txn-worker")
+        finally:
+            with self._stats_mutex:
+                self._worker_stats = worker_stats
         self.db.pump()
         ordered = [results[s.name] for s in scripts]
         self._scripts.clear()

@@ -75,6 +75,51 @@ class _RunningScript:
         self.generator = iter(self.script(self.txn))
 
 
+def run_round_robin(
+    scripts: list[_RunningScript],
+    step: Callable[[_RunningScript], str],
+    on_conflict: Callable[[], None],
+) -> list[ScriptResult]:
+    """Interleave ``scripts`` to completion; results in input order.
+
+    Each scheduling slot advances one script by one ``step`` (up to its
+    next ``yield``), which reports ``"running"``, ``"committed"`` or
+    ``"retry"`` — the step lost a lock conflict and its transaction is
+    already rolled back.  A retry calls ``on_conflict`` and requeues the
+    script from the beginning after a staggered backoff, or fails it
+    once its retry budget is spent.
+    """
+    pending = list(scripts)
+    results: dict[str, ScriptResult] = {}
+    while pending:
+        still_running: list[_RunningScript] = []
+        for running in pending:
+            if running.backoff > 0:
+                running.backoff -= 1
+                still_running.append(running)
+                continue
+            outcome = step(running)
+            if outcome == "running":
+                still_running.append(running)
+            elif outcome == "retry":
+                on_conflict()
+                if running.attempts >= running.max_attempts:
+                    results[running.name] = ScriptResult(
+                        running.name, False, running.attempts, running.txn_ids
+                    )
+                else:
+                    running.generator = None
+                    running.txn = None
+                    running.backoff = running.next_backoff()
+                    still_running.append(running)
+            else:  # committed
+                results[running.name] = ScriptResult(
+                    running.name, True, running.attempts, running.txn_ids
+                )
+        pending = still_running
+    return [results[s.name] for s in scripts]
+
+
 class InterleavedScheduler:
     """Round-robin executor for transaction scripts with retry."""
 
@@ -93,45 +138,16 @@ class InterleavedScheduler:
         )
 
     def run(self) -> list[ScriptResult]:
-        """Interleave all submitted scripts to completion.
-
-        Each scheduling slot advances one script by one step (up to its
-        next ``yield``).  A step that loses a lock conflict rolls its
-        transaction back and requeues the script; a finished script
-        commits.  Returns per-script results in submission order.
-        """
-        pending = list(self._scripts)
-        results: dict[str, ScriptResult] = {}
-        while pending:
-            still_running: list[_RunningScript] = []
-            for running in pending:
-                if running.backoff > 0:
-                    running.backoff -= 1
-                    still_running.append(running)
-                    continue
-                outcome = self._step(running)
-                if outcome == "running":
-                    still_running.append(running)
-                elif outcome == "retry":
-                    self.conflicts += 1
-                    if running.attempts >= running.max_attempts:
-                        results[running.name] = ScriptResult(
-                            running.name, False, running.attempts, running.txn_ids
-                        )
-                    else:
-                        running.generator = None
-                        running.txn = None
-                        running.backoff = running.next_backoff()
-                        still_running.append(running)
-                else:  # committed
-                    results[running.name] = ScriptResult(
-                        running.name, True, running.attempts, running.txn_ids
-                    )
-            pending = still_running
+        """Interleave all submitted scripts to completion
+        (:func:`run_round_robin`), then pump.  Returns per-script
+        results in submission order."""
+        ordered = run_round_robin(self._scripts, self._step, self._count_conflict)
         self.db.pump()
-        ordered = [results[s.name] for s in self._scripts]
         self._scripts.clear()
         return ordered
+
+    def _count_conflict(self) -> None:
+        self.conflicts += 1
 
     def _step(self, running: _RunningScript) -> str:
         if running.generator is None:

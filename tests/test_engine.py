@@ -4,16 +4,24 @@ import threading
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.common.config import (
+    CONDENSE_ENV_VAR,
+    ENGINE_ENV_VAR,
+    LOGGING_MODE_ENV_VAR,
+    WORKERS_ENV_VAR,
+    env_settings,
+)
+from repro.common.errors import ConfigurationError
 from repro.db.monitor import Monitor
 from repro.engine import (
-    ENGINE_ENV_VAR,
-    WORKERS_ENV_VAR,
     ExecutionEngine,
     SimEngine,
     ThreadedEngine,
     engine_from_env,
+    run_pool,
 )
 from repro.engine.threaded import _RecoveryThread
+from repro.sim.faults import SimulatedCrash
 
 
 def small_config(**overrides):
@@ -51,7 +59,7 @@ class TestEngineSelection:
 
     def test_env_rejects_unknown_engine(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "quantum")
-        with pytest.raises(ValueError, match="quantum"):
+        with pytest.raises(ConfigurationError, match="quantum"):
             engine_from_env()
 
     def test_explicit_engine_wins_over_env(self, monkeypatch):
@@ -81,6 +89,176 @@ class TestEngineSelection:
         engine = SimEngine()
         with pytest.raises(RuntimeError):
             engine.pump()
+
+
+class TestEnvSettings:
+    """One parser for the four ``REPRO_*`` variables: bad values fail at
+    once, naming the variable and what it accepts."""
+
+    @pytest.mark.parametrize(
+        "variable,value,accepted",
+        [
+            (ENGINE_ENV_VAR, "quantum", "sim, threaded"),
+            (WORKERS_ENV_VAR, "abc", "positive integer"),
+            (WORKERS_ENV_VAR, "0", "positive integer"),
+            (LOGGING_MODE_ENV_VAR, "bogus", "value, command, adaptive"),
+            (CONDENSE_ENV_VAR, "maybe", "1, true, yes, on, 0, false, no, off"),
+        ],
+    )
+    def test_bad_value_names_variable_and_accepted(
+        self, monkeypatch, variable, value, accepted
+    ):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ConfigurationError) as raised:
+            env_settings()
+        assert variable in str(raised.value)
+        assert value in str(raised.value)
+        assert accepted in str(raised.value)
+
+    def test_bad_logging_mode_fails_before_post_init(self, monkeypatch):
+        monkeypatch.setenv(LOGGING_MODE_ENV_VAR, "bogus")
+        with pytest.raises(ConfigurationError, match=LOGGING_MODE_ENV_VAR):
+            SystemConfig()
+        # Explicit values never consult the environment.
+        config = SystemConfig(logging_mode="command", condense_enabled=False)
+        assert config.logging_mode == "command"
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [("1", True), ("true", True), ("YES", True), ("on", True),
+         ("", False), ("0", False), ("false", False), ("No", False), ("off", False)],
+    )
+    def test_condense_uses_the_one_boolean_rule(self, monkeypatch, value, expected):
+        monkeypatch.setenv(CONDENSE_ENV_VAR, value)
+        assert env_settings().condense is expected
+        assert SystemConfig().condense_enabled is expected
+
+    def test_defaults_when_unset(self, monkeypatch):
+        for variable in (
+            ENGINE_ENV_VAR, WORKERS_ENV_VAR, LOGGING_MODE_ENV_VAR, CONDENSE_ENV_VAR
+        ):
+            monkeypatch.delenv(variable, raising=False)
+        assert env_settings() == ("sim", 4, "value", False)
+
+
+class TestRunPool:
+    """The one worker pool behind every fan-out."""
+
+    def test_results_in_input_order_on_named_threads(self):
+        seen_threads = set()
+        gate = threading.Barrier(3, timeout=10)
+
+        def work(item):
+            seen_threads.add(threading.current_thread().name)
+            if item < 3:
+                gate.wait()  # three workers are genuinely running at once
+            return item * 2
+
+        assert run_pool(work, range(30), workers=3, name="pool-test") == [
+            i * 2 for i in range(30)
+        ]
+        assert seen_threads == {"pool-test-0", "pool-test-1", "pool-test-2"}
+
+    @pytest.mark.parametrize("workers,items", [(1, [3, 1, 2]), (4, [7])])
+    def test_one_worker_or_one_item_runs_inline_on_the_caller(self, workers, items):
+        caller = threading.current_thread().name
+        seen = []
+        run_pool(
+            lambda item: seen.append((item, threading.current_thread().name)),
+            items,
+            workers=workers,
+            name="pool-test",
+        )
+        assert seen == [(item, caller) for item in items]
+
+    def test_stop_on_error_stops_claiming_and_reraises_the_first_error(self):
+        ran = []
+        both_in_flight = threading.Barrier(2, timeout=10)
+        failing = []
+
+        def work(item):
+            ran.append(item)
+            if item == 0:
+                failing.append(threading.current_thread())
+                both_in_flight.wait()
+                raise RuntimeError("first")
+            # item 1 is in flight while item 0 fails, and still finishes
+            both_in_flight.wait()
+            failing[0].join(10)
+            return item
+
+        with pytest.raises(RuntimeError, match="first"):
+            run_pool(work, range(50), workers=2, name="pool-test")
+        assert sorted(ran) == [0, 1]
+
+    def test_without_stop_on_error_every_job_runs_then_reraises(self):
+        ran = []
+
+        def work(item):
+            ran.append(item)
+            if item == 0:
+                raise RuntimeError("first")
+            return item
+
+        with pytest.raises(RuntimeError, match="first"):
+            run_pool(work, range(20), workers=2, name="pool-test", stop_on_error=False)
+        assert sorted(ran) == list(range(20))
+
+    def test_simulated_crash_crosses_the_pool(self):
+        def work(item):
+            if item == 2:
+                raise SimulatedCrash("injected")
+            return item
+
+        with pytest.raises(SimulatedCrash, match="injected"):
+            run_pool(work, range(8), workers=4, name="pool-test")
+
+    def test_empty_input(self):
+        assert run_pool(lambda item: item, [], workers=4, name="pool-test") == []
+
+
+class TestDutyOrder:
+    """The between-transactions sequence is declared once; an engine only
+    chooses the thread each duty runs on."""
+
+    def pumped_duties(self, engine):
+        db = loaded_db(engine=engine)
+        calls = []
+
+        def recording(service, duty):
+            real = getattr(service, duty)
+
+            def wrapper():
+                calls.append((duty, threading.current_thread().name))
+                return real()
+
+            setattr(service, duty, wrapper)
+
+        for duty in ("drain", "background_step", "condense_step"):
+            recording(db.recovery_service, duty)
+        for duty in ("acknowledge", "process_pending"):
+            recording(db.checkpoint_service, duty)
+        db.pump()
+        db.close()
+        return calls
+
+    def test_both_engines_run_the_same_sequence(self):
+        caller = threading.current_thread().name
+        sim = self.pumped_duties(SimEngine())
+        threaded = self.pumped_duties(ThreadedEngine(workers=2))
+        assert [duty for duty, _ in sim] == [
+            "drain",
+            "acknowledge",
+            "process_pending",
+            "acknowledge",
+            "background_step",
+            "condense_step",
+        ]
+        assert [duty for duty, _ in threaded] == [duty for duty, _ in sim]
+        assert {thread for _, thread in sim} == {caller}
+        for duty, thread in threaded:
+            on_main_cpu = duty in ("process_pending", "background_step")
+            assert thread == (caller if on_main_cpu else "repro-recovery-cpu"), duty
 
 
 class TestThreadedMatchesSim:

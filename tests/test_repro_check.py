@@ -91,6 +91,13 @@ class TestRulesOnFixtures:
         findings = findings_for(path)
         assert findings == [], render_text(findings)
 
+    def test_rc03_flags_environment_reads_outside_common_config(self):
+        findings = findings_for(FIXTURES / "rc03_env_bad.py", ["RC03"])
+        # from os import getenv + os.environ
+        assert len(findings) == 2, render_text(findings)
+        assert all("env_settings" in f.message for f in findings)
+        assert findings_for(FIXTURES / "rc03_env_good.py") == []
+
     def test_findings_carry_location(self):
         (finding,) = findings_for(FIXTURES / "rc01_bad.py", ["RC01"])
         assert finding.path.endswith("rc01_bad.py")

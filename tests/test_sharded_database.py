@@ -4,6 +4,7 @@ degenerate case (digest-identical to a standalone database)."""
 import pytest
 
 from repro import Database, SystemConfig
+from repro.engine import SimEngine
 from repro.recovery.oracle import logical_digest
 from repro.shard import (
     ShardedDatabase,
@@ -245,7 +246,8 @@ class TestDegenerateSingleShard:
             for i in range(6):
                 scheduler.submit(transfer(i, (i + 1) % 8), name=f"t{i}")
 
-        seed_db = Database(small_config())
+        # The claim is the sim degeneracy: both sides pin the sim engine.
+        seed_db = Database(small_config(), engine=SimEngine())
         seed_sched = ConcurrentScheduler(seed_db)
         drive(seed_db, seed_sched)
         seed_sched.run()
