@@ -27,6 +27,10 @@ from repro.storage.segment import Segment
 
 CATALOG_SEGMENT_NAME = "__catalog__"
 
+#: Well-known stable-memory key under which :meth:`Catalog.well_known_entry`
+#: is published (twice: SLB and SLT) and found again at restart.
+CATALOG_LOCATIONS_KEY = "catalog-partitions"
+
 
 class EntitySink(Protocol):
     """Change notifications for catalog entity writes (implemented by the

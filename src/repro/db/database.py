@@ -37,6 +37,7 @@ import json
 import threading
 
 from repro.catalog.catalog import (
+    CATALOG_LOCATIONS_KEY,
     Catalog,
     IndexDescriptor,
     PartitionInfo,
@@ -56,7 +57,7 @@ from repro.common.errors import (
 from repro.common.types import PartitionAddress, SegmentKind
 from repro.concurrency.locks import LockManager, LockMode
 from repro.db.checkpoint_service import CheckpointService
-from repro.db.logging_service import CATALOG_LOCATIONS_KEY, LoggingService
+from repro.db.logging_service import LoggingService
 from repro.db.recovery_service import RecoveryMode, RecoveryService
 from repro.db.relation import Relation
 from repro.engine import ExecutionEngine, engine_from_env

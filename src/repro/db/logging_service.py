@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.catalog.catalog import CATALOG_LOCATIONS_KEY
 from repro.common.errors import StableMemoryFullError
 from repro.wal.records import RedoRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
-
-#: Well-known stable-memory key for the catalog partition address list.
-CATALOG_LOCATIONS_KEY = "catalog-partitions"
 
 
 class LoggingService:

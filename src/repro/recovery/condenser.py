@@ -21,7 +21,7 @@ The condenser realises that here as a per-partition *shadow chain*:
 * Only committed records ever reach flushed pages, so a shadow image is
   transaction-consistent by construction; restart may load it in place of
   the regular image and replay just the suffix past ``condensed_lsn``
-  (:func:`repro.recovery.redo.rebuild_partition`).
+  (:func:`repro.recovery.redo.plan_rebuild`).
 * Partitions whose owning relation has *live commands* are skipped: their
   streams carry :class:`~repro.wal.records.CommandBarrier` split points
   the replay planner must see in the log, not folded silently into an
@@ -44,18 +44,11 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.common.errors import (
-    CatalogError,
-    ChecksumError,
-    MediaFailure,
-    StorageError,
-)
+from repro.common.errors import CatalogError
 from repro.common.types import NULL_LSN
-from repro.recovery.redo import enumerate_log_pages
+from repro.recovery.redo import IMAGE_FAILURES, enumerate_log_pages, load_base
 from repro.recovery.replay_plan import decode_live_commands
 from repro.sim.chaos import crash_point, register_crash_point
-from repro.sim.faults import TornWriteError
-from repro.storage.partition import Partition
 from repro.wal.slt import PartitionBin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,11 +71,6 @@ register_crash_point(
 #: ids (mirroring ``REPLAY_TXN_BASE``) so audit trails never confuse the
 #: background duty with a checkpoint transaction.
 CONDENSER_OWNER_BASE = 2_000_000_000
-
-#: Image I/O and corruption failures a background duty absorbs: the
-#: condenser gives the slice up (or drops the chain) instead of taking
-#: the pump down — restart has its own fallbacks.
-_IMAGE_FAILURES = (TornWriteError, ChecksumError, StorageError, MediaFailure)
 
 
 class Condenser:
@@ -245,18 +233,17 @@ class Condenser:
         # regular catalog image (recorded as the chain's base so restart
         # and reconciliation can tell whether the chain is still current).
         chain_base = base_at_start if shadow is not None else catalog_slot
+        # A background duty absorbs I/O and corruption failures — it gives
+        # the slice up (or drops the chain) instead of taking the pump
+        # down; restart has its own fallbacks.
         try:
-            if shadow is not None:
-                staging = Partition.from_bytes(
-                    db.checkpoint_disk.read_image(shadow), address
-                )
-            elif catalog_slot is not None:
-                staging = Partition.from_bytes(
-                    db.checkpoint_disk.read_image(catalog_slot), address
-                )
-            else:
-                staging = Partition(address, db.config.partition_size)
-        except _IMAGE_FAILURES:
+            staging = load_base(
+                db.checkpoint_disk,
+                shadow if shadow is not None else catalog_slot,
+                address,
+                db.config.partition_size,
+            )
+        except IMAGE_FAILURES:
             self.failed_slices += 1
             if shadow is not None:
                 # The chain's own base is unreadable — the chain is dead
@@ -288,7 +275,7 @@ class Condenser:
                 for record in page.records:
                     record.apply(staging)
                 folded_records += len(page.records)
-        except _IMAGE_FAILURES:
+        except IMAGE_FAILURES:
             self.failed_slices += 1
             return 0
         cost = db.config.analysis
@@ -303,7 +290,7 @@ class Condenser:
         db.recovery_cpu.charge(cost.i_write_init, "condense")
         try:
             db.checkpoint_disk.write_image(new_slot, staging.to_bytes())
-        except _IMAGE_FAILURES:
+        except IMAGE_FAILURES:
             db.checkpoint_disk.free(new_slot)
             self.failed_slices += 1
             return 0

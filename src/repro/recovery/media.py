@@ -15,14 +15,15 @@ pages), finishing with the records still buffered in its Stable Log Tail
 bin.
 
 The whole-database restore is structured as **one verified pass over the
-log disk** (:func:`demultiplex_log_history`) that routes dedicated pages
-whole and splits mixed archive pages record-by-record into per-partition
-replay streams — each log page is read exactly once regardless of how
-many partitions exist — followed by per-partition applies fanned out on
-the execution engine's restore pool
-(:meth:`~repro.engine.base.ExecutionEngine.restore_map`).  Under the
-SimEngine (or one worker) the applies run sequentially in catalog order,
-the same order the pre-demultiplex implementation used.
+log disk** (:func:`~repro.recovery.redo.demultiplex_log_history`) that
+routes dedicated pages whole and splits mixed archive pages
+record-by-record into per-partition replay streams — each log page is
+read exactly once regardless of how many partitions exist — followed by
+per-partition rebuilds through the one pipeline
+(:func:`~repro.recovery.redo.rebuild_partition_resilient`, handed the
+streams as its ``history``) fanned out on the execution engine's restore
+pool (:meth:`~repro.engine.base.ExecutionEngine.restore_map`).  Under the
+SimEngine (or one worker) the rebuilds run sequentially in catalog order.
 
 :func:`restore_after_checkpoint_media_failure` orchestrates the whole
 event: every catalogued partition is rebuilt from history, fresh
@@ -34,22 +35,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.errors import LogError, MediaFailure, RecoveryError
-from repro.common.types import PartitionAddress
+from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog, IndexDescriptor
+from repro.common.errors import MediaFailure, RecoveryError
+from repro.common.types import PartitionAddress, SegmentKind
+from repro.recovery.redo import demultiplex_log_history, rebuild_partition_resilient
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.clock import host_now
 from repro.storage.partition import Partition
-from repro.wal.log_disk import ARCHIVE_SEGMENT, LogDisk, page_owner_from_blob
-from repro.wal.records import RedoRecord
-from repro.wal.slt import StableLogTail
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
 
-register_crash_point(
-    "media.scan.page-routed",
-    "media restore: one log page demultiplexed into its replay stream(s)",
-)
 register_crash_point(
     "media.apply.partition-rebuilt",
     "media restore: one partition rebuilt from its stream and installed",
@@ -59,132 +55,6 @@ register_crash_point(
 #: whole-database media restore: one record lookup plus one page update
 #: (Table 2), the same work the sorting step pays per record.
 _REPLAY_CATEGORY = "media-replay"
-
-
-def demultiplex_log_history(
-    log_disk: LogDisk,
-    wanted: "set[PartitionAddress] | None" = None,
-) -> tuple[dict[PartitionAddress, list[RedoRecord]], dict]:
-    """One verified pass over the complete log history, demultiplexed.
-
-    Walks every retained LSN (active window plus archive) exactly once in
-    LSN order and routes REDO records into per-partition replay streams:
-    dedicated pages contribute their whole record list to their owner's
-    stream, mixed archive pages are split record-by-record, and non-REDO
-    pages (audit markers) are classified from the header alone — their
-    bodies are never decoded.  Because the walk is in global LSN order,
-    each stream preserves the per-partition LSN order the recovery
-    processor guarantees on disk.
-
-    ``wanted`` restricts the streams (and the decoding work) to the given
-    partitions; ``None`` demultiplexes every partition encountered.
-
-    Returns ``(streams, stats)`` where stats counts ``pages_scanned``
-    (verified reads performed — one per readable page), ``pages_skipped``
-    (unreadable pages, counted instead of silently dropped),
-    ``dedicated_pages``, ``archive_pages``, and ``other_pages``.
-    """
-    streams: dict[PartitionAddress, list[RedoRecord]] = {}
-    stats = {
-        "pages_scanned": 0,
-        "pages_skipped": 0,
-        "dedicated_pages": 0,
-        "archive_pages": 0,
-        "other_pages": 0,
-    }
-    for lsn in log_disk.all_lsns():
-        try:
-            blob = log_disk.fetch_blob(lsn)
-        except (LogError, MediaFailure):
-            # Defensive: a page both mirrors lost mid-scan.  The skip is
-            # *counted* — restore totals surface it — instead of
-            # vanishing into a silent continue.
-            stats["pages_skipped"] += 1
-            continue
-        stats["pages_scanned"] += 1
-        owner = page_owner_from_blob(blob)
-        if owner.segment == ARCHIVE_SEGMENT:
-            page = log_disk.decode_blob(lsn, blob)
-            stats["archive_pages"] += 1
-            for record in page.records:
-                target = record.partition_address
-                if wanted is None or target in wanted:
-                    streams.setdefault(target, []).append(record)
-        elif owner.segment >= 0 and (wanted is None or owner in wanted):
-            page = log_disk.decode_blob(lsn, blob)
-            stats["dedicated_pages"] += 1
-            streams.setdefault(owner, []).extend(page.records)
-        else:
-            # Audit/opaque markers, or dedicated pages of partitions the
-            # caller does not want: header peek only, body never decoded.
-            stats["other_pages"] += 1
-        crash_point("media.scan.page-routed")
-    return streams, stats
-
-
-def build_partition_from_stream(
-    address: PartitionAddress,
-    stream: "list[RedoRecord] | None",
-    slt: StableLogTail,
-    partition_size: int,
-    heap_fraction: float = 0.25,
-    pending_archive: list | None = None,
-) -> tuple[Partition, dict]:
-    """Rebuild one partition from its demultiplexed replay stream.
-
-    Apply order: the stream (every on-disk record in LSN order), then
-    ``pending_archive`` — checkpoint leftovers still in the stable archive
-    buffer, which postdate every on-disk page of this partition — then the
-    records in the partition's bin buffer, which are newest.
-    """
-    partition = Partition(address, partition_size, heap_fraction)
-    stats = {"records_applied": 0}
-    for record in stream or []:
-        record.apply(partition)
-        stats["records_applied"] += 1
-    for record in pending_archive or []:
-        record.apply(partition)
-        stats["records_applied"] += 1
-    if slt.has_partition(address):
-        bin_ = slt.bin_for_partition(address)
-        for record in bin_.buffer:
-            record.apply(partition)
-            stats["records_applied"] += 1
-        partition.bin_index = bin_.bin_index
-    return partition, stats
-
-
-def rebuild_partition_from_history(
-    address: PartitionAddress,
-    log_disk: LogDisk,
-    slt: StableLogTail,
-    partition_size: int,
-    heap_fraction: float = 0.25,
-    pending_archive: list | None = None,
-) -> tuple[Partition, dict]:
-    """Replay a partition's complete committed history from the log.
-
-    Unlike normal memory recovery, no checkpoint image is used — this is
-    the path for when the checkpoint disk itself is gone (and the
-    fallback when a single checkpoint image turns out to be unusable).
-
-    Single-partition form of the demultiplexed scan: each retained log
-    page is fetched once (the old implementation peeked the owner and
-    then read matching pages a second time), and only dedicated pages of
-    ``address`` plus mixed archive pages are decoded.
-    """
-    streams, scan_stats = demultiplex_log_history(log_disk, wanted={address})
-    partition, stats = build_partition_from_stream(
-        address,
-        streams.get(address),
-        slt,
-        partition_size,
-        heap_fraction,
-        pending_archive=pending_archive,
-    )
-    stats["pages_scanned"] = scan_stats["pages_scanned"]
-    stats["pages_skipped"] = scan_stats["pages_skipped"]
-    return partition, stats
 
 
 def restore_after_checkpoint_media_failure(db: "Database") -> dict:
@@ -214,9 +84,6 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     """
     if not db.crashed:
         raise RecoveryError("media restore expects the system to be down")
-    from repro.catalog.catalog import Catalog
-    from repro.db.database import CATALOG_LOCATIONS_KEY
-
     started = host_now()
     db.slb.discard_uncommitted()
     db.checkpoint_queue.revert_in_progress()
@@ -249,7 +116,6 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     # One verified pass over the entire log history; every subsequent
     # rebuild replays from these in-memory streams.
     streams, scan_stats = demultiplex_log_history(db.log_disk)
-    pending = db.recovery_processor.pending_archive_by_partition()
     totals["pages_scanned"] = scan_stats["pages_scanned"]
     totals["pages_skipped"] = scan_stats["pages_skipped"]
     totals["streams"] = len(streams)
@@ -257,12 +123,15 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     replay_cost = replay_params.i_record_lookup + replay_params.i_page_update
 
     def rebuild_from_stream(address: PartitionAddress) -> tuple[Partition, dict]:
-        partition, stats = build_partition_from_stream(
+        partition, stats = rebuild_partition_resilient(
             address,
-            streams.get(address),
+            None,  # image lost
+            db.checkpoint_disk,
+            db.log_disk,
             db.slt,
             db.config.partition_size,
-            pending_archive=pending.get(address),
+            pending_archive=db.recovery_processor.pending_archive_records,
+            history=streams,
         )
         # Replay is recovery-component work: charge the Table 2 lookup +
         # page-update costs per record, same as the sorting step does.
@@ -280,9 +149,6 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
         catalog.own_partition_slots[address.partition] = None  # image lost
     db.catalog = catalog
     catalog.rebuild()
-
-    from repro.catalog.catalog import IndexDescriptor
-    from repro.common.types import SegmentKind
 
     # Collect every data/index partition in catalog order, then fan the
     # per-partition applies out on the engine's restore pool.  The

@@ -280,18 +280,3 @@ class RecoveryProcessor:
                 for record in self._archive_buffer
                 if record.partition_address == partition
             ]
-
-    def pending_archive_by_partition(
-        self,
-    ) -> dict[PartitionAddress, list[RedoRecord]]:
-        """Every pending archive record, grouped by owning partition.
-
-        One consistent snapshot under the archive mutex: media recovery
-        hands each per-partition replay stream its leftovers from this
-        map instead of rescanning the buffer once per partition.
-        """
-        with self._archive_mutex:
-            grouped: dict[PartitionAddress, list[RedoRecord]] = {}
-            for record in self._archive_buffer:
-                grouped.setdefault(record.partition_address, []).append(record)
-            return grouped

@@ -1,4 +1,4 @@
-"""Rebuilding one partition: checkpoint image + log pages + pending records.
+"""Rebuilding one partition: a base image plus an ordered record source.
 
 Section 2.5: a recovery transaction reads the partition's checkpoint copy
 from the checkpoint disk and its log pages from the log disk, then applies
@@ -7,30 +7,66 @@ page directory makes forward-order reading possible: the Stable Log Tail
 holds the directory of the most recent group, and the first page of each
 group embeds the directory of the group before it, so recovery walks back
 roughly ``#pages / N`` pages to find the start and then streams forward.
+Section 2.6 (archive recovery) is the same thing started from an empty
+image and the whole log history.
 
-Records still sitting in the partition's SLT bin buffer (stable memory,
-newer than any flushed page) are applied last.
+This module is the only place stable state becomes a
+:class:`~repro.storage.partition.Partition`.  :func:`plan_rebuild` picks
+the base and the records still to apply; :func:`rebuild_partition_resilient`
+applies them straight through.  Restart, the torn-image fallback, the
+media restore, command replay and the condenser all start here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.common.errors import (
     ChecksumError,
+    LogError,
     MediaFailure,
     RecoveryError,
     StorageError,
 )
 from repro.common.types import NULL_LSN, PartitionAddress
+from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import TornWriteError
 from repro.storage.partition import Partition
-from repro.wal.log_disk import LogDisk, LogPage
+from repro.wal.log_disk import ARCHIVE_SEGMENT, LogDisk, LogPage, page_owner_from_blob
 from repro.wal.records import RedoRecord, SweepMarker
 from repro.wal.slt import PartitionBin, StableLogTail
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.disk_queue import CheckpointDiskQueue
+
+register_crash_point(
+    "media.scan.page-routed",
+    "media restore: one log page demultiplexed into its replay stream(s)",
+)
+
+#: Ways a checkpoint *image* can be unusable: torn by the crash, failing
+#: its CRC, holding a stale image of the wrong partition, or lost to an
+#: escalated transient-fault burst.  Restart survives these by taking the
+#: next source; the condenser gives the slice up.
+IMAGE_FAILURES = (TornWriteError, ChecksumError, StorageError, MediaFailure)
+
+#: Per-partition replay streams, as :func:`demultiplex_log_history` builds them.
+History = dict[PartitionAddress, list[RedoRecord]]
+#: Lookup of a partition's leftovers in the stable archive buffer.
+PendingArchive = Callable[[PartitionAddress], list[RedoRecord]]
+
+
+def load_base(
+    disk_queue: "CheckpointDiskQueue",
+    slot: int | None,
+    address: PartitionAddress,
+    partition_size: int,
+) -> Partition:
+    """The image in ``slot``, or an empty partition when there is none."""
+    if slot is None:
+        return Partition(address, partition_size)
+    return Partition.from_bytes(disk_queue.read_image(slot), address)
 
 
 def enumerate_log_pages(
@@ -99,25 +135,17 @@ def cut_settled_prefix(
 
 
 def partition_record_stream(
-    address: PartitionAddress,
-    log_disk: LogDisk,
-    slt: StableLogTail,
-    condensed_lsn: int = NULL_LSN,
+    bin_: PartitionBin, log_disk: LogDisk, condensed_lsn: int = NULL_LSN
 ) -> tuple[list[RedoRecord], dict]:
-    """The partition's REDO stream past ``condensed_lsn``, in write order.
+    """The bin's REDO stream past ``condensed_lsn``, in write order.
 
     Flushed log pages (directory walk, forward read) followed by the
-    records still buffered in the partition's SLT bin.  Shared by
-    :func:`rebuild_partition` and the command replay planner, which needs
-    the records as a *list* so it can interleave command re-execution at
-    the barrier records instead of applying straight through.  The
-    default watermark of :data:`NULL_LSN` yields the full stream; a
-    condensed restart passes the shadow image's watermark so only the
+    records still buffered in the bin — stable memory, newer than any
+    flushed page.  The default watermark of :data:`NULL_LSN` yields the
+    full stream; a shadow base passes its own watermark so only the
     uncondensed suffix is read (docs/CONDENSING.md).
     """
-    if not slt.has_partition(address):
-        raise RecoveryError(f"{address} has no Stable Log Tail bin")
-    bin_ = slt.bin_for_partition(address)
+    address = bin_.partition
     records: list[RedoRecord] = []
     stats = {"pages_read": 0, "backward_reads": 0}
     if bin_.first_page_lsn != NULL_LSN:
@@ -140,70 +168,157 @@ def partition_record_stream(
     return records, stats
 
 
-def rebuild_partition(
+def demultiplex_log_history(
+    log_disk: LogDisk,
+    wanted: "set[PartitionAddress] | None" = None,
+) -> tuple[History, dict]:
+    """One verified pass over the complete log history, demultiplexed.
+
+    Walks every retained LSN (active window plus archive) exactly once in
+    LSN order and routes REDO records into per-partition replay streams:
+    dedicated pages contribute their whole record list to their owner's
+    stream, mixed archive pages are split record-by-record, and non-REDO
+    pages (audit markers) are classified from the header alone — their
+    bodies are never decoded.  Because the walk is in global LSN order,
+    each stream preserves the per-partition LSN order the recovery
+    processor guarantees on disk.
+
+    ``wanted`` restricts the streams (and the decoding work) to the given
+    partitions; ``None`` demultiplexes every partition encountered.  The
+    two forms treat a page lost on both mirrors differently.  A page that
+    cannot be read cannot be attributed either — its header is gone with
+    it — so a ``wanted`` scan, which rebuilds those partitions from what
+    is their last copy, lets the failure propagate.  The unrestricted
+    scan is the operator's whole-database salvage after the checkpoint
+    disk is gone: it skips the page and *counts* it in ``pages_skipped``
+    for the restore totals to surface.
+
+    Returns ``(streams, stats)`` where stats counts ``pages_scanned``
+    (verified reads performed — one per readable page), ``pages_skipped``,
+    ``dedicated_pages``, ``archive_pages``, and ``other_pages``.
+    """
+    streams: History = {}
+    stats = {
+        "pages_scanned": 0,
+        "pages_skipped": 0,
+        "dedicated_pages": 0,
+        "archive_pages": 0,
+        "other_pages": 0,
+    }
+    for lsn in log_disk.all_lsns():
+        try:
+            blob = log_disk.fetch_blob(lsn)
+        except (LogError, MediaFailure):
+            if wanted is not None:
+                raise
+            stats["pages_skipped"] += 1
+            continue
+        stats["pages_scanned"] += 1
+        owner = page_owner_from_blob(blob)
+        if owner.segment == ARCHIVE_SEGMENT:
+            page = log_disk.decode_blob(lsn, blob)
+            stats["archive_pages"] += 1
+            for record in page.records:
+                target = record.partition_address
+                if wanted is None or target in wanted:
+                    streams.setdefault(target, []).append(record)
+        elif owner.segment >= 0 and (wanted is None or owner in wanted):
+            page = log_disk.decode_blob(lsn, blob)
+            stats["dedicated_pages"] += 1
+            streams.setdefault(owner, []).extend(page.records)
+        else:
+            # Audit/opaque markers, or dedicated pages of partitions the
+            # caller does not want: header peek only, body never decoded.
+            stats["other_pages"] += 1
+        crash_point("media.scan.page-routed")
+    return streams, stats
+
+
+def plan_rebuild(
     address: PartitionAddress,
     checkpoint_slot: int | None,
     disk_queue: "CheckpointDiskQueue",
     log_disk: LogDisk,
     slt: StableLogTail,
     partition_size: int,
-    heap_fraction: float = 0.25,
+    *,
     command_watermark: int = 0,
-) -> tuple[Partition, dict]:
-    """Recover one partition to its pre-crash committed state.
+    pending_archive: PendingArchive | None = None,
+    history: History | None = None,
+) -> tuple[Partition, list[RedoRecord], dict]:
+    """Choose how one partition comes back: ``(base, records, stats)``.
 
-    ``command_watermark`` is the owning relation's settled watermark;
-    when positive, the stream prefix up to the matching sweep marker is
-    discarded (see :func:`cut_settled_prefix`) because those records are
-    already inside the image being loaded.
+    ``base`` is the starting image and ``records`` the ordered REDO not
+    yet applied to it, so the command replay planner can interleave
+    script re-execution at the barrier records.  ``stats["source"]``
+    names the starting point taken (table in docs/INTERNALS.md):
 
-    When the partition's bin carries a *valid* condense chain
-    (docs/CONDENSING.md) the shadow image is preferred: it is newer than
-    the regular image, so only the short uncondensed suffix needs
-    replaying — the flat-restart property.  Validity means the chain grew
-    from the catalog slot being recovered (``condensed_base_slot ==
-    checkpoint_slot``) or *is* that slot (a flip published it).  A torn
-    or unreadable shadow falls back to the regular image with the full
-    stream; chains invalidated by a later copy checkpoint are ignored.
+    * ``shadow`` — a valid condense shadow and the suffix past its
+      watermark.  Valid means the chain grew from the catalog slot being
+      recovered or *is* that slot (a flip published it); a later copy
+      checkpoint invalidates it (docs/CONDENSING.md).
+    * ``image`` / ``empty`` — the catalog slot's image, or an empty
+      partition when there never was one, and the whole stream.
+    * ``history`` — an empty partition and everything ever logged for it
+      (paper section 2.6): the ``history`` streams the caller hands in
+      because the checkpoint disk is gone, or a scan done here because
+      every image above was unusable; then ``pending_archive(address)``,
+      the leftovers in the stable archive buffer, which postdate every
+      on-disk page of the partition; then the bin buffer, newest of all.
 
-    Returns the partition plus a statistics dict (pages read, backward
-    reads, records applied) consumed by the recovery benchmarks.
+    ``command_watermark`` is the owning relation's settled watermark.
+    When positive the stream is cut at the matching sweep marker
+    (:func:`cut_settled_prefix`) and the history source is refused:
+    settled command effects exist *only* in the checkpoint images — their
+    after-images were never value-logged (docs/LOGGING.md).
+
+    Only *image* reads fall back to the next source.  A log read that
+    fails propagates: the log is the last copy.
     """
-    condensed_lsn = NULL_LSN
-    partition: Partition | None = None
-    if slt.has_partition(address):
-        bin_ = slt.bin_for_partition(address)
-        with bin_.mutex:
-            shadow = bin_.condensed_slot
-            base = bin_.condensed_base_slot
-            shadow_lsn = bin_.condensed_lsn
-        if shadow is not None and (
-            base == checkpoint_slot or shadow == checkpoint_slot
-        ):
-            try:
-                image = disk_queue.read_image(shadow)
-            except (TornWriteError, ChecksumError, StorageError, MediaFailure):
-                pass  # torn shadow: the regular path below still works
-            else:
-                partition = Partition.from_bytes(image, address, heap_fraction)
-                condensed_lsn = shadow_lsn
-    if partition is None:
-        if checkpoint_slot is not None:
-            image = disk_queue.read_image(checkpoint_slot)
-            partition = Partition.from_bytes(image, address, heap_fraction)
-        else:
-            # Never checkpointed: the log replays against an empty partition.
-            partition = Partition(address, partition_size, heap_fraction)
-    records, stats = partition_record_stream(
-        address, log_disk, slt, condensed_lsn
-    )
-    records = cut_settled_prefix(records, command_watermark)
-    for record in records:
-        record.apply(partition)
-    stats["records_applied"] = len(records)
-    stats["condensed_suffix"] = condensed_lsn != NULL_LSN
-    partition.bin_index = slt.bin_for_partition(address).bin_index
-    return partition, stats
+    if not slt.has_partition(address):
+        raise RecoveryError(f"{address} has no Stable Log Tail bin")
+    bin_ = slt.bin_for_partition(address)
+    with bin_.mutex:
+        shadow = bin_.condensed_slot
+        chain_base = bin_.condensed_base_slot
+        shadow_lsn = bin_.condensed_lsn
+    images = [
+        ("empty" if checkpoint_slot is None else "image", checkpoint_slot, NULL_LSN)
+    ]
+    if shadow is not None and checkpoint_slot in (chain_base, shadow):
+        images.insert(0, ("shadow", shadow, shadow_lsn))
+    failure: Exception | None = None
+    for source, slot, condensed_lsn in images if history is None else ():
+        try:
+            base = load_base(disk_queue, slot, address, partition_size)
+        except IMAGE_FAILURES as exc:
+            failure = exc
+            continue
+        records, stats = partition_record_stream(bin_, log_disk, condensed_lsn)
+        records = cut_settled_prefix(records, command_watermark)
+        break
+    else:
+        if command_watermark > 0:
+            raise RecoveryError(
+                f"no usable checkpoint image of {address} "
+                f"({failure or 'checkpoint disk lost'}) and its "
+                f"relation has settled commands (watermark "
+                f"{command_watermark}); command logging suppressed their "
+                f"after-images, so log history cannot rebuild this partition"
+            ) from failure
+        source = "history"
+        stats = {"pages_read": 0, "backward_reads": 0}
+        if history is None:
+            history, scan = demultiplex_log_history(log_disk, wanted={address})
+            stats["pages_read"] = scan["pages_scanned"]
+        base = load_base(disk_queue, None, address, partition_size)
+        records = list(history.get(address, ()))
+        if pending_archive is not None:
+            records.extend(pending_archive(address))
+        records.extend(bin_.buffer)
+    base.bin_index = bin_.bin_index
+    stats["source"] = source
+    return base, records, stats
 
 
 def rebuild_partition_resilient(
@@ -213,62 +328,29 @@ def rebuild_partition_resilient(
     log_disk: LogDisk,
     slt: StableLogTail,
     partition_size: int,
-    heap_fraction: float = 0.25,
-    pending_archive: list[RedoRecord] | None = None,
+    *,
     command_watermark: int = 0,
-) -> tuple[Partition, dict, bool]:
-    """:func:`rebuild_partition` with the unusable-image fallback folded in.
+    pending_archive: PendingArchive | None = None,
+    history: History | None = None,
+) -> tuple[Partition, dict]:
+    """Recover one partition to its committed state: plan, apply, return.
 
-    An unusable checkpoint image — torn by the crash, failing its CRC on
-    both mirrors, or holding a stale image of the wrong partition — is
-    survived by falling back to full-history replay from the log, the
-    archive-recovery path of paper section 2.6.  Returns ``(partition,
-    stats, used_fallback)``; the stats dict always has the normal-path
-    keys so callers aggregate uniformly.
-
-    The fallback is refused for relations with settled commands
-    (``command_watermark > 0``): settled command effects exist *only* in
-    the checkpoint images — their after-images were never value-logged —
-    so no amount of log history can rebuild them (docs/LOGGING.md).
+    Takes :func:`plan_rebuild`'s arguments.  Returns the partition plus a
+    statistics dict (``source``, ``pages_read``, ``backward_reads``,
+    ``records_applied``) that restart and the media restore aggregate.
     """
-    try:
-        partition, stats = rebuild_partition(
-            address,
-            checkpoint_slot,
-            disk_queue,
-            log_disk,
-            slt,
-            partition_size,
-            heap_fraction,
-            command_watermark,
-        )
-        return partition, stats, False
-    except (TornWriteError, ChecksumError, StorageError, MediaFailure) as exc:
-        if command_watermark > 0:
-            raise RecoveryError(
-                f"checkpoint image of {address} is unusable ({exc}) and its "
-                f"relation has settled commands (watermark "
-                f"{command_watermark}); command logging suppressed their "
-                f"after-images, so log history cannot rebuild this partition"
-            ) from exc
-        # MediaFailure lands here when a checkpoint-side transient fault
-        # burst exhausted its retry budget: the image is as good as lost,
-        # and the full-history path below rebuilds without it.  A log-side
-        # MediaFailure re-raises from the replay itself — the log really
-        # is the last copy.
-        from repro.recovery.media import rebuild_partition_from_history
-
-        partition, media_stats = rebuild_partition_from_history(
-            address,
-            log_disk,
-            slt,
-            partition_size,
-            heap_fraction,
-            pending_archive=pending_archive,
-        )
-        stats = {
-            "pages_read": media_stats["pages_scanned"],
-            "backward_reads": 0,
-            "records_applied": media_stats["records_applied"],
-        }
-        return partition, stats, True
+    partition, records, stats = plan_rebuild(
+        address,
+        checkpoint_slot,
+        disk_queue,
+        log_disk,
+        slt,
+        partition_size,
+        command_watermark=command_watermark,
+        pending_archive=pending_archive,
+        history=history,
+    )
+    for record in records:
+        record.apply(partition)
+    stats["records_applied"] = len(records)
+    return partition, stats

@@ -12,8 +12,8 @@ relation — directly or transitively — commute, so their closures replay
 on different workers with no coordination.
 
 Inside a batch, ordering is exact.  Every partition of the closure is
-loaded as a record *stream* (checkpoint image base plus its cut REDO
-suffix, see :func:`repro.recovery.redo.cut_settled_prefix`), and a
+loaded as a record *stream* (a base image plus the ordered REDO still to
+apply, both chosen by :func:`repro.recovery.redo.plan_rebuild`), and a
 cursor per stream advances through the value records.  A
 :class:`~repro.wal.records.CommandBarrier` carrying command ``m``'s csn
 marks, in every involved stream, exactly where ``m`` committed relative
@@ -32,18 +32,12 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.common.errors import (
-    ChecksumError,
-    MediaFailure,
-    RecoveryError,
-    StorageError,
-)
+from repro.common.errors import RecoveryError
 from repro.common.types import PartitionAddress
 from repro.concurrency.locks import LockMode
-from repro.recovery.media import demultiplex_log_history
-from repro.recovery.redo import cut_settled_prefix, partition_record_stream
+from repro.recovery.redo import plan_rebuild
 from repro.sim.chaos import crash_point, register_crash_point
-from repro.sim.faults import SimulatedCrash, TornWriteError
+from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
 from repro.txn.transaction import Transaction, TxnState, _index_segments
 from repro.wal import undo
@@ -303,13 +297,18 @@ class CommandReplayPlanner:
                     index_segments.add(member.segment_id)
                 for number in sorted(member.partitions):
                     address = PartitionAddress(member.segment_id, number)
+                    partition, records, _ = plan_rebuild(
+                        address,
+                        member.partitions[number].checkpoint_slot,
+                        db.checkpoint_disk,
+                        db.log_disk,
+                        db.slt,
+                        db.config.partition_size,
+                        command_watermark=watermark,
+                        pending_archive=db.recovery_processor.pending_archive_records,
+                    )
                     streams.append(
-                        self._build_stream(
-                            address,
-                            member.partitions[number].checkpoint_slot,
-                            watermark,
-                            is_index,
-                        )
+                        _PartitionStream(address, partition, records, is_index=is_index)
                     )
         self._install_bases(streams)
         replayed = 0
@@ -323,42 +322,6 @@ class CommandReplayPlanner:
             self._apply_through(stream, len(stream.records))
         db.reload_index_mirrors(index_segments)
         return replayed
-
-    def _build_stream(
-        self,
-        address: PartitionAddress,
-        checkpoint_slot: int | None,
-        watermark: int,
-        is_index: bool,
-    ) -> _PartitionStream:
-        db = self.db
-        try:
-            if checkpoint_slot is not None:
-                image = db.checkpoint_disk.read_image(checkpoint_slot)
-                partition = Partition.from_bytes(image, address)
-            else:
-                partition = Partition(address, db.config.partition_size)
-            records, _ = partition_record_stream(address, db.log_disk, db.slt)
-            records = cut_settled_prefix(list(records), watermark)
-        except (TornWriteError, ChecksumError, StorageError, MediaFailure) as exc:
-            if watermark > 0:
-                # Settled command effects exist only in the images — their
-                # after-images were suppressed, so no history replay can
-                # reproduce them (docs/LOGGING.md).
-                raise RecoveryError(
-                    f"checkpoint image of {address} is unusable ({exc}) and "
-                    f"its relation has settled commands (watermark "
-                    f"{watermark}); log history cannot rebuild it"
-                ) from exc
-            # Never swept: full history plus re-execution of the live
-            # commands (the barriers are in the history too) covers it.
-            history, _ = demultiplex_log_history(db.log_disk, wanted={address})
-            partition = Partition(address, db.config.partition_size)
-            records = list(history.get(address, []))
-            records.extend(db.recovery_processor.pending_archive_records(address))
-            records.extend(db.slt.bin_for_partition(address).buffer)
-        partition.bin_index = db.slt.bin_for_partition(address).bin_index
-        return _PartitionStream(address, partition, records, is_index=is_index)
 
     def _install_bases(self, streams: list[_PartitionStream]) -> None:
         db = self.db

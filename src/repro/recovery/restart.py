@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.catalog.catalog import Catalog, IndexDescriptor
+from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog, IndexDescriptor
 from repro.common.errors import RecoveryError, StorageError
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.common.types import PartitionAddress, SegmentKind
@@ -30,8 +30,7 @@ from repro.recovery.redo import rebuild_partition_resilient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
-
-CATALOG_LOCATIONS_KEY = "catalog-partitions"
+    from repro.storage.partition import Partition
 
 register_crash_point(
     "restart.phase1.queue-reverted",
@@ -99,19 +98,9 @@ class RestartCoordinator:
             return
         catalog, locations = Catalog.from_well_known_entry(db.memory, entry)
         for address, slot in locations:
-            # Resilient like phase 2: a catalog checkpoint image lost to a
-            # torn write or an escalated transient-fault burst is rebuilt
-            # from full log history instead of failing the restart.
-            partition, stats, used_fallback = rebuild_partition_resilient(
-                address,
-                slot,
-                db.checkpoint_disk,
-                db.log_disk,
-                db.slt,
-                db.config.partition_size,
-            )
+            partition, stats = self._rebuild(address, slot)
             catalog.segment.install(partition)
-            self._note(stats, used_fallback=used_fallback)
+            self._note(stats)
         db.catalog = catalog
         catalog.rebuild()
         crash_point("restart.phase1.catalog-recovered")
@@ -162,28 +151,38 @@ class RestartCoordinator:
                 return None
             self._inflight.add(address)
         try:
-            slot = self._checkpoint_slot(address)
-            partition, stats, used_fallback = rebuild_partition_resilient(
+            partition, stats = self._rebuild(
                 address,
-                slot,
-                db.checkpoint_disk,
-                db.log_disk,
-                db.slt,
-                db.config.partition_size,
-                pending_archive=db.recovery_processor.pending_archive_records(
-                    address
-                ),
-                command_watermark=self._command_watermark(address),
+                self._checkpoint_slot(address),
+                self._command_watermark(address),
             )
             with db.view_lock:
                 segment.install(partition)
-            self._note(stats, used_fallback=used_fallback)
+            self._note(stats)
             crash_point("restart.phase2.partition-recovered")
             return stats
         finally:
             with self._inflight_cv:
                 self._inflight.discard(address)
                 self._inflight_cv.notify_all()
+
+    def _rebuild(
+        self, address: PartitionAddress, slot: int | None, command_watermark: int = 0
+    ) -> tuple[Partition, dict]:
+        """Both phases rebuild through the one pipeline with the same
+        inputs — the catalog partitions of phase 1 have leftovers in the
+        stable archive buffer like anyone else's."""
+        db = self.db
+        return rebuild_partition_resilient(
+            address,
+            slot,
+            db.checkpoint_disk,
+            db.log_disk,
+            db.slt,
+            db.config.partition_size,
+            command_watermark=command_watermark,
+            pending_archive=db.recovery_processor.pending_archive_records,
+        )
 
     def _checkpoint_slot(self, address: PartitionAddress) -> int | None:
         db = self.db
@@ -267,13 +266,13 @@ class RestartCoordinator:
             len(segment.missing_partitions()) for segment in self.db.memory.segments()
         )
 
-    def _note(self, stats: dict, *, used_fallback: bool = False) -> None:
+    def _note(self, stats: dict) -> None:
         with self._stats_mutex:
             self.partitions_recovered += 1
             self.records_replayed += stats["records_applied"]
             self.pages_read += stats["pages_read"] + stats["backward_reads"]
             self.backward_reads += stats["backward_reads"]
-            if stats.get("condensed_suffix"):
+            if stats["source"] == "shadow":
                 self.condensed_restores += 1
-            if used_fallback:
+            elif stats["source"] == "history":
                 self.torn_images_survived += 1

@@ -390,6 +390,33 @@ class TestSettlement:
         assert logical_digest(db) == expected
         assert total_balance(db, accounts) == ACCOUNTS * OPENING
 
+    @pytest.mark.parametrize("live_after_sweep", [0, 4])
+    def test_unusable_image_of_settled_relation_refuses_history(
+        self, live_after_sweep
+    ):
+        """Settled command effects exist only in the swept images, so a
+        torn one cannot be survived by history replay — neither by the
+        restart's own rebuild nor by the replay planner's (which loads
+        the closure first when commands are still live)."""
+        db = Database(small_config())
+        accounts = make_bank(db)
+        run_transfers(db, 6, logging="command")
+        with db.transaction() as txn:
+            target = accounts.lookup(txn, 0).address.partition_address
+        bin_ = db.slt.bin_for_partition(target)
+        db.slt.mark_for_checkpoint(bin_.bin_index, "test")
+        db.checkpoint_queue.submit(target, bin_.bin_index, "test")
+        assert db.checkpoints.process_pending() >= 1
+        db.recovery_processor.acknowledge_finished()
+        descriptor = db.catalog.relation("accounts")
+        assert descriptor.command_watermark > 0
+        run_transfers(db, live_after_sweep, logging="command")
+        slot = descriptor.partitions[target.partition].checkpoint_slot
+        db.crash()
+        db.checkpoint_disk.disk.corrupt_block(slot, "torn")
+        with pytest.raises(RecoveryError, match="settled commands"):
+            db.restart(RecoveryMode.EAGER)
+
     @pytest.mark.parametrize("ddl", ["create_index", "drop_relation", "drop_index"])
     def test_ddl_settles_live_commands_first(self, ddl):
         db = Database(small_config())

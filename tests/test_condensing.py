@@ -26,13 +26,15 @@ from repro.workloads.debit_credit import DebitCreditWorkload
 TRANSACTIONS = 60
 
 
-def make_db(condense: bool, engine: str = "sim", mode: str = "value") -> Database:
+def make_db(
+    condense: bool, engine: str = "sim", mode: str = "value", grace_pages: int = 64
+) -> Database:
     config = SystemConfig(
         logging_mode=mode,
         log_page_size=512,
         update_count_threshold=10_000,  # no automatic checkpoints
         log_window_pages=4096,
-        log_window_grace_pages=64,
+        log_window_grace_pages=grace_pages,
         condense_enabled=condense,
     )
     eng = ThreadedEngine(workers=2) if engine == "threaded" else None
@@ -100,10 +102,10 @@ class TestDigestIdentity:
 
 
 class TestShadowRestart:
-    def _hot_scenario(self, condense=True):
+    def _hot_scenario(self, condense=True, grace_pages=64):
         """One hot partition, checkpointed once, with updates (and under
         ``condense`` a fully caught-up shadow chain) accumulated past it."""
-        db = make_db(condense)
+        db = make_db(condense, grace_pages=grace_pages)
         rel = db.create_relation(
             "hot", [("id", "int"), ("v", "int")], primary_key="id"
         )
@@ -141,7 +143,7 @@ class TestShadowRestart:
             db.crash()
             db.restart(RecoveryMode.ON_DEMAND)
             stats = db.restart_coordinator.recover_partition(target)
-            assert stats["condensed_suffix"]
+            assert stats["source"] == "shadow"
             assert db.restart_coordinator.condensed_restores == 1
             assert db.restart_coordinator.torn_images_survived == 0
             with db.transaction() as txn:
@@ -163,6 +165,42 @@ class TestShadowRestart:
             assert db.restart_coordinator.condensed_restores == 0
             with db.transaction() as txn:
                 assert rel.lookup(txn, 1)["v"] == 20
+        finally:
+            db.close()
+
+    def test_command_replay_starts_from_the_shadow_too(self):
+        """The replay planner loads its closure through the same pipeline
+        as everyone else: a chain grown before the commands went live is
+        still valid, the suffix past it carries every barrier, and the
+        torn regular image is never read."""
+        # no grace period, no age trigger: nothing sweeps the live
+        # commands (and with them the chain) away before the crash
+        db, rel, target, bin_ = self._hot_scenario(grace_pages=0)
+        try:
+
+            def bump(txn):
+                row = rel.lookup(txn, 1)
+                rel.update(txn, row.address, {"v": row["v"] + 1})
+
+            db.register_script("bump", bump, relations=["hot"])
+            for _ in range(3):
+                db.run_script("bump", logging="command")
+            shadow = bin_.condensed_slot
+            regular = self._catalog_slot(db, target)
+            assert shadow is not None and shadow != regular
+            db.checkpoint_disk.disk.corrupt_block(regular, "torn")
+            db.crash()
+            slots_read = []
+            read_image = db.checkpoint_disk.read_image
+            db.checkpoint_disk.read_image = lambda slot: (
+                slots_read.append(slot),
+                read_image(slot),
+            )[1]
+            db.restart(RecoveryMode.EAGER)
+            assert db.last_command_replay["commands_replayed"] == 3
+            assert shadow in slots_read and regular not in slots_read
+            with db.transaction() as txn:
+                assert rel.lookup(txn, 1)["v"] == 23
         finally:
             db.close()
 

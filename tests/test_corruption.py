@@ -17,12 +17,14 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.common.checksum import open_frame, seal_frame
 from repro.common.config import DiskParameters
 from repro.common.errors import ChecksumError, MediaFailure
+from repro.common.types import PartitionAddress
 from repro.recovery.media import (
     restore_after_checkpoint_media_failure,
     restore_after_log_media_failure,
     scrub_log_disk,
 )
 from repro.recovery.oracle import RecoveryVerifier, logical_digest
+from repro.recovery.redo import enumerate_log_pages
 from repro.sim.clock import VirtualClock
 from repro.sim.disk import CORRUPTION_KINDS, DuplexedDisk, SimulatedDisk
 from repro.workloads.debit_credit import DebitCreditWorkload
@@ -208,6 +210,69 @@ class TestLogBlockCorruption:
         verifier.verify()
 
 
+class TestLostLogPageIsFatal:
+    """Only an unusable *image* falls back to history replay.  The log is
+    the last copy: a page of it lost on both mirrors must leave restart
+    as a MediaFailure, never be relabelled a survived torn image."""
+
+    #: no page leaves the spindles — for the archive, or folded into a
+    #: shadow image — so any page can be damaged and is certain to be read
+    WIDE_WINDOW = dict(
+        log_window_pages=4096, log_window_grace_pages=64, condense_enabled=False
+    )
+
+    def _lose_page(self, db, lsn):
+        # the decoded-page LRU outlives crash() by design and would mask
+        # the damage
+        db.log_disk._page_cache.clear()
+        for spindle in (db.log_disk.disks.primary, db.log_disk.disks.mirror):
+            spindle.corrupt_block(lsn, "bit-flip")
+
+    def test_lost_chain_page_escalates_from_restart(self):
+        db, _ = loaded_bank(update_count_threshold=10_000, **self.WIDE_WINDOW)
+        db.recovery_processor.run_until_drained()
+        catalog_segment = db.catalog.segment.segment_id
+        chain = next(
+            lsns
+            for bin_ in db.slt.bins()
+            if bin_.partition.segment != catalog_segment
+            and len(lsns := enumerate_log_pages(bin_, db.log_disk)[0]) >= 3
+        )
+        db.crash()
+        self._lose_page(db, chain[-1])
+        with pytest.raises(MediaFailure, match=f"block {chain[-1]} "):
+            db.restart(RecoveryMode.EAGER)
+
+    def test_torn_image_fallback_raises_on_a_lost_history_page(self):
+        """The history scan behind a torn image meets a lost page that no
+        live chain references any more (a checkpoint superseded it): it
+        must raise, not skip the page and rebuild a diverged partition."""
+        db, _ = loaded_bank(**self.WIDE_WINDOW)
+        db.recovery_processor.run_until_drained()
+        chained = {
+            lsn
+            for bin_ in db.slt.bins()
+            for lsn in enumerate_log_pages(bin_, db.log_disk)[0]
+        }
+        slots = {
+            PartitionAddress(descriptor.segment_id, number): info.checkpoint_slot
+            for descriptor in db.catalog.relations()
+            for number, info in descriptor.partitions.items()
+            if info.checkpoint_slot is not None
+        }
+        lsn, slot = next(
+            (lsn, slots[owner])
+            for lsn in db.log_disk.disks.block_ids()
+            if lsn not in chained
+            and (owner := db.log_disk.page_owner(lsn)) in slots
+        )
+        db.crash()
+        db.checkpoint_disk.disk.corrupt_block(slot, "torn")
+        self._lose_page(db, lsn)
+        with pytest.raises(MediaFailure, match=f"block {lsn} "):
+            db.restart(RecoveryMode.EAGER)
+
+
 class TestCheckpointImageCorruption:
     def _occupied_slots(self, db):
         return sorted(
@@ -233,6 +298,45 @@ class TestCheckpointImageCorruption:
         verifier.detach()
         verifier.verify()
         assert db.restart_coordinator.torn_images_survived > 0
+
+    def test_torn_catalog_images_keep_archive_buffer_leftovers(self):
+        """Catalog records a checkpoint moved to the stable archive buffer
+        are on no log page yet; the phase-1 fallback must replay them or
+        the newest relation comes back with no partitions."""
+        db = Database(
+            SystemConfig(
+                log_page_size=1024,
+                update_count_threshold=10,
+                log_window_pages=512,
+                log_window_grace_pages=32,
+            )
+        )
+        for r in range(6):
+            rel = db.create_relation(
+                f"r{r}", [("id", "int"), ("v", "int")], primary_key="id"
+            )
+            with db.transaction() as txn:
+                for i in range(3):
+                    rel.insert(txn, {"id": i, "v": i})
+        db.recovery_processor.run_until_drained()
+        assert db.recovery_processor.archive_backlog_records > 0
+
+        def catalog_entities():
+            segment = db.catalog.segment
+            return {
+                number: list(segment.get(number).entities())
+                for number in db.catalog.own_partition_slots
+            }
+
+        before = catalog_entities()
+        db.crash()
+        for slot in db.catalog.own_partition_slots.values():
+            db.checkpoint_disk.disk.corrupt_block(slot, "bit-flip")
+        db.restart(RecoveryMode.EAGER)
+        assert db.restart_coordinator.torn_images_survived == len(before)
+        assert catalog_entities() == before
+        with db.transaction() as txn:
+            assert [db.table(f"r{r}").count(txn) for r in range(6)] == [3] * 6
 
     def test_checkpoint_disk_destroyed_media_restore_is_exact(self):
         """The whole checkpoint disk gone: section 2.6 archive recovery

@@ -13,7 +13,7 @@ from repro.engine import SimEngine, ThreadedEngine
 from repro.recovery import (
     demultiplex_log_history,
     logical_digest,
-    rebuild_partition_from_history,
+    rebuild_partition_resilient,
     restore_after_checkpoint_media_failure,
 )
 from repro.sim.chaos import ChaosMonkey, chaos
@@ -32,8 +32,8 @@ def small_config(**kwargs):
     return SystemConfig(**defaults)
 
 
-def loaded_db(engine=None):
-    db = Database(small_config(), engine=engine)
+def loaded_db(engine=None, **config_kwargs):
+    db = Database(small_config(**config_kwargs), engine=engine)
     rel = db.create_relation(
         "items", [("id", "int"), ("v", "int"), ("s", "str")], primary_key="id"
     )
@@ -58,9 +58,11 @@ class TestFullHistoryReplay:
 
         address = PartitionAddress(descriptor.segment_id, number)
         live = db.memory.partition(address)
-        rebuilt, stats = rebuild_partition_from_history(
-            address, db.log_disk, db.slt, db.config.partition_size,
-            pending_archive=db.recovery_processor.pending_archive_records(address),
+        history, _ = demultiplex_log_history(db.log_disk, wanted={address})
+        rebuilt, stats = rebuild_partition_resilient(
+            address, None, db.checkpoint_disk, db.log_disk, db.slt,
+            db.config.partition_size, history=history,
+            pending_archive=db.recovery_processor.pending_archive_records,
         )
         assert list(rebuilt.entities()) == list(live.entities())
         assert stats["records_applied"] > 0
@@ -77,11 +79,55 @@ class TestFullHistoryReplay:
         for number in sorted(descriptor.partitions):
             address = PartitionAddress(descriptor.segment_id, number)
             live = db.memory.partition(address)
-            rebuilt, _ = rebuild_partition_from_history(
-                address, db.log_disk, db.slt, db.config.partition_size,
-                pending_archive=db.recovery_processor.pending_archive_records(address),
+            history, _ = demultiplex_log_history(db.log_disk, wanted={address})
+            rebuilt, _ = rebuild_partition_resilient(
+                address, None, db.checkpoint_disk, db.log_disk, db.slt,
+                db.config.partition_size, history=history,
+                pending_archive=db.recovery_processor.pending_archive_records,
             )
             assert list(rebuilt.entities()) == list(live.entities())
+
+    def test_every_source_rebuilds_the_same_bytes(self):
+        """Shadow, catalog image and full history are three starting
+        points of one pipeline: each must yield the same partition, and
+        the stats must name the one taken."""
+        # a short grace period keeps the age trigger from checkpointing
+        # the chain away as soon as its first page is flushed
+        db, rel, addrs = loaded_db(condense_enabled=True, log_window_grace_pages=4)
+        with db.transaction() as txn:
+            for i in range(25):
+                rel.update(txn, addrs[i], {"v": -i})
+        db.recovery_processor.run_until_drained()
+        from repro.common import PartitionAddress
+
+        taken = set()
+        for descriptor in list(db.catalog.relations()) + list(db.catalog.indexes()):
+            for number, info in sorted(descriptor.partitions.items()):
+                address = PartitionAddress(descriptor.segment_id, number)
+
+                def rebuild(**source):
+                    partition, stats = rebuild_partition_resilient(
+                        address, info.checkpoint_slot, db.checkpoint_disk,
+                        db.log_disk, db.slt, db.config.partition_size,
+                        pending_archive=db.recovery_processor.pending_archive_records,
+                        **source,
+                    )
+                    taken.add(stats["source"])
+                    return partition.to_bytes(), stats["source"]
+
+                history, _ = demultiplex_log_history(db.log_disk, wanted={address})
+                expected, source = rebuild(history=history)
+                assert source == "history"
+                best, source = rebuild()
+                assert best == expected, f"{source} diverged for {address}"
+                if source == "shadow":
+                    # an unusable shadow is the only way past it
+                    shadow = db.slt.bin_for_partition(address).condensed_slot
+                    db.checkpoint_disk.disk.corrupt_block(shadow, "torn")
+                    image, source = rebuild()
+                    assert source == "image"
+                    assert image == expected
+        assert taken == {"shadow", "image", "history"}
 
 
 class TestCheckpointDiskFailure:
@@ -199,8 +245,10 @@ class TestSinglePassScan:
         address = PartitionAddress(descriptor.segment_id, sorted(descriptor.partitions)[0])
         page_count = len(list(db.log_disk.all_lsns()))
         reads_before = db.log_disk.pages_read
-        _, stats = rebuild_partition_from_history(
-            address, db.log_disk, db.slt, db.config.partition_size,
+        history, stats = demultiplex_log_history(db.log_disk, wanted={address})
+        rebuild_partition_resilient(
+            address, None, db.checkpoint_disk, db.log_disk, db.slt,
+            db.config.partition_size, history=history,
         )
         assert db.log_disk.pages_read - reads_before == page_count
         assert stats["pages_scanned"] == page_count

@@ -7,7 +7,7 @@ from repro import Database, SystemConfig
 from repro.analysis import LoggingModel
 from repro.common import EntityAddress, PartitionAddress, RecoveryError
 from repro.common.config import DiskParameters
-from repro.recovery.redo import enumerate_log_pages, rebuild_partition
+from repro.recovery.redo import enumerate_log_pages, rebuild_partition_resilient
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.wal import LogDisk, StableLogTail, TupleInsert
 
@@ -97,7 +97,7 @@ class TestRebuildPartition:
         queue = CheckpointDiskQueue(
             SimulatedDisk("c", DiskParameters(), VirtualClock()), 16
         )
-        partition, stats = rebuild_partition(
+        partition, stats = rebuild_partition_resilient(
             PADDR, None, queue, log_disk, slt, config.partition_size
         )
         assert len(partition) == inserted
@@ -120,7 +120,7 @@ class TestRebuildPartition:
         queue = CheckpointDiskQueue(
             SimulatedDisk("c", DiskParameters(), VirtualClock()), 16
         )
-        partition, stats = rebuild_partition(
+        partition, stats = rebuild_partition_resilient(
             PADDR, None, queue, log_disk, slt, config.partition_size
         )
         assert partition.read(offset - 1) == b"pending"
@@ -134,7 +134,7 @@ class TestRebuildPartition:
             SimulatedDisk("c", DiskParameters(), VirtualClock()), 16
         )
         with pytest.raises(RecoveryError):
-            rebuild_partition(
+            rebuild_partition_resilient(
                 PartitionAddress(9, 9), None, queue, log_disk, slt,
                 config.partition_size,
             )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.checkpoint.disk_queue import CheckpointDiskQueue
 from repro.common import EntityAddress, PartitionAddress, SystemConfig
 from repro.common.config import DiskParameters
-from repro.recovery.redo import rebuild_partition
+from repro.recovery.redo import rebuild_partition_resilient
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.storage import Partition
 from repro.wal import LogDisk, StableLogTail, TupleDelete, TupleInsert, TupleUpdate
@@ -95,7 +95,7 @@ def test_pipeline_rebuild_matches_direct_application(operations, directory_size)
             lsn = log_disk.append_page(page)
             slt.note_page_written(record.bin_index, lsn)
     for paddr in partitions:
-        rebuilt, _ = rebuild_partition(
+        rebuilt, _ = rebuild_partition_resilient(
             paddr, None, queue, log_disk, slt, config.partition_size
         )
         assert list(rebuilt.entities()) == list(reference[paddr].entities()), (
