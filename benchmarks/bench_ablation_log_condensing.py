@@ -34,11 +34,9 @@ def drive() -> dict:
         if owner.segment in (ARCHIVE_SEGMENT, -2):
             continue
         page = db.log_disk.read_page(lsn)
-        from repro.wal.records import encode_record_compact
-
         for record in page.records:
             full_bytes += len(record.encode())
-            compact_bytes += len(encode_record_compact(record))
+            compact_bytes += len(record.encode(compact=True))
             records += 1
     return {
         "records": records,

@@ -4,12 +4,10 @@ One object owns the simulated hardware (clock, two CPUs, stable memories,
 duplexed log disks, checkpoint disk), the volatile database (segments,
 partitions, locks, catalogs), and the recovery component (Stable Log
 Buffer, Stable Log Tail, recovery processor, checkpoint manager, restart
-coordinator).  The behaviour lives in three narrow services — the
-:class:`~repro.db.logging_service.LoggingService` (main-CPU log path),
-the :class:`~repro.db.checkpoint_service.CheckpointService` (per-CPU
-checkpoint halves), and the
-:class:`~repro.db.recovery_service.RecoveryService` (restart state
-machine) — scheduled by an :class:`~repro.engine.ExecutionEngine`.
+coordinator).  The restart state machine lives in the
+:class:`~repro.db.recovery_service.RecoveryService`; the
+between-transactions duties are scheduled by an
+:class:`~repro.engine.ExecutionEngine`.
 
 Scheduling: the recovery CPU's duties run when :meth:`Database.pump` is
 called — the transaction manager's between-transactions moment of paper
@@ -52,12 +50,11 @@ from repro.common.errors import (
     CatalogError,
     ConfigurationError,
     RecoveryError,
+    StableMemoryFullError,
     StorageError,
 )
 from repro.common.types import PartitionAddress, SegmentKind
 from repro.concurrency.locks import LockManager, LockMode
-from repro.db.checkpoint_service import CheckpointService
-from repro.db.logging_service import LoggingService
 from repro.db.recovery_service import RecoveryMode, RecoveryService
 from repro.db.relation import Relation
 from repro.engine import ExecutionEngine, engine_from_env
@@ -111,8 +108,6 @@ class Database:
         self._build_hardware()
         self._build_volatile()
         self._build_recovery_component()
-        self.logging = LoggingService(self)
-        self.checkpoint_service = CheckpointService(self)
         self.recovery_service = RecoveryService(self)
         self.engine = engine if engine is not None else engine_from_env()
         self.engine.attach(self)
@@ -214,8 +209,20 @@ class Database:
     # -- transaction plumbing (called by Transaction) ----------------------------------
 
     def append_log(self, txn_id: int, record: RedoRecord) -> None:
-        """Write a REDO record to the SLB (see :class:`LoggingService`)."""
-        self.logging.append_log(txn_id, record)
+        """Write a REDO record to the SLB, draining on back-pressure.
+
+        Section 2.2: copying REDO records into the Stable Log Buffer is
+        the only logging work the main CPU does, and it pays the
+        stable-memory copy for it; everything downstream belongs to the
+        recovery CPU.
+        """
+        self.main_cpu.charge_stable_bytes(record.size_bytes, "slb-write")
+        try:
+            self.slb.append(txn_id, record)
+        except StableMemoryFullError:
+            # The main CPU stalls while the recovery CPU frees blocks.
+            self.engine.drain_log()
+            self.slb.append(txn_id, record)
 
     def on_transaction_finished(self, txn: Transaction) -> None:
         self.transactions.finished(txn)
@@ -269,8 +276,11 @@ class Database:
 
     def publish_catalog_locations(self) -> None:
         """Duplicate the catalog partition address list into both stable
-        areas (see :class:`LoggingService`)."""
-        self.logging.publish_catalog_locations()
+        areas (section 2.5: 'stored twice, in the Stable Log Buffer and in
+        the Stable Log Tail')."""
+        entry = self.catalog.well_known_entry()
+        self.slb.put_well_known(CATALOG_LOCATIONS_KEY, entry)
+        self.slt.put_well_known(CATALOG_LOCATIONS_KEY, entry)
 
     # -- scheduling (delegated to the execution engine) -----------------------------------
 
@@ -613,6 +623,7 @@ class Database:
         """Lose main memory.  Stable memory and disks survive."""
         self.memory.crash()
         self.locks.crash()
+        self.log_disk.crash()
         self.transactions.crash()
         self._relations.clear()
         self._index_objects.clear()

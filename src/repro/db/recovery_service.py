@@ -34,25 +34,15 @@ class RecoveryMode(enum.Enum):
 
 
 class RecoveryService:
-    """Drives restart and the recovery processor's pump-time duties."""
+    """Drives restart and the pump's background restore step."""
 
     def __init__(self, db: "Database"):
         self.db = db
-
-    def drain(self) -> int:
-        """Sort everything currently committed (recovery-CPU duty)."""
-        return self.db.recovery_processor.run_until_drained()
 
     def background_step(self) -> None:
         """One low-priority phase-2 restore, if a restart is in progress."""
         if self.db.restart_coordinator is not None:
             self.db.restart_coordinator.background_step()
-
-    def condense_step(self) -> int:
-        """One background condense slice (docs/CONDENSING.md) — the
-        recovery CPU's lowest-priority duty, run after everything else in
-        a pump.  No-op unless ``condense_enabled``."""
-        return self.db.condenser.step()
 
     def resolve_in_doubt(self) -> dict[str, int]:
         """Settle every prepared (in-doubt) SLB chain before phase 1.

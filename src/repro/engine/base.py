@@ -44,12 +44,12 @@ MAIN_CPU = "main-cpu"
 DUTIES = tuple(
     (attrgetter(duty), processor)
     for duty, processor in (
-        ("recovery_service.drain", RECOVERY_CPU),
-        ("checkpoint_service.acknowledge", RECOVERY_CPU),
-        ("checkpoint_service.process_pending", MAIN_CPU),
-        ("checkpoint_service.acknowledge", RECOVERY_CPU),
+        ("recovery_processor.run_until_drained", RECOVERY_CPU),
+        ("recovery_processor.acknowledge_finished", RECOVERY_CPU),
+        ("checkpoints.process_pending", MAIN_CPU),
+        ("recovery_processor.acknowledge_finished", RECOVERY_CPU),
         ("recovery_service.background_step", MAIN_CPU),
-        ("recovery_service.condense_step", RECOVERY_CPU),
+        ("condenser.step", RECOVERY_CPU),
     )
 )
 
@@ -93,7 +93,8 @@ class ExecutionEngine(abc.ABC):
         CPU's back-pressure stall when the SLB fills.  Returns the number
         of records sorted.
         """
-        return self._dispatch(self._require_db().recovery_service.drain, RECOVERY_CPU)
+        processor = self._require_db().recovery_processor
+        return self._dispatch(processor.run_until_drained, RECOVERY_CPU)
 
     def pump(self) -> None:
         """Run the between-transactions duties of both processors, one

@@ -3,8 +3,8 @@
 The decomposition the tentpole asks for is deliberately thin: a
 :class:`ShardNode` *is* a :class:`~repro.db.database.Database` — with
 its own simulated hardware, Stable Log Buffer, Stable Log Tail,
-LoggingService, CheckpointService, and RecoveryService — plus the shard
-identity and the engine that drives it.  Nothing in the single-node
+recovery processor, checkpoint manager and RecoveryService — plus the
+shard identity and the engine that drives it.  Nothing in the single-node
 code paths forks: a node recovers, checkpoints, and logs exactly like a
 standalone database, which is what makes kill-one-shard recovery
 "recover only that shard's partitions" for free.

@@ -16,6 +16,7 @@ them (stable memory and disk both survive crashes).
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import threading
@@ -40,7 +41,10 @@ class AuditEntry:
     timestamp: float  # simulated seconds
     user_data: str = ""
 
-    def encode(self) -> bytes:
+    @functools.cached_property
+    def _encoded(self) -> bytes:
+        # Serialised once per entry: the byte count at append, the
+        # reload sum and the page flush all read these same bytes.
         body = json.dumps(
             {
                 "txn": self.txn_id,
@@ -52,6 +56,9 @@ class AuditEntry:
         ).encode("utf-8")
         return _ENTRY_HEADER.pack(len(body)) + body
 
+    def encode(self) -> bytes:
+        return self._encoded
+
     @classmethod
     def decode(cls, buf: bytes, pos: int) -> tuple["AuditEntry", int]:
         (length,) = _ENTRY_HEADER.unpack_from(buf, pos)
@@ -62,7 +69,7 @@ class AuditEntry:
 
     @property
     def size_bytes(self) -> int:
-        return len(self.encode())
+        return len(self._encoded)
 
 
 class AuditLog:

@@ -49,18 +49,23 @@ register_fault_point(
     "log-disk.read",
     "transient controller fault on a duplexed log-page read",
 )
-from repro.wal.records import (
-    RedoRecord,
-    decode_records,
-    decode_records_compact,
-    encode_record_compact,
-)
+from repro.wal.records import RedoRecord, decode_records
 
 #: Partition segment value marking a mixed archive page (section 2.4: partial
 #: bin pages are combined with other partitions' records into full pages).
 ARCHIVE_SEGMENT = -1
 
 _PAGE_HEADER = struct.Struct("<iiqHI")  # segment, partition, lsn, dir_len, body_len
+
+
+def _split_page(blob: bytes) -> tuple[PartitionAddress, int, int, slice]:
+    """A page blob's header: (owner, lsn, directory entries, body span).
+
+    The embedded directory — ``<q`` per entry — sits between the header
+    and the body."""
+    segment, partition, lsn, dir_len, body_len = _PAGE_HEADER.unpack_from(blob, 0)
+    start = _PAGE_HEADER.size + 8 * dir_len
+    return PartitionAddress(segment, partition), lsn, dir_len, slice(start, start + body_len)
 
 
 def page_owner_from_blob(blob: bytes) -> PartitionAddress:
@@ -70,8 +75,7 @@ def page_owner_from_blob(blob: bytes) -> PartitionAddress:
     turn out to be irrelevant (other partitions, audit markers) cost one
     struct unpack on top of the verified read that produced the blob.
     """
-    segment, partition, _, _, _ = _PAGE_HEADER.unpack_from(blob, 0)
-    return PartitionAddress(segment, partition)
+    return _split_page(blob)[0]
 
 
 @dataclass
@@ -92,14 +96,12 @@ class LogPage:
         return self.partition.segment == ARCHIVE_SEGMENT
 
     def encode(self) -> bytes:
-        if self.is_archive_page:
-            # mixed pages span partitions: full record format
-            body = b"".join(record.encode() for record in self.records)
-        else:
-            # dedicated pages condense the log: the partition address is
-            # stripped from every record (section 2.3.3 point 3) — the
-            # page header carries it once for all of them
-            body = b"".join(encode_record_compact(r) for r in self.records)
+        # Dedicated pages condense the log: the partition address is
+        # stripped from every record (section 2.3.3 point 3) — the page
+        # header carries it once for all of them.  Mixed archive pages
+        # span partitions, so their records keep the full form.
+        compact = not self.is_archive_page
+        body = b"".join(record.encode(compact) for record in self.records)
         header = _PAGE_HEADER.pack(
             self.partition.segment,
             self.partition.partition,
@@ -107,32 +109,21 @@ class LogPage:
             len(self.embedded_directory),
             len(body),
         )
-        directory = b"".join(
-            struct.pack("<q", lsn) for lsn in self.embedded_directory
+        directory = struct.pack(
+            f"<{len(self.embedded_directory)}q", *self.embedded_directory
         )
         return header + directory + body
 
     @classmethod
     def decode(cls, blob: bytes) -> "LogPage":
-        segment, partition_no, lsn, dir_len, body_len = _PAGE_HEADER.unpack_from(
-            blob, 0
-        )
-        pos = _PAGE_HEADER.size
-        directory = []
-        for _ in range(dir_len):
-            (entry,) = struct.unpack_from("<q", blob, pos)
-            directory.append(entry)
-            pos += 8
-        body = blob[pos : pos + body_len]
-        partition = PartitionAddress(segment, partition_no)
-        if segment == ARCHIVE_SEGMENT:
-            records = decode_records(body)
-        else:
-            records = decode_records_compact(body, partition)
+        partition, lsn, dir_len, body = _split_page(blob)
+        compact = partition.segment != ARCHIVE_SEGMENT
         return cls(
             partition=partition,
-            records=records,
-            embedded_directory=directory,
+            records=decode_records(blob[body], partition if compact else None),
+            embedded_directory=list(
+                struct.unpack_from(f"<{dir_len}q", blob, _PAGE_HEADER.size)
+            ),
             lsn=lsn,
         )
 
@@ -211,7 +202,8 @@ class LogDisk:
         #: Bounded LRU of decoded pages, shared by the media-recovery
         #: scan, :meth:`page_owner`, and restart reads.  Log pages are
         #: immutable once written (LSNs are never reused), so a cached
-        #: decode stays valid until the page is dropped.  Leaf lock.
+        #: decode stays valid until the page is dropped; it is volatile,
+        #: so :meth:`crash` empties it.  Leaf lock.
         self.cache_pages = cache_pages
         self._page_cache: "OrderedDict[int, LogPage]" = OrderedDict()  # guarded-by: _cache_mutex
         self._cache_mutex = threading.Lock()
@@ -288,11 +280,10 @@ class LogDisk:
     def read_opaque_page(self, lsn: int, marker_segment: int) -> bytes:
         """Read back an opaque page's body, checking its marker."""
         blob = self.fetch_blob(lsn)
-        segment, _, page_lsn, _, body_len = _PAGE_HEADER.unpack_from(blob, 0)
-        if segment != marker_segment or page_lsn != lsn:
+        owner, page_lsn, _, body = _split_page(blob)
+        if owner.segment != marker_segment or page_lsn != lsn:
             raise LogError(f"page {lsn} is not an opaque page of {marker_segment}")
-        pos = _PAGE_HEADER.size
-        return blob[pos : pos + body_len]
+        return blob[body]
 
     def fetch_blob(self, lsn: int) -> bytes:
         """One verified read of a page's raw bytes, wherever it lives.
@@ -379,6 +370,12 @@ class LogDisk:
             self._page_cache.pop(lsn, None)
 
     # -- decoded-page cache ----------------------------------------------------------
+
+    def crash(self) -> None:
+        """Lose the volatile part: decoded pages live in main memory, so
+        a restart reads and decodes every page it needs from the disks."""
+        with self._cache_mutex:
+            self._page_cache.clear()
 
     def _cache_get(self, lsn: int) -> LogPage | None:
         with self._cache_mutex:

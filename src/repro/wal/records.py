@@ -17,7 +17,18 @@ Two flavours exist, mirroring the paper:
   allocation is deterministic, which :class:`HeapPut` verifies at replay.
 
 Records serialise to a compact binary wire format so the bytes that reach
-the simulated log disk are the bytes recovery decodes.
+the simulated log disk are the bytes recovery decodes.  Each class states
+its Operation part once, as a :class:`Layout`; :func:`_register` compiles
+that into the two forms a record takes on disk:
+
+* *full* — header, address, fixed fields, ``u32`` length + ``data``;
+* *compact* — the same minus the leading (segment, partition) pair.
+  Section 2.3.3 point 3: "Redundant address information may be stripped
+  from the log records before they are written to disk, thereby
+  condensing the log."  A dedicated (single-partition) log page names its
+  partition once in the page header, so its records drop those eight
+  bytes and decoding takes the address from the header instead.  Mixed
+  archive pages keep the full form (their records span partitions).
 """
 
 from __future__ import annotations
@@ -25,36 +36,72 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass
-from typing import ClassVar
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, NamedTuple
 
 from repro.common.errors import LogError
 from repro.common.types import EntityAddress, PartitionAddress
 from repro.storage.partition import Partition
 
-_HEADER = struct.Struct("<BIQ")  # tag, bin_index, txn_id
-_ENTITY = struct.Struct("<iiq")  # segment, partition, offset
-_PARTITION = struct.Struct("<ii")  # segment, partition
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
+_HEADER = "<BIQ"  # tag, bin_index, txn_id
+#: Both address kinds start with (segment, partition) — what a log page's
+#: header carries and the compact form therefore strips.
+_ADDRESS_CODES = {EntityAddress: "iiq", PartitionAddress: "ii"}
 
 _REGISTRY: dict[int, type["RedoRecord"]] = {}
 
 
+@dataclass(frozen=True)
+class Layout:
+    """The Operation part of one REDO record class, in wire order."""
+
+    #: The address the record carries: :class:`EntityAddress` (segment,
+    #: partition, offset) or :class:`PartitionAddress` (segment, partition).
+    address: type
+    #: ``struct`` codes of the fixed scalar fields after the address.
+    fixed: str = ""
+    #: Whether the record ends in a ``u32`` length and that many bytes of
+    #: ``data`` — the one variable-length field a record may have.
+    blob: bool = False
+
+
 def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
+    """Compile ``cls.LAYOUT`` against the dataclass fields it describes."""
     if cls.TAG in _REGISTRY:
         raise AssertionError(f"duplicate log record tag {cls.TAG}")
+    layout = cls.LAYOUT
+    address, *rest = (field.name for field in dataclasses.fields(cls)[2:])
+    if len(rest) != len(layout.fixed) + layout.blob or (layout.blob and rest[-1] != "data"):
+        raise AssertionError(f"{cls.__name__} fields do not fit {layout}")
+    codes = _ADDRESS_CODES[layout.address]
+    parts = [f"{address}.{field.name}" for field in dataclasses.fields(layout.address)]
+    # The compact form is the full form minus (segment, partition).
+    cls._FORMS = tuple(
+        (
+            struct.Struct(_HEADER + codes[skip:] + layout.fixed + ("I" if layout.blob else "")),
+            attrgetter("TAG", "bin_index", "txn_id", *parts[skip:], *rest),
+        )
+        for skip in (0, 2)
+    )
+    cls._OWNER = attrgetter(
+        f"{address}.partition_address" if layout.address is EntityAddress else address
+    )
     _REGISTRY[cls.TAG] = cls
     return cls
 
 
 @dataclass(frozen=True, slots=True)
 class RedoRecord:
-    """Base class: header fields shared by every REDO record."""
+    """Base class: header fields shared by every REDO record, and the one
+    codec every registered subclass's :class:`Layout` drives."""
 
     TAG: ClassVar[int] = 0
-    #: Payload bytes besides ``data``, the one variable-length field a
-    #: record may have; lets :attr:`size_bytes` skip packing the payload.
-    FIXED_BYTES: ClassVar[int] = 0
+    LAYOUT: ClassVar[Layout]
+    #: Compiled by :func:`_register`, full form first, compact second:
+    #: the struct covering everything but ``data``, and the getter of the
+    #: values it packs (``data`` itself last, where its length goes).
+    _FORMS: ClassVar[tuple[tuple[struct.Struct, Callable[[Any], tuple]], ...]]
+    _OWNER: ClassVar[Callable[[Any], PartitionAddress]]
 
     txn_id: int
     bin_index: int
@@ -63,61 +110,42 @@ class RedoRecord:
 
     @property
     def partition_address(self) -> PartitionAddress:
-        raise NotImplementedError
+        return self._OWNER(self)
 
     def apply(self, partition: Partition) -> None:
         """Re-execute this operation against ``partition`` (REDO)."""
         raise NotImplementedError
 
-    def _payload(self) -> bytes:
-        raise NotImplementedError
-
     # -- wire format --------------------------------------------------------------
 
-    def encode(self) -> bytes:
-        return _HEADER.pack(self.TAG, self.bin_index, self.txn_id) + self._payload()
+    def encode(self, compact: bool = False) -> bytes:
+        """The record's wire bytes; ``compact`` strips the partition
+        address (the form records take on a dedicated log page)."""
+        packed, fields = self._FORMS[compact]
+        values = fields(self)
+        if not self.LAYOUT.blob:
+            return packed.pack(*values)
+        data = values[-1]
+        return packed.pack(*values[:-1], len(data)) + data
 
     @property
     def size_bytes(self) -> int:
-        return _HEADER.size + self.FIXED_BYTES + len(getattr(self, "data", b""))
+        """Length of the full form, from the declared layout — no packing."""
+        return self._FORMS[False][0].size + len(getattr(self, "data", b""))
 
     def with_bin_index(self, bin_index: int) -> "RedoRecord":
         """Copy of this record carrying a (re)assigned bin index."""
         if bin_index == self.bin_index:
             return self
-        values = {
-            field.name: getattr(self, field.name) for field in dataclasses.fields(self)
-        }
-        values["bin_index"] = bin_index
-        return type(self)(**values)
+        return dataclasses.replace(self, bin_index=bin_index)
 
     # -- shared helpers ---------------------------------------------------------------
 
-    @staticmethod
-    def _check_address(record_addr: PartitionAddress, partition: Partition) -> None:
-        if record_addr != partition.address:
+    def _check_address(self, partition: Partition) -> None:
+        if self.partition_address != partition.address:
             raise LogError(
-                f"log record for {record_addr} applied to {partition.address}"
+                f"log record for {self.partition_address} applied to {partition.address}"
             )
-
-
-def _encode_entity(address: EntityAddress) -> bytes:
-    return _ENTITY.pack(address.segment, address.partition, address.offset)
-
-
-def _decode_entity(buf: bytes, pos: int) -> tuple[EntityAddress, int]:
-    segment, partition, offset = _ENTITY.unpack_from(buf, pos)
-    return EntityAddress(segment, partition, offset), pos + _ENTITY.size
-
-
-def _encode_blob(data: bytes) -> bytes:
-    return _U32.pack(len(data)) + data
-
-
-def _decode_blob(buf: bytes, pos: int) -> tuple[bytes, int]:
-    (length,) = _U32.unpack_from(buf, pos)
-    pos += _U32.size
-    return buf[pos : pos + length], pos + length
 
 
 # ------------------------------------------------------------------------------
@@ -125,20 +153,14 @@ def _decode_blob(buf: bytes, pos: int) -> tuple[bytes, int]:
 # ------------------------------------------------------------------------------
 
 
-@_register
 @dataclass(frozen=True, slots=True)
-class TupleInsert(RedoRecord):
-    """Install a new tuple at a recorded entity address."""
+class _Install(RedoRecord):
+    """Upsert ``data`` at an entity address."""
 
-    TAG: ClassVar[int] = 1
-    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(EntityAddress, blob=True)
 
     address: EntityAddress
     data: bytes
-
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.address.partition_address
 
     def apply(self, partition: Partition) -> None:
         # Upsert: after a crash the replayed log may repeat a prefix of
@@ -146,20 +168,34 @@ class TupleInsert(RedoRecord):
         # but not yet noted, or an image newer than part of its log).
         # Full-order replay makes the last writer win, so re-installing at
         # an occupied offset is safe; offsets are never reused.
-        self._check_address(self.partition_address, partition)
+        self._check_address(partition)
         if self.address.offset in partition:
             partition.update(self.address.offset, self.data)
         else:
             partition.insert_at(self.address.offset, self.data)
 
-    def _payload(self) -> bytes:
-        return _encode_entity(self.address) + _encode_blob(self.data)
 
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        address, pos = _decode_entity(buf, pos)
-        data, pos = _decode_blob(buf, pos)
-        return cls(txn_id, bin_index, address, data), pos
+@dataclass(frozen=True, slots=True)
+class _Remove(RedoRecord):
+    """Drop the entity at an address, if it is still there."""
+
+    LAYOUT: ClassVar[Layout] = Layout(EntityAddress)
+
+    address: EntityAddress
+
+    def apply(self, partition: Partition) -> None:
+        # Tolerates an already-deleted entity (duplicate replay prefix).
+        self._check_address(partition)
+        if self.address.offset in partition:
+            partition.delete(self.address.offset)
+
+
+@_register
+@dataclass(frozen=True, slots=True)
+class TupleInsert(_Install):
+    """Install a new tuple at a recorded entity address."""
+
+    TAG: ClassVar[int] = 1
 
 
 @_register
@@ -168,56 +204,22 @@ class TupleUpdate(RedoRecord):
     """Overwrite the whole tuple at an entity address."""
 
     TAG: ClassVar[int] = 2
-    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(EntityAddress, blob=True)
 
     address: EntityAddress
     data: bytes
 
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.address.partition_address
-
     def apply(self, partition: Partition) -> None:
-        self._check_address(self.partition_address, partition)
+        self._check_address(partition)
         partition.update(self.address.offset, self.data)
-
-    def _payload(self) -> bytes:
-        return _encode_entity(self.address) + _encode_blob(self.data)
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        address, pos = _decode_entity(buf, pos)
-        data, pos = _decode_blob(buf, pos)
-        return cls(txn_id, bin_index, address, data), pos
 
 
 @_register
 @dataclass(frozen=True, slots=True)
-class TupleDelete(RedoRecord):
+class TupleDelete(_Remove):
     """Remove the tuple at an entity address."""
 
     TAG: ClassVar[int] = 3
-    FIXED_BYTES: ClassVar[int] = _ENTITY.size
-
-    address: EntityAddress
-
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.address.partition_address
-
-    def apply(self, partition: Partition) -> None:
-        # Tolerates an already-deleted tuple (duplicate replay prefix).
-        self._check_address(self.partition_address, partition)
-        if self.address.offset in partition:
-            partition.delete(self.address.offset)
-
-    def _payload(self) -> bytes:
-        return _encode_entity(self.address)
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        address, pos = _decode_entity(buf, pos)
-        return cls(txn_id, bin_index, address), pos
 
 
 @_register
@@ -230,18 +232,14 @@ class FieldPatch(RedoRecord):
     """
 
     TAG: ClassVar[int] = 4
-    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U16.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(EntityAddress, "H", blob=True)
 
     address: EntityAddress
     start: int
     data: bytes
 
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.address.partition_address
-
     def apply(self, partition: Partition) -> None:
-        self._check_address(self.partition_address, partition)
+        self._check_address(partition)
         current = partition.read(self.address.offset)
         end = self.start + len(self.data)
         if end > len(current):
@@ -251,21 +249,6 @@ class FieldPatch(RedoRecord):
             )
         patched = current[: self.start] + self.data + current[end:]
         partition.update(self.address.offset, patched)
-
-    def _payload(self) -> bytes:
-        return (
-            _encode_entity(self.address)
-            + _U16.pack(self.start)
-            + _encode_blob(self.data)
-        )
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        address, pos = _decode_entity(buf, pos)
-        (start,) = _U16.unpack_from(buf, pos)
-        pos += _U16.size
-        data, pos = _decode_blob(buf, pos)
-        return cls(txn_id, bin_index, address, start, data), pos
 
 
 # ------------------------------------------------------------------------------
@@ -279,41 +262,21 @@ class HeapPut(RedoRecord):
     """Re-execute a string-space put at its recorded handle."""
 
     TAG: ClassVar[int] = 5
-    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I", blob=True)
 
     partition: PartitionAddress
     handle: int
     data: bytes
 
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.partition
-
     def apply(self, partition: Partition) -> None:
-        # Upsert on duplicate replay prefix (see TupleInsert.apply): a
+        # Upsert on duplicate replay prefix (see _Install.apply): a
         # later HeapReplace may already be reflected in the image, so the
         # occupied bytes can legitimately differ — last writer wins.
-        self._check_address(self.partition, partition)
+        self._check_address(partition)
         if self.handle in partition.heap:
             partition.heap.replace(self.handle, self.data)
         else:
             partition.heap.put_at(self.handle, self.data)
-
-    def _payload(self) -> bytes:
-        return (
-            _PARTITION.pack(self.partition.segment, self.partition.partition)
-            + _U32.pack(self.handle)
-            + _encode_blob(self.data)
-        )
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        segment, part_no = _PARTITION.unpack_from(buf, pos)
-        pos += _PARTITION.size
-        (handle,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size
-        data, pos = _decode_blob(buf, pos)
-        return cls(txn_id, bin_index, PartitionAddress(segment, part_no), handle, data), pos
 
 
 @_register
@@ -322,35 +285,15 @@ class HeapReplace(RedoRecord):
     """Re-execute an in-place string replacement."""
 
     TAG: ClassVar[int] = 6
-    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I", blob=True)
 
     partition: PartitionAddress
     handle: int
     data: bytes
 
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.partition
-
     def apply(self, partition: Partition) -> None:
-        self._check_address(self.partition, partition)
+        self._check_address(partition)
         partition.heap.replace(self.handle, self.data)
-
-    def _payload(self) -> bytes:
-        return (
-            _PARTITION.pack(self.partition.segment, self.partition.partition)
-            + _U32.pack(self.handle)
-            + _encode_blob(self.data)
-        )
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        segment, part_no = _PARTITION.unpack_from(buf, pos)
-        pos += _PARTITION.size
-        (handle,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size
-        data, pos = _decode_blob(buf, pos)
-        return cls(txn_id, bin_index, PartitionAddress(segment, part_no), handle, data), pos
 
 
 @_register
@@ -359,33 +302,16 @@ class HeapDelete(RedoRecord):
     """Re-execute a string-space delete."""
 
     TAG: ClassVar[int] = 7
-    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I")
 
     partition: PartitionAddress
     handle: int
 
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.partition
-
     def apply(self, partition: Partition) -> None:
         # Tolerates an already-deleted handle (duplicate replay prefix).
-        self._check_address(self.partition, partition)
+        self._check_address(partition)
         if self.handle in partition.heap:
             partition.heap.delete(self.handle)
-
-    def _payload(self) -> bytes:
-        return _PARTITION.pack(
-            self.partition.segment, self.partition.partition
-        ) + _U32.pack(self.handle)
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        segment, part_no = _PARTITION.unpack_from(buf, pos)
-        pos += _PARTITION.size
-        (handle,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size
-        return cls(txn_id, bin_index, PartitionAddress(segment, part_no), handle), pos
 
 
 # ------------------------------------------------------------------------------
@@ -395,7 +321,7 @@ class HeapDelete(RedoRecord):
 
 @_register
 @dataclass(frozen=True, slots=True)
-class IndexNodeWrite(RedoRecord):
+class IndexNodeWrite(_Install):
     """Install the after-image of one index component (T-Tree node,
     hash bucket, or index anchor).
 
@@ -405,58 +331,14 @@ class IndexNodeWrite(RedoRecord):
     """
 
     TAG: ClassVar[int] = 8
-    FIXED_BYTES: ClassVar[int] = _ENTITY.size + _U32.size
-
-    address: EntityAddress
-    data: bytes
-
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.address.partition_address
-
-    def apply(self, partition: Partition) -> None:
-        self._check_address(self.partition_address, partition)
-        if self.address.offset in partition:
-            partition.update(self.address.offset, self.data)
-        else:
-            partition.insert_at(self.address.offset, self.data)
-
-    def _payload(self) -> bytes:
-        return _encode_entity(self.address) + _encode_blob(self.data)
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        address, pos = _decode_entity(buf, pos)
-        data, pos = _decode_blob(buf, pos)
-        return cls(txn_id, bin_index, address, data), pos
 
 
 @_register
 @dataclass(frozen=True, slots=True)
-class IndexNodeFree(RedoRecord):
+class IndexNodeFree(_Remove):
     """Release an index component (node merged away or bucket freed)."""
 
     TAG: ClassVar[int] = 9
-    FIXED_BYTES: ClassVar[int] = _ENTITY.size
-
-    address: EntityAddress
-
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.address.partition_address
-
-    def apply(self, partition: Partition) -> None:
-        self._check_address(self.partition_address, partition)
-        if self.address.offset in partition:
-            partition.delete(self.address.offset)
-
-    def _payload(self) -> bytes:
-        return _encode_entity(self.address)
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        address, pos = _decode_entity(buf, pos)
-        return cls(txn_id, bin_index, address), pos
 
 
 # ------------------------------------------------------------------------------
@@ -475,9 +357,21 @@ class IndexNodeFree(RedoRecord):
 # with value REDO at the right LSN.
 
 
+@dataclass(frozen=True, slots=True)
+class _Marker(RedoRecord):
+    """A position in one partition's stream; applying it changes nothing."""
+
+    partition: PartitionAddress
+
+    def apply(self, partition: Partition) -> None:
+        # Position-only: the effects come from re-executing the command's
+        # script (or from the sweep's image), never from this record.
+        self._check_address(partition)
+
+
 @_register
 @dataclass(frozen=True, slots=True)
-class CommandBarrier(RedoRecord):
+class CommandBarrier(_Marker):
     """Marks the commit point of command ``csn`` in one partition's stream.
 
     Emitted at command commit into every partition of the transaction's
@@ -487,37 +381,14 @@ class CommandBarrier(RedoRecord):
     """
 
     TAG: ClassVar[int] = 10
-    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I")
 
-    partition: PartitionAddress
     csn: int
-
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.partition
-
-    def apply(self, partition: Partition) -> None:
-        # Position-only marker: the command's effects come from
-        # re-executing its script, never from this record.
-        self._check_address(self.partition, partition)
-
-    def _payload(self) -> bytes:
-        return _PARTITION.pack(
-            self.partition.segment, self.partition.partition
-        ) + _U32.pack(self.csn)
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        segment, part_no = _PARTITION.unpack_from(buf, pos)
-        pos += _PARTITION.size
-        (csn,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size
-        return cls(txn_id, bin_index, PartitionAddress(segment, part_no), csn), pos
 
 
 @_register
 @dataclass(frozen=True, slots=True)
-class SweepMarker(RedoRecord):
+class SweepMarker(_Marker):
     """Marks a settlement sweep's image point in one partition's stream.
 
     A group settlement checkpoint (the command-mode form of the paper's
@@ -531,33 +402,9 @@ class SweepMarker(RedoRecord):
     """
 
     TAG: ClassVar[int] = 11
-    FIXED_BYTES: ClassVar[int] = _PARTITION.size + _U32.size
+    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I")
 
-    partition: PartitionAddress
     watermark: int
-
-    @property
-    def partition_address(self) -> PartitionAddress:
-        return self.partition
-
-    def apply(self, partition: Partition) -> None:
-        # Position-only marker, exactly like CommandBarrier.
-        self._check_address(self.partition, partition)
-
-    def _payload(self) -> bytes:
-        return _PARTITION.pack(
-            self.partition.segment, self.partition.partition
-        ) + _U32.pack(self.watermark)
-
-    @classmethod
-    def _decode(cls, txn_id: int, bin_index: int, buf: bytes, pos: int):
-        segment, part_no = _PARTITION.unpack_from(buf, pos)
-        pos += _PARTITION.size
-        (watermark,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size
-        return cls(
-            txn_id, bin_index, PartitionAddress(segment, part_no), watermark
-        ), pos
 
 
 # ------------------------------------------------------------------------------
@@ -565,24 +412,49 @@ class SweepMarker(RedoRecord):
 # ------------------------------------------------------------------------------
 
 
-def decode_record(buf: bytes, pos: int = 0) -> tuple[RedoRecord, int]:
-    """Decode one record starting at ``pos``; returns (record, next_pos)."""
-    try:
-        tag, bin_index, txn_id = _HEADER.unpack_from(buf, pos)
-    except struct.error as exc:
-        raise LogError(f"truncated log record header at {pos}") from exc
-    cls = _REGISTRY.get(tag)
+def decode_record(
+    buf: bytes, pos: int = 0, partition: PartitionAddress | None = None
+) -> tuple[RedoRecord, int]:
+    """Decode one record starting at ``pos``; returns (record, next_pos).
+
+    ``partition`` is the owner named by a dedicated page's header: given,
+    the bytes are in compact form and every record gets that address.
+    """
+    if pos >= len(buf):
+        raise LogError(f"truncated log record header at {pos}")
+    cls = _REGISTRY.get(buf[pos])
     if cls is None:
-        raise LogError(f"unknown log record tag {tag} at {pos}")
-    return cls._decode(txn_id, bin_index, buf, pos + _HEADER.size)  # type: ignore[attr-defined]
+        raise LogError(f"unknown log record tag {buf[pos]} at {pos}")
+    packed = cls._FORMS[partition is not None][0]
+    try:
+        _, bin_index, txn_id, *fields = packed.unpack_from(buf, pos)
+    except struct.error as exc:
+        raise LogError(f"truncated {cls.__name__} record at {pos}") from exc
+    pos += packed.size
+    layout = cls.LAYOUT
+    if layout.blob:
+        end = pos + fields[-1]
+        fields[-1] = buf[pos:end]
+        pos = end
+    if partition is None:
+        partition = PartitionAddress(fields[0], fields[1])
+        del fields[:2]
+    if layout.address is EntityAddress:
+        fields[0] = EntityAddress(partition.segment, partition.partition, fields[0])
+    else:
+        fields.insert(0, partition)
+    return cls(txn_id, bin_index, *fields), pos
 
 
-def decode_records(buf: bytes) -> list[RedoRecord]:
-    """Decode a packed sequence of records (one log page's payload)."""
+def decode_records(
+    buf: bytes, partition: PartitionAddress | None = None
+) -> list[RedoRecord]:
+    """Decode a packed sequence of records (one log page's body), compact
+    when ``partition`` is given (see :func:`decode_record`)."""
     records = []
     pos = 0
     while pos < len(buf):
-        record, pos = decode_record(buf, pos)
+        record, pos = decode_record(buf, pos, partition)
         records.append(record)
     return records
 
@@ -597,7 +469,8 @@ def decode_records(buf: bytes) -> list[RedoRecord]:
 # RedoRecord subclasses: they name no entity and no partition, so they
 # must never enter the bin-sort pipeline — they live beside a prepared
 # chain (or in the decision table) and are consumed by restart's
-# in-doubt resolution, not by REDO replay.
+# in-doubt resolution, not by REDO replay.  Their fields vary in length,
+# so each class lists one codec per field instead of compiling a struct.
 
 _CONTROL_HEADER = struct.Struct("<BQ")  # tag, txn_id
 _CONTROL_REGISTRY: dict[int, type["ControlRecord"]] = {}
@@ -609,22 +482,72 @@ DECISION_TAG = 129
 COMMAND_TAG = 130
 
 
+class _Field(NamedTuple):
+    """Codec of one control-record field; ``decode`` takes (buf, pos) and
+    returns (value, next_pos)."""
+
+    encode: Callable[[Any], bytes]
+    decode: Callable[[bytes, int], tuple[Any, int]]
+
+
+def _int_field(code: str) -> _Field:
+    packed = struct.Struct("<" + code)
+
+    def decode(buf: bytes, pos: int) -> tuple[int, int]:
+        return packed.unpack_from(buf, pos)[0], pos + packed.size
+
+    return _Field(packed.pack, decode)
+
+
+_U16 = _int_field("H")
+_U32 = _int_field("I")
+
+
+def _bytes_field(length: _Field, text: bool = False) -> _Field:
+    """``length`` then that many bytes; UTF-8 when ``text``."""
+
+    def encode(value) -> bytes:
+        raw = value.encode("utf-8") if text else value
+        return length.encode(len(raw)) + raw
+
+    def decode(buf: bytes, pos: int):
+        size, pos = length.decode(buf, pos)
+        raw = buf[pos : pos + size]
+        return (raw.decode("utf-8") if text else raw), pos + size
+
+    return _Field(encode, decode)
+
+
+_STR = _bytes_field(_U16, text=True)
+_BLOB = _bytes_field(_U32)
+
+
+def _tuple_field(item: _Field) -> _Field:
+    """A ``u16`` count, then that many ``item`` values."""
+
+    def encode(values: tuple) -> bytes:
+        return _U16.encode(len(values)) + b"".join(map(item.encode, values))
+
+    def decode(buf: bytes, pos: int) -> tuple[tuple, int]:
+        count, pos = _U16.decode(buf, pos)
+        values = []
+        for _ in range(count):
+            value, pos = item.decode(buf, pos)
+            values.append(value)
+        return tuple(values), pos
+
+    return _Field(encode, decode)
+
+
 def _register_control(cls: type["ControlRecord"]) -> type["ControlRecord"]:
     if cls.TAG in _CONTROL_REGISTRY:
         raise AssertionError(f"duplicate control record tag {cls.TAG}")
+    names = [field.name for field in dataclasses.fields(cls)[1:]]
+    if len(cls.WIRE) != len(names):
+        raise AssertionError(f"{cls.__name__} needs one codec per field")
+    cls._ENCODERS = tuple((name, codec.encode) for name, codec in zip(names, cls.WIRE))
     _CONTROL_REGISTRY[cls.TAG] = cls
     return cls
-
-
-def _encode_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return _U16.pack(len(raw)) + raw
-
-
-def _decode_str(buf: bytes, pos: int) -> tuple[str, int]:
-    (length,) = _U16.unpack_from(buf, pos)
-    pos += _U16.size
-    return buf[pos : pos + length].decode("utf-8"), pos + length
 
 
 @dataclass(frozen=True, slots=True)
@@ -632,18 +555,21 @@ class ControlRecord:
     """Base class for 2PC control records (prepare / decision)."""
 
     TAG: ClassVar[int] = 0
+    #: One codec per field after ``txn_id``, in wire order.
+    WIRE: ClassVar[tuple[_Field, ...]] = ()
+    #: (field name, its codec's encoder) pairs, paired up at registration.
+    _ENCODERS: ClassVar[tuple[tuple[str, Callable[[Any], bytes]], ...]]
 
     txn_id: int
 
-    def _payload(self) -> bytes:
-        raise NotImplementedError
-
     def encode(self) -> bytes:
-        return _CONTROL_HEADER.pack(self.TAG, self.txn_id) + self._payload()
+        return _CONTROL_HEADER.pack(self.TAG, self.txn_id) + b"".join(
+            encode(getattr(self, name)) for name, encode in self._ENCODERS
+        )
 
     @property
     def size_bytes(self) -> int:
-        return _CONTROL_HEADER.size + len(self._payload())
+        return len(self.encode())
 
 
 @_register_control
@@ -659,35 +585,12 @@ class TxnPrepare(ControlRecord):
     """
 
     TAG: ClassVar[int] = PREPARE_TAG
+    WIRE: ClassVar[tuple[_Field, ...]] = (_STR, _U16, _U16, _tuple_field(_U16))
 
     gtid: str
     shard: int
     coordinator: int
     participants: tuple[int, ...]
-
-    def _payload(self) -> bytes:
-        body = _encode_str(self.gtid)
-        body += _U16.pack(self.shard) + _U16.pack(self.coordinator)
-        body += _U16.pack(len(self.participants))
-        for sid in self.participants:
-            body += _U16.pack(sid)
-        return body
-
-    @classmethod
-    def _decode(cls, txn_id: int, buf: bytes, pos: int):
-        gtid, pos = _decode_str(buf, pos)
-        (shard,) = _U16.unpack_from(buf, pos)
-        pos += _U16.size
-        (coordinator,) = _U16.unpack_from(buf, pos)
-        pos += _U16.size
-        (count,) = _U16.unpack_from(buf, pos)
-        pos += _U16.size
-        participants = []
-        for _ in range(count):
-            (sid,) = _U16.unpack_from(buf, pos)
-            pos += _U16.size
-            participants.append(sid)
-        return cls(txn_id, gtid, shard, coordinator, tuple(participants)), pos
 
 
 @_register_control
@@ -701,30 +604,11 @@ class TxnDecision(ControlRecord):
     """
 
     TAG: ClassVar[int] = DECISION_TAG
+    WIRE: ClassVar[tuple[_Field, ...]] = (_STR, _STR, _tuple_field(_U16))
 
     gtid: str
     verdict: str
     participants: tuple[int, ...]
-
-    def _payload(self) -> bytes:
-        body = _encode_str(self.gtid) + _encode_str(self.verdict)
-        body += _U16.pack(len(self.participants))
-        for sid in self.participants:
-            body += _U16.pack(sid)
-        return body
-
-    @classmethod
-    def _decode(cls, txn_id: int, buf: bytes, pos: int):
-        gtid, pos = _decode_str(buf, pos)
-        verdict, pos = _decode_str(buf, pos)
-        (count,) = _U16.unpack_from(buf, pos)
-        pos += _U16.size
-        participants = []
-        for _ in range(count):
-            (sid,) = _U16.unpack_from(buf, pos)
-            pos += _U16.size
-            participants.append(sid)
-        return cls(txn_id, gtid, verdict, tuple(participants)), pos
 
 
 @_register_control
@@ -744,36 +628,13 @@ class TxnCommand(ControlRecord):
     """
 
     TAG: ClassVar[int] = COMMAND_TAG
+    WIRE: ClassVar[tuple[_Field, ...]] = (_U32, _STR, _STR, _BLOB, _tuple_field(_STR))
 
     csn: int
     name: str
     version: str
     args: bytes
     relations: tuple[str, ...]
-
-    def _payload(self) -> bytes:
-        body = _U32.pack(self.csn)
-        body += _encode_str(self.name) + _encode_str(self.version)
-        body += _encode_blob(self.args)
-        body += _U16.pack(len(self.relations))
-        for relation in self.relations:
-            body += _encode_str(relation)
-        return body
-
-    @classmethod
-    def _decode(cls, txn_id: int, buf: bytes, pos: int):
-        (csn,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size
-        name, pos = _decode_str(buf, pos)
-        version, pos = _decode_str(buf, pos)
-        args, pos = _decode_blob(buf, pos)
-        (count,) = _U16.unpack_from(buf, pos)
-        pos += _U16.size
-        relations = []
-        for _ in range(count):
-            relation, pos = _decode_str(buf, pos)
-            relations.append(relation)
-        return cls(txn_id, csn, name, version, args, tuple(relations)), pos
 
 
 def decode_control(buf: bytes, pos: int = 0) -> tuple[ControlRecord, int]:
@@ -785,40 +646,9 @@ def decode_control(buf: bytes, pos: int = 0) -> tuple[ControlRecord, int]:
     cls = _CONTROL_REGISTRY.get(tag)
     if cls is None:
         raise LogError(f"unknown control record tag {tag} at {pos}")
-    return cls._decode(txn_id, buf, pos + _CONTROL_HEADER.size)  # type: ignore[attr-defined]
-
-
-# ------------------------------------------------------------------------------
-# Compact (condensed) encoding — section 2.3.3 point 3
-# ------------------------------------------------------------------------------
-#
-# "Redundant address information may be stripped from the log records
-# before they are written to disk, thereby condensing the log."  Every
-# record's payload begins with the owning partition's (segment, partition)
-# pair — exactly what the log page's header already carries — so records
-# on a dedicated (single-partition) page drop those eight bytes and
-# recovery splices them back in from the header.  Mixed archive pages keep
-# the full format (their records span partitions).
-
-_ADDRESS_PREFIX = struct.Struct("<ii")
-_STRIP_BYTES = _ADDRESS_PREFIX.size
-
-
-def encode_record_compact(record: RedoRecord) -> bytes:
-    """Full wire format minus the leading partition address of the payload."""
-    full = record.encode()
-    return full[: _HEADER.size] + full[_HEADER.size + _STRIP_BYTES :]
-
-
-def decode_records_compact(buf: bytes, partition) -> list[RedoRecord]:
-    """Decode a compact sequence, re-inserting ``partition``'s address."""
-    prefix = _ADDRESS_PREFIX.pack(partition.segment, partition.partition)
-    records = []
-    pos = 0
-    while pos < len(buf):
-        # rebuild enough full-format bytes to decode one record
-        chunk = buf[pos : pos + _HEADER.size] + prefix + buf[pos + _HEADER.size :]
-        record, consumed = decode_record(chunk, 0)
-        records.append(record)
-        pos += consumed - _STRIP_BYTES
-    return records
+    pos += _CONTROL_HEADER.size
+    values = []
+    for codec in cls.WIRE:
+        value, pos = codec.decode(buf, pos)
+        values.append(value)
+    return cls(txn_id, *values), pos

@@ -31,6 +31,12 @@ class TestAuditEntry:
         assert decoded == entry
         assert consumed == entry.size_bytes
 
+    def test_serialised_once(self):
+        entry = AuditEntry(7, "begin", 1.25, "teller-3")
+        assert entry.encode() is entry.encode()
+        assert entry.size_bytes == len(entry.encode())
+        assert entry == AuditEntry(7, "begin", 1.25, "teller-3")  # bytes are not a field
+
     def test_sequence_decode(self):
         entries = [AuditEntry(i, "commit", float(i)) for i in range(5)]
         blob = b"".join(e.encode() for e in entries)

@@ -57,7 +57,7 @@ def run_workload(db: Database, transactions: int = TRANSACTIONS) -> None:
 def drain_condenser(db: Database) -> int:
     pages = 0
     while True:
-        step = db.recovery_service.condense_step()
+        step = db.condenser.step()
         if not step:
             return pages
         pages += step
@@ -253,19 +253,28 @@ class TestFlipCheckpoints:
 
 
 class TestDutyPlumbing:
-    def test_disabled_by_default(self):
+    def test_disabled_by_default(self, monkeypatch):
+        # the *library* default: whatever the CI matrix exported is not it
+        monkeypatch.delenv("REPRO_CONDENSE", raising=False)
         db = Database(
             SystemConfig(log_page_size=512, update_count_threshold=10_000)
         )
         try:
             assert not db.config.condense_enabled
             run_workload(db, 10)
-            assert db.recovery_service.condense_step() == 0
+            assert db.condenser.step() == 0
             stats = db.condenser.stats_snapshot()
             assert stats["publishes"] == 0 and not stats["enabled"]
             assert all(b.condensed_slot is None for b in db.slt.bins())
         finally:
             db.close()
+
+    def test_env_var_flips_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONDENSE", "1")
+        assert SystemConfig().condense_enabled
+        assert not SystemConfig(condense_enabled=False).condense_enabled
+        monkeypatch.setenv("REPRO_CONDENSE", "0")
+        assert not SystemConfig().condense_enabled
 
     def test_stats_and_monitor_surface_the_duty(self):
         db = make_db(True)

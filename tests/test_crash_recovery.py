@@ -277,6 +277,29 @@ class TestRepeatedCrashes:
             assert t.lookup(txn, 1)["balance"] == 11
             assert t.lookup(txn, 2)["balance"] == 22
 
+    def test_second_restart_reads_what_the_first_read(self, db):
+        """The decoded-page LRU is main memory: a restart must not find
+        the previous restart's decodes waiting for it."""
+        accounts = make_accounts(db)
+        for start in range(0, 200, 20):
+            with db.transaction() as txn:
+                for i in range(start, start + 20):
+                    accounts.insert(txn, {"id": i, "balance": i, "owner": f"u{i}"})
+        reads = []
+        for _ in range(2):
+            db.crash()
+            before = db.log_disk.pages_read, db.log_disk.cache_hits
+            coordinator = db.restart(RecoveryMode.EAGER)
+            reads.append(
+                (
+                    db.log_disk.pages_read - before[0],
+                    db.log_disk.cache_hits - before[1],
+                    coordinator.records_replayed,
+                )
+            )
+        assert reads[0] == reads[1]
+        assert reads[0][0] > 0
+
     def test_crash_during_partial_recovery(self):
         db = Database(small_config())
         for name in ("alpha", "beta"):

@@ -225,19 +225,20 @@ class TestDutyOrder:
         db = loaded_db(engine=engine)
         calls = []
 
-        def recording(service, duty):
-            real = getattr(service, duty)
+        def recording(owner, duty):
+            real = getattr(owner, duty)
 
             def wrapper():
                 calls.append((duty, threading.current_thread().name))
                 return real()
 
-            setattr(service, duty, wrapper)
+            setattr(owner, duty, wrapper)
 
-        for duty in ("drain", "background_step", "condense_step"):
-            recording(db.recovery_service, duty)
-        for duty in ("acknowledge", "process_pending"):
-            recording(db.checkpoint_service, duty)
+        for duty in ("run_until_drained", "acknowledge_finished"):
+            recording(db.recovery_processor, duty)
+        recording(db.checkpoints, "process_pending")
+        recording(db.recovery_service, "background_step")
+        recording(db.condenser, "step")
         db.pump()
         db.close()
         return calls
@@ -247,12 +248,12 @@ class TestDutyOrder:
         sim = self.pumped_duties(SimEngine())
         threaded = self.pumped_duties(ThreadedEngine(workers=2))
         assert [duty for duty, _ in sim] == [
-            "drain",
-            "acknowledge",
+            "run_until_drained",
+            "acknowledge_finished",
             "process_pending",
-            "acknowledge",
+            "acknowledge_finished",
             "background_step",
-            "condense_step",
+            "step",
         ]
         assert [duty for duty, _ in threaded] == [duty for duty, _ in sim]
         assert {thread for _, thread in sim} == {caller}

@@ -298,13 +298,13 @@ class TestLogCondensing:
     from records on dedicated pages."""
 
     def test_compact_roundtrip_preserves_records(self):
-        from repro.wal.records import decode_records_compact, encode_record_compact
+        from repro.wal import decode_records
 
         records = [
             record(0, offset=i + 1, size=8 + i) for i in range(10)
         ]
-        body = b"".join(encode_record_compact(r) for r in records)
-        assert decode_records_compact(body, PADDR) == records
+        body = b"".join(r.encode(compact=True) for r in records)
+        assert decode_records(body, PADDR) == records
 
     def test_dedicated_page_smaller_than_full_format(self):
         page = LogPage(PADDR, [record(0, offset=i + 1) for i in range(20)])
@@ -399,6 +399,17 @@ class TestDecodedPageCache:
         log_disk.drop_page(lsn)
         with pytest.raises(LogError):
             log_disk.read_page(lsn)
+
+    def test_crash_empties_the_cache(self):
+        log_disk = make_log_disk()
+        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
+        stale = log_disk.read_page(lsn)
+        log_disk.crash()
+        hits, reads = log_disk.cache_hits, log_disk.pages_read
+        fresh = log_disk.read_page(lsn)
+        assert fresh == stale and fresh is not stale  # decoded again
+        assert log_disk.cache_hits == hits
+        assert log_disk.pages_read == reads + 1
 
     def test_negative_cache_size_rejected(self):
         with pytest.raises(Exception):
