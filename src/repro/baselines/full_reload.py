@@ -47,8 +47,7 @@ class WholeDatabaseCheckpointer:
         """
         db = self.db
         start = db.clock.now
-        txn = db.transactions.begin(system=True)
-        try:
+        with db.transactions.scope(system=True) as txn:
             for segment in db.memory.segments():
                 lock_segment = self._lock_segment(segment.segment_id)
                 txn.lock_relation(lock_segment, LockMode.SHARED)
@@ -64,11 +63,6 @@ class WholeDatabaseCheckpointer:
                         db.checkpoint_disk.free(previous)
                     self.partitions_written += 1
                     self.bytes_written += len(image)
-            txn.commit()
-        except Exception:
-            if txn.state.value == "active":
-                txn.abort()
-            raise
         # all log information predates the sweep: reset every active bin
         for bin_ in db.slt.active_bins():
             db.slt.reset_after_checkpoint(bin_.bin_index)

@@ -88,6 +88,14 @@ class CheckpointDiskQueue:
                     return slot
         raise CheckpointError("checkpoint disk is full: no free slots")
 
+    def allocate_all(self, owner: int, count: int) -> list[int]:
+        """Claim ``count`` slots or none: a sweep that does not fit must
+        fail before it has installed any of them."""
+        with self._mutex:
+            if self.slots - len(self._occupied) < count:
+                raise CheckpointError("checkpoint disk is full: no free slots")
+            return [self.allocate(owner) for _ in range(count)]
+
     def free(self, slot: int) -> None:
         with self._mutex:
             self._occupied.discard(slot)

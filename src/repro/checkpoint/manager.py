@@ -21,7 +21,8 @@ when the transaction manager polls the request queue:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import contextlib
+from typing import TYPE_CHECKING, Iterator
 
 from repro.common.errors import CatalogError, NotResidentError, TransactionAborted
 from repro.common.types import PartitionAddress
@@ -29,6 +30,7 @@ from repro.concurrency.locks import LockMode
 from repro.checkpoint.protocol import CheckpointRequest, RequestState
 from repro.recovery.replay_plan import decode_live_commands, relation_closure
 from repro.sim.chaos import crash_point, register_crash_point
+from repro.txn.transaction import Transaction, TxnState
 from repro.wal.records import SweepMarker, TxnCommand
 
 register_crash_point(
@@ -167,6 +169,29 @@ class CheckpointManager:
                 return bin_.condensed_lsn
         return None
 
+    @contextlib.contextmanager
+    def _attempt(self, request: CheckpointRequest) -> Iterator[Transaction]:
+        """One attempt at a checkpoint procedure: step 2, then the body as
+        a system transaction inside the transaction frame
+        (:meth:`TransactionManager.scope`).  A lock conflict or a partition
+        still awaiting recovery *defers* the attempt — swallowed here, the
+        caller finds the request back in ``REQUEST``; any other error
+        propagates.  Either way a rolled-back attempt returns its request
+        to the queue; a crash leaves it ``IN_PROGRESS`` for restart."""
+        crash_point("checkpoint.begin")
+        request.state = RequestState.IN_PROGRESS
+        txn: Transaction | None = None
+        try:
+            with self.db.transactions.scope(system=True) as txn:
+                yield txn
+            crash_point("checkpoint.committed")
+        except (TransactionAborted, NotResidentError):
+            self.checkpoints_deferred += 1  # retry on a later pass
+        finally:
+            if txn is not None and txn.state is TxnState.ABORTED:
+                request.state = RequestState.REQUEST
+                request.previous_slot = None
+
     def _run_flip(self, request: CheckpointRequest, flip_lsn: int) -> bool:
         """Satisfy a checkpoint by installing the condensed shadow image.
 
@@ -177,10 +202,7 @@ class CheckpointManager:
         relative to ``flip_lsn`` instead of clearing it.
         """
         db = self.db
-        crash_point("checkpoint.begin")
-        request.state = RequestState.IN_PROGRESS
-        txn = db.transactions.begin(system=True)
-        try:
+        with self._attempt(request) as txn:
             bin_ = db.slt.bin(request.bin_index)
             with bin_.mutex:
                 shadow = bin_.condensed_slot
@@ -188,15 +210,8 @@ class CheckpointManager:
                 raise TransactionAborted("condense chain gone", txn_id=txn.txn_id)
             request.previous_slot = self._install_slot(request, shadow, txn)
             crash_point("checkpoint.slot-installed")
-            txn.commit()
-            crash_point("checkpoint.committed")
-        except (TransactionAborted, NotResidentError):
-            if txn.state.value == "active":
-                txn.abort()
-            request.state = RequestState.REQUEST
-            request.previous_slot = None
-            self.checkpoints_deferred += 1
-            return False
+        if request.state is RequestState.REQUEST:
+            return False  # deferred
         if request.previous_slot == shadow:
             # The catalog already pointed at the shadow (re-run after a
             # crash between commit and FINISHED): freeing it would free
@@ -214,10 +229,7 @@ class CheckpointManager:
         flip_lsn = self._flip_lsn_for(request)
         if flip_lsn is not None:
             return self._run_flip(request, flip_lsn)
-        crash_point("checkpoint.begin")
-        request.state = RequestState.IN_PROGRESS
-        txn = db.transactions.begin(system=True)
-        try:
+        with self._attempt(request) as txn:
             lock_segment = self._lock_segment_for(request)
             txn.lock_relation(lock_segment, LockMode.SHARED)
             crash_point("checkpoint.locked")
@@ -241,16 +253,8 @@ class CheckpointManager:
                 # so an earlier publish would dangle if we crashed here.
                 db.publish_catalog_locations()
             crash_point("checkpoint.image-written")
-            txn.commit()
-            crash_point("checkpoint.committed")
-        except (TransactionAborted, NotResidentError):
-            # lock conflict or partition awaiting recovery: retry later
-            if txn.state.value == "active":
-                txn.abort()
-            request.state = RequestState.REQUEST
-            request.previous_slot = None
-            self.checkpoints_deferred += 1
-            return False
+        if request.state is RequestState.REQUEST:
+            return False  # deferred
         request.state = RequestState.FINISHED
         self.checkpoints_taken += 1
         return True
@@ -277,10 +281,7 @@ class CheckpointManager:
         command log — their effects now live in the images.
         """
         db = self.db
-        crash_point("checkpoint.begin")
-        request.state = RequestState.IN_PROGRESS
-        txn = db.transactions.begin(system=True)
-        try:
+        with self._attempt(request) as txn:
             relation_descriptors = sorted(
                 (db.catalog.relation(name) for name in closure),
                 key=lambda descriptor: descriptor.segment_id,
@@ -309,8 +310,9 @@ class CheckpointManager:
                     copies.append((member, number, image))
             crash_point("checkpoint.copied")
             previous: dict[PartitionAddress, int | None] = {}
-            for member, number, _ in copies:
-                slot = db.checkpoint_disk.allocate(txn.txn_id)
+            # all or nothing: rollback does not restore the descriptors
+            slots = db.checkpoint_disk.allocate_all(txn.txn_id, len(copies))
+            for (member, number, _), slot in zip(copies, slots):
                 info = member.partitions[number]
                 previous[PartitionAddress(member.segment_id, number)] = (
                     info.checkpoint_slot
@@ -338,15 +340,9 @@ class CheckpointManager:
                     ),
                 )
             crash_point("checkpoint.sweep.markers-appended")
-            txn.commit()  # releases the closure locks after the commit point
-            crash_point("checkpoint.committed")
-        except (TransactionAborted, NotResidentError):
-            if txn.state.value == "active":
-                txn.abort()
-            request.state = RequestState.REQUEST
-            request.previous_slot = None
-            self.checkpoints_deferred += 1
-            return False
+            # commit releases the closure locks, after the commit point
+        if request.state is RequestState.REQUEST:
+            return False  # deferred
         settled = [record.csn for record in commands if record.csn <= watermark]
         db.slb.discard_commands(settled)
         for member, number, _ in copies:

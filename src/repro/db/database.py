@@ -69,12 +69,11 @@ from repro.sim.cpu import CpuMeter
 from repro.sim.disk import DuplexedDisk, SimulatedDisk
 from repro.sim.faults import RetryPolicy
 from repro.sim.stable_memory import StableMemory
-from repro.sim.faults import SimulatedCrash
 from repro.storage.memory_manager import MemoryManager
 from repro.storage.partition import Partition
 from repro.txn.manager import TransactionManager
 from repro.txn.registry import ScriptRegistry
-from repro.txn.transaction import Transaction, TxnState
+from repro.txn.transaction import Transaction
 from repro.txn.twopc import TwoPCStats
 from repro.wal.audit import AuditLog
 from repro.wal.log_disk import LogDisk
@@ -224,9 +223,6 @@ class Database:
             self.engine.drain_log()
             self.slb.append(txn_id, record)
 
-    def on_transaction_finished(self, txn: Transaction) -> None:
-        self.transactions.finished(txn)
-
     def on_partition_allocated(self, partition: Partition, txn: Transaction) -> None:
         """A segment grew: give the partition its SLT bin and catalog it."""
         if self.slt.has_partition(partition.address):
@@ -352,30 +348,12 @@ class Database:
         command = None
         if mode != "value":
             command = (info.name, info.version, json.dumps(list(args)).encode("utf-8"))
-        txn = self.transactions.begin(
-            logging_mode=mode,
-            command=command,
-            declared_relations=info.relations,
-        )
-        try:
+        with self.transactions.scope(
+            logging_mode=mode, command=command, declared_relations=info.relations
+        ) as txn:
             if command is not None:
-                for relation_name in sorted(
-                    info.relations, key=lambda n: self.catalog.relation(n).segment_id
-                ):
-                    txn.lock_relation(
-                        self.catalog.relation(relation_name).segment_id,
-                        LockMode.EXCLUSIVE,
-                    )
+                txn.lock_declared()
             result = info.fn(txn, *args)
-        except SimulatedCrash:
-            # as in TransactionManager.scope: a crash is not an abort
-            raise
-        except BaseException:
-            if txn.state is TxnState.ACTIVE:
-                txn.abort()
-            raise
-        if txn.state is TxnState.ACTIVE:
-            txn.commit()
         if pump:
             self.pump()
         return result

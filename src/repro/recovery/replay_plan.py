@@ -34,12 +34,12 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import RecoveryError
 from repro.common.types import PartitionAddress
-from repro.concurrency.locks import LockMode
 from repro.recovery.redo import plan_rebuild
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
-from repro.txn.transaction import Transaction, TxnState, _index_segments
+from repro.txn.manager import transaction_scope
+from repro.txn.transaction import Transaction, TxnState
 from repro.wal import undo
 from repro.wal.records import CommandBarrier, RedoRecord, TxnCommand, decode_control
 
@@ -134,64 +134,32 @@ def relation_closure(
 class ReplayTransaction(Transaction):
     """The transaction a script re-executes under at replay.
 
-    Same locking and UNDO discipline as a live transaction, but it never
-    touches stable memory: no SLB chain is opened, ``_log`` keeps only
-    the UNDO record, and commit just releases locks.  A crash during
-    replay therefore leaves the stable state byte-identical, and the next
-    restart re-runs the same plan from the same inputs — replay is
-    idempotent by construction.
+    Same locking, UNDO, rollback and epilogue as a live transaction, but
+    it never touches stable memory — only those steps are replaced here.
+    A crash during replay therefore leaves the stable state
+    byte-identical, and the next restart re-runs the same plan from the
+    same inputs — replay is idempotent by construction.
     """
 
-    def __init__(
-        self,
-        db: "Database",
-        txn_id: int,
-        *,
-        command: tuple[str, str, bytes],
-        declared_relations: tuple[str, ...],
-    ):
-        # Deliberately not calling Transaction.__init__: it opens an SLB
-        # chain and writes an audit record, both stable-memory effects.
-        self.db = db
-        self.txn_id = txn_id
-        self.system = False
-        self.state = TxnState.ACTIVE
-        self._undo: list[undo.UndoRecord] = []
-        self.redo_records = 0
-        self.logging_mode = "command"
-        self.command = command
-        self.declared_relations = tuple(declared_relations)
-        self._suppress_value = True
-        self._adaptive_disabled = True
-        self.logged_bytes = 0
-        self.catalog_bytes = 0
-        self.suppressed_records = 0
-        self.suppressed_bytes = 0
-        self.command_csn: int | None = None
+    def _open(self, user_data: str) -> None:
+        """No SLB chain, no ``begin`` audit entry."""
 
     def _log(self, record: RedoRecord, undo_record: undo.UndoRecord) -> None:
+        # UNDO only, catalog records included: nothing is appended
         self._undo.append(undo_record)
         self.suppressed_records += 1
         self.suppressed_bytes += record.size_bytes
 
-    def commit(self) -> None:
-        self._ensure_active()
-        self.state = TxnState.COMMITTED
-        self._undo.clear()
-        self.db.locks.release_all(self.txn_id)
+    def _commit_as_command(self) -> None:
+        # The command is already in the stable command log: nothing is
+        # emitted and nothing becomes durable, so no observer either.
+        self._end(TxnState.COMMITTED)
 
-    def abort(self) -> None:
-        self._ensure_active()
-        index_segments = _index_segments(self._undo)
-        for record in reversed(self._undo):
-            record.apply(self.db.memory)
-        self._undo.clear()
-        self.state = TxnState.ABORTED
-        self.db.reload_index_mirrors(index_segments)
-        self.db.locks.release_all(self.txn_id)
+    def _discard_chain(self) -> None:
+        """No chain to free."""
 
-    def prepare(self, prepare_record: bytes) -> None:  # pragma: no cover
-        raise RecoveryError("replay transactions cannot prepare")
+    def _record_end(self, event: str) -> None:
+        """No audit entry, and the manager never counted this transaction."""
 
 
 @dataclass
@@ -382,34 +350,26 @@ class CommandReplayPlanner:
                 f"command {command.csn} ({command.name!r}) carries "
                 f"undecodable arguments: {exc}"
             ) from exc
-        txn = ReplayTransaction(
-            db,
-            next(self._txn_ids),
-            command=(command.name, command.version, command.args),
-            declared_relations=command.relations,
-        )
         try:
-            # The same exclusive declared-set locks the original commit
-            # held; batches are relation-disjoint so these always grant.
-            for name in sorted(
-                command.relations, key=lambda n: db.catalog.relation(n).segment_id
-            ):
-                txn.lock_relation(db.catalog.relation(name).segment_id, LockMode.EXCLUSIVE)
-            info.fn(txn, *args)
-        except SimulatedCrash:
-            raise
-        except RecoveryError:
-            if txn.state is TxnState.ACTIVE:
-                txn.abort()
-            raise
+            with transaction_scope(
+                ReplayTransaction,
+                db=db,
+                txn_id=next(self._txn_ids),
+                logging_mode="command",
+                command=(command.name, command.version, command.args),
+                declared_relations=command.relations,
+            ) as txn:
+                # The same exclusive declared-set locks the original commit
+                # held; batches are relation-disjoint so these always grant.
+                txn.lock_declared()
+                info.fn(txn, *args)
+        except (RecoveryError, SimulatedCrash):
+            raise  # neither is the script failing
         except Exception as exc:
-            if txn.state is TxnState.ACTIVE:
-                txn.abort()
             raise RecoveryError(
                 f"re-executing command {command.csn} ({command.name!r}) "
                 f"failed: {exc}"
             ) from exc
-        txn.commit()
 
 
 def replay_live_commands(db: "Database") -> dict:

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator
 
-from repro.common.errors import TransactionAborted
 from repro.shard.sharded import DistributedTransaction
-from repro.sim.faults import SimulatedCrash
 from repro.txn.concurrent import ConcurrentScheduler
 from repro.txn.scheduler import (
-    SchedulerError,
+    InterleavedScheduler,
     ScriptResult,
     _RunningScript,
-    run_round_robin,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,10 +58,7 @@ class _CrossScript(_RunningScript):
     def start(self, cluster: "ShardedDatabase") -> None:
         self.attempts += 1
         cluster.ensure_recovered(self.relations)
-        self.txn = DistributedTransaction(
-            cluster, cluster._mint_gtid(), self.shard_ids
-        )
-        cluster.twopc.register(self.txn)
+        self.txn = cluster._begin_distributed(self.shard_ids)
         self.gtids.append(self.txn.gtid)
         self.generator = iter(self.script(self.txn))
 
@@ -82,8 +76,10 @@ class ShardedScheduler:
         max_attempts: int = 20,
         workers: int | None = None,
     ):
-        if max_attempts < 1:
-            raise SchedulerError("max_attempts must be at least 1")
+        #: The cross-shard lane: the single-node round-robin, stepping
+        #: distributed transactions (its ``db`` is the whole cluster — it
+        #: needs ``pump()`` and whatever the scripts' ``start`` takes).
+        self._cross = InterleavedScheduler(cluster, max_attempts)  # type: ignore[arg-type]
         self.cluster = cluster
         self.max_attempts = max_attempts
         self.workers = workers
@@ -91,12 +87,10 @@ class ShardedScheduler:
         #: counters accumulate like a single node's scheduler stats.
         self._node_pools: dict[int, ConcurrentScheduler] = {}
         self._order: list[tuple[str, str]] = []  # (kind, name) in submission order
-        self._cross: list[_CrossScript] = []
         self._single_count = 0
         self.cross_runs = 0
         self.cross_committed = 0
         self.cross_failed = 0
-        self.cross_conflicts = 0
 
     # -- submission ---------------------------------------------------------------
 
@@ -122,14 +116,14 @@ class ShardedScheduler:
             self._order.append(("single", label))
             self._single_count += 1
         else:
-            self._cross.append(
+            self._cross._scripts.append(
                 _CrossScript(
                     label,
                     script,
                     list(relations),
                     shard_ids,
                     self.max_attempts,
-                    len(self._cross),
+                    len(self._cross._scripts),
                 )
             )
             self._order.append(("cross", label))
@@ -157,46 +151,17 @@ class ShardedScheduler:
         return ordered
 
     def _run_cross(self) -> list[ScriptResult]:
-        """The single-node round-robin, stepping distributed transactions."""
-        submitted = list(self._cross)
-        self._cross.clear()
-        if not submitted:
+        """Run the cross-shard lane to completion (it pumps the cluster)."""
+        if not self._cross._scripts:
             return []
-        results = run_round_robin(submitted, self._step, self._count_conflict)
+        results = self._cross.run()
         for result in results:
             if result.committed:
                 self.cross_committed += 1
             else:
                 self.cross_failed += 1
-        self.cluster.pump()
         self.cross_runs += 1
         return results
-
-    def _count_conflict(self) -> None:
-        self.cross_conflicts += 1
-
-    def _step(self, running: _CrossScript) -> str:
-        if running.generator is None:
-            running.start(self.cluster)
-        dtxn = running.txn
-        assert dtxn is not None
-        try:
-            next(running.generator)  # type: ignore[arg-type]
-            return "running"
-        except StopIteration:
-            if dtxn.state == "active":
-                self.cluster.twopc.commit_distributed(dtxn)
-            return "committed"
-        except TransactionAborted:
-            # One branch lost a no-wait conflict and rolled itself back;
-            # presumed abort settles the rest without logging anything.
-            self.cluster.twopc.abort_distributed(dtxn)
-            return "retry"
-        except SimulatedCrash:
-            raise
-        except BaseException:
-            self.cluster.twopc.abort_distributed(dtxn)
-            raise
 
     # -- observability ------------------------------------------------------------
 
@@ -209,6 +174,6 @@ class ShardedScheduler:
                 "runs": self.cross_runs,
                 "committed": self.cross_committed,
                 "failed": self.cross_failed,
-                "conflicts": self.cross_conflicts,
+                "conflicts": self._cross.conflicts,
             },
         }

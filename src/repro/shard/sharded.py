@@ -32,7 +32,7 @@ from repro.recovery.oracle import logical_digest
 from repro.shard.node import ShardNode
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import TwoPhaseCommit
-from repro.sim.faults import SimulatedCrash
+from repro.txn.manager import settle, transaction_scope
 from repro.txn.transaction import Transaction, TxnState
 
 
@@ -46,7 +46,9 @@ class DistributedTransaction:
     Scripts use it exactly like a plain transaction *through the facade's
     relation handles*: :class:`ShardedRelation` resolves each call to the
     branch on the owning node.  The coordinator is the lowest declared
-    shard id.
+    shard id.  It ends like a plain transaction too — ``state``,
+    :meth:`commit`, :meth:`abort` — so the one transaction frame
+    (:func:`repro.txn.manager.settle`) drives both.
     """
 
     def __init__(self, facade: "ShardedDatabase", gtid: str, shard_ids: tuple[int, ...]):
@@ -54,18 +56,26 @@ class DistributedTransaction:
         self.gtid = gtid
         self.shard_ids = tuple(sorted(shard_ids))
         self.coordinator = self.shard_ids[0]
-        self.state = "active"
+        self.state = TxnState.ACTIVE
         self.branches: dict[int, Transaction] = {}
         try:
             for sid in self.shard_ids:
                 self.branches[sid] = facade.nodes[sid].db.transactions.begin(
                     user_data=f"2pc:{gtid}"
                 )
-        except BaseException:
+        except BaseException as error:
             for txn in self.branches.values():
-                if txn.state is TxnState.ACTIVE:
-                    txn.abort()
+                settle(txn, error)
             raise
+        facade.twopc.register(self)
+
+    def commit(self) -> None:
+        """Prepare every branch, log the decision, run phase 2."""
+        self.facade.twopc.commit_distributed(self)
+
+    def abort(self) -> None:
+        """Roll back every live branch (presumed abort: nothing logged)."""
+        self.facade.twopc.abort_distributed(self)
 
     def branch(self, shard_id: int) -> Transaction:
         try:
@@ -83,7 +93,7 @@ class DistributedTransaction:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DistributedTransaction(gtid={self.gtid!r}, shards={self.shard_ids}, "
-            f"state={self.state})"
+            f"state={self.state.value})"
         )
 
 
@@ -316,12 +326,6 @@ class ShardedDatabase:
 
     # -- transactions -------------------------------------------------------------
 
-    def _mint_gtid(self) -> str:
-        with self._mutex:
-            gtid = f"g{self._next_gtid}"
-            self._next_gtid += 1
-        return gtid
-
     def transaction(
         self, *, pump: bool = True, relations: list[str] | None = None
     ):
@@ -347,23 +351,20 @@ class ShardedDatabase:
             if node.db.restart_coordinator is not None:
                 node.db.restart_coordinator.recover_relation(name)
 
+    def _begin_distributed(self, shard_ids: tuple[int, ...]) -> DistributedTransaction:
+        """A fresh, registered distributed transaction over ``shard_ids``."""
+        with self._mutex:
+            gtid = f"g{self._next_gtid}"
+            self._next_gtid += 1
+        return DistributedTransaction(self, gtid, shard_ids)
+
     @contextlib.contextmanager
     def _distributed_scope(
         self, shard_ids: tuple[int, ...], relations: list[str], pump: bool
     ):
         self.ensure_recovered(relations)
-        dtxn = DistributedTransaction(self, self._mint_gtid(), shard_ids)
-        self.twopc.register(dtxn)
-        try:
+        with transaction_scope(self._begin_distributed, shard_ids=shard_ids) as dtxn:
             yield dtxn
-        except SimulatedCrash:
-            # Machine-crash contract: no abort machinery; crash_shard()'s
-            # pending sweep and restart resolution settle the branches.
-            raise
-        except BaseException:
-            self.twopc.abort_distributed(dtxn)
-            raise
-        self.twopc.commit_distributed(dtxn)
         if pump:
             for sid in shard_ids:
                 self.nodes[sid].db.pump()

@@ -130,9 +130,8 @@ class TwoPhaseCommit:
                 )
                 txn.prepare(record.encode())
         except SimulatedCrash:
-            # A node died mid-prepare: the machine-crash contract applies
-            # (no abort machinery runs here); crash_shard()'s pending-dtxn
-            # sweep settles the surviving branches.
+            # a crash is not an abort (txn/manager.py: settle); the dead
+            # node's crash_shard() sweep settles the surviving branches
             raise
         except BaseException:
             self.abort_distributed(dtxn)
@@ -143,7 +142,7 @@ class TwoPhaseCommit:
         for sid in dtxn.shard_ids:
             dtxn.branches[sid].commit_prepared()
             self.acknowledge(dtxn.coordinator, dtxn.gtid, sid)
-        dtxn.state = "committed"
+        dtxn.state = TxnState.COMMITTED
         with self._stats_mutex:
             self.distributed_committed += 1
         self.forget(dtxn.gtid)
@@ -158,7 +157,7 @@ class TwoPhaseCommit:
                 txn.abort()
             elif txn.state is TxnState.PREPARED:
                 txn.abort_prepared()
-        dtxn.state = "aborted"
+        dtxn.state = TxnState.ABORTED
         with self._stats_mutex:
             self.distributed_aborted += 1
         self.forget(dtxn.gtid)
@@ -234,7 +233,7 @@ class TwoPhaseCommit:
                     if txn.state is TxnState.PREPARED:
                         txn.commit_prepared()
                         self.acknowledge(dtxn.coordinator, dtxn.gtid, sid)
-                dtxn.state = "committed"
+                dtxn.state = TxnState.COMMITTED
                 with self._stats_mutex:
                     self.distributed_committed += 1
                 self.forget(dtxn.gtid)

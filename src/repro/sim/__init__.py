@@ -28,7 +28,7 @@ from repro.sim.chaos import (
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuMeter
 from repro.sim.disk import CORRUPTION_KINDS, DuplexedDisk, SimulatedDisk
-from repro.sim.faults import CrashInjector, SimulatedCrash, TornWriteError
+from repro.sim.faults import SimulatedCrash, TornWriteError
 from repro.sim.stable_memory import StableMemory
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ChaosHarness",
     "ChaosMonkey",
     "CpuMeter",
-    "CrashInjector",
     "CrashPointRun",
     "DuplexedDisk",
     "SimulatedCrash",

@@ -3,9 +3,9 @@
 The paper motivates recovery with power loss, chip burnout, and runaway
 software (section 1).  All of them share one observable effect in our
 model: *volatile state is gone, stable state survives*.
-:class:`CrashInjector` lets tests and benchmarks trigger that effect at a
-deterministic point — after a chosen number of operations — so crash
-scenarios are reproducible.
+:class:`SimulatedCrash` is that effect as an exception, raised at a
+deterministic point by :mod:`repro.sim.chaos` so crash scenarios are
+reproducible.
 
 Beyond whole-system crashes, real devices also fail *transiently*: a
 controller hiccup or bus timeout makes one operation fail while the
@@ -155,64 +155,3 @@ def run_with_retry(
                 ) from exc
             stats.record_retry(kind)
             host_pause(policy.backoff_seconds(attempt))
-
-
-class CrashInjector:
-    """Counts down operations and raises :class:`SimulatedCrash` at zero.
-
-    Usage::
-
-        injector = CrashInjector(after_operations=100)
-        ...
-        injector.tick()   # call once per guarded operation
-
-    A disabled injector (``after_operations=None``) ticks for free, so the
-    hook can stay in place on hot paths.
-    """
-
-    def __init__(
-        self,
-        after_operations: int | None = None,
-        on_crash: Callable[[], None] | None = None,
-    ):
-        if after_operations is not None and after_operations < 1:
-            raise ValueError("after_operations must be at least 1")
-        self._remaining = after_operations
-        self._on_crash = on_crash
-        self.fired = False
-
-    @property
-    def armed(self) -> bool:
-        return self._remaining is not None and not self.fired
-
-    def tick(self) -> None:
-        """Register one operation; crash when the countdown is exhausted."""
-        if self._remaining is None or self.fired:
-            return
-        self._remaining -= 1
-        if self._remaining <= 0:
-            # Latch before the callback: if ``on_crash`` re-enters tick()
-            # (e.g. it flushes through an instrumented path) the injector
-            # must not fire a second time, and the crash must propagate
-            # even when the callback itself raises.
-            self.fired = True
-            self._remaining = None
-            try:
-                if self._on_crash is not None:
-                    self._on_crash()
-            finally:
-                raise SimulatedCrash("injected crash point reached")
-
-    def disarm(self) -> None:
-        self._remaining = None
-
-    def rearm(self, after_operations: int) -> None:
-        if after_operations < 1:
-            raise ValueError("after_operations must be at least 1")
-        self._remaining = after_operations
-        self.fired = False
-
-    def reset(self) -> None:
-        """Return to the pristine disabled state (harness reuse)."""
-        self._remaining = None
-        self.fired = False

@@ -39,13 +39,13 @@ from typing import TYPE_CHECKING
 
 from repro.engine import run_pool
 from repro.sim.clock import host_now, host_pause
+from repro.txn.manager import settle
 from repro.txn.scheduler import (
     InterleavedScheduler,
     SchedulerError,
     ScriptResult,
     _RunningScript,
 )
-from repro.txn.transaction import TxnState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -152,6 +152,7 @@ class ConcurrentScheduler(InterleavedScheduler):
         results: dict[str, ScriptResult] = {}
         queue_mutex = threading.Lock()
         stop = threading.Event()
+        failures: list[BaseException] = []  # what set ``stop``, first one first
         outstanding = len(scripts)
         worker_stats = [
             {"worker": i, "scripts": 0, "committed": 0, "conflicts": 0,
@@ -183,7 +184,7 @@ class ConcurrentScheduler(InterleavedScheduler):
                     return None, _IDLE_POLL_SECONDS
                 return None, min(max(wake - now, _IDLE_POLL_SECONDS), 0.05)
 
-        def settle(running: _RunningScript, outcome: str, stats: dict) -> None:
+        def record(running: _RunningScript, outcome: str, stats: dict) -> None:
             nonlocal outstanding
             if outcome == "committed":
                 with queue_mutex:
@@ -222,7 +223,7 @@ class ConcurrentScheduler(InterleavedScheduler):
                         ready_at[running.name] = host_now() + pause
                         queue.append(running)
             # "stopped": a peer failed; the script's transaction was
-            # aborted in _drive and its result is irrelevant.
+            # settled in _drive and its result is irrelevant.
 
         def worker(index: int) -> None:
             stats = worker_stats[index]
@@ -236,15 +237,16 @@ class ConcurrentScheduler(InterleavedScheduler):
                 stats["scripts"] += 1
                 busy_start = host_now()
                 try:
-                    outcome = self._drive(running, stop)
-                except BaseException:
+                    outcome = self._drive(running, stop, failures)
+                except BaseException as error:
                     # the pool ferries it to the caller, simulated
                     # crashes included — first error wins, peers just stop
+                    failures.append(error)
                     stop.set()
                     raise
                 finally:
                     stats["busy_seconds"] += host_now() - busy_start
-                settle(running, outcome, stats)
+                record(running, outcome, stats)
 
         try:
             run_pool(worker, range(workers), workers=workers, name="repro-txn-worker")
@@ -256,28 +258,31 @@ class ConcurrentScheduler(InterleavedScheduler):
         self._scripts.clear()
         return ordered
 
-    def _drive(self, running: _RunningScript, stop: threading.Event) -> str:
+    def _drive(
+        self,
+        running: _RunningScript,
+        stop: threading.Event,
+        failures: list[BaseException],
+    ) -> str:
         """Run one script attempt to a terminal outcome on this thread.
 
         Steps yield-by-yield (via the inherited ``_step``) so a stop
         requested by a failing peer is honoured between operations and
-        chaos crash points can interleave mid-script.
+        chaos crash points can interleave mid-script.  A stopped script's
+        transaction ends as if its own body had raised the peer's error:
+        rolled back — or, after a simulated crash, left untouched.
         """
         while True:
             if stop.is_set():
-                self._abort_quietly(running)
+                if running.txn is not None:
+                    try:
+                        settle(running.txn, failures[0])
+                    except Exception:  # repro-check: ignore[RC04]
+                        pass  # best-effort cleanup while unwinding a peer failure
                 return "stopped"
             outcome = self._step(running)
             if outcome != "running":
                 return outcome
-
-    def _abort_quietly(self, running: _RunningScript) -> None:
-        txn = running.txn
-        if txn is not None and txn.state is TxnState.ACTIVE:
-            try:
-                txn.abort()
-            except Exception:  # repro-check: ignore[RC04]
-                pass  # best-effort cleanup while unwinding a peer failure
 
     # -- observability ----------------------------------------------------------
 

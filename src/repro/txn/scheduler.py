@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Iterator
 
 from repro.common.errors import ReproError, TransactionAborted
-from repro.txn.transaction import Transaction, TxnState
+from repro.txn.manager import settle
+from repro.txn.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -75,51 +76,6 @@ class _RunningScript:
         self.generator = iter(self.script(self.txn))
 
 
-def run_round_robin(
-    scripts: list[_RunningScript],
-    step: Callable[[_RunningScript], str],
-    on_conflict: Callable[[], None],
-) -> list[ScriptResult]:
-    """Interleave ``scripts`` to completion; results in input order.
-
-    Each scheduling slot advances one script by one ``step`` (up to its
-    next ``yield``), which reports ``"running"``, ``"committed"`` or
-    ``"retry"`` — the step lost a lock conflict and its transaction is
-    already rolled back.  A retry calls ``on_conflict`` and requeues the
-    script from the beginning after a staggered backoff, or fails it
-    once its retry budget is spent.
-    """
-    pending = list(scripts)
-    results: dict[str, ScriptResult] = {}
-    while pending:
-        still_running: list[_RunningScript] = []
-        for running in pending:
-            if running.backoff > 0:
-                running.backoff -= 1
-                still_running.append(running)
-                continue
-            outcome = step(running)
-            if outcome == "running":
-                still_running.append(running)
-            elif outcome == "retry":
-                on_conflict()
-                if running.attempts >= running.max_attempts:
-                    results[running.name] = ScriptResult(
-                        running.name, False, running.attempts, running.txn_ids
-                    )
-                else:
-                    running.generator = None
-                    running.txn = None
-                    running.backoff = running.next_backoff()
-                    still_running.append(running)
-            else:  # committed
-                results[running.name] = ScriptResult(
-                    running.name, True, running.attempts, running.txn_ids
-                )
-        pending = still_running
-    return [results[s.name] for s in scripts]
-
-
 class InterleavedScheduler:
     """Round-robin executor for transaction scripts with retry."""
 
@@ -138,31 +94,65 @@ class InterleavedScheduler:
         )
 
     def run(self) -> list[ScriptResult]:
-        """Interleave all submitted scripts to completion
-        (:func:`run_round_robin`), then pump.  Returns per-script
-        results in submission order."""
-        ordered = run_round_robin(self._scripts, self._step, self._count_conflict)
+        """Interleave all submitted scripts to completion, then pump.
+        Returns per-script results in submission order.
+
+        Each scheduling slot advances one script by one :meth:`_step` (up
+        to its next ``yield``), which reports ``"running"``,
+        ``"committed"`` or ``"retry"`` — the step lost a lock conflict and
+        its transaction is already rolled back.  A retry requeues the
+        script from the beginning after a staggered backoff, or fails it
+        once its retry budget is spent.
+        """
+        pending = list(self._scripts)
+        results: dict[str, ScriptResult] = {}
+        while pending:
+            still_running: list[_RunningScript] = []
+            for running in pending:
+                if running.backoff > 0:
+                    running.backoff -= 1
+                    still_running.append(running)
+                    continue
+                outcome = self._step(running)
+                if outcome == "running":
+                    still_running.append(running)
+                elif outcome == "retry":
+                    self.conflicts += 1
+                    if running.attempts >= running.max_attempts:
+                        results[running.name] = ScriptResult(
+                            running.name, False, running.attempts, running.txn_ids
+                        )
+                    else:
+                        running.generator = None
+                        running.txn = None
+                        running.backoff = running.next_backoff()
+                        still_running.append(running)
+                else:  # committed
+                    results[running.name] = ScriptResult(
+                        running.name, True, running.attempts, running.txn_ids
+                    )
+            pending = still_running
+        ordered = [results[s.name] for s in self._scripts]
         self.db.pump()
         self._scripts.clear()
         return ordered
 
-    def _count_conflict(self) -> None:
-        self.conflicts += 1
-
     def _step(self, running: _RunningScript) -> str:
+        """Advance one script to its next ``yield``; when its body ends,
+        :func:`~repro.txn.manager.settle` ends its transaction — local or
+        distributed alike."""
         if running.generator is None:
             running.start(self.db)
         try:
             next(running.generator)  # type: ignore[arg-type]
             return "running"
         except StopIteration:
-            if running.txn is not None and running.txn.state is TxnState.ACTIVE:
-                running.txn.commit()
+            settle(running.txn)
             return "committed"
-        except TransactionAborted:
-            # the transaction already rolled itself back (no-wait policy)
-            return "retry"
-        except BaseException:
-            if running.txn is not None and running.txn.state is TxnState.ACTIVE:
-                running.txn.abort()
+        except BaseException as error:
+            # a no-wait loser already rolled itself back; a distributed
+            # one still has its other branches to settle (presumed abort)
+            settle(running.txn, error)
+            if isinstance(error, TransactionAborted):
+                return "retry"
             raise

@@ -63,15 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.partition import Partition
 
 
-def _index_segments(records: list[undo.UndoRecord]) -> set[int]:
-    """Segments whose index components the given UNDO records restore."""
-    return {
-        record.address.segment
-        for record in records
-        if isinstance(record, (undo.UndoIndexNodeWrite, undo.UndoIndexNodeFree))
-    }
-
-
 class TxnState(enum.Enum):
     ACTIVE = "active"
     #: A 2PC branch that forced its PREPARE: REDO chain stable, locks and
@@ -125,8 +116,13 @@ class Transaction:
         self.suppressed_bytes = 0
         #: The csn assigned at a command commit (stats / tests).
         self.command_csn: int | None = None
-        db.slb.open_chain(txn_id)
-        db.audit.record(txn_id, "begin", db.clock.now, user_data)
+        self._open(user_data)
+
+    def _open(self, user_data: str) -> None:
+        """The stable effects of beginning: an empty REDO chain on the
+        SLB's uncommitted list and the audit trail's ``begin`` entry."""
+        self.db.slb.open_chain(self.txn_id)
+        self.db.audit.record(self.txn_id, "begin", self.db.clock.now, user_data)
 
     # -- state ---------------------------------------------------------------
 
@@ -163,7 +159,62 @@ class Transaction:
     def lock_relation(self, segment_id: int, mode: LockMode) -> None:
         self.lock(("rel", segment_id), mode)
 
-    # -- commit / abort --------------------------------------------------------------
+    def lock_declared(self) -> None:
+        """Exclusive relation locks on the whole declared set, in segment
+        id order: the isolation that makes re-executing the script
+        deterministic, taken by the live run and again by its replay."""
+        relation = self.db.catalog.relation
+        for segment_id in sorted(
+            relation(name).segment_id for name in self.declared_relations
+        ):
+            self.lock_relation(segment_id, LockMode.EXCLUSIVE)
+
+    # -- how a transaction ends (docs/INTERNALS.md, "How a transaction ends") ---------
+    #
+    # Every ending is: its own SLB transition, then the shared epilogue.
+    # A rollback precedes the transition of the two aborts.
+
+    def _rollback(self, mark: int = 0) -> None:
+        """Apply the UNDO records past ``mark`` newest-first, drop them,
+        and re-sync the index mirrors they invalidated."""
+        suffix = self._undo[mark:]
+        for record in reversed(suffix):
+            record.apply(self.db.memory)
+        del self._undo[mark:]
+        # Cached index objects mirror their anchors in decoded form
+        # (directory, split pointer, root); the byte-level rollback above
+        # made those mirrors stale.  Flag them before the component locks
+        # release so no later operation runs on the rolled-back mirror.
+        self.db.reload_index_mirrors(
+            {
+                record.address.segment
+                for record in suffix
+                if isinstance(record, (undo.UndoIndexNodeWrite, undo.UndoIndexNodeFree))
+            }
+        )
+
+    def _durable(self, mode: str, nbytes: int) -> None:
+        """The chain just joined the committed list: account the commit to
+        its logging mode and tell the observer, before any crash window."""
+        self.state = TxnState.COMMITTED
+        self.db.slb.note_mode_commit(mode, nbytes)
+        observer = self.db.commit_observer
+        if observer is not None:
+            # The oracle snapshots committed state here: durable the
+            # instant the chain moved lists.
+            observer(self)
+
+    def _end(self, state: TxnState) -> None:
+        """The epilogue of every ending, after its SLB transition."""
+        self.state = state
+        self._undo.clear()  # discarded at commit, spent by a rollback
+        self.db.locks.release_all(self.txn_id)
+        self._record_end("commit" if state is TxnState.COMMITTED else "abort")
+
+    def _record_end(self, event: str) -> None:
+        self.db.audit.record(self.txn_id, event, self.db.clock.now)
+        # looked up at call time: restart replaces the manager
+        self.db.transactions.finished(self)
 
     def commit(self) -> None:
         """Instant commit: the REDO chain is already stable."""
@@ -173,18 +224,9 @@ class Transaction:
             return
         crash_point("txn.commit.before-slb")
         self.db.slb.commit(self.txn_id)
-        self.state = TxnState.COMMITTED
-        self.db.slb.note_mode_commit(self._value_mode_label(), self.logged_bytes)
-        observer = self.db.commit_observer
-        if observer is not None:
-            # The oracle snapshots committed state here: durable the
-            # instant the chain moved lists, before any crash window.
-            observer(self)
+        self._durable(self._value_mode_label(), self.logged_bytes)
         crash_point("txn.commit.after-slb")
-        self._undo.clear()  # UNDO information is discarded at commit
-        self.db.locks.release_all(self.txn_id)
-        self.db.audit.record(self.txn_id, "commit", self.db.clock.now)
-        self.db.on_transaction_finished(self)
+        self._end(TxnState.COMMITTED)
 
     # -- command-mode commit (docs/LOGGING.md) --------------------------------------
 
@@ -246,19 +288,12 @@ class Transaction:
             # CPU frees blocks, then retry once.
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
-        self.state = TxnState.COMMITTED
-        db.slb.note_mode_commit(
+        self._durable(
             "command" if self.logging_mode == "command" else "adaptive-command",
             self.catalog_bytes + emitted_bytes[0],
         )
-        observer = db.commit_observer
-        if observer is not None:
-            observer(self)
         crash_point("txn.commit.command-emitted")
-        self._undo.clear()
-        db.locks.release_all(self.txn_id)
-        db.audit.record(self.txn_id, "commit", db.clock.now)
-        db.on_transaction_finished(self)
+        self._end(TxnState.COMMITTED)
 
     def _barrier_targets(self) -> list[tuple[PartitionAddress, int]]:
         """Every partition of every declared relation (and its indexes),
@@ -320,49 +355,27 @@ class Transaction:
         self._ensure_prepared()
         crash_point("txn.commit-prepared.before-slb")
         self.db.slb.commit_prepared(self.txn_id)
-        self.state = TxnState.COMMITTED
-        self.db.slb.note_mode_commit(self._value_mode_label(), self.logged_bytes)
         self.db.twopc.bump("prepared_commits")
-        observer = self.db.commit_observer
-        if observer is not None:
-            observer(self)
-        self._undo.clear()
-        self.db.locks.release_all(self.txn_id)
-        self.db.audit.record(self.txn_id, "commit", self.db.clock.now)
-        self.db.on_transaction_finished(self)
+        self._durable(self._value_mode_label(), self.logged_bytes)
+        self._end(TxnState.COMMITTED)
 
     def abort_prepared(self) -> None:
         """Phase-2 ABORT of a prepared branch (presumed abort)."""
         self._ensure_prepared()
-        index_segments = _index_segments(self._undo)
-        for record in reversed(self._undo):
-            record.apply(self.db.memory)
-        self._undo.clear()
+        self._rollback()
         self.db.slb.abort_prepared(self.txn_id)
-        self.state = TxnState.ABORTED
         self.db.twopc.bump("prepared_aborts")
-        self.db.reload_index_mirrors(index_segments)
-        self.db.locks.release_all(self.txn_id)
-        self.db.audit.record(self.txn_id, "abort", self.db.clock.now)
-        self.db.on_transaction_finished(self)
+        self._end(TxnState.ABORTED)
 
     def abort(self) -> None:
         """Roll back: apply UNDO records newest-first, discard REDO chain."""
         self._ensure_active()
-        index_segments = _index_segments(self._undo)
-        for record in reversed(self._undo):
-            record.apply(self.db.memory)
-        self._undo.clear()
+        self._rollback()
+        self._discard_chain()
+        self._end(TxnState.ABORTED)
+
+    def _discard_chain(self) -> None:
         self.db.slb.abort(self.txn_id)
-        self.state = TxnState.ABORTED
-        # Cached index objects mirror their anchors in decoded form
-        # (directory, split pointer, root); the byte-level rollback above
-        # made those mirrors stale.  Flag them before the component locks
-        # release so no later operation runs on the rolled-back mirror.
-        self.db.reload_index_mirrors(index_segments)
-        self.db.locks.release_all(self.txn_id)
-        self.db.audit.record(self.txn_id, "abort", self.db.clock.now)
-        self.db.on_transaction_finished(self)
 
     # -- statement-level atomicity -------------------------------------------------------
 
@@ -397,18 +410,14 @@ class Transaction:
             logged_bytes_mark,
             catalog_bytes_mark,
         ) = mark
-        suffix = self._undo[undo_mark:]
-        for record in reversed(suffix):
-            record.apply(self.db.memory)
-        del self._undo[undo_mark:]
-        self.db.slb.truncate_chain(self.txn_id, redo_mark)
-        self.redo_records = redo_mark
+        self._rollback(undo_mark)
+        if self.redo_records > redo_mark:  # never true of a replay: no chain
+            self.db.slb.truncate_chain(self.txn_id, redo_mark)
+            self.redo_records = redo_mark
         self.suppressed_records = suppressed_mark
         self.suppressed_bytes = suppressed_bytes_mark
         self.logged_bytes = logged_bytes_mark
         self.catalog_bytes = catalog_bytes_mark
-        # as in abort(): re-sync cached index mirrors with the restored bytes
-        self.db.reload_index_mirrors(_index_segments(suffix))
 
     # -- logging core ------------------------------------------------------------------
 
@@ -432,9 +441,9 @@ class Transaction:
         try:
             self.db.append_log(self.txn_id, record)
         except SimulatedCrash:
-            # A crash freezes the machine: it must never be downgraded
-            # to a transaction abort (back-pressure draining runs
-            # instrumented recovery-CPU code inside append_log).
+            # a crash is not an abort (txn/manager.py: settle) — and it can
+            # surface here: back-pressure draining runs instrumented
+            # recovery-CPU code inside append_log
             raise
         except Exception as exc:
             self.abort()

@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.common.errors import LogError, StableMemoryFullError, TransactionStateError
+from repro.common.errors import StableMemoryFullError, TransactionStateError
 from repro.concurrency.latch import Latch
 from repro.sim.stable_memory import StableMemory
 from repro.wal.records import RedoRecord
@@ -52,26 +52,10 @@ class _LogBlock:
 class TransactionLogChain:
     """The chain of SLB blocks belonging to one transaction."""
 
-    def __init__(self, txn_id: int, block_size: int):
+    def __init__(self, txn_id: int):
         self.txn_id = txn_id
-        self.block_size = block_size
         self.blocks: list[_LogBlock] = []
         self.record_count = 0
-
-    def current_block(self) -> _LogBlock | None:
-        return self.blocks[-1] if self.blocks else None
-
-    def fits_in_current(self, record: RedoRecord) -> bool:
-        block = self.current_block()
-        return block is not None and block.used_bytes + record.size_bytes <= self.block_size
-
-    def append_to_current(self, record: RedoRecord) -> None:
-        block = self.current_block()
-        if block is None:
-            raise LogError("no block allocated to this chain")
-        block.records.append(record)
-        block.used_bytes += record.size_bytes
-        self.record_count += 1
 
     def records(self) -> Iterator[RedoRecord]:
         for block in self.blocks:
@@ -123,7 +107,7 @@ class StableLogBuffer:
         with self._mutex:
             if txn_id in self._uncommitted:
                 raise TransactionStateError(f"txn {txn_id} already has an open chain")
-            chain = TransactionLogChain(txn_id, self.block_size)
+            chain = TransactionLogChain(txn_id)
             self._uncommitted[txn_id] = chain
             return chain
 
@@ -135,14 +119,37 @@ class StableLogBuffer:
         committed list and retry (back-pressure).
         """
         with self._mutex:
-            chain = self._require_open(txn_id)
-            if not chain.fits_in_current(record):
-                self._allocate_block(chain)
-            chain.append_to_current(record)
+            self._fill(self._require_open(txn_id), (record,))
             self.records_written += 1
             self.bytes_written += record.size_bytes
 
-    def _allocate_block(self, chain: TransactionLogChain) -> None:  # caller-holds: _mutex
+    def _fill(self, chain: TransactionLogChain, records) -> None:  # caller-holds: _mutex
+        """Append ``records`` to the chain's last block, allocating a
+        fresh block whenever the next record does not fit."""
+        block = chain.blocks[-1] if chain.blocks else None
+        for record in records:
+            size = record.size_bytes
+            if block is None or block.used_bytes + size > self.block_size:
+                block = self._allocate_block(chain)
+            block.records.append(record)
+            block.used_bytes += size
+            chain.record_count += 1
+
+    def _repack(self, chain: TransactionLogChain, kept, unwritten=()) -> int:  # caller-holds: _mutex
+        """Rebuild the chain to hold exactly ``kept``: free its blocks and
+        refill (never needs more blocks than it freed).  ``unwritten``
+        names records an open chain lost for good — rolled back or
+        converted away, they never reach the log, so they leave the
+        written counters too; drained records do not.  Returns how many."""
+        self._free_chain(chain)
+        chain.blocks = []
+        chain.record_count = 0
+        self._fill(chain, kept)
+        self.records_written -= len(unwritten)
+        self.bytes_written -= sum(record.size_bytes for record in unwritten)
+        return len(unwritten)
+
+    def _allocate_block(self, chain: TransactionLogChain) -> _LogBlock:  # caller-holds: _mutex
         # Block allocation is the one critical section of the log path.
         with self.block_latch.held_by(chain.txn_id):
             block_id = self._next_block_id
@@ -153,7 +160,9 @@ class StableLogBuffer:
                     "Stable Log Buffer exhausted; drain committed records"
                 ) from None
             self._next_block_id += 1
-            chain.blocks.append(_LogBlock(block_id))
+            block = _LogBlock(block_id)
+            chain.blocks.append(block)
+            return block
 
     def _require_open(self, txn_id: int) -> TransactionLogChain:  # caller-holds: _mutex
         try:
@@ -175,8 +184,13 @@ class StableLogBuffer:
         with self._mutex:
             chain = self._require_open(txn_id)
             del self._uncommitted[txn_id]
-            self._committed.append(chain)
-            self.commits += 1
+            self._join_committed(chain)
+
+    def _join_committed(self, chain: TransactionLogChain) -> None:  # caller-holds: _mutex
+        """The commit point of every mode: the chain is on the committed
+        list, in commit order, for the recovery CPU to drain."""
+        self._committed.append(chain)
+        self.commits += 1
 
     def abort(self, txn_id: int) -> None:
         """Discard the chain of an aborting transaction and free its blocks."""
@@ -223,39 +237,21 @@ class StableLogBuffer:
             log = self._command_log()
             csn = log["seq"] + 1
             payload, barriers = build(csn)
-            appended = 0
+            mark = chain.record_count
             try:
-                for record in barriers:
-                    if not chain.fits_in_current(record):
-                        self._allocate_block(chain)
-                    chain.append_to_current(record)
-                    appended += 1
-                    self.records_written += 1
-                    self.bytes_written += record.size_bytes
+                self._fill(chain, barriers)
             except StableMemoryFullError:
                 # Unwind the partial barrier append; the chain must look
                 # exactly as it did so the caller can drain and retry.
-                if appended:
-                    kept = list(chain.records())[:-appended]
-                    removed_bytes = sum(
-                        r.size_bytes for r in list(chain.records())[-appended:]
-                    )
-                    self._free_chain(chain)
-                    chain.blocks = []
-                    chain.record_count = 0
-                    for record in kept:
-                        if not chain.fits_in_current(record):
-                            self._allocate_block(chain)
-                        chain.append_to_current(record)
-                    self.records_written -= appended
-                    self.bytes_written -= removed_bytes
+                if chain.record_count > mark:
+                    self._repack(chain, list(chain.records())[:mark])
                 raise
+            self.records_written += len(barriers)
+            self.bytes_written += sum(b.size_bytes for b in barriers) + len(payload)
             log["seq"] = csn
             log["entries"][csn] = bytes(payload)
-            self.bytes_written += len(payload)
             del self._uncommitted[txn_id]
-            self._committed.append(chain)
-            self.commits += 1
+            self._join_committed(chain)
             return csn
 
     def live_commands(self) -> list[tuple[int, bytes]]:
@@ -284,22 +280,11 @@ class StableLogBuffer:
         """
         with self._mutex:
             chain = self._require_open(txn_id)
-            records = list(chain.records())
-            kept = [record for record in records if keep(record)]
-            removed = len(records) - len(kept)
-            if removed == 0:
-                return 0
-            removed_bytes = sum(r.size_bytes for r in records if not keep(r))
-            self._free_chain(chain)
-            chain.blocks = []
-            chain.record_count = 0
-            for record in kept:
-                if not chain.fits_in_current(record):
-                    self._allocate_block(chain)
-                chain.append_to_current(record)
-            self.records_written -= removed
-            self.bytes_written -= removed_bytes
-            return removed
+            kept: list[RedoRecord] = []
+            removed: list[RedoRecord] = []
+            for record in chain.records():
+                (kept if keep(record) else removed).append(record)
+            return self._repack(chain, kept, removed) if removed else 0
 
     def note_mode_commit(self, mode: str, nbytes: int) -> None:
         """Account one commit (and its stable log bytes) to a logging mode."""
@@ -329,24 +314,21 @@ class StableLogBuffer:
             self._prepared[txn_id] = (chain, bytes(prepare_record))
             self.prepares += 1
 
+    def _take_prepared(self, txn_id: int) -> TransactionLogChain:  # caller-holds: _mutex
+        try:
+            return self._prepared.pop(txn_id)[0]
+        except KeyError:
+            raise TransactionStateError(f"txn {txn_id} has no prepared chain") from None
+
     def commit_prepared(self, txn_id: int) -> None:
         """Phase-2 COMMIT: append the prepared chain to the committed list."""
         with self._mutex:
-            entry = self._prepared.pop(txn_id, None)
-            if entry is None:
-                raise TransactionStateError(f"txn {txn_id} has no prepared chain")
-            chain, _ = entry
-            self._committed.append(chain)
-            self.commits += 1
+            self._join_committed(self._take_prepared(txn_id))
 
     def abort_prepared(self, txn_id: int) -> None:
         """Phase-2 ABORT (or presumed abort at restart): free the chain."""
         with self._mutex:
-            entry = self._prepared.pop(txn_id, None)
-            if entry is None:
-                raise TransactionStateError(f"txn {txn_id} has no prepared chain")
-            chain, _ = entry
-            self._free_chain(chain)
+            self._free_chain(self._take_prepared(txn_id))
             self.aborts += 1
 
     def prepared_txns(self) -> list[tuple[int, bytes]]:
@@ -378,19 +360,9 @@ class StableLogBuffer:
             chain = self._require_open(txn_id)
             if keep_records < 0:
                 raise ValueError("keep_records cannot be negative")
-            if keep_records >= chain.record_count:
-                return 0
-            kept = list(chain.records())[:keep_records]
-            removed = chain.record_count - keep_records
-            self._free_chain(chain)
-            chain.blocks = []
-            chain.record_count = 0
-            for record in kept:
-                if not chain.fits_in_current(record):
-                    self._allocate_block(chain)
-                chain.append_to_current(record)
-            self.records_written -= removed
-            return removed
+            records = list(chain.records())
+            removed = records[keep_records:]
+            return self._repack(chain, records[:keep_records], removed) if removed else 0
 
     # -- recovery-CPU drain ------------------------------------------------------------
 
@@ -416,7 +388,7 @@ class StableLogBuffer:
                 if remaining is not None and len(records) > remaining:
                     # Partially drain the head chain: keep the tail records.
                     drained.extend(records[:remaining])
-                    self._retain_tail(chain, records[remaining:])
+                    self._repack(chain, records[remaining:])
                     break
                 drained.extend(records)
                 self._committed.pop(0)
@@ -435,22 +407,9 @@ class StableLogBuffer:
         if not records:
             return
         with self._mutex:
-            chain = TransactionLogChain(-1, self.block_size)
-            for record in records:
-                if not chain.fits_in_current(record):
-                    self._allocate_block(chain)
-                chain.append_to_current(record)
+            chain = TransactionLogChain(-1)
+            self._fill(chain, records)
             self._committed.insert(0, chain)
-
-    def _retain_tail(self, chain: TransactionLogChain, tail: list[RedoRecord]) -> None:  # caller-holds: _mutex
-        """Rebuild the head chain to contain only its undrained records."""
-        self._free_chain(chain)
-        chain.blocks = []
-        chain.record_count = 0
-        for record in tail:
-            if not chain.fits_in_current(record):
-                self._allocate_block(chain)
-            chain.append_to_current(record)
 
     # -- crash behaviour -----------------------------------------------------------------
 

@@ -13,11 +13,11 @@ def narrow(action):
         return None
 
 
-def abort_then_reraise(action, txn):
+def cleanup_then_reraise(action, resource):
     try:
         action()
     except BaseException:
-        txn.abort()
+        resource.close()
         raise
 
 

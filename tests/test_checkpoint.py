@@ -206,3 +206,67 @@ class TestDiskQueue:
         assert db.checkpoint_disk.occupied_count == len(
             db.checkpoints.occupied_slots()
         )
+
+
+class TestFailedCheckpointLeavesNoZombie:
+    """An error that is not a deferral (here: the checkpoint disk running
+    out of slots) aborts the system transaction, returns the request to
+    REQUEST and surfaces — nothing stays active, chained or locked."""
+
+    @staticmethod
+    def exhaust(run, slots=3, **overrides):
+        db = Database(
+            config(
+                checkpoint_slots=slots,
+                update_count_threshold=8,
+                condense_enabled=False,
+                **overrides,
+            )
+        )
+        rel = db.create_relation("items", [("id", "int"), ("v", "int")], primary_key="id")
+        with pytest.raises(CheckpointError, match="checkpoint disk is full"):
+            for i in range(400):
+                run(db, rel, i)
+        assert db.transactions.active_count == 0
+        assert db.slb.uncommitted_txn_ids == []
+        # no request is stuck IN_PROGRESS
+        assert db.checkpoint_queue.in_flight() == db.checkpoint_queue.finished()
+        # and the catalogs still point at written images only
+        for slot in db.checkpoints.occupied_slots():
+            assert db.checkpoint_disk.read_image(slot)
+        return db, rel
+
+    def test_single_partition_checkpoint(self):
+        def insert(db, rel, i):
+            with db.transaction() as txn:
+                rel.insert(txn, {"id": i, "v": 0})
+
+        db, rel = self.exhaust(insert)
+        (request,) = db.checkpoint_queue.pending()
+        taken = db.checkpoints.checkpoints_taken
+        # The pump's first acknowledgement frees a superseded slot, so the
+        # retried request now finds room and completes.
+        db.pump()
+        assert request not in db.checkpoint_queue.pending()
+        assert db.checkpoints.checkpoints_taken == taken + 1
+        assert db.transactions.active_count == 0
+
+    @pytest.mark.parametrize("slots", [3, 4])  # none free / one short mid-sweep
+    def test_group_settlement_sweep(self, slots):
+        def run(db, rel, i):
+            if i == 0:
+                db.register_script(
+                    "put",
+                    lambda txn, key: rel.insert(txn, {"id": key, "v": 0}),
+                    relations=["items"],
+                )
+            db.run_script("put", i)
+
+        db, rel = self.exhaust(run, slots, logging_mode="command")
+        assert db.checkpoint_queue.pending()
+        system_txn = db.audit.trail()[-1].txn_id
+        assert db.locks.locks_held(system_txn) == set()
+        # the closure relation is usable again: no stranded SHARED lock
+        before = db.transactions.committed
+        db.run_script("put", 1000, pump=False)
+        assert db.transactions.committed == before + 1

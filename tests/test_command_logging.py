@@ -231,6 +231,35 @@ class TestDigestIdentity:
                 digests.update({expected, recovered})
         assert len(digests) == 1
 
+    @pytest.mark.parametrize("mode", ["command", "adaptive"])
+    def test_replay_rewinds_a_failed_statement_like_the_live_run(self, mode):
+        """A script that survives a failed statement is re-executed
+        statement rollback and all: the replay transaction has no SLB
+        chain to truncate and must not ask for one."""
+        db = Database(small_config(adaptive_log_threshold=32))
+        accounts = make_bank(db)
+
+        def credit_capped(txn, key, amount):
+            row = accounts.lookup(txn, key)
+            try:
+                with txn.statement():
+                    accounts.update(
+                        txn, row.address, {"balance": row["balance"] + amount}
+                    )
+                    if row["balance"] + amount > OPENING + 50:
+                        raise ValueError("over the cap")
+            except ValueError:
+                accounts.update(txn, row.address, {"balance": OPENING + 50})
+
+        db.register_script("credit_capped", credit_capped, relations=["accounts"])
+        db.run_script("credit_capped", 3, 20, logging=mode)
+        db.run_script("credit_capped", 3, 40, logging=mode)  # rewinds, then caps
+        expected = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 2
+        assert logical_digest(db) == expected
+
     def test_disjoint_closures_batch_independently(self):
         db = Database(small_config())
         banks = [make_bank(db, name=f"bank{i}") for i in range(3)]

@@ -168,6 +168,29 @@ class TestConcurrentExecution:
 
 
 class TestChaosInterleaving:
+    @pytest.mark.parametrize(
+        "failure,state,events",
+        [
+            (ValueError("peer bug"), "aborted", ["begin", "abort"]),
+            (SimulatedCrash("peer crashed"), "active", ["begin"]),
+        ],
+    )
+    def test_stopped_peer_ends_as_if_its_own_body_raised(self, failure, state, events):
+        """A worker stopped by a failing peer settles its script through
+        the transaction frame: rolled back on an error, untouched on a
+        crash — no abort machinery runs on a dead machine."""
+        db, accounts = build_bank()
+        scheduler = ConcurrentScheduler(db, workers=1)
+        scheduler.submit(deposit(db, accounts, 0, 10))
+        (running,) = scheduler._scripts
+        assert scheduler._step(running) == "running"  # mid-script, lock held
+        stop = threading.Event()
+        stop.set()
+        assert scheduler._drive(running, stop, [failure]) == "stopped"
+        assert running.txn.state.value == state
+        audit = [e.event for e in db.audit.entries_for(running.txn.txn_id)]
+        assert audit == events
+
     def test_crash_point_mid_script_propagates_and_recovers(self):
         """A chaos crash point armed on the commit path fires on a worker
         thread mid-run; the crash propagates to the caller, and restart

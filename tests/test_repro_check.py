@@ -98,6 +98,13 @@ class TestRulesOnFixtures:
         assert all("env_settings" in f.message for f in findings)
         assert findings_for(FIXTURES / "rc03_env_good.py") == []
 
+    def test_rc04_flags_rollback_in_a_handler_a_crash_can_reach(self):
+        findings = findings_for(FIXTURES / "rc04_crash_bad.py", ["RC04"])
+        # hand-rolled frame + 2PC clean-up + SimulatedCrash caught too late
+        assert len(findings) == 3, render_text(findings)
+        assert all("dead machine" in f.message for f in findings)
+        assert findings_for(FIXTURES / "rc04_crash_good.py") == []
+
     def test_findings_carry_location(self):
         (finding,) = findings_for(FIXTURES / "rc01_bad.py", ["RC01"])
         assert finding.path.endswith("rc01_bad.py")

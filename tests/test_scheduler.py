@@ -4,7 +4,11 @@ and serialisability under contention."""
 import pytest
 
 from repro import Database, SystemConfig
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
+from repro.sim.faults import SimulatedCrash
+from repro.txn.concurrent import ConcurrentScheduler
 from repro.txn.scheduler import InterleavedScheduler, SchedulerError
+from repro.txn.transaction import TxnState
 
 
 @pytest.fixture()
@@ -153,3 +157,64 @@ class TestAuditIntegration:
         scheduler.run()
         user_data = [e.user_data for e in db.audit.trail() if e.user_data]
         assert "script:audited" in user_data
+
+
+class TestCrashIsNotAnAbort:
+    """A ``SimulatedCrash`` inside a script body freezes the machine under
+    every driver alike: no abort machinery runs, nothing is written to
+    stable memory after the crash, and restart discards the chain."""
+
+    @staticmethod
+    def crowded_bank():
+        """Accounts plus unpumped commits until the SLB has no block left,
+        so the next REDO append reaches the recovery CPU's sort through
+        back-pressure."""
+        db = Database(SystemConfig(slb_capacity=112 * 1024))
+        accounts = db.create_relation(
+            "accounts", [("id", "int"), ("balance", "int")], primary_key="id"
+        )
+        key = 0
+        while db.slb_memory.free_bytes >= db.config.log_block_size:
+            with db.transaction(pump=False) as txn:
+                accounts.insert(txn, {"id": key, "balance": 100})
+            key += 1
+        return db, accounts, key
+
+    @pytest.mark.parametrize("driver", ["scope", "interleaved", "concurrent"])
+    def test_crash_in_body_leaves_the_transaction_untouched(self, driver):
+        db, accounts, key = self.crowded_bank()
+        seen = []
+
+        def body(txn):
+            seen.append((txn, db.audit.entries_written, db.slb.aborts))
+            accounts.insert(txn, {"id": key, "balance": 1})
+
+        def script(txn):
+            body(txn)
+            yield
+
+        plan = ChaosPlan.crash_at(7, "recovery.sort.after-deposit")
+        with chaos(ChaosEngine(plan)), pytest.raises(SimulatedCrash):
+            if driver == "scope":
+                with db.transaction() as txn:
+                    body(txn)
+            else:
+                scheduler = (
+                    InterleavedScheduler(db)
+                    if driver == "interleaved"
+                    else ConcurrentScheduler(db, workers=1)
+                )
+                scheduler.submit(script)
+                scheduler.run()
+        (txn, audit_before, aborts_before), = seen
+        assert txn.state is TxnState.ACTIVE
+        assert db.slb.aborts == aborts_before
+        assert txn.txn_id in db.slb.uncommitted_txn_ids
+        assert db.audit.entries_written == audit_before
+        assert [e.event for e in db.audit.entries_for(txn.txn_id)] == ["begin"]
+        db.crash()
+        db.restart()
+        assert txn.txn_id not in db.slb.uncommitted_txn_ids
+        with db.transaction() as check:
+            assert accounts.lookup(check, key) is None
+            assert accounts.count(check) == key

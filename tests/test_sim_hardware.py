@@ -6,14 +6,12 @@ from repro.common import StableMemoryFullError
 from repro.common.config import AnalysisParameters, DiskParameters
 from repro.sim import (
     CpuMeter,
-    CrashInjector,
     DuplexedDisk,
     SimulatedDisk,
     StableMemory,
     TornWriteError,
     VirtualClock,
 )
-from repro.sim.faults import SimulatedCrash
 
 
 class TestVirtualClock:
@@ -238,96 +236,3 @@ class TestStableMemory:
             mem.load("ghost")
         with pytest.raises(KeyError):
             mem.release("ghost")
-
-
-class TestCrashInjector:
-    def test_fires_after_n_ticks(self):
-        injector = CrashInjector(after_operations=3)
-        injector.tick()
-        injector.tick()
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        assert injector.fired
-
-    def test_disabled_injector_never_fires(self):
-        injector = CrashInjector()
-        for _ in range(1000):
-            injector.tick()
-        assert not injector.fired
-
-    def test_no_double_fire(self):
-        injector = CrashInjector(after_operations=1)
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        injector.tick()  # silent after firing
-
-    def test_on_crash_callback(self):
-        called = []
-        injector = CrashInjector(after_operations=1, on_crash=lambda: called.append(1))
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        assert called == [1]
-
-    def test_rearm(self):
-        injector = CrashInjector(after_operations=1)
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        injector.rearm(2)
-        injector.tick()
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-
-    def test_invalid_countdown_rejected(self):
-        with pytest.raises(ValueError):
-            CrashInjector(after_operations=0)
-
-    def test_reentrant_tick_from_on_crash_fires_once(self):
-        """An on_crash callback that flushes through an instrumented path
-        re-enters tick(); the latch must keep the injector from firing a
-        second (nested) SimulatedCrash inside the callback."""
-        injector = CrashInjector(after_operations=1)
-        reentries = []
-
-        def flush_through_instrumented_path():
-            injector.tick()  # must be silent: we are already crashing
-            reentries.append(1)
-
-        injector._on_crash = flush_through_instrumented_path
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        assert reentries == [1]
-        assert injector.fired
-
-    def test_on_crash_raising_still_propagates_crash(self):
-        """The callback runs before propagation, but a buggy callback must
-        not swallow the crash."""
-
-        def bad_callback():
-            raise RuntimeError("callback exploded")
-
-        injector = CrashInjector(after_operations=1, on_crash=bad_callback)
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        assert injector.fired
-
-    def test_reset_returns_to_pristine_disabled_state(self):
-        injector = CrashInjector(after_operations=1)
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        injector.reset()
-        assert not injector.fired
-        assert not injector.armed
-        for _ in range(100):
-            injector.tick()  # disabled again: never fires
-        assert not injector.fired
-
-    def test_armed_property(self):
-        injector = CrashInjector(after_operations=2)
-        assert injector.armed
-        injector.disarm()
-        assert not injector.armed
-        injector.rearm(1)
-        assert injector.armed
-        with pytest.raises(SimulatedCrash):
-            injector.tick()
-        assert not injector.armed

@@ -56,6 +56,30 @@ class TestStatementScope:
             assert t.lookup(txn2, 1) is not None
             assert t.lookup(txn2, 2) is None
 
+    def test_statement_rollback_takes_records_and_bytes_back_out(self, monkeypatch):
+        """The stable-buffer counters follow the chain: records a failed
+        statement appended (heap string, tuple, primary-key node) leave
+        ``records_written`` *and* ``bytes_written`` again."""
+        db, rel = tiny_partition_db()
+        db.create_index("t_by_pad", "t", "pad")
+        txn = db.transactions.begin()
+        rel.insert(txn, {"id": 1, "pad": "keep"})
+        secondary = db.index_object(db.catalog.index("t_by_pad"), txn)
+
+        def refuse(key, address):
+            raise RuntimeError("second index insert fails")
+
+        monkeypatch.setattr(secondary, "insert", refuse)
+        records_before = db.slb.records_written
+        bytes_before = db.slb.bytes_written
+        redo_before = txn.redo_records
+        with pytest.raises(RuntimeError, match="second index"):
+            rel.insert(txn, {"id": 2, "pad": "discard"})
+        assert txn.redo_records == redo_before
+        assert db.slb.records_written == records_before
+        assert db.slb.bytes_written == bytes_before
+        txn.commit()
+
     def test_nested_use_after_abort_is_guarded(self):
         db, rel = tiny_partition_db()
         txn = db.transactions.begin()

@@ -4,11 +4,13 @@ import pytest
 
 from repro.common import (
     EntityAddress,
+    PartitionAddress,
     StableMemoryFullError,
     TransactionStateError,
 )
 from repro.sim import StableMemory
 from repro.wal import StableLogBuffer, TupleInsert
+from repro.wal.records import CommandBarrier
 from repro.wal.slb import WELL_KNOWN_RESERVE
 
 
@@ -162,3 +164,69 @@ class TestCrashSemantics:
         assert slb.records_written == 1
         assert slb.bytes_written > 0
         assert slb.commits == 1
+
+
+class TestRepack:
+    """Every path that rebuilds a chain from a record list keeps the
+    chain, its blocks and the written counters in step."""
+
+    def test_truncate_takes_records_and_bytes_back_out(self, slb):
+        slb.open_chain(1)
+        slb.append(1, record(1, 0))
+        records, nbytes = slb.records_written, slb.bytes_written
+        for n in range(1, 12):  # spills into further blocks
+            slb.append(1, record(1, n, size=40))
+        assert slb.truncate_chain(1, 1) == 11
+        assert (slb.records_written, slb.bytes_written) == (records, nbytes)
+        assert slb.used_blocks() == 1
+        slb.commit(1)
+        assert [r.address.offset for r in slb.drain_committed()] == [1]
+
+    def test_filter_takes_records_and_bytes_back_out(self, slb):
+        slb.open_chain(1)
+        for n in range(8):
+            slb.append(1, record(1, n, size=40))
+        nbytes = slb.bytes_written
+        removed = slb.filter_chain(1, lambda r: r.address.offset % 2 == 0)
+        assert removed == 4
+        assert slb.records_written == 4
+        assert slb.bytes_written == nbytes // 2
+        slb.commit(1)
+        assert [r.address.offset for r in slb.drain_committed()] == [2, 4, 6, 8]
+
+    def test_commit_command_unwinds_then_retries_after_drain(self):
+        """Barriers needing a block the SLB cannot allocate: the chain and
+        both counters are exactly as before the attempt, and the caller's
+        drain-and-retry then commits."""
+        stable = StableMemory("slb", WELL_KNOWN_RESERVE + 3 * 256)
+        slb = StableLogBuffer(stable, block_size=256)
+        slb.open_chain(1)
+        slb.append(1, record(1))
+        slb.commit(1)  # one drainable block
+        slb.open_chain(3)
+        slb.append(3, record(3))  # one block held by a bystander
+        slb.open_chain(2)
+        for n in range(5):  # 5 x 41 bytes: room for two barriers, not three
+            slb.append(2, record(2, n))
+        chain_before = list(slb._uncommitted[2].records())
+        counters_before = (slb.records_written, slb.bytes_written, slb.commits)
+        partition = PartitionAddress(1, 1)
+
+        def build(csn):
+            return b"command", [CommandBarrier(2, n, partition, csn) for n in range(3)]
+
+        with pytest.raises(StableMemoryFullError):
+            slb.commit_command(2, build)
+        assert list(slb._uncommitted[2].records()) == chain_before
+        assert (slb.records_written, slb.bytes_written, slb.commits) == counters_before
+        assert slb.command_seq == 0 and slb.live_commands() == []
+        assert slb.used_blocks() == 3
+        assert len(slb.drain_committed()) == 1  # the caller's back-pressure drain
+        assert slb.commit_command(2, build) == 1
+        assert slb.live_commands() == [(1, b"command")]
+        assert slb.uncommitted_txn_ids == [3]
+        drained = slb.drain_committed()
+        assert drained[:5] == chain_before
+        assert [type(r) for r in drained[5:]] == [CommandBarrier] * 3
+        assert slb.records_written == counters_before[0] + 3
+        assert slb.bytes_written == counters_before[1] + 3 * 25 + len(b"command")
