@@ -20,13 +20,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.checkpoint.manager import COPY_INSTRUCTIONS_PER_BYTE
-from repro.common.errors import CheckpointError
 from repro.concurrency.locks import LockMode
 from repro.db.database import RecoveryMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
-    from repro.txn.transaction import Transaction
 
 
 class WholeDatabaseCheckpointer:
@@ -49,15 +47,15 @@ class WholeDatabaseCheckpointer:
         start = db.clock.now
         with db.transactions.scope(system=True) as txn:
             for segment in db.memory.segments():
-                lock_segment = self._lock_segment(segment.segment_id)
+                lock_segment = db.checkpoints.lock_segment_for(segment.segment_id)
                 txn.lock_relation(lock_segment, LockMode.SHARED)
                 for partition in segment.resident_partitions():
                     image = partition.to_bytes()
                     db.main_cpu.charge(
                         COPY_INSTRUCTIONS_PER_BYTE * len(image), "checkpoint-copy"
                     )
-                    slot = db.checkpoint_disk.allocate(txn.txn_id)
-                    previous = self._install(partition.address, slot, txn)
+                    slot = db.checkpoints.claim_slot(txn)
+                    previous = db.checkpoints.install_slot(partition.address, slot, txn)
                     db.checkpoint_disk.write_image(slot, image)
                     if previous is not None:
                         db.checkpoint_disk.free(previous)
@@ -69,26 +67,6 @@ class WholeDatabaseCheckpointer:
         db.publish_catalog_locations()
         self.sweeps += 1
         return db.clock.now - start
-
-    def _lock_segment(self, segment_id: int) -> int:
-        if segment_id == self.db.catalog.segment.segment_id:
-            return segment_id
-        return self.db.catalog.relation_of_segment(segment_id).segment_id
-
-    def _install(self, address, slot: int, txn: "Transaction") -> int | None:
-        db = self.db
-        if address.segment == db.catalog.segment.segment_id:
-            previous = db.catalog.own_partition_slots.get(address.partition)
-            db.catalog.own_partition_slots[address.partition] = slot
-            return previous
-        descriptor = db.catalog.descriptor_for_segment(address.segment)
-        info = descriptor.partitions.get(address.partition)
-        if info is None:
-            raise CheckpointError(f"{address} is not catalogued")
-        previous = info.checkpoint_slot
-        info.checkpoint_slot = slot
-        db.catalog.update(descriptor, txn)
-        return previous
 
 
 def full_reload_restart(db: "Database") -> dict:

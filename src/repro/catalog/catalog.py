@@ -10,13 +10,17 @@ paper recover the catalogs first and everything else lazily.
 The descriptor for a partition records its current checkpoint disk slot
 (or ``None`` before the first checkpoint).  Residency is *not* stored
 here: it is volatile state tracked by the segments.
+
+The descriptor objects are a decoded mirror of those entities: a rollback
+puts the bytes back and :meth:`Catalog.resync` re-derives the descriptors
+from them, so nothing outside this module restores a field by hand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.catalog.schema import Schema
 from repro.common.errors import CatalogError
@@ -45,6 +49,8 @@ class EntitySink(Protocol):
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None: ...
 
     def partition_allocated(self, partition: Partition) -> None: ...
+
+    def on_rollback(self, compensate: Callable[[], None]) -> None: ...
 
 
 def _address_to_json(address: EntityAddress | None) -> list | None:
@@ -298,16 +304,22 @@ class Catalog:
         partition.delete(descriptor.entity.offset)
         if sink is not None:
             sink.entity_deleted(descriptor.entity, before)
-        if isinstance(descriptor, RelationDescriptor):
-            del self._relations[descriptor.name]
-        else:
-            del self._indexes[descriptor.name]
+            # an aborted drop re-registers this very object; the re-sync
+            # then refreshes it from the restored entity
+            sink.on_rollback(lambda: self._register(descriptor))
+        self._unregister(descriptor)
 
     def _register(self, descriptor: RelationDescriptor | IndexDescriptor) -> None:
         if isinstance(descriptor, RelationDescriptor):
             self._relations[descriptor.name] = descriptor
         else:
             self._indexes[descriptor.name] = descriptor
+
+    def _unregister(self, descriptor: RelationDescriptor | IndexDescriptor) -> None:
+        if isinstance(descriptor, RelationDescriptor):
+            del self._relations[descriptor.name]
+        else:
+            del self._indexes[descriptor.name]
 
     def _partition_with_room(self, nbytes: int, sink: EntitySink | None) -> Partition:
         needed = nbytes + ENTITY_HEADER_BYTES
@@ -326,15 +338,45 @@ class Catalog:
         """Repopulate the descriptor maps from recovered catalog partitions."""
         self._relations.clear()
         self._indexes.clear()
-        for partition in self.segment.resident_partitions():
-            for offset, data in partition.entities():
-                entity = EntityAddress(
-                    partition.address.segment, partition.address.partition, offset
-                )
-                self._register(_decode_descriptor(data, entity))
+        for entity, data in self.entities():
+            self._register(_decode_descriptor(data, entity))
 
-    def catalog_partition_numbers(self) -> list[int]:
-        return sorted(self.own_partition_slots)
+    def resync(
+        self, entities: Iterable[EntityAddress]
+    ) -> list[RelationDescriptor | IndexDescriptor]:
+        """Re-derive, in place, the descriptors stored at ``entities`` —
+        the catalog entities a rollback just restored — and return those
+        still registered.  Only they are touched: any other descriptor may
+        be mid-update by its own transaction.  A descriptor whose entity
+        is still there keeps its object identity (scheduler workers and
+        checkpoint procedures hold references) and takes the decoded
+        fields; one whose entity is gone — an aborted create — is
+        unregistered."""
+        registered = {
+            descriptor.entity: descriptor
+            for descriptor in (*self._relations.values(), *self._indexes.values())
+        }
+        derived = []
+        for entity in entities:
+            current = registered.get(entity)
+            if current is None:
+                continue  # a create that failed before it registered
+            partition = self.segment.get(entity.partition)
+            if entity.offset in partition:
+                decoded = _decode_descriptor(partition.read(entity.offset), entity)
+                vars(current).update(vars(decoded))
+                derived.append(current)
+            else:
+                self._unregister(current)
+        return derived
+
+    def entities(self) -> Iterator[tuple[EntityAddress, bytes]]:
+        """Every stored descriptor entity: the bytes the descriptor
+        objects are decoded from."""
+        for partition in self.segment.resident_partitions():
+            segment, number = partition.address.segment, partition.address.partition
+            for offset, data in partition.entities():
+                yield EntityAddress(segment, number, offset), data
 
     def well_known_entry(self) -> list:
         """The catalog partition address list kept in the well-known stable

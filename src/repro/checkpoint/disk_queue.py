@@ -67,9 +67,9 @@ class CheckpointDiskQueue:
         self.map_latch = Latch("checkpoint-disk-map")
         self._occupied: set[int] = set()  # guarded-by: _mutex
         self._head = 0  # guarded-by: _mutex
-        #: Guards the allocation map between restore workers (free /
-        #: is_occupied) and checkpoint transactions (allocate).  Lock
-        #: order: ``_mutex`` → ``map_latch``.
+        #: Guards the allocation map between restore workers (free) and
+        #: checkpoint transactions (allocate).  Lock order: ``_mutex`` →
+        #: ``map_latch``.
         self._mutex = threading.RLock()
 
     # -- allocation --------------------------------------------------------------
@@ -87,14 +87,6 @@ class CheckpointDiskQueue:
                     self._occupied.add(slot)
                     return slot
         raise CheckpointError("checkpoint disk is full: no free slots")
-
-    def allocate_all(self, owner: int, count: int) -> list[int]:
-        """Claim ``count`` slots or none: a sweep that does not fit must
-        fail before it has installed any of them."""
-        with self._mutex:
-            if self.slots - len(self._occupied) < count:
-                raise CheckpointError("checkpoint disk is full: no free slots")
-            return [self.allocate(owner) for _ in range(count)]
 
     def free(self, slot: int) -> None:
         with self._mutex:
@@ -157,6 +149,7 @@ class CheckpointDiskQueue:
         with self._mutex:
             return len(self._occupied)
 
-    def is_occupied(self, slot: int) -> bool:
+    def allocated_slots(self) -> set[int]:
+        """A copy of the allocation map (for the integrity audit)."""
         with self._mutex:
-            return slot in self._occupied
+            return set(self._occupied)

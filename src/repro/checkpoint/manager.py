@@ -208,7 +208,7 @@ class CheckpointManager:
                 shadow = bin_.condensed_slot
             if shadow is None:  # chain vanished since the decision
                 raise TransactionAborted("condense chain gone", txn_id=txn.txn_id)
-            request.previous_slot = self._install_slot(request, shadow, txn)
+            request.previous_slot = self.install_slot(request.partition, shadow, txn)
             crash_point("checkpoint.slot-installed")
         if request.state is RequestState.REQUEST:
             return False  # deferred
@@ -230,7 +230,7 @@ class CheckpointManager:
         if flip_lsn is not None:
             return self._run_flip(request, flip_lsn)
         with self._attempt(request) as txn:
-            lock_segment = self._lock_segment_for(request)
+            lock_segment = self.lock_segment_for(request.partition.segment)
             txn.lock_relation(lock_segment, LockMode.SHARED)
             crash_point("checkpoint.locked")
             partition = db.memory.partition(request.partition)
@@ -242,8 +242,8 @@ class CheckpointManager:
             db.locks.release(txn.txn_id, ("rel", lock_segment))
             crash_point("checkpoint.copied")
             # Step 5: log the catalog / disk-map updates before the write.
-            slot = db.checkpoint_disk.allocate(txn.txn_id)
-            request.previous_slot = self._install_slot(request, slot, txn)
+            slot = self.claim_slot(txn)
+            request.previous_slot = self.install_slot(request.partition, slot, txn)
             crash_point("checkpoint.slot-installed")
             # Step 6: write the image and commit.
             db.checkpoint_disk.write_image(slot, image)
@@ -310,8 +310,9 @@ class CheckpointManager:
                     copies.append((member, number, image))
             crash_point("checkpoint.copied")
             previous: dict[PartitionAddress, int | None] = {}
-            # all or nothing: rollback does not restore the descriptors
-            slots = db.checkpoint_disk.allocate_all(txn.txn_id, len(copies))
+            # Claim every slot before touching a descriptor: a sweep that
+            # does not fit fails with nothing yet to re-derive.
+            slots = [self.claim_slot(txn) for _ in copies]
             for (member, number, _), slot in zip(copies, slots):
                 info = member.partitions[number]
                 previous[PartitionAddress(member.segment_id, number)] = (
@@ -391,16 +392,25 @@ class CheckpointManager:
                 )
             db.engine.drain_log()
 
-    def _lock_segment_for(self, request: CheckpointRequest) -> int:
-        """The segment whose relation-level lock covers this partition."""
-        segment_id = request.partition.segment
+    def lock_segment_for(self, segment_id: int) -> int:
+        """The segment whose relation-level lock covers ``segment_id``'s
+        partitions (paper section 2.4 step 3)."""
         if segment_id == self.db.catalog.segment.segment_id:
             return segment_id  # catalog partitions lock the catalog itself
         relation = self.db.catalog.relation_of_segment(segment_id)
         return relation.segment_id
 
-    def _install_slot(
-        self, request: CheckpointRequest, slot: int, txn
+    def claim_slot(self, txn: Transaction) -> int:
+        """A fresh slot for a checkpoint transaction.  The allocation map
+        is volatile and has no byte image, so a rollback frees the slot
+        (and whatever image already reached it) by compensation."""
+        disk = self.db.checkpoint_disk
+        slot = disk.allocate(txn.txn_id)
+        txn.on_rollback(lambda: disk.free(slot))
+        return slot
+
+    def install_slot(
+        self, address: PartitionAddress, slot: int, txn: Transaction
     ) -> int | None:
         """Record the new checkpoint location in the catalogs (logged).
 
@@ -410,18 +420,19 @@ class CheckpointManager:
         step 5 / section 2.5).
         """
         db = self.db
-        segment_id = request.partition.segment
-        number = request.partition.partition
+        segment_id, number = address.segment, address.partition
         if segment_id == db.catalog.segment.segment_id:
-            previous = db.catalog.own_partition_slots.get(number)
-            db.catalog.own_partition_slots[number] = slot
+            slots = db.catalog.own_partition_slots
+            previous = slots.get(number)
+            slots[number] = slot
+            txn.on_rollback(lambda: slots.__setitem__(number, previous))
             # well-known publish is deferred to after the image write
             return previous
         descriptor = db.catalog.descriptor_for_segment(segment_id)
         info = descriptor.partitions.get(number)
         if info is None:
             raise CatalogError(
-                f"{request.partition} is not catalogued under {descriptor.name!r}"
+                f"{address} is not catalogued under {descriptor.name!r}"
             )
         previous = info.checkpoint_slot
         info.checkpoint_slot = slot

@@ -212,10 +212,6 @@ class SystemConfig:
     #: Number of partition-sized slots on the checkpoint disk's
     #: pseudo-circular queue (section 2.4).
     checkpoint_slots: int = 4096
-    #: Decoded log pages kept in the log disk's bounded LRU cache, shared
-    #: by restart reads, ownership peeks, and the media-recovery scan
-    #: (0 disables caching).
-    log_page_cache_pages: int = 128
     #: Retries allowed per duplexed I/O operation before a transient
     #: device fault escalates to a hard ``MediaFailure`` (0 = escalate on
     #: the first fault).  Shared by the log and checkpoint disks.
@@ -241,14 +237,6 @@ class SystemConfig:
     #: on for configs that do not pass the flag explicitly (a CI matrix
     #: axis, mirroring ``REPRO_LOGGING_MODE``).
     condense_enabled: bool = field(default_factory=lambda: env_settings().condense)
-    #: Upper bound on log pages folded per condense slice — one slice is
-    #: one unit of idle-time work, so this caps how long the recovery
-    #: CPU stays busy before checking for real duties again.
-    condense_pages_per_slice: int = 4
-    #: A partition becomes a condense candidate once it has more than
-    #: this many flushed-but-uncondensed log pages.  0 means "condense
-    #: whenever anything is uncondensed".
-    condense_lag_target_pages: int = 0
     #: Disk model used for the log disks.
     log_disk: DiskParameters = field(default_factory=DiskParameters)
     #: Disk model used for the checkpoint disks.
@@ -275,8 +263,6 @@ class SystemConfig:
             )
         if self.checkpoint_slots <= 0:
             raise ConfigurationError("checkpoint_slots must be positive")
-        if self.log_page_cache_pages < 0:
-            raise ConfigurationError("log_page_cache_pages cannot be negative")
         if self.io_retry_budget < 0:
             raise ConfigurationError("io_retry_budget cannot be negative")
         if self.logging_mode not in LOGGING_MODES:
@@ -285,12 +271,6 @@ class SystemConfig:
             )
         if self.adaptive_log_threshold <= 0:
             raise ConfigurationError("adaptive_log_threshold must be positive")
-        if self.condense_pages_per_slice <= 0:
-            raise ConfigurationError("condense_pages_per_slice must be positive")
-        if self.condense_lag_target_pages < 0:
-            raise ConfigurationError(
-                "condense_lag_target_pages cannot be negative"
-            )
 
     @property
     def records_per_page(self) -> int:

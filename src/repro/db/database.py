@@ -71,6 +71,7 @@ from repro.sim.faults import RetryPolicy
 from repro.sim.stable_memory import StableMemory
 from repro.storage.memory_manager import MemoryManager
 from repro.storage.partition import Partition
+from repro.storage.segment import Segment
 from repro.txn.manager import TransactionManager
 from repro.txn.registry import ScriptRegistry
 from repro.txn.transaction import Transaction
@@ -164,7 +165,6 @@ class Database:
             log_pair,
             config.log_window_pages,
             config.log_window_grace_pages,
-            cache_pages=config.log_page_cache_pages,
             retry_policy=retry_policy,
         )
         self.checkpoint_disk = CheckpointDiskQueue(
@@ -245,30 +245,66 @@ class Database:
     def release_partition(self, address: PartitionAddress) -> None:
         """Undo :meth:`on_partition_allocated` for an aborted growth.
 
-        Rollback restores the descriptor's catalog *bytes*; this drops
-        the three things bytes do not cover.  The catalog's own segment
-        keeps its partition (already published to the well-known areas),
-        and so does a partition that is in use after all: another
-        transaction placed entities in it, or its bin holds log records
-        (command replay re-allocating over a bin that survived the crash).
+        Rollback restores the descriptor's catalog *bytes* and re-derives
+        the descriptor from them; this drops the two things bytes do not
+        cover, the resident partition and its Stable Log Tail bin.  The
+        catalog's own segment keeps its partition (already published to
+        the well-known areas), and so does a partition that is in use
+        after all — :meth:`reconcile_partitions` then puts it back in the
+        catalog.
         """
         if address.segment == self.catalog.segment.segment_id:
             return
         segment = self.memory.segment(address.segment)
-        partition = segment.get(address.partition)
-        has_bin = self.slt.has_partition(address)
-        if (
-            len(partition)
-            or len(partition.heap)
-            or (has_bin and self.slt.bin_for_partition(address).active)
-        ):
+        if self._in_use(segment.get(address.partition)):
             return
         segment.discard(address.partition)
-        self.catalog.descriptor_for_segment(address.segment).partitions.pop(
-            address.partition, None
-        )
-        if has_bin:
+        if self.slt.has_partition(address):
             self.slt.drop_partition(address)
+
+    def _in_use(self, partition: Partition) -> bool:
+        """Another transaction placed entities in it, or its bin holds log
+        records (command replay re-allocating over a bin that survived the
+        crash)."""
+        address = partition.address
+        return bool(
+            len(partition)
+            or len(partition.heap)
+            or (
+                self.slt.has_partition(address)
+                and self.slt.bin_for_partition(address).active
+            )
+        )
+
+    def reconcile_partitions(
+        self, descriptors: list[RelationDescriptor | IndexDescriptor]
+    ) -> None:
+        """After a rollback re-derived ``descriptors`` from their restored
+        bytes, make each list the partitions its segment really has.
+        Catalog entities are not two-phase locked, so the before-image
+        may predate a partition :meth:`release_partition` kept — resident,
+        in use, no longer listed (an empty one is left alone: it may be
+        another transaction's growth on its way into the catalog) — or
+        still list one whose own allocator has since released it.  The
+        correction is a system transaction of its own: logged, so the
+        users' rows survive a crash whatever becomes of the rollback's
+        transaction, and committed before its locks release."""
+        for descriptor in descriptors:
+            segment = self.memory.segment(descriptor.segment_id)
+            kept = [
+                partition.address.partition
+                for partition in segment.resident_partitions()
+                if partition.address.partition not in descriptor.partitions
+                and self._in_use(partition)
+            ]
+            gone = set(descriptor.partitions) - set(segment.partition_numbers())
+            if kept or gone:
+                with self.transactions.scope(system=True) as txn:
+                    for number in kept:
+                        descriptor.partitions[number] = PartitionInfo(number)
+                    for number in gone:
+                        del descriptor.partitions[number]
+                    self.catalog.update(descriptor, txn)
 
     def publish_catalog_locations(self) -> None:
         """Duplicate the catalog partition address list into both stable
@@ -379,7 +415,7 @@ class Database:
         schema.position(primary_key)  # validate
         with self.transactions.scope() as txn:
             txn.lock_relation(self.catalog.segment.segment_id, LockMode.INTENT_EXCLUSIVE)
-            segment = self.memory.create_segment(SegmentKind.RELATION, name)
+            segment = self._create_segment(txn, SegmentKind.RELATION, name)
             descriptor = RelationDescriptor(
                 name=name,
                 segment_id=segment.segment_id,
@@ -419,7 +455,7 @@ class Database:
             raise CatalogError(f"unknown index kind {kind!r}")
         relation_descriptor = self.catalog.relation(relation_name)
         relation_descriptor.schema.position(field)  # validate
-        segment = self.memory.create_segment(SegmentKind.INDEX, index_name)
+        segment = self._create_segment(txn, SegmentKind.INDEX, index_name)
         descriptor = IndexDescriptor(
             name=index_name,
             relation_name=relation_name,
@@ -438,6 +474,16 @@ class Database:
         relation_descriptor.index_names.append(index_name)
         self.catalog.update(relation_descriptor, txn)
         self._index_objects[index_name] = index
+        txn.on_rollback(lambda: self._index_objects.pop(index_name, None))
+
+    def _create_segment(self, txn: Transaction, kind: SegmentKind, name: str) -> Segment:
+        """A DDL transaction's new segment.  A rollback takes it back:
+        registered before anything touches the segment, so it runs after
+        every entity, partition and catalog entry the transaction put
+        there is gone."""
+        segment = self.memory.create_segment(kind, name)
+        txn.on_rollback(lambda: self.memory.drop_segment(segment.segment_id))
+        return segment
 
     def drop_index(self, index_name: str) -> None:
         """Drop a secondary index (primary-key indexes cannot be dropped)."""

@@ -2,7 +2,8 @@
 
 ``verify_integrity(db)`` cross-checks every layer against every other:
 catalog against segments, segments against the Stable Log Tail, indexes
-against tuples (both directions), checkpoint slots against the disk map.
+against tuples (both directions), checkpoint slots against the disk map,
+and the decoded catalog mirrors against the bytes they were decoded from.
 It returns a list of human-readable problems — empty means the database
 is internally consistent — and is used by tests after crash-recovery
 scenarios and available to operators as a consistency audit.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.catalog.catalog import CATALOG_LOCATIONS_KEY
 from repro.catalog.schema import NULL_HANDLE
 from repro.common.errors import IndexStructureError, ReproError, StorageError
 from repro.common.types import EntityAddress
@@ -33,6 +35,7 @@ def verify_integrity(db: "Database") -> list[str]:
     problems.extend(_check_catalog_segments(db))
     problems.extend(_check_slt_mapping(db))
     problems.extend(_check_checkpoint_slots(db))
+    problems.extend(_check_mirrors(db))
     problems.extend(_check_indexes(db))
     problems.extend(_check_heap_references(db))
     return problems
@@ -51,7 +54,8 @@ def assert_integrity(db: "Database") -> None:
 
 def _check_catalog_segments(db: "Database") -> list[str]:
     """Every catalogued partition exists in its segment (resident or
-    known-missing), and every segment is catalogued."""
+    known-missing) and the segment has no other, and every segment is
+    catalogued."""
     problems = []
     catalogued_segments = {db.catalog.segment.segment_id}
     for descriptor in list(db.catalog.relations()) + list(db.catalog.indexes()):
@@ -70,6 +74,11 @@ def _check_catalog_segments(db: "Database") -> list[str]:
                     f"{descriptor.name}: partition {number} catalogued but "
                     f"unknown to segment {descriptor.segment_id}"
                 )
+        for number in sorted(known - set(descriptor.partitions)):
+            problems.append(
+                f"{descriptor.name}: partition {number} of segment "
+                f"{descriptor.segment_id} is not catalogued"
+            )
     for segment in db.memory.segments():
         if segment.segment_id not in catalogued_segments:
             problems.append(
@@ -98,37 +107,70 @@ def _check_slt_mapping(db: "Database") -> list[str]:
 
 def _check_checkpoint_slots(db: "Database") -> list[str]:
     """Every catalogued checkpoint slot is allocated on the disk queue,
-    and no two partitions share a slot."""
+    no two partitions share a slot, and the (volatile) allocation map
+    holds no slot that neither a descriptor, a bin's condense chain nor a
+    finished request's superseded image references."""
     problems = []
     seen: dict[int, str] = {}
+    allocated = db.checkpoint_disk.allocated_slots()
     descriptors = list(db.catalog.relations()) + list(db.catalog.indexes())
     entries = [
-        (descriptor.name, info)
+        (descriptor.name, info.checkpoint_slot)
         for descriptor in descriptors
         for info in descriptor.partitions.values()
     ]
     entries.extend(
-        (f"catalog:{number}", _CatalogSlot(number, slot))
+        (f"catalog:{number}", slot)
         for number, slot in db.catalog.own_partition_slots.items()
     )
-    for name, info in entries:
-        slot = info.checkpoint_slot
+    for name, slot in entries:
         if slot is None:
             continue
-        if not db.checkpoint_disk.is_occupied(slot):
+        if slot not in allocated:
             problems.append(f"{name}: checkpoint slot {slot} not allocated on disk")
         if slot in seen:
             problems.append(
                 f"{name}: checkpoint slot {slot} shared with {seen[slot]}"
             )
         seen[slot] = name
+    referenced = db.checkpoints.occupied_slots() | {
+        request.previous_slot for request in db.checkpoint_queue.in_flight()
+    }
+    for slot in sorted(allocated - referenced):
+        problems.append(f"checkpoint slot {slot} is allocated but unreferenced")
     return problems
 
 
-class _CatalogSlot:
-    def __init__(self, number: int, slot: int | None):
-        self.number = number
-        self.checkpoint_slot = slot
+def _check_mirrors(db: "Database") -> list[str]:
+    """Mirror ≡ bytes (docs/INTERNALS.md, "Decoded mirrors of byte
+    state"): the registered descriptors are exactly what the catalog
+    entities decode to, and the catalog's own slot list is what both
+    well-known areas publish."""
+    problems = []
+    catalog = db.catalog
+    registered = {
+        descriptor.entity: descriptor
+        for descriptor in list(catalog.relations()) + list(catalog.indexes())
+    }
+    for entity, data in catalog.entities():
+        descriptor = registered.pop(entity, None)
+        if descriptor is None:
+            problems.append(f"catalog entity {entity} has no registered descriptor")
+        elif descriptor.encode() != data:
+            problems.append(
+                f"{descriptor.name}: decoded descriptor differs from its "
+                f"catalog entity {entity}"
+            )
+    for descriptor in registered.values():
+        problems.append(f"{descriptor.name}: registered but has no catalog entity")
+    entry = catalog.well_known_entry()
+    for area, store in (("SLB", db.slb), ("SLT", db.slt)):
+        if (store.get_well_known(CATALOG_LOCATIONS_KEY) or []) != entry:
+            problems.append(
+                f"catalog partition slots {entry} differ from the {area} "
+                f"well-known copy"
+            )
+    return problems
 
 
 def _check_indexes(db: "Database") -> list[str]:
@@ -142,15 +184,15 @@ def _check_indexes(db: "Database") -> list[str]:
         rel_segment = db.memory.segment(relation_descriptor.segment_id)
         if not rel_segment.fully_resident:
             continue
-        index = db.index_object(index_descriptor, None)
         try:
+            index = db.index_object(index_descriptor, None)
             index.verify_invariants()
-        except IndexStructureError as exc:
+        except (IndexStructureError, StorageError) as exc:
+            # StorageError: a component pointer (or the anchor) names a
+            # partition the segment does not have
             problems.append(f"{index_descriptor.name}: {exc}")
             continue
-        relation = db.table(index_descriptor.relation_name)
         schema = relation_descriptor.schema
-        field_position = schema.position(index_descriptor.key_field)
         # forward: every index entry points at a live tuple with that key
         tuples_by_address: dict[EntityAddress, list] = {}
         for partition in rel_segment.resident_partitions():
@@ -181,7 +223,6 @@ def _check_indexes(db: "Database") -> list[str]:
                 f"{index_descriptor.name}: {entry_count} entries for "
                 f"{len(tuples_by_address)} tuples"
             )
-        _ = relation, field_position
     return problems
 
 

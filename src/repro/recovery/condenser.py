@@ -72,6 +72,14 @@ register_crash_point(
 #: background duty with a checkpoint transaction.
 CONDENSER_OWNER_BASE = 2_000_000_000
 
+#: Upper bound on log pages folded per condense slice — one slice is one
+#: unit of idle-time work, so this caps how long the recovery CPU stays
+#: busy before checking for real duties again.
+PAGES_PER_SLICE = 4
+#: A partition becomes a condense candidate once it has more than this
+#: many flushed-but-uncondensed log pages (0: whenever it has any).
+LAG_TARGET_PAGES = 0
+
 
 class Condenser:
     """The recovery CPU's idle-time condensing duty."""
@@ -169,7 +177,7 @@ class Condenser:
         # finished and awaiting its bin reset) excludes the bin.
         in_flight = {e.partition for e in db.checkpoint_queue.in_flight()}
         best: tuple[PartitionBin, int | None] | None = None
-        best_lag = db.config.condense_lag_target_pages
+        best_lag = LAG_TARGET_PAGES
         for bin_ in db.slt.bins():
             address = bin_.partition
             if address.segment == catalog_segment:
@@ -264,7 +272,7 @@ class Condenser:
             return 0
         try:
             lsns, cache, _ = enumerate_log_pages(bin_, db.log_disk, condensed_lsn)
-            take = lsns[: db.config.condense_pages_per_slice]
+            take = lsns[:PAGES_PER_SLICE]
             if not take:
                 return 0
             folded_records = 0

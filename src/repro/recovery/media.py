@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog, IndexDescriptor
+from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog
 from repro.common.errors import MediaFailure, RecoveryError
-from repro.common.types import PartitionAddress, SegmentKind
+from repro.common.types import PartitionAddress
 from repro.recovery.redo import demultiplex_log_history, rebuild_partition_resilient
+from repro.recovery.restart import register_catalogued_segments
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.clock import host_now
 from repro.storage.partition import Partition
@@ -154,18 +155,14 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     # per-partition applies out on the engine's restore pool.  The
     # sequential engines walk the very same list front to back.
     jobs: list[tuple[PartitionAddress, object]] = []
-    for descriptor in list(catalog.relations()) + list(catalog.indexes()):
-        kind = (
-            SegmentKind.INDEX
-            if isinstance(descriptor, IndexDescriptor)
-            else SegmentKind.RELATION
-        )
-        segment = db.memory.register_segment(
-            descriptor.segment_id, kind, descriptor.name
-        )
+    for descriptor, segment in register_catalogued_segments(db):
         for number in sorted(descriptor.partitions):
             descriptor.partitions[number].checkpoint_slot = None  # image lost
             jobs.append((PartitionAddress(descriptor.segment_id, number), segment))
+        # In the entity bytes too (unlogged: the fresh checkpoints below
+        # log the descriptor whole): a failed attempt among them re-derives
+        # the descriptor from its bytes and must not find a lost slot there.
+        catalog.update(descriptor, None)
 
     def rebuild_and_install(job: tuple[PartitionAddress, object]) -> dict:
         address, segment = job

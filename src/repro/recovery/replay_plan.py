@@ -40,7 +40,6 @@ from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
 from repro.txn.manager import transaction_scope
 from repro.txn.transaction import Transaction, TxnState
-from repro.wal import undo
 from repro.wal.records import CommandBarrier, RedoRecord, TxnCommand, decode_control
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,9 +143,9 @@ class ReplayTransaction(Transaction):
     def _open(self, user_data: str) -> None:
         """No SLB chain, no ``begin`` audit entry."""
 
-    def _log(self, record: RedoRecord, undo_record: undo.UndoRecord) -> None:
+    def _log(self, record: RedoRecord, inverse: RedoRecord) -> None:
         # UNDO only, catalog records included: nothing is appended
-        self._undo.append(undo_record)
+        self._undo.append(inverse)
         self.suppressed_records += 1
         self.suppressed_bytes += record.size_bytes
 

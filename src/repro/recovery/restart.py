@@ -20,9 +20,14 @@ Order of operations:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog, IndexDescriptor
+from repro.catalog.catalog import (
+    CATALOG_LOCATIONS_KEY,
+    Catalog,
+    IndexDescriptor,
+    RelationDescriptor,
+)
 from repro.common.errors import RecoveryError, StorageError
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.common.types import PartitionAddress, SegmentKind
@@ -31,6 +36,7 @@ from repro.recovery.redo import rebuild_partition_resilient
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
     from repro.storage.partition import Partition
+    from repro.storage.segment import Segment
 
 register_crash_point(
     "restart.phase1.queue-reverted",
@@ -48,6 +54,40 @@ register_crash_point(
     "restart.phase2.partition-recovered",
     "restart: one data partition recovered and installed",
 )
+
+
+def register_catalogued_segments(
+    db: "Database",
+) -> Iterator[tuple[RelationDescriptor | IndexDescriptor, Segment]]:
+    """Register the memory segment of every descriptor the recovered
+    catalog holds, for the caller to fill.
+
+    A listed partition with neither a Stable Log Tail bin nor a checkpoint
+    image never held anything durable: catalog entities are not two-phase
+    locked, so a committed after-image can carry a growth of another
+    transaction that later aborted and released the partition and its bin
+    (ROADMAP item 4).  It is dropped from the descriptor and its entity
+    here (unlogged: the next restart decides the same from the same log).
+    """
+    for descriptor in (*db.catalog.relations(), *db.catalog.indexes()):
+        released = [
+            number
+            for number, info in descriptor.partitions.items()
+            if info.checkpoint_slot is None
+            and not db.slt.has_partition(PartitionAddress(descriptor.segment_id, number))
+        ]
+        if released:
+            for number in released:
+                del descriptor.partitions[number]
+            db.catalog.update(descriptor, None)
+        kind = (
+            SegmentKind.INDEX
+            if isinstance(descriptor, IndexDescriptor)
+            else SegmentKind.RELATION
+        )
+        yield descriptor, db.memory.register_segment(
+            descriptor.segment_id, kind, descriptor.name
+        )
 
 
 class RestartCoordinator:
@@ -109,16 +149,7 @@ class RestartCoordinator:
         self.catalog_restore_seconds = db.clock.now - start
 
     def _register_segments(self) -> None:
-        db = self.db
-        for descriptor in list(db.catalog.relations()) + list(db.catalog.indexes()):
-            kind = (
-                SegmentKind.INDEX
-                if isinstance(descriptor, IndexDescriptor)
-                else SegmentKind.RELATION
-            )
-            segment = db.memory.register_segment(
-                descriptor.segment_id, kind, descriptor.name
-            )
+        for descriptor, segment in register_catalogued_segments(self.db):
             numbers = sorted(descriptor.partitions)
             segment.mark_missing(numbers)
             with self._queue_mutex:

@@ -6,7 +6,9 @@ and index component writes all report here, producing:
 
 * a REDO record appended to the transaction's Stable Log Buffer chain
   (with the target partition's bin index stamped in, section 2.3.2),
-* an UNDO record in the volatile UNDO space, and
+* an UNDO entry in the volatile UNDO space — the *inverse* REDO record,
+  the same operation with the before-image where the after-image was;
+  never encoded, never stable (section 2.3.1), discarded at commit — and
 * a two-phase lock on the touched entity, held until commit.
 
 Lock policy is no-wait: a conflicting request aborts this transaction
@@ -18,7 +20,7 @@ resumed by its blocker).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.common.errors import (
     StableMemoryFullError,
@@ -30,7 +32,8 @@ from repro.concurrency.locks import LockMode
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.wal import records as redo
-from repro.wal import undo
+
+_Address = TypeVar("_Address", EntityAddress, PartitionAddress)
 
 register_crash_point(
     "txn.commit.before-slb",
@@ -90,7 +93,9 @@ class Transaction:
         self.txn_id = txn_id
         self.system = system
         self.state = TxnState.ACTIVE
-        self._undo: list[undo.UndoRecord] = []
+        #: The volatile UNDO space, oldest first: inverse REDO records
+        #: (bytes) and compensations (:meth:`on_rollback`).
+        self._undo: list[redo.RedoRecord | Callable[[], None]] = []
         self.redo_records = 0
         #: Logging mode this transaction runs under (docs/LOGGING.md).
         #: ``command``/``adaptive`` are only reachable through
@@ -136,10 +141,6 @@ class Transaction:
     def undo_record_count(self) -> int:
         return len(self._undo)
 
-    @property
-    def undo_bytes(self) -> int:
-        return sum(record.size_bytes for record in self._undo)
-
     # -- locking ----------------------------------------------------------------
 
     def lock(self, resource, mode: LockMode) -> None:
@@ -175,23 +176,44 @@ class Transaction:
     # A rollback precedes the transition of the two aborts.
 
     def _rollback(self, mark: int = 0) -> None:
-        """Apply the UNDO records past ``mark`` newest-first, drop them,
-        and re-sync the index mirrors they invalidated."""
-        suffix = self._undo[mark:]
-        for record in reversed(suffix):
-            record.apply(self.db.memory)
+        """Undo everything past ``mark`` newest-first and drop it: an
+        inverse record puts bytes back through its own ``apply``, a
+        compensation takes back what bytes do not cover, and then every
+        decoded mirror of the touched segments re-syncs from the restored
+        bytes (docs/INTERNALS.md, "Decoded mirrors of byte state")."""
+        db = self.db
+        catalog_segment = db.catalog.segment.segment_id
+        segments: set[int] = set()
+        descriptors: set[EntityAddress] = set()
+        for entry in reversed(self._undo[mark:]):
+            if isinstance(entry, redo.RedoRecord):
+                address = entry.partition_address
+                entry.apply(db.memory.partition(address))
+                segments.add(address.segment)
+                if address.segment == catalog_segment:
+                    # catalog partitions hold entities only: the record names one
+                    descriptors.add(getattr(entry, "address", None))
+            else:
+                entry()
         del self._undo[mark:]
-        # Cached index objects mirror their anchors in decoded form
-        # (directory, split pointer, root); the byte-level rollback above
-        # made those mirrors stale.  Flag them before the component locks
-        # release so no later operation runs on the rolled-back mirror.
-        self.db.reload_index_mirrors(
-            {
-                record.address.segment
-                for record in suffix
-                if isinstance(record, (undo.UndoIndexNodeWrite, undo.UndoIndexNodeFree))
-            }
-        )
+        # Before the locks release, so no later operation runs on a
+        # rolled-back mirror: the catalog re-derives the descriptors whose
+        # entities were restored (and only those), cached index objects
+        # are flagged to re-decode their anchors.
+        if descriptors:
+            derived = db.catalog.resync(descriptors)
+            if not self.system:  # the correction is one: it never corrects again
+                db.reconcile_partitions(derived)
+        db.reload_index_mirrors(segments)
+
+    def on_rollback(self, compensate: Callable[[], None]) -> None:
+        """Register volatile state that has no byte image — a segment
+        growth, a claimed checkpoint slot, a DDL-created segment — on the
+        UNDO list: ``compensate()`` runs in the same newest-first loop as
+        the inverse records (so statement rollback's mark covers it) and
+        is discarded at commit."""
+        self._ensure_active()
+        self._undo.append(compensate)
 
     def _durable(self, mode: str, nbytes: int) -> None:
         """The chain just joined the committed list: account the commit to
@@ -424,12 +446,12 @@ class Transaction:
     def _bin_index(self, partition_address: PartitionAddress) -> int:
         return self.db.slt.bin_index_of(partition_address)
 
-    def _log(self, record: redo.RedoRecord, undo_record: undo.UndoRecord) -> None:
+    def _log(self, record: redo.RedoRecord, inverse: redo.RedoRecord) -> None:
         # UNDO first: the mutation is already applied, so if the REDO
         # write fails (stable buffer exhausted even after draining — a
         # transaction too large for the SLB) the rollback must already
         # know how to reverse it.
-        self._undo.append(undo_record)
+        self._undo.append(inverse)
         if self._suppress_value and not self._is_catalog_record(record):
             # Pure command mode: this after-image is replaced by the
             # commit-time TxnCommand record.  UNDO still accumulates
@@ -461,74 +483,64 @@ class Transaction:
             record.partition_address.segment == self.db.catalog.segment.segment_id
         )
 
-    # -- EntitySink: tuple / catalog entity changes ----------------------------------------
+    # -- the nine change sinks ------------------------------------------------------------------
+
+    def _head(self, address: _Address, owner: PartitionAddress) -> tuple[int, int, _Address]:
+        """(txn id, bin index of ``owner``, address): the header a change's
+        forward record and its inverse share, resolved once."""
+        self._ensure_active()
+        return self.txn_id, self._bin_index(owner), address
+
+    # EntitySink: tuple / catalog entity changes
 
     def entity_inserted(self, address: EntityAddress, data: bytes) -> None:
-        self._ensure_active()
-        self._log(
-            redo.TupleInsert(self.txn_id, self._bin_index(address.partition_address), address, data),
-            undo.UndoTupleInsert(address),
-        )
+        head = self._head(address, address.partition_address)
+        self._log(redo.TupleInsert(*head, data), redo.TupleDelete(*head))
 
     def entity_updated(self, address: EntityAddress, before: bytes, after: bytes) -> None:
-        self._ensure_active()
-        self._log(
-            redo.TupleUpdate(self.txn_id, self._bin_index(address.partition_address), address, after),
-            undo.UndoTupleUpdate(address, before),
-        )
+        head = self._head(address, address.partition_address)
+        self._log(redo.TupleUpdate(*head, after), redo.TupleUpdate(*head, before))
 
     def entity_patched(
         self, address: EntityAddress, start: int, before: bytes, after: bytes
     ) -> None:
         """A single-field byte-range update (the compact relation record)."""
-        self._ensure_active()
-        self._log(
-            redo.FieldPatch(self.txn_id, self._bin_index(address.partition_address), address, start, after),
-            undo.UndoFieldPatch(address, start, before),
-        )
+        head = self._head(address, address.partition_address)
+        self._log(redo.FieldPatch(*head, start, after), redo.FieldPatch(*head, start, before))
 
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None:
-        self._ensure_active()
-        self._log(
-            redo.TupleDelete(self.txn_id, self._bin_index(address.partition_address), address),
-            undo.UndoTupleDelete(address, before),
-        )
+        head = self._head(address, address.partition_address)
+        self._log(redo.TupleDelete(*head), redo.TupleInsert(*head, before))
 
-    # -- heap (string space) operations ---------------------------------------------------------
+    # heap (string space) operations
 
     def heap_put(self, partition: PartitionAddress, handle: int, data: bytes) -> None:
-        self._ensure_active()
-        self._log(
-            redo.HeapPut(self.txn_id, self._bin_index(partition), partition, handle, data),
-            undo.UndoHeapPut(partition, handle),
-        )
+        head = self._head(partition, partition)
+        self._log(redo.HeapPut(*head, handle, data), redo.HeapDelete(*head, handle))
 
     def heap_replace(
         self, partition: PartitionAddress, handle: int, before: bytes, after: bytes
     ) -> None:
-        self._ensure_active()
+        head = self._head(partition, partition)
         self._log(
-            redo.HeapReplace(self.txn_id, self._bin_index(partition), partition, handle, after),
-            undo.UndoHeapReplace(partition, handle, before),
+            redo.HeapReplace(*head, handle, after), redo.HeapReplace(*head, handle, before)
         )
 
     def heap_delete(
         self, partition: PartitionAddress, handle: int, before: bytes
     ) -> None:
-        self._ensure_active()
-        self._log(
-            redo.HeapDelete(self.txn_id, self._bin_index(partition), partition, handle),
-            undo.UndoHeapDelete(partition, handle, before),
-        )
+        head = self._head(partition, partition)
+        self._log(redo.HeapDelete(*head, handle), redo.HeapPut(*head, handle, before))
 
-    # -- ChangeSink: index component changes ------------------------------------------------------
+    # ChangeSink: index component changes (physical before-images — safe
+    # because components are two-phase locked until commit, section 2.3.2)
 
     def lock_component(self, address: EntityAddress) -> None:
         """Settle the no-wait exclusive lock before a component mutates.
 
         ``NodeStore`` calls this ahead of the physical write/free so a
         refused lock (which aborts this transaction immediately) finds the
-        component untouched — at that point no UNDO record for the change
+        component untouched — at that point no UNDO entry for the change
         exists yet.
         """
         self._ensure_active()
@@ -537,31 +549,29 @@ class Transaction:
     def index_node_written(
         self, address: EntityAddress, before: bytes | None, after: bytes
     ) -> None:
-        self._ensure_active()
+        head = self._head(address, address.partition_address)
         self.lock_entity(address, LockMode.EXCLUSIVE)
         self._log(
-            redo.IndexNodeWrite(self.txn_id, self._bin_index(address.partition_address), address, after),
-            undo.UndoIndexNodeWrite(address, before),
+            redo.IndexNodeWrite(*head, after),
+            # a component this transaction created is removed again
+            redo.IndexNodeFree(*head) if before is None else redo.IndexNodeWrite(*head, before),
         )
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
-        self._ensure_active()
+        head = self._head(address, address.partition_address)
         self.lock_entity(address, LockMode.EXCLUSIVE)
-        self._log(
-            redo.IndexNodeFree(self.txn_id, self._bin_index(address.partition_address), address),
-            undo.UndoIndexNodeFree(address, before),
-        )
+        self._log(redo.IndexNodeFree(*head), redo.IndexNodeWrite(*head, before))
 
     # -- segment growth ----------------------------------------------------------------------------
 
     def partition_allocated(self, partition: "Partition") -> None:
-        self._ensure_active()
-        # UNDO first (as in _log): abort and statement rollback must take
-        # the growth back, or a later commit finds the partition already
+        # Registered before the catalog update that records the partition
+        # (UNDO first, as in _log): when it runs, every entity the
+        # transaction placed there is gone and the descriptor's bytes are
+        # back.  Without it a later commit finds the partition already
         # "catalogued" in memory and never logs it.
-        self._undo.append(
-            undo.UndoPartitionAllocated(partition.address, self.db.release_partition)
-        )
+        address = partition.address
+        self.on_rollback(lambda: self.db.release_partition(address))
         self.db.on_partition_allocated(partition, self)
 
     def __repr__(self) -> str:

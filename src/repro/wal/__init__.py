@@ -2,9 +2,10 @@
 
 * :mod:`repro.wal.records` — REDO log record formats (section 2.3.2):
   TAG, bin index, transaction id, operation, with binary encode/decode
-  and partition-local REDO application.
-* :mod:`repro.wal.undo` — volatile UNDO records (never written to disk;
-  discarded at commit, applied at abort).
+  and partition-local REDO application.  UNDO has no format of its own:
+  it is never written anywhere, so a transaction keeps the *inverse*
+  REDO record of each change in its volatile UNDO space
+  (:mod:`repro.txn.transaction`), discarded at commit, applied at abort.
 * :mod:`repro.wal.slb` — the Stable Log Buffer: fixed-size blocks chained
   per transaction, committed / uncommitted transaction lists, and the
   well-known communication areas (checkpoint request queue, catalog
@@ -33,7 +34,6 @@ from repro.wal.slb import StableLogBuffer, TransactionLogChain
 from repro.wal.slt import PartitionBin, StableLogTail
 from repro.wal.log_disk import LogDisk, LogPage
 from repro.wal.audit import AuditEntry, AuditLog
-from repro.wal.undo import UndoRecord
 
 __all__ = [
     "AuditEntry",
@@ -54,7 +54,6 @@ __all__ = [
     "TupleDelete",
     "TupleInsert",
     "TupleUpdate",
-    "UndoRecord",
     "decode_record",
     "decode_records",
 ]

@@ -165,6 +165,10 @@ class ArchiveStore:
         return LogPage.decode(self.raw(lsn))
 
 
+#: Default bound of a :class:`LogDisk`'s decoded-page LRU (0 disables it).
+LOG_PAGE_CACHE_PAGES = 128
+
+
 class LogDisk:
     """Duplexed log disks plus the sliding log window."""
 
@@ -173,7 +177,7 @@ class LogDisk:
         disks: DuplexedDisk,
         window_pages: int,
         grace_pages: int,
-        cache_pages: int = 128,
+        cache_pages: int = LOG_PAGE_CACHE_PAGES,
         retry_policy: RetryPolicy | None = None,
     ):
         if window_pages <= grace_pages:

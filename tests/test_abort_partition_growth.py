@@ -14,8 +14,10 @@ import random
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.common import TransactionAborted
 from repro.common.types import PartitionAddress
 from repro.db.integrity import verify_integrity
+from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
 
 SMALL = dict(partition_size=4096)
@@ -48,6 +50,14 @@ def fill_until_next_insert_grows(db, rel, segment_id, start=0):
         txn.commit()
         db.pump()
         key += 1
+
+
+def fill_a_partition(db, rel):
+    """Give the relation one full partition of committed rows (its first
+    insert always grows); returns the next unused key."""
+    with db.transaction() as txn:
+        rel.insert(txn, {"k": 0, "v": 0})
+    return fill_until_next_insert_grows(db, rel, rel.descriptor.segment_id, start=1)
 
 
 def crash_and_restart(db):
@@ -166,3 +176,211 @@ def test_seeded_insert_delete_abort_crash_loop(seed):
         rel = crash_and_restart(db)
         with db.transaction() as txn:
             assert {row["k"]: row["v"] for row in rel.scan(txn)} == model
+
+
+class TestKeptPartitionStaysCatalogued:
+    """``release_partition`` keeps a grown partition another transaction
+    placed rows in.  The allocator's before-image predates it, so after
+    the rollback re-derived the descriptor the partition is re-catalogued
+    under a system transaction — readable at once, and durable."""
+
+    @staticmethod
+    def growing_insert(db, rel):
+        """An open transaction whose insert just grew the relation."""
+        key = fill_a_partition(db, rel)
+        txn = db.transactions.begin()
+        rel.insert(txn, {"k": key, "v": 0})
+        return txn, key, max(rel.descriptor.partitions)
+
+    @staticmethod
+    def check(db, rel, key, grown):
+        assert grown in rel.descriptor.partitions
+        assert verify_integrity(db) == []
+        with db.transaction() as txn:
+            assert rel.lookup(txn, key) is None
+            assert rel.lookup(txn, key + 1)["v"] == 77
+        rel = crash_and_restart(db)
+        with db.transaction() as txn:
+            assert rel.lookup(txn, key + 1)["v"] == 77
+            assert rel.count(txn) == key + 1
+
+    @pytest.mark.parametrize("user_commits_first", [False, True])
+    def test_allocator_aborts(self, user_commits_first):
+        db, rel = small_db()
+        allocator, key, grown = self.growing_insert(db, rel)
+        user = db.transactions.begin()
+        assert rel.insert(user, {"k": key + 1, "v": 77}).partition == grown
+        if user_commits_first:
+            user.commit()
+        allocator.abort()
+        if not user_commits_first:
+            user.commit()
+        db.pump()
+        self.check(db, rel, key, grown)
+
+    def test_allocator_rolls_the_statement_back_and_commits(self):
+        db, rel = small_db()
+        key = fill_a_partition(db, rel)
+        before = set(rel.descriptor.partitions)
+        allocator = db.transactions.begin()
+        user = db.transactions.begin()
+        with pytest.raises(Doomed):
+            with allocator.statement():
+                rel.insert(allocator, {"k": key, "v": 0})
+                (grown,) = set(rel.descriptor.partitions) - before
+                assert rel.insert(user, {"k": key + 1, "v": 77}).partition == grown
+                raise Doomed
+        assert grown in rel.descriptor.partitions
+        rel.insert(allocator, {"k": key + 2, "v": 2})
+        allocator.commit()
+        user.commit()
+        db.pump()
+        assert verify_integrity(db) == []
+        rel = crash_and_restart(db)
+        with db.transaction() as txn:
+            assert rel.lookup(txn, key) is None
+            assert [rel.lookup(txn, key + n)["v"] for n in (1, 2)] == [77, 2]
+
+    def test_user_aborts_as_well(self):
+        """Nobody is left using it: an empty catalogued partition, which
+        the next insert fills and the next restart knows."""
+        db, rel = small_db()
+        allocator, key, grown = self.growing_insert(db, rel)
+        user = db.transactions.begin()
+        rel.insert(user, {"k": key + 1, "v": 77})
+        allocator.abort()
+        user.abort()
+        assert grown in rel.descriptor.partitions
+        assert verify_integrity(db) == []
+        with db.transaction() as txn:
+            assert rel.insert(txn, {"k": key + 1, "v": 77}).partition == grown
+        self.check(db, rel, key, grown)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_interleaved_growth_abort_crash_loop(seed):
+    """Several open transactions insert into one small relation, commit
+    and abort in random order — so aborted growths keep being used by
+    their neighbours, in the relation and in both index segments — with
+    an integrity audit after every ending and a crash every round."""
+    rng = random.Random(seed)
+    db = Database(SystemConfig(**SMALL))
+    rel = db.create_relation(
+        "items", [("k", "int"), ("v", "int"), ("pad", "str")], primary_key="k",
+        primary_index=rng.choice(["hash", "ttree"]),
+    )
+    db.create_index("items_by_v", "items", "v", kind="ttree")
+    model: dict[int, int] = {}
+    next_key = 0
+    for _ in range(5):
+        open_txns: dict = {}
+        for _ in range(150):
+            if len(open_txns) < 3 and rng.random() < 0.3:
+                open_txns[db.transactions.begin()] = {}
+            if not open_txns:
+                continue
+            txn = rng.choice(list(open_txns))
+            roll = rng.random()
+            try:
+                if roll < 0.7:
+                    row = {"k": next_key, "v": rng.randrange(50), "pad": "x" * 60}
+                    next_key += 1
+                    rel.insert(txn, row)
+                    open_txns[txn][row["k"]] = row["v"]
+                    continue
+                staged = open_txns.pop(txn)
+                if roll < 0.85:
+                    txn.commit()
+                    model.update(staged)
+                else:
+                    txn.abort()
+            except TransactionAborted:  # no-wait loser: already rolled back
+                open_txns.pop(txn, None)
+            assert verify_integrity(db) == []
+        for txn in open_txns:
+            txn.abort()
+        db.pump()
+        rel = crash_and_restart(db)
+        with db.transaction() as txn:
+            assert {row["k"]: row["v"] for row in rel.scan(txn)} == model
+
+
+class TestTwoOpenGrowersOfOneSegment:
+    """Catalog entities are not two-phase locked: the second grower's
+    before-image lists the first one's uncommitted partition, and the
+    first one's before-image predates the second's.  Whatever order they
+    end in, the rollbacks must leave the descriptor listing exactly the
+    partitions the segment has — in memory and in the log."""
+
+    @staticmethod
+    def two_growers():
+        db = Database(SystemConfig(**SMALL))
+        rel = db.create_relation(
+            "items", [("k", "int"), ("pad", "str")], primary_key="k", primary_index="hash"
+        )
+        segment = db.memory.segment(rel.descriptor.segment_id)
+
+        def row(key):
+            return {"k": key, "pad": "x" * 500}
+
+        with db.transaction() as txn:
+            rel.insert(txn, row(0))
+        first = db.transactions.begin()
+        key, partitions = 1, len(segment)
+        while len(segment) == partitions:  # fills partition 1, grows the next
+            rel.insert(first, row(key))
+            key += 1
+        while True:  # fills its own partition alone, until a probe has to grow
+            partitions = len(segment)
+            second = db.transactions.begin()
+            try:
+                rel.insert(second, row(key))
+            except TransactionAborted:  # one of first's hash buckets: another key
+                key += 1
+                continue
+            if len(segment) > partitions:
+                return db, rel, first, second, key
+            second.abort()
+            rel.insert(first, row(key))
+            key += 1
+
+    @pytest.mark.parametrize("second_commits", [False, True])
+    def test_first_grower_aborts_then_the_second_ends(self, second_commits):
+        db, rel, first, second, key = self.two_growers()
+        first.abort()
+        assert verify_integrity(db) == []
+        if second_commits:
+            second.commit()
+        else:
+            second.abort()
+        db.pump()
+        assert verify_integrity(db) == []
+        rel = crash_and_restart(db)
+        with db.transaction() as txn:
+            assert (rel.lookup(txn, key) is not None) == second_commits
+            assert rel.count(txn) == 1 + second_commits
+
+    def test_second_grower_commits_then_the_first_aborts(self):
+        """The second one's committed after-image lists the first one's
+        partition; the first one's rollback then releases it."""
+        db, rel, first, second, key = self.two_growers()
+        second.commit()
+        first.abort()
+        db.pump()
+        assert verify_integrity(db) == []
+        rel = crash_and_restart(db)
+        with db.transaction() as txn:
+            assert rel.lookup(txn, key) is not None
+            assert rel.count(txn) == 2
+
+    def test_media_restore_skips_the_released_partition_too(self):
+        db, rel, first, second, key = self.two_growers()
+        first.abort()
+        second.commit()  # its after-image still lists the first one's partition
+        db.pump()
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        restore_after_checkpoint_media_failure(db)
+        assert verify_integrity(db) == []
+        with db.transaction() as txn:
+            assert db.table("items").lookup(txn, key) is not None

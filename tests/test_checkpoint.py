@@ -3,11 +3,15 @@
 import pytest
 
 from repro import Database, SystemConfig
+from repro.catalog.catalog import CATALOG_LOCATIONS_KEY
 from repro.checkpoint.disk_queue import CheckpointDiskQueue
 from repro.checkpoint.protocol import RequestState
-from repro.common import CheckpointError
+from repro.common import CheckpointError, PartitionAddress
+from repro.common.errors import MediaFailure
 from repro.common.config import DiskParameters
+from repro.db.integrity import verify_integrity
 from repro.sim import SimulatedDisk, VirtualClock
+from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.wal.slt import CheckpointReason
 
 
@@ -184,7 +188,7 @@ class TestDiskQueue:
     def test_rebuild_map(self):
         queue = self._queue(slots=4)
         queue.rebuild_map({1, 3})
-        assert queue.is_occupied(1)
+        assert 1 in queue.allocated_slots()
         assert queue.allocate(9) == 0
         assert queue.allocate(9) == 2
 
@@ -270,3 +274,101 @@ class TestFailedCheckpointLeavesNoZombie:
         before = db.transactions.committed
         db.run_script("put", 1000, pump=False)
         assert db.transactions.committed == before + 1
+
+
+class TestFailedAttemptLeavesNothingAheadOfTheBytes:
+    """A checkpoint attempt that rolls back *after* installing its slots
+    (here: the image write escalating to ``MediaFailure`` on its first
+    fault) must leave the decoded catalog, the catalog's own slot list
+    and the volatile allocation map exactly where the bytes are."""
+
+    @staticmethod
+    def failing_write(after_visits=0):
+        rule = ChaosRule("checkpoint.image.write", FAULT, after_visits=after_visits)
+        return chaos(ChaosEngine(ChaosPlan(1, (rule,))))
+
+    @staticmethod
+    def assert_mirrors_match_bytes(db):
+        catalog = db.catalog
+        for descriptor in (*catalog.relations(), *catalog.indexes()):
+            assert descriptor.encode() == db.memory.read_entity(descriptor.entity)
+        published = catalog.well_known_entry()
+        assert db.slb.get_well_known(CATALOG_LOCATIONS_KEY) == published
+        assert db.slt.get_well_known(CATALOG_LOCATIONS_KEY) == published
+        awaiting_ack = {r.previous_slot for r in db.checkpoint_queue.finished()} - {None}
+        assert db.checkpoint_disk.occupied_count == len(
+            db.checkpoints.occupied_slots() | awaiting_ack
+        )
+        assert verify_integrity(db) == []
+
+    def retry_completes(self, db, request):
+        assert request.state is RequestState.REQUEST
+        assert request.previous_slot is None
+        taken = db.checkpoints.checkpoints_taken
+        db.pump()
+        assert request not in db.checkpoint_queue.pending()
+        assert db.checkpoints.checkpoints_taken > taken
+        assert db.transactions.active_count == 0
+        self.assert_mirrors_match_bytes(db)
+
+    @pytest.mark.parametrize("after_visits", range(4))
+    def test_data_and_index_partitions(self, after_visits):
+        db = Database(
+            config(update_count_threshold=50, io_retry_budget=0, condense_enabled=False)
+        )
+        rel = db.create_relation("a", [("k", "int"), ("v", "int")], primary_key="k")
+        taken = db.checkpoints.checkpoints_taken
+        with self.failing_write(after_visits):
+            with pytest.raises(MediaFailure, match="checkpoint-image write"):
+                for key in range(400):
+                    with db.transaction() as txn:
+                        rel.insert(txn, {"k": key, "v": key})
+        assert db.checkpoints.checkpoints_taken == taken + after_visits
+        self.assert_mirrors_match_bytes(db)
+        self.retry_completes(db, db.checkpoint_queue.pending()[0])
+
+    def test_catalog_partition(self):
+        db = Database(config(io_retry_budget=0, condense_enabled=False))
+        db.create_relation("a", [("k", "int")], primary_key="k")
+        address = PartitionAddress(db.catalog.segment.segment_id, 1)
+        bin_index = db.slt.bin_index_of(address)
+        db.checkpoint_queue.submit(address, bin_index, "t")
+        db.pump()
+        slots = dict(db.catalog.own_partition_slots)
+        assert slots[1] is not None
+        db.checkpoint_queue.submit(address, bin_index, "t")
+        (request,) = db.checkpoint_queue.pending()
+        with self.failing_write():
+            with pytest.raises(MediaFailure, match="checkpoint-image write"):
+                db.pump()
+        assert db.catalog.own_partition_slots == slots
+        self.assert_mirrors_match_bytes(db)
+        self.retry_completes(db, request)
+        assert db.catalog.own_partition_slots != slots
+
+    def test_group_settlement_sweep_failing_on_its_second_image(self):
+        db = Database(
+            config(io_retry_budget=0, condense_enabled=False, logging_mode="command")
+        )
+        rel = db.create_relation("items", [("id", "int"), ("v", "int")], primary_key="id")
+        db.register_script(
+            "put", lambda txn, key: rel.insert(txn, {"id": key, "v": 0}), relations=["items"]
+        )
+        for key in range(5):
+            db.run_script("put", key)  # live commands: a checkpoint must sweep
+        assert len(db.checkpoint_queue) == 0
+        address = PartitionAddress(rel.descriptor.segment_id, 1)
+        db.checkpoint_queue.submit(address, db.slt.bin_index_of(address), "t")
+        (request,) = db.checkpoint_queue.pending()
+        occupied = db.checkpoint_disk.occupied_count
+        with self.failing_write(after_visits=1):
+            with pytest.raises(MediaFailure, match="checkpoint-image write"):
+                db.pump()
+        assert db.checkpoints.sweeps_taken == 0
+        assert db.checkpoint_disk.occupied_count == occupied  # the first image's slot too
+        assert rel.descriptor.command_watermark == 0
+        assert db.transactions.active_count == 0
+        self.assert_mirrors_match_bytes(db)
+        self.retry_completes(db, request)
+        assert db.checkpoints.sweeps_taken == 1
+        assert rel.descriptor.command_watermark == 5

@@ -113,3 +113,58 @@ class TestDetectsCorruption:
         with pytest.raises(IntegrityError) as excinfo:
             assert_integrity(db)
         assert "leaked" in str(excinfo.value)
+
+
+class TestDetectsMirrorDrift:
+    """One case per clause of the mirror-equals-bytes check: corrupt the
+    decoded copy by hand, expect the message."""
+
+    def test_detects_descriptor_ahead_of_its_entity(self):
+        db, rel, addrs = loaded_db()
+        db.catalog.relation("items").partitions[1].checkpoint_slot = 77
+        problems = verify_integrity(db)
+        assert any("items: decoded descriptor differs" in p for p in problems)
+
+    def test_detects_descriptor_without_an_entity(self):
+        db, rel, addrs = loaded_db()
+        descriptor = db.catalog.index("by_v")
+        db.memory.partition(descriptor.entity.partition_address).delete(
+            descriptor.entity.offset
+        )
+        problems = verify_integrity(db)
+        assert any("by_v: registered but has no catalog entity" in p for p in problems)
+
+    def test_detects_entity_without_a_descriptor(self):
+        db, rel, addrs = loaded_db()
+        del db.catalog._indexes["by_v"]
+        problems = verify_integrity(db)
+        assert any("has no registered descriptor" in p for p in problems)
+
+    def test_detects_own_slots_differing_from_the_well_known_copies(self):
+        db, rel, addrs = loaded_db()
+        db.catalog.own_partition_slots[1] = 77
+        problems = verify_integrity(db)
+        assert sum("well-known copy" in p for p in problems) == 2  # SLB and SLT
+
+    def test_detects_unreferenced_checkpoint_slot(self):
+        db, rel, addrs = loaded_db()
+        slot = db.checkpoint_disk.allocate(owner=1)
+        problems = verify_integrity(db)
+        assert f"checkpoint slot {slot} is allocated but unreferenced" in problems
+
+    def test_detects_resident_partition_the_catalog_does_not_list(self):
+        db, rel, addrs = loaded_db()
+        descriptor = db.catalog.relation("items")
+        del descriptor.partitions[1]
+        db.catalog.update(descriptor, None)  # mirror and bytes agree: only this clause fires
+        problems = verify_integrity(db)
+        assert f"items: partition 1 of segment {descriptor.segment_id} is not catalogued" in problems
+
+    def test_reports_an_index_whose_segment_lacks_a_partition(self):
+        """Reported, not raised: the audit must survive what it audits."""
+        db, rel, addrs = loaded_db()
+        descriptor = db.catalog.index("by_v")
+        db.memory.segment(descriptor.segment_id).discard(descriptor.anchor.partition)
+        problems = verify_integrity(db)
+        assert any("by_v: partition 1 catalogued but unknown" in p for p in problems)
+        assert any(p.startswith("by_v: segment") and "has no partition" in p for p in problems)

@@ -9,6 +9,8 @@ import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common import RecoveryError
+from repro.common.errors import MediaFailure
+from repro.db.integrity import verify_integrity
 from repro.engine import SimEngine, ThreadedEngine
 from repro.recovery import (
     demultiplex_log_history,
@@ -16,7 +18,7 @@ from repro.recovery import (
     rebuild_partition_resilient,
     restore_after_checkpoint_media_failure,
 )
-from repro.sim.chaos import ChaosMonkey, chaos
+from repro.sim.chaos import FAULT, ChaosEngine, ChaosMonkey, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.wal.log_disk import ARCHIVE_SEGMENT
 
@@ -186,6 +188,49 @@ class TestCheckpointDiskFailure:
             assert [r["id"] for r in rows] == [7]
         for descriptor in db.catalog.indexes():
             db.index_object(descriptor, None).verify_invariants()
+
+
+class TestFreshCheckpointFailsDuringRestore:
+    """The restore clears every lost slot, then cuts fresh checkpoints.
+    One of those failing rolls back and re-derives its descriptor from
+    the catalog bytes — which must not still name the lost slots of the
+    siblings not yet re-checkpointed (a later checkpoint would free a
+    slot some new image now owns)."""
+
+    @pytest.mark.parametrize("after_visits", [1, 2, 5])
+    def test_no_lost_slot_comes_back(self, after_visits):
+        db = Database(small_config(partition_size=4096, io_retry_budget=0))
+        rel = db.create_relation(
+            "items", [("id", "int"), ("v", "int"), ("s", "str")], primary_key="id"
+        )
+        for base in range(0, 300, 20):
+            with db.transaction() as txn:
+                for i in range(base, base + 20):
+                    rel.insert(txn, {"id": i, "v": i, "s": f"row-{i}"})
+        descriptors = (*db.catalog.relations(), *db.catalog.indexes())
+        assert all(len(d.partitions) > 2 for d in descriptors)
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        rule = ChaosRule("checkpoint.image.write", FAULT, after_visits=after_visits)
+        with chaos(ChaosEngine(ChaosPlan(1, (rule,)))):
+            with pytest.raises(MediaFailure, match="checkpoint-image write"):
+                restore_after_checkpoint_media_failure(db)
+        slots = [
+            info.checkpoint_slot
+            for descriptor in (*db.catalog.relations(), *db.catalog.indexes())
+            for info in descriptor.partitions.values()
+        ]
+        assert sum(slot is not None for slot in slots) == after_visits - 1  # catalog first
+        assert verify_integrity(db) == []
+        db.pump()  # the queued fresh checkpoints complete
+        assert not db.checkpoint_queue.pending()
+        assert verify_integrity(db) == []
+        digest = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert logical_digest(db) == digest
+        with db.transaction() as txn:
+            assert [row["v"] for row in db.table("items").scan(txn)] == list(range(300))
 
 
 class TestTornCheckpointImage:

@@ -1,10 +1,13 @@
 """Hypothesis stateful test: random DML interleaved with crashes.
 
 A rule-based state machine drives the real database with inserts,
-updates, deletes, aborts, crash/restart cycles (in both recovery modes),
-pumps and background recovery steps, checking after every step that the
-database matches a plain-dict model of the committed state.
+updates, deletes, aborts, aborted DDL, checkpoint attempts whose image
+write fails, crash/restart cycles (in both recovery modes), pumps and
+background recovery steps, checking after every step that the database
+matches a plain-dict model of the committed state.
 """
+
+import pytest
 
 from hypothesis import settings
 from hypothesis.stateful import (
@@ -17,7 +20,10 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.common import CatalogError
+from repro.common.errors import MediaFailure
 from repro.db.integrity import verify_integrity
+from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 
 
 class MmdbMachine(RuleBasedStateMachine):
@@ -35,6 +41,7 @@ class MmdbMachine(RuleBasedStateMachine):
             update_count_threshold=30,
             log_window_pages=512,
             log_window_grace_pages=32,
+            io_retry_budget=0,  # failed_checkpoint: one fault escalates
         )
         self.db = Database(config)
         self.relation = self.db.create_relation(
@@ -79,6 +86,30 @@ class MmdbMachine(RuleBasedStateMachine):
         self._table().update(txn, self.addresses[key], {"v": value})
         txn.abort()
         # model unchanged
+
+    @rule(what=st.sampled_from(["relation", "index"]))
+    def aborted_ddl(self, what):
+        """Either DDL creates its segment and descriptor, then fails."""
+        with pytest.raises(CatalogError):
+            if what == "relation":
+                self.db.create_relation(
+                    "ghost", [("k", "int")], primary_key="k", primary_index="bogus"
+                )
+            else:
+                self.db.create_index("kv__pk", "kv", "v")  # name is taken
+
+    @rule(data=st.data())
+    def failed_checkpoint(self, data):
+        """Request a checkpoint of any partition (catalog, relation or
+        index) and fail its image write once; a later pump retries."""
+        bin_ = data.draw(st.sampled_from(self.db.slt.bins()))
+        self.db.checkpoint_queue.submit(bin_.partition, bin_.bin_index, "test")
+        rule = ChaosRule("checkpoint.image.write", FAULT)
+        with chaos(ChaosEngine(ChaosPlan(0, (rule,)))):
+            try:
+                self.db.pump()
+            except MediaFailure:
+                pass
 
     @rule()
     def pump(self):

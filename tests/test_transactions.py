@@ -213,7 +213,6 @@ class TestUndoSpaceAccounting:
         txn = db.transactions.begin()
         insert_account(db, txn, 1)
         assert txn.undo_record_count > 0
-        assert txn.undo_bytes > 0
         txn.commit()
         assert txn.undo_record_count == 0
 
