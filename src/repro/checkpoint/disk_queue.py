@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 
 from repro.common.checksum import open_frame, seal_frame
-from repro.common.errors import CheckpointError
+from repro.common.errors import CheckpointError, MediaFailure
 from repro.concurrency.latch import Latch
 from repro.sim.chaos import (
     crash_point,
@@ -129,12 +129,22 @@ class CheckpointDiskQueue:
 
     def read_image(self, slot: int) -> bytes:
         """Read and verify one image; raises
-        :class:`~repro.common.errors.ChecksumError` on corruption."""
+        :class:`~repro.common.errors.ChecksumError` on corruption and
+        :class:`~repro.common.errors.MediaFailure` when the disk no longer
+        holds the slot at all (a lost image, like a torn one, sends
+        recovery to the log history)."""
+
+        def read_track() -> bytes:
+            fault_point("checkpoint.image.read")
+            try:
+                return self.disk.read_track(slot)
+            except KeyError as exc:
+                raise MediaFailure(
+                    f"checkpoint slot {slot} is not on the checkpoint disk"
+                ) from exc
+
         blob = run_with_retry(
-            lambda: (
-                fault_point("checkpoint.image.read"),
-                self.disk.read_track(slot),
-            )[1],
+            read_track,
             self.retry_policy,
             self.io_stats,
             "read",

@@ -4,10 +4,9 @@ One object owns the simulated hardware (clock, two CPUs, stable memories,
 duplexed log disks, checkpoint disk), the volatile database (segments,
 partitions, locks, catalogs), and the recovery component (Stable Log
 Buffer, Stable Log Tail, recovery processor, checkpoint manager, restart
-coordinator).  The restart state machine lives in the
-:class:`~repro.db.recovery_service.RecoveryService`; the
-between-transactions duties are scheduled by an
-:class:`~repro.engine.ExecutionEngine`.
+coordinator).  The restart sequence lives in
+:func:`repro.recovery.restart.restart`; the between-transactions duties
+are scheduled by an :class:`~repro.engine.ExecutionEngine`.
 
 Scheduling: the recovery CPU's duties run when :meth:`Database.pump` is
 called — the transaction manager's between-transactions moment of paper
@@ -55,7 +54,6 @@ from repro.common.errors import (
 )
 from repro.common.types import PartitionAddress, SegmentKind
 from repro.concurrency.locks import LockManager, LockMode
-from repro.db.recovery_service import RecoveryMode, RecoveryService
 from repro.db.relation import Relation
 from repro.engine import ExecutionEngine, engine_from_env
 from repro.index.linear_hash import LinearHashIndex
@@ -63,7 +61,7 @@ from repro.index.node_store import NodeStore
 from repro.index.ttree import TTreeIndex
 from repro.recovery.condenser import Condenser
 from repro.recovery.processor import RecoveryProcessor
-from repro.recovery.restart import RestartCoordinator
+from repro.recovery.restart import RecoveryMode, RestartCoordinator, restart as restart_sequence
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuMeter
 from repro.sim.disk import DuplexedDisk, SimulatedDisk
@@ -108,7 +106,6 @@ class Database:
         self._build_hardware()
         self._build_volatile()
         self._build_recovery_component()
-        self.recovery_service = RecoveryService(self)
         self.engine = engine if engine is not None else engine_from_env()
         self.engine.attach(self)
         self.crashed = False
@@ -656,7 +653,13 @@ class Database:
 
     def restart(self, mode: RecoveryMode = RecoveryMode.ON_DEMAND) -> RestartCoordinator:
         """Bring the system back: catalogs first, then data per ``mode``."""
-        return self.recovery_service.restart(mode)
+        return restart_sequence(self, mode)
+
+    def background_restore(self) -> None:
+        """Pump duty: one low-priority phase-2 restore, if a restart is in
+        progress."""
+        if self.restart_coordinator is not None:
+            self.restart_coordinator.background_step()
 
     # -- lifecycle ------------------------------------------------------------------------------------------
 

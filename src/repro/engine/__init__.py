@@ -10,9 +10,9 @@ interchangeable schedulings of that design behind one interface:
   model comparison are bit-for-bit reproducible.
 * :class:`~repro.engine.threaded.ThreadedEngine` — the recovery
   processor on its own host thread, plus a worker pool that restores
-  missing partitions concurrently during restart phase 2 and fans out
-  the per-partition replay streams of a whole-database media restore
-  (:meth:`~repro.engine.base.ExecutionEngine.restore_map`).
+  missing partitions concurrently during restart phase 2 (a
+  whole-database media restore included) and fans out command replay
+  batches (:meth:`~repro.engine.base.ExecutionEngine.restore_map`).
 
 Both run the one duty list (:data:`~repro.engine.base.DUTIES`) and the
 one worker pool (:func:`~repro.engine.pool.run_pool`); they differ only

@@ -48,7 +48,7 @@ DUTIES = tuple(
         ("recovery_processor.acknowledge_finished", RECOVERY_CPU),
         ("checkpoints.process_pending", MAIN_CPU),
         ("recovery_processor.acknowledge_finished", RECOVERY_CPU),
-        ("recovery_service.background_step", MAIN_CPU),
+        ("background_restore", MAIN_CPU),
         ("condenser.step", RECOVERY_CPU),
     )
 )
@@ -140,17 +140,16 @@ class ExecutionEngine(abc.ABC):
         """Apply ``fn`` to every item of a restore fan-out, returning the
         results in input order.
 
-        Media recovery and command replay use this seam to rebuild
-        independent per-partition streams on the worker pool, the way
-        restart phase 2 restores missing partitions.  The first error
-        stops the pool and propagates; items not yet started are
-        abandoned (the caller owns any retry policy).
+        Command replay uses this seam to recover independent closures
+        on the worker pool, the way restart phase 2 restores missing
+        partitions.  The first error stops the pool and propagates; items
+        not yet started are abandoned (the caller owns any retry policy).
         """
         return run_pool(
             fn,
             items,
             workers=self.workers,
-            name=f"{self.thread_prefix}-media-restore",
+            name=f"{self.thread_prefix}-replay",
         )
 
     def shutdown(self) -> None:

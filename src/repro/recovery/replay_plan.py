@@ -13,8 +13,9 @@ on different workers with no coordination.
 
 Inside a batch, ordering is exact.  Every partition of the closure is
 loaded as a record *stream* (a base image plus the ordered REDO still to
-apply, both chosen by :func:`repro.recovery.redo.plan_rebuild`), and a
-cursor per stream advances through the value records.  A
+apply, both chosen by
+:meth:`~repro.recovery.restart.RestartCoordinator.plan`), and a cursor
+per stream advances through the value records.  A
 :class:`~repro.wal.records.CommandBarrier` carrying command ``m``'s csn
 marks, in every involved stream, exactly where ``m`` committed relative
 to the surrounding value REDO: the planner applies records up to the
@@ -34,7 +35,6 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import RecoveryError
 from repro.common.types import PartitionAddress
-from repro.recovery.redo import plan_rebuild
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
@@ -249,6 +249,9 @@ class CommandReplayPlanner:
         """Recover one conflict-free closure: load its partition streams,
         then alternate cursor advances and script re-executions."""
         db = self.db
+        coordinator = db.restart_coordinator
+        if coordinator is None:
+            raise RecoveryError("command replay runs between the phases of a restart")
         relation_names = sorted({name for cmd in batch for name in cmd.relations})
         streams: list[_PartitionStream] = []
         index_segments: set[int] = set()
@@ -264,15 +267,8 @@ class CommandReplayPlanner:
                     index_segments.add(member.segment_id)
                 for number in sorted(member.partitions):
                     address = PartitionAddress(member.segment_id, number)
-                    partition, records, _ = plan_rebuild(
-                        address,
-                        member.partitions[number].checkpoint_slot,
-                        db.checkpoint_disk,
-                        db.log_disk,
-                        db.slt,
-                        db.config.partition_size,
-                        command_watermark=watermark,
-                        pending_archive=db.recovery_processor.pending_archive_records,
+                    partition, records, _ = coordinator.plan(
+                        address, member.partitions[number].checkpoint_slot, watermark
                     )
                     streams.append(
                         _PartitionStream(address, partition, records, is_index=is_index)

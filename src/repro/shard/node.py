@@ -3,7 +3,7 @@
 The decomposition the tentpole asks for is deliberately thin: a
 :class:`ShardNode` *is* a :class:`~repro.db.database.Database` — with
 its own simulated hardware, Stable Log Buffer, Stable Log Tail,
-recovery processor, checkpoint manager and RecoveryService — plus the
+recovery processor, checkpoint manager and restart sequence — plus the
 shard identity and the engine that drives it.  Nothing in the single-node
 code paths forks: a node recovers, checkpoints, and logs exactly like a
 standalone database, which is what makes kill-one-shard recovery

@@ -63,9 +63,8 @@ class _NodeResolver:
     """One node's in-doubt resolver: consult the coordinator's table.
 
     Installed as ``db.in_doubt_resolver`` on every shard node; restart's
-    :meth:`~repro.db.recovery_service.RecoveryService.resolve_in_doubt`
-    calls ``decide`` per prepared chain and ``acknowledge`` after the
-    verdict is applied.
+    :func:`~repro.recovery.restart.resolve_in_doubt` calls ``decide`` per
+    prepared chain and ``acknowledge`` after the verdict is applied.
     """
 
     def __init__(self, twopc: "TwoPhaseCommit", shard_id: int):

@@ -514,6 +514,36 @@ class CrashPointRun:
     hits: dict[str, int] = field(default_factory=dict)
 
 
+#: A crash during restart is retried; monkeys and plan crash rules latch
+#: after firing, so convergence is guaranteed — the bound is defensive.
+MAX_RESTART_ATTEMPTS = 6
+
+
+def restart_until_recovered(databases: list, mode) -> int:
+    """Bring every database in ``databases`` back to full residency,
+    surviving crashes injected into recovery itself; returns the number
+    of attempts taken (1: no nested crash).
+
+    A crash anywhere takes the whole group down again — a cluster loses
+    power as one — and the next attempt starts over: recovery is
+    idempotent.
+    """
+    for attempt in range(1, MAX_RESTART_ATTEMPTS + 1):
+        try:
+            for db in databases:
+                if db.crashed:
+                    db.restart(mode)
+                if db.restart_coordinator is not None:
+                    db.restart_coordinator.recover_everything()
+            return attempt
+        except SimulatedCrash:
+            for db in databases:
+                db.crash()
+    raise RecoveryError(
+        f"restart did not converge in {MAX_RESTART_ATTEMPTS} attempts"
+    )
+
+
 class ChaosHarness:
     """Replays a workload crashing at every registered point.
 
@@ -522,11 +552,6 @@ class ChaosHarness:
     plus a zero-argument callable that runs the workload.  The factory is
     invoked once per (point, mode) pair so replays are independent.
     """
-
-    #: A crash during restart is retried; the monkey's latch guarantees
-    #: the second attempt passes, so two attempts suffice (the bound is
-    #: defensive).
-    MAX_RESTART_ATTEMPTS = 4
 
     def __init__(
         self,
@@ -546,7 +571,6 @@ class ChaosHarness:
         verifier = RecoveryVerifier(db)
         monkey = ChaosMonkey()
         monkey.arm(point)
-        nested = 0
         with chaos(monkey):
             try:
                 run_workload()
@@ -556,21 +580,7 @@ class ChaosHarness:
             # during the recovery that follows.
             if not db.crashed:
                 db.crash()
-            for _ in range(self.MAX_RESTART_ATTEMPTS):
-                try:
-                    if db.crashed:
-                        db.restart(recovery_mode)
-                    if db.restart_coordinator is not None:
-                        db.restart_coordinator.recover_everything()
-                    break
-                except SimulatedCrash:
-                    nested += 1
-                    db.crash()
-            else:  # pragma: no cover - latch guarantees termination
-                raise RecoveryError(
-                    f"crash point {point!r}: restart did not converge in "
-                    f"{self.MAX_RESTART_ATTEMPTS} attempts"
-                )
+            nested = restart_until_recovered([db], recovery_mode) - 1
         verifier.detach()
         verifier.verify()
         return CrashPointRun(

@@ -45,7 +45,7 @@ import random
 from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
-from repro.common.errors import RecoveryError, ReproError
+from repro.common.errors import ReproError
 from repro.db.database import Database, RecoveryMode
 from repro.engine import SimEngine, ThreadedEngine
 from repro.recovery.oracle import RecoveryVerifier, logical_digest
@@ -58,6 +58,7 @@ from repro.sim.chaos import (
     registered_crash_points,
     registered_fault_points,
     remove_latency,
+    restart_until_recovered,
 )
 from repro.sim.clock import host_now
 from repro.sim.faults import SimulatedCrash
@@ -66,10 +67,6 @@ from repro.workloads.debit_credit import DebitCreditWorkload
 
 #: The three round kinds (what the generated plan emphasises).
 KINDS = ("crash", "latency", "fault")
-
-#: Crash-during-restart retries; plan crash rules latch after max_fires,
-#: so convergence is guaranteed — the bound is defensive.
-MAX_RESTART_ATTEMPTS = 6
 
 #: Concurrent scripts per round / sequential tail transactions.
 POOL_SCRIPTS = 16
@@ -309,9 +306,7 @@ class TortureHarness:
                 # crash recovery itself; the latch bounds the retries).
                 if not db.crashed:
                     db.crash()
-                restart_attempts = self._restart_until_recovered(
-                    db, recovery_mode
-                )
+                restart_attempts = restart_until_recovered([db], recovery_mode)
             if verifier is not None:
                 verifier.detach()
                 verifier.verify()
@@ -386,8 +381,8 @@ class TortureHarness:
                 # (in-doubt branches resolve against the stable decision
                 # tables during each node's restart).
                 cluster.crash()
-                restart_attempts = self._restart_cluster_until_recovered(
-                    cluster, recovery_mode
+                restart_attempts = restart_until_recovered(
+                    [node.db for node in cluster.nodes], recovery_mode
                 )
             try:
                 bank.check_invariants()
@@ -450,40 +445,6 @@ class TortureHarness:
         workload._history_id = base_hid + POOL_SCRIPTS
         scheduler.run()
 
-    def _restart_until_recovered(
-        self, db: Database, mode: RecoveryMode
-    ) -> int:
-        for attempt in range(1, MAX_RESTART_ATTEMPTS + 1):
-            try:
-                if db.crashed:
-                    db.restart(mode)
-                if db.restart_coordinator is not None:
-                    db.restart_coordinator.recover_everything()
-                return attempt
-            except SimulatedCrash:
-                db.crash()
-        raise RecoveryError(
-            f"restart did not converge in {MAX_RESTART_ATTEMPTS} attempts"
-        )
-
-    def _restart_cluster_until_recovered(self, cluster, mode: RecoveryMode) -> int:
-        for attempt in range(1, MAX_RESTART_ATTEMPTS + 1):
-            try:
-                for node in cluster.nodes:
-                    if node.crashed:
-                        node.restart(mode)
-                    node.recover_everything()
-                return attempt
-            except SimulatedCrash:
-                # Re-crash the whole cluster: recovery is idempotent, and
-                # the latch on crash rules bounds the retries.
-                for node in cluster.nodes:
-                    if not node.crashed:
-                        node.crash()
-        raise RecoveryError(
-            f"cluster restart did not converge in {MAX_RESTART_ATTEMPTS} attempts"
-        )
-
     # -- checks ---------------------------------------------------------------
 
     def _count_history(self, db: Database) -> int:
@@ -525,7 +486,7 @@ class TortureHarness:
         """Recovery must be a fixed point: crash again with no new work,
         recover, and land on the byte-identical digest."""
         db.crash()
-        self._restart_until_recovered(db, mode)
+        restart_until_recovered([db], mode)
         again = logical_digest(db)
         if again != digest:
             raise TortureFailure(
@@ -538,7 +499,7 @@ class TortureHarness:
     ) -> None:
         """Every node's recovery must be a fixed point, cluster-wide."""
         cluster.crash()
-        self._restart_cluster_until_recovered(cluster, mode)
+        restart_until_recovered([node.db for node in cluster.nodes], mode)
         again = cluster.digests()
         if again != digests:
             changed = sorted(

@@ -13,6 +13,7 @@ import pytest
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common.errors import ConfigurationError, RecoveryError
 from repro.engine import ThreadedEngine
+from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
 from repro.sim.chaos import ChaosMonkey, chaos, registered_crash_points
 from repro.sim.faults import SimulatedCrash
@@ -462,6 +463,62 @@ class TestSettlement:
         stats = db.logging_stats()
         assert stats["live_commands"] == 0
         assert stats["commands_settled"] == 5
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint disk dies too: restart with the images lost
+# ---------------------------------------------------------------------------
+
+
+class TestMediaRestore:
+    """The media restore is the restart sequence handed the log history
+    (docs/LOGGING.md, "Media recovery limitation"): unsettled commands
+    re-execute from it, and a settled relation — whose command effects
+    lived only in the lost images — is refused, never regressed."""
+
+    def test_unsettled_commands_survive_the_media_restore(self):
+        rows = {}
+        for how in ("restart", "media restore"):
+            db = Database(small_config())
+            make_bank(db)
+            run_transfers(db, 12, logging="command")
+            live = db.logging_stats()["live_commands"]
+            assert live == 12
+            db.crash()
+            if how == "restart":
+                db.restart(RecoveryMode.EAGER)
+            else:
+                db.checkpoint_disk.disk.destroy()
+                restore_after_checkpoint_media_failure(db)
+            assert db.last_command_replay["commands_replayed"] == live
+            with db.transaction() as txn:
+                rows[how] = [
+                    (row["id"], row["balance"]) for row in db.table("accounts").scan(txn)
+                ]
+        assert rows["media restore"] == rows["restart"]
+        assert {balance for _, balance in rows["restart"]} == {
+            OPENING - 5,
+            OPENING,
+            OPENING + 5,
+        }
+
+    @pytest.mark.parametrize("live_after_sweep", [0, 4])
+    def test_settled_relation_is_refused_not_regressed(self, live_after_sweep):
+        db = Database(small_config())
+        make_bank(db)
+        run_transfers(db, 6, logging="command")
+        assert db.checkpoints.settle_relation("accounts") == 6
+        run_transfers(db, live_after_sweep, logging="command")
+        watermark = db.catalog.relation("accounts").command_watermark
+        assert watermark > 0
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        with pytest.raises(RecoveryError, match=f"watermark {watermark}"):
+            restore_after_checkpoint_media_failure(db)
+        # ... and by an ordinary restart that finds the images gone
+        db.crash()
+        with pytest.raises(RecoveryError, match=f"watermark {watermark}"):
+            db.restart(RecoveryMode.EAGER)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ correctness contract:
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.db.integrity import verify_integrity
 from repro.db.monitor import Monitor
 from repro.engine.threaded import ThreadedEngine
+from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
 from repro.workloads.debit_credit import DebitCreditWorkload
 
@@ -247,6 +249,58 @@ class TestFlipCheckpoints:
             assert stats["log_pages_reclaimed"] > 0
             digest = recovered_digest(db)
             # recovery is a fixed point from the flipped images too
+            assert recovered_digest(db) == digest
+        finally:
+            db.close()
+
+
+class TestChainsDieWithTheDisk:
+    def test_media_restore_forgets_every_chain(self):
+        """Shadow images live on the checkpoint disk; once it is lost no
+        bin may still name one — else the fresh checkpoints that close
+        the media restore are flips onto lost shadows."""
+        config = SystemConfig(
+            log_page_size=512,
+            update_count_threshold=16,
+            log_window_pages=64,
+            log_window_grace_pages=8,
+            condense_enabled=True,
+        )
+        db = Database(config)
+        try:
+            workload = DebitCreditWorkload(
+                db, branches=2, tellers_per_branch=2, accounts_per_branch=10, seed=11
+            )
+            workload.load()
+            workload.run(120)
+            db.pump()
+            # ... plus a chain grown on a partition never checkpointed: the
+            # flip its queued request would take needs no catalog slot
+            hot = db.create_relation("hot", [("id", "int"), ("v", "int")], primary_key="id")
+            with db.transaction(pump=False) as txn:
+                hot.insert(txn, {"id": 1, "v": 0})
+            for _ in range(40):
+                with db.transaction(pump=False) as txn:
+                    row = hot.lookup(txn, 1)
+                    hot.update(txn, row.address, {"v": row["v"] + 1})
+                db.recovery_processor.run_until_drained()
+            drain_condenser(db)
+            stats = db.condenser.stats_snapshot()
+            assert stats["publishes"] > 0 and stats["flips_taken"] > 0
+            chains = [b for b in db.slt.bins() if b.condensed_slot is not None]
+            assert any(b.condensed_base_slot is None for b in chains)
+            assert any(b.condensed_base_slot is not None for b in chains)
+            db.crash()
+            db.checkpoint_disk.disk.destroy()
+            restore_after_checkpoint_media_failure(db)
+            assert all(b.condensed_slot is None for b in db.slt.bins())
+            assert verify_integrity(db) == []
+            assert db.checkpoint_disk.occupied_count == len(
+                db.checkpoints.occupied_slots()
+            )
+            workload.run(40)
+            db.pump()
+            digest = logical_digest(db)
             assert recovered_digest(db) == digest
         finally:
             db.close()

@@ -237,7 +237,7 @@ class TestDutyOrder:
         for duty in ("run_until_drained", "acknowledge_finished"):
             recording(db.recovery_processor, duty)
         recording(db.checkpoints, "process_pending")
-        recording(db.recovery_service, "background_step")
+        recording(db, "background_restore")
         recording(db.condenser, "step")
         db.pump()
         db.close()
@@ -252,13 +252,13 @@ class TestDutyOrder:
             "acknowledge_finished",
             "process_pending",
             "acknowledge_finished",
-            "background_step",
+            "background_restore",
             "step",
         ]
         assert [duty for duty, _ in threaded] == [duty for duty, _ in sim]
         assert {thread for _, thread in sim} == {caller}
         for duty, thread in threaded:
-            on_main_cpu = duty in ("process_pending", "background_step")
+            on_main_cpu = duty in ("process_pending", "background_restore")
             assert thread == (caller if on_main_cpu else "repro-recovery-cpu"), duty
 
 

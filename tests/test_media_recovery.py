@@ -162,6 +162,22 @@ class TestCheckpointDiskFailure:
             assert db.table("items").lookup(txn, 5)["v"] == -5
             assert db.table("items").count(txn) == 40
 
+    def test_ordinary_restart_on_a_dead_disk_falls_back_per_partition(self):
+        """A lost slot is a media failure like a torn one, not a KeyError:
+        every partition takes the history fallback on its own (many scans
+        of the log — which is why the one-pass media restore exists)."""
+        db, rel, addrs = loaded_db()
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        page_count = len(list(db.log_disk.all_lsns()))
+        coordinator = db.restart(RecoveryMode.EAGER)
+        assert coordinator.torn_images_survived > 1
+        assert coordinator.pages_read > page_count
+        with db.transaction() as txn:
+            assert [row["v"] for row in db.table("items").scan(txn)] == [
+                50 + i for i in range(40)
+            ]
+
     def test_media_restore_requires_downtime(self):
         db, rel, addrs = loaded_db()
         with pytest.raises(RecoveryError):
@@ -172,7 +188,8 @@ class TestCheckpointDiskFailure:
         db.crash()
         db.checkpoint_disk.disk.destroy()
         totals = restore_after_checkpoint_media_failure(db)
-        assert totals["partitions_rebuilt"] >= 0
+        assert totals["partitions_rebuilt"] == totals["pages_scanned"] == 0
+        assert not db.crashed and not list(db.catalog.relations())
         rel = db.create_relation("t", [("id", "int")], primary_key="id")
         with db.transaction() as txn:
             rel.insert(txn, {"id": 1})
@@ -393,48 +410,53 @@ class TestParallelMediaRestore:
 
 
 class TestMediaChaos:
-    """Crash injection inside the new scan and apply phases: the restore
-    must be re-runnable from the top after dying at either point."""
+    """The media restore is the restart sequence, so it passes the
+    restart's crash points (plus the scan's and the closing checkpoints');
+    dying at any of them, it must be re-runnable from the top."""
 
-    def _restore_with_crash_at(self, point, engine=None, skip=0):
-        db, rel, addrs = loaded_db(engine=engine)
-        db.crash()
-        db.checkpoint_disk.disk.destroy()
-        monkey = ChaosMonkey()
-        monkey.arm(point, skip=skip)
-        with chaos(monkey):
-            with pytest.raises(SimulatedCrash):
-                restore_after_checkpoint_media_failure(db)
-        assert monkey.fired
-        # Volatile memory is lost with the crash; stable state survives.
-        db.crash()
-        totals = restore_after_checkpoint_media_failure(db)
-        return db, totals
-
-    def test_crash_mid_scan_then_restore_succeeds(self):
-        db, totals = self._restore_with_crash_at("media.scan.page-routed", skip=5)
-        try:
-            assert totals["partitions_rebuilt"] > 0
-            with db.transaction() as txn:
-                table = db.table("items")
-                assert table.count(txn) == 40
-                for i in (0, 17, 39):
-                    assert table.lookup(txn, i)["v"] == 50 + i
-        finally:
-            db.close()
+    POINTS = [
+        ("restart.phase1.queue-reverted", 0),
+        ("restart.phase1.log-drained", 0),
+        ("restart.phase1.catalog-recovered", 0),
+        ("media.scan.page-routed", 5),  # mid-scan
+        ("engine.restore.before-partition", 1),
+        ("restart.phase2.partition-recovered", 1),  # mid-apply
+        ("checkpoint.begin", 1),
+        ("checkpoint.slot-installed", 1),
+        ("checkpoint.image-written", 1),
+        ("checkpoint.committed", 1),
+        ("checkpoint.acknowledged", 1),
+    ]
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_crash_mid_apply_then_restore_succeeds(self, workers):
-        db, totals = self._restore_with_crash_at(
-            "media.apply.partition-rebuilt",
-            engine=ThreadedEngine(workers=workers),
-            skip=1,
-        )
+    @pytest.mark.parametrize("point,skip", POINTS, ids=[name for name, _ in POINTS])
+    def test_rerun_converges(self, point, skip, workers):
+        db, rel, addrs = loaded_db(engine=ThreadedEngine(workers=workers))
         try:
+            rows = self.rows(db)
+            db.crash()
+            db.checkpoint_disk.disk.destroy()
+            monkey = ChaosMonkey()
+            monkey.arm(point, skip=skip)
+            with chaos(monkey):
+                with pytest.raises(SimulatedCrash):
+                    restore_after_checkpoint_media_failure(db)
+            assert monkey.fired
+            # Volatile memory is lost with the crash; stable state survives.
+            db.crash()
+            totals = restore_after_checkpoint_media_failure(db)
             assert totals["partitions_rebuilt"] > 0
+            assert self.rows(db) == rows
+            assert verify_integrity(db) == []
+            # ... and the fresh images carry it through an ordinary crash
             digest = logical_digest(db)  # full residency + consistency
-            assert digest
-            with db.transaction() as txn:
-                assert db.table("items").count(txn) == 40
+            db.crash()
+            db.restart(RecoveryMode.EAGER)
+            assert logical_digest(db) == digest
         finally:
             db.close()
+
+    @staticmethod
+    def rows(db):
+        with db.transaction() as txn:
+            return [(row["id"], row["v"], row["s"]) for row in db.table("items").scan(txn)]

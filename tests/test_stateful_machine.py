@@ -2,9 +2,10 @@
 
 A rule-based state machine drives the real database with inserts,
 updates, deletes, aborts, aborted DDL, checkpoint attempts whose image
-write fails, crash/restart cycles (in both recovery modes), pumps and
-background recovery steps, checking after every step that the database
-matches a plain-dict model of the committed state.
+write fails, crash/restart cycles (in both recovery modes), crashes that
+take the checkpoint disk along (media restore), pumps and background
+recovery steps, checking after every step that the database matches a
+plain-dict model of the committed state.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.common import CatalogError
 from repro.common.errors import MediaFailure
 from repro.db.integrity import verify_integrity
+from repro.recovery import restore_after_checkpoint_media_failure
 from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 
 
@@ -119,6 +121,12 @@ class MmdbMachine(RuleBasedStateMachine):
     def crash_and_restart(self, mode):
         self.db.crash()
         self.db.restart(mode)
+
+    @rule()
+    def crash_and_lose_the_checkpoint_disk(self):
+        self.db.crash()
+        self.db.checkpoint_disk.disk.destroy()
+        restore_after_checkpoint_media_failure(self.db)
 
     @precondition(lambda self: self.db is not None and self.db.restart_coordinator)
     @rule()

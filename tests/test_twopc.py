@@ -11,6 +11,7 @@ branch to the presumed-abort or logged-commit verdict.
 import pytest
 
 from repro import SystemConfig
+from repro.recovery import restore_after_checkpoint_media_failure
 from repro.shard import DECISIONS_KEY, ShardedDatabase
 from repro.sim.chaos import CRASH, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import SimulatedCrash
@@ -154,6 +155,51 @@ class TestParticipantCrash:
         cluster.nodes[0].recover_everything()
         assert cluster.nodes[0].db.twopc.snapshot()["in_doubt_committed"] == 1
         assert balances(cluster, left, right) == (70, 130)
+        assert cluster.twopc.decision_table(0) == {}
+
+
+class TestMediaRestoreResolvesInDoubt:
+    """A node that lost its checkpoint disk along with its memory comes
+    back through the same sequence, in-doubt resolution included."""
+
+    @pytest.mark.parametrize(
+        "point,verdict,expected",
+        [
+            ("shard.2pc.before-decision", "abort", (100, 100)),
+            ("shard.2pc.after-decision", "commit", (70, 130)),
+        ],
+    )
+    def test_prepared_branch_resolved_like_restart(
+        self, cluster, monkeypatch, point, verdict, expected
+    ):
+        left, right = load(cluster)
+        with chaos(crash_at(point)):
+            with pytest.raises(SimulatedCrash):
+                transfer(cluster, left, right)
+        cluster.crash()
+        participant = cluster.nodes[1].db
+        participant.checkpoint_disk.disk.destroy()
+        resolver = participant.in_doubt_resolver
+        acknowledged = []
+        real_acknowledge = resolver.acknowledge
+        monkeypatch.setattr(
+            resolver,
+            "acknowledge",
+            lambda prepare, verdict: (
+                acknowledged.append(verdict),
+                real_acknowledge(prepare, verdict),
+            ),
+        )
+        restore_after_checkpoint_media_failure(participant)
+        assert participant.slb.prepared_txns() == []
+        resolved = participant.twopc.snapshot()
+        assert resolved["in_doubt_found"] == 1
+        assert resolved["in_doubt_committed"] == (verdict == "commit")
+        assert resolved["in_doubt_aborted"] == (verdict == "abort")
+        assert acknowledged == [verdict]
+        cluster.restart_shard(0)
+        cluster.recover_everything()
+        assert balances(cluster, left, right) == expected
         assert cluster.twopc.decision_table(0) == {}
 
 
