@@ -102,12 +102,6 @@ class LoggingModel:
 
     # -- sweeps (the graphs) ---------------------------------------------------------------
 
-    def with_record_size(self, size: int) -> "LoggingModel":
-        return LoggingModel(self.params, size, self.log_page_size, self.update_count)
-
-    def with_page_size(self, size: int) -> "LoggingModel":
-        return LoggingModel(self.params, self.log_record_size, size, self.update_count)
-
     @staticmethod
     def graph1_series(
         record_sizes: list[int],

@@ -9,7 +9,6 @@ from repro.common.errors import (
     CatalogError,
     CheckpointError,
     ConfigurationError,
-    DeadlockError,
     IndexStructureError,
     LockNotHeldError,
     LogError,
@@ -41,7 +40,6 @@ __all__ = [
     "CatalogError",
     "CheckpointError",
     "ConfigurationError",
-    "DeadlockError",
     "DiskParameters",
     "EntityAddress",
     "GIGABYTE",

@@ -56,14 +56,6 @@ class ConcurrencyError(ReproError):
     """Base class for lock-manager failures."""
 
 
-class DeadlockError(ConcurrencyError):
-    """A lock request would create a waits-for cycle; the requester must abort."""
-
-    def __init__(self, message: str, victim: int | None = None):
-        super().__init__(message)
-        self.victim = victim
-
-
 class LockNotHeldError(ConcurrencyError):
     """An unlock (or lock upgrade) was attempted on a lock not held."""
 

@@ -5,10 +5,10 @@ two-phase locks held until transaction commit (section 2.3.2), uses a
 single relation read lock to get a transaction-consistent checkpoint image
 (section 2.4, step 3), and protects short structures with latches.
 
-The simulation is cooperative and single-threaded, so "waiting" means a
-request parks on the lock's queue until the holder releases it; deadlocks
-are detected immediately on a waits-for cycle and surface as
-:class:`~repro.common.errors.DeadlockError` on the requester.
+Every lock conflict is resolved no-wait: the lock manager refuses the
+request and the requester aborts (or, for a checkpoint's relation lock,
+retries on a later pump), so no request ever waits and no deadlock can
+form among 2PL locks.
 """
 
 from repro.concurrency import audit

@@ -3,11 +3,12 @@
 The paper's recovery argument rests on two concurrency disciplines that a
 type checker cannot see:
 
-* **Lock leveling** — the hierarchy relation-lock → entity-lock must be
-  acquired top-down, and the short physical latches (the SLB block free
+* **Lock leveling** — the short physical latches (the SLB block free
   list, the checkpoint-disk allocation map — sections 2.3.1 and 2.4) must
-  have a consistent global order.  An inversion anywhere is a latent
-  deadlock that the waits-for detector can only turn into an abort storm.
+  have a consistent global order, among themselves and below the relation
+  locks they are taken under.  A latch is the only thing in the system
+  that can wait, and nothing detects a latch deadlock: an inversion
+  anywhere is a latent hang.
 * **No latch across a crash boundary** — section 2.5 forbids holding a
   latch across a recovery wait; the same reasoning applies to any point
   where the simulation may crash (a latch holder that dies leaves the
@@ -21,27 +22,26 @@ into :class:`~repro.concurrency.locks.LockManager` and
 :func:`repro.sim.chaos.crash_point`.
 
 Lock *instances* are normalised to ordering **nodes** before edges are
-recorded, and only resources that can ever *wait* enter the graph:
+recorded:
 
-* relation-level locks keep their identity (``relation:<segment>``) —
-  checkpoint transactions block on them (section 2.4, step 3), so their
-  acquisition order across code paths must be consistent;
 * every latch keeps its identity (``latch:<name>``) — latches have no
   deadlock detector at all, so their global order must be total;
-* entity locks are **excluded** from the ordering graph: transactions
-  acquire them no-wait (a refused request aborts the requester —
-  conservative deadlock avoidance), so no waits-for cycle can pass
-  through them, and their per-key acquisition order is legitimately
-  schedule-dependent.  They still count toward the acquisition total
-  and the locks-under-latch tally.
+* relation-level locks keep their identity (``relation:<segment>``) as
+  the *held* end of an edge — a checkpoint copies a partition and
+  allocates its slot under one (section 2.4, step 3), so which latches
+  are taken beneath a relation lock is part of the order;
+* entity locks are **excluded** from the ordering graph: their per-key
+  acquisition order is legitimately schedule-dependent.  They still
+  count toward the acquisition total and the locks-under-latch tally.
 
 A deadlock needs every participant *waiting* on the next, so an edge
-A → B is recorded only when B's acquisition could block: lock-manager
-requests made with ``wait=True``, and every latch acquisition (a latch
-that is busy on real hardware spins or blocks — the cooperative
-simulation merely cannot express it).  No-wait lock requests never join
-a waits-for cycle and therefore contribute no edges, whatever is held
-at the time.
+A → B is recorded only when B's acquisition could wait — and only a
+latch can (a latch that is busy on real hardware spins or blocks; the
+cooperative simulation merely cannot express it).  The lock manager is
+no-wait: a 2PL request is granted or refused on the spot, relation
+locks included (a checkpoint whose relation lock is refused retries on
+a later pump), so a lock acquisition is never the *acquired* end of an
+edge, whatever is held at the time.
 
 2PL locks are deliberately **not** flagged when held across a crash
 point: strict two-phase locking holds every lock through the commit-record
@@ -80,10 +80,10 @@ def active_recorder() -> "LockOrderRecorder | None":
 # -- hook entry points (called from locks.py / latch.py / the plugin) --------
 
 
-def lock_acquired(owner: int, resource: Hashable, *, blocking: bool) -> None:
+def lock_acquired(owner: int, resource: Hashable) -> None:
     rec = _recorder
     if rec is not None:
-        rec.on_lock_acquired(owner, resource, blocking=blocking)
+        rec.on_lock_acquired(owner, resource)
 
 
 def lock_released(owner: int, resource: Hashable) -> None:
@@ -113,12 +113,11 @@ def latch_released(owner: int, name: str) -> None:
 
 def normalize(resource: Hashable) -> str | None:
     """Map a lock-manager resource to its ordering node, or None for
-    resources that never wait (entity locks) and so stay out of the
-    ordering graph.
+    resources that stay out of the ordering graph (entity locks).
 
     ``("rel", segment_id)`` tuples (see
     :meth:`~repro.txn.transaction.Transaction.lock_relation`) are the
-    relation-level read/intent locks checkpointers block on.
+    relation-level read/intent locks checkpointers copy under.
     """
     if isinstance(resource, tuple) and len(resource) == 2 and resource[0] == "rel":
         return f"relation:{resource[1]}"
@@ -191,7 +190,7 @@ class AuditReport:
 class LockOrderRecorder:
     """Builds a global lock-order graph from acquisition events.
 
-    For every acquisition of node ``B`` by an owner currently holding
+    For every latch acquisition ``B`` by an owner currently holding
     node ``A`` (A != B) an edge A → B is recorded.  A cycle in the
     resulting graph means two code paths disagree about acquisition
     order — a latent deadlock even if no test schedule happened to
@@ -199,8 +198,10 @@ class LockOrderRecorder:
     """
 
     def __init__(self):
-        #: owner -> multiset of held ordering nodes (2PL locks).
-        self._held_locks: dict[int, Counter[str]] = {}
+        #: owner -> held ordering nodes (2PL locks).  A set, as the lock
+        #: table holds one entry per (owner, resource) however often it
+        #: was re-requested: one release drops the node.
+        self._held_locks: dict[int, set[str]] = {}
         #: owner -> multiset of held latch nodes.
         self._held_latches: dict[int, Counter[str]] = {}
         #: thread ident -> multiset of (owner, latch node) held *by that
@@ -212,10 +213,10 @@ class LockOrderRecorder:
         self._edges: dict[tuple[str, str], OrderingEdge] = {}
         self.acquisitions = 0
         self._latch_crash_violations: list[LatchCrashViolation] = []
-        #: Acquiring a 2PL lock while holding a latch is reported as an
-        #: ordinary ordering edge *and* tallied here: a latch that waits
-        #: on a lock waits for an unbounded time, defeating the paper's
-        #: "critical sections only for block allocation" argument.
+        #: Acquiring a 2PL lock while holding a latch adds no edge (the
+        #: request cannot wait) but is tallied here: it stretches the
+        #: latch past the paper's "critical sections only for block
+        #: allocation" argument.
         self.locks_under_latch: Counter[str] = Counter()
         #: Events arrive from every engine thread; the graph and the
         #: held-sets mutate under one lock.
@@ -223,7 +224,7 @@ class LockOrderRecorder:
 
     # -- event intake -------------------------------------------------------
 
-    def _record_edges(self, owner: int, node: str, witness_to: str) -> None:
+    def _record_edges(self, owner: int, node: str) -> None:
         for source in (self._held_locks, self._held_latches):
             held = source.get(owner)
             if not held:
@@ -235,14 +236,12 @@ class LockOrderRecorder:
                 edge = self._edges.get(key)
                 if edge is None:
                     self._edges[key] = OrderingEdge(
-                        prior, node, f"owner {owner}: {prior} then {witness_to}"
+                        prior, node, f"owner {owner}: {prior} then {node}"
                     )
                 else:
                     edge.count += 1
 
-    def on_lock_acquired(
-        self, owner: int, resource: Hashable, *, blocking: bool
-    ) -> None:
+    def on_lock_acquired(self, owner: int, resource: Hashable) -> None:
         with self._mutex:
             self.acquisitions += 1
             latches = self._held_latches.get(owner)
@@ -250,22 +249,14 @@ class LockOrderRecorder:
                 for latch in latches:
                     self.locks_under_latch[latch] += 1
             node = normalize(resource)
-            if node is None:
-                return
-            if blocking:
-                self._record_edges(owner, node, f"{node} ({resource!r})")
-            self._held_locks.setdefault(owner, Counter())[node] += 1
+            if node is not None:
+                self._held_locks.setdefault(owner, set()).add(node)
 
     def on_lock_released(self, owner: int, resource: Hashable) -> None:
         with self._mutex:
             node = normalize(resource)
-            if node is None:
-                return
-            held = self._held_locks.get(owner)
-            if held and held[node] > 0:
-                held[node] -= 1
-                if held[node] == 0:
-                    del held[node]
+            if node is not None:
+                self._held_locks.get(owner, set()).discard(node)
 
     def on_locks_dropped(self, owner: int) -> None:
         with self._mutex:
@@ -276,7 +267,7 @@ class LockOrderRecorder:
         tid = threading.get_ident()
         with self._mutex:
             self.acquisitions += 1
-            self._record_edges(owner, node, node)
+            self._record_edges(owner, node)
             self._held_latches.setdefault(owner, Counter())[node] += 1
             self._thread_latches.setdefault(tid, Counter())[(owner, node)] += 1
 

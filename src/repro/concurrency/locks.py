@@ -2,25 +2,25 @@
 
 Resources are arbitrary hashable names — the database locks
 :class:`~repro.common.types.EntityAddress` values for tuples and index
-components, and ``("relation", segment_id)`` names for the relation-level
+components, and ``("rel", segment_id)`` names for the relation-level
 read locks that checkpoint transactions take (paper section 2.4).
 
-Lock modes are shared / exclusive with upgrade support.  Requests that
-conflict join a FIFO wait queue; a waits-for cycle is detected at request
-time and aborts the requester with :class:`DeadlockError` (the youngest
-transaction in the cycle is the victim by construction: it is the one that
-would have closed the cycle).
+Lock modes are intent / shared / exclusive with upgrade support.  Every
+conflict is resolved **no-wait**: a request that cannot be granted is
+refused on the spot and the table is left exactly as it was — the
+requester aborts (:meth:`~repro.txn.transaction.Transaction.lock`) or, for
+a checkpoint's relation lock, tries again on a later pump.  Nothing ever
+waits for a lock, so there is no queue, no waits-for graph and no
+deadlock to detect; the manager is a table of who holds what.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Hashable
 
-from repro.common.errors import ConcurrencyError, DeadlockError, LockNotHeldError
+from repro.common.errors import LockNotHeldError
 from repro.concurrency import audit
 
 Resource = Hashable
@@ -84,133 +84,55 @@ def _covers(held: LockMode, wanted: LockMode) -> bool:
     return False
 
 
-@dataclass
-class _LockState:
-    """Holders and waiters of one resource."""
-
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    waiters: deque[tuple[int, LockMode]] = field(default_factory=deque)
-
-    def compatible_with_others(self, txn_id: int, mode: LockMode) -> bool:
-        return all(
-            mode.compatible_with(held)
-            for holder, held in self.holders.items()
-            if holder != txn_id
-        )
-
-
 class LockManager:
-    """Strict two-phase locking over named resources.
+    """Strict two-phase locking over named resources, no-wait.
 
     All public entry points serialise on one internal mutex: under the
     concurrent scheduler several worker threads request, release, and
-    inspect locks simultaneously, and grant/wait decisions must observe a
-    consistent lock table.  The mutex is a leaf in the global order
-    (structure mutex → latch → stable lock): no lock, latch, or stable
-    access is ever taken while it is held — the audit-recorder hooks fire
-    inside it, but the recorder's own mutex is strictly interior.
+    inspect locks simultaneously, and every grant/refuse decision must
+    observe a consistent lock table.  The mutex is a leaf in the global
+    order (structure mutex → latch → stable lock): no lock, latch, or
+    stable access is ever taken while it is held — the audit-recorder
+    hooks fire inside it, but the recorder's own mutex is strictly
+    interior.
     """
 
     def __init__(self):
-        self._locks: dict[Resource, _LockState] = {}
+        #: resource -> {holder: mode held}; a resource nobody holds has
+        #: no entry.
+        self._holders: dict[Resource, dict[int, LockMode]] = {}
         self._held_by_txn: dict[int, set[Resource]] = {}
-        self._waiting_on: dict[int, Resource] = {}
         self._mutex = threading.RLock()
 
     # -- acquisition ---------------------------------------------------------
 
-    def acquire(
-        self, txn_id: int, resource: Resource, mode: LockMode, *, wait: bool = True
-    ) -> bool:
+    def acquire(self, txn_id: int, resource: Resource, mode: LockMode) -> bool:
         """Request ``mode`` on ``resource`` for ``txn_id``.
 
-        Returns True if granted immediately.  If the request conflicts and
-        ``wait`` is true, the transaction is parked on the wait queue and
-        False is returned — the caller resumes when
-        :meth:`release_all` (or :meth:`release`) grants it, observable via
-        :meth:`holds`.  With ``wait=False`` a conflicting request simply
-        returns False without queueing.
-
-        Raises :class:`DeadlockError` when waiting would create a cycle.
+        Returns True if granted.  A re-request the held mode already
+        covers is free.  An upgrade holds the JOIN of the held and
+        requested modes (S ∨ IX promotes to X), and it is the join that
+        must be compatible with every other holder.  A conflicting
+        request returns False and changes nothing.
         """
         with self._mutex:
-            state = self._locks.setdefault(resource, _LockState())
-            if self._can_grant(state, txn_id, mode):
-                self._grant(state, txn_id, resource, mode, blocking=wait)
-                return True
-            if not wait:
-                return False
-            already_waiting_on = self._waiting_on.get(txn_id)
-            if already_waiting_on is not None:
-                if already_waiting_on == resource:
-                    return False  # request already queued; do not double-enqueue
-                raise ConcurrencyError(
-                    f"txn {txn_id} requested {resource!r} while already waiting "
-                    f"on {already_waiting_on!r}"
-                )
-            self._check_deadlock(txn_id, resource, state)
-            state.waiters.append((txn_id, mode))
-            self._waiting_on[txn_id] = resource
-            return False
-
-    def _can_grant(self, state: _LockState, txn_id: int, mode: LockMode) -> bool:
-        held = state.holders.get(txn_id)
-        if held is not None and _covers(held, mode):
-            return True  # re-entrant / already strong enough
-        if held is not None:
-            # upgrade: the mode that would actually be held is the JOIN of
-            # the current and requested modes (S ∨ IX promotes to X), and
-            # it is the join that must be compatible with every other
-            # holder.  Upgrades may bypass the wait queue, as is
-            # conventional.
-            return state.compatible_with_others(txn_id, _join(held, mode))
-        # brand-new request: fairness — do not jump ahead of waiters
-        if state.waiters:
-            return False
-        return state.compatible_with_others(txn_id, mode)
-
-    def _grant(
-        self,
-        state: _LockState,
-        txn_id: int,
-        resource: Resource,
-        mode: LockMode,
-        *,
-        blocking: bool,
-    ) -> None:
-        held = state.holders.get(txn_id)
-        state.holders[txn_id] = mode if held is None else _join(held, mode)
-        self._held_by_txn.setdefault(txn_id, set()).add(resource)
-        audit.lock_acquired(txn_id, resource, blocking=blocking)
-
-    # -- deadlock detection ------------------------------------------------------
-
-    def _check_deadlock(
-        self, txn_id: int, resource: Resource, state: _LockState
-    ) -> None:
-        """DFS over the waits-for graph rooted at the holders of ``resource``."""
-        blockers = set(state.holders) | {waiter for waiter, _ in state.waiters}
-        blockers.discard(txn_id)
-        seen: set[int] = set()
-        stack = list(blockers)
-        while stack:
-            current = stack.pop()
-            if current == txn_id:
-                raise DeadlockError(
-                    f"transaction {txn_id} waiting on {resource!r} would deadlock",
-                    victim=txn_id,
-                )
-            if current in seen:
-                continue
-            seen.add(current)
-            blocked_on = self._waiting_on.get(current)
-            if blocked_on is None:
-                continue
-            next_state = self._locks[blocked_on]
-            stack.extend(set(next_state.holders) - seen)
-            stack.extend(
-                waiter for waiter, _ in next_state.waiters if waiter not in seen
-            )
+            holders = self._holders.get(resource)
+            held = holders.get(txn_id) if holders else None
+            if held is None or not _covers(held, mode):
+                wanted = mode if held is None else _join(held, mode)
+                if holders is None:
+                    self._holders[resource] = {txn_id: wanted}
+                elif all(
+                    wanted.compatible_with(other)
+                    for holder, other in holders.items()
+                    if holder != txn_id
+                ):
+                    holders[txn_id] = wanted
+                else:
+                    return False
+                self._held_by_txn.setdefault(txn_id, set()).add(resource)
+            audit.lock_acquired(txn_id, resource)
+            return True
 
     # -- release -----------------------------------------------------------------
 
@@ -222,72 +144,41 @@ class LockManager:
         read lock as soon as the partition copy is made (section 2.4).
         """
         with self._mutex:
-            state = self._locks.get(resource)
-            if state is None or txn_id not in state.holders:
+            if txn_id not in self._holders.get(resource, ()):
                 raise LockNotHeldError(f"txn {txn_id} does not hold {resource!r}")
-            del state.holders[txn_id]
+            self._drop(txn_id, resource)
             self._held_by_txn[txn_id].discard(resource)
             audit.lock_released(txn_id, resource)
-            self._wake_waiters(resource, state)
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock of a committing or aborting transaction."""
         with self._mutex:
-            self._cancel_wait(txn_id)
             audit.locks_dropped(txn_id)
-            for resource in self._held_by_txn.pop(txn_id, set()):
-                state = self._locks[resource]
-                state.holders.pop(txn_id, None)
-                self._wake_waiters(resource, state)
+            for resource in self._held_by_txn.pop(txn_id, ()):
+                self._drop(txn_id, resource)
 
-    def _cancel_wait(self, txn_id: int) -> None:
-        resource = self._waiting_on.pop(txn_id, None)
-        if resource is None:
-            return
-        state = self._locks[resource]
-        state.waiters = deque(
-            (waiter, mode) for waiter, mode in state.waiters if waiter != txn_id
-        )
-
-    def _wake_waiters(self, resource: Resource, state: _LockState) -> None:
-        """Grant as many queued requests as compatibility allows, in FIFO order."""
-        while state.waiters:
-            txn_id, mode = state.waiters[0]
-            held = state.holders.get(txn_id)
-            effective = mode if held is None else _join(held, mode)
-            if not state.compatible_with_others(txn_id, effective):
-                break
-            state.waiters.popleft()
-            del self._waiting_on[txn_id]
-            self._grant(state, txn_id, resource, mode, blocking=True)
-        if not state.holders and not state.waiters:
-            del self._locks[resource]
+    def _drop(self, txn_id: int, resource: Resource) -> None:
+        holders = self._holders[resource]
+        del holders[txn_id]
+        if not holders:
+            del self._holders[resource]
 
     # -- inspection ----------------------------------------------------------------
 
     def holds(self, txn_id: int, resource: Resource, mode: LockMode | None = None) -> bool:
         with self._mutex:
-            state = self._locks.get(resource)
-            if state is None:
-                return False
-            held = state.holders.get(txn_id)
-            if held is None:
-                return False
-            return mode is None or _covers(held, mode)
-
-    def is_waiting(self, txn_id: int) -> bool:
-        with self._mutex:
-            return txn_id in self._waiting_on
+            holders = self._holders.get(resource)
+            held = holders.get(txn_id) if holders else None
+            return held is not None and (mode is None or _covers(held, mode))
 
     def locks_held(self, txn_id: int) -> set[Resource]:
         with self._mutex:
-            return set(self._held_by_txn.get(txn_id, set()))
+            return set(self._held_by_txn.get(txn_id, ()))
 
     def crash(self) -> None:
         """Lose all lock state (lock tables are volatile)."""
         with self._mutex:
             for txn_id in list(self._held_by_txn):
                 audit.locks_dropped(txn_id)
-            self._locks.clear()
+            self._holders.clear()
             self._held_by_txn.clear()
-            self._waiting_on.clear()

@@ -101,10 +101,6 @@ class NodeStore:
     def sink(self, value: ChangeSink | None) -> None:
         self._sink_override.value = value
 
-    def with_sink(self, sink: ChangeSink | None) -> "NodeStore":
-        """A view of the same segment reporting to a different sink."""
-        return NodeStore(self.segment, sink)
-
     # -- operations -------------------------------------------------------------
 
     def allocate(self, data: bytes) -> EntityAddress:

@@ -45,7 +45,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.common.errors import CatalogError
-from repro.common.types import NULL_LSN
 from repro.recovery.redo import IMAGE_FAILURES, enumerate_log_pages, load_base
 from repro.recovery.replay_plan import decode_live_commands
 from repro.sim.chaos import crash_point, register_crash_point
@@ -219,10 +218,7 @@ class Condenser:
             if shadow == catalog_slot:
                 bin_.condensed_base_slot = catalog_slot
                 return None
-            bin_.condensed_slot = None
-            bin_.condensed_base_slot = None
-            bin_.condensed_lsn = NULL_LSN
-            bin_.condensed_pages = 0
+            self.db.slt.clear_condense_state(bin_.bin_index)
         self.discards += 1
         return shadow
 
@@ -261,10 +257,7 @@ class Condenser:
                 dropped = False
                 with bin_.mutex:
                     if bin_.condensed_slot == shadow:
-                        bin_.condensed_slot = None
-                        bin_.condensed_base_slot = None
-                        bin_.condensed_lsn = NULL_LSN
-                        bin_.condensed_pages = 0
+                        db.slt.clear_condense_state(bin_.bin_index)
                         dropped = True
                 if dropped:  # free outside the bin mutex (lock order)
                     self.discards += 1

@@ -193,9 +193,6 @@ class ChaosMonkey:
         self._skip = skip
         self.fired_at = None
 
-    def disarm(self) -> None:
-        self._armed = None
-
     def visit(self, name: str) -> None:
         self.hits[name] = self.hits.get(name, 0) + 1
         if name != self._armed:

@@ -275,13 +275,7 @@ class TortureHarness:
             workload.load()
             plan = build_plan(spec, rng)
             injector = ChaosEngine(plan)
-            install_latency(
-                db,
-                injector,
-                disk_scale=rng.uniform(0.002, 0.01),
-                cpu_scale=rng.uniform(1.0, 8.0),
-                jitter=(0.0, 0.0005),
-            )
+            self._install_latency([db], injector, rng)
             recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
 
             crashed_mid_pool = False
@@ -311,8 +305,8 @@ class TortureHarness:
                 verifier.detach()
                 verifier.verify()
             digest = self._check_invariants(db, workload)
-            self._check_recovery_stability(db, recovery_mode, digest)
-            self._check_fault_accounting(db, injector)
+            self._check_recovery_stability([db], recovery_mode, [digest])
+            self._check_fault_accounting([db], injector)
             commits = self._count_history(db)
         finally:
             remove_latency(db)
@@ -347,6 +341,7 @@ class TortureHarness:
             engine=spec.engine,
             workers=spec.workers,
         )
+        dbs = [node.db for node in cluster.nodes]
         try:
             bank = ShardedBankWorkload(
                 cluster,
@@ -357,16 +352,7 @@ class TortureHarness:
             bank.load()
             plan = build_plan(spec, rng)
             injector = ChaosEngine(plan)
-            disk_scale = rng.uniform(0.002, 0.01)
-            cpu_scale = rng.uniform(1.0, 8.0)
-            for node in cluster.nodes:
-                install_latency(
-                    node.db,
-                    injector,
-                    disk_scale=disk_scale,
-                    cpu_scale=cpu_scale,
-                    jitter=(0.0, 0.0005),
-                )
+            self._install_latency(dbs, injector, rng)
             recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
             with chaos(injector):
                 scheduler = ShardedScheduler(
@@ -381,9 +367,7 @@ class TortureHarness:
                 # (in-doubt branches resolve against the stable decision
                 # tables during each node's restart).
                 cluster.crash()
-                restart_attempts = restart_until_recovered(
-                    [node.db for node in cluster.nodes], recovery_mode
-                )
+                restart_attempts = restart_until_recovered(dbs, recovery_mode)
             try:
                 bank.check_invariants()
             except AssertionError as exc:
@@ -393,17 +377,17 @@ class TortureHarness:
                     f"recovery left distributed txns in flight: "
                     f"{cluster.twopc.pending_gtids()}"
                 )
-            digests = cluster.digests()
-            self._check_sharded_stability(cluster, recovery_mode, digests)
-            self._check_sharded_fault_accounting(cluster, injector)
+            digests = [logical_digest(db) for db in dbs]
+            self._check_recovery_stability(dbs, recovery_mode, digests)
+            self._check_fault_accounting(dbs, injector)
             # The stable SLB commit counters survive the crash (the
             # manager's in-memory tallies do not).
-            committed = sum(node.db.slb.commits for node in cluster.nodes)
+            committed = sum(db.slb.commits for db in dbs)
         finally:
-            for node in cluster.nodes:
-                remove_latency(node.db)
+            for db in dbs:
+                remove_latency(db)
             cluster.close()
-        digest = "|".join(f"{sid}:{d[:16]}" for sid, d in sorted(digests.items()))
+        digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
         return RoundResult(
             seed=spec.seed,
             kind=spec.kind,
@@ -422,6 +406,21 @@ class TortureHarness:
         )
 
     # -- phases ---------------------------------------------------------------
+
+    def _install_latency(
+        self, dbs: list[Database], injector: ChaosEngine, rng: random.Random
+    ) -> None:
+        """One seeded pair of bridge scales, on every database of the round."""
+        disk_scale = rng.uniform(0.002, 0.01)
+        cpu_scale = rng.uniform(1.0, 8.0)
+        for db in dbs:
+            install_latency(
+                db,
+                injector,
+                disk_scale=disk_scale,
+                cpu_scale=cpu_scale,
+                jitter=(0.0, 0.0005),
+            )
 
     def _run_pool(
         self,
@@ -481,71 +480,39 @@ class TortureHarness:
         return logical_digest(db)
 
     def _check_recovery_stability(
-        self, db: Database, mode: RecoveryMode, digest: str
+        self, dbs: list[Database], mode: RecoveryMode, digests: list[str]
     ) -> None:
-        """Recovery must be a fixed point: crash again with no new work,
-        recover, and land on the byte-identical digest."""
-        db.crash()
-        restart_until_recovered([db], mode)
-        again = logical_digest(db)
-        if again != digest:
-            raise TortureFailure(
-                f"recovery is not stable: second recovery digest "
-                f"{again[:16]}… != first {digest[:16]}…"
-            )
-
-    def _check_sharded_stability(
-        self, cluster, mode: RecoveryMode, digests: dict[int, str]
-    ) -> None:
-        """Every node's recovery must be a fixed point, cluster-wide."""
-        cluster.crash()
-        restart_until_recovered([node.db for node in cluster.nodes], mode)
-        again = cluster.digests()
+        """Recovery must be a fixed point on every database of the round:
+        crash again with no new work, recover, and land on byte-identical
+        digests."""
+        for db in dbs:
+            db.crash()
+        restart_until_recovered(dbs, mode)
+        again = [logical_digest(db) for db in dbs]
         if again != digests:
-            changed = sorted(
-                sid for sid in digests if again.get(sid) != digests[sid]
-            )
+            changed = [
+                f"{i}: {b[:16]}… != first {a[:16]}…"
+                for i, (a, b) in enumerate(zip(digests, again))
+                if a != b
+            ]
             raise TortureFailure(
-                f"sharded recovery is not stable: shards {changed} produced "
-                f"different digests on the second recovery"
+                f"recovery is not stable: second recovery digest of database "
+                f"{'; '.join(changed)}"
             )
 
-    def _check_sharded_fault_accounting(self, cluster, injector: ChaosEngine) -> None:
-        counted = sum(
-            node.db.log_disk.io_stats.faults
-            + node.db.checkpoint_disk.io_stats.faults
-            for node in cluster.nodes
-        )
+    def _check_fault_accounting(
+        self, dbs: list[Database], injector: ChaosEngine
+    ) -> None:
+        stats = [
+            disk.io_stats for db in dbs for disk in (db.log_disk, db.checkpoint_disk)
+        ]
+        counted = sum(s.faults for s in stats)
         if counted != injector.faults_fired:
             raise TortureFailure(
                 f"retry layers counted {counted} transient faults but the "
                 f"plan injected {injector.faults_fired}"
             )
-        escalations = sum(
-            node.db.log_disk.io_stats.escalations
-            + node.db.checkpoint_disk.io_stats.escalations
-            for node in cluster.nodes
-        )
-        if escalations:
-            raise TortureFailure(
-                f"{escalations} transient faults escalated to MediaFailure "
-                f"despite per-rule fires within the retry budget"
-            )
-
-    def _check_fault_accounting(
-        self, db: Database, injector: ChaosEngine
-    ) -> None:
-        counted = db.log_disk.io_stats.faults + db.checkpoint_disk.io_stats.faults
-        injected = injector.faults_fired
-        if counted != injected:
-            raise TortureFailure(
-                f"retry layer counted {counted} transient faults but the "
-                f"plan injected {injected}"
-            )
-        escalations = (
-            db.log_disk.io_stats.escalations
-            + db.checkpoint_disk.io_stats.escalations
-        )
+        escalations = sum(s.escalations for s in stats)
         if escalations:
             raise TortureFailure(
                 f"{escalations} transient faults escalated to MediaFailure "

@@ -146,7 +146,7 @@ class Transaction:
     def lock(self, resource, mode: LockMode) -> None:
         """Acquire a lock or die: a refused request aborts this transaction."""
         self._ensure_active()
-        granted = self.db.locks.acquire(self.txn_id, resource, mode, wait=False)
+        granted = self.db.locks.acquire(self.txn_id, resource, mode)
         if not granted:
             self.abort()
             raise TransactionAborted(

@@ -88,10 +88,6 @@ class PartitionBin:
         """Active = has outstanding log information (section 2.3.3)."""
         return bool(self.buffer) or self.flushed_pages > 0
 
-    @property
-    def oldest_lsn(self) -> int:
-        return self.first_page_lsn
-
 
 class StableLogTail:
     """The bin table, living in stable reliable memory."""

@@ -1,18 +1,28 @@
-"""Tests for the two-phase lock manager and latches."""
+"""Tests for the no-wait two-phase lock table and latches."""
 
 import pytest
 
-from repro.common import DeadlockError, LockNotHeldError
+from repro.common import LockNotHeldError
 from repro.concurrency import Latch, LockManager, LockMode
 from repro.concurrency.latch import LatchViolationError
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
+IS = LockMode.INTENT_SHARED
+IX = LockMode.INTENT_EXCLUSIVE
 
 
 @pytest.fixture()
 def lm():
     return LockManager()
+
+
+def _snapshot(lm, txns=(1, 2, 3)):
+    """Everything the public surface shows of the table, plus the table."""
+    return (
+        {txn: lm.locks_held(txn) for txn in txns},
+        {resource: dict(holders) for resource, holders in lm._holders.items()},
+    )
 
 
 class TestBasicLocking:
@@ -28,22 +38,36 @@ class TestBasicLocking:
 
     def test_exclusive_blocks_shared(self, lm):
         lm.acquire(1, "r", X)
+        before = _snapshot(lm)
         assert not lm.acquire(2, "r", S)
-        assert lm.is_waiting(2)
+        assert _snapshot(lm) == before
 
     def test_shared_blocks_exclusive(self, lm):
         lm.acquire(1, "r", S)
         assert not lm.acquire(2, "r", X)
 
     def test_nowait_does_not_queue(self, lm):
+        """A refused request leaves nothing behind: once the holder is
+        gone the table is empty, and only a *new* request gets the lock."""
         lm.acquire(1, "r", X)
-        assert not lm.acquire(2, "r", S, wait=False)
-        assert not lm.is_waiting(2)
+        assert not lm.acquire(2, "r", S)
+        lm.release_all(1)
+        assert not lm.holds(2, "r")
+        assert lm._holders == {}
+        assert lm.acquire(2, "r", S)
+
+    def test_refused_fresh_request_creates_no_table_entry(self, lm):
+        lm.acquire(1, "a", X)
+        before = _snapshot(lm)
+        assert not lm.acquire(2, "a", X)
+        assert _snapshot(lm) == before
+        assert lm.locks_held(2) == set()
 
     def test_reentrant_acquire(self, lm):
         assert lm.acquire(1, "r", X)
         assert lm.acquire(1, "r", X)
         assert lm.acquire(1, "r", S)  # weaker re-request is free
+        assert lm.holds(1, "r", X)
 
     def test_x_satisfies_s_query(self, lm):
         lm.acquire(1, "r", X)
@@ -57,43 +81,29 @@ class TestBasicLocking:
     def test_upgrade_blocked_by_other_sharer(self, lm):
         lm.acquire(1, "r", S)
         lm.acquire(2, "r", S)
+        before = _snapshot(lm)
         assert not lm.acquire(1, "r", X)
-        assert lm.is_waiting(1)
+        assert _snapshot(lm) == before
+        assert lm.holds(1, "r", S) and not lm.holds(1, "r", X)
+        assert lm.holds(2, "r", S)
+
+    def test_ix_join_s_promotes_to_exclusive(self, lm):
+        """IX ∨ S is X (no SIX mode): granted to a sole holder, refused
+        while anyone else holds even the weakest mode."""
+        lm.acquire(1, "r", IX)
+        lm.acquire(2, "r", IS)
+        before = _snapshot(lm)
+        assert not lm.acquire(1, "r", S)
+        assert _snapshot(lm) == before
+        lm.release_all(2)
+        assert lm.acquire(1, "r", S)
+        assert lm.holds(1, "r", X)
+        assert not lm.acquire(2, "r", IS)
 
 
 class TestReleaseAndWakeup:
-    def test_release_all_grants_waiter(self, lm):
-        lm.acquire(1, "r", X)
-        lm.acquire(2, "r", X)
-        lm.release_all(1)
-        assert lm.holds(2, "r", X)
-        assert not lm.is_waiting(2)
-
-    def test_fifo_wakeup_order(self, lm):
-        lm.acquire(1, "r", X)
-        lm.acquire(2, "r", X)
-        lm.acquire(3, "r", X)
-        lm.release_all(1)
-        assert lm.holds(2, "r", X)
-        assert not lm.holds(3, "r", X)
-        assert lm.is_waiting(3)
-
-    def test_batch_grant_of_compatible_shared_waiters(self, lm):
-        lm.acquire(1, "r", X)
-        lm.acquire(2, "r", S)
-        lm.acquire(3, "r", S)
-        lm.release_all(1)
-        assert lm.holds(2, "r", S)
-        assert lm.holds(3, "r", S)
-
-    def test_no_queue_jumping(self, lm):
-        lm.acquire(1, "r", S)
-        lm.acquire(2, "r", X)  # waits
-        # a new shared request must not bypass the queued X
-        assert not lm.acquire(3, "r", S)
-        lm.release_all(1)
-        assert lm.holds(2, "r", X)
-        assert not lm.holds(3, "r", S)
+    """Release paths.  Nothing wakes: a refused request was never queued
+    (``TestBasicLocking::test_nowait_does_not_queue``)."""
 
     def test_early_release_single_resource(self, lm):
         lm.acquire(1, "rel", S)
@@ -101,76 +111,29 @@ class TestReleaseAndWakeup:
         lm.release(1, "rel")
         assert not lm.holds(1, "rel", S)
         assert lm.holds(1, "tuple", X)
+        assert lm.locks_held(1) == {"tuple"}
 
     def test_release_not_held_raises(self, lm):
         with pytest.raises(LockNotHeldError):
             lm.release(1, "ghost")
 
-    def test_release_all_cancels_wait(self, lm):
-        lm.acquire(1, "r", X)
-        lm.acquire(2, "r", X)
-        lm.release_all(2)  # abort the waiter
-        assert not lm.is_waiting(2)
+    def test_release_all_keeps_other_holders(self, lm):
+        lm.acquire(1, "r", S)
+        lm.acquire(2, "r", S)
+        lm.acquire(1, "mine", X)
         lm.release_all(1)
-        # nothing left behind
         assert lm.locks_held(1) == set()
-
-    def test_upgrade_granted_on_release(self, lm):
-        lm.acquire(1, "r", S)
-        lm.acquire(2, "r", S)
-        assert not lm.acquire(1, "r", X)  # waits for upgrade
-        lm.release_all(2)
-        assert lm.holds(1, "r", X)
-
-
-class TestDeadlockDetection:
-    def test_two_txn_cycle_detected(self, lm):
-        lm.acquire(1, "a", X)
-        lm.acquire(2, "b", X)
-        assert not lm.acquire(1, "b", X)  # 1 waits on 2
-        with pytest.raises(DeadlockError) as excinfo:
-            lm.acquire(2, "a", X)  # 2 waits on 1 -> cycle
-        assert excinfo.value.victim == 2
-
-    def test_three_txn_cycle_detected(self, lm):
-        lm.acquire(1, "a", X)
-        lm.acquire(2, "b", X)
-        lm.acquire(3, "c", X)
-        lm.acquire(1, "b", X)
-        lm.acquire(2, "c", X)
-        with pytest.raises(DeadlockError):
-            lm.acquire(3, "a", X)
-
-    def test_no_false_deadlock_on_chain(self, lm):
-        lm.acquire(1, "a", X)
-        lm.acquire(2, "b", X)
-        assert not lm.acquire(2, "a", X)  # simple chain, no cycle
-        assert not lm.acquire(3, "b", S)
-
-    def test_victim_can_recover_by_aborting(self, lm):
-        lm.acquire(1, "a", X)
-        lm.acquire(2, "b", X)
-        lm.acquire(1, "b", X)
-        with pytest.raises(DeadlockError):
-            lm.acquire(2, "a", X)
-        lm.release_all(2)  # victim aborts
-        assert lm.holds(1, "b", X)  # survivor granted
-
-    def test_shared_cycle_through_upgrade(self, lm):
-        lm.acquire(1, "r", S)
-        lm.acquire(2, "r", S)
-        lm.acquire(1, "r", X)  # waits on 2
-        with pytest.raises(DeadlockError):
-            lm.acquire(2, "r", X)  # would wait on 1 -> cycle
+        assert lm._holders == {"r": {2: S}}
 
 
 class TestCrash:
     def test_crash_clears_all_state(self, lm):
         lm.acquire(1, "a", X)
-        lm.acquire(2, "a", X)
+        lm.acquire(2, "b", S)
         lm.crash()
         assert not lm.holds(1, "a", X)
-        assert not lm.is_waiting(2)
+        assert lm.locks_held(2) == set()
+        assert lm._holders == {}
         assert lm.acquire(3, "a", X)
 
 

@@ -85,23 +85,27 @@ class TestRecorderUnit:
         assert "latch:A -> latch:B" in rendered
 
     def test_no_wait_lock_requests_record_no_edges(self):
-        """A no-wait acquisition can never join a waits-for cycle, so it
-        must not contribute ordering edges even when locks are held."""
+        """Every lock request is no-wait and can never join a waits-for
+        cycle, so no lock acquisition adds an ordering edge, whatever
+        locks or latches are held — but a held relation lock is the
+        *held* end of an edge into a latch taken beneath it."""
         rec = LockOrderRecorder()
-        rec.on_lock_acquired(1, ("rel", 1), blocking=True)
-        rec.on_lock_acquired(1, ("rel", 2), blocking=False)
+        rec.on_lock_acquired(1, ("rel", 1))
+        rec.on_lock_acquired(1, ("rel", 2))
+        rec.on_latch_acquired(2, "A")
+        rec.on_lock_acquired(2, ("rel", 3))
         assert rec.report().edges == []
-        # the same second acquisition made blocking does create the edge
-        rec.on_lock_acquired(1, ("rel", 2), blocking=True)
+        rec.on_latch_acquired(1, "B")
         assert [(e.held, e.acquired) for e in rec.report().edges] == [
-            ("relation:1", "relation:2")
+            ("relation:1", "latch:B"),
+            ("relation:2", "latch:B"),
         ]
 
     def test_entity_locks_never_enter_the_graph(self):
         rec = LockOrderRecorder()
-        rec.on_lock_acquired(1, ("rel", 1), blocking=True)
-        rec.on_lock_acquired(1, EntityAddress(1, 0, 0), blocking=True)
-        rec.on_lock_acquired(1, EntityAddress(1, 0, 1), blocking=True)
+        rec.on_lock_acquired(1, ("rel", 1))
+        rec.on_lock_acquired(1, EntityAddress(1, 0, 0))
+        rec.on_lock_acquired(1, EntityAddress(1, 0, 1))
         report = rec.report()
         assert report.edges == []
         assert report.acquisitions == 3  # still counted
@@ -123,7 +127,7 @@ class TestRecorderUnit:
     def test_locks_held_across_crash_points_are_not_flagged(self):
         """Strict 2PL holds locks through the commit write by design."""
         rec = LockOrderRecorder()
-        rec.on_lock_acquired(1, ("rel", 1), blocking=True)
+        rec.on_lock_acquired(1, ("rel", 1))
         rec.on_crash_point("txn.commit.before-slb")
         assert rec.report().latch_crash_violations == []
 
@@ -142,15 +146,15 @@ class TestRecorderUnit:
 
     def test_locks_dropped_clears_the_owner(self):
         rec = LockOrderRecorder()
-        rec.on_lock_acquired(1, ("rel", 1), blocking=True)
+        rec.on_lock_acquired(1, ("rel", 1))
         rec.on_locks_dropped(1)
-        rec.on_lock_acquired(1, ("rel", 2), blocking=True)
+        rec.on_lock_acquired(1, ("rel", 2))
         assert rec.report().edges == []
 
     def test_lock_acquired_under_latch_is_tallied(self):
         rec = LockOrderRecorder()
         rec.on_latch_acquired(1, "alloc-map")
-        rec.on_lock_acquired(1, EntityAddress(1, 0, 0), blocking=True)
+        rec.on_lock_acquired(1, EntityAddress(1, 0, 0))
         assert rec.locks_under_latch == {"latch:alloc-map": 1}
 
     def test_three_node_cycle(self):
@@ -177,21 +181,33 @@ class TestRecorderWiredToRealPrimitives:
             ["latch:audit-test-A", "latch:audit-test-B"]
         ]
 
-    def test_lock_manager_relation_order_inversion(self, recorder):
-        locks = LockManager()
-        locks.acquire(1, ("rel", 1), LockMode.SHARED)
-        locks.acquire(1, ("rel", 2), LockMode.SHARED)
-        locks.release_all(1)
-        locks.acquire(2, ("rel", 2), LockMode.SHARED)
-        locks.acquire(2, ("rel", 1), LockMode.SHARED)
-        locks.release_all(2)
-        assert recorder.report().cycles == [["relation:1", "relation:2"]]
-
     def test_no_wait_acquire_contributes_no_edge(self, recorder):
+        """No acquisition through the real lock manager adds an edge:
+        granted, re-entrant, upgraded or refused."""
         locks = LockManager()
         locks.acquire(1, ("rel", 1), LockMode.SHARED)
-        assert locks.acquire(1, ("rel", 2), LockMode.SHARED, wait=False)
+        assert locks.acquire(1, ("rel", 2), LockMode.SHARED)
+        assert locks.acquire(1, ("rel", 2), LockMode.SHARED)
+        assert locks.acquire(1, ("rel", 2), LockMode.EXCLUSIVE)
+        assert not locks.acquire(2, ("rel", 2), LockMode.SHARED)
         locks.release_all(1)
+        report = recorder.report()
+        assert report.edges == []
+        assert report.acquisitions == 4  # every grant, covered ones included
+
+    def test_early_release_of_a_reentrant_lock_leaves_no_phantom_hold(
+        self, recorder
+    ):
+        """The table holds one entry per (txn, resource) however often it
+        was re-requested, so the checkpoint's early release drops it —
+        and the recorder must not go on witnessing edges from it."""
+        locks = LockManager()
+        locks.acquire(1, ("rel", 5), LockMode.SHARED)
+        locks.acquire(1, ("rel", 5), LockMode.SHARED)
+        locks.release(1, ("rel", 5))
+        assert not locks.holds(1, ("rel", 5))
+        with Latch("audit-test-phantom").held_by(1):
+            pass
         assert recorder.report().edges == []
 
     def test_crash_point_observer_sees_held_latch(self, recorder):
@@ -211,7 +227,7 @@ class TestRecorderWiredToRealPrimitives:
         latch = Latch("audit-test-inactive")
         with latch.held_by(1):
             pass
-        audit.lock_acquired(1, ("rel", 1), blocking=True)
+        audit.lock_acquired(1, ("rel", 1))
         audit.locks_dropped(1)
 
 

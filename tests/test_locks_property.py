@@ -3,8 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import DeadlockError
-from repro.common.errors import ConcurrencyError
 from repro.concurrency import LockManager, LockMode
 
 MODES = [
@@ -30,14 +28,25 @@ action_strategy = st.one_of(
 )
 
 
+def _table(lm: LockManager) -> dict:
+    return {resource: dict(holders) for resource, holders in lm._holders.items()}
+
+
 def _holders_compatible(lm: LockManager) -> bool:
-    for state in lm._locks.values():
-        holders = list(state.holders.items())
-        for i, (txn_a, mode_a) in enumerate(holders):
-            for txn_b, mode_b in holders[i + 1 :]:
-                if txn_a != txn_b and not mode_a.compatible_with(mode_b):
+    for holders in _table(lm).values():
+        modes = list(holders.values())
+        for i, mode_a in enumerate(modes):
+            for mode_b in modes[i + 1 :]:
+                if not mode_a.compatible_with(mode_b):
                     return False
     return True
+
+
+def _apply(lm: LockManager, action, txn, resource, mode) -> None:
+    if action == "acquire":
+        lm.acquire(txn, resource, mode)
+    else:
+        lm.release_all(txn)
 
 
 @settings(max_examples=120, deadline=None)
@@ -46,36 +55,26 @@ def test_no_incompatible_holders_ever(actions):
     """Safety: at no point do two transactions hold incompatible modes on
     the same resource, no matter the request/release interleaving."""
     lm = LockManager()
-    for action, txn, resource, mode in actions:
-        if action == "acquire":
-            try:
-                lm.acquire(txn, resource, mode)
-            except (DeadlockError, ConcurrencyError):
-                lm.release_all(txn)
-        else:
-            lm.release_all(txn)
+    for step in actions:
+        _apply(lm, *step)
         assert _holders_compatible(lm)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(action_strategy, max_size=50))
 def test_release_all_always_unblocks_everything(actions):
-    """Liveness: after every transaction releases, no one holds or waits
-    and a fresh exclusive request is granted immediately."""
+    """After every transaction releases, the table is empty — no holder
+    and no leaked empty entry — so any fresh request is granted."""
     lm = LockManager()
-    for action, txn, resource, mode in actions:
-        if action == "acquire":
-            try:
-                lm.acquire(txn, resource, mode)
-            except (DeadlockError, ConcurrencyError):
-                lm.release_all(txn)
-        else:
-            lm.release_all(txn)
+    for step in actions:
+        _apply(lm, *step)
     for txn in range(1, 6):
         lm.release_all(txn)
+    assert _table(lm) == {}
     for resource in range(4):
         assert lm.acquire(99, resource, LockMode.EXCLUSIVE)
     lm.release_all(99)
+    assert _table(lm) == {}
 
 
 @settings(max_examples=80, deadline=None)
@@ -87,15 +86,12 @@ def test_release_all_always_unblocks_everything(actions):
     )
 )
 def test_holds_is_consistent_with_grants(requests):
-    """A granted request is immediately visible through holds()."""
+    """A granted request is immediately visible through holds(); a
+    refused one leaves the table exactly as it was."""
     lm = LockManager()
     for txn, mode in requests:
-        try:
-            granted = lm.acquire(txn, "r", mode)
-        except (DeadlockError, ConcurrencyError):
-            lm.release_all(txn)
-            continue
-        if granted:
+        before = _table(lm)
+        if lm.acquire(txn, "r", mode):
             assert lm.holds(txn, "r", mode)
         else:
-            assert lm.is_waiting(txn)
+            assert _table(lm) == before

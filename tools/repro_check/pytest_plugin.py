@@ -10,8 +10,8 @@ lock-order graph.  At session end the plugin reports:
   schedule happened to interleave them fatally);
 * **latches held across crash points** — section 2.5's rule: a latch
   holder that can die leaves the protected structure wedged;
-* lock-acquired-under-latch tallies (informational: a latch that waits
-  on a two-phase lock waits unboundedly).
+* lock-acquired-under-latch tallies (informational: a lock-manager call
+  inside a latch stretches its critical section).
 
 Cycles or latch-crash violations fail the session (exit status 1) even
 when every individual test passed.

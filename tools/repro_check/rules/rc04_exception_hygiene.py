@@ -1,8 +1,9 @@
 """RC04 — no overbroad exception handler may swallow control-flow errors.
 
-Paper grounding: :class:`~repro.common.errors.DeadlockError` (section
-2.3.2's waits-for abort), :class:`~repro.common.errors.ConcurrencyError`
-and :class:`~repro.common.errors.MediaFailure` (section 2.6's escalation
+Paper grounding: :class:`~repro.common.errors.TransactionAborted` (section
+2.3.2's locks, resolved no-wait: a refused request aborts the requester),
+:class:`~repro.common.errors.ConcurrencyError` and
+:class:`~repro.common.errors.MediaFailure` (section 2.6's escalation
 to archive recovery) are *control flow*, not noise — a handler that
 catches them and does not re-raise turns "abort this transaction" or
 "fall over to media recovery" into silent data corruption.  The same
@@ -84,7 +85,7 @@ class ExceptionHygieneRule(RuleVisitor):
     rule_id = "RC04"
     title = "overbroad except handlers must re-raise"
     rationale = (
-        "DeadlockError / MediaFailure / SimulatedCrash are control flow; "
+        "TransactionAborted / MediaFailure / SimulatedCrash are control flow; "
         "a swallow-all handler converts required aborts and media-recovery "
         "escalations into silent corruption."
     )
@@ -103,7 +104,7 @@ class ExceptionHygieneRule(RuleVisitor):
                 self.add(
                     handler,
                     f"overbroad handler ({broad}) swallows "
-                    f"ConcurrencyError/DeadlockError/MediaFailure/SimulatedCrash; "
+                    f"ConcurrencyError/TransactionAborted/MediaFailure/SimulatedCrash; "
                     f"catch the narrow types you expect or re-raise",
                 )
             elif broad and not crash_guarded and _body_has(handler, _aborts):
