@@ -48,7 +48,7 @@ class EntitySink(Protocol):
 
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None: ...
 
-    def partition_allocated(self, partition: Partition) -> None: ...
+    def grow_segment(self, segment: Segment, fits: Callable[[Partition], bool]) -> Partition: ...
 
     def on_rollback(self, compensate: Callable[[], None]) -> None: ...
 
@@ -238,6 +238,16 @@ class Catalog:
         descriptor = self.relation(relation_name)
         return [self.index(name) for name in descriptor.index_names]
 
+    def partition_addresses(self) -> set[PartitionAddress]:
+        """Every catalogued partition: the catalog's own and the descriptors'."""
+        addresses = {
+            PartitionAddress(self.segment.segment_id, number)
+            for number in self.own_partition_slots
+        }
+        for descriptor in (*self._relations.values(), *self._indexes.values()):
+            addresses.update(descriptor.partition_addresses())
+        return addresses
+
     def descriptor_for_segment(self, segment_id: int):
         """Find the relation or index descriptor owning a segment."""
         for descriptor in self._relations.values():
@@ -323,13 +333,14 @@ class Catalog:
 
     def _partition_with_room(self, nbytes: int, sink: EntitySink | None) -> Partition:
         needed = nbytes + ENTITY_HEADER_BYTES
-        for partition in self.segment.resident_partitions():
-            if partition.free_bytes >= needed:
-                return partition
-        partition = self.segment.allocate_partition()
-        self.own_partition_slots.setdefault(partition.address.partition, None)
+        fits = lambda p: p.free_bytes >= needed
+        partition = self.segment.first_fit(fits)
+        if partition is not None:
+            return partition
         if sink is not None:
-            sink.partition_allocated(partition)
+            return sink.grow_segment(self.segment, fits)
+        partition = self.segment.allocate_partition()
+        self.own_partition_slots[partition.address.partition] = None
         return partition
 
     # -- recovery ----------------------------------------------------------------------
@@ -341,22 +352,18 @@ class Catalog:
         for entity, data in self.entities():
             self._register(_decode_descriptor(data, entity))
 
-    def resync(
-        self, entities: Iterable[EntityAddress]
-    ) -> list[RelationDescriptor | IndexDescriptor]:
+    def resync(self, entities: Iterable[EntityAddress]) -> None:
         """Re-derive, in place, the descriptors stored at ``entities`` —
-        the catalog entities a rollback just restored — and return those
-        still registered.  Only they are touched: any other descriptor may
-        be mid-update by its own transaction.  A descriptor whose entity
-        is still there keeps its object identity (scheduler workers and
-        checkpoint procedures hold references) and takes the decoded
-        fields; one whose entity is gone — an aborted create — is
-        unregistered."""
+        the catalog entities a rollback just restored.  Only they are
+        touched: any other descriptor may be mid-update by its own
+        transaction.  A descriptor whose entity is still there keeps its
+        object identity (scheduler workers and checkpoint procedures hold
+        references) and takes the decoded fields; one whose entity is
+        gone — an aborted create — is unregistered."""
         registered = {
             descriptor.entity: descriptor
             for descriptor in (*self._relations.values(), *self._indexes.values())
         }
-        derived = []
         for entity in entities:
             current = registered.get(entity)
             if current is None:
@@ -365,10 +372,8 @@ class Catalog:
             if entity.offset in partition:
                 decoded = _decode_descriptor(partition.read(entity.offset), entity)
                 vars(current).update(vars(decoded))
-                derived.append(current)
             else:
                 self._unregister(current)
-        return derived
 
     def entities(self) -> Iterator[tuple[EntityAddress, bytes]]:
         """Every stored descriptor entity: the bytes the descriptor

@@ -202,7 +202,8 @@ class CheckpointManager:
         relative to ``flip_lsn`` instead of clearing it.
         """
         db = self.db
-        with self._attempt(request) as txn:
+        mutex = db.memory.segment(request.partition.segment).structure_mutex
+        with mutex, self._attempt(request) as txn:  # see _run_one, step 5
             bin_ = db.slt.bin(request.bin_index)
             with bin_.mutex:
                 shadow = bin_.condensed_slot
@@ -229,7 +230,7 @@ class CheckpointManager:
         flip_lsn = self._flip_lsn_for(request)
         if flip_lsn is not None:
             return self._run_flip(request, flip_lsn)
-        with self._attempt(request) as txn:
+        with contextlib.ExitStack() as until_committed, self._attempt(request) as txn:
             lock_segment = self.lock_segment_for(request.partition.segment)
             txn.lock_relation(lock_segment, LockMode.SHARED)
             crash_point("checkpoint.locked")
@@ -241,7 +242,13 @@ class CheckpointManager:
             )
             db.locks.release(txn.txn_id, ("rel", lock_segment))
             crash_point("checkpoint.copied")
-            # Step 5: log the catalog / disk-map updates before the write.
+            # Step 5: log the catalog / disk-map updates before the write —
+            # under the segment's structure mutex until the commit: with the
+            # relation lock gone, a growth in between would log this
+            # checkpoint's uncommitted slot and lose to its older after-image.
+            until_committed.enter_context(
+                db.memory.segment(request.partition.segment).structure_mutex
+            )
             slot = self.claim_slot(txn)
             request.previous_slot = self.install_slot(request.partition, slot, txn)
             crash_point("checkpoint.slot-installed")
@@ -322,7 +329,9 @@ class CheckpointManager:
             for descriptor in relation_descriptors:
                 descriptor.command_watermark = watermark
             for member in members:
-                db.catalog.update(member, txn)
+                # (the locks keep inserters out, not a DDL growing its new index)
+                with db.memory.segment(member.segment_id).structure_mutex:
+                    db.catalog.update(member, txn)
             crash_point("checkpoint.slot-installed")
             for member, number, image in copies:
                 db.checkpoint_disk.write_image(

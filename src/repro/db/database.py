@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
+from typing import Callable
 
 from repro.catalog.catalog import (
     CATALOG_LOCATIONS_KEY,
@@ -50,9 +51,8 @@ from repro.common.errors import (
     ConfigurationError,
     RecoveryError,
     StableMemoryFullError,
-    StorageError,
 )
-from repro.common.types import PartitionAddress, SegmentKind
+from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
 from repro.concurrency.locks import LockManager, LockMode
 from repro.db.relation import Relation
 from repro.engine import ExecutionEngine, engine_from_env
@@ -65,6 +65,7 @@ from repro.recovery.restart import RecoveryMode, RestartCoordinator, restart as 
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuMeter
 from repro.sim.disk import DuplexedDisk, SimulatedDisk
+from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import RetryPolicy
 from repro.sim.stable_memory import StableMemory
 from repro.storage.memory_manager import MemoryManager
@@ -88,6 +89,13 @@ __all__ = [
 ]
 
 MAIN_CPU_MIPS = 6.0
+
+register_crash_point(
+    "growth.catalogued", "segment growth: bin and descriptor entry logged, not yet committed"
+)
+register_crash_point(
+    "growth.committed", "segment growth: committed, before the caller's first write to it"
+)
 
 
 class Database:
@@ -182,6 +190,12 @@ class Database:
         #: over the same segment.  Leaf lock; handle construction that may
         #: recover segments runs outside it.
         self._handles_mutex = threading.RLock()
+        #: The structure mutex of every index (``repro.index.base``): one,
+        #: because a rollback restores components of all the indexes its
+        #: transaction changed under what their operations hold — and one
+        #: per index, taken mid-unwind by an abort raised inside another
+        #: index's operation, would order both ways.
+        self.index_mutex = threading.RLock()
 
     def _build_recovery_component(self) -> None:
         config = self.config
@@ -220,88 +234,53 @@ class Database:
             self.engine.drain_log()
             self.slb.append(txn_id, record)
 
-    def on_partition_allocated(self, partition: Partition, txn: Transaction) -> None:
-        """A segment grew: give the partition its SLT bin and catalog it."""
-        if self.slt.has_partition(partition.address):
-            # Command replay re-executing the allocating script: the bin
-            # survived the crash, so reuse it instead of re-registering.
-            partition.bin_index = self.slt.bin_index_of(partition.address)
-        else:
-            partition.bin_index = self.slt.register_partition(partition.address)
-        segment_id = partition.address.segment
-        number = partition.address.partition
-        if segment_id == self.catalog.segment.segment_id:
-            self.catalog.own_partition_slots.setdefault(number, None)
-            self.publish_catalog_locations()
-            return
-        descriptor = self.catalog.descriptor_for_segment(segment_id)
-        if number not in descriptor.partitions:
-            descriptor.partitions[number] = PartitionInfo(number)
-            self.catalog.update(descriptor, txn)
+    def grow_segment(
+        self, segment: Segment, fits: Callable[[Partition], bool], txn: Transaction
+    ) -> Partition:
+        """The one owner of segment growth: no resident partition of
+        ``segment`` took what ``txn`` is placing, so return one that does.
 
-    def release_partition(self, address: PartitionAddress) -> None:
-        """Undo :meth:`on_partition_allocated` for an aborted growth.
-
-        Rollback restores the descriptor's catalog *bytes* and re-derives
-        the descriptor from them; this drops the two things bytes do not
-        cover, the resident partition and its Stable Log Tail bin.  The
-        catalog's own segment keeps its partition (already published to
-        the well-known areas), and so does a partition that is in use
-        after all — :meth:`reconcile_partitions` then puts it back in the
-        catalog.
+        Serialised per segment, and the room is looked for again once in
+        (two fillers do not both grow).  The new partition gets its SLT
+        bin and descriptor entry under a system transaction of its own,
+        committed before the partition is installed — the shape checkpoint
+        transactions have (section 2.4).  ``txn`` logs and undoes nothing
+        about it: its abort, a statement rollback or a crash leave at
+        worst an empty, catalogued, bin-backed partition that the next
+        insert uses.  Two segments grow in their caller instead: one
+        ``txn`` created and has not committed (nobody else can reach it; a
+        rollback takes all of it back), and the catalog's own, whose
+        partition list is published to the well-known areas, not logged.
         """
-        if address.segment == self.catalog.segment.segment_id:
-            return
-        segment = self.memory.segment(address.segment)
-        if self._in_use(segment.get(address.partition)):
-            return
-        segment.discard(address.partition)
-        if self.slt.has_partition(address):
-            self.slt.drop_partition(address)
+        with segment.structure_mutex:
+            partition = segment.first_fit(fits)
+            if partition is not None:
+                return partition  # a peer grew the segment while this one waited
+            partition = segment.new_partition()
+            if segment is self.catalog.segment:
+                partition.bin_index = self.slt.register_partition(partition.address)
+                self.catalog.own_partition_slots[partition.address.partition] = None
+                self.publish_catalog_locations()
+            elif segment.segment_id in txn.created_segments:
+                self._catalogue(partition, txn)
+            else:
+                with self.transactions.scope(system=True) as growth:
+                    self._catalogue(partition, growth)
+                    crash_point("growth.catalogued")
+                crash_point("growth.committed")
+            segment.install(partition)
+            return partition
 
-    def _in_use(self, partition: Partition) -> bool:
-        """Another transaction placed entities in it, or its bin holds log
-        records (command replay re-allocating over a bin that survived the
-        crash)."""
+    def _catalogue(self, partition: Partition, txn: Transaction) -> None:
+        """A new partition's SLT bin (no byte image: a rollback drops it by
+        compensation) and descriptor entry, under the ``txn`` that owns
+        the growth."""
         address = partition.address
-        return bool(
-            len(partition)
-            or len(partition.heap)
-            or (
-                self.slt.has_partition(address)
-                and self.slt.bin_for_partition(address).active
-            )
-        )
-
-    def reconcile_partitions(
-        self, descriptors: list[RelationDescriptor | IndexDescriptor]
-    ) -> None:
-        """After a rollback re-derived ``descriptors`` from their restored
-        bytes, make each list the partitions its segment really has.
-        Catalog entities are not two-phase locked, so the before-image
-        may predate a partition :meth:`release_partition` kept — resident,
-        in use, no longer listed (an empty one is left alone: it may be
-        another transaction's growth on its way into the catalog) — or
-        still list one whose own allocator has since released it.  The
-        correction is a system transaction of its own: logged, so the
-        users' rows survive a crash whatever becomes of the rollback's
-        transaction, and committed before its locks release."""
-        for descriptor in descriptors:
-            segment = self.memory.segment(descriptor.segment_id)
-            kept = [
-                partition.address.partition
-                for partition in segment.resident_partitions()
-                if partition.address.partition not in descriptor.partitions
-                and self._in_use(partition)
-            ]
-            gone = set(descriptor.partitions) - set(segment.partition_numbers())
-            if kept or gone:
-                with self.transactions.scope(system=True) as txn:
-                    for number in kept:
-                        descriptor.partitions[number] = PartitionInfo(number)
-                    for number in gone:
-                        del descriptor.partitions[number]
-                    self.catalog.update(descriptor, txn)
+        partition.bin_index = self.slt.register_partition(address)
+        txn.on_rollback(lambda: self.slt.drop_partition(address))
+        descriptor = self.catalog.descriptor_for_segment(address.segment)
+        descriptor.partitions[address.partition] = PartitionInfo(address.partition)
+        self.catalog.update(descriptor, txn)
 
     def publish_catalog_locations(self) -> None:
         """Duplicate the catalog partition address list into both stable
@@ -437,6 +416,8 @@ class Database:
         self.checkpoints.settle_relation(relation_name)
         with self.transactions.scope() as txn:
             txn.lock_relation(self.catalog.segment.segment_id, LockMode.INTENT_EXCLUSIVE)
+            # rewrites the relation's descriptor: no inserter, so no growth, beside it
+            txn.lock_relation(self.catalog.relation(relation_name).segment_id, LockMode.SHARED)
             self._create_index_in_txn(txn, index_name, relation_name, field, kind)
             relation = self.table(relation_name)
             descriptor = self.catalog.index(index_name)
@@ -462,10 +443,7 @@ class Database:
         )
         self.catalog.store_new(descriptor, txn)
         store = NodeStore(segment, txn)
-        if kind == "ttree":
-            index: TTreeIndex | LinearHashIndex = TTreeIndex(store)
-        else:
-            index = LinearHashIndex(store)
+        index = self._build_index(kind, store)
         descriptor.anchor = index.anchor
         self.catalog.update(descriptor, txn)
         relation_descriptor.index_names.append(index_name)
@@ -480,6 +458,7 @@ class Database:
         there is gone."""
         segment = self.memory.create_segment(kind, name)
         txn.on_rollback(lambda: self.memory.drop_segment(segment.segment_id))
+        txn.created_segments.add(segment.segment_id)
         return segment
 
     def drop_index(self, index_name: str) -> None:
@@ -494,6 +473,8 @@ class Database:
             txn.lock_relation(self.catalog.segment.segment_id, LockMode.INTENT_EXCLUSIVE)
             txn.lock_relation(descriptor.segment_id, LockMode.EXCLUSIVE)
             relation_descriptor = self.catalog.relation(descriptor.relation_name)
+            # as in create_index: the relation's descriptor is rewritten
+            txn.lock_relation(relation_descriptor.segment_id, LockMode.SHARED)
             relation_descriptor.index_names.remove(index_name)
             self.catalog.update(relation_descriptor, txn)
             self.catalog.drop(descriptor, txn)
@@ -566,15 +547,18 @@ class Database:
             store = NodeStore(segment)
             if descriptor.anchor is None:
                 raise CatalogError(f"index {descriptor.name!r} has no anchor")
-            if descriptor.kind == "ttree":
-                built: TTreeIndex | LinearHashIndex = TTreeIndex(
-                    store, anchor=descriptor.anchor
-                )
-            else:
-                built = LinearHashIndex(store, anchor=descriptor.anchor)
+            built = self._build_index(descriptor.kind, store, descriptor.anchor)
             with self._handles_mutex:
                 index = self._index_objects.setdefault(descriptor.name, built)
         index.store.sink = txn
+        return index
+
+    def _build_index(
+        self, kind: str, store: NodeStore, anchor: EntityAddress | None = None
+    ) -> TTreeIndex | LinearHashIndex:
+        index_class = TTreeIndex if kind == "ttree" else LinearHashIndex
+        index = index_class(store, anchor=anchor)
+        index.structure_mutex = self.index_mutex
         return index
 
     def reload_index_mirrors(self, segment_ids: set[int]) -> None:
@@ -621,11 +605,7 @@ class Database:
     def ensure_segment_resident(self, segment_id: int) -> None:
         """Recover every partition of a segment (index segments are used
         whole, so first touch restores them fully)."""
-        try:
-            segment = self.memory.segment(segment_id)
-        except StorageError:
-            raise
-        missing = segment.missing_partitions()
+        missing = self.memory.segment(segment_id).missing_partitions()
         if not missing:
             return
         if self.restart_coordinator is None:

@@ -89,19 +89,28 @@ def _check_catalog_segments(db: "Database") -> list[str]:
 
 
 def _check_slt_mapping(db: "Database") -> list[str]:
-    """Resident partitions carry the bin index the SLT assigned them."""
+    """Every catalogued partition — resident or not — has a Stable Log
+    Tail bin, every bin's partition is catalogued, and resident partitions
+    carry the bin index the SLT assigned them."""
     problems = []
-    for segment in db.memory.segments():
-        for partition in segment.resident_partitions():
-            if not db.slt.has_partition(partition.address):
-                problems.append(f"{partition.address}: no Stable Log Tail bin")
-                continue
-            expected = db.slt.bin_index_of(partition.address)
-            if partition.bin_index != expected:
-                problems.append(
-                    f"{partition.address}: control block bin index "
-                    f"{partition.bin_index} != SLT bin {expected}"
-                )
+    catalogued = db.catalog.partition_addresses()
+    resident = {
+        partition.address: partition
+        for segment in db.memory.segments()
+        for partition in segment.resident_partitions()
+    }
+    for address in sorted(catalogued | set(resident)):
+        if not db.slt.has_partition(address):
+            problems.append(f"{address}: no Stable Log Tail bin")
+        elif address in resident:
+            held, expected = resident[address].bin_index, db.slt.bin_index_of(address)
+            if held != expected:
+                problems.append(f"{address}: control block bin index {held} != SLT bin {expected}")
+    problems.extend(
+        f"{bin_.partition}: Stable Log Tail bin {bin_.bin_index} of an uncatalogued partition"
+        for bin_ in db.slt.bins()
+        if bin_.partition not in catalogued
+    )
     return problems
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.catalog.catalog import RelationDescriptor
 from repro.catalog.schema import FIELD_WIDTH, NULL_HANDLE, FieldType
 from repro.common.errors import CatalogError, PartitionFullError, ReproError
-from repro.common.types import EntityAddress
+from repro.common.types import EntityAddress, PartitionAddress
 from repro.concurrency.locks import LockMode
 from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
 
@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class UniqueViolation(ReproError):
     """An insert or update would duplicate a primary key."""
+
+
+class _RoomTaken(Exception):
+    """A peer's insert took the room between the pick and the write."""
 
 
 @dataclass(frozen=True)
@@ -84,25 +88,32 @@ class Relation:
             raise UniqueViolation(
                 f"{self.name}.{descriptor.primary_key} = {key_value!r} exists"
             )
-        with txn.statement():
-            return self._insert_step(txn, row, descriptor, schema)
+        while True:
+            try:
+                with txn.statement():
+                    return self._insert_step(txn, row, descriptor, schema)
+            except _RoomTaken:
+                continue  # worker threads only: pick again
 
     def _insert_step(self, txn: "Transaction", row, descriptor, schema) -> EntityAddress:
         partition = self._partition_for(txn, row)
         paddr = partition.address
         cells = []
-        for field in schema:
-            value = row[field.name]
-            if field.type is FieldType.INT:
-                cells.append(int(value))
-            elif value is None:
-                cells.append(NULL_HANDLE)
-            else:
-                handle = partition.heap.put(self._to_bytes(field.type, value))
-                txn.heap_put(paddr, handle, self._to_bytes(field.type, value))
-                cells.append(handle)
-        data = schema.encode_tuple(cells)
-        offset = partition.insert(data)
+        try:
+            for field in schema:
+                value = row[field.name]
+                if field.type is FieldType.INT:
+                    cells.append(int(value))
+                elif value is None:
+                    cells.append(NULL_HANDLE)
+                else:
+                    handle = partition.heap.put(self._to_bytes(field.type, value))
+                    txn.heap_put(paddr, handle, self._to_bytes(field.type, value))
+                    cells.append(handle)
+            data = schema.encode_tuple(cells)
+            offset = partition.insert(data)
+        except PartitionFullError:
+            raise _RoomTaken from None
         address = EntityAddress(paddr.segment, paddr.partition, offset)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
         txn.entity_inserted(address, data)
@@ -262,7 +273,9 @@ class Relation:
         partitions on demand."""
         descriptor = self.descriptor
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
-        for number in sorted(descriptor.partitions):
+        # The segment's numbers, not the descriptor's: a partition being
+        # grown is listed before its growth commits, installed only after.
+        for number in self.db.memory.segment(descriptor.segment_id).partition_numbers():
             partition = self._resident_partition(number)
             for offset, _ in list(partition.entities()):
                 address = EntityAddress(descriptor.segment_id, number, offset)
@@ -316,18 +329,13 @@ class Relation:
             )
 
     def _resident_partition(self, number: int) -> Partition:
-        descriptor = self.descriptor
-        if number not in descriptor.partitions:
-            raise CatalogError(f"{self.name} has no partition {number}")
-        from repro.common.types import PartitionAddress
-
         return self.db.ensure_partition(
-            PartitionAddress(descriptor.segment_id, number)
+            PartitionAddress(self.descriptor.segment_id, number)
         )
 
     def _partition_for(self, txn: "Transaction", row: dict) -> Partition:
         """Pick a resident partition with room for the tuple and its
-        strings, or grow the segment by one partition."""
+        strings, or have the segment grown by one partition."""
         schema = self.schema
         tuple_need = schema.tuple_width + ENTITY_HEADER_BYTES
         heap_need = 0
@@ -336,20 +344,19 @@ class Relation:
             if field.type.heap_backed and value is not None:
                 heap_need += len(self._to_bytes(field.type, value)) + 8
         segment = self.db.memory.segment(self.descriptor.segment_id)
-        for partition in segment.resident_partitions():
-            if partition.free_bytes >= tuple_need and partition.heap.free_bytes >= heap_need:
-                return partition
-        # check fit BEFORE allocating: an oversized row must not leave an
-        # orphaned (uncatalogued, bin-less) partition behind
+        fits = lambda p: p.free_bytes >= tuple_need and p.heap.free_bytes >= heap_need
+        partition = segment.first_fit(fits)
+        if partition is not None:
+            return partition
+        # check fit BEFORE growing: an oversized row must not leave an
+        # empty partition behind
         entity_capacity, heap_capacity = segment.fresh_partition_capacities()
         if tuple_need > entity_capacity or heap_need > heap_capacity:
             raise PartitionFullError(
                 f"tuple of {tuple_need}B + {heap_need}B strings exceeds a "
                 f"fresh partition ({entity_capacity}B + {heap_capacity}B)"
             )
-        partition = segment.allocate_partition()
-        txn.partition_allocated(partition)
-        return partition
+        return txn.grow_segment(segment, fits)
 
     def _materialise(self, partition: Partition, address: EntityAddress) -> Row:
         schema = self.schema

@@ -80,7 +80,7 @@ def serialised(method: _F) -> _F:
 
     @functools.wraps(method)
     def wrapper(self: "Index", *args: Any, **kwargs: Any) -> Any:
-        with self._structure_mutex:
+        with self.structure_mutex:
             self._refresh_mirror_if_stale()
             return method(self, *args, **kwargs)
 
@@ -94,7 +94,7 @@ def serialised_scan(method: Callable[..., Iterator[Any]]) -> Callable[..., Itera
 
     @functools.wraps(method)
     def wrapper(self: "Index", *args: Any, **kwargs: Any) -> Iterator[Any]:
-        with self._structure_mutex:
+        with self.structure_mutex:
             self._refresh_mirror_if_stale()
             return iter(list(method(self, *args, **kwargs)))
 
@@ -114,7 +114,9 @@ class Index:
     def __init__(self) -> None:
         #: See :func:`serialised` — whole-structure mutex for operations
         #: whose intermediate states must stay invisible across threads.
-        self._structure_mutex = threading.RLock()
+        #: A database replaces it with the one all its indexes share
+        #: (``Database.index_mutex``), which its rollbacks hold too.
+        self.structure_mutex = threading.RLock()
         #: See :meth:`mark_mirror_stale`.
         self._mirror_stale = False
 

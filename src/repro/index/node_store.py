@@ -7,9 +7,9 @@ flows through :class:`NodeStore`, which reports each change to a
 one REDO record per updated component (section 2.3.2), take the
 component's before-image for UNDO, and two-phase lock the component.
 
-The store also grows the index segment on demand; new-partition events are
-reported to the sink as well, because the catalog must learn about the
-partition and the Stable Log Tail must get its bin.
+When no partition of the index segment has room the store asks the sink
+to have it grown: the catalog must learn about the new partition, the
+Stable Log Tail must give it a bin (``Database.grow_segment``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Protocol, TypeVar
 
 from repro.common.errors import PartitionFullError
 from repro.common.types import EntityAddress
-from repro.storage.partition import Partition
+from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
 from repro.storage.segment import Segment
 
 _Form = TypeVar("_Form")
@@ -55,8 +55,8 @@ class ChangeSink(Protocol):
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
         """A component was released."""
 
-    def partition_allocated(self, partition: Partition) -> None:
-        """The segment grew by one partition."""
+    def grow_segment(self, segment: Segment, fits: Callable[[Partition], bool]) -> Partition:
+        """No resident partition has room: one ``fits`` accepts."""
 
 
 class NodeStore:
@@ -171,19 +171,18 @@ class NodeStore:
     # -- placement ----------------------------------------------------------------
 
     def _partition_with_room(self, nbytes: int) -> Partition:
-        from repro.storage.partition import ENTITY_HEADER_BYTES
-
         needed = nbytes + ENTITY_HEADER_BYTES
-        for partition in self.segment.resident_partitions():
-            reserve = int(partition.entity_capacity * self.growth_reserve)
-            if partition.free_bytes - reserve >= needed:
-                return partition
+        reserve = self.growth_reserve
+        fits = lambda p: p.free_bytes - int(p.entity_capacity * reserve) >= needed
+        partition = self.segment.first_fit(fits)
+        if partition is not None:
+            return partition
         entity_capacity, _ = self.segment.fresh_partition_capacities()
         if needed > entity_capacity:
             raise PartitionFullError(
                 f"index component of {nbytes} bytes exceeds partition capacity"
             )
-        partition = self.segment.allocate_partition()
-        if self.sink is not None:
-            self.sink.partition_allocated(partition)
-        return partition
+        sink = self.sink
+        if sink is None:
+            return self.segment.allocate_partition()
+        return sink.grow_segment(self.segment, fits)

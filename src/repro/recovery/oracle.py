@@ -5,7 +5,10 @@ against what was committed before the crash.  :func:`logical_digest`
 hashes everything a transaction can observe — catalog descriptors, every
 entity of every resident partition, every string-heap value — while
 excluding allocation counters (``next_offset`` / ``next_handle``), which
-aborted transactions advance but REDO replay legitimately does not.
+aborted transactions advance but REDO replay legitimately does not, and
+*empty partitions* (the partition and its descriptor entry): growing a
+segment is structural, and the empty partition an aborted insert leaves
+behind is nothing a transaction can observe.
 
 :class:`RecoveryVerifier` hooks the database's commit observer and
 snapshots the digest at every commit, keyed by the *stable* commit
@@ -16,6 +19,7 @@ asserts it is byte-identical to the one recorded at the last commit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import TYPE_CHECKING
 
@@ -29,23 +33,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def logical_digest(db: "Database") -> str:
     """SHA-256 over the database's committed logical state.
 
-    Deterministic: descriptors in name order, segments in id order,
-    partitions, entities, and heap strings in address order.  Requires
+    Deterministic: descriptors in name order, each followed by its
+    segment's occupied partitions, entities, and heap strings in address
+    order (the catalog's own entities *are* the descriptors).  Requires
     every partition to be memory-resident (run full recovery first).
     """
     h = hashlib.sha256()
-    for descriptor in list(db.catalog.relations()) + list(db.catalog.indexes()):
-        h.update(b"D")
-        h.update(descriptor.encode())
-    for segment in db.memory.segments():
-        h.update(f"S{segment.segment_id}".encode())
+    for descriptor in [*db.catalog.relations(), *db.catalog.indexes()]:
+        segment = db.memory.segment(descriptor.segment_id)
         missing = segment.missing_partitions()
         if missing:
             raise RecoveryError(
                 f"digest needs full residency; segment {segment.segment_id} "
                 f"is missing partitions {missing}"
             )
-        for partition in segment.resident_partitions():
+        occupied = [p for p in segment.resident_partitions() if len(p) or len(p.heap)]
+        listed = {
+            number: descriptor.partitions[number]
+            for number in (p.address.partition for p in occupied)
+        }
+        h.update(b"D")
+        h.update(dataclasses.replace(descriptor, partitions=listed).encode())
+        for partition in occupied:
             h.update(
                 f"P{partition.address.segment}:{partition.address.partition}".encode()
             )
@@ -74,7 +83,13 @@ class RecoveryVerifier:
         db.commit_observer = self._on_commit
 
     def _on_commit(self, txn: "Transaction") -> None:
-        self.digests[self.db.slb.commits] = logical_digest(self.db)
+        commits = self.db.slb.commits
+        # A growth committing inside an open transaction: memory holds that
+        # transaction's uncommitted work, and nothing the digest covers changed.
+        nested = txn.system and self.db.transactions.active_count > 1
+        self.digests[commits] = (
+            self.digests[commits - 1] if nested else logical_digest(self.db)
+        )
 
     def detach(self) -> None:
         if self.db.commit_observer == self._on_commit:

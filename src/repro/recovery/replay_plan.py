@@ -144,7 +144,7 @@ class ReplayTransaction(Transaction):
         """No SLB chain, no ``begin`` audit entry."""
 
     def _log(self, record: RedoRecord, inverse: RedoRecord) -> None:
-        # UNDO only, catalog records included: nothing is appended
+        # UNDO only: nothing is appended
         self._undo.append(inverse)
         self.suppressed_records += 1
         self.suppressed_bytes += record.size_bytes

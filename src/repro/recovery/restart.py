@@ -239,26 +239,18 @@ class RestartCoordinator:
         """Register the memory segment of every descriptor the recovered
         catalog holds, all partitions missing and queued for phase 2.
 
-        A listed partition with neither a Stable Log Tail bin nor a
-        checkpoint image never held anything durable: catalog entities are
-        not two-phase locked, so a committed after-image can carry a growth
-        of another transaction that later aborted and released the
-        partition and its bin (ROADMAP item 4).  It is dropped from the
-        descriptor and its entity here (unlogged: the next restart decides
-        the same from the same log).
+        First, a Stable Log Tail bin whose partition no recovered
+        descriptor lists is dropped: the growth (or the DDL) that
+        registered it died before committing the descriptor — nothing was
+        ever logged to it, and the next one takes the same number — or a
+        drop died between its commit and releasing its bins.
         """
         db = self.db
+        listed = db.catalog.partition_addresses()
+        for bin_ in db.slt.bins():
+            if bin_.partition not in listed:
+                db.slt.drop_partition(bin_.partition)
         for descriptor in (*db.catalog.relations(), *db.catalog.indexes()):
-            released = [
-                number
-                for number, info in descriptor.partitions.items()
-                if info.checkpoint_slot is None
-                and not db.slt.has_partition(PartitionAddress(descriptor.segment_id, number))
-            ]
-            if released:
-                for number in released:
-                    del descriptor.partitions[number]
-                db.catalog.update(descriptor, None)
             kind = (
                 SegmentKind.INDEX
                 if isinstance(descriptor, IndexDescriptor)

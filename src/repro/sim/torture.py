@@ -73,8 +73,10 @@ POOL_SCRIPTS = 16
 TAIL_TRANSACTIONS = 10
 
 #: Sized like the chaos sweep's scenario: small pages and a tight window
-#: so a short workload still crosses checkpoints and window slides.
+#: so a short workload still crosses checkpoints and window slides, and
+#: 4 KB partitions so every round's inserts grow segments (``growth.*``).
 ROUND_CONFIG = dict(
+    partition_size=4096,
     log_page_size=512,
     update_count_threshold=16,
     log_window_pages=64,

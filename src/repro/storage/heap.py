@@ -48,6 +48,11 @@ class StringHeap:
     def put(self, data: bytes) -> int:
         """Store ``data`` and return its handle."""
         with self._mutex:
+            charge = len(data) + STRING_HEADER_BYTES
+            if self._used + charge > self.capacity_bytes:
+                raise PartitionFullError(
+                    f"string heap full: {self._used} + {charge} > {self.capacity_bytes}"
+                )
             handle = self._next_handle
             self.put_at(handle, data)
         return handle
@@ -58,18 +63,14 @@ class StringHeap:
         Normal operation allocates through :meth:`put`; recovery (REDO
         replay and UNDO of a delete) reinstalls the handle recorded in the
         log so recovered state is identical even when aborted transactions
-        consumed intervening handles.
+        consumed intervening handles.  Not capped, unlike :meth:`put`: a
+        replay puts back what was there.
         """
         with self._mutex:
             if handle in self._strings:
                 raise StorageError(f"string heap handle {handle} is occupied")
-            charge = len(data) + STRING_HEADER_BYTES
-            if self._used + charge > self.capacity_bytes:
-                raise PartitionFullError(
-                    f"string heap full: {self._used} + {charge} > {self.capacity_bytes}"
-                )
             self._strings[handle] = bytes(data)
-            self._used += charge
+            self._used += len(data) + STRING_HEADER_BYTES
             if handle >= self._next_handle:
                 self._next_handle = handle + 1
 

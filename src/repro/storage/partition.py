@@ -82,6 +82,12 @@ class Partition:
         mutex so concurrent inserts never receive the same offset.
         """
         with self._mutex:
+            charge = len(data) + ENTITY_HEADER_BYTES
+            if self._used + charge > self.entity_capacity:
+                raise PartitionFullError(
+                    f"{self.address} full: {self._used} + {charge} "
+                    f"> {self.entity_capacity}"
+                )
             offset = self._next_offset
             self.insert_at(offset, data)
         return offset
@@ -91,6 +97,9 @@ class Partition:
 
         Normal inserts go through :meth:`insert`; recovery re-applies the
         offset recorded in the log so replayed state is byte-identical.
+        The capacity is :meth:`insert`'s rule, not this one's: a replay —
+        REDO in commit order, or the UNDO of a free whose room a peer has
+        used since — puts back what was there, in whatever order.
 
         Lock discipline: same as :meth:`insert` on the normal path —
         bookkeeping updates run under the partition's internal mutex; the
@@ -100,14 +109,8 @@ class Partition:
         with self._mutex:
             if offset in self._entities:
                 raise StorageError(f"{self.address} offset {offset} is occupied")
-            charge = len(data) + ENTITY_HEADER_BYTES
-            if self._used + charge > self.entity_capacity:
-                raise PartitionFullError(
-                    f"{self.address} full: {self._used} + {charge} "
-                    f"> {self.entity_capacity}"
-                )
             self._entities[offset] = bytes(data)
-            self._used += charge
+            self._used += len(data) + ENTITY_HEADER_BYTES
             if offset >= self._next_offset:
                 self._next_offset = offset + 1
 

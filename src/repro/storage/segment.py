@@ -14,7 +14,7 @@ manager can schedule recovery transactions (section 2.5).
 from __future__ import annotations
 
 import threading
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.common.errors import NotResidentError, StorageError
 from repro.common.types import PartitionAddress, SegmentKind
@@ -48,6 +48,13 @@ class Segment:
         #: ``_next_partition`` counter.  Leaf mutex below the 2PL locks;
         #: the Partition constructor runs inside it but takes no locks.
         self._mutex = threading.RLock()
+        #: Serialises this segment's growth (``Database.grow_segment``)
+        #: and every other rewrite of its catalog descriptor that growth
+        #: can meet, each from the change to *its* commit: two rewrites of
+        #: one descriptor reach the log in the order they were made, and
+        #: neither's after-image carries the other's uncommitted change.
+        #: Taken below the 2PL relation locks, above all a commit takes.
+        self.structure_mutex = threading.RLock()
 
     # -- allocation -------------------------------------------------------------
 
@@ -58,32 +65,42 @@ class Segment:
         heap_capacity = int(self.partition_size * self.heap_fraction)
         return self.partition_size - heap_capacity, heap_capacity
 
-    def allocate_partition(self) -> Partition:
-        """Create the next partition of this segment.
+    def new_partition(self) -> Partition:
+        """Reserve the next partition number and build its partition, not
+        yet installed: nothing is placed in it until :meth:`install`, which
+        a growth calls once committed.  Numbers only grow (a failed
+        growth's is not reused).
 
-        Lock discipline: the caller holds an IX (or stronger) lock on the
-        owning relation; concurrent checkpointers are excluded by their
-        relation read lock (section 2.4, step 3).  Number allocation and
-        installation are atomic under the segment's internal mutex —
-        IX locks do not exclude other IX holders allocating concurrently.
+        Lock discipline: the caller holds :attr:`structure_mutex`; the
+        number is taken under the internal mutex, as phase-2 installs do.
         """
         with self._mutex:
             number = self._next_partition
             self._next_partition += 1
-            partition = Partition(
-                PartitionAddress(self.segment_id, number),
-                self.partition_size,
-                self.heap_fraction,
-            )
-            self._partitions[number] = partition
-            return partition
+        return Partition(
+            PartitionAddress(self.segment_id, number),
+            self.partition_size,
+            self.heap_fraction,
+        )
+
+    def allocate_partition(self) -> Partition:
+        """:meth:`new_partition` installed at once — a segment outside any
+        database.  Lock discipline: as :meth:`new_partition`."""
+        partition = self.new_partition()
+        self.install(partition)
+        return partition
+
+    def first_fit(self, fits: Callable[[Partition], bool]) -> Partition | None:
+        """The lowest-numbered resident partition ``fits`` accepts."""
+        return next(filter(fits, self.resident_partitions()), None)
 
     def install(self, partition: Partition) -> None:
-        """Install a recovered partition (post-crash path).
+        """Install a recovered partition (post-crash path), or a new one
+        whose growth just committed.
 
-        Lock discipline: recovery transactions own the partition
-        exclusively until it is installed here, and normal transactions
-        cannot see it before installation (section 2.5); the map update
+        Lock discipline: recovery transactions (and a growth) own the
+        partition exclusively until it is installed here, and normal
+        transactions cannot see it before installation (section 2.5); the map update
         runs under the segment's internal mutex so parallel phase-2
         installs into one segment do not tear the residency maps.
         """
@@ -98,17 +115,6 @@ class Segment:
             self._missing.discard(number)
             if number >= self._next_partition:
                 self._next_partition = number + 1
-
-    def discard(self, number: int) -> None:
-        """Forget a partition whose allocation was rolled back.  Its number
-        is not reused: like entity offsets, numbers only grow.
-
-        Lock discipline: the aborting transaction still holds the IX lock
-        it allocated under; the map update runs under the segment's
-        internal mutex like every other residency change.
-        """
-        with self._mutex:
-            del self._partitions[number]
 
     def mark_missing(self, numbers: list[int]) -> None:
         """Record partitions known to the catalog but not yet recovered.

@@ -19,6 +19,7 @@ resumed by its blocker).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -64,6 +65,7 @@ register_crash_point(
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
     from repro.storage.partition import Partition
+    from repro.storage.segment import Segment
 
 
 class TxnState(enum.Enum):
@@ -106,21 +108,21 @@ class Transaction:
         self.logging_mode = logging_mode
         self.command = command
         self.declared_relations = tuple(declared_relations)
-        #: Pure command mode skips the SLB append for non-catalog
-        #: records; catalog records are always value-logged (they are
-        #: recovered in restart phase 1, before any replay runs).
+        #: Pure command mode skips the SLB append.  (The catalogs, recovered
+        #: before any replay runs, are all value-logged: only DDL and system
+        #: transactions — a segment's growth is one — write catalog entities.)
         self._suppress_value = logging_mode == "command" and command is not None
         #: Set when this branch prepares (2PC): a distributed adaptive
         #: transaction must fall back to value logging.
         self._adaptive_disabled = False
-        #: Bytes appended to the SLB chain / suppressed instead, and the
-        #: catalog share of the appended bytes (never suppressed).
+        #: Bytes appended to the SLB chain / suppressed instead.
         self.logged_bytes = 0
-        self.catalog_bytes = 0
         self.suppressed_records = 0
         self.suppressed_bytes = 0
         #: The csn assigned at a command commit (stats / tests).
         self.command_csn: int | None = None
+        #: DDL: segments it created, whose growth rides in it until it commits.
+        self.created_segments: set[int] = set()
         self._open(user_data)
 
     def _open(self, user_data: str) -> None:
@@ -185,31 +187,37 @@ class Transaction:
         catalog_segment = db.catalog.segment.segment_id
         segments: set[int] = set()
         descriptors: set[EntityAddress] = set()
-        for entry in reversed(self._undo[mark:]):
-            if isinstance(entry, redo.RedoRecord):
-                address = entry.partition_address
-                entry.apply(db.memory.partition(address))
-                segments.add(address.segment)
-                if address.segment == catalog_segment:
-                    # catalog partitions hold entities only: the record names one
-                    descriptors.add(getattr(entry, "address", None))
-            else:
-                entry()
-        del self._undo[mark:]
-        # Before the locks release, so no later operation runs on a
-        # rolled-back mirror: the catalog re-derives the descriptors whose
-        # entities were restored (and only those), cached index objects
-        # are flagged to re-decode their anchors.
-        if descriptors:
-            derived = db.catalog.resync(descriptors)
-            if not self.system:  # the correction is one: it never corrects again
-                db.reconcile_partitions(derived)
-        db.reload_index_mirrors(segments)
+        suffix = self._undo[mark:]
+        # Index components go back under the mutex index operations run
+        # under, mirrors flagged before it is released.  (A system
+        # transaction has none, and may hold a segment's structure mutex,
+        # which index operations take *below* this one.)
+        index_records = (redo.IndexNodeWrite, redo.IndexNodeFree)
+        restores_index = any(isinstance(entry, index_records) for entry in suffix)
+        with db.index_mutex if restores_index else contextlib.nullcontext():
+            for entry in reversed(suffix):
+                if isinstance(entry, redo.RedoRecord):
+                    address = entry.partition_address
+                    entry.apply(db.memory.partition(address))
+                    segments.add(address.segment)
+                    if address.segment == catalog_segment:
+                        # catalog partitions hold entities only: the record names one
+                        descriptors.add(getattr(entry, "address", None))
+                else:
+                    entry()
+            del self._undo[mark:]
+            # Before the locks release, so no later operation runs on a
+            # rolled-back mirror: the catalog re-derives the descriptors whose
+            # entities were restored (and only those), cached index objects
+            # are flagged to re-decode their anchors.
+            if descriptors:
+                db.catalog.resync(descriptors)
+            db.reload_index_mirrors(segments)
 
     def on_rollback(self, compensate: Callable[[], None]) -> None:
-        """Register volatile state that has no byte image — a segment
-        growth, a claimed checkpoint slot, a DDL-created segment — on the
-        UNDO list: ``compensate()`` runs in the same newest-first loop as
+        """Register volatile state that has no byte image — a new
+        partition's bin, a claimed checkpoint slot, a DDL-created segment
+        — on the UNDO list: ``compensate()`` runs in the same newest-first loop as
         the inverse records (so statement rollback's mark covers it) and
         is discarded at commit."""
         self._ensure_active()
@@ -264,8 +272,7 @@ class Transaction:
             return False
         # Adaptive: convert only when the after-image chain outweighs a
         # command record; tiny transactions stay value-logged.
-        value_bytes = self.logged_bytes - self.catalog_bytes
-        return value_bytes >= self.db.config.adaptive_log_threshold
+        return self.logged_bytes >= self.db.config.adaptive_log_threshold
 
     def _commit_as_command(self) -> None:
         """Commit by emitting one TxnCommand plus per-partition barriers.
@@ -280,13 +287,7 @@ class Transaction:
         db = self.db
         targets = self._barrier_targets()
         if self.logging_mode == "adaptive":
-            # Conversion: drop the after-images, keep the catalog records
-            # (always value-logged; recovered before any replay runs).
-            catalog_segment = db.catalog.segment.segment_id
-            db.slb.filter_chain(
-                self.txn_id,
-                lambda record: record.partition_address.segment == catalog_segment,
-            )
+            db.slb.truncate_chain(self.txn_id, 0)  # conversion: drop the after-images
         name, version, args = self.command  # type: ignore[misc]
         emitted_bytes = [0]
 
@@ -312,7 +313,7 @@ class Transaction:
             self.command_csn = db.slb.commit_command(self.txn_id, build)
         self._durable(
             "command" if self.logging_mode == "command" else "adaptive-command",
-            self.catalog_bytes + emitted_bytes[0],
+            emitted_bytes[0],
         )
         crash_point("txn.commit.command-emitted")
         self._end(TxnState.COMMITTED)
@@ -420,26 +421,15 @@ class Transaction:
             self.suppressed_records,
             self.suppressed_bytes,
             self.logged_bytes,
-            self.catalog_bytes,
         )
 
     def _statement_rollback(self, mark: tuple[int, ...]) -> None:
-        (
-            undo_mark,
-            redo_mark,
-            suppressed_mark,
-            suppressed_bytes_mark,
-            logged_bytes_mark,
-            catalog_bytes_mark,
-        ) = mark
+        undo_mark, redo_mark, *counters = mark
         self._rollback(undo_mark)
         if self.redo_records > redo_mark:  # never true of a replay: no chain
             self.db.slb.truncate_chain(self.txn_id, redo_mark)
             self.redo_records = redo_mark
-        self.suppressed_records = suppressed_mark
-        self.suppressed_bytes = suppressed_bytes_mark
-        self.logged_bytes = logged_bytes_mark
-        self.catalog_bytes = catalog_bytes_mark
+        self.suppressed_records, self.suppressed_bytes, self.logged_bytes = counters
 
     # -- logging core ------------------------------------------------------------------
 
@@ -452,7 +442,7 @@ class Transaction:
         # transaction too large for the SLB) the rollback must already
         # know how to reverse it.
         self._undo.append(inverse)
-        if self._suppress_value and not self._is_catalog_record(record):
+        if self._suppress_value:
             # Pure command mode: this after-image is replaced by the
             # commit-time TxnCommand record.  UNDO still accumulates
             # (abort and statement rollback are unchanged); only the
@@ -475,13 +465,6 @@ class Transaction:
             ) from exc
         self.redo_records += 1
         self.logged_bytes += record.size_bytes
-        if self._is_catalog_record(record):
-            self.catalog_bytes += record.size_bytes
-
-    def _is_catalog_record(self, record: redo.RedoRecord) -> bool:
-        return (
-            record.partition_address.segment == self.db.catalog.segment.segment_id
-        )
 
     # -- the nine change sinks ------------------------------------------------------------------
 
@@ -564,15 +547,11 @@ class Transaction:
 
     # -- segment growth ----------------------------------------------------------------------------
 
-    def partition_allocated(self, partition: "Partition") -> None:
-        # Registered before the catalog update that records the partition
-        # (UNDO first, as in _log): when it runs, every entity the
-        # transaction placed there is gone and the descriptor's bytes are
-        # back.  Without it a later commit finds the partition already
-        # "catalogued" in memory and never logs it.
-        address = partition.address
-        self.on_rollback(lambda: self.db.release_partition(address))
-        self.db.on_partition_allocated(partition, self)
+    def grow_segment(self, segment: Segment, fits: Callable[[Partition], bool]) -> Partition:
+        """No resident partition took what this transaction is placing: one
+        ``fits`` accepts, from the one owner of segment growth."""
+        self._ensure_active()
+        return self.db.grow_segment(segment, fits, self)
 
     def __repr__(self) -> str:
         return (

@@ -270,22 +270,6 @@ class StableLogBuffer:
                     removed += 1
             return removed
 
-    def filter_chain(self, txn_id: int, keep) -> int:
-        """Keep only the chain records for which ``keep(record)`` is true.
-
-        Adaptive-mode conversion: a transaction that executed with value
-        logging drops its after-images at commit (its effects will come
-        from command re-execution) but must keep its catalog records,
-        which are always value-logged.  Returns the number removed.
-        """
-        with self._mutex:
-            chain = self._require_open(txn_id)
-            kept: list[RedoRecord] = []
-            removed: list[RedoRecord] = []
-            for record in chain.records():
-                (kept if keep(record) else removed).append(record)
-            return self._repack(chain, kept, removed) if removed else 0
-
     def note_mode_commit(self, mode: str, nbytes: int) -> None:
         """Account one commit (and its stable log bytes) to a logging mode."""
         with self._mutex:

@@ -12,6 +12,7 @@ import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common.errors import ConfigurationError, RecoveryError
+from repro.db.integrity import verify_integrity
 from repro.engine import ThreadedEngine
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
@@ -295,6 +296,67 @@ class TestDigestIdentity:
 # ---------------------------------------------------------------------------
 # crash windows
 # ---------------------------------------------------------------------------
+
+
+class TestScriptsThatGrowASegment:
+    """The growth a script's insert causes is a value-logged system
+    transaction committed before the script's command record exists:
+    replay finds the partition catalogued, bin-backed and empty, and
+    re-execution fills it exactly as the live run did."""
+
+    @staticmethod
+    def ledger(mode):
+        db = Database(small_config(partition_size=4096, adaptive_log_threshold=64))
+        ledger = db.create_relation(
+            "ledger", [("id", "int"), ("memo", "str")], primary_key="id"
+        )
+
+        def post(txn, first, count):
+            for key in range(first, first + count):
+                ledger.insert(txn, {"id": key, "memo": f"entry {key}".ljust(40, ".")})
+
+        db.register_script("post", post, relations=["ledger"])
+        for batch in range(6):  # every batch fills partitions and grows past them
+            db.run_script("post", batch * 40, 40, logging=mode)
+        assert len(db.catalog.relation("ledger").partitions) > 2
+        return db
+
+    @pytest.mark.parametrize("mode", ["command", "adaptive"])
+    def test_replay_reaches_the_same_digest(self, mode):
+        db = self.ledger(mode)
+        expected = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 6
+        assert logical_digest(db) == expected
+        assert verify_integrity(db) == []
+
+    @pytest.mark.parametrize("mode", ["command", "adaptive"])
+    def test_crash_between_the_growth_commit_and_the_scripts_own(self, mode):
+        """The script dies, its growth does not: the partition is there,
+        empty, and the same script run again fills it."""
+        db = self.ledger(mode)
+        expected = logical_digest(db)
+        partitions = len(db.catalog.relation("ledger").partitions)
+        monkey = ChaosMonkey()
+        monkey.arm("growth.committed")
+        with chaos(monkey):
+            with pytest.raises(SimulatedCrash):
+                db.run_script("post", 240, 200, logging=mode)
+        assert monkey.fired
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 6
+        assert logical_digest(db) == expected
+        assert verify_integrity(db) == []
+        assert len(db.catalog.relation("ledger").partitions) == partitions + 1
+        db.run_script("post", 240, 200, logging=mode)
+        expected = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 7
+        assert logical_digest(db) == expected
+        assert verify_integrity(db) == []
 
 
 class TestCrashWindows:

@@ -164,7 +164,10 @@ class TestDetectsMirrorDrift:
         """Reported, not raised: the audit must survive what it audits."""
         db, rel, addrs = loaded_db()
         descriptor = db.catalog.index("by_v")
-        db.memory.segment(descriptor.segment_id).discard(descriptor.anchor.partition)
+        segment = db.memory.segment(descriptor.segment_id)
+        db.memory.drop_segment(segment.segment_id)  # an empty shell in its place
+        db.memory.register_segment(segment.segment_id, segment.kind, segment.name)
+        db._index_objects.clear()  # cached over the old segment object
         problems = verify_integrity(db)
         assert any("by_v: partition 1 catalogued but unknown" in p for p in problems)
         assert any(p.startswith("by_v: segment") and "has no partition" in p for p in problems)

@@ -50,6 +50,8 @@ class TestCommit:
         assert db.locks.locks_held(txn.txn_id) == set()
 
     def test_commit_moves_chain_to_committed_list(self, db):
+        with db.transaction() as txn:  # the first insert also commits the segment's growth
+            insert_account(db, txn, 0)
         before = db.slb.committed_chain_count
         with db.transactions.scope() as txn:
             insert_account(db, txn, 1)

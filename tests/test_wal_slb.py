@@ -182,18 +182,6 @@ class TestRepack:
         slb.commit(1)
         assert [r.address.offset for r in slb.drain_committed()] == [1]
 
-    def test_filter_takes_records_and_bytes_back_out(self, slb):
-        slb.open_chain(1)
-        for n in range(8):
-            slb.append(1, record(1, n, size=40))
-        nbytes = slb.bytes_written
-        removed = slb.filter_chain(1, lambda r: r.address.offset % 2 == 0)
-        assert removed == 4
-        assert slb.records_written == 4
-        assert slb.bytes_written == nbytes // 2
-        slb.commit(1)
-        assert [r.address.offset for r in slb.drain_committed()] == [2, 4, 6, 8]
-
     def test_commit_command_unwinds_then_retries_after_drain(self):
         """Barriers needing a block the SLB cannot allocate: the chain and
         both counters are exactly as before the attempt, and the caller's
