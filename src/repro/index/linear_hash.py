@@ -80,13 +80,19 @@ class _BucketForm(NamedTuple):
     values: bytes  # packed addresses, see :func:`repro.index.base.value_at`
 
 
-def _decode_bucket(address: EntityAddress, blob: bytes) -> _BucketForm:
+def _bucket_header(address: EntityAddress, blob: bytes) -> tuple[int, EntityAddress, int]:
+    """A chain node's ``(nitems, overflow, position of the first item)``."""
     bucket_type, nitems = _BUCKET_HEADER.unpack_from(blob, 0)
     if bucket_type != BUCKET_TYPE:
         raise IndexStructureError(
             f"entity at {address} is not a hash bucket (type {bucket_type})"
         )
     overflow, pos = unpack_address(blob, _BUCKET_HEADER.size)
+    return nitems, overflow, pos
+
+
+def _decode_bucket(address: EntityAddress, blob: bytes) -> _BucketForm:
+    nitems, overflow, pos = _bucket_header(address, blob)
     return _BucketForm(overflow, *unpack_items(blob, pos, nitems))
 
 
@@ -128,10 +134,11 @@ class LinearHashIndex(Index):
         self.store = store
         self.bucket_capacity = bucket_capacity
         self.split_load = split_load
+        #: ``None`` = unknown, counted on demand (see :meth:`__len__`).
+        self._count: int | None = 0
         if anchor is None:
             self._level = 0
             self._split = 0
-            self._count = 0
             self._base_buckets = initial_buckets
             self._directory = [
                 self._new_bucket().address for _ in range(initial_buckets)
@@ -155,7 +162,7 @@ class LinearHashIndex(Index):
                 ANCHOR_TYPE,
                 self._level,
                 self._split,
-                self._count,
+                len(self),
                 len(self._chunk_addresses),
             ),
             struct.pack("<I", self._base_buckets),
@@ -203,9 +210,10 @@ class LinearHashIndex(Index):
         self._directory = []
         for chunk_address in self._chunk_addresses:
             self._directory.extend(self.store.load(chunk_address, self._decode_chunk))
-        # the anchor's count is only persisted at structural changes, so
-        # recount on rebuild
-        self._count = sum(len(bucket.keys) for _, bucket in self._buckets())
+        # The anchor's count is only persisted at structural changes, so
+        # it is not taken from there; the recount is left to the next
+        # ``len()``: a load costs the anchor and its directory chunks.
+        self._count = None
 
     def _save_anchor(self) -> None:
         self.store.write(self.anchor, self._encode_anchor())
@@ -264,8 +272,21 @@ class LinearHashIndex(Index):
 
     # -- public API ----------------------------------------------------------------------
 
+    @serialised
     def __len__(self) -> int:
+        if self._count is None:
+            # From each chain node's header; no key is decoded.
+            count = 0
+            for address in self._directory:
+                while address != NULL_ADDRESS:
+                    nitems, address, _ = _bucket_header(address, self.store.read(address))
+                    count += nitems
+            self._count = count
         return self._count
+
+    def _counted(self, delta: int) -> None:
+        if self._count is not None:
+            self._count += delta
 
     @serialised
     def search(self, key: Key) -> list[EntityAddress]:
@@ -296,7 +317,7 @@ class LinearHashIndex(Index):
             bucket = self._load(bucket.overflow)
         bucket.items.append((key, value))
         self._save(bucket)
-        self._count += 1
+        self._counted(+1)
         if self._load_factor() > self.split_load:
             self._split_next()
 
@@ -309,7 +330,7 @@ class LinearHashIndex(Index):
             bucket = self._load(address)
             if (key, value) in bucket.items:
                 bucket.items.remove((key, value))
-                self._count -= 1
+                self._counted(-1)
                 if not bucket.items and previous is not None:
                     # unlink the emptied overflow node
                     previous.overflow = bucket.overflow
@@ -339,7 +360,7 @@ class LinearHashIndex(Index):
     # -- splitting ----------------------------------------------------------------------------
 
     def _load_factor(self) -> float:
-        return self._count / (len(self._directory) * self.bucket_capacity)
+        return len(self) / (len(self._directory) * self.bucket_capacity)
 
     def _split_next(self) -> None:
         """Split the bucket under the split pointer into itself and a new
@@ -407,9 +428,9 @@ class LinearHashIndex(Index):
                         f"hashes to {self._bucket_number(key)}"
                     )
             seen += len(bucket.keys)
-        if seen != self._count:
+        if seen != len(self):
             raise IndexStructureError(
-                f"anchor count {self._count} != items present {seen}"
+                f"anchor count {len(self)} != items present {seen}"
             )
 
     @property

@@ -273,9 +273,7 @@ class Condenser:
                 page = cache.get(lsn)
                 if page is None:
                     page = db.log_disk.read_page(lsn, expected=address)
-                for record in page.records:
-                    record.apply(staging)
-                folded_records += len(page.records)
+                folded_records += page.replay(staging)
         except IMAGE_FAILURES:
             self.failed_slices += 1
             return 0

@@ -12,9 +12,11 @@ image and the whole log history.
 
 This module is the only place stable state becomes a
 :class:`~repro.storage.partition.Partition`.  :func:`plan_rebuild` picks
-the base and the records still to apply; :func:`rebuild_partition_resilient`
-applies them straight through.  Restart, the torn-image fallback, the
-media restore, command replay and the condenser all start here.
+the base and the log pages still to apply;
+:func:`rebuild_partition_resilient` replays them straight through, each
+page from its bytes (:meth:`~repro.wal.log_disk.LogPage.replay`).
+Restart, the torn-image fallback, the media restore, command replay and
+the condenser all start here.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.common.types import NULL_LSN, PartitionAddress
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import TornWriteError
 from repro.storage.partition import Partition
-from repro.wal.log_disk import ARCHIVE_SEGMENT, LogDisk, LogPage, page_owner_from_blob
+from repro.wal.log_disk import LogDisk, LogPage
 from repro.wal.records import RedoRecord, SweepMarker
 from repro.wal.slt import PartitionBin, StableLogTail
 
@@ -52,7 +54,7 @@ register_crash_point(
 IMAGE_FAILURES = (TornWriteError, ChecksumError, StorageError, MediaFailure)
 
 #: Per-partition replay streams, as :func:`demultiplex_log_history` builds them.
-History = dict[PartitionAddress, list[RedoRecord]]
+History = dict[PartitionAddress, list[LogPage]]
 #: Lookup of a partition's leftovers in the stable archive buffer.
 PendingArchive = Callable[[PartitionAddress], list[RedoRecord]]
 
@@ -110,9 +112,7 @@ def enumerate_log_pages(
     return lsns, cache, backward_reads
 
 
-def cut_settled_prefix(
-    records: list[RedoRecord], command_watermark: int
-) -> list[RedoRecord]:
+def cut_settled_prefix(pages: list[LogPage], command_watermark: int) -> list[LogPage]:
     """Drop the stream prefix already reflected in a settled image.
 
     A settlement sweep (docs/LOGGING.md) copies every partition of a
@@ -124,29 +124,39 @@ def cut_settled_prefix(
     state past command effects the image contains but the value stream
     does not.  Markers with older watermarks (earlier sweeps) deeper in
     the stream are harmless no-ops and are simply cut along with the rest.
+
+    Finding the marker reads records, so this is one of the places a
+    page's records are built — only for relations with settled commands.
     """
     if command_watermark <= 0:
-        return records
-    cut = 0
-    for position, record in enumerate(records):
-        if isinstance(record, SweepMarker) and record.watermark == command_watermark:
-            cut = position + 1
-    return records[cut:]
+        return pages
+    cut = None
+    for index, page in enumerate(pages):
+        for position, record in enumerate(page.records):
+            if isinstance(record, SweepMarker) and record.watermark == command_watermark:
+                cut = (index, position + 1)
+    if cut is None:
+        return pages
+    index, position = cut
+    page = pages[index]
+    return [LogPage(page.partition, page.records[position:], lsn=page.lsn), *pages[index + 1 :]]
 
 
 def partition_record_stream(
     bin_: PartitionBin, log_disk: LogDisk, condensed_lsn: int = NULL_LSN
-) -> tuple[list[RedoRecord], dict]:
-    """The bin's REDO stream past ``condensed_lsn``, in write order.
+) -> tuple[list[LogPage], dict]:
+    """The bin's REDO stream past ``condensed_lsn``, in write order, as
+    pages.
 
-    Flushed log pages (directory walk, forward read) followed by the
-    records still buffered in the bin — stable memory, newer than any
-    flushed page.  The default watermark of :data:`NULL_LSN` yields the
-    full stream; a shadow base passes its own watermark so only the
-    uncondensed suffix is read (docs/CONDENSING.md).
+    Flushed log pages (directory walk, forward read), their records
+    still bytes, followed by the records buffered in the bin — the
+    partition's next page, in stable memory, newer than any flushed one.
+    The default watermark of :data:`NULL_LSN` yields the full stream; a
+    shadow base passes its own watermark so only the uncondensed suffix
+    is read (docs/CONDENSING.md).
     """
     address = bin_.partition
-    records: list[RedoRecord] = []
+    pages: list[LogPage] = []
     stats = {"pages_read": 0, "backward_reads": 0}
     if bin_.first_page_lsn != NULL_LSN:
         lsns, cache, backward_reads = enumerate_log_pages(
@@ -158,14 +168,9 @@ def partition_record_stream(
             if page is None:
                 page = log_disk.read_page(lsn, expected=address)
                 stats["pages_read"] += 1
-            if page.partition != address:
-                raise RecoveryError(
-                    f"log page {page.lsn} belongs to {page.partition}, "
-                    f"recovering {address}"
-                )
-            records.extend(page.records)
-    records.extend(bin_.buffer)
-    return records, stats
+            pages.append(page)
+    pages.append(LogPage(address, list(bin_.buffer)))
+    return pages, stats
 
 
 def demultiplex_log_history(
@@ -175,16 +180,17 @@ def demultiplex_log_history(
     """One verified pass over the complete log history, demultiplexed.
 
     Walks every retained LSN (active window plus archive) exactly once in
-    LSN order and routes REDO records into per-partition replay streams:
-    dedicated pages contribute their whole record list to their owner's
-    stream, mixed archive pages are split record-by-record, and non-REDO
-    pages (audit markers) are classified from the header alone — their
-    bodies are never decoded.  Because the walk is in global LSN order,
-    each stream preserves the per-partition LSN order the recovery
-    processor guarantees on disk.
+    LSN order and routes it into per-partition replay streams: a
+    dedicated page joins its owner's stream as it is, records undecoded;
+    a mixed archive page is split record by record into one page per
+    partition it names; non-REDO pages (audit markers) are classified
+    from the header alone.  Because the walk is in global LSN order, each
+    stream preserves the per-partition LSN order the recovery processor
+    guarantees on disk.
 
-    ``wanted`` restricts the streams (and the decoding work) to the given
-    partitions; ``None`` demultiplexes every partition encountered.  The
+    ``wanted`` restricts the streams (and the splitting of archive pages)
+    to the given partitions; ``None`` demultiplexes every partition
+    encountered.  The
     two forms treat a page lost on both mirrors differently.  A page that
     cannot be read cannot be attributed either — its header is gone with
     it — so a ``wanted`` scan, which rebuilds those partitions from what
@@ -214,21 +220,23 @@ def demultiplex_log_history(
             stats["pages_skipped"] += 1
             continue
         stats["pages_scanned"] += 1
-        owner = page_owner_from_blob(blob)
-        if owner.segment == ARCHIVE_SEGMENT:
-            page = log_disk.decode_blob(lsn, blob)
+        page = log_disk.decode_blob(lsn, blob)
+        owner = page.partition
+        if page.is_archive_page:
             stats["archive_pages"] += 1
+            split: dict[PartitionAddress, list[RedoRecord]] = {}
             for record in page.records:
                 target = record.partition_address
                 if wanted is None or target in wanted:
-                    streams.setdefault(target, []).append(record)
+                    split.setdefault(target, []).append(record)
+            for target, records in split.items():
+                streams.setdefault(target, []).append(LogPage(target, records, lsn=lsn))
         elif owner.segment >= 0 and (wanted is None or owner in wanted):
-            page = log_disk.decode_blob(lsn, blob)
             stats["dedicated_pages"] += 1
-            streams.setdefault(owner, []).extend(page.records)
+            streams.setdefault(owner, []).append(page)
         else:
             # Audit/opaque markers, or dedicated pages of partitions the
-            # caller does not want: header peek only, body never decoded.
+            # caller does not want.
             stats["other_pages"] += 1
         crash_point("media.scan.page-routed")
     return streams, stats
@@ -245,13 +253,15 @@ def plan_rebuild(
     command_watermark: int = 0,
     pending_archive: PendingArchive | None = None,
     history: History | None = None,
-) -> tuple[Partition, list[RedoRecord], dict]:
-    """Choose how one partition comes back: ``(base, records, stats)``.
+) -> tuple[Partition, list[LogPage], dict]:
+    """Choose how one partition comes back: ``(base, pages, stats)``.
 
-    ``base`` is the starting image and ``records`` the ordered REDO not
-    yet applied to it, so the command replay planner can interleave
-    script re-execution at the barrier records.  ``stats["source"]``
-    names the starting point taken (table in docs/INTERNALS.md):
+    ``base`` is the starting image and ``pages`` the ordered REDO not yet
+    applied to it — pages from disk undecoded, then what stable memory
+    still holds wrapped as pages of record objects — so the command
+    replay planner can interleave script re-execution at the barrier
+    records.  ``stats["source"]`` names the starting point taken (table
+    in docs/INTERNALS.md):
 
     * ``shadow`` — a valid condense shadow and the suffix past its
       watermark.  Valid means the chain grew from the catalog slot being
@@ -294,8 +304,8 @@ def plan_rebuild(
         except IMAGE_FAILURES as exc:
             failure = exc
             continue
-        records, stats = partition_record_stream(bin_, log_disk, condensed_lsn)
-        records = cut_settled_prefix(records, command_watermark)
+        pages, stats = partition_record_stream(bin_, log_disk, condensed_lsn)
+        pages = cut_settled_prefix(pages, command_watermark)
         break
     else:
         if command_watermark > 0:
@@ -312,13 +322,13 @@ def plan_rebuild(
             history, scan = demultiplex_log_history(log_disk, wanted={address})
             stats["pages_read"] = scan["pages_scanned"]
         base = load_base(disk_queue, None, address, partition_size)
-        records = list(history.get(address, ()))
+        pages = list(history.get(address, ()))
         if pending_archive is not None:
-            records.extend(pending_archive(address))
-        records.extend(bin_.buffer)
+            pages.append(LogPage(address, pending_archive(address)))
+        pages.append(LogPage(address, list(bin_.buffer)))
     base.bin_index = bin_.bin_index
     stats["source"] = source
-    return base, records, stats
+    return base, pages, stats
 
 
 def rebuild_partition_resilient(
@@ -339,7 +349,7 @@ def rebuild_partition_resilient(
     statistics dict (``source``, ``pages_read``, ``backward_reads``,
     ``records_applied``) that restart and the media restore aggregate.
     """
-    partition, records, stats = plan_rebuild(
+    partition, pages, stats = plan_rebuild(
         address,
         checkpoint_slot,
         disk_queue,
@@ -350,7 +360,5 @@ def rebuild_partition_resilient(
         pending_archive=pending_archive,
         history=history,
     )
-    for record in records:
-        record.apply(partition)
-    stats["records_applied"] = len(records)
+    stats["records_applied"] = sum(page.replay(partition) for page in pages)
     return partition, stats

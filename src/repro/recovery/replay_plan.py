@@ -267,9 +267,13 @@ class CommandReplayPlanner:
                     index_segments.add(member.segment_id)
                 for number in sorted(member.partitions):
                     address = PartitionAddress(member.segment_id, number)
-                    partition, records, _ = coordinator.plan(
+                    partition, pages, _ = coordinator.plan(
                         address, member.partitions[number].checkpoint_slot, watermark
                     )
+                    # The cursor stops at barrier records, so it walks
+                    # records, not pages; what replay costs here is the
+                    # scripts' re-execution.
+                    records = [record for page in pages for record in page.records]
                     streams.append(
                         _PartitionStream(address, partition, records, is_index=is_index)
                     )

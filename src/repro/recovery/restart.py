@@ -47,11 +47,12 @@ from repro.recovery.redo import (
 )
 from repro.recovery.replay_plan import replay_live_commands
 from repro.txn.manager import TransactionManager
-from repro.wal.records import RedoRecord, TxnPrepare, decode_control
+from repro.wal.records import TxnPrepare, decode_control
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
     from repro.storage.partition import Partition
+    from repro.wal.log_disk import LogPage
 
 register_crash_point(
     "restart.phase1.queue-reverted",
@@ -329,9 +330,9 @@ class RestartCoordinator:
 
     def plan(
         self, address: PartitionAddress, slot: int | None, command_watermark: int = 0
-    ) -> tuple[Partition, list[RedoRecord], dict]:
+    ) -> tuple[Partition, list[LogPage], dict]:
         """:func:`~repro.recovery.redo.plan_rebuild` for one partition: the
-        base and the records still to apply, for the command replay
+        base and the pages still to apply, for the command replay
         planner to interleave script re-execution with."""
         return plan_rebuild(**self._sources(address, slot, command_watermark))
 

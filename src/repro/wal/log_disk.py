@@ -20,7 +20,6 @@ from __future__ import annotations
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from repro.common.errors import LogError, LogWindowOverrunError
 from repro.common.types import NULL_LSN, PartitionAddress
@@ -49,7 +48,8 @@ register_fault_point(
     "log-disk.read",
     "transient controller fault on a duplexed log-page read",
 )
-from repro.wal.records import RedoRecord, decode_records
+from repro.storage.partition import Partition
+from repro.wal.records import RedoRecord, decode_records, replay_records
 
 #: Partition segment value marking a mixed archive page (section 2.4: partial
 #: bin pages are combined with other partitions' records into full pages).
@@ -68,32 +68,72 @@ def _split_page(blob: bytes) -> tuple[PartitionAddress, int, int, slice]:
     return PartitionAddress(segment, partition), lsn, dir_len, slice(start, start + body_len)
 
 
-def page_owner_from_blob(blob: bytes) -> PartitionAddress:
-    """The owning partition stamped in a page blob's header.
-
-    Header-only: no record decoding, so ownership checks on pages that
-    turn out to be irrelevant (other partitions, audit markers) cost one
-    struct unpack on top of the verified read that produced the blob.
-    """
-    return _split_page(blob)[0]
-
-
-@dataclass
 class LogPage:
     """One page of REDO records for a single partition (or a mixed
-    archive page)."""
+    archive page).
 
-    partition: PartitionAddress
-    records: list[RedoRecord]
-    #: Directory of the previous group's page LSNs; non-empty only on the
-    #: first page of a new directory group.
-    embedded_directory: list[int] = field(default_factory=list)
-    #: Assigned at write time.
-    lsn: int = NULL_LSN
+    A page is made one of two ways.  The flush path builds it from record
+    objects (:meth:`__init__`).  :meth:`decode` parses the header and the
+    embedded directory of a page read back from disk and *keeps the body
+    as bytes*: restart applies it from there (:meth:`replay`), and
+    :attr:`records` builds the objects only for whoever routes or
+    inspects individual records.  Equality is by decoded content.
+    """
+
+    __slots__ = ("partition", "embedded_directory", "lsn", "_records", "_body")
+
+    def __init__(
+        self,
+        partition: PartitionAddress,
+        records: list[RedoRecord] | None,
+        embedded_directory: list[int] | None = None,
+        lsn: int = NULL_LSN,
+        *,
+        body: bytes | None = None,
+    ):
+        """``records`` is ``None`` only from :meth:`decode`, which gives
+        the ``body`` they are still encoded in."""
+        self.partition = partition
+        #: Directory of the previous group's page LSNs; non-empty only on
+        #: the first page of a new directory group.
+        self.embedded_directory = [] if embedded_directory is None else embedded_directory
+        #: Assigned at write time.
+        self.lsn = lsn
+        self._records = records
+        self._body = body
 
     @property
     def is_archive_page(self) -> bool:
         return self.partition.segment == ARCHIVE_SEGMENT
+
+    @property
+    def records(self) -> list[RedoRecord]:
+        records = self._records
+        if records is None:
+            # First access of a page read from disk.  Restore workers may
+            # get here together through the shared page cache; no lock is
+            # needed: the body is immutable, so each builds an equal list
+            # and the assignment is idempotent.
+            records = self._records = decode_records(
+                self._body, None if self.is_archive_page else self.partition
+            )
+        return records
+
+    def replay(self, partition: Partition) -> int:
+        """Apply this page's records, in order, to ``partition``; returns
+        how many.  The owner is checked once, here: a page of another
+        partition (or a mixed archive page) is refused before any record
+        is applied.  A page from disk applies straight from its bytes, a
+        page built from objects through ``record.apply``."""
+        if self.partition != partition.address:
+            raise LogError(
+                f"log page {self.lsn} of {self.partition} applied to {partition.address}"
+            )
+        if self._body is not None:
+            return replay_records(self._body, partition)
+        for record in self._records:
+            record.apply(partition)
+        return len(self._records)
 
     def encode(self) -> bytes:
         # Dedicated pages condense the log: the partition address is
@@ -117,14 +157,28 @@ class LogPage:
     @classmethod
     def decode(cls, blob: bytes) -> "LogPage":
         partition, lsn, dir_len, body = _split_page(blob)
-        compact = partition.segment != ARCHIVE_SEGMENT
         return cls(
-            partition=partition,
-            records=decode_records(blob[body], partition if compact else None),
-            embedded_directory=list(
-                struct.unpack_from(f"<{dir_len}q", blob, _PAGE_HEADER.size)
-            ),
-            lsn=lsn,
+            partition,
+            None,
+            list(struct.unpack_from(f"<{dir_len}q", blob, _PAGE_HEADER.size)),
+            lsn,
+            body=blob[body],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogPage):
+            return NotImplemented
+        return (self.partition, self.lsn, self.embedded_directory, self.records) == (
+            other.partition,
+            other.lsn,
+            other.embedded_directory,
+            other.records,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"LogPage({self.partition}, lsn={self.lsn}, "
+            f"embedded_directory={self.embedded_directory}, records={self.records})"
         )
 
 
@@ -165,7 +219,7 @@ class ArchiveStore:
         return LogPage.decode(self.raw(lsn))
 
 
-#: Default bound of a :class:`LogDisk`'s decoded-page LRU (0 disables it).
+#: Default bound of a :class:`LogDisk`'s page LRU (0 disables it).
 LOG_PAGE_CACHE_PAGES = 128
 
 
@@ -203,11 +257,11 @@ class LogDisk:
         #: read/write counters.  Reads perform disk I/O outside this lock
         #: so phase-2 restore workers genuinely overlap their log reads.
         self._mutex = threading.RLock()
-        #: Bounded LRU of decoded pages, shared by the media-recovery
-        #: scan, :meth:`page_owner`, and restart reads.  Log pages are
-        #: immutable once written (LSNs are never reused), so a cached
-        #: decode stays valid until the page is dropped; it is volatile,
-        #: so :meth:`crash` empties it.  Leaf lock.
+        #: Bounded LRU of pages read — verified bytes with the header
+        #: parsed, not built records — shared by the media-recovery scan
+        #: and restart reads.  Log pages are immutable once written (LSNs
+        #: are never reused), so a cached page stays valid until it is
+        #: dropped; it is volatile, so :meth:`crash` empties it.  Leaf lock.
         self.cache_pages = cache_pages
         self._page_cache: "OrderedDict[int, LogPage]" = OrderedDict()  # guarded-by: _cache_mutex
         self._cache_mutex = threading.Lock()
@@ -318,10 +372,11 @@ class LogDisk:
         )
 
     def decode_blob(self, lsn: int, blob: bytes) -> LogPage:
-        """Decode a fetched blob into a :class:`LogPage`, via the cache.
+        """Turn a fetched blob into a :class:`LogPage`, via the cache.
 
-        A cached decode is returned as-is (pages are immutable); a fresh
-        decode is verified against its addressed LSN and cached.
+        A cached page is returned as-is (pages are immutable); a fresh
+        one has its header parsed — its records stay bytes — is verified
+        against its addressed LSN, and is cached.
         """
         page = self._cache_get(lsn)
         if page is None:
@@ -332,10 +387,10 @@ class LogDisk:
         return page
 
     def read_page(self, lsn: int, *, expected: PartitionAddress | None = None) -> LogPage:
-        """Read and decode one log page, optionally verifying its owner.
+        """Read one log page, optionally verifying its owner.
 
-        A decoded-cache hit skips the disk read entirely; otherwise the
-        blob comes from the active window or the archive via
+        A cache hit skips the disk read entirely; otherwise the blob
+        comes from the active window or the archive via
         :meth:`fetch_blob`."""
         page = self._cache_get(lsn)
         if page is None:
@@ -349,35 +404,29 @@ class LogDisk:
         return page
 
     def page_owner(self, lsn: int) -> PartitionAddress:
-        """Peek a page's owning partition (archive/audit markers included).
-
-        A decoded-cache hit answers from the cached page; otherwise this
-        is a header-only peek — one verified read, no record decoding.
-        """
-        page = self._cache_get(lsn)
-        if page is not None:
-            return page.partition
-        return page_owner_from_blob(self.fetch_blob(lsn))
+        """A page's owning partition (archive/audit markers included);
+        reading a page decodes none of its records."""
+        return self.read_page(lsn).partition
 
     def all_lsns(self) -> list[int]:
         """Every page LSN still held anywhere: active window plus archive."""
         return sorted(set(self.disks.block_ids()) | set(self.archive.lsns()))
 
     def drop_page(self, lsn: int) -> None:
-        """Forget a page everywhere: both spindles and the decoded cache.
+        """Forget a page everywhere: both spindles and the page cache.
 
         Used by log-media rescue to discard unreadable blocks; without the
-        cache eviction a previously decoded copy would keep serving a page
+        cache eviction a previously read copy would keep serving a page
         the operator declared lost."""
         self.disks.free(lsn)
         with self._cache_mutex:
             self._page_cache.pop(lsn, None)
 
-    # -- decoded-page cache ----------------------------------------------------------
+    # -- page cache ------------------------------------------------------------------
 
     def crash(self) -> None:
-        """Lose the volatile part: decoded pages live in main memory, so
-        a restart reads and decodes every page it needs from the disks."""
+        """Lose the volatile part: cached pages live in main memory, so
+        a restart reads every page it needs from the disks."""
         with self._cache_mutex:
             self._page_cache.clear()
 

@@ -18,8 +18,9 @@ Two flavours exist, mirroring the paper:
 
 Records serialise to a compact binary wire format so the bytes that reach
 the simulated log disk are the bytes recovery decodes.  Each class states
-its Operation part once, as a :class:`Layout`; :func:`_register` compiles
-that into the two forms a record takes on disk:
+its Operation part once, as a :class:`Layout`, and its effect once, as
+``redo`` on the layout's wire-order operands; :func:`_register` compiles
+the layout into the two forms a record takes on disk:
 
 * *full* — header, address, fixed fields, ``u32`` length + ``data``;
 * *compact* — the same minus the leading (segment, partition) pair.
@@ -29,6 +30,10 @@ that into the two forms a record takes on disk:
   partition once in the page header, so its records drop those eight
   bytes and decoding takes the address from the header instead.  Mixed
   archive pages keep the full form (their records span partitions).
+
+A dedicated page is also *applied* in compact form: :func:`replay_records`
+walks its body and calls each class's ``redo`` on the unpacked operands,
+building no record.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ _HEADER = "<BIQ"  # tag, bin_index, txn_id
 _ADDRESS_CODES = {EntityAddress: "iiq", PartitionAddress: "ii"}
 
 _REGISTRY: dict[int, type["RedoRecord"]] = {}
+#: tag -> (operand unpacker, its size, ``redo``, ends in data?, class name):
+#: the compact form again, header skipped, for :func:`replay_records`.
+_REPLAY: dict[int, tuple[Callable[..., tuple], int, Callable[..., None], bool, str]] = {}
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,13 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
     cls._OWNER = attrgetter(
         f"{address}.partition_address" if layout.address is EntityAddress else address
     )
+    # ``redo``'s operands are what the compact form carries after the
+    # header: the address's own part (an entity's offset; nothing for a
+    # partition), the fixed fields, ``data``.
+    operands = struct.Struct(
+        f"<{struct.calcsize(_HEADER)}x{codes[2:]}{layout.fixed}{'I' if layout.blob else ''}"
+    )
+    _REPLAY[cls.TAG] = (operands.unpack_from, operands.size, cls.redo, layout.blob, cls.__name__)
     _REGISTRY[cls.TAG] = cls
     return cls
 
@@ -113,7 +128,16 @@ class RedoRecord:
         return self._OWNER(self)
 
     def apply(self, partition: Partition) -> None:
-        """Re-execute this operation against ``partition`` (REDO)."""
+        """Re-execute this operation against ``partition`` (REDO): the
+        address check, then :meth:`redo` on the record's own operands."""
+        raise NotImplementedError
+
+    @staticmethod
+    def redo(partition: Partition, *operands: Any) -> None:
+        """The operation's effect on ``partition``, stated once, on the
+        layout's wire-order operands after the (segment, partition) pair.
+        No address check: :meth:`apply` makes it per record,
+        :func:`replay_records`' caller once per page."""
         raise NotImplementedError
 
     # -- wire format --------------------------------------------------------------
@@ -163,16 +187,20 @@ class _Install(RedoRecord):
     data: bytes
 
     def apply(self, partition: Partition) -> None:
+        self._check_address(partition)
+        self.redo(partition, self.address.offset, self.data)
+
+    @staticmethod
+    def redo(partition: Partition, offset: int, data: bytes) -> None:
         # Upsert: after a crash the replayed log may repeat a prefix of
         # records already reflected in the recovered image (a page written
         # but not yet noted, or an image newer than part of its log).
         # Full-order replay makes the last writer win, so re-installing at
         # an occupied offset is safe; offsets are never reused.
-        self._check_address(partition)
-        if self.address.offset in partition:
-            partition.update(self.address.offset, self.data)
+        if offset in partition:
+            partition.update(offset, data)
         else:
-            partition.insert_at(self.address.offset, self.data)
+            partition.insert_at(offset, data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,10 +212,14 @@ class _Remove(RedoRecord):
     address: EntityAddress
 
     def apply(self, partition: Partition) -> None:
-        # Tolerates an already-deleted entity (duplicate replay prefix).
         self._check_address(partition)
-        if self.address.offset in partition:
-            partition.delete(self.address.offset)
+        self.redo(partition, self.address.offset)
+
+    @staticmethod
+    def redo(partition: Partition, offset: int) -> None:
+        # Tolerates an already-deleted entity (duplicate replay prefix).
+        if offset in partition:
+            partition.delete(offset)
 
 
 @_register
@@ -211,7 +243,11 @@ class TupleUpdate(RedoRecord):
 
     def apply(self, partition: Partition) -> None:
         self._check_address(partition)
-        partition.update(self.address.offset, self.data)
+        self.redo(partition, self.address.offset, self.data)
+
+    @staticmethod
+    def redo(partition: Partition, offset: int, data: bytes) -> None:
+        partition.update(offset, data)
 
 
 @_register
@@ -240,15 +276,18 @@ class FieldPatch(RedoRecord):
 
     def apply(self, partition: Partition) -> None:
         self._check_address(partition)
-        current = partition.read(self.address.offset)
-        end = self.start + len(self.data)
+        self.redo(partition, self.address.offset, self.start, self.data)
+
+    @staticmethod
+    def redo(partition: Partition, offset: int, start: int, data: bytes) -> None:
+        current = partition.read(offset)
+        end = start + len(data)
         if end > len(current):
             raise LogError(
-                f"field patch [{self.start}:{end}] exceeds tuple of "
-                f"{len(current)} bytes at {self.address}"
+                f"field patch [{start}:{end}] exceeds tuple of "
+                f"{len(current)} bytes at {partition.address} offset {offset}"
             )
-        patched = current[: self.start] + self.data + current[end:]
-        partition.update(self.address.offset, patched)
+        partition.update(offset, current[:start] + data + current[end:])
 
 
 # ------------------------------------------------------------------------------
@@ -269,14 +308,18 @@ class HeapPut(RedoRecord):
     data: bytes
 
     def apply(self, partition: Partition) -> None:
-        # Upsert on duplicate replay prefix (see _Install.apply): a
+        self._check_address(partition)
+        self.redo(partition, self.handle, self.data)
+
+    @staticmethod
+    def redo(partition: Partition, handle: int, data: bytes) -> None:
+        # Upsert on duplicate replay prefix (see _Install.redo): a
         # later HeapReplace may already be reflected in the image, so the
         # occupied bytes can legitimately differ — last writer wins.
-        self._check_address(partition)
-        if self.handle in partition.heap:
-            partition.heap.replace(self.handle, self.data)
+        if handle in partition.heap:
+            partition.heap.replace(handle, data)
         else:
-            partition.heap.put_at(self.handle, self.data)
+            partition.heap.put_at(handle, data)
 
 
 @_register
@@ -293,7 +336,11 @@ class HeapReplace(RedoRecord):
 
     def apply(self, partition: Partition) -> None:
         self._check_address(partition)
-        partition.heap.replace(self.handle, self.data)
+        self.redo(partition, self.handle, self.data)
+
+    @staticmethod
+    def redo(partition: Partition, handle: int, data: bytes) -> None:
+        partition.heap.replace(handle, data)
 
 
 @_register
@@ -308,10 +355,14 @@ class HeapDelete(RedoRecord):
     handle: int
 
     def apply(self, partition: Partition) -> None:
-        # Tolerates an already-deleted handle (duplicate replay prefix).
         self._check_address(partition)
-        if self.handle in partition.heap:
-            partition.heap.delete(self.handle)
+        self.redo(partition, self.handle)
+
+    @staticmethod
+    def redo(partition: Partition, handle: int) -> None:
+        # Tolerates an already-deleted handle (duplicate replay prefix).
+        if handle in partition.heap:
+            partition.heap.delete(handle)
 
 
 # ------------------------------------------------------------------------------
@@ -364,9 +415,13 @@ class _Marker(RedoRecord):
     partition: PartitionAddress
 
     def apply(self, partition: Partition) -> None:
+        self._check_address(partition)
+
+    @staticmethod
+    def redo(partition: Partition, number: int) -> None:
         # Position-only: the effects come from re-executing the command's
         # script (or from the sweep's image), never from this record.
-        self._check_address(partition)
+        pass
 
 
 @_register
@@ -434,6 +489,8 @@ def decode_record(
     layout = cls.LAYOUT
     if layout.blob:
         end = pos + fields[-1]
+        if end > len(buf):
+            raise LogError(f"truncated {cls.__name__} data at {pos}")
         fields[-1] = buf[pos:end]
         pos = end
     if partition is None:
@@ -457,6 +514,42 @@ def decode_records(
         record, pos = decode_record(buf, pos, partition)
         records.append(record)
     return records
+
+
+def replay_records(body: bytes, partition: Partition) -> int:
+    """Apply a dedicated page's body — compact records, in the order
+    written — to ``partition``; returns how many there were.
+
+    What ``for r in decode_records(body, partition.address):
+    r.apply(partition)`` does, with no record built: one ``unpack_from``
+    per record, then the class's ``redo`` on the operands and a slice of
+    ``body``.  The caller checks *once* that the page is ``partition``'s;
+    the per-record address check would compare the page header with
+    itself.
+    """
+    count = 0
+    pos = 0
+    size = len(body)
+    while pos < size:
+        entry = _REPLAY.get(body[pos])
+        if entry is None:
+            raise LogError(f"unknown log record tag {body[pos]} at {pos}")
+        unpack_from, width, redo, blob, name = entry
+        try:
+            operands = unpack_from(body, pos)
+        except struct.error as exc:
+            raise LogError(f"truncated {name} record at {pos}") from exc
+        pos += width
+        if blob:
+            end = pos + operands[-1]
+            if end > size:
+                raise LogError(f"truncated {name} data at {pos}")
+            redo(partition, *operands[:-1], body[pos:end])
+            pos = end
+        else:
+            redo(partition, *operands)
+        count += 1
+    return count
 
 
 # ------------------------------------------------------------------------------

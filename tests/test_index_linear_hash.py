@@ -128,6 +128,36 @@ class TestGrowth:
             assert rebuilt.search(i) == [addr(i)]
         rebuilt.verify_invariants()
 
+    def test_load_decodes_no_key_and_counts_on_demand(self, monkeypatch):
+        """Loading reads the anchor and directory only; ``len`` then counts
+        from the chain nodes' headers, and writes keep the count current."""
+        from repro.index import linear_hash
+
+        store = make_store()
+        index = LinearHashIndex(store, initial_buckets=2, bucket_capacity=4)
+        for i in range(100):
+            index.insert(i, addr(i))
+
+        def refuse(*args):
+            raise AssertionError("a load or a count decoded bucket keys")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(linear_hash, "unpack_items", refuse)
+            rebuilt = LinearHashIndex(store, anchor=index.anchor)
+            assert len(rebuilt) == 100
+        rebuilt.delete(3, addr(3))
+        rebuilt.insert(100, addr(100))
+        rebuilt.insert(101, addr(101))
+        assert len(rebuilt) == 101
+        rebuilt.verify_invariants()
+
+    def test_count_drift_is_an_invariant_violation(self, index):
+        for i in range(10):
+            index.insert(i, addr(i))
+        index._count += 1
+        with pytest.raises(IndexStructureError, match="anchor count"):
+            index.verify_invariants()
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(IndexStructureError):
             LinearHashIndex(make_store(), initial_buckets=0)

@@ -336,7 +336,8 @@ class TestSinglePassScan:
         streams, stats = demultiplex_log_history(db.log_disk)
         assert set(streams) == set(reference)
         for address, records in reference.items():
-            got = [r.encode() for r in streams[address]]
+            assert all(page.partition == address for page in streams[address])
+            got = [r.encode() for page in streams[address] for r in page.records]
             want = [r.encode() for r in records]
             assert got == want, f"stream order diverged for {address}"
         assert stats["archive_pages"] == archive_pages

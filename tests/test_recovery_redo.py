@@ -170,3 +170,57 @@ class TestRecoveryProcessorAccounting:
         breakdown = db.recovery_cpu.category_breakdown()
         assert "record-lookup" in breakdown
         assert "record-copy" in breakdown
+
+
+class TestRestartBuildsNoRecord:
+    """Restart applies flushed pages from their bytes: a value-logged
+    restart decodes no record at all (the bin-buffer tails it also applies
+    are objects already, in stable memory)."""
+
+    @staticmethod
+    def crashed_db():
+        from repro.recovery.oracle import logical_digest
+
+        db = Database(
+            SystemConfig(
+                log_page_size=512,
+                update_count_threshold=100_000,
+                log_window_pages=4096,
+                log_window_grace_pages=64,
+            )
+        )
+        rel = db.create_relation(
+            "t", [("id", "int"), ("v", "int"), ("s", "str")], primary_key="id"
+        )
+        with db.transaction() as txn:
+            rows = {i: rel.insert(txn, {"id": i, "v": 0, "s": f"s{i}"}) for i in range(40)}
+        for round_ in range(1, 4):
+            with db.transaction() as txn:
+                for i, address in rows.items():
+                    rel.update(txn, address, {"v": round_ * i, "s": f"round-{round_}-{i}"})
+        with db.transaction() as txn:
+            for i in range(0, 40, 4):
+                rel.delete(txn, rows[i])
+        assert sum(bin_.flushed_pages for bin_ in db.slt.bins()) >= 3
+        assert any(bin_.buffer for bin_ in db.slt.bins())
+        digest = logical_digest(db)
+        db.crash()
+        return db, digest
+
+    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch):
+        from repro import RecoveryMode
+        from repro.recovery.oracle import logical_digest
+
+        twin, digest = self.crashed_db()
+        expected = twin.restart(RecoveryMode.EAGER)
+        assert logical_digest(twin) == digest
+
+        def refuse(*args):
+            raise AssertionError("restart built a record object")
+
+        db, _ = self.crashed_db()
+        monkeypatch.setattr("repro.wal.records.decode_record", refuse)
+        coordinator = db.restart(RecoveryMode.EAGER)
+        assert logical_digest(db) == digest
+        assert coordinator.records_replayed == expected.records_replayed > 0
+        assert coordinator.pages_read == expected.pages_read > 0

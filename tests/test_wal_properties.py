@@ -7,64 +7,62 @@ from repro import Database, SystemConfig
 from repro.common import EntityAddress, PartitionAddress
 from repro.sim import StableMemory
 from repro.storage import Partition
+from repro.common.errors import LogError, StorageError
 from repro.wal import (
     FieldPatch,
     HeapDelete,
     HeapPut,
+    HeapReplace,
+    IndexNodeFree,
+    IndexNodeWrite,
     LogPage,
     StableLogBuffer,
     TupleDelete,
     TupleInsert,
     TupleUpdate,
+    decode_record,
 )
+from repro.wal.records import CommandBarrier, SweepMarker, replay_records
 from repro.wal.slb import WELL_KNOWN_RESERVE
 
 PADDR = PartitionAddress(3, 4)
 
-record_strategy = st.one_of(
-    st.builds(
-        TupleInsert,
-        st.integers(1, 50),
-        st.integers(0, 10),
-        st.builds(EntityAddress, st.just(3), st.just(4), st.integers(1, 1000)),
-        st.binary(max_size=64),
-    ),
-    st.builds(
-        TupleUpdate,
-        st.integers(1, 50),
-        st.integers(0, 10),
-        st.builds(EntityAddress, st.just(3), st.just(4), st.integers(1, 1000)),
-        st.binary(max_size=64),
-    ),
-    st.builds(
-        TupleDelete,
-        st.integers(1, 50),
-        st.integers(0, 10),
-        st.builds(EntityAddress, st.just(3), st.just(4), st.integers(1, 1000)),
-    ),
-    st.builds(
-        FieldPatch,
-        st.integers(1, 50),
-        st.integers(0, 10),
-        st.builds(EntityAddress, st.just(3), st.just(4), st.integers(1, 1000)),
-        st.integers(0, 100),
-        st.binary(max_size=16),
-    ),
-    st.builds(
-        HeapPut,
-        st.integers(1, 50),
-        st.integers(0, 10),
-        st.just(PADDR),
-        st.integers(1, 10_000),
-        st.binary(max_size=64),
-    ),
-    st.builds(
-        HeapDelete,
-        st.integers(1, 50),
-        st.integers(0, 10),
-        st.just(PADDR),
-        st.integers(1, 10_000),
-    ),
+OTHER = PartitionAddress(3, 5)
+
+
+def record_strategy_over(offsets, handles):
+    """All eleven REDO classes, for partition :data:`PADDR`, addressing
+    the given entity offsets and heap handles."""
+    header = (st.integers(1, 50), st.integers(0, 10))
+    address = st.builds(EntityAddress, st.just(3), st.just(4), offsets)
+    data = st.binary(max_size=64)
+    return st.one_of(
+        st.builds(TupleInsert, *header, address, data),
+        st.builds(TupleUpdate, *header, address, data),
+        st.builds(TupleDelete, *header, address),
+        st.builds(FieldPatch, *header, address, st.integers(0, 100), st.binary(max_size=16)),
+        st.builds(HeapPut, *header, st.just(PADDR), handles, data),
+        st.builds(HeapReplace, *header, st.just(PADDR), handles, data),
+        st.builds(HeapDelete, *header, st.just(PADDR), handles),
+        st.builds(IndexNodeWrite, *header, address, data),
+        st.builds(IndexNodeFree, *header, address),
+        st.builds(CommandBarrier, *header, st.just(PADDR), st.integers(0, 9)),
+        st.builds(SweepMarker, *header, st.just(PADDR), st.integers(0, 9)),
+    )
+
+
+record_strategy = record_strategy_over(st.integers(1, 1000), st.integers(1, 10_000))
+#: Few addresses, all occupied to begin with, so sequences overwrite,
+#: delete then reinsert, and patch or replace what an earlier record put
+#: there — and now and then address something a delete took away.
+colliding_records = st.lists(
+    record_strategy_over(st.integers(1, 5), st.integers(1, 5)), max_size=30
+).map(
+    lambda records: [
+        *(TupleInsert(1, 0, EntityAddress(3, 4, n), b"t" * 40) for n in range(1, 6)),
+        *(HeapPut(1, 0, PADDR, n, b"h" * 8) for n in range(1, 6)),
+        *records,
+    ]
 )
 
 
@@ -77,6 +75,64 @@ def test_log_page_roundtrip_property(records):
     assert decoded.records == records
     assert decoded.embedded_directory == [1, 2, 3]
     assert decoded.partition == PADDR
+
+
+def _outcome(run, partition):
+    """What applying did: its result or the refusal, and the state left."""
+    try:
+        result = run(partition)
+    except (LogError, StorageError) as exc:
+        result = (type(exc), str(exc))
+    return result, partition.to_bytes()
+
+
+def _apply_decoded(body, partition):
+    """The reference: build each record, then ``apply`` it."""
+    count = pos = 0
+    while pos < len(body):
+        record, pos = decode_record(body, pos, partition.address)
+        record.apply(partition)
+        count += 1
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    colliding_records,
+    st.integers(0, 30),
+    st.sampled_from(["whole", "truncated", "unknown-tag"]),
+    st.integers(1, 12),
+)
+def test_replay_from_bytes_equals_decode_then_apply(records, repeated, damage, cut):
+    """``replay_records`` over a compact body leaves the partition that
+    decoding every record and applying it leaves, counts the same, and
+    refuses the same malformed or inapplicable input at the same record."""
+    # a crash may replay a prefix twice (page written but not yet noted)
+    body = b"".join(r.encode(compact=True) for r in records[:repeated] + records)
+    if damage == "truncated":
+        body = body[:-cut]
+    elif damage == "unknown-tag":
+        body += b"\xff" * cut
+    replayed = _outcome(lambda p: replay_records(body, p), Partition(PADDR, 64 * 1024))
+    decoded = _outcome(lambda p: _apply_decoded(body, p), Partition(PADDR, 64 * 1024))
+    assert replayed == decoded
+    # and a page read back from disk goes the same way
+    if damage == "whole":
+        page = LogPage.decode(LogPage(PADDR, records[:repeated] + records).encode())
+        assert _outcome(page.replay, Partition(PADDR, 64 * 1024)) == replayed
+
+
+@settings(max_examples=40, deadline=None)
+@given(colliding_records)
+def test_page_of_another_partition_is_refused_before_any_record(records):
+    """The owner check is made once per page, ahead of the first record."""
+    built = LogPage(PADDR, records)
+    for page in (built, LogPage.decode(built.encode())):
+        other = Partition(OTHER, 64 * 1024)
+        before = other.to_bytes()
+        result, after = _outcome(page.replay, other)
+        assert result[0] is LogError and "applied to" in result[1]
+        assert after == before
 
 
 @settings(max_examples=40, deadline=None)

@@ -146,6 +146,7 @@ class TestLogPageRoundTrip:
         page = LogPage(PADDR, ALL_RECORDS, embedded_directory=[5, 9], lsn=12)
         blob = page.encode()
         assert LogPage.decode(blob) == page
+        assert LogPage.decode(blob).records == ALL_RECORDS
         body = "".join(compact for _, _, compact in GOLDEN_REDO.values())
         assert blob.hex().endswith(body)
         assert len(blob) == 22 + 2 * 8 + len(body) // 2
@@ -197,6 +198,23 @@ class TestWireFormat:
             decode_record(bytes.fromhex(full)[:-1])
         with pytest.raises(LogError):
             decode_record(bytes.fromhex(compact)[:-1], 0, PADDR)
+
+    @pytest.mark.parametrize(
+        "name", [n for n, (r, _, _) in GOLDEN_REDO.items() if r.LAYOUT.blob]
+    )
+    def test_truncated_data_rejected(self, name):
+        """A length word running past the end of the buffer must not
+        decode to silently short data — nor replay it."""
+        record, full, compact = GOLDEN_REDO[name]
+        for cut in range(1, len(record.data) + 1):
+            with pytest.raises(LogError, match=f"truncated {name} data"):
+                decode_record(bytes.fromhex(full)[:-cut])
+            with pytest.raises(LogError, match=f"truncated {name} data"):
+                decode_record(bytes.fromhex(compact)[:-cut], 0, PADDR)
+            partition = Partition(PADDR, 4096)
+            with pytest.raises(LogError, match=f"truncated {name} data"):
+                records.replay_records(bytes.fromhex(compact)[:-cut], partition)
+            assert len(partition) == 0 and len(partition.heap) == 0
 
     def test_redo_and_control_tags_never_cross(self):
         # control records must never enter the bin sort, and a REDO byte

@@ -341,8 +341,8 @@ class TestLogCondensing:
 
 
 class TestDecodedPageCache:
-    """The bounded LRU of decoded pages shared by media scans,
-    ``page_owner`` peeks, and restart reads."""
+    """The bounded LRU of pages read (header parsed, records still bytes)
+    shared by media scans, ``page_owner`` and restart reads."""
 
     def test_repeat_read_served_from_cache(self):
         log_disk = make_log_disk()
@@ -362,15 +362,23 @@ class TestDecodedPageCache:
         assert log_disk.page_owner(lsn) == PADDR
         assert log_disk.pages_read == reads
 
-    def test_page_owner_peek_does_not_decode(self):
-        """A cold owner peek is a header-only read: nothing is cached, so
-        a later full read still pays one decode read."""
+    def test_page_owner_peek_does_not_decode(self, monkeypatch):
+        """Reading a page parses its header only; records are built on
+        the first ``page.records``, once."""
+        import repro.wal.records as records_module
+
         log_disk = make_log_disk()
         lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
+        decode = records_module.decode_record
+        calls = []
+        monkeypatch.setattr(
+            records_module, "decode_record", lambda *a: calls.append(a) or decode(*a)
+        )
         assert log_disk.page_owner(lsn) == PADDR
-        hits = log_disk.cache_hits
-        log_disk.read_page(lsn)
-        assert log_disk.cache_hits == hits  # the peek cached nothing
+        page = log_disk.read_page(lsn)
+        assert calls == []
+        assert page.records == [record(0)]
+        assert page.records is page.records and len(calls) == 1
 
     def test_cache_disabled(self):
         log_disk = make_log_disk(cache=0)
@@ -414,11 +422,3 @@ class TestDecodedPageCache:
     def test_negative_cache_size_rejected(self):
         with pytest.raises(Exception):
             make_log_disk(cache=-1)
-
-    def test_owner_from_blob_matches_decoded_page(self):
-        from repro.wal.log_disk import page_owner_from_blob
-
-        log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
-        blob = log_disk.fetch_blob(lsn)
-        assert page_owner_from_blob(blob) == log_disk.read_page(lsn).partition
