@@ -3,7 +3,7 @@
 The crash-point hooks (`repro.sim.chaos.crash_point`) and the CRC32
 frames on stable blocks (`repro.common.checksum`) live permanently on
 the paths Graph 2 models — commit, the sorting step, the page flush,
-the checkpoint.  That is only acceptable if, with no monkey active,
+the checkpoint.  That is only acceptable if, with no injector active,
 their combined cost is a rounding error on a transaction.
 
 Shape requirement: disabled crash points plus checksum sealing add less
@@ -29,7 +29,6 @@ from repro.common.checksum import open_frame, seal_frame
 from repro.sim.chaos import (
     LATENCY,
     ChaosEngine,
-    ChaosMonkey,
     ChaosPlan,
     ChaosRule,
     chaos,
@@ -92,8 +91,8 @@ def bench_chaos_overhead(benchmark, report):
 
     # -- cost of a hook passage while a plan is *armed* ------------------
     # The engine's rules target a different point, so this prices the
-    # dispatch miss (one dict probe) that every unrelated hook pays for
-    # the whole time a ChaosPlan is live.
+    # dispatch miss (the passage counted under the engine's mutex) that
+    # every unrelated hook pays for the whole time a ChaosPlan is live.
     other_point = next(
         name
         for name in sorted(registered_crash_points())
@@ -116,16 +115,16 @@ def bench_chaos_overhead(benchmark, report):
     frame_cost = _best_of(5, frames) / frame_iterations
 
     # -- how many of each does one transaction actually incur? -----------
-    # A monkey with nothing armed counts every hook passage without
-    # crashing (its dict upkeep is why counting and timing are separate
+    # An engine with no rules counts every hook passage without
+    # injecting (its upkeep is why counting and timing are separate
     # runs).  Frames sealed = duplexed log writes + archive pages +
     # checkpoint images, read straight off the system counters.
     counting_db = Database(_config())
     counting_workload = _bank(counting_db)
-    monkey = ChaosMonkey()
-    with chaos(monkey):
+    counter = ChaosEngine(ChaosPlan(seed=0))
+    with chaos(counter):
         counting_workload.run(TRANSACTIONS)
-    hooks_per_txn = sum(monkey.hits.values()) / TRANSACTIONS
+    hooks_per_txn = sum(counter.hits().values()) / TRANSACTIONS
     processor = counting_db.recovery_processor
     frames_per_txn = (
         processor.pages_flushed
@@ -146,7 +145,7 @@ def bench_chaos_overhead(benchmark, report):
     chaos_cost = hooks_per_txn * hook_cost + frames_per_txn * frame_cost
     overhead = chaos_cost / txn_cost
     # Same per-transaction accounting with a live (non-matching) plan: the
-    # dispatch-miss probe replaces the bare None check on every hook.
+    # counted dispatch miss replaces the bare None check on every hook.
     armed_cost = hooks_per_txn * dispatch_cost + frames_per_txn * frame_cost
     armed_overhead = armed_cost / txn_cost
     report(

@@ -1,11 +1,10 @@
-"""Logging-mode benchmark — value vs command vs adaptive (docs/LOGGING.md).
+"""Logging-mode benchmark — value vs command (docs/LOGGING.md).
 
 Command logging trades log volume for recovery work: a scripted
 transaction commits one compact ``TxnCommand`` record instead of its
 after-images, and restart re-executes the live command-log suffix.  The
 replay planner partitions that suffix by declared access lists into
-conflict-free batches, so under the threaded engine independent batches
-recover in parallel.
+conflict-free batches, which the threaded engine replays on its pool.
 
 Three measurements on one scripted workload (eight disjoint relations,
 one registered script each):
@@ -13,11 +12,12 @@ one registered script each):
 1. **Log volume** — stable log bytes per scripted transaction, per mode.
    Acceptance: command mode writes ≥5x fewer bytes/txn than value mode.
 2. **Commit-path cost** — simulated seconds per scripted transaction.
-3. **Recovery** — crash with the full command suffix live, then restart.
-   Digests must be identical across all three modes; under the threaded
-   engine, replay at 4 workers must beat serial replay ≥2x wall-clock
-   (simulated device time bridged to host time via ``realtime_scale``,
-   exactly as in ``bench_parallel_recovery``).
+3. **Recovery** — crash with the full command suffix live, then restart:
+   simulated seconds per mode, and digests identical across both modes
+   and every replay pool size (the planner must find one batch per
+   relation, and a pool of 4 must use 4 workers).  What the two modes
+   cost on the host clock is the ``scripted_command`` workload of
+   ``benchmarks/host`` (docs/LOGGING.md has the table).
 
 Results land in ``benchmarks/results/BENCH_logging_modes.json`` for CI artifacts.
 """
@@ -25,12 +25,11 @@ Results land in ``benchmarks/results/BENCH_logging_modes.json`` for CI artifacts
 from __future__ import annotations
 
 import json
-import time
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.engine import ThreadedEngine
 
-MODES = ["value", "command", "adaptive"]
+MODES = ["value", "command"]
 #: Replay pool sizes measured under command mode, in order.
 WORKER_COUNTS = [1, 2, 4]
 #: Disjoint single-relation closures — the planner's parallelism budget.
@@ -38,8 +37,6 @@ N_RELATIONS = 8
 ROWS_PER_RELATION = 160
 SCRIPT_TXNS_PER_RELATION = 24
 ROWS_TOUCHED_PER_TXN = 6
-#: Host seconds slept per simulated device second during timed restarts.
-REALTIME_SCALE = 0.25
 
 from _results import results_path
 
@@ -116,12 +113,6 @@ def build(mode: str, engine=None) -> tuple[Database, dict]:
     return db, metrics
 
 
-def _set_realtime_scale(db: Database, scale: float) -> None:
-    db.checkpoint_disk.disk.realtime_scale = scale
-    db.log_disk.disks.primary.realtime_scale = scale
-    db.log_disk.disks.mirror.realtime_scale = scale
-
-
 def measure_mode(mode: str) -> dict:
     """Cooperative engine: workload, crash, eager restart, digest."""
     from repro.recovery.oracle import logical_digest
@@ -143,23 +134,17 @@ def measure_mode(mode: str) -> dict:
 
 
 def measure_replay(workers: int) -> dict:
-    """Threaded engine: command-mode workload, crash, timed restart."""
+    """Threaded engine: command-mode workload, crash, restart."""
     from repro.recovery.oracle import logical_digest
 
     db, _ = build("command", engine=ThreadedEngine(workers=workers))
     try:
         db.crash()
-        _set_realtime_scale(db, REALTIME_SCALE)
-        start = time.perf_counter()
         db.restart(RecoveryMode.ON_DEMAND)
-        wall = time.perf_counter() - start
-        _set_realtime_scale(db, 0.0)
         replay = db.last_command_replay
-        coordinator = db.restart_coordinator
-        coordinator.recover_everything()
+        db.restart_coordinator.recover_everything()
         return {
             "workers": workers,
-            "wall_seconds": wall,
             "commands_replayed": replay["commands_replayed"],
             "batches": replay["batches"],
             "replay_workers": replay["replay_workers"],
@@ -178,10 +163,6 @@ def bench_logging_modes(benchmark, report):
 
     mode_results, replay_results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    base = replay_results[0]
-    for r in replay_results:
-        r["speedup"] = base["wall_seconds"] / r["wall_seconds"]
-
     lines = [
         f"{'mode':>9} {'bytes/txn':>10} {'commit ms/txn':>14} "
         f"{'recovery (sim)':>15} {'replayed':>9}"
@@ -193,22 +174,16 @@ def bench_logging_modes(benchmark, report):
             f"{r['recovery_sim_seconds']:>13.2f} s {r['commands_replayed']:>9}"
         )
     lines.append("")
-    lines.append(
-        f"{'replay workers':>15} {'wall':>9} {'speedup':>8} {'batches':>8}"
-    )
+    lines.append(f"{'pool size':>10} {'replay workers':>15} {'batches':>8}")
     for r in replay_results:
-        lines.append(
-            f"{r['workers']:>15} {r['wall_seconds']:>7.2f} s "
-            f"{r['speedup']:>7.2f}x {r['batches']:>8}"
-        )
-    report("Logging modes — log volume, commit cost, parallel replay", lines)
+        lines.append(f"{r['workers']:>10} {r['replay_workers']:>15} {r['batches']:>8}")
+    report("Logging modes — log volume, commit cost, batched replay", lines)
 
     by_mode = {r["mode"]: r for r in mode_results}
     payload = {
         "benchmark": "logging_modes",
         "relations": N_RELATIONS,
         "scripted_txns": by_mode["value"]["scripted_txns"],
-        "realtime_scale": REALTIME_SCALE,
         "modes": [
             {k: v for k, v in r.items() if k != "digest"} for r in mode_results
         ],
@@ -237,11 +212,9 @@ def bench_logging_modes(benchmark, report):
         f"command mode only {payload['value_to_command_bytes_ratio']:.1f}x "
         f"below value mode"
     )
-    # Acceptance: dependency-batched replay ≥2x at 4 workers vs serial.
+    # Dependency batching: one batch per disjoint relation, spread over
+    # as many workers as the pool has.
     by_workers = {r["workers"]: r for r in replay_results}
     assert by_workers[1]["replay_workers"] == 1
     assert by_workers[4]["replay_workers"] == 4
     assert by_workers[4]["batches"] >= 4
-    assert by_workers[4]["speedup"] >= 2.0, (
-        f"4-worker replay speedup {by_workers[4]['speedup']:.2f}x < 2x"
-    )

@@ -12,8 +12,7 @@ since its last checkpoint.
 
 ``--logging-mode`` selects the axis (docs/LOGGING.md).  Under ``value``
 the accumulated log is after-images and recovery is REDO application;
-under ``command`` (or ``adaptive``, which converts these update-heavy
-transactions) the accumulation is a live command suffix and recovery is
+under ``command`` the accumulation is a live command suffix and recovery is
 re-execution by the replay planner, so "records applied" stays flat
 while "commands replayed" grows instead.
 

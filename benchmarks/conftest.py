@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.config import LOGGING_MODES
+
 
 def pytest_addoption(parser):
     parser.addoption(
         "--logging-mode",
         action="store",
         default="value",
-        choices=("value", "command", "adaptive"),
+        choices=LOGGING_MODES,
         help="Transaction logging mode for benchmarks that take it as an "
         "axis (bench_recovery_vs_log_accumulation).",
     )

@@ -32,9 +32,20 @@ WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
 LOGGING_MODE_ENV_VAR = "REPRO_LOGGING_MODE"
 CONDENSE_ENV_VAR = "REPRO_CONDENSE"
 
-LOGGING_MODES = ("value", "command", "adaptive")
+LOGGING_MODES = ("value", "command")
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
+
+
+def expect_one_of(name: str, value: str, accepted: tuple[str, ...]) -> str:
+    """``value`` if it is one of ``accepted``; otherwise the one refusal
+    every enumerated setting (environment, config field, call argument)
+    raises, naming what is accepted."""
+    if value not in accepted:
+        raise ConfigurationError(
+            f"{name}={value!r}: expected one of {', '.join(accepted)}"
+        )
+    return value
 
 
 class EnvSettings(NamedTuple):
@@ -53,11 +64,7 @@ def env_settings() -> EnvSettings:
 
     def choice(name: str, default: str, accepted: tuple[str, ...]) -> str:
         value = os.environ.get(name, "").strip().lower() or default
-        if value not in accepted:
-            raise ConfigurationError(
-                f"{name}={value!r}: expected one of {', '.join(accepted)}"
-            )
-        return value
+        return expect_one_of(name, value, accepted)
 
     workers = os.environ.get(WORKERS_ENV_VAR, "").strip() or "4"
     if not workers.isdecimal() or int(workers) < 1:
@@ -216,20 +223,13 @@ class SystemConfig:
     #: device fault escalates to a hard ``MediaFailure`` (0 = escalate on
     #: the first fault).  Shared by the log and checkpoint disks.
     io_retry_budget: int = 4
-    #: Default per-transaction logging mode: ``"value"`` (after-images,
-    #: the paper's scheme), ``"command"`` (one TxnCommand record per
-    #: registered script, docs/LOGGING.md), or ``"adaptive"`` (value
-    #: execution, converted to a command record at commit when the
-    #: after-image bytes reach ``adaptive_log_threshold``).  Overridable
-    #: per call on :meth:`Database.run_script`.  The ``REPRO_LOGGING_MODE``
-    #: environment variable sets the default for configs that do not pass
-    #: it explicitly (the CI logging-mode matrix axis, mirroring
-    #: ``REPRO_ENGINE``).
+    #: How :meth:`Database.run_script` logs a registered script unless the
+    #: call says otherwise: ``"value"`` (after-images, the paper's
+    #: scheme) or ``"command"`` (one TxnCommand record, docs/LOGGING.md).
+    #: The ``REPRO_LOGGING_MODE`` environment variable sets the default
+    #: for configs that do not pass it explicitly (a CI matrix axis,
+    #: mirroring ``REPRO_ENGINE``).
     logging_mode: str = field(default_factory=lambda: env_settings().logging_mode)
-    #: Adaptive mode converts a declared transaction to command logging
-    #: when its after-image chain reaches this many bytes; below it the
-    #: value chain is cheaper than a command record plus barriers.
-    adaptive_log_threshold: int = 256
     #: Run the background condenser (docs/CONDENSING.md): the recovery
     #: CPU, when idle, folds flushed log pages into shadow checkpoint
     #: images so restart replays only the short uncondensed suffix.  Off
@@ -265,12 +265,7 @@ class SystemConfig:
             raise ConfigurationError("checkpoint_slots must be positive")
         if self.io_retry_budget < 0:
             raise ConfigurationError("io_retry_budget cannot be negative")
-        if self.logging_mode not in LOGGING_MODES:
-            raise ConfigurationError(
-                "logging_mode must be 'value', 'command', or 'adaptive'"
-            )
-        if self.adaptive_log_threshold <= 0:
-            raise ConfigurationError("adaptive_log_threshold must be positive")
+        expect_one_of("logging_mode", self.logging_mode, LOGGING_MODES)
 
     @property
     def records_per_page(self) -> int:

@@ -45,10 +45,9 @@ from repro.catalog.schema import Schema
 from repro.checkpoint.disk_queue import CheckpointDiskQueue
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.protocol import CheckpointQueue
-from repro.common.config import SystemConfig
+from repro.common.config import LOGGING_MODES, SystemConfig, expect_one_of
 from repro.common.errors import (
     CatalogError,
-    ConfigurationError,
     RecoveryError,
     StableMemoryFullError,
 )
@@ -335,33 +334,29 @@ class Database:
 
         ``logging`` overrides ``config.logging_mode`` for this call:
         ``"value"`` logs after-images as usual; ``"command"`` logs one
-        compact TxnCommand record instead; ``"adaptive"`` executes under
-        value logging and converts at commit when the after-image bytes
-        reach ``config.adaptive_log_threshold``.  Shard nodes always run
-        value-logged — their transactions may be drafted into 2PC, which
-        local re-execution cannot replay.
+        compact TxnCommand record instead (docs/LOGGING.md has what each
+        costs, so a caller can choose per script).  Shard nodes always
+        run value-logged — their transactions may be drafted into 2PC,
+        which local re-execution cannot replay.
 
-        Command and adaptive runs take exclusive relation locks on the
+        A command-logged run takes exclusive relation locks on the
         script's whole declared list up front (sorted by segment id), the
         isolation that makes replay re-execution deterministic.  ``args``
         must round-trip through JSON.  Returns the script's return value.
         """
         info = self.scripts.get(name)
-        mode = logging if logging is not None else self.config.logging_mode
-        if mode not in ("value", "command", "adaptive"):
-            raise ConfigurationError(
-                "logging must be 'value', 'command', or 'adaptive'"
-            )
+        mode = self.config.logging_mode if logging is None else logging
+        expect_one_of("logging", mode, LOGGING_MODES)
         if self.shard_id is not None:
             mode = "value"
         if self.restart_coordinator is not None:
             for relation_name in info.relations:
                 self.restart_coordinator.recover_relation(relation_name)
         command = None
-        if mode != "value":
+        if mode == "command":
             command = (info.name, info.version, json.dumps(list(args)).encode("utf-8"))
         with self.transactions.scope(
-            logging_mode=mode, command=command, declared_relations=info.relations
+            command=command, declared_relations=info.relations
         ) as txn:
             if command is not None:
                 txn.lock_declared()

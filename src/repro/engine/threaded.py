@@ -8,16 +8,18 @@ its completion, so the *order* of duties — and therefore every metered
 total — matches the cooperative engine, while the work itself runs on
 the other thread against the now lock-hardened stable structures.
 
-Restart phase 2 is where genuine concurrency pays: ``restore_partitions``
-fans the missing-partition list out over a pool of worker threads, each
-running independent recovery transactions (the paper's section 2.5 notes
-these are ordinary transactions, so several can run at once).  Simulated
-device time still aggregates on the shared virtual clock; wall-clock
-speedup shows when disks are given a non-zero ``realtime_scale`` (see
-``benchmarks/bench_parallel_recovery.py``).
+Restart phase 2 is where threads genuinely interleave:
+``restore_partitions`` fans the missing-partition list out over a pool of
+worker threads, each running independent recovery transactions (the
+paper's section 2.5 notes these are ordinary transactions, so several can
+run at once).  Simulated device time still aggregates on the shared
+virtual clock, and on the host clock the pool buys nothing — the work is
+Python under the interpreter lock (docs/ENGINES.md has the numbers).
+This engine exists to put the locking under real interleavings: the lock
+audit, the torture rounds and the race tests run on it.
 
 Exceptions raised by a duty on the recovery thread — including simulated
-crash faults from the chaos monkey — are ferried back and re-raised on
+crash faults from the chaos engine — are ferried back and re-raised on
 the submitting thread, so crash-injection tests behave identically under
 both engines.
 """

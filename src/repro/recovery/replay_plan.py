@@ -354,7 +354,6 @@ class CommandReplayPlanner:
                 ReplayTransaction,
                 db=db,
                 txn_id=next(self._txn_ids),
-                logging_mode="command",
                 command=(command.name, command.version, command.args),
                 declared_relations=command.relations,
             ) as txn:

@@ -18,7 +18,6 @@ and duplexed two-head log disks.  This package simulates each of them:
 
 from repro.sim.chaos import (
     ChaosHarness,
-    ChaosMonkey,
     CrashPointRun,
     chaos,
     crash_point,
@@ -34,7 +33,6 @@ from repro.sim.stable_memory import StableMemory
 __all__ = [
     "CORRUPTION_KINDS",
     "ChaosHarness",
-    "ChaosMonkey",
     "CpuMeter",
     "CrashPointRun",
     "DuplexedDisk",

@@ -1,4 +1,4 @@
-"""Crash/fault-point registries and the chaos engines.
+"""Crash/fault-point registries and the chaos engine.
 
 The paper's claim is that recovery is *exact* no matter when the system
 dies — mid-commit, in any of the seven checkpoint steps (section 2.4),
@@ -12,16 +12,17 @@ checkable:
   no injector active a hook is one global read and a ``None`` check, so
   the hooks stay on the hot path permanently
   (``benchmarks/bench_chaos_overhead.py`` enforces the budget).
-* :class:`ChaosMonkey` arms exactly one named point; the first time
-  execution passes it, a :class:`~repro.sim.faults.SimulatedCrash` is
-  raised and the monkey latches so recovery can run through the very same
-  code path without re-firing.
-* :class:`ChaosEngine` generalises the monkey into a seeded, multi-action
-  :class:`ChaosPlan`: any registered point may crash, inject host-time
-  latency (so threaded-engine workers genuinely reorder), or raise a
-  :class:`~repro.sim.faults.TransientIOError` — with per-point
+* :class:`ChaosEngine` is the one injector.  It evaluates a seeded,
+  multi-action :class:`ChaosPlan`: any registered point may crash, inject
+  host-time latency (so threaded-engine workers genuinely reorder), or
+  raise a :class:`~repro.sim.faults.TransientIOError` — with per-point
   probability, nth-visit, and thread-name filters, all driven by one
-  seeded RNG so any failure reproduces from its printed seed.
+  seeded RNG so any failure reproduces from its printed seed.  The
+  simplest plan, :meth:`ChaosPlan.crash_at`, arms exactly one named
+  point: the first time execution passes it a
+  :class:`~repro.sim.faults.SimulatedCrash` is raised and the rule
+  latches, so recovery can run through the very same code path without
+  re-firing.
 * :class:`ChaosHarness` enumerates every registered point and, for each
   one and each recovery mode, replays a workload, crashes at the point,
   restarts (retrying when the crash lands *inside* restart), and checks
@@ -59,9 +60,8 @@ _REGISTRY: dict[str, str] = {}
 _FAULT_REGISTRY: dict[str, str] = {}
 
 #: The injector currently observing crash/fault points (None = all hooks
-#: free).  Anything with ``visit(name)`` / ``visit_fault(name)`` methods
-#: qualifies: :class:`ChaosMonkey` or :class:`ChaosEngine`.
-_active: "ChaosMonkey | ChaosEngine | None" = None
+#: free).
+_active: "ChaosEngine | None" = None
 
 #: Passive observer of crash-point passages (the --lock-audit recorder
 #: uses this to flag latches held across crash boundaries).  Unlike the
@@ -144,7 +144,7 @@ def set_crash_point_observer(observer: "Callable[[str], None] | None") -> None:
         _observer = observer
 
 
-def activate(injector: "ChaosMonkey | ChaosEngine") -> None:
+def activate(injector: "ChaosEngine") -> None:
     global _active
     with _mutation_lock:
         if _active is not None:
@@ -159,56 +159,13 @@ def deactivate() -> None:
 
 
 @contextlib.contextmanager
-def chaos(injector: "ChaosMonkey | ChaosEngine") -> Iterator["ChaosMonkey | ChaosEngine"]:
-    """``with chaos(injector):`` — scope the active monkey or engine."""
+def chaos(injector: "ChaosEngine") -> Iterator["ChaosEngine"]:
+    """``with chaos(engine):`` — scope the active injector."""
     activate(injector)
     try:
         yield injector
     finally:
         deactivate()
-
-
-class ChaosMonkey:
-    """Crashes the simulation the first time an armed point is reached."""
-
-    def __init__(self):
-        self._armed: str | None = None
-        self._skip = 0
-        #: Name of the point that fired, or None.
-        self.fired_at: str | None = None
-        #: Visit counters for every point passed while active.
-        self.hits: dict[str, int] = {}
-
-    @property
-    def fired(self) -> bool:
-        return self.fired_at is not None
-
-    def arm(self, name: str, *, skip: int = 0) -> None:
-        """Crash at the ``skip``-th subsequent passage of ``name``."""
-        if name not in _REGISTRY:
-            raise ValueError(f"unknown crash point {name!r}")
-        if skip < 0:
-            raise ValueError("skip cannot be negative")
-        self._armed = name
-        self._skip = skip
-        self.fired_at = None
-
-    def visit(self, name: str) -> None:
-        self.hits[name] = self.hits.get(name, 0) + 1
-        if name != self._armed:
-            return
-        if self._skip > 0:
-            self._skip -= 1
-            return
-        # Latch before raising: recovery re-executes the same code paths
-        # and must be able to pass this point without crashing again.
-        self._armed = None
-        self.fired_at = name
-        raise SimulatedCrash(f"chaos: crash point {name!r} reached")
-
-    def visit_fault(self, name: str) -> None:
-        """Fault sites only count under a monkey; injection needs a plan."""
-        self.hits[name] = self.hits.get(name, 0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +247,8 @@ class ChaosPlan:
 
     @classmethod
     def crash_at(cls, seed: int, point: str, *, after_visits: int = 0) -> "ChaosPlan":
-        """The single-shot monkey as a plan (deterministic crash)."""
+        """One deterministic crash: at ``point``, once ``after_visits``
+        passages of it have gone by."""
         return cls(seed, (ChaosRule(point, CRASH, after_visits=after_visits),))
 
 
@@ -319,8 +277,9 @@ class ChaosEngine:
     Thread-safe: visit counters, fire bookkeeping, and the seeded RNG
     mutate under one internal lock; latency sleeps happen *outside* it so
     a sleeping worker never blocks other threads' hook passages.  Crash
-    rules latch after ``max_fires`` exactly like the monkey, so the
-    recovery that follows can pass the same point without re-firing.
+    rules latch after ``max_fires``, so the recovery that follows can
+    pass the same point without re-firing.  A plan with no rules injects
+    nothing and still counts every passage (:meth:`hits`).
     """
 
     def __init__(self, plan: ChaosPlan):
@@ -363,6 +322,12 @@ class ChaosEngine:
         with self._mutex:
             return list(self.fired)
 
+    def hits(self) -> dict[str, int]:
+        """Passages of every crash and fault point shown to this engine
+        while it was active, ruled or not."""
+        with self._mutex:
+            return dict(self._visits)
+
     # -- hook dispatch ------------------------------------------------------
 
     def visit(self, name: str) -> None:
@@ -372,9 +337,7 @@ class ChaosEngine:
         self._dispatch(name)
 
     def _dispatch(self, name: str) -> None:
-        states = self._states.get(name)
-        if states is None:
-            return
+        states = self._states.get(name, ())
         thread_name = threading.current_thread().name
         raise_exc: BaseException | None = None
         pause = 0.0
@@ -395,8 +358,8 @@ class ChaosEngine:
                     continue
                 state.fires += 1
                 if rule.max_fires is not None and state.fires >= rule.max_fires:
-                    # Latch before raising, like the monkey: recovery must
-                    # be able to pass this point again.
+                    # Latch before raising: recovery re-executes the same
+                    # code paths and must be able to pass this point again.
                     state.exhausted = True
                 self.fired.append(ChaosFire(name, rule.action, visit, thread_name))
                 if rule.action == CRASH:
@@ -511,8 +474,8 @@ class CrashPointRun:
     hits: dict[str, int] = field(default_factory=dict)
 
 
-#: A crash during restart is retried; monkeys and plan crash rules latch
-#: after firing, so convergence is guaranteed — the bound is defensive.
+#: A crash during restart is retried; crash rules latch after firing, so
+#: convergence is guaranteed — the bound is defensive.
 MAX_RESTART_ATTEMPTS = 6
 
 
@@ -557,18 +520,17 @@ class ChaosHarness:
         self._factory = scenario_factory
 
     def run_point(self, point: str, mode: str = "on-demand") -> CrashPointRun:
-        """Crash one replay at ``point``, restart in ``mode``, verify."""
+        """Crash one replay at ``point``, restart in ``mode`` (a
+        :class:`~repro.recovery.restart.RecoveryMode` value; anything else
+        is a ``ValueError``), verify."""
         from repro.db.database import RecoveryMode
         from repro.recovery.oracle import RecoveryVerifier
 
-        recovery_mode = (
-            RecoveryMode.EAGER if mode == "eager" else RecoveryMode.ON_DEMAND
-        )
+        recovery_mode = RecoveryMode(mode)
         db, run_workload = self._factory()
         verifier = RecoveryVerifier(db)
-        monkey = ChaosMonkey()
-        monkey.arm(point)
-        with chaos(monkey):
+        engine = ChaosEngine(ChaosPlan.crash_at(0, point))
+        with chaos(engine):
             try:
                 run_workload()
             except SimulatedCrash:
@@ -583,20 +545,25 @@ class ChaosHarness:
         return CrashPointRun(
             point=point,
             mode=mode,
-            fired=monkey.fired,
+            fired=bool(engine.fired),
             nested_crashes=nested,
             commits=db.slb.commits,
             verified=True,
-            hits=dict(monkey.hits),
+            hits=engine.hits(),
         )
 
     def sweep(
         self,
-        modes: tuple[str, ...] = ("on-demand", "eager"),
+        modes: tuple[str, ...] | None = None,
         points: list[str] | None = None,
     ) -> list[CrashPointRun]:
-        """Run every (point, mode) combination; verification failures
-        raise, so a returned list means the whole sweep passed."""
+        """Run every (point, mode) combination — every recovery mode
+        unless ``modes`` narrows it; verification failures raise, so a
+        returned list means the whole sweep passed."""
+        from repro.db.database import RecoveryMode
+
+        if modes is None:
+            modes = tuple(mode.value for mode in RecoveryMode)
         results = []
         for point in points if points is not None else sorted(_REGISTRY):
             for mode in modes:

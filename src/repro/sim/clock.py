@@ -23,9 +23,9 @@ def host_pause(seconds: float) -> None:
     """Sleep ``seconds`` of *host* wall time (non-positive is a no-op).
 
     Used by :class:`~repro.sim.disk.SimulatedDisk` when a realtime scale
-    is configured, so overlapped device waits in the threaded engine cost
-    overlapped host time — the property ``bench_parallel_recovery``
-    measures.  Never called on the purely simulated path.
+    is configured, so device waits in the threaded engine cost host time
+    in which its threads can reorder (the torture rig's latency
+    injection).  Never called on the purely simulated path.
     """
     if seconds > 0.0:
         _host_time.sleep(seconds)

@@ -49,9 +49,9 @@ class CpuMeter:
         #: Host seconds slept per simulated second charged (0.0 = purely
         #: simulated).  Mirrors ``SimulatedDisk.realtime_scale``: with a
         #: positive scale, concurrent transaction workers pay their
-        #: instruction costs in overlapped *host* time, which is what
-        #: ``bench_txn_throughput`` measures.  The sleep happens outside
-        #: ``_lock`` so meter readers never block on it.
+        #: instruction costs in *host* time, which widens the windows in
+        #: which they interleave (contention tests, the torture rig).  The
+        #: sleep happens outside ``_lock`` so meter readers never block on it.
         self.realtime_scale = 0.0
         #: Optional host-pause perturbation (chaos latency injection);
         #: mirrors ``SimulatedDisk.latency_injector``.

@@ -80,9 +80,9 @@ class SimulatedDisk:
         #: When set, the next write is torn: the block is left unreadable.
         self._tear_next_write = False
         #: Host seconds slept per simulated device second (0.0 = purely
-        #: simulated).  The threaded engine's restore benchmark raises this
-        #: so overlapped device waits cost overlapped wall time; the sleep
-        #: happens outside the block mutex, so concurrent readers overlap.
+        #: simulated).  The torture rig raises this so device waits cost
+        #: host time in which threads reorder; the sleep happens outside
+        #: the block mutex, so concurrent readers overlap.
         self.realtime_scale = 0.0
         #: Optional host-pause perturbation (chaos latency injection).
         #: Receives the pause computed from ``realtime_scale`` and returns

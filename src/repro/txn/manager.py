@@ -88,7 +88,6 @@ class TransactionManager:
         *,
         system: bool = False,
         user_data: str = "",
-        logging_mode: str = "value",
         command: tuple[str, str, bytes] | None = None,
         declared_relations: tuple[str, ...] = (),
     ) -> Transaction:
@@ -100,7 +99,6 @@ class TransactionManager:
             txn_id,
             system=system,
             user_data=user_data,
-            logging_mode=logging_mode,
             command=command,
             declared_relations=declared_relations,
         )

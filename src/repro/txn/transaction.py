@@ -87,7 +87,6 @@ class Transaction:
         *,
         system: bool = False,
         user_data: str = "",
-        logging_mode: str = "value",
         command: "tuple[str, str, bytes] | None" = None,
         declared_relations: "tuple[str, ...]" = (),
     ):
@@ -99,22 +98,18 @@ class Transaction:
         #: (bytes) and compensations (:meth:`on_rollback`).
         self._undo: list[redo.RedoRecord | Callable[[], None]] = []
         self.redo_records = 0
-        #: Logging mode this transaction runs under (docs/LOGGING.md).
-        #: ``command``/``adaptive`` are only reachable through
-        #: :meth:`Database.run_script`, which supplies ``command`` (the
-        #: script's name, version, JSON args) and the declared relation
-        #: list — and holds exclusive relation locks on all of them, the
-        #: isolation that makes script re-execution deterministic.
-        self.logging_mode = logging_mode
+        #: How this transaction is logged (docs/LOGGING.md), fixed at
+        #: begin: ``None`` — after-images, the paper's scheme — or the
+        #: script's (name, version, JSON args), logged as one TxnCommand
+        #: at commit with no after-image appended.  Only
+        #: :meth:`Database.run_script` supplies one, with the script's
+        #: declared relation list — and holds exclusive relation locks on
+        #: all of them, the isolation that makes re-execution
+        #: deterministic.  (The catalogs, recovered before any replay runs,
+        #: are all value-logged: only DDL and system transactions — a
+        #: segment's growth is one — write catalog entities.)
         self.command = command
         self.declared_relations = tuple(declared_relations)
-        #: Pure command mode skips the SLB append.  (The catalogs, recovered
-        #: before any replay runs, are all value-logged: only DDL and system
-        #: transactions — a segment's growth is one — write catalog entities.)
-        self._suppress_value = logging_mode == "command" and command is not None
-        #: Set when this branch prepares (2PC): a distributed adaptive
-        #: transaction must fall back to value logging.
-        self._adaptive_disabled = False
         #: Bytes appended to the SLB chain / suppressed instead.
         self.logged_bytes = 0
         self.suppressed_records = 0
@@ -249,30 +244,16 @@ class Transaction:
     def commit(self) -> None:
         """Instant commit: the REDO chain is already stable."""
         self._ensure_active()
-        if self._commits_as_command():
+        if self.command is not None:
             self._commit_as_command()
             return
         crash_point("txn.commit.before-slb")
         self.db.slb.commit(self.txn_id)
-        self._durable(self._value_mode_label(), self.logged_bytes)
+        self._durable("value", self.logged_bytes)
         crash_point("txn.commit.after-slb")
         self._end(TxnState.COMMITTED)
 
     # -- command-mode commit (docs/LOGGING.md) --------------------------------------
-
-    def _value_mode_label(self) -> str:
-        return "adaptive-value" if self.logging_mode == "adaptive" else "value"
-
-    def _commits_as_command(self) -> bool:
-        if self.command is None or not self.declared_relations:
-            return False
-        if self.logging_mode == "command":
-            return True
-        if self.logging_mode != "adaptive" or self._adaptive_disabled:
-            return False
-        # Adaptive: convert only when the after-image chain outweighs a
-        # command record; tiny transactions stay value-logged.
-        return self.logged_bytes >= self.db.config.adaptive_log_threshold
 
     def _commit_as_command(self) -> None:
         """Commit by emitting one TxnCommand plus per-partition barriers.
@@ -286,8 +267,6 @@ class Transaction:
         """
         db = self.db
         targets = self._barrier_targets()
-        if self.logging_mode == "adaptive":
-            db.slb.truncate_chain(self.txn_id, 0)  # conversion: drop the after-images
         name, version, args = self.command  # type: ignore[misc]
         emitted_bytes = [0]
 
@@ -311,10 +290,7 @@ class Transaction:
             # CPU frees blocks, then retry once.
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
-        self._durable(
-            "command" if self.logging_mode == "command" else "adaptive-command",
-            emitted_bytes[0],
-        )
+        self._durable("command", emitted_bytes[0])
         crash_point("txn.commit.command-emitted")
         self._end(TxnState.COMMITTED)
 
@@ -352,14 +328,12 @@ class Transaction:
         verdict arrives (:meth:`commit_prepared` / :meth:`abort_prepared`).
         """
         self._ensure_active()
-        if self.logging_mode == "command" and self.command is not None:
+        if self.command is not None:
+            # its effects span shards: local re-execution cannot replay it
             raise TransactionStateError(
                 f"txn {self.txn_id} is command-logged and cannot prepare; "
-                f"distributed transactions must use value or adaptive mode"
+                f"distributed transactions are value-logged"
             )
-        # A distributed adaptive transaction stays value-logged: its
-        # effects span shards, so local re-execution cannot replay it.
-        self._adaptive_disabled = True
         crash_point("txn.prepare.before-slb")
         self.db.slb.prepare(self.txn_id, prepare_record)
         self.state = TxnState.PREPARED
@@ -379,7 +353,7 @@ class Transaction:
         crash_point("txn.commit-prepared.before-slb")
         self.db.slb.commit_prepared(self.txn_id)
         self.db.twopc.bump("prepared_commits")
-        self._durable(self._value_mode_label(), self.logged_bytes)
+        self._durable("value", self.logged_bytes)
         self._end(TxnState.COMMITTED)
 
     def abort_prepared(self) -> None:
@@ -442,8 +416,8 @@ class Transaction:
         # transaction too large for the SLB) the rollback must already
         # know how to reverse it.
         self._undo.append(inverse)
-        if self._suppress_value:
-            # Pure command mode: this after-image is replaced by the
+        if self.command is not None:
+            # Command-logged: this after-image is replaced by the
             # commit-time TxnCommand record.  UNDO still accumulates
             # (abort and statement rollback are unchanged); only the
             # stable REDO copy is skipped.

@@ -96,8 +96,7 @@ class StableLogBuffer:
         self.aborts = 0
         self.prepares = 0
         #: Per-logging-mode commit counts and stable log bytes, keyed by
-        #: the mode a transaction actually committed under ("value",
-        #: "command", "adaptive-value", "adaptive-command").
+        #: the mode a transaction committed under ("value", "command").
         self.mode_commits: dict[str, int] = {}  # guarded-by: _mutex
         self.mode_bytes: dict[str, int] = {}  # guarded-by: _mutex
 

@@ -13,16 +13,12 @@ from repro.workloads.distributions import UniformPicker, ZipfPicker
 from repro.workloads.debit_credit import DebitCreditWorkload
 from repro.workloads.generator import MixedWorkload, OperationMix
 from repro.workloads.sharded_bank import ShardedBankWorkload
-from repro.workloads.trace import Trace, TraceRecorder, replay_trace
 
 __all__ = [
     "DebitCreditWorkload",
     "MixedWorkload",
     "OperationMix",
     "ShardedBankWorkload",
-    "Trace",
-    "TraceRecorder",
     "UniformPicker",
     "ZipfPicker",
-    "replay_trace",
 ]

@@ -28,7 +28,7 @@ from repro.db.integrity import verify_integrity
 from repro.engine import ThreadedEngine
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
-from repro.sim.chaos import ChaosMonkey, chaos
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.txn.concurrent import ConcurrentScheduler
 
@@ -571,13 +571,12 @@ class TestCrashInsideAGrowth:
         db, rel = small_db()
         key = fill_until_next_insert_grows(db, rel)
         digest = logical_digest(db)
-        monkey = ChaosMonkey()
-        monkey.arm(point)
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, point))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 with db.transaction() as txn:
                     rel.insert(txn, {"k": key, "v": 0})
-        assert monkey.fired
+        assert injector.fired
         db.crash()
         db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == digest
@@ -635,9 +634,8 @@ class TestCrashInsideAGrowth:
         """Same rule, other owner: a ``create_relation`` that dies before
         its commit registered bins for a segment id the next one reuses."""
         db = Database(SystemConfig(**SMALL))
-        monkey = ChaosMonkey()
-        monkey.arm("txn.commit.before-slb")
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.before-slb"))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 db.create_relation("items", [("k", "int"), ("v", "int")], primary_key="k")
         db.crash()

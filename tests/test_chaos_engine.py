@@ -26,7 +26,6 @@ from repro.sim.chaos import (
     FAULT,
     LATENCY,
     ChaosEngine,
-    ChaosMonkey,
     ChaosPlan,
     ChaosRule,
     activate,
@@ -210,12 +209,14 @@ class TestDispatch:
         assert engine.latency_fired == 5
         assert engine.crashes_fired == 0
 
-    def test_monkey_counts_fault_sites_without_injecting(self):
-        monkey = ChaosMonkey()
-        with chaos(monkey):
+    def test_every_passage_is_counted_ruled_or_not(self):
+        engine = ChaosEngine(ChaosPlan(0, (latency_rule(),)))
+        with chaos(engine):
             fault_point(FAULT_POINT)
             fault_point(FAULT_POINT)
-        assert monkey.hits[FAULT_POINT] == 2
+            crash_point(POINT)
+        assert engine.hits() == {FAULT_POINT: 2, POINT: 1}
+        assert [fire.point for fire in engine.fires()] == [POINT]
 
 
 class TestLatencyInjector:
@@ -256,10 +257,10 @@ class TestAtomicPublication:
     without locks; publication must be atomic, never torn."""
 
     def test_double_activate_raises(self):
-        activate(ChaosMonkey())
+        activate(ChaosEngine(ChaosPlan(0)))
         try:
             with pytest.raises(RuntimeError, match="already active"):
-                activate(ChaosMonkey())
+                activate(ChaosEngine(ChaosPlan(0)))
         finally:
             deactivate()
 
@@ -285,12 +286,8 @@ class TestAtomicPublication:
         observed: list[str] = []
         try:
             for round_no in range(200):
-                injector = (
-                    ChaosMonkey()
-                    if round_no % 2
-                    else ChaosEngine(ChaosPlan(round_no, (latency_rule(),)))
-                )
-                activate(injector)
+                rules = () if round_no % 2 else (latency_rule(),)
+                activate(ChaosEngine(ChaosPlan(round_no, rules)))
                 set_crash_point_observer(observed.append)
                 set_crash_point_observer(None)
                 deactivate()

@@ -10,7 +10,7 @@ to the oracle digest of the last committed transaction.
 
 import pytest
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
 from repro.sim.chaos import ChaosHarness, registered_crash_points
 from repro.workloads.debit_credit import DebitCreditWorkload
 
@@ -117,3 +117,12 @@ def test_commit_boundary_points_split_exactly(harness):
     assert before.verified and after.verified
     # the after-slb replay has durably committed one more transaction
     assert after.commits == before.commits + 1
+
+
+def test_recovery_mode_is_resolved_not_guessed(harness):
+    """A mode is a ``RecoveryMode`` value: a typo is refused instead of
+    quietly sweeping on-demand, and the default sweep is every mode."""
+    with pytest.raises(ValueError, match="egaer"):
+        harness.run_point("txn.commit.before-slb", "egaer")
+    runs = harness.sweep(points=["txn.commit.before-slb"])
+    assert sorted(run.mode for run in runs) == sorted(m.value for m in RecoveryMode)

@@ -2,23 +2,24 @@
 
 The tentpole guarantees tested here: the commit point is unchanged in
 every mode, command-mode recovery re-executes the live suffix to the
-byte-identical state value logging reaches by REDO, the adaptive mode
-converts exactly at its threshold, group settlement sweeps prune the
-command log, and every drift hazard (missing script, version bump,
+byte-identical state value logging reaches by REDO, group settlement
+sweeps prune the command log, and every drift hazard (missing script, version bump,
 declared-set change) fails restart loudly instead of replaying wrong.
 """
 
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.common.errors import ConfigurationError, RecoveryError
+from repro.common.errors import ConfigurationError, RecoveryError, TransactionStateError
 from repro.db.integrity import verify_integrity
 from repro.engine import ThreadedEngine
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
-from repro.sim.chaos import ChaosMonkey, chaos, registered_crash_points
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos, registered_crash_points
 from repro.sim.faults import SimulatedCrash
 from repro.txn.registry import ScriptError, ScriptRegistry
+from repro.txn.transaction import TxnState
+from repro.wal.records import TxnPrepare
 
 
 def small_config(**kwargs):
@@ -108,13 +109,21 @@ class TestScriptRegistry:
 
 
 class TestModes:
-    def test_invalid_mode_rejected(self):
+    def test_invalid_mode_rejected(self, monkeypatch):
+        """The three places a mode is spelled refuse alike, naming the two
+        that exist."""
         db = Database(small_config())
         make_bank(db)
-        with pytest.raises(ConfigurationError):
-            db.run_script("transfer_accounts", 0, 1, 5, logging="logical")
-        with pytest.raises(ConfigurationError):
-            SystemConfig(logging_mode="logical")
+        for mode in ("logical", "adaptive"):
+            refusal = f"={mode!r}: expected one of value, command$"
+            with pytest.raises(ConfigurationError, match="^logging" + refusal):
+                db.run_script("transfer_accounts", 0, 1, 5, logging=mode)
+            with pytest.raises(ConfigurationError, match="^logging_mode" + refusal):
+                SystemConfig(logging_mode=mode)
+            with monkeypatch.context() as env:
+                env.setenv("REPRO_LOGGING_MODE", mode)
+                with pytest.raises(ConfigurationError, match="^REPRO_LOGGING_MODE" + refusal):
+                    SystemConfig()
 
     def test_command_mode_logs_less(self):
         db = Database(small_config())
@@ -134,34 +143,15 @@ class TestModes:
         assert stats["live_commands"] == 8
         assert stats["command_seq"] == 8
 
-    def test_adaptive_threshold(self):
-        db = Database(small_config(adaptive_log_threshold=256))
-        accounts = make_bank(db)
-
-        def touch(txn, keys):
-            for key in keys:
-                row = accounts.lookup(txn, key)
-                accounts.update(txn, row.address, {"balance": row["balance"] + 1})
-
-        db.register_script("touch", touch, relations=["accounts"])
-        # One tiny update: after-images are cheaper than a command record.
-        db.run_script("touch", [0], logging="adaptive")
-        # A wide update converts at commit.
-        db.run_script("touch", list(range(ACCOUNTS)), logging="adaptive")
-        commits, _ = db.slb.mode_stats()
-        assert commits["adaptive-value"] == 1
-        assert commits["adaptive-command"] == 1
-        assert db.logging_stats()["live_commands"] == 1
-
     def test_config_mode_applies_and_override_wins(self):
         db = Database(small_config(logging_mode="command"))
         make_bank(db)
         run_transfers(db, 3)
         run_transfers(db, 2, logging="value")
-        commits, _ = db.slb.mode_stats()
-        assert commits["command"] == 3
+        commits = db.stats()["logging"]["mode_commits"]
         # loads plus the two overridden transfers
         assert commits["value"] >= 2
+        assert commits == {"command": 3, "value": commits["value"]}
 
     def test_stats_surface(self):
         db = Database(small_config())
@@ -193,8 +183,7 @@ class TestModes:
 
 
 def _run_to_digest(mode, engine=None):
-    # threshold low enough that adaptive converts two-update transfers
-    config = small_config(logging_mode=mode, adaptive_log_threshold=64)
+    config = small_config(logging_mode=mode)
     db = Database(config, engine=engine) if engine is not None else Database(config)
     try:
         accounts = make_bank(db)
@@ -212,7 +201,7 @@ def _run_to_digest(mode, engine=None):
 
 
 class TestDigestIdentity:
-    @pytest.mark.parametrize("mode", ["value", "command", "adaptive"])
+    @pytest.mark.parametrize("mode", ["value", "command"])
     def test_recovery_is_exact_per_mode(self, mode):
         expected, recovered, replay, settled = _run_to_digest(mode)
         assert recovered == expected
@@ -227,18 +216,17 @@ class TestDigestIdentity:
 
     def test_modes_and_engines_converge(self):
         digests = set()
-        for mode in ("value", "command", "adaptive"):
+        for mode in ("value", "command"):
             for engine in (None, ThreadedEngine(workers=4)):
                 expected, recovered, _, _ = _run_to_digest(mode, engine)
                 digests.update({expected, recovered})
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("mode", ["command", "adaptive"])
-    def test_replay_rewinds_a_failed_statement_like_the_live_run(self, mode):
+    def test_replay_rewinds_a_failed_statement_like_the_live_run(self):
         """A script that survives a failed statement is re-executed
         statement rollback and all: the replay transaction has no SLB
         chain to truncate and must not ask for one."""
-        db = Database(small_config(adaptive_log_threshold=32))
+        db = Database(small_config())
         accounts = make_bank(db)
 
         def credit_capped(txn, key, amount):
@@ -254,8 +242,8 @@ class TestDigestIdentity:
                 accounts.update(txn, row.address, {"balance": OPENING + 50})
 
         db.register_script("credit_capped", credit_capped, relations=["accounts"])
-        db.run_script("credit_capped", 3, 20, logging=mode)
-        db.run_script("credit_capped", 3, 40, logging=mode)  # rewinds, then caps
+        db.run_script("credit_capped", 3, 20, logging="command")
+        db.run_script("credit_capped", 3, 40, logging="command")  # rewinds, then caps
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -305,8 +293,8 @@ class TestScriptsThatGrowASegment:
     re-execution fills it exactly as the live run did."""
 
     @staticmethod
-    def ledger(mode):
-        db = Database(small_config(partition_size=4096, adaptive_log_threshold=64))
+    def ledger():
+        db = Database(small_config(partition_size=4096))
         ledger = db.create_relation(
             "ledger", [("id", "int"), ("memo", "str")], primary_key="id"
         )
@@ -317,13 +305,12 @@ class TestScriptsThatGrowASegment:
 
         db.register_script("post", post, relations=["ledger"])
         for batch in range(6):  # every batch fills partitions and grows past them
-            db.run_script("post", batch * 40, 40, logging=mode)
+            db.run_script("post", batch * 40, 40, logging="command")
         assert len(db.catalog.relation("ledger").partitions) > 2
         return db
 
-    @pytest.mark.parametrize("mode", ["command", "adaptive"])
-    def test_replay_reaches_the_same_digest(self, mode):
-        db = self.ledger(mode)
+    def test_replay_reaches_the_same_digest(self):
+        db = self.ledger()
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -331,26 +318,24 @@ class TestScriptsThatGrowASegment:
         assert logical_digest(db) == expected
         assert verify_integrity(db) == []
 
-    @pytest.mark.parametrize("mode", ["command", "adaptive"])
-    def test_crash_between_the_growth_commit_and_the_scripts_own(self, mode):
+    def test_crash_between_the_growth_commit_and_the_scripts_own(self):
         """The script dies, its growth does not: the partition is there,
         empty, and the same script run again fills it."""
-        db = self.ledger(mode)
+        db = self.ledger()
         expected = logical_digest(db)
         partitions = len(db.catalog.relation("ledger").partitions)
-        monkey = ChaosMonkey()
-        monkey.arm("growth.committed")
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "growth.committed"))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
-                db.run_script("post", 240, 200, logging=mode)
-        assert monkey.fired
+                db.run_script("post", 240, 200, logging="command")
+        assert injector.fired
         db.crash()
         db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 6
         assert logical_digest(db) == expected
         assert verify_integrity(db) == []
         assert len(db.catalog.relation("ledger").partitions) == partitions + 1
-        db.run_script("post", 240, 200, logging=mode)
+        db.run_script("post", 240, 200, logging="command")
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -376,12 +361,11 @@ class TestCrashWindows:
         db = Database(small_config())
         accounts = make_bank(db)
         run_transfers(db, 5, logging="command")
-        monkey = ChaosMonkey()
-        monkey.arm("txn.commit.command-emitted")
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.command-emitted"))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 db.run_script("transfer_accounts", 0, 1, 50, logging="command")
-        assert monkey.fired
+        assert injector.fired
         db.crash()
         db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 6
@@ -398,12 +382,11 @@ class TestCrashWindows:
         run_transfers(db, 10, logging="command")
         expected = logical_digest(db)
         db.crash()
-        monkey = ChaosMonkey()
-        monkey.arm(point)
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, point))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 db.restart(RecoveryMode.EAGER)
-            assert monkey.fired_at == point
+            assert injector.fired[0].point == point
             db.crash()
             db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 10
@@ -422,12 +405,11 @@ class TestCrashWindows:
         bin_ = db.slt.bin_for_partition(target)
         db.slt.mark_for_checkpoint(bin_.bin_index, "test")
         db.checkpoint_queue.submit(target, bin_.bin_index, "test")
-        monkey = ChaosMonkey()
-        monkey.arm("checkpoint.sweep.markers-appended")
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "checkpoint.sweep.markers-appended"))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 db.checkpoints.process_pending()
-            assert monkey.fired
+            assert injector.fired
             db.crash()
             db.restart(RecoveryMode.EAGER)
         # the sweep never committed: nothing settled, everything replays
@@ -626,6 +608,22 @@ class TestReplayFences:
         )
         with pytest.raises(RecoveryError, match="declare"):
             db.restart(RecoveryMode.EAGER)
+
+    def test_command_logged_transaction_refuses_prepare(self):
+        """How a transaction is logged is fixed at begin, and one logged
+        by command cannot be drafted into 2PC afterwards."""
+        db = Database(small_config())
+        make_bank(db)
+        txn = db.transactions.begin(
+            command=("transfer_accounts", "1", b"[0, 1, 5]"),
+            declared_relations=("accounts",),
+        )
+        record = TxnPrepare(txn.txn_id, "g1", 0, 0, (0, 1)).encode()
+        with pytest.raises(TransactionStateError, match="command-logged"):
+            txn.prepare(record)
+        assert txn.state is TxnState.ACTIVE
+        assert txn.txn_id not in db.slb.prepared_txn_ids
+        txn.abort()
 
     def test_sharded_scripts_force_value_mode(self):
         db = Database(small_config(logging_mode="command"))

@@ -12,7 +12,7 @@ import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.engine import SimEngine, ThreadedEngine
-from repro.sim.chaos import ChaosMonkey, chaos
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.txn.concurrent import ConcurrentScheduler
 from repro.txn.scheduler import InterleavedScheduler
@@ -109,16 +109,18 @@ class TestDeterminismContract:
 
 class TestConcurrentExecution:
     def test_disjoint_scripts_commit_in_parallel(self):
-        db, accounts = build_bank(engine=ThreadedEngine(workers=4), accounts_count=16)
+        """Script *i* only ever touches accounts 2i and 2i+1: every one
+        commits first time, whatever the pool size — rows that differ
+        never conflict."""
+        db, accounts = build_bank(engine=ThreadedEngine(workers=4), accounts_count=48)
         scheduler = ConcurrentScheduler(db, workers=4)
         for i in range(24):
-            scheduler.submit(
-                transfer(db, accounts, i % 8, 8 + (i % 8), 1), name=f"t{i}"
-            )
+            scheduler.submit(transfer(db, accounts, 2 * i, 2 * i + 1, 1), name=f"t{i}")
         results = scheduler.run()
         assert all(r.committed for r in results)
         assert [r.name for r in results] == [f"t{i}" for i in range(24)]
-        assert sum(balances(db, accounts).values()) == 16 * 100
+        assert scheduler.conflicts == 0
+        assert sum(balances(db, accounts).values()) == 48 * 100
         db.close()
 
     def test_conflict_storm_avoids_livelock(self):
@@ -208,12 +210,11 @@ class TestChaosInterleaving:
         scheduler = ConcurrentScheduler(db, max_attempts=500, workers=4)
         for i in range(12):
             scheduler.submit(deposit(db, accounts, i % 4, 10), name=f"d{i}")
-        monkey = ChaosMonkey()
-        monkey.arm("txn.commit.before-slb", skip=5)
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.before-slb", after_visits=5))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 scheduler.run()
-        assert monkey.fired_at == "txn.commit.before-slb"
+        assert injector.fired[0].point == "txn.commit.before-slb"
         db.commit_observer = None
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -231,9 +232,8 @@ class TestChaosInterleaving:
         scheduler = ConcurrentScheduler(db, max_attempts=500, workers=4)
         for i in range(12):
             scheduler.submit(transfer(db, accounts, i % 8, (i + 1) % 8, 1), name=f"t{i}")
-        monkey = ChaosMonkey()
-        monkey.arm("txn.commit.before-slb", skip=3)
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.before-slb", after_visits=3))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 scheduler.run()
         # the machine "died": surviving state is only inspected post-restart

@@ -74,7 +74,7 @@ def recovered_digest(db: Database) -> str:
 
 class TestDigestIdentity:
     @pytest.mark.parametrize("engine", ["sim", "threaded"])
-    @pytest.mark.parametrize("mode", ["value", "command", "adaptive"])
+    @pytest.mark.parametrize("mode", ["value", "command"])
     def test_condenser_on_off_identical(self, engine, mode):
         """The same seeded workload recovers to the same bytes whether or
         not the condenser ran — on both engines, in every logging mode."""

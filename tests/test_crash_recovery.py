@@ -404,7 +404,7 @@ class TestPartialDrainCrash:
         restartable, and the eventual recovery must produce exactly the
         same committed state (same oracle digest) as an undisturbed one."""
         from repro.recovery.oracle import RecoveryVerifier
-        from repro.sim.chaos import ChaosMonkey, chaos
+        from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
         from repro.sim.faults import SimulatedCrash
 
         accounts = make_accounts(db)
@@ -420,15 +420,14 @@ class TestPartialDrainCrash:
         expected = verifier.expected_digest()
         db.crash()
 
-        monkey = ChaosMonkey()
-        monkey.arm("restart.phase2.partition-recovered")
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "restart.phase2.partition-recovered"))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 db.restart(RecoveryMode.EAGER)
-            assert monkey.fired_at == "restart.phase2.partition-recovered"
+            assert injector.fired[0].point == "restart.phase2.partition-recovered"
             # the nested crash leaves a restartable system ...
             db.crash()
-            # ... and the latched monkey lets the retry pass the same point
+            # ... and the latched rule lets the retry pass the same point
             db.restart(RecoveryMode.EAGER)
         verifier.detach()
         verifier.verify()
@@ -442,7 +441,7 @@ class TestPartialDrainCrash:
         """Same property for a crash in restart phase 1 (log drain), which
         runs before any partition comes back."""
         from repro.recovery.oracle import RecoveryVerifier
-        from repro.sim.chaos import ChaosMonkey, chaos
+        from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
         from repro.sim.faults import SimulatedCrash
 
         accounts = make_accounts(db)
@@ -455,9 +454,8 @@ class TestPartialDrainCrash:
             accounts.insert(txn, {"id": 99, "balance": 999, "owner": "q"})
         db.crash()
 
-        monkey = ChaosMonkey()
-        monkey.arm("restart.phase1.log-drained")
-        with chaos(monkey):
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "restart.phase1.log-drained"))
+        with chaos(injector):
             with pytest.raises(SimulatedCrash):
                 db.restart()
             db.crash()

@@ -101,7 +101,7 @@ class TestEnvSettings:
             (ENGINE_ENV_VAR, "quantum", "sim, threaded"),
             (WORKERS_ENV_VAR, "abc", "positive integer"),
             (WORKERS_ENV_VAR, "0", "positive integer"),
-            (LOGGING_MODE_ENV_VAR, "bogus", "value, command, adaptive"),
+            (LOGGING_MODE_ENV_VAR, "bogus", "value, command"),
             (CONDENSE_ENV_VAR, "maybe", "1, true, yes, on, 0, false, no, off"),
         ],
     )
@@ -309,12 +309,14 @@ class TestParallelRestore:
             for i in (0, 199, 399):
                 assert db.table("items").lookup(txn, i)["v"] == i * 10
         db.close()
+        return restored, coordinator.pages_read, coordinator.records_replayed
 
     def test_pool_restores_everything(self):
         self.restore_all(workers=4)
 
     def test_single_worker_pool_restores_everything(self):
-        self.restore_all(workers=1)
+        # the pool size decides who does the work, never how much of it
+        assert self.restore_all(workers=1) == self.restore_all(workers=4)
 
     def test_worker_failure_requeues_and_propagates(self):
         db = loaded_db(engine=ThreadedEngine(workers=4), rows=400)

@@ -18,7 +18,7 @@ from repro.recovery import (
     rebuild_partition_resilient,
     restore_after_checkpoint_media_failure,
 )
-from repro.sim.chaos import FAULT, ChaosEngine, ChaosMonkey, ChaosPlan, ChaosRule, chaos
+from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.wal.log_disk import ARCHIVE_SEGMENT
 
@@ -437,12 +437,11 @@ class TestMediaChaos:
             rows = self.rows(db)
             db.crash()
             db.checkpoint_disk.disk.destroy()
-            monkey = ChaosMonkey()
-            monkey.arm(point, skip=skip)
-            with chaos(monkey):
+            injector = ChaosEngine(ChaosPlan.crash_at(0, point, after_visits=skip))
+            with chaos(injector):
                 with pytest.raises(SimulatedCrash):
                     restore_after_checkpoint_media_failure(db)
-            assert monkey.fired
+            assert injector.fired
             # Volatile memory is lost with the crash; stable state survives.
             db.crash()
             totals = restore_after_checkpoint_media_failure(db)

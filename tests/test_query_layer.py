@@ -246,3 +246,36 @@ class TestQueryAfterRecovery:
         with db.transaction() as txn:
             out = q.execute(txn)
         assert sorted(r["name"] for r in out) == ["barbara", "grace"]
+
+
+class TestBulkDml:
+    """``update_where`` / ``delete_where``: a predicate's matches, changed
+    in one transaction."""
+
+    @staticmethod
+    def salaries(db):
+        with db.transaction() as txn:
+            return {r["name"]: r["salary"] for r in db.table("employees").scan(txn)}
+
+    def test_update_where(self, db):
+        with db.transaction() as txn:
+            changed = db.table("employees").update_where(
+                txn, "salary", ">=", 110, {"salary": 0}
+            )
+        assert changed == 2
+        assert self.salaries(db) == {
+            "ada": 100, "grace": 0, "edsger": 90, "barbara": 0, "alan": 100
+        }
+
+    def test_delete_where(self, db):
+        with db.transaction() as txn:
+            deleted = db.table("employees").delete_where(txn, "id", ">", 1)
+        assert deleted == 4
+        assert set(self.salaries(db)) == {"ada"}
+
+    def test_bulk_dml_survives_crash(self, db):
+        with db.transaction() as txn:
+            db.table("employees").update_where(txn, "id", ">=", 0, {"salary": 777})
+        db.crash()
+        db.restart()
+        assert set(self.salaries(db).values()) == {777}

@@ -70,7 +70,7 @@ class TestRulesOnFixtures:
         ("RC02", 1),  # one unframed write_track
         ("RC03", 2),  # import random + import time
         ("RC04", 2),  # except Exception + bare except
-        ("RC05", 2),  # ChaosMonkey + activate
+        ("RC05", 2),  # ChaosEngine + activate
         ("RC06", 2),  # direct mutator + propagated mutator
         ("RC07", 1),  # hook on one branch does not dominate the write
         ("RC08", 2),  # two accesses to a guarded attr without the mutex

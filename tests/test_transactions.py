@@ -256,7 +256,7 @@ class TestScopeEdgeCases:
 
 
 def _lifecycle_db():
-    database = Database(SystemConfig(adaptive_log_threshold=32))
+    database = Database(SystemConfig())
     accounts = database.create_relation(
         "accounts",
         [("id", "int"), ("balance", "int"), ("owner", "str")],
@@ -286,11 +286,6 @@ def _end_value_commit(db, accounts, captured):
 
 def _end_command_commit(db, accounts, captured):
     db.run_script("bump", 1, logging="command", pump=False)
-    return captured[-1]
-
-
-def _end_adaptive_converted_commit(db, accounts, captured):
-    db.run_script("bump", 1, logging="adaptive", pump=False)
     return captured[-1]
 
 
@@ -415,9 +410,6 @@ LIFECYCLE = {
         _end_value_commit, TxnState.COMMITTED, "committed", ["begin", "commit"], "value", True),
     "command-commit": (
         _end_command_commit, TxnState.COMMITTED, "committed", ["begin", "commit"], "command", True),
-    "adaptive-converted-commit": (
-        _end_adaptive_converted_commit, TxnState.COMMITTED, "committed",
-        ["begin", "commit"], "adaptive-command", True),
     "prepare-commit": (
         _end_prepare_commit, TxnState.COMMITTED, "committed",
         ["begin", "prepare", "commit"], "value", True),

@@ -1,9 +1,9 @@
-"""RC05 — core modules may only use the chaos *registry*, never the monkey.
+"""RC05 — core modules may only use the chaos *registry*, never the injector.
 
 Paper grounding: the chaos subsystem (PR 1) proves recovery exactness by
 crashing the simulation from the *outside*.  That proof is only valid if
-production code paths cannot observe or steer the monkey: a core module
-that imports :class:`~repro.sim.chaos.ChaosMonkey`, ``activate`` or the
+production code paths cannot observe or steer the injector: a core module
+that imports :class:`~repro.sim.chaos.ChaosEngine`, ``activate`` or the
 harness could behave differently under test than in normal operation —
 the cardinal sin of fault injection.
 
@@ -42,7 +42,7 @@ class ChaosImportRule(RuleVisitor):
     rationale = (
         "Fault injection is only a proof if the system under test cannot "
         "observe the injector: core code gets crash_point()/registration, "
-        "never ChaosMonkey or activate()."
+        "never ChaosEngine or activate()."
     )
 
     @classmethod
@@ -77,5 +77,5 @@ class ChaosImportRule(RuleVisitor):
                     self.add(
                         node,
                         "importing the chaos module wholesale exposes "
-                        "ChaosMonkey/activate to core code",
+                        "ChaosEngine/activate to core code",
                     )
