@@ -4,9 +4,10 @@
 The Stable Log Buffer removes the log-tail hot spot (each transaction
 logs into its own block chain), so the remaining contention is honest
 data contention: two transfers touching the same account collide on its
-tuple lock.  The interleaved scheduler runs transfer scripts round-robin,
-rolling back and retrying the loser of every conflict, and the bank's
-money is conserved throughout — and through a crash at the end.
+tuple lock.  The scheduler interleaves transfer scripts — round-robin on
+the default engine — rolling back and retrying the loser of every
+conflict, and the bank's money is conserved throughout — and through a
+crash at the end.
 
 Run:  python examples/concurrent_transfers.py
 """
@@ -14,7 +15,7 @@ Run:  python examples/concurrent_transfers.py
 import random
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.txn import InterleavedScheduler
+from repro.txn import Scheduler
 
 
 def main() -> None:
@@ -40,7 +41,7 @@ def main() -> None:
         return script
 
     rng = random.Random(13)
-    scheduler = InterleavedScheduler(db, max_attempts=50)
+    scheduler = Scheduler(db, max_attempts=50)
     transfers = 40
     for k in range(transfers):
         src = rng.randrange(n_accounts)

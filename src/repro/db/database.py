@@ -132,7 +132,7 @@ class Database:
         #: Optional hook invoked as ``observer(txn)`` the instant a
         #: transaction becomes durable (used by the recovery oracle).
         self.commit_observer = None
-        #: The most recent :class:`~repro.txn.concurrent.ConcurrentScheduler`
+        #: The most recent :class:`~repro.txn.scheduler.Scheduler`
         #: attached via :meth:`register_scheduler`; surfaces its counters in
         #: :meth:`stats` and ``Monitor.snapshot()``.
         self.scheduler = None
@@ -308,13 +308,20 @@ class Database:
         it can never stall on a missing partition mid-flight.  Without
         it, references recover partitions on demand (method 2).
         """
-        if relations and self.restart_coordinator is not None:
-            for name in relations:
-                self.restart_coordinator.recover_relation(name)
+        if relations:
+            self.ensure_recovered(relations)
         with self.transactions.scope() as txn:
             yield txn
         if pump:
             self.pump()
+
+    def ensure_recovered(self, relations) -> None:
+        """Predeclared recovery (section 2.5 method 1): while a restart
+        is in progress, recover the named relations — and their indexes
+        — in their entirety."""
+        if self.restart_coordinator is not None:
+            for name in relations:
+                self.restart_coordinator.recover_relation(name)
 
     # -- scripted transactions (docs/LOGGING.md) -----------------------------------------------
 
@@ -349,9 +356,7 @@ class Database:
         expect_one_of("logging", mode, LOGGING_MODES)
         if self.shard_id is not None:
             mode = "value"
-        if self.restart_coordinator is not None:
-            for relation_name in info.relations:
-                self.restart_coordinator.recover_relation(relation_name)
+        self.ensure_recovered(info.relations)
         command = None
         if mode == "command":
             command = (info.name, info.version, json.dumps(list(args)).encode("utf-8"))
@@ -652,9 +657,9 @@ class Database:
     # -- statistics -----------------------------------------------------------------------------------------
 
     def register_scheduler(self, scheduler) -> None:
-        """Attach a concurrent scheduler for observability.
+        """Attach a script scheduler for observability.
 
-        Called by :class:`~repro.txn.concurrent.ConcurrentScheduler` on
+        Called by :class:`~repro.txn.scheduler.Scheduler` on
         construction; :meth:`stats` and ``Monitor.snapshot()`` report the
         registered scheduler's committed/conflict/retry counters.
         """

@@ -87,6 +87,12 @@ class DistributedTransaction:
             ) from None
 
     @property
+    def txn_id(self) -> int:
+        """The coordinator branch's id: what names this transaction
+        wherever a plain transaction's ``txn_id`` would."""
+        return self.branches[self.coordinator].txn_id
+
+    @property
     def txn_ids(self) -> dict[int, int]:
         return {sid: txn.txn_id for sid, txn in self.branches.items()}
 
@@ -347,11 +353,9 @@ class ShardedDatabase:
     def ensure_recovered(self, relations: list[str]) -> None:
         """Predeclared recovery (paper method 1), per owning node."""
         for name in relations:
-            node = self.nodes[self.router.shard_of(name)]
-            if node.db.restart_coordinator is not None:
-                node.db.restart_coordinator.recover_relation(name)
+            self.nodes[self.router.shard_of(name)].db.ensure_recovered([name])
 
-    def _begin_distributed(self, shard_ids: tuple[int, ...]) -> DistributedTransaction:
+    def begin_distributed(self, shard_ids: tuple[int, ...]) -> DistributedTransaction:
         """A fresh, registered distributed transaction over ``shard_ids``."""
         with self._mutex:
             gtid = f"g{self._next_gtid}"
@@ -363,7 +367,7 @@ class ShardedDatabase:
         self, shard_ids: tuple[int, ...], relations: list[str], pump: bool
     ):
         self.ensure_recovered(relations)
-        with transaction_scope(self._begin_distributed, shard_ids=shard_ids) as dtxn:
+        with transaction_scope(self.begin_distributed, shard_ids=shard_ids) as dtxn:
             yield dtxn
         if pump:
             for sid in shard_ids:

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
@@ -62,8 +64,12 @@ from repro.sim.chaos import (
 )
 from repro.sim.clock import host_now
 from repro.sim.faults import SimulatedCrash
-from repro.txn.concurrent import ConcurrentScheduler
+from repro.txn.scheduler import Scheduler
 from repro.workloads.debit_credit import DebitCreditWorkload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.shard import ShardedDatabase, ShardedScheduler
+    from repro.workloads.sharded_bank import ShardedBankWorkload
 
 #: The three round kinds (what the generated plan emphasises).
 KINDS = ("crash", "latency", "fault")
@@ -207,31 +213,20 @@ def build_plan(spec: RoundSpec, rng: random.Random) -> ChaosPlan:
     return ChaosPlan(spec.seed, tuple(rules))
 
 
-def _debit_credit_script(workload: DebitCreditWorkload, hid: int, aid: int):
-    """A replayable concurrent script mirroring ``run_transaction``."""
-    tid = aid % workload.tellers
-    bid = aid % workload.branches
+def _build_cluster(
+    spec: RoundSpec, config: SystemConfig
+) -> tuple[ShardedBankWorkload, ShardedScheduler]:
+    # Imported here: importing registers the 2PC crash points, and a plan
+    # is drawn from the registered set — a single-node round's must not
+    # depend on the cluster code being loaded.
+    from repro.shard import ShardedDatabase, ShardedScheduler
+    from repro.workloads.sharded_bank import ShardedBankWorkload
 
-    def script(txn):
-        account = workload.account_rel.read(txn, workload._account_addr[aid])
-        yield
-        workload.account_rel.update(
-            txn, workload._account_addr[aid], {"balance": account["balance"] + 10}
-        )
-        yield
-        teller = workload.teller_rel.read(txn, workload._teller_addr[tid])
-        workload.teller_rel.update(
-            txn, workload._teller_addr[tid], {"balance": teller["balance"] + 10}
-        )
-        yield
-        branch = workload.branch_rel.read(txn, workload._branch_addr[bid])
-        workload.branch_rel.update(
-            txn, workload._branch_addr[bid], {"balance": branch["balance"] + 10}
-        )
-        yield
-        workload.history_rel.insert(txn, {"hid": hid, "aid": aid, "delta": 10})
-
-    return script
+    cluster = ShardedDatabase(
+        shards=spec.shards, config=config, engine=spec.engine, workers=spec.workers
+    )
+    bank = ShardedBankWorkload(cluster, accounts_per_shard=16, cross_ratio=0.25, seed=spec.seed)
+    return bank, ShardedScheduler(cluster, max_attempts=500)
 
 
 class TortureHarness:
@@ -240,10 +235,7 @@ class TortureHarness:
     def run_round(self, spec: RoundSpec) -> RoundResult:
         started = host_now()
         try:
-            if spec.shards > 1:
-                result = self._run_sharded_round_inner(spec)
-            else:
-                result = self._run_round_inner(spec)
+            result = self._run_round_inner(spec)
         except TortureFailure as exc:
             raise TortureFailure(
                 f"{exc}; reproduce with: {spec.repro_command()}"
@@ -258,123 +250,70 @@ class TortureHarness:
         return result
 
     def _run_round_inner(self, spec: RoundSpec) -> RoundResult:
+        """One round: workload under the plan, power failure, restart,
+        the layered checks — over every database of the round, one node
+        or a cluster's (routed transfers, whole-cluster crash, per-shard
+        conservation)."""
         rng = random.Random(spec.seed)
-        engine = (
-            SimEngine() if spec.engine == "sim" else ThreadedEngine(spec.workers)
-        )
-        db = Database(
-            SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense),
-            engine=engine,
-        )
-        try:
+        config = SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense)
+        cluster: ShardedDatabase | None = None
+        workload: DebitCreditWorkload | ShardedBankWorkload
+        scheduler: Scheduler | ShardedScheduler
+        #: The exact-digest tail's transaction; none on a cluster, where no
+        #: one digest is defined while several nodes commit.
+        tail: Callable[[], object] | None = None
+        if spec.shards > 1:
+            bank, routed = _build_cluster(spec, config)
+            workload, scheduler, cluster = bank, routed, bank.cluster
+            dbs = [node.db for node in bank.cluster.nodes]
+            submit = partial(bank.submit, routed, POOL_SCRIPTS)
+        else:
+            engine = SimEngine() if spec.engine == "sim" else ThreadedEngine(spec.workers)
+            dbs = [Database(config, engine=engine)]
             workload = DebitCreditWorkload(
-                db,
-                branches=2,
-                tellers_per_branch=2,
-                accounts_per_branch=25,
+                dbs[0], branches=2, tellers_per_branch=2, accounts_per_branch=25,
                 seed=spec.seed,
             )
+            scheduler = Scheduler(dbs[0], max_attempts=500)
+            submit = partial(self._submit_debit_credits, scheduler, workload, rng)
+            tail = workload.run_transaction
+        try:
             workload.load()
-            plan = build_plan(spec, rng)
-            injector = ChaosEngine(plan)
-            self._install_latency([db], injector, rng)
+            injector = ChaosEngine(build_plan(spec, rng))
+            self._install_latency(dbs, injector, rng)
             recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
-
-            crashed_mid_pool = False
             verifier: RecoveryVerifier | None = None
             with chaos(injector):
-                # Phase 1 — concurrent stress under the plan.
                 try:
-                    self._run_pool(db, workload, rng, spec)
-                except SimulatedCrash:
-                    crashed_mid_pool = True
-                if not crashed_mid_pool:
-                    # Phase 2 — quiesce, then an exactly-verifiable
-                    # sequential tail (single mutator, digest per commit).
-                    db.pump()
-                    verifier = RecoveryVerifier(db)
-                    try:
+                    # Phase 1 — concurrent stress under the plan.
+                    submit()
+                    scheduler.run()
+                    if tail is not None:
+                        # Phase 2 — quiesce, then an exactly-verifiable
+                        # sequential tail (single mutator, digest per commit).
+                        dbs[0].pump()
+                        verifier = RecoveryVerifier(dbs[0])
                         for _ in range(TAIL_TRANSACTIONS):
-                            workload.run_transaction()
-                    except SimulatedCrash:
-                        pass
-                # Phase 3 — die and come back (restart-path rules may
-                # crash recovery itself; the latch bounds the retries).
-                if not db.crashed:
-                    db.crash()
-                restart_attempts = restart_until_recovered([db], recovery_mode)
+                            tail()
+                except SimulatedCrash:
+                    pass
+                # Phase 3 — power failure, then come back (restart-path
+                # rules may crash recovery itself; the latch bounds the
+                # retries; in-doubt 2PC branches resolve against the stable
+                # decision tables during each node's restart).
+                if cluster is not None:
+                    cluster.crash()
+                elif not dbs[0].crashed:
+                    dbs[0].crash()
+                restart_attempts = restart_until_recovered(dbs, recovery_mode)
             if verifier is not None:
                 verifier.detach()
                 verifier.verify()
-            digest = self._check_invariants(db, workload)
-            self._check_recovery_stability([db], recovery_mode, [digest])
-            self._check_fault_accounting([db], injector)
-            commits = self._count_history(db)
-        finally:
-            remove_latency(db)
-            db.close()
-        return RoundResult(
-            seed=spec.seed,
-            kind=spec.kind,
-            engine=spec.engine,
-            workers=spec.workers,
-            committed=commits,
-            crashes_fired=injector.crashes_fired,
-            faults_fired=injector.faults_fired,
-            latency_fired=injector.latency_fired,
-            restart_attempts=restart_attempts,
-            verified_by="invariants" if verifier is None else "digest",
-            digest=digest,
-            host_seconds=0.0,
-            condense=spec.condense,
-        )
-
-    def _run_sharded_round_inner(self, spec: RoundSpec) -> RoundResult:
-        """A round against a sharded cluster: routed workload under the
-        plan, whole-cluster crash, per-shard restart, per-shard bank
-        conservation plus digest stability on every node."""
-        from repro.shard import ShardedDatabase, ShardedScheduler
-        from repro.workloads.sharded_bank import ShardedBankWorkload
-
-        rng = random.Random(spec.seed)
-        cluster = ShardedDatabase(
-            shards=spec.shards,
-            config=SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense),
-            engine=spec.engine,
-            workers=spec.workers,
-        )
-        dbs = [node.db for node in cluster.nodes]
-        try:
-            bank = ShardedBankWorkload(
-                cluster,
-                accounts_per_shard=16,
-                cross_ratio=0.25,
-                seed=spec.seed,
-            )
-            bank.load()
-            plan = build_plan(spec, rng)
-            injector = ChaosEngine(plan)
-            self._install_latency(dbs, injector, rng)
-            recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
-            with chaos(injector):
-                scheduler = ShardedScheduler(
-                    cluster, max_attempts=500, workers=spec.workers
-                )
-                bank.submit(scheduler, POOL_SCRIPTS)
-                try:
-                    scheduler.run()
-                except SimulatedCrash:
-                    pass
-                # Whole-cluster power failure, then bring every node back
-                # (in-doubt branches resolve against the stable decision
-                # tables during each node's restart).
-                cluster.crash()
-                restart_attempts = restart_until_recovered(dbs, recovery_mode)
             try:
-                bank.check_invariants()
+                workload.check_invariants()
             except AssertionError as exc:
                 raise TortureFailure(str(exc)) from exc
-            if cluster.twopc.pending_gtids():
+            if cluster is not None and cluster.twopc.pending_gtids():
                 raise TortureFailure(
                     f"recovery left distributed txns in flight: "
                     f"{cluster.twopc.pending_gtids()}"
@@ -382,14 +321,18 @@ class TortureHarness:
             digests = [logical_digest(db) for db in dbs]
             self._check_recovery_stability(dbs, recovery_mode, digests)
             self._check_fault_accounting(dbs, injector)
-            # The stable SLB commit counters survive the crash (the
-            # manager's in-memory tallies do not).
-            committed = sum(db.slb.commits for db in dbs)
+            if cluster is not None:
+                # The stable SLB commit counters survive the crash (the
+                # manager's in-memory tallies do not).
+                committed = sum(db.slb.commits for db in dbs)
+                digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
+            else:
+                committed = self._count_history(dbs[0])
+                digest = digests[0]
         finally:
             for db in dbs:
                 remove_latency(db)
-            cluster.close()
-        digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
+                db.close()
         return RoundResult(
             seed=spec.seed,
             kind=spec.kind,
@@ -400,7 +343,7 @@ class TortureHarness:
             faults_fired=injector.faults_fired,
             latency_fired=injector.latency_fired,
             restart_attempts=restart_attempts,
-            verified_by="invariants",
+            verified_by="invariants" if verifier is None else "digest",
             digest=digest,
             host_seconds=0.0,
             shards=spec.shards,
@@ -424,62 +367,22 @@ class TortureHarness:
                 jitter=(0.0, 0.0005),
             )
 
-    def _run_pool(
-        self,
-        db: Database,
-        workload: DebitCreditWorkload,
-        rng: random.Random,
-        spec: RoundSpec,
+    def _submit_debit_credits(
+        self, scheduler: Scheduler, workload: DebitCreditWorkload, rng: random.Random
     ) -> None:
-        scheduler = ConcurrentScheduler(
-            db, max_attempts=500, workers=spec.workers
-        )
-        base_hid = workload._history_id
         for i in range(POOL_SCRIPTS):
             aid = rng.randrange(workload.accounts)
+            # the id is minted here, not in the body, so the tail mints
+            # fresh ones whether or not every pool script committed
             scheduler.submit(
-                _debit_credit_script(workload, base_hid + 1 + i, aid),
-                name=f"torture-{i}",
+                workload.script(aid, workload.next_history_id()), name=f"torture-{i}"
             )
-        # Tail transactions must mint fresh history ids whether or not
-        # every pool script committed.
-        workload._history_id = base_hid + POOL_SCRIPTS
-        scheduler.run()
 
     # -- checks ---------------------------------------------------------------
 
     def _count_history(self, db: Database) -> int:
-        history = db.table("history")
         with db.transaction() as txn:
-            return sum(1 for _ in history.scan(txn))
-
-    def _check_invariants(
-        self, db: Database, workload: DebitCreditWorkload
-    ) -> str:
-        """Atomicity across the four relations, from recovered state alone."""
-
-        def total(name: str) -> int:
-            with db.transaction() as txn:
-                return sum(row["balance"] for row in db.table(name).scan(txn))
-
-        with db.transaction() as txn:
-            hids = [row["hid"] for row in db.table("history").scan(txn)]
-        if len(hids) != len(set(hids)):
-            raise TortureFailure("recovered history holds duplicate ids")
-        commits = len(hids)
-        expected_accounts = 1000 * workload.accounts + 10 * commits
-        checks = [
-            ("account", total("account"), expected_accounts),
-            ("teller", total("teller"), 10 * commits),
-            ("branch", total("branch"), 10 * commits),
-        ]
-        for name, actual, expected in checks:
-            if actual != expected:
-                raise TortureFailure(
-                    f"recovered {name} total {actual} != expected {expected} "
-                    f"({commits} committed debit/credits survived)"
-                )
-        return logical_digest(db)
+            return sum(1 for _ in db.table("history").scan(txn))
 
     def _check_recovery_stability(
         self, dbs: list[Database], mode: RecoveryMode, digests: list[str]

@@ -8,12 +8,10 @@ discards the REDO chain.
 
 from repro.txn.transaction import Transaction, TxnState
 from repro.txn.manager import TransactionManager
-from repro.txn.scheduler import InterleavedScheduler, ScriptResult
-from repro.txn.concurrent import ConcurrentScheduler
+from repro.txn.scheduler import Scheduler, ScriptResult
 
 __all__ = [
-    "ConcurrentScheduler",
-    "InterleavedScheduler",
+    "Scheduler",
     "ScriptResult",
     "Transaction",
     "TransactionManager",

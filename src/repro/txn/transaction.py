@@ -539,7 +539,7 @@ class _StatementScope:
 
     def __init__(self, txn: Transaction):
         self._txn = txn
-        self._mark: tuple[int, int] | None = None
+        self._mark: tuple[int, ...] | None = None
 
     def __enter__(self) -> Transaction:
         self._txn._ensure_active()

@@ -90,30 +90,54 @@ class DebitCreditWorkload:
 
     # -- one transaction -------------------------------------------------------------
 
-    def run_transaction(self, delta: int = 10, *, pump: bool = True) -> int:
-        """One debit/credit: returns the account id touched."""
-        db = self.db
-        aid = self._picker.pick()
+    def script(self, aid: int, hid: int | None = None, delta: int = 10):
+        """The one statement of a debit/credit on account ``aid``, as a
+        replayable script (:mod:`repro.txn.scheduler`).  ``hid`` is the
+        history row's id: a concurrent caller fixes it at submission; left
+        ``None`` the next one is minted when the body reaches the insert."""
         tid = aid % self.tellers
         bid = aid % self.branches
-        with db.transaction(pump=pump) as txn:
+
+        def body(txn):
             account = self.account_rel.read(txn, self._account_addr[aid])
+            yield
             self.account_rel.update(
                 txn, self._account_addr[aid], {"balance": account["balance"] + delta}
             )
+            yield
             teller = self.teller_rel.read(txn, self._teller_addr[tid])
             self.teller_rel.update(
                 txn, self._teller_addr[tid], {"balance": teller["balance"] + delta}
             )
+            yield
             branch = self.branch_rel.read(txn, self._branch_addr[bid])
             self.branch_rel.update(
                 txn, self._branch_addr[bid], {"balance": branch["balance"] + delta}
             )
             if self.keep_history:
-                self._history_id += 1
+                yield
                 self.history_rel.insert(
-                    txn, {"hid": self._history_id, "aid": aid, "delta": delta}
+                    txn,
+                    {
+                        "hid": self.next_history_id() if hid is None else hid,
+                        "aid": aid,
+                        "delta": delta,
+                    },
                 )
+
+        return body
+
+    def next_history_id(self) -> int:
+        """Mint the id of the next history row."""
+        self._history_id += 1
+        return self._history_id
+
+    def run_transaction(self, delta: int = 10, *, pump: bool = True) -> int:
+        """One debit/credit: returns the account id touched."""
+        aid = self._picker.pick()
+        with self.db.transaction(pump=pump) as txn:
+            for _ in self.script(aid, delta=delta)(txn):
+                pass
         self.transactions_run += 1
         return aid
 
@@ -127,3 +151,32 @@ class DebitCreditWorkload:
         """Money conservation check: accounts total = initial + all deltas."""
         with self.db.transaction() as txn:
             return sum(row["balance"] for row in self.account_rel.scan(txn))
+
+    def check_invariants(self) -> None:
+        """Assert that the committed debit/credits (of the default delta,
+        10) are atomic across the four relations, from the database's
+        state alone — so it holds after any recovery: with ``C`` history
+        rows, accounts total ``1000·N + 10·C`` and tellers and branches
+        ``10·C`` each."""
+        db = self.db
+
+        def total(name: str) -> int:
+            with db.transaction() as txn:
+                return sum(row["balance"] for row in db.table(name).scan(txn))
+
+        with db.transaction() as txn:
+            hids = [row["hid"] for row in db.table("history").scan(txn)]
+        if len(hids) != len(set(hids)):
+            raise AssertionError("recovered history holds duplicate ids")
+        commits = len(hids)
+        for name, expected in (
+            ("account", 1000 * self.accounts + 10 * commits),
+            ("teller", 10 * commits),
+            ("branch", 10 * commits),
+        ):
+            actual = total(name)
+            if actual != expected:
+                raise AssertionError(
+                    f"recovered {name} total {actual} != expected {expected} "
+                    f"({commits} committed debit/credits survived)"
+                )

@@ -30,7 +30,7 @@ from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
-from repro.txn.concurrent import ConcurrentScheduler
+from repro.txn.scheduler import Scheduler
 
 SMALL = dict(partition_size=4096)
 
@@ -668,7 +668,7 @@ def insert_storm(seed, rounds=3, scripts=16):
         committed: dict[int, int] = {}
         next_key = 0
         for _ in range(rounds):
-            scheduler = ConcurrentScheduler(db, workers=4)
+            scheduler = Scheduler(db)
             batches = []
             for _ in range(scripts):
                 rows = [

@@ -38,7 +38,7 @@ from repro.sim.chaos import (
     set_crash_point_observer,
 )
 from repro.sim.faults import SimulatedCrash, TransientIOError
-from repro.txn.concurrent import ConcurrentScheduler
+from repro.txn.scheduler import Scheduler
 
 POINT = "txn.commit.after-slb"
 FAULT_POINT = "log-disk.write"
@@ -345,7 +345,7 @@ class TestHookPathLockAudit:
                     ),
                 )
             )
-            scheduler = ConcurrentScheduler(db, workers=4)
+            scheduler = Scheduler(db)
             for i in range(24):
                 scheduler.submit(transfer(i % 8, 8 + (i % 8)), name=f"t{i}")
             with chaos(engine):

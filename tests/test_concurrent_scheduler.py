@@ -1,9 +1,10 @@
-"""Concurrent user-transaction execution: the worker-pool scheduler.
+"""Concurrent user-transaction execution: the scheduler's worker pool.
 
-Covers the determinism contract (workers=1 / SimEngine degenerates to the
-cooperative round-robin), no-wait retry semantics across threads, the
-conflict-storm livelock-avoidance property, chaos crash points firing
-mid-script on a worker thread, and the observability surface.
+Covers the determinism contract (an engine with one worker — SimEngine,
+or ThreadedEngine(workers=1) — runs the cooperative round-robin), no-wait
+retry semantics across threads, the conflict-storm livelock-avoidance
+property, chaos crash points firing mid-script on a worker thread, and
+the observability surface.
 """
 
 import threading
@@ -14,8 +15,7 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.engine import SimEngine, ThreadedEngine
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
-from repro.txn.concurrent import ConcurrentScheduler
-from repro.txn.scheduler import InterleavedScheduler
+from repro.txn.scheduler import Scheduler
 
 
 def build_bank(engine=None, accounts_count=8, balance=100):
@@ -57,54 +57,37 @@ def balances(db, accounts):
 
 
 class TestDeterminismContract:
+    @staticmethod
+    def run_batch(engine, pairs):
+        """One batch of transfers on a fresh bank: everything the
+        contract covers."""
+        db, accounts = build_bank(engine=engine)
+        scheduler = Scheduler(db)
+        for i, (src, dst, amount) in enumerate(pairs):
+            scheduler.submit(transfer(db, accounts, src, dst, amount), name=f"t{i}")
+        results = scheduler.run()
+        outcome = (
+            [(r.name, r.committed, r.attempts, r.txn_ids) for r in results],
+            balances(db, accounts),
+            db.stats()["transactions_committed"],
+        )
+        db.close()
+        return outcome
+
     def test_sim_engine_degenerates_to_round_robin(self):
-        """On SimEngine the concurrent scheduler IS the interleaved one:
-        identical results, attempts, txn ids, and final state."""
-        runs = []
-        for scheduler_cls in (InterleavedScheduler, ConcurrentScheduler):
-            db, accounts = build_bank(engine=SimEngine())
-            scheduler = scheduler_cls(db)
-            for i in range(6):
-                scheduler.submit(
-                    transfer(db, accounts, i % 3, 3 + (i % 3), 7), name=f"t{i}"
-                )
-            results = scheduler.run()
-            runs.append(
-                (
-                    [(r.name, r.committed, r.attempts, r.txn_ids) for r in results],
-                    balances(db, accounts),
-                    db.stats()["transactions_committed"],
-                )
-            )
-            db.close()
-        assert runs[0] == runs[1]
+        """Whatever engine has one worker runs the same round-robin:
+        identical results, attempts, txn ids, and final state — and a
+        second run on SimEngine repeats them."""
+        pairs = [(i % 3, 3 + (i % 3), 7) for i in range(6)]
+        first = self.run_batch(SimEngine(), pairs)
+        assert first == self.run_batch(SimEngine(), pairs)
+        assert first == self.run_batch(ThreadedEngine(workers=1), pairs)
+        assert any(attempts > 1 for _, _, attempts, _ in first[0])  # it did contend
 
     def test_workers_1_threaded_matches_interleaved(self):
-        reference_db, reference_accounts = build_bank(engine=SimEngine())
-        reference = InterleavedScheduler(reference_db)
-        db, accounts = build_bank(engine=ThreadedEngine(workers=4))
-        scheduler = ConcurrentScheduler(db, workers=1)
-        assert scheduler.effective_workers == 1
-        for i in range(6):
-            reference.submit(
-                transfer(reference_db, reference_accounts, i % 4, 4 + i % 4, 5),
-                name=f"t{i}",
-            )
-            scheduler.submit(transfer(db, accounts, i % 4, 4 + i % 4, 5), name=f"t{i}")
-        expected = reference.run()
-        got = scheduler.run()
-        assert [(r.name, r.committed, r.attempts) for r in got] == [
-            (r.name, r.committed, r.attempts) for r in expected
-        ]
-        assert balances(db, accounts) == balances(reference_db, reference_accounts)
-        db.close()
-        reference_db.close()
-
-    def test_sim_engine_ignores_large_worker_request(self):
-        db, _ = build_bank(engine=SimEngine())
-        scheduler = ConcurrentScheduler(db, workers=8)
-        assert scheduler.effective_workers == 1
-        db.close()
+        pairs = [(i % 4, 4 + i % 4, 5) for i in range(6)]
+        expected = self.run_batch(SimEngine(), pairs)
+        assert self.run_batch(ThreadedEngine(workers=1), pairs) == expected
 
 
 class TestConcurrentExecution:
@@ -113,7 +96,7 @@ class TestConcurrentExecution:
         commits first time, whatever the pool size — rows that differ
         never conflict."""
         db, accounts = build_bank(engine=ThreadedEngine(workers=4), accounts_count=48)
-        scheduler = ConcurrentScheduler(db, workers=4)
+        scheduler = Scheduler(db)
         for i in range(24):
             scheduler.submit(transfer(db, accounts, 2 * i, 2 * i + 1, 1), name=f"t{i}")
         results = scheduler.run()
@@ -131,7 +114,7 @@ class TestConcurrentExecution:
         # give each metered instruction real duration so workers genuinely
         # overlap inside transactions and conflicts actually occur
         db.main_cpu.realtime_scale = 50.0
-        scheduler = ConcurrentScheduler(db, max_attempts=500, workers=4)
+        scheduler = Scheduler(db, max_attempts=500)
         for i in range(24):
             scheduler.submit(transfer(db, accounts, 0, 1 + i % 3, 1), name=f"s{i}")
         results = scheduler.run()
@@ -144,7 +127,7 @@ class TestConcurrentExecution:
     def test_retry_uses_fresh_transaction_per_attempt(self):
         db, accounts = build_bank(engine=ThreadedEngine(workers=4), accounts_count=4)
         db.main_cpu.realtime_scale = 50.0
-        scheduler = ConcurrentScheduler(db, max_attempts=500, workers=4)
+        scheduler = Scheduler(db, max_attempts=500)
         for i in range(16):
             scheduler.submit(transfer(db, accounts, 0, 1, 1), name=f"s{i}")
         results = scheduler.run()
@@ -160,7 +143,7 @@ class TestConcurrentExecution:
 
     def test_worker_count_caps_at_pool_size(self):
         db, accounts = build_bank(engine=ThreadedEngine(workers=2))
-        scheduler = ConcurrentScheduler(db, workers=2)
+        scheduler = Scheduler(db)
         for i in range(8):
             scheduler.submit(transfer(db, accounts, i % 4, 4 + i % 4, 2), name=f"t{i}")
         results = scheduler.run()
@@ -182,10 +165,10 @@ class TestChaosInterleaving:
         the transaction frame: rolled back on an error, untouched on a
         crash — no abort machinery runs on a dead machine."""
         db, accounts = build_bank()
-        scheduler = ConcurrentScheduler(db, workers=1)
+        scheduler = Scheduler(db)
         scheduler.submit(deposit(db, accounts, 0, 10))
-        (running,) = scheduler._scripts
-        assert scheduler._step(running) == "running"  # mid-script, lock held
+        (running,) = scheduler._batch
+        assert scheduler.advance(running) == "running"  # mid-script, lock held
         stop = threading.Event()
         stop.set()
         assert scheduler._drive(running, stop, [failure]) == "stopped"
@@ -207,7 +190,7 @@ class TestChaosInterleaving:
                 durable.append(txn.txn_id)
 
         db.commit_observer = observer
-        scheduler = ConcurrentScheduler(db, max_attempts=500, workers=4)
+        scheduler = Scheduler(db, max_attempts=500)
         for i in range(12):
             scheduler.submit(deposit(db, accounts, i % 4, 10), name=f"d{i}")
         injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.before-slb", after_visits=5))
@@ -229,7 +212,7 @@ class TestChaosInterleaving:
         transactions; no lock or active transaction leaks."""
         db, accounts = build_bank(engine=ThreadedEngine(workers=4), accounts_count=8)
         db.main_cpu.realtime_scale = 20.0
-        scheduler = ConcurrentScheduler(db, max_attempts=500, workers=4)
+        scheduler = Scheduler(db, max_attempts=500)
         for i in range(12):
             scheduler.submit(transfer(db, accounts, i % 8, (i + 1) % 8, 1), name=f"t{i}")
         injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.before-slb", after_visits=3))
@@ -249,7 +232,7 @@ class TestObservability:
         from repro.db.monitor import Monitor
 
         db, accounts = build_bank(engine=ThreadedEngine(workers=4))
-        scheduler = ConcurrentScheduler(db, workers=4)
+        scheduler = Scheduler(db)
         for i in range(12):
             scheduler.submit(transfer(db, accounts, i % 4, 4 + i % 4, 3), name=f"t{i}")
         scheduler.run()

@@ -1,19 +1,22 @@
 """Tests for interleaved transaction execution: real conflicts, retries,
-and serialisability under contention."""
+and serialisability under contention.
+
+The ``bank`` fixture pins ``SimEngine``: these tests rest on the
+cooperative driver's deterministic interleaving ("guaranteed lock
+conflict"); the worker pool has tests/test_concurrent_scheduler.py."""
 
 import pytest
 
 from repro import Database, SystemConfig
+from repro.engine import SimEngine, ThreadedEngine
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
-from repro.txn.concurrent import ConcurrentScheduler
-from repro.txn.scheduler import InterleavedScheduler, SchedulerError
+from repro.txn.scheduler import Scheduler, SchedulerError
 from repro.txn.transaction import TxnState
 
 
-@pytest.fixture()
-def bank():
-    db = Database(SystemConfig(log_page_size=2048))
+def make_bank(engine):
+    db = Database(SystemConfig(log_page_size=2048), engine=engine)
     accounts = db.create_relation(
         "accounts", [("id", "int"), ("balance", "int")], primary_key="id"
     )
@@ -21,6 +24,11 @@ def bank():
         for i in range(4):
             accounts.insert(txn, {"id": i, "balance": 100})
     return db, accounts
+
+
+@pytest.fixture()
+def bank():
+    return make_bank(SimEngine())
 
 
 def transfer(db, accounts, src, dst, amount):
@@ -39,7 +47,7 @@ def transfer(db, accounts, src, dst, amount):
 class TestBasicScheduling:
     def test_single_script_commits(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db)
+        scheduler = Scheduler(db)
         scheduler.submit(transfer(db, accounts, 0, 1, 30))
         results = scheduler.run()
         assert results[0].committed
@@ -50,7 +58,7 @@ class TestBasicScheduling:
 
     def test_disjoint_scripts_interleave_without_conflict(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db)
+        scheduler = Scheduler(db)
         scheduler.submit(transfer(db, accounts, 0, 1, 10), name="a")
         scheduler.submit(transfer(db, accounts, 2, 3, 20), name="b")
         results = scheduler.run()
@@ -62,7 +70,7 @@ class TestBasicScheduling:
 
     def test_results_in_submission_order(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db)
+        scheduler = Scheduler(db)
         scheduler.submit(transfer(db, accounts, 0, 1, 1), name="first")
         scheduler.submit(transfer(db, accounts, 2, 3, 1), name="second")
         results = scheduler.run()
@@ -72,7 +80,7 @@ class TestBasicScheduling:
 class TestConflicts:
     def test_conflicting_scripts_both_commit_via_retry(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db)
+        scheduler = Scheduler(db)
         # both move money out of account 0: guaranteed lock conflict
         scheduler.submit(transfer(db, accounts, 0, 1, 10), name="a")
         scheduler.submit(transfer(db, accounts, 0, 2, 10), name="b")
@@ -89,7 +97,7 @@ class TestConflicts:
 
     def test_money_conserved_under_heavy_contention(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db, max_attempts=50)
+        scheduler = Scheduler(db, max_attempts=50)
         for k in range(8):
             scheduler.submit(
                 transfer(db, accounts, k % 4, (k + 1) % 4, 5), name=f"t{k}"
@@ -102,7 +110,7 @@ class TestConflicts:
 
     def test_retry_uses_fresh_transaction_ids(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db)
+        scheduler = Scheduler(db)
         scheduler.submit(transfer(db, accounts, 0, 1, 10), name="a")
         scheduler.submit(transfer(db, accounts, 0, 2, 10), name="b")
         results = scheduler.run()
@@ -111,7 +119,7 @@ class TestConflicts:
 
     def test_retry_budget_exhaustion_reported(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db, max_attempts=1)
+        scheduler = Scheduler(db, max_attempts=1)
         scheduler.submit(transfer(db, accounts, 0, 1, 10), name="a")
         scheduler.submit(transfer(db, accounts, 0, 2, 10), name="b")
         results = scheduler.run()
@@ -128,7 +136,7 @@ class TestConflicts:
 
     def test_script_exception_propagates_and_aborts(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db)
+        scheduler = Scheduler(db)
 
         def broken(txn):
             accounts.update(
@@ -146,13 +154,91 @@ class TestConflicts:
     def test_invalid_retry_budget_rejected(self, bank):
         db, _ = bank
         with pytest.raises(SchedulerError):
-            InterleavedScheduler(db, max_attempts=0)
+            Scheduler(db, max_attempts=0)
+
+
+@pytest.mark.parametrize(
+    "engine", [SimEngine, lambda: ThreadedEngine(workers=2)], ids=["cooperative", "pool"]
+)
+class TestOneOutcomeRule:
+    """Both drivers end a script through the same ``finish``: what a run
+    leaves behind, how results are keyed and what the counters say do
+    not depend on which one ran."""
+
+    def test_a_run_that_raises_consumes_its_batch(self, engine):
+        db, accounts = make_bank(engine())
+        scheduler = Scheduler(db)
+
+        def broken(txn):
+            yield
+            raise ValueError("script bug")
+
+        scheduler.submit(broken)
+        with pytest.raises(ValueError):
+            scheduler.run()
+        scheduler.submit(transfer(db, accounts, 0, 1, 30), name="after")
+        results = scheduler.run()
+        assert [(r.name, r.committed) for r in results] == [("after", True)]
+        with db.transaction() as txn:
+            assert accounts.lookup(txn, 1)["balance"] == 130
+        db.close()
+
+    def test_results_are_per_submission_not_per_name(self, engine):
+        db, accounts = make_bank(engine())
+        scheduler = Scheduler(db)
+        began = ([], [])
+
+        def recording(k, src, dst):
+            body = transfer(db, accounts, src, dst, 10)
+
+            def script(txn):
+                began[k].append(txn.txn_id)
+                yield from body(txn)
+
+            return script
+
+        scheduler.submit(recording(0, 0, 1), name="x")
+        scheduler.submit(recording(1, 2, 3), name="x")
+        first, second = scheduler.run()
+        assert first is not second
+        assert (first.name, first.committed, first.txn_ids) == ("x", True, began[0])
+        assert (second.name, second.committed, second.txn_ids) == ("x", True, began[1])
+        assert began[0] and began[1] and set(began[0]).isdisjoint(began[1])
+        db.close()
+
+    def test_exhausted_budget_counters_agree(self, engine):
+        db, accounts = make_bank(engine())
+        blocker = db.transactions.begin()
+        row = accounts.lookup(blocker, 0)
+        accounts.update(blocker, row.address, {"balance": 0})  # X-locked throughout
+        scheduler = Scheduler(db, max_attempts=3)
+        scheduler.submit(transfer(db, accounts, 0, 1, 10))
+        (result,) = scheduler.run()
+        blocker.abort()
+        stats = scheduler.stats()
+        assert not result.committed
+        assert result.attempts == 3
+        assert stats["conflicts"] == 3
+        assert sum(w["conflicts"] for w in stats["per_worker"]) == 3
+        assert (stats["failed"], stats["retries"], stats["committed"]) == (1, 2, 0)
+        assert stats["max_attempts_seen"] == 3
+        assert db.stats()["scheduler"] == stats
+        assert set(stats) == {
+            "workers", "runs", "committed", "failed", "conflicts", "retries",
+            "max_attempts_seen", "per_worker",
+        }
+        assert all(
+            set(w) == {"worker", "scripts", "committed", "conflicts", "busy_seconds",
+                       "utilisation"}
+            for w in stats["per_worker"]
+        )
+        db.close()
 
 
 class TestAuditIntegration:
     def test_scripts_appear_in_audit_trail(self, bank):
         db, accounts = bank
-        scheduler = InterleavedScheduler(db)
+        scheduler = Scheduler(db)
         scheduler.submit(transfer(db, accounts, 0, 1, 5), name="audited")
         scheduler.run()
         user_data = [e.user_data for e in db.audit.trail() if e.user_data]
@@ -164,12 +250,20 @@ class TestCrashIsNotAnAbort:
     every driver alike: no abort machinery runs, nothing is written to
     stable memory after the crash, and restart discards the chain."""
 
+    #: The engine that puts each driver under the script (``None``: the
+    #: environment's, whichever it is — a scope has no driver).
+    ENGINES = {
+        "scope": lambda: None,
+        "interleaved": SimEngine,
+        "concurrent": lambda: ThreadedEngine(workers=2),
+    }
+
     @staticmethod
-    def crowded_bank():
+    def crowded_bank(engine):
         """Accounts plus unpumped commits until the SLB has no block left,
         so the next REDO append reaches the recovery CPU's sort through
         back-pressure."""
-        db = Database(SystemConfig(slb_capacity=112 * 1024))
+        db = Database(SystemConfig(slb_capacity=112 * 1024), engine=engine)
         accounts = db.create_relation(
             "accounts", [("id", "int"), ("balance", "int")], primary_key="id"
         )
@@ -182,7 +276,7 @@ class TestCrashIsNotAnAbort:
 
     @pytest.mark.parametrize("driver", ["scope", "interleaved", "concurrent"])
     def test_crash_in_body_leaves_the_transaction_untouched(self, driver):
-        db, accounts, key = self.crowded_bank()
+        db, accounts, key = self.crowded_bank(self.ENGINES[driver]())
         seen = []
 
         def body(txn):
@@ -199,11 +293,7 @@ class TestCrashIsNotAnAbort:
                 with db.transaction() as txn:
                     body(txn)
             else:
-                scheduler = (
-                    InterleavedScheduler(db)
-                    if driver == "interleaved"
-                    else ConcurrentScheduler(db, workers=1)
-                )
+                scheduler = Scheduler(db)
                 scheduler.submit(script)
                 scheduler.run()
         (txn, audit_before, aborts_before), = seen
@@ -218,3 +308,4 @@ class TestCrashIsNotAnAbort:
         with db.transaction() as check:
             assert accounts.lookup(check, key) is None
             assert accounts.count(check) == key
+        db.close()

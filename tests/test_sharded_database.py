@@ -11,7 +11,7 @@ from repro.shard import (
     ShardedScheduler,
     ShardingError,
 )
-from repro.txn.concurrent import ConcurrentScheduler
+from repro.txn.scheduler import Scheduler
 from repro.workloads.sharded_bank import ShardedBankWorkload
 
 ACCOUNT_SCHEMA = [("id", "int"), ("balance", "int")]
@@ -216,6 +216,64 @@ class TestShardedScheduler:
             assert led.lookup(txn, 0)["total"] == 4
 
 
+    def test_a_run_that_raises_consumes_the_batch(self, cluster):
+        """Whichever lane dies — the first node's, so that on a sim
+        cluster the second node's never starts, or the cross lane — the
+        next run sees only what was submitted after it."""
+        acc, led = load_pair(cluster)
+        sched = ShardedScheduler(cluster)
+
+        def broken(txn):
+            yield
+            raise ValueError("script bug")
+
+        def bump(relation, field):
+            def script(txn):
+                row = relation.lookup(txn, 0)
+                yield
+                relation.update(txn, row.address, {field: row[field] + 1})
+
+            return script
+
+        for dying in (["accounts"], ["accounts", "ledger"]):
+            sched.submit(broken, relations=dying, name="dies")
+            sched.submit(bump(led, "total"), relations=["ledger"], name="never-ran")
+            with pytest.raises(ValueError):
+                sched.run()
+            sched.submit(bump(acc, "balance"), relations=["accounts"], name="after")
+            results = sched.run()
+            assert [(r.name, r.committed) for r in results] == [("after", True)]
+        with cluster.transaction(relations=["accounts"]) as txn:
+            assert acc.lookup(txn, 0)["balance"] == 102
+
+    def test_same_name_in_two_lanes_gives_two_results(self, cluster):
+        acc, led = load_pair(cluster)
+        sched = ShardedScheduler(cluster)
+        began = {"local": [], "cross": []}
+
+        def local(txn):
+            began["local"].append(txn.txn_id)
+            row = acc.lookup(txn, 0)
+            yield
+            acc.update(txn, row.address, {"balance": row["balance"] + 1})
+
+        def cross(txn):
+            began["cross"].append(txn.txn_id)
+            row = acc.lookup(txn, 1)
+            yield
+            acc.update(txn, row.address, {"balance": row["balance"] - 5})
+            t = led.lookup(txn, 0)
+            led.update(txn, t.address, {"total": t["total"] + 5})
+
+        sched.submit(cross, relations=["accounts", "ledger"], name="x")
+        sched.submit(local, relations=["accounts"], name="x")
+        first, second = sched.run()
+        assert first is not second
+        assert (first.committed, first.txn_ids) == (True, began["cross"])
+        assert (second.committed, second.txn_ids) == (True, began["local"])
+        assert began["cross"] and began["local"]
+
+
 class TestDegenerateSingleShard:
     def test_shards_one_digest_identical_to_standalone(self):
         """The tentpole's degeneracy claim: one shard, same bits."""
@@ -248,7 +306,7 @@ class TestDegenerateSingleShard:
 
         # The claim is the sim degeneracy: both sides pin the sim engine.
         seed_db = Database(small_config(), engine=SimEngine())
-        seed_sched = ConcurrentScheduler(seed_db)
+        seed_sched = Scheduler(seed_db)
         drive(seed_db, seed_sched)
         seed_sched.run()
 

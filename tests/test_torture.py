@@ -23,6 +23,8 @@ from repro.sim.torture import (
     build_plan,
     main,
 )
+from repro.txn.scheduler import Scheduler
+from repro.workloads.debit_credit import DebitCreditWorkload
 
 SEEDS = [0, 1, 2]
 
@@ -104,12 +106,28 @@ class TestAcceptanceMatrix:
         assert all(r.committed > 0 for r in results)
 
 
+class TestRoundIsAFunctionOfItsSpec:
+    """On ``--engine sim`` nothing but the spec decides a round: the same
+    spec run twice gives the same record, ``host_seconds`` apart."""
+
+    @pytest.mark.parametrize(
+        "kind,topology",
+        zip(KINDS, [{"shards": 1}, {"shards": 1, "condense": True}, {"shards": 2}]),
+        ids=["single", "condense", "sharded"],
+    )
+    def test_same_spec_same_record(self, kind, topology):
+        spec = RoundSpec(100, kind, engine="sim", workers=1, **topology)
+        first, second = (TortureHarness().run_round(spec).to_json() for _ in range(2))
+        assert first.pop("host_seconds") > 0 and second.pop("host_seconds") > 0
+        assert first == second
+
+
 class TestFailureReporting:
     def test_failed_round_carries_repro_command(self, monkeypatch):
-        def broken(self, db, workload):
-            raise TortureFailure("synthetic check failure")
+        def broken(self):
+            raise AssertionError("synthetic check failure")
 
-        monkeypatch.setattr(TortureHarness, "_check_invariants", broken)
+        monkeypatch.setattr(DebitCreditWorkload, "check_invariants", broken)
         with pytest.raises(TortureFailure) as excinfo:
             TortureHarness().run_round(RoundSpec(3, "latency", engine="sim", workers=1))
         message = str(excinfo.value)
@@ -117,10 +135,10 @@ class TestFailureReporting:
         assert "--seed 3" in message
 
     def test_unexpected_error_is_wrapped_with_seed(self, monkeypatch):
-        def explode(self, db, workload, rng, spec):
+        def explode(self):
             raise RuntimeError("worker wedged")
 
-        monkeypatch.setattr(TortureHarness, "_run_pool", explode)
+        monkeypatch.setattr(Scheduler, "run", explode)
         with pytest.raises(TortureFailure) as excinfo:
             TortureHarness().run_round(RoundSpec(8, "crash", engine="sim", workers=1))
         message = str(excinfo.value)
@@ -158,10 +176,10 @@ class TestCommandLine:
     def test_cli_failure_prints_seed_and_returns_one(
         self, tmp_path, monkeypatch, capsys
     ):
-        def broken(self, db, workload):
-            raise TortureFailure("forced")
+        def broken(self):
+            raise AssertionError("forced")
 
-        monkeypatch.setattr(TortureHarness, "_check_invariants", broken)
+        monkeypatch.setattr(DebitCreditWorkload, "check_invariants", broken)
         log = tmp_path / "rounds.jsonl"
         code = main(
             [
