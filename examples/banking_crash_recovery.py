@@ -47,7 +47,7 @@ def main() -> None:
     print("loading bank and running 300 debit/credit transactions...")
     db, workload = build_and_run_bank(seed=42)
     expected_total = 4 * 250 * 1000 + 300 * 10
-    print(f"  committed: {db.transactions.committed} transactions")
+    print(f"  committed: {db.stats()['transactions_committed']} transactions")
     print(f"  checkpoints taken during normal processing: "
           f"{db.checkpoints.checkpoints_taken}")
     print(f"  log pages written: {db.log_disk.pages_written}")

@@ -12,7 +12,7 @@ Run:  python examples/media_failure.py
 """
 
 from repro import Database, SystemConfig
-from repro.db.monitor import Monitor
+from repro.db.monitor import status_page
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.workloads import DebitCreditWorkload
 
@@ -33,7 +33,7 @@ def main() -> None:
     expected_total = 2 * 60 * 1000 + 150 * 10
     print("bank loaded; 150 debit/credit transactions committed")
     print(f"checkpoints taken: {db.checkpoints.checkpoints_taken}")
-    print(Monitor(db).report())
+    print(status_page(db.stats()))
 
     print("\n*** crash — AND the checkpoint disk is destroyed ***")
     db.crash()

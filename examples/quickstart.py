@@ -13,6 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Database, RecoveryMode
+from repro.db.monitor import status_page
 
 
 def main() -> None:
@@ -52,9 +53,8 @@ def main() -> None:
         same_balance = accounts.lookup_by(txn, "accounts_by_balance", 300)
         print("accounts with balance 300:", sorted(r["owner"] for r in same_balance))
 
-    print("\nstats before crash:")
-    for key, value in db.stats().items():
-        print(f"  {key}: {value}")
+    print("\nstatus before crash:")
+    print(status_page(db.stats()))
 
     # --- crash and recover ------------------------------------------------------
     print("\n*** simulated crash: main memory lost ***")

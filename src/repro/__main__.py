@@ -1,7 +1,7 @@
 """``python -m repro`` — a guided demonstration of the recovery system.
 
 Runs a debit/credit bank, crashes it, performs two-phase recovery, and
-prints the monitor's status page at each stage.  A quick way to see the
+prints the status page at each stage.  A quick way to see the
 whole system move without writing any code.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.db.monitor import Monitor
+from repro.db.monitor import status_page
 from repro.workloads import DebitCreditWorkload
 
 
@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     workload.load()
     workload.run(args.transactions, delta=10)
     print()
-    print(Monitor(db).report())
+    print(status_page(db.stats()))
 
     print("\n*** crash: main memory lost; stable RAM and disks survive ***\n")
     db.crash()
@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         coordinator.background_step()
     print(f"background recovery finished at "
           f"{(db.clock.now - start) * 1000:.1f} ms\n")
-    print(Monitor(db).report())
+    print(status_page(db.stats()))
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 
 from repro.common.checksum import open_frame, seal_frame
+from repro.common.counters import Counters
 from repro.common.errors import CheckpointError, MediaFailure
 from repro.concurrency.latch import Latch
 from repro.sim.chaos import (
@@ -26,7 +27,7 @@ from repro.sim.chaos import (
     register_fault_point,
 )
 from repro.sim.disk import SimulatedDisk
-from repro.sim.faults import RetryPolicy, TransientIOStats, run_with_retry
+from repro.sim.faults import IO_COUNTERS, RetryPolicy, run_with_retry
 
 register_crash_point(
     "checkpoint.image.before-write",
@@ -63,7 +64,7 @@ class CheckpointDiskQueue:
         #: escalate to ``MediaFailure`` past it; counters land in
         #: ``Database.stats()["transient_io"]["checkpoint"]``.
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.io_stats = TransientIOStats()
+        self.io_stats = Counters(*IO_COUNTERS)
         self.map_latch = Latch("checkpoint-disk-map")
         self._occupied: set[int] = set()  # guarded-by: _mutex
         self._head = 0  # guarded-by: _mutex

@@ -5,6 +5,7 @@ exceptions, addresses (segments / partitions / entities), log sequence
 numbers, and the configuration dataclasses that size the system.
 """
 
+from repro.common.counters import Counters
 from repro.common.errors import (
     CatalogError,
     CheckpointError,
@@ -40,6 +41,7 @@ __all__ = [
     "CatalogError",
     "CheckpointError",
     "ConfigurationError",
+    "Counters",
     "DiskParameters",
     "EntityAddress",
     "GIGABYTE",

@@ -8,13 +8,12 @@ the crash/restart pair that exercises the paper's recovery algorithm.
 
 from repro.db.database import Database, RecoveryMode
 from repro.db.integrity import assert_integrity, verify_integrity
-from repro.db.monitor import Monitor
+from repro.db.monitor import status_page
 from repro.db.query import Query, hash_join, nested_loop_join
 from repro.db.relation import Relation, Row
 
 __all__ = [
     "Database",
-    "Monitor",
     "assert_integrity",
     "verify_integrity",
     "Query",
@@ -23,4 +22,5 @@ __all__ = [
     "Row",
     "hash_join",
     "nested_loop_join",
+    "status_page",
 ]

@@ -46,10 +46,12 @@ from repro.checkpoint.disk_queue import CheckpointDiskQueue
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.protocol import CheckpointQueue
 from repro.common.config import LOGGING_MODES, SystemConfig, expect_one_of
+from repro.common.counters import Counters
 from repro.common.errors import (
     CatalogError,
     RecoveryError,
     StableMemoryFullError,
+    StorageError,
 )
 from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
 from repro.concurrency.locks import LockManager, LockMode
@@ -73,7 +75,6 @@ from repro.storage.segment import Segment
 from repro.txn.manager import TransactionManager
 from repro.txn.registry import ScriptRegistry
 from repro.txn.transaction import Transaction
-from repro.txn.twopc import TwoPCStats
 from repro.wal.audit import AuditLog
 from repro.wal.log_disk import LogDisk
 from repro.wal.records import RedoRecord
@@ -106,9 +107,9 @@ class Database:
         engine: ExecutionEngine | None = None,
     ):
         self.config = config if config is not None else SystemConfig()
-        #: Serialises partition installs against monitoring snapshots so
-        #: :class:`~repro.db.monitor.Monitor` reads a consistent view
-        #: while restore workers install partitions concurrently.
+        #: Serialises partition installs against :meth:`stats`, so the
+        #: snapshot reads a consistent view while restore workers install
+        #: partitions concurrently.
         self.view_lock = threading.RLock()
         self._build_hardware()
         self._build_volatile()
@@ -117,10 +118,6 @@ class Database:
         self.engine.attach(self)
         self.crashed = False
         self.restart_coordinator: RestartCoordinator | None = None
-        #: Totals of the most recent whole-database media restore
-        #: (:func:`~repro.recovery.media.restore_after_checkpoint_media_failure`);
-        #: ``None`` until one has run.
-        self.last_media_restore: dict | None = None
         #: Plan statistics of the most recent command replay
         #: (:func:`~repro.recovery.replay_plan.replay_live_commands`);
         #: ``None`` until a restart has run one.
@@ -134,14 +131,21 @@ class Database:
         self.commit_observer = None
         #: The most recent :class:`~repro.txn.scheduler.Scheduler`
         #: attached via :meth:`register_scheduler`; surfaces its counters in
-        #: :meth:`stats` and ``Monitor.snapshot()``.
+        #: :meth:`stats`.
         self.scheduler = None
         #: Shard identity when this database is one node of a
         #: :class:`~repro.shard.ShardedDatabase` (``None`` standalone).
         self.shard_id: int | None = None
-        #: 2PC counters for this node (prepares, phase-2 outcomes,
-        #: decisions logged here, in-doubt resolutions at restart).
-        self.twopc = TwoPCStats()
+        #: 2PC counters for this node: phase-2 outcomes, decisions logged
+        #: here, in-doubt resolutions at restart (prepares are the SLB's).
+        self.twopc = Counters(
+            "prepared_commits",
+            "prepared_aborts",
+            "decisions_logged",
+            "in_doubt_found",
+            "in_doubt_committed",
+            "in_doubt_aborted",
+        )
         #: In-doubt resolver consulted by restart for prepared chains.
         #: Duck-typed: ``decide(prepare) -> "commit" | "abort"`` and
         #: ``acknowledge(prepare, verdict)`` after the verdict applied.
@@ -660,56 +664,113 @@ class Database:
         """Attach a script scheduler for observability.
 
         Called by :class:`~repro.txn.scheduler.Scheduler` on
-        construction; :meth:`stats` and ``Monitor.snapshot()`` report the
-        registered scheduler's committed/conflict/retry counters.
+        construction; :meth:`stats` reports the registered scheduler's
+        committed/conflict/retry counters.
         """
         self.scheduler = scheduler
 
     def stats(self) -> dict:
-        """A status snapshot used by examples and benchmarks."""
-        scheduler_stats = self.scheduler.stats() if self.scheduler is not None else None
-        return {
-            "scheduler": scheduler_stats,
-            "engine": self.engine.name,
-            "shard_id": self.shard_id,
-            "twopc": self.twopc.snapshot(),
-            "clock_seconds": self.clock.now,
-            "transactions_committed": self.transactions.committed,
-            "transactions_aborted": self.transactions.aborted,
-            "slb_records_written": self.slb.records_written,
-            "slt_records_binned": self.slt.records_binned,
-            "log_pages_written": self.log_disk.pages_written,
-            "checkpoints_taken": self.checkpoints.checkpoints_taken,
-            "condenser": self.condenser.stats_snapshot(),
-            "recovery_cpu_instructions": self.recovery_cpu.total_instructions,
-            "resident_partitions": self.memory.resident_partition_count(),
-            "log_page_cache_hits": self.log_disk.cache_hits,
-            "media_restore": self.last_media_restore,
-            "logging": self.logging_stats(),
-            "transient_io": {
-                "log": self.log_disk.io_stats.snapshot(),
-                "checkpoint": self.checkpoint_disk.io_stats.snapshot(),
-            },
-        }
+        """The one status snapshot of this database: every figure once,
+        under the keys docs/API.md tabulates with their lifetimes.
 
-    def logging_stats(self) -> dict:
-        """Per-mode logging observability (docs/LOGGING.md): commits and
-        stable log bytes per mode, bytes/txn, command-log state, sweep
-        counters, and the last restart's replay plan."""
+        Taken under :attr:`view_lock`, so concurrent phase-2 partition
+        installs cannot tear the residency figures; the figures behind the
+        SLB mutex and the bin mutexes are fetched before it, so the
+        snapshot never nests them under it.  The key set is the same
+        whether the system is up, crashed, or mid-restart.
+        """
         mode_commits, mode_bytes = self.slb.mode_stats()
-        per_txn = {
-            mode: mode_bytes.get(mode, 0) / commits
-            for mode, commits in mode_commits.items()
-            if commits
-        }
-        return {
+        logging = {
             "mode": self.config.logging_mode,
             "mode_commits": mode_commits,
             "mode_bytes": mode_bytes,
-            "log_bytes_per_txn": per_txn,
+            "log_bytes_per_txn": {
+                mode: mode_bytes.get(mode, 0) / commits
+                for mode, commits in mode_commits.items()
+                if commits
+            },
             "command_seq": self.slb.command_seq,
             "live_commands": len(self.slb.live_commands()),
             "sweeps_taken": self.checkpoints.sweeps_taken,
             "commands_settled": self.checkpoints.commands_settled,
             "command_replay": self.last_command_replay,
         }
+        condenser = self.condenser.stats_snapshot()
+        with self.view_lock:
+            residency: dict[str, dict] = {}
+            partitions: list[Partition] = []
+            if not self.crashed:
+                for descriptor in (*self.catalog.relations(), *self.catalog.indexes()):
+                    try:
+                        segment = self.memory.segment(descriptor.segment_id)
+                    except StorageError:  # segment gone mid-recovery
+                        continue
+                    residency[descriptor.name] = {
+                        "partitions": len(descriptor.partitions),
+                        "resident": sum(1 for _ in segment.resident_partitions()),
+                        "missing": len(segment.missing_partitions()),
+                    }
+                partitions = [
+                    part
+                    for segment in self.memory.segments()
+                    for part in segment.resident_partitions()
+                ]
+            coordinator = self.restart_coordinator
+            return {
+                "engine": self.engine.name,
+                "shard_id": self.shard_id,
+                "scheduler": self.scheduler.stats() if self.scheduler is not None else None,
+                "twopc": {**self.twopc.snapshot(), "prepares": self.slb.prepares},
+                "clock_seconds": self.clock.now,
+                "transactions_committed": sum(mode_commits.values()),
+                "transactions_aborted": self.slb.aborts,
+                "transactions_active": self.transactions.active_count,
+                "slb_records_written": self.slb.records_written,
+                "slb_bytes_written": self.slb.bytes_written,
+                "slb_used_bytes": self.slb_memory.used_bytes,
+                "slb_capacity_bytes": self.slb_memory.capacity_bytes,
+                "slt_used_bytes": self.slt_memory.used_bytes,
+                "slt_capacity_bytes": self.slt_memory.capacity_bytes,
+                "slt_records_binned": self.slt.records_binned,
+                "slt_pages_sealed": self.slt.pages_sealed,
+                "slt_active_bins": len(self.slt.active_bins()),
+                "log_pages_written": self.log_disk.pages_written,
+                "archive_pages_written": self.recovery_processor.archive_pages_written,
+                "log_window": {
+                    "start": self.log_disk.window_start,
+                    "next_lsn": self.log_disk.next_lsn,
+                },
+                "log_page_cache_hits": self.log_disk.cache_hits,
+                "logging": logging,
+                "checkpoints_taken": self.checkpoints.checkpoints_taken,
+                "checkpoints_deferred": self.checkpoints.checkpoints_deferred,
+                "checkpoints_requested": self.recovery_processor.checkpoints_requested,
+                "checkpoint_queue_depth": len(self.checkpoint_queue),
+                "checkpoint_slots_used": self.checkpoint_disk.occupied_count,
+                "checkpoint_slots_total": self.checkpoint_disk.slots,
+                "condenser": condenser,
+                "main_cpu_instructions": self.main_cpu.total_instructions,
+                "recovery_cpu_instructions": self.recovery_cpu.total_instructions,
+                "recovery_busy_seconds": self.recovery_cpu.busy_seconds(),
+                "recovery_breakdown": self.recovery_cpu.category_breakdown(),
+                "resident_partitions": len(partitions),
+                "resident_bytes": sum(p.used_bytes + p.heap.used_bytes for p in partitions),
+                "overflow_bytes": sum(p.overflow_bytes for p in partitions),
+                "residency": residency,
+                "transient_io": {
+                    "log": self.log_disk.io_stats.snapshot(),
+                    "checkpoint": self.checkpoint_disk.io_stats.snapshot(),
+                },
+                "restart": None if coordinator is None else {
+                    "sources": dict(coordinator.sources),
+                    "partitions_recovered": coordinator.partitions_recovered,
+                    "records_replayed": coordinator.records_replayed,
+                    "pages_read": coordinator.pages_read,
+                    "backward_reads": coordinator.backward_reads,
+                    "catalog_restore_seconds": coordinator.catalog_restore_seconds,
+                    "pending_partitions": coordinator.pending_partitions(),
+                    "history_scan": dict(coordinator.history_scan) or None,
+                },
+                "audit_entries": self.audit.entries_written,
+                "audit_pages_flushed": self.audit.pages_flushed,
+            }

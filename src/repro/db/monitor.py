@@ -1,254 +1,117 @@
-"""System monitoring: a structured snapshot of every component.
+"""The status page: ``status_page(db.stats())``.
 
-``Monitor(db).snapshot()`` returns nested dictionaries suitable for
-assertions or export; ``Monitor(db).report()`` renders them as the kind
-of status page an operator of this system would watch — stable memory
-headroom, recovery CPU utilisation, log window position, checkpoint
-backlog, per-relation residency.
+A pure renderer of :meth:`~repro.db.database.Database.stats` — the kind
+of page an operator of this system would watch: stable memory headroom,
+recovery CPU utilisation, log window position, checkpoint backlog,
+per-relation residency.  It reads nothing but the dict it is given.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.common.errors import StorageError
 from repro.common.units import format_bytes, format_seconds
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.database import Database
 
-
-class Monitor:
-    """Read-only view over a database's component statistics."""
-
-    def __init__(self, db: "Database"):
-        self.db = db
-
-    # -- snapshots ------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """One consistent snapshot of every component.
-
-        Taken under the database's view lock so concurrent phase-2
-        partition installs (threaded engine) cannot tear the residency
-        figures mid-iteration; the key set is identical whether the
-        system is up, crashed, or mid-restart.
-        """
-        db = self.db
-        # Mode counters live behind the SLB mutex, condenser figures
-        # behind the bin mutexes; fetch both before the view lock so the
-        # snapshot never nests them under it.
-        modes = db.logging_stats()
-        condenser = db.condenser.stats_snapshot()
-        with db.view_lock:
-            return self._snapshot_locked(modes, condenser)
-
-    def _snapshot_locked(self, modes: dict, condenser: dict) -> dict:
-        db = self.db
-        return {
-            "engine": db.engine.name,
-            "shard": {
-                "id": db.shard_id,
-                "sharded": db.shard_id is not None,
-            },
-            "twopc": db.twopc.snapshot(),
-            "scheduler": (
-                db.scheduler.stats() if db.scheduler is not None else None
-            ),
-            "clock": {"seconds": db.clock.now},
-            "transactions": {
-                "committed": db.transactions.committed,
-                "aborted": db.transactions.aborted,
-                "active": db.transactions.active_count,
-            },
-            "stable_memory": {
-                "slb_used": db.slb_memory.used_bytes,
-                "slb_capacity": db.slb_memory.capacity_bytes,
-                "slt_used": db.slt_memory.used_bytes,
-                "slt_capacity": db.slt_memory.capacity_bytes,
-            },
-            "logging": {
-                "records_written": db.slb.records_written,
-                "bytes_written": db.slb.bytes_written,
-                "records_binned": db.slt.records_binned,
-                "pages_sealed": db.slt.pages_sealed,
-                "pages_on_disk": db.log_disk.pages_written,
-                "archive_pages": db.recovery_processor.archive_pages_written,
-                "window_start": db.log_disk.window_start,
-                "next_lsn": db.log_disk.next_lsn,
-                "active_bins": len(db.slt.active_bins()),
-                "page_cache_hits": db.log_disk.cache_hits,
-                "modes": modes,
-            },
-            "checkpoints": {
-                "taken": db.checkpoints.checkpoints_taken,
-                "deferred": db.checkpoints.checkpoints_deferred,
-                "requested": db.recovery_processor.checkpoints_requested,
-                "queue_depth": len(db.checkpoint_queue),
-                "disk_slots_used": db.checkpoint_disk.occupied_count,
-            },
-            "condenser": condenser,
-            "cpu": {
-                "main_instructions": db.main_cpu.total_instructions,
-                "recovery_instructions": db.recovery_cpu.total_instructions,
-                "recovery_busy_seconds": db.recovery_cpu.busy_seconds(),
-                "recovery_breakdown": db.recovery_cpu.category_breakdown(),
-            },
-            "residency": self._residency(),
-            "transient_io": {
-                "log": db.log_disk.io_stats.snapshot(),
-                "checkpoint": db.checkpoint_disk.io_stats.snapshot(),
-            },
-            "media_restore": db.last_media_restore,
-            "audit": {
-                "entries": db.audit.entries_written,
-                "pages_flushed": db.audit.pages_flushed,
-            },
-        }
-
-    def _residency(self) -> dict:
-        db = self.db
-        per_object = {}
-        if not db.crashed:
-            for descriptor in list(db.catalog.relations()) + list(
-                db.catalog.indexes()
-            ):
-                try:
-                    segment = db.memory.segment(descriptor.segment_id)
-                except StorageError:  # segment gone mid-recovery
-                    continue
-                per_object[descriptor.name] = {
-                    "partitions": len(descriptor.partitions),
-                    "resident": sum(1 for _ in segment.resident_partitions()),
-                    "missing": len(segment.missing_partitions()),
-                }
-        overflow = 0
-        if not db.crashed:
-            overflow = sum(
-                part.overflow_bytes
-                for segment in db.memory.segments()
-                for part in segment.resident_partitions()
-            )
-        return {
-            "resident_partitions": 0 if db.crashed else db.memory.resident_partition_count(),
-            "resident_bytes": 0 if db.crashed else db.memory.resident_bytes(),
-            "overflow_bytes": overflow,
-            "objects": per_object,
-        }
-
-    # -- rendering -----------------------------------------------------------------
-
-    def report(self) -> str:
-        snap = self.snapshot()
-        db = self.db
-        recovery_util = (
-            snap["cpu"]["recovery_busy_seconds"] / snap["clock"]["seconds"]
-            if snap["clock"]["seconds"] > 0
-            else 0.0
+def status_page(stats: dict) -> str:
+    clock = stats["clock_seconds"]
+    recovery_util = stats["recovery_busy_seconds"] / clock if clock > 0 else 0.0
+    shard = stats["shard_id"]
+    twopc = stats["twopc"]
+    window = stats["log_window"]
+    lines = [
+        "=== system status " + "=" * 44,
+        f"shard               {'standalone' if shard is None else f'node {shard}'}",
+        f"simulated time      {format_seconds(clock)}",
+        f"transactions        {stats['transactions_committed']} committed / "
+        f"{stats['transactions_aborted']} aborted / "
+        f"{stats['transactions_active']} active",
+        f"2pc                 {twopc['prepares']} prepared / "
+        f"{twopc['decisions_logged']} decisions / "
+        f"{twopc['in_doubt_committed'] + twopc['in_doubt_aborted']} in-doubt resolved",
+        "--- stable memory",
+        f"  SLB               {format_bytes(stats['slb_used_bytes'])}"
+        f" / {format_bytes(stats['slb_capacity_bytes'])}",
+        f"  SLT               {format_bytes(stats['slt_used_bytes'])}"
+        f" / {format_bytes(stats['slt_capacity_bytes'])}",
+        "--- logging",
+        f"  records           {stats['slb_records_written']} written, "
+        f"{stats['slt_records_binned']} binned",
+        f"  log pages         {stats['log_pages_written']} on disk "
+        f"({stats['archive_pages_written']} archive), window "
+        f"[{window['start']}, {window['next_lsn']})",
+        f"  active bins       {stats['slt_active_bins']}",
+    ]
+    modes = stats["logging"]
+    if modes["mode_commits"]:
+        per_mode = ", ".join(
+            f"{mode} {count}"
+            f" ({modes['log_bytes_per_txn'].get(mode, 0):.0f} B/txn)"
+            for mode, count in sorted(modes["mode_commits"].items())
         )
-        shard_line = (
-            f"shard               node {snap['shard']['id']}"
-            if snap["shard"]["sharded"]
-            else "shard               standalone"
+        lines.append(f"  mode commits      {per_mode}")
+    if modes["command_seq"]:
+        lines.append(
+            f"  command log       {modes['live_commands']} live / "
+            f"{modes['command_seq']} issued, "
+            f"{modes['commands_settled']} settled in "
+            f"{modes['sweeps_taken']} sweeps"
         )
-        twopc = snap["twopc"]
-        lines = [
-            "=== system status " + "=" * 44,
-            shard_line,
-            f"simulated time      {format_seconds(snap['clock']['seconds'])}",
-            f"transactions        {snap['transactions']['committed']} committed / "
-            f"{snap['transactions']['aborted']} aborted / "
-            f"{snap['transactions']['active']} active",
-            f"2pc                 {twopc['prepares']} prepared / "
-            f"{twopc['decisions_logged']} decisions / "
-            f"{twopc['in_doubt_committed'] + twopc['in_doubt_aborted']} in-doubt resolved",
-            "--- stable memory",
-            f"  SLB               {format_bytes(snap['stable_memory']['slb_used'])}"
-            f" / {format_bytes(snap['stable_memory']['slb_capacity'])}",
-            f"  SLT               {format_bytes(snap['stable_memory']['slt_used'])}"
-            f" / {format_bytes(snap['stable_memory']['slt_capacity'])}",
-            "--- logging",
-            f"  records           {snap['logging']['records_written']} written, "
-            f"{snap['logging']['records_binned']} binned",
-            f"  log pages         {snap['logging']['pages_on_disk']} on disk "
-            f"({snap['logging']['archive_pages']} archive), window "
-            f"[{snap['logging']['window_start']}, {snap['logging']['next_lsn']})",
-            f"  active bins       {snap['logging']['active_bins']}",
-        ]
-        modes = snap["logging"]["modes"]
-        if modes["mode_commits"]:
-            per_mode = ", ".join(
-                f"{mode} {count}"
-                f" ({modes['log_bytes_per_txn'].get(mode, 0):.0f} B/txn)"
-                for mode, count in sorted(modes["mode_commits"].items())
-            )
-            lines.append(f"  mode commits      {per_mode}")
-        if modes["command_seq"]:
-            lines.append(
-                f"  command log       {modes['live_commands']} live / "
-                f"{modes['command_seq']} issued, "
-                f"{modes['commands_settled']} settled in "
-                f"{modes['sweeps_taken']} sweeps"
-            )
-        replay = modes["command_replay"]
-        if replay is not None:
-            lines.append(
-                f"  command replay    {replay['commands_replayed']} replayed "
-                f"({replay['commands_skipped']} settled) in "
-                f"{replay['batches']} batches @ "
-                f"{replay['replay_workers']} workers"
-            )
-        lines += [
-            "--- checkpoints",
-            f"  taken/deferred    {snap['checkpoints']['taken']} / "
-            f"{snap['checkpoints']['deferred']}",
-            f"  queue depth       {snap['checkpoints']['queue_depth']}",
-            f"  disk slots used   {snap['checkpoints']['disk_slots_used']} / "
-            f"{db.checkpoint_disk.slots}",
-        ]
-        condenser = snap["condenser"]
-        if condenser["enabled"]:
-            lines.append(
-                f"--- condenser        {condenser['pages_condensed']} pages in "
-                f"{condenser['slices']} slices, {condenser['publishes']} "
-                f"publishes, {condenser['flips_taken']} flips, "
-                f"{condenser['log_pages_reclaimed']} log pages reclaimed, "
-                f"lag {condenser['max_lag_pages']}"
-            )
-        lines += [
-            "--- processors",
-            f"  main CPU          {snap['cpu']['main_instructions']:,.0f} instructions",
-            f"  recovery CPU      {snap['cpu']['recovery_instructions']:,.0f} "
-            f"instructions ({recovery_util:.1%} utilised)",
-            "--- residency",
-            f"  partitions        {snap['residency']['resident_partitions']} resident, "
-            f"{format_bytes(snap['residency']['resident_bytes'])}",
-        ]
-        for name, info in sorted(snap["residency"]["objects"].items()):
-            lines.append(
-                f"    {name:<20} {info['resident']}/{info['partitions']} resident"
-                + (f" ({info['missing']} missing)" if info["missing"] else "")
-            )
-        log_io = snap["transient_io"]["log"]
-        ckpt_io = snap["transient_io"]["checkpoint"]
-        faults = (
-            log_io["read_faults"]
-            + log_io["write_faults"]
-            + ckpt_io["read_faults"]
-            + ckpt_io["write_faults"]
+    replay = modes["command_replay"]
+    if replay is not None:
+        lines.append(
+            f"  command replay    {replay['commands_replayed']} replayed "
+            f"({replay['commands_skipped']} settled) in "
+            f"{replay['batches']} batches @ "
+            f"{replay['replay_workers']} workers"
         )
-        escalations = (
-            log_io["read_escalations"]
-            + log_io["write_escalations"]
-            + ckpt_io["read_escalations"]
-            + ckpt_io["write_escalations"]
+    lines += [
+        "--- checkpoints",
+        f"  taken/deferred    {stats['checkpoints_taken']} / "
+        f"{stats['checkpoints_deferred']}",
+        f"  queue depth       {stats['checkpoint_queue_depth']}",
+        f"  disk slots used   {stats['checkpoint_slots_used']} / "
+        f"{stats['checkpoint_slots_total']}",
+    ]
+    condenser = stats["condenser"]
+    if condenser["enabled"]:
+        lines.append(
+            f"--- condenser        {condenser['pages_condensed']} pages in "
+            f"{condenser['slices']} slices, {condenser['publishes']} "
+            f"publishes, {condenser['flips_taken']} flips, "
+            f"{condenser['log_pages_reclaimed']} log pages reclaimed, "
+            f"lag {condenser['max_lag_pages']}"
+        )
+    lines += [
+        "--- processors",
+        f"  main CPU          {stats['main_cpu_instructions']:,.0f} instructions",
+        f"  recovery CPU      {stats['recovery_cpu_instructions']:,.0f} "
+        f"instructions ({recovery_util:.1%} utilised)",
+        "--- residency",
+        f"  partitions        {stats['resident_partitions']} resident, "
+        f"{format_bytes(stats['resident_bytes'])}",
+    ]
+    for name, info in sorted(stats["residency"].items()):
+        lines.append(
+            f"    {name:<20} {info['resident']}/{info['partitions']} resident"
+            + (f" ({info['missing']} missing)" if info["missing"] else "")
+        )
+    restart = stats["restart"]
+    if restart is not None:
+        by_source = ", ".join(
+            f"{count} {source}" for source, count in restart["sources"].items() if count
         )
         lines.append(
-            f"--- transient I/O    {faults} faults, "
-            f"{escalations} escalated to media failure"
+            f"--- restart          {restart['partitions_recovered']} partitions "
+            f"({by_source or 'none yet'}), {restart['pending_partitions']} pending"
         )
-        lines.append(
-            f"--- audit trail      {snap['audit']['entries']} entries, "
-            f"{snap['audit']['pages_flushed']} pages flushed"
-        )
-        return "\n".join(lines)
+    io = stats["transient_io"].values()
+    faults = sum(side["read_faults"] + side["write_faults"] for side in io)
+    escalations = sum(side["read_escalations"] + side["write_escalations"] for side in io)
+    lines.append(
+        f"--- transient I/O    {faults} faults, "
+        f"{escalations} escalated to media failure"
+    )
+    lines.append(
+        f"--- audit trail      {stats['audit_entries']} entries, "
+        f"{stats['audit_pages_flushed']} pages flushed"
+    )
+    return "\n".join(lines)

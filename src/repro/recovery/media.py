@@ -66,9 +66,9 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     (replacement) checkpoint disk then repoint the catalogs, so ordinary
     crash recovery is possible again.
 
-    Returns restore statistics; the same dict is retained as
-    ``db.last_media_restore`` and surfaced by ``Database.stats()`` and
-    ``Monitor.snapshot()`` under ``"media_restore"``.
+    Returns restore statistics; until the next crash
+    ``Database.stats()["restart"]`` reports the same restart, every
+    rebuild under ``sources["history"]``.
     """
     started = host_now()
     coordinator = restart(db, RecoveryMode.EAGER, images_lost=True)
@@ -76,7 +76,7 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     coordinator.history = None  # everything is resident: release the streams
     _checkpoint_everything(db)
     db.publish_catalog_locations()
-    totals = {
+    return {
         "partitions_rebuilt": coordinator.partitions_recovered,
         "records_applied": coordinator.records_replayed,
         "pages_scanned": scan["pages_scanned"],
@@ -85,8 +85,6 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
         "workers": db.engine.workers,
         "wall_seconds": host_now() - started,
     }
-    db.last_media_restore = dict(totals)
-    return totals
 
 
 def scrub_log_disk(db: "Database") -> list[int]:

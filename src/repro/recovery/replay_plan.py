@@ -146,8 +146,6 @@ class ReplayTransaction(Transaction):
     def _log(self, record: RedoRecord, inverse: RedoRecord) -> None:
         # UNDO only: nothing is appended
         self._undo.append(inverse)
-        self.suppressed_records += 1
-        self.suppressed_bytes += record.size_bytes
 
     def _commit_as_command(self) -> None:
         # The command is already in the stable command log: nothing is
@@ -158,7 +156,7 @@ class ReplayTransaction(Transaction):
         """No chain to free."""
 
     def _record_end(self, event: str) -> None:
-        """No audit entry, and the manager never counted this transaction."""
+        """No audit entry, and the manager never tracked this transaction."""
 
 
 @dataclass

@@ -103,15 +103,15 @@ def resolve_in_doubt(db: "Database") -> None:
                 f"prepared chain of txn {txn_id} carries a "
                 f"{type(record).__name__}, expected TxnPrepare"
             )
-        db.twopc.bump("in_doubt_found")
+        db.twopc.inc("in_doubt_found")
         resolver = db.in_doubt_resolver
         verdict = "abort" if resolver is None else resolver.decide(record)
         if verdict == "commit":
             db.slb.commit_prepared(txn_id)
-            db.twopc.bump("in_doubt_committed")
+            db.twopc.inc("in_doubt_committed")
         else:
             db.slb.abort_prepared(txn_id)
-            db.twopc.bump("in_doubt_aborted")
+            db.twopc.inc("in_doubt_aborted")
         db.audit.record(txn_id, f"in-doubt-{verdict}", db.clock.now)
         if resolver is not None:
             resolver.acknowledge(record, verdict)
@@ -156,10 +156,10 @@ class RestartCoordinator:
         self.backward_reads = 0
         #: Simulated seconds from restart to transaction-processing-ready.
         self.catalog_restore_seconds: float | None = None
-        self.torn_images_survived = 0
-        #: Partitions restored from a condensed shadow image, replaying
-        #: only the uncondensed suffix (docs/CONDENSING.md).
-        self.condensed_restores = 0
+        #: Rebuilds by where each started (:func:`plan_rebuild`'s
+        #: ``source``): a condensed shadow, the checkpoint image, an empty
+        #: partition, or the full log history.
+        self.sources = dict.fromkeys(("shadow", "image", "empty", "history"), 0)
         self._background_queue: list[PartitionAddress] = []
         #: Guards the background work queue — phase-2 restore workers pull
         #: from it concurrently under the threaded engine.
@@ -442,7 +442,4 @@ class RestartCoordinator:
             self.records_replayed += stats["records_applied"]
             self.pages_read += stats["pages_read"] + stats["backward_reads"]
             self.backward_reads += stats["backward_reads"]
-            if stats["source"] == "shadow":
-                self.condensed_restores += 1
-            elif stats["source"] == "history":
-                self.torn_images_survived += 1
+            self.sources[stats["source"]] += 1

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.common.config import SystemConfig
 from repro.db.database import Database, RecoveryMode
-from repro.db.monitor import Monitor
 from repro.engine import SimEngine, ThreadedEngine
 from repro.recovery.restart import RestartCoordinator
 
@@ -41,7 +40,6 @@ class ShardNode:
             engine = ThreadedEngine(workers, thread_prefix=f"repro-shard{shard_id}")
         self.db = Database(config, engine=engine)
         self.db.shard_id = shard_id
-        self.monitor = Monitor(self.db)
 
     @property
     def label(self) -> str:

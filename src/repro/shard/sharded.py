@@ -2,7 +2,7 @@
 
 :class:`ShardedDatabase` preserves the public single-node surface —
 ``create_relation`` / ``table`` / ``transaction`` / ``stats`` /
-``snapshot`` / ``crash`` / ``restart`` — while dispatching through a
+``crash`` / ``restart`` — while dispatching through a
 :class:`~repro.shard.router.ShardRouter`:
 
 * a transaction whose declared access list routes to **one** shard runs
@@ -26,6 +26,7 @@ from typing import Callable, Iterator
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.db.database import RecoveryMode
+from repro.db.monitor import status_page
 from repro.db.relation import Relation, Row
 from repro.engine import run_pool
 from repro.recovery.oracle import logical_digest
@@ -421,8 +422,18 @@ class ShardedDatabase:
     # -- observability ------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Aggregated counters plus the per-shard breakdown."""
+        """The cluster's snapshot: every node's :meth:`Database.stats` in
+        ``per_shard``, the coordinator's 2PC counters, and every numeric
+        top-level figure of the nodes summed — ``clock_seconds`` (each
+        node keeps its own clock) is the latest of them."""
         per_shard = {node.shard_id: node.db.stats() for node in self.nodes}
+        snapshots = list(per_shard.values())
+        rolled = {
+            key: sum(snapshot[key] for snapshot in snapshots)
+            for key, value in snapshots[0].items()
+            if isinstance(value, (int, float)) and key != "shard_id"
+        }
+        rolled["clock_seconds"] = max(snapshot["clock_seconds"] for snapshot in snapshots)
         return {
             "engine": self.engine_kind,
             "shards": {
@@ -431,36 +442,21 @@ class ShardedDatabase:
                 "per_shard": per_shard,
             },
             "twopc": self.twopc.stats(),
-            "transactions_committed": sum(
-                s["transactions_committed"] for s in per_shard.values()
-            ),
-            "transactions_aborted": sum(
-                s["transactions_aborted"] for s in per_shard.values()
-            ),
-            "clock_seconds": max(s["clock_seconds"] for s in per_shard.values()),
-        }
-
-    def snapshot(self) -> dict:
-        """Monitor-style snapshot: per-node snapshots (each under its own
-        view lock) plus cluster aggregates."""
-        per_shard = {node.shard_id: node.monitor.snapshot() for node in self.nodes}
-        return {
-            "shards": {"count": self.shards, "router": self.router.stats()},
-            "twopc": self.twopc.stats(),
-            "per_shard": per_shard,
+            **rolled,
         }
 
     def report(self) -> str:
-        lines = [f"=== sharded cluster: {self.shards} nodes " + "=" * 24]
-        twopc = self.twopc.stats()
-        lines.append(
+        stats = self.stats()
+        twopc = stats["twopc"]
+        lines = [
+            f"=== sharded cluster: {self.shards} nodes " + "=" * 24,
             f"2pc                 {twopc['distributed_committed']} committed / "
             f"{twopc['distributed_aborted']} aborted / "
-            f"{twopc['pending']} in flight"
-        )
-        for node in self.nodes:
-            lines.append(f"--- node {node.shard_id} " + "-" * 40)
-            lines.append(node.monitor.report())
+            f"{twopc['pending']} in flight",
+        ]
+        for shard_id, snapshot in stats["shards"]["per_shard"].items():
+            lines.append(f"--- node {shard_id} " + "-" * 40)
+            lines.append(status_page(snapshot))
         return "\n".join(lines)
 
     # -- lifecycle ----------------------------------------------------------------

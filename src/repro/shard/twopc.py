@@ -175,7 +175,7 @@ class TwoPhaseCommit:
                 "record": record.encode(),
             }
             coordinator_db.slb.put_well_known(DECISIONS_KEY, table)
-        coordinator_db.twopc.bump("decisions_logged")
+        coordinator_db.twopc.inc("decisions_logged")
 
     def lookup_decision(self, coordinator: int, gtid: str) -> str:
         """The coordinator's verdict for ``gtid`` — absent means abort."""
@@ -245,7 +245,8 @@ class TwoPhaseCommit:
     # -- observability ------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Facade-level protocol counters plus per-node 2PC totals."""
+        """Facade-level protocol counters (each node's own 2PC counters
+        are in its ``Database.stats()["twopc"]``)."""
         with self._stats_mutex:
             out = {
                 "distributed_started": self.distributed_started,
@@ -253,9 +254,4 @@ class TwoPhaseCommit:
                 "distributed_aborted": self.distributed_aborted,
             }
         out["pending"] = len(self.pending_gtids())
-        totals: dict[str, int] = {}
-        for node in self.facade.nodes:
-            for key, value in node.db.twopc.snapshot().items():
-                totals[key] = totals.get(key, 0) + value
-        out["nodes"] = totals
         return out

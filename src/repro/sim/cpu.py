@@ -25,9 +25,9 @@ class CpuMeter:
     """Accounts simulated instructions (and time) for one processor.
 
     Counter updates are atomic: under the threaded engine a meter may be
-    charged from the recovery thread while the main thread reads it (the
-    monitor, the benchmarks), so each charge is one locked read-modify-write
-    and the totals are interleaving-independent.
+    charged from the recovery thread while the main thread reads it
+    (``Database.stats()``, the benchmarks), so each charge is one locked
+    read-modify-write and the totals are interleaving-independent.
     """
 
     def __init__(

@@ -12,16 +12,16 @@ controller hiccup or bus timeout makes one operation fail while the
 media underneath is fine.  :class:`TransientIOError` models that class,
 :class:`RetryPolicy` bounds how hard the duplex I/O layers retry before
 escalating to a hard :class:`~repro.common.errors.MediaFailure`, and
-:class:`TransientIOStats` counts what happened so
-``Database.stats()`` / ``Monitor.snapshot()`` can surface it.
+each device counts what happened under :data:`IO_COUNTERS` so
+``Database.stats()["transient_io"]`` can surface it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
+from repro.common.counters import Counters
 from repro.common.errors import MediaFailure, ReproError
 from repro.sim.clock import host_pause
 
@@ -69,57 +69,16 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
 
 
-class TransientIOStats:
-    """Thread-safe counters for one device's transient-fault history.
-
-    ``faults`` counts every transient error observed, ``retries`` the
-    ones absorbed within the budget, ``escalations`` the ones that
-    became a hard :class:`~repro.common.errors.MediaFailure` — split by
-    read/write side so tests can pin exactly which path escalated.
-    """
-
-    _KINDS = ("read", "write")
-
-    def __init__(self) -> None:
-        self._mutex = threading.Lock()
-        self._counts: dict[str, int] = {
-            f"{kind}_{what}": 0
-            for kind in self._KINDS
-            for what in ("faults", "retries", "escalations")
-        }
-
-    def record_fault(self, kind: str) -> None:
-        with self._mutex:
-            self._counts[f"{kind}_faults"] += 1
-
-    def record_retry(self, kind: str) -> None:
-        with self._mutex:
-            self._counts[f"{kind}_retries"] += 1
-
-    def record_escalation(self, kind: str) -> None:
-        with self._mutex:
-            self._counts[f"{kind}_escalations"] += 1
-
-    @property
-    def faults(self) -> int:
-        with self._mutex:
-            return self._counts["read_faults"] + self._counts["write_faults"]
-
-    @property
-    def retries(self) -> int:
-        with self._mutex:
-            return self._counts["read_retries"] + self._counts["write_retries"]
-
-    @property
-    def escalations(self) -> int:
-        with self._mutex:
-            return (
-                self._counts["read_escalations"] + self._counts["write_escalations"]
-            )
-
-    def snapshot(self) -> dict[str, int]:
-        with self._mutex:
-            return dict(self._counts)
+#: A device's transient-fault counters (:class:`~repro.common.counters.Counters`
+#: names): ``faults`` every transient error observed, ``retries`` the ones
+#: absorbed within the budget, ``escalations`` the ones that became a hard
+#: :class:`~repro.common.errors.MediaFailure` — split by read/write side
+#: so tests can pin exactly which path escalated.
+IO_COUNTERS = tuple(
+    f"{kind}_{what}"
+    for kind in ("read", "write")
+    for what in ("faults", "retries", "escalations")
+)
 
 
 _T = TypeVar("_T")
@@ -128,7 +87,7 @@ _T = TypeVar("_T")
 def run_with_retry(
     operation: Callable[[], _T],
     policy: RetryPolicy,
-    stats: TransientIOStats,
+    stats: Counters,
     kind: str,
     context: str,
 ) -> _T:
@@ -146,12 +105,12 @@ def run_with_retry(
             return operation()
         except TransientIOError as exc:
             attempt += 1
-            stats.record_fault(kind)
+            stats.inc(f"{kind}_faults")
             if attempt > policy.budget:
-                stats.record_escalation(kind)
+                stats.inc(f"{kind}_escalations")
                 raise MediaFailure(
                     f"{context}: transient I/O fault persisted past the "
                     f"retry budget ({policy.budget}): {exc}"
                 ) from exc
-            stats.record_retry(kind)
+            stats.inc(f"{kind}_retries")
             host_pause(policy.backoff_seconds(attempt))

@@ -322,8 +322,7 @@ class TortureHarness:
             self._check_recovery_stability(dbs, recovery_mode, digests)
             self._check_fault_accounting(dbs, injector)
             if cluster is not None:
-                # The stable SLB commit counters survive the crash (the
-                # manager's in-memory tallies do not).
+                # The SLB's commit tally is stable: it survives the crash.
                 committed = sum(db.slb.commits for db in dbs)
                 digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
             else:
@@ -409,15 +408,15 @@ class TortureHarness:
         self, dbs: list[Database], injector: ChaosEngine
     ) -> None:
         stats = [
-            disk.io_stats for db in dbs for disk in (db.log_disk, db.checkpoint_disk)
+            db.stats()["transient_io"][side] for db in dbs for side in ("log", "checkpoint")
         ]
-        counted = sum(s.faults for s in stats)
+        counted = sum(s["read_faults"] + s["write_faults"] for s in stats)
         if counted != injector.faults_fired:
             raise TortureFailure(
                 f"retry layers counted {counted} transient faults but the "
                 f"plan injected {injector.faults_fired}"
             )
-        escalations = sum(s.escalations for s in stats)
+        escalations = sum(s["read_escalations"] + s["write_escalations"] for s in stats)
         if escalations:
             raise TortureFailure(
                 f"{escalations} transient faults escalated to MediaFailure "

@@ -67,9 +67,11 @@ def transaction_scope(begin: Callable[..., Any], **begin_kwargs) -> Iterator[Any
 class TransactionManager:
     """Creates transactions and tracks the active set.
 
-    Id assignment, active-set registration, and the committed/aborted
-    counters serialise on one internal mutex so concurrent-scheduler
-    workers can begin and finish transactions from any thread.  The
+    Id assignment and active-set registration serialise on one internal
+    mutex so concurrent-scheduler workers can begin and finish
+    transactions from any thread.  Endings are counted where they become
+    stable, by the SLB (``Database.stats()``), not here: restart replaces
+    the manager.  The
     :class:`Transaction` constructor (which opens an SLB chain under the
     SLB's own mutex) runs *outside* the manager mutex — the manager lock
     is a leaf and never nests around stable-structure locks.
@@ -79,8 +81,6 @@ class TransactionManager:
         self.db = db
         self._next_id = 1
         self._active: dict[int, Transaction] = {}
-        self.committed = 0
-        self.aborted = 0
         self._mutex = threading.RLock()
 
     def begin(
@@ -110,10 +110,6 @@ class TransactionManager:
         """Called by the transaction on commit/abort."""
         with self._mutex:
             self._active.pop(txn.txn_id, None)
-            if txn.state is TxnState.COMMITTED:
-                self.committed += 1
-            elif txn.state is TxnState.ABORTED:
-                self.aborted += 1
 
     @property
     def active_count(self) -> int:

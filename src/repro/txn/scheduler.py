@@ -104,9 +104,9 @@ class Scheduler:
     ``None`` and a ``begin`` with every script: with no engine to lend a
     pool its batch interleaves on the caller, who pumps.
 
-    Counters accumulate across runs; a database reports its most recent
-    scheduler's through ``Database.stats()["scheduler"]`` and
-    ``Monitor.snapshot()["scheduler"]``.
+    Counters accumulate across runs (the per-worker rows describe the
+    last run only); a database reports its most recent scheduler's
+    through ``Database.stats()["scheduler"]``.
     """
 
     def __init__(self, db: "Database | None", max_attempts: int = 20):
@@ -342,7 +342,7 @@ class Scheduler:
     # -- observability ----------------------------------------------------------
 
     def stats(self) -> dict:
-        """Counter snapshot for ``Database.stats()`` / ``Monitor``, taken
+        """Counter snapshot for ``Database.stats()["scheduler"]``, taken
         under the tally mutex so it is consistent against a concurrent
         :meth:`run`."""
         with self._tally_mutex:

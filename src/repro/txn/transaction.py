@@ -110,10 +110,6 @@ class Transaction:
         #: segment's growth is one — write catalog entities.)
         self.command = command
         self.declared_relations = tuple(declared_relations)
-        #: Bytes appended to the SLB chain / suppressed instead.
-        self.logged_bytes = 0
-        self.suppressed_records = 0
-        self.suppressed_bytes = 0
         #: The csn assigned at a command commit (stats / tests).
         self.command_csn: int | None = None
         #: DDL: segments it created, whose growth rides in it until it commits.
@@ -218,11 +214,10 @@ class Transaction:
         self._ensure_active()
         self._undo.append(compensate)
 
-    def _durable(self, mode: str, nbytes: int) -> None:
-        """The chain just joined the committed list: account the commit to
-        its logging mode and tell the observer, before any crash window."""
+    def _durable(self) -> None:
+        """The chain just joined the committed list (which counted the
+        commit): tell the observer, before any crash window."""
         self.state = TxnState.COMMITTED
-        self.db.slb.note_mode_commit(mode, nbytes)
         observer = self.db.commit_observer
         if observer is not None:
             # The oracle snapshots committed state here: durable the
@@ -249,7 +244,7 @@ class Transaction:
             return
         crash_point("txn.commit.before-slb")
         self.db.slb.commit(self.txn_id)
-        self._durable("value", self.logged_bytes)
+        self._durable()
         crash_point("txn.commit.after-slb")
         self._end(TxnState.COMMITTED)
 
@@ -268,19 +263,16 @@ class Transaction:
         db = self.db
         targets = self._barrier_targets()
         name, version, args = self.command  # type: ignore[misc]
-        emitted_bytes = [0]
 
         def build(csn: int):
             record = redo.TxnCommand(
                 self.txn_id, csn, name, version, args, self.declared_relations
             )
-            payload = record.encode()
             barriers = [
                 redo.CommandBarrier(self.txn_id, bin_index, address, csn)
                 for address, bin_index in targets
             ]
-            emitted_bytes[0] = len(payload) + sum(b.size_bytes for b in barriers)
-            return payload, barriers
+            return record.encode(), barriers
 
         crash_point("txn.commit.before-slb")
         try:
@@ -290,7 +282,7 @@ class Transaction:
             # CPU frees blocks, then retry once.
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
-        self._durable("command", emitted_bytes[0])
+        self._durable()
         crash_point("txn.commit.command-emitted")
         self._end(TxnState.COMMITTED)
 
@@ -337,7 +329,6 @@ class Transaction:
         crash_point("txn.prepare.before-slb")
         self.db.slb.prepare(self.txn_id, prepare_record)
         self.state = TxnState.PREPARED
-        self.db.twopc.bump("prepares")
         crash_point("txn.prepare.after-slb")
         self.db.audit.record(self.txn_id, "prepare", self.db.clock.now)
 
@@ -352,8 +343,8 @@ class Transaction:
         self._ensure_prepared()
         crash_point("txn.commit-prepared.before-slb")
         self.db.slb.commit_prepared(self.txn_id)
-        self.db.twopc.bump("prepared_commits")
-        self._durable("value", self.logged_bytes)
+        self.db.twopc.inc("prepared_commits")
+        self._durable()
         self._end(TxnState.COMMITTED)
 
     def abort_prepared(self) -> None:
@@ -361,7 +352,7 @@ class Transaction:
         self._ensure_prepared()
         self._rollback()
         self.db.slb.abort_prepared(self.txn_id)
-        self.db.twopc.bump("prepared_aborts")
+        self.db.twopc.inc("prepared_aborts")
         self._end(TxnState.ABORTED)
 
     def abort(self) -> None:
@@ -388,22 +379,15 @@ class Transaction:
         """
         return _StatementScope(self)
 
-    def _statement_mark(self) -> tuple[int, ...]:
-        return (
-            len(self._undo),
-            self.redo_records,
-            self.suppressed_records,
-            self.suppressed_bytes,
-            self.logged_bytes,
-        )
+    def _statement_mark(self) -> tuple[int, int]:
+        return len(self._undo), self.redo_records
 
-    def _statement_rollback(self, mark: tuple[int, ...]) -> None:
-        undo_mark, redo_mark, *counters = mark
+    def _statement_rollback(self, mark: tuple[int, int]) -> None:
+        undo_mark, redo_mark = mark
         self._rollback(undo_mark)
         if self.redo_records > redo_mark:  # never true of a replay: no chain
             self.db.slb.truncate_chain(self.txn_id, redo_mark)
             self.redo_records = redo_mark
-        self.suppressed_records, self.suppressed_bytes, self.logged_bytes = counters
 
     # -- logging core ------------------------------------------------------------------
 
@@ -421,8 +405,6 @@ class Transaction:
             # commit-time TxnCommand record.  UNDO still accumulates
             # (abort and statement rollback are unchanged); only the
             # stable REDO copy is skipped.
-            self.suppressed_records += 1
-            self.suppressed_bytes += record.size_bytes
             return
         try:
             self.db.append_log(self.txn_id, record)
@@ -438,7 +420,6 @@ class Transaction:
                 txn_id=self.txn_id,
             ) from exc
         self.redo_records += 1
-        self.logged_bytes += record.size_bytes
 
     # -- the nine change sinks ------------------------------------------------------------------
 
@@ -539,7 +520,7 @@ class _StatementScope:
 
     def __init__(self, txn: Transaction):
         self._txn = txn
-        self._mark: tuple[int, ...] | None = None
+        self._mark: tuple[int, int] | None = None
 
     def __enter__(self) -> Transaction:
         self._txn._ensure_active()

@@ -22,6 +22,7 @@ import threading
 from collections import OrderedDict
 
 from repro.common.errors import LogError, LogWindowOverrunError
+from repro.common.counters import Counters
 from repro.common.types import NULL_LSN, PartitionAddress
 from repro.sim.chaos import (
     crash_point,
@@ -30,7 +31,7 @@ from repro.sim.chaos import (
     register_fault_point,
 )
 from repro.sim.disk import DuplexedDisk
-from repro.sim.faults import RetryPolicy, TransientIOStats, run_with_retry
+from repro.sim.faults import IO_COUNTERS, RetryPolicy, run_with_retry
 
 register_crash_point(
     "log-disk.append.before-write",
@@ -246,7 +247,7 @@ class LogDisk:
         #: escalate to ``MediaFailure`` past it; counters land in
         #: ``Database.stats()["transient_io"]["log"]``.
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.io_stats = TransientIOStats()
+        self.io_stats = Counters(*IO_COUNTERS)
         self._next_lsn = 0
         self.pages_written = 0
         self.pages_read = 0

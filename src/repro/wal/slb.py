@@ -57,6 +57,10 @@ class TransactionLogChain:
         self.blocks: list[_LogBlock] = []
         self.record_count = 0
 
+    @property
+    def logged_bytes(self) -> int:
+        return sum(block.used_bytes for block in self.blocks)
+
     def records(self) -> Iterator[RedoRecord]:
         for block in self.blocks:
             yield from block.records
@@ -89,14 +93,15 @@ class StableLogBuffer:
         #: raise-on-contention semantics stay meaningful (a contended
         #: latch would indicate a hole in the mutex discipline).
         self._mutex = threading.RLock()
-        # statistics
+        # statistics: each ending is counted once, at the stable
+        # transition that makes it so (stable, so they survive a crash)
         self.records_written = 0
         self.bytes_written = 0
-        self.commits = 0
         self.aborts = 0
         self.prepares = 0
         #: Per-logging-mode commit counts and stable log bytes, keyed by
-        #: the mode a transaction committed under ("value", "command").
+        #: the mode a transaction committed under ("value", "command");
+        #: the commit tally is their sum (:attr:`commits`).
         self.mode_commits: dict[str, int] = {}  # guarded-by: _mutex
         self.mode_bytes: dict[str, int] = {}  # guarded-by: _mutex
 
@@ -183,13 +188,25 @@ class StableLogBuffer:
         with self._mutex:
             chain = self._require_open(txn_id)
             del self._uncommitted[txn_id]
-            self._join_committed(chain)
+            self._join_committed(chain, "value")
 
-    def _join_committed(self, chain: TransactionLogChain) -> None:  # caller-holds: _mutex
+    def _join_committed(  # caller-holds: _mutex
+        self, chain: TransactionLogChain, mode: str, extra_bytes: int = 0
+    ) -> None:
         """The commit point of every mode: the chain is on the committed
-        list, in commit order, for the recovery CPU to drain."""
+        list, in commit order, for the recovery CPU to drain — and the
+        commit is counted, with its stable log bytes, under ``mode``."""
         self._committed.append(chain)
-        self.commits += 1
+        self.mode_commits[mode] = self.mode_commits.get(mode, 0) + 1
+        self.mode_bytes[mode] = (
+            self.mode_bytes.get(mode, 0) + chain.logged_bytes + extra_bytes
+        )
+
+    @property
+    def commits(self) -> int:
+        """Transactions committed since the SLB was created."""
+        with self._mutex:
+            return sum(self.mode_commits.values())
 
     def abort(self, txn_id: int) -> None:
         """Discard the chain of an aborting transaction and free its blocks."""
@@ -250,7 +267,7 @@ class StableLogBuffer:
             log["seq"] = csn
             log["entries"][csn] = bytes(payload)
             del self._uncommitted[txn_id]
-            self._join_committed(chain)
+            self._join_committed(chain, "command", len(payload))
             return csn
 
     def live_commands(self) -> list[tuple[int, bytes]]:
@@ -268,12 +285,6 @@ class StableLogBuffer:
                 if entries.pop(csn, None) is not None:
                     removed += 1
             return removed
-
-    def note_mode_commit(self, mode: str, nbytes: int) -> None:
-        """Account one commit (and its stable log bytes) to a logging mode."""
-        with self._mutex:
-            self.mode_commits[mode] = self.mode_commits.get(mode, 0) + 1
-            self.mode_bytes[mode] = self.mode_bytes.get(mode, 0) + nbytes
 
     def mode_stats(self) -> tuple[dict[str, int], dict[str, int]]:
         """A consistent snapshot of the per-mode commit/byte counters."""
@@ -306,7 +317,7 @@ class StableLogBuffer:
     def commit_prepared(self, txn_id: int) -> None:
         """Phase-2 COMMIT: append the prepared chain to the committed list."""
         with self._mutex:
-            self._join_committed(self._take_prepared(txn_id))
+            self._join_committed(self._take_prepared(txn_id), "value")
 
     def abort_prepared(self, txn_id: int) -> None:
         """Phase-2 ABORT (or presumed abort at restart): free the chain."""

@@ -271,9 +271,9 @@ class TestFailedCheckpointLeavesNoZombie:
         system_txn = db.audit.trail()[-1].txn_id
         assert db.locks.locks_held(system_txn) == set()
         # the closure relation is usable again: no stranded SHARED lock
-        before = db.transactions.committed
+        before = db.stats()["transactions_committed"]
         db.run_script("put", 1000, pump=False)
-        assert db.transactions.committed == before + 1
+        assert db.stats()["transactions_committed"] == before + 1
 
 
 class TestFailedAttemptLeavesNothingAheadOfTheBytes:

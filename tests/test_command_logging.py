@@ -130,7 +130,7 @@ class TestModes:
         make_bank(db)
         run_transfers(db, 8, logging="value")
         run_transfers(db, 8, logging="command")
-        stats = db.logging_stats()
+        stats = db.stats()["logging"]
         assert stats["mode_commits"]["command"] == 8
         assert stats["mode_commits"]["value"] >= 8
         # Two-int-update transfers are the worst case for the ratio; the
@@ -170,11 +170,11 @@ class TestModes:
             "command_replay",
         ):
             assert key in logging
-        from repro.db.monitor import Monitor
+        from repro.db.monitor import status_page
 
-        snap = Monitor(db).snapshot()
-        assert snap["logging"]["modes"]["live_commands"] == 4
-        assert "mode commits" in Monitor(db).report()
+        assert logging["live_commands"] == 4
+        assert "command log       4 live / 4 issued" in status_page(db.stats())
+        assert "mode commits" in status_page(db.stats())
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def _run_to_digest(mode, engine=None):
     try:
         accounts = make_bank(db)
         run_transfers(db, 24)
-        settled = db.logging_stats()["commands_settled"]
+        settled = db.stats()["logging"]["commands_settled"]
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -413,7 +413,7 @@ class TestCrashWindows:
             db.crash()
             db.restart(RecoveryMode.EAGER)
         # the sweep never committed: nothing settled, everything replays
-        assert db.logging_stats()["commands_settled"] == 0
+        assert db.stats()["logging"]["commands_settled"] == 0
         assert db.last_command_replay["commands_replayed"] == 6
         assert logical_digest(db) == expected
 
@@ -435,7 +435,7 @@ class TestSettlement:
         db.checkpoint_queue.submit(target, bin_.bin_index, "test")
         assert db.checkpoints.process_pending() >= 1
         db.recovery_processor.acknowledge_finished()
-        stats = db.logging_stats()
+        stats = db.stats()["logging"]
         assert stats["sweeps_taken"] == 1
         assert stats["commands_settled"] == 6
         assert stats["live_commands"] == 0
@@ -497,14 +497,14 @@ class TestSettlement:
         make_bank(db)
         db.create_index("accounts_by_balance", "accounts", "balance")
         run_transfers(db, 5, logging="command")
-        assert db.logging_stats()["live_commands"] == 5
+        assert db.stats()["logging"]["live_commands"] == 5
         if ddl == "create_index":
             db.create_index("accounts_by_id2", "accounts", "id")
         elif ddl == "drop_index":
             db.drop_index("accounts_by_balance")
         else:
             db.drop_relation("accounts")
-        stats = db.logging_stats()
+        stats = db.stats()["logging"]
         assert stats["live_commands"] == 0
         assert stats["commands_settled"] == 5
 
@@ -526,7 +526,7 @@ class TestMediaRestore:
             db = Database(small_config())
             make_bank(db)
             run_transfers(db, 12, logging="command")
-            live = db.logging_stats()["live_commands"]
+            live = db.stats()["logging"]["live_commands"]
             assert live == 12
             db.crash()
             if how == "restart":
@@ -632,4 +632,4 @@ class TestReplayFences:
         run_transfers(db, 3)
         commits, _ = db.slb.mode_stats()
         assert "command" not in commits
-        assert db.logging_stats()["live_commands"] == 0
+        assert db.stats()["logging"]["live_commands"] == 0

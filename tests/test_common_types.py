@@ -5,6 +5,7 @@ import pytest
 from repro.common import (
     NULL_LSN,
     ConfigurationError,
+    Counters,
     DiskParameters,
     EntityAddress,
     PartitionAddress,
@@ -114,3 +115,18 @@ class TestDiskParameters:
 
     def test_null_lsn_sentinel(self):
         assert NULL_LSN == -1
+
+
+class TestCounters:
+    def test_declared_names_start_at_zero_and_count(self):
+        counters = Counters("a", "b")
+        assert counters.snapshot() == {"a": 0, "b": 0}
+        counters.inc("a")
+        counters.inc("b", by=3)
+        assert counters.snapshot() == {"a": 1, "b": 3}
+
+    def test_unknown_name_rejected(self):
+        counters = Counters("a")
+        with pytest.raises(KeyError, match="typo"):
+            counters.inc("typo")
+        assert counters.snapshot() == {"a": 0}

@@ -229,8 +229,6 @@ class TestChaosInterleaving:
 
 class TestObservability:
     def test_stats_surface_in_database_and_monitor(self):
-        from repro.db.monitor import Monitor
-
         db, accounts = build_bank(engine=ThreadedEngine(workers=4))
         scheduler = Scheduler(db)
         for i in range(12):
@@ -246,14 +244,10 @@ class TestObservability:
         assert len(stats["per_worker"]) == 4
         assert all(0.0 <= w["utilisation"] <= 1.0 for w in stats["per_worker"])
         assert sum(w["scripts"] for w in stats["per_worker"]) >= 12
-        snap = Monitor(db).snapshot()["scheduler"]
-        assert snap["committed"] == 12
+        assert db.stats()["scheduler"] == stats
         db.close()
 
     def test_snapshot_reports_none_without_scheduler(self):
-        from repro.db.monitor import Monitor
-
         db = Database()
-        assert Monitor(db).snapshot()["scheduler"] is None
         assert db.stats()["scheduler"] is None
         db.close()

@@ -19,7 +19,7 @@ import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.db.integrity import verify_integrity
-from repro.db.monitor import Monitor
+from repro.db.monitor import status_page
 from repro.engine.threaded import ThreadedEngine
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
@@ -91,7 +91,7 @@ class TestDigestIdentity:
             # pumps run the duty inline, so measure the cumulative count
             condensed = on.condenser.pages_condensed
             digest_on = recovered_digest(on)
-            restores = on.restart_coordinator.condensed_restores
+            restores = on.stats()["restart"]["sources"]["shadow"]
         finally:
             on.close()
         assert digest_on == digest_off
@@ -146,8 +146,9 @@ class TestShadowRestart:
             db.restart(RecoveryMode.ON_DEMAND)
             stats = db.restart_coordinator.recover_partition(target)
             assert stats["source"] == "shadow"
-            assert db.restart_coordinator.condensed_restores == 1
-            assert db.restart_coordinator.torn_images_survived == 0
+            sources = db.stats()["restart"]["sources"]
+            assert sources["shadow"] == 1
+            assert sources["history"] == 0
             with db.transaction() as txn:
                 assert rel.lookup(txn, 1)["v"] == 20
         finally:
@@ -164,7 +165,7 @@ class TestShadowRestart:
             db.crash()
             db.restart(RecoveryMode.ON_DEMAND)
             db.restart_coordinator.recover_partition(target)
-            assert db.restart_coordinator.condensed_restores == 0
+            assert db.stats()["restart"]["sources"]["shadow"] == 0
             with db.transaction() as txn:
                 assert rel.lookup(txn, 1)["v"] == 20
         finally:
@@ -348,6 +349,6 @@ class TestDutyPlumbing:
                 assert key in snapshot
             assert snapshot["enabled"]
             assert snapshot["pages_condensed"] >= snapshot["publishes"] > 0
-            assert "condenser" in Monitor(db).report()
+            assert "condenser" in status_page(db.stats())
         finally:
             db.close()

@@ -297,7 +297,7 @@ class TestCheckpointImageCorruption:
         db.restart(RecoveryMode.EAGER)
         verifier.detach()
         verifier.verify()
-        assert db.restart_coordinator.torn_images_survived > 0
+        assert db.restart_coordinator.sources["history"] > 0
 
     def test_torn_catalog_images_keep_archive_buffer_leftovers(self):
         """Catalog records a checkpoint moved to the stable archive buffer
@@ -333,7 +333,7 @@ class TestCheckpointImageCorruption:
         for slot in db.catalog.own_partition_slots.values():
             db.checkpoint_disk.disk.corrupt_block(slot, "bit-flip")
         db.restart(RecoveryMode.EAGER)
-        assert db.restart_coordinator.torn_images_survived == len(before)
+        assert db.restart_coordinator.sources["history"] == len(before)
         assert catalog_entities() == before
         with db.transaction() as txn:
             assert [db.table(f"r{r}").count(txn) for r in range(6)] == [3] * 6

@@ -12,7 +12,6 @@ from repro.common.config import (
     env_settings,
 )
 from repro.common.errors import ConfigurationError
-from repro.db.monitor import Monitor
 from repro.engine import (
     ExecutionEngine,
     SimEngine,
@@ -82,7 +81,9 @@ class TestEngineSelection:
     def test_stats_and_snapshot_name_the_engine(self):
         db = loaded_db(engine=SimEngine())
         assert db.stats()["engine"] == "sim"
-        assert Monitor(db).snapshot()["engine"] == "sim"
+        db.close()
+        db = loaded_db(engine=ThreadedEngine(workers=2))
+        assert db.stats()["engine"] == "threaded"
         db.close()
 
     def test_unattached_engine_refuses_duties(self):
@@ -270,7 +271,7 @@ class TestThreadedMatchesSim:
         for engine in (SimEngine(), ThreadedEngine(workers=4)):
             db = loaded_db(engine=engine)
             db.pump()
-            snap = Monitor(db).snapshot()
+            snap = db.stats()
             snaps[engine.name] = snap
             db.close()
         sim, threaded = snaps["sim"], snaps["threaded"]

@@ -171,7 +171,7 @@ class TestCheckpointDiskFailure:
         db.checkpoint_disk.disk.destroy()
         page_count = len(list(db.log_disk.all_lsns()))
         coordinator = db.restart(RecoveryMode.EAGER)
-        assert coordinator.torn_images_survived > 1
+        assert coordinator.sources["history"] > 1
         assert coordinator.pages_read > page_count
         with db.transaction() as txn:
             assert [row["v"] for row in db.table("items").scan(txn)] == [
@@ -268,7 +268,7 @@ class TestTornCheckpointImage:
         db.recovery_processor.acknowledge_finished()
         db.crash()
         coordinator = db.restart(RecoveryMode.EAGER)
-        assert coordinator.torn_images_survived >= 1
+        assert coordinator.sources["history"] >= 1
         with db.transaction() as txn:
             table = db.table("items")
             assert table.count(txn) == 40
@@ -279,7 +279,61 @@ class TestTornCheckpointImage:
         db, rel, addrs = loaded_db()
         db.crash()
         coordinator = db.restart(RecoveryMode.EAGER)
-        assert coordinator.torn_images_survived == 0
+        assert coordinator.sources["history"] == 0
+
+
+class TestRestartSources:
+    """``stats()["restart"]["sources"]`` tallies every rebuild by where it
+    started — three partitions here: the catalog's, ``items``' and its
+    primary index's."""
+
+    def _restart(self, kind):
+        db, rel, addrs = loaded_db(condense_enabled=kind == "condensed")
+        try:
+            if kind == "condensed":
+                # past the last checkpoint, folded into a shadow image
+                for _ in range(3):
+                    with db.transaction() as txn:
+                        for i in range(0, 40, 4):
+                            rel.update(txn, addrs[i], {"v": -i})
+                db.recovery_processor.run_until_drained()
+                while db.condenser.step():
+                    pass
+            [slot] = [
+                info.checkpoint_slot
+                for info in db.catalog.relation("items").partitions.values()
+            ]
+            db.crash()
+            if kind == "torn image":
+                db.checkpoint_disk.disk.corrupt_block(slot, "torn")
+            if kind == "media restore":
+                db.checkpoint_disk.disk.destroy()
+                totals = restore_after_checkpoint_media_failure(db)
+                assert db.stats()["restart"]["partitions_recovered"] == totals[
+                    "partitions_rebuilt"
+                ]
+            else:
+                db.restart(RecoveryMode.EAGER)
+            return db.stats()["restart"]
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize(
+        "kind, sources",
+        [
+            ("plain", {"shadow": 0, "image": 3, "empty": 0, "history": 0}),
+            ("torn image", {"shadow": 0, "image": 2, "empty": 0, "history": 1}),
+            ("condensed", {"shadow": 1, "image": 2, "empty": 0, "history": 0}),
+            # no image was torn: every partition came from the log history
+            ("media restore", {"shadow": 0, "image": 0, "empty": 0, "history": 3}),
+        ],
+    )
+    def test_sources_pinned(self, kind, sources):
+        restart = self._restart(kind)
+        assert restart["sources"] == sources
+        assert restart["partitions_recovered"] == 3
+        assert restart["pending_partitions"] == 0
+        assert (restart["history_scan"] is not None) == (kind == "media restore")
 
 
 class TestSinglePassScan:
@@ -395,19 +449,23 @@ class TestParallelMediaRestore:
 
     def test_restore_stats_surfaced(self):
         db, rel, addrs = loaded_db()
-        assert db.stats()["media_restore"] is None
+        assert db.stats()["restart"] is None
         db.crash()
         db.checkpoint_disk.disk.destroy()
         totals = restore_after_checkpoint_media_failure(db)
-        assert db.last_media_restore == totals
-        assert db.stats()["media_restore"]["pages_scanned"] > 0
+        restart = db.stats()["restart"]
+        assert restart["history_scan"]["pages_scanned"] == totals["pages_scanned"] > 0
+        assert restart["history_scan"]["pages_skipped"] == totals["pages_skipped"]
+        assert restart["records_replayed"] == totals["records_applied"]
         assert totals["wall_seconds"] >= 0.0
         assert totals["streams"] > 0
-        from repro.db.monitor import Monitor
+        from repro.db.monitor import status_page
 
-        snap = Monitor(db).snapshot()
-        assert snap["media_restore"]["partitions_rebuilt"] == totals["partitions_rebuilt"]
-        assert snap["logging"]["page_cache_hits"] == db.log_disk.cache_hits
+        snap = db.stats()
+        assert snap["restart"]["partitions_recovered"] == totals["partitions_rebuilt"]
+        assert snap["restart"]["sources"]["history"] == totals["partitions_rebuilt"]
+        assert snap["log_page_cache_hits"] == db.log_disk.cache_hits
+        assert f"({totals['partitions_rebuilt']} history)" in status_page(snap)
 
 
 class TestMediaChaos:

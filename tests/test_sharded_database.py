@@ -3,7 +3,8 @@ degenerate case (digest-identical to a standalone database)."""
 
 import pytest
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
+from repro.db.monitor import status_page
 from repro.engine import SimEngine
 from repro.recovery.oracle import logical_digest
 from repro.shard import (
@@ -116,10 +117,11 @@ class TestCrossShard:
             acc.update(txn, row.address, {"balance": row["balance"] - 25})
             t = led.lookup(txn, 0)
             led.update(txn, t.address, {"total": t["total"] + 25})
-        stats = cluster.twopc.stats()
-        assert stats["distributed_committed"] == 1
-        assert stats["nodes"]["prepares"] == 2
-        assert stats["nodes"]["decisions_logged"] == 1
+        stats = cluster.stats()
+        nodes = stats["shards"]["per_shard"].values()
+        assert stats["twopc"]["distributed_committed"] == 1
+        assert sum(node["twopc"]["prepares"] for node in nodes) == 2
+        assert sum(node["twopc"]["decisions_logged"] for node in nodes) == 1
         # Fully acknowledged decisions are forgotten.
         assert cluster.twopc.decision_table(0) == {}
         with cluster.transaction(relations=["accounts", "ledger"]) as txn:
@@ -135,36 +137,55 @@ class TestCrossShard:
                 raise RuntimeError("boom")
         with cluster.transaction(relations=["accounts"]) as txn:
             assert acc.lookup(txn, 0)["balance"] == 100
-        stats = cluster.twopc.stats()
-        assert stats["distributed_aborted"] == 1
+        stats = cluster.stats()
+        assert stats["twopc"]["distributed_aborted"] == 1
         # Presumed abort: nothing was ever logged for the failed txn.
-        assert stats["nodes"]["decisions_logged"] == 0
+        nodes = stats["shards"]["per_shard"].values()
+        assert sum(node["twopc"]["decisions_logged"] for node in nodes) == 0
 
 
 class TestObservability:
     def test_stats_aggregate_and_per_shard(self, cluster):
-        load_pair(cluster)
+        """The roll-up is computed: after single-shard traffic, cross-shard
+        traffic and a shard crash/restart, every numeric top-level key is
+        the sum over ``per_shard`` (``clock_seconds`` the latest clock)."""
+        acc, led = load_pair(cluster)
+        with cluster.transaction(relations=["accounts", "ledger"]) as txn:
+            row = acc.lookup(txn, 1)
+            acc.update(txn, row.address, {"balance": row["balance"] - 5})
+            total = led.lookup(txn, 0)
+            led.update(txn, total.address, {"total": total["total"] + 5})
+        cluster.crash_shard(1)
+        cluster.restart_shard(1, RecoveryMode.ON_DEMAND)
         stats = cluster.stats()
+        per_shard = stats["shards"]["per_shard"]
         assert stats["shards"]["count"] == 2
-        assert set(stats["shards"]["per_shard"]) == {0, 1}
-        assert stats["shards"]["per_shard"][0]["shard_id"] == 0
-        assert stats["transactions_committed"] == sum(
-            s["transactions_committed"]
-            for s in stats["shards"]["per_shard"].values()
-        )
+        assert set(per_shard) == {0, 1}
+        assert [per_shard[sid]["shard_id"] for sid in (0, 1)] == [0, 1]
         assert "twopc" in stats and "pending" in stats["twopc"]
+        numeric = {
+            key for key, value in stats.items() if isinstance(value, (int, float))
+        }
+        assert {"transactions_committed", "transactions_aborted", "clock_seconds"} <= numeric
+        assert numeric == {
+            key for key, value in per_shard[0].items()
+            if isinstance(value, (int, float)) and key != "shard_id"
+        }
+        for key in numeric - {"clock_seconds"}:
+            assert stats[key] == sum(s[key] for s in per_shard.values()), key
+        assert stats["clock_seconds"] == max(s["clock_seconds"] for s in per_shard.values())
+        assert per_shard[1]["restart"] is not None and per_shard[0]["restart"] is None
 
     def test_snapshot_and_report(self, cluster):
         load_pair(cluster)
-        snap = cluster.snapshot()
-        assert snap["shards"]["count"] == 2
-        assert snap["per_shard"][0]["shard"] == {"id": 0, "sharded": True}
+        assert not hasattr(cluster, "snapshot")
         report = cluster.report()
         assert "sharded cluster: 2 nodes" in report
         assert "node 0" in report and "node 1" in report
+        assert "shard               node 0" in report
 
     def test_node_monitor_reports_shard_identity(self, cluster):
-        assert "shard               node 1" in cluster.nodes[1].monitor.report()
+        assert "shard               node 1" in status_page(cluster.nodes[1].db.stats())
 
 
 class TestShardedScheduler:

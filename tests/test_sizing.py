@@ -120,4 +120,4 @@ class TestPlanIsSufficientInPractice:
         )
         workload.load()
         workload.run(100)
-        assert db.transactions.committed >= 100
+        assert db.stats()["transactions_committed"] >= 100

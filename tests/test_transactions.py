@@ -135,7 +135,7 @@ class TestAbort:
                 raise RuntimeError("client bug")
         with db.transaction() as txn:
             assert db.table("accounts").lookup(txn, 1) is None
-        assert db.transactions.aborted == 1
+        assert db.stats()["transactions_aborted"] == 1
 
 
 class TestLocking:
@@ -224,9 +224,10 @@ class TestUndoSpaceAccounting:
         txn2 = db.transactions.begin()
         txn2.abort()
         # +2 for DDL transactions from the fixture
-        assert db.transactions.committed >= 2
-        assert db.transactions.aborted == 1
-        assert db.transactions.active_count == 0
+        stats = db.stats()
+        assert stats["transactions_committed"] >= 2
+        assert stats["transactions_aborted"] == 1
+        assert stats["transactions_active"] == db.transactions.active_count == 0
 
 
 class TestScopeEdgeCases:
@@ -379,14 +380,15 @@ class _Counters:
 
     def _read(self):
         db = self.db
+        stats = db.stats()
         return {
-            "committed": db.transactions.committed,
-            "aborted": db.transactions.aborted,
+            "committed": stats["transactions_committed"],
+            "aborted": stats["transactions_aborted"],
             "committed_chains": db.slb.committed_chain_count,
             "slb_commits": db.slb.commits,
             "slb_aborts": db.slb.aborts,
             "observed": len(self.observed),
-            "mode": dict(db.slb.mode_commits),
+            "mode": stats["logging"]["mode_commits"],
         }
 
     def mark(self):

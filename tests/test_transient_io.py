@@ -17,17 +17,13 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.common.counters import Counters
 from repro.common.errors import ConfigurationError, MediaFailure
-from repro.db.monitor import Monitor
+from repro.db.monitor import status_page
 from repro.engine import SimEngine, ThreadedEngine
 from repro.recovery.oracle import RecoveryVerifier
 from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
-from repro.sim.faults import (
-    RetryPolicy,
-    TransientIOError,
-    TransientIOStats,
-    run_with_retry,
-)
+from repro.sim.faults import IO_COUNTERS, RetryPolicy, TransientIOError, run_with_retry
 from repro.workloads.debit_credit import DebitCreditWorkload
 
 ENGINES = [
@@ -78,6 +74,10 @@ class TestRetryPolicy:
             RetryPolicy(backoff_base=-0.1)
 
 
+def io_counters():
+    return Counters(*IO_COUNTERS)
+
+
 class TestRunWithRetry:
     def _flaky(self, failures, result="ok"):
         remaining = [failures]
@@ -91,13 +91,13 @@ class TestRunWithRetry:
         return operation
 
     def test_clean_operation_counts_nothing(self):
-        stats = TransientIOStats()
+        stats = io_counters()
         policy = RetryPolicy(backoff_base=0.0)
         assert run_with_retry(self._flaky(0), policy, stats, "write", "op") == "ok"
-        assert stats.faults == 0
+        assert stats.snapshot() == dict.fromkeys(IO_COUNTERS, 0)
 
     def test_burst_within_budget_is_absorbed(self):
-        stats = TransientIOStats()
+        stats = io_counters()
         policy = RetryPolicy(budget=4, backoff_base=0.0)
         assert run_with_retry(self._flaky(4), policy, stats, "write", "op") == "ok"
         snap = stats.snapshot()
@@ -106,7 +106,7 @@ class TestRunWithRetry:
         assert snap["write_escalations"] == 0
 
     def test_fault_past_budget_escalates(self):
-        stats = TransientIOStats()
+        stats = io_counters()
         policy = RetryPolicy(budget=4, backoff_base=0.0)
         with pytest.raises(MediaFailure, match="retry budget"):
             run_with_retry(self._flaky(5), policy, stats, "read", "op")
@@ -116,17 +116,17 @@ class TestRunWithRetry:
         assert snap["read_escalations"] == 1
 
     def test_other_exceptions_pass_through(self):
-        stats = TransientIOStats()
+        stats = io_counters()
 
         def broken():
             raise RuntimeError("not transient")
 
         with pytest.raises(RuntimeError):
             run_with_retry(broken, RetryPolicy(), stats, "read", "op")
-        assert stats.faults == 0
+        assert stats.snapshot() == dict.fromkeys(IO_COUNTERS, 0)
 
     def test_zero_budget_escalates_first_fault(self):
-        stats = TransientIOStats()
+        stats = io_counters()
         policy = RetryPolicy(budget=0, backoff_base=0.0)
         with pytest.raises(MediaFailure):
             run_with_retry(self._flaky(1), policy, stats, "write", "op")
@@ -245,9 +245,9 @@ class TestEscalationBoundary:
             plan = ChaosPlan(404, (fault_rule("log-disk.write", 2),))
             with chaos(ChaosEngine(plan)):
                 workload.run(40)
-            snap = Monitor(db).snapshot()
+            snap = db.stats()
             assert snap["transient_io"]["log"]["write_faults"] == 2
             assert snap["transient_io"]["log"]["write_escalations"] == 0
-            assert "transient I/O" in Monitor(db).report()
+            assert "transient I/O    2 faults" in status_page(snap)
         finally:
             db.close()
