@@ -27,7 +27,7 @@ import time
 from repro import Database, SystemConfig
 from repro.common.checksum import open_frame, seal_frame
 from repro.sim.chaos import (
-    LATENCY,
+    CRASH,
     ChaosEngine,
     ChaosPlan,
     ChaosRule,
@@ -99,7 +99,7 @@ def bench_chaos_overhead(benchmark, report):
         if name != "txn.commit.after-slb"
     )
     engine = ChaosEngine(
-        ChaosPlan(seed=7, rules=(ChaosRule(other_point, LATENCY, probability=0.5),))
+        ChaosPlan(seed=7, rules=(ChaosRule(other_point, CRASH, probability=0.5),))
     )
     with chaos(engine):
         dispatch_cost = _best_of(5, hooks) / hook_iterations

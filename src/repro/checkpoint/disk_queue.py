@@ -25,7 +25,7 @@ from repro.sim.chaos import (
     register_fault_point,
 )
 from repro.sim.disk import SimulatedDisk
-from repro.sim.faults import IO_COUNTERS, RetryPolicy, run_with_retry
+from repro.sim.faults import DEFAULT_RETRY_BUDGET, IO_COUNTERS, run_with_retry
 
 register_crash_point(
     "checkpoint.image.before-write",
@@ -52,7 +52,7 @@ class CheckpointDiskQueue:
         self,
         disk: SimulatedDisk,
         slots: int,
-        retry_policy: RetryPolicy | None = None,
+        retry_budget: int = DEFAULT_RETRY_BUDGET,
     ):
         if slots <= 0:
             raise CheckpointError("checkpoint disk needs at least one slot")
@@ -61,7 +61,7 @@ class CheckpointDiskQueue:
         #: Transient device faults are retried within this budget and
         #: escalate to ``MediaFailure`` past it; counters land in
         #: ``Database.stats()["transient_io"]["checkpoint"]``.
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.retry_budget = retry_budget
         self.io_stats = Counters(*IO_COUNTERS)
         self.map_latch = Latch("checkpoint-disk-map")
         self._occupied: set[int] = set()
@@ -112,7 +112,7 @@ class CheckpointDiskQueue:
                 fault_point("checkpoint.image.write"),
                 self.disk.write_track(slot, framed),
             ),
-            self.retry_policy,
+            self.retry_budget,
             self.io_stats,
             "write",
             f"checkpoint-image write to slot {slot}",
@@ -137,7 +137,7 @@ class CheckpointDiskQueue:
 
         blob = run_with_retry(
             read_track,
-            self.retry_policy,
+            self.retry_budget,
             self.io_stats,
             "read",
             f"checkpoint-image read from slot {slot}",

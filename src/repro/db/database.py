@@ -63,7 +63,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuMeter
 from repro.sim.disk import DuplexedDisk, SimulatedDisk
 from repro.sim.chaos import crash_point, register_crash_point
-from repro.sim.faults import RetryPolicy
 from repro.sim.stable_memory import StableMemory
 from repro.storage.memory_manager import MemoryManager
 from repro.storage.partition import Partition
@@ -160,17 +159,16 @@ class Database:
             SimulatedDisk("log-primary", config.log_disk, self.clock),
             SimulatedDisk("log-mirror", config.log_disk, self.clock),
         )
-        retry_policy = RetryPolicy(budget=config.io_retry_budget)
         self.log_disk = LogDisk(
             log_pair,
             config.log_window_pages,
             config.log_window_grace_pages,
-            retry_policy=retry_policy,
+            retry_budget=config.io_retry_budget,
         )
         self.checkpoint_disk = CheckpointDiskQueue(
             SimulatedDisk("checkpoint", config.checkpoint_disk, self.clock),
             config.checkpoint_slots,
-            retry_policy=retry_policy,
+            retry_budget=config.io_retry_budget,
         )
 
     def _build_volatile(self) -> None:

@@ -13,8 +13,8 @@ checkable:
   the hooks stay on the hot path permanently
   (``benchmarks/bench_chaos_overhead.py`` enforces the budget).
 * :class:`ChaosEngine` is the one injector.  It evaluates a seeded,
-  multi-action :class:`ChaosPlan`: any registered point may crash, inject
-  host-time latency, or raise a :class:`~repro.sim.faults.TransientIOError`
+  multi-action :class:`ChaosPlan`: any registered point may crash, and a
+  fault point may raise a :class:`~repro.sim.faults.TransientIOError`
   — with per-point probability and nth-visit filters, all driven by one
   seeded RNG so any failure reproduces from its printed seed.  The
   simplest plan, :meth:`ChaosPlan.crash_at`, arms exactly one named
@@ -35,14 +35,10 @@ from __future__ import annotations
 import contextlib
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.common.errors import RecoveryError
-from repro.sim.clock import host_pause
 from repro.sim.faults import SimulatedCrash, TransientIOError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.database import Database
 
 #: name -> human description of every crash point threaded into the system.
 _REGISTRY: dict[str, str] = {}
@@ -170,19 +166,18 @@ def chaos(injector: "ChaosEngine") -> Iterator["ChaosEngine"]:
 # ---------------------------------------------------------------------------
 
 #: Actions a :class:`ChaosRule` may take when it fires.
-CRASH, LATENCY, FAULT = "crash", "latency", "fault"
-ACTIONS = (CRASH, LATENCY, FAULT)
+CRASH, FAULT = "crash", "fault"
+ACTIONS = (CRASH, FAULT)
 
 
 @dataclass(frozen=True)
 class ChaosRule:
     """One injection rule of a :class:`ChaosPlan`.
 
-    ``point`` names a crash point (crash/latency actions) or a fault
-    point (fault/latency actions).  A rule becomes eligible after the
-    point's first ``after_visits`` passages, then fires with
-    ``probability`` per passage until it has fired ``max_fires`` times
-    (``None`` = unlimited, the latency default).
+    ``point`` names a crash point (crash action) or a fault point (either
+    action).  A rule becomes eligible after the point's first
+    ``after_visits`` passages, then fires with ``probability`` per passage
+    until it has fired ``max_fires`` times (``None`` = unlimited).
     """
 
     point: str
@@ -190,8 +185,6 @@ class ChaosRule:
     probability: float = 1.0
     after_visits: int = 0
     max_fires: int | None = 1
-    #: Host-seconds jitter range for LATENCY fires.
-    latency_range: tuple[float, float] = (0.0002, 0.002)
 
     def __post_init__(self) -> None:
         if self.action not in ACTIONS:
@@ -202,9 +195,6 @@ class ChaosRule:
             raise ValueError("after_visits cannot be negative")
         if self.max_fires is not None and self.max_fires < 1:
             raise ValueError("max_fires must be at least 1 (or None)")
-        lo, hi = self.latency_range
-        if lo < 0.0 or hi < lo:
-            raise ValueError("latency_range must be 0 <= lo <= hi")
 
     def describe(self) -> str:
         parts = [f"{self.action}@{self.point}"]
@@ -221,9 +211,8 @@ class ChaosRule:
 class ChaosPlan:
     """A seeded set of injection rules.
 
-    The seed drives *every* probabilistic decision (fire rolls, latency
-    jitter, device-bridge jitter), so a failing run reproduces from the
-    plan's printed seed alone.
+    The seed drives *every* probabilistic decision (the fire rolls), so a
+    failing run reproduces from the plan's printed seed alone.
     """
 
     seed: int
@@ -299,10 +288,6 @@ class ChaosEngine:
     def faults_fired(self) -> int:
         return sum(1 for f in self.fired if f.action == FAULT)
 
-    @property
-    def latency_fired(self) -> int:
-        return sum(1 for f in self.fired if f.action == LATENCY)
-
     def fires(self) -> list[ChaosFire]:
         return list(self.fired)
 
@@ -338,80 +323,10 @@ class ChaosEngine:
                 raise SimulatedCrash(
                     f"chaos[seed={self.plan.seed}]: crash at {name!r} (visit {visit})"
                 )
-            if rule.action == FAULT:
-                raise TransientIOError(
-                    f"chaos[seed={self.plan.seed}]: transient fault at "
-                    f"{name!r} (visit {visit})"
-                )
-            lo, hi = rule.latency_range
-            host_pause(lo + (hi - lo) * self._rng.random())
-
-    # -- device-bridge latency ---------------------------------------------
-
-    def latency_injector(
-        self, jitter: tuple[float, float] = (0.0, 0.001)
-    ) -> Callable[[float], float]:
-        """A perturbation callable for the ``latency_injector`` slots on
-        :class:`~repro.sim.disk.SimulatedDisk` / :class:`~repro.sim.cpu.CpuMeter`.
-
-        Receives the host pause the ``realtime_scale`` bridge computed and
-        returns it plus seeded jitter, so device waits stretch by
-        random-but-reproducible amounts.
-        """
-        lo, hi = jitter
-        if lo < 0.0 or hi < lo:
-            raise ValueError("jitter must be 0 <= lo <= hi")
-
-        def perturb(pause: float) -> float:
-            return pause + lo + (hi - lo) * self._rng.random()
-
-        return perturb
-
-
-def install_latency(
-    db: "Database",
-    engine: ChaosEngine,
-    *,
-    disk_scale: float = 0.0,
-    cpu_scale: float = 0.0,
-    jitter: tuple[float, float] = (0.0, 0.001),
-) -> None:
-    """Wire seeded latency jitter into a database's realtime bridges.
-
-    Sets ``realtime_scale`` and a seeded perturbation on both log
-    spindles, the checkpoint disk, and both CPU meters, so simulated
-    device/instruction time costs jittered *host* time.  Disk and CPU
-    scales are separate because their simulated magnitudes differ by
-    orders of magnitude (one disk I/O is ~16 simulated ms; one
-    instruction batch is ~100 simulated µs).
-    Undo with :func:`remove_latency`.
-    """
-    perturb = engine.latency_injector(jitter)
-    for device in _disk_bridges(db):
-        device.realtime_scale = disk_scale
-        device.latency_injector = perturb
-    for device in _cpu_bridges(db):
-        device.realtime_scale = cpu_scale
-        device.latency_injector = perturb
-
-
-def remove_latency(db: "Database") -> None:
-    """Return every realtime bridge to the purely simulated default."""
-    for device in _disk_bridges(db) + _cpu_bridges(db):
-        device.realtime_scale = 0.0
-        device.latency_injector = None
-
-
-def _disk_bridges(db: "Database") -> list:
-    return [
-        db.log_disk.disks.primary,
-        db.log_disk.disks.mirror,
-        db.checkpoint_disk.disk,
-    ]
-
-
-def _cpu_bridges(db: "Database") -> list:
-    return [db.main_cpu, db.recovery_cpu]
+            raise TransientIOError(
+                f"chaos[seed={self.plan.seed}]: transient fault at "
+                f"{name!r} (visit {visit})"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,9 @@ access, disk transfers — is *simulated* time on this clock.  Nothing in the
 library reads the wall clock, which keeps runs deterministic and lets the
 benchmarks report 1987-scale seconds regardless of host speed.
 
-This module is also the one sanctioned bridge between simulated time and
-*host* time (lint rule RC03 allows wall-clock imports here and nowhere
-else): :func:`host_pause` maps simulated device seconds onto real
-``time.sleep`` for the torture rig's latency injection.  The bridge is
-inert unless a component opts in with a positive scale.
+The one reading of *host* time, :func:`host_now`, also lives here (lint
+rule RC03 allows wall-clock imports here and nowhere else); it measures
+the host and never feeds the simulation.
 """
 
 from __future__ import annotations
@@ -17,25 +15,12 @@ from __future__ import annotations
 import time as _host_time
 
 
-def host_pause(seconds: float) -> None:
-    """Sleep ``seconds`` of *host* wall time (non-positive is a no-op).
-
-    Used by :class:`~repro.sim.disk.SimulatedDisk` and
-    :class:`~repro.sim.cpu.CpuMeter` when a realtime scale is configured
-    (the torture rig's latency injection).  Never called on the purely
-    simulated path.
-    """
-    if seconds > 0.0:
-        _host_time.sleep(seconds)
-
-
 def host_now() -> float:
     """Monotonic *host* seconds (``time.perf_counter``).
 
     The torture rig and the media restore time themselves with it — a
-    quantity about the host, not the simulated machine.  Like
-    :func:`host_pause` this lives here because RC03 sanctions wall-clock
-    imports only in this module.
+    quantity about the host, not the simulated machine.  It lives here
+    because RC03 sanctions wall-clock imports only in this module.
     """
     return _host_time.perf_counter()
 

@@ -17,11 +17,14 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.common.config import AnalysisParameters
-from repro.sim.clock import VirtualClock, host_pause
+from repro.sim.clock import VirtualClock
 
 
 class CpuMeter:
     """Accounts simulated instructions (and time) for one processor."""
+
+    #: Always 0.0: read only by ``benchmarks/host/repeat.py`` (ROADMAP item 1 (b)).
+    realtime_scale = 0.0
 
     def __init__(
         self,
@@ -38,14 +41,6 @@ class CpuMeter:
         self.params = params if params is not None else AnalysisParameters()
         self._by_category: Counter[str] = Counter()
         self._total_instructions = 0.0
-        #: Host seconds slept per simulated second charged (0.0 = purely
-        #: simulated).  Mirrors ``SimulatedDisk.realtime_scale``: with a
-        #: positive scale instruction costs are paid in *host* time too
-        #: (the torture rig's latency injection).
-        self.realtime_scale = 0.0
-        #: Optional host-pause perturbation (chaos latency injection);
-        #: mirrors ``SimulatedDisk.latency_injector``.
-        self.latency_injector = None
 
     # -- charging -----------------------------------------------------------
 
@@ -62,13 +57,6 @@ class CpuMeter:
         self._total_instructions += instructions
         seconds = instructions / (self.mips * 1_000_000.0)
         self.clock.advance(seconds)
-        scale = self.realtime_scale
-        injector = self.latency_injector
-        if scale or injector is not None:
-            pause = seconds * scale
-            if injector is not None:
-                pause = injector(pause)
-            host_pause(pause)
         return seconds
 
     def charge_stable_bytes(self, nbytes: int, category: str = "stable-copy") -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.common.checksum import open_frame, seal_frame
 from repro.common.config import DiskParameters
 from repro.common.errors import ChecksumError, MediaFailure
-from repro.sim.clock import VirtualClock, host_pause
+from repro.sim.clock import VirtualClock
 from repro.sim.faults import TornWriteError
 
 #: Corruption kinds accepted by :meth:`SimulatedDisk.corrupt_block`.
@@ -65,6 +65,9 @@ class _Block:
 class SimulatedDisk:
     """One durable, block-addressed disk with simulated timing."""
 
+    #: Always 0.0: read only by ``benchmarks/host/repeat.py`` (ROADMAP item 1 (b)).
+    realtime_scale = 0.0
+
     def __init__(
         self,
         name: str,
@@ -78,15 +81,6 @@ class SimulatedDisk:
         self._blocks: dict[int, _Block] = {}
         #: When set, the next write is torn: the block is left unreadable.
         self._tear_next_write = False
-        #: Host seconds slept per simulated device second (0.0 = purely
-        #: simulated).  The torture rig raises this so device waits cost
-        #: host time too.
-        self.realtime_scale = 0.0
-        #: Optional host-pause perturbation (chaos latency injection).
-        #: Receives the pause computed from ``realtime_scale`` and returns
-        #: the pause to actually take, with seeded jitter (see
-        #: ``repro.sim.chaos.install_latency``).
-        self.latency_injector = None
 
     # -- fault injection ------------------------------------------------------
 
@@ -171,7 +165,6 @@ class SimulatedDisk:
     def _account_write(self, seconds: float) -> None:
         self.stats.busy_seconds += seconds
         self.clock.advance(seconds)
-        self._bridge_pause(seconds)
 
     # -- reads ----------------------------------------------------------------
 
@@ -204,18 +197,6 @@ class SimulatedDisk:
         self.stats.busy_seconds += seconds
         self.stats.bytes_read += nbytes
         self.clock.advance(seconds)
-        self._bridge_pause(seconds)
-
-    def _bridge_pause(self, seconds: float) -> None:
-        # Host-time bridge: near-free (two attribute loads) when neither
-        # realtime scaling nor chaos latency is installed.
-        scale = self.realtime_scale
-        injector = self.latency_injector
-        if scale or injector is not None:
-            pause = seconds * scale
-            if injector is not None:
-                pause = injector(pause)
-            host_pause(pause)
 
     # -- inspection -----------------------------------------------------------
 

@@ -4,14 +4,12 @@ The chaos *sweep* proves exact recovery for every crash point on one
 scripted workload.  This module attacks the claim with interleavings the
 sweep does not reach.  Each **round** runs interleaved debit/credit
 scripts under a randomly generated :class:`~repro.sim.chaos.ChaosPlan`
-(crash rules, latency jitter through the ``realtime_scale`` bridges,
-transient I/O faults into the duplex retry loops), then crashes,
-restarts, and checks the recovered state.
+(a crash rule, or transient I/O faults into the duplex retry loops),
+then crashes, restarts, and checks the recovered state.
 
 Everything in a round derives from one integer seed: the plan, the
-workload skew, the latency scales, the interleaving.  A failing round
-raises :class:`TortureFailure` carrying the exact command line that
-replays it.
+workload skew, the interleaving.  A failing round raises
+:class:`TortureFailure` carrying the exact command line that replays it.
 
 Verification is layered:
 
@@ -36,7 +34,7 @@ Verification is layered:
 Run from the command line::
 
     python -m repro.sim.torture --seed 7 --rounds 3 \
-        --kinds crash latency fault --log rounds.jsonl
+        --kinds crash fault --log rounds.jsonl
 """
 
 from __future__ import annotations
@@ -55,10 +53,6 @@ from repro.sim.chaos import (
     ChaosPlan,
     ChaosRule,
     chaos,
-    install_latency,
-    registered_crash_points,
-    registered_fault_points,
-    remove_latency,
     restart_until_recovered,
 )
 from repro.sim.clock import host_now
@@ -70,8 +64,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.shard import ShardedDatabase, ShardedScheduler
     from repro.workloads.sharded_bank import ShardedBankWorkload
 
-#: The three round kinds (what the generated plan emphasises).
-KINDS = ("crash", "latency", "fault")
+#: The round kinds (the action the generated plan injects).
+KINDS = ("crash", "fault")
+
+#: The points a plan draws from, spelled out so that a plan never depends
+#: on which modules happen to be imported (``tests/test_torture.py`` pins
+#: them to the live registry).  A cluster round adds the 2PC points.
+CRASH_POINTS = (
+    "checkpoint.acknowledged",
+    "checkpoint.begin",
+    "checkpoint.committed",
+    "checkpoint.copied",
+    "checkpoint.image-written",
+    "checkpoint.image.after-write",
+    "checkpoint.image.before-write",
+    "checkpoint.locked",
+    "checkpoint.request.submitted",
+    "checkpoint.slot-installed",
+    "checkpoint.sweep.markers-appended",
+    "condense.image.after-publish",
+    "condense.image.before-publish",
+    "condense.slice.applied",
+    "engine.restore.before-partition",
+    "growth.catalogued",
+    "growth.committed",
+    "log-disk.append.after-write",
+    "log-disk.append.before-write",
+    "media.scan.page-routed",
+    "recovery.archive.page-written",
+    "recovery.flush.after-directory-update",
+    "recovery.flush.after-seal",
+    "recovery.flush.after-write",
+    "recovery.sort.after-deposit",
+    "replay.batch.before-command",
+    "replay.batch.command-executed",
+    "restart.phase1.catalog-recovered",
+    "restart.phase1.log-drained",
+    "restart.phase1.queue-reverted",
+    "restart.phase2.partition-recovered",
+    "txn.commit-prepared.before-slb",
+    "txn.commit.after-slb",
+    "txn.commit.before-slb",
+    "txn.commit.command-emitted",
+    "txn.prepare.after-slb",
+    "txn.prepare.before-slb",
+)
+SHARD_CRASH_POINTS = ("shard.2pc.after-decision", "shard.2pc.before-decision")
+FAULT_POINTS = (
+    "checkpoint.image.read",
+    "checkpoint.image.write",
+    "log-disk.read",
+    "log-disk.write",
+)
 
 #: Concurrent scripts per round / sequential tail transactions.
 POOL_SCRIPTS = 16
@@ -138,7 +182,6 @@ class RoundResult:
     committed: int
     crashes_fired: int
     faults_fired: int
-    latency_fired: int
     restart_attempts: int
     #: Which checks ran: "digest" (exact tail digest) or "invariants"
     #: (the crash landed mid-pool, before a digest could be recorded).
@@ -158,8 +201,9 @@ def build_plan(spec: RoundSpec, rng: random.Random) -> ChaosPlan:
     Pure function of ``(spec, rng state)``: the same seed always yields
     the same plan, which is what makes a failed round replayable.
     """
-    crash_points = sorted(registered_crash_points())
-    fault_points = sorted(registered_fault_points())
+    crash_points = CRASH_POINTS
+    if spec.shards > 1:
+        crash_points = tuple(sorted(CRASH_POINTS + SHARD_CRASH_POINTS))
     rules: list[ChaosRule] = []
     if spec.kind == "crash":
         rules.append(
@@ -170,7 +214,7 @@ def build_plan(spec: RoundSpec, rng: random.Random) -> ChaosPlan:
             )
         )
     if spec.kind == "fault":
-        for point in rng.sample(fault_points, k=rng.randint(1, 2)):
+        for point in rng.sample(FAULT_POINTS, k=rng.randint(1, 2)):
             # max_fires stays within the default retry budget so every
             # burst is absorbed; the escalation boundary has its own
             # dedicated tests (tests/test_transient_io.py).
@@ -183,28 +227,13 @@ def build_plan(spec: RoundSpec, rng: random.Random) -> ChaosPlan:
                     max_fires=rng.randint(1, 4),
                 )
             )
-    # Every kind gets background latency; the "latency" kind simply makes
-    # it the whole story.
-    latency_rules = 3 if spec.kind == "latency" else 1
-    for point in rng.sample(crash_points + fault_points, k=latency_rules):
-        rules.append(
-            ChaosRule(
-                point=point,
-                action="latency",
-                probability=rng.uniform(0.2, 0.6),
-                max_fires=None,
-                latency_range=(0.00005, 0.0008),
-            )
-        )
     return ChaosPlan(spec.seed, tuple(rules))
 
 
 def _build_cluster(
     spec: RoundSpec, config: SystemConfig
 ) -> tuple[ShardedBankWorkload, ShardedScheduler]:
-    # Imported here: importing registers the 2PC crash points, and a plan
-    # is drawn from the registered set — a single-node round's must not
-    # depend on the cluster code being loaded.
+    # Imported here: a single-node round does not load the cluster code.
     from repro.shard import ShardedDatabase, ShardedScheduler
     from repro.workloads.sharded_bank import ShardedBankWorkload
 
@@ -260,67 +289,61 @@ class TortureHarness:
             scheduler = Scheduler(dbs[0], max_attempts=500)
             submit = partial(self._submit_debit_credits, scheduler, workload, rng)
             tail = workload.run_transaction
-        try:
-            workload.load()
-            injector = ChaosEngine(build_plan(spec, rng))
-            self._install_latency(dbs, injector, rng)
-            recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
-            verifier: RecoveryVerifier | None = None
-            with chaos(injector):
-                try:
-                    # Phase 1 — interleaved scripts under the plan.
-                    submit()
-                    scheduler.run()
-                    if tail is not None:
-                        # Phase 2 — quiesce, then an exactly-verifiable
-                        # sequential tail (single mutator, digest per commit).
-                        dbs[0].pump()
-                        verifier = RecoveryVerifier(dbs[0])
-                        for _ in range(TAIL_TRANSACTIONS):
-                            tail()
-                except SimulatedCrash:
-                    pass
-                # Phase 3 — power failure, then come back (restart-path
-                # rules may crash recovery itself; the latch bounds the
-                # retries; in-doubt 2PC branches resolve against the stable
-                # decision tables during each node's restart).
-                if cluster is not None:
-                    cluster.crash()
-                elif not dbs[0].crashed:
-                    dbs[0].crash()
-                restart_attempts = restart_until_recovered(dbs, recovery_mode)
-            if verifier is not None:
-                verifier.detach()
-                verifier.verify()
+        workload.load()
+        injector = ChaosEngine(build_plan(spec, rng))
+        recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
+        verifier: RecoveryVerifier | None = None
+        with chaos(injector):
             try:
-                workload.check_invariants()
-            except AssertionError as exc:
-                raise TortureFailure(str(exc)) from exc
-            if cluster is not None and cluster.twopc.pending_gtids():
-                raise TortureFailure(
-                    f"recovery left distributed txns in flight: "
-                    f"{cluster.twopc.pending_gtids()}"
-                )
-            digests = [logical_digest(db) for db in dbs]
-            self._check_recovery_stability(dbs, recovery_mode, digests)
-            self._check_fault_accounting(dbs, injector)
+                # Phase 1 — interleaved scripts under the plan.
+                submit()
+                scheduler.run()
+                if tail is not None:
+                    # Phase 2 — quiesce, then an exactly-verifiable
+                    # sequential tail (single mutator, digest per commit).
+                    dbs[0].pump()
+                    verifier = RecoveryVerifier(dbs[0])
+                    for _ in range(TAIL_TRANSACTIONS):
+                        tail()
+            except SimulatedCrash:
+                pass
+            # Phase 3 — power failure, then come back (restart-path
+            # rules may crash recovery itself; the latch bounds the
+            # retries; in-doubt 2PC branches resolve against the stable
+            # decision tables during each node's restart).
             if cluster is not None:
-                # The SLB's commit tally is stable: it survives the crash.
-                committed = sum(db.slb.commits for db in dbs)
-                digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
-            else:
-                committed = self._count_history(dbs[0])
-                digest = digests[0]
-        finally:
-            for db in dbs:
-                remove_latency(db)
+                cluster.crash()
+            elif not dbs[0].crashed:
+                dbs[0].crash()
+            restart_attempts = restart_until_recovered(dbs, recovery_mode)
+        if verifier is not None:
+            verifier.detach()
+            verifier.verify()
+        try:
+            workload.check_invariants()
+        except AssertionError as exc:
+            raise TortureFailure(str(exc)) from exc
+        if cluster is not None and cluster.twopc.pending_gtids():
+            raise TortureFailure(
+                f"recovery left distributed txns in flight: "
+                f"{cluster.twopc.pending_gtids()}"
+            )
+        digests = [logical_digest(db) for db in dbs]
+        self._check_recovery_stability(dbs, recovery_mode, digests)
+        self._check_fault_accounting(dbs, injector)
+        if cluster is not None:
+            # The SLB's commit tally is stable: it survives the crash.
+            committed = sum(db.slb.commits for db in dbs)
+            digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
+        else:
+            committed = self._count_history(dbs[0])
+            digest = digests[0]
         return RoundResult(
             seed=spec.seed,
             kind=spec.kind,
             committed=committed,
             crashes_fired=injector.crashes_fired,
             faults_fired=injector.faults_fired,
-            latency_fired=injector.latency_fired,
             restart_attempts=restart_attempts,
             verified_by="invariants" if verifier is None else "digest",
             digest=digest,
@@ -330,21 +353,6 @@ class TortureHarness:
         )
 
     # -- phases ---------------------------------------------------------------
-
-    def _install_latency(
-        self, dbs: list[Database], injector: ChaosEngine, rng: random.Random
-    ) -> None:
-        """One seeded pair of bridge scales, on every database of the round."""
-        disk_scale = rng.uniform(0.002, 0.01)
-        cpu_scale = rng.uniform(1.0, 8.0)
-        for db in dbs:
-            install_latency(
-                db,
-                injector,
-                disk_scale=disk_scale,
-                cpu_scale=cpu_scale,
-                jitter=(0.0, 0.0005),
-            )
 
     def _submit_debit_credits(
         self, scheduler: Scheduler, workload: DebitCreditWorkload, rng: random.Random
@@ -470,8 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"round seed={result.seed} kind={result.kind}"
             f"{topology} ok: {result.committed} commits, "
-            f"{result.crashes_fired} crashes / {result.faults_fired} faults "
-            f"/ {result.latency_fired} latency fires, "
+            f"{result.crashes_fired} crashes / {result.faults_fired} faults, "
             f"verified by {result.verified_by}"
         )
 

@@ -72,7 +72,7 @@ class _Script:
         self.txn: Any = None
         self.generator: Iterator[None] | None = None
         #: Slots still to sit out after losing a conflict.
-        self.backoff = 0
+        self.sit_out = 0
         self.result: ScriptResult
 
 
@@ -170,17 +170,16 @@ class Scheduler:
     def finish(self, script: _Script, outcome: str) -> bool:
         """Record how an attempt ended (``"committed"`` or ``"retry"``)
         on the tallies.  True when the script is done and its result
-        stands; False when it goes round again after a backoff staggered
-        by attempts and slot, so
-        retrying scripts de-synchronise instead of colliding in lockstep
-        (livelock avoidance)."""
+        stands; False when it goes round again after sitting out slots
+        staggered by attempts and slot, so retrying scripts de-synchronise
+        instead of colliding in lockstep (livelock avoidance)."""
         self.max_attempts_seen = max(self.max_attempts_seen, script.attempts)
         if outcome == "retry":
             self.conflicts += 1
             if script.attempts < self.max_attempts:
                 self.retries += 1
                 script.generator = script.txn = None
-                script.backoff = min(2 * script.attempts + script.slot % 5, 24)
+                script.sit_out = min(2 * script.attempts + script.slot % 5, 24)
                 return False
             self.failed += 1
         else:
@@ -192,13 +191,13 @@ class Scheduler:
 
     def _interleave(self, batch: list[_Script]) -> None:
         """The cooperative driver: each pass over the batch is one slot,
-        in which every script not sitting out a backoff advances a step."""
+        in which every script not sitting out advances a step."""
         pending = batch
         while pending:
             still_running = []
             for script in pending:
-                if script.backoff > 0:
-                    script.backoff -= 1
+                if script.sit_out > 0:
+                    script.sit_out -= 1
                     still_running.append(script)
                     continue
                 outcome = self.advance(script)

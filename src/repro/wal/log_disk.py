@@ -30,7 +30,7 @@ from repro.sim.chaos import (
     register_fault_point,
 )
 from repro.sim.disk import DuplexedDisk
-from repro.sim.faults import IO_COUNTERS, RetryPolicy, run_with_retry
+from repro.sim.faults import DEFAULT_RETRY_BUDGET, IO_COUNTERS, run_with_retry
 
 register_crash_point(
     "log-disk.append.before-write",
@@ -221,7 +221,7 @@ class LogDisk:
         window_pages: int,
         grace_pages: int,
         cache_pages: int = LOG_PAGE_CACHE_PAGES,
-        retry_policy: RetryPolicy | None = None,
+        retry_budget: int = DEFAULT_RETRY_BUDGET,
     ):
         if window_pages <= grace_pages:
             raise ValueError("window must be larger than the grace period")
@@ -234,7 +234,7 @@ class LogDisk:
         #: Transient device faults are retried within this budget and
         #: escalate to ``MediaFailure`` past it; counters land in
         #: ``Database.stats()["transient_io"]["log"]``.
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.retry_budget = retry_budget
         self.io_stats = Counters(*IO_COUNTERS)
         self._next_lsn = 0
         self.pages_written = 0
@@ -310,7 +310,7 @@ class LogDisk:
                 fault_point("log-disk.write"),
                 self.disks.write_page(lsn, blob, sibling=True),
             ),
-            self.retry_policy,
+            self.retry_budget,
             self.io_stats,
             "write",
             f"log-disk write of page {lsn}",
@@ -346,7 +346,7 @@ class LogDisk:
                 fault_point("log-disk.read"),
                 self.disks.read_page(lsn, sibling=True),
             )[1],
-            self.retry_policy,
+            self.retry_budget,
             self.io_stats,
             "read",
             f"log-disk read of page {lsn}",

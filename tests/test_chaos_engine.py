@@ -2,24 +2,22 @@
 
 Covers rule/plan validation, deterministic crash placement, seeded
 probabilistic reproducibility, fire latching, the transient-fault action,
-the latency injector for the realtime bridges, and how activate /
+and how activate /
 deactivate / the observer compose the one hook ``crash_point`` reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 
 import pytest
-
-from repro import Database, SystemConfig
 
 chaos_module = importlib.import_module("repro.sim.chaos")
 
 from repro.sim.chaos import (
     CRASH,
     FAULT,
-    LATENCY,
     ChaosEngine,
     ChaosPlan,
     ChaosRule,
@@ -28,23 +26,12 @@ from repro.sim.chaos import (
     crash_point,
     deactivate,
     fault_point,
-    install_latency,
-    remove_latency,
     set_crash_point_observer,
 )
 from repro.sim.faults import SimulatedCrash, TransientIOError
 
 POINT = "txn.commit.after-slb"
 FAULT_POINT = "log-disk.write"
-
-#: Jitter small enough that latency fires cost microseconds of host time.
-TINY = (0.0, 0.00001)
-
-
-def latency_rule(point=POINT, **kwargs):
-    kwargs.setdefault("latency_range", TINY)
-    kwargs.setdefault("max_fires", None)
-    return ChaosRule(point, LATENCY, **kwargs)
 
 
 class TestRuleValidation:
@@ -64,11 +51,6 @@ class TestRuleValidation:
     def test_zero_max_fires(self):
         with pytest.raises(ValueError, match="max_fires"):
             ChaosRule(POINT, CRASH, max_fires=0)
-
-    @pytest.mark.parametrize("latency_range", [(-0.001, 0.001), (0.002, 0.001)])
-    def test_bad_latency_range(self, latency_range):
-        with pytest.raises(ValueError, match="latency_range"):
-            ChaosRule(POINT, LATENCY, latency_range=latency_range)
 
     def test_describe_mentions_filters(self):
         rule = ChaosRule(POINT, CRASH, probability=0.5, after_visits=3)
@@ -98,13 +80,13 @@ class TestPlan:
         with pytest.raises(ValueError, match="fault rules need a fault point"):
             ChaosEngine(ChaosPlan(1, (ChaosRule(POINT, FAULT),)))
 
-    def test_fault_points_accept_fault_and_latency_rules(self):
+    def test_fault_points_accept_fault_and_crash_rules(self):
         ChaosEngine(
             ChaosPlan(
                 1,
                 (
                     ChaosRule(FAULT_POINT, FAULT),
-                    latency_rule(FAULT_POINT),
+                    ChaosRule(FAULT_POINT, CRASH),
                 ),
             )
         )
@@ -143,12 +125,12 @@ class TestDispatch:
 
     def test_same_seed_same_fire_schedule(self):
         def schedule(seed):
-            engine = ChaosEngine(
-                ChaosPlan(seed, (latency_rule(probability=0.5),))
-            )
+            rule = ChaosRule(POINT, CRASH, probability=0.5, max_fires=None)
+            engine = ChaosEngine(ChaosPlan(seed, (rule,)))
             with chaos(engine):
                 for _ in range(60):
-                    crash_point(POINT)
+                    with contextlib.suppress(SimulatedCrash):
+                        crash_point(POINT)
             return [fire.visit for fire in engine.fires()]
 
         first = schedule(99)
@@ -164,52 +146,15 @@ class TestDispatch:
             fault_point(FAULT_POINT)  # latched
         assert engine.faults_fired == 1
 
-    def test_latency_fires_do_not_raise(self):
-        engine = ChaosEngine(ChaosPlan(4, (latency_rule(),)))
-        with chaos(engine):
-            for _ in range(5):
-                crash_point(POINT)
-        assert engine.latency_fired == 5
-        assert engine.crashes_fired == 0
-
     def test_every_passage_is_counted_ruled_or_not(self):
-        engine = ChaosEngine(ChaosPlan(0, (latency_rule(),)))
+        engine = ChaosEngine(ChaosPlan.crash_at(0, POINT))
         with chaos(engine):
             fault_point(FAULT_POINT)
             fault_point(FAULT_POINT)
-            crash_point(POINT)
+            with pytest.raises(SimulatedCrash):
+                crash_point(POINT)
         assert engine.hits() == {FAULT_POINT: 2, POINT: 1}
         assert [fire.point for fire in engine.fires()] == [POINT]
-
-
-class TestLatencyInjector:
-    def test_perturb_adds_seeded_jitter(self):
-        jitter = (0.001, 0.002)
-        first = ChaosEngine(ChaosPlan(21)).latency_injector(jitter)
-        pauses = [first(0.01) for _ in range(10)]
-        assert all(0.011 <= p <= 0.012 for p in pauses)
-        again = ChaosEngine(ChaosPlan(21)).latency_injector(jitter)
-        assert [again(0.01) for _ in range(10)] == pauses
-
-    def test_bad_jitter_rejected(self):
-        engine = ChaosEngine(ChaosPlan(1))
-        with pytest.raises(ValueError, match="jitter"):
-            engine.latency_injector((0.002, 0.001))
-
-    def test_install_and_remove_latency_bridges(self):
-        db = Database(SystemConfig(log_page_size=512))
-        engine = ChaosEngine(ChaosPlan(5))
-        install_latency(db, engine, disk_scale=0.25, cpu_scale=2.0)
-        assert db.log_disk.disks.primary.realtime_scale == 0.25
-        assert db.log_disk.disks.mirror.latency_injector is not None
-        assert db.checkpoint_disk.disk.latency_injector is not None
-        assert db.main_cpu.realtime_scale == 2.0
-        assert db.recovery_cpu.latency_injector is not None
-        remove_latency(db)
-        assert db.log_disk.disks.primary.realtime_scale == 0.0
-        assert db.log_disk.disks.primary.latency_injector is None
-        assert db.main_cpu.realtime_scale == 0.0
-        assert db.main_cpu.latency_injector is None
 
 
 class TestAtomicPublication:

@@ -63,7 +63,7 @@ class TestRulesOnFixtures:
     # (rule id, expected finding count in the bad fixture)
     CASES = [
         ("RC02", 1),  # one unframed write_track
-        ("RC03", 2),  # import random + import time
+        ("RC03", 3),  # import random + import time + time.sleep
         ("RC04", 2),  # except Exception + bare except
         ("RC05", 2),  # ChaosEngine + activate
         ("RC06", 2),  # direct mutator + propagated mutator
@@ -90,6 +90,23 @@ class TestRulesOnFixtures:
         assert len(findings) == 2, render_text(findings)
         assert all("env_settings" in f.message for f in findings)
         assert findings_for(FIXTURES / "rc03_env_good.py") == []
+
+    @pytest.mark.parametrize(
+        "module", ["repro.sim.clock", "repro.sim.torture", "repro.workloads.tmp"]
+    )
+    def test_rc03_flags_a_sleep_even_where_time_is_allowed(self, tmp_path, module):
+        target = tmp_path / "sleeper.py"
+        target.write_text(
+            f"# repro-check: module={module}\n"
+            "import time as _t\n"
+            "from time import perf_counter, sleep\n"
+            "_t.sleep(1)\n"
+            "perf_counter()\n"
+        )
+        findings = findings_for(target, ["RC03"])
+        # from time import sleep + _t.sleep; perf_counter is fine here
+        assert [f.line for f in findings] == [3, 4], render_text(findings)
+        assert all("VirtualClock" in f.message for f in findings)
 
     def test_rc04_flags_rollback_in_a_handler_a_crash_can_reach(self):
         findings = findings_for(FIXTURES / "rc04_crash_bad.py", ["RC04"])
@@ -151,7 +168,7 @@ class TestOutputFormats:
     def test_render_json_round_trips(self):
         findings = findings_for(FIXTURES / "rc03_bad.py")
         payload = json.loads(render_json(findings))
-        assert payload["count"] == 2
+        assert payload["count"] == 3
         for item in payload["findings"]:
             assert item["rule"] == "RC03"
             assert set(item) >= {"rule", "path", "line", "col", "message"}

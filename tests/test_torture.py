@@ -1,9 +1,10 @@
 """The torture harness: seeded randomized chaos rounds must verify.
 
 The acceptance matrix runs three fixed seeds for each round kind
-(crash / latency / fault); every round must recover to a
-verified state.  The remaining tests pin the harness contract itself:
-plans are a pure function of the seed, a failing round raises
+(crash / fault); every round must recover to a verified state, with
+``time.sleep`` refusing to run.  The remaining tests pin the harness
+contract itself: plans are a pure function of the seed, drawn from a
+fixed point list that matches the live registry, a failing round raises
 :class:`~repro.sim.torture.TortureFailure` carrying the reproducing
 command line, and the CLI drives the same rounds with a JSONL log.
 """
@@ -15,8 +16,12 @@ import json
 import pytest
 
 from repro.sim import torture
+from repro.sim.chaos import registered_crash_points, registered_fault_points
 from repro.sim.torture import (
+    CRASH_POINTS,
+    FAULT_POINTS,
     KINDS,
+    SHARD_CRASH_POINTS,
     RoundSpec,
     TortureFailure,
     TortureHarness,
@@ -50,12 +55,22 @@ class TestBuildPlan:
         assert first == second
         assert any(rule.action == "fault" for rule in first.rules)
 
-    def test_every_kind_gets_latency_rules(self):
+    def test_every_kind_gets_only_its_own_action(self):
         import random
 
         for kind in KINDS:
             plan = build_plan(RoundSpec(5, kind), random.Random(5))
-            assert any(rule.action == "latency" for rule in plan.rules)
+            assert plan.rules
+            assert all(rule.action == kind for rule in plan.rules)
+
+    def test_plan_points_are_the_live_registry(self):
+        """The literal point lists are what the modules register, so a
+        plan is the same whatever has been imported."""
+        import repro.shard  # noqa: F401 - registers the 2PC points
+
+        assert CRASH_POINTS == tuple(sorted(CRASH_POINTS))
+        assert set(CRASH_POINTS + SHARD_CRASH_POINTS) == set(registered_crash_points())
+        assert FAULT_POINTS == tuple(sorted(registered_fault_points()))
 
     def test_fault_rules_stay_within_retry_budget(self):
         import random
@@ -71,6 +86,7 @@ class TestBuildPlan:
 class TestAcceptanceMatrix:
     """Three fixed seeds x every kind, all verified."""
 
+    @pytest.mark.usefixtures("no_host_sleep")
     @pytest.mark.parametrize("kind", KINDS)
     def test_sim_rounds_verify(self, kind):
         results = TortureHarness().run_rounds(SEEDS, kinds=(kind,))
@@ -79,7 +95,6 @@ class TestAcceptanceMatrix:
         assert all(r.committed > 0 for r in results)
         fired = {
             "crash": sum(r.crashes_fired for r in results),
-            "latency": sum(r.latency_fired for r in results),
             "fault": sum(r.faults_fired for r in results),
         }
         # Three seeds per kind make the kind's signature action fire at
@@ -91,10 +106,16 @@ class TestRoundIsAFunctionOfItsSpec:
     """Nothing but the spec decides a round: the same spec run twice
     gives the same record, ``host_seconds`` apart."""
 
+    @pytest.mark.usefixtures("no_host_sleep")
     @pytest.mark.parametrize(
         "kind,topology",
-        zip(KINDS, [{"shards": 1}, {"shards": 1, "condense": True}, {"shards": 2}]),
-        ids=["single", "condense", "sharded"],
+        [
+            ("crash", {"shards": 1}),
+            ("fault", {"shards": 1, "condense": True}),
+            ("fault", {"shards": 2}),
+            ("crash", {"shards": 2}),
+        ],
+        ids=["single", "condense", "sharded", "sharded-crash"],
     )
     def test_same_spec_same_record(self, kind, topology):
         spec = RoundSpec(100, kind, **topology)
@@ -110,7 +131,7 @@ class TestFailureReporting:
 
         monkeypatch.setattr(DebitCreditWorkload, "check_invariants", broken)
         with pytest.raises(TortureFailure) as excinfo:
-            TortureHarness().run_round(RoundSpec(3, "latency"))
+            TortureHarness().run_round(RoundSpec(3, "fault"))
         message = str(excinfo.value)
         assert "synthetic check failure" in message
         assert "--seed 3" in message
@@ -138,7 +159,7 @@ class TestCommandLine:
                 "--rounds",
                 "2",
                 "--kinds",
-                "latency",
+                "fault",
                 "--log",
                 str(log),
             ]
@@ -148,7 +169,7 @@ class TestCommandLine:
         assert "all 2 rounds passed" in out
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert [entry["seed"] for entry in lines] == [1, 2]
-        assert all(entry["kind"] == "latency" for entry in lines)
+        assert all(entry["kind"] == "fault" for entry in lines)
 
     def test_cli_failure_prints_seed_and_returns_one(
         self, tmp_path, monkeypatch, capsys
@@ -165,7 +186,7 @@ class TestCommandLine:
                 "--rounds",
                 "1",
                 "--kinds",
-                "latency",
+                "fault",
                 "--log",
                 str(log),
             ]

@@ -1,7 +1,7 @@
 """Transient-I/O retry on the duplex log/checkpoint paths.
 
 The escalation boundary is the contract under test: a fault burst within
-the :class:`~repro.sim.faults.RetryPolicy` budget is absorbed invisibly
+the retry budget (``SystemConfig.io_retry_budget``) is absorbed invisibly
 (commits succeed, recovery is digest-exact, zero escalations), while one
 fault past the budget becomes a hard
 :class:`~repro.common.errors.MediaFailure` — fatal on the log side (the
@@ -22,12 +22,12 @@ from repro.common.errors import ConfigurationError, MediaFailure
 from repro.db.monitor import status_page
 from repro.recovery.oracle import RecoveryVerifier
 from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
-from repro.sim.faults import IO_COUNTERS, RetryPolicy, TransientIOError, run_with_retry
+from repro.sim.faults import IO_COUNTERS, TransientIOError, run_with_retry
 from repro.workloads.debit_credit import DebitCreditWorkload
 
 #: The default retry budget: bursts of this length are absorbed, one
 #: fault more escalates.
-BUDGET = RetryPolicy().budget
+BUDGET = SystemConfig().io_retry_budget
 
 
 def _config():
@@ -51,23 +51,6 @@ def fault_rule(point, fires):
     return ChaosRule(point, FAULT, probability=1.0, max_fires=fires)
 
 
-class TestRetryPolicy:
-    def test_backoff_is_exponential_then_capped(self):
-        policy = RetryPolicy(budget=6, backoff_base=0.0002, backoff_cap=0.002)
-        assert policy.backoff_seconds(1) == 0.0002
-        assert policy.backoff_seconds(2) == 0.0004
-        assert policy.backoff_seconds(3) == 0.0008
-        assert policy.backoff_seconds(10) == 0.002
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            RetryPolicy(budget=-1)
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="backoff"):
-            RetryPolicy(backoff_base=-0.1)
-
-
 def io_counters():
     return Counters(*IO_COUNTERS)
 
@@ -86,14 +69,12 @@ class TestRunWithRetry:
 
     def test_clean_operation_counts_nothing(self):
         stats = io_counters()
-        policy = RetryPolicy(backoff_base=0.0)
-        assert run_with_retry(self._flaky(0), policy, stats, "write", "op") == "ok"
+        assert run_with_retry(self._flaky(0), BUDGET, stats, "write", "op") == "ok"
         assert stats.snapshot() == dict.fromkeys(IO_COUNTERS, 0)
 
     def test_burst_within_budget_is_absorbed(self):
         stats = io_counters()
-        policy = RetryPolicy(budget=4, backoff_base=0.0)
-        assert run_with_retry(self._flaky(4), policy, stats, "write", "op") == "ok"
+        assert run_with_retry(self._flaky(4), 4, stats, "write", "op") == "ok"
         snap = stats.snapshot()
         assert snap["write_faults"] == 4
         assert snap["write_retries"] == 4
@@ -101,9 +82,8 @@ class TestRunWithRetry:
 
     def test_fault_past_budget_escalates(self):
         stats = io_counters()
-        policy = RetryPolicy(budget=4, backoff_base=0.0)
         with pytest.raises(MediaFailure, match="retry budget"):
-            run_with_retry(self._flaky(5), policy, stats, "read", "op")
+            run_with_retry(self._flaky(5), 4, stats, "read", "op")
         snap = stats.snapshot()
         assert snap["read_faults"] == 5
         assert snap["read_retries"] == 4
@@ -116,14 +96,13 @@ class TestRunWithRetry:
             raise RuntimeError("not transient")
 
         with pytest.raises(RuntimeError):
-            run_with_retry(broken, RetryPolicy(), stats, "read", "op")
+            run_with_retry(broken, BUDGET, stats, "read", "op")
         assert stats.snapshot() == dict.fromkeys(IO_COUNTERS, 0)
 
     def test_zero_budget_escalates_first_fault(self):
         stats = io_counters()
-        policy = RetryPolicy(budget=0, backoff_base=0.0)
         with pytest.raises(MediaFailure):
-            run_with_retry(self._flaky(1), policy, stats, "write", "op")
+            run_with_retry(self._flaky(1), 0, stats, "write", "op")
         assert stats.snapshot()["write_retries"] == 0
 
 
@@ -134,14 +113,16 @@ class TestConfigWiring:
 
     def test_budget_reaches_both_duplex_layers(self):
         db = Database(SystemConfig(io_retry_budget=2))
-        assert db.log_disk.retry_policy.budget == 2
-        assert db.checkpoint_disk.retry_policy.budget == 2
+        assert db.log_disk.retry_budget == 2
+        assert db.checkpoint_disk.retry_budget == 2
 
 
 class TestUnderBudgetBursts:
+    @pytest.mark.usefixtures("no_host_sleep")
     def test_bursts_on_all_four_points_are_invisible(self):
         """Max-length bursts on every duplex operation: commits succeed,
-        restart recovers digest-exact, and nothing escalates."""
+        restart recovers digest-exact, and nothing escalates — and every
+        retry is immediate (``time.sleep`` refuses to run)."""
         db = Database(_config())
         workload = _bank(db)
         verifier = RecoveryVerifier(db)

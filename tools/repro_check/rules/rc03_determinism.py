@@ -17,11 +17,16 @@ injection layer (:mod:`repro.sim.chaos`, :mod:`repro.sim.torture`),
 whose ``random.Random`` instances are seeded by the plan so every
 injection schedule replays from its printed seed.
 
+Sleeping is flagged everywhere, those modules included: ``time.sleep``
+or ``from time import sleep`` in any ``repro.*`` module.  With one
+thread a host sleep changes no outcome, so it only costs wall time;
+simulated waits advance the :class:`~repro.sim.clock.VirtualClock`.
+
 The process environment is the same kind of ambient input: a stray
 ``os.environ`` read makes a run depend on something no seed or config
 records.  ``os.environ`` / ``os.getenv`` are only allowed in
 :mod:`repro.common.config`, whose ``env_settings`` parses and validates
-the four ``REPRO_*`` variables for everyone else.
+the two ``REPRO_*`` variables for everyone else.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class DeterminismRule(RuleVisitor):
     rule_id = "RC03"
     title = (
         "no wall-clock / ambient randomness outside sim.clock and workloads, "
-        "no os.environ outside common.config"
+        "no host sleep anywhere, no os.environ outside common.config"
     )
     rationale = (
         "Chaos replay is only debuggable if the schedule is deterministic: "
@@ -53,6 +58,11 @@ class DeterminismRule(RuleVisitor):
         "workload generators, and the environment enters through the one "
         "validated parser."
     )
+
+    def __init__(self, source):
+        super().__init__(source)
+        #: Names the ``time`` module is bound to in this file.
+        self._time_names: set[str] = set()
 
     @classmethod
     def applies_to(cls, source) -> bool:
@@ -70,6 +80,13 @@ class DeterminismRule(RuleVisitor):
             f"randomness",
         )
 
+    def _flag_sleep(self, node: ast.AST) -> None:
+        self.add(
+            node,
+            "a host sleep changes no outcome and only costs wall time; "
+            "simulated waits advance VirtualClock",
+        )
+
     def _flag_environment(self, node: ast.AST, name: str) -> None:
         if self.source.module != _ENVIRONMENT_MODULE:
             self.add(
@@ -79,6 +96,9 @@ class DeterminismRule(RuleVisitor):
             )
 
     def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name == "time":
+                self._time_names.add(alias.asname or "time")
         if self._imports_allowed():
             return
         for alias in node.names:
@@ -89,6 +109,8 @@ class DeterminismRule(RuleVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.level != 0 or not node.module:
             return
+        if node.module == "time" and any(a.name == "sleep" for a in node.names):
+            self._flag_sleep(node)
         if node.module == "os":
             for alias in node.names:
                 if alias.name in _ENVIRONMENT_NAMES:
@@ -105,4 +127,10 @@ class DeterminismRule(RuleVisitor):
             and node.value.id == "os"
         ):
             self._flag_environment(node, node.attr)
+        if (
+            node.attr == "sleep"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self._time_names
+        ):
+            self._flag_sleep(node)
         self.generic_visit(node)
