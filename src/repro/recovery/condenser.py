@@ -237,7 +237,7 @@ class Condenser:
                 page = cache.get(lsn)
                 if page is None:
                     page = db.log_disk.read_page(lsn, expected=address)
-                folded_records += page.replay(staging)
+                folded_records += page.replay(staging)[0]
         except IMAGE_FAILURES:
             self.failed_slices += 1
             return 0

@@ -125,21 +125,25 @@ def cut_settled_prefix(pages: list[LogPage], command_watermark: int) -> list[Log
     does not.  Markers with older watermarks (earlier sweeps) deeper in
     the stream are harmless no-ops and are simply cut along with the rest.
 
-    Finding the marker reads records, so this is one of the places a
-    page's records are built — only for relations with settled commands.
+    The marker is found by walking the pages with the REDO cursor
+    (:meth:`~repro.wal.log_disk.LogPage.replay`, applying nothing), and
+    the page holding it is cut as a body slice: no record is built.
     """
     if command_watermark <= 0:
         return pages
+    until = (SweepMarker.TAG, command_watermark)
     cut = None
     for index, page in enumerate(pages):
-        for position, record in enumerate(page.records):
-            if isinstance(record, SweepMarker) and record.watermark == command_watermark:
-                cut = (index, position + 1)
+        # No marker carries more than the relation's watermark (a sweep
+        # advances it in the transaction that logs its markers), so each
+        # halt is just past a matching one.
+        position = 0
+        while (halt := page.replay(None, position, until)[1]) not in (None, position):
+            cut, position = (index, halt), halt
     if cut is None:
         return pages
     index, position = cut
-    page = pages[index]
-    return [LogPage(page.partition, page.records[position:], lsn=page.lsn), *pages[index + 1 :]]
+    return [pages[index].tail(position), *pages[index + 1 :]]
 
 
 def partition_record_stream(
@@ -330,34 +334,13 @@ def plan_rebuild(
     return base, pages, stats
 
 
-def rebuild_partition_resilient(
-    address: PartitionAddress,
-    checkpoint_slot: int | None,
-    disk_queue: "CheckpointDiskQueue",
-    log_disk: LogDisk,
-    slt: StableLogTail,
-    partition_size: int,
-    *,
-    command_watermark: int = 0,
-    pending_archive: PendingArchive | None = None,
-    history: History | None = None,
-) -> tuple[Partition, dict]:
+def rebuild_partition_resilient(*args, **kwargs) -> tuple[Partition, dict]:
     """Recover one partition to its committed state: plan, apply, return.
 
     Takes :func:`plan_rebuild`'s arguments.  Returns the partition plus a
     statistics dict (``source``, ``pages_read``, ``backward_reads``,
     ``records_applied``) that restart and the media restore aggregate.
     """
-    partition, pages, stats = plan_rebuild(
-        address,
-        checkpoint_slot,
-        disk_queue,
-        log_disk,
-        slt,
-        partition_size,
-        command_watermark=command_watermark,
-        pending_archive=pending_archive,
-        history=history,
-    )
-    stats["records_applied"] = sum(page.replay(partition) for page in pages)
+    partition, pages, stats = plan_rebuild(*args, **kwargs)
+    stats["records_applied"] = sum(page.replay(partition)[0] for page in pages)
     return partition, stats

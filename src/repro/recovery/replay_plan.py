@@ -12,28 +12,28 @@ another.  Two commands that share no relation — directly or transitively
 — commute, so each closure replays with no regard for the others.
 
 Inside a batch, ordering is exact.  Every partition of the closure is
-loaded as a record *stream* (a base image plus the ordered REDO still to
-apply, both chosen by
-:meth:`~repro.recovery.restart.RestartCoordinator.plan`), and a cursor
-per stream advances through the value records.  A
+planned like any other rebuild (:func:`~repro.recovery.redo.plan_rebuild`:
+a base image plus its log pages, still bytes), and one position per
+stream — (page, offset) — is advanced by the REDO cursor every restart
+path walks a log with (:meth:`~repro.wal.log_disk.LogPage.replay`).  A
 :class:`~repro.wal.records.CommandBarrier` carrying command ``m``'s csn
 marks, in every involved stream, exactly where ``m`` committed relative
-to the surrounding value REDO: the planner applies records up to the
-barriers, re-executes ``m``'s script inside a :class:`ReplayTransaction`
+to the surrounding value REDO: the cursor halts just past it, the
+planner re-executes ``m``'s script inside a :class:`ReplayTransaction`
 (which never writes the stable log — replay is idempotent across
-repeated crashes), and continues.  The whole plan is digest-identical to
-value-mode recovery.
+repeated crashes), and continues.  Each finished stream is tallied by the
+restart coordinator like a rebuild of its own.  The whole plan is
+digest-identical to value-mode recovery.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import RecoveryError
-from repro.common.types import PartitionAddress
+from repro.recovery.redo import plan_rebuild
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
@@ -43,6 +43,7 @@ from repro.wal.records import CommandBarrier, RedoRecord, TxnCommand, decode_con
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
+    from repro.wal.log_disk import LogPage
 
 register_crash_point(
     "replay.batch.before-command",
@@ -158,16 +159,24 @@ class ReplayTransaction(Transaction):
         """No audit entry, and the manager never tracked this transaction."""
 
 
-@dataclass
-class _PartitionStream:
-    """One partition's recovery state inside a batch: the base image with
-    the cut REDO suffix still to be applied, and a cursor into it."""
-
-    address: PartitionAddress
-    partition: Partition
-    records: list[RedoRecord]
-    position: int = 0
-    is_index: bool = field(default=False)
+def _advance(
+    partition: Partition,
+    pages: list[LogPage],
+    position: tuple[int, int],
+    until: tuple[int, int] | None,
+) -> tuple[tuple[int, int], int]:
+    """Walk one stream from ``position`` — (page, cursor offset) — until
+    the REDO cursor halts at ``until`` (``None``: the end); returns the
+    new position and the records applied."""
+    page, offset = position
+    applied = 0
+    while page < len(pages):
+        count, halt = pages[page].replay(partition, offset, until)
+        applied += count
+        if halt is not None:
+            return (page, halt), applied
+        page, offset = page + 1, 0
+    return (page, 0), applied
 
 
 class CommandReplayPlanner:
@@ -240,85 +249,57 @@ class CommandReplayPlanner:
     # -- batch execution ---------------------------------------------------------
 
     def replay_batch(self, batch: list[TxnCommand]) -> int:
-        """Recover one conflict-free closure: load its partition streams,
-        then alternate cursor advances and script re-executions."""
+        """Recover one conflict-free closure: plan its partition streams,
+        then alternate cursor advances and script re-executions; every
+        stream's rebuild is tallied by the restart coordinator."""
         db = self.db
         coordinator = db.restart_coordinator
         if coordinator is None:
             raise RecoveryError("command replay runs between the phases of a restart")
         relation_names = sorted({name for cmd in batch for name in cmd.relations})
-        streams: list[_PartitionStream] = []
+        streams: list[tuple[Partition, list[LogPage], dict]] = []
         index_segments: set[int] = set()
         for name in relation_names:
             descriptor = db.catalog.relation(name)
-            watermark = descriptor.command_watermark
-            members = [(descriptor, False)] + [
-                (db.catalog.index(index_name), True)
-                for index_name in descriptor.index_names
-            ]
-            for member, is_index in members:
-                if is_index:
-                    index_segments.add(member.segment_id)
-                for number in sorted(member.partitions):
-                    address = PartitionAddress(member.segment_id, number)
-                    partition, pages, _ = coordinator.plan(
-                        address, member.partitions[number].checkpoint_slot, watermark
+            indexes = [db.catalog.index(index) for index in descriptor.index_names]
+            index_segments.update(index.segment_id for index in indexes)
+            for member in (descriptor, *indexes):
+                for address in member.partition_addresses():
+                    slot = member.partitions[address.partition].checkpoint_slot
+                    partition, pages, stats = plan_rebuild(
+                        **coordinator._sources(address, slot, descriptor.command_watermark)
                     )
-                    # The cursor stops at barrier records, so it walks
-                    # records, not pages; what replay costs here is the
-                    # scripts' re-execution.
-                    records = [record for page in pages for record in page.records]
-                    streams.append(
-                        _PartitionStream(address, partition, records, is_index=is_index)
-                    )
-        for stream in streams:
-            db.memory.segment(stream.address.segment).install(stream.partition)
+                    stats["records_applied"] = 0
+                    streams.append((partition, pages, stats))
+        for partition, _, _ in streams:
+            db.memory.segment(partition.address.segment).install(partition)
+        positions = [(0, 0)] * len(streams)
         replayed = 0
         for command in batch:
             crash_point("replay.batch.before-command")
-            db.reload_index_mirrors(self._advance_to_barriers(streams, command.csn))
+            # Each stream stops just past the command's own barrier, or in
+            # front of a later command's: that partition joined the
+            # relation after this one committed.  A stream that runs dry
+            # had its bin reset by a checkpoint acknowledgement; the
+            # re-execution regenerates its effects.  Only the index
+            # segments a record was applied to have stale cached mirrors.
+            touched: set[int] = set()
+            for number, (partition, pages, stats) in enumerate(streams):
+                positions[number], applied = _advance(
+                    partition, pages, positions[number], (CommandBarrier.TAG, command.csn)
+                )
+                stats["records_applied"] += applied
+                if applied and partition.address.segment in index_segments:
+                    touched.add(partition.address.segment)
+            db.reload_index_mirrors(touched)
             self._execute(command)
             crash_point("replay.batch.command-executed")
             replayed += 1
-        for stream in streams:
-            self._apply_through(stream, len(stream.records))
+        for (partition, pages, stats), position in zip(streams, positions):
+            stats["records_applied"] += _advance(partition, pages, position, None)[1]
+            coordinator._note(stats)
         db.reload_index_mirrors(index_segments)
         return replayed
-
-    def _advance_to_barriers(
-        self, streams: list[_PartitionStream], csn: int
-    ) -> set[int]:
-        """Apply value records up to command ``csn``'s barriers; returns
-        the index segments a record was applied to (their cached index
-        objects' mirrors are stale, everyone else's are not).
-
-        A barrier with a *higher* csn stops the cursor without being
-        consumed: that partition joined the relation after ``csn``
-        committed, so nothing in it precedes the command.  A stream that
-        runs dry is fine too — its bin was reset by a checkpoint
-        acknowledgement and re-execution regenerates the effects.
-        """
-        touched: set[int] = set()
-        for stream in streams:
-            records = stream.records
-            position = stream.position
-            while position < len(records):
-                record = records[position]
-                if isinstance(record, CommandBarrier) and record.csn >= csn:
-                    if record.csn == csn:
-                        position += 1  # consume this command's own barrier
-                    break
-                record.apply(stream.partition)
-                if stream.is_index:
-                    touched.add(stream.address.segment)
-                position += 1
-            stream.position = position
-        return touched
-
-    def _apply_through(self, stream: _PartitionStream, end: int) -> None:
-        while stream.position < end:
-            stream.records[stream.position].apply(stream.partition)
-            stream.position += 1
 
     def _execute(self, command: TxnCommand) -> None:
         db = self.db

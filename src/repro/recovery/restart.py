@@ -41,7 +41,6 @@ from repro.common.types import PartitionAddress, SegmentKind
 from repro.recovery.redo import (
     History,
     demultiplex_log_history,
-    plan_rebuild,
     rebuild_partition_resilient,
 )
 from repro.recovery.replay_plan import replay_live_commands
@@ -51,7 +50,6 @@ from repro.wal.records import TxnPrepare, decode_control
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
     from repro.storage.partition import Partition
-    from repro.wal.log_disk import LogPage
 
 register_crash_point(
     "restart.phase1.queue-reverted",
@@ -198,9 +196,7 @@ class RestartCoordinator:
             return
         catalog, locations = Catalog.from_well_known_entry(db.memory, entry)
         for address, slot in locations:
-            partition, stats = self._rebuild(address, slot)
-            catalog.segment.install(partition)
-            self._note(stats)
+            catalog.segment.install(self._rebuild(address, slot)[0])
         db.catalog = catalog
         catalog.rebuild()
         if images_lost:
@@ -286,7 +282,6 @@ class RestartCoordinator:
             self._command_watermark(address),
         )
         segment.install(partition)
-        self._note(stats)
         crash_point("restart.phase2.partition-recovered")
         return stats
 
@@ -311,30 +306,13 @@ class RestartCoordinator:
             history=self.history,
         )
 
-    def plan(
-        self, address: PartitionAddress, slot: int | None, command_watermark: int = 0
-    ) -> tuple[Partition, list[LogPage], dict]:
-        """:func:`~repro.recovery.redo.plan_rebuild` for one partition: the
-        base and the pages still to apply, for the command replay
-        planner to interleave script re-execution with."""
-        return plan_rebuild(**self._sources(address, slot, command_watermark))
-
     def _rebuild(
         self, address: PartitionAddress, slot: int | None, command_watermark: int = 0
     ) -> tuple[Partition, dict]:
         partition, stats = rebuild_partition_resilient(
             **self._sources(address, slot, command_watermark)
         )
-        if self.history is not None and stats["records_applied"]:
-            # Full-history replay is recovery-component work: charge the
-            # Table 2 record lookup + page update per record, the same
-            # work the sorting step pays.
-            params = self.db.config.analysis
-            self.db.recovery_cpu.charge(
-                (params.i_record_lookup + params.i_page_update)
-                * stats["records_applied"],
-                "media-replay",
-            )
+        self._note(stats)
         return partition, stats
 
     def _checkpoint_slot(self, address: PartitionAddress) -> int | None:
@@ -434,6 +412,18 @@ class RestartCoordinator:
         )
 
     def _note(self, stats: dict) -> None:
+        """Tally one finished rebuild — by the pipeline here or by the
+        command replay planner, which walks the same streams."""
+        if self.history is not None and stats["records_applied"]:
+            # Full-history replay is recovery-component work: charge the
+            # Table 2 record lookup + page update per record, the same
+            # work the sorting step pays.
+            params = self.db.config.analysis
+            self.db.recovery_cpu.charge(
+                (params.i_record_lookup + params.i_page_update)
+                * stats["records_applied"],
+                "media-replay",
+            )
         self.partitions_recovered += 1
         self.records_replayed += stats["records_applied"]
         self.pages_read += stats["pages_read"] + stats["backward_reads"]

@@ -75,8 +75,8 @@ class LogPage:
     A page is made one of two ways.  The flush path builds it from record
     objects (:meth:`__init__`).  :meth:`decode` parses the header and the
     embedded directory of a page read back from disk and *keeps the body
-    as bytes*: restart applies it from there (:meth:`replay`), and
-    :attr:`records` builds the objects only for whoever routes or
+    as bytes*: every restart path applies it from there (:meth:`replay`),
+    and :attr:`records` builds the objects only for whoever routes or
     inspects individual records.  Equality is by decoded content.
     """
 
@@ -116,21 +116,39 @@ class LogPage:
             )
         return records
 
-    def replay(self, partition: Partition) -> int:
-        """Apply this page's records, in order, to ``partition``; returns
-        how many.  The owner is checked once, here: a page of another
-        partition (or a mixed archive page) is refused before any record
-        is applied.  A page from disk applies straight from its bytes, a
-        page built from objects through ``record.apply``."""
-        if self.partition != partition.address:
+    def replay(
+        self,
+        partition: Partition | None,
+        start: int = 0,
+        until: tuple[int, int] | None = None,
+    ) -> tuple[int, int | None]:
+        """Apply this page's records, in order, to ``partition`` (``None``:
+        only walk) from cursor position ``start``, halting at ``until`` as
+        :func:`~repro.wal.records.replay_records` does; returns ``(records
+        applied, halt)``.  Positions are body offsets on a page from disk,
+        applied from its bytes, and record indices on one built from
+        objects (what stable memory holds, a split archive page), applied
+        by ``record.apply``.  The owner is checked once, here: a page of
+        another partition (or a mixed archive page) is refused first."""
+        if partition is not None and self.partition != partition.address:
             raise LogError(
                 f"log page {self.lsn} of {self.partition} applied to {partition.address}"
             )
         if self._body is not None:
-            return replay_records(self._body, partition)
-        for record in self._records:
-            record.apply(partition)
-        return len(self._records)
+            return replay_records(self._body, partition, start, until)
+        halt_tag, halt_value = until or (-1, 0)
+        for position, record in enumerate(self._records[start:], start):
+            if record.TAG == halt_tag and record.value >= halt_value:
+                return position - start, position + (record.value == halt_value)
+            if partition is not None:
+                record.apply(partition)
+        return len(self._records) - start, None
+
+    def tail(self, start: int) -> "LogPage":
+        """This page from cursor position ``start`` on."""
+        if self._body is not None:
+            return LogPage(self.partition, None, lsn=self.lsn, body=self._body[start:])
+        return LogPage(self.partition, self._records[start:], lsn=self.lsn)
 
     def encode(self) -> bytes:
         # Dedicated pages condense the log: the partition address is

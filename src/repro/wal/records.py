@@ -33,7 +33,8 @@ the layout into the two forms a record takes on disk:
 
 A dedicated page is also *applied* in compact form: :func:`replay_records`
 walks its body and calls each class's ``redo`` on the unpacked operands,
-building no record.
+building no record, and halts at a marker when asked — every restart path
+walks a partition's log this one way.
 """
 
 from __future__ import annotations
@@ -417,6 +418,12 @@ class _Marker(RedoRecord):
     def apply(self, partition: Partition) -> None:
         self._check_address(partition)
 
+    @property
+    def value(self) -> int:
+        """The csn or watermark carried — what :func:`replay_records`
+        halts on."""
+        return self.csn if self.TAG == CommandBarrier.TAG else self.watermark
+
     @staticmethod
     def redo(partition: Partition, number: int) -> None:
         # Position-only: the effects come from re-executing the command's
@@ -516,40 +523,56 @@ def decode_records(
     return records
 
 
-def replay_records(body: bytes, partition: Partition) -> int:
+def replay_records(
+    body: bytes,
+    partition: Partition | None,
+    pos: int = 0,
+    until: tuple[int, int] | None = None,
+) -> tuple[int, int | None]:
     """Apply a dedicated page's body — compact records, in the order
-    written — to ``partition``; returns how many there were.
+    written — to ``partition``, from byte offset ``pos`` on.
 
     What ``for r in decode_records(body, partition.address):
     r.apply(partition)`` does, with no record built: one ``unpack_from``
     per record, then the class's ``redo`` on the operands and a slice of
     ``body``.  The caller checks *once* that the page is ``partition``'s;
     the per-record address check would compare the page header with
-    itself.
+    itself.  ``partition=None`` applies nothing and only walks.
+
+    It is a cursor: ``until=(tag, value)`` halts it at the first marker
+    of that tag (:class:`CommandBarrier` or :class:`SweepMarker`)
+    carrying ``value`` or more — just past it when it carries exactly
+    ``value``, in front of it when more.  Returns ``(records applied,
+    halt)``: ``halt`` is the offset to resume from, ``None`` when the
+    walk ran off the end.  The halting marker is not counted.
     """
+    halt_tag, halt_value = until or (-1, 0)
     count = 0
-    pos = 0
     size = len(body)
     while pos < size:
-        entry = _REPLAY.get(body[pos])
+        tag = body[pos]
+        entry = _REPLAY.get(tag)
         if entry is None:
-            raise LogError(f"unknown log record tag {body[pos]} at {pos}")
+            raise LogError(f"unknown log record tag {tag} at {pos}")
         unpack_from, width, redo, blob, name = entry
         try:
             operands = unpack_from(body, pos)
         except struct.error as exc:
             raise LogError(f"truncated {name} record at {pos}") from exc
+        if tag == halt_tag and operands[0] >= halt_value:
+            return count, pos if operands[0] > halt_value else pos + width
         pos += width
         if blob:
             end = pos + operands[-1]
             if end > size:
                 raise LogError(f"truncated {name} data at {pos}")
-            redo(partition, *operands[:-1], body[pos:end])
+            if partition is not None:
+                redo(partition, *operands[:-1], body[pos:end])
             pos = end
-        else:
+        elif partition is not None:
             redo(partition, *operands)
         count += 1
-    return count
+    return count, None
 
 
 # ------------------------------------------------------------------------------

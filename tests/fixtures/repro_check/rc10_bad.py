@@ -1,12 +1,16 @@
 # repro-check: module=repro.wal.fixture_bad
-"""RC10 bad fixture: registry drift in both directions — a stale
-registration, an unregistered hook, and an uncovered durable write."""
+"""RC10 bad fixture: registry drift in every direction — a stale
+registration, an unregistered hook, and dead instrumentation."""
 
 from repro.sim.chaos import crash_point, register_crash_point
 
 register_crash_point("fixture.stale")
+register_crash_point("fixture.orphaned")
 
 
-def flush(disk, payload):
+def flush():
     crash_point("fixture.unregistered")
-    disk.write_track(0, payload)
+
+
+def _orphan():
+    crash_point("fixture.orphaned")

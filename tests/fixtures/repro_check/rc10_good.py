@@ -1,6 +1,5 @@
 # repro-check: module=repro.wal.fixture_good
-"""RC10 good fixture: every point registered, used, and reachable; the
-durable write shares a function with a registered hook."""
+"""RC10 good fixture: every point registered, used, and reachable."""
 
 from repro.common.checksum import seal_frame
 from repro.sim.chaos import crash_point, register_crash_point

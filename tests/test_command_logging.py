@@ -14,11 +14,12 @@ from repro.common.errors import ConfigurationError, RecoveryError, TransactionSt
 from repro.db.integrity import verify_integrity
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
+from repro.recovery.redo import partition_record_stream, plan_rebuild
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos, registered_crash_points
 from repro.sim.faults import SimulatedCrash
 from repro.txn.registry import ScriptError, ScriptRegistry
 from repro.txn.transaction import TxnState
-from repro.wal.records import TxnPrepare
+from repro.wal.records import CommandBarrier, SweepMarker, TxnPrepare
 
 
 def small_config(**kwargs):
@@ -60,6 +61,42 @@ def run_transfers(db, count, name="accounts", **kwargs):
         db.run_script(
             f"transfer_{name}", i % ACCOUNTS, (i + 3) % ACCOUNTS, 5, **kwargs
         )
+
+
+def run_interleaved(db, count, name="accounts"):
+    """Transfers logged by command every third, by value otherwise: the
+    command barriers fall between value records, across flushed pages."""
+    for i in range(count):
+        db.run_script(
+            f"transfer_{name}",
+            i % ACCOUNTS,
+            (i + 3) % ACCOUNTS,
+            5,
+            logging="command" if i % 3 == 0 else "value",
+        )
+
+
+def sweep(db, accounts):
+    """Settle the relation's closure by a group sweep and acknowledge it;
+    returns the partition whose checkpoint request started it."""
+    with db.transaction() as txn:
+        target = accounts.lookup(txn, 0).address.partition_address
+    bin_ = db.slt.bin_for_partition(target)
+    db.slt.mark_for_checkpoint(bin_.bin_index, "test")
+    db.checkpoint_queue.submit(target, bin_.bin_index, "test")
+    assert db.checkpoints.process_pending() >= 1
+    db.recovery_processor.acknowledge_finished()
+    return target
+
+
+def flushed_records(db):
+    """Every record on a flushed page of every bin, decoded."""
+    return [
+        record
+        for bin_ in db.slt.bins()
+        for page in partition_record_stream(bin_, db.log_disk)[0][:-1]
+        for record in page.records
+    ]
 
 
 def total_balance(db, accounts):
@@ -366,12 +403,26 @@ class TestCrashWindows:
         assert total_balance(db, accounts) == ACCOUNTS * OPENING
 
     @pytest.mark.parametrize(
-        "point", ["replay.batch.before-command", "replay.batch.command-executed"]
+        "point, interleaved",
+        [
+            pytest.param(point, interleaved, id=point + "-interleaved" * interleaved)
+            for interleaved in (False, True)
+            for point in ("replay.batch.before-command", "replay.batch.command-executed")
+        ],
     )
-    def test_crash_during_replay_is_recoverable(self, point):
+    def test_crash_during_replay_is_recoverable(self, point, interleaved):
         db = Database(small_config())
         accounts = make_bank(db)
-        run_transfers(db, 10, logging="command")
+        if interleaved:
+            run_interleaved(db, 30)
+            # barriers mid-page on flushed pages, not only in the bin buffer
+            flushed = flushed_records(db)
+            assert any(
+                isinstance(record, CommandBarrier) and not isinstance(after, CommandBarrier)
+                for record, after in zip(flushed, flushed[1:])
+            )
+        else:
+            run_transfers(db, 10, logging="command")
         expected = logical_digest(db)
         db.crash()
         injector = ChaosEngine(ChaosPlan.crash_at(0, point))
@@ -420,13 +471,7 @@ class TestSettlement:
         db = Database(small_config())
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
-        with db.transaction() as txn:
-            target = accounts.lookup(txn, 0).address.partition_address
-        bin_ = db.slt.bin_for_partition(target)
-        db.slt.mark_for_checkpoint(bin_.bin_index, "test")
-        db.checkpoint_queue.submit(target, bin_.bin_index, "test")
-        assert db.checkpoints.process_pending() >= 1
-        db.recovery_processor.acknowledge_finished()
+        sweep(db, accounts)
         stats = db.stats()["logging"]
         assert stats["sweeps_taken"] == 1
         assert stats["commands_settled"] == 6
@@ -439,13 +484,7 @@ class TestSettlement:
         db = Database(small_config())
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
-        with db.transaction() as txn:
-            target = accounts.lookup(txn, 0).address.partition_address
-        bin_ = db.slt.bin_for_partition(target)
-        db.slt.mark_for_checkpoint(bin_.bin_index, "test")
-        db.checkpoint_queue.submit(target, bin_.bin_index, "test")
-        assert db.checkpoints.process_pending() >= 1
-        db.recovery_processor.acknowledge_finished()
+        sweep(db, accounts)
         run_transfers(db, 4, logging="command")
         expected = logical_digest(db)
         db.crash()
@@ -467,13 +506,7 @@ class TestSettlement:
         db = Database(small_config())
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
-        with db.transaction() as txn:
-            target = accounts.lookup(txn, 0).address.partition_address
-        bin_ = db.slt.bin_for_partition(target)
-        db.slt.mark_for_checkpoint(bin_.bin_index, "test")
-        db.checkpoint_queue.submit(target, bin_.bin_index, "test")
-        assert db.checkpoints.process_pending() >= 1
-        db.recovery_processor.acknowledge_finished()
+        target = sweep(db, accounts)
         descriptor = db.catalog.relation("accounts")
         assert descriptor.command_watermark > 0
         run_transfers(db, live_after_sweep, logging="command")
@@ -525,7 +558,14 @@ class TestMediaRestore:
                 db.restart(RecoveryMode.EAGER)
             else:
                 db.checkpoint_disk.disk.destroy()
-                restore_after_checkpoint_media_failure(db)
+                totals = restore_after_checkpoint_media_failure(db)
+                # the replay planner's history rebuilds are counted and
+                # charged like everyone else's
+                assert totals["partitions_rebuilt"] == len(db.catalog.partition_addresses())
+                params = db.config.analysis
+                assert db.recovery_cpu.instructions_in("media-replay") == (
+                    params.i_record_lookup + params.i_page_update
+                ) * totals["records_applied"]
             assert db.last_command_replay["commands_replayed"] == live
             with db.transaction() as txn:
                 rows[how] = [
@@ -555,6 +595,76 @@ class TestMediaRestore:
         db.crash()
         with pytest.raises(RecoveryError, match=f"watermark {watermark}"):
             db.restart(RecoveryMode.EAGER)
+
+
+# ---------------------------------------------------------------------------
+# command replay walks page bytes and is tallied like any rebuild
+# ---------------------------------------------------------------------------
+
+
+class TestReplayFromPageBytes:
+    @staticmethod
+    def crashed_db():
+        """Two banks whose streams put both cursors on flushed pages:
+        ``accounts`` holds live commands between value transactions,
+        ``swept`` a settlement sweep whose marker went to disk ahead of
+        value records, then two live commands of its own."""
+        db = Database(small_config())
+        make_bank(db)
+        swept = make_bank(db, "swept")
+        run_transfers(db, 6, name="swept", logging="command")
+        sweep(db, swept)
+        run_interleaved(db, 36)
+        run_transfers(db, 20, name="swept", logging="value")
+        run_transfers(db, 2, name="swept", logging="command")
+        kinds = {type(record) for record in flushed_records(db)}
+        assert {CommandBarrier, SweepMarker} <= kinds
+        digest = logical_digest(db)
+        db.crash()
+        return db, digest
+
+    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch):
+        twin, digest = self.crashed_db()
+        expected = twin.restart(RecoveryMode.EAGER)
+        assert logical_digest(twin) == digest
+
+        def refuse(*args):
+            raise AssertionError("restart built a record object")
+
+        db, _ = self.crashed_db()
+        monkeypatch.setattr("repro.wal.records.decode_record", refuse)
+        coordinator = db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 14
+        assert logical_digest(db) == digest
+        assert coordinator.records_replayed == expected.records_replayed > 0
+
+    def test_planner_rebuilds_are_tallied(self):
+        """Every catalogued partition is counted once, whether phase 1,
+        the replay planner or phase 2 rebuilt it, and the planner counts
+        the records it applied — not the barriers its cursor halted at."""
+        db, _ = self.crashed_db()
+        coordinator = db.restart(RecoveryMode.EAGER)
+        restart = db.stats()["restart"]
+        addresses = db.catalog.partition_addresses()
+        assert restart["partitions_recovered"] == sum(restart["sources"].values())
+        assert restart["partitions_recovered"] == len(addresses)
+        records = pages_read = 0
+        for address in addresses:
+            _, pages, stats = plan_rebuild(
+                **coordinator._sources(
+                    address,
+                    coordinator._checkpoint_slot(address),
+                    coordinator._command_watermark(address),
+                )
+            )
+            pages_read += stats["pages_read"] + stats["backward_reads"]
+            records += sum(
+                not isinstance(record, CommandBarrier)
+                for page in pages
+                for record in page.records
+            )
+        assert restart["records_replayed"] == records
+        assert restart["pages_read"] == pages_read > 0
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,8 @@ class TestRulesOnFixtures:
         ("RC04", 2),  # except Exception + bare except
         ("RC05", 2),  # ChaosEngine + activate
         ("RC06", 2),  # direct mutator + propagated mutator
-        ("RC07", 1),  # hook on one branch does not dominate the write
-        ("RC10", 3),  # stale registration + unregistered hook + uncovered write
+        ("RC07", 2),  # hook on one branch + dominating hook that is unregistered
+        ("RC10", 3),  # stale registration + unregistered hook + dead instrumentation
     ]
 
     @pytest.mark.parametrize("rule_id,expected", CASES)
@@ -267,7 +267,9 @@ class TestFlowAnalysis:
             "RC07",
             "repro.wal.tmp_flow",
             """
-            from repro.sim.chaos import crash_point
+            from repro.sim.chaos import crash_point, register_crash_point
+
+            register_crash_point("tmp.flush")
 
             def flush(disk, payload):
                 crash_point("tmp.flush")
@@ -302,7 +304,9 @@ class TestFlowAnalysis:
             "RC07",
             "repro.wal.tmp_flow",
             """
-            from repro.sim.chaos import crash_point
+            from repro.sim.chaos import crash_point, register_crash_point
+
+            register_crash_point("tmp.flush")
 
             def flush(disk, payload):
                 crash_point("tmp.flush")

@@ -96,30 +96,66 @@ def _apply_decoded(body, partition):
     return count
 
 
+def _stepped(replay, stops):
+    """Run a cursor ``replay(partition, start, until)`` halt by halt
+    through ``stops`` — each ``(tag, value)`` resumed where the last one
+    halted — then to the end.  Succeeding returns ``None``."""
+
+    def run(partition):
+        position = 0
+        for stop in stops:
+            _, halt = replay(partition, position, stop)
+            if halt is None:
+                return None
+            position = halt
+        replay(partition, position, None)
+        return None
+
+    return run
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     colliding_records,
     st.integers(0, 30),
     st.sampled_from(["whole", "truncated", "unknown-tag"]),
     st.integers(1, 12),
+    st.lists(
+        st.tuples(st.sampled_from([CommandBarrier.TAG, SweepMarker.TAG]), st.integers(0, 9)),
+        max_size=12,
+    ),
 )
-def test_replay_from_bytes_equals_decode_then_apply(records, repeated, damage, cut):
+def test_replay_from_bytes_equals_decode_then_apply(records, repeated, damage, cut, stops):
     """``replay_records`` over a compact body leaves the partition that
     decoding every record and applying it leaves, counts the same, and
-    refuses the same malformed or inapplicable input at the same record."""
+    refuses the same malformed or inapplicable input at the same record.
+    As a cursor — halted at barriers and sweep markers, resumed from each
+    halt — it walks the same records in the same order, so it leaves the
+    same partition and refuses at the same record, whether the damage
+    lies before or after a halt."""
     # a crash may replay a prefix twice (page written but not yet noted)
     body = b"".join(r.encode(compact=True) for r in records[:repeated] + records)
     if damage == "truncated":
         body = body[:-cut]
     elif damage == "unknown-tag":
         body += b"\xff" * cut
-    replayed = _outcome(lambda p: replay_records(body, p), Partition(PADDR, 64 * 1024))
+    replayed = _outcome(lambda p: replay_records(body, p)[0], Partition(PADDR, 64 * 1024))
     decoded = _outcome(lambda p: _apply_decoded(body, p), Partition(PADDR, 64 * 1024))
     assert replayed == decoded
-    # and a page read back from disk goes the same way
+    refused = decoded[0] if isinstance(decoded[0], tuple) else None
+    cursor = _stepped(lambda p, start, until: replay_records(body, p, start, until), stops)
+    assert _outcome(cursor, Partition(PADDR, 64 * 1024)) == (refused, decoded[1])
+    # and a page read back from disk goes the same way, as does the
+    # object-built page (the bin buffer's)
     if damage == "whole":
-        page = LogPage.decode(LogPage(PADDR, records[:repeated] + records).encode())
-        assert _outcome(page.replay, Partition(PADDR, 64 * 1024)) == replayed
+        built = LogPage(PADDR, records[:repeated] + records)
+        page = LogPage.decode(built.encode())
+        assert _outcome(lambda p: page.replay(p)[0], Partition(PADDR, 64 * 1024)) == replayed
+        for each in (page, built):
+            assert _outcome(_stepped(each.replay, stops), Partition(PADDR, 64 * 1024)) == (
+                refused,
+                decoded[1],
+            )
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,10 +13,10 @@ the registry against the call graph:
 * every ``register_crash_point``/``register_fault_point`` entry must be
   exercised by at least one hook;
 * every hook must sit in a function reachable from a public entry point
-  (module-level hooks and public functions are live by definition);
-* every durable write in the WAL/checkpoint/recovery scope must share a
-  function with at least one *registered* hook, so the sweep can
-  actually land on it.
+  (module-level hooks and public functions are live by definition).
+
+That a durable write is covered by a registered point is RC07's
+property: its dominating hook must be one.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 from tools.repro_check.flow.project import FunctionInfo, ProjectRule
 from tools.repro_check.rules import rule
-from tools.repro_check.visitor import call_name
+from tools.repro_check.visitor import call_name, literal_arg
 
 _HOOKS = {"crash_point", "fault_point"}
 _REGISTRARS = {"register_crash_point", "register_fault_point"}
-_DURABLE_CALLEES = frozenset({"write_page", "write_track"})
-_SCOPES = ("repro.wal.", "repro.checkpoint.", "repro.recovery.")
 #: The module that defines the registry and hooks; its internal uses of
 #: the names are machinery, not instrumentation.
 _CHAOS_MODULE = "repro.sim.chaos"
@@ -70,7 +68,7 @@ class PointLivenessRule(ProjectRule):
                     continue
                 name = call_name(node)
                 if name in _REGISTRARS:
-                    literal = self._literal(node)
+                    literal = literal_arg(node)
                     if literal is None:
                         self.add(
                             source,
@@ -83,7 +81,7 @@ class PointLivenessRule(ProjectRule):
                 elif name in _HOOKS:
                     hooks.append(
                         _Hook(
-                            self._literal(node),
+                            literal_arg(node),
                             node,
                             module,
                             fn_of(node.lineno),
@@ -132,46 +130,8 @@ class PointLivenessRule(ProjectRule):
                     f"overstates sweep coverage",
                 )
 
-        self._check_durable_coverage(registered, hooks)
-
-    # ------------------------------------------------------------------
-
-    def _check_durable_coverage(
-        self, registered: dict[str, tuple], hooks: list[_Hook]
-    ) -> None:
-        registered_hooks_by_fn: set[str] = {
-            hook.fn.qname
-            for hook in hooks
-            if hook.fn is not None and hook.name in registered
-        }
-        for fn in self.project.functions.values():
-            if not fn.module.startswith(_SCOPES):
-                continue
-            writes = [
-                expr
-                for expr in self.project.cfg(fn).containing
-                if isinstance(expr, ast.Call)
-                and call_name(expr) in _DURABLE_CALLEES
-            ]
-            if writes and fn.qname not in registered_hooks_by_fn:
-                self.add(
-                    fn.source,
-                    writes[0],
-                    f"durable write in {fn.name}() is covered by no "
-                    f"*registered* crash/fault point; the sweep cannot land "
-                    f"a crash on it",
-                )
-
     def _live(self, fn: FunctionInfo, reachable: set[str]) -> bool:
         return fn.is_public or fn.qname in reachable
-
-    @staticmethod
-    def _literal(call: ast.Call) -> str | None:
-        if call.args and isinstance(call.args[0], ast.Constant):
-            value = call.args[0].value
-            if isinstance(value, str):
-                return value
-        return None
 
     def _function_spans(self, module: str):
         """Line -> innermost indexed function of *module*, as a lookup

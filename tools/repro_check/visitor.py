@@ -71,6 +71,15 @@ def call_name(node: ast.AST) -> str | None:
     return None
 
 
+def literal_arg(call: ast.Call) -> str | None:
+    """The call's first argument when it is a string literal, or None."""
+    if call.args and isinstance(call.args[0], ast.Constant):
+        value = call.args[0].value
+        if isinstance(value, str):
+            return value
+    return None
+
+
 def walk_function_body(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> Iterator[ast.AST]:
