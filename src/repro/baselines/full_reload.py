@@ -6,22 +6,23 @@ for post-crash recovery, these methods will reload the entire database
 and process the log before the database is ready for transaction
 processing to resume."
 
-:class:`WholeDatabaseCheckpointer` streams *every* resident partition to
-the checkpoint disk in one sweep (under per-relation read locks), so each
-checkpoint pays for the whole database instead of being amortised over a
-partition's updates.  :func:`full_reload_restart` restores everything
-eagerly and reports the simulated time before the first transaction can
-run — database-level recovery being exactly partition-level recovery with
-one very large partition (section 3.4.1).
+:class:`WholeDatabaseCheckpointer` runs the one checkpoint transaction
+(:meth:`~repro.checkpoint.manager.CheckpointManager.copy`) over *every*
+resident partition at once, so each checkpoint pays for the whole
+database instead of being amortised over a partition's updates.
+:func:`full_reload_restart` restores everything eagerly and reports the
+simulated time before the first transaction can run — database-level
+recovery being exactly partition-level recovery with one very large
+partition (section 3.4.1).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.checkpoint.manager import COPY_INSTRUCTIONS_PER_BYTE
-from repro.concurrency.locks import LockMode
+from repro.common.errors import CheckpointError
 from repro.db.database import RecoveryMode
+from repro.recovery.replay_plan import decode_live_commands
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -34,38 +35,28 @@ class WholeDatabaseCheckpointer:
         self.db = db
         self.sweeps = 0
         self.partitions_written = 0
-        self.bytes_written = 0
 
     def checkpoint_all(self) -> float:
-        """One full-database checkpoint sweep; returns simulated seconds.
+        """One full-database checkpoint; returns simulated seconds.
 
         Every resident partition (catalog, relations, indexes) is copied
-        and written; afterwards every bin's log information is released
-        exactly as a per-partition checkpoint would do.
+        in one checkpoint transaction, which settles the live commands
+        with it (their closures are resident: replay and predeclaration
+        put them there), and then acknowledged like any checkpoint:
+        superseded slots freed, bin leftovers archived.
         """
         db = self.db
         start = db.clock.now
-        with db.transactions.scope(system=True) as txn:
-            for segment in db.memory.segments():
-                lock_segment = db.checkpoints.lock_segment_for(segment.segment_id)
-                txn.lock_relation(lock_segment, LockMode.SHARED)
-                for partition in segment.resident_partitions():
-                    image = partition.to_bytes()
-                    db.main_cpu.charge(
-                        COPY_INSTRUCTIONS_PER_BYTE * len(image), "checkpoint-copy"
-                    )
-                    slot = db.checkpoints.claim_slot(txn)
-                    previous = db.checkpoints.install_slot(partition.address, slot, txn)
-                    db.checkpoint_disk.write_image(slot, image)
-                    if previous is not None:
-                        db.checkpoint_disk.free(previous)
-                    self.partitions_written += 1
-                    self.bytes_written += len(image)
-        # all log information predates the sweep: reset every active bin
-        for bin_ in db.slt.active_bins():
-            db.slt.reset_after_checkpoint(bin_.bin_index)
-        db.publish_catalog_locations()
+        addresses = [
+            partition.address
+            for segment in db.memory.segments()
+            for partition in segment.resident_partitions()
+        ]
+        if not db.checkpoints.copy(addresses, decode_live_commands(db)):
+            raise CheckpointError("whole-database checkpoint deferred: a relation is busy")
+        db.recovery_processor.acknowledge_finished()
         self.sweeps += 1
+        self.partitions_written += len(addresses)
         return db.clock.now - start
 
 

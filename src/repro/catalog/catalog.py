@@ -240,13 +240,7 @@ class Catalog:
 
     def partition_addresses(self) -> set[PartitionAddress]:
         """Every catalogued partition: the catalog's own and the descriptors'."""
-        addresses = {
-            PartitionAddress(self.segment.segment_id, number)
-            for number in self.own_partition_slots
-        }
-        for descriptor in (*self._relations.values(), *self._indexes.values()):
-            addresses.update(descriptor.partition_addresses())
-        return addresses
+        return set(self.image_slots())
 
     def descriptor_for_segment(self, segment_id: int):
         """Find the relation or index descriptor owning a segment."""
@@ -265,6 +259,103 @@ class Catalog:
         if isinstance(descriptor, IndexDescriptor):
             return self.relation(descriptor.relation_name)
         return descriptor
+
+    # -- checkpoint images ------------------------------------------------------------
+    #
+    # Where a partition's image is recorded, which relation lock covers it
+    # and which command watermark its stream is cut at.  The catalog's own
+    # partitions keep their slots in the well-known stable areas (section
+    # 2.5), are covered by the catalog's lock and are always value-logged;
+    # every other partition is recorded in its relation's or index's
+    # descriptor and covered by its relation.
+
+    def _info(self, address: PartitionAddress):
+        descriptor = self.descriptor_for_segment(address.segment)
+        info = descriptor.partitions.get(address.partition)
+        if info is None:
+            raise CatalogError(f"{address} is not catalogued under {descriptor.name!r}")
+        return descriptor, info
+
+    def image_slot(self, address: PartitionAddress) -> int | None:
+        """The slot of ``address``'s current image (``None``: never checkpointed)."""
+        if address.segment == self.segment.segment_id:
+            return self.own_partition_slots.get(address.partition)
+        return self._info(address)[1].checkpoint_slot
+
+    def covering_segment(self, address: PartitionAddress) -> int:
+        """The segment whose relation lock covers ``address`` (section 2.4
+        step 3: one relation lock covers its tuple and index partitions)."""
+        if address.segment == self.segment.segment_id:
+            return address.segment
+        return self.relation_of_segment(address.segment).segment_id
+
+    def command_watermark(self, address: PartitionAddress) -> int:
+        """The settled-command watermark of the relation owning ``address``."""
+        if address.segment == self.segment.segment_id:
+            return 0
+        return self.relation_of_segment(address.segment).command_watermark
+
+    def image_slots(self) -> dict[PartitionAddress, int | None]:
+        """Every catalogued partition and its image slot."""
+        slots = {
+            PartitionAddress(self.segment.segment_id, number): slot
+            for number, slot in self.own_partition_slots.items()
+        }
+        for descriptor in (*self._relations.values(), *self._indexes.values()):
+            for number, info in descriptor.partitions.items():
+                slots[PartitionAddress(descriptor.segment_id, number)] = info.checkpoint_slot
+        return slots
+
+    def install_images(
+        self,
+        slots: dict[PartitionAddress, int],
+        sink: EntitySink,
+        settled: Iterable[RelationDescriptor] = (),
+        watermark: int = 0,
+    ) -> dict[PartitionAddress, int | None]:
+        """Record new image slots; returns the superseded ones.
+
+        Each touched descriptor is rewritten once through ``sink``, after
+        the ``settled`` relations' watermarks advance to ``watermark``.
+        The catalog's own slots change in place (undone on rollback); the
+        caller publishes them once the images are durable."""
+        own_segment = self.segment.segment_id
+        # resolve every address before changing any descriptor
+        owners = {a: None if a.segment == own_segment else self._info(a) for a in slots}
+        own = self.own_partition_slots
+        previous: dict[PartitionAddress, int | None] = {}
+        touched: dict[str, RelationDescriptor | IndexDescriptor] = {}
+        for address, slot in slots.items():
+            owner = owners[address]
+            if owner is None:
+                number = address.partition
+                previous[address] = old = own.get(number)
+                own[number] = slot
+                sink.on_rollback(lambda number=number, old=old: own.__setitem__(number, old))
+            else:
+                descriptor, info = owner
+                previous[address] = info.checkpoint_slot
+                info.checkpoint_slot = slot
+                touched.setdefault(descriptor.name, descriptor)
+        for relation in settled:
+            relation.command_watermark = watermark
+            touched.setdefault(relation.name, relation)
+        for descriptor in touched.values():
+            self.update(descriptor, sink)
+        return previous
+
+    def forget_images(self) -> None:
+        """Section 2.6, the checkpoint disk lost: no partition has an
+        image.  The descriptor bytes too, unlogged (the fresh checkpoints
+        that follow log each descriptor whole): a failed one among them
+        re-derives its descriptor from the bytes and must not find a lost
+        slot there."""
+        for number in self.own_partition_slots:
+            self.own_partition_slots[number] = None
+        for descriptor in (*self.relations(), *self.indexes()):
+            for info in descriptor.partitions.values():
+                info.checkpoint_slot = None
+            self.update(descriptor, None)
 
     # -- persistence --------------------------------------------------------------
 

@@ -17,12 +17,20 @@ when the transaction manager polls the request queue:
    location and flips the flag to finished.
 7. (recovery CPU) sees finished, flushes the partition's leftover log
    records to the log disk, and resets its bin.
+
+Steps 2-6 are one routine, :meth:`CheckpointManager.copy`, over a list of
+partitions the caller picks: a request's own partition; the closure of
+live commands a request escalates to, or the DDL fence settles (a group
+settlement sweep, docs/LOGGING.md); or every resident partition (the
+whole-database baseline).  The only other procedure installs a condensed
+shadow image and copies nothing (:meth:`CheckpointManager._run_flip`).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.common.errors import CatalogError, NotResidentError, TransactionAborted
 from repro.common.types import PartitionAddress
@@ -98,33 +106,44 @@ class CheckpointManager:
                 # An earlier sweep in this pass already checkpointed this
                 # partition and flipped its entry to FINISHED.
                 continue
-            closure, commands = self._command_closure_for(request)
-            if commands:
-                if self._run_group(request, closure, commands):
-                    done += 1
-            elif self._run_one(request):
-                done += 1
+            commands = self._live_closure_of(request)
+            flip_lsn = None if commands else self._flip_lsn_for(request)
+            if flip_lsn is not None:
+                done += self._run_flip(request, flip_lsn)
+            else:
+                addresses = self.closure_partitions(commands) if commands else [request.partition]
+                done += self.copy(addresses, commands, request)
         return done
 
-    def _command_closure_for(
-        self, request: CheckpointRequest
-    ) -> tuple[list[str], list[TxnCommand]]:
-        """The live-command closure a request's relation belongs to.
+    def _live_closure_of(self, request: CheckpointRequest) -> list[TxnCommand]:
+        """The live commands of the closure a request's relation belongs to.
 
-        Non-empty commands mean a plain checkpoint of this partition must
+        If there are any, a plain checkpoint of this partition must
         escalate to a group settlement sweep: copying one partition of a
         relation with live commands would tear a command's effects across
         image and re-execution (docs/LOGGING.md)."""
         db = self.db
         segment_id = request.partition.segment
         if segment_id == db.catalog.segment.segment_id:
-            return [], []  # catalog changes are always value-logged
+            return []  # catalog changes are always value-logged
         commands = decode_live_commands(db)
         if not commands:
-            return [], []
+            return []
         relation = db.catalog.relation_of_segment(segment_id)
-        relations, batch = relation_closure(commands, relation.name)
-        return sorted(relations), batch
+        return relation_closure(commands, relation.name)[1]
+
+    def closure_partitions(self, commands: Sequence[TxnCommand]) -> list[PartitionAddress]:
+        """Every partition of the relations ``commands`` declare and of
+        their indexes: relations by segment id, each followed by its
+        indexes."""
+        catalog = self.db.catalog
+        names = {name for command in commands for name in command.relations}
+        return [
+            address
+            for relation in sorted(map(catalog.relation, names), key=attrgetter("segment_id"))
+            for member in (relation, *catalog.indexes_of(relation.name))
+            for address in member.partition_addresses()
+        ]
 
     def _flip_lsn_for(self, request: CheckpointRequest) -> int | None:
         """The watermark to flip at, or ``None`` if a copy is needed.
@@ -141,17 +160,10 @@ class CheckpointManager:
         db = self.db
         if not db.config.condense_enabled:
             return None
-        segment_id = request.partition.segment
-        if segment_id == db.catalog.segment.segment_id:
-            return None
         try:
-            descriptor = db.catalog.descriptor_for_segment(segment_id)
+            catalog_slot = db.catalog.image_slot(request.partition)
         except CatalogError:
             return None
-        info = descriptor.partitions.get(request.partition.partition)
-        if info is None:
-            return None
-        catalog_slot = info.checkpoint_slot
         bin_ = db.slt.bin(request.bin_index)
         if (
             bin_.condensed_slot is not None
@@ -164,16 +176,17 @@ class CheckpointManager:
         return None
 
     @contextlib.contextmanager
-    def _attempt(self, request: CheckpointRequest) -> Iterator[Transaction]:
+    def _attempt(self, request: CheckpointRequest | None) -> Iterator[Transaction]:
         """One attempt at a checkpoint procedure: step 2, then the body as
         a system transaction inside the transaction frame
         (:meth:`TransactionManager.scope`).  A lock conflict or a partition
         still awaiting recovery *defers* the attempt — swallowed here, the
-        caller finds the request back in ``REQUEST``; any other error
+        caller finds the transaction ``ABORTED``; any other error
         propagates.  Either way a rolled-back attempt returns its request
         to the queue; a crash leaves it ``IN_PROGRESS`` for restart."""
         crash_point("checkpoint.begin")
-        request.state = RequestState.IN_PROGRESS
+        if request is not None:
+            request.state = RequestState.IN_PROGRESS
         txn: Transaction | None = None
         try:
             with self.db.transactions.scope(system=True) as txn:
@@ -182,7 +195,7 @@ class CheckpointManager:
         except (TransactionAborted, NotResidentError):
             self.checkpoints_deferred += 1  # retry on a later pass
         finally:
-            if txn is not None and txn.state is TxnState.ABORTED:
+            if request is not None and txn is not None and txn.state is TxnState.ABORTED:
                 request.state = RequestState.REQUEST
                 request.previous_slot = None
 
@@ -196,13 +209,14 @@ class CheckpointManager:
         relative to ``flip_lsn`` instead of clearing it.
         """
         db = self.db
+        address = request.partition
         with self._attempt(request) as txn:
             shadow = db.slt.bin(request.bin_index).condensed_slot
             if shadow is None:  # chain vanished since the decision
                 raise TransactionAborted("condense chain gone", txn_id=txn.txn_id)
-            request.previous_slot = self.install_slot(request.partition, shadow, txn)
+            request.previous_slot = db.catalog.install_images({address: shadow}, txn)[address]
             crash_point("checkpoint.slot-installed")
-        if request.state is RequestState.REQUEST:
+        if txn.state is TxnState.ABORTED:
             return False  # deferred
         if request.previous_slot == shadow:
             # The catalog already pointed at the shadow (re-run after a
@@ -216,136 +230,97 @@ class CheckpointManager:
         self.flips_taken += 1
         return True
 
-    def _run_one(self, request: CheckpointRequest) -> bool:
+    def copy(
+        self,
+        addresses: list[PartitionAddress],
+        commands: Sequence[TxnCommand] = (),
+        request: CheckpointRequest | None = None,
+    ) -> bool:
+        """The checkpoint transaction: copy ``addresses`` in one system
+        transaction (steps 2-6); returns False if it was deferred.
+
+        ``commands`` are live commands the copy settles — ``addresses``
+        must cover their whole closure (:meth:`closure_partitions`).  Then
+        the SHARED locks on the closure relations are held through the
+        commit point instead of released after the copy: every partition
+        comes from the same transaction-consistent cut, the relations'
+        ``command_watermark`` advances with the slot installs, and a
+        :class:`SweepMarker` carrying it goes to each closure partition's
+        stream while nothing else can write to it.  After commit the
+        settled commands leave the stable command log — their effects now
+        live in the images — and every copied partition's queue entry is
+        FINISHED: step 7 (``acknowledge_finished``) frees the superseded
+        slots and archives the bins' leftovers.
+        """
         db = self.db
-        flip_lsn = self._flip_lsn_for(request)
-        if flip_lsn is not None:
-            return self._run_flip(request, flip_lsn)
+        catalog = db.catalog
+        settled = sorted(
+            map(catalog.relation, {name for c in commands for name in c.relations}),
+            key=attrgetter("segment_id"),
+        )
         with self._attempt(request) as txn:
-            lock_segment = self.lock_segment_for(request.partition.segment)
-            txn.lock_relation(lock_segment, LockMode.SHARED)
+            # Step 3: read-lock every covering relation, in segment order.
+            covering = [catalog.covering_segment(address) for address in addresses]
+            locked = sorted({*covering, *(relation.segment_id for relation in settled)})
+            for segment_id in locked:
+                txn.lock_relation(segment_id, LockMode.SHARED)
             crash_point("checkpoint.locked")
-            partition = db.memory.partition(request.partition)
-            # Step 4: copy at memory speed, then release the lock at once.
-            image = partition.to_bytes()
-            db.main_cpu.charge(
-                COPY_INSTRUCTIONS_PER_BYTE * len(image), "checkpoint-copy"
-            )
-            db.locks.release(txn.txn_id, ("rel", lock_segment))
+            watermark = db.slb.command_seq
+            # Step 4: copy at memory speed, all before any catalog state
+            # is touched (a partition awaiting recovery defers the lot),
+            # then release the locks at once unless settling.
+            images = []
+            for address in addresses:
+                image = db.memory.partition(address).to_bytes()
+                db.main_cpu.charge(
+                    COPY_INSTRUCTIONS_PER_BYTE * len(image), "checkpoint-copy"
+                )
+                images.append(image)
+            if not commands:
+                for segment_id in locked:
+                    db.locks.release(txn.txn_id, ("rel", segment_id))
             crash_point("checkpoint.copied")
-            # Step 5: log the catalog / disk-map updates before the write.
-            slot = self.claim_slot(txn)
-            request.previous_slot = self.install_slot(request.partition, slot, txn)
+            # Step 5: claim every slot (a copy that does not fit fails with
+            # nothing yet to re-derive), then log the catalog updates
+            # before any image is written.
+            slots = {address: self.claim_slot(txn) for address in addresses}
+            previous = catalog.install_images(slots, txn, settled, watermark)
             crash_point("checkpoint.slot-installed")
-            # Step 6: write the image and commit.
-            db.checkpoint_disk.write_image(slot, image)
-            if request.partition.segment == db.catalog.segment.segment_id:
-                # Publish the catalog's own new location only once the
-                # image is durable: the well-known areas are not logged,
+            # Step 6: write the images to their fresh slots.
+            for address, image in zip(addresses, images):
+                db.checkpoint_disk.write_image(slots[address], image)
+            if catalog.segment.segment_id in covering:
+                # Publish the catalog's own new locations only once the
+                # images are durable: the well-known areas are not logged,
                 # so an earlier publish would dangle if we crashed here.
                 db.publish_catalog_locations()
             crash_point("checkpoint.image-written")
-        if request.state is RequestState.REQUEST:
+            if commands:
+                # One marker per closure partition, through this
+                # transaction's own chain while the closure locks still
+                # exclude writers: its stream position is the image point.
+                closure = {relation.segment_id for relation in settled}
+                for address, segment_id in zip(addresses, covering):
+                    if segment_id in closure:
+                        bin_index = db.slt.bin_index_of(address)
+                        db.append_log(
+                            txn.txn_id,
+                            SweepMarker(txn.txn_id, bin_index, address, watermark),
+                        )
+                crash_point("checkpoint.sweep.markers-appended")
+            # commit releases any lock still held, after the commit point
+        if txn.state is TxnState.ABORTED:
             return False  # deferred
-        request.state = RequestState.FINISHED
-        self.checkpoints_taken += 1
-        return True
-
-    # -- group settlement sweep (docs/LOGGING.md) --------------------------------------
-
-    def _run_group(
-        self,
-        request: CheckpointRequest,
-        closure: list[str],
-        commands: list[TxnCommand],
-    ) -> bool:
-        """Checkpoint a whole declared closure atomically, settling its
-        live commands.
-
-        Unlike the single-partition procedure, the SHARED relation locks on
-        the *entire* closure are held through the commit point: every
-        partition of every closure relation (and index) is copied from the
-        same transaction-consistent cut, a :class:`SweepMarker` carrying
-        the captured command watermark is appended to each copied
-        partition's stream while nothing else can write to it, and the
-        descriptors' ``command_watermark`` advance together.  After commit,
-        commands at or below the watermark are pruned from the stable
-        command log — their effects now live in the images.
-        """
-        db = self.db
-        with self._attempt(request) as txn:
-            relation_descriptors = sorted(
-                (db.catalog.relation(name) for name in closure),
-                key=lambda descriptor: descriptor.segment_id,
-            )
-            for descriptor in relation_descriptors:
-                txn.lock_relation(descriptor.segment_id, LockMode.SHARED)
-            crash_point("checkpoint.locked")
-            watermark = db.slb.command_seq
-            members = []
-            for descriptor in relation_descriptors:
-                members.append(descriptor)
-                members.extend(
-                    db.catalog.index(index_name)
-                    for index_name in descriptor.index_names
-                )
-            # Copy everything first: a partition awaiting recovery defers
-            # the whole sweep before any catalog state has been touched.
-            copies: list[tuple[object, int, bytes]] = []
-            for member in members:
-                for number in sorted(member.partitions):
-                    address = PartitionAddress(member.segment_id, number)
-                    image = db.memory.partition(address).to_bytes()
-                    db.main_cpu.charge(
-                        COPY_INSTRUCTIONS_PER_BYTE * len(image), "checkpoint-copy"
-                    )
-                    copies.append((member, number, image))
-            crash_point("checkpoint.copied")
-            previous: dict[PartitionAddress, int | None] = {}
-            # Claim every slot before touching a descriptor: a sweep that
-            # does not fit fails with nothing yet to re-derive.
-            slots = [self.claim_slot(txn) for _ in copies]
-            for (member, number, _), slot in zip(copies, slots):
-                info = member.partitions[number]
-                previous[PartitionAddress(member.segment_id, number)] = (
-                    info.checkpoint_slot
-                )
-                info.checkpoint_slot = slot
-            for descriptor in relation_descriptors:
-                descriptor.command_watermark = watermark
-            for member in members:
-                db.catalog.update(member, txn)
-            crash_point("checkpoint.slot-installed")
-            for member, number, image in copies:
-                db.checkpoint_disk.write_image(
-                    member.partitions[number].checkpoint_slot, image
-                )
-            crash_point("checkpoint.image-written")
-            # One marker per copied partition, through this transaction's
-            # own chain while the closure locks still exclude writers: the
-            # marker's stream position is exactly the image point.
-            for member, number, _ in copies:
-                address = PartitionAddress(member.segment_id, number)
-                db.append_log(
-                    txn.txn_id,
-                    SweepMarker(
-                        txn.txn_id, db.slt.bin_index_of(address), address, watermark
-                    ),
-                )
-            crash_point("checkpoint.sweep.markers-appended")
-            # commit releases the closure locks, after the commit point
-        if request.state is RequestState.REQUEST:
-            return False  # deferred
-        settled = [record.csn for record in commands if record.csn <= watermark]
-        db.slb.discard_commands(settled)
-        for member, number, _ in copies:
-            address = PartitionAddress(member.segment_id, number)
+        if commands:
+            settled_csns = [c.csn for c in commands if c.csn <= watermark]
+            db.slb.discard_commands(settled_csns)
+            self.sweeps_taken += 1
+            self.commands_settled += len(settled_csns)
+        for address in addresses:
             db.checkpoint_queue.finish_for(
                 address, db.slt.bin_index_of(address), previous[address]
             )
         self.checkpoints_taken += 1
-        self.sweeps_taken += 1
-        self.commands_settled += len(settled)
         return True
 
     def settle_relation(self, name: str) -> int:
@@ -360,11 +335,10 @@ class CheckpointManager:
         settled_total = 0
         attempts = 0
         while True:
-            relations, batch = relation_closure(decode_live_commands(db), name)
+            batch = relation_closure(decode_live_commands(db), name)[1]
             if not batch:
                 return settled_total
-            probe = CheckpointRequest(PartitionAddress(-1, -1), -1, "ddl-settlement")
-            if self._run_group(probe, sorted(relations), batch):
+            if self.copy(self.closure_partitions(batch), batch):
                 settled_total += len(batch)
                 attempts = 0
                 # Drain the sweep's markers (and any undrained barriers)
@@ -384,14 +358,6 @@ class CheckpointManager:
                 )
             db.engine.drain_log()
 
-    def lock_segment_for(self, segment_id: int) -> int:
-        """The segment whose relation-level lock covers ``segment_id``'s
-        partitions (paper section 2.4 step 3)."""
-        if segment_id == self.db.catalog.segment.segment_id:
-            return segment_id  # catalog partitions lock the catalog itself
-        relation = self.db.catalog.relation_of_segment(segment_id)
-        return relation.segment_id
-
     def claim_slot(self, txn: Transaction) -> int:
         """A fresh slot for a checkpoint transaction.  The allocation map
         is volatile and has no byte image, so a rollback frees the slot
@@ -401,54 +367,14 @@ class CheckpointManager:
         txn.on_rollback(lambda: disk.free(slot))
         return slot
 
-    def install_slot(
-        self, address: PartitionAddress, slot: int, txn: Transaction
-    ) -> int | None:
-        """Record the new checkpoint location in the catalogs (logged).
-
-        Returns the superseded slot (freed after the acknowledgement).
-        Catalog partitions keep their locations in the well-known stable
-        areas instead, duplicated in the SLB and the SLT (section 2.4
-        step 5 / section 2.5).
-        """
-        db = self.db
-        segment_id, number = address.segment, address.partition
-        if segment_id == db.catalog.segment.segment_id:
-            slots = db.catalog.own_partition_slots
-            previous = slots.get(number)
-            slots[number] = slot
-            txn.on_rollback(lambda: slots.__setitem__(number, previous))
-            # well-known publish is deferred to after the image write
-            return previous
-        descriptor = db.catalog.descriptor_for_segment(segment_id)
-        info = descriptor.partitions.get(number)
-        if info is None:
-            raise CatalogError(
-                f"{address} is not catalogued under {descriptor.name!r}"
-            )
-        previous = info.checkpoint_slot
-        info.checkpoint_slot = slot
-        db.catalog.update(descriptor, txn)
-        return previous
-
     # -- restart support -------------------------------------------------------------
 
     def occupied_slots(self) -> set[int]:
         """Every slot referenced by the catalogs (for map rebuild)."""
-        occupied: set[int] = set()
-        for descriptor in list(self.db.catalog.relations()) + list(
-            self.db.catalog.indexes()
-        ):
-            for info in descriptor.partitions.values():
-                if info.checkpoint_slot is not None:
-                    occupied.add(info.checkpoint_slot)
-        for slot in self.db.catalog.own_partition_slots.values():
-            if slot is not None:
-                occupied.add(slot)
+        occupied = set(self.db.catalog.image_slots().values())
         # Published shadow images (docs/CONDENSING.md) are referenced from
         # the stable bins rather than the catalog; the map rebuild must
         # not hand their slots out again.
-        for bin_ in self.db.slt.bins():
-            if bin_.condensed_slot is not None:
-                occupied.add(bin_.condensed_slot)
+        occupied.update(bin_.condensed_slot for bin_ in self.db.slt.bins())
+        occupied.discard(None)
         return occupied

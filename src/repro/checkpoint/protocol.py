@@ -94,10 +94,10 @@ class CheckpointQueue:
         reason: str = "sweep",
     ) -> None:
         """Mark the entry for ``partition`` FINISHED, creating one if none
-        exists: a group settlement sweep checkpoints every partition of a
-        declared closure, including ones that never requested it, and each
-        copied partition needs a FINISHED entry so the recovery CPU flushes
-        its leftovers and resets its bin."""
+        exists: a settlement sweep or a whole-database checkpoint copies
+        partitions that never requested it, and each copied partition
+        needs a FINISHED entry so the recovery CPU flushes its leftovers,
+        resets its bin and frees ``previous_slot``."""
         for entry in self._entries():
             if entry.partition == partition:
                 entry.state = RequestState.FINISHED

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from repro.catalog.catalog import CATALOG_LOCATIONS_KEY
 from repro.catalog.schema import NULL_HANDLE
 from repro.common.errors import IndexStructureError, ReproError, StorageError
-from repro.common.types import EntityAddress
+from repro.common.types import EntityAddress, PartitionAddress
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -120,28 +120,16 @@ def _check_checkpoint_slots(db: "Database") -> list[str]:
     holds no slot that neither a descriptor, a bin's condense chain nor a
     finished request's superseded image references."""
     problems = []
-    seen: dict[int, str] = {}
+    seen: dict[int, PartitionAddress] = {}
     allocated = db.checkpoint_disk.allocated_slots()
-    descriptors = list(db.catalog.relations()) + list(db.catalog.indexes())
-    entries = [
-        (descriptor.name, info.checkpoint_slot)
-        for descriptor in descriptors
-        for info in descriptor.partitions.values()
-    ]
-    entries.extend(
-        (f"catalog:{number}", slot)
-        for number, slot in db.catalog.own_partition_slots.items()
-    )
-    for name, slot in entries:
+    for address, slot in sorted(db.catalog.image_slots().items()):
         if slot is None:
             continue
         if slot not in allocated:
-            problems.append(f"{name}: checkpoint slot {slot} not allocated on disk")
+            problems.append(f"{address}: checkpoint slot {slot} not allocated on disk")
         if slot in seen:
-            problems.append(
-                f"{name}: checkpoint slot {slot} shared with {seen[slot]}"
-            )
-        seen[slot] = name
+            problems.append(f"{address}: checkpoint slot {slot} shared with {seen[slot]}")
+        seen[slot] = address
     referenced = db.checkpoints.occupied_slots() | {
         request.previous_slot for request in db.checkpoint_queue.in_flight()
     }

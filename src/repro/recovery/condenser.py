@@ -156,12 +156,10 @@ class Condenser:
             if address.segment == catalog_segment:
                 continue
             try:
-                descriptor = db.catalog.descriptor_for_segment(address.segment)
+                catalog_slot = db.catalog.image_slot(address)
                 relation = db.catalog.relation_of_segment(address.segment)
             except CatalogError:
                 continue  # mid-DDL: not (or no longer) catalogued
-            info = descriptor.partitions.get(address.partition)
-            catalog_slot = info.checkpoint_slot if info is not None else None
             stale = self._reconcile(bin_, catalog_slot)
             if stale is not None:
                 db.checkpoint_disk.free(stale)

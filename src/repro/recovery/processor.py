@@ -87,14 +87,14 @@ class RecoveryProcessor:
 
     # -- the sorting step -----------------------------------------------------------
 
-    def step(self, max_records: int | None = None) -> int:
+    def step(self) -> int:
         """Drain committed records from the SLB into SLT bins.
 
         Returns the number of records sorted.  Full bin pages are flushed
         as they appear; checkpoint triggers are evaluated as pages are
         written (age) and after the drain (update count).
         """
-        records = self.slb.drain_committed(max_records)
+        records = self.slb.drain_committed()
         deposited = 0
         try:
             for record in records:

@@ -265,10 +265,7 @@ class CommandReplayPlanner:
             index_segments.update(index.segment_id for index in indexes)
             for member in (descriptor, *indexes):
                 for address in member.partition_addresses():
-                    slot = member.partitions[address.partition].checkpoint_slot
-                    partition, pages, stats = plan_rebuild(
-                        **coordinator._sources(address, slot, descriptor.command_watermark)
-                    )
+                    partition, pages, stats = plan_rebuild(**coordinator._sources(address))
                     stats["records_applied"] = 0
                     streams.append((partition, pages, stats))
         for partition, _, _ in streams:

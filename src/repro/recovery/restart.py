@@ -194,11 +194,10 @@ class RestartCoordinator:
             db.catalog = Catalog(db.memory)
             self.catalog_restore_seconds = db.clock.now - start
             return
-        catalog, locations = Catalog.from_well_known_entry(db.memory, entry)
-        for address, slot in locations:
-            catalog.segment.install(self._rebuild(address, slot)[0])
-        db.catalog = catalog
-        catalog.rebuild()
+        db.catalog, locations = Catalog.from_well_known_entry(db.memory, entry)
+        for address, _ in locations:
+            db.catalog.segment.install(self._rebuild(address)[0])
+        db.catalog.rebuild()
         if images_lost:
             self._forget_lost_images()
         crash_point("restart.phase1.catalog-recovered")
@@ -212,17 +211,7 @@ class RestartCoordinator:
         condense chain.  The ordinary map rebuild then finds nothing
         occupied and the replacement disk starts clean."""
         db = self.db
-        slots = db.catalog.own_partition_slots
-        for number in slots:
-            slots[number] = None
-        for descriptor in (*db.catalog.relations(), *db.catalog.indexes()):
-            for info in descriptor.partitions.values():
-                info.checkpoint_slot = None
-            # In the entity bytes too (unlogged: the fresh checkpoints that
-            # follow log the descriptor whole): a failed attempt among them
-            # re-derives the descriptor from its bytes and must not find a
-            # lost slot there.
-            db.catalog.update(descriptor, None)
+        db.catalog.forget_images()
         for bin_ in db.slt.bins():
             db.slt.clear_condense_state(bin_.bin_index)
 
@@ -276,62 +265,35 @@ class RestartCoordinator:
             return None
         if segment.is_resident(address.partition):
             return None
-        partition, stats = self._rebuild(
-            address,
-            self._checkpoint_slot(address),
-            self._command_watermark(address),
-        )
+        partition, stats = self._rebuild(address)
         segment.install(partition)
         crash_point("restart.phase2.partition-recovered")
         return stats
 
-    def _sources(
-        self, address: PartitionAddress, slot: int | None, command_watermark: int
-    ) -> dict:
+    def _sources(self, address: PartitionAddress) -> dict:
         """The rebuild pipeline's arguments for one partition of this
-        database.  Both phases and the command replay planner pass the
+        database, its image slot and command watermark as the catalog
+        records them.  Both phases and the command replay planner pass the
         same inputs — the catalog partitions of phase 1 have leftovers in
         the stable archive buffer like anyone else's — and with the
         images lost every one of them replays the same ``history``."""
         db = self.db
         return dict(
             address=address,
-            checkpoint_slot=slot,
+            checkpoint_slot=db.catalog.image_slot(address),
             disk_queue=db.checkpoint_disk,
             log_disk=db.log_disk,
             slt=db.slt,
             partition_size=db.config.partition_size,
-            command_watermark=command_watermark,
+            command_watermark=db.catalog.command_watermark(address),
             pending_archive=db.recovery_processor.pending_archive_records,
             history=self.history,
         )
 
-    def _rebuild(
-        self, address: PartitionAddress, slot: int | None, command_watermark: int = 0
-    ) -> tuple[Partition, dict]:
-        partition, stats = rebuild_partition_resilient(
-            **self._sources(address, slot, command_watermark)
-        )
+    def _rebuild(self, address: PartitionAddress) -> tuple[Partition, dict]:
+        partition, stats = rebuild_partition_resilient(**self._sources(address))
         self._note(stats)
         return partition, stats
-
-    def _checkpoint_slot(self, address: PartitionAddress) -> int | None:
-        db = self.db
-        if address.segment == db.catalog.segment.segment_id:
-            return db.catalog.own_partition_slots.get(address.partition)
-        descriptor = db.catalog.descriptor_for_segment(address.segment)
-        info = descriptor.partitions.get(address.partition)
-        if info is None:
-            raise RecoveryError(f"{address} is not catalogued")
-        return info.checkpoint_slot
-
-    def _command_watermark(self, address: PartitionAddress) -> int:
-        """The owning relation's settled-command watermark (0 for catalog
-        partitions: catalog changes are always value-logged)."""
-        db = self.db
-        if address.segment == db.catalog.segment.segment_id:
-            return 0
-        return db.catalog.relation_of_segment(address.segment).command_watermark
 
     def recover_relation(self, name: str) -> int:
         """Predeclared access (section 2.5 method 1): restore a relation's

@@ -134,7 +134,7 @@ class StableLogBuffer:
         refill (never needs more blocks than it freed).  ``unwritten``
         names records an open chain lost for good — rolled back or
         converted away, they never reach the log, so they leave the
-        written counters too; drained records do not.  Returns how many."""
+        written counters too.  Returns how many."""
         self._free_chain(chain)
         chain.blocks = []
         chain.record_count = 0
@@ -339,26 +339,16 @@ class StableLogBuffer:
     def committed_record_count(self) -> int:
         return sum(chain.record_count for chain in self._committed)
 
-    def drain_committed(self, max_records: int | None = None) -> list[RedoRecord]:
+    def drain_committed(self) -> list[RedoRecord]:
         """Remove and return committed records in commit order.
 
         The recovery CPU calls this to feed the Stable Log Tail.  Blocks
-        are freed as their chains are fully consumed.  ``max_records``
-        bounds one drain step so the simulation can interleave work.
+        are freed as their chains are consumed.
         """
         drained: list[RedoRecord] = []
         while self._committed:
             chain = self._committed[0]
-            remaining = None if max_records is None else max_records - len(drained)
-            if remaining is not None and remaining <= 0:
-                break
-            records = list(chain.records())
-            if remaining is not None and len(records) > remaining:
-                # Partially drain the head chain: keep the tail records.
-                drained.extend(records[:remaining])
-                self._repack(chain, records[remaining:])
-                break
-            drained.extend(records)
+            drained.extend(chain.records())
             self._committed.pop(0)
             self._free_chain(chain)
         return drained

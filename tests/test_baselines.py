@@ -8,6 +8,11 @@ from repro.baselines import (
     WholeDatabaseCheckpointer,
     full_reload_restart,
 )
+from repro.db.integrity import verify_integrity
+from repro.recovery import restore_after_checkpoint_media_failure
+from repro.recovery.oracle import logical_digest
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
+from repro.sim.faults import SimulatedCrash
 
 
 def loaded_db():
@@ -57,6 +62,73 @@ class TestWholeDatabaseCheckpointer:
         sweep_seconds = sweeper.checkpoint_all()
         per_partition_seconds = sweep_seconds / sweeper.partitions_written
         assert sweep_seconds > 2 * per_partition_seconds
+
+
+class TestWholeDatabaseCheckpointIsOneCheckpoint:
+    """The whole-database checkpoint is the per-partition procedure over
+    every partition at once, so it keeps that procedure's guarantees."""
+
+    def test_crash_before_commit_keeps_every_superseded_image(self):
+        db, rel, addrs = loaded_db()
+        sweeper = WholeDatabaseCheckpointer(db)
+        sweeper.checkpoint_all()
+        with db.transaction() as txn:
+            rel.update(txn, addrs[3], {"v": 999})
+        digest = logical_digest(db)
+        plan = ChaosPlan.crash_at(0, "checkpoint.image.after-write", after_visits=2)
+        with chaos(ChaosEngine(plan)):
+            with pytest.raises(SimulatedCrash):
+                sweeper.checkpoint_all()
+        db.crash()
+        coordinator = db.restart(RecoveryMode.EAGER)
+        assert coordinator.sources["history"] == 0
+        assert logical_digest(db) == digest
+
+    def test_bin_leftovers_survive_a_lost_checkpoint_disk(self):
+        """What the bins still buffer at the checkpoint is archived, not
+        dropped: the log history stays complete for archive recovery.
+        (The restore re-images everything, so rows are compared rather
+        than the slot-bearing digest.)"""
+        db, rel, addrs = loaded_db()
+        with db.transaction() as txn:
+            for i in range(10):
+                rel.update(txn, addrs[i], {"v": -i})
+        assert any(bin_.buffer for bin_ in db.slt.bins())
+        WholeDatabaseCheckpointer(db).checkpoint_all()
+        expected = [(i, -i if i < 10 else i) for i in range(50)]
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        restore_after_checkpoint_media_failure(db)
+        assert verify_integrity(db) == []
+        with db.transaction() as txn:
+            table = db.table("items")
+            assert [(row["id"], row["v"]) for row in table.scan(txn)] == expected
+            assert [table.lookup(txn, i)["v"] for i, _ in expected] == [
+                v for _, v in expected
+            ]
+
+    def test_live_commands_are_settled_not_replayed(self):
+        db = Database(SystemConfig(log_page_size=1024))
+        accounts = db.create_relation(
+            "accounts", [("id", "int"), ("balance", "int")], primary_key="id"
+        )
+        with db.transaction() as txn:
+            for i in range(10):
+                accounts.insert(txn, {"id": i, "balance": 100})
+
+        def deposit(txn, aid, amount):
+            row = accounts.lookup(txn, aid)
+            accounts.update(txn, row.address, {"balance": row["balance"] + amount})
+
+        db.register_script("deposit", deposit, relations=["accounts"])
+        for aid in range(2, 10):
+            db.run_script("deposit", aid, 5, logging="command")
+        WholeDatabaseCheckpointer(db).checkpoint_all()
+        assert not db.slb.live_commands()
+        digest = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert logical_digest(db) == digest
 
 
 class TestFullReloadRestart:

@@ -9,9 +9,17 @@ from repro.checkpoint.protocol import RequestState
 from repro.common import CheckpointError, PartitionAddress
 from repro.common.errors import MediaFailure
 from repro.common.config import DiskParameters
+from repro.concurrency.latch import assert_no_latch_held
 from repro.db.integrity import verify_integrity
 from repro.sim import SimulatedDisk, VirtualClock
-from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
+from repro.sim.chaos import (
+    FAULT,
+    ChaosEngine,
+    ChaosPlan,
+    ChaosRule,
+    chaos,
+    set_crash_point_observer,
+)
 from repro.wal.slt import CheckpointReason
 
 
@@ -138,6 +146,62 @@ class TestRequestProtocol:
             db.recovery_processor.archive_backlog_records > 0
             or db.recovery_processor.archive_pages_written > 0
         )
+
+
+class TestCrashPointOrder:
+    """One checkpoint transaction passes its crash points in the paper's
+    step order; torture plans and their frozen records count on it.  The
+    recording observer keeps checking the latch rule."""
+
+    STEPS = [
+        "checkpoint.begin",
+        "checkpoint.locked",
+        "checkpoint.copied",
+        "checkpoint.slot-installed",
+    ]
+    IMAGE = ["checkpoint.image.before-write", "checkpoint.image.after-write"]
+
+    @staticmethod
+    def passages(db, address):
+        seen = []
+
+        def observe(name):
+            assert_no_latch_held(name)
+            if name.startswith("checkpoint."):
+                seen.append(name)
+
+        bin_ = db.slt.bin_for_partition(address)
+        db.slt.mark_for_checkpoint(bin_.bin_index, "test")
+        db.checkpoint_queue.submit(address, bin_.bin_index, "test")
+        set_crash_point_observer(observe)
+        try:
+            assert db.checkpoints.process_pending() == 1
+        finally:
+            set_crash_point_observer(assert_no_latch_held)
+        return seen
+
+    def test_plain_checkpoint_and_settlement_sweep(self):
+        db, rel, addrs = loaded_db(config(update_count_threshold=10_000))
+        address = addrs[0].partition_address
+        assert self.passages(db, address) == [
+            *self.STEPS, *self.IMAGE, "checkpoint.image-written", "checkpoint.committed"
+        ]
+
+        def bump(txn, key):
+            row = rel.lookup(txn, key)
+            rel.update(txn, row.address, {"v": row["v"] + 1})
+
+        db.register_script("bump", bump, relations=["items"])
+        db.run_script("bump", 0, logging="command")
+        db.recovery_processor.acknowledge_finished()
+        # the sweep copies the closure: the relation's partition and its index's
+        assert self.passages(db, address) == [
+            *self.STEPS,
+            *self.IMAGE * 2,
+            "checkpoint.image-written",
+            "checkpoint.sweep.markers-appended",
+            "checkpoint.committed",
+        ]
 
 
 class TestDiskQueue:

@@ -650,13 +650,7 @@ class TestReplayFromPageBytes:
         assert restart["partitions_recovered"] == len(addresses)
         records = pages_read = 0
         for address in addresses:
-            _, pages, stats = plan_rebuild(
-                **coordinator._sources(
-                    address,
-                    coordinator._checkpoint_slot(address),
-                    coordinator._command_watermark(address),
-                )
-            )
+            _, pages, stats = plan_rebuild(**coordinator._sources(address))
             pages_read += stats["pages_read"] + stats["backward_reads"]
             records += sum(
                 not isinstance(record, CommandBarrier)

@@ -381,6 +381,9 @@ class TestPartialDrainCrash:
     def test_crash_mid_drain_loses_nothing(self, db):
         """Crash while the recovery CPU has sorted only part of the
         committed backlog: the rest drains at restart."""
+        from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
+        from repro.sim.faults import SimulatedCrash
+
         accounts = make_accounts(db)
         addrs = {}
         with db.transaction() as txn:
@@ -389,8 +392,10 @@ class TestPartialDrainCrash:
         with db.transaction(pump=False) as txn:
             for i in range(20):
                 accounts.update(txn, addrs[i], {"balance": i + 100})
-        # sort only a few records, then crash
-        db.recovery_processor.step(max_records=7)
+        # sort a few records, then crash: the rest goes back to the SLB
+        plan = ChaosPlan.crash_at(0, "recovery.sort.after-deposit", after_visits=7)
+        with chaos(ChaosEngine(plan)), pytest.raises(SimulatedCrash):
+            db.recovery_processor.run_until_drained()
         assert db.slb.committed_record_count() > 0
         db.crash()
         db.restart()

@@ -24,15 +24,6 @@ def small_db(**kwargs):
 
 
 class TestSortingStep:
-    def test_step_is_bounded(self):
-        db, rel, addrs = small_db()
-        with db.transaction(pump=False) as txn:
-            for i in range(30):
-                rel.update(txn, addrs[i], {"v": 1})
-        sorted_now = db.recovery_processor.step(max_records=5)
-        assert sorted_now == 5
-        assert db.slb.committed_record_count() > 0
-
     def test_run_until_drained_empties_slb(self):
         db, rel, addrs = small_db()
         with db.transaction(pump=False) as txn:

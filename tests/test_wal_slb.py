@@ -111,31 +111,8 @@ class TestDrain:
         assert slb.stable.used_bytes < used_before
         assert slb.committed_chain_count == 0
 
-    def test_partial_drain_respects_limit_and_order(self, slb):
-        slb.open_chain(1)
-        for i in range(10):
-            slb.append(1, record(1, i))
-        slb.commit(1)
-        first = slb.drain_committed(max_records=4)
-        rest = slb.drain_committed()
-        assert len(first) == 4
-        assert len(rest) == 6
-        offsets = [r.address.offset for r in first + rest]
-        assert offsets == sorted(offsets)
-
     def test_drain_empty_returns_nothing(self, slb):
         assert slb.drain_committed() == []
-
-    def test_partial_drain_across_transactions(self, slb):
-        for txn in (1, 2):
-            slb.open_chain(txn)
-            for i in range(5):
-                slb.append(txn, record(txn, i))
-            slb.commit(txn)
-        first = slb.drain_committed(max_records=7)
-        rest = slb.drain_committed()
-        assert [r.txn_id for r in first] == [1] * 5 + [2] * 2
-        assert [r.txn_id for r in rest] == [2] * 3
 
 
 class TestCrashSemantics:
