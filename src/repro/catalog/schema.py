@@ -59,6 +59,10 @@ class Schema:
             raise CatalogError(f"duplicate field names in {names}")
         self.fields = list(fields)
         self._positions = {field.name: i for i, field in enumerate(fields)}
+        #: The whole tuple's codec: one cell per field, an int or a handle.
+        self._tuple = struct.Struct(
+            "<" + "".join("q" if field.type is FieldType.INT else "Q" for field in fields)
+        )
 
     @classmethod
     def of(cls, spec: list[tuple[str, str]]) -> "Schema":
@@ -82,11 +86,6 @@ class Schema:
     def field(self, name: str) -> Field:
         return self.fields[self.position(name)]
 
-    def byte_range(self, name: str) -> tuple[int, int]:
-        """(start, end) byte offsets of a field inside the encoded tuple."""
-        position = self.position(name)
-        return position * FIELD_WIDTH, (position + 1) * FIELD_WIDTH
-
     @property
     def tuple_width(self) -> int:
         return len(self.fields) * FIELD_WIDTH
@@ -100,12 +99,6 @@ class Schema:
             return _INT_FIELD.pack(value)
         return _HANDLE_FIELD.pack(value)
 
-    def decode_field(self, name: str, cell: bytes) -> int:
-        field = self.field(name)
-        if field.type is FieldType.INT:
-            return _INT_FIELD.unpack(cell)[0]
-        return _HANDLE_FIELD.unpack(cell)[0]
-
     # -- tuple-level encoding ------------------------------------------------------------
 
     def encode_tuple(self, cells: list[int]) -> bytes:
@@ -114,27 +107,14 @@ class Schema:
             raise CatalogError(
                 f"expected {len(self.fields)} cells, got {len(cells)}"
             )
-        parts = []
-        for field, cell in zip(self.fields, cells):
-            if field.type is FieldType.INT:
-                parts.append(_INT_FIELD.pack(cell))
-            else:
-                parts.append(_HANDLE_FIELD.pack(cell))
-        return b"".join(parts)
+        return self._tuple.pack(*cells)
 
     def decode_tuple(self, data: bytes) -> list[int]:
-        if len(data) != self.tuple_width:
+        if len(data) != self._tuple.size:
             raise CatalogError(
                 f"tuple is {len(data)} bytes, schema expects {self.tuple_width}"
             )
-        cells = []
-        for i, field in enumerate(self.fields):
-            cell = data[i * FIELD_WIDTH : (i + 1) * FIELD_WIDTH]
-            if field.type is FieldType.INT:
-                cells.append(_INT_FIELD.unpack(cell)[0])
-            else:
-                cells.append(_HANDLE_FIELD.unpack(cell)[0])
-        return cells
+        return list(self._tuple.unpack(data))
 
     # -- serialisation -------------------------------------------------------------------------
 

@@ -278,7 +278,7 @@ class CheckpointManager:
                 images.append(image)
             if not commands:
                 for segment_id in locked:
-                    db.locks.release(txn.txn_id, ("rel", segment_id))
+                    txn.unlock_relation(segment_id)
             crash_point("checkpoint.copied")
             # Step 5: claim every slot (a copy that does not fit fails with
             # nothing yet to re-derive), then log the catalog updates

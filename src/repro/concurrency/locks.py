@@ -12,6 +12,10 @@ requester aborts (:meth:`~repro.txn.transaction.Transaction.lock`) or, for
 a checkpoint's relation lock, tries again on a later pump.  Nothing ever
 waits for a lock, so there is no queue, no waits-for graph and no
 deadlock to detect; the manager is a table of who holds what.
+
+The table knows nothing of the hierarchy between a relation and its
+rows: :class:`~repro.txn.transaction.Transaction` applies it, asking for
+no row or intent lock that its S or X relation lock already covers.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ _STRENGTH: dict[LockMode, int] = {
 }
 
 
-def _join(a: LockMode, b: LockMode) -> LockMode:
+def join(a: LockMode, b: LockMode) -> LockMode:
     if a is b:
         return a
     if _STRENGTH[a] < _STRENGTH[b]:
@@ -69,7 +73,7 @@ def _join(a: LockMode, b: LockMode) -> LockMode:
     return LockMode.EXCLUSIVE
 
 
-def _covers(held: LockMode, wanted: LockMode) -> bool:
+def covers(held: LockMode, wanted: LockMode) -> bool:
     """True when a held mode already grants everything ``wanted`` does."""
     if held is wanted:
         return True
@@ -104,8 +108,8 @@ class LockManager:
         """
         holders = self._holders.get(resource)
         held = holders.get(txn_id) if holders else None
-        if held is None or not _covers(held, mode):
-            wanted = mode if held is None else _join(held, mode)
+        if held is None or not covers(held, mode):
+            wanted = mode if held is None else join(held, mode)
             if holders is None:
                 self._holders[resource] = {txn_id: wanted}
             elif all(
@@ -149,7 +153,7 @@ class LockManager:
     def holds(self, txn_id: int, resource: Resource, mode: LockMode | None = None) -> bool:
         holders = self._holders.get(resource)
         held = holders.get(txn_id) if holders else None
-        return held is not None and (mode is None or _covers(held, mode))
+        return held is not None and (mode is None or covers(held, mode))
 
     def locks_held(self, txn_id: int) -> set[Resource]:
         return set(self._held_by_txn.get(txn_id, ()))

@@ -120,7 +120,10 @@ class Relation:
         return self._materialise(partition, address)
 
     def update(self, txn: "Transaction", address: EntityAddress, changes: dict) -> None:
-        """Update named fields of one tuple in place (statement-atomic)."""
+        """Update named fields of one tuple in place (statement-atomic).
+
+        The tuple is read and decoded once; its before-row is materialised
+        only when a changed field is indexed (the primary key is)."""
         descriptor = self.descriptor
         schema = descriptor.schema
         for name in changes:
@@ -128,29 +131,36 @@ class Relation:
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
         partition = self._resident_partition(address.partition)
-        paddr = partition.address
-        before_row = self._materialise(partition, address)
-        if descriptor.primary_key in changes:
-            new_key = changes[descriptor.primary_key]
-            if new_key != before_row[descriptor.primary_key] and self._primary_search(
-                txn, new_key
-            ):
-                raise UniqueViolation(
-                    f"{self.name}.{descriptor.primary_key} = {new_key!r} exists"
-                )
-        with txn.statement():
-            self._update_step(
-                txn, address, changes, descriptor, schema, partition, paddr, before_row
-            )
-
-    def _update_step(
-        self, txn: "Transaction", address, changes, descriptor, schema, partition, paddr, before_row
-    ) -> None:
         data = partition.read(address.offset)
         cells = schema.decode_tuple(data)
+        moved = [
+            index_descriptor
+            for index_descriptor in self.db.catalog.indexes_of(self.name)
+            if index_descriptor.key_field in changes
+        ]
+        if moved:
+            before = self._row(schema, partition, address, cells)
+            moved = [ix for ix in moved if changes[ix.key_field] != before[ix.key_field]]
+            key = descriptor.primary_key
+            if key in changes and changes[key] != before[key] and self._primary_search(
+                txn, changes[key]
+            ):
+                raise UniqueViolation(f"{self.name}.{key} = {changes[key]!r} exists")
+        with txn.statement():
+            self._update_step(txn, address, changes, schema, partition, data, cells)
+            for index_descriptor in moved:
+                key_field = index_descriptor.key_field
+                index = self.db.index_object(index_descriptor, txn)
+                index.delete(before[key_field], address)
+                index.insert(changes[key_field], address)
+
+    def _update_step(
+        self, txn: "Transaction", address, changes, schema, partition, data, cells
+    ) -> None:
+        paddr = partition.address
         for name, value in changes.items():
             position = schema.position(name)
-            field = schema.field(name)
+            field = schema.fields[position]
             old_cell_bytes = data[
                 position * FIELD_WIDTH : (position + 1) * FIELD_WIDTH
             ]
@@ -179,12 +189,6 @@ class Relation:
             txn.entity_patched(
                 address, position * FIELD_WIDTH, old_cell_bytes, new_cell_bytes
             )
-        for index_descriptor in self.db.catalog.indexes_of(self.name):
-            key_field = index_descriptor.key_field
-            if key_field in changes and changes[key_field] != before_row[key_field]:
-                index = self.db.index_object(index_descriptor, txn)
-                index.delete(before_row[key_field], address)
-                index.insert(changes[key_field], address)
 
     def delete(self, txn: "Transaction", address: EntityAddress) -> None:
         """Delete one tuple (and its heap strings, and its index entries);
@@ -194,16 +198,16 @@ class Relation:
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
         partition = self._resident_partition(address.partition)
-        paddr = partition.address
-        row = self._materialise(partition, address)
-        with txn.statement():
-            self._delete_step(txn, address, descriptor, schema, partition, paddr, row)
-
-    def _delete_step(
-        self, txn: "Transaction", address, descriptor, schema, partition, paddr, row
-    ) -> None:
         data = partition.read(address.offset)
         cells = schema.decode_tuple(data)
+        row = self._row(schema, partition, address, cells)
+        with txn.statement():
+            self._delete_step(txn, address, schema, partition, data, cells, row)
+
+    def _delete_step(
+        self, txn: "Transaction", address, schema, partition, data, cells, row
+    ) -> None:
+        paddr = partition.address
         for position, field in enumerate(schema):
             if field.type.heap_backed and cells[position] != NULL_HANDLE:
                 handle = cells[position]
@@ -350,9 +354,13 @@ class Relation:
     def _materialise(self, partition: Partition, address: EntityAddress) -> Row:
         schema = self.schema
         cells = schema.decode_tuple(partition.read(address.offset))
+        return self._row(schema, partition, address, cells)
+
+    @staticmethod
+    def _row(schema, partition: Partition, address: EntityAddress, cells: list[int]) -> Row:
+        """The row a tuple's decoded cells spell, heap strings fetched."""
         values: dict[str, int | str | bytes | None] = {}
-        for position, field in enumerate(schema):
-            cell = cells[position]
+        for field, cell in zip(schema, cells):
             if field.type is FieldType.INT:
                 values[field.name] = cell
             elif cell == NULL_HANDLE:

@@ -39,7 +39,7 @@ from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
 from repro.txn.manager import transaction_scope
 from repro.txn.transaction import Transaction, TxnState
-from repro.wal.records import CommandBarrier, RedoRecord, TxnCommand, decode_control
+from repro.wal.records import CommandBarrier, TxnCommand, decode_control
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -134,18 +134,15 @@ class ReplayTransaction(Transaction):
     """The transaction a script re-executes under at replay.
 
     Same locking, UNDO, rollback and epilogue as a live transaction, but
-    it never touches stable memory — only those steps are replaced here.
-    A crash during replay therefore leaves the stable state
+    it never touches stable memory — only those steps are replaced here;
+    like any command-logged transaction it appends no REDO record.  A
+    crash during replay therefore leaves the stable state
     byte-identical, and the next restart re-runs the same plan from the
     same inputs — replay is idempotent by construction.
     """
 
     def _open(self, user_data: str) -> None:
         """No SLB chain, no ``begin`` audit entry."""
-
-    def _log(self, record: RedoRecord, inverse: RedoRecord) -> None:
-        # UNDO only: nothing is appended
-        self._undo.append(inverse)
 
     def _commit_as_command(self) -> None:
         # The command is already in the stable command log: nothing is

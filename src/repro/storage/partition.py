@@ -69,8 +69,9 @@ class Partition:
     def insert(self, data: bytes) -> int:
         """Store a new entity; returns its offset.
 
-        Lock discipline: the caller holds an X lock on the new entity's
-        address and an IX lock on the owning relation (section 2.3.2).
+        Lock discipline: the caller holds an X lock on the new entity, or
+        S/X on its relation — an X lock there covers the entity, an S lock
+        keeps every other writer out (section 2.3.2).
         """
         charge = len(data) + ENTITY_HEADER_BYTES
         if self._used + charge > self.entity_capacity:
@@ -117,8 +118,8 @@ class Partition:
         which keeps partitions at their fixed size; the overflow is
         bounded by the largest single component's growth.
 
-        Lock discipline: the caller holds an X lock on the entity's
-        address, two-phase until commit (section 2.3.2).
+        Lock discipline: the caller holds an X lock on the entity, or S/X
+        on its relation, two-phase until commit (section 2.3.2).
         """
         old = self.read(offset)
         self._entities[offset] = bytes(data)
@@ -127,8 +128,8 @@ class Partition:
     def delete(self, offset: int) -> None:
         """Remove the entity at ``offset``.
 
-        Lock discipline: the caller holds an X lock on the entity's
-        address, two-phase until commit (section 2.3.2).
+        Lock discipline: the caller holds an X lock on the entity, or S/X
+        on its relation, two-phase until commit (section 2.3.2).
         """
         data = self.read(offset)
         del self._entities[offset]

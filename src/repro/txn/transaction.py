@@ -11,10 +11,16 @@ and index component writes all report here, producing:
   never encoded, never stable (section 2.3.1), discarded at commit — and
 * a two-phase lock on the touched entity, held until commit.
 
-Lock policy is no-wait: a conflicting request aborts this transaction
-immediately (conservative deadlock avoidance, natural for the cooperative
-simulation where a blocked transaction could never be resumed by its
-blocker).
+A command-logged transaction skips the REDO record: its commit logs the
+script instead (docs/LOGGING.md), so only the inverse is built.
+
+Locks are hierarchical: a transaction holding S or X on a relation asks
+for no row or intent lock in that relation's segment that the mode
+covers — any other transaction is refused at the relation's intent lock
+before it can reach a row.  Lock policy is no-wait: a conflicting
+request aborts this transaction immediately (conservative deadlock
+avoidance, natural for the cooperative simulation where a blocked
+transaction could never be resumed by its blocker).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.common.errors import (
     TransactionStateError,
 )
 from repro.common.types import EntityAddress, PartitionAddress
-from repro.concurrency.locks import LockMode
+from repro.concurrency.locks import LockMode, covers, join
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.wal import records as redo
@@ -96,6 +102,9 @@ class Transaction:
         #: The volatile UNDO space, oldest first: inverse REDO records
         #: (bytes) and compensations (:meth:`on_rollback`).
         self._undo: list[redo.RedoRecord | Callable[[], None]] = []
+        #: segment id -> the S or X lock held on its relation, which
+        #: covers the segment's rows (:meth:`lock_relation`).
+        self._covering: dict[int, LockMode] = {}
         self.redo_records = 0
         #: How this transaction is logged (docs/LOGGING.md), fixed at
         #: begin: ``None`` — after-images, the paper's scheme — or the
@@ -146,11 +155,35 @@ class Transaction:
                 txn_id=self.txn_id,
             )
 
+    def _covered(self, segment_id: int, mode: LockMode) -> bool:
+        """Whether the relation lock held on ``segment_id`` already grants
+        ``mode`` on the relation or any row of it."""
+        held = self._covering.get(segment_id)
+        if held is None or not covers(held, mode):
+            return False
+        self._ensure_active()
+        return True
+
     def lock_entity(self, address: EntityAddress, mode: LockMode) -> None:
-        self.lock(address, mode)
+        if not self._covered(address.segment, mode):
+            self.lock(address, mode)
 
     def lock_relation(self, segment_id: int, mode: LockMode) -> None:
+        """Lock a relation; an S or X grant covers its rows from here on."""
+        if self._covered(segment_id, mode):
+            return
         self.lock(("rel", segment_id), mode)
+        held = self._covering.get(segment_id)
+        if held is not None:
+            self._covering[segment_id] = join(held, mode)
+        elif mode is LockMode.SHARED or mode is LockMode.EXCLUSIVE:
+            self._covering[segment_id] = mode
+
+    def unlock_relation(self, segment_id: int) -> None:
+        """Release a relation lock before commit — a checkpoint's S lock
+        once its copy is made (section 2.4) — and the coverage with it."""
+        self._covering.pop(segment_id, None)
+        self.db.locks.release(self.txn_id, ("rel", segment_id))
 
     def lock_declared(self) -> None:
         """Exclusive relation locks on the whole declared set, in segment
@@ -219,6 +252,7 @@ class Transaction:
         """The epilogue of every ending, after its SLB transition."""
         self.state = state
         self._undo.clear()  # discarded at commit, spent by a rollback
+        self._covering.clear()
         self.db.locks.release_all(self.txn_id)
         self._record_end("commit" if state is TxnState.COMMITTED else "abort")
 
@@ -385,18 +419,12 @@ class Transaction:
     def _bin_index(self, partition_address: PartitionAddress) -> int:
         return self.db.slt.bin_index_of(partition_address)
 
-    def _log(self, record: redo.RedoRecord, inverse: redo.RedoRecord) -> None:
-        # UNDO first: the mutation is already applied, so if the REDO
-        # write fails (stable buffer exhausted even after draining — a
-        # transaction too large for the SLB) the rollback must already
-        # know how to reverse it.
-        self._undo.append(inverse)
-        if self.command is not None:
-            # Command-logged: this after-image is replaced by the
-            # commit-time TxnCommand record.  UNDO still accumulates
-            # (abort and statement rollback are unchanged); only the
-            # stable REDO copy is skipped.
-            return
+    def _redo(self, record: redo.RedoRecord) -> None:
+        """Append a value-logged change's forward record to the stable
+        chain.  Its inverse is on UNDO already: the mutation is applied,
+        so if this write fails (stable buffer exhausted even after
+        draining — a transaction too large for the SLB) the rollback must
+        already know how to reverse it."""
         try:
             self.db.append_log(self.txn_id, record)
         except SimulatedCrash:
@@ -413,53 +441,72 @@ class Transaction:
         self.redo_records += 1
 
     # -- the nine change sinks ------------------------------------------------------------------
+    #
+    # Each pushes its change's inverse onto UNDO, then — value-logged only —
+    # builds and appends the forward record.
 
     def _head(self, address: _Address, owner: PartitionAddress) -> tuple[int, int, _Address]:
         """(txn id, bin index of ``owner``, address): the header a change's
-        forward record and its inverse share, resolved once."""
+        inverse and forward record share, resolved once.  With no forward
+        record — command-logged — the bin is not looked up: an inverse is
+        never encoded, and nothing reads its bin index."""
         self._ensure_active()
+        if self.command is not None:
+            return self.txn_id, 0, address
         return self.txn_id, self._bin_index(owner), address
 
     # EntitySink: tuple / catalog entity changes
 
     def entity_inserted(self, address: EntityAddress, data: bytes) -> None:
         head = self._head(address, address.partition_address)
-        self._log(redo.TupleInsert(*head, data), redo.TupleDelete(*head))
+        self._undo.append(redo.TupleDelete(*head))
+        if self.command is None:
+            self._redo(redo.TupleInsert(*head, data))
 
     def entity_updated(self, address: EntityAddress, before: bytes, after: bytes) -> None:
         head = self._head(address, address.partition_address)
-        self._log(redo.TupleUpdate(*head, after), redo.TupleUpdate(*head, before))
+        self._undo.append(redo.TupleUpdate(*head, before))
+        if self.command is None:
+            self._redo(redo.TupleUpdate(*head, after))
 
     def entity_patched(
         self, address: EntityAddress, start: int, before: bytes, after: bytes
     ) -> None:
         """A single-field byte-range update (the compact relation record)."""
         head = self._head(address, address.partition_address)
-        self._log(redo.FieldPatch(*head, start, after), redo.FieldPatch(*head, start, before))
+        self._undo.append(redo.FieldPatch(*head, start, before))
+        if self.command is None:
+            self._redo(redo.FieldPatch(*head, start, after))
 
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None:
         head = self._head(address, address.partition_address)
-        self._log(redo.TupleDelete(*head), redo.TupleInsert(*head, before))
+        self._undo.append(redo.TupleInsert(*head, before))
+        if self.command is None:
+            self._redo(redo.TupleDelete(*head))
 
     # heap (string space) operations
 
     def heap_put(self, partition: PartitionAddress, handle: int, data: bytes) -> None:
         head = self._head(partition, partition)
-        self._log(redo.HeapPut(*head, handle, data), redo.HeapDelete(*head, handle))
+        self._undo.append(redo.HeapDelete(*head, handle))
+        if self.command is None:
+            self._redo(redo.HeapPut(*head, handle, data))
 
     def heap_replace(
         self, partition: PartitionAddress, handle: int, before: bytes, after: bytes
     ) -> None:
         head = self._head(partition, partition)
-        self._log(
-            redo.HeapReplace(*head, handle, after), redo.HeapReplace(*head, handle, before)
-        )
+        self._undo.append(redo.HeapReplace(*head, handle, before))
+        if self.command is None:
+            self._redo(redo.HeapReplace(*head, handle, after))
 
     def heap_delete(
         self, partition: PartitionAddress, handle: int, before: bytes
     ) -> None:
         head = self._head(partition, partition)
-        self._log(redo.HeapDelete(*head, handle), redo.HeapPut(*head, handle, before))
+        self._undo.append(redo.HeapPut(*head, handle, before))
+        if self.command is None:
+            self._redo(redo.HeapDelete(*head, handle))
 
     # ChangeSink: index component changes (physical before-images — safe
     # because components are two-phase locked until commit, section 2.3.2)
@@ -480,16 +527,19 @@ class Transaction:
     ) -> None:
         head = self._head(address, address.partition_address)
         self.lock_entity(address, LockMode.EXCLUSIVE)
-        self._log(
-            redo.IndexNodeWrite(*head, after),
-            # a component this transaction created is removed again
-            redo.IndexNodeFree(*head) if before is None else redo.IndexNodeWrite(*head, before),
+        # a component this transaction created is removed again
+        self._undo.append(
+            redo.IndexNodeFree(*head) if before is None else redo.IndexNodeWrite(*head, before)
         )
+        if self.command is None:
+            self._redo(redo.IndexNodeWrite(*head, after))
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
         head = self._head(address, address.partition_address)
         self.lock_entity(address, LockMode.EXCLUSIVE)
-        self._log(redo.IndexNodeFree(*head), redo.IndexNodeWrite(*head, before))
+        self._undo.append(redo.IndexNodeWrite(*head, before))
+        if self.command is None:
+            self._redo(redo.IndexNodeFree(*head))
 
     # -- segment growth ----------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common.errors import ConfigurationError, RecoveryError, TransactionStateError
 from repro.db.integrity import verify_integrity
+from repro.db.relation import UniqueViolation
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
 from repro.recovery.redo import partition_record_stream, plan_rebuild
@@ -278,6 +279,52 @@ class TestDigestIdentity:
         db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 2
         assert logical_digest(db) == expected
+
+    @pytest.mark.parametrize("mode", ["command", "value"])
+    def test_script_survives_a_key_collision(self, mode):
+        """A statement that patched a tuple and moved a heap string, then
+        hit a primary-key collision, is rewound from UNDO alone when no
+        REDO record was built beside it — live and at replay."""
+        db = Database(small_config())
+        notes = db.create_relation(
+            "notes", [("id", "int"), ("v", "int"), ("note", "str")], primary_key="id"
+        )
+        with db.transaction() as txn:
+            for key in range(4):
+                notes.insert(txn, {"id": key, "v": 0, "note": f"n{key}"})
+        rewound = []
+
+        def stored(address):
+            partition = db.memory.partition(address.partition_address)
+            heap = partition.heap
+            return partition.read(address.offset), {h: heap.get(h) for h in heap.handles()}
+
+        def retag(txn, key, taken, note):
+            row = notes.lookup(txn, key)
+            before = stored(row.address)
+            try:
+                with txn.statement():
+                    notes.update(txn, row.address, {"note": note, "v": row["v"] + 1})
+                    notes.update(txn, row.address, {"id": taken})
+            except UniqueViolation:
+                rewound.append(stored(row.address) == before)
+            notes.update(txn, row.address, {"v": row["v"] + 10})
+
+        db.register_script("retag", retag, relations=["notes"])
+        db.run_script("retag", 1, 2, "a much longer note", logging=mode)
+        db.run_script("retag", 3, 0, "another", logging=mode)
+        assert rewound == [True, True]
+        with db.transaction() as txn:
+            assert [(r["id"], r["v"], r["note"]) for r in notes.scan(txn)] == [
+                (0, 0, "n0"), (1, 10, "n1"), (2, 0, "n2"), (3, 10, "n3")
+            ]
+        expected = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert logical_digest(db) == expected
+        replayed = 2 if mode == "command" else 0
+        assert db.last_command_replay["commands_replayed"] == replayed
+        assert rewound == [True] * (2 + replayed)
 
     def test_disjoint_closures_batch_independently(self):
         db = Database(small_config())

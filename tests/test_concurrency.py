@@ -5,10 +5,12 @@ import importlib
 import pytest
 
 from repro.common import LockNotHeldError
+from repro.common.errors import TransactionAborted
 from repro import Database, SystemConfig
 from repro.concurrency import Latch, LockManager, LockMode
 from repro.concurrency.latch import LatchViolationError, assert_no_latch_held
-from repro.sim.chaos import crash_point
+from repro.sim.chaos import crash_point, set_crash_point_observer
+from repro.txn.transaction import TxnState
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
@@ -139,6 +141,109 @@ class TestCrash:
         assert lm.locks_held(2) == set()
         assert lm._holders == {}
         assert lm.acquire(3, "a", X)
+
+
+ROWS = 8
+
+
+def _bump_db():
+    """A loaded relation, a registered 6-row read-then-update script, and
+    the probes the script calls with its transaction once it is done."""
+    db = Database(SystemConfig())
+    table = db.create_relation("t", [("id", "int"), ("v", "int"), ("pad", "str")], "id")
+    with db.transaction() as txn:
+        for key in range(ROWS):
+            table.insert(txn, {"id": key, "v": 0, "pad": "x" * 16})
+    probes = []
+
+    def bump(txn, start):
+        for offset in range(6):
+            row = table.lookup(txn, (start + offset) % ROWS)
+            table.update(txn, row.address, {"v": row["v"] + 1, "pad": f"{offset:08d}"})
+        for probe in probes:
+            probe(txn)
+
+    db.register_script("bump", bump, relations=["t"])
+    with db.transaction() as txn:
+        address = table.lookup(txn, 3).address
+    return db, table, probes, address
+
+
+class TestLockHierarchy:
+    """A transaction holding S or X on a relation asks for no row or intent
+    lock there; every foreign request is still refused at the relation."""
+
+    def test_command_script_holds_its_relation_lock_only(self, monkeypatch):
+        db, _, probes, _ = _bump_db()
+        segment = db.catalog.relation("t").segment_id
+        held = []
+        probes.append(lambda txn: held.append(db.locks.locks_held(txn.txn_id)))
+        calls = []
+        acquire = db.locks.acquire
+
+        def counting(txn_id, resource, mode):
+            calls.append(resource)
+            return acquire(txn_id, resource, mode)
+
+        monkeypatch.setattr(db.locks, "acquire", counting)
+        db.run_script("bump", 1, logging="command", pump=False)
+        assert held == [{("rel", segment)}]
+        # lock_declared's X; the 6 reads and 6 updates are covered by it
+        assert calls == [("rel", segment)]
+
+    def test_foreign_requests_are_refused_at_the_relation(self):
+        db, table, probes, address = _bump_db()
+        segment = db.catalog.relation("t").segment_id
+        attempts = {
+            "read": lambda other: table.read(other, address),
+            "update": lambda other: table.update(other, address, {"v": -1}),
+            "insert": lambda other: table.insert(other, {"id": 99, "v": 0, "pad": None}),
+        }
+        outcomes = {}
+
+        def foreign(txn):
+            for name, attempt in attempts.items():
+                other = db.transactions.begin()
+                with pytest.raises(TransactionAborted, match=rf"\('rel', {segment}\)"):
+                    attempt(other)
+                outcomes[name] = (other.state, db.locks.locks_held(other.txn_id))
+            deferred = db.checkpoints.checkpoints_deferred
+            outcomes["checkpoint"] = db.checkpoints.copy([address.partition_address])
+            assert db.checkpoints.checkpoints_deferred == deferred + 1
+
+        probes.append(foreign)
+        db.run_script("bump", 1, logging="command")
+        refused = (TxnState.ABORTED, set())
+        assert outcomes == {
+            "read": refused, "update": refused, "insert": refused, "checkpoint": False
+        }
+        with db.transaction() as txn:
+            assert table.lookup(txn, 99) is None
+            assert table.lookup(txn, 3)["v"] == 1
+
+    def test_checkpoint_early_release_ends_the_coverage(self):
+        db, table, _, address = _bump_db()
+        segment = db.catalog.relation("t").segment_id
+        seen = {}
+
+        def observe(point):
+            assert_no_latch_held(point)
+            if point in ("checkpoint.locked", "checkpoint.copied"):
+                (checkpoint,) = db.transactions.active_transactions()
+                table.read(checkpoint, address)
+                seen[point] = db.locks.locks_held(checkpoint.txn_id)
+
+        set_crash_point_observer(observe)
+        try:
+            assert db.checkpoints.copy([address.partition_address])
+        finally:
+            set_crash_point_observer(assert_no_latch_held)
+        # under the S lock the row read is covered; once the lock is
+        # released early, the same read takes IS and the row lock for real
+        assert seen == {
+            "checkpoint.locked": {("rel", segment)},
+            "checkpoint.copied": {("rel", segment), address},
+        }
 
 
 class TestLatch:

@@ -3,7 +3,8 @@
 Paper grounding: partitions are the unit of checkpointing and recovery;
 section 2.4's checkpointer takes the *relation read lock* before copying
 a partition, and section 2.3.2 holds entity locks two-phase through
-commit.  Those disciplines live at the call sites — the storage layer
+commit — an entity's own, or its relation's S/X lock, which covers it.
+Those disciplines live at the call sites — the storage layer
 itself is lock-free by design — so every public mutator on
 :class:`~repro.storage.partition.Partition` and
 :class:`~repro.storage.segment.Segment` must say what its callers are
