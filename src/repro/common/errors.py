@@ -80,6 +80,11 @@ class TransactionStateError(ReproError):
     """
 
 
+class ShardingError(ReproError):
+    """A transaction reached for a relation of a database it has no
+    branch on: another standalone database's, or an undeclared shard's."""
+
+
 # --------------------------------------------------------------------------
 # Logging / checkpoint / recovery
 # --------------------------------------------------------------------------

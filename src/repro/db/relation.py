@@ -8,7 +8,10 @@ Physical layout: tuples are fixed-width cell arrays (see
 :mod:`repro.catalog.schema`); string/bytes values live in the partition's
 string-space heap with the cell holding the heap handle.  All mutations
 report to the transaction sink, producing the REDO/UNDO records and
-two-phase locks of paper section 2.3.
+two-phase locks of paper section 2.3.  Each public operation first asks
+the transaction to ``resolve`` itself against this handle's database:
+another database's transaction raises, a distributed one answers with
+its branch here.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ class Relation:
         catalog growth, index entries — is rolled back, in memory and in
         the stable REDO chain, while the transaction stays usable.
         """
+        txn = txn.resolve(self.db)
         descriptor = self.descriptor
         schema = descriptor.schema
         self._check_row_fields(row)
@@ -113,6 +117,7 @@ class Relation:
 
     def read(self, txn: "Transaction", address: EntityAddress) -> Row:
         """Read one tuple under a shared lock."""
+        txn = txn.resolve(self.db)
         descriptor = self.descriptor
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
         txn.lock_entity(address, LockMode.SHARED)
@@ -124,6 +129,7 @@ class Relation:
 
         The tuple is read and decoded once; its before-row is materialised
         only when a changed field is indexed (the primary key is)."""
+        txn = txn.resolve(self.db)
         descriptor = self.descriptor
         schema = descriptor.schema
         for name in changes:
@@ -193,6 +199,7 @@ class Relation:
     def delete(self, txn: "Transaction", address: EntityAddress) -> None:
         """Delete one tuple (and its heap strings, and its index entries);
         statement-atomic."""
+        txn = txn.resolve(self.db)
         descriptor = self.descriptor
         schema = descriptor.schema
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
@@ -224,6 +231,7 @@ class Relation:
 
     def lookup(self, txn: "Transaction", key_value) -> Row | None:
         """Primary-key point lookup."""
+        txn = txn.resolve(self.db)
         addresses = self._primary_search(txn, key_value)
         if not addresses:
             return None
@@ -231,6 +239,7 @@ class Relation:
 
     def lookup_by(self, txn: "Transaction", index_name: str, key_value) -> list[Row]:
         """Point lookup through any index on this relation."""
+        txn = txn.resolve(self.db)
         index_descriptor = self.db.catalog.index(index_name)
         if index_descriptor.relation_name != self.name:
             raise CatalogError(f"index {index_name!r} is not on {self.name!r}")
@@ -249,6 +258,7 @@ class Relation:
         Yields rows with ``low <= key <= high`` in key order; either bound
         may be None for an open end.
         """
+        txn = txn.resolve(self.db)
         index_descriptor = self.db.catalog.index(index_name)
         if index_descriptor.relation_name != self.name:
             raise CatalogError(f"index {index_name!r} is not on {self.name!r}")
@@ -264,6 +274,7 @@ class Relation:
     def scan(self, txn: "Transaction") -> Iterator[Row]:
         """Full scan in (partition, offset) order; recovers missing
         partitions on demand."""
+        txn = txn.resolve(self.db)
         descriptor = self.descriptor
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
         # The segment's numbers, not the descriptor's: a partition being

@@ -79,9 +79,6 @@ class ShardRouter:
             return (0,)
         return tuple(sorted({self.shard_of(name) for name in relations}))
 
-    def is_single_shard(self, relations: list[str] | tuple[str, ...]) -> bool:
-        return len(self.route(relations)) == 1
-
     # -- observability ------------------------------------------------------------
 
     def placement(self) -> dict[str, int]:

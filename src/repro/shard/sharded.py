@@ -1,53 +1,49 @@
-"""The sharded database facade: N shard nodes behind the Database API.
+"""The sharded database facade: N plain Databases behind the Database API.
 
 :class:`ShardedDatabase` preserves the public single-node surface —
 ``create_relation`` / ``table`` / ``transaction`` / ``stats`` /
 ``crash`` / ``restart`` — while dispatching through a
 :class:`~repro.shard.router.ShardRouter`:
 
-* a transaction whose declared access list routes to **one** shard runs
-  *unchanged* on that node (same code path as a standalone database,
-  which is why ``shards=1`` degenerates digest-identically);
+* a transaction whose declared access list routes to **one** shard is
+  that node's ordinary transaction (the same code path as a standalone
+  database, which is why ``shards=1`` degenerates digest-identically);
 * a transaction touching **several** shards becomes a
   :class:`DistributedTransaction` — one branch per node — committed by
   the presumed-abort :class:`~repro.shard.twopc.TwoPhaseCommit`.
 
 Relations are whole-relation sharded (each relation, with its indexes,
 lives on exactly one node), so the paper's predeclared access lists are
-a complete routing oracle: declaring relations declares shards.
+a complete routing oracle: declaring relations declares shards.  A
+relation handle is the owning node's plain
+:class:`~repro.db.relation.Relation`, which asks the transaction it is
+given to ``resolve`` itself against that node.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator
 
 from repro.common.config import SystemConfig
-from repro.common.errors import ReproError
-from repro.db.database import RecoveryMode
+from repro.common.errors import ShardingError
+from repro.db.database import Database, RecoveryMode
 from repro.db.monitor import status_page
-from repro.db.relation import Relation, Row
+from repro.db.relation import Relation
 from repro.recovery.oracle import logical_digest
-from repro.shard.node import ShardNode
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import TwoPhaseCommit
 from repro.txn.manager import settle, transaction_scope
 from repro.txn.transaction import Transaction, TxnState
 
 
-class ShardingError(ReproError):
-    """A facade request that violates the sharded topology."""
-
-
 class DistributedTransaction:
     """One branch transaction per participant shard, committed via 2PC.
 
-    Scripts use it exactly like a plain transaction *through the facade's
-    relation handles*: :class:`ShardedRelation` resolves each call to the
-    branch on the owning node.  The coordinator is the lowest declared
-    shard id.  It ends like a plain transaction too — ``state``,
-    :meth:`commit`, :meth:`abort` — so the one transaction frame
-    (:func:`repro.txn.manager.settle`) drives both.
+    Scripts use it exactly like a plain transaction: a node's relation
+    resolves it to the branch on that node (:meth:`resolve`).  The
+    coordinator is the lowest declared shard id.  It ends like a plain
+    transaction too — ``state``, :meth:`commit`, :meth:`abort` — so the
+    one transaction frame (:func:`repro.txn.manager.settle`) drives both.
     """
 
     def __init__(self, facade: "ShardedDatabase", gtid: str, shard_ids: tuple[int, ...]):
@@ -59,7 +55,7 @@ class DistributedTransaction:
         self.branches: dict[int, Transaction] = {}
         try:
             for sid in self.shard_ids:
-                self.branches[sid] = facade.nodes[sid].db.transactions.begin(
+                self.branches[sid] = facade.nodes[sid].transactions.begin(
                     user_data=f"2pc:{gtid}"
                 )
         except BaseException as error:
@@ -76,14 +72,18 @@ class DistributedTransaction:
         """Roll back every live branch (presumed abort: nothing logged)."""
         self.facade.twopc.abort_distributed(self)
 
-    def branch(self, shard_id: int) -> Transaction:
+    def branch(self, shard_id: int | None) -> Transaction:
         try:
-            return self.branches[shard_id]
+            return self.branches[shard_id]  # type: ignore[index]
         except KeyError:
             raise ShardingError(
                 f"distributed txn {self.gtid} has no branch on shard "
                 f"{shard_id}; declare the relation in the access list"
             ) from None
+
+    def resolve(self, db: Database) -> Transaction:
+        """The branch that may touch ``db``'s relations."""
+        return self.branch(db.shard_id).resolve(db)
 
     @property
     def txn_id(self) -> int:
@@ -102,131 +102,8 @@ class DistributedTransaction:
         )
 
 
-class _ResolvingQuery:
-    """A :class:`~repro.db.query.Query` that accepts distributed txns.
-
-    Builder calls delegate to the underlying query; terminal calls
-    resolve the (possibly distributed) transaction to the owning node's
-    branch first.
-    """
-
-    def __init__(self, relation: "ShardedRelation"):
-        self._relation = relation
-        self._query = relation.local.query()
-
-    def where(self, field: str, op: str, value) -> "_ResolvingQuery":
-        self._query.where(field, op, value)
-        return self
-
-    def select(self, *fields: str) -> "_ResolvingQuery":
-        self._query.select(*fields)
-        return self
-
-    def explain(self) -> str:
-        return self._query.explain()
-
-    def rows(self, txn) -> Iterator[Row]:
-        return self._query.rows(self._relation._resolve(txn))
-
-    def execute(self, txn) -> list[dict]:
-        return self._query.execute(self._relation._resolve(txn))
-
-    def count(self, txn) -> int:
-        return self._query.count(self._relation._resolve(txn))
-
-    def sum(self, txn, field: str) -> int:
-        return self._query.sum(self._relation._resolve(txn), field)
-
-    def min(self, txn, field: str):
-        return self._query.min(self._relation._resolve(txn), field)
-
-    def max(self, txn, field: str):
-        return self._query.max(self._relation._resolve(txn), field)
-
-    def avg(self, txn, field: str):
-        return self._query.avg(self._relation._resolve(txn), field)
-
-
-class ShardedRelation:
-    """A relation handle that routes every call to its owning node."""
-
-    def __init__(self, facade: "ShardedDatabase", name: str):
-        self.facade = facade
-        self.name = name
-
-    @property
-    def shard_id(self) -> int:
-        return self.facade.router.shard_of(self.name)
-
-    @property
-    def node(self) -> ShardNode:
-        return self.facade.nodes[self.shard_id]
-
-    @property
-    def local(self) -> Relation:
-        """The owning node's plain :class:`Relation` handle."""
-        return self.node.db.table(self.name)
-
-    def _resolve(self, txn) -> Transaction:
-        """The branch (or plain txn) that may touch this relation."""
-        if isinstance(txn, DistributedTransaction):
-            return txn.branch(self.shard_id)
-        if txn.db is not self.node.db:
-            raise ShardingError(
-                f"transaction on shard {txn.db.shard_id} cannot touch "
-                f"relation {self.name!r} on shard {self.shard_id}; declare "
-                f"it in the transaction's access list"
-            )
-        return txn
-
-    # -- delegated DML ------------------------------------------------------------
-
-    def insert(self, txn, row: dict):
-        return self.local.insert(self._resolve(txn), row)
-
-    def read(self, txn, address) -> Row:
-        return self.local.read(self._resolve(txn), address)
-
-    def update(self, txn, address, changes: dict) -> None:
-        return self.local.update(self._resolve(txn), address, changes)
-
-    def delete(self, txn, address) -> None:
-        return self.local.delete(self._resolve(txn), address)
-
-    def lookup(self, txn, key_value) -> Row | None:
-        return self.local.lookup(self._resolve(txn), key_value)
-
-    def lookup_by(self, txn, index_name: str, key_value) -> list[Row]:
-        return self.local.lookup_by(self._resolve(txn), index_name, key_value)
-
-    def range_by(self, txn, index_name: str, low, high) -> list[Row]:
-        return self.local.range_by(self._resolve(txn), index_name, low, high)
-
-    def scan(self, txn) -> Iterator[Row]:
-        return self.local.scan(self._resolve(txn))
-
-    def count(self, txn) -> int:
-        return self.local.count(self._resolve(txn))
-
-    def update_where(self, txn, field: str, op: str, value, changes: dict) -> int:
-        return self.local.update_where(self._resolve(txn), field, op, value, changes)
-
-    def delete_where(self, txn, field: str, op: str, value) -> int:
-        return self.local.delete_where(self._resolve(txn), field, op, value)
-
-    def query(self) -> _ResolvingQuery:
-        return _ResolvingQuery(self)
-
-    @property
-    def schema(self):
-        return self.local.schema
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardedRelation({self.name!r} @ shard {self.shard_id})"
-
-
 class ShardedDatabase:
-    """N shared-nothing shard nodes behind the single-database API."""
+    """N shared-nothing :class:`Database` nodes behind the single-database API."""
 
     def __init__(
         self,
@@ -235,21 +112,18 @@ class ShardedDatabase:
         placement: dict[str, int] | None = None,
     ):
         self.router = ShardRouter(shards, placement)
-        self.nodes = [ShardNode(sid, config) for sid in range(shards)]
         self.twopc = TwoPhaseCommit(self)
-        for node in self.nodes:
-            node.db.in_doubt_resolver = self.twopc.resolver_for(node.shard_id)
-        self._tables: dict[str, ShardedRelation] = {}
+        self.nodes: list[Database] = []
+        for sid in range(shards):
+            db = Database(config)
+            db.shard_id = sid
+            db.in_doubt_resolver = self.twopc
+            self.nodes.append(db)
         self._next_gtid = 1
-
-    # -- topology -----------------------------------------------------------------
 
     @property
     def shards(self) -> int:
         return len(self.nodes)
-
-    def node(self, shard_id: int) -> ShardNode:
-        return self.nodes[shard_id]
 
     # -- DDL ----------------------------------------------------------------------
 
@@ -260,67 +134,64 @@ class ShardedDatabase:
         primary_key: str,
         primary_index: str = "hash",
         shard: int | None = None,
-    ) -> ShardedRelation:
+    ) -> Relation:
         """Create a relation on its home shard (pinned or stable-hashed)."""
         sid = self.router.assign(name, shard)
-        self.nodes[sid].db.create_relation(
-            name, schema, primary_key, primary_index
-        )
-        handle = ShardedRelation(self, name)
-        self._tables[name] = handle
-        return handle
+        return self.nodes[sid].create_relation(name, schema, primary_key, primary_index)
 
     def create_index(
         self, index_name: str, relation_name: str, field: str, kind: str = "ttree"
     ) -> None:
         """Indexes live with their relation on the owning node."""
         sid = self.router.shard_of(relation_name)
-        self.nodes[sid].db.create_index(index_name, relation_name, field, kind)
+        self.nodes[sid].create_index(index_name, relation_name, field, kind)
 
     def drop_index(self, index_name: str) -> None:
-        for node in self.nodes:
-            if any(d.name == index_name for d in node.db.catalog.indexes()):
-                node.db.drop_index(index_name)
+        for db in self.nodes:
+            if any(d.name == index_name for d in db.catalog.indexes()):
+                db.drop_index(index_name)
                 return
         raise ShardingError(f"no shard owns index {index_name!r}")
 
     def drop_relation(self, name: str) -> None:
-        sid = self.router.shard_of(name)
-        self.nodes[sid].db.drop_relation(name)
+        self.nodes[self.router.shard_of(name)].drop_relation(name)
         self.router.unassign(name)
-        self._tables.pop(name, None)
 
-    def table(self, name: str) -> ShardedRelation:
-        handle = self._tables.get(name)
-        if handle is None:
-            self.nodes[self.router.shard_of(name)].db.catalog.relation(name)
-            handle = self._tables[name] = ShardedRelation(self, name)
-        return handle
+    def table(self, name: str) -> Relation:
+        """The owning node's relation handle."""
+        return self.nodes[self.router.shard_of(name)].table(name)
 
     # -- transactions -------------------------------------------------------------
 
-    def transaction(
-        self, *, pump: bool = True, relations: list[str] | None = None
-    ):
-        """``with cluster.transaction(relations=[...]) as txn:``
-
-        The declared access list routes the transaction.  One shard: the
-        owning node's ordinary transaction scope, unchanged.  Several:
-        a :class:`DistributedTransaction` committed via 2PC on success,
-        rolled back everywhere on exception.  An empty declaration pins
-        the transaction to shard 0 (the ``shards=1`` degenerate home).
-        """
-        shard_ids = self.router.route(relations or [])
+    def begin(self, relations: list[str] | tuple[str, ...] = (), *, user_data: str = ""):
+        """Begin a transaction routed by its declared access list, after
+        predeclared recovery of those relations.  One shard: the owning
+        node's ordinary transaction.  Several: a
+        :class:`DistributedTransaction`.  An empty declaration is shard
+        0's (the ``shards=1`` degenerate home).  What
+        :meth:`transaction` and a cluster's script ``begin`` call."""
+        self.ensure_recovered(relations)
+        shard_ids = self.router.route(relations)
         if len(shard_ids) == 1:
-            return self.nodes[shard_ids[0]].db.transaction(
-                pump=pump, relations=relations
-            )
-        return self._distributed_scope(shard_ids, relations or [], pump)
+            return self.nodes[shard_ids[0]].transactions.begin(user_data=user_data)
+        return self.begin_distributed(shard_ids)
 
-    def ensure_recovered(self, relations: list[str]) -> None:
+    @contextlib.contextmanager
+    def transaction(self, *, pump: bool = True, relations: list[str] | None = None):
+        """``with cluster.transaction(relations=[...]) as txn:`` — :meth:`begin`,
+        commit (2PC when distributed) on success, roll back everywhere on
+        exception, then pump the nodes it touched."""
+        relations = relations or []
+        with transaction_scope(self.begin, relations=relations) as txn:
+            yield txn
+        if pump:
+            for sid in self.router.route(relations):
+                self.nodes[sid].pump()
+
+    def ensure_recovered(self, relations) -> None:
         """Predeclared recovery (paper method 1), per owning node."""
         for name in relations:
-            self.nodes[self.router.shard_of(name)].db.ensure_recovered([name])
+            self.nodes[self.router.shard_of(name)].ensure_recovered([name])
 
     def begin_distributed(self, shard_ids: tuple[int, ...]) -> DistributedTransaction:
         """A fresh, registered distributed transaction over ``shard_ids``."""
@@ -328,23 +199,18 @@ class ShardedDatabase:
         self._next_gtid += 1
         return DistributedTransaction(self, gtid, shard_ids)
 
-    @contextlib.contextmanager
-    def _distributed_scope(
-        self, shard_ids: tuple[int, ...], relations: list[str], pump: bool
-    ):
-        self.ensure_recovered(relations)
-        with transaction_scope(self.begin_distributed, shard_ids=shard_ids) as dtxn:
-            yield dtxn
-        if pump:
-            for sid in shard_ids:
-                self.nodes[sid].db.pump()
-
     # -- cluster-wide duties ------------------------------------------------------
 
     def pump(self) -> None:
         """Every node's between-transactions duties, node by node."""
-        for node in self.nodes:
-            node.pump()
+        for db in self.nodes:
+            db.pump()
+
+    def register_scheduler(self, scheduler) -> None:
+        """A cluster's :class:`~repro.txn.scheduler.Scheduler` drives every
+        node: each reports it in ``stats()["scheduler"]``."""
+        for db in self.nodes:
+            db.register_scheduler(scheduler)
 
     # -- crash / restart ----------------------------------------------------------
 
@@ -356,36 +222,35 @@ class ShardedDatabase:
 
     def crash(self) -> None:
         """Whole-cluster power failure."""
-        for node in self.nodes:
-            if not node.crashed:
-                node.crash()
-        for node in self.nodes:
-            self.twopc.on_shard_crashed(node.shard_id)
+        for db in self.nodes:
+            if not db.crashed:
+                db.crash()
+        for sid in range(self.shards):
+            self.twopc.on_shard_crashed(sid)
 
-    def restart_shard(
-        self, shard_id: int, mode: RecoveryMode = RecoveryMode.ON_DEMAND
-    ):
+    def restart_shard(self, shard_id: int, mode: RecoveryMode = RecoveryMode.ON_DEMAND):
         """Restart one node; its in-doubt chains resolve against the
         (stable, still-readable) coordinator decision tables."""
         return self.nodes[shard_id].restart(mode)
 
     def restart(self, mode: RecoveryMode = RecoveryMode.ON_DEMAND) -> None:
         """Restart every crashed node."""
-        for node in self.nodes:
-            if node.crashed:
-                node.restart(mode)
+        for db in self.nodes:
+            if db.crashed:
+                db.restart(mode)
 
     def recover_everything(self) -> None:
-        for node in self.nodes:
-            node.recover_everything()
+        for db in self.nodes:
+            if db.restart_coordinator is not None:
+                db.restart_coordinator.recover_everything()
 
     @property
     def crashed_shards(self) -> list[int]:
-        return [node.shard_id for node in self.nodes if node.crashed]
+        return [sid for sid, db in enumerate(self.nodes) if db.crashed]
 
     def digests(self) -> dict[int, str]:
         """Per-shard logical digests (requires full residency everywhere)."""
-        return {node.shard_id: logical_digest(node.db) for node in self.nodes}
+        return {sid: logical_digest(db) for sid, db in enumerate(self.nodes)}
 
     # -- observability ------------------------------------------------------------
 
@@ -394,7 +259,7 @@ class ShardedDatabase:
         ``per_shard``, the coordinator's 2PC counters, and every numeric
         top-level figure of the nodes summed — ``clock_seconds`` (each
         node keeps its own clock) is the latest of them."""
-        per_shard = {node.shard_id: node.db.stats() for node in self.nodes}
+        per_shard = {sid: db.stats() for sid, db in enumerate(self.nodes)}
         snapshots = list(per_shard.values())
         rolled = {
             key: sum(snapshot[key] for snapshot in snapshots)

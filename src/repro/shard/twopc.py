@@ -19,11 +19,12 @@ machinery makes almost free:
   locks release; each ack removes the participant from the decision
   entry, and a fully-acknowledged decision is forgotten.
 
-Recovery: a crashed node restarts with in-doubt chains; its resolver
-(installed per node by :class:`~repro.shard.ShardedDatabase`) reads the
-coordinator's decision table — stable memory, readable even while the
-coordinator node itself is down — commits or aborts each chain, and
-acks.  A coordinator that died between prepare and decision left no
+Recovery: a crashed node restarts with in-doubt chains; its
+``in_doubt_resolver`` is the cluster's :class:`TwoPhaseCommit` itself
+(:meth:`~TwoPhaseCommit.decide`, :meth:`~TwoPhaseCommit.acknowledge`),
+which reads the coordinator's decision table — stable memory, readable
+even while the coordinator node itself is down — so restart commits or
+aborts each chain, and acks.  A coordinator that died between prepare and decision left no
 entry, so every branch resolves to the presumed abort.
 """
 
@@ -38,7 +39,6 @@ from repro.txn.transaction import TxnState
 from repro.wal.records import TxnDecision, TxnPrepare
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.database import Database
     from repro.shard.sharded import DistributedTransaction, ShardedDatabase
 
 #: Well-known SLB key of a coordinator's stable decision table.
@@ -56,26 +56,6 @@ register_crash_point(
 
 class TwoPCError(ReproError):
     """A protocol-state violation in the 2PC layer."""
-
-
-class _NodeResolver:
-    """One node's in-doubt resolver: consult the coordinator's table.
-
-    Installed as ``db.in_doubt_resolver`` on every shard node; restart's
-    :func:`~repro.recovery.restart.resolve_in_doubt` calls ``decide`` per
-    prepared chain and ``acknowledge`` after the verdict is applied.
-    """
-
-    def __init__(self, twopc: "TwoPhaseCommit", shard_id: int):
-        self._twopc = twopc
-        self.shard_id = shard_id
-
-    def decide(self, prepare: TxnPrepare) -> str:
-        return self._twopc.lookup_decision(prepare.coordinator, prepare.gtid)
-
-    def acknowledge(self, prepare: TxnPrepare, verdict: str) -> None:
-        if verdict == "commit":
-            self._twopc.acknowledge(prepare.coordinator, prepare.gtid, prepare.shard)
 
 
 class TwoPhaseCommit:
@@ -103,9 +83,6 @@ class TwoPhaseCommit:
     def pending_gtids(self) -> list[str]:
         return sorted(self._pending)
 
-    def _node_db(self, shard_id: int) -> "Database":
-        return self.facade.nodes[shard_id].db
-
     # -- the protocol -------------------------------------------------------------
 
     def commit_distributed(self, dtxn: "DistributedTransaction") -> None:
@@ -129,7 +106,7 @@ class TwoPhaseCommit:
         crash_point("shard.2pc.after-decision")
         for sid in dtxn.shard_ids:
             dtxn.branches[sid].commit_prepared()
-            self.acknowledge(dtxn.coordinator, dtxn.gtid, sid)
+            self._ack(dtxn.coordinator, dtxn.gtid, sid)
         dtxn.state = TxnState.COMMITTED
         self.distributed_committed += 1
         self.forget(dtxn.gtid)
@@ -137,7 +114,7 @@ class TwoPhaseCommit:
     def abort_distributed(self, dtxn: "DistributedTransaction") -> None:
         """Roll back every live branch; no decision is ever logged."""
         for sid in dtxn.shard_ids:
-            if self._node_db(sid).crashed:
+            if self.facade.nodes[sid].crashed:
                 continue  # resolved by that node's restart (presumed abort)
             txn = dtxn.branches[sid]
             if txn.state is TxnState.ACTIVE:
@@ -153,7 +130,7 @@ class TwoPhaseCommit:
     def _log_decision(self, dtxn: "DistributedTransaction") -> None:
         """The commit point: one stable write on the coordinator node."""
         record = TxnDecision(0, dtxn.gtid, "commit", dtxn.shard_ids)
-        coordinator_db = self._node_db(dtxn.coordinator)
+        coordinator_db = self.facade.nodes[dtxn.coordinator]
         table = dict(coordinator_db.slb.get_well_known(DECISIONS_KEY) or {})
         table[dtxn.gtid] = {
             "verdict": "commit",
@@ -165,15 +142,15 @@ class TwoPhaseCommit:
 
     def lookup_decision(self, coordinator: int, gtid: str) -> str:
         """The coordinator's verdict for ``gtid`` — absent means abort."""
-        table = self._node_db(coordinator).slb.get_well_known(DECISIONS_KEY) or {}
+        table = self.facade.nodes[coordinator].slb.get_well_known(DECISIONS_KEY) or {}
         entry = table.get(gtid)
         if entry is not None and entry["verdict"] == "commit":
             return "commit"
         return "abort"
 
-    def acknowledge(self, coordinator: int, gtid: str, shard: int) -> None:
+    def _ack(self, coordinator: int, gtid: str, shard: int) -> None:
         """One participant applied the verdict; forget fully-acked entries."""
-        coordinator_db = self._node_db(coordinator)
+        coordinator_db = self.facade.nodes[coordinator]
         table = dict(coordinator_db.slb.get_well_known(DECISIONS_KEY) or {})
         entry = table.get(gtid)
         if entry is None:
@@ -187,7 +164,7 @@ class TwoPhaseCommit:
 
     def decision_table(self, coordinator: int) -> dict:
         """A copy of one node's decision table (tests / monitoring)."""
-        return dict(self._node_db(coordinator).slb.get_well_known(DECISIONS_KEY) or {})
+        return dict(self.facade.nodes[coordinator].slb.get_well_known(DECISIONS_KEY) or {})
 
     # -- shard-crash handling -----------------------------------------------------
 
@@ -208,20 +185,28 @@ class TwoPhaseCommit:
             verdict = self.lookup_decision(dtxn.coordinator, dtxn.gtid)
             if verdict == "commit":
                 for sid in dtxn.shard_ids:
-                    if self._node_db(sid).crashed:
+                    if self.facade.nodes[sid].crashed:
                         continue
                     txn = dtxn.branches[sid]
                     if txn.state is TxnState.PREPARED:
                         txn.commit_prepared()
-                        self.acknowledge(dtxn.coordinator, dtxn.gtid, sid)
+                        self._ack(dtxn.coordinator, dtxn.gtid, sid)
                 dtxn.state = TxnState.COMMITTED
                 self.distributed_committed += 1
                 self.forget(dtxn.gtid)
             else:
                 self.abort_distributed(dtxn)
 
-    def resolver_for(self, shard_id: int) -> _NodeResolver:
-        return _NodeResolver(self, shard_id)
+    # -- in-doubt resolution: every node's ``in_doubt_resolver`` ------------------
+
+    def decide(self, prepare: TxnPrepare) -> str:
+        """A restarting node's in-doubt branch: the coordinator's verdict."""
+        return self.lookup_decision(prepare.coordinator, prepare.gtid)
+
+    def acknowledge(self, prepare: TxnPrepare, verdict: str) -> None:
+        """A restarting node applied ``verdict``; a commit is acked."""
+        if verdict == "commit":
+            self._ack(prepare.coordinator, prepare.gtid, prepare.shard)
 
     # -- observability ------------------------------------------------------------
 

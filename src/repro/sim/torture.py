@@ -61,7 +61,7 @@ from repro.txn.scheduler import Scheduler
 from repro.workloads.debit_credit import DebitCreditWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shard import ShardedDatabase, ShardedScheduler
+    from repro.shard import ShardedDatabase
     from repro.workloads.sharded_bank import ShardedBankWorkload
 
 #: The round kinds (the action the generated plan injects).
@@ -230,16 +230,13 @@ def build_plan(spec: RoundSpec, rng: random.Random) -> ChaosPlan:
     return ChaosPlan(spec.seed, tuple(rules))
 
 
-def _build_cluster(
-    spec: RoundSpec, config: SystemConfig
-) -> tuple[ShardedBankWorkload, ShardedScheduler]:
+def _build_cluster(spec: RoundSpec, config: SystemConfig) -> ShardedBankWorkload:
     # Imported here: a single-node round does not load the cluster code.
-    from repro.shard import ShardedDatabase, ShardedScheduler
+    from repro.shard import ShardedDatabase
     from repro.workloads.sharded_bank import ShardedBankWorkload
 
     cluster = ShardedDatabase(shards=spec.shards, config=config)
-    bank = ShardedBankWorkload(cluster, accounts_per_shard=16, cross_ratio=0.25, seed=spec.seed)
-    return bank, ShardedScheduler(cluster, max_attempts=500)
+    return ShardedBankWorkload(cluster, accounts_per_shard=16, cross_ratio=0.25, seed=spec.seed)
 
 
 class TortureHarness:
@@ -271,15 +268,15 @@ class TortureHarness:
         config = SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense)
         cluster: ShardedDatabase | None = None
         workload: DebitCreditWorkload | ShardedBankWorkload
-        scheduler: Scheduler | ShardedScheduler
         #: The exact-digest tail's transaction; none on a cluster, where no
         #: one digest is defined while several nodes commit.
         tail: Callable[[], object] | None = None
         if spec.shards > 1:
-            bank, routed = _build_cluster(spec, config)
-            workload, scheduler, cluster = bank, routed, bank.cluster
-            dbs = [node.db for node in bank.cluster.nodes]
-            submit = partial(bank.submit, routed, POOL_SCRIPTS)
+            workload = bank = _build_cluster(spec, config)
+            cluster = bank.cluster
+            dbs = cluster.nodes
+            scheduler = Scheduler(cluster, max_attempts=500)
+            submit = partial(bank.submit, scheduler, POOL_SCRIPTS)
         else:
             dbs = [Database(config)]
             workload = DebitCreditWorkload(

@@ -32,7 +32,6 @@ are a pure function of the batch: one run replays another exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator
 
 from repro.common.errors import ReproError, TransactionAborted
@@ -40,6 +39,7 @@ from repro.txn.manager import settle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
+    from repro.shard import ShardedDatabase
 
 #: A script body: drives the transaction ``begin()`` returned, yielding
 #: between operations.
@@ -62,7 +62,7 @@ class _Script:
     """One submission — ``(slot, name, body, begin)`` — and the state of
     its current attempt."""
 
-    def __init__(self, slot: int, name: str, body: Script, begin: Callable[[], Any]):
+    def __init__(self, slot: int, name: str, body: Script, begin: Callable[..., Any]):
         self.slot = slot
         self.name = name
         self.body = body
@@ -79,16 +79,17 @@ class _Script:
 class Scheduler:
     """Runs batches of transaction scripts with no-wait retry.
 
-    ``db`` supplies the default ``begin`` and the pump that follows a
-    batch.  A lane that belongs to no one database — the shard router's
-    cross-shard lane — passes ``None`` and a ``begin`` with every script;
-    its caller pumps.
+    ``db`` — a :class:`~repro.db.database.Database` or a
+    :class:`~repro.shard.ShardedDatabase` — is pumped after each batch.
+    A database's scripts begin with ``db.transactions.begin`` by default;
+    a cluster's pass ``begin=partial(cluster.begin, relations)``, so one
+    batch interleaves local and distributed transactions alike.
 
     Counters accumulate across runs; a database reports its most recent
     scheduler's through ``Database.stats()["scheduler"]``.
     """
 
-    def __init__(self, db: "Database | None", max_attempts: int = 20):
+    def __init__(self, db: "Database | ShardedDatabase", max_attempts: int = 20):
         if max_attempts < 1:
             raise SchedulerError("max_attempts must be at least 1")
         self.db = db
@@ -100,27 +101,24 @@ class Scheduler:
         self.retries = 0
         self.max_attempts_seen = 0
         self.runs = 0
-        if db is not None:
-            db.register_scheduler(self)
+        db.register_scheduler(self)
 
     def submit(
         self,
         script: Script,
         name: str | None = None,
-        begin: Callable[[], Any] | None = None,
+        begin: Callable[..., Any] | None = None,
     ) -> None:
         """Queue ``script`` for the next :meth:`run`.
 
-        ``begin()`` starts each attempt's transaction — anything
-        :func:`~repro.txn.manager.settle` can end that carries a
-        ``txn_id``; by default a transaction of ``db``.
+        ``begin(user_data="script:<name>")`` starts each attempt's
+        transaction — anything :func:`~repro.txn.manager.settle` can end
+        that carries a ``txn_id``; by default ``db.transactions.begin``.
         """
         slot = len(self._batch)
         label = name if name is not None else f"script-{slot}"
         if begin is None:
-            if self.db is None:
-                raise SchedulerError("a scheduler without a database needs begin=")
-            begin = partial(self.db.transactions.begin, user_data=f"script:{label}")
+            begin = self.db.transactions.begin
         self._batch.append(_Script(slot, label, script, begin))
 
     # -- running ----------------------------------------------------------------
@@ -136,8 +134,7 @@ class Scheduler:
             self._interleave(batch)
         finally:
             self.runs += 1
-        if self.db is not None:
-            self.db.pump()
+        self.db.pump()
         return [script.result for script in batch]
 
     def advance(self, script: _Script) -> str:
@@ -150,7 +147,7 @@ class Scheduler:
         generator = script.generator
         if generator is None:
             script.attempts += 1
-            script.txn = script.begin()
+            script.txn = script.begin(user_data=f"script:{script.name}")
             script.txn_ids.append(script.txn.txn_id)
             generator = script.generator = iter(script.body(script.txn))
         try:

@@ -29,6 +29,7 @@ import enum
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.common.errors import (
+    ShardingError,
     StableMemoryFullError,
     TransactionAborted,
     TransactionStateError,
@@ -141,6 +142,17 @@ class Transaction:
     @property
     def undo_record_count(self) -> int:
         return len(self._undo)
+
+    def resolve(self, db: "Database") -> "Transaction":
+        """The transaction that may touch ``db``'s relations: this one, on
+        its own database only.  Every public ``Relation`` method asks."""
+        if db is not self.db:
+            raise ShardingError(
+                f"txn {self.txn_id} belongs to another database (shard "
+                f"{self.db.shard_id}, not {db.shard_id}); declare the relation "
+                f"in the transaction's access list"
+            )
+        return self
 
     # -- locking ----------------------------------------------------------------
 

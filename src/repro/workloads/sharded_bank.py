@@ -17,11 +17,12 @@ the cluster no matter how many shards crash and recover in between.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shard.scheduler import ShardedScheduler
     from repro.shard.sharded import ShardedDatabase
+    from repro.txn.scheduler import Scheduler
 
 ACCOUNT_SCHEMA = [("aid", "int"), ("balance", "int")]
 LEDGER_SCHEMA = [("lid", "int"), ("incoming", "int"), ("outgoing", "int")]
@@ -155,11 +156,12 @@ class ShardedBankWorkload:
             relations = [self.account_name(shard)]
         return script, relations, name
 
-    def submit(self, scheduler: "ShardedScheduler", transactions: int) -> None:
-        """Queue ``transactions`` generated transfers on a scheduler."""
+    def submit(self, scheduler: "Scheduler", transactions: int) -> None:
+        """Queue ``transactions`` generated transfers on the cluster's
+        scheduler, each routed by its declared relations."""
         for _ in range(transactions):
             script, relations, name = self.next_script()
-            scheduler.submit(script, relations=relations, name=name)
+            scheduler.submit(script, name=name, begin=partial(self.cluster.begin, relations))
 
     # -- invariants ---------------------------------------------------------------
 

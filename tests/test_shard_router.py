@@ -61,12 +61,6 @@ class TestRouting:
     def test_empty_declaration_routes_to_shard_zero(self):
         router = ShardRouter(4)
         assert router.route([]) == (0,)
-        assert router.is_single_shard([])
-
-    def test_is_single_shard(self):
-        router = ShardRouter(2, placement={"a": 0, "b": 1})
-        assert router.is_single_shard(["a"])
-        assert not router.is_single_shard(["a", "b"])
 
     def test_stats_counts_pins_per_shard(self):
         router = ShardRouter(3, placement={"a": 0, "b": 0, "c": 2})

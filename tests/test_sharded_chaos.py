@@ -11,10 +11,11 @@ seeded sharded round through the harness.
 import pytest
 
 from repro import SystemConfig
-from repro.shard import ShardedDatabase, ShardedScheduler
+from repro.shard import ShardedDatabase
 from repro.sim.chaos import CRASH, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.sim.torture import RoundSpec, TortureHarness
+from repro.txn.scheduler import Scheduler
 from repro.workloads.sharded_bank import ShardedBankWorkload
 
 ACCOUNT_SCHEMA = [("id", "int"), ("balance", "int")]
@@ -57,11 +58,11 @@ def crash_at(point, after_visits=0):
 
 def survivors_keep_committing(cluster, left):
     """With shard 1 dark, shard 0 commits a burst of transactions."""
-    before = cluster.nodes[0].db.slb.commits
+    before = cluster.nodes[0].slb.commits
     for i in range(6):
         bump(cluster, left, "left", i)
     # At least the six user commits (checkpoint system txns may add more).
-    assert cluster.nodes[0].db.slb.commits >= before + 6
+    assert cluster.nodes[0].slb.commits >= before + 6
 
 
 class TestKillOneShardMidCommit:
@@ -78,10 +79,10 @@ class TestKillOneShardMidCommit:
         survivors_keep_committing(cluster, left)
 
         cluster.restart_shard(1)
-        cluster.nodes[1].recover_everything()
+        cluster.nodes[1].restart_coordinator.recover_everything()
         # Only the dead shard ran restart; the survivor never did.
-        assert cluster.nodes[1].db.restart_coordinator is not None
-        assert cluster.nodes[0].db.restart_coordinator is None
+        assert cluster.nodes[1].restart_coordinator is not None
+        assert cluster.nodes[0].restart_coordinator is None
         # The mid-commit transaction was correctly lost, earlier commits kept.
         with cluster.transaction(relations=["right"]) as txn:
             assert right.lookup(txn, 0)["balance"] == 100
@@ -96,7 +97,7 @@ class TestKillOneShardMidCommit:
         cluster.crash_shard(1)
         survivors_keep_committing(cluster, left)
         cluster.restart_shard(1)
-        cluster.nodes[1].recover_everything()
+        cluster.nodes[1].restart_coordinator.recover_everything()
         with cluster.transaction(relations=["right"]) as txn:
             assert right.lookup(txn, 0)["balance"] == 150
 
@@ -119,8 +120,8 @@ class TestKillOneShardMidCheckpoint:
         survivors_keep_committing(cluster, left)
 
         cluster.restart_shard(1)
-        cluster.nodes[1].recover_everything()
-        assert cluster.nodes[0].db.restart_coordinator is None
+        cluster.nodes[1].restart_coordinator.recover_everything()
+        assert cluster.nodes[0].restart_coordinator is None
         # All 24 committed updates survive the torn checkpoint.
         with cluster.transaction(relations=["right"]) as txn:
             for i in range(8):
@@ -168,7 +169,7 @@ class TestMixedWorkloadKill:
             cluster, accounts_per_shard=8, cross_ratio=0.3, seed=9
         )
         bank.load()
-        sched = ShardedScheduler(cluster, max_attempts=100)
+        sched = Scheduler(cluster, max_attempts=100)
         bank.submit(sched, 16)
         assert all(r.committed for r in sched.run())
 

@@ -1,20 +1,24 @@
 """The sharded facade: topology, routing, scheduling, and the shards=1
 degenerate case (digest-identical to a standalone database)."""
 
+from functools import partial
+
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.common.errors import ShardingError
 from repro.db.monitor import status_page
 from repro.recovery.oracle import logical_digest
-from repro.shard import (
-    ShardedDatabase,
-    ShardedScheduler,
-    ShardingError,
-)
+from repro.shard import ShardedDatabase
 from repro.txn.scheduler import Scheduler
 from repro.workloads.sharded_bank import ShardedBankWorkload
 
 ACCOUNT_SCHEMA = [("id", "int"), ("balance", "int")]
+
+
+def routed(cluster, *relations):
+    """A script ``begin`` routed by its declared relations."""
+    return partial(cluster.begin, list(relations))
 
 
 def small_config(**kwargs):
@@ -50,38 +54,38 @@ def load_pair(cluster):
 class TestTopology:
     def test_relations_live_on_their_pinned_node(self, cluster):
         acc, led = load_pair(cluster)
-        assert acc.shard_id == 0 and led.shard_id == 1
-        assert cluster.nodes[0].db.catalog.has_relation("accounts")
-        assert not cluster.nodes[0].db.catalog.has_relation("ledger")
-        assert cluster.nodes[1].db.catalog.has_relation("ledger")
+        assert acc.db is cluster.nodes[0] and led.db is cluster.nodes[1]
+        assert cluster.nodes[0].catalog.has_relation("accounts")
+        assert not cluster.nodes[0].catalog.has_relation("ledger")
+        assert cluster.nodes[1].catalog.has_relation("ledger")
 
     def test_indexes_live_with_their_relation(self, cluster):
         load_pair(cluster)
         cluster.create_index("by_balance", "accounts", "balance")
-        names = [d.name for d in cluster.nodes[0].db.catalog.indexes()]
+        names = [d.name for d in cluster.nodes[0].catalog.indexes()]
         assert "by_balance" in names
         assert not any(
-            d.name == "by_balance" for d in cluster.nodes[1].db.catalog.indexes()
+            d.name == "by_balance" for d in cluster.nodes[1].catalog.indexes()
         )
         cluster.drop_index("by_balance")
         assert not any(
-            d.name == "by_balance" for d in cluster.nodes[0].db.catalog.indexes()
+            d.name == "by_balance" for d in cluster.nodes[0].catalog.indexes()
         )
 
     def test_drop_relation_unpins(self, cluster):
         load_pair(cluster)
         cluster.drop_relation("ledger")
         assert "ledger" not in cluster.router.placement()
-        assert not cluster.nodes[1].db.catalog.has_relation("ledger")
+        assert not cluster.nodes[1].catalog.has_relation("ledger")
 
     def test_single_shard_txn_runs_on_owning_node(self, cluster):
         acc, _ = load_pair(cluster)
-        before = cluster.nodes[1].db.slb.commits
+        before = cluster.nodes[1].slb.commits
         with cluster.transaction(relations=["accounts"]) as txn:
             row = acc.lookup(txn, 0)
             acc.update(txn, row.address, {"balance": 1})
         # The other node saw nothing: no commit, no log records.
-        assert cluster.nodes[1].db.slb.commits == before
+        assert cluster.nodes[1].slb.commits == before
 
 
 class TestRoutingGuards:
@@ -100,6 +104,25 @@ class TestRoutingGuards:
                 # relation must still resolve through a declared branch —
                 # here we fake a miss by asking for a shard outside the set.
                 txn.branch(5)
+
+    def test_plain_txn_cannot_touch_another_databases_relation(self):
+        """Two standalone databases hand out the same segment ids.  Without
+        the guard B's relation would take A's transaction: the row would
+        land in B's partition while its lock went to A's lock table and its
+        REDO record onto A's SLB chain, into A's bin for the same-numbered
+        partition — so A's commit would make durable, in A's log, a change
+        to B that B never logged."""
+        a, b = Database(small_config()), Database(small_config())
+        a.create_relation("accounts", ACCOUNT_SCHEMA, "id")
+        theirs = b.create_relation("accounts", ACCOUNT_SCHEMA, "id")
+        with a.transaction() as txn:
+            written = a.slb.records_written
+            with pytest.raises(ShardingError, match="another database"):
+                theirs.insert(txn, {"id": 1, "balance": 5})
+            assert a.slb.records_written == written
+            assert not a.locks.locks_held(txn.txn_id)
+        with b.transaction() as txn:
+            assert theirs.count(txn) == 0
 
 
 class TestCrossShard:
@@ -178,13 +201,16 @@ class TestObservability:
         assert "shard               node 0" in report
 
     def test_node_monitor_reports_shard_identity(self, cluster):
-        assert "shard               node 1" in status_page(cluster.nodes[1].db.stats())
+        assert "shard               node 1" in status_page(cluster.nodes[1].stats())
 
 
 class TestShardedScheduler:
+    """One ``Scheduler`` drives a cluster: local and distributed scripts
+    interleave in one batch, each routed by ``cluster.begin``."""
+
     def test_routes_and_preserves_submission_order(self, cluster):
         acc, led = load_pair(cluster)
-        sched = ShardedScheduler(cluster)
+        sched = Scheduler(cluster)
 
         def local(txn):
             row = acc.lookup(txn, 0)
@@ -198,19 +224,19 @@ class TestShardedScheduler:
             t = led.lookup(txn, 0)
             led.update(txn, t.address, {"total": t["total"] + 5})
 
-        sched.submit(local, relations=["accounts"], name="l0")
-        sched.submit(cross, relations=["accounts", "ledger"], name="x0")
-        sched.submit(local, relations=["accounts"], name="l1")
+        sched.submit(local, name="l0", begin=routed(cluster, "accounts"))
+        sched.submit(cross, name="x0", begin=routed(cluster, "accounts", "ledger"))
+        sched.submit(local, name="l1", begin=routed(cluster, "accounts"))
         results = sched.run()
         assert [r.name for r in results] == ["l0", "x0", "l1"]
         assert all(r.committed for r in results)
-        stats = sched.stats()
-        assert stats["cross_shard"]["committed"] == 1
-        assert 0 in stats["single_shard"]
+        assert cluster.stats()["twopc"]["distributed_committed"] == 1
+        assert all(db.stats()["scheduler"] == sched.stats() for db in cluster.nodes)
+        assert sched.stats()["committed"] == 3
 
     def test_cross_conflict_retries_under_no_wait(self, cluster):
         acc, led = load_pair(cluster)
-        sched = ShardedScheduler(cluster, max_attempts=50)
+        sched = Scheduler(cluster, max_attempts=50)
 
         def contender(txn):
             row = acc.lookup(txn, 0)
@@ -221,48 +247,71 @@ class TestShardedScheduler:
             led.update(txn, t.address, {"total": t["total"] + 1})
 
         for i in range(4):
-            sched.submit(
-                contender, relations=["accounts", "ledger"], name=f"c{i}"
-            )
+            sched.submit(contender, name=f"c{i}", begin=routed(cluster, "accounts", "ledger"))
         results = sched.run()
         assert all(r.committed for r in results)
         with cluster.transaction(relations=["ledger"]) as txn:
             assert led.lookup(txn, 0)["total"] == 4
 
+    @pytest.mark.parametrize("local_first", [True, False], ids=["local-first", "cross-first"])
+    def test_local_and_distributed_contend_on_one_row(self, local_first):
+        """A local and a cross-shard transfer out of the same account, in
+        one batch: they conflict on its row, the loser retries, both
+        commit, and conservation holds per shard and overall."""
+        cluster = ShardedDatabase(shards=2, config=small_config())
+        bank = ShardedBankWorkload(cluster, accounts_per_shard=4, seed=0)
+        bank.load()
+        scripts = [
+            ("local", bank.local_transfer_script(0, 0, 1, 5), [bank.account_name(0)]),
+            (
+                "cross",
+                bank.cross_transfer_script(0, 1, 0, 2, 7),
+                [bank.account_name(0), bank.ledger_name(0),
+                 bank.account_name(1), bank.ledger_name(1)],
+            ),
+        ]
+        sched = Scheduler(cluster, max_attempts=50)
+        for name, script, relations in scripts if local_first else scripts[::-1]:
+            sched.submit(script, name=name, begin=routed(cluster, *relations))
+        results = sched.run()
+        assert all(r.committed for r in results)
+        assert sched.conflicts >= 1
+        totals = bank.check_invariants()
+        assert totals[0]["balances"] == 4 * 1000 - 7
+        with cluster.transaction(relations=[bank.account_name(0)]) as txn:
+            assert cluster.table(bank.account_name(0)).lookup(txn, 0)["balance"] == 1000 - 12
 
     def test_a_run_that_raises_consumes_the_batch(self, cluster):
-        """Whichever lane dies — the first node's, so that on a sim
-        cluster the second node's never starts, or the cross lane — the
-        next run sees only what was submitted after it."""
+        """Whether the script that dies is local or distributed, the next
+        run sees only what was submitted after it, and nothing of the dead
+        transaction stays open or in flight."""
         acc, led = load_pair(cluster)
-        sched = ShardedScheduler(cluster)
+        sched = Scheduler(cluster)
 
         def broken(txn):
             yield
             raise ValueError("script bug")
 
-        def bump(relation, field):
-            def script(txn):
-                row = relation.lookup(txn, 0)
-                yield
-                relation.update(txn, row.address, {field: row[field] + 1})
-
-            return script
+        def bump(txn):
+            row = acc.lookup(txn, 0)
+            yield
+            acc.update(txn, row.address, {"balance": row["balance"] + 1})
 
         for dying in (["accounts"], ["accounts", "ledger"]):
-            sched.submit(broken, relations=dying, name="dies")
-            sched.submit(bump(led, "total"), relations=["ledger"], name="never-ran")
+            sched.submit(broken, name="dies", begin=routed(cluster, *dying))
             with pytest.raises(ValueError):
                 sched.run()
-            sched.submit(bump(acc, "balance"), relations=["accounts"], name="after")
+            assert cluster.twopc.pending_gtids() == []
+            assert all(db.transactions.active_count == 0 for db in cluster.nodes)
+            sched.submit(bump, name="after", begin=routed(cluster, "accounts"))
             results = sched.run()
             assert [(r.name, r.committed) for r in results] == [("after", True)]
         with cluster.transaction(relations=["accounts"]) as txn:
             assert acc.lookup(txn, 0)["balance"] == 102
 
-    def test_same_name_in_two_lanes_gives_two_results(self, cluster):
+    def test_same_name_local_and_distributed_gives_two_results(self, cluster):
         acc, led = load_pair(cluster)
-        sched = ShardedScheduler(cluster)
+        sched = Scheduler(cluster)
         began = {"local": [], "cross": []}
 
         def local(txn):
@@ -279,8 +328,8 @@ class TestShardedScheduler:
             t = led.lookup(txn, 0)
             led.update(txn, t.address, {"total": t["total"] + 5})
 
-        sched.submit(cross, relations=["accounts", "ledger"], name="x")
-        sched.submit(local, relations=["accounts"], name="x")
+        sched.submit(cross, name="x", begin=routed(cluster, "accounts", "ledger"))
+        sched.submit(local, name="x", begin=routed(cluster, "accounts"))
         first, second = sched.run()
         assert first is not second
         assert (first.committed, first.txn_ids) == (True, began["cross"])
@@ -292,7 +341,7 @@ class TestDegenerateSingleShard:
     def test_shards_one_digest_identical_to_standalone(self):
         """The tentpole's degeneracy claim: one shard, same bits."""
 
-        def drive(facade_like, scheduler):
+        def drive(facade_like, submit):
             acc = facade_like.create_relation(
                 "accounts", ACCOUNT_SCHEMA, "id"
             )
@@ -316,29 +365,27 @@ class TestDegenerateSingleShard:
                 return script
 
             for i in range(6):
-                scheduler.submit(transfer(i, (i + 1) % 8), name=f"t{i}")
+                submit(transfer(i, (i + 1) % 8), f"t{i}")
 
         seed_db = Database(small_config())
         seed_sched = Scheduler(seed_db)
-        drive(seed_db, seed_sched)
+        drive(seed_db, lambda script, name: seed_sched.submit(script, name=name))
         seed_sched.run()
 
         cluster = ShardedDatabase(shards=1, config=small_config())
-        cluster_sched = ShardedScheduler(cluster)
-
-        class _Submit:
-            """Adapts the sharded submit(script, relations, name) shape."""
-
-            def submit(self, script, name=None):
-                cluster_sched.submit(script, relations=["accounts"], name=name)
-
-        drive(cluster, _Submit())
+        cluster_sched = Scheduler(cluster)
+        drive(
+            cluster,
+            lambda script, name: cluster_sched.submit(
+                script, name=name, begin=routed(cluster, "accounts")
+            ),
+        )
         cluster_sched.run()
 
-        assert logical_digest(seed_db) == logical_digest(cluster.nodes[0].db)
+        assert logical_digest(seed_db) == logical_digest(cluster.nodes[0])
         # Identical commit/abort history, not just identical state.
-        assert seed_db.slb.commits == cluster.nodes[0].db.slb.commits
-        assert seed_db.slb.aborts == cluster.nodes[0].db.slb.aborts
+        assert seed_db.slb.commits == cluster.nodes[0].slb.commits
+        assert seed_db.slb.aborts == cluster.nodes[0].slb.aborts
 
     def test_shards_one_crash_recovery_digest_identical(self):
         def load(db_like):
@@ -359,7 +406,7 @@ class TestDegenerateSingleShard:
         cluster.restart()
         cluster.recover_everything()
 
-        assert logical_digest(seed_db) == logical_digest(cluster.nodes[0].db)
+        assert logical_digest(seed_db) == logical_digest(cluster.nodes[0])
 
 
 class TestShardedBankWorkload:
@@ -369,7 +416,7 @@ class TestShardedBankWorkload:
             cluster, accounts_per_shard=8, cross_ratio=0.5, seed=3
         )
         bank.load()
-        sched = ShardedScheduler(cluster, max_attempts=100)
+        sched = Scheduler(cluster, max_attempts=100)
         bank.submit(sched, 24)
         results = sched.run()
         assert all(r.committed for r in results)

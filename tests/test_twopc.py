@@ -81,11 +81,11 @@ class TestCoordinatorCrash:
         # The coordinator (lowest shard id = 0) dies with its in-doubt
         # branch; the survivor settles immediately via presumed abort.
         cluster.crash_shard(0)
-        assert cluster.nodes[1].db.twopc.snapshot()["prepared_aborts"] == 1
+        assert cluster.nodes[1].twopc.snapshot()["prepared_aborts"] == 1
         assert cluster.twopc.pending_gtids() == []
         cluster.restart_shard(0)
         cluster.recover_everything()
-        resolved = cluster.nodes[0].db.twopc.snapshot()
+        resolved = cluster.nodes[0].twopc.snapshot()
         assert resolved["in_doubt_found"] == 1
         assert resolved["in_doubt_aborted"] == 1
         assert resolved["in_doubt_committed"] == 0
@@ -104,10 +104,10 @@ class TestCoordinatorCrash:
                 transfer(cluster, left, right)
         cluster.crash_shard(0)
         # Survivor's prepared branch was driven through phase 2.
-        assert cluster.nodes[1].db.twopc.snapshot()["prepared_commits"] == 1
+        assert cluster.nodes[1].twopc.snapshot()["prepared_commits"] == 1
         cluster.restart_shard(0)
         cluster.recover_everything()
-        resolved = cluster.nodes[0].db.twopc.snapshot()
+        resolved = cluster.nodes[0].twopc.snapshot()
         assert resolved["in_doubt_committed"] == 1
         assert balances(cluster, left, right) == (70, 130)
         # Every participant acked, so the decision entry was forgotten.
@@ -128,7 +128,7 @@ class TestParticipantCrash:
         cluster.crash_shard(1)
         cluster.restart_shard(1)
         cluster.recover_everything()
-        resolved = cluster.nodes[1].db.twopc.snapshot()
+        resolved = cluster.nodes[1].twopc.snapshot()
         assert resolved["in_doubt_found"] == 1
         assert resolved["in_doubt_committed"] == 1
         assert balances(cluster, left, right) == (70, 130)
@@ -147,11 +147,11 @@ class TestParticipantCrash:
         assert cluster.crashed_shards == [0, 1]
         # Participant first, coordinator still dark.
         cluster.restart_shard(1)
-        cluster.nodes[1].recover_everything()
-        assert cluster.nodes[1].db.twopc.snapshot()["in_doubt_committed"] == 1
+        cluster.nodes[1].restart_coordinator.recover_everything()
+        assert cluster.nodes[1].twopc.snapshot()["in_doubt_committed"] == 1
         cluster.restart_shard(0)
-        cluster.nodes[0].recover_everything()
-        assert cluster.nodes[0].db.twopc.snapshot()["in_doubt_committed"] == 1
+        cluster.nodes[0].restart_coordinator.recover_everything()
+        assert cluster.nodes[0].twopc.snapshot()["in_doubt_committed"] == 1
         assert balances(cluster, left, right) == (70, 130)
         assert cluster.twopc.decision_table(0) == {}
 
@@ -175,7 +175,7 @@ class TestMediaRestoreResolvesInDoubt:
             with pytest.raises(SimulatedCrash):
                 transfer(cluster, left, right)
         cluster.crash()
-        participant = cluster.nodes[1].db
+        participant = cluster.nodes[1]
         participant.checkpoint_disk.disk.destroy()
         resolver = participant.in_doubt_resolver
         acknowledged = []
@@ -214,7 +214,7 @@ class TestPrepareWindow:
         cluster.restart()
         cluster.recover_everything()
         totals = {
-            sid: cluster.nodes[sid].db.twopc.snapshot() for sid in (0, 1)
+            sid: cluster.nodes[sid].twopc.snapshot() for sid in (0, 1)
         }
         assert totals[0]["in_doubt_aborted"] == 1
         # Node 1 never prepared — its branch was discarded as an
@@ -242,16 +242,16 @@ class TestDecisionTableLifecycle:
         # Stable across the coordinator's own crash/restart.
         cluster.crash_shard(0)
         cluster.restart_shard(0)
-        cluster.nodes[0].recover_everything()
+        cluster.nodes[0].restart_coordinator.recover_everything()
         assert cluster.twopc.decision_table(0) == table
         # The participant's restart acks and clears it.
         cluster.crash_shard(1)
         cluster.restart_shard(1)
-        cluster.nodes[1].recover_everything()
+        cluster.nodes[1].restart_coordinator.recover_everything()
         assert cluster.twopc.decision_table(0) == {}
         assert balances(cluster, left, right) == (70, 130)
 
     def test_decisions_key_is_wellknown(self, cluster):
         assert (
-            cluster.nodes[0].db.slb.get_well_known(DECISIONS_KEY) is None
+            cluster.nodes[0].slb.get_well_known(DECISIONS_KEY) is None
         )
