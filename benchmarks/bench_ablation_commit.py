@@ -11,7 +11,7 @@ real system (commit adds no log-disk I/O).
 """
 
 from repro import Database
-from repro.baselines import CommitProtocolModel
+from repro.analysis import CommitProtocolModel
 
 
 def bench_ablation_commit(benchmark, report):

@@ -1,4 +1,5 @@
-"""The paper's Section 3 performance analysis, as executable models.
+"""The paper's performance analysis (section 3, and section 1.2's commit
+protocols), as executable models.
 
 * :mod:`repro.analysis.params` — Table 1/2: variable conventions and
   parameter values, including the derived "(Calculated)" rows.
@@ -8,16 +9,20 @@
   frequency and overhead (Graph 3).
 * :mod:`repro.analysis.recovery_model` — section 3.4: partition-level vs
   database-level post-crash recovery.
+* :mod:`repro.analysis.commit_model` — section 1.2: commit latency and
+  rate under synchronous WAL, group commit and stable-RAM instant commit.
 """
 
 from repro.analysis.logging_model import LoggingModel
 from repro.analysis.checkpoint_model import CheckpointModel
+from repro.analysis.commit_model import CommitProtocolModel
 from repro.analysis.recovery_model import RecoveryModel
 from repro.analysis.params import table1_rows, table2_rows
 from repro.analysis.sizing import SizingModel, WorkloadProfile
 
 __all__ = [
     "CheckpointModel",
+    "CommitProtocolModel",
     "LoggingModel",
     "RecoveryModel",
     "SizingModel",

@@ -1,4 +1,4 @@
-"""Commit-protocol baselines: synchronous WAL and group commit.
+"""Section 1.2: the commit protocols the stable-RAM design replaces.
 
 Section 1.2 reviews how disk-based designs pay for commit:
 

@@ -344,19 +344,6 @@ class Catalog:
             self.update(descriptor, sink)
         return previous
 
-    def forget_images(self) -> None:
-        """Section 2.6, the checkpoint disk lost: no partition has an
-        image.  The descriptor bytes too, unlogged (the fresh checkpoints
-        that follow log each descriptor whole): a failed one among them
-        re-derives its descriptor from the bytes and must not find a lost
-        slot there."""
-        for number in self.own_partition_slots:
-            self.own_partition_slots[number] = None
-        for descriptor in (*self.relations(), *self.indexes()):
-            for info in descriptor.partitions.values():
-                info.checkpoint_slot = None
-            self.update(descriptor, None)
-
     # -- persistence --------------------------------------------------------------
 
     def store_new(

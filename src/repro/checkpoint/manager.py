@@ -21,9 +21,11 @@ when the transaction manager polls the request queue:
 Steps 2-6 are one routine, :meth:`CheckpointManager.copy`, over a list of
 partitions the caller picks: a request's own partition; the closure of
 live commands a request escalates to, or the DDL fence settles (a group
-settlement sweep, docs/LOGGING.md); or every resident partition (the
-whole-database baseline).  The only other procedure installs a condensed
-shadow image and copies nothing (:meth:`CheckpointManager._run_flip`).
+settlement sweep, docs/LOGGING.md); or every resident partition
+(:meth:`CheckpointManager.checkpoint_all`: the whole-database baseline,
+and the fresh images both media restores end with).  The only other
+procedure installs a condensed shadow image and copies nothing
+(:meth:`CheckpointManager._run_flip`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ import contextlib
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.common.errors import CatalogError, NotResidentError, TransactionAborted
+from repro.common.errors import (
+    CatalogError,
+    CheckpointError,
+    NotResidentError,
+    TransactionAborted,
+)
 from repro.common.types import PartitionAddress
 from repro.concurrency.locks import LockMode
 from repro.checkpoint.protocol import CheckpointRequest, RequestState
@@ -322,6 +329,29 @@ class CheckpointManager:
             )
         self.checkpoints_taken += 1
         return True
+
+    def checkpoint_all(self) -> int:
+        """The whole-database checkpoint: every resident partition —
+        catalog, relations, indexes — copied in one checkpoint transaction
+        that settles every live command with it (their closures are
+        resident: replay and predeclaration put them there), then
+        acknowledged like any checkpoint: superseded slots freed, bin
+        leftovers archived.  Returns how many partitions it copied.
+
+        Section 1.2's "database as a single object": the checkpoint pays
+        for everything every time.  All or nothing — a failure rolls every
+        descriptor back to the images it named before.
+        """
+        db = self.db
+        addresses = [
+            partition.address
+            for segment in db.memory.segments()
+            for partition in segment.resident_partitions()
+        ]
+        if not self.copy(addresses, decode_live_commands(db)):
+            raise CheckpointError("whole-database checkpoint deferred: a relation is busy")
+        db.recovery_processor.acknowledge_finished()
+        return len(addresses)
 
     def settle_relation(self, name: str) -> int:
         """Force settlement of every live command whose closure includes

@@ -578,10 +578,9 @@ class Database:
                 f"segment {segment_id} has unrecovered partitions but no "
                 f"restart is in progress"
             )
-        for number in missing:
-            self.restart_coordinator.recover_partition(
-                PartitionAddress(segment_id, number)
-            )
+        self.restart_coordinator.recover(
+            PartitionAddress(segment_id, number) for number in missing
+        )
 
     # -- crash / restart -----------------------------------------------------------------------------------
 

@@ -20,9 +20,11 @@ verified pass over the log disk**
 (:func:`~repro.recovery.redo.demultiplex_log_history`: each log page is
 read exactly once regardless of how many partitions exist), then every
 rebuild of phases 1 and 2 replays its stream, like any eager restart —
-followed by a fresh checkpoint
-image of everything on the replacement disk, after which normal crash
-recovery works again.
+followed by one whole-database checkpoint
+(:meth:`~repro.checkpoint.manager.CheckpointManager.checkpoint_all`) onto
+the replacement disk, after which normal crash recovery works again.
+Until that checkpoint commits, the catalog names the lost images, so a
+crash in between sends an ordinary restart to the log history too.
 """
 
 from __future__ import annotations
@@ -37,23 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
 
 
-def _checkpoint_everything(db: "Database") -> int:
-    """Cut a fresh checkpoint image of every partition; returns how many
-    checkpoints that took.  A pass that completes nothing while requests
-    are still queued cannot make progress and raises."""
-    before = db.checkpoints.checkpoints_taken
-    for bin_ in db.slt.bins():
-        if not bin_.marked_for_checkpoint:
-            db.slt.mark_for_checkpoint(bin_.bin_index, "media-restore")
-            db.checkpoint_queue.submit(bin_.partition, bin_.bin_index, "media-restore")
-    while db.checkpoint_queue.pending():
-        if db.checkpoints.process_pending() == 0:
-            raise RecoveryError("media restore could not checkpoint every partition")
-        db.recovery_processor.acknowledge_finished()
-    db.recovery_processor.acknowledge_finished()
-    return db.checkpoints.checkpoints_taken - before
-
-
 def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     """Recover the whole database after the checkpoint disk is destroyed.
 
@@ -62,9 +47,9 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     memories, and the catalog partition address list all survive.
 
     An eager restart with the images lost brings every partition back
-    from the log history; fresh checkpoint images of everything on the
-    (replacement) checkpoint disk then repoint the catalogs, so ordinary
-    crash recovery is possible again.
+    from the log history; one checkpoint transaction then writes fresh
+    images of everything to the (replacement) checkpoint disk and repoints
+    the catalogs, so ordinary crash recovery is possible again.
 
     Returns restore statistics; until the next crash
     ``Database.stats()["restart"]`` reports the same restart, every
@@ -74,8 +59,7 @@ def restore_after_checkpoint_media_failure(db: "Database") -> dict:
     coordinator = restart(db, RecoveryMode.EAGER, images_lost=True)
     scan, streams = coordinator.history_scan, len(coordinator.history or ())
     coordinator.history = None  # everything is resident: release the streams
-    _checkpoint_everything(db)
-    db.publish_catalog_locations()
+    db.checkpoints.checkpoint_all()
     return {
         "partitions_rebuilt": coordinator.partitions_recovered,
         "records_applied": coordinator.records_replayed,
@@ -122,6 +106,11 @@ def restore_after_log_media_failure(db: "Database") -> dict:
         raise RecoveryError(
             "log media restore runs on a live system; restart first"
         )
+    if not all(segment.fully_resident for segment in db.memory.segments()):
+        raise RecoveryError(
+            "log media restore needs every partition resident; "
+            "recover_everything() first"
+        )
     unreadable = scrub_log_disk(db)
     # Unreadable blocks would raise MediaFailure when the sliding window
     # tries to archive them; drop them (and any cached decode) before any
@@ -131,5 +120,5 @@ def restore_after_log_media_failure(db: "Database") -> dict:
     db.recovery_processor.run_until_drained()
     return {
         "unreadable_pages": unreadable,
-        "checkpoints_cut": _checkpoint_everything(db),
+        "partitions_checkpointed": db.checkpoints.checkpoint_all(),
     }

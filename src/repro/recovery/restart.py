@@ -25,14 +25,20 @@ images lost (``images_lost``): after step 3 the coordinator takes the
 complete log history in ONE verified pass over the log disk
 (:func:`~repro.recovery.redo.demultiplex_log_history`), every partition
 it plans from then on starts empty and replays its history stream, and
-after step 4 everything that lived on the lost disk is forgotten
-(:meth:`RestartCoordinator._forget_lost_images`).  Nothing else differs.
+after step 4 the condense chains, which lived on the lost disk too, are
+dropped.  The catalog still names the lost image slots: that is what its
+durable copy says, and the map rebuild keeps those slot numbers reserved
+until a fresh checkpoint supersedes them.  Nothing else differs.
+
+Phase 2's pending work is the segments' own missing partitions.  Every
+path restores through :meth:`RestartCoordinator.recover`, so a failed
+restore needs no undoing: whatever it did not rebuild is still missing.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog, IndexDescriptor
 from repro.common.errors import RecoveryError, StorageError
@@ -50,6 +56,7 @@ from repro.wal.records import TxnPrepare, decode_control
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
     from repro.storage.partition import Partition
+    from repro.storage.segment import Segment
 
 register_crash_point(
     "restart.phase1.queue-reverted",
@@ -69,7 +76,7 @@ register_crash_point(
 )
 register_crash_point(
     "engine.restore.before-partition",
-    "restart phase 2: a bulk restore claimed a partition, rebuild not yet started",
+    "restart phase 2: a restore found a partition missing, rebuild not yet started",
 )
 
 
@@ -161,7 +168,9 @@ class RestartCoordinator:
         #: ``source``): a condensed shadow, the checkpoint image, an empty
         #: partition, or the full log history.
         self.sources = dict.fromkeys(("shadow", "image", "empty", "history"), 0)
-        self._background_queue: list[PartitionAddress] = []
+        #: Set once a background step finds nothing missing; no partition
+        #: goes missing after phase 1, so the pump's duty is then free.
+        self._swept = False
         #: Section 2.6, images lost: the per-partition replay streams every
         #: plan starts from (``None`` at an ordinary restart), and the
         #: counters of the one scan that built them.
@@ -199,25 +208,17 @@ class RestartCoordinator:
             db.catalog.segment.install(self._rebuild(address)[0])
         db.catalog.rebuild()
         if images_lost:
-            self._forget_lost_images()
+            # The condense chains lived on the lost disk too.
+            for bin_ in db.slt.bins():
+                db.slt.clear_condense_state(bin_.bin_index)
         crash_point("restart.phase1.catalog-recovered")
         self._register_segments()
         db.checkpoint_disk.rebuild_map(db.checkpoints.occupied_slots())
         self.catalog_restore_seconds = db.clock.now - start
 
-    def _forget_lost_images(self) -> None:
-        """Everything that lived on the lost checkpoint disk, forgotten in
-        one place: the catalog's own slots, every descriptor slot, every
-        condense chain.  The ordinary map rebuild then finds nothing
-        occupied and the replacement disk starts clean."""
-        db = self.db
-        db.catalog.forget_images()
-        for bin_ in db.slt.bins():
-            db.slt.clear_condense_state(bin_.bin_index)
-
     def _register_segments(self) -> None:
         """Register the memory segment of every descriptor the recovered
-        catalog holds, all partitions missing and queued for phase 2.
+        catalog holds, all partitions missing: phase 2's work.
 
         First, a Stable Log Tail bin whose partition no recovered
         descriptor lists is dropped: the growth (or the DDL) that
@@ -239,12 +240,7 @@ class RestartCoordinator:
             segment = db.memory.register_segment(
                 descriptor.segment_id, kind, descriptor.name
             )
-            numbers = sorted(descriptor.partitions)
-            segment.mark_missing(numbers)
-            self._background_queue.extend(
-                PartitionAddress(descriptor.segment_id, number)
-                for number in numbers
-            )
+            segment.mark_missing(sorted(descriptor.partitions))
 
     # -- per-partition recovery transactions ------------------------------------------------
 
@@ -257,18 +253,22 @@ class RestartCoordinator:
         partition — is survived by falling back to full-history replay
         from the log, the archive-recovery path of section 2.6.
         """
-        db = self.db
-        try:
-            segment = db.memory.segment(address.segment)
-        except StorageError:
-            # the object was dropped while awaiting recovery: nothing to do
-            return None
-        if segment.is_resident(address.partition):
+        segment = self._missing_from(address)
+        if segment is None:
             return None
         partition, stats = self._rebuild(address)
         segment.install(partition)
         crash_point("restart.phase2.partition-recovered")
         return stats
+
+    def _missing_from(self, address: PartitionAddress) -> "Segment | None":
+        """The segment ``address`` is missing from, or None: resident
+        already, or the object was dropped while awaiting recovery."""
+        try:
+            segment = self.db.memory.segment(address.segment)
+        except StorageError:
+            return None
+        return None if segment.is_resident(address.partition) else segment
 
     def _sources(self, address: PartitionAddress) -> dict:
         """The rebuild pipeline's arguments for one partition of this
@@ -306,60 +306,48 @@ class RestartCoordinator:
         targets = descriptor.partition_addresses()
         for index_descriptor in db.catalog.indexes_of(name):
             targets.extend(index_descriptor.partition_addresses())
-        return self.restore(targets)
+        return self.recover(targets)
 
     def recover_everything(self) -> int:
         """Database-level restoration: restore all partitions now."""
-        return self.restore(self.drain_queue())
+        return self.recover(self._missing())
 
-    def restore(self, addresses: list[PartitionAddress]) -> int:
-        """Restore the given partitions in order (the phase-2 bulk path).
+    def recover(self, addresses: Iterable[PartitionAddress]) -> int:
+        """The one restore loop: rebuild those of ``addresses`` still
+        missing, in order; returns how many it rebuilt.
 
-        Returns how many were actually rebuilt now (already-resident ones
-        count zero).  On failure every address not completed is requeued
-        before the error propagates.
+        Nothing is claimed beforehand, so a failure needs no undoing:
+        whatever was not rebuilt is still missing, for a retry or the
+        background sweep to find.
         """
         rebuilt = 0
-        for done, address in enumerate(addresses):
-            try:
+        for address in addresses:
+            if self._missing_from(address) is not None:
                 crash_point("engine.restore.before-partition")
-                rebuilt += self.recover_partition(address) is not None
-            except BaseException:
-                self.requeue(addresses[done:])
-                raise
+                self.recover_partition(address)
+                rebuilt += 1
         return rebuilt
 
-    def drain_queue(self) -> list[PartitionAddress]:
-        """Claim the whole background work queue (for a bulk restore)."""
-        addresses = list(self._background_queue)
-        self._background_queue.clear()
-        return addresses
-
-    def requeue(self, addresses: list[PartitionAddress]) -> None:
-        """Return claimed-but-unrecovered addresses to the queue head so a
-        failed bulk restore leaves nothing stranded."""
-        if not addresses:
-            return
-        self._background_queue[:0] = addresses
-
-    def take_pending(self) -> PartitionAddress | None:
-        """Claim one address from the background queue, or None."""
-        if self._background_queue:
-            return self._background_queue.pop(0)
-        return None
-
     def background_step(self) -> PartitionAddress | None:
-        """Low-priority sweep: restore one not-yet-recovered partition.
+        """Low-priority sweep: restore one partition still missing.
 
         Called between regular transactions (section 2.5's system
-        transaction).  Returns the address recovered, or None when done.
+        transaction).  Returns the address recovered, or None when nothing
+        is missing — and from then on without looking, since partitions
+        only leave the missing sets after phase 1.
         """
-        while True:
-            address = self.take_pending()
-            if address is None:
-                return None
-            if self.recover_partition(address) is not None:
-                return address
+        address = None if self._swept else next(self._missing(), None)
+        if address is None:
+            self._swept = True
+            return None
+        self.recover((address,))
+        return address
+
+    def _missing(self) -> Iterator[PartitionAddress]:
+        """Every partition still awaiting recovery, segment by segment."""
+        for segment in self.db.memory.segments():
+            for number in segment.missing_partitions():
+                yield PartitionAddress(segment.segment_id, number)
 
     # -- progress -------------------------------------------------------------------------------
 

@@ -1,13 +1,12 @@
-"""Tests for the baseline recovery designs."""
+"""Tests for the baseline designs the paper compares against (section 1):
+the whole-database checkpoint (``CheckpointManager.checkpoint_all``),
+database-level restart (``RecoveryMode.EAGER``) and the commit-protocol
+model."""
 
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.baselines import (
-    CommitProtocolModel,
-    WholeDatabaseCheckpointer,
-    full_reload_restart,
-)
+from repro.analysis import CommitProtocolModel
 from repro.db.integrity import verify_integrity
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
@@ -25,25 +24,33 @@ def loaded_db():
     return db, rel, addrs
 
 
+def checkpoint_all(db) -> tuple[int, float]:
+    """One whole-database checkpoint: (partitions copied, simulated seconds)."""
+    start = db.clock.now
+    copied = db.checkpoints.checkpoint_all()
+    return copied, db.clock.now - start
+
+
 class TestWholeDatabaseCheckpointer:
     def test_sweep_writes_every_partition(self):
         db, rel, addrs = loaded_db()
         db.recovery_processor.run_until_drained()
-        sweeper = WholeDatabaseCheckpointer(db)
-        seconds = sweeper.checkpoint_all()
+        taken = db.checkpoints.checkpoints_taken
+        copied, seconds = checkpoint_all(db)
         assert seconds > 0
-        assert sweeper.partitions_written == db.memory.resident_partition_count()
+        assert copied == db.memory.resident_partition_count()
+        assert db.checkpoints.checkpoints_taken == taken + 1
 
     def test_sweep_resets_all_bins(self):
         db, rel, addrs = loaded_db()
         db.recovery_processor.run_until_drained()
-        WholeDatabaseCheckpointer(db).checkpoint_all()
+        db.checkpoints.checkpoint_all()
         assert db.slt.active_bins() == []
 
     def test_recovery_after_sweep(self):
         db, rel, addrs = loaded_db()
         db.recovery_processor.run_until_drained()
-        WholeDatabaseCheckpointer(db).checkpoint_all()
+        db.checkpoints.checkpoint_all()
         with db.transaction() as txn:
             rel.update(txn, addrs[3], {"v": 999})
         db.crash()
@@ -58,9 +65,8 @@ class TestWholeDatabaseCheckpointer:
         time, per-partition checkpoints pay for one partition."""
         db, rel, addrs = loaded_db()
         db.recovery_processor.run_until_drained()
-        sweeper = WholeDatabaseCheckpointer(db)
-        sweep_seconds = sweeper.checkpoint_all()
-        per_partition_seconds = sweep_seconds / sweeper.partitions_written
+        copied, sweep_seconds = checkpoint_all(db)
+        per_partition_seconds = sweep_seconds / copied
         assert sweep_seconds > 2 * per_partition_seconds
 
 
@@ -70,15 +76,14 @@ class TestWholeDatabaseCheckpointIsOneCheckpoint:
 
     def test_crash_before_commit_keeps_every_superseded_image(self):
         db, rel, addrs = loaded_db()
-        sweeper = WholeDatabaseCheckpointer(db)
-        sweeper.checkpoint_all()
+        db.checkpoints.checkpoint_all()
         with db.transaction() as txn:
             rel.update(txn, addrs[3], {"v": 999})
         digest = logical_digest(db)
         plan = ChaosPlan.crash_at(0, "checkpoint.image.after-write", after_visits=2)
         with chaos(ChaosEngine(plan)):
             with pytest.raises(SimulatedCrash):
-                sweeper.checkpoint_all()
+                db.checkpoints.checkpoint_all()
         db.crash()
         coordinator = db.restart(RecoveryMode.EAGER)
         assert coordinator.sources["history"] == 0
@@ -94,7 +99,7 @@ class TestWholeDatabaseCheckpointIsOneCheckpoint:
             for i in range(10):
                 rel.update(txn, addrs[i], {"v": -i})
         assert any(bin_.buffer for bin_ in db.slt.bins())
-        WholeDatabaseCheckpointer(db).checkpoint_all()
+        db.checkpoints.checkpoint_all()
         expected = [(i, -i if i < 10 else i) for i in range(50)]
         db.crash()
         db.checkpoint_disk.disk.destroy()
@@ -123,7 +128,7 @@ class TestWholeDatabaseCheckpointIsOneCheckpoint:
         db.register_script("deposit", deposit, relations=["accounts"])
         for aid in range(2, 10):
             db.run_script("deposit", aid, 5, logging="command")
-        WholeDatabaseCheckpointer(db).checkpoint_all()
+        db.checkpoints.checkpoint_all()
         assert not db.slb.live_commands()
         digest = logical_digest(db)
         db.crash()
@@ -132,12 +137,17 @@ class TestWholeDatabaseCheckpointIsOneCheckpoint:
 
 
 class TestFullReloadRestart:
+    """Database-level recovery is an eager restart: every partition before
+    the first transaction (section 3.4.1)."""
+
     def test_reports_timing_and_restores(self):
         db, rel, addrs = loaded_db()
         db.crash()
-        result = full_reload_restart(db)
-        assert result["seconds_to_first_transaction"] > 0
-        assert result["partitions_recovered"] > 0
+        start = db.clock.now
+        coordinator = db.restart(RecoveryMode.EAGER)
+        assert db.clock.now > start
+        assert coordinator.partitions_recovered > 0
+        assert coordinator.fully_recovered
         with db.transaction() as txn:
             assert db.table("items").count(txn) == 50
 
@@ -156,7 +166,9 @@ class TestFullReloadRestart:
         # measure full reload (everything, including the cold bulk data)
         db1 = self._db_with_cold_bulk()
         db1.crash()
-        full = full_reload_restart(db1)["seconds_to_first_transaction"]
+        start = db1.clock.now
+        db1.restart(RecoveryMode.EAGER)
+        full = db1.clock.now - start
         # measure on-demand first-transaction latency on identical state
         db2 = self._db_with_cold_bulk()
         db2.crash()

@@ -16,7 +16,7 @@ import pytest
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common.checksum import open_frame, seal_frame
 from repro.common.config import DiskParameters
-from repro.common.errors import ChecksumError, MediaFailure
+from repro.common.errors import ChecksumError, MediaFailure, RecoveryError
 from repro.common.types import PartitionAddress
 from repro.recovery.media import (
     restore_after_checkpoint_media_failure,
@@ -202,12 +202,32 @@ class TestLogBlockCorruption:
         assert scrub_log_disk(db) == victims
         report = restore_after_log_media_failure(db)
         assert report["unreadable_pages"] == victims
-        assert report["checkpoints_cut"] > 0
+        assert report["partitions_checkpointed"] == db.memory.resident_partition_count()
         assert scrub_log_disk(db) == []
         db.crash()
         db.restart(RecoveryMode.EAGER)
         verifier.detach()
         verifier.verify()
+
+
+    def test_rescue_refuses_before_touching_anything_mid_restart(self):
+        """The rescue needs every partition resident; mid-restart it must
+        refuse before it drops a page or checkpoints anything."""
+        db, verifier = loaded_bank(update_count_threshold=10_000)
+        verifier.detach()
+        db.crash()
+        coordinator = db.restart(RecoveryMode.ON_DEMAND)
+        assert coordinator.pending_partitions() > 0
+        victims = db.log_disk.disks.block_ids()[:3]
+        for lsn in victims:
+            db.log_disk.disks.primary.corrupt_block(lsn, "bit-flip")
+            db.log_disk.disks.mirror.corrupt_block(lsn, "zero-fill")
+        queued = [(e.partition, e.state) for e in db.checkpoint_queue.pending()]
+        with pytest.raises(RecoveryError, match="resident"):
+            restore_after_log_media_failure(db)
+        assert scrub_log_disk(db) == victims
+        assert [(e.partition, e.state) for e in db.checkpoint_queue.pending()] == queued
+        assert len(db.checkpoint_queue) == len(queued)
 
 
 class TestLostLogPageIsFatal:

@@ -5,7 +5,9 @@ import pytest
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common.config import CONDENSE_ENV_VAR, LOGGING_MODE_ENV_VAR, env_settings
 from repro.common.errors import ConfigurationError
+from repro.common.types import PartitionAddress
 from repro.engine import SimEngine
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 
 
 def small_config(**overrides):
@@ -120,26 +122,30 @@ class TestDutyOrder:
 
 
 class TestBulkRestore:
-    """``RestartCoordinator.restore``: phase 2's bulk path, in order."""
+    """``RestartCoordinator.recover``: phase 2's one restore loop, in order."""
 
     def drained(self):
         db = loaded_db(rows=400)
         db.crash()
         db.restart(RecoveryMode.ON_DEMAND)
         coordinator = db.restart_coordinator
-        addresses = coordinator.drain_queue()
+        addresses = [
+            PartitionAddress(segment.segment_id, number)
+            for segment in db.memory.segments()
+            for number in segment.missing_partitions()
+        ]
         assert len(addresses) > 1
         return db, coordinator, addresses
 
     def test_restores_everything(self):
         db, coordinator, addresses = self.drained()
-        assert coordinator.restore(addresses) == len(addresses)
+        assert coordinator.recover(addresses) == len(addresses)
         assert coordinator.fully_recovered
         with db.transaction() as txn:
             for i in (0, 199, 399):
                 assert db.table("items").lookup(txn, i)["v"] == i * 10
 
-    def test_failure_requeues_and_propagates(self):
+    def test_failure_leaves_the_rest_missing_and_propagates(self):
         db, coordinator, addresses = self.drained()
         boom = addresses[len(addresses) // 2]
         real = coordinator.recover_partition
@@ -151,19 +157,49 @@ class TestBulkRestore:
 
         coordinator.recover_partition = failing
         with pytest.raises(RuntimeError, match="injected restore failure"):
-            coordinator.restore(addresses)
+            coordinator.recover(addresses)
         coordinator.recover_partition = real
-        # The failed address and everything after it went back on the
-        # queue; a second sweep finishes the job.
-        pending = coordinator.drain_queue()
-        assert pending == addresses[addresses.index(boom):]
-        coordinator.restore(pending)
+        # Nothing was claimed: the failed address and everything after it
+        # are still missing, and a second sweep finishes the job.
+        left = len(addresses) - addresses.index(boom)
+        assert coordinator.pending_partitions() == left
+        assert coordinator.recover_everything() == left
         assert coordinator.fully_recovered
 
     def test_duplicate_addresses_recovered_once(self):
         _, coordinator, addresses = self.drained()
-        assert coordinator.restore(addresses + addresses) == len(addresses)
+        assert coordinator.recover(addresses + addresses) == len(addresses)
         assert coordinator.fully_recovered
+
+    def test_bulk_path_visits_only_missing_partitions(self):
+        """After an on-demand transaction restored some partitions, a bulk
+        restore passes its crash point once per partition still missing."""
+        db = loaded_db(rows=400)
+        db.crash()
+        coordinator = db.restart(RecoveryMode.ON_DEMAND)
+        total = coordinator.pending_partitions()
+        with db.transaction(pump=False) as txn:
+            assert db.table("items").lookup(txn, 7)["v"] == 70
+        pending = coordinator.pending_partitions()
+        assert 0 < pending < total
+        injector = ChaosEngine(ChaosPlan(0, ()))
+        with chaos(injector):
+            assert coordinator.recover_everything() == pending
+        assert injector.hits()["engine.restore.before-partition"] == pending
+        assert coordinator.fully_recovered
+
+    def test_sweep_stops_looking_once_everything_is_resident(self):
+        db = loaded_db(rows=400)
+        db.crash()
+        coordinator = db.restart(RecoveryMode.ON_DEMAND)
+        coordinator.recover_everything()
+        assert coordinator.background_step() is None
+
+        def scan():
+            raise AssertionError("a finished sweep scanned the segments")
+
+        db.memory.segments = scan
+        assert coordinator.background_step() is None
 
 
 class TestLifecycle:

@@ -207,14 +207,14 @@ class TestCheckpointDiskFailure:
 
 
 class TestFreshCheckpointFailsDuringRestore:
-    """The restore clears every lost slot, then cuts fresh checkpoints.
-    One of those failing rolls back and re-derives its descriptor from
-    the catalog bytes — which must not still name the lost slots of the
-    siblings not yet re-checkpointed (a later checkpoint would free a
-    slot some new image now owns)."""
+    """The restore's fresh images are one checkpoint transaction.  One of
+    its image writes failing rolls the whole transaction back: every
+    descriptor names its lost slot again — what the durable catalog says —
+    and those slot numbers stay reserved, so no new image can take one
+    while a descriptor still names it."""
 
-    @pytest.mark.parametrize("after_visits", [1, 2, 5])
-    def test_no_lost_slot_comes_back(self, after_visits):
+    @staticmethod
+    def failed_restore(after_visits):
         db = Database(small_config(partition_size=4096, io_retry_budget=0))
         rel = db.create_relation(
             "items", [("id", "int"), ("v", "int"), ("s", "str")], primary_key="id"
@@ -225,26 +225,44 @@ class TestFreshCheckpointFailsDuringRestore:
                     rel.insert(txn, {"id": i, "v": i, "s": f"row-{i}"})
         descriptors = (*db.catalog.relations(), *db.catalog.indexes())
         assert all(len(d.partitions) > 2 for d in descriptors)
+        lost = set(db.catalog.image_slots().values()) - {None}
         db.crash()
         db.checkpoint_disk.disk.destroy()
         rule = ChaosRule("checkpoint.image.write", FAULT, after_visits=after_visits)
         with chaos(ChaosEngine(ChaosPlan(1, (rule,)))):
             with pytest.raises(MediaFailure, match="checkpoint-image write"):
                 restore_after_checkpoint_media_failure(db)
-        slots = [
-            info.checkpoint_slot
-            for descriptor in (*db.catalog.relations(), *db.catalog.indexes())
-            for info in descriptor.partitions.values()
-        ]
-        assert sum(slot is not None for slot in slots) == after_visits - 1  # catalog first
+        return db, lost
+
+    @pytest.mark.parametrize("after_visits", [1, 2, 5])
+    def test_no_lost_slot_comes_back(self, after_visits):
+        db, lost = self.failed_restore(after_visits)
+        # all or nothing: every slot the catalog names is a lost one, and
+        # each is still reserved in the replacement disk's map
+        assert db.checkpoints.occupied_slots() == lost
+        assert db.checkpoint_disk.allocated_slots() == lost
         assert verify_integrity(db) == []
-        db.pump()  # the queued fresh checkpoints complete
+        db.pump()
         assert not db.checkpoint_queue.pending()
         assert verify_integrity(db) == []
         digest = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == digest
+        with db.transaction() as txn:
+            assert [row["v"] for row in db.table("items").scan(txn)] == list(range(300))
+
+    @pytest.mark.parametrize("after_visits", [0, 1, 2, 5])
+    def test_crash_after_failed_restore_loses_nothing(self, after_visits):
+        """A crash after the failed restore sends an ordinary restart to
+        the log history for every partition, not to an empty one."""
+        db, _ = self.failed_restore(after_visits)
+        assert verify_integrity(db) == []
+        db.crash()
+        coordinator = db.restart()
+        coordinator.recover_everything()
+        assert coordinator.sources["empty"] == 0
+        assert coordinator.sources["history"] == coordinator.partitions_recovered
         with db.transaction() as txn:
             assert [row["v"] for row in db.table("items").scan(txn)] == list(range(300))
 
@@ -443,10 +461,11 @@ class TestMediaChaos:
         ("media.scan.page-routed", 5),  # mid-scan
         ("engine.restore.before-partition", 1),
         ("restart.phase2.partition-recovered", 1),  # mid-apply
-        ("checkpoint.begin", 1),
-        ("checkpoint.slot-installed", 1),
-        ("checkpoint.image-written", 1),
-        ("checkpoint.committed", 1),
+        # the closing checkpoint is one transaction: its first passage
+        ("checkpoint.begin", 0),
+        ("checkpoint.slot-installed", 0),
+        ("checkpoint.image-written", 0),
+        ("checkpoint.committed", 0),
         ("checkpoint.acknowledged", 1),
     ]
 

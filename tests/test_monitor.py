@@ -167,8 +167,7 @@ class TestConsistentView:
         db.restart(RecoveryMode.ON_DEMAND)
         coordinator = db.restart_coordinator
         mid = []
-        for address in coordinator.drain_queue():
-            coordinator.recover_partition(address)
+        while coordinator.background_step() is not None:
             mid.append(db.stats())
         assert set(up) == set(crashed) == expected
         assert all(set(snap) == expected for snap in mid)
