@@ -49,41 +49,21 @@ _COMPATIBLE: dict[LockMode, frozenset[LockMode]] = {
     LockMode.EXCLUSIVE: frozenset(),
 }
 
-#: Partial order of lock strength; the join of two held modes is the
-#: weakest mode at least as strong as both (IX ∨ S promotes to X — we do
-#: not model SIX).
-_STRENGTH: dict[LockMode, int] = {
-    LockMode.INTENT_SHARED: 0,
-    LockMode.INTENT_EXCLUSIVE: 1,
-    LockMode.SHARED: 1,
-    LockMode.EXCLUSIVE: 2,
-}
-
 
 def join(a: LockMode, b: LockMode) -> LockMode:
-    if a is b:
+    """The weakest mode at least as strong as both: the one that covers
+    the other, else X (IX ∨ S promotes to X — we do not model SIX)."""
+    if covers(a, b):
         return a
-    if _STRENGTH[a] < _STRENGTH[b]:
-        a, b = b, a
-    if _STRENGTH[a] > _STRENGTH[b]:
-        # strictly stronger absorbs, except the IX/S pair at equal rank
-        if a is LockMode.EXCLUSIVE or b is LockMode.INTENT_SHARED:
-            return a
-    # IX ∨ S (equal strength, different modes) and any leftover: promote
+    if covers(b, a):
+        return b
     return LockMode.EXCLUSIVE
 
 
 def covers(held: LockMode, wanted: LockMode) -> bool:
-    """True when a held mode already grants everything ``wanted`` does."""
-    if held is wanted:
-        return True
-    if held is LockMode.EXCLUSIVE:
-        return True
-    if held is LockMode.SHARED and wanted is LockMode.INTENT_SHARED:
-        return True
-    if held is LockMode.INTENT_EXCLUSIVE and wanted is LockMode.INTENT_SHARED:
-        return True
-    return False
+    """True when a held mode already grants everything ``wanted`` does: it
+    is that mode, or X, or ``wanted`` is IS, which every mode grants."""
+    return held is wanted or held is LockMode.EXCLUSIVE or wanted is LockMode.INTENT_SHARED
 
 
 class LockManager:
@@ -107,20 +87,22 @@ class LockManager:
         request returns False and changes nothing.
         """
         holders = self._holders.get(resource)
-        held = holders.get(txn_id) if holders else None
-        if held is None or not covers(held, mode):
+        if holders is None:
+            self._holders[resource] = {txn_id: mode}
+        else:
+            held = holders.get(txn_id)
+            if held is not None and covers(held, mode):
+                return True
             wanted = mode if held is None else join(held, mode)
-            if holders is None:
-                self._holders[resource] = {txn_id: wanted}
-            elif all(
-                wanted.compatible_with(other)
-                for holder, other in holders.items()
-                if holder != txn_id
-            ):
-                holders[txn_id] = wanted
-            else:
-                return False
-            self._held_by_txn.setdefault(txn_id, set()).add(resource)
+            for holder, other in holders.items():
+                if holder != txn_id and not wanted.compatible_with(other):
+                    return False
+            holders[txn_id] = wanted
+        resources = self._held_by_txn.get(txn_id)
+        if resources is None:
+            self._held_by_txn[txn_id] = {resource}
+        else:
+            resources.add(resource)
         return True
 
     # -- release -----------------------------------------------------------------

@@ -64,10 +64,6 @@ class Relation:
     def schema(self):
         return self.descriptor.schema
 
-    @property
-    def primary_index_name(self) -> str:
-        return f"{self.name}__pk"
-
     # -- DML ------------------------------------------------------------------------
 
     def insert(self, txn: "Transaction", row: dict) -> EntityAddress:
@@ -81,7 +77,7 @@ class Relation:
         txn = txn.resolve(self.db)
         descriptor = self.descriptor
         schema = descriptor.schema
-        self._check_row_fields(row)
+        self._check_row_fields(schema, row)
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         key_value = row[descriptor.primary_key]
         if self._primary_search(txn, key_value):
@@ -92,7 +88,7 @@ class Relation:
             return self._insert_step(txn, row, descriptor, schema)
 
     def _insert_step(self, txn: "Transaction", row, descriptor, schema) -> EntityAddress:
-        partition = self._partition_for(txn, row)
+        partition = self._partition_for(txn, row, descriptor.segment_id, schema)
         paddr = partition.address
         cells = []
         for field in schema:
@@ -110,7 +106,7 @@ class Relation:
         address = EntityAddress(paddr.segment, paddr.partition, offset)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
         txn.entity_inserted(address, data)
-        for index_descriptor in self.db.catalog.indexes_of(self.name):
+        for index_descriptor in self._indexes(descriptor):
             index = self.db.index_object(index_descriptor, txn)
             index.insert(row[index_descriptor.key_field], address)
         return address
@@ -121,8 +117,8 @@ class Relation:
         descriptor = self.descriptor
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
         txn.lock_entity(address, LockMode.SHARED)
-        partition = self._resident_partition(address.partition)
-        return self._materialise(partition, address)
+        partition = self._resident_partition(descriptor.segment_id, address.partition)
+        return self._materialise(descriptor.schema, partition, address)
 
     def update(self, txn: "Transaction", address: EntityAddress, changes: dict) -> None:
         """Update named fields of one tuple in place (statement-atomic).
@@ -136,12 +132,12 @@ class Relation:
             schema.position(name)  # validate early
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
-        partition = self._resident_partition(address.partition)
+        partition = self._resident_partition(descriptor.segment_id, address.partition)
         data = partition.read(address.offset)
         cells = schema.decode_tuple(data)
         moved = [
             index_descriptor
-            for index_descriptor in self.db.catalog.indexes_of(self.name)
+            for index_descriptor in self._indexes(descriptor)
             if index_descriptor.key_field in changes
         ]
         if moved:
@@ -204,15 +200,16 @@ class Relation:
         schema = descriptor.schema
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
-        partition = self._resident_partition(address.partition)
+        partition = self._resident_partition(descriptor.segment_id, address.partition)
         data = partition.read(address.offset)
         cells = schema.decode_tuple(data)
         row = self._row(schema, partition, address, cells)
+        indexes = self._indexes(descriptor)
         with txn.statement():
-            self._delete_step(txn, address, schema, partition, data, cells, row)
+            self._delete_step(txn, address, schema, indexes, partition, data, cells, row)
 
     def _delete_step(
-        self, txn: "Transaction", address, schema, partition, data, cells, row
+        self, txn: "Transaction", address, schema, indexes, partition, data, cells, row
     ) -> None:
         paddr = partition.address
         for position, field in enumerate(schema):
@@ -221,7 +218,7 @@ class Relation:
                 old_string = partition.heap.get(handle)
                 partition.heap.delete(handle)
                 txn.heap_delete(paddr, handle, old_string)
-        for index_descriptor in self.db.catalog.indexes_of(self.name):
+        for index_descriptor in indexes:
             index = self.db.index_object(index_descriptor, txn)
             index.delete(row[index_descriptor.key_field], address)
         partition.delete(address.offset)
@@ -280,11 +277,11 @@ class Relation:
         # The segment's numbers, not the descriptor's: a partition being
         # grown is listed before its growth commits, installed only after.
         for number in self.db.memory.segment(descriptor.segment_id).partition_numbers():
-            partition = self._resident_partition(number)
+            partition = self._resident_partition(descriptor.segment_id, number)
             for offset, _ in list(partition.entities()):
                 address = EntityAddress(descriptor.segment_id, number, offset)
                 txn.lock_entity(address, LockMode.SHARED)
-                yield self._materialise(partition, address)
+                yield self._materialise(descriptor.schema, partition, address)
 
     def count(self, txn: "Transaction") -> int:
         return sum(1 for _ in self.scan(txn))
@@ -318,12 +315,15 @@ class Relation:
     # -- internals ------------------------------------------------------------------------
 
     def _primary_search(self, txn: "Transaction", key_value) -> list[EntityAddress]:
-        index_descriptor = self.db.catalog.index(self.primary_index_name)
+        index_descriptor = self.db.catalog.index(f"{self.name}__pk")
         index = self.db.index_object(index_descriptor, txn)
         return index.search(key_value)
 
-    def _check_row_fields(self, row: dict) -> None:
-        schema = self.schema
+    def _indexes(self, descriptor: RelationDescriptor) -> list:
+        """The descriptors of the relation's indexes, resolved by name."""
+        return [self.db.catalog.index(name) for name in descriptor.index_names]
+
+    def _check_row_fields(self, schema, row: dict) -> None:
         expected = {field.name for field in schema}
         provided = set(row)
         if expected != provided:
@@ -332,22 +332,21 @@ class Relation:
                 f"{sorted(expected)}"
             )
 
-    def _resident_partition(self, number: int) -> Partition:
-        return self.db.ensure_partition(
-            PartitionAddress(self.descriptor.segment_id, number)
-        )
+    def _resident_partition(self, segment_id: int, number: int) -> Partition:
+        return self.db.ensure_partition(PartitionAddress(segment_id, number))
 
-    def _partition_for(self, txn: "Transaction", row: dict) -> Partition:
+    def _partition_for(
+        self, txn: "Transaction", row: dict, segment_id: int, schema
+    ) -> Partition:
         """Pick a resident partition with room for the tuple and its
         strings, or have the segment grown by one partition."""
-        schema = self.schema
         tuple_need = schema.tuple_width + ENTITY_HEADER_BYTES
         heap_need = 0
         for field in schema:
             value = row[field.name]
             if field.type.heap_backed and value is not None:
                 heap_need += len(self._to_bytes(field.type, value)) + 8
-        segment = self.db.memory.segment(self.descriptor.segment_id)
+        segment = self.db.memory.segment(segment_id)
         fits = lambda p: p.free_bytes >= tuple_need and p.heap.free_bytes >= heap_need
         partition = segment.first_fit(fits)
         if partition is not None:
@@ -362,8 +361,7 @@ class Relation:
             )
         return txn.grow_segment(segment, fits)
 
-    def _materialise(self, partition: Partition, address: EntityAddress) -> Row:
-        schema = self.schema
+    def _materialise(self, schema, partition: Partition, address: EntityAddress) -> Row:
         cells = schema.decode_tuple(partition.read(address.offset))
         return self._row(schema, partition, address, cells)
 

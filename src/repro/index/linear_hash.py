@@ -56,6 +56,8 @@ CHUNK_TYPE = 0x44  # 'D'
 #: must stay well under a partition's size.
 CHUNK_CAPACITY = 64
 
+_NULL_PACKED = pack_address(NULL_ADDRESS)
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -176,9 +178,7 @@ class LinearHashIndex(Index):
         (in-place growth would need free space the partition may not have)."""
         parts = [_CHUNK_HEADER.pack(CHUNK_TYPE, len(addresses))]
         parts.extend(pack_address(addr) for addr in addresses)
-        parts.extend(
-            pack_address(NULL_ADDRESS) for _ in range(CHUNK_CAPACITY - len(addresses))
-        )
+        parts.append(_NULL_PACKED * (CHUNK_CAPACITY - len(addresses)))
         return b"".join(parts)
 
     @staticmethod
@@ -304,19 +304,26 @@ class LinearHashIndex(Index):
 
     @refreshed
     def insert(self, key: Key, value: EntityAddress) -> None:
-        head_address = self._directory[self._bucket_number(key)]
-        bucket = self._load(head_address)
-        # place into the first chain node with room
-        while len(bucket.items) >= self.bucket_capacity:
-            if bucket.overflow == NULL_ADDRESS:
-                overflow = self._new_bucket()
-                bucket.overflow = overflow.address
-                self._save(bucket)
-                bucket = overflow
-                break
-            bucket = self._load(bucket.overflow)
-        bucket.items.append((key, value))
-        self._save(bucket)
+        # Append to the first chain node with room (a full chain gets a fresh
+        # empty node): its old bytes with the count raised and the item packed
+        # on, as ``_Bucket.encode`` would write them, and its form to match.
+        address = self._directory[self._bucket_number(key)]
+        form = self._form(address)
+        while len(form.keys) >= self.bucket_capacity:
+            if form.overflow == NULL_ADDRESS:
+                full = self._load(address)
+                full.overflow = address = self._new_bucket().address
+                self._save(full)
+            else:
+                address = form.overflow
+            form = self._form(address)
+        data = (
+            _BUCKET_HEADER.pack(BUCKET_TYPE, len(form.keys) + 1)
+            + self.store.read(address)[_BUCKET_HEADER.size :]
+            + pack_item(key, value)
+        )
+        form = _BucketForm(form.overflow, (*form.keys, key), form.values + pack_address(value))
+        self.store.write(address, data, form)
         self._counted(+1)
         if self._load_factor() > self.split_load:
             self._split_next()

@@ -128,7 +128,8 @@ class NodeStore:
             self._decoded[address] = (blob, form)
         return form
 
-    def write(self, address: EntityAddress, data: bytes) -> None:
+    def write(self, address: EntityAddress, data: bytes, form: object = None) -> None:
+        """Overwrite a component; ``form`` is ``data`` decoded, kept for :meth:`load`."""
         partition = self.segment.get(address.partition)
         sink = self.sink
         if sink is not None:
@@ -138,6 +139,8 @@ class NodeStore:
             sink.lock_component(address)
         before = partition.read(address.offset)
         partition.update(address.offset, data)
+        if form is not None:
+            self._decoded[address] = (data, form)
         if sink is not None:
             sink.index_node_written(address, before, data)
 

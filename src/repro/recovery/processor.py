@@ -96,10 +96,19 @@ class RecoveryProcessor:
         """
         records = self.slb.drain_committed()
         deposited = 0
+        # Table 2's sorting costs, charged one by one in this order (each
+        # advances the shared clock), then the deposit.
+        params = self.params
+        lookup, check, update = params.i_record_lookup, params.i_page_check, params.i_page_update
+        charge, charge_stable_bytes = self.cpu.charge, self.cpu.charge_stable_bytes
+        deposit = self.slt.deposit
         try:
             for record in records:
-                self._charge_sort(record)
-                page_full = self.slt.deposit(record)
+                charge(lookup, "record-lookup")
+                charge(check, "page-check")
+                charge_stable_bytes(record.size_bytes, "record-copy")
+                charge(update, "page-update")
+                page_full = deposit(record)
                 deposited += 1
                 crash_point("recovery.sort.after-deposit")
                 if page_full:
@@ -125,13 +134,6 @@ class RecoveryProcessor:
                 break
             total += sorted_now
         return total
-
-    def _charge_sort(self, record: RedoRecord) -> None:
-        params = self.params
-        self.cpu.charge(params.i_record_lookup, "record-lookup")
-        self.cpu.charge(params.i_page_check, "page-check")
-        self.cpu.charge_stable_bytes(record.size_bytes, "record-copy")
-        self.cpu.charge(params.i_page_update, "page-update")
 
     # -- page flushing ----------------------------------------------------------------
 

@@ -39,6 +39,11 @@ class CpuMeter:
         self.mips = mips
         self.clock = clock
         self.params = params if params is not None else AnalysisParameters()
+        #: Instructions per simulated second, and a stable-memory copy's
+        #: fixed and per-byte costs, worked out once for every charge.
+        self._rate = mips * 1_000_000.0
+        self._copy_fixed = self.params.i_copy_fixed
+        self._copy_per_byte = self.params.i_copy_add * self.params.stable_memory_slowdown
         self._by_category: Counter[str] = Counter()
         self._total_instructions = 0.0
 
@@ -55,7 +60,7 @@ class CpuMeter:
             raise ValueError("cannot charge a negative instruction count")
         self._by_category[category] += instructions
         self._total_instructions += instructions
-        seconds = instructions / (self.mips * 1_000_000.0)
+        seconds = instructions / self._rate
         self.clock.advance(seconds)
         return seconds
 
@@ -67,11 +72,7 @@ class CpuMeter:
         """
         if nbytes < 0:
             raise ValueError("cannot copy a negative number of bytes")
-        cost = (
-            self.params.i_copy_fixed
-            + self.params.i_copy_add * self.params.stable_memory_slowdown * nbytes
-        )
-        return self.charge(cost, category)
+        return self.charge(self._copy_fixed + self._copy_per_byte * nbytes, category)
 
     # -- inspection ----------------------------------------------------------
 
@@ -88,7 +89,7 @@ class CpuMeter:
 
     def busy_seconds(self) -> float:
         """Simulated seconds this processor has spent executing."""
-        return self._total_instructions / (self.mips * 1_000_000.0)
+        return self._total_instructions / self._rate
 
     def reset(self) -> None:
         """Zero the counters (the clock is left untouched)."""

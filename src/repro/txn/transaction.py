@@ -158,9 +158,9 @@ class Transaction:
 
     def lock(self, resource, mode: LockMode) -> None:
         """Acquire a lock or die: a refused request aborts this transaction."""
-        self._ensure_active()
-        granted = self.db.locks.acquire(self.txn_id, resource, mode)
-        if not granted:
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
+        if not self.db.locks.acquire(self.txn_id, resource, mode):
             self.abort()
             raise TransactionAborted(
                 f"txn {self.txn_id} aborted: lock conflict on {resource!r}",
@@ -343,7 +343,7 @@ class Transaction:
             for desc in descriptors:
                 for number in sorted(desc.partitions):
                     address = PartitionAddress(desc.segment_id, number)
-                    targets.append((address, self._bin_index(address)))
+                    targets.append((address, db.slt.bin_index_of(address)))
         return targets
 
     # -- two-phase commit (repro.shard) ----------------------------------------------
@@ -428,9 +428,6 @@ class Transaction:
 
     # -- logging core ------------------------------------------------------------------
 
-    def _bin_index(self, partition_address: PartitionAddress) -> int:
-        return self.db.slt.bin_index_of(partition_address)
-
     def _redo(self, record: redo.RedoRecord) -> None:
         """Append a value-logged change's forward record to the stable
         chain.  Its inverse is on UNDO already: the mutation is applied,
@@ -465,7 +462,7 @@ class Transaction:
         self._ensure_active()
         if self.command is not None:
             return self.txn_id, 0, address
-        return self.txn_id, self._bin_index(owner), address
+        return self.txn_id, self.db.slt.bin_index_of(owner), address
 
     # EntitySink: tuple / catalog entity changes
 

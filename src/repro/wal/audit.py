@@ -16,10 +16,10 @@ them (stable memory and disk both survive crashes).
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from repro.common.errors import LogError
 from repro.sim.stable_memory import StableMemory
@@ -40,20 +40,16 @@ class AuditEntry:
     timestamp: float  # simulated seconds
     user_data: str = ""
 
-    @functools.cached_property
-    def _encoded(self) -> bytes:
-        # Serialised once per entry: the byte count at append, the
-        # reload sum and the page flush all read these same bytes.
-        body = json.dumps(
-            {
-                "txn": self.txn_id,
-                "event": self.event,
-                "at": self.timestamp,
-                "user": self.user_data,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        return _ENTRY_HEADER.pack(len(body)) + body
+    def __post_init__(self) -> None:
+        # Serialised once, at construction: the byte count at append, the
+        # reload sum and the page flush all read these same bytes.  The
+        # body is what ``json.dumps({...}, sort_keys=True)`` writes, filled
+        # into its fixed key order directly.
+        body = (
+            f'{{"at": {float.__repr__(self.timestamp)}, "event": {_json_str(self.event)}, '
+            f'"txn": {int.__repr__(self.txn_id)}, "user": {_json_str(self.user_data)}}}'
+        ).encode("ascii")
+        object.__setattr__(self, "_encoded", _ENTRY_HEADER.pack(len(body)) + body)
 
     def encode(self) -> bytes:
         return self._encoded

@@ -255,6 +255,8 @@ class LogDisk:
         self.retry_budget = retry_budget
         self.io_stats = Counters(*IO_COUNTERS)
         self._next_lsn = 0
+        #: Every block below this LSN has left the spindles for the archive.
+        self._archived_below = 0
         self.pages_written = 0
         self.pages_read = 0
         #: Pages moved to the archive by condensing (docs/CONDENSING.md)
@@ -443,14 +445,17 @@ class LogDisk:
             self._page_cache.popitem(last=False)
 
     def _reclaim_expired(self) -> None:
-        start = self.window_start
-        for lsn in [b for b in self.disks.block_ids() if b < start]:
-            # Verified duplex read: the archive must never inherit a
-            # corrupt copy, and a bad primary must not stop archival
-            # while the mirror still holds the page.
-            blob = self._read_duplexed(lsn)
-            self.archive.accept(lsn, blob)
-            self.disks.free(lsn)
+        # Blocks are written at the next LSN only and the window slides
+        # forward only: what expired since lies from the mark to its start.
+        for lsn in range(self._archived_below, self.window_start):
+            if self.disks.contains(lsn):
+                # Verified duplex read: the archive must never inherit a
+                # corrupt copy, and a bad primary must not stop archival
+                # while the mirror still holds the page.
+                blob = self._read_duplexed(lsn)
+                self.archive.accept(lsn, blob)
+                self.disks.free(lsn)
+            self._archived_below = lsn + 1
 
     def reclaim_condensed(self, lsns: list[int]) -> int:
         """Retire pages whose records were condensed into a shadow image.

@@ -92,6 +92,7 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
         )
         for skip in (0, 2)
     )
+    cls._SIZE = cls._FORMS[0][0].size
     cls._OWNER = attrgetter(
         f"{address}.partition_address" if layout.address is EntityAddress else address
     )
@@ -117,6 +118,7 @@ class RedoRecord:
     #: the struct covering everything but ``data``, and the getter of the
     #: values it packs (``data`` itself last, where its length goes).
     _FORMS: ClassVar[tuple[tuple[struct.Struct, Callable[[Any], tuple]], ...]]
+    _SIZE: ClassVar[int]  # the full form's struct size: all of it but ``data``
     _OWNER: ClassVar[Callable[[Any], PartitionAddress]]
 
     txn_id: int
@@ -156,7 +158,9 @@ class RedoRecord:
     @property
     def size_bytes(self) -> int:
         """Length of the full form, from the declared layout — no packing."""
-        return self._FORMS[False][0].size + len(getattr(self, "data", b""))
+        if self.LAYOUT.blob:
+            return self._SIZE + len(self.data)  # type: ignore[attr-defined]
+        return self._SIZE
 
     def with_bin_index(self, bin_index: int) -> "RedoRecord":
         """Copy of this record carrying a (re)assigned bin index."""

@@ -113,14 +113,15 @@ class StableLogBuffer:
         allocated — the main CPU must let the recovery CPU drain the
         committed list and retry (back-pressure).
         """
-        self._fill(self._require_open(txn_id), (record,))
+        self.bytes_written += self._fill(self._require_open(txn_id), (record,))
         self.records_written += 1
-        self.bytes_written += record.size_bytes
 
-    def _fill(self, chain: TransactionLogChain, records) -> None:
+    def _fill(self, chain: TransactionLogChain, records) -> int:
         """Append ``records`` to the chain's last block, allocating a
-        fresh block whenever the next record does not fit."""
+        fresh block whenever the next record does not fit; returns the
+        bytes appended."""
         block = chain.blocks[-1] if chain.blocks else None
+        filled = 0
         for record in records:
             size = record.size_bytes
             if block is None or block.used_bytes + size > self.block_size:
@@ -128,6 +129,8 @@ class StableLogBuffer:
             block.records.append(record)
             block.used_bytes += size
             chain.record_count += 1
+            filled += size
+        return filled
 
     def _repack(self, chain: TransactionLogChain, kept, unwritten=()) -> int:
         """Rebuild the chain to hold exactly ``kept``: free its blocks and

@@ -142,7 +142,8 @@ class StableLogTail:
         return partition in self._by_partition
 
     def bins(self) -> list[PartitionBin]:
-        return [self._bins[i] for i in sorted(self._bins)]
+        """Every bin, in bin index order: the order indexes are handed out."""
+        return list(self._bins.values())
 
     def active_bins(self) -> list[PartitionBin]:
         return [b for b in self.bins() if b.active]

@@ -1,6 +1,11 @@
 """Tests for the audit trail log (section 2.3.2)."""
 
+import json
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, SystemConfig
 from repro.common import LogError
@@ -45,6 +50,78 @@ class TestAuditEntry:
             entry, pos = AuditEntry.decode(blob, pos)
             out.append(entry)
         assert out == entries
+
+
+def _reference_encode(entry: AuditEntry) -> bytes:
+    """The entry bytes as ``json.dumps`` wrote them before the template:
+    kept as the reference the template-built bytes must equal."""
+    body = json.dumps(
+        {
+            "txn": entry.txn_id,
+            "event": entry.event,
+            "at": entry.timestamp,
+            "user": entry.user_data,
+        },
+        sort_keys=True,
+    ).encode("utf-8")
+    return struct.pack("<I", len(body)) + body
+
+
+#: Text a JSON encoder escapes: non-ASCII (BMP and astral), quotes,
+#: backslashes, control characters, and the separators it writes itself.
+AWKWARD_TEXT = [
+    "",
+    "begin",
+    "teller-3",
+    "Zürich – café ☕",
+    "emoji 😀 and 𝄞",
+    'quote " inside',
+    "back\\slash \\",
+    "tab\tnewline\nreturn\rbell\x07nul\x00esc\x1bdel\x7f",
+    "\u2028 line and paragraph \u2029 separators",
+    '{"at": 1, "txn": 2}, ": ',
+    "\ud800 lone surrogate",
+]
+
+AWKWARD_TIMES = [0.0, 1e-9, 1e9, 1.25, 0.1 + 0.2, 123456.789012345, 5e-324, 1.7976931348623157e308]
+
+AWKWARD_IDS = [0, 1, 7, 2**31, 2**63 - 1, 2**64 + 17, 10**30]
+
+
+class TestTemplateBytes:
+    """``AuditEntry`` fills its bytes into a fixed template; they must be
+    the ``json.dumps(..., sort_keys=True)`` bytes, byte for byte, or the
+    audit pages on the log disk change."""
+
+    @pytest.mark.parametrize("text", AWKWARD_TEXT)
+    def test_strings(self, text):
+        for entry in (AuditEntry(7, text, 1.5), AuditEntry(7, "commit", 1.5, text)):
+            assert entry.encode() == _reference_encode(entry)
+            assert AuditEntry.decode(entry.encode(), 0) == (entry, entry.size_bytes)
+
+    @pytest.mark.parametrize("timestamp", AWKWARD_TIMES)
+    def test_timestamps(self, timestamp):
+        entry = AuditEntry(3, "begin", timestamp, "u")
+        assert entry.encode() == _reference_encode(entry)
+        assert AuditEntry.decode(entry.encode(), 0)[0] == entry
+
+    @pytest.mark.parametrize("txn_id", AWKWARD_IDS)
+    def test_txn_ids(self, txn_id):
+        entry = AuditEntry(txn_id, "abort", 2.0)
+        assert entry.encode() == _reference_encode(entry)
+        assert AuditEntry.decode(entry.encode(), 0)[0] == entry
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**70),
+        st.text(),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.text(),
+    )
+    def test_any_entry(self, txn_id, event, timestamp, user_data):
+        entry = AuditEntry(txn_id, event, timestamp, user_data)
+        assert entry.encode() == _reference_encode(entry)
+        assert AuditEntry.decode(entry.encode(), 0) == (entry, entry.size_bytes)
 
 
 class TestAuditLog:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.common import EntityAddress, IndexStructureError, SegmentKind
 from repro.index import LinearHashIndex, NodeStore
-from repro.index.linear_hash import stable_hash
+from repro.index.base import NULL_ADDRESS, refreshed, zip_items
+from repro.index.linear_hash import _Bucket, _decode_bucket, stable_hash
 from repro.storage import MemoryManager
 
 
@@ -194,3 +195,148 @@ def test_linear_hash_matches_model(operations):
         assert sorted(index.search(key), key=lambda a: a.offset) == sorted(
             values, key=lambda a: a.offset
         )
+
+
+# ---------------------------------------------------------------------------
+# The in-place append is byte-identical to re-encoding the bucket
+# ---------------------------------------------------------------------------
+
+
+def _reference_insert(self, key, value):
+    """``LinearHashIndex.insert`` as it was before appends were patched in
+    place — decode the chain node, add the item, re-encode — kept verbatim
+    as the reference the patched bytes must equal."""
+    head_address = self._directory[self._bucket_number(key)]
+    bucket = self._load(head_address)
+    # place into the first chain node with room
+    while len(bucket.items) >= self.bucket_capacity:
+        if bucket.overflow == NULL_ADDRESS:
+            overflow = self._new_bucket()
+            bucket.overflow = overflow.address
+            self._save(bucket)
+            bucket = overflow
+            break
+        bucket = self._load(bucket.overflow)
+    bucket.items.append((key, value))
+    self._save(bucket)
+    self._counted(+1)
+    if self._load_factor() > self.split_load:
+        self._split_next()
+
+
+class _RecordingSink:
+    """A change sink that keeps every store operation, bytes included."""
+
+    def __init__(self):
+        self.events = []
+
+    def lock_component(self, address):
+        self.events.append(("lock", address))
+
+    def index_node_written(self, address, before, after):
+        self.events.append(("write", address, before, after))
+
+    def index_node_freed(self, address, before):
+        self.events.append(("free", address, before))
+
+    def grow_segment(self, segment, fits):
+        self.events.append(("grow", segment.segment_id))
+        return segment.allocate_partition()
+
+
+def _run_inserts(keys, reference, **shape):
+    sink = _RecordingSink()
+    store = make_store()
+    store.sink = sink
+    index = LinearHashIndex(store, **shape)
+    insert = refreshed(_reference_insert) if reference else LinearHashIndex.insert
+    steps = []
+    for number, key in enumerate(keys):
+        start = len(sink.events)
+        insert(index, key, addr(number))
+        steps.append(sink.events[start:])
+    return steps
+
+
+class TestAppendBytes:
+    """``insert`` patches the chain node's bytes (count raised, item
+    packed on) instead of decoding and re-encoding it; the bytes written,
+    and every store operation around them, must be what the decoding
+    version wrote."""
+
+    @staticmethod
+    def _appended(step):
+        """The one node write that added the item, checked against
+        ``_Bucket.encode()`` of the node's decoded items plus the new one."""
+        writes = [event for event in step if event[0] == "write"]
+        _, address, before, after = writes[-1]
+        form = _decode_bucket(address, before)
+        items = list(zip_items(form.keys, form.values))
+        return address, before, after, items, form.overflow
+
+    def test_head_with_room(self):
+        steps = _run_inserts([5], reference=False, initial_buckets=1, split_load=100.0)
+        address, before, after, items, overflow = self._appended(steps[0])
+        assert items == []
+        assert after == _Bucket(address, [(5, addr(0))], overflow).encode()
+        assert steps == _run_inserts([5], reference=True, initial_buckets=1, split_load=100.0)
+
+    def test_overflow_node_with_room_and_overflow_creation(self):
+        shape = dict(initial_buckets=1, bucket_capacity=2, split_load=100.0)
+        keys = [1, 2, 3, 4, 5]
+        steps = _run_inserts(keys, reference=False, **shape)
+        assert steps == _run_inserts(keys, reference=True, **shape)
+        # key 3 finds the head full and no overflow: a fresh empty node is
+        # allocated, the head relinked, then the item appended to the node
+        kinds = [event[0] for event in steps[2] if event[0] != "lock"]
+        assert kinds == ["write", "write", "write"]
+        created, relinked, appended = (e for e in steps[2] if e[0] == "write")
+        assert created[2] is None and relinked[1] != created[1] == appended[1]
+        # key 4 lands in that overflow node, which still has room
+        address, before, after, items, overflow = self._appended(steps[3])
+        assert address == created[1] and items == [(3, addr(2))]
+        assert after == _Bucket(address, items + [(4, addr(3))], overflow).encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**40), 2**40), max_size=60)
+        | st.lists(st.text(max_size=6), max_size=60),
+        st.integers(1, 4),
+    )
+    def test_any_sequence_writes_what_the_reference_wrote(self, keys, capacity):
+        """Duplicates and splits included: the same operations, in the same
+        order, with the same before- and after-images."""
+        shape = dict(initial_buckets=1, bucket_capacity=capacity)
+        steps = _run_inserts(keys, reference=False, **shape)
+        assert steps == _run_inserts(keys, reference=True, **shape)
+
+    def test_statement_rolled_back_insert(self, monkeypatch):
+        """A rolled-back insert restores the bucket's bytes through UNDO; the
+        next append patches those restored bytes, and the REDO stream and
+        the state are the decoding version's, byte for byte."""
+        from repro import Database, SystemConfig
+        from repro.recovery.oracle import logical_digest
+
+        def run():
+            db = Database(SystemConfig(log_page_size=512, update_count_threshold=16))
+            items = db.create_relation("items", [("k", "int"), ("v", "str")], "k", "hash")
+            with db.transaction() as txn:
+                for k in range(40):
+                    items.insert(txn, {"k": k, "v": f"row-{k}"})
+                with pytest.raises(RuntimeError):
+                    with txn.statement():
+                        items.insert(txn, {"k": 1000, "v": "undone"})
+                        raise RuntimeError("roll the statement back")
+                for k in range(40, 60):
+                    items.insert(txn, {"k": k, "v": f"row-{k}"})
+            db.recovery_processor.run_until_drained()
+            disk = db.log_disk.disks.primary
+            stream = [disk.read_page(lsn) for lsn in disk.block_ids()]
+            stream += [r.encode() for b in db.slt.bins() for r in b.buffer]
+            return logical_digest(db), stream
+
+        patched = run()
+        with monkeypatch.context() as m:
+            m.setattr(LinearHashIndex, "insert", refreshed(_reference_insert))
+            reference = run()
+        assert patched == reference

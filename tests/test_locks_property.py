@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import LockManager, LockMode
+from repro.concurrency.locks import covers, join
 
 MODES = [
     LockMode.INTENT_SHARED,
@@ -95,3 +96,86 @@ def test_holds_is_consistent_with_grants(requests):
             assert lm.holds(txn, "r", mode)
         else:
             assert _table(lm) == before
+
+
+class _ReferenceLockManager(LockManager):
+    """The lock manager's earlier ``acquire``, kept verbatim as the
+    reference the one-probe version must agree with."""
+
+    def acquire(self, txn_id, resource, mode):
+        holders = self._holders.get(resource)
+        held = holders.get(txn_id) if holders else None
+        if held is None or not _reference_covers(held, mode):
+            wanted = mode if held is None else _reference_join(held, mode)
+            if holders is None:
+                self._holders[resource] = {txn_id: wanted}
+            elif all(
+                wanted.compatible_with(other)
+                for holder, other in holders.items()
+                if holder != txn_id
+            ):
+                holders[txn_id] = wanted
+            else:
+                return False
+            self._held_by_txn.setdefault(txn_id, set()).add(resource)
+        return True
+
+
+_REFERENCE_STRENGTH = {
+    LockMode.INTENT_SHARED: 0,
+    LockMode.INTENT_EXCLUSIVE: 1,
+    LockMode.SHARED: 1,
+    LockMode.EXCLUSIVE: 2,
+}
+
+
+def _reference_join(a, b):
+    if a is b:
+        return a
+    if _REFERENCE_STRENGTH[a] < _REFERENCE_STRENGTH[b]:
+        a, b = b, a
+    if _REFERENCE_STRENGTH[a] > _REFERENCE_STRENGTH[b]:
+        if a is LockMode.EXCLUSIVE or b is LockMode.INTENT_SHARED:
+            return a
+    return LockMode.EXCLUSIVE
+
+
+def _reference_covers(held, wanted):
+    if held is wanted:
+        return True
+    if held is LockMode.EXCLUSIVE:
+        return True
+    if held is LockMode.SHARED and wanted is LockMode.INTENT_SHARED:
+        return True
+    if held is LockMode.INTENT_EXCLUSIVE and wanted is LockMode.INTENT_SHARED:
+        return True
+    return False
+
+
+def _tables(lm: LockManager) -> tuple[list, list]:
+    """Both tables as ordered lists, so insertion order is compared too."""
+    holders = [(resource, list(held.items())) for resource, held in lm._holders.items()]
+    return holders, [(txn, set(resources)) for txn, resources in lm._held_by_txn.items()]
+
+
+def test_covers_and_join_agree_with_the_reference_tables():
+    for held in MODES:
+        for wanted in MODES:
+            assert covers(held, wanted) is _reference_covers(held, wanted)
+            assert join(held, wanted) is _reference_join(held, wanted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(action_strategy, max_size=80))
+def test_acquire_matches_the_reference(actions):
+    """Differential: over any request/release sequence the one-probe
+    ``acquire`` grants and refuses exactly what the reference does, and
+    leaves the same holder and per-transaction tables, in the same order."""
+    lm, reference = LockManager(), _ReferenceLockManager()
+    for action, txn, resource, mode in actions:
+        if action == "acquire":
+            assert lm.acquire(txn, resource, mode) == reference.acquire(txn, resource, mode)
+        else:
+            lm.release_all(txn)
+            reference.release_all(txn)
+        assert _tables(lm) == _tables(reference)

@@ -375,3 +375,12 @@ class TestSizeBytesWithoutPacking:
     def test_size_bytes_equals_encoded_length(self):
         for record in self.samples():
             assert record.size_bytes == len(record.encode()), record
+
+    def test_size_bytes_equals_the_reference_formula(self):
+        """The per-class constant ``_register`` compiles, plus ``len(data)``
+        for blob layouts, is the formula read per call before it: the full
+        struct's size plus the length of ``data`` when there is one."""
+        for record in self.samples():
+            if isinstance(record, records.RedoRecord):
+                reference = record._FORMS[False][0].size + len(getattr(record, "data", b""))
+                assert record.size_bytes == reference, record
