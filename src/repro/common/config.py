@@ -17,54 +17,23 @@ regular memory.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import KILOBYTE, MEGABYTE
 
-#: The two environment variables (docs/ENGINES.md has the table): the
-#: defaults of ``SystemConfig.logging_mode`` and
-#: ``SystemConfig.condense_enabled``.
-LOGGING_MODE_ENV_VAR = "REPRO_LOGGING_MODE"
-CONDENSE_ENV_VAR = "REPRO_CONDENSE"
-
 LOGGING_MODES = ("value", "command")
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
 
 
 def expect_one_of(name: str, value: str, accepted: tuple[str, ...]) -> str:
     """``value`` if it is one of ``accepted``; otherwise the one refusal
-    every enumerated setting (environment, config field, call argument)
-    raises, naming what is accepted."""
+    every enumerated setting (config field, call argument) raises, naming
+    what is accepted."""
     if value not in accepted:
         raise ConfigurationError(
             f"{name}={value!r}: expected one of {', '.join(accepted)}"
         )
     return value
-
-
-class EnvSettings(NamedTuple):
-    logging_mode: str
-    condense: bool
-
-
-def env_settings() -> EnvSettings:
-    """Parse and validate every ``REPRO_*`` variable — the only place
-    the environment enters the library (the :class:`SystemConfig`
-    default factories read it from here).  Unset or empty takes the
-    default; anything unrecognised raises :class:`ConfigurationError`."""
-
-    def choice(name: str, default: str, accepted: tuple[str, ...]) -> str:
-        value = os.environ.get(name, "").strip().lower() or default
-        return expect_one_of(name, value, accepted)
-
-    return EnvSettings(
-        logging_mode=choice(LOGGING_MODE_ENV_VAR, "value", LOGGING_MODES),
-        condense=choice(CONDENSE_ENV_VAR, "0", _TRUE + _FALSE) in _TRUE,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,16 +183,12 @@ class SystemConfig:
     #: How :meth:`Database.run_script` logs a registered script unless the
     #: call says otherwise: ``"value"`` (after-images, the paper's
     #: scheme) or ``"command"`` (one TxnCommand record, docs/LOGGING.md).
-    #: The ``REPRO_LOGGING_MODE`` environment variable sets the default
-    #: for configs that do not pass it explicitly (a CI matrix axis).
-    logging_mode: str = field(default_factory=lambda: env_settings().logging_mode)
+    logging_mode: str = "value"
     #: Run the background condenser (docs/CONDENSING.md): the recovery
     #: CPU, when idle, folds flushed log pages into shadow checkpoint
     #: images so restart replays only the short uncondensed suffix.  Off
-    #: by default; the ``REPRO_CONDENSE`` environment variable turns it
-    #: on for configs that do not pass the flag explicitly (a CI matrix
-    #: axis, mirroring ``REPRO_LOGGING_MODE``).
-    condense_enabled: bool = field(default_factory=lambda: env_settings().condense)
+    #: by default.
+    condense_enabled: bool = False
     #: Disk model used for the log disks.
     log_disk: DiskParameters = field(default_factory=DiskParameters)
     #: Disk model used for the checkpoint disks.

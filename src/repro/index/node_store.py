@@ -28,6 +28,10 @@ _Form = TypeVar("_Form")
 #: per index without any bookkeeping on the read path.
 DECODED_CAPACITY = 8192
 
+#: Share of a partition's entity capacity that new components leave free
+#: for in-place growth of existing ones (see :class:`NodeStore`).
+GROWTH_RESERVE = 0.15
+
 
 class ChangeSink(Protocol):
     """Receives index component change notifications.
@@ -62,7 +66,7 @@ class NodeStore:
     """Allocate / read / write / free serialised index components.
 
     New components are only placed in a partition while it is below
-    ``1 - growth_reserve`` full: the reserve stays available for in-place
+    ``1 - GROWTH_RESERVE`` full: the reserve stays available for in-place
     *growth* of existing components (hash anchors grow with the bucket
     directory; T-Tree nodes grow toward ``max_items``) — the classic
     PCTFREE idea.
@@ -71,17 +75,9 @@ class NodeStore:
     calling transaction before every index operation.
     """
 
-    def __init__(
-        self,
-        segment: Segment,
-        sink: ChangeSink | None = None,
-        growth_reserve: float = 0.15,
-    ):
-        if not 0.0 <= growth_reserve < 1.0:
-            raise ValueError("growth_reserve must be in [0, 1)")
+    def __init__(self, segment: Segment, sink: ChangeSink | None = None):
         self.segment = segment
         self.sink = sink
-        self.growth_reserve = growth_reserve
         #: address -> (blob, decoded form), see :meth:`load`.
         self._decoded: dict[EntityAddress, tuple[bytes, object]] = {}
 
@@ -159,8 +155,7 @@ class NodeStore:
 
     def _partition_with_room(self, nbytes: int) -> Partition:
         needed = nbytes + ENTITY_HEADER_BYTES
-        reserve = self.growth_reserve
-        fits = lambda p: p.free_bytes - int(p.entity_capacity * reserve) >= needed
+        fits = lambda p: p.free_bytes - int(p.entity_capacity * GROWTH_RESERVE) >= needed
         partition = self.segment.first_fit(fits)
         if partition is not None:
             return partition

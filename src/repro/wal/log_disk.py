@@ -226,7 +226,7 @@ class ArchiveStore:
         return LogPage.decode(self.raw(lsn))
 
 
-#: Default bound of a :class:`LogDisk`'s page LRU (0 disables it).
+#: Bound of a :class:`LogDisk`'s page LRU.
 LOG_PAGE_CACHE_PAGES = 128
 
 
@@ -238,13 +238,10 @@ class LogDisk:
         disks: DuplexedDisk,
         window_pages: int,
         grace_pages: int,
-        cache_pages: int = LOG_PAGE_CACHE_PAGES,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
     ):
         if window_pages <= grace_pages:
             raise ValueError("window must be larger than the grace period")
-        if cache_pages < 0:
-            raise ValueError("cache_pages cannot be negative")
         self.disks = disks
         self.window_pages = window_pages
         self.grace_pages = grace_pages
@@ -267,7 +264,6 @@ class LogDisk:
         #: and restart reads.  Log pages are immutable once written (LSNs
         #: are never reused), so a cached page stays valid until it is
         #: dropped; it is volatile, so :meth:`crash` empties it.
-        self.cache_pages = cache_pages
         self._page_cache: "OrderedDict[int, LogPage]" = OrderedDict()
         self.cache_hits = 0
 
@@ -437,11 +433,9 @@ class LogDisk:
         return page
 
     def _cache_put(self, lsn: int, page: LogPage) -> None:
-        if self.cache_pages == 0:
-            return
         self._page_cache[lsn] = page
         self._page_cache.move_to_end(lsn)
-        while len(self._page_cache) > self.cache_pages:
+        while len(self._page_cache) > LOG_PAGE_CACHE_PAGES:
             self._page_cache.popitem(last=False)
 
     def _reclaim_expired(self) -> None:

@@ -1,11 +1,12 @@
-# repro-check: module=repro.txn.fixture_env_bad
-"""RC03 bad fixture: core code reading the process environment."""
+# repro-check: module=repro.common.config
+"""RC03 bad fixture: library code reading the process environment — in
+the config module as anywhere else."""
 
 import os
 from os import getenv
 
 
 def pool_size():
-    if getenv("REPRO_FIXTURE_DEBUG"):
+    if getenv("FIXTURE_DEBUG"):
         return 1
-    return int(os.environ.get("REPRO_FIXTURE_WORKERS", "4"))
+    return int(os.environ.get("FIXTURE_WORKERS", "4"))

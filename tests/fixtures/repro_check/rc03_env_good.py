@@ -1,8 +1,8 @@
 # repro-check: module=repro.common.config
-"""RC03 good fixture: the one module the environment enters through."""
+"""RC03 good fixture: ``os`` itself is fine; only the environment is not."""
 
 import os
 
 
-def env_settings():
-    return os.environ.get("REPRO_LOGGING_MODE", "value")
+def log_path(directory, name):
+    return os.path.join(directory, name)

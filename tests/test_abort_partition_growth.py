@@ -285,14 +285,13 @@ class TestAbortedGrowthIsTakenBack:
             assert [rel.lookup(txn, key + value)["v"] for value in range(3)] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_seeded_insert_delete_abort_crash_loop(seed):
+def insert_delete_abort_crash_loop(seed, condense_enabled):
     """Inserts, deletes and aborts (whole transactions and single
     statements) on a relation small enough to grow every few dozen rows,
     with a crash every round: the recovered state must equal the model,
     and every partition an aborted insert grew is still there."""
     rng = random.Random(seed)
-    db = Database(SystemConfig(**SMALL))
+    db = Database(SystemConfig(condense_enabled=condense_enabled, **SMALL))
     rel = db.create_relation(
         "items", [("k", "int"), ("v", "int"), ("pad", "str")], primary_key="k",
         primary_index=rng.choice(["hash", "ttree"]),
@@ -338,6 +337,16 @@ def test_seeded_insert_delete_abort_crash_loop(seed):
         }
         with db.transaction() as txn:
             assert {row["k"]: row["v"] for row in rel.scan(txn)} == model
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_insert_delete_abort_crash_loop(seed):
+    insert_delete_abort_crash_loop(seed, condense_enabled=False)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_insert_delete_abort_crash_loop_condensed(seed):
+    insert_delete_abort_crash_loop(seed, condense_enabled=True)
 
 
 class TestKeptPartitionStaysCatalogued:
@@ -679,14 +688,21 @@ class TestUndoIntoRoomAPeerTook:
         crash_and_restart(db)
 
 
-def insert_storm(seed, rounds=3, scripts=16):
+def insert_storm(seed, condense_enabled, rounds=3, scripts=16):
     """Sixteen scripts interleave inserts, one per step, into one relation
     on 4 KB partitions — every partition is filled, and grown past, by
     several open transactions — with a third of the scripts aborting their
     first attempt after their inserts, growths included; then the machine
     crashes.  Every committed key must be back, the integrity audit clean."""
     rng = random.Random(seed)
-    db = Database(SystemConfig(log_page_size=512, update_count_threshold=16, **SMALL))
+    db = Database(
+        SystemConfig(
+            log_page_size=512,
+            update_count_threshold=16,
+            condense_enabled=condense_enabled,
+            **SMALL,
+        )
+    )
     rel = db.create_relation(
         "items", [("k", "int"), ("v", "int"), ("pad", "str")], primary_key="k"
     )
@@ -731,4 +747,9 @@ def test_four_worker_insert_storm_then_crash(seed):
     """ROADMAP item 4's four-worker storm (29 of 40 runs lost committed
     rows while growth rode in user transactions), its scripts interleaved
     by the round-robin instead of raced on threads."""
-    insert_storm(seed)
+    insert_storm(seed, condense_enabled=False)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_four_worker_insert_storm_then_crash_condensed(seed):
+    insert_storm(seed, condense_enabled=True)

@@ -21,6 +21,7 @@ from repro.sim.chaos import (
     set_crash_point_observer,
 )
 from repro.wal.slt import CheckpointReason
+from tests import CONDENSED
 
 
 def config(**kwargs):
@@ -76,12 +77,13 @@ class TestUpdateCountTrigger:
 
 
 class TestAgeTrigger:
-    def test_aged_partition_checkpointed(self):
+    def test_aged_partition_checkpointed(self, condense_enabled):
         # tiny window: pages age out fast; cold partition gets caught
         cfg = config(
             update_count_threshold=100000,  # never by update count
             log_window_pages=12,
             log_window_grace_pages=6,
+            condense_enabled=condense_enabled,
         )
         db, rel, addrs = loaded_db(cfg)
         # one early write to the cold row, then hammer the others
@@ -95,6 +97,11 @@ class TestAgeTrigger:
             req.reason for req in db.checkpoint_queue._entries()
         } | ({CheckpointReason.AGE} if db.checkpoints.checkpoints_taken else set())
         assert db.checkpoints.checkpoints_taken > 0 or CheckpointReason.AGE in reasons
+
+
+@CONDENSED
+class TestAgeTriggerCondensed(TestAgeTrigger):
+    pass
 
 
 class TestRequestProtocol:

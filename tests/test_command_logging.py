@@ -21,10 +21,12 @@ from repro.sim.faults import SimulatedCrash
 from repro.txn.registry import ScriptError, ScriptRegistry
 from repro.txn.transaction import TxnState
 from repro.wal.records import CommandBarrier, SweepMarker, TxnPrepare
+from tests import CONDENSED
 
 
-def small_config(**kwargs):
+def small_config(condense_enabled=False, **kwargs):
     defaults = dict(
+        condense_enabled=condense_enabled,
         log_page_size=1024,
         update_count_threshold=10_000,  # checkpoints only when forced
         log_window_pages=256,
@@ -146,10 +148,10 @@ class TestScriptRegistry:
 
 
 class TestModes:
-    def test_invalid_mode_rejected(self, monkeypatch):
-        """The three places a mode is spelled refuse alike, naming the two
+    def test_invalid_mode_rejected(self, condense_enabled):
+        """The two places a mode is spelled refuse alike, naming the two
         that exist."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         for mode in ("logical", "adaptive"):
             refusal = f"={mode!r}: expected one of value, command$"
@@ -157,13 +159,9 @@ class TestModes:
                 db.run_script("transfer_accounts", 0, 1, 5, logging=mode)
             with pytest.raises(ConfigurationError, match="^logging_mode" + refusal):
                 SystemConfig(logging_mode=mode)
-            with monkeypatch.context() as env:
-                env.setenv("REPRO_LOGGING_MODE", mode)
-                with pytest.raises(ConfigurationError, match="^REPRO_LOGGING_MODE" + refusal):
-                    SystemConfig()
 
-    def test_command_mode_logs_less(self):
-        db = Database(small_config())
+    def test_command_mode_logs_less(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 8, logging="value")
         run_transfers(db, 8, logging="command")
@@ -180,8 +178,8 @@ class TestModes:
         assert stats["live_commands"] == 8
         assert stats["command_seq"] == 8
 
-    def test_config_mode_applies_and_override_wins(self):
-        db = Database(small_config(logging_mode="command"))
+    def test_config_mode_applies_and_override_wins(self, condense_enabled):
+        db = Database(small_config(condense_enabled, logging_mode="command"))
         make_bank(db)
         run_transfers(db, 3)
         run_transfers(db, 2, logging="value")
@@ -190,8 +188,8 @@ class TestModes:
         assert commits["value"] >= 2
         assert commits == {"command": 3, "value": commits["value"]}
 
-    def test_stats_surface(self):
-        db = Database(small_config())
+    def test_stats_surface(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 4, logging="command")
         logging = db.stats()["logging"]
@@ -214,13 +212,18 @@ class TestModes:
         assert "mode commits" in status_page(db.stats())
 
 
+@CONDENSED
+class TestModesCondensed(TestModes):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # recovery: digest identity across modes
 # ---------------------------------------------------------------------------
 
 
-def _run_to_digest(mode):
-    db = Database(small_config(logging_mode=mode))
+def _run_to_digest(condense_enabled, mode):
+    db = Database(small_config(condense_enabled, logging_mode=mode))
     accounts = make_bank(db)
     run_transfers(db, 24)
     settled = db.stats()["logging"]["commands_settled"]
@@ -235,8 +238,8 @@ def _run_to_digest(mode):
 
 class TestDigestIdentity:
     @pytest.mark.parametrize("mode", ["value", "command"])
-    def test_recovery_is_exact_per_mode(self, mode):
-        expected, recovered, replay, settled = _run_to_digest(mode)
+    def test_recovery_is_exact_per_mode(self, mode, condense_enabled):
+        expected, recovered, replay, settled = _run_to_digest(condense_enabled, mode)
         assert recovered == expected
         if mode == "value":
             assert replay["commands_replayed"] == 0
@@ -245,18 +248,18 @@ class TestDigestIdentity:
             assert replay["commands_replayed"] == 24 - settled
             assert replay["commands_replayed"] > 0
 
-    def test_modes_converge(self):
+    def test_modes_converge(self, condense_enabled):
         digests = set()
         for mode in ("value", "command"):
-            expected, recovered, _, _ = _run_to_digest(mode)
+            expected, recovered, _, _ = _run_to_digest(condense_enabled, mode)
             digests.update({expected, recovered})
         assert len(digests) == 1
 
-    def test_replay_rewinds_a_failed_statement_like_the_live_run(self):
+    def test_replay_rewinds_a_failed_statement_like_the_live_run(self, condense_enabled):
         """A script that survives a failed statement is re-executed
         statement rollback and all: the replay transaction has no SLB
         chain to truncate and must not ask for one."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
 
         def credit_capped(txn, key, amount):
@@ -281,11 +284,11 @@ class TestDigestIdentity:
         assert logical_digest(db) == expected
 
     @pytest.mark.parametrize("mode", ["command", "value"])
-    def test_script_survives_a_key_collision(self, mode):
+    def test_script_survives_a_key_collision(self, mode, condense_enabled):
         """A statement that patched a tuple and moved a heap string, then
         hit a primary-key collision, is rewound from UNDO alone when no
         REDO record was built beside it — live and at replay."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         notes = db.create_relation(
             "notes", [("id", "int"), ("v", "int"), ("note", "str")], primary_key="id"
         )
@@ -326,8 +329,8 @@ class TestDigestIdentity:
         assert db.last_command_replay["commands_replayed"] == replayed
         assert rewound == [True] * (2 + replayed)
 
-    def test_disjoint_closures_batch_independently(self):
-        db = Database(small_config())
+    def test_disjoint_closures_batch_independently(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         banks = [make_bank(db, name=f"bank{i}") for i in range(3)]
         # A script spanning two extra relations merges their closure.
         left = db.create_relation("left", [("id", "int"), ("v", "int")], "id")
@@ -357,6 +360,11 @@ class TestDigestIdentity:
         assert logical_digest(db) == expected
 
 
+@CONDENSED
+class TestDigestIdentityCondensed(TestDigestIdentity):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # crash windows
 # ---------------------------------------------------------------------------
@@ -369,8 +377,8 @@ class TestScriptsThatGrowASegment:
     re-execution fills it exactly as the live run did."""
 
     @staticmethod
-    def ledger():
-        db = Database(small_config(partition_size=4096))
+    def ledger(condense_enabled):
+        db = Database(small_config(condense_enabled, partition_size=4096))
         ledger = db.create_relation(
             "ledger", [("id", "int"), ("memo", "str")], primary_key="id"
         )
@@ -385,8 +393,8 @@ class TestScriptsThatGrowASegment:
         assert len(db.catalog.relation("ledger").partitions) > 2
         return db
 
-    def test_replay_reaches_the_same_digest(self):
-        db = self.ledger()
+    def test_replay_reaches_the_same_digest(self, condense_enabled):
+        db = self.ledger(condense_enabled)
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -394,10 +402,10 @@ class TestScriptsThatGrowASegment:
         assert logical_digest(db) == expected
         assert verify_integrity(db) == []
 
-    def test_crash_between_the_growth_commit_and_the_scripts_own(self):
+    def test_crash_between_the_growth_commit_and_the_scripts_own(self, condense_enabled):
         """The script dies, its growth does not: the partition is there,
         empty, and the same script run again fills it."""
-        db = self.ledger()
+        db = self.ledger(condense_enabled)
         expected = logical_digest(db)
         partitions = len(db.catalog.relation("ledger").partitions)
         injector = ChaosEngine(ChaosPlan.crash_at(0, "growth.committed"))
@@ -420,6 +428,11 @@ class TestScriptsThatGrowASegment:
         assert verify_integrity(db) == []
 
 
+@CONDENSED
+class TestScriptsThatGrowASegmentCondensed(TestScriptsThatGrowASegment):
+    pass
+
+
 class TestCrashWindows:
     def test_new_points_are_registered(self):
         points = registered_crash_points()
@@ -431,10 +444,10 @@ class TestCrashWindows:
         ):
             assert name in points and points[name]
 
-    def test_crash_after_command_commit_point(self):
+    def test_crash_after_command_commit_point(self, condense_enabled):
         """The commit point precedes the crash point: the transaction's
         effect must survive."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 5, logging="command")
         injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.command-emitted"))
@@ -457,8 +470,8 @@ class TestCrashWindows:
             for point in ("replay.batch.before-command", "replay.batch.command-executed")
         ],
     )
-    def test_crash_during_replay_is_recoverable(self, point, interleaved):
-        db = Database(small_config())
+    def test_crash_during_replay_is_recoverable(self, point, interleaved, condense_enabled):
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         if interleaved:
             run_interleaved(db, 30)
@@ -483,10 +496,10 @@ class TestCrashWindows:
         assert logical_digest(db) == expected
         assert total_balance(db, accounts) == ACCOUNTS * OPENING
 
-    def test_crash_mid_sweep_before_commit(self):
+    def test_crash_mid_sweep_before_commit(self, condense_enabled):
         """A sweep dying after appending markers but before its commit
         leaves the command suffix live and the old images authoritative."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         expected = logical_digest(db)
@@ -508,14 +521,19 @@ class TestCrashWindows:
         assert logical_digest(db) == expected
 
 
+@CONDENSED
+class TestCrashWindowsCondensed(TestCrashWindows):
+    test_new_points_are_registered = None  # builds no database
+
+
 # ---------------------------------------------------------------------------
 # group settlement sweeps and DDL fences
 # ---------------------------------------------------------------------------
 
 
 class TestSettlement:
-    def test_sweep_settles_and_prunes(self):
-        db = Database(small_config())
+    def test_sweep_settles_and_prunes(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         sweep(db, accounts)
@@ -525,10 +543,10 @@ class TestSettlement:
         assert stats["live_commands"] == 0
         assert db.catalog.relation("accounts").command_watermark == 6
 
-    def test_replay_over_settled_images(self):
+    def test_replay_over_settled_images(self, condense_enabled):
         """Commands after a sweep replay on top of the swept images; the
         settled prefix is never re-executed."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         sweep(db, accounts)
@@ -544,13 +562,13 @@ class TestSettlement:
 
     @pytest.mark.parametrize("live_after_sweep", [0, 4])
     def test_unusable_image_of_settled_relation_refuses_history(
-        self, live_after_sweep
+        self, live_after_sweep, condense_enabled
     ):
         """Settled command effects exist only in the swept images, so a
         torn one cannot be survived by history replay — neither by the
         restart's own rebuild nor by the replay planner's (which loads
         the closure first when commands are still live)."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         target = sweep(db, accounts)
@@ -564,8 +582,8 @@ class TestSettlement:
             db.restart(RecoveryMode.EAGER)
 
     @pytest.mark.parametrize("ddl", ["create_index", "drop_relation", "drop_index"])
-    def test_ddl_settles_live_commands_first(self, ddl):
-        db = Database(small_config())
+    def test_ddl_settles_live_commands_first(self, ddl, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         db.create_index("accounts_by_balance", "accounts", "balance")
         run_transfers(db, 5, logging="command")
@@ -581,6 +599,11 @@ class TestSettlement:
         assert stats["commands_settled"] == 5
 
 
+@CONDENSED
+class TestSettlementCondensed(TestSettlement):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # the checkpoint disk dies too: restart with the images lost
 # ---------------------------------------------------------------------------
@@ -592,10 +615,10 @@ class TestMediaRestore:
     re-execute from it, and a settled relation — whose command effects
     lived only in the lost images — is refused, never regressed."""
 
-    def test_unsettled_commands_survive_the_media_restore(self):
+    def test_unsettled_commands_survive_the_media_restore(self, condense_enabled):
         rows = {}
         for how in ("restart", "media restore"):
-            db = Database(small_config())
+            db = Database(small_config(condense_enabled))
             make_bank(db)
             run_transfers(db, 12, logging="command")
             live = db.stats()["logging"]["live_commands"]
@@ -626,8 +649,10 @@ class TestMediaRestore:
         }
 
     @pytest.mark.parametrize("live_after_sweep", [0, 4])
-    def test_settled_relation_is_refused_not_regressed(self, live_after_sweep):
-        db = Database(small_config())
+    def test_settled_relation_is_refused_not_regressed(
+        self, live_after_sweep, condense_enabled
+    ):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 6, logging="command")
         assert db.checkpoints.settle_relation("accounts") == 6
@@ -644,6 +669,11 @@ class TestMediaRestore:
             db.restart(RecoveryMode.EAGER)
 
 
+@CONDENSED
+class TestMediaRestoreCondensed(TestMediaRestore):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # command replay walks page bytes and is tallied like any rebuild
 # ---------------------------------------------------------------------------
@@ -651,12 +681,12 @@ class TestMediaRestore:
 
 class TestReplayFromPageBytes:
     @staticmethod
-    def crashed_db():
+    def crashed_db(condense_enabled):
         """Two banks whose streams put both cursors on flushed pages:
         ``accounts`` holds live commands between value transactions,
         ``swept`` a settlement sweep whose marker went to disk ahead of
         value records, then two live commands of its own."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         swept = make_bank(db, "swept")
         run_transfers(db, 6, name="swept", logging="command")
@@ -670,26 +700,26 @@ class TestReplayFromPageBytes:
         db.crash()
         return db, digest
 
-    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch):
-        twin, digest = self.crashed_db()
+    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch, condense_enabled):
+        twin, digest = self.crashed_db(condense_enabled)
         expected = twin.restart(RecoveryMode.EAGER)
         assert logical_digest(twin) == digest
 
         def refuse(*args):
             raise AssertionError("restart built a record object")
 
-        db, _ = self.crashed_db()
+        db, _ = self.crashed_db(condense_enabled)
         monkeypatch.setattr("repro.wal.records.decode_record", refuse)
         coordinator = db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 14
         assert logical_digest(db) == digest
         assert coordinator.records_replayed == expected.records_replayed > 0
 
-    def test_planner_rebuilds_are_tallied(self):
+    def test_planner_rebuilds_are_tallied(self, condense_enabled):
         """Every catalogued partition is counted once, whether phase 1,
         the replay planner or phase 2 rebuilt it, and the planner counts
         the records it applied — not the barriers its cursor halted at."""
-        db, _ = self.crashed_db()
+        db, _ = self.crashed_db(condense_enabled)
         coordinator = db.restart(RecoveryMode.EAGER)
         restart = db.stats()["restart"]
         addresses = db.catalog.partition_addresses()
@@ -708,27 +738,32 @@ class TestReplayFromPageBytes:
         assert restart["pages_read"] == pages_read > 0
 
 
+@CONDENSED
+class TestReplayFromPageBytesCondensed(TestReplayFromPageBytes):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # replay failure fences
 # ---------------------------------------------------------------------------
 
 
 class TestReplayFences:
-    def _crashed_bank(self):
-        db = Database(small_config())
+    def _crashed_bank(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 4, logging="command")
         db.crash()
         return db
 
-    def test_unregistered_script_fails_restart(self):
-        db = self._crashed_bank()
+    def test_unregistered_script_fails_restart(self, condense_enabled):
+        db = self._crashed_bank(condense_enabled)
         db.scripts.unregister("transfer_accounts")
         with pytest.raises(RecoveryError, match="no such script"):
             db.restart(RecoveryMode.EAGER)
 
-    def test_version_drift_fails_restart(self):
-        db = self._crashed_bank()
+    def test_version_drift_fails_restart(self, condense_enabled):
+        db = self._crashed_bank(condense_enabled)
         db.register_script(
             "transfer_accounts",
             lambda txn, *a: None,
@@ -738,8 +773,8 @@ class TestReplayFences:
         with pytest.raises(RecoveryError, match="version"):
             db.restart(RecoveryMode.EAGER)
 
-    def test_declared_set_drift_fails_restart(self):
-        db = Database(small_config())
+    def test_declared_set_drift_fails_restart(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         db.create_relation("other", [("id", "int")], "id")
         run_transfers(db, 4, logging="command")
@@ -752,10 +787,10 @@ class TestReplayFences:
         with pytest.raises(RecoveryError, match="declare"):
             db.restart(RecoveryMode.EAGER)
 
-    def test_command_logged_transaction_refuses_prepare(self):
+    def test_command_logged_transaction_refuses_prepare(self, condense_enabled):
         """How a transaction is logged is fixed at begin, and one logged
         by command cannot be drafted into 2PC afterwards."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         txn = db.transactions.begin(
             command=("transfer_accounts", "1", b"[0, 1, 5]"),
@@ -768,11 +803,16 @@ class TestReplayFences:
         assert txn.txn_id not in db.slb.prepared_txn_ids
         txn.abort()
 
-    def test_sharded_scripts_force_value_mode(self):
-        db = Database(small_config(logging_mode="command"))
+    def test_sharded_scripts_force_value_mode(self, condense_enabled):
+        db = Database(small_config(condense_enabled, logging_mode="command"))
         db.shard_id = 0
         make_bank(db)
         run_transfers(db, 3)
         commits, _ = db.slb.mode_stats()
         assert "command" not in commits
         assert db.stats()["logging"]["live_commands"] == 0
+
+
+@CONDENSED
+class TestReplayFencesCondensed(TestReplayFences):
+    pass

@@ -276,9 +276,7 @@ class TestChainsDieWithTheDisk:
 
 
 class TestDutyPlumbing:
-    def test_disabled_by_default(self, monkeypatch):
-        # the *library* default: whatever the CI matrix exported is not it
-        monkeypatch.delenv("REPRO_CONDENSE", raising=False)
+    def test_disabled_by_default(self):
         db = Database(
             SystemConfig(log_page_size=512, update_count_threshold=10_000)
         )
@@ -288,13 +286,6 @@ class TestDutyPlumbing:
         stats = db.condenser.stats_snapshot()
         assert stats["publishes"] == 0 and not stats["enabled"]
         assert all(b.condensed_slot is None for b in db.slt.bins())
-
-    def test_env_var_flips_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONDENSE", "1")
-        assert SystemConfig().condense_enabled
-        assert not SystemConfig(condense_enabled=False).condense_enabled
-        monkeypatch.setenv("REPRO_CONDENSE", "0")
-        assert not SystemConfig().condense_enabled
 
     def test_stats_and_monitor_surface_the_duty(self):
         db = make_db(True)

@@ -28,6 +28,7 @@ from repro.recovery.redo import enumerate_log_pages
 from repro.sim.clock import VirtualClock
 from repro.sim.disk import CORRUPTION_KINDS, DuplexedDisk, SimulatedDisk
 from repro.workloads.debit_credit import DebitCreditWorkload
+from tests import CONDENSED
 
 ALL_KINDS = list(CORRUPTION_KINDS)
 
@@ -154,13 +155,13 @@ def loaded_bank(transactions=60, **config_kwargs):
 
 
 class TestNoInPlaceOverwrites:
-    def test_stable_blocks_are_never_overwritten_in_place(self):
+    def test_stable_blocks_are_never_overwritten_in_place(self, condense_enabled):
         """The invariant that makes stale-version corruption detectable
         everywhere it can occur: no log block or checkpoint slot is ever
         rewritten while holding data (freed blocks are deleted, so a
         reused id starts with no previous image and stale-version
         degenerates to a CRC-caught zero-fill)."""
-        db, _ = loaded_bank()
+        db, _ = loaded_bank(condense_enabled=condense_enabled)
         spindles = [db.log_disk.disks.primary, db.log_disk.disks.mirror]
         for disk in spindles + [db.checkpoint_disk.disk]:
             for block_id in disk.block_ids():
@@ -169,14 +170,19 @@ class TestNoInPlaceOverwrites:
                 )
 
 
+@CONDENSED
+class TestNoInPlaceOverwritesCondensed(TestNoInPlaceOverwrites):
+    pass
+
+
 class TestLogBlockCorruption:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_single_spindle_corruption_survived(self, kind):
+    def test_single_spindle_corruption_survived(self, kind, condense_enabled):
         """Every log block's primary copy damaged: recovery reads fail
         over to the mirror and the digest still matches exactly."""
         # a huge update-count threshold keeps checkpoints away, so every
         # partition must be rebuilt from the log alone
-        db, verifier = loaded_bank(update_count_threshold=10_000)
+        db, verifier = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
         db.crash()
         blocks = db.log_disk.disks.primary.block_ids()
         assert blocks, "scenario must have flushed log pages"
@@ -187,11 +193,11 @@ class TestLogBlockCorruption:
         verifier.verify()
         assert db.log_disk.disks.failovers > 0
 
-    def test_both_spindles_corrupt_escalates_and_is_rescued(self):
+    def test_both_spindles_corrupt_escalates_and_is_rescued(self, condense_enabled):
         """Both copies of log blocks unreadable: the duplex read raises a
         distinct MediaFailure; the live-system rescue cuts fresh
         checkpoints and the digest survives the next crash exactly."""
-        db, verifier = loaded_bank(update_count_threshold=10_000)
+        db, verifier = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
         victims = db.log_disk.disks.block_ids()[:3]
         assert victims
         for lsn in victims:
@@ -210,10 +216,10 @@ class TestLogBlockCorruption:
         verifier.verify()
 
 
-    def test_rescue_refuses_before_touching_anything_mid_restart(self):
+    def test_rescue_refuses_before_touching_anything_mid_restart(self, condense_enabled):
         """The rescue needs every partition resident; mid-restart it must
         refuse before it drops a page or checkpoints anything."""
-        db, verifier = loaded_bank(update_count_threshold=10_000)
+        db, verifier = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
         verifier.detach()
         db.crash()
         coordinator = db.restart(RecoveryMode.ON_DEMAND)
@@ -228,6 +234,11 @@ class TestLogBlockCorruption:
         assert scrub_log_disk(db) == victims
         assert [(e.partition, e.state) for e in db.checkpoint_queue.pending()] == queued
         assert len(db.checkpoint_queue) == len(queued)
+
+
+@CONDENSED
+class TestLogBlockCorruptionCondensed(TestLogBlockCorruption):
+    pass
 
 
 class TestLostLogPageIsFatal:
@@ -303,11 +314,11 @@ class TestCheckpointImageCorruption:
         )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_corrupt_image_survived_by_history_replay(self, kind):
+    def test_corrupt_image_survived_by_history_replay(self, kind, condense_enabled):
         """Every data checkpoint image damaged: recovery detects each one
         (torn flag, CRC, or wrong-partition image) and falls back to
         full-history log replay, digest-exact."""
-        db, verifier = loaded_bank()
+        db, verifier = loaded_bank(condense_enabled=condense_enabled)
         assert db.checkpoints.checkpoints_taken > 0
         db.crash()
         slots = self._occupied_slots(db)
@@ -319,7 +330,7 @@ class TestCheckpointImageCorruption:
         verifier.verify()
         assert db.restart_coordinator.sources["history"] > 0
 
-    def test_torn_catalog_images_keep_archive_buffer_leftovers(self):
+    def test_torn_catalog_images_keep_archive_buffer_leftovers(self, condense_enabled):
         """Catalog records a checkpoint moved to the stable archive buffer
         are on no log page yet; the phase-1 fallback must replay them or
         the newest relation comes back with no partitions."""
@@ -329,6 +340,7 @@ class TestCheckpointImageCorruption:
                 update_count_threshold=10,
                 log_window_pages=512,
                 log_window_grace_pages=32,
+                condense_enabled=condense_enabled,
             )
         )
         for r in range(6):
@@ -358,10 +370,10 @@ class TestCheckpointImageCorruption:
         with db.transaction() as txn:
             assert [db.table(f"r{r}").count(txn) for r in range(6)] == [3] * 6
 
-    def test_checkpoint_disk_destroyed_media_restore_is_exact(self):
+    def test_checkpoint_disk_destroyed_media_restore_is_exact(self, condense_enabled):
         """The whole checkpoint disk gone: section 2.6 archive recovery
         rebuilds everything from log history, digest-exact."""
-        db, verifier = loaded_bank()
+        db, verifier = loaded_bank(condense_enabled=condense_enabled)
         db.crash()
         assert db.checkpoint_disk.disk.destroy() > 0
         report = restore_after_checkpoint_media_failure(db)
@@ -372,6 +384,11 @@ class TestCheckpointImageCorruption:
         db.restart(RecoveryMode.EAGER)
         verifier.detach()
         verifier.verify()
+
+
+@CONDENSED
+class TestCheckpointImageCorruptionCondensed(TestCheckpointImageCorruption):
+    pass
 
 
 class TestOracle:

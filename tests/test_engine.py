@@ -1,10 +1,9 @@
-"""Tests for the engine (``repro.engine``), the ``REPRO_*`` settings and
-the phase-2 bulk restore."""
+"""Tests for the engine (``repro.engine``), the absence of environment
+settings and the phase-2 bulk restore."""
 import pytest
 
+import repro
 from repro import Database, RecoveryMode, SystemConfig
-from repro.common.config import CONDENSE_ENV_VAR, LOGGING_MODE_ENV_VAR, env_settings
-from repro.common.errors import ConfigurationError
 from repro.common.types import PartitionAddress
 from repro.engine import SimEngine
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
@@ -43,49 +42,16 @@ class TestEngineSelection:
             engine.pump()
 
 
-class TestEnvSettings:
-    """One parser for the two ``REPRO_*`` variables: bad values fail at
-    once, naming the variable and what it accepts."""
-
-    @pytest.mark.parametrize(
-        "variable,value,accepted",
-        [
-            (LOGGING_MODE_ENV_VAR, "bogus", "value, command"),
-            (CONDENSE_ENV_VAR, "maybe", "1, true, yes, on, 0, false, no, off"),
-        ],
-    )
-    def test_bad_value_names_variable_and_accepted(
-        self, monkeypatch, variable, value, accepted
-    ):
-        monkeypatch.setenv(variable, value)
-        with pytest.raises(ConfigurationError) as raised:
-            env_settings()
-        assert variable in str(raised.value)
-        assert value in str(raised.value)
-        assert accepted in str(raised.value)
-
-    def test_bad_logging_mode_fails_before_post_init(self, monkeypatch):
-        monkeypatch.setenv(LOGGING_MODE_ENV_VAR, "bogus")
-        with pytest.raises(ConfigurationError, match=LOGGING_MODE_ENV_VAR):
-            SystemConfig()
-        # Explicit values never consult the environment.
-        config = SystemConfig(logging_mode="command", condense_enabled=False)
-        assert config.logging_mode == "command"
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [("1", True), ("true", True), ("YES", True), ("on", True),
-         ("", False), ("0", False), ("false", False), ("No", False), ("off", False)],
-    )
-    def test_condense_uses_the_one_boolean_rule(self, monkeypatch, value, expected):
-        monkeypatch.setenv(CONDENSE_ENV_VAR, value)
-        assert env_settings().condense is expected
-        assert SystemConfig().condense_enabled is expected
-
-    def test_defaults_when_unset(self, monkeypatch):
-        for variable in (LOGGING_MODE_ENV_VAR, CONDENSE_ENV_VAR):
-            monkeypatch.delenv(variable, raising=False)
-        assert env_settings() == ("value", False)
+class TestNoEnvironmentInput:
+    def test_former_variables_are_ignored(self, monkeypatch):
+        """SystemConfig is the only configuration: the variables earlier
+        versions read (``<PACKAGE>_LOGGING_MODE``, ``<PACKAGE>_CONDENSE``)
+        change nothing."""
+        prefix = repro.__name__.upper()
+        monkeypatch.setenv(f"{prefix}_LOGGING_MODE", "command")
+        monkeypatch.setenv(f"{prefix}_CONDENSE", "1")
+        assert SystemConfig() == SystemConfig(logging_mode="value", condense_enabled=False)
+        assert Database().stats()["condenser"]["enabled"] is False
 
 
 class TestDutyOrder:

@@ -20,6 +20,7 @@ from repro.recovery import (
 from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.wal.log_disk import ARCHIVE_SEGMENT
+from tests import CONDENSED
 
 
 def small_config(**kwargs):
@@ -214,8 +215,12 @@ class TestFreshCheckpointFailsDuringRestore:
     while a descriptor still names it."""
 
     @staticmethod
-    def failed_restore(after_visits):
-        db = Database(small_config(partition_size=4096, io_retry_budget=0))
+    def failed_restore(after_visits, condense_enabled):
+        db = Database(
+            small_config(
+                partition_size=4096, io_retry_budget=0, condense_enabled=condense_enabled
+            )
+        )
         rel = db.create_relation(
             "items", [("id", "int"), ("v", "int"), ("s", "str")], primary_key="id"
         )
@@ -235,8 +240,8 @@ class TestFreshCheckpointFailsDuringRestore:
         return db, lost
 
     @pytest.mark.parametrize("after_visits", [1, 2, 5])
-    def test_no_lost_slot_comes_back(self, after_visits):
-        db, lost = self.failed_restore(after_visits)
+    def test_no_lost_slot_comes_back(self, after_visits, condense_enabled):
+        db, lost = self.failed_restore(after_visits, condense_enabled)
         # all or nothing: every slot the catalog names is a lost one, and
         # each is still reserved in the replacement disk's map
         assert db.checkpoints.occupied_slots() == lost
@@ -253,10 +258,10 @@ class TestFreshCheckpointFailsDuringRestore:
             assert [row["v"] for row in db.table("items").scan(txn)] == list(range(300))
 
     @pytest.mark.parametrize("after_visits", [0, 1, 2, 5])
-    def test_crash_after_failed_restore_loses_nothing(self, after_visits):
+    def test_crash_after_failed_restore_loses_nothing(self, after_visits, condense_enabled):
         """A crash after the failed restore sends an ordinary restart to
         the log history for every partition, not to an empty one."""
-        db, _ = self.failed_restore(after_visits)
+        db, _ = self.failed_restore(after_visits, condense_enabled)
         assert verify_integrity(db) == []
         db.crash()
         coordinator = db.restart()
@@ -265,6 +270,11 @@ class TestFreshCheckpointFailsDuringRestore:
         assert coordinator.sources["history"] == coordinator.partitions_recovered
         with db.transaction() as txn:
             assert [row["v"] for row in db.table("items").scan(txn)] == list(range(300))
+
+
+@CONDENSED
+class TestFreshCheckpointFailsDuringRestoreCondensed(TestFreshCheckpointFailsDuringRestore):
+    pass
 
 
 class TestTornCheckpointImage:

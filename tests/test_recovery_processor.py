@@ -4,6 +4,7 @@ import pytest
 
 from repro import Database, SystemConfig
 from repro.wal.log_disk import ARCHIVE_SEGMENT
+from tests import CONDENSED
 
 
 def small_db(**kwargs):
@@ -132,11 +133,12 @@ class TestCheckpointSignalling:
 
 
 class TestAgeTriggerEndToEnd:
-    def test_cold_partition_caught_by_window(self):
+    def test_cold_partition_caught_by_window(self, condense_enabled):
         db, rel, addrs = small_db(
             update_count_threshold=10_000,
             log_window_pages=20,
             log_window_grace_pages=10,
+            condense_enabled=condense_enabled,
         )
         cold = db.create_relation("cold", [("id", "int"), ("v", "int")], primary_key="id")
         with db.transaction() as txn:
@@ -155,3 +157,8 @@ class TestAgeTriggerEndToEnd:
         ]
         taken = db.checkpoints.checkpoints_taken
         assert taken > 0 or "age" in reasons
+
+
+@CONDENSED
+class TestAgeTriggerEndToEndCondensed(TestAgeTriggerEndToEnd):
+    pass

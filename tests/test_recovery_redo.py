@@ -10,6 +10,7 @@ from repro.common.config import DiskParameters
 from repro.recovery.redo import enumerate_log_pages, rebuild_partition_resilient
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.wal import LogDisk, StableLogTail, TupleInsert
+from tests import CONDENSED
 
 PADDR = PartitionAddress(1, 1)
 
@@ -178,7 +179,7 @@ class TestRestartBuildsNoRecord:
     are objects already, in stable memory)."""
 
     @staticmethod
-    def crashed_db():
+    def crashed_db(condense_enabled):
         from repro.recovery.oracle import logical_digest
 
         db = Database(
@@ -187,6 +188,7 @@ class TestRestartBuildsNoRecord:
                 update_count_threshold=100_000,
                 log_window_pages=4096,
                 log_window_grace_pages=64,
+                condense_enabled=condense_enabled,
             )
         )
         rel = db.create_relation(
@@ -207,20 +209,25 @@ class TestRestartBuildsNoRecord:
         db.crash()
         return db, digest
 
-    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch):
+    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch, condense_enabled):
         from repro import RecoveryMode
         from repro.recovery.oracle import logical_digest
 
-        twin, digest = self.crashed_db()
+        twin, digest = self.crashed_db(condense_enabled)
         expected = twin.restart(RecoveryMode.EAGER)
         assert logical_digest(twin) == digest
 
         def refuse(*args):
             raise AssertionError("restart built a record object")
 
-        db, _ = self.crashed_db()
+        db, _ = self.crashed_db(condense_enabled)
         monkeypatch.setattr("repro.wal.records.decode_record", refuse)
         coordinator = db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == digest
         assert coordinator.records_replayed == expected.records_replayed > 0
         assert coordinator.pages_read == expected.pages_read > 0
+
+
+@CONDENSED
+class TestRestartBuildsNoRecordCondensed(TestRestartBuildsNoRecord):
+    pass

@@ -5,6 +5,7 @@ import pytest
 from repro import SystemConfig
 from repro.analysis import LoggingModel, SizingModel, WorkloadProfile
 from repro.wal.slt import INFO_BLOCK_BYTES
+from tests import CONDENSED
 
 
 @pytest.fixture()
@@ -86,7 +87,7 @@ class TestWindowSizing:
 
 
 class TestPlanIsSufficientInPractice:
-    def test_recommended_sizes_run_the_workload(self):
+    def test_recommended_sizes_run_the_workload(self, condense_enabled):
         """A database configured from the plan sustains the profiled
         workload without stable-memory exhaustion or aged checkpoints."""
         from repro import Database
@@ -109,6 +110,7 @@ class TestPlanIsSufficientInPractice:
             slt_capacity=max(512 * 1024, plan["slt_bytes"] * 2),
             log_window_pages=max(64, plan["log_window_pages"] * 4),
             log_window_grace_pages=16,
+            condense_enabled=condense_enabled,
         )
         db = Database(config)
         workload = MixedWorkload(
@@ -121,3 +123,8 @@ class TestPlanIsSufficientInPractice:
         workload.load()
         workload.run(100)
         assert db.stats()["transactions_committed"] >= 100
+
+
+@CONDENSED
+class TestPlanIsSufficientInPracticeCondensed(TestPlanIsSufficientInPractice):
+    pass

@@ -7,12 +7,13 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.db.integrity import verify_integrity
 
 
-def test_soak_mixed_workload_with_periodic_crashes():
+def soak(condense_enabled):
     config = SystemConfig(
         log_page_size=1024,
         update_count_threshold=80,
         log_window_pages=512,
         log_window_grace_pages=32,
+        condense_enabled=condense_enabled,
     )
     db = Database(config)
     rel = db.create_relation(
@@ -71,3 +72,11 @@ def test_soak_mixed_workload_with_periodic_crashes():
             assert verify_integrity(db) == []
     assert db.checkpoints.checkpoints_taken > 0
     assert db.log_disk.pages_written > 0
+
+
+def test_soak_mixed_workload_with_periodic_crashes():
+    soak(condense_enabled=False)
+
+
+def test_soak_mixed_workload_with_periodic_crashes_condensed():
+    soak(condense_enabled=True)

@@ -24,18 +24,20 @@ from repro.recovery.oracle import RecoveryVerifier
 from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import IO_COUNTERS, TransientIOError, run_with_retry
 from repro.workloads.debit_credit import DebitCreditWorkload
+from tests import CONDENSED
 
 #: The default retry budget: bursts of this length are absorbed, one
 #: fault more escalates.
 BUDGET = SystemConfig().io_retry_budget
 
 
-def _config():
+def _config(condense_enabled):
     return SystemConfig(
         log_page_size=512,
         update_count_threshold=16,
         log_window_pages=64,
         log_window_grace_pages=8,
+        condense_enabled=condense_enabled,
     )
 
 
@@ -119,11 +121,11 @@ class TestConfigWiring:
 
 class TestUnderBudgetBursts:
     @pytest.mark.usefixtures("no_host_sleep")
-    def test_bursts_on_all_four_points_are_invisible(self):
+    def test_bursts_on_all_four_points_are_invisible(self, condense_enabled):
         """Max-length bursts on every duplex operation: commits succeed,
         restart recovers digest-exact, and nothing escalates — and every
         retry is immediate (``time.sleep`` refuses to run)."""
-        db = Database(_config())
+        db = Database(_config(condense_enabled))
         workload = _bank(db)
         verifier = RecoveryVerifier(db)
         plan = ChaosPlan(
@@ -165,11 +167,16 @@ class TestUnderBudgetBursts:
         )
 
 
+@CONDENSED
+class TestUnderBudgetBurstsCondensed(TestUnderBudgetBursts):
+    pass
+
+
 class TestEscalationBoundary:
-    def test_log_write_escalation_is_fatal(self):
+    def test_log_write_escalation_is_fatal(self, condense_enabled):
         """One fault past the budget on the duplexed log write: the log
         is the last copy, so MediaFailure reaches the caller."""
-        db = Database(_config())
+        db = Database(_config(condense_enabled))
         workload = _bank(db)
         plan = ChaosPlan(202, (fault_rule("log-disk.write", BUDGET + 1),))
         with chaos(ChaosEngine(plan)):
@@ -177,11 +184,11 @@ class TestEscalationBoundary:
                 workload.run(60)
         assert db.stats()["transient_io"]["log"]["write_escalations"] == 1
 
-    def test_checkpoint_read_escalation_falls_back_to_history(self):
+    def test_checkpoint_read_escalation_falls_back_to_history(self, condense_enabled):
         """A checkpoint image lost past the retry budget during eager
         restart is survivable: full-history replay rebuilds the partition
         and recovery stays digest-exact."""
-        db = Database(_config())
+        db = Database(_config(condense_enabled))
         workload = _bank(db)
         verifier = RecoveryVerifier(db)
         workload.run(60)
@@ -199,8 +206,8 @@ class TestEscalationBoundary:
         assert stats["read_escalations"] == 1
         assert stats["read_faults"] == BUDGET + 1
 
-    def test_monitor_surfaces_the_counters(self):
-        db = Database(_config())
+    def test_monitor_surfaces_the_counters(self, condense_enabled):
+        db = Database(_config(condense_enabled))
         workload = _bank(db)
         plan = ChaosPlan(404, (fault_rule("log-disk.write", 2),))
         with chaos(ChaosEngine(plan)):
@@ -209,3 +216,8 @@ class TestEscalationBoundary:
         assert snap["transient_io"]["log"]["write_faults"] == 2
         assert snap["transient_io"]["log"]["write_escalations"] == 0
         assert "transient I/O    2 faults" in status_page(snap)
+
+
+@CONDENSED
+class TestEscalationBoundaryCondensed(TestEscalationBoundary):
+    pass

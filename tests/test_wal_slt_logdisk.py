@@ -7,7 +7,7 @@ from repro.common.config import DiskParameters
 from repro.common.types import NULL_LSN
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.wal import LogDisk, LogPage, StableLogTail, TupleInsert
-from repro.wal.log_disk import ARCHIVE_SEGMENT
+from repro.wal.log_disk import ARCHIVE_SEGMENT, LOG_PAGE_CACHE_PAGES
 from repro.wal.slt import CheckpointReason
 
 PADDR = PartitionAddress(1, 1)
@@ -30,13 +30,13 @@ def make_slt(config=None):
     return StableLogTail(StableMemory("slt", 1024 * 1024), config)
 
 
-def make_log_disk(window=16, grace=4, cache=128):
+def make_log_disk(window=16, grace=4):
     clock = VirtualClock()
     params = DiskParameters()
     pair = DuplexedDisk(
         SimulatedDisk("log-a", params, clock), SimulatedDisk("log-b", params, clock)
     )
-    return LogDisk(pair, window_pages=window, grace_pages=grace, cache_pages=cache)
+    return LogDisk(pair, window_pages=window, grace_pages=grace)
 
 
 def record(bin_index, offset=1, size=40, paddr=PADDR):
@@ -403,24 +403,18 @@ class TestDecodedPageCache:
         assert page.records == [record(0)]
         assert page.records is page.records and len(calls) == 1
 
-    def test_cache_disabled(self):
-        log_disk = make_log_disk(cache=0)
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
-        log_disk.read_page(lsn)
-        reads = log_disk.pages_read
-        log_disk.read_page(lsn)
-        assert log_disk.pages_read == reads + 1
-        assert log_disk.cache_hits == 0
-
     def test_lru_eviction_is_bounded(self):
-        log_disk = make_log_disk(cache=2)
-        lsns = [log_disk.append_page(LogPage(PADDR, [record(0)])) for _ in range(3)]
+        log_disk = make_log_disk(window=2 * LOG_PAGE_CACHE_PAGES)
+        lsns = [
+            log_disk.append_page(LogPage(PADDR, [record(0)]))
+            for _ in range(LOG_PAGE_CACHE_PAGES + 1)
+        ]
         for lsn in lsns:
             log_disk.read_page(lsn)
         reads = log_disk.pages_read
-        log_disk.read_page(lsns[0])  # evicted by the third insert
+        log_disk.read_page(lsns[0])  # evicted by the last insert
         assert log_disk.pages_read == reads + 1
-        log_disk.read_page(lsns[2])  # still cached
+        log_disk.read_page(lsns[-1])  # still cached
         assert log_disk.pages_read == reads + 1
 
     def test_drop_page_evicts_cache_and_spindles(self):
@@ -441,7 +435,3 @@ class TestDecodedPageCache:
         assert fresh == stale and fresh is not stale  # decoded again
         assert log_disk.cache_hits == hits
         assert log_disk.pages_read == reads + 1
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(Exception):
-            make_log_disk(cache=-1)

@@ -22,11 +22,11 @@ or ``from time import sleep`` in any ``repro.*`` module.  With one
 thread a host sleep changes no outcome, so it only costs wall time;
 simulated waits advance the :class:`~repro.sim.clock.VirtualClock`.
 
-The process environment is the same kind of ambient input: a stray
+The process environment is the same kind of ambient input: an
 ``os.environ`` read makes a run depend on something no seed or config
-records.  ``os.environ`` / ``os.getenv`` are only allowed in
-:mod:`repro.common.config`, whose ``env_settings`` parses and validates
-the two ``REPRO_*`` variables for everyone else.
+records.  ``os.environ`` / ``os.getenv`` are flagged in every ``repro.*``
+module: :class:`~repro.common.config.SystemConfig` and call arguments
+are the library's only inputs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ _ALLOWED_EXACT = frozenset(
 )
 _ALLOWED_PREFIX = ("repro.workloads",)
 _ENVIRONMENT_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
-_ENVIRONMENT_MODULE = "repro.common.config"
 
 
 @rule
@@ -50,13 +49,13 @@ class DeterminismRule(RuleVisitor):
     rule_id = "RC03"
     title = (
         "no wall-clock / ambient randomness outside sim.clock and workloads, "
-        "no host sleep anywhere, no os.environ outside common.config"
+        "no host sleep anywhere, no os.environ anywhere"
     )
     rationale = (
         "Chaos replay is only debuggable if the schedule is deterministic: "
         "all time comes from VirtualClock, all randomness from seeded "
-        "workload generators, and the environment enters through the one "
-        "validated parser."
+        "workload generators, and settings from SystemConfig, never the "
+        "environment."
     )
 
     def __init__(self, source):
@@ -88,12 +87,11 @@ class DeterminismRule(RuleVisitor):
         )
 
     def _flag_environment(self, node: ast.AST, name: str) -> None:
-        if self.source.module != _ENVIRONMENT_MODULE:
-            self.add(
-                node,
-                f"os.{name} is an ambient input no seed or config records; "
-                f"take the value from {_ENVIRONMENT_MODULE}.env_settings()",
-            )
+        self.add(
+            node,
+            f"os.{name} is an ambient input no seed or config records; "
+            "take the value from a SystemConfig field or an argument",
+        )
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
