@@ -30,10 +30,9 @@ def drive() -> dict:
     compact_bytes = 0
     records = 0
     for lsn in db.log_disk.all_lsns():
-        owner = db.log_disk.page_owner(lsn)
-        if owner.segment in (ARCHIVE_SEGMENT, -2):
-            continue
         page = db.log_disk.read_page(lsn)
+        if page.partition.segment in (ARCHIVE_SEGMENT, -2):
+            continue
         for record in page.records:
             full_bytes += len(record.encode())
             compact_bytes += len(record.encode(compact=True))

@@ -5,14 +5,9 @@ text, straight from the executable models.
 Run:  python examples/paper_analysis.py
 """
 
-from repro.analysis import (
-    CheckpointModel,
-    LoggingModel,
-    SizingModel,
-    WorkloadProfile,
-    table1_rows,
-    table2_rows,
-)
+from repro import SystemConfig
+from repro.analysis import CheckpointModel, LoggingModel, table1_rows, table2_rows
+from repro.wal.slt import INFO_BLOCK_BYTES
 
 KILOBYTE = 1024
 
@@ -102,20 +97,30 @@ def print_sizing() -> None:
     print("\n" + "=" * 72)
     print("Capacity plan — stable memory & log window (sections 2.3.3 / 3.3)")
     print("=" * 72)
-    model = SizingModel()
+    config = SystemConfig()
+    model = LoggingModel()  # Table 2: 24-byte records, 8 KB pages, N_update 1000
+    drain = model.records_per_second
     print(f"{'scenario':>34} {'SLT':>10} {'SLB':>10} {'window':>8} {'sat?':>5}")
-    scenarios = [
-        ("small (1k parts, 50 active)", WorkloadProfile(1_000, 50, 500)),
-        ("medium (10k parts, 200 active)", WorkloadProfile(10_000, 200, 1_000)),
-        ("large (100k parts, 1k active)", WorkloadProfile(100_000, 1_000, 3_000)),
-        ("over capacity (10 rec/txn)", WorkloadProfile(10_000, 200, 3_000, 10)),
+    scenarios = [  # partitions, active ones, txn/s, records per txn
+        ("small (1k parts, 50 active)", 1_000, 50, 500, 4),
+        ("medium (10k parts, 200 active)", 10_000, 200, 1_000, 4),
+        ("large (100k parts, 1k active)", 100_000, 1_000, 3_000, 4),
+        ("over capacity (10 rec/txn)", 10_000, 200, 3_000, 10),
     ]
-    for label, profile in scenarios:
-        plan = model.recommend(profile)
+    for label, partitions, active, rate, per_txn in scenarios:
+        # section 2.3.3: ~50 bytes per partition, a page buffer per active one
+        slt = partitions * INFO_BLOCK_BYTES + active * model.log_page_size
+        # ten open chains of at least a block each, plus the committed
+        # backlog of one drain interval; doubled for headroom
+        produced = rate * per_txn
+        chains = 10 * max(per_txn * model.log_record_size, config.log_block_size)
+        slb = int(2 * (chains + min(produced, drain) * model.log_record_size))
+        # section 3.3: N_update records of window per active partition
+        window = int(active * model.pages_per_checkpoint) + 1
         print(
-            f"{label:>34} {plan['slt_bytes'] / 1024 / 1024:>8.1f}MB "
-            f"{plan['slb_bytes'] / 1024:>8.0f}KB {plan['log_window_pages']:>8} "
-            f"{'YES' if plan['recovery_cpu_saturated'] else 'no':>5}"
+            f"{label:>34} {slt / 1024 / 1024:>8.1f}MB "
+            f"{slb / 1024:>8.0f}KB {window:>8} "
+            f"{'YES' if produced > drain else 'no':>5}"
         )
     print(
         "\n  ('sat?' = workload produces log records faster than the 1-MIPS\n"

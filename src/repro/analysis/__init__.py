@@ -18,15 +18,12 @@ from repro.analysis.checkpoint_model import CheckpointModel
 from repro.analysis.commit_model import CommitProtocolModel
 from repro.analysis.recovery_model import RecoveryModel
 from repro.analysis.params import table1_rows, table2_rows
-from repro.analysis.sizing import SizingModel, WorkloadProfile
 
 __all__ = [
     "CheckpointModel",
     "CommitProtocolModel",
     "LoggingModel",
     "RecoveryModel",
-    "SizingModel",
-    "WorkloadProfile",
     "table1_rows",
     "table2_rows",
 ]

@@ -588,7 +588,6 @@ class Database:
         """Lose main memory.  Stable memory and disks survive."""
         self.memory.crash()
         self.locks.crash()
-        self.log_disk.crash()
         self.transactions.crash()
         self._relations.clear()
         self._index_objects.clear()
@@ -693,7 +692,6 @@ class Database:
                 "start": self.log_disk.window_start,
                 "next_lsn": self.log_disk.next_lsn,
             },
-            "log_page_cache_hits": self.log_disk.cache_hits,
             "logging": logging,
             "checkpoints_taken": self.checkpoints.checkpoints_taken,
             "checkpoints_deferred": self.checkpoints.checkpoints_deferred,

@@ -152,7 +152,7 @@ class RecoveryProcessor:
         self.cpu.charge(params.i_page_alloc, "page-alloc")
         lsn = self.log_disk.append_page(page)
         crash_point("recovery.flush.after-write")
-        self.slt.note_page_written(bin_index, lsn, len(page.records))
+        self.slt.note_page_written(bin_index, lsn)
         crash_point("recovery.flush.after-directory-update")
         self.cpu.charge(params.i_process_lsn, "process-lsn")
         self.pages_flushed += 1
@@ -247,7 +247,7 @@ class RecoveryProcessor:
         """Write one mixed archive page; the records leave the stable
         buffer only once the page is durable (crash between the two sees a
         harmless consecutive duplicate in the full history)."""
-        page = LogPage(PartitionAddress(ARCHIVE_SEGMENT, 0), records)
+        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), records)
         self.cpu.charge(self.params.i_write_init, "write-init")
         self.log_disk.append_page(page)
         crash_point("recovery.archive.page-written")

@@ -152,9 +152,9 @@ def partition_record_stream(
     """The bin's REDO stream past ``condensed_lsn``, in write order, as
     pages.
 
-    Flushed log pages (directory walk, forward read), their records
-    still bytes, followed by the records buffered in the bin — the
-    partition's next page, in stable memory, newer than any flushed one.
+    Flushed log pages (directory walk, forward read), followed by the
+    bin's page buffer — the partition's next page body, in stable memory,
+    newer than any flushed one.
     The default watermark of :data:`NULL_LSN` yields the full stream; a
     shadow base passes its own watermark so only the uncondensed suffix
     is read (docs/CONDENSING.md).
@@ -173,7 +173,7 @@ def partition_record_stream(
                 page = log_disk.read_page(lsn, expected=address)
                 stats["pages_read"] += 1
             pages.append(page)
-    pages.append(LogPage(address, list(bin_.buffer)))
+    pages.append(bin_.next_page())
     return pages, stats
 
 
@@ -234,7 +234,7 @@ def demultiplex_log_history(
                 if wanted is None or target in wanted:
                     split.setdefault(target, []).append(record)
             for target, records in split.items():
-                streams.setdefault(target, []).append(LogPage(target, records, lsn=lsn))
+                streams.setdefault(target, []).append(LogPage.of(target, records, lsn=lsn))
         elif owner.segment >= 0 and (wanted is None or owner in wanted):
             stats["dedicated_pages"] += 1
             streams.setdefault(owner, []).append(page)
@@ -261,11 +261,10 @@ def plan_rebuild(
     """Choose how one partition comes back: ``(base, pages, stats)``.
 
     ``base`` is the starting image and ``pages`` the ordered REDO not yet
-    applied to it — pages from disk undecoded, then what stable memory
-    still holds wrapped as pages of record objects — so the command
-    replay planner can interleave script re-execution at the barrier
-    records.  ``stats["source"]`` names the starting point taken (table
-    in docs/INTERNALS.md):
+    applied to it — pages from disk, then what stable memory still holds,
+    all as page bodies — so the command replay planner can interleave
+    script re-execution at the barrier records.  ``stats["source"]``
+    names the starting point taken (table in docs/INTERNALS.md):
 
     * ``shadow`` — a valid condense shadow and the suffix past its
       watermark.  Valid means the chain grew from the catalog slot being
@@ -327,8 +326,8 @@ def plan_rebuild(
         base = load_base(disk_queue, None, address, partition_size)
         pages = list(history.get(address, ()))
         if pending_archive is not None:
-            pages.append(LogPage(address, pending_archive(address)))
-        pages.append(LogPage(address, list(bin_.buffer)))
+            pages.append(LogPage.of(address, pending_archive(address)))
+        pages.append(bin_.next_page())
     base.bin_index = bin_.bin_index
     stats["source"] = source
     return base, pages, stats

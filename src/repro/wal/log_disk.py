@@ -18,7 +18,6 @@ page of each directory group, the embedded directory of the previous group
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 
 from repro.common.errors import LogError, LogWindowOverrunError
 from repro.common.counters import Counters
@@ -70,37 +69,50 @@ def _split_page(blob: bytes) -> tuple[PartitionAddress, int, int, slice]:
 
 class LogPage:
     """One page of REDO records for a single partition (or a mixed
-    archive page).
+    archive page), held as its body bytes.
 
-    A page is made one of two ways.  The flush path builds it from record
-    objects (:meth:`__init__`).  :meth:`decode` parses the header and the
-    embedded directory of a page read back from disk and *keeps the body
-    as bytes*: every restart path applies it from there (:meth:`replay`),
-    and :attr:`records` builds the objects only for whoever routes or
-    inspects individual records.  Equality is by decoded content.
+    A dedicated page's body is its records in compact form, exactly as
+    the partition's bin accumulated them; a mixed archive page's body is
+    full-form records.  :meth:`of` builds a page from record objects,
+    :meth:`decode` parses the header and embedded directory of a page
+    read back from disk.  Every restart path applies a body from its
+    bytes (:meth:`replay`); :attr:`records` builds the objects only for
+    whoever routes or inspects individual records.
     """
 
-    __slots__ = ("partition", "embedded_directory", "lsn", "_records", "_body")
+    __slots__ = ("partition", "body", "embedded_directory", "lsn")
 
     def __init__(
         self,
         partition: PartitionAddress,
-        records: list[RedoRecord] | None,
+        body: bytes,
         embedded_directory: list[int] | None = None,
         lsn: int = NULL_LSN,
-        *,
-        body: bytes | None = None,
     ):
-        """``records`` is ``None`` only from :meth:`decode`, which gives
-        the ``body`` they are still encoded in."""
         self.partition = partition
+        self.body = body
         #: Directory of the previous group's page LSNs; non-empty only on
         #: the first page of a new directory group.
         self.embedded_directory = [] if embedded_directory is None else embedded_directory
         #: Assigned at write time.
         self.lsn = lsn
-        self._records = records
-        self._body = body
+
+    @classmethod
+    def of(
+        cls,
+        partition: PartitionAddress,
+        records: list[RedoRecord],
+        embedded_directory: list[int] | None = None,
+        lsn: int = NULL_LSN,
+    ) -> "LogPage":
+        """A page holding ``records``.  Dedicated pages condense the log:
+        the partition address is stripped from every record (section
+        2.3.3 point 3) — the page header carries it once for all of them.
+        Mixed archive pages span partitions, so their records keep the
+        full form."""
+        compact = partition.segment != ARCHIVE_SEGMENT
+        body = b"".join(record.encode(compact) for record in records)
+        return cls(partition, body, embedded_directory, lsn)
 
     @property
     def is_archive_page(self) -> bool:
@@ -108,13 +120,7 @@ class LogPage:
 
     @property
     def records(self) -> list[RedoRecord]:
-        records = self._records
-        if records is None:
-            # first access of a page read from disk
-            records = self._records = decode_records(
-                self._body, None if self.is_archive_page else self.partition
-            )
-        return records
+        return decode_records(self.body, None if self.is_archive_page else self.partition)
 
     def replay(
         self,
@@ -123,71 +129,51 @@ class LogPage:
         until: tuple[int, int] | None = None,
     ) -> tuple[int, int | None]:
         """Apply this page's records, in order, to ``partition`` (``None``:
-        only walk) from cursor position ``start``, halting at ``until`` as
+        only walk) from body offset ``start``, halting at ``until`` as
         :func:`~repro.wal.records.replay_records` does; returns ``(records
-        applied, halt)``.  Positions are body offsets on a page from disk,
-        applied from its bytes, and record indices on one built from
-        objects (what stable memory holds, a split archive page), applied
-        by ``record.apply``.  The owner is checked once, here: a page of
+        applied, halt)``.  The owner is checked once, here: a page of
         another partition (or a mixed archive page) is refused first."""
         if partition is not None and self.partition != partition.address:
             raise LogError(
                 f"log page {self.lsn} of {self.partition} applied to {partition.address}"
             )
-        if self._body is not None:
-            return replay_records(self._body, partition, start, until)
-        halt_tag, halt_value = until or (-1, 0)
-        for position, record in enumerate(self._records[start:], start):
-            if record.TAG == halt_tag and record.value >= halt_value:
-                return position - start, position + (record.value == halt_value)
-            if partition is not None:
-                record.apply(partition)
-        return len(self._records) - start, None
+        return replay_records(self.body, partition, start, until)
 
     def tail(self, start: int) -> "LogPage":
-        """This page from cursor position ``start`` on."""
-        if self._body is not None:
-            return LogPage(self.partition, None, lsn=self.lsn, body=self._body[start:])
-        return LogPage(self.partition, self._records[start:], lsn=self.lsn)
+        """This page from body offset ``start`` on."""
+        return LogPage(self.partition, self.body[start:], lsn=self.lsn)
 
     def encode(self) -> bytes:
-        # Dedicated pages condense the log: the partition address is
-        # stripped from every record (section 2.3.3 point 3) — the page
-        # header carries it once for all of them.  Mixed archive pages
-        # span partitions, so their records keep the full form.
-        compact = not self.is_archive_page
-        body = b"".join(record.encode(compact) for record in self.records)
         header = _PAGE_HEADER.pack(
             self.partition.segment,
             self.partition.partition,
             self.lsn,
             len(self.embedded_directory),
-            len(body),
+            len(self.body),
         )
         directory = struct.pack(
             f"<{len(self.embedded_directory)}q", *self.embedded_directory
         )
-        return header + directory + body
+        return header + directory + self.body
 
     @classmethod
     def decode(cls, blob: bytes) -> "LogPage":
         partition, lsn, dir_len, body = _split_page(blob)
         return cls(
             partition,
-            None,
+            blob[body],
             list(struct.unpack_from(f"<{dir_len}q", blob, _PAGE_HEADER.size)),
             lsn,
-            body=blob[body],
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogPage):
             return NotImplemented
-        return (self.partition, self.lsn, self.embedded_directory, self.records) == (
+        return (self.partition, self.lsn, self.embedded_directory, self.body) == (
             other.partition,
             other.lsn,
             other.embedded_directory,
-            other.records,
+            other.body,
         )
 
     def __repr__(self) -> str:
@@ -222,16 +208,13 @@ class ArchiveStore:
     def lsns(self) -> list[int]:
         return sorted(self._pages)
 
-    def read(self, lsn: int) -> LogPage:
-        return LogPage.decode(self.raw(lsn))
-
-
-#: Bound of a :class:`LogDisk`'s page LRU.
-LOG_PAGE_CACHE_PAGES = 128
-
 
 class LogDisk:
     """Duplexed log disks plus the sliding log window."""
+
+    #: Always 0 (no page cache): read only by ``benchmarks/host/repeat.py``
+    #: (ROADMAP item 1 (b)).
+    cache_hits = 0
 
     def __init__(
         self,
@@ -259,13 +242,6 @@ class LogDisk:
         #: Pages moved to the archive by condensing (docs/CONDENSING.md)
         #: before the window slide would have expired them.
         self.pages_condense_reclaimed = 0
-        #: Bounded LRU of pages read — verified bytes with the header
-        #: parsed, not built records — shared by the media-recovery scan
-        #: and restart reads.  Log pages are immutable once written (LSNs
-        #: are never reused), so a cached page stays valid until it is
-        #: dropped; it is volatile, so :meth:`crash` empties it.
-        self._page_cache: "OrderedDict[int, LogPage]" = OrderedDict()
-        self.cache_hits = 0
 
     # -- window geometry ----------------------------------------------------------
 
@@ -369,74 +345,32 @@ class LogDisk:
         )
 
     def decode_blob(self, lsn: int, blob: bytes) -> LogPage:
-        """Turn a fetched blob into a :class:`LogPage`, via the cache.
-
-        A cached page is returned as-is (pages are immutable); a fresh
-        one has its header parsed — its records stay bytes — is verified
-        against its addressed LSN, and is cached.
-        """
-        page = self._cache_get(lsn)
-        if page is None:
-            page = LogPage.decode(blob)
-            if page.lsn != lsn:
-                raise LogError(f"log page {lsn} carries LSN {page.lsn}")
-            self._cache_put(lsn, page)
+        """Turn a fetched blob into a :class:`LogPage` — its header
+        parsed, its records still bytes — verified against its
+        addressed LSN."""
+        page = LogPage.decode(blob)
+        if page.lsn != lsn:
+            raise LogError(f"log page {lsn} carries LSN {page.lsn}")
         return page
 
     def read_page(self, lsn: int, *, expected: PartitionAddress | None = None) -> LogPage:
-        """Read one log page, optionally verifying its owner.
-
-        A cache hit skips the disk read entirely; otherwise the blob
-        comes from the active window or the archive via
-        :meth:`fetch_blob`."""
-        page = self._cache_get(lsn)
-        if page is None:
-            page = self.decode_blob(lsn, self.fetch_blob(lsn))
-        if page.lsn != lsn:
-            raise LogError(f"log page {lsn} carries LSN {page.lsn}")
+        """Read one log page from the active window or the archive,
+        optionally verifying its owner."""
+        page = self.decode_blob(lsn, self.fetch_blob(lsn))
         if expected is not None and page.partition != expected:
             raise LogError(
                 f"log page {lsn} belongs to {page.partition}, expected {expected}"
             )
         return page
 
-    def page_owner(self, lsn: int) -> PartitionAddress:
-        """A page's owning partition (archive/audit markers included);
-        reading a page decodes none of its records."""
-        return self.read_page(lsn).partition
-
     def all_lsns(self) -> list[int]:
         """Every page LSN still held anywhere: active window plus archive."""
         return sorted(set(self.disks.block_ids()) | set(self.archive.lsns()))
 
     def drop_page(self, lsn: int) -> None:
-        """Forget a page everywhere: both spindles and the page cache.
-
-        Used by log-media rescue to discard unreadable blocks; without the
-        cache eviction a previously read copy would keep serving a page
-        the operator declared lost."""
+        """Forget a page on both spindles: log-media rescue discards
+        unreadable blocks this way."""
         self.disks.free(lsn)
-        self._page_cache.pop(lsn, None)
-
-    # -- page cache ------------------------------------------------------------------
-
-    def crash(self) -> None:
-        """Lose the volatile part: cached pages live in main memory, so
-        a restart reads every page it needs from the disks."""
-        self._page_cache.clear()
-
-    def _cache_get(self, lsn: int) -> LogPage | None:
-        page = self._page_cache.get(lsn)
-        if page is not None:
-            self._page_cache.move_to_end(lsn)
-            self.cache_hits += 1
-        return page
-
-    def _cache_put(self, lsn: int, page: LogPage) -> None:
-        self._page_cache[lsn] = page
-        self._page_cache.move_to_end(lsn)
-        while len(self._page_cache) > LOG_PAGE_CACHE_PAGES:
-            self._page_cache.popitem(last=False)
 
     def _reclaim_expired(self) -> None:
         # Blocks are written at the next LSN only and the window slides

@@ -422,12 +422,6 @@ class _Marker(RedoRecord):
     def apply(self, partition: Partition) -> None:
         self._check_address(partition)
 
-    @property
-    def value(self) -> int:
-        """The csn or watermark carried — what :func:`replay_records`
-        halts on."""
-        return self.csn if self.TAG == CommandBarrier.TAG else self.watermark
-
     @staticmethod
     def redo(partition: Partition, number: int) -> None:
         # Position-only: the effects come from re-executing the command's

@@ -33,7 +33,7 @@ from repro.common.errors import LogError
 from repro.common.types import NULL_LSN, PartitionAddress
 from repro.sim.stable_memory import StableMemory
 from repro.wal.log_disk import LogPage
-from repro.wal.records import RedoRecord
+from repro.wal.records import RedoRecord, decode_records, replay_records
 
 #: Stable bytes for one permanent partition information block ("on the
 #: order of 50 bytes", section 2.3.3).
@@ -58,7 +58,11 @@ class PartitionBin:
     directory: list[int] = field(default_factory=list)
     #: Total pages flushed to the log disk since the last checkpoint.
     flushed_pages: int = 0
-    buffer: list[RedoRecord] = field(default_factory=list)
+    #: The partition's next page body: its not-yet-flushed records in
+    #: compact form, in the order sorted in.
+    buffer: bytearray = field(default_factory=bytearray)
+    #: The full-form size of those records, which decides when the page
+    #: is full.
     buffer_bytes: int = 0
     marked_for_checkpoint: bool = False
     checkpoint_reason: str | None = None
@@ -78,6 +82,10 @@ class PartitionBin:
     def active(self) -> bool:
         """Active = has outstanding log information (section 2.3.3)."""
         return bool(self.buffer) or self.flushed_pages > 0
+
+    def next_page(self, embedded_directory: list[int] | None = None) -> LogPage:
+        """The partition's next page as the buffer holds it now."""
+        return LogPage(self.partition, bytes(self.buffer), embedded_directory)
 
 
 class StableLogTail:
@@ -169,14 +177,14 @@ class StableLogTail:
             self.stable.allocate(
                 f"slt-page-{bin_.bin_index}", self.config.log_page_size
             )
-        bin_.buffer.append(record)
+        bin_.buffer += record.encode(True)
         bin_.buffer_bytes += record.size_bytes
         bin_.update_count += 1
         self.records_binned += 1
         return bin_.buffer_bytes >= self.config.log_page_size
 
     def seal_page(self, bin_index: int) -> LogPage:
-        """Turn the bin's buffered records into a flushable log page.
+        """Turn the bin's page buffer into a flushable log page.
 
         If the current directory group is full, the new page embeds that
         group's directory and will start a new group once its LSN is known.
@@ -193,26 +201,17 @@ class StableLogTail:
             if len(bin_.directory) >= self.config.log_directory_size
             else []
         )
-        page = LogPage(
-            partition=bin_.partition,
-            records=list(bin_.buffer),
-            embedded_directory=embedded,
-        )
+        page = bin_.next_page(embedded)
         self.pages_sealed += 1
         return page
 
-    def note_page_written(
-        self, bin_index: int, lsn: int, flushed_records: int | None = None
-    ) -> None:
-        """Record a flushed page: drain the now-durable records from the
-        bin buffer and update the directory, first-LSN monitor, and the
-        First-LSN list used for age triggers."""
+    def note_page_written(self, bin_index: int, lsn: int) -> None:
+        """Record a flushed page: empty the now-durable page buffer and
+        update the directory, first-LSN monitor, and the First-LSN list
+        used for age triggers."""
         bin_ = self.bin(bin_index)
-        if flushed_records is None:
-            flushed_records = len(bin_.buffer)
-        flushed = bin_.buffer[:flushed_records]
-        del bin_.buffer[:flushed_records]
-        bin_.buffer_bytes -= sum(record.size_bytes for record in flushed)
+        bin_.buffer.clear()
+        bin_.buffer_bytes = 0
         if bin_.first_page_lsn == NULL_LSN:
             bin_.first_page_lsn = lsn
             heapq.heappush(self._first_lsn_heap, (lsn, bin_index))
@@ -266,12 +265,12 @@ class StableLogTail:
         """Complete a checkpoint: the bin's log information is no longer
         needed for memory recovery.
 
-        Returns the leftover buffered records; the caller flushes them to
-        the log disk (combined into full archive pages) because they are
-        still needed for media recovery (section 2.4).
+        Returns the leftover buffered records, decoded; the caller flushes
+        them to the log disk (combined into full archive pages) because
+        they are still needed for media recovery (section 2.4).
         """
         bin_ = self.bin(bin_index)
-        leftovers = list(bin_.buffer)
+        leftovers = decode_records(bytes(bin_.buffer), bin_.partition)
         bin_.buffer.clear()
         bin_.buffer_bytes = 0
         bin_.update_count = 0
@@ -337,7 +336,7 @@ class StableLogTail:
         # an embedded directory — keep directory and age monitor as
         # they are (conservatively old); condensed_lsn still bounds
         # what restart reads.
-        bin_.update_count = len(bin_.buffer)
+        bin_.update_count = replay_records(bytes(bin_.buffer), None)[0]
         bin_.marked_for_checkpoint = False
         bin_.checkpoint_reason = None
         if not bin_.buffer and f"slt-page-{bin_index}" in self.stable:

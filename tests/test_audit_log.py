@@ -164,7 +164,7 @@ class TestAuditLog:
         from repro.wal import LogPage, TupleInsert
 
         lsn = log_disk.append_page(
-            LogPage(
+            LogPage.of(
                 PartitionAddress(1, 1),
                 [TupleInsert(1, 0, EntityAddress(1, 1, 1), b"x")],
             )

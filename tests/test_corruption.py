@@ -253,9 +253,6 @@ class TestLostLogPageIsFatal:
     )
 
     def _lose_page(self, db, lsn):
-        # the decoded-page LRU outlives crash() by design and would mask
-        # the damage
-        db.log_disk._page_cache.clear()
         for spindle in (db.log_disk.disks.primary, db.log_disk.disks.mirror):
             spindle.corrupt_block(lsn, "bit-flip")
 
@@ -295,7 +292,7 @@ class TestLostLogPageIsFatal:
             (lsn, slots[owner])
             for lsn in db.log_disk.disks.block_ids()
             if lsn not in chained
-            and (owner := db.log_disk.page_owner(lsn)) in slots
+            and (owner := db.log_disk.read_page(lsn).partition) in slots
         )
         db.crash()
         db.checkpoint_disk.disk.corrupt_block(slot, "torn")

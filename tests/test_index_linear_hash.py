@@ -332,7 +332,7 @@ class TestAppendBytes:
             db.recovery_processor.run_until_drained()
             disk = db.log_disk.disks.primary
             stream = [disk.read_page(lsn) for lsn in disk.block_ids()]
-            stream += [r.encode() for b in db.slt.bins() for r in b.buffer]
+            stream += [bytes(b.buffer) for b in db.slt.bins()]
             return logical_digest(db), stream
 
         patched = run()

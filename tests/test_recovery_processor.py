@@ -77,7 +77,7 @@ class TestArchiveOrderInvariant:
         archive_lsns = []
         dedicated_after_ckpt = []
         for lsn in db.log_disk.all_lsns():
-            owner = db.log_disk.page_owner(lsn)
+            owner = db.log_disk.read_page(lsn).partition
             if owner.segment == ARCHIVE_SEGMENT:
                 page = db.log_disk.read_page(lsn)
                 if any(r.partition_address == target.partition for r in page.records):

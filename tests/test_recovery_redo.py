@@ -174,9 +174,8 @@ class TestRecoveryProcessorAccounting:
 
 
 class TestRestartBuildsNoRecord:
-    """Restart applies flushed pages from their bytes: a value-logged
-    restart decodes no record at all (the bin-buffer tails it also applies
-    are objects already, in stable memory)."""
+    """Restart applies every page from its bytes, the bins' page buffers
+    included: a value-logged restart builds no record at all."""
 
     @staticmethod
     def crashed_db(condense_enabled):
@@ -226,6 +225,32 @@ class TestRestartBuildsNoRecord:
         assert logical_digest(db) == digest
         assert coordinator.records_replayed == expected.records_replayed > 0
         assert coordinator.pages_read == expected.pages_read > 0
+
+    def test_eager_restart_with_records_binned_applies_no_record(
+        self, monkeypatch, condense_enabled
+    ):
+        """The bins still hold records at the crash; restart replays them
+        from the bytes as it does a flushed page, so no record is decoded
+        and no ``RedoRecord.apply`` runs."""
+        from repro import RecoveryMode
+        from repro.recovery.oracle import logical_digest
+        from repro.wal.records import RedoRecord
+
+        def refuse(*args):
+            raise AssertionError("restart built or applied a record object")
+
+        db, digest = self.crashed_db(condense_enabled)
+        classes = [RedoRecord]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.wal.records.decode_record", refuse)
+            for cls in classes:
+                if "apply" in vars(cls):
+                    patched.setattr(cls, "apply", refuse)
+            coordinator = db.restart(RecoveryMode.EAGER)
+        assert coordinator.records_replayed > 0
+        assert logical_digest(db) == digest
 
 
 @CONDENSED

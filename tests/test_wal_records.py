@@ -143,7 +143,7 @@ class TestLogPageRoundTrip:
     """Both page kinds carry all eleven classes through the one codec."""
 
     def test_dedicated_page_is_compact(self):
-        page = LogPage(PADDR, ALL_RECORDS, embedded_directory=[5, 9], lsn=12)
+        page = LogPage.of(PADDR, ALL_RECORDS, embedded_directory=[5, 9], lsn=12)
         blob = page.encode()
         assert LogPage.decode(blob) == page
         assert LogPage.decode(blob).records == ALL_RECORDS
@@ -159,7 +159,7 @@ class TestLogPageRoundTrip:
             records.SweepMarker(8, 1, other, 3),
         ]
         mixed = [record for pair in zip(ALL_RECORDS, moved * 4) for record in pair]
-        page = LogPage(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed, lsn=13)
+        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed, lsn=13)
         decoded = LogPage.decode(page.encode())
         assert decoded == page
         assert {r.partition_address for r in decoded.records} == {PADDR, other}

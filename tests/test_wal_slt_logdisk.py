@@ -7,7 +7,7 @@ from repro.common.config import DiskParameters
 from repro.common.types import NULL_LSN
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.wal import LogDisk, LogPage, StableLogTail, TupleInsert
-from repro.wal.log_disk import ARCHIVE_SEGMENT, LOG_PAGE_CACHE_PAGES
+from repro.wal.log_disk import ARCHIVE_SEGMENT
 from repro.wal.slt import CheckpointReason
 
 PADDR = PartitionAddress(1, 1)
@@ -214,10 +214,10 @@ class TestCheckpointTriggers:
             pass
         page = slt.seal_page(idx)
         slt.note_page_written(idx, log_disk.append_page(page))
-        slt.deposit(record(idx))  # leftover buffered record
+        slt.deposit(record(idx, offset=7))  # leftover buffered record
         leftovers = slt.reset_after_checkpoint(idx)
         bin_ = slt.bin(idx)
-        assert len(leftovers) == 1
+        assert leftovers == [record(idx, offset=7)]
         assert bin_.update_count == 0
         assert bin_.first_page_lsn == NULL_LSN
         assert bin_.directory == []
@@ -236,13 +236,13 @@ class TestLogDiskWindow:
     def test_lsns_are_sequential(self):
         log_disk = make_log_disk()
         for expected in range(3):
-            lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
+            lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
             assert lsn == expected
 
     def test_window_slides(self):
         log_disk = make_log_disk(window=4, grace=1)
         for _ in range(6):
-            log_disk.append_page(LogPage(PADDR, [record(0)]))
+            log_disk.append_page(LogPage.of(PADDR, [record(0)]))
         assert log_disk.window_start == 2
         assert not log_disk.in_window(1)
         assert log_disk.in_window(5)
@@ -250,7 +250,7 @@ class TestLogDiskWindow:
     def test_expired_pages_go_to_archive(self):
         log_disk = make_log_disk(window=4, grace=1)
         for _ in range(6):
-            log_disk.append_page(LogPage(PADDR, [record(0)]))
+            log_disk.append_page(LogPage.of(PADDR, [record(0)]))
         assert 0 in log_disk.archive
         # still readable through the unified read path
         page = log_disk.read_page(0)
@@ -265,7 +265,7 @@ class TestLogDiskWindow:
         condensed, dropped = set(), set()
         for step in range(20):
             if step % 3:
-                log_disk.append_page(LogPage(PADDR, [record(0)]))
+                log_disk.append_page(LogPage.of(PADDR, [record(0)]))
             else:
                 log_disk.append_opaque_page(-2, b"audit")
             if step == 7:
@@ -279,6 +279,30 @@ class TestLogDiskWindow:
             assert set(log_disk.disks.block_ids()) == window - condensed - dropped
             assert set(log_disk.archive.lsns()) == (set(range(start)) | condensed) - dropped
 
+    def test_drop_page_frees_the_spindles(self):
+        log_disk = make_log_disk()
+        lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+        log_disk.read_page(lsn)
+        log_disk.drop_page(lsn)
+        with pytest.raises(LogError):
+            log_disk.read_page(lsn)
+
+    def test_read_page_decodes_no_record(self, monkeypatch):
+        """Reading a page parses its header only; ``page.records``
+        decodes the body on each access."""
+        import repro.wal.records as records_module
+
+        log_disk = make_log_disk()
+        lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+        decode = records_module.decode_record
+        calls = []
+        monkeypatch.setattr(
+            records_module, "decode_record", lambda *a: calls.append(a) or decode(*a)
+        )
+        page = log_disk.read_page(lsn)
+        assert page.partition == PADDR and calls == []
+        assert page.records == [record(0)] and len(calls) == 1
+
     def test_missing_page_raises(self):
         log_disk = make_log_disk()
         with pytest.raises(LogError):
@@ -286,7 +310,7 @@ class TestLogDiskWindow:
 
     def test_page_roundtrip_with_directory(self):
         log_disk = make_log_disk()
-        page = LogPage(PADDR, [record(0), record(0, offset=2)], [10, 11, 12])
+        page = LogPage.of(PADDR, [record(0), record(0, offset=2)], [10, 11, 12])
         lsn = log_disk.append_page(page)
         read = log_disk.read_page(lsn)
         assert read.embedded_directory == [10, 11, 12]
@@ -294,13 +318,13 @@ class TestLogDiskWindow:
         assert read.records[1].address.offset == 2
 
     def test_archive_page_marker(self):
-        page = LogPage(PartitionAddress(ARCHIVE_SEGMENT, 0), [record(0)])
+        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), [record(0)])
         assert page.is_archive_page
 
     def test_overrun_assertion(self):
         log_disk = make_log_disk(window=4, grace=1)
         for _ in range(6):
-            log_disk.append_page(LogPage(PADDR, [record(0)]))
+            log_disk.append_page(LogPage.of(PADDR, [record(0)]))
         from repro.common.errors import LogWindowOverrunError
 
         with pytest.raises(LogWindowOverrunError):
@@ -311,7 +335,7 @@ class TestLogDiskWindow:
     def test_duplexed_survives_torn_primary(self):
         log_disk = make_log_disk()
         log_disk.disks.primary.inject_torn_write()
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
+        lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
         page = log_disk.read_page(lsn)  # served from the mirror
         assert page.lsn == lsn
 
@@ -330,7 +354,7 @@ class TestLogCondensing:
         assert decode_records(body, PADDR) == records
 
     def test_dedicated_page_smaller_than_full_format(self):
-        page = LogPage(PADDR, [record(0, offset=i + 1) for i in range(20)])
+        page = LogPage.of(PADDR, [record(0, offset=i + 1) for i in range(20)])
         compact_size = len(page.encode())
         full_size = sum(len(r.encode()) for r in page.records) + 22
         assert compact_size < full_size
@@ -340,7 +364,7 @@ class TestLogCondensing:
     def test_disk_roundtrip_with_condensing(self):
         log_disk = make_log_disk()
         records = [record(0, offset=i + 1, size=30) for i in range(5)]
-        lsn = log_disk.append_page(LogPage(PADDR, records))
+        lsn = log_disk.append_page(LogPage.of(PADDR, records))
         read = log_disk.read_page(lsn, expected=PADDR)
         assert read.records == records
 
@@ -353,7 +377,7 @@ class TestLogCondensing:
             TupleInsert(1, 1, EntityAddress(1, 2, 1), b"b"),  # other partition
         ]
         log_disk = make_log_disk()
-        page = LogPage(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed)
+        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed)
         lsn = log_disk.append_page(page)
         read = log_disk.read_page(lsn)
         assert read.records == mixed
@@ -361,77 +385,3 @@ class TestLogCondensing:
             PartitionAddress(1, 1),
             PartitionAddress(1, 2),
         }
-
-
-class TestDecodedPageCache:
-    """The bounded LRU of pages read (header parsed, records still bytes)
-    shared by media scans, ``page_owner`` and restart reads."""
-
-    def test_repeat_read_served_from_cache(self):
-        log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
-        first = log_disk.read_page(lsn)
-        reads = log_disk.pages_read
-        again = log_disk.read_page(lsn)
-        assert again is first  # the decoded object itself
-        assert log_disk.pages_read == reads  # no second disk read
-        assert log_disk.cache_hits >= 1
-
-    def test_page_owner_hits_cache_after_read(self):
-        log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
-        log_disk.read_page(lsn)
-        reads = log_disk.pages_read
-        assert log_disk.page_owner(lsn) == PADDR
-        assert log_disk.pages_read == reads
-
-    def test_page_owner_peek_does_not_decode(self, monkeypatch):
-        """Reading a page parses its header only; records are built on
-        the first ``page.records``, once."""
-        import repro.wal.records as records_module
-
-        log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
-        decode = records_module.decode_record
-        calls = []
-        monkeypatch.setattr(
-            records_module, "decode_record", lambda *a: calls.append(a) or decode(*a)
-        )
-        assert log_disk.page_owner(lsn) == PADDR
-        page = log_disk.read_page(lsn)
-        assert calls == []
-        assert page.records == [record(0)]
-        assert page.records is page.records and len(calls) == 1
-
-    def test_lru_eviction_is_bounded(self):
-        log_disk = make_log_disk(window=2 * LOG_PAGE_CACHE_PAGES)
-        lsns = [
-            log_disk.append_page(LogPage(PADDR, [record(0)]))
-            for _ in range(LOG_PAGE_CACHE_PAGES + 1)
-        ]
-        for lsn in lsns:
-            log_disk.read_page(lsn)
-        reads = log_disk.pages_read
-        log_disk.read_page(lsns[0])  # evicted by the last insert
-        assert log_disk.pages_read == reads + 1
-        log_disk.read_page(lsns[-1])  # still cached
-        assert log_disk.pages_read == reads + 1
-
-    def test_drop_page_evicts_cache_and_spindles(self):
-        log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
-        log_disk.read_page(lsn)
-        log_disk.drop_page(lsn)
-        with pytest.raises(LogError):
-            log_disk.read_page(lsn)
-
-    def test_crash_empties_the_cache(self):
-        log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage(PADDR, [record(0)]))
-        stale = log_disk.read_page(lsn)
-        log_disk.crash()
-        hits, reads = log_disk.cache_hits, log_disk.pages_read
-        fresh = log_disk.read_page(lsn)
-        assert fresh == stale and fresh is not stale  # decoded again
-        assert log_disk.cache_hits == hits
-        assert log_disk.pages_read == reads + 1
