@@ -1,0 +1,28 @@
+"""The frozen outputs equal their golden copies (tests/golden/).
+
+A torture record, a Table-2 row or a simulated Graph 1-3 figure that moves
+fails here with the record or line that moved.  ``python -m tests.golden``
+rebuilds the files when a change moves one on purpose.
+"""
+
+import json
+
+from tests.golden import SIM_TABLES, TORTURE, sim_tables, torture_records
+
+
+def test_torture_records_are_golden():
+    with open(TORTURE, encoding="utf-8") as handle:
+        golden = [json.loads(line) for line in handle]
+    records = torture_records()
+    assert len(records) == len(golden)
+    for number, (record, expected) in enumerate(zip(records, golden), 1):
+        moved = {
+            field: (expected[field], record.get(field))
+            for field in expected
+            if record.get(field) != expected[field]
+        }
+        assert not moved and record.keys() == expected.keys(), (number, expected, moved)
+
+
+def test_simulated_tables_are_golden():
+    assert sim_tables() == SIM_TABLES.read_text(encoding="utf-8")
