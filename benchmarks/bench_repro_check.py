@@ -2,12 +2,12 @@
 
 repro-check runs on every pre-commit and as a blocking CI job, so its
 cost is paid dozens of times a day.  The whole-program flow rules
-(RC07–RC10) parse every file, build a project-wide call graph, a CFG
-with dominance per function, and a lock lattice — all of which must
-stay cheap enough that nobody is tempted to skip the hook.
+(RC07 and RC10) parse every file and build a project-wide call graph and
+a CFG with dominance per function — all of which must stay cheap enough
+that nobody is tempted to skip the hook.
 
 Shape requirement: one full run over ``src/`` **and** ``tools/`` with
-all ten rules completes in under :data:`TIME_BUDGET_SECONDS` wall-clock
+all seven rules (RC02–RC07 and RC10) completes in under :data:`TIME_BUDGET_SECONDS` wall-clock
 seconds, and the tree is clean (the acceptance criterion the CI job
 enforces).  Per-rule timings land in ``benchmarks/results/BENCH_repro_check.json`` so a
 rule that regresses is identifiable from the CI artifact alone.

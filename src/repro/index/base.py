@@ -51,6 +51,16 @@ def unpack_items(buf: bytes, pos: int, count: int) -> tuple[tuple[Key, ...], byt
     return tuple(keys), b"".join(values)
 
 
+def split_items(buf: bytes, pos: int, count: int) -> list[bytes]:
+    """The ``count`` items from ``pos`` on, each as :func:`pack_item` packed it."""
+    items = []
+    for _ in range(count):
+        end = pos + _U16.size + _U16.unpack_from(buf, pos)[0] + _ADDRESS.size
+        items.append(buf[pos:end])
+        pos = end
+    return items
+
+
 def value_at(values: bytes, index: int) -> EntityAddress:
     """The ``index``-th address of a packed value array."""
     return EntityAddress(*_ADDRESS.unpack_from(values, index * _ADDRESS.size))

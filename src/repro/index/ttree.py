@@ -19,7 +19,7 @@ rotations change child pointers, never addresses.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
 from typing import Iterator, NamedTuple
 
 from repro.common.errors import IndexStructureError
@@ -31,6 +31,7 @@ from repro.index.base import (
     pack_item,
     refreshed,
     refreshed_scan,
+    split_items,
     unpack_address,
     unpack_items,
     value_at,
@@ -41,15 +42,20 @@ from repro.index.node_store import NodeStore
 
 _NODE_HEADER = struct.Struct("<BhH")  # type, height, nitems
 _ANCHOR_HEADER = struct.Struct("<BHH")  # type, min_items, max_items
+_ADDRESS_BYTES = len(pack_address(NULL_ADDRESS))
+_ITEMS_AT = _NODE_HEADER.size + 2 * _ADDRESS_BYTES  # header, left, right
 
 NODE_TYPE = 0x54  # 'T'
 ANCHOR_TYPE = 0x41  # 'A'
 
 Item = tuple[Key, EntityAddress]
+#: An item on a write path, with its bytes as :func:`pack_item` packs them.
+_Packed = tuple[Key, EntityAddress, bytes]
 
 
-def compare_items(a: Item, b: Item) -> int:
-    """Compound comparison: by key, then by value address.
+def compare_items(a: tuple, b: tuple) -> int:
+    """Compound comparison of two items (or longer tuples they lead): by
+    key, then by value address.
 
     Every stored item is unique under this ordering (a tuple is indexed at
     one address), which keeps equal *keys* contiguous in tree order while
@@ -68,13 +74,18 @@ def compare_items(a: Item, b: Item) -> int:
 
 class _NodeForm(NamedTuple):
     """One T-Tree node decoded into the immutable shape the node store
-    caches; read paths use it as is."""
+    caches; read paths and descents use it as is."""
 
     height: int
     left: EntityAddress
     right: EntityAddress
     keys: tuple[Key, ...]
     values: bytes  # packed addresses, see :func:`repro.index.base.value_at`
+    blob: bytes  # what it was decoded from; a save re-encodes from it
+
+
+#: A leaf with no items yet: the form a new leaf's working copy starts from.
+_LEAF = _NodeForm(1, NULL_ADDRESS, NULL_ADDRESS, (), b"", b"")
 
 
 def _decode_node(address: EntityAddress, blob: bytes) -> _NodeForm:
@@ -85,58 +96,80 @@ def _decode_node(address: EntityAddress, blob: bytes) -> _NodeForm:
         )
     left, pos = unpack_address(blob, _NODE_HEADER.size)
     right, pos = unpack_address(blob, pos)
-    return _NodeForm(height, left, right, *unpack_items(blob, pos, nitems))
+    return _NodeForm(height, left, right, *unpack_items(blob, pos, nitems), blob)
 
 
-@dataclass
+def _side(form: _NodeForm, key: Key, value: EntityAddress) -> int:
+    """-1 / 1 when ``(key, value)`` sorts below / above every item of the
+    node (:func:`compare_items`), 0 when the node bounds it."""
+    keys = form.keys
+    by_key = compare_keys(key, keys[0])
+    if by_key < 0 or (by_key == 0 and value < value_at(form.values, 0)):
+        return -1
+    by_key = compare_keys(key, keys[-1])
+    if by_key > 0 or (by_key == 0 and value > value_at(form.values, len(keys) - 1)):
+        return 1
+    return 0
+
+
 class _TNode:
-    """Mutable working copy of one T-Tree node (write paths only)."""
+    """Working copy of one node a write path saves (a descent that only
+    passes a node reads its cached form).
 
-    address: EntityAddress
-    height: int = 1
-    items: list[tuple[Key, EntityAddress]] = field(default_factory=list)
-    left: EntityAddress = NULL_ADDRESS
-    right: EntityAddress = NULL_ADDRESS
+    ``items`` materialise on first use; until then :meth:`encode` reuses
+    the stored item bytes, and a node saved unchanged writes its stored
+    bytes and form back as they are."""
 
-    def encode(self) -> bytes:
-        parts = [
-            _NODE_HEADER.pack(NODE_TYPE, self.height, len(self.items)),
-            pack_address(self.left),
-            pack_address(self.right),
-        ]
-        parts.extend(pack_item(key, value) for key, value in self.items)
-        return b"".join(parts)
+    __slots__ = ("address", "height", "left", "right", "form", "_items")
 
-    # -- item helpers ---------------------------------------------------------------
+    def __init__(
+        self, address: EntityAddress, form: _NodeForm, items: list[_Packed] | None = None
+    ):
+        self.address = address
+        self.form = form
+        self._items = items
+        self.height, self.left, self.right = form.height, form.left, form.right
 
     @property
-    def min_item(self) -> tuple[Key, EntityAddress]:
-        return self.items[0]
+    def items(self) -> list[_Packed]:
+        if self._items is None:
+            keys, values = self.form.keys, self.form.values
+            packed = split_items(self.form.blob, _ITEMS_AT, len(keys))
+            self._items = [
+                (key, value, data) for (key, value), data in zip(zip_items(keys, values), packed)
+            ]
+        return self._items
 
     @property
-    def max_item(self) -> tuple[Key, EntityAddress]:
-        return self.items[-1]
+    def count(self) -> int:
+        return len(self.form.keys if self._items is None else self._items)
 
-    def bounds(self, item: tuple[Key, EntityAddress]) -> bool:
-        return (
-            bool(self.items)
-            and compare_items(item, self.min_item) >= 0
-            and compare_items(item, self.max_item) <= 0
-        )
-
-    def insert_item(self, item: tuple[Key, EntityAddress]) -> None:
-        position = self._bisect(item)
-        self.items.insert(position, item)
-
-    def _bisect(self, item: tuple[Key, EntityAddress]) -> int:
-        lo, hi = 0, len(self.items)
+    def insert_item(self, item: _Packed) -> None:
+        items = self.items
+        lo, hi = 0, len(items)
         while lo < hi:
             mid = (lo + hi) // 2
-            if compare_items(self.items[mid], item) <= 0:
+            if compare_items(items[mid], item) <= 0:
                 lo = mid + 1
             else:
                 hi = mid
-        return lo
+        items.insert(lo, item)
+
+    def encode(self) -> _NodeForm:
+        """The form of the node as it stands, its bytes in ``blob``."""
+        form, items = self.form, self._items
+        if items is None:
+            if (self.height, self.left, self.right) == form[:3]:
+                return form
+            body = form.blob[_ITEMS_AT:]
+            keys, values = form.keys, form.values
+        else:
+            body = b"".join(data for _, _, data in items)
+            keys = tuple(key for key, _, _ in items)
+            values = b"".join(data[-_ADDRESS_BYTES:] for _, _, data in items)
+        header = _NODE_HEADER.pack(NODE_TYPE, self.height, len(keys))
+        blob = b"".join((header, pack_address(self.left), pack_address(self.right), body))
+        return _NodeForm(self.height, self.left, self.right, keys, values, blob)
 
 
 class TTreeIndex(Index):
@@ -203,28 +236,25 @@ class TTreeIndex(Index):
     def _form(self, address: EntityAddress, keep: bool = True) -> _NodeForm:
         return self.store.load(address, _decode_node, keep)
 
-    def _load(self, address: EntityAddress, keep: bool = True) -> _TNode:
-        """A private mutable copy: write paths edit ``items`` before
-        ``_save``, and a no-wait lock refusal inside ``store.write`` can
-        abort in between — the cached form must never see the edit."""
-        form = self._form(address, keep)
-        items = list(zip_items(form.keys, form.values))
-        return _TNode(address, form.height, items, form.left, form.right)
+    def _load(self, address: EntityAddress) -> _TNode:
+        """A private working copy: write paths edit it before ``_save``,
+        and a no-wait lock refusal inside ``store.write`` can abort in
+        between — the cached form must never see the edit."""
+        return _TNode(address, self._form(address))
 
     def _save(self, node: _TNode) -> None:
-        self.store.write(node.address, node.encode())
+        node.form = node.encode()
+        self.store.write(node.address, node.form.blob, node.form)
 
-    def _new_node(self, items: list[tuple[Key, EntityAddress]]) -> _TNode:
-        node = _TNode(NULL_ADDRESS, 1, items)
-        node.address = self.store.allocate(node.encode())
-        return node
+    def _new_leaf(self, item: _Packed) -> EntityAddress:
+        return self.store.allocate(_TNode(NULL_ADDRESS, _LEAF, [item]).encode().blob)
 
     # -- public API --------------------------------------------------------------------
 
     @refreshed
     def __len__(self) -> int:
         if self._count is None:
-            self._count = sum(1 for _ in self._scan(self._root, None, None, False))
+            self._count = sum(1 for _ in self._walk(None, None, False))
         return self._count
 
     def _counted(self, delta: int) -> None:
@@ -233,204 +263,194 @@ class TTreeIndex(Index):
 
     @refreshed
     def search(self, key: Key) -> list[EntityAddress]:
-        return [value for _, value in self._scan(self._root, key, key)]
+        return [value for _, value in self._walk(key, key)]
 
-    def _scan(
-        self,
-        address: EntityAddress,
-        low: Key | None,
-        high: Key | None,
-        keep: bool = True,
-    ) -> Iterator[Item]:
-        """Items with ``low <= key <= high`` below ``address``, in order.
+    def _walk(self, low: Key | None, high: Key | None, keep: bool = True) -> Iterator[Item]:
+        """Items with ``low <= key <= high`` (``None`` = open end), in order.
 
-        An ordered descent: the left subtree is skipped when ``low`` is
-        above the node's minimum key and the right one when ``high`` is
-        below its maximum.  Equal keys are contiguous in compound order
-        but may straddle node boundaries, so only a *strict* inequality
-        prunes.
+        An in-order walk over cached forms on an explicit stack: a left
+        subtree is skipped when ``low`` is above its node's minimum key,
+        and the walk ends in the first node that holds a key above
+        ``high``.  Equal keys are contiguous in compound order but may
+        straddle node boundaries, so only a *strict* inequality prunes;
+        inside a node, bisection on its keys finds the span.  Each bound
+        meets :func:`compare_keys` before any bisection, so a mixed-type or
+        ``bool`` bound raises :class:`IndexStructureError`.
         """
-        if address == NULL_ADDRESS:
-            return
-        node = self._form(address, keep)
-        keys = node.keys
-        if low is None or compare_keys(low, keys[0]) <= 0:
-            yield from self._scan(node.left, low, high, keep)
-        for index, key in enumerate(keys):
-            if low is not None and compare_keys(key, low) < 0:
-                continue
-            if high is not None and compare_keys(key, high) > 0:
+        load = self.store.load
+        stack: list[_NodeForm] = []
+        address = self._root
+        while True:
+            while address != NULL_ADDRESS:
+                node = load(address, _decode_node, keep)
+                stack.append(node)
+                if low is not None and compare_keys(low, node.keys[0]) > 0:
+                    break
+                address = node.left
+            if not stack:
                 return
-            yield key, value_at(node.values, index)
-        if high is None or compare_keys(high, keys[-1]) >= 0:
-            yield from self._scan(node.right, low, high, keep)
+            node = stack.pop()
+            keys = node.keys
+            start = 0 if low is None else bisect_left(keys, low)
+            last = high is not None and compare_keys(high, keys[-1]) < 0
+            for index in range(start, bisect_right(keys, high) if last else len(keys)):
+                yield keys[index], value_at(node.values, index)
+            if last:
+                return
+            address = node.right
 
     @refreshed
     def insert(self, key: Key, value: EntityAddress) -> None:
-        item = (key, value)
+        item = (key, value, pack_item(key, value))
         if self._root == NULL_ADDRESS:
-            root = self._new_node([item])
-            self._set_root(root.address)
+            self._set_root(self._new_leaf(item))
             self._counted(+1)
             return
-        path = self._descend_for_insert(item)
-        node = path[-1]
-        if node.bounds(item) and len(node.items) >= self.max_items:
+        path, side, node = self._descend(key, value)
+        if side == 0 and node.count >= self.max_items:
             # Bounding node is full: the new item displaces the node's
             # minimum, which is reinserted at its greatest-lower-bound
             # position in the left subtree.
             displaced = node.items.pop(0)
             node.insert_item(item)
             self._save(node)
-            self._insert_displaced(path, displaced)
-        elif len(node.items) < self.max_items:
+            self._insert_displaced(path, node, displaced)
+        elif node.count < self.max_items:
             node.insert_item(item)
             self._save(node)
         else:
             # Non-bounding full node at the end of the search path: hang a
             # new leaf on the proper side.
-            leaf = self._new_node([item])
-            if compare_items(item, node.min_item) < 0:
-                node.left = leaf.address
+            if side < 0:
+                node.left = self._new_leaf(item)
             else:
-                node.right = leaf.address
+                node.right = self._new_leaf(item)
             self._save(node)
             self._rebalance_path(path)
         self._counted(+1)
 
     @refreshed
     def delete(self, key: Key, value: EntityAddress) -> None:
-        item = (key, value)
-        path: list[_TNode] = []
-        address = self._root
-        node = None
-        while address != NULL_ADDRESS:
-            node = self._load(address)
-            path.append(node)
-            if compare_items(item, node.min_item) < 0:
-                address = node.left
-            elif compare_items(item, node.max_item) > 0:
-                address = node.right
-            else:
+        if self._root == NULL_ADDRESS:
+            raise self._not_found(key, value)
+        # The last node searched holds the item if any node does.
+        path, _, node = self._descend(key, value)
+        keys, values = node.form.keys, node.form.values
+        for index in range(bisect_left(keys, key), bisect_right(keys, key)):
+            if value_at(values, index) == value:
                 break
         else:
             raise self._not_found(key, value)
-        if node is None or item not in node.items:
-            raise self._not_found(key, value)
-        node.items.remove(item)
+        del node.items[index]
         self._counted(-1)
-        self._fix_after_delete(path)
+        self._fix_after_delete(path, node)
 
     @refreshed_scan
     def items(self) -> Iterator[tuple[Key, EntityAddress]]:
-        return self._scan(self._root, None, None, False)
+        return self._walk(None, None, False)
 
     @refreshed_scan
     def range_scan(
         self, low: Key | None = None, high: Key | None = None
     ) -> Iterator[tuple[Key, EntityAddress]]:
         """Items with ``low <= key <= high`` in key order (None = open end)."""
-        return self._scan(self._root, low, high)
+        return self._walk(low, high)
+
+    def _descend(
+        self, key: Key, value: EntityAddress
+    ) -> tuple[list[EntityAddress], int, _TNode]:
+        """Path from the root of a non-empty tree to the node bounding
+        ``(key, value)`` (side 0), or else to the last node searched and
+        the side (-1 / 1) the item falls off; and that node."""
+        path = [self._root]
+        while True:
+            form = self._form(path[-1])
+            side = _side(form, key, value)
+            child = form.left if side < 0 else form.right
+            if not side or child == NULL_ADDRESS:
+                return path, side, _TNode(path[-1], form)
+            path.append(child)
 
     # -- insert internals -------------------------------------------------------------------
 
-    def _descend_for_insert(self, item: Item) -> list[_TNode]:
-        """Path from root to the bounding node or the last node searched."""
-        path: list[_TNode] = []
-        address = self._root
-        while address != NULL_ADDRESS:
-            node = self._load(address)
-            path.append(node)
-            if node.bounds(item):
-                break
-            if compare_items(item, node.min_item) < 0:
-                address = node.left
-            else:
-                address = node.right
-        return path
-
-    def _insert_displaced(self, path: list[_TNode], item: Item) -> None:
+    def _insert_displaced(
+        self, path: list[EntityAddress], bounding: _TNode, item: _Packed
+    ) -> None:
         """Reinsert the displaced minimum at its greatest-lower-bound spot."""
-        bounding = path[-1]
         if bounding.left == NULL_ADDRESS:
-            leaf = self._new_node([item])
-            bounding.left = leaf.address
+            bounding.left = self._new_leaf(item)
             self._save(bounding)
             self._rebalance_path(path)
             return
-        address = bounding.left
-        while True:
-            node = self._load(address)
-            path.append(node)
-            if node.right == NULL_ADDRESS:
-                break
-            address = node.right
-        glb = path[-1]
-        if len(glb.items) < self.max_items:
+        glb = self._rightmost(path, bounding.left)
+        if glb.count < self.max_items:
             glb.items.append(item)  # item > every key in the glb node
             self._save(glb)
             return
-        leaf = self._new_node([item])
-        glb.right = leaf.address
+        glb.right = self._new_leaf(item)
         self._save(glb)
         self._rebalance_path(path)
 
+    def _rightmost(self, path: list[EntityAddress], address: EntityAddress) -> _TNode:
+        """The rightmost node of the subtree at ``address`` (a left
+        subtree's holds its parent's greatest lower bound), with the nodes
+        down to it added to ``path``."""
+        while True:
+            path.append(address)
+            form = self._form(address)
+            if form.right == NULL_ADDRESS:
+                return _TNode(address, form)
+            address = form.right
+
     # -- delete internals ------------------------------------------------------------------------
 
-    def _fix_after_delete(self, path: list[_TNode]) -> None:
-        node = path[-1]
+    def _fix_after_delete(self, path: list[EntityAddress], node: _TNode) -> None:
+        """``node`` (the last of ``path``) lost an item."""
         has_left = node.left != NULL_ADDRESS
         has_right = node.right != NULL_ADDRESS
         if has_left and has_right:
-            if len(node.items) < self.min_items:
-                self._refill_internal(path)
+            if node.count < self.min_items:
+                self._refill_internal(path, node)
             else:
                 self._save(node)
             return
-        if node.items:
+        if node.count:
             self._save(node)
             return
         # Empty leaf or half-leaf: splice it out of the tree.
-        child = node.left if has_left else (node.right if has_right else NULL_ADDRESS)
-        self._replace_child(path, node, child)
+        child = node.left if has_left else node.right
+        self._replace_child(path[-2] if len(path) > 1 else None, node.address, child)
         self.store.free(node.address)
         path.pop()
         self._rebalance_path(path)
 
-    def _refill_internal(self, path: list[_TNode]) -> None:
+    def _refill_internal(self, path: list[EntityAddress], node: _TNode) -> None:
         """Refill an underflowing internal node from its left subtree's
         greatest lower bound (the rightmost node on the left)."""
-        node = path[-1]
-        donor_path = [node]
-        address = node.left
-        while True:
-            donor = self._load(address)
-            donor_path.append(donor)
-            if donor.right == NULL_ADDRESS:
-                break
-            address = donor.right
-        donor = donor_path[-1]
+        donor = self._rightmost(path, node.left)
         node.items.insert(0, donor.items.pop())
         self._save(node)
-        full_path = path + donor_path[1:]
-        self._fix_after_delete(full_path)
+        self._fix_after_delete(path, donor)
 
     def _replace_child(
-        self, path: list[_TNode], node: _TNode, replacement: EntityAddress
+        self,
+        parent: EntityAddress | None,
+        child: EntityAddress,
+        replacement: EntityAddress,
     ) -> None:
-        if len(path) < 2:
+        """Point ``parent`` (``None``: the anchor) at ``replacement``
+        where it pointed at ``child``."""
+        if parent is None:
             self._set_root(replacement)
             return
-        parent = path[-2]
-        if parent.left == node.address:
-            parent.left = replacement
-        elif parent.right == node.address:
-            parent.right = replacement
+        node = self._load(parent)
+        if node.left == child:
+            node.left = replacement
+        elif node.right == child:
+            node.right = replacement
         else:
-            raise IndexStructureError(
-                f"{node.address} is not a child of {parent.address}"
-            )
-        self._save(parent)
+            raise IndexStructureError(f"{child} is not a child of {parent}")
+        self._save(node)
 
     # -- balancing -------------------------------------------------------------------------------
 
@@ -439,54 +459,38 @@ class TTreeIndex(Index):
             return 0
         return self._form(address).height
 
-    def _rebalance_path(self, path: list[_TNode]) -> None:
+    def _rebalance_path(self, path: list[EntityAddress]) -> None:
         """Walk from the deepest touched node to the root, updating heights
-        and rotating where the AVL condition breaks."""
-        child_address: EntityAddress | None = None
+        and rotating where the AVL condition breaks; a parent is loaded
+        only when a rotation gave it a new child."""
         for depth in range(len(path) - 1, -1, -1):
-            node = self._load(path[depth].address)  # reload: may be stale
-            new_address = self._rebalance_node(node)
-            if child_address is not None and new_address != child_address:
-                pass  # child already linked by rotation bookkeeping
-            if depth > 0:
-                parent = self._load(path[depth - 1].address)
-                changed = False
-                if parent.left == node.address and new_address != node.address:
-                    parent.left = new_address
-                    changed = True
-                elif parent.right == node.address and new_address != node.address:
-                    parent.right = new_address
-                    changed = True
-                if changed:
-                    self._save(parent)
-            elif new_address != self._root:
-                self._set_root(new_address)
-            child_address = new_address
+            address = path[depth]
+            new_address = self._rebalance_node(self._load(address))
+            if new_address != address:
+                self._replace_child(path[depth - 1] if depth else None, address, new_address)
 
     def _rebalance_node(self, node: _TNode) -> EntityAddress:
         """Fix one node's height / balance; returns the subtree's new root."""
         balance = self._height(node.left) - self._height(node.right)
         if balance > 1:
-            left = self._load(node.left)
+            left = self._form(node.left)
             if self._height(left.left) >= self._height(left.right):
                 return self._rotate_right(node)
-            node.left = self._rotate_left(left)
+            node.left = self._rotate_left(self._load(node.left))
             self._save(node)
-            return self._rotate_right(self._load(node.address))
+            return self._rotate_right(node)
         if balance < -1:
-            right = self._load(node.right)
+            right = self._form(node.right)
             if self._height(right.right) >= self._height(right.left):
                 return self._rotate_left(node)
-            node.right = self._rotate_right(right)
+            node.right = self._rotate_right(self._load(node.right))
             self._save(node)
-            return self._rotate_left(self._load(node.address))
+            return self._rotate_left(node)
         self._update_height(node)
         return node.address
 
     def _update_height(self, node: _TNode) -> None:
-        new_height = 1 + max(self._height(node.left), self._height(node.right))
-        if new_height != node.height:
-            node.height = new_height
+        node.height = 1 + max(self._height(node.left), self._height(node.right))
         self._save(node)
 
     def _rotate_right(self, node: _TNode) -> EntityAddress:
@@ -515,16 +519,13 @@ class TTreeIndex(Index):
         if (
             node.left == NULL_ADDRESS
             or node.right == NULL_ADDRESS
-            or len(node.items) >= self.min_items
+            or node.count >= self.min_items
         ):
             return
         left = self._load(node.left)
-        if left.right != NULL_ADDRESS or not left.items:
+        if left.right != NULL_ADDRESS or not left.count:
             return
-        take = min(
-            len(left.items) - self.min_items // 2,
-            self.min_items - len(node.items),
-        )
+        take = min(left.count - self.min_items // 2, self.min_items - node.count)
         if take <= 0:
             return
         moved = left.items[-take:]
@@ -550,13 +551,14 @@ class TTreeIndex(Index):
     def _verify_node(self, address: EntityAddress) -> int:
         if address == NULL_ADDRESS:
             return 0
-        node = self._load(address, False)
-        if not node.items:
+        node = self._form(address, False)
+        items = list(zip_items(node.keys, node.values))
+        if not items:
             raise IndexStructureError(f"empty node at {address}")
-        for item_a, item_b in zip(node.items, node.items[1:]):
+        for item_a, item_b in zip(items, items[1:]):
             if compare_items(item_a, item_b) >= 0:
                 raise IndexStructureError(f"unsorted items in node {address}")
-        if len(node.items) > self.max_items:
+        if len(items) > self.max_items:
             raise IndexStructureError(f"node {address} overflows max_items")
         left_height = self._verify_node(node.left)
         right_height = self._verify_node(node.right)
@@ -568,23 +570,17 @@ class TTreeIndex(Index):
                 f"stored height {node.height} != actual {height} at {address}"
             )
         if node.left != NULL_ADDRESS:
-            left_max = self._load_subtree_max(node.left)
-            if compare_items(left_max, node.min_item) >= 0:
+            if compare_items(self._subtree_edge(node.left, True), items[0]) >= 0:
                 raise IndexStructureError(f"left subtree overlaps node {address}")
         if node.right != NULL_ADDRESS:
-            right_min = self._load_subtree_min(node.right)
-            if compare_items(right_min, node.max_item) <= 0:
+            if compare_items(self._subtree_edge(node.right, False), items[-1]) <= 0:
                 raise IndexStructureError(f"right subtree overlaps node {address}")
         return height
 
-    def _load_subtree_max(self, address: EntityAddress) -> Item:
-        node = self._load(address, False)
-        while node.right != NULL_ADDRESS:
-            node = self._load(node.right, False)
-        return node.max_item
-
-    def _load_subtree_min(self, address: EntityAddress) -> Item:
-        node = self._load(address, False)
-        while node.left != NULL_ADDRESS:
-            node = self._load(node.left, False)
-        return node.min_item
+    def _subtree_edge(self, address: EntityAddress, greatest: bool) -> Item:
+        """The greatest (or least) item of the subtree at ``address``."""
+        node = self._form(address, False)
+        while (child := node.right if greatest else node.left) != NULL_ADDRESS:
+            node = self._form(child, False)
+        index = len(node.keys) - 1 if greatest else 0
+        return node.keys[index], value_at(node.values, index)

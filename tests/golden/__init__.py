@@ -103,15 +103,6 @@ def host_counters(log: str) -> dict:
     }
 
 
-def _moved_counters(golden: dict, measured: dict) -> list[str]:
-    return [
-        f"{workload} {name}: {value!r} -> {measured.get(workload, {}).get(name)!r}"
-        for workload, counters in golden.items()
-        for name, value in counters.items()
-        if measured.get(workload, {}).get(name) != value
-    ]
-
-
 def regenerate() -> None:
     with open(TORTURE, "w", encoding="utf-8") as handle:
         handle.writelines(json.dumps(record) + "\n" for record in torture_records())
@@ -129,7 +120,12 @@ def check_host(log_path: str) -> int:
         measured = host_counters(handle.read())
     with open(HOST_COUNTERS, encoding="utf-8") as handle:
         golden = json.load(handle)
-    moved = _moved_counters(golden, measured)
+    moved = [
+        f"{workload} {name}: {value!r} -> {measured.get(workload, {}).get(name)!r}"
+        for workload, counters in golden.items()
+        for name, value in counters.items()
+        if measured.get(workload, {}).get(name) != value
+    ]
     for line in moved:
         print(f"EXACT COUNTER MOVED {line}")
     print(f"{len(moved)} exact counter(s) moved" if moved else "every exact counter is golden")

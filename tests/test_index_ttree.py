@@ -291,9 +291,8 @@ def test_change_stream_is_pinned(seed, min_items, max_items, transactions, diges
     """Results, structure and every ``(address, before, after)`` the sink
     receives.  Together the three sessions rotate 68 times each way,
     slide items into a promoted node 9 times, refill an underflowing
-    internal node 51 times and splice out 64 emptied nodes; the digests were taken before the walk and the form-based descents
-    replaced the recursive scan and the copy-per-node descents, so any
-    written byte that moves fails here."""
+    internal node 51 times and splice out 64 emptied nodes.  The digests are
+    pinned, so any written byte that moves fails here."""
     assert _session(seed, min_items, max_items, transactions) == digest
 
 
