@@ -19,7 +19,7 @@ rotations change child pointers, never addresses.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterator, NamedTuple
 
 from repro.common.errors import IndexStructureError
@@ -50,12 +50,13 @@ ANCHOR_TYPE = 0x41  # 'A'
 
 Item = tuple[Key, EntityAddress]
 #: An item on a write path, with its bytes as :func:`pack_item` packs them.
+#: Tuple order is compound order: no ``(key, address)`` repeats, so the
+#: bytes never decide.
 _Packed = tuple[Key, EntityAddress, bytes]
 
 
-def compare_items(a: tuple, b: tuple) -> int:
-    """Compound comparison of two items (or longer tuples they lead): by
-    key, then by value address.
+def compare_items(a: Item, b: Item) -> int:
+    """Compound comparison: by key, then by value address.
 
     Every stored item is unique under this ordering (a tuple is indexed at
     one address), which keeps equal *keys* contiguous in tree order while
@@ -143,17 +144,6 @@ class _TNode:
     @property
     def count(self) -> int:
         return len(self.form.keys if self._items is None else self._items)
-
-    def insert_item(self, item: _Packed) -> None:
-        items = self.items
-        lo, hi = 0, len(items)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare_items(items[mid], item) <= 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        items.insert(lo, item)
 
     def encode(self) -> _NodeForm:
         """The form of the node as it stands, its bytes in ``blob``."""
@@ -292,11 +282,13 @@ class TTreeIndex(Index):
             node = stack.pop()
             keys = node.keys
             start = 0 if low is None else bisect_left(keys, low)
-            last = high is not None and compare_keys(high, keys[-1]) < 0
-            for index in range(start, bisect_right(keys, high) if last else len(keys)):
+            stop = len(keys)
+            if high is not None and compare_keys(high, keys[-1]) < 0:
+                stop = bisect_right(keys, high)
+            for index in range(start, stop):
                 yield keys[index], value_at(node.values, index)
-            if last:
-                return
+            if stop < len(keys):
+                return  # a key above high: so is every later one
             address = node.right
 
     @refreshed
@@ -312,11 +304,11 @@ class TTreeIndex(Index):
             # minimum, which is reinserted at its greatest-lower-bound
             # position in the left subtree.
             displaced = node.items.pop(0)
-            node.insert_item(item)
+            insort(node.items, item)
             self._save(node)
             self._insert_displaced(path, node, displaced)
         elif node.count < self.max_items:
-            node.insert_item(item)
+            insort(node.items, item)
             self._save(node)
         else:
             # Non-bounding full node at the end of the search path: hang a
