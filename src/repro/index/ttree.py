@@ -82,7 +82,7 @@ class _NodeForm(NamedTuple):
     right: EntityAddress
     keys: tuple[Key, ...]
     values: bytes  # packed addresses, see :func:`repro.index.base.value_at`
-    blob: bytes  # what it was decoded from; a save re-encodes from it
+    blob: bytes  # the bytes this form decodes; a save re-encodes from them
 
 
 #: A leaf with no items yet: the form a new leaf's working copy starts from.
