@@ -117,9 +117,6 @@ class Database:
         #: the application re-registers at boot — but versions are
         #: mirrored in stable memory to fence schema drift at replay.
         self.scripts = ScriptRegistry(self.slb)
-        #: Optional hook invoked as ``observer(txn)`` the instant a
-        #: transaction becomes durable (used by the recovery oracle).
-        self.commit_observer = None
         #: The most recent :class:`~repro.txn.scheduler.Scheduler`
         #: attached via :meth:`register_scheduler`; surfaces its counters in
         #: :meth:`stats`.

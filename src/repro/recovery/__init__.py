@@ -10,8 +10,8 @@
   first, then on-demand and background partition recovery.
 * :mod:`repro.recovery.media` — whole-database rescue after a media
   failure of the checkpoint disk or the duplexed log disks.
-* :mod:`repro.recovery.oracle` — the logical digest of committed state
-  and the verifier that proves recovery restored it exactly.
+* :mod:`repro.recovery.oracle` — the logical digest of committed state,
+  and what each database must recover to, read at the crash.
 """
 
 from repro.recovery.media import (
@@ -19,7 +19,7 @@ from repro.recovery.media import (
     restore_after_log_media_failure,
     scrub_log_disk,
 )
-from repro.recovery.oracle import RecoveryVerifier, logical_digest
+from repro.recovery.oracle import committed_digests, logical_digest
 from repro.recovery.processor import RecoveryProcessor
 from repro.recovery.redo import (
     demultiplex_log_history,
@@ -31,8 +31,8 @@ from repro.recovery.restart import RestartCoordinator
 
 __all__ = [
     "RecoveryProcessor",
-    "RecoveryVerifier",
     "RestartCoordinator",
+    "committed_digests",
     "demultiplex_log_history",
     "enumerate_log_pages",
     "logical_digest",

@@ -10,11 +10,11 @@ aborted transactions advance but REDO replay legitimately does not, and
 segment is structural, and the empty partition an aborted insert leaves
 behind is nothing a transaction can observe.
 
-:class:`RecoveryVerifier` hooks the database's commit observer and
-snapshots the digest at every commit, keyed by the *stable* commit
-counter (``slb.commits`` survives crashes).  After crash + restart +
-full recovery, :meth:`RecoveryVerifier.verify` recomputes the digest and
-asserts it is byte-identical to the one recorded at the last commit.
+:func:`committed_digests` reads, at the crash and before ``crash()``,
+the digest each database must recover to; after restart and full
+recovery the recovered digest must be byte-identical to it
+(:func:`repro.sim.chaos.crash_restart_verify` is the one place that
+compares).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.common.errors import RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
-    from repro.txn.transaction import Transaction
 
 
 def logical_digest(db: "Database") -> str:
@@ -69,50 +68,31 @@ def logical_digest(db: "Database") -> str:
     return h.hexdigest()
 
 
-class RecoveryVerifier:
-    """Snapshots the logical digest at every commit; verifies after
-    restart that recovered state equals the last committed snapshot."""
+def committed_digests(databases: "list[Database]") -> list[str]:
+    """The digest each of ``databases`` must recover to, read at the crash.
 
-    def __init__(self, db: "Database"):
-        self.db = db
-        #: stable commit count -> digest at that commit.
-        self.digests: dict[int, str] = {}
-        # Baseline: the state as of attach time (covers a crash that
-        # fires before the workload's first commit).
-        self.digests[db.slb.commits] = logical_digest(db)
-        db.commit_observer = self._on_commit
+    A crash loses only volatile memory, and only committed REDO is stable
+    (§2.3), so recovery must produce memory as it stood at the crash with
+    every uncommitted transaction's UNDO applied.  This applies it, newest
+    transaction first, with :meth:`Transaction._rollback` — never
+    ``abort()``, which would also free the SLB chain restart reads.  A
+    prepared 2PC branch stays when its coordinator's verdict is commit
+    (:func:`~repro.recovery.restart.in_doubt_verdicts`) and is rolled back
+    otherwise (presumed abort).  Memory is left rolled back: call each
+    database's ``crash()`` next.
+    """
+    from repro.recovery.restart import in_doubt_verdicts
+    from repro.txn.transaction import TxnState
 
-    def _on_commit(self, txn: "Transaction") -> None:
-        commits = self.db.slb.commits
-        # A growth committing inside an open transaction: memory holds that
-        # transaction's uncommitted work, and nothing the digest covers changed.
-        nested = txn.system and self.db.transactions.active_count > 1
-        self.digests[commits] = (
-            self.digests[commits - 1] if nested else logical_digest(self.db)
-        )
-
-    def detach(self) -> None:
-        if self.db.commit_observer == self._on_commit:
-            self.db.commit_observer = None
-
-    def expected_digest(self) -> str:
-        """The digest recorded at the current stable commit count."""
-        commits = self.db.slb.commits
-        try:
-            return self.digests[commits]
-        except KeyError:
-            raise RecoveryError(
-                f"no digest was recorded at commit {commits}; "
-                f"have {sorted(self.digests)}"
-            ) from None
-
-    def verify(self) -> str:
-        """Assert recovered state matches the last committed snapshot."""
-        expected = self.expected_digest()
-        actual = logical_digest(self.db)
-        if actual != expected:
-            raise RecoveryError(
-                f"recovered state diverges from commit {self.db.slb.commits}: "
-                f"digest {actual[:16]}… != expected {expected[:16]}…"
-            )
-        return actual
+    digests = []
+    for db in databases:
+        decided = {
+            txn_id for txn_id, _, verdict in in_doubt_verdicts(db) if verdict == "commit"
+        }
+        for txn in reversed(db.transactions.active_transactions()):
+            if txn.state is TxnState.ACTIVE or (
+                txn.state is TxnState.PREPARED and txn.txn_id not in decided
+            ):
+                txn._rollback()
+        digests.append(logical_digest(db))
+    return digests

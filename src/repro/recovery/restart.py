@@ -91,19 +91,14 @@ class RecoveryMode(enum.Enum):
     ON_DEMAND = "on-demand"
 
 
-def resolve_in_doubt(db: "Database") -> None:
-    """Settle every prepared (in-doubt) SLB chain before phase 1.
-
-    Runs right after uncommitted chains are discarded and *before*
-    :class:`RestartCoordinator` drains the committed list: a chain
-    resolved to COMMIT simply joins the committed list and flows
-    through the ordinary restart pipeline, so no special replay path
-    exists for 2PC branches.  The verdict comes from the database's
-    ``in_doubt_resolver`` (installed by
-    :class:`~repro.shard.ShardedDatabase`, which consults the
-    coordinator shard's stable decision table); without a resolver
-    the outcome is the presumed-abort default.
-    """
+def in_doubt_verdicts(db: "Database") -> list[tuple[int, TxnPrepare, str]]:
+    """``(txn_id, PREPARE record, verdict)`` for every prepared (in-doubt)
+    SLB chain.  The verdict comes from the database's
+    ``in_doubt_resolver`` (installed by :class:`~repro.shard.ShardedDatabase`,
+    which consults the coordinator shard's stable decision table); without
+    a resolver it is the presumed-abort default."""
+    verdicts = []
+    resolver = db.in_doubt_resolver
     for txn_id, payload in db.slb.prepared_txns():
         record, _ = decode_control(payload)
         if not isinstance(record, TxnPrepare):
@@ -111,9 +106,23 @@ def resolve_in_doubt(db: "Database") -> None:
                 f"prepared chain of txn {txn_id} carries a "
                 f"{type(record).__name__}, expected TxnPrepare"
             )
-        db.twopc.inc("in_doubt_found")
-        resolver = db.in_doubt_resolver
         verdict = "abort" if resolver is None else resolver.decide(record)
+        verdicts.append((txn_id, record, verdict))
+    return verdicts
+
+
+def resolve_in_doubt(db: "Database") -> None:
+    """Settle every prepared (in-doubt) SLB chain before phase 1.
+
+    Runs right after uncommitted chains are discarded and *before*
+    :class:`RestartCoordinator` drains the committed list: a chain
+    resolved to COMMIT simply joins the committed list and flows
+    through the ordinary restart pipeline, so no special replay path
+    exists for 2PC branches.
+    """
+    resolver = db.in_doubt_resolver
+    for txn_id, record, verdict in in_doubt_verdicts(db):
+        db.twopc.inc("in_doubt_found")
         if verdict == "commit":
             db.slb.commit_prepared(txn_id)
             db.twopc.inc("in_doubt_committed")

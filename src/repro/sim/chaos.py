@@ -22,12 +22,12 @@ checkable:
   :class:`~repro.sim.faults.SimulatedCrash` is raised and the rule
   latches, so recovery can run through the very same code path without
   re-firing.
-* :class:`ChaosHarness` enumerates every registered point and, for each
-  one and each recovery mode, replays a workload, crashes at the point,
-  restarts (retrying when the crash lands *inside* restart), and checks
-  the recovered state against the :class:`~repro.recovery.oracle.RecoveryVerifier`
-  digest.  :mod:`repro.sim.torture` builds the randomized counterpart on
-  top of :class:`ChaosEngine`.
+* :func:`crash_restart_verify` is the one crash-restart-verify routine:
+  run a workload under an engine, read at the crash what each database
+  must recover to (:func:`~repro.recovery.oracle.committed_digests`),
+  crash, restart (retrying when the crash lands *inside* restart), and
+  compare.  :class:`ChaosHarness` runs it for every registered point and
+  recovery mode; :mod:`repro.sim.torture` runs it for seeded rounds.
 """
 
 from __future__ import annotations
@@ -346,8 +346,6 @@ class CrashPointRun:
     nested_crashes: int
     #: Stable commit count at verification time.
     commits: int
-    #: Oracle digest matched the last committed state.
-    verified: bool
     #: Points passed during the replay (diagnostics).
     hits: dict[str, int] = field(default_factory=dict)
 
@@ -382,6 +380,50 @@ def restart_until_recovered(databases: list, mode) -> int:
     )
 
 
+def crash_restart_verify(
+    databases: list,
+    run: Callable[[], object],
+    engine: ChaosEngine,
+    mode,
+    *,
+    power_fail: Callable[[], None] | None = None,
+) -> int:
+    """Run ``run`` under ``engine`` until it returns or crashes, read what
+    each database must recover to (:func:`~repro.recovery.oracle.committed_digests`),
+    power-fail (``power_fail``, then every database still up), restart in
+    ``mode`` until recovered, and raise :class:`RecoveryError` unless each
+    digest matches and :func:`~repro.db.integrity.verify_integrity` finds
+    nothing.  The crash is unconditional, so restart-path points fire in
+    the recovery that follows.  Returns the restart attempts (1: no crash
+    inside recovery)."""
+    from repro.db.integrity import verify_integrity
+    from repro.recovery.oracle import committed_digests, logical_digest
+
+    with chaos(engine):
+        try:
+            run()
+        except SimulatedCrash:
+            pass
+        expected = committed_digests(databases)
+        if power_fail is not None:
+            power_fail()
+        for db in databases:
+            if not db.crashed:
+                db.crash()
+        attempts = restart_until_recovered(databases, mode)
+    for number, (db, digest) in enumerate(zip(databases, expected)):
+        actual = logical_digest(db)
+        if actual != digest:
+            raise RecoveryError(
+                f"database {number} recovered to digest {actual[:16]}…, "
+                f"not the committed state's {digest[:16]}… ({engine.plan.describe()})"
+            )
+        problems = verify_integrity(db)
+        if problems:
+            raise RecoveryError(f"database {number} recovered inconsistent: {problems}")
+    return attempts
+
+
 class ChaosHarness:
     """Replays a workload crashing at every registered point.
 
@@ -402,31 +444,17 @@ class ChaosHarness:
         :class:`~repro.recovery.restart.RecoveryMode` value; anything else
         is a ``ValueError``), verify."""
         from repro.db.database import RecoveryMode
-        from repro.recovery.oracle import RecoveryVerifier
 
         recovery_mode = RecoveryMode(mode)
         db, run_workload = self._factory()
-        verifier = RecoveryVerifier(db)
         engine = ChaosEngine(ChaosPlan.crash_at(0, point))
-        with chaos(engine):
-            try:
-                run_workload()
-            except SimulatedCrash:
-                pass
-            # Crash unconditionally: points on the restart path only fire
-            # during the recovery that follows.
-            if not db.crashed:
-                db.crash()
-            nested = restart_until_recovered([db], recovery_mode) - 1
-        verifier.detach()
-        verifier.verify()
+        attempts = crash_restart_verify([db], run_workload, engine, recovery_mode)
         return CrashPointRun(
             point=point,
             mode=mode,
             fired=bool(engine.fired),
-            nested_crashes=nested,
+            nested_crashes=attempts - 1,
             commits=db.slb.commits,
-            verified=True,
             hits=engine.hits(),
         )
 

@@ -13,16 +13,17 @@ workload skew, the interleaving.  A failing round raises
 
 Verification is layered:
 
-* **Exact digest** — a sequential tail of transactions runs under a
-  :class:`~repro.recovery.oracle.RecoveryVerifier`; after crash +
-  restart the recovered digest must be byte-identical to the digest at
-  the last durable commit.  (Digest-at-commit is only well defined while
-  one transaction at a time mutates, hence the quiesced tail.)
+* **Exact digest** — the one oracle
+  (:func:`~repro.recovery.oracle.committed_digests`), read at the crash:
+  memory with every uncommitted transaction's UNDO applied is what every
+  database of the round must recover to, byte for byte, mid-pool or not,
+  with :func:`~repro.db.integrity.verify_integrity` finding nothing.
+  :func:`~repro.sim.chaos.crash_restart_verify` runs it, as for the sweep.
 * **Bank invariants** — after any recovery, committed debit/credit
   transactions must be atomic across all four relations: with ``C``
   history rows, accounts total ``1000·N + 10·C`` and tellers and
-  branches each total ``10·C``.  This catches a torn transaction even
-  when the crash landed mid-pool where no digest can be recorded.
+  branches each total ``10·C``.  This checks what the committed history
+  means, which no equality between two states can.
 * **Recovery stability** — recovering, crashing again with no new work,
   and recovering again must reproduce the identical digest (recovery is
   a fixed point).
@@ -30,6 +31,11 @@ Verification is layered:
   by the retry layer, and plans keep per-rule fires within the retry
   budget, so a round with faults must see zero ``MediaFailure``
   escalations.
+
+A crash round first runs its seed with nothing injected, then crashes at
+a registered crash point that run passed and at one of its passages,
+each drawn uniformly, so every crash round fires.  After a batch the
+command line lists the registered crash points no round passed.
 
 Run from the command line::
 
@@ -41,75 +47,32 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.db.database import Database, RecoveryMode
-from repro.recovery.oracle import RecoveryVerifier, logical_digest
+from repro.recovery.oracle import logical_digest
 from repro.sim.chaos import (
     ChaosEngine,
     ChaosPlan,
     ChaosRule,
-    chaos,
+    crash_restart_verify,
+    registered_crash_points,
     restart_until_recovered,
 )
 from repro.sim.clock import host_now
-from repro.sim.faults import SimulatedCrash
 from repro.txn.scheduler import Scheduler
 from repro.workloads.debit_credit import DebitCreditWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shard import ShardedDatabase
     from repro.workloads.sharded_bank import ShardedBankWorkload
 
 #: The round kinds (the action the generated plan injects).
 KINDS = ("crash", "fault")
 
-#: The points a plan draws from, spelled out so that a plan never depends
-#: on which modules happen to be imported (``tests/test_torture.py`` pins
-#: them to the live registry).  A cluster round adds the 2PC points.
-CRASH_POINTS = (
-    "checkpoint.acknowledged",
-    "checkpoint.begin",
-    "checkpoint.committed",
-    "checkpoint.copied",
-    "checkpoint.image-written",
-    "checkpoint.image.after-write",
-    "checkpoint.image.before-write",
-    "checkpoint.locked",
-    "checkpoint.request.submitted",
-    "checkpoint.slot-installed",
-    "checkpoint.sweep.markers-appended",
-    "condense.image.after-publish",
-    "condense.image.before-publish",
-    "condense.slice.applied",
-    "engine.restore.before-partition",
-    "growth.catalogued",
-    "growth.committed",
-    "log-disk.append.after-write",
-    "log-disk.append.before-write",
-    "media.scan.page-routed",
-    "recovery.archive.page-written",
-    "recovery.flush.after-directory-update",
-    "recovery.flush.after-seal",
-    "recovery.flush.after-write",
-    "recovery.sort.after-deposit",
-    "replay.batch.before-command",
-    "replay.batch.command-executed",
-    "restart.phase1.catalog-recovered",
-    "restart.phase1.log-drained",
-    "restart.phase1.queue-reverted",
-    "restart.phase2.partition-recovered",
-    "txn.commit-prepared.before-slb",
-    "txn.commit.after-slb",
-    "txn.commit.before-slb",
-    "txn.commit.command-emitted",
-    "txn.prepare.after-slb",
-    "txn.prepare.before-slb",
-)
-SHARD_CRASH_POINTS = ("shard.2pc.after-decision", "shard.2pc.before-decision")
+#: The transient-fault sites a fault plan draws from (``tests/test_torture.py``
+#: pins them to the live registry).
 FAULT_POINTS = (
     "checkpoint.image.read",
     "checkpoint.image.write",
@@ -117,9 +80,8 @@ FAULT_POINTS = (
     "log-disk.write",
 )
 
-#: Concurrent scripts per round / sequential tail transactions.
+#: Concurrent scripts per round.
 POOL_SCRIPTS = 16
-TAIL_TRANSACTIONS = 10
 
 #: Sized like the chaos sweep's scenario: small pages and a tight window
 #: so a short workload still crosses checkpoints and window slides, and
@@ -183,9 +145,10 @@ class RoundResult:
     crashes_fired: int
     faults_fired: int
     restart_attempts: int
-    #: Which checks ran: "digest" (exact tail digest) or "invariants"
-    #: (the crash landed mid-pool, before a digest could be recorded).
-    verified_by: str
+    #: A crash round's drawn crash point and the passage of it that
+    #: crashed (1 = the first); ``None`` in a fault round.
+    point: str | None
+    visit: int | None
     digest: str
     host_seconds: float
     shards: int = 1
@@ -195,38 +158,37 @@ class RoundResult:
         return dict(self.__dict__)
 
 
-def build_plan(spec: RoundSpec, rng: random.Random) -> ChaosPlan:
+def build_plan(
+    spec: RoundSpec, rng: random.Random, hits: dict[str, int] | None = None
+) -> ChaosPlan:
     """Generate the round's injection plan from its seed.
 
-    Pure function of ``(spec, rng state)``: the same seed always yields
+    A crash plan draws from ``hits``, the passages the round's dry run
+    counted (:meth:`ChaosEngine.hits`): first a registered crash point
+    among those it passed, uniformly, so rare points get as many draws as
+    the commit path, then one of that point's passages, uniformly.  Pure
+    function of ``(spec, rng state, hits)``: the same seed always yields
     the same plan, which is what makes a failed round replayable.
     """
-    crash_points = CRASH_POINTS
-    if spec.shards > 1:
-        crash_points = tuple(sorted(CRASH_POINTS + SHARD_CRASH_POINTS))
-    rules: list[ChaosRule] = []
     if spec.kind == "crash":
+        crash_points = registered_crash_points()
+        point = rng.choice(sorted(name for name in hits or {} if name in crash_points))
+        visit = rng.randint(1, hits[point])
+        return ChaosPlan.crash_at(spec.seed, point, after_visits=visit - 1)
+    rules: list[ChaosRule] = []
+    for point in rng.sample(FAULT_POINTS, k=rng.randint(1, 2)):
+        # max_fires stays within the default retry budget so every
+        # burst is absorbed; the escalation boundary has its own
+        # dedicated tests (tests/test_transient_io.py).
         rules.append(
             ChaosRule(
-                point=rng.choice(crash_points),
-                action="crash",
-                after_visits=rng.randint(0, 12),
+                point=point,
+                action="fault",
+                probability=rng.uniform(0.4, 1.0),
+                after_visits=rng.randint(0, 4),
+                max_fires=rng.randint(1, 4),
             )
         )
-    if spec.kind == "fault":
-        for point in rng.sample(FAULT_POINTS, k=rng.randint(1, 2)):
-            # max_fires stays within the default retry budget so every
-            # burst is absorbed; the escalation boundary has its own
-            # dedicated tests (tests/test_transient_io.py).
-            rules.append(
-                ChaosRule(
-                    point=point,
-                    action="fault",
-                    probability=rng.uniform(0.4, 1.0),
-                    after_visits=rng.randint(0, 4),
-                    max_fires=rng.randint(1, 4),
-                )
-            )
     return ChaosPlan(spec.seed, tuple(rules))
 
 
@@ -242,6 +204,10 @@ def _build_cluster(spec: RoundSpec, config: SystemConfig) -> ShardedBankWorkload
 class TortureHarness:
     """Runs and verifies seeded chaos rounds."""
 
+    def __init__(self) -> None:
+        #: Every point some round of this harness passed (the reach report).
+        self.passed: set[str] = set()
+
     def run_round(self, spec: RoundSpec) -> RoundResult:
         started = host_now()
         try:
@@ -250,7 +216,7 @@ class TortureHarness:
             raise TortureFailure(
                 f"{exc}; reproduce with: {spec.repro_command()}"
             ) from exc
-        except BaseException as exc:
+        except Exception as exc:
             raise TortureFailure(
                 f"torture round seed={spec.seed} kind={spec.kind} "
                 f"shards={spec.shards} failed: {exc!r}; "
@@ -259,82 +225,42 @@ class TortureHarness:
         result.host_seconds = host_now() - started
         return result
 
+    def unreached(self) -> list[str]:
+        """The registered crash points no round of this harness passed."""
+        return sorted(set(registered_crash_points()) - self.passed)
+
     def _run_round_inner(self, spec: RoundSpec) -> RoundResult:
-        """One round: workload under the plan, power failure, restart,
-        the layered checks — over every database of the round, one node
-        or a cluster's (routed transfers, whole-cluster crash, per-shard
+        """One round: a crash round's dry run, then the workload under the
+        plan through one crash, restart and exact check, then the other
+        checks — over every database of the round, one node or a
+        cluster's (routed transfers, whole-cluster crash, per-shard
         conservation)."""
         rng = random.Random(spec.seed)
-        config = SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense)
-        cluster: ShardedDatabase | None = None
-        workload: DebitCreditWorkload | ShardedBankWorkload
-        #: The exact-digest tail's transaction; none on a cluster, where no
-        #: one digest is defined while several nodes commit.
-        tail: Callable[[], object] | None = None
-        if spec.shards > 1:
-            workload = bank = _build_cluster(spec, config)
-            cluster = bank.cluster
-            dbs = cluster.nodes
-            scheduler = Scheduler(cluster, max_attempts=500)
-            submit = partial(bank.submit, scheduler, POOL_SCRIPTS)
-        else:
-            dbs = [Database(config)]
-            workload = DebitCreditWorkload(
-                dbs[0], branches=2, tellers_per_branch=2, accounts_per_branch=25,
-                seed=spec.seed,
-            )
-            scheduler = Scheduler(dbs[0], max_attempts=500)
-            submit = partial(self._submit_debit_credits, scheduler, workload, rng)
-            tail = workload.run_transaction
-        workload.load()
-        injector = ChaosEngine(build_plan(spec, rng))
         recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
-        verifier: RecoveryVerifier | None = None
-        with chaos(injector):
-            try:
-                # Phase 1 — interleaved scripts under the plan.
-                submit()
-                scheduler.run()
-                if tail is not None:
-                    # Phase 2 — quiesce, then an exactly-verifiable
-                    # sequential tail (single mutator, digest per commit).
-                    dbs[0].pump()
-                    verifier = RecoveryVerifier(dbs[0])
-                    for _ in range(TAIL_TRANSACTIONS):
-                        tail()
-            except SimulatedCrash:
-                pass
-            # Phase 3 — power failure, then come back (restart-path
-            # rules may crash recovery itself; the latch bounds the
-            # retries; in-doubt 2PC branches resolve against the stable
-            # decision tables during each node's restart).
-            if cluster is not None:
-                cluster.crash()
-            elif not dbs[0].crashed:
-                dbs[0].crash()
-            restart_attempts = restart_until_recovered(dbs, recovery_mode)
-        if verifier is not None:
-            verifier.detach()
-            verifier.verify()
+        hits: dict[str, int] | None = None
+        if spec.kind == "crash":
+            dry = ChaosEngine(ChaosPlan(spec.seed))
+            self._play(spec, dry, recovery_mode)
+            hits = dry.hits()
+            self.passed.update(hits)
+        injector = ChaosEngine(build_plan(spec, rng, hits))
+        workload, dbs, restart_attempts = self._play(spec, injector, recovery_mode)
+        self.passed.update(injector.hits())
         try:
             workload.check_invariants()
         except AssertionError as exc:
             raise TortureFailure(str(exc)) from exc
-        if cluster is not None and cluster.twopc.pending_gtids():
-            raise TortureFailure(
-                f"recovery left distributed txns in flight: "
-                f"{cluster.twopc.pending_gtids()}"
-            )
         digests = [logical_digest(db) for db in dbs]
         self._check_recovery_stability(dbs, recovery_mode, digests)
         self._check_fault_accounting(dbs, injector)
-        if cluster is not None:
+        if spec.shards > 1:
             # The SLB's commit tally is stable: it survives the crash.
             committed = sum(db.slb.commits for db in dbs)
             digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
         else:
             committed = self._count_history(dbs[0])
             digest = digests[0]
+        crash = injector.plan.rules[0] if spec.kind == "crash" else None
         return RoundResult(
             seed=spec.seed,
             kind=spec.kind,
@@ -342,25 +268,50 @@ class TortureHarness:
             crashes_fired=injector.crashes_fired,
             faults_fired=injector.faults_fired,
             restart_attempts=restart_attempts,
-            verified_by="invariants" if verifier is None else "digest",
+            point=crash.point if crash else None,
+            visit=crash.after_visits + 1 if crash else None,
             digest=digest,
             host_seconds=0.0,
             shards=spec.shards,
             condense=spec.condense,
         )
 
-    # -- phases ---------------------------------------------------------------
-
-    def _submit_debit_credits(
-        self, scheduler: Scheduler, workload: DebitCreditWorkload, rng: random.Random
-    ) -> None:
-        for i in range(POOL_SCRIPTS):
-            aid = rng.randrange(workload.accounts)
-            # the id is minted here, not in the body, so the tail mints
-            # fresh ones whether or not every pool script committed
-            scheduler.submit(
-                workload.script(aid, workload.next_history_id()), name=f"torture-{i}"
+    def _play(
+        self, spec: RoundSpec, injector: ChaosEngine, recovery_mode: RecoveryMode
+    ) -> tuple[DebitCreditWorkload | ShardedBankWorkload, list[Database], int]:
+        """Build and load the round's databases, queue its scripts, then run
+        them under ``injector`` through one power failure, restart and
+        exact check (in-doubt 2PC branches resolve against the stable
+        decision tables during each node's restart)."""
+        config = SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense)
+        power_fail: Callable[[], None] | None = None
+        workload: DebitCreditWorkload | ShardedBankWorkload
+        if spec.shards > 1:
+            workload = _build_cluster(spec, config)
+            workload.load()
+            dbs = workload.cluster.nodes
+            scheduler = Scheduler(workload.cluster, max_attempts=500)
+            workload.submit(scheduler, POOL_SCRIPTS)
+            power_fail = workload.cluster.crash
+        else:
+            dbs = [Database(config)]
+            workload = DebitCreditWorkload(
+                dbs[0], branches=2, tellers_per_branch=2, accounts_per_branch=25,
+                seed=spec.seed,
             )
+            workload.load()
+            scheduler = Scheduler(dbs[0], max_attempts=500)
+            # a fresh stream per play: the dry run and the crash run submit alike
+            accounts = random.Random(spec.seed)
+            for i in range(POOL_SCRIPTS):
+                aid = accounts.randrange(workload.accounts)
+                scheduler.submit(
+                    workload.script(aid, workload.next_history_id()), name=f"torture-{i}"
+                )
+        attempts = crash_restart_verify(
+            dbs, scheduler.run, injector, recovery_mode, power_fail=power_fail
+        )
+        return workload, dbs, attempts
 
     # -- checks ---------------------------------------------------------------
 
@@ -461,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    import repro.shard  # noqa: F401 - registers the 2PC points for the reach report
+
     log_file = open(args.log, "a", encoding="utf-8") if args.log else None
     harness = TortureHarness()
 
@@ -472,11 +425,11 @@ def main(argv: list[str] | None = None) -> int:
         topology = "" if result.shards == 1 else f" shards={result.shards}"
         if result.condense:
             topology += " condense"
+        crash = "" if result.point is None else f" at {result.point} visit {result.visit}"
         print(
             f"round seed={result.seed} kind={result.kind}"
             f"{topology} ok: {result.committed} commits, "
-            f"{result.crashes_fired} crashes / {result.faults_fired} faults, "
-            f"verified by {result.verified_by}"
+            f"{result.crashes_fired} crashes{crash} / {result.faults_fired} faults"
         )
 
     try:
@@ -496,6 +449,9 @@ def main(argv: list[str] | None = None) -> int:
         if log_file is not None:
             log_file.close()
     print(f"all {args.rounds * len(args.kinds)} rounds passed")
+    # Informational: a registered point no round passed is one this batch
+    # never tests.
+    print(f"crash points no round passed: {', '.join(harness.unreached()) or 'none'}")
     return 0
 
 

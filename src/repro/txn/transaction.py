@@ -250,16 +250,6 @@ class Transaction:
         self._ensure_active()
         self._undo.append(compensate)
 
-    def _durable(self) -> None:
-        """The chain just joined the committed list (which counted the
-        commit): tell the observer, before any crash window."""
-        self.state = TxnState.COMMITTED
-        observer = self.db.commit_observer
-        if observer is not None:
-            # The oracle snapshots committed state here: durable the
-            # instant the chain moved lists.
-            observer(self)
-
     def _end(self, state: TxnState) -> None:
         """The epilogue of every ending, after its SLB transition."""
         self.state = state
@@ -281,7 +271,8 @@ class Transaction:
             return
         crash_point("txn.commit.before-slb")
         self.db.slb.commit(self.txn_id)
-        self._durable()
+        # acknowledged from here: the chain is on the committed list
+        self.state = TxnState.COMMITTED
         crash_point("txn.commit.after-slb")
         self._end(TxnState.COMMITTED)
 
@@ -319,7 +310,7 @@ class Transaction:
             # CPU frees blocks, then retry once.
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
-        self._durable()
+        self.state = TxnState.COMMITTED
         crash_point("txn.commit.command-emitted")
         self._end(TxnState.COMMITTED)
 
@@ -381,7 +372,6 @@ class Transaction:
         crash_point("txn.commit-prepared.before-slb")
         self.db.slb.commit_prepared(self.txn_id)
         self.db.twopc.inc("prepared_commits")
-        self._durable()
         self._end(TxnState.COMMITTED)
 
     def abort_prepared(self) -> None:

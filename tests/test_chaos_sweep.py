@@ -5,7 +5,7 @@ recovery is exact no matter when the system dies, so the harness replays
 a debit/credit workload once per (crash point, recovery mode) pair,
 crashes at the armed point, restarts (retrying when the crash lands
 inside restart itself), and asserts the recovered state is byte-identical
-to the oracle digest of the last committed transaction.
+to the state committed at the crash (a verification failure raises).
 """
 
 import pytest
@@ -91,7 +91,6 @@ def test_scenario_reaches_every_subsystem():
 @pytest.mark.parametrize("mode", ["on-demand", "eager"])
 def test_sweep_all_points(harness, mode):
     results = harness.sweep(modes=(mode,))
-    assert all(run.verified for run in results)
     fired = {run.point for run in results if run.fired}
     assert len(fired) >= MIN_FIRED_POINTS, (
         f"only {len(fired)} points fired in {mode} mode: {sorted(fired)}"
@@ -114,7 +113,6 @@ def test_commit_boundary_points_split_exactly(harness):
     before = harness.run_point("txn.commit.before-slb")
     after = harness.run_point("txn.commit.after-slb")
     assert before.fired and after.fired
-    assert before.verified and after.verified
     # the after-slb replay has durably committed one more transaction
     assert after.commits == before.commits + 1
 

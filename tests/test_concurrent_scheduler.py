@@ -8,6 +8,7 @@ chaos crash points firing mid-script, and the observability surface.
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.recovery.oracle import committed_digests, logical_digest
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.txn.scheduler import Scheduler
@@ -128,8 +129,6 @@ class TestChaosInterleaving:
         the crash propagates to the caller, and restart recovers exactly
         the durably committed deposits."""
         db, accounts = build_bank(accounts_count=4)
-        durable = []
-        db.commit_observer = lambda txn: durable.append(txn.txn_id)
         scheduler = Scheduler(db, max_attempts=500)
         for i in range(12):
             scheduler.submit(deposit(db, accounts, i % 4, 10), name=f"d{i}")
@@ -138,13 +137,15 @@ class TestChaosInterleaving:
             with pytest.raises(SimulatedCrash):
                 scheduler.run()
         assert injector.fired[0].point == "txn.commit.before-slb"
-        db.commit_observer = None
+        # The crash fired *before* slb.commit, so the crashing transaction
+        # is not durable: recovery brings back exactly the deposits
+        # committed at the crash, no more, no fewer.
+        (expected,) = committed_digests([db])
         db.crash()
         db.restart(RecoveryMode.EAGER)
-        # The crash fired *before* slb.commit, so the crashing transaction
-        # is not durable; the observer fires right after slb.commit, so it
-        # saw exactly the durable deposits — no more, no fewer.
-        assert sum(balances(db, accounts).values()) == 4 * 100 + 10 * len(durable)
+        assert logical_digest(db) == expected
+        # five commits passed the armed point before it fired on the sixth
+        assert sum(balances(db, accounts).values()) == 4 * 100 + 10 * 5
 
     def test_stopped_peers_roll_back_cleanly(self):
         """A crash mid-batch leaves the peers' in-flight transactions to

@@ -23,7 +23,7 @@ from repro.recovery.media import (
     restore_after_log_media_failure,
     scrub_log_disk,
 )
-from repro.recovery.oracle import RecoveryVerifier, logical_digest
+from repro.recovery.oracle import committed_digests, logical_digest
 from repro.recovery.redo import enumerate_log_pages
 from repro.sim.clock import VirtualClock
 from repro.sim.disk import CORRUPTION_KINDS, DuplexedDisk, SimulatedDisk
@@ -149,9 +149,26 @@ def loaded_bank(transactions=60, **config_kwargs):
         db, branches=2, tellers_per_branch=2, accounts_per_branch=25, seed=3
     )
     workload.load()
-    verifier = RecoveryVerifier(db)
     workload.run(transactions)
-    return db, verifier
+    return db
+
+
+def crash(db):
+    """Power-fail ``db``; returns the digest it must recover to."""
+    (expected,) = committed_digests([db])
+    db.crash()
+    return expected
+
+
+def rows(db):
+    """Every relation's rows, the state a checkpoint does not move."""
+    with db.transaction() as txn:
+        return {
+            descriptor.name: sorted(
+                sorted(row.values.items()) for row in db.table(descriptor.name).scan(txn)
+            )
+            for descriptor in db.catalog.relations()
+        }
 
 
 class TestNoInPlaceOverwrites:
@@ -161,7 +178,7 @@ class TestNoInPlaceOverwrites:
         rewritten while holding data (freed blocks are deleted, so a
         reused id starts with no previous image and stale-version
         degenerates to a CRC-caught zero-fill)."""
-        db, _ = loaded_bank(condense_enabled=condense_enabled)
+        db = loaded_bank(condense_enabled=condense_enabled)
         spindles = [db.log_disk.disks.primary, db.log_disk.disks.mirror]
         for disk in spindles + [db.checkpoint_disk.disk]:
             for block_id in disk.block_ids():
@@ -182,22 +199,21 @@ class TestLogBlockCorruption:
         over to the mirror and the digest still matches exactly."""
         # a huge update-count threshold keeps checkpoints away, so every
         # partition must be rebuilt from the log alone
-        db, verifier = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
-        db.crash()
+        db = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
+        expected = crash(db)
         blocks = db.log_disk.disks.primary.block_ids()
         assert blocks, "scenario must have flushed log pages"
         for lsn in blocks:
             db.log_disk.disks.primary.corrupt_block(lsn, kind)
         db.restart(RecoveryMode.EAGER)
-        verifier.detach()
-        verifier.verify()
+        assert logical_digest(db) == expected
         assert db.log_disk.disks.failovers > 0
 
     def test_both_spindles_corrupt_escalates_and_is_rescued(self, condense_enabled):
         """Both copies of log blocks unreadable: the duplex read raises a
         distinct MediaFailure; the live-system rescue cuts fresh
         checkpoints and the digest survives the next crash exactly."""
-        db, verifier = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
+        db = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
         victims = db.log_disk.disks.block_ids()[:3]
         assert victims
         for lsn in victims:
@@ -210,17 +226,15 @@ class TestLogBlockCorruption:
         assert report["unreadable_pages"] == victims
         assert report["partitions_checkpointed"] == db.memory.resident_partition_count()
         assert scrub_log_disk(db) == []
-        db.crash()
+        expected = crash(db)
         db.restart(RecoveryMode.EAGER)
-        verifier.detach()
-        verifier.verify()
+        assert logical_digest(db) == expected
 
 
     def test_rescue_refuses_before_touching_anything_mid_restart(self, condense_enabled):
         """The rescue needs every partition resident; mid-restart it must
         refuse before it drops a page or checkpoints anything."""
-        db, verifier = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
-        verifier.detach()
+        db = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
         db.crash()
         coordinator = db.restart(RecoveryMode.ON_DEMAND)
         assert coordinator.pending_partitions() > 0
@@ -257,7 +271,7 @@ class TestLostLogPageIsFatal:
             spindle.corrupt_block(lsn, "bit-flip")
 
     def test_lost_chain_page_escalates_from_restart(self):
-        db, _ = loaded_bank(update_count_threshold=10_000, **self.WIDE_WINDOW)
+        db = loaded_bank(update_count_threshold=10_000, **self.WIDE_WINDOW)
         db.recovery_processor.run_until_drained()
         catalog_segment = db.catalog.segment.segment_id
         chain = next(
@@ -275,7 +289,7 @@ class TestLostLogPageIsFatal:
         """The history scan behind a torn image meets a lost page that no
         live chain references any more (a checkpoint superseded it): it
         must raise, not skip the page and rebuild a diverged partition."""
-        db, _ = loaded_bank(**self.WIDE_WINDOW)
+        db = loaded_bank(**self.WIDE_WINDOW)
         db.recovery_processor.run_until_drained()
         chained = {
             lsn
@@ -315,16 +329,15 @@ class TestCheckpointImageCorruption:
         """Every data checkpoint image damaged: recovery detects each one
         (torn flag, CRC, or wrong-partition image) and falls back to
         full-history log replay, digest-exact."""
-        db, verifier = loaded_bank(condense_enabled=condense_enabled)
+        db = loaded_bank(condense_enabled=condense_enabled)
         assert db.checkpoints.checkpoints_taken > 0
-        db.crash()
+        expected = crash(db)
         slots = self._occupied_slots(db)
         assert slots, "scenario must have cut checkpoints"
         for slot in slots:
             db.checkpoint_disk.disk.corrupt_block(slot, kind)
         db.restart(RecoveryMode.EAGER)
-        verifier.detach()
-        verifier.verify()
+        assert logical_digest(db) == expected
         assert db.restart_coordinator.sources["history"] > 0
 
     def test_torn_catalog_images_keep_archive_buffer_leftovers(self, condense_enabled):
@@ -370,17 +383,18 @@ class TestCheckpointImageCorruption:
     def test_checkpoint_disk_destroyed_media_restore_is_exact(self, condense_enabled):
         """The whole checkpoint disk gone: section 2.6 archive recovery
         rebuilds everything from log history, digest-exact."""
-        db, verifier = loaded_bank(condense_enabled=condense_enabled)
+        db = loaded_bank(condense_enabled=condense_enabled)
+        before = rows(db)
         db.crash()
         assert db.checkpoint_disk.disk.destroy() > 0
         report = restore_after_checkpoint_media_failure(db)
         assert report["partitions_rebuilt"] > 0
-        verifier.verify()
+        # the restore's closing checkpoints move the catalog's slots, not a row
+        assert rows(db) == before
         # and the freshly cut checkpoints make ordinary crash recovery work
-        db.crash()
+        expected = crash(db)
         db.restart(RecoveryMode.EAGER)
-        verifier.detach()
-        verifier.verify()
+        assert logical_digest(db) == expected
 
 
 @CONDENSED
@@ -394,23 +408,21 @@ class TestOracle:
         rel = db.create_relation(
             "t", [("id", "int"), ("v", "int")], primary_key="id"
         )
-        verifier = RecoveryVerifier(db)
         with db.transaction() as txn:
             addr = rel.insert(txn, {"id": 1, "v": 10})
         first = logical_digest(db)
-        assert verifier.expected_digest() == first
         with db.transaction() as txn:
             rel.update(txn, addr, {"v": 20})
         second = logical_digest(db)
         assert second != first
-        assert verifier.expected_digest() == second
-        verifier.verify()
+        # an update in flight at the crash is not what recovery must produce
+        txn = db.transactions.begin()
+        rel.update(txn, addr, {"v": 30})
+        assert logical_digest(db) != second
+        assert crash(db) == second
+        db.restart(RecoveryMode.EAGER)
+        assert logical_digest(db) == second
         # tamper with recovered state behind the oracle's back
         partition = db.memory.partition(addr.partition_address)
         partition.update(addr.offset, b"\x00" * len(partition.read(addr.offset)))
-        from repro.common.errors import RecoveryError
-
-        with pytest.raises(RecoveryError):
-            verifier.verify()
-        verifier.detach()
-        assert db.commit_observer is None
+        assert logical_digest(db) != second

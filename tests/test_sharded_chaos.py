@@ -151,7 +151,7 @@ class TestTortureShardsAxis:
     def test_sharded_round_verifies(self):
         result = TortureHarness().run_round(RoundSpec(5, "crash", shards=2))
         assert result.shards == 2
-        assert result.verified_by == "invariants"
+        assert result.crashes_fired == 1 and result.point is not None
         assert result.committed > 0
 
     def test_sharded_fault_round_verifies(self):

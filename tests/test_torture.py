@@ -3,10 +3,11 @@
 The acceptance matrix runs three fixed seeds for each round kind
 (crash / fault); every round must recover to a verified state, with
 ``time.sleep`` refusing to run.  The remaining tests pin the harness
-contract itself: plans are a pure function of the seed, drawn from a
-fixed point list that matches the live registry, a failing round raises
+contract itself: plans are a pure function of the seed, a crash plan
+draws from the crash points its dry run passed, a failing round raises
 :class:`~repro.sim.torture.TortureFailure` carrying the reproducing
-command line, and the CLI drives the same rounds with a JSONL log.
+command line (an interrupt is not a failing round), and the CLI drives
+the same rounds with a JSONL log and ends with its reach report.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import pytest
 from repro.sim import torture
 from repro.sim.chaos import registered_crash_points, registered_fault_points
 from repro.sim.torture import (
-    CRASH_POINTS,
     FAULT_POINTS,
     KINDS,
-    SHARD_CRASH_POINTS,
     RoundSpec,
     TortureFailure,
     TortureHarness,
@@ -32,6 +31,9 @@ from repro.txn.scheduler import Scheduler
 from repro.workloads.debit_credit import DebitCreditWorkload
 
 SEEDS = [0, 1, 2]
+
+#: A dry run's passages: two crash points and a fault point.
+HITS = {"txn.commit.before-slb": 3, "checkpoint.begin": 1, "log-disk.write": 5}
 
 
 class TestRoundSpec:
@@ -59,17 +61,26 @@ class TestBuildPlan:
         import random
 
         for kind in KINDS:
-            plan = build_plan(RoundSpec(5, kind), random.Random(5))
+            plan = build_plan(RoundSpec(5, kind), random.Random(5), HITS)
             assert plan.rules
             assert all(rule.action == kind for rule in plan.rules)
 
     def test_plan_points_are_the_live_registry(self):
-        """The literal point lists are what the modules register, so a
-        plan is the same whatever has been imported."""
-        import repro.shard  # noqa: F401 - registers the 2PC points
+        """A crash plan crashes at a registered crash point its dry run
+        passed, at one of its passages; the fault list is the live fault
+        registry."""
+        import random
 
-        assert CRASH_POINTS == tuple(sorted(CRASH_POINTS))
-        assert set(CRASH_POINTS + SHARD_CRASH_POINTS) == set(registered_crash_points())
+        drawn = set()
+        for seed in range(40):
+            (rule,) = build_plan(RoundSpec(seed, "crash"), random.Random(seed), HITS).rules
+            assert rule.point in registered_crash_points()
+            assert 0 <= rule.after_visits < HITS[rule.point]
+            drawn.add((rule.point, rule.after_visits))
+        # every passage of every passed crash point gets drawn
+        assert drawn == {("txn.commit.before-slb", k) for k in range(3)} | {
+            ("checkpoint.begin", 0)
+        }
         assert FAULT_POINTS == tuple(sorted(registered_fault_points()))
 
     def test_fault_rules_stay_within_retry_budget(self):
@@ -91,8 +102,10 @@ class TestAcceptanceMatrix:
     def test_sim_rounds_verify(self, kind):
         results = TortureHarness().run_rounds(SEEDS, kinds=(kind,))
         assert len(results) == len(SEEDS)
-        assert all(r.verified_by in ("digest", "invariants") for r in results)
         assert all(r.committed > 0 for r in results)
+        if kind == "crash":
+            # every crash round fires, at the point and passage it records
+            assert all(r.crashes_fired == 1 and r.point and r.visit >= 1 for r in results)
         fired = {
             "crash": sum(r.crashes_fired for r in results),
             "fault": sum(r.faults_fired for r in results),
@@ -100,6 +113,19 @@ class TestAcceptanceMatrix:
         # Three seeds per kind make the kind's signature action fire at
         # least once across the batch (probabilistic rules, fixed seeds).
         assert fired[kind] > 0
+
+
+class TestKeptSeeds:
+    """Rounds kept because they catch a mutation no seed of CI's batches
+    does: a commit acknowledged (state ``COMMITTED``) before
+    ``slb.commit``, which only a crash between the two shows.  Each
+    asserts it still crashes there, so a change to the draw that moves it
+    fails here instead of quietly losing the guard."""
+
+    @pytest.mark.parametrize("seed", [1005, 1049])
+    def test_round_crashes_before_the_commit_point(self, seed):
+        result = TortureHarness().run_round(RoundSpec(seed, "crash"))
+        assert (result.point, result.crashes_fired) == ("txn.commit.before-slb", 1)
 
 
 class TestRoundIsAFunctionOfItsSpec:
@@ -149,6 +175,16 @@ class TestFailureReporting:
         assert "reproduce with" in message
 
 
+class TestInterruptIsNotAFailure:
+    def test_keyboard_interrupt_propagates_unwrapped(self, monkeypatch):
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Scheduler, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            TortureHarness().run_round(RoundSpec(8, "crash"))
+
+
 class TestCommandLine:
     def test_cli_runs_rounds_and_logs_jsonl(self, tmp_path, capsys):
         log = tmp_path / "rounds.jsonl"
@@ -167,6 +203,9 @@ class TestCommandLine:
         assert code == 0
         out = capsys.readouterr().out
         assert "all 2 rounds passed" in out
+        # the reach report: fault rounds never take the 2PC path
+        assert "crash points no round passed: " in out
+        assert "shard.2pc.before-decision" in out.splitlines()[-1]
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert [entry["seed"] for entry in lines] == [1, 2]
         assert all(entry["kind"] == "fault" for entry in lines)

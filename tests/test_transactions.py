@@ -373,9 +373,8 @@ def _end_crash_mid_body(db, accounts, captured):
 class _Counters:
     """Every counter an ending may move, as deltas since the last mark."""
 
-    def __init__(self, db, observed):
+    def __init__(self, db):
         self.db = db
-        self.observed = observed
         self.mark()
 
     def _read(self):
@@ -387,7 +386,6 @@ class _Counters:
             "committed_chains": db.slb.committed_chain_count,
             "slb_commits": db.slb.commits,
             "slb_aborts": db.slb.aborts,
-            "observed": len(self.observed),
             "mode": stats["logging"]["mode_commits"],
         }
 
@@ -440,9 +438,7 @@ class TestLifecycleTable:
     def test_ending(self, ending):
         drive, state, chain, audit, mode, released = LIFECYCLE[ending]
         db, accounts, captured = _lifecycle_db()
-        observed = []
-        db.commit_observer = observed.append
-        counters = _Counters(db, observed)
+        counters = _Counters(db)
         # replay rows log their command with a live run first and re-mark
         replays = chain == "none"
         txn = drive(db, accounts, captured, *([counters.mark] if replays else []))
@@ -462,6 +458,4 @@ class TestLifecycleTable:
         assert delta["committed"] == int(durable and counted)
         assert delta["aborted"] == int(state is TxnState.ABORTED and counted)
         assert delta["mode"] == ({mode: 1} if mode else {})
-        assert delta["observed"] == int(durable)
-        assert (txn in observed) == durable
         assert (txn in db.transactions.active_transactions()) == (chain == "uncommitted")

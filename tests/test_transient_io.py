@@ -20,7 +20,7 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.common.counters import Counters
 from repro.common.errors import ConfigurationError, MediaFailure
 from repro.db.monitor import status_page
-from repro.recovery.oracle import RecoveryVerifier
+from repro.recovery.oracle import committed_digests, logical_digest
 from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import IO_COUNTERS, TransientIOError, run_with_retry
 from repro.workloads.debit_credit import DebitCreditWorkload
@@ -127,7 +127,6 @@ class TestUnderBudgetBursts:
         retry is immediate (``time.sleep`` refuses to run)."""
         db = Database(_config(condense_enabled))
         workload = _bank(db)
-        verifier = RecoveryVerifier(db)
         plan = ChaosPlan(
             101,
             (
@@ -141,11 +140,11 @@ class TestUnderBudgetBursts:
         with chaos(injector):
             workload.run(60)
             committed = db.slb.commits
+            (expected,) = committed_digests([db])
             db.crash()
             db.restart(RecoveryMode.EAGER)
             db.restart_coordinator.recover_everything()
-        verifier.detach()
-        verifier.verify()
+        assert logical_digest(db) == expected
         assert db.slb.commits == committed
         assert db.checkpoints.checkpoints_taken > 0
 
@@ -190,17 +189,16 @@ class TestEscalationBoundary:
         and recovery stays digest-exact."""
         db = Database(_config(condense_enabled))
         workload = _bank(db)
-        verifier = RecoveryVerifier(db)
         workload.run(60)
         assert db.checkpoints.checkpoints_taken > 0
         committed = db.slb.commits
+        (expected,) = committed_digests([db])
         db.crash()
         plan = ChaosPlan(303, (fault_rule("checkpoint.image.read", BUDGET + 1),))
         with chaos(ChaosEngine(plan)):
             db.restart(RecoveryMode.EAGER)
             db.restart_coordinator.recover_everything()
-        verifier.detach()
-        verifier.verify()
+        assert logical_digest(db) == expected
         assert db.slb.commits == committed
         stats = db.stats()["transient_io"]["checkpoint"]
         assert stats["read_escalations"] == 1
