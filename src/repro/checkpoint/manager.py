@@ -394,7 +394,7 @@ class CheckpointManager:
         (and whatever image already reached it) by compensation."""
         disk = self.db.checkpoint_disk
         slot = disk.allocate(txn.txn_id)
-        txn.on_rollback(lambda: disk.free(slot))
+        txn.on_rollback(lambda: disk.free(slot), stable=True)
         return slot
 
     # -- restart support -------------------------------------------------------------

@@ -250,7 +250,7 @@ class Database:
         the growth."""
         address = partition.address
         partition.bin_index = self.slt.register_partition(address)
-        txn.on_rollback(lambda: self.slt.drop_partition(address))
+        txn.on_rollback(lambda: self.slt.drop_partition(address), stable=True)
         descriptor = self.catalog.descriptor_for_segment(address.segment)
         descriptor.partitions[address.partition] = PartitionInfo(address.partition)
         self.catalog.update(descriptor, txn)

@@ -75,7 +75,9 @@ def committed_digests(databases: "list[Database]") -> list[str]:
     (§2.3), so recovery must produce memory as it stood at the crash with
     every uncommitted transaction's UNDO applied.  This applies it, newest
     transaction first, with :meth:`Transaction._rollback` — never
-    ``abort()``, which would also free the SLB chain restart reads.  A
+    ``abort()``, which would also free the SLB chain restart reads — and
+    leaves stable storage alone: a bin or checkpoint block an unfinished
+    transaction claimed is restart's to find.  A
     prepared 2PC branch stays when its coordinator's verdict is commit
     (:func:`~repro.recovery.restart.in_doubt_verdicts`) and is rolled back
     otherwise (presumed abort).  Memory is left rolled back: call each
@@ -93,6 +95,6 @@ def committed_digests(databases: "list[Database]") -> list[str]:
             if txn.state is TxnState.ACTIVE or (
                 txn.state is TxnState.PREPARED and txn.txn_id not in decided
             ):
-                txn._rollback()
+                txn._rollback(crashing=True)
         digests.append(logical_digest(db))
     return digests

@@ -158,21 +158,23 @@ class RoundResult:
         return dict(self.__dict__)
 
 
-def build_plan(
-    spec: RoundSpec, rng: random.Random, hits: dict[str, int] | None = None
-) -> ChaosPlan:
+def build_plan(spec: RoundSpec, rng: random.Random, hits: dict[str, int]) -> ChaosPlan:
     """Generate the round's injection plan from its seed.
 
     A crash plan draws from ``hits``, the passages the round's dry run
     counted (:meth:`ChaosEngine.hits`): first a registered crash point
     among those it passed, uniformly, so rare points get as many draws as
-    the commit path, then one of that point's passages, uniformly.  Pure
-    function of ``(spec, rng state, hits)``: the same seed always yields
-    the same plan, which is what makes a failed round replayable.
+    the commit path, then one of that point's passages, uniformly.  A
+    fault plan ignores ``hits``.  Pure function of ``(spec, rng state,
+    hits)``: the same seed always yields the same plan, which is what
+    makes a failed round replayable.
     """
     if spec.kind == "crash":
         crash_points = registered_crash_points()
-        point = rng.choice(sorted(name for name in hits or {} if name in crash_points))
+        passed = sorted(name for name in hits if name in crash_points)
+        if not passed:
+            raise ValueError(f"seed {spec.seed}: the dry run passed no registered crash point")
+        point = rng.choice(passed)
         visit = rng.randint(1, hits[point])
         return ChaosPlan.crash_at(spec.seed, point, after_visits=visit - 1)
     rules: list[ChaosRule] = []
@@ -237,14 +239,17 @@ class TortureHarness:
         conservation)."""
         rng = random.Random(spec.seed)
         recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
-        hits: dict[str, int] | None = None
+        pool_seed = rng.getrandbits(64)
+        hits: dict[str, int] = {}
         if spec.kind == "crash":
             dry = ChaosEngine(ChaosPlan(spec.seed))
-            self._play(spec, dry, recovery_mode)
+            self._play(spec, dry, recovery_mode, pool_seed)
             hits = dry.hits()
             self.passed.update(hits)
         injector = ChaosEngine(build_plan(spec, rng, hits))
-        workload, dbs, restart_attempts = self._play(spec, injector, recovery_mode)
+        workload, dbs, restart_attempts = self._play(
+            spec, injector, recovery_mode, pool_seed
+        )
         self.passed.update(injector.hits())
         try:
             workload.check_invariants()
@@ -277,12 +282,17 @@ class TortureHarness:
         )
 
     def _play(
-        self, spec: RoundSpec, injector: ChaosEngine, recovery_mode: RecoveryMode
+        self,
+        spec: RoundSpec,
+        injector: ChaosEngine,
+        recovery_mode: RecoveryMode,
+        pool_seed: int,
     ) -> tuple[DebitCreditWorkload | ShardedBankWorkload, list[Database], int]:
-        """Build and load the round's databases, queue its scripts, then run
-        them under ``injector`` through one power failure, restart and
-        exact check (in-doubt 2PC branches resolve against the stable
-        decision tables during each node's restart)."""
+        """Build and load the round's databases, queue its scripts (a
+        single node's accounts drawn from ``pool_seed``), then run them
+        under ``injector`` through one power failure, restart and exact
+        check (in-doubt 2PC branches resolve against the stable decision
+        tables during each node's restart)."""
         config = SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense)
         power_fail: Callable[[], None] | None = None
         workload: DebitCreditWorkload | ShardedBankWorkload
@@ -302,7 +312,7 @@ class TortureHarness:
             workload.load()
             scheduler = Scheduler(dbs[0], max_attempts=500)
             # a fresh stream per play: the dry run and the crash run submit alike
-            accounts = random.Random(spec.seed)
+            accounts = random.Random(pool_seed)
             for i in range(POOL_SCRIPTS):
                 aid = accounts.randrange(workload.accounts)
                 scheduler.submit(

@@ -26,7 +26,7 @@ transaction could never be resumed by its blocker).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from repro.common.errors import (
     ShardingError,
@@ -74,6 +74,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.segment import Segment
 
 
+class _StableRelease(NamedTuple):
+    """A compensation that frees stable storage (an SLT bin, a
+    checkpoint-disk block): a crash keeps what it would free."""
+
+    release: Callable[[], None]
+
+
 class TxnState(enum.Enum):
     ACTIVE = "active"
     #: A 2PC branch that forced its PREPARE: REDO chain stable, locks and
@@ -102,7 +109,7 @@ class Transaction:
         self.state = TxnState.ACTIVE
         #: The volatile UNDO space, oldest first: inverse REDO records
         #: (bytes) and compensations (:meth:`on_rollback`).
-        self._undo: list[redo.RedoRecord | Callable[[], None]] = []
+        self._undo: list[redo.RedoRecord | _StableRelease | Callable[[], None]] = []
         #: segment id -> the S or X lock held on its relation, which
         #: covers the segment's rows (:meth:`lock_relation`).
         self._covering: dict[int, LockMode] = {}
@@ -212,12 +219,15 @@ class Transaction:
     # Every ending is: its own SLB transition, then the shared epilogue.
     # A rollback precedes the transition of the two aborts.
 
-    def _rollback(self, mark: int = 0) -> None:
+    def _rollback(self, mark: int = 0, *, crashing: bool = False) -> None:
         """Undo everything past ``mark`` newest-first and drop it: an
         inverse record puts bytes back through its own ``apply``, a
         compensation takes back what bytes do not cover, and then every
         decoded mirror of the touched segments re-syncs from the restored
-        bytes (docs/INTERNALS.md, "Decoded mirrors of byte state")."""
+        bytes (docs/INTERNALS.md, "Decoded mirrors of byte state").
+        ``crashing`` is the recovery oracle's rollback at a crash: stable
+        storage stays as the crash leaves it, so stable releases are
+        skipped."""
         db = self.db
         catalog_segment = db.catalog.segment.segment_id
         segments: set[int] = set()
@@ -230,6 +240,9 @@ class Transaction:
                 if address.segment == catalog_segment:
                     # catalog partitions hold entities only: the record names one
                     descriptors.add(getattr(entry, "address", None))
+            elif isinstance(entry, _StableRelease):
+                if not crashing:
+                    entry.release()
             else:
                 entry()
         del self._undo[mark:]
@@ -241,14 +254,15 @@ class Transaction:
             db.catalog.resync(descriptors)
         db.reload_index_mirrors(segments)
 
-    def on_rollback(self, compensate: Callable[[], None]) -> None:
-        """Register volatile state that has no byte image — a new
-        partition's bin, a claimed checkpoint slot, a DDL-created segment
-        — on the UNDO list: ``compensate()`` runs in the same newest-first loop as
-        the inverse records (so statement rollback's mark covers it) and
-        is discarded at commit."""
+    def on_rollback(self, compensate: Callable[[], None], *, stable: bool = False) -> None:
+        """Register state that has no byte image — a new partition's bin,
+        a claimed checkpoint slot, a DDL-created segment — on the UNDO
+        list: ``compensate()`` runs in the same newest-first loop as the
+        inverse records (so statement rollback's mark covers it) and is
+        discarded at commit.  ``stable`` marks one that frees stable
+        storage, which the oracle's rollback at a crash skips."""
         self._ensure_active()
-        self._undo.append(compensate)
+        self._undo.append(_StableRelease(compensate) if stable else compensate)
 
     def _end(self, state: TxnState) -> None:
         """The epilogue of every ending, after its SLB transition."""

@@ -18,6 +18,7 @@ from repro.common.checksum import open_frame, seal_frame
 from repro.common.config import DiskParameters
 from repro.common.errors import ChecksumError, MediaFailure, RecoveryError
 from repro.common.types import PartitionAddress
+from repro.db.integrity import verify_integrity
 from repro.recovery.media import (
     restore_after_checkpoint_media_failure,
     restore_after_log_media_failure,
@@ -25,8 +26,16 @@ from repro.recovery.media import (
 )
 from repro.recovery.oracle import committed_digests, logical_digest
 from repro.recovery.redo import enumerate_log_pages
+from repro.sim.chaos import (
+    ChaosEngine,
+    ChaosPlan,
+    chaos,
+    crash_restart_verify,
+    restart_until_recovered,
+)
 from repro.sim.clock import VirtualClock
 from repro.sim.disk import CORRUPTION_KINDS, DuplexedDisk, SimulatedDisk
+from repro.sim.faults import SimulatedCrash
 from repro.workloads.debit_credit import DebitCreditWorkload
 from tests import CONDENSED
 
@@ -426,3 +435,78 @@ class TestOracle:
         partition = db.memory.partition(addr.partition_address)
         partition.update(addr.offset, b"\x00" * len(partition.read(addr.offset)))
         assert logical_digest(db) != second
+
+    @staticmethod
+    def one_row():
+        db = Database(corruption_config())
+        rel = db.create_relation("t", [("id", "int"), ("v", "int")], primary_key="id")
+        with db.transaction() as txn:
+            addr = rel.insert(txn, {"id": 1, "v": 10})
+        return db, rel, addr
+
+    def test_an_unlogged_write_fails_the_check(self):
+        """A write with no transaction, so no REDO: the oracle's digest has
+        it, the recovered one does not."""
+        db, _, addr = self.one_row()
+
+        def tamper():
+            partition = db.memory.partition(addr.partition_address)
+            partition.update(addr.offset, b"\x00" * len(partition.read(addr.offset)))
+
+        with pytest.raises(RecoveryError, match="not the committed state's"):
+            crash_restart_verify([db], tamper, ChaosEngine(ChaosPlan(0)), RecoveryMode.EAGER)
+
+    def test_an_integrity_problem_fails_the_check(self, monkeypatch):
+        db, rel, addr = self.one_row()
+
+        def update():
+            with db.transaction() as txn:
+                rel.update(txn, addr, {"v": 20})
+
+        monkeypatch.setattr(
+            "repro.db.integrity.verify_integrity", lambda db: ["planted problem"]
+        )
+        with pytest.raises(RecoveryError, match="planted problem"):
+            crash_restart_verify([db], update, ChaosEngine(ChaosPlan(0)), RecoveryMode.EAGER)
+
+    @staticmethod
+    def crash_inside(db, run, point, stable_state):
+        """Crash ``run`` at ``point``: the oracle's rollback must leave
+        ``stable_state()`` as the crash left it, for restart to find."""
+        with chaos(ChaosEngine(ChaosPlan.crash_at(0, point))):
+            with pytest.raises(SimulatedCrash):
+                run()
+            left = stable_state()
+            (expected,) = committed_digests([db])
+            assert stable_state() == left
+            db.crash()
+            assert stable_state() == left
+            restart_until_recovered([db], RecoveryMode.EAGER)
+        assert logical_digest(db) == expected
+        assert verify_integrity(db) == []
+        return left
+
+    def test_an_uncommitted_growth_keeps_its_bin(self):
+        db = Database(corruption_config())
+        rel = db.create_relation("t", [("id", "int"), ("v", "int")], primary_key="id")
+        bins = len(db.slt.bins())
+
+        def first_insert():  # a relation's first insert grows its segment
+            with db.transaction() as txn:
+                rel.insert(txn, {"id": 1, "v": 10})
+
+        left = self.crash_inside(
+            db, first_insert, "growth.catalogued", lambda: len(db.slt.bins())
+        )
+        assert left == bins + 1
+        assert len(db.slt.bins()) == bins  # restart dropped the orphan bin
+
+    def test_an_uncommitted_checkpoint_keeps_its_image(self):
+        db, _, _ = self.one_row()
+        blocks = db.checkpoint_disk.disk.block_ids
+        before = blocks()
+
+        left = self.crash_inside(
+            db, db.checkpoints.checkpoint_all, "checkpoint.image.after-write", blocks
+        )
+        assert set(left) > set(before)  # the image written before the crash

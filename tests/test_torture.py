@@ -21,6 +21,7 @@ from repro.sim.chaos import registered_crash_points, registered_fault_points
 from repro.sim.torture import (
     FAULT_POINTS,
     KINDS,
+    POOL_SCRIPTS,
     RoundSpec,
     TortureFailure,
     TortureHarness,
@@ -52,8 +53,8 @@ class TestBuildPlan:
         import random
 
         spec = RoundSpec(9, "fault")
-        first = build_plan(spec, random.Random(9))
-        second = build_plan(spec, random.Random(9))
+        first = build_plan(spec, random.Random(9), {})
+        second = build_plan(spec, random.Random(9), {})
         assert first == second
         assert any(rule.action == "fault" for rule in first.rules)
 
@@ -83,11 +84,17 @@ class TestBuildPlan:
         }
         assert FAULT_POINTS == tuple(sorted(registered_fault_points()))
 
+    def test_crash_plan_needs_a_passed_crash_point(self):
+        import random
+
+        with pytest.raises(ValueError, match="passed no registered crash point"):
+            build_plan(RoundSpec(5, "crash"), random.Random(5), {"log-disk.write": 5})
+
     def test_fault_rules_stay_within_retry_budget(self):
         import random
 
         for seed in range(20):
-            plan = build_plan(RoundSpec(seed, "fault"), random.Random(seed))
+            plan = build_plan(RoundSpec(seed, "fault"), random.Random(seed), {})
             for rule in plan.rules:
                 if rule.action == "fault":
                     assert rule.max_fires is not None
@@ -102,10 +109,13 @@ class TestAcceptanceMatrix:
     def test_sim_rounds_verify(self, kind):
         results = TortureHarness().run_rounds(SEEDS, kinds=(kind,))
         assert len(results) == len(SEEDS)
-        assert all(r.committed > 0 for r in results)
         if kind == "crash":
             # every crash round fires, at the point and passage it records
+            # (before the pool's first commit, it leaves none committed)
             assert all(r.crashes_fired == 1 and r.point and r.visit >= 1 for r in results)
+        else:
+            # a fault round crashes after its pool: every script committed
+            assert all(r.committed == POOL_SCRIPTS for r in results)
         fired = {
             "crash": sum(r.crashes_fired for r in results),
             "fault": sum(r.faults_fired for r in results),
@@ -122,7 +132,7 @@ class TestKeptSeeds:
     asserts it still crashes there, so a change to the draw that moves it
     fails here instead of quietly losing the guard."""
 
-    @pytest.mark.parametrize("seed", [1005, 1049])
+    @pytest.mark.parametrize("seed", [1056, 1057])
     def test_round_crashes_before_the_commit_point(self, seed):
         result = TortureHarness().run_round(RoundSpec(seed, "crash"))
         assert (result.point, result.crashes_fired) == ("txn.commit.before-slb", 1)
