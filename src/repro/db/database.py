@@ -72,7 +72,7 @@ from repro.txn.registry import ScriptRegistry
 from repro.txn.transaction import Transaction
 from repro.wal.audit import AuditLog
 from repro.wal.log_disk import LogDisk
-from repro.wal.records import RedoRecord
+from repro.wal.records import RedoRecord, TxnCommand
 from repro.wal.slb import StableLogBuffer
 from repro.wal.slt import StableLogTail
 
@@ -109,9 +109,9 @@ class Database:
         self.engine.attach(self)
         self.crashed = False
         self.restart_coordinator: RestartCoordinator | None = None
-        #: Plan statistics of the most recent command replay
+        #: Plan statistics of the last restart's command replay
         #: (:func:`~repro.recovery.replay_plan.replay_live_commands`);
-        #: ``None`` until a restart has run one.
+        #: ``None`` before a restart, or when it had no live command.
         self.last_command_replay: dict | None = None
         #: Registered transaction scripts (docs/LOGGING.md).  Volatile —
         #: the application re-registers at boot — but versions are
@@ -174,6 +174,9 @@ class Database:
         self.catalog = Catalog(self.memory)
         self._relations: dict[str, Relation] = {}
         self._index_objects: dict[str, TTreeIndex | LinearHashIndex] = {}
+        #: The live command log, decoded, by csn: each payload is decoded
+        #: once (:func:`~repro.recovery.replay_plan.decode_live_commands`).
+        self.decoded_commands: dict[int, TxnCommand] = {}
 
     def _build_recovery_component(self) -> None:
         config = self.config
@@ -588,6 +591,7 @@ class Database:
         self.transactions.crash()
         self._relations.clear()
         self._index_objects.clear()
+        self.decoded_commands.clear()
         self.restart_coordinator = None
         self.crashed = True
 

@@ -20,7 +20,7 @@ from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.cpu import CpuMeter
 from repro.sim.faults import SimulatedCrash
 from repro.wal.log_disk import ARCHIVE_SEGMENT, LogDisk, LogPage
-from repro.wal.records import RedoRecord
+from repro.wal.records import compact_form, full_forms
 from repro.wal.slb import StableLogBuffer
 from repro.wal.slt import CheckpointReason, PartitionBin, StableLogTail
 
@@ -74,11 +74,12 @@ class RecoveryProcessor:
         self.config = config
         self.params = config.analysis
         #: Leftover records from checkpointed bins, combined into full
-        #: mixed pages before hitting the log disk (section 2.4).  This
-        #: buffer is part of the recovery component's *stable* state (it
-        #: holds records already removed from their bins but not yet on
-        #: disk); like the SLT it survives simulated crashes.
-        self._archive_buffer: list[RedoRecord] = []
+        #: mixed pages before hitting the log disk (section 2.4): each is
+        #: ``(partition, full-form bytes)``, the bytes a mixed page carries.
+        #: This buffer is part of the recovery component's *stable* state
+        #: (it holds records already removed from their bins but not yet
+        #: on disk); like the SLT it survives simulated crashes.
+        self._archive_buffer: list[tuple[PartitionAddress, bytes]] = []
         self._archive_bytes = 0
         self.records_sorted = 0
         self.pages_flushed = 0
@@ -144,7 +145,7 @@ class RecoveryProcessor:
         # the partition's records appear on the log disk in LSN order —
         # the property full-history (media) recovery replays by.
         partition = self.slt.bin(bin_index).partition
-        if any(r.partition_address == partition for r in self._archive_buffer):
+        if any(owner == partition for owner, _ in self._archive_buffer):
             self._flush_archive(force=True)
         page = self.slt.seal_page(bin_index)
         crash_point("recovery.flush.after-seal")
@@ -199,12 +200,7 @@ class RecoveryProcessor:
                 # its slot is freed along with the previous catalog slot.
                 stale = self.slt.clear_condense_state(request.bin_index)
                 leftovers = self.slt.reset_after_checkpoint(request.bin_index)
-                for record in leftovers:
-                    self._archive_buffer.append(record)
-                    self._archive_bytes += record.size_bytes
-                    self.cpu.charge_stable_bytes(
-                        record.size_bytes, "archive-copy"
-                    )
+                self._archive(request.partition, leftovers)
                 self._maybe_flush_archive()
                 if stale is not None:
                     self._free_slot(stale)
@@ -214,6 +210,15 @@ class RecoveryProcessor:
             acknowledged += 1
             crash_point("checkpoint.acknowledged")
         return acknowledged
+
+    def _archive(self, partition: PartitionAddress, leftovers: bytes) -> None:
+        """Move a reset bin's leftovers into the archive buffer in full
+        form, charging each record's copy into stable memory."""
+        append, charge = self._archive_buffer.append, self.cpu.charge_stable_bytes
+        for record in full_forms(leftovers, partition):
+            append((partition, record))
+            self._archive_bytes += len(record)
+            charge(len(record), "archive-copy")
 
     #: Set by the database so the processor can free superseded slots.
     _free_slot = staticmethod(lambda slot: None)
@@ -230,24 +235,25 @@ class RecoveryProcessor:
         full or mostly full pages to the log' (section 2.4).  ``force``
         flushes a partial page to preserve per-partition LSN order."""
         while self._archive_bytes >= self.config.log_page_size:
-            taken: list[RedoRecord] = []
+            taken: list[bytes] = []
             taken_bytes = 0
-            for record in self._archive_buffer:
+            for _, record in self._archive_buffer:
                 if taken_bytes >= self.config.log_page_size:
                     break
                 taken.append(record)
-                taken_bytes += record.size_bytes
+                taken_bytes += len(record)
             self._emit_archive_page(taken, taken_bytes)
         if force and self._archive_buffer:
             self._emit_archive_page(
-                list(self._archive_buffer), self._archive_bytes
+                [record for _, record in self._archive_buffer], self._archive_bytes
             )
 
-    def _emit_archive_page(self, records: list[RedoRecord], nbytes: int) -> None:
-        """Write one mixed archive page; the records leave the stable
-        buffer only once the page is durable (crash between the two sees a
-        harmless consecutive duplicate in the full history)."""
-        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), records)
+    def _emit_archive_page(self, records: list[bytes], nbytes: int) -> None:
+        """Write one mixed archive page of full-form ``records``; they
+        leave the stable buffer only once the page is durable (crash
+        between the two sees a harmless consecutive duplicate in the full
+        history)."""
+        page = LogPage(PartitionAddress(ARCHIVE_SEGMENT, 0), b"".join(records))
         self.cpu.charge(self.params.i_write_init, "write-init")
         self.log_disk.append_page(page)
         crash_point("recovery.archive.page-written")
@@ -260,13 +266,12 @@ class RecoveryProcessor:
     def archive_backlog_records(self) -> int:
         return len(self._archive_buffer)
 
-    def pending_archive_records(self, partition: PartitionAddress) -> list[RedoRecord]:
+    def pending_archive_records(self, partition: PartitionAddress) -> bytes:
         """Leftover records of one partition still awaiting an archive
-        flush.  Thanks to the order invariant in :meth:`_flush_bin`, these
-        are newer than every page of that partition on the log disk and
-        older than the records in its bin buffer."""
-        return [
-            record
-            for record in self._archive_buffer
-            if record.partition_address == partition
-        ]
+        flush, as a dedicated page body (compact form).  Thanks to the
+        order invariant in :meth:`_flush_bin`, these are newer than every
+        page of that partition on the log disk and older than the records
+        in its bin buffer."""
+        return b"".join(
+            compact_form(record) for owner, record in self._archive_buffer if owner == partition
+        )

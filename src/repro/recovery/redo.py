@@ -55,8 +55,9 @@ IMAGE_FAILURES = (TornWriteError, ChecksumError, StorageError, MediaFailure)
 
 #: Per-partition replay streams, as :func:`demultiplex_log_history` builds them.
 History = dict[PartitionAddress, list[LogPage]]
-#: Lookup of a partition's leftovers in the stable archive buffer.
-PendingArchive = Callable[[PartitionAddress], list[RedoRecord]]
+#: Lookup of a partition's leftovers in the stable archive buffer, as a
+#: dedicated page body.
+PendingArchive = Callable[[PartitionAddress], bytes]
 
 
 def load_base(
@@ -326,7 +327,7 @@ def plan_rebuild(
         base = load_base(disk_queue, None, address, partition_size)
         pages = list(history.get(address, ()))
         if pending_archive is not None:
-            pages.append(LogPage.of(address, pending_archive(address)))
+            pages.append(LogPage(address, pending_archive(address)))
         pages.append(bin_.next_page())
     base.bin_index = bin_.bin_index
     stats["source"] = source

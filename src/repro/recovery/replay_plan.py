@@ -60,21 +60,32 @@ REPLAY_TXN_BASE = 1_000_000_000
 
 
 def decode_live_commands(db: "Database") -> list[TxnCommand]:
-    """The live command-log suffix, decoded, in csn order."""
-    commands: list[TxnCommand] = []
+    """The live command-log suffix, decoded, in csn order.
+
+    A csn's payload never changes, so each is decoded once: the result
+    replaces ``db.decoded_commands``, which therefore forgets settled
+    commands."""
+    known = db.decoded_commands
+    live: dict[int, TxnCommand] = {}
     for csn, payload in db.slb.live_commands():
-        record, _ = decode_control(payload)
-        if not isinstance(record, TxnCommand):
-            raise RecoveryError(
-                f"command log entry {csn} decoded to "
-                f"{type(record).__name__}, not TxnCommand"
-            )
-        if record.csn != csn:
-            raise RecoveryError(
-                f"command log entry keyed {csn} carries csn {record.csn}"
-            )
-        commands.append(record)
-    return commands
+        record = known.get(csn)
+        if record is None:
+            record = _decode_command(csn, payload)
+        live[csn] = record
+    db.decoded_commands = live
+    return list(live.values())
+
+
+def _decode_command(csn: int, payload: bytes) -> TxnCommand:
+    record, _ = decode_control(payload)
+    if not isinstance(record, TxnCommand):
+        raise RecoveryError(
+            f"command log entry {csn} decoded to "
+            f"{type(record).__name__}, not TxnCommand"
+        )
+    if record.csn != csn:
+        raise RecoveryError(f"command log entry keyed {csn} carries csn {record.csn}")
+    return record
 
 
 def _closures(commands: list[TxnCommand]) -> list[tuple[set[str], list[TxnCommand]]]:

@@ -13,9 +13,9 @@ up":
 4. Read the catalog partition address list from the well-known stable
    area, recover the catalog partitions, and rebuild the catalogs.
 5. Register every catalogued segment with all partitions marked missing.
-6. Re-execute the live command-log suffix (docs/LOGGING.md), then signal
-   the transaction manager to begin processing: partitions are restored
-   on demand by recovery transactions, while
+6. Re-execute the live command-log suffix, if any (docs/LOGGING.md),
+   then signal the transaction manager to begin processing: partitions
+   are restored on demand by recovery transactions, while
    :meth:`RestartCoordinator.background_step` sweeps the remainder at low
    priority between regular transactions — or all at once
    (:attr:`RecoveryMode.EAGER`).
@@ -151,11 +151,13 @@ def restart(
     coordinator.restore_system_state(images_lost)
     db.restart_coordinator = coordinator
     db.crashed = False
-    # Command replay runs unconditionally between the phases: the live
-    # command-log suffix is re-executed (in dependency batches) before any
-    # user transaction — or an eager bulk restore — can observe a closure
-    # partition.
-    replay_live_commands(db)
+    # Command replay runs between the phases: the live command-log suffix
+    # is re-executed (in dependency batches) before any user transaction —
+    # or an eager bulk restore — can observe a closure partition.  With no
+    # live command there is no plan, and no earlier plan's stats survive.
+    db.last_command_replay = None
+    if db.slb.live_commands():
+        replay_live_commands(db)
     if mode is RecoveryMode.EAGER:
         coordinator.recover_everything()
     return coordinator

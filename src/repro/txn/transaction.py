@@ -26,6 +26,8 @@ transaction could never be resumed by its blocker).
 from __future__ import annotations
 
 import enum
+from collections import Counter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from repro.common.errors import (
@@ -41,6 +43,8 @@ from repro.sim.faults import SimulatedCrash
 from repro.wal import records as redo
 
 _Address = TypeVar("_Address", EntityAddress, PartitionAddress)
+#: (segment, partition) of either address kind: the partition a change is in.
+_PARTITION_KEY = attrgetter("segment", "partition")
 
 register_crash_point(
     "txn.commit.before-slb",
@@ -128,6 +132,10 @@ class Transaction:
         self.declared_relations = tuple(declared_relations)
         #: The csn assigned at a command commit (stats / tests).
         self.command_csn: int | None = None
+        #: Command-logged: the address of every change, one entry per
+        #: change — the records a value-logged run would append — so each
+        #: barrier can carry its partition's count.
+        self._changed: list[EntityAddress | PartitionAddress] = []
         #: DDL: segments it created, whose growth rides in it until it commits.
         self.created_segments: set[int] = set()
         self._open(user_data)
@@ -293,7 +301,8 @@ class Transaction:
     # -- command-mode commit (docs/LOGGING.md) --------------------------------------
 
     def _commit_as_command(self) -> None:
-        """Commit by emitting one TxnCommand plus per-partition barriers.
+        """Commit by emitting one TxnCommand plus per-partition barriers,
+        each carrying the changes the command made in its partition.
 
         The commit point is unchanged: one stable-memory transition (csn
         assigned, command record in the stable command log, barriers on
@@ -305,16 +314,24 @@ class Transaction:
         db = self.db
         targets = self._barrier_targets()
         name, version, args = self.command  # type: ignore[misc]
+        changes = Counter(map(_PARTITION_KEY, self._changed))
+        logged: dict[int, redo.TxnCommand] = {}
 
         def build(csn: int):
-            record = redo.TxnCommand(
+            logged[csn] = command = redo.TxnCommand(
                 self.txn_id, csn, name, version, args, self.declared_relations
             )
             barriers = [
-                redo.CommandBarrier(self.txn_id, bin_index, address, csn)
+                redo.CommandBarrier(
+                    self.txn_id,
+                    bin_index,
+                    address,
+                    csn,
+                    changes.get((address.segment, address.partition), 0),
+                )
                 for address, bin_index in targets
             ]
-            return record.encode(), barriers
+            return command.encode(), barriers
 
         crash_point("txn.commit.before-slb")
         try:
@@ -325,12 +342,16 @@ class Transaction:
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
         self.state = TxnState.COMMITTED
+        # what it just logged, main memory need not decode again
+        db.decoded_commands[self.command_csn] = logged[self.command_csn]
         crash_point("txn.commit.command-emitted")
         self._end(TxnState.COMMITTED)
 
     def _barrier_targets(self) -> list[tuple[PartitionAddress, int]]:
         """Every partition of every declared relation (and its indexes),
-        with its bin index.
+        with its bin index — as the resident partition carries it:
+        :meth:`Database.run_script` recovered the declared relations
+        before the script ran.
 
         Stable between here and the commit point: the transaction holds
         exclusive relation locks on the whole declared set, so no
@@ -338,17 +359,16 @@ class Transaction:
         these relations.
         """
         db = self.db
+        catalog = db.catalog
         targets: list[tuple[PartitionAddress, int]] = []
         for relation_name in self.declared_relations:
-            descriptor = db.catalog.relation(relation_name)
-            descriptors = [descriptor] + [
-                db.catalog.index(index_name)
-                for index_name in descriptor.index_names
-            ]
-            for desc in descriptors:
+            descriptor = catalog.relation(relation_name)
+            for desc in (descriptor, *map(catalog.index, descriptor.index_names)):
+                segment = db.memory.segment(desc.segment_id)
                 for number in sorted(desc.partitions):
-                    address = PartitionAddress(desc.segment_id, number)
-                    targets.append((address, db.slt.bin_index_of(address)))
+                    partition = segment.get(number)
+                    assert partition.bin_index is not None  # resident, so registered
+                    targets.append((partition.address, partition.bin_index))
         return targets
 
     # -- two-phase commit (repro.shard) ----------------------------------------------
@@ -420,12 +440,13 @@ class Transaction:
         """
         return _StatementScope(self)
 
-    def _statement_mark(self) -> tuple[int, int]:
-        return len(self._undo), self.redo_records
+    def _statement_mark(self) -> tuple[int, int, int]:
+        return len(self._undo), self.redo_records, len(self._changed)
 
-    def _statement_rollback(self, mark: tuple[int, int]) -> None:
-        undo_mark, redo_mark = mark
+    def _statement_rollback(self, mark: tuple[int, int, int]) -> None:
+        undo_mark, redo_mark, changed_mark = mark
         self._rollback(undo_mark)
+        del self._changed[changed_mark:]
         if self.redo_records > redo_mark:  # never true of a replay: no chain
             self.db.slb.truncate_chain(self.txn_id, redo_mark)
             self.redo_records = redo_mark
@@ -462,9 +483,11 @@ class Transaction:
         """(txn id, bin index of ``owner``, address): the header a change's
         inverse and forward record share, resolved once.  With no forward
         record — command-logged — the bin is not looked up: an inverse is
-        never encoded, and nothing reads its bin index."""
+        never encoded, and nothing reads its bin index; the change is
+        tallied for its partition's barrier instead."""
         self._ensure_active()
         if self.command is not None:
+            self._changed.append(address)
             return self.txn_id, 0, address
         return self.txn_id, self.db.slt.bin_index_of(owner), address
 
@@ -574,7 +597,7 @@ class _StatementScope:
 
     def __init__(self, txn: Transaction):
         self._txn = txn
-        self._mark: tuple[int, int] | None = None
+        self._mark: tuple[int, int, int] | None = None
 
     def __enter__(self) -> Transaction:
         self._txn._ensure_active()

@@ -93,6 +93,8 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
         for skip in (0, 2)
     )
     cls._SIZE = cls._FORMS[0][0].size
+    if not layout.blob:  # fixed length: a class constant, not a property
+        setattr(cls, "size_bytes", cls._SIZE)
     cls._OWNER = attrgetter(
         f"{address}.partition_address" if layout.address is EntityAddress else address
     )
@@ -120,6 +122,9 @@ class RedoRecord:
     _FORMS: ClassVar[tuple[tuple[struct.Struct, Callable[[Any], tuple]], ...]]
     _SIZE: ClassVar[int]  # the full form's struct size: all of it but ``data``
     _OWNER: ClassVar[Callable[[Any], PartitionAddress]]
+    #: What the record adds to its partition's update count (section
+    #: 2.4's checkpoint trigger): one change.
+    updates: ClassVar[int] = 1
 
     txn_id: int
     bin_index: int
@@ -157,10 +162,10 @@ class RedoRecord:
 
     @property
     def size_bytes(self) -> int:
-        """Length of the full form, from the declared layout — no packing."""
-        if self.LAYOUT.blob:
-            return self._SIZE + len(self.data)  # type: ignore[attr-defined]
-        return self._SIZE
+        """Length of the full form, from the declared layout — no packing:
+        the struct's size plus ``data``.  A class without ``data`` has a
+        constant length instead (:func:`_register`)."""
+        return self._SIZE + len(self.data)  # type: ignore[attr-defined]
 
     def with_bin_index(self, bin_index: int) -> "RedoRecord":
         """Copy of this record carrying a (re)assigned bin index."""
@@ -423,7 +428,7 @@ class _Marker(RedoRecord):
         self._check_address(partition)
 
     @staticmethod
-    def redo(partition: Partition, number: int) -> None:
+    def redo(partition: Partition, *operands: int) -> None:
         # Position-only: the effects come from re-executing the command's
         # script (or from the sweep's image), never from this record.
         pass
@@ -438,12 +443,24 @@ class CommandBarrier(_Marker):
     declared relations (and their indexes).  Replay applies the value
     records before the barrier, re-executes the command's script, then
     continues — ``apply`` itself changes nothing.
+
+    ``changes`` is how many changes the command made in this partition —
+    the records its value-logged twin would have deposited here — and is
+    what the barrier adds to the partition's update count, so the
+    update-count trigger bounds command-logged work too (a partition the
+    command did not touch still counts one).  ``csn`` stays the first
+    operand: the replay cursor halts on it.
     """
 
     TAG: ClassVar[int] = 10
-    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I")
+    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "II")
 
     csn: int
+    changes: int = 0
+
+    @property
+    def updates(self) -> int:  # type: ignore[override, misc]
+        return self.changes or 1
 
 
 @_register
@@ -571,6 +588,62 @@ def replay_records(
             redo(partition, *operands)
         count += 1
     return count, None
+
+
+def _spans(body: bytes) -> list[tuple[int, int]]:
+    """``(start, end)`` of each compact record of a dedicated page's body,
+    in order; nothing is built or applied, and only a record ending in
+    ``data`` is unpacked (for its length)."""
+    spans = []
+    pos = 0
+    size = len(body)
+    while pos < size:
+        entry = _REPLAY.get(body[pos])
+        if entry is None:
+            raise LogError(f"unknown log record tag {body[pos]} at {pos}")
+        unpack_from, width, _, blob, name = entry
+        end = pos + width
+        if blob and end <= size:
+            end += unpack_from(body, pos)[-1]
+        if end > size:
+            raise LogError(f"truncated {name} record at {pos}")
+        spans.append((pos, end))
+        pos = end
+    return spans
+
+
+def count_updates(body: bytes) -> int:
+    """What a dedicated page's body adds to its partition's update count:
+    the sum of its records' :attr:`RedoRecord.updates`, read off the
+    bytes."""
+    barrier = CommandBarrier.TAG
+    barrier_operands = _REPLAY[barrier][0]  # (csn, changes)
+    return sum(
+        (barrier_operands(body, start)[1] or 1) if body[start] == barrier else 1
+        for start, _ in _spans(body)
+    )
+
+
+_HEADER_SIZE = struct.calcsize(_HEADER)
+_PAIR = struct.Struct("<ii")  # (segment, partition): what the compact form strips
+
+
+def full_forms(body: bytes, partition: PartitionAddress) -> list[bytes]:
+    """Each compact record of ``partition``'s dedicated page body in full
+    form — the (segment, partition) pair put back after the header — as
+    a mixed archive page carries it: ``record.encode()`` of every record
+    :func:`decode_records` would build, with none built."""
+    pair = _PAIR.pack(partition.segment, partition.partition)
+    header = _HEADER_SIZE
+    return [
+        body[start : start + header] + pair + body[start + header : end]
+        for start, end in _spans(body)
+    ]
+
+
+def compact_form(record: bytes) -> bytes:
+    """One full-form record's compact form (:func:`full_forms` undone)."""
+    return record[:_HEADER_SIZE] + record[_HEADER_SIZE + _PAIR.size :]
 
 
 # ------------------------------------------------------------------------------

@@ -243,7 +243,7 @@ class StableLogBuffer:
         payload, barriers = build(csn)
         mark = chain.record_count
         try:
-            self._fill(chain, barriers)
+            filled = self._fill(chain, barriers)
         except StableMemoryFullError:
             # Unwind the partial barrier append; the chain must look
             # exactly as it did so the caller can drain and retry.
@@ -251,7 +251,7 @@ class StableLogBuffer:
                 self._repack(chain, list(chain.records())[:mark])
             raise
         self.records_written += len(barriers)
-        self.bytes_written += sum(b.size_bytes for b in barriers) + len(payload)
+        self.bytes_written += filled + len(payload)
         log["seq"] = csn
         log["entries"][csn] = bytes(payload)
         del self._uncommitted[txn_id]

@@ -10,7 +10,8 @@ buffer.
 The information block holds exactly the four entries of the paper:
 
 * **Partition Address** — stamped on every log page (consistency check).
-* **Update Count** — records accumulated since the last checkpoint;
+* **Update Count** — changes accumulated since the last checkpoint: one
+  per record, and a command barrier the changes its command made here;
   crossing the threshold marks the partition for an update-count
   checkpoint.
 * **LSN of First Log Page** — age monitor; the recovery manager keeps an
@@ -33,7 +34,7 @@ from repro.common.errors import LogError
 from repro.common.types import NULL_LSN, PartitionAddress
 from repro.sim.stable_memory import StableMemory
 from repro.wal.log_disk import LogPage
-from repro.wal.records import RedoRecord, decode_records, replay_records
+from repro.wal.records import RedoRecord, count_updates
 
 #: Stable bytes for one permanent partition information block ("on the
 #: order of 50 bytes", section 2.3.3).
@@ -179,7 +180,7 @@ class StableLogTail:
             )
         bin_.buffer += record.encode(True)
         bin_.buffer_bytes += record.size_bytes
-        bin_.update_count += 1
+        bin_.update_count += record.updates
         self.records_binned += 1
         return bin_.buffer_bytes >= self.config.log_page_size
 
@@ -261,16 +262,17 @@ class StableLogTail:
         bin_.marked_for_checkpoint = True
         bin_.checkpoint_reason = reason
 
-    def reset_after_checkpoint(self, bin_index: int) -> list[RedoRecord]:
+    def reset_after_checkpoint(self, bin_index: int) -> bytes:
         """Complete a checkpoint: the bin's log information is no longer
         needed for memory recovery.
 
-        Returns the leftover buffered records, decoded; the caller flushes
-        them to the log disk (combined into full archive pages) because
-        they are still needed for media recovery (section 2.4).
+        Returns the leftover buffered records as the bin holds them (a
+        compact page body); the caller flushes them to the log disk
+        (combined into full archive pages) because they are still needed
+        for media recovery (section 2.4).
         """
         bin_ = self.bin(bin_index)
-        leftovers = decode_records(bytes(bin_.buffer), bin_.partition)
+        leftovers = bytes(bin_.buffer)
         bin_.buffer.clear()
         bin_.buffer_bytes = 0
         bin_.update_count = 0
@@ -336,7 +338,7 @@ class StableLogTail:
         # an embedded directory — keep directory and age monitor as
         # they are (conservatively old); condensed_lsn still bounds
         # what restart reads.
-        bin_.update_count = replay_records(bytes(bin_.buffer), None)[0]
+        bin_.update_count = count_updates(bytes(bin_.buffer))
         bin_.marked_for_checkpoint = False
         bin_.checkpoint_reason = None
         if not bin_.buffer and f"slt-page-{bin_index}" in self.stable:

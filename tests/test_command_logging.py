@@ -242,7 +242,7 @@ class TestDigestIdentity:
         expected, recovered, replay, settled = _run_to_digest(condense_enabled, mode)
         assert recovered == expected
         if mode == "value":
-            assert replay["commands_replayed"] == 0
+            assert replay is None  # no live command, no replay plan
         else:
             # a mid-workload sweep may have settled a prefix already
             assert replay["commands_replayed"] == 24 - settled
@@ -325,9 +325,12 @@ class TestDigestIdentity:
         db.crash()
         db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == expected
-        replayed = 2 if mode == "command" else 0
-        assert db.last_command_replay["commands_replayed"] == replayed
-        assert rewound == [True] * (2 + replayed)
+        if mode == "command":
+            assert db.last_command_replay["commands_replayed"] == 2
+            assert rewound == [True] * 4
+        else:
+            assert db.last_command_replay is None  # no live command, no plan
+            assert rewound == [True] * 2
 
     def test_disjoint_closures_batch_independently(self, condense_enabled):
         db = Database(small_config(condense_enabled))
@@ -601,6 +604,148 @@ class TestSettlement:
 
 @CONDENSED
 class TestSettlementCondensed(TestSettlement):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# the update-count trigger sees command-logged work
+# ---------------------------------------------------------------------------
+
+
+def bin_counts(db):
+    return {bin_.partition: bin_.update_count for bin_ in db.slt.bins()}
+
+
+class TestUpdateCount:
+    """A command counts toward its partitions' update counts what its
+    value-logged twin deposits there (section 2.4's trigger), so the
+    ordinary trigger's settlement sweeps bound the live command suffix."""
+
+    @staticmethod
+    def edited(condense_enabled, mode):
+        """One script that patches, moves a heap string, inserts, deletes
+        and rewinds a colliding statement; the bin counts it added."""
+        db = Database(small_config(condense_enabled))
+        notes = db.create_relation(
+            "notes", [("id", "int"), ("v", "int"), ("note", "str")], primary_key="id"
+        )
+        with db.transaction() as txn:
+            for key in range(6):
+                notes.insert(txn, {"id": key, "v": 0, "note": f"n{key}"})
+
+        def edit(txn):
+            row = notes.lookup(txn, 1)
+            notes.update(txn, row.address, {"v": 7, "note": "a much longer note"})
+            try:
+                with txn.statement():
+                    notes.update(txn, row.address, {"note": "gone again"})
+                    notes.update(txn, row.address, {"id": 2})
+            except UniqueViolation:
+                pass
+            notes.insert(txn, {"id": 9, "v": 1, "note": "new"})
+            notes.delete(txn, notes.lookup(txn, 4).address)
+
+        db.register_script("edit", edit, relations=["notes"])
+        db.recovery_processor.run_until_drained()
+        before = bin_counts(db)
+        db.run_script("edit", logging=mode)
+        db.recovery_processor.run_until_drained()
+        return db, {p: count - before.get(p, 0) for p, count in bin_counts(db).items()}
+
+    def test_a_command_counts_what_its_value_twin_deposits(self, condense_enabled):
+        _, value = self.edited(condense_enabled, "value")
+        db, command = self.edited(condense_enabled, "command")
+        assert set(command) == set(value)
+        closure = {
+            address
+            for member in (db.catalog.relation("notes"), *db.catalog.indexes_of("notes"))
+            for address in member.partition_addresses()
+        }
+        for partition, deposited in value.items():
+            if partition in closure:
+                # a closure partition the command did not touch counts its barrier
+                assert command[partition] == (deposited or 1), partition
+            else:
+                assert command[partition] == deposited == 0, partition
+        assert max(value.values()) > 1
+
+    def test_the_trigger_bounds_the_live_suffix(self, condense_enabled):
+        """At the Table-2 threshold a transfer's two changes count two, so
+        the trigger sweeps the accounts closure every 500 commands at most
+        (update_count_threshold / 2), and restart replays no more.  No
+        grace pages: no age trigger sweeps instead."""
+        db = Database(SystemConfig(condense_enabled=condense_enabled, log_window_grace_pages=0))
+        accounts = make_bank(db)
+        run_transfers(db, 900, logging="command")
+        bound = db.config.update_count_threshold // 2
+        assert db.checkpoints.sweeps_taken >= 1
+        live = len(db.slb.live_commands())
+        assert 0 < live < bound
+        expected = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == live
+        assert logical_digest(db) == expected
+        assert total_balance(db, accounts) == ACCOUNTS * OPENING
+
+    def test_a_crash_after_the_commit_point_keeps_the_counts(self, condense_enabled):
+        """Barriers still in the SLB at a crash are sorted in by restart
+        with the changes they carry: the bins end as without the crash."""
+
+        def counts(crash):
+            db = Database(small_config(condense_enabled))
+            accounts = make_bank(db)
+            run_transfers(db, 5, logging="command")
+            if crash:
+                injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.command-emitted"))
+                with chaos(injector):
+                    with pytest.raises(SimulatedCrash):
+                        db.run_script("transfer_accounts", 0, 1, 50, logging="command")
+                assert injector.fired
+                db.crash()
+                db.restart(RecoveryMode.EAGER)
+            else:
+                db.run_script("transfer_accounts", 0, 1, 50, logging="command")
+            db.recovery_processor.run_until_drained()
+            with db.transaction() as txn:
+                target = accounts.lookup(txn, 0).address.partition_address
+            return target, bin_counts(db)
+
+        (target, crashed), (_, clean) = counts(True), counts(False)
+        assert crashed == clean
+        assert clean[target] == ACCOUNTS + 2 * 6  # the load, then two per transfer
+
+    def test_a_checkpoint_leaves_a_command_counted_as_its_twin(self, condense_enabled):
+        """A command committed between a checkpoint and its acknowledgement
+        ends counted as its value twin: a copy checkpoint archives it with
+        the bin's other leftovers, and a flip — what the condensed twin
+        takes — keeps the bin's newer records and recounts them."""
+
+        def run(mode):
+            db = Database(small_config(condense_enabled, log_page_size=512))
+            accounts = make_bank(db)
+            run_transfers(db, 60)
+            db.recovery_processor.run_until_drained()
+            while db.condenser.step():
+                pass
+            with db.transaction() as txn:
+                target = accounts.lookup(txn, 0).address.partition_address
+            bin_ = db.slt.bin_for_partition(target)
+            db.slt.mark_for_checkpoint(bin_.bin_index, "test")
+            db.checkpoint_queue.submit(target, bin_.bin_index, "test")
+            assert db.checkpoints.process_pending() == 1
+            db.run_script("transfer_accounts", 0, 1, 5, logging=mode, pump=False)
+            db.recovery_processor.run_until_drained()
+            db.recovery_processor.acknowledge_finished()
+            return db.checkpoints.flips_taken, bin_.update_count
+
+        value, command = run("value"), run("command")
+        assert value == command
+        assert value[0] == condense_enabled
+
+
+@CONDENSED
+class TestUpdateCountCondensed(TestUpdateCount):
     pass
 
 

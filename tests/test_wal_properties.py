@@ -86,7 +86,7 @@ def test_bin_bytes_are_the_page_body_property(records):
     """A bin sorts records straight into its partition's next page body:
     every sealed page carries the bin's bytes as they stood, the disk
     gives the same body back, and a checkpoint's reset returns the
-    records deposited since the last page."""
+    bytes of the records deposited since the last page."""
     slt = StableLogTail(StableMemory("slt", 1024 * 1024), SystemConfig(log_page_size=256))
     clock = VirtualClock()
     spindles = [SimulatedDisk(name, DiskParameters(), clock) for name in "ab"]
@@ -106,7 +106,9 @@ def test_bin_bytes_are_the_page_body_property(records):
         assert log_disk.read_page(lsn, expected=PADDR).body == buffered
         assert slt.bin(bin_index).buffer == b"" and slt.bin(bin_index).buffer_bytes == 0
         pending = []
-    assert slt.reset_after_checkpoint(bin_index) == pending
+    assert slt.reset_after_checkpoint(bin_index) == b"".join(
+        r.encode(compact=True) for r in pending
+    )
 
 
 def _outcome(run, partition):

@@ -89,9 +89,9 @@ GOLDEN_REDO = {
         "090400000007000000000000000b00000000000000",
     ),
     "CommandBarrier": (
-        records.CommandBarrier(7, 4, PADDR, 41),
-        "0a040000000700000000000000020000000300000029000000",
-        "0a04000000070000000000000029000000",
+        records.CommandBarrier(7, 4, PADDR, 41, 3),
+        "0a04000000070000000000000002000000030000002900000003000000",
+        "0a0400000007000000000000002900000003000000",
     ),
     "SweepMarker": (
         records.SweepMarker(7, 4, PADDR, 40),
@@ -164,6 +164,23 @@ class TestLogPageRoundTrip:
         assert decoded == page
         assert {r.partition_address for r in decoded.records} == {PADDR, other}
         assert len(page.encode()) == 22 + sum(r.size_bytes for r in mixed)
+
+    def test_bin_leftovers_reach_the_archive_as_bytes(self):
+        """A dedicated body's records in full form are what a mixed page
+        carries, and each goes back to its compact form unchanged."""
+        body = LogPage.of(PADDR, ALL_RECORDS).body
+        full = records.full_forms(body, PADDR)
+        assert full == [record.encode() for record in ALL_RECORDS]
+        assert b"".join(map(records.compact_form, full)) == body
+
+    def test_a_body_counts_each_barrier_as_its_changes(self):
+        """One per record, a command barrier its command's changes there
+        (at least one): what deposit added for the same records."""
+        barriers = [records.CommandBarrier(7, 4, PADDR, 41, changes) for changes in (0, 1, 5)]
+        body = LogPage.of(PADDR, ALL_RECORDS + barriers).body
+        assert records.count_updates(body) == sum(r.updates for r in ALL_RECORDS + barriers)
+        # the golden barrier carries 3 changes: two more than a record's one
+        assert records.count_updates(body) == len(ALL_RECORDS) + 2 + 1 + 1 + 5
 
 
 class TestWireFormat:

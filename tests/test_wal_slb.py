@@ -194,4 +194,4 @@ class TestRepack:
         assert drained[:5] == chain_before
         assert [type(r) for r in drained[5:]] == [CommandBarrier] * 3
         assert slb.records_written == counters_before[0] + 3
-        assert slb.bytes_written == counters_before[1] + 3 * 25 + len(b"command")
+        assert slb.bytes_written == counters_before[1] + 3 * 29 + len(b"command")

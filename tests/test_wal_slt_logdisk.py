@@ -8,6 +8,7 @@ from repro.common.types import NULL_LSN
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.wal import LogDisk, LogPage, StableLogTail, TupleInsert
 from repro.wal.log_disk import ARCHIVE_SEGMENT
+from repro.wal.records import decode_records
 from repro.wal.slt import CheckpointReason
 
 PADDR = PartitionAddress(1, 1)
@@ -217,7 +218,7 @@ class TestCheckpointTriggers:
         slt.deposit(record(idx, offset=7))  # leftover buffered record
         leftovers = slt.reset_after_checkpoint(idx)
         bin_ = slt.bin(idx)
-        assert leftovers == [record(idx, offset=7)]
+        assert decode_records(leftovers, PADDR) == [record(idx, offset=7)]
         assert bin_.update_count == 0
         assert bin_.first_page_lsn == NULL_LSN
         assert bin_.directory == []
