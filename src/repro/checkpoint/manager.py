@@ -333,16 +333,19 @@ class CheckpointManager:
     def checkpoint_all(self) -> int:
         """The whole-database checkpoint: every resident partition —
         catalog, relations, indexes — copied in one checkpoint transaction
-        that settles every live command with it (their closures are
-        resident: replay and predeclaration put them there), then
-        acknowledged like any checkpoint: superseded slots freed, bin
-        leftovers archived.  Returns how many partitions it copied.
+        that settles every live command with it (the settlement fence
+        first replays every closure a restart left pending, so their
+        partitions are among those copied), then acknowledged like any
+        checkpoint: superseded slots freed, bin leftovers archived.
+        Returns how many partitions it copied.
 
         Section 1.2's "database as a single object": the checkpoint pays
         for everything every time.  All or nothing — a failure rolls every
         descriptor back to the images it named before.
         """
         db = self.db
+        if db.restart_coordinator is not None:
+            db.restart_coordinator.replay_closures()
         addresses = [
             partition.address
             for segment in db.memory.segments()
@@ -362,6 +365,10 @@ class CheckpointManager:
         conflicts a bounded number of times, then surfaces the conflict.
         """
         db = self.db
+        if db.restart_coordinator is not None:
+            # Settlement fence: replay the closure before the sweep's
+            # transaction opens, not through the lock fence inside it.
+            db.restart_coordinator.replay_closure(db.catalog.relation(name).segment_id)
         settled_total = 0
         attempts = 0
         while True:

@@ -109,8 +109,9 @@ class Database:
         self.engine.attach(self)
         self.crashed = False
         self.restart_coordinator: RestartCoordinator | None = None
-        #: Plan statistics of the last restart's command replay
-        #: (:func:`~repro.recovery.replay_plan.replay_live_commands`);
+        #: Plan statistics of the last restart's command replay, set at
+        #: planning; ``commands_replayed`` grows as closures replay
+        #: (:func:`~repro.recovery.replay_plan.replay_live_commands`).
         #: ``None`` before a restart, or when it had no live command.
         self.last_command_replay: dict | None = None
         #: Registered transaction scripts (docs/LOGGING.md).  Volatile —
@@ -547,6 +548,13 @@ class Database:
         for index in self._index_objects.values():
             if index.store.segment.segment_id in segment_ids:
                 index.mark_mirror_stale()
+
+    def forget_index_objects(self, segment_ids: list[int]) -> None:
+        """Drop the cached index objects over ``segment_ids``, which went
+        missing again: a failed command closure replay."""
+        for name, index in list(self._index_objects.items()):
+            if index.store.segment.segment_id in segment_ids:
+                del self._index_objects[name]
 
     # -- residency / demand recovery --------------------------------------------------------------------
 

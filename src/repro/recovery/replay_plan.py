@@ -4,12 +4,13 @@ Value logging recovers a partition by re-applying after-images; command
 logging recovers a *transaction* by re-executing its registered script.
 The two interleave in one pipeline: restart phase 1 recovers the catalog
 (always value-logged), then this planner takes the live command-log
-suffix, partitions it into conflict-free batches by the commands'
+suffix and partitions it into conflict-free batches by the commands'
 declared relation access lists (union-find over relation sets — the
 dependency oracle of the predeclaration router, after Wu et al.'s
-dependency tracking, PAPERS.md), and replays the batches one after
-another.  Two commands that share no relation — directly or transitively
-— commute, so each closure replays with no regard for the others.
+dependency tracking, PAPERS.md).  Two commands that share no relation —
+directly or transitively — commute, so each closure replays with no
+regard for the others: the restart coordinator keeps the batches pending
+and replays one whole when any of its partitions is first touched.
 
 Inside a batch, ordering is exact.  Every partition of the closure is
 planned like any other rebuild (:func:`~repro.recovery.redo.plan_rebuild`:
@@ -28,10 +29,10 @@ digest-identical to value-mode recovery.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import TYPE_CHECKING
 
+from repro.catalog.catalog import IndexDescriptor, RelationDescriptor
 from repro.common.errors import RecoveryError
 from repro.recovery.redo import plan_rebuild
 from repro.sim.chaos import crash_point, register_crash_point
@@ -54,8 +55,8 @@ register_crash_point(
     "replay: a command's script re-executed, tail records not yet applied",
 )
 
-#: Replay transaction ids live far above the user range so audit trails
-#: and lock tables can never confuse the two.
+#: A replay transaction's id is this plus its command's csn: far above the
+#: user range, so audit trails and lock tables can never confuse the two.
 REPLAY_TXN_BASE = 1_000_000_000
 
 
@@ -141,6 +142,19 @@ def relation_closure(
     return set(), []
 
 
+def closure_members(
+    db: "Database", batch: list[TxnCommand]
+) -> list[RelationDescriptor | IndexDescriptor]:
+    """The relations ``batch`` declares, by name, each followed by its
+    indexes: every segment the batch's replay restores."""
+    catalog = db.catalog
+    members: list[RelationDescriptor | IndexDescriptor] = []
+    for name in sorted({name for command in batch for name in command.relations}):
+        descriptor = catalog.relation(name)
+        members += [descriptor, *map(catalog.index, descriptor.index_names)]
+    return members
+
+
 class ReplayTransaction(Transaction):
     """The transaction a script re-executes under at replay.
 
@@ -188,17 +202,18 @@ def _advance(
 
 
 class CommandReplayPlanner:
-    """Builds and runs the command-replay plan at restart."""
+    """Plans the command replay at restart, and replays one batch."""
 
     def __init__(self, db: "Database"):
         self.db = db
-        self._txn_ids = itertools.count(REPLAY_TXN_BASE)
 
     # -- planning ---------------------------------------------------------------
 
-    def run(self) -> dict:
-        """Replay every live command; returns (and stores on the database
-        as ``last_command_replay``) the plan statistics."""
+    def plan(self) -> list[list[TxnCommand]]:
+        """The conflict-free batches of the live commands still to
+        replay, replaying none; the plan statistics go on the database as
+        ``last_command_replay``, whose ``commands_replayed`` each
+        :meth:`replay_batch` adds to."""
         db = self.db
         commands = decode_live_commands(db)
         stats = {
@@ -208,14 +223,12 @@ class CommandReplayPlanner:
             "batches": 0,
             "max_batch": 0,
         }
-        pending = self._drop_settled(commands, stats)
-        if pending:
-            batches = [batch for _, batch in _closures(pending)]
+        batches = [batch for _, batch in _closures(self._drop_settled(commands, stats))]
+        if batches:
             stats["batches"] = len(batches)
             stats["max_batch"] = max(len(batch) for batch in batches)
-            stats["commands_replayed"] = sum(self.replay_batch(batch) for batch in batches)
         db.last_command_replay = stats
-        return stats
+        return batches
 
     def _drop_settled(
         self, commands: list[TxnCommand], stats: dict
@@ -263,23 +276,20 @@ class CommandReplayPlanner:
         db = self.db
         coordinator = db.restart_coordinator
         if coordinator is None:
-            raise RecoveryError("command replay runs between the phases of a restart")
-        relation_names = sorted({name for cmd in batch for name in cmd.relations})
+            raise RecoveryError("command replay runs during a restart")
+        members = closure_members(db, batch)
+        index_segments = {
+            member.segment_id for member in members if isinstance(member, IndexDescriptor)
+        }
         streams: list[tuple[Partition, list[LogPage], dict]] = []
-        index_segments: set[int] = set()
-        for name in relation_names:
-            descriptor = db.catalog.relation(name)
-            indexes = [db.catalog.index(index) for index in descriptor.index_names]
-            index_segments.update(index.segment_id for index in indexes)
-            for member in (descriptor, *indexes):
-                for address in member.partition_addresses():
-                    partition, pages, stats = plan_rebuild(**coordinator._sources(address))
-                    stats["records_applied"] = 0
-                    streams.append((partition, pages, stats))
+        for member in members:
+            for address in member.partition_addresses():
+                partition, pages, stats = plan_rebuild(**coordinator._sources(address))
+                stats["records_applied"] = 0
+                streams.append((partition, pages, stats))
         for partition, _, _ in streams:
             db.memory.segment(partition.address.segment).install(partition)
         positions = [(0, 0)] * len(streams)
-        replayed = 0
         for command in batch:
             crash_point("replay.batch.before-command")
             # Each stream stops just past the command's own barrier, or in
@@ -299,12 +309,12 @@ class CommandReplayPlanner:
             db.reload_index_mirrors(touched)
             self._execute(command)
             crash_point("replay.batch.command-executed")
-            replayed += 1
         for (partition, pages, stats), position in zip(streams, positions):
             stats["records_applied"] += _advance(partition, pages, position, None)[1]
             coordinator._note(stats)
         db.reload_index_mirrors(index_segments)
-        return replayed
+        db.last_command_replay["commands_replayed"] += len(batch)
+        return len(batch)
 
     def _execute(self, command: TxnCommand) -> None:
         db = self.db
@@ -327,12 +337,13 @@ class CommandReplayPlanner:
             with transaction_scope(
                 ReplayTransaction,
                 db=db,
-                txn_id=next(self._txn_ids),
+                txn_id=REPLAY_TXN_BASE + command.csn,
                 command=(command.name, command.version, command.args),
                 declared_relations=command.relations,
             ) as txn:
                 # The same exclusive declared-set locks the original commit
-                # held; batches are relation-disjoint so these always grant.
+                # held; batches are relation-disjoint, and no transaction
+                # locks a closure before it replays, so these always grant.
                 txn.lock_declared()
                 info.fn(txn, *args)
         except (RecoveryError, SimulatedCrash):
@@ -344,6 +355,7 @@ class CommandReplayPlanner:
             ) from exc
 
 
-def replay_live_commands(db: "Database") -> dict:
-    """Restart hook: build and run the command replay plan."""
-    return CommandReplayPlanner(db).run()
+def replay_live_commands(db: "Database", batch: list[TxnCommand]) -> int:
+    """Replay one planned batch — a whole pending closure — on its first
+    touch; returns the commands re-executed."""
+    return CommandReplayPlanner(db).replay_batch(batch)

@@ -13,12 +13,13 @@ up":
 4. Read the catalog partition address list from the well-known stable
    area, recover the catalog partitions, and rebuild the catalogs.
 5. Register every catalogued segment with all partitions marked missing.
-6. Re-execute the live command-log suffix, if any (docs/LOGGING.md),
-   then signal the transaction manager to begin processing: partitions
-   are restored on demand by recovery transactions, while
-   :meth:`RestartCoordinator.background_step` sweeps the remainder at low
-   priority between regular transactions — or all at once
-   (:attr:`RecoveryMode.EAGER`).
+6. Plan the live command-log suffix, if any, into closures, replaying
+   none (docs/LOGGING.md), then signal the transaction manager to begin
+   processing: partitions are restored on demand by recovery
+   transactions — a closure's partitions by replaying the closure whole
+   — while :meth:`RestartCoordinator.background_step` sweeps the
+   remainder at low priority between regular transactions, or all at
+   once (:attr:`RecoveryMode.EAGER`).
 
 Section 2.6's archive recovery is this sequence with the checkpoint
 images lost (``images_lost``): after step 3 the coordinator takes the
@@ -32,7 +33,8 @@ until a fresh checkpoint supersedes them.  Nothing else differs.
 
 Phase 2's pending work is the segments' own missing partitions.  Every
 path restores through :meth:`RestartCoordinator.recover`, so a failed
-restore needs no undoing: whatever it did not rebuild is still missing.
+restore needs no undoing: whatever it did not rebuild is still missing,
+and a closure whose replay failed is pending again.
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ from repro.recovery.redo import (
     demultiplex_log_history,
     rebuild_partition_resilient,
 )
-from repro.recovery.replay_plan import replay_live_commands
+from repro.recovery.replay_plan import (
+    CommandReplayPlanner,
+    closure_members,
+    replay_live_commands,
+)
 from repro.txn.manager import TransactionManager
-from repro.wal.records import TxnPrepare, decode_control
+from repro.wal.records import TxnCommand, TxnPrepare, decode_control
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -151,13 +157,13 @@ def restart(
     coordinator.restore_system_state(images_lost)
     db.restart_coordinator = coordinator
     db.crashed = False
-    # Command replay runs between the phases: the live command-log suffix
-    # is re-executed (in dependency batches) before any user transaction —
-    # or an eager bulk restore — can observe a closure partition.  With no
-    # live command there is no plan, and no earlier plan's stats survive.
+    # The live command-log suffix is planned into closures between the
+    # phases; each replays on its first touch, before any transaction can
+    # lock or observe it.  With no live command there is no plan, and no
+    # earlier plan's stats survive.
     db.last_command_replay = None
     if db.slb.live_commands():
-        replay_live_commands(db)
+        coordinator.plan_commands()
     if mode is RecoveryMode.EAGER:
         coordinator.recover_everything()
     return coordinator
@@ -187,6 +193,10 @@ class RestartCoordinator:
         #: counters of the one scan that built them.
         self.history: History | None = None
         self.history_scan: dict = {}
+        #: The planned command closures not yet replayed, each under every
+        #: segment it restores: its relations and their indexes.  Empty in
+        #: steady state — the one check the relation-lock fence costs.
+        self.closures: dict[int, list[TxnCommand]] = {}
 
     # -- phase one: system state ----------------------------------------------------
 
@@ -257,7 +267,8 @@ class RestartCoordinator:
 
     def recover_partition(self, address: PartitionAddress) -> dict | None:
         """Recovery transaction for one partition; returns its stats, or
-        None if the partition is already resident.
+        None if the partition is already resident or came back with its
+        command closure, which replays whole.
 
         An unusable checkpoint image — torn by the crash, failing its
         CRC on both mirrors, or holding a stale image of the wrong
@@ -265,7 +276,7 @@ class RestartCoordinator:
         from the log, the archive-recovery path of section 2.6.
         """
         segment = self._missing_from(address)
-        if segment is None:
+        if segment is None or self.replay_closure(address.segment):
             return None
         partition, stats = self._rebuild(address)
         segment.install(partition)
@@ -306,6 +317,45 @@ class RestartCoordinator:
         self._note(stats)
         return partition, stats
 
+    # -- command closures (docs/LOGGING.md) ---------------------------------------------------
+
+    def plan_commands(self) -> None:
+        """Plan the live command suffix into closures, all pending."""
+        db = self.db
+        for batch in CommandReplayPlanner(db).plan():
+            for member in closure_members(db, batch):
+                self.closures[member.segment_id] = batch
+
+    def replay_closure(self, segment_id: int) -> bool:
+        """Replay the pending closure that restores ``segment_id``, if
+        any; returns whether one replayed.
+
+        The closure leaves the pending set first, so its own replay
+        transaction locks through the fence.  A replay that fails puts it
+        back, its segments missing again and their cached index objects
+        dropped, for a retry to start from stable state."""
+        batch = self.closures.get(segment_id)
+        if batch is None:
+            return False
+        segments = [key for key, pending in self.closures.items() if pending is batch]
+        for key in segments:
+            del self.closures[key]
+        try:
+            replay_live_commands(self.db, batch)
+        except BaseException:
+            for key in segments:
+                self.db.memory.segment(key).evict_all()
+                self.closures[key] = batch
+            self.db.forget_index_objects(segments)
+            raise
+        return True
+
+    def replay_closures(self) -> None:
+        """Replay every pending closure: what settles every live command
+        must find them all resident."""
+        while self.closures:
+            self.replay_closure(next(iter(self.closures)))
+
     def recover_relation(self, name: str) -> int:
         """Predeclared access (section 2.5 method 1): restore a relation's
         tuple partitions and all of its index partitions.
@@ -329,18 +379,18 @@ class RestartCoordinator:
 
         Nothing is claimed beforehand, so a failure needs no undoing:
         whatever was not rebuilt is still missing, for a retry or the
-        background sweep to find.
+        background sweep to find.  A closure's partitions count too.
         """
-        rebuilt = 0
+        before = self.partitions_recovered
         for address in addresses:
             if self._missing_from(address) is not None:
                 crash_point("engine.restore.before-partition")
                 self.recover_partition(address)
-                rebuilt += 1
-        return rebuilt
+        return self.partitions_recovered - before
 
     def background_step(self) -> PartitionAddress | None:
-        """Low-priority sweep: restore one partition still missing.
+        """Low-priority sweep: restore one partition still missing, or
+        the command closure it belongs to.
 
         Called between regular transactions (section 2.5's system
         transaction).  Returns the address recovered, or None when nothing

@@ -196,9 +196,16 @@ class Transaction:
             self.lock(address, mode)
 
     def lock_relation(self, segment_id: int, mode: LockMode) -> None:
-        """Lock a relation; an S or X grant covers its rows from here on."""
+        """Lock a relation; an S or X grant covers its rows from here on.
+
+        After a restart, the relation's pending command closure replays
+        first (docs/LOGGING.md): no transaction locks a closure, or reads
+        it, before its replay has taken and released its own locks."""
         if self._covered(segment_id, mode):
             return
+        coordinator = self.db.restart_coordinator
+        if coordinator is not None and coordinator.closures:
+            coordinator.replay_closure(segment_id)
         self.lock(("rel", segment_id), mode)
         held = self._covering.get(segment_id)
         if held is not None:

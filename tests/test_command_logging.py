@@ -13,10 +13,17 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.common.errors import ConfigurationError, RecoveryError, TransactionStateError
 from repro.db.integrity import verify_integrity
 from repro.db.relation import UniqueViolation
+import repro.recovery.restart as restart_module
 from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
 from repro.recovery.redo import partition_record_stream, plan_rebuild
-from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos, registered_crash_points
+from repro.sim.chaos import (
+    ChaosEngine,
+    ChaosPlan,
+    chaos,
+    crash_restart_verify,
+    registered_crash_points,
+)
 from repro.sim.faults import SimulatedCrash
 from repro.txn.registry import ScriptError, ScriptRegistry
 from repro.txn.transaction import TxnState
@@ -100,6 +107,59 @@ def flushed_records(db):
         for page in partition_record_stream(bin_, db.log_disk)[0][:-1]
         for record in page.records
     ]
+
+
+def four_closures(condense_enabled):
+    """Three banks with four command-logged transfers each, plus a
+    two-relation script over ``left`` and ``right`` run twice: four
+    closures, 14 live commands.  Returns the database and a model of
+    every row — relation -> key -> balance (banks) or v — as the scripts
+    left it."""
+    db = Database(small_config(condense_enabled))
+    model = {}
+    for i in range(3):
+        make_bank(db, name=f"bank{i}")
+        run_transfers(db, 4, name=f"bank{i}", logging="command")
+        model[f"bank{i}"] = transferred(4)
+    # A script spanning two extra relations merges their closure.
+    left = db.create_relation("left", [("id", "int"), ("v", "int")], "id")
+    right = db.create_relation("right", [("id", "int"), ("v", "int")], "id")
+    with db.transaction() as txn:
+        left.insert(txn, {"id": 1, "v": 0})
+        right.insert(txn, {"id": 1, "v": 0})
+
+    def cross(txn, delta):
+        a = left.lookup(txn, 1)
+        left.update(txn, a.address, {"v": a["v"] + delta})
+        b = right.lookup(txn, 1)
+        right.update(txn, b.address, {"v": b["v"] - delta})
+
+    db.register_script("cross", cross, relations=["left", "right"])
+    db.run_script("cross", 2, logging="command")
+    db.run_script("cross", 3, logging="command")
+    model.update(left={1: 5}, right={1: -5})
+    return db, model
+
+
+def transferred(count, balances=None):
+    """The balances ``run_transfers(db, count)`` leaves from ``balances``
+    (opening balances by default), updated in place."""
+    balances = balances or dict.fromkeys(range(ACCOUNTS), OPENING)
+    for i in range(count):
+        balances[i % ACCOUNTS] -= 5
+        balances[(i + 3) % ACCOUNTS] += 5
+    return balances
+
+
+def stored_rows(db, names=None):
+    """relation -> key -> balance or v, for ``names`` (every relation by
+    default) read by one scan transaction that does not pump."""
+    rows = {}
+    with db.transaction(pump=False) as txn:
+        for name in names or [descriptor.name for descriptor in db.catalog.relations()]:
+            field = "balance" if name.startswith("bank") else "v"
+            rows[name] = {row["id"]: row[field] for row in db.table(name).scan(txn)}
+    return rows
 
 
 def total_balance(db, accounts):
@@ -333,26 +393,7 @@ class TestDigestIdentity:
             assert rewound == [True] * 2
 
     def test_disjoint_closures_batch_independently(self, condense_enabled):
-        db = Database(small_config(condense_enabled))
-        banks = [make_bank(db, name=f"bank{i}") for i in range(3)]
-        # A script spanning two extra relations merges their closure.
-        left = db.create_relation("left", [("id", "int"), ("v", "int")], "id")
-        right = db.create_relation("right", [("id", "int"), ("v", "int")], "id")
-        with db.transaction() as txn:
-            left.insert(txn, {"id": 1, "v": 0})
-            right.insert(txn, {"id": 1, "v": 0})
-
-        def cross(txn, delta):
-            a = left.lookup(txn, 1)
-            left.update(txn, a.address, {"v": a["v"] + delta})
-            b = right.lookup(txn, 1)
-            right.update(txn, b.address, {"v": b["v"] - delta})
-
-        db.register_script("cross", cross, relations=["left", "right"])
-        for i in range(3):
-            run_transfers(db, 4, name=f"bank{i}", logging="command")
-        db.run_script("cross", 2, logging="command")
-        db.run_script("cross", 3, logging="command")
+        db, _ = four_closures(condense_enabled)
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -885,6 +926,197 @@ class TestReplayFromPageBytes:
 
 @CONDENSED
 class TestReplayFromPageBytesCondensed(TestReplayFromPageBytes):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# lazy replay: a closure replays whole when first touched
+# ---------------------------------------------------------------------------
+
+REPLAY_POINTS = ["replay.batch.before-command", "replay.batch.command-executed"]
+
+
+def pending(db):
+    """The relations whose command closure has not replayed yet."""
+    closures = db.restart_coordinator.closures
+    return {d.name for d in db.catalog.relations() if d.segment_id in closures}
+
+
+def scan_one(db, model):
+    assert stored_rows(db, ["bank1"]) == {"bank1": model["bank1"]}
+    return {"bank1"}
+
+
+def insert_one(db, model):
+    with db.transaction(pump=False) as txn:
+        db.table("bank1").insert(txn, {"id": ACCOUNTS, "balance": 7})
+    model["bank1"][ACCOUNTS] = 7
+    return {"bank1"}
+
+
+def value_script(db, model):
+    db.run_script("transfer_bank1", 0, 3, 5, logging="value", pump=False)
+    transferred(1, balances=model["bank1"])
+    return {"bank1"}
+
+
+def merging_command(db, model):
+    """A command script declaring two relations whose closures are both
+    still pending."""
+    bank0, bank2 = db.table("bank0"), db.table("bank2")
+
+    def merge(txn, amount):
+        a = bank0.lookup(txn, 0)
+        bank0.update(txn, a.address, {"balance": a["balance"] - amount})
+        b = bank2.lookup(txn, 0)
+        bank2.update(txn, b.address, {"balance": b["balance"] + amount})
+
+    db.register_script("merge", merge, relations=["bank0", "bank2"])
+    db.run_script("merge", 5, logging="command", pump=False)
+    model["bank0"][0] -= 5
+    model["bank2"][0] += 5
+    return {"bank0", "bank2"}
+
+
+def drop_one(db, model):
+    db.drop_relation("bank1")
+    del model["bank1"]
+    return {"bank1"}
+
+
+def checkpoint_everything(db, model):
+    db.checkpoints.checkpoint_all()
+    return set(model)
+
+
+WINDOW = {
+    "scan": scan_one,
+    "insert": insert_one,
+    "value-script": value_script,
+    "merging-command": merging_command,
+    "drop-relation": drop_one,
+    "checkpoint-all": checkpoint_everything,
+}
+
+
+class TestLazyReplay:
+    """An on-demand restart plans the live commands into closures and
+    replays none; each replays whole on its first touch, through the
+    restore loop or the relation-lock and settlement fences."""
+
+    @pytest.mark.parametrize("action", list(WINDOW))
+    def test_the_window_recovers_exactly(self, action, condense_enabled):
+        db, model = four_closures(condense_enabled)
+        db.crash()
+        coordinator = db.restart(RecoveryMode.ON_DEMAND)
+        assert pending(db) == set(model)
+        replayed = WINDOW[action](db, model)
+        assert not pending(db) & replayed
+        assert pending(db) or action == "checkpoint-all"
+        coordinator.recover_everything()
+        assert stored_rows(db) == model
+        expected = logical_digest(db)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert logical_digest(db) == expected
+        assert stored_rows(db) == model
+        assert verify_integrity(db) == []
+
+    def test_a_touch_replays_exactly_its_closure(self, monkeypatch, condense_enabled):
+        db, _ = four_closures(condense_enabled)
+        live = len(db.slb.live_commands())
+        replay, calls = restart_module.replay_live_commands, []
+
+        def counted(db, batch):
+            calls.append(len(batch))
+            return replay(db, batch)
+
+        monkeypatch.setattr(restart_module, "replay_live_commands", counted)
+        db.crash()
+        coordinator = db.restart(RecoveryMode.ON_DEMAND)
+        assert calls == [] and db.last_command_replay["commands_replayed"] == 0
+        stored_rows(db, ["bank1"])
+        assert calls == [4]
+        assert db.last_command_replay["commands_replayed"] == 4
+        coordinator.recover_everything()
+        assert sorted(calls) == [2, 4, 4, 4]
+        assert db.last_command_replay["commands_replayed"] == live == 14
+
+    @pytest.mark.parametrize("point", REPLAY_POINTS)
+    def test_a_crash_inside_a_replay_a_touch_started(self, point, condense_enabled):
+        db, model = four_closures(condense_enabled)
+        db.crash()
+        db.restart(RecoveryMode.ON_DEMAND)
+        injector = ChaosEngine(ChaosPlan.crash_at(0, point))
+        with chaos(injector):
+            with pytest.raises(SimulatedCrash):
+                stored_rows(db, ["bank1"])
+            assert injector.fired[0].point == point
+            db.crash()
+            db.restart(RecoveryMode.EAGER)
+        assert stored_rows(db) == model
+        assert verify_integrity(db) == []
+
+    @pytest.mark.parametrize("point", REPLAY_POINTS)
+    def test_a_crash_inside_a_replay_the_background_started(self, point, condense_enabled):
+        """The on-demand restart replays nothing, so the point fires in
+        the ``recover_everything`` that follows it."""
+        db, model = four_closures(condense_enabled)
+        injector = ChaosEngine(ChaosPlan.crash_at(0, point))
+        attempts = crash_restart_verify(
+            [db],
+            lambda: run_transfers(db, 3, name="bank2", logging="command"),
+            injector,
+            RecoveryMode.ON_DEMAND,
+        )
+        assert attempts == 2 and injector.fired[0].point == point
+        transferred(3, balances=model["bank2"])
+        assert stored_rows(db) == model
+
+    def test_a_crash_after_a_command_on_a_replayed_closure(self, condense_enabled):
+        """One closure replayed and given a new command, the others still
+        pending: the next restart replays old and new alike."""
+        db, model = four_closures(condense_enabled)
+        db.crash()
+        db.restart(RecoveryMode.ON_DEMAND)
+        run_transfers(db, 2, name="bank0", logging="command", pump=False)
+        transferred(2, balances=model["bank0"])
+        assert pending(db) == {"bank1", "bank2", "left", "right"}
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 16
+        assert stored_rows(db) == model
+        assert verify_integrity(db) == []
+
+    def test_a_failed_replay_leaves_its_closure_pending(self, condense_enabled):
+        """A replay that fails part-way restores nothing: its closure is
+        pending again, the index objects it built are gone, and a lookup
+        once the script is fixed replays it whole."""
+        db, model = four_closures(condense_enabled)
+        db.crash()
+        db.restart(RecoveryMode.ON_DEMAND)
+        script, calls = db.scripts.get("transfer_bank1"), []
+
+        def fails_second(txn, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("second call refused")
+            script.fn(txn, *args)
+
+        db.register_script("transfer_bank1", fails_second, relations=script.relations)
+        with pytest.raises(RecoveryError, match="second call refused"):
+            stored_rows(db, ["bank1"])
+        assert "bank1" in pending(db)
+        assert db.memory.segment(db.catalog.relation("bank1").segment_id).missing_partitions()
+        db.register_script("transfer_bank1", script.fn, relations=script.relations)
+        with db.transaction(pump=False) as txn:
+            assert db.table("bank1").lookup(txn, 3)["balance"] == model["bank1"][3]
+        db.restart_coordinator.recover_everything()
+        assert stored_rows(db) == model
+
+
+@CONDENSED
+class TestLazyReplayCondensed(TestLazyReplay):
     pass
 
 
