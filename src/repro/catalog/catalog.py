@@ -236,7 +236,17 @@ class Catalog:
 
     def indexes_of(self, relation_name: str) -> list[IndexDescriptor]:
         descriptor = self.relation(relation_name)
-        return [self.index(name) for name in descriptor.index_names]
+        return [self._indexes[name] for name in descriptor.index_names]
+
+    def with_indexes(
+        self, relation_names: Iterable[str]
+    ) -> list[RelationDescriptor | IndexDescriptor]:
+        """Each named relation, in the order given, followed by its indexes."""
+        members: list[RelationDescriptor | IndexDescriptor] = []
+        for name in relation_names:
+            indexes = self.indexes_of(name)
+            members += (self._relations[name], *indexes)
+        return members
 
     def partition_addresses(self) -> set[PartitionAddress]:
         """Every catalogued partition: the catalog's own and the descriptors'."""

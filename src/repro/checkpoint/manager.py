@@ -43,7 +43,6 @@ from repro.common.errors import (
 from repro.common.types import PartitionAddress
 from repro.concurrency.locks import LockMode
 from repro.checkpoint.protocol import CheckpointRequest, RequestState
-from repro.recovery.replay_plan import decode_live_commands, relation_closure
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.records import SweepMarker, TxnCommand
@@ -105,6 +104,7 @@ class CheckpointManager:
         unavailable or whose partition is not yet memory-resident are left
         queued for a later pass.
         """
+        live = self.db.commands
         done = 0
         for request in self.db.checkpoint_queue.pending():
             if limit is not None and done >= limit:
@@ -113,44 +113,18 @@ class CheckpointManager:
                 # An earlier sweep in this pass already checkpointed this
                 # partition and flipped its entry to FINISHED.
                 continue
-            commands = self._live_closure_of(request)
+            # A partition whose relation has live commands escalates to a
+            # group settlement sweep of their closure: copying it alone
+            # would tear a command's effects across image and
+            # re-execution (docs/LOGGING.md).
+            relations, commands = live.closure_of(request.partition.segment)
             flip_lsn = None if commands else self._flip_lsn_for(request)
             if flip_lsn is not None:
                 done += self._run_flip(request, flip_lsn)
             else:
-                addresses = self.closure_partitions(commands) if commands else [request.partition]
+                addresses = live.partitions(relations) if commands else [request.partition]
                 done += self.copy(addresses, commands, request)
         return done
-
-    def _live_closure_of(self, request: CheckpointRequest) -> list[TxnCommand]:
-        """The live commands of the closure a request's relation belongs to.
-
-        If there are any, a plain checkpoint of this partition must
-        escalate to a group settlement sweep: copying one partition of a
-        relation with live commands would tear a command's effects across
-        image and re-execution (docs/LOGGING.md)."""
-        db = self.db
-        segment_id = request.partition.segment
-        if segment_id == db.catalog.segment.segment_id:
-            return []  # catalog changes are always value-logged
-        commands = decode_live_commands(db)
-        if not commands:
-            return []
-        relation = db.catalog.relation_of_segment(segment_id)
-        return relation_closure(commands, relation.name)[1]
-
-    def closure_partitions(self, commands: Sequence[TxnCommand]) -> list[PartitionAddress]:
-        """Every partition of the relations ``commands`` declare and of
-        their indexes: relations by segment id, each followed by its
-        indexes."""
-        catalog = self.db.catalog
-        names = {name for command in commands for name in command.relations}
-        return [
-            address
-            for relation in sorted(map(catalog.relation, names), key=attrgetter("segment_id"))
-            for member in (relation, *catalog.indexes_of(relation.name))
-            for address in member.partition_addresses()
-        ]
 
     def _flip_lsn_for(self, request: CheckpointRequest) -> int | None:
         """The watermark to flip at, or ``None`` if a copy is needed.
@@ -247,7 +221,7 @@ class CheckpointManager:
         transaction (steps 2-6); returns False if it was deferred.
 
         ``commands`` are live commands the copy settles — ``addresses``
-        must cover their whole closure (:meth:`closure_partitions`).  Then
+        must cover their whole closure (``LiveCommands.partitions``).  Then
         the SHARED locks on the closure relations are held through the
         commit point instead of released after the copy: every partition
         comes from the same transaction-consistent cut, the relations'
@@ -320,7 +294,7 @@ class CheckpointManager:
             return False  # deferred
         if commands:
             settled_csns = [c.csn for c in commands if c.csn <= watermark]
-            db.slb.discard_commands(settled_csns)
+            db.commands.settle(settled_csns)
             self.sweeps_taken += 1
             self.commands_settled += len(settled_csns)
         for address in addresses:
@@ -351,7 +325,7 @@ class CheckpointManager:
             for segment in db.memory.segments()
             for partition in segment.resident_partitions()
         ]
-        if not self.copy(addresses, decode_live_commands(db)):
+        if not self.copy(addresses, db.commands.live()):
             raise CheckpointError("whole-database checkpoint deferred: a relation is busy")
         db.recovery_processor.acknowledge_finished()
         return len(addresses)
@@ -365,17 +339,18 @@ class CheckpointManager:
         conflicts a bounded number of times, then surfaces the conflict.
         """
         db = self.db
+        segment_id = db.catalog.relation(name).segment_id
         if db.restart_coordinator is not None:
             # Settlement fence: replay the closure before the sweep's
             # transaction opens, not through the lock fence inside it.
-            db.restart_coordinator.replay_closure(db.catalog.relation(name).segment_id)
+            db.restart_coordinator.replay_closure(segment_id)
         settled_total = 0
         attempts = 0
         while True:
-            batch = relation_closure(decode_live_commands(db), name)[1]
+            relations, batch = db.commands.closure_of(segment_id)
             if not batch:
                 return settled_total
-            if self.copy(self.closure_partitions(batch), batch):
+            if self.copy(db.commands.partitions(relations), batch):
                 settled_total += len(batch)
                 attempts = 0
                 # Drain the sweep's markers (and any undrained barriers)

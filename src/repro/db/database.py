@@ -58,6 +58,7 @@ from repro.index.node_store import NodeStore
 from repro.index.ttree import TTreeIndex
 from repro.recovery.condenser import Condenser
 from repro.recovery.processor import RecoveryProcessor
+from repro.recovery.replay_plan import LiveCommands
 from repro.recovery.restart import RecoveryMode, RestartCoordinator, restart as restart_sequence
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuMeter
@@ -72,7 +73,7 @@ from repro.txn.registry import ScriptRegistry
 from repro.txn.transaction import Transaction
 from repro.wal.audit import AuditLog
 from repro.wal.log_disk import LogDisk
-from repro.wal.records import RedoRecord, TxnCommand
+from repro.wal.records import RedoRecord
 from repro.wal.slb import StableLogBuffer
 from repro.wal.slt import StableLogTail
 
@@ -175,9 +176,8 @@ class Database:
         self.catalog = Catalog(self.memory)
         self._relations: dict[str, Relation] = {}
         self._index_objects: dict[str, TTreeIndex | LinearHashIndex] = {}
-        #: The live command log, decoded, by csn: each payload is decoded
-        #: once (:func:`~repro.recovery.replay_plan.decode_live_commands`).
-        self.decoded_commands: dict[int, TxnCommand] = {}
+        #: The live command-log suffix, decoded, and its closures.
+        self.commands = LiveCommands(self)
 
     def _build_recovery_component(self) -> None:
         config = self.config
@@ -599,7 +599,7 @@ class Database:
         self.transactions.crash()
         self._relations.clear()
         self._index_objects.clear()
-        self.decoded_commands.clear()
+        self.commands = LiveCommands(self)
         self.restart_coordinator = None
         self.crashed = True
 

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import CatalogError
 from repro.recovery.redo import IMAGE_FAILURES, enumerate_log_pages, load_base
-from repro.recovery.replay_plan import decode_live_commands
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.wal.slt import PartitionBin
 
@@ -141,7 +140,7 @@ class Condenser:
         catalog_segment = db.catalog.segment.segment_id
         busy = {
             name
-            for command in decode_live_commands(db)
+            for command in db.commands.live()
             for name in command.relations
         }
         # A *queued* checkpoint request is no reason to stop — condensing

@@ -51,11 +51,7 @@ from repro.recovery.redo import (
     demultiplex_log_history,
     rebuild_partition_resilient,
 )
-from repro.recovery.replay_plan import (
-    CommandReplayPlanner,
-    closure_members,
-    replay_live_commands,
-)
+from repro.recovery.replay_plan import plan_replay, replay_live_commands
 from repro.txn.manager import TransactionManager
 from repro.wal.records import TxnCommand, TxnPrepare, decode_control
 
@@ -159,11 +155,8 @@ def restart(
     db.crashed = False
     # The live command-log suffix is planned into closures between the
     # phases; each replays on its first touch, before any transaction can
-    # lock or observe it.  With no live command there is no plan, and no
-    # earlier plan's stats survive.
-    db.last_command_replay = None
-    if db.slb.live_commands():
-        coordinator.plan_commands()
+    # lock or observe it.
+    coordinator.plan_commands()
     if mode is RecoveryMode.EAGER:
         coordinator.recover_everything()
     return coordinator
@@ -322,8 +315,8 @@ class RestartCoordinator:
     def plan_commands(self) -> None:
         """Plan the live command suffix into closures, all pending."""
         db = self.db
-        for batch in CommandReplayPlanner(db).plan():
-            for member in closure_members(db, batch):
+        for relations, batch in plan_replay(db):
+            for member in db.catalog.with_indexes(sorted(relations)):
                 self.closures[member.segment_id] = batch
 
     def replay_closure(self, segment_id: int) -> bool:
@@ -362,12 +355,7 @@ class RestartCoordinator:
 
         Returns the number of partitions recovered now.
         """
-        db = self.db
-        descriptor = db.catalog.relation(name)
-        targets = descriptor.partition_addresses()
-        for index_descriptor in db.catalog.indexes_of(name):
-            targets.extend(index_descriptor.partition_addresses())
-        return self.recover(targets)
+        return self.recover(self.db.commands.partitions([name]))
 
     def recover_everything(self) -> int:
         """Database-level restoration: restore all partitions now."""

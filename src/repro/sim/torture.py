@@ -86,10 +86,10 @@ POOL_SCRIPTS = 16
 #: Sized like the chaos sweep's scenario: small pages and a tight window
 #: so a short workload still crosses checkpoints and window slides, and
 #: 4 KB partitions so every round's inserts grow segments (``growth.*``).
+#: The update-count trigger is set per round (:meth:`TortureHarness._play`).
 ROUND_CONFIG = dict(
     partition_size=4096,
     log_page_size=512,
-    update_count_threshold=16,
     log_window_pages=64,
     log_window_grace_pages=8,
 )
@@ -293,7 +293,13 @@ class TortureHarness:
         under ``injector`` through one power failure, restart and exact
         check (in-doubt 2PC branches resolve against the stable decision
         tables during each node's restart)."""
-        config = SystemConfig(**ROUND_CONFIG, condense_enabled=spec.condense)
+        config = SystemConfig(
+            **ROUND_CONFIG,
+            # At 16 a condensing round checkpoints and resets every bin
+            # before it has a flushed page to fold: no slice would run.
+            update_count_threshold=64 if spec.condense else 16,
+            condense_enabled=spec.condense,
+        )
         power_fail: Callable[[], None] | None = None
         workload: DebitCreditWorkload | ShardedBankWorkload
         if spec.shards > 1:

@@ -319,7 +319,17 @@ class Transaction:
         belongs relative to the surrounding value REDO.
         """
         db = self.db
-        targets = self._barrier_targets()
+        # Every partition of every declared relation and its indexes, with
+        # its bin index as the resident partition carries it: run_script
+        # recovered the declared relations before the script ran, and the
+        # exclusive locks on them keep the set stable to the commit point.
+        targets: list[tuple[PartitionAddress, int]] = []
+        for member in db.catalog.with_indexes(self.declared_relations):
+            segment = db.memory.segment(member.segment_id)
+            for number in sorted(member.partitions):
+                partition = segment.get(number)
+                assert partition.bin_index is not None  # resident, so registered
+                targets.append((partition.address, partition.bin_index))
         name, version, args = self.command  # type: ignore[misc]
         changes = Counter(map(_PARTITION_KEY, self._changed))
         logged: dict[int, redo.TxnCommand] = {}
@@ -349,34 +359,9 @@ class Transaction:
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
         self.state = TxnState.COMMITTED
-        # what it just logged, main memory need not decode again
-        db.decoded_commands[self.command_csn] = logged[self.command_csn]
+        db.commands.logged(logged[self.command_csn])
         crash_point("txn.commit.command-emitted")
         self._end(TxnState.COMMITTED)
-
-    def _barrier_targets(self) -> list[tuple[PartitionAddress, int]]:
-        """Every partition of every declared relation (and its indexes),
-        with its bin index — as the resident partition carries it:
-        :meth:`Database.run_script` recovered the declared relations
-        before the script ran.
-
-        Stable between here and the commit point: the transaction holds
-        exclusive relation locks on the whole declared set, so no
-        concurrent transaction can allocate partitions in (or write to)
-        these relations.
-        """
-        db = self.db
-        catalog = db.catalog
-        targets: list[tuple[PartitionAddress, int]] = []
-        for relation_name in self.declared_relations:
-            descriptor = catalog.relation(relation_name)
-            for desc in (descriptor, *map(catalog.index, descriptor.index_names)):
-                segment = db.memory.segment(desc.segment_id)
-                for number in sorted(desc.partitions):
-                    partition = segment.get(number)
-                    assert partition.bin_index is not None  # resident, so registered
-                    targets.append((partition.address, partition.bin_index))
-        return targets
 
     # -- two-phase commit (repro.shard) ----------------------------------------------
 

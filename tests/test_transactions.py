@@ -8,11 +8,7 @@ from repro import Database, SystemConfig, UniqueViolation
 from repro.common import TransactionAborted, TransactionStateError
 from repro.common.errors import RecoveryError
 from repro.concurrency.locks import LockMode
-from repro.recovery.replay_plan import (
-    CommandReplayPlanner,
-    ReplayTransaction,
-    decode_live_commands,
-)
+from repro.recovery.replay_plan import ReplayTransaction, reexecute
 from repro.sim.faults import SimulatedCrash
 from repro.txn.transaction import TxnState
 from repro.wal.records import TxnPrepare
@@ -343,7 +339,7 @@ def _logged_command(db, mark, fail):
     replay alone; ``fail`` makes the re-execution raise (the arguments
     are edited, the stable log is not)."""
     db.run_script("bump", 2, logging="command", pump=False)
-    command = decode_live_commands(db)[-1]
+    command = db.commands.live()[-1]
     if fail:
         command = dataclasses.replace(command, args=b"[2, true]")
     mark()
@@ -351,14 +347,14 @@ def _logged_command(db, mark, fail):
 
 
 def _end_replay_commit(db, accounts, captured, mark):
-    CommandReplayPlanner(db)._execute(_logged_command(db, mark, fail=False))
+    reexecute(db, _logged_command(db, mark, fail=False))
     return captured[-1]
 
 
 def _end_replay_abort(db, accounts, captured, mark):
     command = _logged_command(db, mark, fail=True)
     with pytest.raises(RecoveryError, match="script refuses"):
-        CommandReplayPlanner(db)._execute(command)
+        reexecute(db, command)
     return captured[-1]
 
 
