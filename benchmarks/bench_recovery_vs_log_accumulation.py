@@ -15,47 +15,21 @@ the accumulated log is after-images and recovery is REDO application;
 under ``command`` the accumulation is a live command suffix and recovery is
 re-execution by the replay planner, so "records applied" stays flat
 while "commands replayed" grows instead.
-
-``--condense`` runs the background-condensing axis instead
-(docs/CONDENSING.md): the same value-mode accumulation sweep with the
-condenser folding flushed pages into shadow images, asserting the
-recovery-time curve stays flat and that digests are identical
-condenser-on vs condenser-off.  Results land in
-``benchmarks/results/BENCH_condensing.json``.
 """
 
-import hashlib
-import json
-
-import pytest
-
-from _results import results_path
 from repro import Database, SystemConfig
 
 UPDATE_COUNTS = [0, 100, 400, 800]
 UPDATES_PER_TXN = 50
 
 
-def _digest(db, rel) -> str:
-    """Order-independent content hash of the relation after restart."""
-    with db.transaction(pump=False) as txn:
-        rows = sorted(
-            json.dumps(row.values, sort_keys=True) for row in rel.scan(txn)
-        )
-    h = hashlib.sha256()
-    for row in rows:
-        h.update(row.encode("utf-8"))
-    return h.hexdigest()
-
-
-def measure(updates_since_checkpoint: int, mode: str, *, condense: bool = False) -> dict:
+def measure(updates_since_checkpoint: int, mode: str) -> dict:
     config = SystemConfig(
         logging_mode=mode,
         log_page_size=1024,
         update_count_threshold=10_000,  # manual checkpoints only
         log_window_pages=4096,
         log_window_grace_pages=64,
-        condense_enabled=condense,
     )
     db = Database(config)
     rel = db.create_relation("hot", [("id", "int"), ("v", "int")], primary_key="id")
@@ -83,11 +57,6 @@ def measure(updates_since_checkpoint: int, mode: str, *, condense: bool = False)
         db.run_script("bump", batch, pump=False)
         done += batch
         db.recovery_processor.run_until_drained()
-    if condense:
-        # Let the idle-time duty catch all the way up, as a long-enough
-        # quiet stretch between transactions would (docs/CONDENSING.md).
-        while db.condenser.step():
-            pass
     db.crash()
     # Restart covers command replay (a no-op under value logging); the
     # explicit partition recovery is itself a no-op when replay already
@@ -107,8 +76,6 @@ def measure(updates_since_checkpoint: int, mode: str, *, condense: bool = False)
         "records_applied": stats["records_applied"],
         "commands_replayed": 0 if replay is None else replay["commands_replayed"],
         "recovery_ms": seconds * 1000,
-        "shadow_restores": db.restart_coordinator.sources["shadow"],
-        "digest": _digest(db, rel),
     }
     return result
 
@@ -153,74 +120,3 @@ def bench_recovery_vs_log_accumulation(benchmark, report, logging_mode):
         assert replays[0] == 0
         assert replays[-1] >= UPDATE_COUNTS[-1] // UPDATES_PER_TXN
         assert all(r["records_applied"] == 0 for r in results)
-
-
-def bench_condensing_flat_restart(benchmark, report, condense):
-    """The write-behind condensing axis: flat restart vs growing log.
-
-    Runs the value-mode accumulation sweep twice — condenser off (the
-    baseline curve that grows with the log) and condenser on (restart
-    loads the shadow image and replays only the uncondensed suffix) —
-    and checks the headline property: at the deepest accumulation step,
-    where the uncondensed run is several times the zero-accumulation
-    floor, the condensed run stays within 2x of that floor.  Digests
-    must be identical condenser-on vs off.
-    """
-    if not condense:
-        pytest.skip("condensing axis: run with --condense")
-
-    def sweep() -> dict:
-        uncondensed = [measure(n, "value") for n in UPDATE_COUNTS]
-        condensed = [
-            measure(n, "value", condense=True) for n in UPDATE_COUNTS
-        ]
-        return {"uncondensed": uncondensed, "condensed": condensed}
-
-    data = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    uncondensed = data["uncondensed"]
-    condensed = data["condensed"]
-    lines = [
-        f"{'updates since ckpt':>19} {'uncondensed':>14} {'condensed':>12} "
-        f"{'pages read':>11} {'suffix records':>15}"
-    ]
-    for off, on in zip(uncondensed, condensed):
-        lines.append(
-            f"{off['updates']:>19} {off['recovery_ms']:>11.2f} ms "
-            f"{on['recovery_ms']:>9.2f} ms {on['pages_read']:>11} "
-            f"{on['records_applied']:>15}"
-        )
-    report(
-        "Background condensing — restart time flat vs accumulated log "
-        "(docs/CONDENSING.md)",
-        lines,
-    )
-    floor = uncondensed[0]["recovery_ms"]
-    deepest_off = uncondensed[-1]["recovery_ms"]
-    deepest_on = condensed[-1]["recovery_ms"]
-    # The problem being solved must actually show at this depth...
-    assert deepest_off >= 5 * floor, (
-        f"uncondensed deepest step {deepest_off:.2f}ms is not >=5x the "
-        f"{floor:.2f}ms zero-accumulation floor"
-    )
-    # ...and condensing must flatten it to near the floor.
-    assert deepest_on <= 2 * floor, (
-        f"condensed deepest step {deepest_on:.2f}ms exceeds 2x the "
-        f"{floor:.2f}ms zero-accumulation floor"
-    )
-    assert condensed[-1]["shadow_restores"] > 0
-    # Digest identity: condenser on/off, at every depth.
-    for off, on in zip(uncondensed, condensed):
-        assert off["digest"] == on["digest"], off["updates"]
-    payload = {
-        "benchmark": "condensing_flat_restart",
-        "update_counts": UPDATE_COUNTS,
-        "uncondensed_ms": [r["recovery_ms"] for r in uncondensed],
-        "condensed_ms": [r["recovery_ms"] for r in condensed],
-        "floor_ms": floor,
-        "deepest_ratio_uncondensed": deepest_off / floor if floor else None,
-        "deepest_ratio_condensed": deepest_on / floor if floor else None,
-        "digests": [r["digest"] for r in condensed],
-    }
-    results_path("BENCH_condensing.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )

@@ -26,24 +26,11 @@ def pytest_addoption(parser):
         help="Transaction logging mode for benchmarks that take it as an "
         "axis (bench_recovery_vs_log_accumulation).",
     )
-    parser.addoption(
-        "--condense",
-        action="store_true",
-        default=False,
-        help="Run the background-condensing axis of "
-        "bench_recovery_vs_log_accumulation: flat-restart curve plus "
-        "digest identity condenser-on vs off (docs/CONDENSING.md).",
-    )
 
 
 @pytest.fixture()
 def logging_mode(request):
     return request.config.getoption("--logging-mode")
-
-
-@pytest.fixture()
-def condense(request):
-    return request.config.getoption("--condense")
 
 
 @pytest.fixture()

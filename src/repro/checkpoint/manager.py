@@ -4,7 +4,7 @@ Section 2.4's seven-step procedure, executed between regular transactions
 when the transaction manager polls the request queue:
 
 1. (recovery CPU) request entered in the Stable Log Buffer.
-2. main CPU finds the request, starts a checkpoint transaction, flips the
+2. main CPU finds the request, starts a checkpoint transaction, sets the
    flag to in-progress.
 3. the checkpoint transaction read-locks the partition's *relation* — one
    relation read lock covers its tuple and index partitions, so only
@@ -14,7 +14,7 @@ when the transaction manager polls the request queue:
 5. the disk-map and catalog updates are logged *before* the image write.
 6. the image goes to a fresh slot (never overwriting the old image) and
    the checkpoint transaction commits, which atomically installs the new
-   location and flips the flag to finished.
+   location and sets the flag to finished.
 7. (recovery CPU) sees finished, flushes the partition's leftover log
    records to the log disk, and resets its bin.
 
@@ -23,9 +23,7 @@ partitions the caller picks: a request's own partition; the closure of
 live commands a request escalates to, or the DDL fence settles (a group
 settlement sweep, docs/LOGGING.md); or every resident partition
 (:meth:`CheckpointManager.checkpoint_all`: the whole-database baseline,
-and the fresh images both media restores end with).  The only other
-procedure installs a condensed shadow image and copies nothing
-(:meth:`CheckpointManager._run_flip`).
+and the fresh images both media restores end with).
 """
 
 from __future__ import annotations
@@ -34,12 +32,7 @@ import contextlib
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.common.errors import (
-    CatalogError,
-    CheckpointError,
-    NotResidentError,
-    TransactionAborted,
-)
+from repro.common.errors import CheckpointError, NotResidentError, TransactionAborted
 from repro.common.types import PartitionAddress
 from repro.concurrency.locks import LockMode
 from repro.checkpoint.protocol import CheckpointRequest, RequestState
@@ -92,10 +85,6 @@ class CheckpointManager:
         self.checkpoints_deferred = 0
         self.sweeps_taken = 0
         self.commands_settled = 0
-        #: Checkpoints satisfied by installing a condensed shadow image
-        #: instead of copying the partition (docs/CONDENSING.md).  A flip
-        #: also counts in ``checkpoints_taken``.
-        self.flips_taken = 0
 
     def process_pending(self, limit: int | None = None) -> int:
         """Run checkpoint transactions for queued requests.
@@ -111,50 +100,16 @@ class CheckpointManager:
                 break
             if request.state is not RequestState.REQUEST:
                 # An earlier sweep in this pass already checkpointed this
-                # partition and flipped its entry to FINISHED.
+                # partition and set its entry to FINISHED.
                 continue
             # A partition whose relation has live commands escalates to a
             # group settlement sweep of their closure: copying it alone
             # would tear a command's effects across image and
             # re-execution (docs/LOGGING.md).
             relations, commands = live.closure_of(request.partition.segment)
-            flip_lsn = None if commands else self._flip_lsn_for(request)
-            if flip_lsn is not None:
-                done += self._run_flip(request, flip_lsn)
-            else:
-                addresses = live.partitions(relations) if commands else [request.partition]
-                done += self.copy(addresses, commands, request)
+            addresses = live.partitions(relations) if commands else [request.partition]
+            done += self.copy(addresses, commands, request)
         return done
-
-    def _flip_lsn_for(self, request: CheckpointRequest) -> int | None:
-        """The watermark to flip at, or ``None`` if a copy is needed.
-
-        A request can be satisfied by installing the bin's condensed
-        shadow image as the catalog image — no lock, no copy — exactly
-        when the chain is *current* (grew from the catalog slot) and
-        *complete* (every flushed page folded in): the shadow then equals
-        what step 4 would have copied, minus the still-buffered records
-        the bin keeps anyway (docs/CONDENSING.md).  ``shadow != catalog``
-        rules out re-flipping an already-installed image, which would
-        never relieve the trigger.
-        """
-        db = self.db
-        if not db.config.condense_enabled:
-            return None
-        try:
-            catalog_slot = db.catalog.image_slot(request.partition)
-        except CatalogError:
-            return None
-        bin_ = db.slt.bin(request.bin_index)
-        if (
-            bin_.condensed_slot is not None
-            and bin_.condensed_slot != catalog_slot
-            and bin_.condensed_base_slot == catalog_slot
-            and bin_.directory
-            and bin_.condensed_lsn >= bin_.directory[-1]
-        ):
-            return bin_.condensed_lsn
-        return None
 
     @contextlib.contextmanager
     def _attempt(self, request: CheckpointRequest | None) -> Iterator[Transaction]:
@@ -179,37 +134,6 @@ class CheckpointManager:
             if request is not None and txn is not None and txn.state is TxnState.ABORTED:
                 request.state = RequestState.REQUEST
                 request.previous_slot = None
-
-    def _run_flip(self, request: CheckpointRequest, flip_lsn: int) -> bool:
-        """Satisfy a checkpoint by installing the condensed shadow image.
-
-        The shadow is already durable and transaction-consistent (only
-        committed records reach flushed pages), so the whole procedure is
-        the catalog update of step 5 inside a system transaction — steps
-        3, 4, and 6a vanish.  The acknowledgement then resets the bin
-        relative to ``flip_lsn`` instead of clearing it.
-        """
-        db = self.db
-        address = request.partition
-        with self._attempt(request) as txn:
-            shadow = db.slt.bin(request.bin_index).condensed_slot
-            if shadow is None:  # chain vanished since the decision
-                raise TransactionAborted("condense chain gone", txn_id=txn.txn_id)
-            request.previous_slot = db.catalog.install_images({address: shadow}, txn)[address]
-            crash_point("checkpoint.slot-installed")
-        if txn.state is TxnState.ABORTED:
-            return False  # deferred
-        if request.previous_slot == shadow:
-            # The catalog already pointed at the shadow (re-run after a
-            # crash between commit and FINISHED): freeing it would free
-            # the live image.
-            request.previous_slot = None
-        request.flip = True
-        request.flip_lsn = flip_lsn
-        request.state = RequestState.FINISHED
-        self.checkpoints_taken += 1
-        self.flips_taken += 1
-        return True
 
     def copy(
         self,
@@ -384,9 +308,5 @@ class CheckpointManager:
     def occupied_slots(self) -> set[int]:
         """Every slot referenced by the catalogs (for map rebuild)."""
         occupied = set(self.db.catalog.image_slots().values())
-        # Published shadow images (docs/CONDENSING.md) are referenced from
-        # the stable bins rather than the catalog; the map rebuild must
-        # not hand their slots out again.
-        occupied.update(bin_.condensed_slot for bin_ in self.db.slt.bins())
         occupied.discard(None)
         return occupied

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.common.types import NULL_LSN, PartitionAddress
+from repro.common.types import PartitionAddress
 from repro.wal.slb import StableLogBuffer
 
 _QUEUE_KEY = "checkpoint-requests"
@@ -39,15 +39,6 @@ class CheckpointRequest:
     #: Slot holding the superseded image, freed once the checkpoint is
     #: fully acknowledged (new copies never overwrite old ones).
     previous_slot: int | None = None
-    #: True when the checkpoint was satisfied by *flipping* a condensed
-    #: shadow image into the catalog instead of copying the partition
-    #: (docs/CONDENSING.md).  Tells the acknowledgement to reset the bin
-    #: relative to ``flip_lsn`` rather than clearing it outright.
-    flip: bool = False
-    #: The shadow's watermark captured at the flip decision — the bin keeps
-    #: everything newer.  Captured *at decision time* so a slice published
-    #: while the flip transaction was in flight cannot widen the cut.
-    flip_lsn: int = NULL_LSN
 
 
 class CheckpointQueue:
@@ -75,10 +66,7 @@ class CheckpointQueue:
 
     def in_flight(self) -> list[CheckpointRequest]:
         """Entries whose checkpoint has started (in-progress or awaiting
-        acknowledgement).  The condenser must not extend a chain under
-        these — the imminent bin reset would race the publish — while a
-        merely *queued* request is fair game: condensing it further is
-        exactly what turns the eventual checkpoint into a pointer flip."""
+        acknowledgement)."""
         return [
             e for e in self._entries() if e.state is not RequestState.REQUEST
         ]
@@ -116,8 +104,6 @@ class CheckpointQueue:
             if entry.state is RequestState.IN_PROGRESS:
                 entry.state = RequestState.REQUEST
                 entry.previous_slot = None
-                entry.flip = False
-                entry.flip_lsn = NULL_LSN
                 reverted += 1
         return reverted
 

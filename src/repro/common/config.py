@@ -17,7 +17,7 @@ regular memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import KILOBYTE, MEGABYTE
@@ -184,19 +184,23 @@ class SystemConfig:
     #: call says otherwise: ``"value"`` (after-images, the paper's
     #: scheme) or ``"command"`` (one TxnCommand record, docs/LOGGING.md).
     logging_mode: str = "value"
-    #: Run the background condenser (docs/CONDENSING.md): the recovery
-    #: CPU, when idle, folds flushed log pages into shadow checkpoint
-    #: images so restart replays only the short uncondensed suffix.  Off
-    #: by default.
-    condense_enabled: bool = False
     #: Disk model used for the log disks.
     log_disk: DiskParameters = field(default_factory=DiskParameters)
     #: Disk model used for the checkpoint disks.
     checkpoint_disk: DiskParameters = field(default_factory=DiskParameters)
     #: Cost-model constants (Table 2).
     analysis: AnalysisParameters = field(default_factory=AnalysisParameters)
+    #: Accepted as ``False`` only, for callers written when background
+    #: condensing existed; the update-count trigger now bounds restart
+    #: alone (docs/INTERNALS.md).  Not a field.
+    condense_enabled: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, condense_enabled: bool) -> None:
+        if condense_enabled:
+            raise ConfigurationError(
+                "condense_enabled: background condensing was removed; lower "
+                "update_count_threshold to bound restart instead"
+            )
         if self.partition_size <= 0:
             raise ConfigurationError("partition_size must be positive")
         if self.log_page_size <= 0:

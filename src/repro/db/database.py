@@ -56,7 +56,6 @@ from repro.engine import SimEngine
 from repro.index.linear_hash import LinearHashIndex
 from repro.index.node_store import NodeStore
 from repro.index.ttree import TTreeIndex
-from repro.recovery.condenser import Condenser
 from repro.recovery.processor import RecoveryProcessor
 from repro.recovery.replay_plan import LiveCommands
 from repro.recovery.restart import RecoveryMode, RestartCoordinator, restart as restart_sequence
@@ -196,7 +195,6 @@ class Database:
         self.audit = AuditLog(self.slb_memory, self.log_disk, config.log_page_size)
         self.transactions = TransactionManager(self)
         self.checkpoints = CheckpointManager(self)
-        self.condenser = Condenser(self)
 
     # -- transaction plumbing (called by Transaction) ----------------------------------
 
@@ -489,13 +487,6 @@ class Database:
         for number, info in sorted(descriptor.partitions.items()):
             address = PartitionAddress(descriptor.segment_id, number)
             if self.slt.has_partition(address):
-                # A condense chain's shadow slot is referenced only by the
-                # bin; free it before the bin disappears with the drop.
-                stale = self.slt.clear_condense_state(
-                    self.slt.bin_index_of(address)
-                )
-                if stale is not None:
-                    self.checkpoint_disk.free(stale)
                 self.slt.drop_partition(address)
             if info.checkpoint_slot is not None:
                 self.checkpoint_disk.free(info.checkpoint_slot)
@@ -658,7 +649,6 @@ class Database:
             "commands_settled": self.checkpoints.commands_settled,
             "command_replay": self.last_command_replay,
         }
-        condenser = self.condenser.stats_snapshot()
         residency: dict[str, dict] = {}
         partitions: list[Partition] = []
         if not self.crashed:
@@ -708,7 +698,6 @@ class Database:
             "checkpoint_queue_depth": len(self.checkpoint_queue),
             "checkpoint_slots_used": self.checkpoint_disk.occupied_count,
             "checkpoint_slots_total": self.checkpoint_disk.slots,
-            "condenser": condenser,
             "main_cpu_instructions": self.main_cpu.total_instructions,
             "recovery_cpu_instructions": self.recovery_cpu.total_instructions,
             "recovery_busy_seconds": self.recovery_cpu.busy_seconds(),

@@ -117,8 +117,8 @@ def _check_slt_mapping(db: "Database") -> list[str]:
 def _check_checkpoint_slots(db: "Database") -> list[str]:
     """Every catalogued checkpoint slot is allocated on the disk queue,
     no two partitions share a slot, and the (volatile) allocation map
-    holds no slot that neither a descriptor, a bin's condense chain nor a
-    finished request's superseded image references."""
+    holds no slot that neither a descriptor nor a finished request's
+    superseded image references."""
     problems = []
     seen: dict[int, PartitionAddress] = {}
     allocated = db.checkpoint_disk.allocated_slots()

@@ -69,17 +69,6 @@ def status_page(stats: dict) -> str:
         f"  queue depth       {stats['checkpoint_queue_depth']}",
         f"  disk slots used   {stats['checkpoint_slots_used']} / "
         f"{stats['checkpoint_slots_total']}",
-    ]
-    condenser = stats["condenser"]
-    if condenser["enabled"]:
-        lines.append(
-            f"--- condenser        {condenser['pages_condensed']} pages in "
-            f"{condenser['slices']} slices, {condenser['publishes']} "
-            f"publishes, {condenser['flips_taken']} flips, "
-            f"{condenser['log_pages_reclaimed']} log pages reclaimed, "
-            f"lag {condenser['max_lag_pages']}"
-        )
-    lines += [
         "--- processors",
         f"  main CPU          {stats['main_cpu_instructions']:,.0f} instructions",
         f"  recovery CPU      {stats['recovery_cpu_instructions']:,.0f} "

@@ -18,8 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: The between-transactions duty sequence, in the paper's order (sections
 #: 2.2/2.4): the recovery CPU sorts and acknowledges, the main CPU runs
 #: the checkpoint transactions, the recovery CPU acknowledges again, the
-#: main CPU takes one background restore step, and the recovery CPU
-#: spends its idle time on one condense slice.  Each entry resolves the
+#: main CPU takes one background restore step.  Each entry resolves the
 #: duty on the database at pump time.
 DUTIES = tuple(
     attrgetter(duty)
@@ -29,7 +28,6 @@ DUTIES = tuple(
         "checkpoints.process_pending",
         "recovery_processor.acknowledge_finished",
         "background_restore",
-        "condenser.step",
     )
 )
 

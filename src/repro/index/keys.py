@@ -7,7 +7,7 @@ index holds keys of a single type (mixing types raises
 detect).
 
 Integer keys are encoded two's-complement big-endian with the sign bit
-flipped, so ``sorted(encoded) == encode(sorted(decoded))`` — handy for
+inverted, so ``sorted(encoded) == encode(sorted(decoded))`` — handy for
 tests and for any future byte-wise comparisons — though the indexes
 compare *decoded* keys.
 """

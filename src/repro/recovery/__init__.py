@@ -4,7 +4,7 @@
   loop: drain committed records from the SLB, sort them into SLT bins,
   flush full pages, trigger checkpoints, acknowledge finished checkpoints.
 * :mod:`repro.recovery.redo` — the one partition-rebuild pipeline: a base
-  image (shadow, catalog slot, or empty) plus an ordered record source
+  image (catalog slot or empty) plus an ordered record source
   (chained log pages or full history, then pending SLT records).
 * :mod:`repro.recovery.restart` — post-crash orchestration: catalogs
   first, then on-demand and background partition recovery.

@@ -188,22 +188,9 @@ class RecoveryProcessor:
         """
         acknowledged = 0
         for request in self.checkpoint_queue.finished():
-            if request.flip:
-                # Pointer-flip checkpoint (docs/CONDENSING.md): the shadow
-                # image *is* the new catalog image and already contains
-                # every record at or below flip_lsn, so nothing is flushed
-                # to the archive — the bin just forgets the covered prefix.
-                self.slt.reset_after_flip(request.bin_index, request.flip_lsn)
-            else:
-                # A copy checkpoint supersedes any condense chain: the new
-                # image was copied from memory, so the shadow is stale and
-                # its slot is freed along with the previous catalog slot.
-                stale = self.slt.clear_condense_state(request.bin_index)
-                leftovers = self.slt.reset_after_checkpoint(request.bin_index)
-                self._archive(request.partition, leftovers)
-                self._maybe_flush_archive()
-                if stale is not None:
-                    self._free_slot(stale)
+            leftovers = self.slt.reset_after_checkpoint(request.bin_index)
+            self._archive(request.partition, leftovers)
+            self._maybe_flush_archive()
             if request.previous_slot is not None:
                 self._free_slot(request.previous_slot)
             self.checkpoint_queue.remove(request)

@@ -15,8 +15,8 @@ This module is the only place stable state becomes a
 the base and the log pages still to apply;
 :func:`rebuild_partition_resilient` replays them straight through, each
 page from its bytes (:meth:`~repro.wal.log_disk.LogPage.replay`).
-Restart, the torn-image fallback, the media restore, command replay and
-the condenser all start here.
+Restart, the torn-image fallback, the media restore and command replay
+all start here.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ register_crash_point(
 #: Ways a checkpoint *image* can be unusable: torn by the crash, failing
 #: its CRC, holding a stale image of the wrong partition, or lost to an
 #: escalated transient-fault burst.  Restart survives these by taking the
-#: next source; the condenser gives the slice up.
+#: log-history fallback.
 IMAGE_FAILURES = (TornWriteError, ChecksumError, StorageError, MediaFailure)
 
 #: Per-partition replay streams, as :func:`demultiplex_log_history` builds them.
@@ -73,21 +73,14 @@ def load_base(
 
 
 def enumerate_log_pages(
-    bin_: PartitionBin, log_disk: LogDisk, condensed_lsn: int = NULL_LSN
+    bin_: PartitionBin, log_disk: LogDisk
 ) -> tuple[list[int], dict[int, LogPage], int]:
-    """Write-order list of a partition's log page LSNs past ``condensed_lsn``.
+    """Write-order list of a partition's log page LSNs.
 
     Returns ``(lsns, cache, backward_reads)``: the pages already fetched
     during the backward directory walk are cached so the forward pass does
     not reread them, and ``backward_reads`` reports how many reads the walk
     needed (the paper's ``#pages / N`` claim, measured by the benchmarks).
-
-    With the default ``condensed_lsn`` of :data:`NULL_LSN` the full
-    history is returned.  A real watermark (docs/CONDENSING.md) both
-    *stops the backward walk early* — page LSNs are monotone across
-    directory groups, so once a group starts at or below the watermark no
-    older group can matter — and filters the result, which is how a
-    condensed restart avoids touching the folded prefix at all.
     """
     if not bin_.directory:
         return [], {}, 0
@@ -96,7 +89,7 @@ def enumerate_log_pages(
     backward_reads = 0
     while True:
         first_lsn = groups[0][0]
-        if first_lsn == bin_.first_page_lsn or first_lsn <= condensed_lsn:
+        if first_lsn == bin_.first_page_lsn:
             break
         page = log_disk.read_page(first_lsn, expected=bin_.partition)
         cache[first_lsn] = page
@@ -107,10 +100,7 @@ def enumerate_log_pages(
                 f"previous directory group but does not"
             )
         groups.insert(0, list(page.embedded_directory))
-    lsns = [
-        lsn for group in groups for lsn in group if lsn > condensed_lsn
-    ]
-    return lsns, cache, backward_reads
+    return [lsn for group in groups for lsn in group], cache, backward_reads
 
 
 def cut_settled_prefix(pages: list[LogPage], command_watermark: int) -> list[LogPage]:
@@ -148,25 +138,19 @@ def cut_settled_prefix(pages: list[LogPage], command_watermark: int) -> list[Log
 
 
 def partition_record_stream(
-    bin_: PartitionBin, log_disk: LogDisk, condensed_lsn: int = NULL_LSN
+    bin_: PartitionBin, log_disk: LogDisk
 ) -> tuple[list[LogPage], dict]:
-    """The bin's REDO stream past ``condensed_lsn``, in write order, as
-    pages.
+    """The bin's REDO stream, in write order, as pages.
 
     Flushed log pages (directory walk, forward read), followed by the
     bin's page buffer — the partition's next page body, in stable memory,
     newer than any flushed one.
-    The default watermark of :data:`NULL_LSN` yields the full stream; a
-    shadow base passes its own watermark so only the uncondensed suffix
-    is read (docs/CONDENSING.md).
     """
     address = bin_.partition
     pages: list[LogPage] = []
     stats = {"pages_read": 0, "backward_reads": 0}
     if bin_.first_page_lsn != NULL_LSN:
-        lsns, cache, backward_reads = enumerate_log_pages(
-            bin_, log_disk, condensed_lsn
-        )
+        lsns, cache, backward_reads = enumerate_log_pages(bin_, log_disk)
         stats["backward_reads"] = backward_reads
         for lsn in lsns:
             page = cache.get(lsn)
@@ -267,16 +251,12 @@ def plan_rebuild(
     script re-execution at the barrier records.  ``stats["source"]``
     names the starting point taken (table in docs/INTERNALS.md):
 
-    * ``shadow`` — a valid condense shadow and the suffix past its
-      watermark.  Valid means the chain grew from the catalog slot being
-      recovered or *is* that slot (a flip published it); a later copy
-      checkpoint invalidates it (docs/CONDENSING.md).
     * ``image`` / ``empty`` — the catalog slot's image, or an empty
       partition when there never was one, and the whole stream.
     * ``history`` — an empty partition and everything ever logged for it
       (paper section 2.6): the ``history`` streams the caller hands in
       because the checkpoint disk is gone, or a scan done here because
-      every image above was unusable; then ``pending_archive(address)``,
+      the image was unusable; then ``pending_archive(address)``,
       the leftovers in the stable archive buffer, which postdate every
       on-disk page of the partition; then the bin buffer, newest of all.
 
@@ -286,30 +266,23 @@ def plan_rebuild(
     settled command effects exist *only* in the checkpoint images — their
     after-images were never value-logged (docs/LOGGING.md).
 
-    Only *image* reads fall back to the next source.  A log read that
+    Only an *image* read falls back, to ``history``.  A log read that
     fails propagates: the log is the last copy.
     """
     if not slt.has_partition(address):
         raise RecoveryError(f"{address} has no Stable Log Tail bin")
     bin_ = slt.bin_for_partition(address)
-    shadow = bin_.condensed_slot
-    chain_base = bin_.condensed_base_slot
-    shadow_lsn = bin_.condensed_lsn
-    images = [
-        ("empty" if checkpoint_slot is None else "image", checkpoint_slot, NULL_LSN)
-    ]
-    if shadow is not None and checkpoint_slot in (chain_base, shadow):
-        images.insert(0, ("shadow", shadow, shadow_lsn))
+    base: Partition | None = None
     failure: Exception | None = None
-    for source, slot, condensed_lsn in images if history is None else ():
+    if history is None:
         try:
-            base = load_base(disk_queue, slot, address, partition_size)
+            base = load_base(disk_queue, checkpoint_slot, address, partition_size)
         except IMAGE_FAILURES as exc:
             failure = exc
-            continue
-        pages, stats = partition_record_stream(bin_, log_disk, condensed_lsn)
+    if base is not None:
+        source = "empty" if checkpoint_slot is None else "image"
+        pages, stats = partition_record_stream(bin_, log_disk)
         pages = cut_settled_prefix(pages, command_watermark)
-        break
     else:
         if command_watermark > 0:
             raise RecoveryError(

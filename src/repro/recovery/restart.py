@@ -25,11 +25,10 @@ Section 2.6's archive recovery is this sequence with the checkpoint
 images lost (``images_lost``): after step 3 the coordinator takes the
 complete log history in ONE verified pass over the log disk
 (:func:`~repro.recovery.redo.demultiplex_log_history`), every partition
-it plans from then on starts empty and replays its history stream, and
-after step 4 the condense chains, which lived on the lost disk too, are
-dropped.  The catalog still names the lost image slots: that is what its
-durable copy says, and the map rebuild keeps those slot numbers reserved
-until a fresh checkpoint supersedes them.  Nothing else differs.
+it plans from then on starts empty and replays its history stream.  The
+catalog still names the lost image slots: that is what its durable copy
+says, and the map rebuild keeps those slot numbers reserved until a
+fresh checkpoint supersedes them.  Nothing else differs.
 
 Phase 2's pending work is the segments' own missing partitions.  Every
 path restores through :meth:`RestartCoordinator.recover`, so a failed
@@ -175,9 +174,9 @@ class RestartCoordinator:
         #: Simulated seconds from restart to transaction-processing-ready.
         self.catalog_restore_seconds: float | None = None
         #: Rebuilds by where each started (:func:`plan_rebuild`'s
-        #: ``source``): a condensed shadow, the checkpoint image, an empty
-        #: partition, or the full log history.
-        self.sources = dict.fromkeys(("shadow", "image", "empty", "history"), 0)
+        #: ``source``): the checkpoint image, an empty partition, or the
+        #: full log history.
+        self.sources = dict.fromkeys(("image", "empty", "history"), 0)
         #: Set once a background step finds nothing missing; no partition
         #: goes missing after phase 1, so the pump's duty is then free.
         self._swept = False
@@ -221,10 +220,6 @@ class RestartCoordinator:
         for address, _ in locations:
             db.catalog.segment.install(self._rebuild(address)[0])
         db.catalog.rebuild()
-        if images_lost:
-            # The condense chains lived on the lost disk too.
-            for bin_ in db.slt.bins():
-                db.slt.clear_condense_state(bin_.bin_index)
         crash_point("restart.phase1.catalog-recovered")
         self._register_segments()
         db.checkpoint_disk.rebuild_map(db.checkpoints.occupied_slots())

@@ -92,6 +92,7 @@ ROUND_CONFIG = dict(
     log_page_size=512,
     log_window_pages=64,
     log_window_grace_pages=8,
+    update_count_threshold=16,
 )
 
 
@@ -110,10 +111,6 @@ class RoundSpec:
     #: (whole-cluster crash, per-shard bank invariants) instead of a
     #: single node.
     shards: int = 1
-    #: Run the round with background condensing enabled, so the condense
-    #: crash points and the shadow-image restart path sit in the blast
-    #: radius (docs/CONDENSING.md).
-    condense: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -128,8 +125,6 @@ class RoundSpec:
         )
         if self.shards > 1:
             command += f" --shards {self.shards}"
-        if self.condense:
-            command += " --condense"
         return command
 
 
@@ -152,7 +147,6 @@ class RoundResult:
     digest: str
     host_seconds: float
     shards: int = 1
-    condense: bool = False
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -278,7 +272,6 @@ class TortureHarness:
             digest=digest,
             host_seconds=0.0,
             shards=spec.shards,
-            condense=spec.condense,
         )
 
     def _play(
@@ -293,13 +286,7 @@ class TortureHarness:
         under ``injector`` through one power failure, restart and exact
         check (in-doubt 2PC branches resolve against the stable decision
         tables during each node's restart)."""
-        config = SystemConfig(
-            **ROUND_CONFIG,
-            # At 16 a condensing round checkpoints and resets every bin
-            # before it has a flushed page to fold: no slice would run.
-            update_count_threshold=64 if spec.condense else 16,
-            condense_enabled=spec.condense,
-        )
+        config = SystemConfig(**ROUND_CONFIG)
         power_fail: Callable[[], None] | None = None
         workload: DebitCreditWorkload | ShardedBankWorkload
         if spec.shards > 1:
@@ -382,7 +369,6 @@ class TortureHarness:
         seeds: list[int],
         kinds: tuple[str, ...] = KINDS,
         shards: int = 1,
-        condense: bool = False,
         on_result=None,
     ) -> list[RoundResult]:
         """Run every (seed, kind) combination; the first failure raises
@@ -390,7 +376,7 @@ class TortureHarness:
         results = []
         for seed in seeds:
             for kind in kinds:
-                result = self.run_round(RoundSpec(seed, kind, shards, condense))
+                result = self.run_round(RoundSpec(seed, kind, shards))
                 if on_result is not None:
                     on_result(result)
                 results.append(result)
@@ -417,13 +403,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run each round against a cluster of this many shard nodes",
     )
     parser.add_argument(
-        "--condense",
-        action="store_true",
-        help="enable background condensing for every round, putting the "
-        "condense crash points and the shadow-image restart path in play "
-        "(docs/CONDENSING.md)",
-    )
-    parser.add_argument(
         "--log", default=None, help="append one JSON line per round here"
     )
     args = parser.parse_args(argv)
@@ -439,8 +418,6 @@ def main(argv: list[str] | None = None) -> int:
             log_file.write(json.dumps(line) + "\n")
             log_file.flush()
         topology = "" if result.shards == 1 else f" shards={result.shards}"
-        if result.condense:
-            topology += " condense"
         crash = "" if result.point is None else f" at {result.point} visit {result.visit}"
         print(
             f"round seed={result.seed} kind={result.kind}"
@@ -453,7 +430,6 @@ def main(argv: list[str] | None = None) -> int:
             seeds=[args.seed + i for i in range(args.rounds)],
             kinds=tuple(args.kinds),
             shards=args.shards,
-            condense=args.condense,
             on_result=report,
         )
     except TortureFailure as failure:

@@ -239,9 +239,6 @@ class LogDisk:
         self._archived_below = 0
         self.pages_written = 0
         self.pages_read = 0
-        #: Pages moved to the archive by condensing (docs/CONDENSING.md)
-        #: before the window slide would have expired them.
-        self.pages_condense_reclaimed = 0
 
     # -- window geometry ----------------------------------------------------------
 
@@ -384,28 +381,6 @@ class LogDisk:
                 self.archive.accept(lsn, blob)
                 self.disks.free(lsn)
             self._archived_below = lsn + 1
-
-    def reclaim_condensed(self, lsns: list[int]) -> int:
-        """Retire pages whose records were condensed into a shadow image.
-
-        Condensing (docs/CONDENSING.md) makes a page redundant for memory
-        recovery, so its spindle block is freed early — this is how the
-        condenser genuinely relieves log-window pressure.  The page still
-        moves to the archive first: media recovery and the torn-shadow
-        full-history fallback read archived pages transparently through
-        :meth:`fetch_blob`.  Pages the window slide already expired are
-        skipped.  Returns the number of blocks freed.
-        """
-        freed = 0
-        for lsn in lsns:
-            if not self.disks.contains(lsn):
-                continue  # already expired into the archive
-            blob = self._read_duplexed(lsn)
-            self.archive.accept(lsn, blob)
-            self.disks.free(lsn)
-            freed += 1
-        self.pages_condense_reclaimed += freed
-        return freed
 
     # -- safety check ---------------------------------------------------------------
 

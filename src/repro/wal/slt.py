@@ -34,7 +34,7 @@ from repro.common.errors import LogError
 from repro.common.types import NULL_LSN, PartitionAddress
 from repro.sim.stable_memory import StableMemory
 from repro.wal.log_disk import LogPage
-from repro.wal.records import RedoRecord, count_updates
+from repro.wal.records import RedoRecord
 
 #: Stable bytes for one permanent partition information block ("on the
 #: order of 50 bytes", section 2.3.3).
@@ -67,17 +67,6 @@ class PartitionBin:
     buffer_bytes: int = 0
     marked_for_checkpoint: bool = False
     checkpoint_reason: str | None = None
-    #: Background-condenser chain (docs/CONDENSING.md).
-    #: ``condensed_slot`` is the
-    #: newest shadow checkpoint image; ``condensed_base_slot`` the regular
-    #: catalog slot the chain grew from (None = grown from an empty
-    #: partition); pages with LSN ≤ ``condensed_lsn`` are folded into the
-    #: shadow image and restart may skip them; ``condensed_pages`` counts
-    #: folded pages so lag = flushed_pages - condensed_pages.
-    condensed_slot: int | None = None
-    condensed_base_slot: int | None = None
-    condensed_lsn: int = NULL_LSN
-    condensed_pages: int = 0
 
     @property
     def active(self) -> bool:
@@ -284,65 +273,6 @@ class StableLogTail:
         if f"slt-page-{bin_index}" in self.stable:
             self.stable.release(f"slt-page-{bin_index}")
         return leftovers
-
-    def clear_condense_state(self, bin_index: int) -> int | None:
-        """Forget the bin's condense chain (docs/CONDENSING.md).
-
-        Returns the superseded shadow slot so the caller can free it on
-        the checkpoint disk — a copy checkpoint or sweep just installed a
-        newer image, so the chain is stale.  ``None`` when no chain
-        existed (or the chain's image *is* the catalog slot, which a flip
-        just installed — the caller must not free that one, so flips
-        never route through here).
-        """
-        bin_ = self.bin(bin_index)
-        stale = bin_.condensed_slot
-        bin_.condensed_slot = None
-        bin_.condensed_base_slot = None
-        bin_.condensed_lsn = NULL_LSN
-        bin_.condensed_pages = 0
-        return stale
-
-    def reset_after_flip(self, bin_index: int, flip_lsn: int) -> None:
-        """Complete a flip checkpoint (docs/CONDENSING.md).
-
-        The catalog now points at the shadow image, which folds every log
-        page with LSN ≤ ``flip_lsn`` — those pages leave the directory and
-        the age monitor.  Unlike :meth:`reset_after_checkpoint` the buffer
-        stays: its records post-date the image and are still needed for
-        memory recovery.  Pages flushed between the flip decision and this
-        acknowledgement carry higher LSNs and survive the filter.  The
-        condense chain itself is kept — the next condenser pass rebases it
-        onto the flipped image.
-        """
-        bin_ = self.bin(bin_index)
-        # Flip eligibility required lag 0 (condensed_pages ==
-        # flushed_pages) at decision time, and the condenser skips
-        # bins whose checkpoint is in flight, so condensed_pages
-        # still equals the at-decision flush count: the difference
-        # is exactly the pages flushed since.
-        newer = bin_.flushed_pages - bin_.condensed_pages
-        remaining = [lsn for lsn in bin_.directory if lsn > flip_lsn]
-        bin_.flushed_pages = newer
-        bin_.condensed_pages = 0
-        if newer == len(remaining):
-            bin_.directory = remaining
-            new_first = remaining[0] if remaining else NULL_LSN
-            if new_first != bin_.first_page_lsn:
-                bin_.first_page_lsn = new_first
-                if new_first != NULL_LSN:
-                    # the old heap entry, if any, goes stale and is
-                    # discarded lazily
-                    heapq.heappush(self._first_lsn_heap, (new_first, bin_index))
-        # else: so many pages arrived that a whole group rolled into
-        # an embedded directory — keep directory and age monitor as
-        # they are (conservatively old); condensed_lsn still bounds
-        # what restart reads.
-        bin_.update_count = count_updates(bytes(bin_.buffer))
-        bin_.marked_for_checkpoint = False
-        bin_.checkpoint_reason = None
-        if not bin_.buffer and f"slt-page-{bin_index}" in self.stable:
-            self.stable.release(f"slt-page-{bin_index}")
 
     # -- well-known area (catalog address list duplicate, section 2.5) -------------------------
 

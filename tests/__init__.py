@@ -1,13 +1,12 @@
 """The tier-1 suite.
 
-Tests that must hold with the background condenser on as well as off
-run both ways in one run.  A class's tests take
-``SystemConfig.condense_enabled`` from the ``condense_enabled`` fixture
-(off, tests/conftest.py), and a ``Test...Condensed`` subclass marked
-:data:`CONDENSED` runs them again with it on; a module-level test has a
-``..._condensed`` twin.
+A ``Test...Condensed`` class marked :data:`CONDENSED` and a module-level
+``..._condensed`` function are twins of the test they name.  They ran it
+again with the background condenser on; condensing is gone, so each now
+runs its base test's configuration under the old name (``[condensed]``),
+and they leave in batches small enough for one change each (ROADMAP.md).
 """
 
 import pytest
 
-CONDENSED = pytest.mark.parametrize("condense_enabled", [True], ids=["condensed"])
+CONDENSED = pytest.mark.parametrize("condense_enabled", [False], ids=["condensed"])

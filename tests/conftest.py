@@ -8,7 +8,8 @@ fails the test that commits it, at the crash point itself.
 ``no_host_sleep`` makes ``time.sleep`` raise for the tests that use it:
 all time is simulated, so nothing on those paths may wait on the host.
 
-``condense_enabled`` is off; ``tests.CONDENSED`` parametrizes it on.
+``condense_enabled`` is off, the only value ``SystemConfig`` accepts; the
+``tests.CONDENSED`` twins run with it too.
 """
 
 import time

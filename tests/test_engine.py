@@ -50,8 +50,8 @@ class TestNoEnvironmentInput:
         prefix = repro.__name__.upper()
         monkeypatch.setenv(f"{prefix}_LOGGING_MODE", "command")
         monkeypatch.setenv(f"{prefix}_CONDENSE", "1")
-        assert SystemConfig() == SystemConfig(logging_mode="value", condense_enabled=False)
-        assert Database().stats()["condenser"]["enabled"] is False
+        assert SystemConfig() == SystemConfig(logging_mode="value")
+        assert Database().stats()["logging"]["mode"] == "value"
 
 
 class TestDutyOrder:
@@ -75,7 +75,6 @@ class TestDutyOrder:
             recording(db.recovery_processor, duty)
         recording(db.checkpoints, "process_pending")
         recording(db, "background_restore")
-        recording(db.condenser, "step")
         db.pump()
         assert calls == [
             "run_until_drained",
@@ -83,7 +82,6 @@ class TestDutyOrder:
             "process_pending",
             "acknowledge_finished",
             "background_restore",
-            "step",
         ]
 
 

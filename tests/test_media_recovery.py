@@ -90,12 +90,10 @@ class TestFullHistoryReplay:
             assert list(rebuilt.entities()) == list(live.entities())
 
     def test_every_source_rebuilds_the_same_bytes(self):
-        """Shadow, catalog image and full history are three starting
-        points of one pipeline: each must yield the same partition, and
-        the stats must name the one taken."""
-        # a short grace period keeps the age trigger from checkpointing
-        # the chain away as soon as its first page is flushed
-        db, rel, addrs = loaded_db(condense_enabled=True, log_window_grace_pages=4)
+        """Catalog image and full history are two starting points of one
+        pipeline: each must yield the same partition, a torn image falls
+        back to the history, and the stats must name the one taken."""
+        db, rel, addrs = loaded_db()
         with db.transaction() as txn:
             for i in range(25):
                 rel.update(txn, addrs[i], {"v": -i})
@@ -122,14 +120,10 @@ class TestFullHistoryReplay:
                 assert source == "history"
                 best, source = rebuild()
                 assert best == expected, f"{source} diverged for {address}"
-                if source == "shadow":
-                    # an unusable shadow is the only way past it
-                    shadow = db.slt.bin_for_partition(address).condensed_slot
-                    db.checkpoint_disk.disk.corrupt_block(shadow, "torn")
-                    image, source = rebuild()
-                    assert source == "image"
-                    assert image == expected
-        assert taken == {"shadow", "image", "history"}
+                if source == "image":
+                    db.checkpoint_disk.disk.corrupt_block(info.checkpoint_slot, "torn")
+                    assert rebuild() == (expected, "history")
+        assert taken == {"image", "history"}
 
 
 class TestCheckpointDiskFailure:
@@ -311,20 +305,17 @@ class TestTornCheckpointImage:
 
 class TestRestartSources:
     """``stats()["restart"]["sources"]`` tallies every rebuild by where it
-    started — three partitions here: the catalog's, ``items``' and its
-    primary index's."""
+    started, and no rebuild starts anywhere but an image, an empty
+    partition or the log history.  Three partitions here: the catalog's,
+    ``items``' and its primary index's; a fresh relation adds two."""
 
     def _restart(self, kind):
-        db, rel, addrs = loaded_db(condense_enabled=kind == "condensed")
-        if kind == "condensed":
-            # past the last checkpoint, folded into a shadow image
-            for _ in range(3):
-                with db.transaction() as txn:
-                    for i in range(0, 40, 4):
-                        rel.update(txn, addrs[i], {"v": -i})
-            db.recovery_processor.run_until_drained()
-            while db.condenser.step():
-                pass
+        db, rel, addrs = loaded_db()
+        if kind == "fresh relation":
+            # a new relation: one of its two partitions has no image yet
+            fresh = db.create_relation("fresh", [("id", "int")], primary_key="id")
+            with db.transaction() as txn:
+                fresh.insert(txn, {"id": 1})
         [slot] = [
             info.checkpoint_slot
             for info in db.catalog.relation("items").partitions.values()
@@ -345,17 +336,17 @@ class TestRestartSources:
     @pytest.mark.parametrize(
         "kind, sources",
         [
-            ("plain", {"shadow": 0, "image": 3, "empty": 0, "history": 0}),
-            ("torn image", {"shadow": 0, "image": 2, "empty": 0, "history": 1}),
-            ("condensed", {"shadow": 1, "image": 2, "empty": 0, "history": 0}),
+            ("plain", {"image": 3, "empty": 0, "history": 0}),
+            ("torn image", {"image": 2, "empty": 0, "history": 1}),
+            ("fresh relation", {"image": 4, "empty": 1, "history": 0}),
             # no image was torn: every partition came from the log history
-            ("media restore", {"shadow": 0, "image": 0, "empty": 0, "history": 3}),
+            ("media restore", {"image": 0, "empty": 0, "history": 3}),
         ],
     )
     def test_sources_pinned(self, kind, sources):
         restart = self._restart(kind)
         assert restart["sources"] == sources
-        assert restart["partitions_recovered"] == 3
+        assert restart["partitions_recovered"] == sum(sources.values())
         assert restart["pending_partitions"] == 0
         assert (restart["history_scan"] is not None) == (kind == "media restore")
 

@@ -79,4 +79,4 @@ def test_soak_mixed_workload_with_periodic_crashes():
 
 
 def test_soak_mixed_workload_with_periodic_crashes_condensed():
-    soak(condense_enabled=True)
+    soak(condense_enabled=False)

@@ -138,16 +138,6 @@ class TestKeptSeeds:
         assert (result.point, result.crashes_fired) == ("txn.commit.before-slb", 1)
 
 
-class TestCondenseRounds:
-    """A condensing round's trigger leaves a bin flushed pages to fold
-    before its checkpoint resets it, so the condenser has work."""
-
-    def test_a_condense_round_applies_a_slice(self):
-        harness = TortureHarness()
-        harness.run_round(RoundSpec(100, "crash", condense=True))
-        assert "condense.slice.applied" in harness.passed
-
-
 class TestRoundIsAFunctionOfItsSpec:
     """Nothing but the spec decides a round: the same spec run twice
     gives the same record, ``host_seconds`` apart."""
@@ -157,11 +147,11 @@ class TestRoundIsAFunctionOfItsSpec:
         "kind,topology",
         [
             ("crash", {"shards": 1}),
-            ("fault", {"shards": 1, "condense": True}),
+            ("fault", {"shards": 1}),
             ("fault", {"shards": 2}),
             ("crash", {"shards": 2}),
         ],
-        ids=["single", "condense", "sharded", "sharded-crash"],
+        ids=["single", "single-fault", "sharded", "sharded-crash"],
     )
     def test_same_spec_same_record(self, kind, topology):
         spec = RoundSpec(100, kind, **topology)

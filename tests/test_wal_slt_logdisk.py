@@ -259,26 +259,23 @@ class TestLogDiskWindow:
 
     def test_every_expired_block_leaves_the_spindles(self):
         """Whatever wrote or removed the pages — REDO and opaque (audit)
-        appends, condensing's early reclaim, a rescue's drop — after each
-        append the spindles hold exactly the rest of the window, and the
-        archive every page that left it."""
+        appends, a rescue's drop — after each append the spindles hold
+        exactly the rest of the window, and the archive every page that
+        left it."""
         log_disk = make_log_disk(window=4, grace=1)
-        condensed, dropped = set(), set()
+        dropped = set()
         for step in range(20):
             if step % 3:
                 log_disk.append_page(LogPage.of(PADDR, [record(0)]))
             else:
                 log_disk.append_opaque_page(-2, b"audit")
-            if step == 7:
-                condensed.add(log_disk.next_lsn - 2)
-                log_disk.reclaim_condensed([log_disk.next_lsn - 2])
             if step == 11:
                 dropped.add(log_disk.next_lsn - 1)
                 log_disk.drop_page(log_disk.next_lsn - 1)
             start = log_disk.window_start
             window = set(range(start, log_disk.next_lsn))
-            assert set(log_disk.disks.block_ids()) == window - condensed - dropped
-            assert set(log_disk.archive.lsns()) == (set(range(start)) | condensed) - dropped
+            assert set(log_disk.disks.block_ids()) == window - dropped
+            assert set(log_disk.archive.lsns()) == set(range(start)) - dropped
 
     def test_drop_page_frees_the_spindles(self):
         log_disk = make_log_disk()
