@@ -39,7 +39,7 @@ def run_hybrid() -> dict:
         for p in range(ACTIVE_PARTITIONS):
             bin_index = slt.bin_index_of(PartitionAddress(1, p + 1))
             slt.deposit(
-                TupleInsert(1, bin_index, EntityAddress(1, p + 1, 1), b"x" * 24)
+                TupleInsert(1, bin_index, EntityAddress(1, p + 1, 1), b"x" * 24).encode()
             )
             activations += 1
         peak = stable.used_bytes

@@ -47,7 +47,7 @@ def pump(directory_size: int) -> tuple[int, float]:
     offset = 1
     for _ in range(LOG_PAGES):
         while True:
-            record = TupleInsert(1, bin_index, EntityAddress(1, 1, offset), b"x" * 60)
+            record = TupleInsert(1, bin_index, EntityAddress(1, 1, offset), b"x" * 60).encode()
             offset += 1
             if slt.deposit(record):
                 break

@@ -12,6 +12,7 @@ wire format vs on dedicated pages, and the resulting log-disk savings.
 
 from repro import Database, SystemConfig
 from repro.wal.log_disk import ARCHIVE_SEGMENT
+from repro.wal.records import full_forms
 
 
 def drive() -> dict:
@@ -33,10 +34,10 @@ def drive() -> dict:
         page = db.log_disk.read_page(lsn)
         if page.partition.segment in (ARCHIVE_SEGMENT, -2):
             continue
-        for record in page.records:
-            full_bytes += len(record.encode())
-            compact_bytes += len(record.encode(compact=True))
-            records += 1
+        full = full_forms(page.body, page.partition)
+        full_bytes += sum(map(len, full))
+        compact_bytes += len(page.body)
+        records += len(full)
     return {
         "records": records,
         "full_bytes": full_bytes,

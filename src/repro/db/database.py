@@ -204,15 +204,17 @@ class Database:
         Section 2.2: copying REDO records into the Stable Log Buffer is
         the only logging work the main CPU does, and it pays the
         stable-memory copy for it; everything downstream belongs to the
-        recovery CPU.
+        recovery CPU.  The record is encoded here, once, in full form: from
+        the SLB to the disk it is bytes.
         """
-        self.main_cpu.charge_stable_bytes(record.size_bytes, "slb-write")
+        data = record.encode()
+        self.main_cpu.charge_stable_bytes(len(data), "slb-write")
         try:
-            self.slb.append(txn_id, record)
+            self.slb.append(txn_id, data)
         except StableMemoryFullError:
             # The main CPU stalls while the recovery CPU frees blocks.
             self.engine.drain_log()
-            self.slb.append(txn_id, record)
+            self.slb.append(txn_id, data)
 
     def grow_segment(
         self, segment: Segment, fits: Callable[[Partition], bool], txn: Transaction

@@ -20,7 +20,7 @@ from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.cpu import CpuMeter
 from repro.sim.faults import SimulatedCrash
 from repro.wal.log_disk import ARCHIVE_SEGMENT, LogDisk, LogPage
-from repro.wal.records import compact_form, full_forms
+from repro.wal.records import bin_index_of, compact_form, full_forms, split_records
 from repro.wal.slb import StableLogBuffer
 from repro.wal.slt import CheckpointReason, PartitionBin, StableLogTail
 
@@ -95,7 +95,7 @@ class RecoveryProcessor:
         as they appear; checkpoint triggers are evaluated as pages are
         written (age) and after the drain (update count).
         """
-        records = self.slb.drain_committed()
+        records = split_records(self.slb.drain_committed())
         deposited = 0
         # Table 2's sorting costs, charged one by one in this order (each
         # advances the shared clock), then the deposit.
@@ -107,13 +107,13 @@ class RecoveryProcessor:
             for record in records:
                 charge(lookup, "record-lookup")
                 charge(check, "page-check")
-                charge_stable_bytes(record.size_bytes, "record-copy")
+                charge_stable_bytes(len(record), "record-copy")
                 charge(update, "page-update")
                 page_full = deposit(record)
                 deposited += 1
                 crash_point("recovery.sort.after-deposit")
                 if page_full:
-                    self._flush_bin(record.bin_index)
+                    self._flush_bin(bin_index_of(record))
         except SimulatedCrash:
             # The SLB → SLT move is stable-to-stable and record-atomic:
             # records drained but not yet deposited go back to the

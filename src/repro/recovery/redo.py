@@ -36,7 +36,7 @@ from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import TornWriteError
 from repro.storage.partition import Partition
 from repro.wal.log_disk import LogDisk, LogPage
-from repro.wal.records import RedoRecord, SweepMarker
+from repro.wal.records import SweepMarker, split_by_owner
 from repro.wal.slt import PartitionBin, StableLogTail
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -171,7 +171,7 @@ def demultiplex_log_history(
     Walks every retained LSN (active window plus archive) exactly once in
     LSN order and routes it into per-partition replay streams: a
     dedicated page joins its owner's stream as it is, records undecoded;
-    a mixed archive page is split record by record into one page per
+    a mixed archive page is split by byte spans into one compact page per
     partition it names; non-REDO pages (audit markers) are classified
     from the header alone.  Because the walk is in global LSN order, each
     stream preserves the per-partition LSN order the recovery processor
@@ -213,13 +213,9 @@ def demultiplex_log_history(
         owner = page.partition
         if page.is_archive_page:
             stats["archive_pages"] += 1
-            split: dict[PartitionAddress, list[RedoRecord]] = {}
-            for record in page.records:
-                target = record.partition_address
+            for target, body in split_by_owner(page.body).items():
                 if wanted is None or target in wanted:
-                    split.setdefault(target, []).append(record)
-            for target, records in split.items():
-                streams.setdefault(target, []).append(LogPage.of(target, records, lsn=lsn))
+                    streams.setdefault(target, []).append(LogPage(target, body, lsn=lsn))
         elif owner.segment >= 0 and (wanted is None or owner in wanted):
             stats["dedicated_pages"] += 1
             streams.setdefault(owner, []).append(page)

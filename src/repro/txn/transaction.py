@@ -345,7 +345,7 @@ class Transaction:
                     address,
                     csn,
                     changes.get((address.segment, address.partition), 0),
-                )
+                ).encode()
                 for address, bin_index in targets
             ]
             return command.encode(), barriers

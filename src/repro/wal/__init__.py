@@ -1,8 +1,8 @@
 """Logging component: the paper's recovery core.
 
 * :mod:`repro.wal.records` — REDO log record formats (section 2.3.2):
-  TAG, bin index, transaction id, operation, with binary encode/decode
-  and partition-local REDO application.  UNDO has no format of its own:
+  TAG, bin index, transaction id, operation; encoded once, read as
+  bytes from the SLB to the disk.  UNDO has no format of its own:
   it is never written anywhere, so a transaction keeps the *inverse*
   REDO record of each change in its volatile UNDO space
   (:mod:`repro.txn.transaction`), discarded at commit, applied at abort.
@@ -27,8 +27,6 @@ from repro.wal.records import (
     TupleDelete,
     TupleInsert,
     TupleUpdate,
-    decode_record,
-    decode_records,
 )
 from repro.wal.slb import StableLogBuffer, TransactionLogChain
 from repro.wal.slt import PartitionBin, StableLogTail
@@ -54,6 +52,4 @@ __all__ = [
     "TupleDelete",
     "TupleInsert",
     "TupleUpdate",
-    "decode_record",
-    "decode_records",
 ]

@@ -48,7 +48,7 @@ register_fault_point(
     "transient controller fault on a duplexed log-page read",
 )
 from repro.storage.partition import Partition
-from repro.wal.records import RedoRecord, decode_records, replay_records
+from repro.wal.records import replay_records
 
 #: Partition segment value marking a mixed archive page (section 2.4: partial
 #: bin pages are combined with other partitions' records into full pages).
@@ -73,11 +73,9 @@ class LogPage:
 
     A dedicated page's body is its records in compact form, exactly as
     the partition's bin accumulated them; a mixed archive page's body is
-    full-form records.  :meth:`of` builds a page from record objects,
-    :meth:`decode` parses the header and embedded directory of a page
-    read back from disk.  Every restart path applies a body from its
-    bytes (:meth:`replay`); :attr:`records` builds the objects only for
-    whoever routes or inspects individual records.
+    full-form records.  :meth:`decode` parses the header and embedded
+    directory of a page read back from disk, and every restart path
+    applies a body from its bytes (:meth:`replay`).
     """
 
     __slots__ = ("partition", "body", "embedded_directory", "lsn")
@@ -97,30 +95,9 @@ class LogPage:
         #: Assigned at write time.
         self.lsn = lsn
 
-    @classmethod
-    def of(
-        cls,
-        partition: PartitionAddress,
-        records: list[RedoRecord],
-        embedded_directory: list[int] | None = None,
-        lsn: int = NULL_LSN,
-    ) -> "LogPage":
-        """A page holding ``records``.  Dedicated pages condense the log:
-        the partition address is stripped from every record (section
-        2.3.3 point 3) — the page header carries it once for all of them.
-        Mixed archive pages span partitions, so their records keep the
-        full form."""
-        compact = partition.segment != ARCHIVE_SEGMENT
-        body = b"".join(record.encode(compact) for record in records)
-        return cls(partition, body, embedded_directory, lsn)
-
     @property
     def is_archive_page(self) -> bool:
         return self.partition.segment == ARCHIVE_SEGMENT
-
-    @property
-    def records(self) -> list[RedoRecord]:
-        return decode_records(self.body, None if self.is_archive_page else self.partition)
 
     def replay(
         self,
@@ -179,7 +156,7 @@ class LogPage:
     def __repr__(self) -> str:
         return (
             f"LogPage({self.partition}, lsn={self.lsn}, "
-            f"embedded_directory={self.embedded_directory}, records={self.records})"
+            f"embedded_directory={self.embedded_directory}, body={len(self.body)} bytes)"
         )
 
 

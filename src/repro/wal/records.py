@@ -16,25 +16,24 @@ Two flavours exist, mirroring the paper:
   so REDO must replay the operation rather than patch bytes.  Heap handle
   allocation is deterministic, which :class:`HeapPut` verifies at replay.
 
-Records serialise to a compact binary wire format so the bytes that reach
-the simulated log disk are the bytes recovery decodes.  Each class states
-its Operation part once, as a :class:`Layout`, and its effect once, as
-``redo`` on the layout's wire-order operands; :func:`_register` compiles
-the layout into the two forms a record takes on disk:
+A record object exists only where a change is made and on the volatile
+UNDO list: it is encoded once, into the SLB, and from there to the disk
+it is bytes.  Each class states its Operation part once, as a
+:class:`Layout`, and its effect once, as ``redo`` on the layout's
+wire-order operands; :func:`_register` compiles the layout into the two
+forms a record takes:
 
-* *full* — header, address, fixed fields, ``u32`` length + ``data``;
+* *full* — header, address, fixed fields, ``u32`` length + ``data``: the
+  SLB's form, and a mixed archive page's (its records span partitions);
 * *compact* — the same minus the leading (segment, partition) pair.
   Section 2.3.3 point 3: "Redundant address information may be stripped
   from the log records before they are written to disk, thereby
-  condensing the log."  A dedicated (single-partition) log page names its
-  partition once in the page header, so its records drop those eight
-  bytes and decoding takes the address from the header instead.  Mixed
-  archive pages keep the full form (their records span partitions).
+  condensing the log."  The sorting step strips it on the way into the
+  bin; a dedicated page names its partition once, in its header.
 
-A dedicated page is also *applied* in compact form: :func:`replay_records`
-walks its body and calls each class's ``redo`` on the unpacked operands,
-building no record, and halts at a marker when asked — every restart path
-walks a partition's log this one way.
+:func:`replay_records` applies a compact body, calling each class's
+``redo`` on the unpacked operands, and halts at a marker when asked —
+every restart path walks a partition's log this one way.
 """
 
 from __future__ import annotations
@@ -122,9 +121,6 @@ class RedoRecord:
     _FORMS: ClassVar[tuple[tuple[struct.Struct, Callable[[Any], tuple]], ...]]
     _SIZE: ClassVar[int]  # the full form's struct size: all of it but ``data``
     _OWNER: ClassVar[Callable[[Any], PartitionAddress]]
-    #: What the record adds to its partition's update count (section
-    #: 2.4's checkpoint trigger): one change.
-    updates: ClassVar[int] = 1
 
     txn_id: int
     bin_index: int
@@ -136,9 +132,15 @@ class RedoRecord:
         return self._OWNER(self)
 
     def apply(self, partition: Partition) -> None:
-        """Re-execute this operation against ``partition`` (REDO): the
-        address check, then :meth:`redo` on the record's own operands."""
-        raise NotImplementedError
+        """Re-execute this operation against ``partition``: the address
+        check, then :meth:`redo` on the operands the compact form packs
+        after the header.  Only a transaction's UNDO list applies record
+        objects; the log is replayed from its bytes."""
+        if self.partition_address != partition.address:
+            raise LogError(
+                f"log record for {self.partition_address} applied to {partition.address}"
+            )
+        self.redo(partition, *self._FORMS[1][1](self)[3:])
 
     @staticmethod
     def redo(partition: Partition, *operands: Any) -> None:
@@ -167,20 +169,6 @@ class RedoRecord:
         constant length instead (:func:`_register`)."""
         return self._SIZE + len(self.data)  # type: ignore[attr-defined]
 
-    def with_bin_index(self, bin_index: int) -> "RedoRecord":
-        """Copy of this record carrying a (re)assigned bin index."""
-        if bin_index == self.bin_index:
-            return self
-        return dataclasses.replace(self, bin_index=bin_index)
-
-    # -- shared helpers ---------------------------------------------------------------
-
-    def _check_address(self, partition: Partition) -> None:
-        if self.partition_address != partition.address:
-            raise LogError(
-                f"log record for {self.partition_address} applied to {partition.address}"
-            )
-
 
 # ------------------------------------------------------------------------------
 # Relation (tuple) records
@@ -195,10 +183,6 @@ class _Install(RedoRecord):
 
     address: EntityAddress
     data: bytes
-
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-        self.redo(partition, self.address.offset, self.data)
 
     @staticmethod
     def redo(partition: Partition, offset: int, data: bytes) -> None:
@@ -220,10 +204,6 @@ class _Remove(RedoRecord):
     LAYOUT: ClassVar[Layout] = Layout(EntityAddress)
 
     address: EntityAddress
-
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-        self.redo(partition, self.address.offset)
 
     @staticmethod
     def redo(partition: Partition, offset: int) -> None:
@@ -250,10 +230,6 @@ class TupleUpdate(RedoRecord):
 
     address: EntityAddress
     data: bytes
-
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-        self.redo(partition, self.address.offset, self.data)
 
     @staticmethod
     def redo(partition: Partition, offset: int, data: bytes) -> None:
@@ -284,10 +260,6 @@ class FieldPatch(RedoRecord):
     start: int
     data: bytes
 
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-        self.redo(partition, self.address.offset, self.start, self.data)
-
     @staticmethod
     def redo(partition: Partition, offset: int, start: int, data: bytes) -> None:
         current = partition.read(offset)
@@ -317,10 +289,6 @@ class HeapPut(RedoRecord):
     handle: int
     data: bytes
 
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-        self.redo(partition, self.handle, self.data)
-
     @staticmethod
     def redo(partition: Partition, handle: int, data: bytes) -> None:
         # Upsert on duplicate replay prefix (see _Install.redo): a
@@ -344,10 +312,6 @@ class HeapReplace(RedoRecord):
     handle: int
     data: bytes
 
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-        self.redo(partition, self.handle, self.data)
-
     @staticmethod
     def redo(partition: Partition, handle: int, data: bytes) -> None:
         partition.heap.replace(handle, data)
@@ -363,10 +327,6 @@ class HeapDelete(RedoRecord):
 
     partition: PartitionAddress
     handle: int
-
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-        self.redo(partition, self.handle)
 
     @staticmethod
     def redo(partition: Partition, handle: int) -> None:
@@ -424,9 +384,6 @@ class _Marker(RedoRecord):
 
     partition: PartitionAddress
 
-    def apply(self, partition: Partition) -> None:
-        self._check_address(partition)
-
     @staticmethod
     def redo(partition: Partition, *operands: int) -> None:
         # Position-only: the effects come from re-executing the command's
@@ -458,10 +415,6 @@ class CommandBarrier(_Marker):
     csn: int
     changes: int = 0
 
-    @property
-    def updates(self) -> int:  # type: ignore[override, misc]
-        return self.changes or 1
-
 
 @_register
 @dataclass(frozen=True, slots=True)
@@ -485,57 +438,29 @@ class SweepMarker(_Marker):
 
 
 # ------------------------------------------------------------------------------
-# Decoding
+# Records as bytes: the sorting step, page replay, the archive split
 # ------------------------------------------------------------------------------
 
-
-def decode_record(
-    buf: bytes, pos: int = 0, partition: PartitionAddress | None = None
-) -> tuple[RedoRecord, int]:
-    """Decode one record starting at ``pos``; returns (record, next_pos).
-
-    ``partition`` is the owner named by a dedicated page's header: given,
-    the bytes are in compact form and every record gets that address.
-    """
-    if pos >= len(buf):
-        raise LogError(f"truncated log record header at {pos}")
-    cls = _REGISTRY.get(buf[pos])
-    if cls is None:
-        raise LogError(f"unknown log record tag {buf[pos]} at {pos}")
-    packed = cls._FORMS[partition is not None][0]
-    try:
-        _, bin_index, txn_id, *fields = packed.unpack_from(buf, pos)
-    except struct.error as exc:
-        raise LogError(f"truncated {cls.__name__} record at {pos}") from exc
-    pos += packed.size
-    layout = cls.LAYOUT
-    if layout.blob:
-        end = pos + fields[-1]
-        if end > len(buf):
-            raise LogError(f"truncated {cls.__name__} data at {pos}")
-        fields[-1] = buf[pos:end]
-        pos = end
-    if partition is None:
-        partition = PartitionAddress(fields[0], fields[1])
-        del fields[:2]
-    if layout.address is EntityAddress:
-        fields[0] = EntityAddress(partition.segment, partition.partition, fields[0])
-    else:
-        fields.insert(0, partition)
-    return cls(txn_id, bin_index, *fields), pos
+_HEADER_SIZE = struct.calcsize(_HEADER)
+_PAIR = struct.Struct("<ii")  # (segment, partition): what the compact form strips
+_BIN_INDEX = struct.Struct("<xI")  # the header's Bin Index, after the tag
 
 
-def decode_records(
-    buf: bytes, partition: PartitionAddress | None = None
-) -> list[RedoRecord]:
-    """Decode a packed sequence of records (one log page's body), compact
-    when ``partition`` is given (see :func:`decode_record`)."""
-    records = []
-    pos = 0
-    while pos < len(buf):
-        record, pos = decode_record(buf, pos, partition)
-        records.append(record)
-    return records
+def bin_index_of(record: bytes) -> int:
+    """The Bin Index a record's header carries: its bin, found with no
+    search (section 2.3.2)."""
+    return _BIN_INDEX.unpack_from(record)[0]
+
+
+def check_owner(record: bytes, partition: PartitionAddress) -> None:
+    """Refuse a full-form record whose (segment, partition) pair names
+    another partition than ``partition``: eight bytes compared."""
+    pair = record[_HEADER_SIZE : _HEADER_SIZE + _PAIR.size]
+    if pair != _PAIR.pack(partition.segment, partition.partition):
+        raise LogError(
+            f"record for {PartitionAddress(*_PAIR.unpack(pair))} carries bin "
+            f"index {bin_index_of(record)} of {partition}"
+        )
 
 
 def replay_records(
@@ -547,12 +472,11 @@ def replay_records(
     """Apply a dedicated page's body — compact records, in the order
     written — to ``partition``, from byte offset ``pos`` on.
 
-    What ``for r in decode_records(body, partition.address):
-    r.apply(partition)`` does, with no record built: one ``unpack_from``
-    per record, then the class's ``redo`` on the operands and a slice of
-    ``body``.  The caller checks *once* that the page is ``partition``'s;
-    the per-record address check would compare the page header with
-    itself.  ``partition=None`` applies nothing and only walks.
+    What each record's :meth:`RedoRecord.apply` does, with no record
+    built: one ``unpack_from`` per record, then the class's ``redo`` on
+    the operands and a slice of ``body``.  The caller checks *once* that
+    the page is ``partition``'s.  ``partition=None`` applies nothing and
+    only walks.
 
     It is a cursor: ``until=(tag, value)`` halts it at the first marker
     of that tag (:class:`CommandBarrier` or :class:`SweepMarker`)
@@ -590,10 +514,13 @@ def replay_records(
     return count, None
 
 
-def _spans(body: bytes) -> list[tuple[int, int]]:
-    """``(start, end)`` of each compact record of a dedicated page's body,
-    in order; nothing is built or applied, and only a record ending in
-    ``data`` is unpacked (for its length)."""
+def _spans(body: bytes, full: bool = False) -> list[tuple[int, int]]:
+    """``(start, end)`` of each record of ``body``, in order: compact
+    records (a dedicated page's body), or full-form ones when ``full`` —
+    the same walk, shifted by the (segment, partition) pair.  Nothing is
+    built or applied, and only a record ending in ``data`` is unpacked
+    (for its length)."""
+    shift = _PAIR.size if full else 0
     spans = []
     pos = 0
     size = len(body)
@@ -602,9 +529,9 @@ def _spans(body: bytes) -> list[tuple[int, int]]:
         if entry is None:
             raise LogError(f"unknown log record tag {body[pos]} at {pos}")
         unpack_from, width, _, blob, name = entry
-        end = pos + width
+        end = pos + shift + width
         if blob and end <= size:
-            end += unpack_from(body, pos)[-1]
+            end += unpack_from(body, pos + shift)[-1]
         if end > size:
             raise LogError(f"truncated {name} record at {pos}")
         spans.append((pos, end))
@@ -612,27 +539,26 @@ def _spans(body: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def count_updates(body: bytes) -> int:
-    """What a dedicated page's body adds to its partition's update count:
-    the sum of its records' :attr:`RedoRecord.updates`, read off the
-    bytes."""
-    barrier = CommandBarrier.TAG
-    barrier_operands = _REPLAY[barrier][0]  # (csn, changes)
-    return sum(
-        (barrier_operands(body, start)[1] or 1) if body[start] == barrier else 1
-        for start, _ in _spans(body)
-    )
+def split_records(body: bytes) -> list[bytes]:
+    """Each full-form record of ``body`` (records back to back, as an SLB
+    chain holds them) as its own bytes."""
+    return [body[start:end] for start, end in _spans(body, full=True)]
 
 
-_HEADER_SIZE = struct.calcsize(_HEADER)
-_PAIR = struct.Struct("<ii")  # (segment, partition): what the compact form strips
+def count_updates(record: bytes) -> int:
+    """What one compact record adds to its partition's update count
+    (section 2.4's checkpoint trigger): one change, and a
+    :class:`CommandBarrier` the changes its command made there, at least
+    one."""
+    if record[0] != CommandBarrier.TAG:
+        return 1
+    return _REPLAY[CommandBarrier.TAG][0](record)[1] or 1  # (csn, changes)
 
 
 def full_forms(body: bytes, partition: PartitionAddress) -> list[bytes]:
     """Each compact record of ``partition``'s dedicated page body in full
     form — the (segment, partition) pair put back after the header — as
-    a mixed archive page carries it: ``record.encode()`` of every record
-    :func:`decode_records` would build, with none built."""
+    a mixed archive page carries it."""
     pair = _PAIR.pack(partition.segment, partition.partition)
     header = _HEADER_SIZE
     return [
@@ -644,6 +570,19 @@ def full_forms(body: bytes, partition: PartitionAddress) -> list[bytes]:
 def compact_form(record: bytes) -> bytes:
     """One full-form record's compact form (:func:`full_forms` undone)."""
     return record[:_HEADER_SIZE] + record[_HEADER_SIZE + _PAIR.size :]
+
+
+def split_by_owner(body: bytes) -> dict[PartitionAddress, bytes]:
+    """A mixed archive page's body as each partition's compact body, the
+    records in page order: :func:`full_forms` undone for many partitions."""
+    bodies: dict[bytes, bytearray] = {}
+    for start, end in _spans(body, full=True):
+        pair = body[start + _HEADER_SIZE : start + _HEADER_SIZE + _PAIR.size]
+        bodies.setdefault(pair, bytearray()).extend(compact_form(body[start:end]))
+    return {
+        PartitionAddress(*_PAIR.unpack(pair)): bytes(compact)
+        for pair, compact in bodies.items()
+    }
 
 
 # ------------------------------------------------------------------------------

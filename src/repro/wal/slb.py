@@ -7,11 +7,12 @@ demand; a block belongs to one transaction for its lifetime, so critical
 sections are needed only for block allocation, never for log writing —
 this removes the classical log-tail hot spot.
 
-Chains of blocks live on one of two lists: the *uncommitted* transaction
-list and the *committed* transaction list, the latter kept in commit order
-so the recovery CPU can drain records to the Stable Log Tail in that
-order.  After a crash the committed list (stable) is drained normally and
-the uncommitted list is discarded — those transactions never committed.
+A block holds its records' bytes, full form, back to back.  Chains of
+blocks live on one of two lists: the *uncommitted* transaction list and
+the *committed* transaction list, the latter kept in commit order so the
+recovery CPU can drain records to the Stable Log Tail in that order.
+After a crash the committed list (stable) is drained normally and the
+uncommitted list is discarded — those transactions never committed.
 
 The SLB also hosts the system's well-known communication areas (the
 checkpoint request queue of section 2.4 and the catalog partition address
@@ -27,7 +28,7 @@ from typing import Iterator
 from repro.common.errors import StableMemoryFullError, TransactionStateError
 from repro.concurrency.latch import Latch
 from repro.sim.stable_memory import StableMemory
-from repro.wal.records import RedoRecord
+from repro.wal.records import split_records
 
 #: Stable bytes reserved for the well-known communication areas.
 WELL_KNOWN_RESERVE = 64 * 1024
@@ -44,8 +45,7 @@ class _LogBlock:
     """One fixed-size block of the SLB, dedicated to a single transaction."""
 
     block_id: int
-    records: list[RedoRecord] = field(default_factory=list)
-    used_bytes: int = 0
+    data: bytearray = field(default_factory=bytearray)
 
 
 class TransactionLogChain:
@@ -58,11 +58,11 @@ class TransactionLogChain:
 
     @property
     def logged_bytes(self) -> int:
-        return sum(block.used_bytes for block in self.blocks)
+        return sum(len(block.data) for block in self.blocks)
 
-    def records(self) -> Iterator[RedoRecord]:
+    def records(self) -> Iterator[bytes]:
         for block in self.blocks:
-            yield from block.records
+            yield from split_records(bytes(block.data))
 
 
 class StableLogBuffer:
@@ -106,8 +106,8 @@ class StableLogBuffer:
         self._uncommitted[txn_id] = chain
         return chain
 
-    def append(self, txn_id: int, record: RedoRecord) -> None:
-        """Write one REDO record into the transaction's chain.
+    def append(self, txn_id: int, record: bytes) -> None:
+        """Write one encoded REDO record into the transaction's chain.
 
         Raises :class:`StableMemoryFullError` when no block can be
         allocated — the main CPU must let the recovery CPU drain the
@@ -123,11 +123,10 @@ class StableLogBuffer:
         block = chain.blocks[-1] if chain.blocks else None
         filled = 0
         for record in records:
-            size = record.size_bytes
-            if block is None or block.used_bytes + size > self.block_size:
+            size = len(record)
+            if block is None or len(block.data) + size > self.block_size:
                 block = self._allocate_block(chain)
-            block.records.append(record)
-            block.used_bytes += size
+            block.data += record
             chain.record_count += 1
             filled += size
         return filled
@@ -143,7 +142,7 @@ class StableLogBuffer:
         chain.record_count = 0
         self._fill(chain, kept)
         self.records_written -= len(unwritten)
-        self.bytes_written -= sum(record.size_bytes for record in unwritten)
+        self.bytes_written -= sum(map(len, unwritten))
         return len(unwritten)
 
     def _allocate_block(self, chain: TransactionLogChain) -> _LogBlock:
@@ -226,9 +225,10 @@ class StableLogBuffer:
 
         ``build(csn)`` returns ``(payload, barriers)`` — the encoded
         :class:`~repro.wal.records.TxnCommand` for the freshly assigned
-        sequence number and the :class:`~repro.wal.records.CommandBarrier`
-        records to append to the chain.  In one step: the csn is
-        assigned, the command record lands in the stable command log, the
+        sequence number and the encoded
+        :class:`~repro.wal.records.CommandBarrier` records to append to
+        the chain.  In one step: the csn is assigned, the command record
+        lands in the stable command log, the
         barriers join the chain, and the chain moves to the committed
         list — so the commit point is exactly the same stable-memory
         transition value mode uses, just with a different record mix.
@@ -342,21 +342,22 @@ class StableLogBuffer:
     def committed_record_count(self) -> int:
         return sum(chain.record_count for chain in self._committed)
 
-    def drain_committed(self) -> list[RedoRecord]:
-        """Remove and return committed records in commit order.
+    def drain_committed(self) -> bytes:
+        """Remove and return committed records in commit order, full form,
+        back to back.
 
         The recovery CPU calls this to feed the Stable Log Tail.  Blocks
         are freed as their chains are consumed.
         """
-        drained: list[RedoRecord] = []
+        drained = bytearray()
         while self._committed:
-            chain = self._committed[0]
-            drained.extend(chain.records())
-            self._committed.pop(0)
+            chain = self._committed.pop(0)
+            for block in chain.blocks:
+                drained += block.data
             self._free_chain(chain)
-        return drained
+        return bytes(drained)
 
-    def requeue_committed(self, records: list[RedoRecord]) -> None:
+    def requeue_committed(self, records: list[bytes]) -> None:
         """Return drained-but-unsorted records to the head of the
         committed list.
 

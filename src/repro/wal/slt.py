@@ -34,7 +34,7 @@ from repro.common.errors import LogError
 from repro.common.types import NULL_LSN, PartitionAddress
 from repro.sim.stable_memory import StableMemory
 from repro.wal.log_disk import LogPage
-from repro.wal.records import RedoRecord
+from repro.wal.records import bin_index_of, check_owner, compact_form, count_updates
 
 #: Stable bytes for one permanent partition information block ("on the
 #: order of 50 bytes", section 2.3.3).
@@ -148,28 +148,27 @@ class StableLogTail:
 
     # -- the sorting step ----------------------------------------------------------------
 
-    def deposit(self, record: RedoRecord) -> bool:
-        """Place one committed record into its partition bin.
+    def deposit(self, record: bytes) -> bool:
+        """Place one committed record, full form as the SLB holds it, into
+        its partition bin, in compact form.
 
-        The bin index travels inside the record (direct index — no search,
-        section 2.3.2).  Returns True when the bin's page buffer became
-        full, i.e. the caller (recovery processor) should seal and flush a
-        page.
+        The bin index travels in the record's header (direct index — no
+        search, section 2.3.2), and a record whose address names another
+        partition is refused.  Returns True when the bin's page buffer
+        became full, i.e. the caller (recovery processor) should seal and
+        flush a page.
         """
-        bin_ = self.bin(record.bin_index)
-        if bin_.partition != record.partition_address:
-            raise LogError(
-                f"record for {record.partition_address} carries bin index "
-                f"{record.bin_index} of {bin_.partition}"
-            )
+        bin_ = self.bin(bin_index_of(record))
+        check_owner(record, bin_.partition)
         if not bin_.buffer and f"slt-page-{bin_.bin_index}" not in self.stable:
             # Partition becomes active: allocate its page buffer.
             self.stable.allocate(
                 f"slt-page-{bin_.bin_index}", self.config.log_page_size
             )
-        bin_.buffer += record.encode(True)
-        bin_.buffer_bytes += record.size_bytes
-        bin_.update_count += record.updates
+        compact = compact_form(record)
+        bin_.buffer += compact
+        bin_.buffer_bytes += len(record)
+        bin_.update_count += count_updates(compact)
         self.records_binned += 1
         return bin_.buffer_bytes >= self.config.log_page_size
 

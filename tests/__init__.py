@@ -5,8 +5,50 @@ A ``Test...Condensed`` class marked :data:`CONDENSED` and a module-level
 again with the background condenser on; condensing is gone, so each now
 runs its base test's configuration under the old name (``[condensed]``),
 and they leave in batches small enough for one change each (ROADMAP.md).
+
+`page_of` and `record_bytes` build and read log pages from the
+tests' side: ``repro`` itself keeps a record as bytes from the SLB on.
 """
+
+import os
+import sys
 
 import pytest
 
+from repro.common.types import NULL_LSN
+from repro.wal import records
+from repro.wal.log_disk import ARCHIVE_SEGMENT, LogPage
+
+SINKS_FILE = os.path.join("repro", "txn", "transaction.py")
+
 CONDENSED = pytest.mark.parametrize("condense_enabled", [False], ids=["condensed"])
+
+
+def page_of(partition, logged, embedded_directory=None, lsn=NULL_LSN) -> LogPage:
+    """A page holding the records ``logged``: compact on a dedicated page,
+    full form on a mixed archive page."""
+    compact = partition.segment != ARCHIVE_SEGMENT
+    body = b"".join(record.encode(compact) for record in logged)
+    return LogPage(partition, body, embedded_directory, lsn)
+
+
+def record_bytes(body: bytes, full: bool = False) -> list[bytes]:
+    """Each record of a compact (or ``full``-form) body, as its bytes."""
+    return [body[start:end] for start, end in records._spans(body, full)]
+
+
+def refuse_records(monkeypatch, sinks=False) -> None:
+    """Make building a REDO record object fail for the rest of the test;
+    with ``sinks``, except in a transaction's change sinks, where a
+    re-executed command makes its changes."""
+
+    def guard(init):
+        def refuse(self, *args, **kwargs):
+            if sinks and sys._getframe(1).f_code.co_filename.endswith(SINKS_FILE):
+                return init(self, *args, **kwargs)
+            raise AssertionError(f"built a {type(self).__name__} object")
+
+        return refuse
+
+    for cls in records._REGISTRY.values():
+        monkeypatch.setattr(cls, "__init__", guard(cls.__init__))

@@ -161,10 +161,11 @@ class TestAuditLog:
     def test_read_wrong_page_type_rejected(self):
         audit, _, log_disk = make_audit()
         from repro.common import EntityAddress, PartitionAddress
-        from repro.wal import LogPage, TupleInsert
+        from repro.wal import TupleInsert
+        from tests import page_of
 
         lsn = log_disk.append_page(
-            LogPage.of(
+            page_of(
                 PartitionAddress(1, 1),
                 [TupleInsert(1, 0, EntityAddress(1, 1, 1), b"x")],
             )

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common.types import PartitionAddress
+from repro.wal.records import split_by_owner
 
 RELATIONS = ("a", "b", "c", "d")
 
@@ -59,7 +60,7 @@ def build(declared, rows):
     def spied(txn_id, build_records):
         def captured(csn):
             payload, barriers = build_records(csn)
-            targets.append({barrier.partition for barrier in barriers})
+            targets.append(set(split_by_owner(b"".join(barriers))))
             return payload, barriers
 
         return commit_command(txn_id, captured)

@@ -28,7 +28,7 @@ from repro.sim.faults import SimulatedCrash
 from repro.txn.registry import ScriptError, ScriptRegistry
 from repro.txn.transaction import TxnState
 from repro.wal.records import CommandBarrier, SweepMarker, TxnPrepare
-from tests import CONDENSED
+from tests import CONDENSED, record_bytes, refuse_records
 
 
 def small_config(condense_enabled=False, **kwargs):
@@ -99,13 +99,13 @@ def sweep(db, accounts):
     return target
 
 
-def flushed_records(db):
-    """Every record on a flushed page of every bin, decoded."""
+def flushed_tags(db):
+    """The TAG of every record on a flushed page of every bin."""
     return [
-        record
+        record[0]
         for bin_ in db.slt.bins()
         for page in partition_record_stream(bin_, db.log_disk)[0][:-1]
-        for record in page.records
+        for record in record_bytes(page.body)
     ]
 
 
@@ -520,10 +520,10 @@ class TestCrashWindows:
         if interleaved:
             run_interleaved(db, 30)
             # barriers mid-page on flushed pages, not only in the bin buffer
-            flushed = flushed_records(db)
+            flushed = flushed_tags(db)
+            barrier = CommandBarrier.TAG
             assert any(
-                isinstance(record, CommandBarrier) and not isinstance(after, CommandBarrier)
-                for record, after in zip(flushed, flushed[1:])
+                tag == barrier and after != barrier for tag, after in zip(flushed, flushed[1:])
             )
         else:
             run_transfers(db, 10, logging="command")
@@ -875,8 +875,7 @@ class TestReplayFromPageBytes:
         run_interleaved(db, 36)
         run_transfers(db, 20, name="swept", logging="value")
         run_transfers(db, 2, name="swept", logging="command")
-        kinds = {type(record) for record in flushed_records(db)}
-        assert {CommandBarrier, SweepMarker} <= kinds
+        assert {CommandBarrier.TAG, SweepMarker.TAG} <= set(flushed_tags(db))
         digest = logical_digest(db)
         db.crash()
         return db, digest
@@ -886,11 +885,8 @@ class TestReplayFromPageBytes:
         expected = twin.restart(RecoveryMode.EAGER)
         assert logical_digest(twin) == digest
 
-        def refuse(*args):
-            raise AssertionError("restart built a record object")
-
         db, _ = self.crashed_db(condense_enabled)
-        monkeypatch.setattr("repro.wal.records.decode_record", refuse)
+        refuse_records(monkeypatch, sinks=True)
         coordinator = db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 14
         assert logical_digest(db) == digest
@@ -911,9 +907,9 @@ class TestReplayFromPageBytes:
             _, pages, stats = plan_rebuild(**coordinator._sources(address))
             pages_read += stats["pages_read"] + stats["backward_reads"]
             records += sum(
-                not isinstance(record, CommandBarrier)
+                record[0] != CommandBarrier.TAG
                 for page in pages
-                for record in page.records
+                for record in record_bytes(page.body)
             )
         assert restart["records_replayed"] == records
         assert restart["pages_read"] == pages_read > 0

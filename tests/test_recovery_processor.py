@@ -4,7 +4,7 @@ import pytest
 
 from repro import Database, SystemConfig
 from repro.wal.log_disk import ARCHIVE_SEGMENT
-from tests import CONDENSED
+from repro.wal.records import split_by_owner
 
 
 def small_db(**kwargs):
@@ -80,7 +80,7 @@ class TestArchiveOrderInvariant:
             owner = db.log_disk.read_page(lsn).partition
             if owner.segment == ARCHIVE_SEGMENT:
                 page = db.log_disk.read_page(lsn)
-                if any(r.partition_address == target.partition for r in page.records):
+                if target.partition in split_by_owner(page.body):
                     archive_lsns.append(lsn)
             elif owner == target.partition:
                 dedicated_after_ckpt.append(lsn)
@@ -157,8 +157,3 @@ class TestAgeTriggerEndToEnd:
         ]
         taken = db.checkpoints.checkpoints_taken
         assert taken > 0 or "age" in reasons
-
-
-@CONDENSED
-class TestAgeTriggerEndToEndCondensed(TestAgeTriggerEndToEnd):
-    pass

@@ -10,7 +10,7 @@ from repro.common.config import DiskParameters
 from repro.recovery.redo import enumerate_log_pages, rebuild_partition_resilient
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.wal import LogDisk, StableLogTail, TupleInsert
-from tests import CONDENSED
+from tests import refuse_records
 
 PADDR = PartitionAddress(1, 1)
 
@@ -41,7 +41,7 @@ def pump_pages(slt, log_disk, bin_index, pages, record_size=60):
         while True:
             record = TupleInsert(
                 1, bin_index, EntityAddress(1, 1, offset), b"x" * record_size
-            )
+            ).encode()
             offset += 1
             if slt.deposit(record):
                 break
@@ -112,7 +112,7 @@ class TestRebuildPartition:
         # two more records stay in the stable buffer (no page flush)
         for _ in range(2):
             slt.deposit(
-                TupleInsert(2, idx, EntityAddress(1, 1, offset), b"pending")
+                TupleInsert(2, idx, EntityAddress(1, 1, offset), b"pending").encode()
             )
             offset += 1
 
@@ -209,6 +209,8 @@ class TestRestartBuildsNoRecord:
         return db, digest
 
     def test_eager_restart_with_the_decoder_disabled(self, monkeypatch, condense_enabled):
+        """Restart reads the log as bytes: it constructs no record object
+        at all, and replays what a twin restart replays."""
         from repro import RecoveryMode
         from repro.recovery.oracle import logical_digest
 
@@ -216,11 +218,8 @@ class TestRestartBuildsNoRecord:
         expected = twin.restart(RecoveryMode.EAGER)
         assert logical_digest(twin) == digest
 
-        def refuse(*args):
-            raise AssertionError("restart built a record object")
-
         db, _ = self.crashed_db(condense_enabled)
-        monkeypatch.setattr("repro.wal.records.decode_record", refuse)
+        refuse_records(monkeypatch)
         coordinator = db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == digest
         assert coordinator.records_replayed == expected.records_replayed > 0
@@ -230,29 +229,20 @@ class TestRestartBuildsNoRecord:
         self, monkeypatch, condense_enabled
     ):
         """The bins still hold records at the crash; restart replays them
-        from the bytes as it does a flushed page, so no record is decoded
+        from the bytes as it does a flushed page, so no record is built
         and no ``RedoRecord.apply`` runs."""
         from repro import RecoveryMode
         from repro.recovery.oracle import logical_digest
         from repro.wal.records import RedoRecord
 
         def refuse(*args):
-            raise AssertionError("restart built or applied a record object")
+            raise AssertionError("restart applied a record object")
 
         db, digest = self.crashed_db(condense_enabled)
-        classes = [RedoRecord]
-        for cls in classes:
-            classes.extend(cls.__subclasses__())
+        assert any(bin_.buffer for bin_ in db.slt.bins())
         with monkeypatch.context() as patched:
-            patched.setattr("repro.wal.records.decode_record", refuse)
-            for cls in classes:
-                if "apply" in vars(cls):
-                    patched.setattr(cls, "apply", refuse)
+            refuse_records(patched)
+            patched.setattr(RedoRecord, "apply", refuse)
             coordinator = db.restart(RecoveryMode.EAGER)
         assert coordinator.records_replayed > 0
         assert logical_digest(db) == digest
-
-
-@CONDENSED
-class TestRestartBuildsNoRecordCondensed(TestRestartBuildsNoRecord):
-    pass

@@ -90,7 +90,7 @@ def test_pipeline_rebuild_matches_direct_application(operations, directory_size)
             continue
         record.apply(ref)
         # ... and through the real pipeline
-        if slt.deposit(record):
+        if slt.deposit(record.encode()):
             page = slt.seal_page(record.bin_index)
             lsn = log_disk.append_page(page)
             slt.note_page_written(record.bin_index, lsn)

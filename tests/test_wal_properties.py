@@ -1,5 +1,7 @@
 """Property-based tests on the WAL structures' core invariants."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,10 +25,17 @@ from repro.wal import (
     TupleDelete,
     TupleInsert,
     TupleUpdate,
-    decode_record,
 )
-from repro.wal.records import CommandBarrier, SweepMarker, replay_records
+from repro.wal.records import (
+    CommandBarrier,
+    SweepMarker,
+    full_forms,
+    replay_records,
+    split_by_owner,
+    split_records,
+)
 from repro.wal.slb import WELL_KNOWN_RESERVE
+from tests import page_of
 
 PADDR = PartitionAddress(3, 4)
 
@@ -73,11 +82,31 @@ colliding_records = st.lists(
 @given(st.lists(record_strategy, max_size=30))
 def test_log_page_roundtrip_property(records):
     """Any packed record sequence survives the page wire format."""
-    page = LogPage.of(PADDR, records, embedded_directory=[1, 2, 3])
+    page = page_of(PADDR, records, embedded_directory=[1, 2, 3])
     decoded = LogPage.decode(page.encode())
-    assert decoded.records == records
+    assert decoded.body == b"".join(r.encode(compact=True) for r in records)
     assert decoded.embedded_directory == [1, 2, 3]
     assert decoded.partition == PADDR
+
+
+OWNERS = st.sampled_from([PADDR, OTHER, PartitionAddress(0, 9)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(OWNERS, record_strategy), max_size=40))
+def test_archive_split_undoes_full_forms_property(owned):
+    """A mixed archive body — the full forms of several partitions'
+    compact bodies, interleaved — splits back into each original body."""
+    bodies: dict[PartitionAddress, bytes] = {}
+    for owner, record in owned:
+        bodies[owner] = bodies.get(owner, b"") + record.encode(compact=True)
+    forms = {owner: iter(full_forms(body, owner)) for owner, body in bodies.items()}
+    mixed = b"".join(next(forms[owner]) for owner, _ in owned)
+    assert split_by_owner(mixed) == bodies
+    # the records' own owner is PADDR: there a full form is the encoding
+    assert [full for (owner, _), full in zip(owned, split_records(mixed)) if owner == PADDR] == [
+        record.encode() for owner, record in owned if owner == PADDR
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,9 +122,9 @@ def test_bin_bytes_are_the_page_body_property(records):
     log_disk = LogDisk(DuplexedDisk(*spindles), window_pages=1024, grace_pages=8)
     bin_index = slt.register_partition(PADDR)
     pending = []
-    for record in (r.with_bin_index(bin_index) for r in records):
+    for record in (dataclasses.replace(r, bin_index=bin_index) for r in records):
         pending.append(record)
-        if not slt.deposit(record):
+        if not slt.deposit(record.encode()):
             continue
         buffered = bytes(slt.bin(bin_index).buffer)
         assert buffered == b"".join(r.encode(compact=True) for r in pending)
@@ -120,14 +149,26 @@ def _outcome(run, partition):
     return result, partition.to_bytes()
 
 
-def _apply_decoded(body, partition):
-    """The reference: build each record, then ``apply`` it."""
-    count = pos = 0
-    while pos < len(body):
-        record, pos = decode_record(body, pos, partition.address)
+def _apply_objects(logged, body, partition):
+    """The reference: each record object's own ``apply``, in order, for
+    the records ``body`` holds whole — then the refusal of what is left,
+    a cut record or bytes no record class claims."""
+    pos = 0
+    for count, record in enumerate(logged):
+        encoded = record.encode(compact=True)
+        if pos == len(body):
+            return count
+        if pos + len(encoded) > len(body):
+            fixed = len(encoded) - len(getattr(record, "data", b""))
+            name = type(record).__name__
+            if pos + fixed > len(body):
+                raise LogError(f"truncated {name} record at {pos}")
+            raise LogError(f"truncated {name} data at {pos + fixed}")
         record.apply(partition)
-        count += 1
-    return count
+        pos += len(encoded)
+    if pos < len(body):
+        raise LogError(f"unknown log record tag {body[pos]} at {pos}")
+    return len(logged)
 
 
 def _stepped(replay, stops):
@@ -161,20 +202,21 @@ def _stepped(replay, stops):
 )
 def test_replay_from_bytes_equals_decode_then_apply(records, repeated, damage, cut, stops):
     """``replay_records`` over a compact body leaves the partition that
-    decoding every record and applying it leaves, counts the same, and
+    each encoded record's own ``apply`` leaves, counts the same, and
     refuses the same malformed or inapplicable input at the same record.
     As a cursor — halted at barriers and sweep markers, resumed from each
     halt — it walks the same records in the same order, so it leaves the
     same partition and refuses at the same record, whether the damage
     lies before or after a halt."""
     # a crash may replay a prefix twice (page written but not yet noted)
-    body = b"".join(r.encode(compact=True) for r in records[:repeated] + records)
+    logged = records[:repeated] + records
+    body = b"".join(r.encode(compact=True) for r in logged)
     if damage == "truncated":
         body = body[:-cut]
     elif damage == "unknown-tag":
         body += b"\xff" * cut
     replayed = _outcome(lambda p: replay_records(body, p)[0], Partition(PADDR, 64 * 1024))
-    decoded = _outcome(lambda p: _apply_decoded(body, p), Partition(PADDR, 64 * 1024))
+    decoded = _outcome(lambda p: _apply_objects(logged, body, p), Partition(PADDR, 64 * 1024))
     assert replayed == decoded
     refused = decoded[0] if isinstance(decoded[0], tuple) else None
     cursor = _stepped(lambda p, start, until: replay_records(body, p, start, until), stops)
@@ -182,7 +224,7 @@ def test_replay_from_bytes_equals_decode_then_apply(records, repeated, damage, c
     # and a page read back from disk goes the same way, as does the
     # page built from the records
     if damage == "whole":
-        built = LogPage.of(PADDR, records[:repeated] + records)
+        built = page_of(PADDR, logged)
         page = LogPage.decode(built.encode())
         assert _outcome(lambda p: page.replay(p)[0], Partition(PADDR, 64 * 1024)) == replayed
         for each in (page, built):
@@ -196,7 +238,7 @@ def test_replay_from_bytes_equals_decode_then_apply(records, repeated, damage, c
 @given(colliding_records)
 def test_page_of_another_partition_is_refused_before_any_record(records):
     """The owner check is made once per page, ahead of the first record."""
-    built = LogPage.of(PADDR, records)
+    built = page_of(PADDR, records)
     for page in (built, LogPage.decode(built.encode())):
         other = Partition(OTHER, 64 * 1024)
         before = other.to_bytes()
@@ -227,20 +269,17 @@ def test_slb_commit_order_property(appends):
             expected[txn_id] = []
         for _ in range(count):
             sequence += 1
-            record = TupleInsert(
-                txn_id, 0, EntityAddress(3, 4, sequence), b"p"
-            )
+            record = TupleInsert(txn_id, 0, EntityAddress(3, 4, sequence), b"p").encode()
             slb.append(txn_id, record)
-            expected[txn_id].append(sequence)
+            expected[txn_id].append(record)
     for txn_id in sorted(open_txns):
         slb.commit(txn_id)
         commit_sequence.append(txn_id)
     drained = slb.drain_committed()
     # grouped by transaction in commit order, in-order within each
-    flat_expected = [
-        offset for txn_id in commit_sequence for offset in expected[txn_id]
-    ]
-    assert [r.address.offset for r in drained] == flat_expected
+    assert drained == b"".join(
+        record for txn_id in commit_sequence for record in expected[txn_id]
+    )
     # all blocks freed once drained
     assert slb.used_blocks() == 0
 

@@ -1,4 +1,5 @@
-"""Tests for REDO record formats: encode/decode roundtrips and REDO apply."""
+"""Tests for REDO record formats: the wire bytes, reading them by span,
+and REDO apply."""
 
 import pytest
 
@@ -16,20 +17,13 @@ from repro.wal import (
     TupleDelete,
     TupleInsert,
     TupleUpdate,
-    decode_record,
-    decode_records,
     records,
 )
 from repro.wal.log_disk import ARCHIVE_SEGMENT
+from tests import page_of, record_bytes
 
 PADDR = PartitionAddress(2, 3)
 EADDR = EntityAddress(2, 3, 11)
-
-
-def roundtrip(record):
-    decoded, consumed = decode_record(record.encode())
-    assert consumed == record.size_bytes
-    return decoded
 
 
 #: The wire bytes of every registered class as the hand-written codecs
@@ -129,8 +123,13 @@ class TestGoldenBytes:
         record, full, compact = GOLDEN_REDO[name]
         assert record.encode().hex() == full
         assert record.encode(compact=True).hex() == compact
-        assert decode_record(bytes.fromhex(full)) == (record, len(full) // 2)
-        assert decode_record(bytes.fromhex(compact), 0, PADDR) == (record, len(compact) // 2)
+        full, compact = bytes.fromhex(full), bytes.fromhex(compact)
+        assert records._spans(full, full=True) == [(0, len(full))]
+        assert records._spans(compact) == [(0, len(compact))]
+        assert records.bin_index_of(full) == record.bin_index
+        assert records.compact_form(full) == compact
+        assert records.full_forms(compact, PADDR) == [full]
+        assert records.count_updates(compact) == (getattr(record, "changes", 1) or 1)
 
     @pytest.mark.parametrize("name", GOLDEN_CONTROL)
     def test_control(self, name):
@@ -143,10 +142,9 @@ class TestLogPageRoundTrip:
     """Both page kinds carry all eleven classes through the one codec."""
 
     def test_dedicated_page_is_compact(self):
-        page = LogPage.of(PADDR, ALL_RECORDS, embedded_directory=[5, 9], lsn=12)
+        page = page_of(PADDR, ALL_RECORDS, embedded_directory=[5, 9], lsn=12)
         blob = page.encode()
         assert LogPage.decode(blob) == page
-        assert LogPage.decode(blob).records == ALL_RECORDS
         body = "".join(compact for _, _, compact in GOLDEN_REDO.values())
         assert blob.hex().endswith(body)
         assert len(blob) == 22 + 2 * 8 + len(body) // 2
@@ -159,16 +157,19 @@ class TestLogPageRoundTrip:
             records.SweepMarker(8, 1, other, 3),
         ]
         mixed = [record for pair in zip(ALL_RECORDS, moved * 4) for record in pair]
-        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed, lsn=13)
+        page = page_of(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed, lsn=13)
         decoded = LogPage.decode(page.encode())
         assert decoded == page
-        assert {r.partition_address for r in decoded.records} == {PADDR, other}
+        assert records.split_by_owner(decoded.body) == {
+            PADDR: b"".join(r.encode(compact=True) for r in ALL_RECORDS),
+            other: b"".join(r.encode(compact=True) for r in mixed[1::2]),
+        }
         assert len(page.encode()) == 22 + sum(r.size_bytes for r in mixed)
 
     def test_bin_leftovers_reach_the_archive_as_bytes(self):
         """A dedicated body's records in full form are what a mixed page
         carries, and each goes back to its compact form unchanged."""
-        body = LogPage.of(PADDR, ALL_RECORDS).body
+        body = page_of(PADDR, ALL_RECORDS).body
         full = records.full_forms(body, PADDR)
         assert full == [record.encode() for record in ALL_RECORDS]
         assert b"".join(map(records.compact_form, full)) == body
@@ -177,16 +178,21 @@ class TestLogPageRoundTrip:
         """One per record, a command barrier its command's changes there
         (at least one): what deposit added for the same records."""
         barriers = [records.CommandBarrier(7, 4, PADDR, 41, changes) for changes in (0, 1, 5)]
-        body = LogPage.of(PADDR, ALL_RECORDS + barriers).body
-        assert records.count_updates(body) == sum(r.updates for r in ALL_RECORDS + barriers)
+        body = page_of(PADDR, ALL_RECORDS + barriers).body
+        counts = list(map(records.count_updates, record_bytes(body)))
         # the golden barrier carries 3 changes: two more than a record's one
-        assert records.count_updates(body) == len(ALL_RECORDS) + 2 + 1 + 1 + 5
+        assert counts == [1] * 9 + [3, 1] + [1, 1, 5]
 
 
 class TestWireFormat:
     @pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda r: type(r).__name__)
     def test_encode_decode_roundtrip(self, record):
-        assert roundtrip(record) == record
+        """Full form to compact and back, and its one span: the bytes
+        are all the log path reads."""
+        full = record.encode()
+        assert records.split_records(full) == [full]
+        assert records.full_forms(records.compact_form(full), PADDR) == [full]
+        assert records.split_by_owner(full) == {PADDR: record.encode(compact=True)}
 
     @pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda r: type(r).__name__)
     def test_every_record_names_one_partition(self, record):
@@ -194,27 +200,29 @@ class TestWireFormat:
 
     def test_decode_records_sequence(self):
         blob = b"".join(r.encode() for r in ALL_RECORDS)
-        assert decode_records(blob) == ALL_RECORDS
+        assert records.split_records(blob) == [r.encode() for r in ALL_RECORDS]
 
     def test_unknown_tag_rejected(self):
         blob = bytes([255]) + b"\x00" * 12
         with pytest.raises(LogError):
-            decode_record(blob)
+            records.split_records(blob)
+        with pytest.raises(LogError):
+            records.replay_records(blob, None)
 
     def test_truncated_header_rejected(self):
         with pytest.raises(LogError):
-            decode_record(b"\x01\x02")
+            records.split_records(b"\x01\x02")
         with pytest.raises(LogError):
-            decode_record(b"")
+            records.replay_records(b"\x01\x02", None)
         with pytest.raises(LogError):
             records.decode_control(b"\x80\x02")
 
     def test_truncated_fixed_fields_rejected(self):
         _, full, compact = GOLDEN_REDO["HeapDelete"]
         with pytest.raises(LogError):
-            decode_record(bytes.fromhex(full)[:-1])
+            records.split_records(bytes.fromhex(full)[:-1])
         with pytest.raises(LogError):
-            decode_record(bytes.fromhex(compact)[:-1], 0, PADDR)
+            records.replay_records(bytes.fromhex(compact)[:-1], None)
 
     @pytest.mark.parametrize(
         "name", [n for n, (r, _, _) in GOLDEN_REDO.items() if r.LAYOUT.blob]
@@ -224,10 +232,8 @@ class TestWireFormat:
         decode to silently short data — nor replay it."""
         record, full, compact = GOLDEN_REDO[name]
         for cut in range(1, len(record.data) + 1):
-            with pytest.raises(LogError, match=f"truncated {name} data"):
-                decode_record(bytes.fromhex(full)[:-cut])
-            with pytest.raises(LogError, match=f"truncated {name} data"):
-                decode_record(bytes.fromhex(compact)[:-cut], 0, PADDR)
+            with pytest.raises(LogError, match=f"truncated {name} record"):
+                records.split_records(bytes.fromhex(full)[:-cut])
             partition = Partition(PADDR, 4096)
             with pytest.raises(LogError, match=f"truncated {name} data"):
                 records.replay_records(bytes.fromhex(compact)[:-cut], partition)
@@ -238,7 +244,9 @@ class TestWireFormat:
         # stream must never be read as a verdict
         for _, full in GOLDEN_CONTROL.values():
             with pytest.raises(LogError, match="unknown log record tag"):
-                decode_record(bytes.fromhex(full))
+                records.split_records(bytes.fromhex(full))
+            with pytest.raises(LogError, match="unknown log record tag"):
+                records.replay_records(bytes.fromhex(full), None)
         for _, full, _ in GOLDEN_REDO.values():
             with pytest.raises(LogError, match="unknown control record tag"):
                 records.decode_control(bytes.fromhex(full))
@@ -249,12 +257,12 @@ class TestWireFormat:
         for record in ALL_RECORDS:
             assert record.size_bytes == len(record.encode())
 
-    def test_with_bin_index(self):
-        record = TupleInsert(7, 0, EADDR, b"x")
-        reassigned = record.with_bin_index(9)
-        assert reassigned.bin_index == 9
-        assert reassigned.address == record.address
-        assert record.with_bin_index(0) is record
+    def test_bin_index_and_owner_are_read_off_the_header(self):
+        record = TupleInsert(7, 9, EADDR, b"x").encode()
+        assert records.bin_index_of(record) == 9
+        records.check_owner(record, PADDR)
+        with pytest.raises(LogError, match="record for S2.P3 carries bin index 9 of S2.P4"):
+            records.check_owner(record, PartitionAddress(2, 4))
 
     def test_small_records_are_compact(self):
         # Table 2: common records are 8-24 bytes of operation payload.
@@ -344,10 +352,9 @@ class TestRedoApply:
 
 class TestSizeBytesWithoutPacking:
     """``size_bytes`` comes from the declared layout (the compiled full
-    form's size plus ``len(data)``), never from packing the record.  Every
-    stable-byte CPU charge and every SLB/SLT byte counter is fed by it,
-    so it must equal the encoded length exactly, for every registered
-    record class."""
+    form's size plus ``len(data)``), never from packing the record, and
+    equals the encoded length exactly, for every registered record
+    class."""
 
     DATA = [b"", b"x", b"tuple-data", bytes(300)]
 

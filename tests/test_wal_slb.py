@@ -10,12 +10,13 @@ from repro.common import (
 )
 from repro.sim import StableMemory
 from repro.wal import StableLogBuffer, TupleInsert
-from repro.wal.records import CommandBarrier
+from repro.wal.records import CommandBarrier, split_records
 from repro.wal.slb import WELL_KNOWN_RESERVE
 
 
 def record(txn_id, n=0, size=8):
-    return TupleInsert(txn_id, 0, EntityAddress(1, 1, n + 1), b"x" * size)
+    """One TupleInsert, encoded as the SLB holds it."""
+    return TupleInsert(txn_id, 0, EntityAddress(1, 1, n + 1), b"x" * size).encode()
 
 
 @pytest.fixture()
@@ -47,7 +48,7 @@ class TestChains:
             slb.append(1, record(1, i))
         chain = slb._uncommitted[1]
         assert len(chain.blocks) >= 2
-        assert list(chain.records())[0].address.offset == 1
+        assert list(chain.records()) == [record(1, i) for i in range(20)]
 
     def test_block_allocation_uses_latch(self, slb):
         slb.open_chain(1)
@@ -78,8 +79,7 @@ class TestCommitAbort:
             slb.append(txn, record(txn, txn))
         for txn in (2, 3, 1):  # commit in a different order
             slb.commit(txn)
-        drained = slb.drain_committed()
-        assert [r.txn_id for r in drained] == [2, 3, 1]
+        assert slb.drain_committed() == record(2, 2) + record(3, 3) + record(1, 1)
 
     def test_abort_discards_and_frees(self, slb):
         slb.open_chain(1)
@@ -107,12 +107,12 @@ class TestDrain:
         slb.commit(1)
         used_before = slb.stable.used_bytes
         drained = slb.drain_committed()
-        assert len(drained) == 10
+        assert split_records(drained) == [record(1, i) for i in range(10)]
         assert slb.stable.used_bytes < used_before
         assert slb.committed_chain_count == 0
 
     def test_drain_empty_returns_nothing(self, slb):
-        assert slb.drain_committed() == []
+        assert slb.drain_committed() == b""
 
 
 class TestCrashSemantics:
@@ -125,8 +125,7 @@ class TestCrashSemantics:
         # crash: stable object survives; restart policy discards losers
         discarded = slb.discard_uncommitted()
         assert discarded == 1
-        drained = slb.drain_committed()
-        assert [r.txn_id for r in drained] == [2]
+        assert slb.drain_committed() == record(2)
 
     def test_well_known_area_survives(self, slb):
         slb.put_well_known("catalog-partitions", [(1, 1), (1, 2)])
@@ -157,7 +156,7 @@ class TestRepack:
         assert (slb.records_written, slb.bytes_written) == (records, nbytes)
         assert slb.used_blocks() == 1
         slb.commit(1)
-        assert [r.address.offset for r in slb.drain_committed()] == [1]
+        assert slb.drain_committed() == record(1, 0)
 
     def test_commit_command_unwinds_then_retries_after_drain(self):
         """Barriers needing a block the SLB cannot allocate: the chain and
@@ -178,7 +177,7 @@ class TestRepack:
         partition = PartitionAddress(1, 1)
 
         def build(csn):
-            return b"command", [CommandBarrier(2, n, partition, csn) for n in range(3)]
+            return b"command", [CommandBarrier(2, n, partition, csn).encode() for n in range(3)]
 
         with pytest.raises(StableMemoryFullError):
             slb.commit_command(2, build)
@@ -186,12 +185,12 @@ class TestRepack:
         assert (slb.records_written, slb.bytes_written, slb.commits) == counters_before
         assert slb.command_seq == 0 and slb.live_commands() == []
         assert slb.used_blocks() == 3
-        assert len(slb.drain_committed()) == 1  # the caller's back-pressure drain
+        assert slb.drain_committed() == record(1)  # the caller's back-pressure drain
         assert slb.commit_command(2, build) == 1
         assert slb.live_commands() == [(1, b"command")]
         assert slb.uncommitted_txn_ids == [3]
-        drained = slb.drain_committed()
+        drained = split_records(slb.drain_committed())
         assert drained[:5] == chain_before
-        assert [type(r) for r in drained[5:]] == [CommandBarrier] * 3
+        assert drained[5:] == build(1)[1]
         assert slb.records_written == counters_before[0] + 3
         assert slb.bytes_written == counters_before[1] + 3 * 29 + len(b"command")

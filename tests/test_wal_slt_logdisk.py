@@ -6,10 +6,26 @@ from repro.common import EntityAddress, LogError, PartitionAddress, SystemConfig
 from repro.common.config import DiskParameters
 from repro.common.types import NULL_LSN
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
-from repro.wal import LogDisk, LogPage, StableLogTail, TupleInsert
+from repro.wal import (
+    FieldPatch,
+    HeapPut,
+    LogDisk,
+    StableLogBuffer,
+    StableLogTail,
+    TupleInsert,
+)
 from repro.wal.log_disk import ARCHIVE_SEGMENT
-from repro.wal.records import decode_records
+from repro.wal.records import (
+    CommandBarrier,
+    SweepMarker,
+    compact_form,
+    full_forms,
+    split_by_owner,
+    split_records,
+)
+from repro.wal.slb import WELL_KNOWN_RESERVE
 from repro.wal.slt import CheckpointReason
+from tests import page_of, record_bytes, refuse_records
 
 PADDR = PartitionAddress(1, 1)
 
@@ -74,7 +90,7 @@ class TestBinRegistration:
         slt = make_slt()
         slt.register_partition(PADDR)
         before = slt.stable.used_bytes
-        slt.deposit(record(0))  # activate (allocates page buffer)
+        slt.deposit(record(0).encode())  # activate (allocates page buffer)
         slt.drop_partition(PADDR)
         assert slt.stable.used_bytes < before
         with pytest.raises(LogError):
@@ -85,15 +101,15 @@ class TestDeposit:
     def test_deposit_counts_updates(self):
         slt = make_slt()
         idx = slt.register_partition(PADDR)
-        slt.deposit(record(idx))
-        slt.deposit(record(idx))
+        slt.deposit(record(idx).encode())
+        slt.deposit(record(idx).encode())
         assert slt.bin(idx).update_count == 2
 
     def test_activation_allocates_page_buffer(self):
         slt = make_slt()
         idx = slt.register_partition(PADDR)
         before = slt.stable.used_bytes
-        slt.deposit(record(idx))
+        slt.deposit(record(idx).encode())
         assert slt.stable.used_bytes == before + slt.config.log_page_size
 
     def test_deposit_signals_full_page(self):
@@ -101,10 +117,48 @@ class TestDeposit:
         idx = slt.register_partition(PADDR)
         full_seen = False
         for i in range(10):
-            if slt.deposit(record(idx, offset=i + 1, size=60)):
+            if slt.deposit(record(idx, offset=i + 1, size=60).encode()):
                 full_seen = True
                 break
         assert full_seen
+
+    def test_a_barrier_counts_its_commands_changes(self):
+        """One per record; a command barrier adds the changes its command
+        made in the partition, at least one."""
+        slt = make_slt(make_config(update_count_threshold=1000))
+        idx = slt.register_partition(PADDR)
+        counts = []
+        for changes in (0, 1, 5):
+            slt.deposit(CommandBarrier(1, idx, PADDR, 7, changes).encode())
+            counts.append(slt.bin(idx).update_count)
+        slt.deposit(SweepMarker(1, idx, PADDR, 7).encode())
+        slt.deposit(record(idx).encode())
+        assert counts == [1, 2, 7]
+        assert slt.bin(idx).update_count == 9
+
+    def test_drained_bytes_are_the_encodings_binned_compact(self):
+        """The SLB drains each record's own encoding, and the sorting step
+        grows the bin by exactly its compact form."""
+        slt = make_slt()
+        idx = slt.register_partition(PADDR)
+        slb = StableLogBuffer(StableMemory("slb", WELL_KNOWN_RESERVE + 4096), 256)
+        logged = [
+            FieldPatch(3, idx, EntityAddress(1, 1, 4), 2, b"\x01\x02"),
+            HeapPut(3, idx, PADDR, 9, b"text"),
+            CommandBarrier(3, idx, PADDR, 1, 2),
+        ]
+        slb.open_chain(3)
+        for logged_record in logged:
+            slb.append(3, logged_record.encode())
+        slb.commit(3)
+        drained = slb.drain_committed()
+        assert drained == b"".join(r.encode() for r in logged)
+        bin_ = slt.bin(idx)
+        for logged_record, full in zip(logged, split_records(drained), strict=True):
+            before = bytes(bin_.buffer)
+            slt.deposit(full)
+            assert bin_.buffer == before + compact_form(full)
+            assert compact_form(full) == logged_record.encode(compact=True)
 
     def test_wrong_bin_index_rejected(self):
         slt = make_slt()
@@ -112,18 +166,18 @@ class TestDeposit:
         other = slt.register_partition(PartitionAddress(1, 2))
         bad = TupleInsert(1, other, EntityAddress(1, 1, 1), b"x")
         with pytest.raises(LogError):
-            slt.deposit(bad)
+            slt.deposit(bad.encode())
 
     def test_unknown_bin_rejected(self):
         slt = make_slt()
         with pytest.raises(LogError):
-            slt.deposit(record(99))
+            slt.deposit(record(99).encode())
 
 
 class TestSealAndDirectory:
     def _fill_and_seal(self, slt, idx, log_disk, pages):
         for _ in range(pages):
-            while not slt.deposit(record(idx, size=60)):
+            while not slt.deposit(record(idx, size=60).encode()):
                 pass
             page = slt.seal_page(idx)
             lsn = log_disk.append_page(page)
@@ -178,15 +232,15 @@ class TestCheckpointTriggers:
         slt = make_slt(make_config(update_count_threshold=3))
         idx = slt.register_partition(PADDR)
         for i in range(3):
-            slt.deposit(record(idx, offset=i + 1))
+            slt.deposit(record(idx, offset=i + 1).encode())
         candidates = slt.update_count_candidates()
         assert [c.bin_index for c in candidates] == [idx]
 
     def test_marked_bins_not_recandidated(self):
         slt = make_slt(make_config(update_count_threshold=2))
         idx = slt.register_partition(PADDR)
-        slt.deposit(record(idx))
-        slt.deposit(record(idx))
+        slt.deposit(record(idx).encode())
+        slt.deposit(record(idx).encode())
         slt.mark_for_checkpoint(idx, CheckpointReason.UPDATE_COUNT)
         assert slt.update_count_candidates() == []
 
@@ -196,7 +250,7 @@ class TestCheckpointTriggers:
         idx_old = slt.register_partition(PADDR)
         idx_new = slt.register_partition(PartitionAddress(1, 2))
         for idx, paddr in ((idx_old, PADDR), (idx_new, PartitionAddress(1, 2))):
-            while not slt.deposit(record(idx, size=60, paddr=paddr)):
+            while not slt.deposit(record(idx, size=60, paddr=paddr).encode()):
                 pass
             page = slt.seal_page(idx)
             lsn = log_disk.append_page(page)
@@ -211,14 +265,14 @@ class TestCheckpointTriggers:
         slt = make_slt()
         log_disk = make_log_disk()
         idx = slt.register_partition(PADDR)
-        while not slt.deposit(record(idx, size=60)):
+        while not slt.deposit(record(idx, size=60).encode()):
             pass
         page = slt.seal_page(idx)
         slt.note_page_written(idx, log_disk.append_page(page))
-        slt.deposit(record(idx, offset=7))  # leftover buffered record
+        slt.deposit(record(idx, offset=7).encode())  # leftover buffered record
         leftovers = slt.reset_after_checkpoint(idx)
         bin_ = slt.bin(idx)
-        assert decode_records(leftovers, PADDR) == [record(idx, offset=7)]
+        assert leftovers == record(idx, offset=7).encode(compact=True)
         assert bin_.update_count == 0
         assert bin_.first_page_lsn == NULL_LSN
         assert bin_.directory == []
@@ -227,7 +281,7 @@ class TestCheckpointTriggers:
     def test_reset_releases_page_buffer(self):
         slt = make_slt()
         idx = slt.register_partition(PADDR)
-        slt.deposit(record(idx))
+        slt.deposit(record(idx).encode())
         used_active = slt.stable.used_bytes
         slt.reset_after_checkpoint(idx)
         assert slt.stable.used_bytes < used_active
@@ -237,13 +291,13 @@ class TestLogDiskWindow:
     def test_lsns_are_sequential(self):
         log_disk = make_log_disk()
         for expected in range(3):
-            lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+            lsn = log_disk.append_page(page_of(PADDR, [record(0)]))
             assert lsn == expected
 
     def test_window_slides(self):
         log_disk = make_log_disk(window=4, grace=1)
         for _ in range(6):
-            log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+            log_disk.append_page(page_of(PADDR, [record(0)]))
         assert log_disk.window_start == 2
         assert not log_disk.in_window(1)
         assert log_disk.in_window(5)
@@ -251,7 +305,7 @@ class TestLogDiskWindow:
     def test_expired_pages_go_to_archive(self):
         log_disk = make_log_disk(window=4, grace=1)
         for _ in range(6):
-            log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+            log_disk.append_page(page_of(PADDR, [record(0)]))
         assert 0 in log_disk.archive
         # still readable through the unified read path
         page = log_disk.read_page(0)
@@ -266,7 +320,7 @@ class TestLogDiskWindow:
         dropped = set()
         for step in range(20):
             if step % 3:
-                log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+                log_disk.append_page(page_of(PADDR, [record(0)]))
             else:
                 log_disk.append_opaque_page(-2, b"audit")
             if step == 11:
@@ -279,27 +333,21 @@ class TestLogDiskWindow:
 
     def test_drop_page_frees_the_spindles(self):
         log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+        lsn = log_disk.append_page(page_of(PADDR, [record(0)]))
         log_disk.read_page(lsn)
         log_disk.drop_page(lsn)
         with pytest.raises(LogError):
             log_disk.read_page(lsn)
 
     def test_read_page_decodes_no_record(self, monkeypatch):
-        """Reading a page parses its header only; ``page.records``
-        decodes the body on each access."""
-        import repro.wal.records as records_module
-
+        """Reading a page parses its header only: the body stays bytes."""
         log_disk = make_log_disk()
-        lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
-        decode = records_module.decode_record
-        calls = []
-        monkeypatch.setattr(
-            records_module, "decode_record", lambda *a: calls.append(a) or decode(*a)
-        )
+        written = page_of(PADDR, [record(0)])
+        lsn = log_disk.append_page(written)
+        refuse_records(monkeypatch)
         page = log_disk.read_page(lsn)
-        assert page.partition == PADDR and calls == []
-        assert page.records == [record(0)] and len(calls) == 1
+        assert page.partition == PADDR
+        assert page == written
 
     def test_missing_page_raises(self):
         log_disk = make_log_disk()
@@ -308,21 +356,23 @@ class TestLogDiskWindow:
 
     def test_page_roundtrip_with_directory(self):
         log_disk = make_log_disk()
-        page = LogPage.of(PADDR, [record(0), record(0, offset=2)], [10, 11, 12])
+        page = page_of(PADDR, [record(0), record(0, offset=2)], [10, 11, 12])
         lsn = log_disk.append_page(page)
         read = log_disk.read_page(lsn)
         assert read.embedded_directory == [10, 11, 12]
-        assert len(read.records) == 2
-        assert read.records[1].address.offset == 2
+        assert record_bytes(read.body) == [
+            record(0).encode(compact=True),
+            record(0, offset=2).encode(compact=True),
+        ]
 
     def test_archive_page_marker(self):
-        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), [record(0)])
+        page = page_of(PartitionAddress(ARCHIVE_SEGMENT, 0), [record(0)])
         assert page.is_archive_page
 
     def test_overrun_assertion(self):
         log_disk = make_log_disk(window=4, grace=1)
         for _ in range(6):
-            log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+            log_disk.append_page(page_of(PADDR, [record(0)]))
         from repro.common.errors import LogWindowOverrunError
 
         with pytest.raises(LogWindowOverrunError):
@@ -333,7 +383,7 @@ class TestLogDiskWindow:
     def test_duplexed_survives_torn_primary(self):
         log_disk = make_log_disk()
         log_disk.disks.primary.inject_torn_write()
-        lsn = log_disk.append_page(LogPage.of(PADDR, [record(0)]))
+        lsn = log_disk.append_page(page_of(PADDR, [record(0)]))
         page = log_disk.read_page(lsn)  # served from the mirror
         assert page.lsn == lsn
 
@@ -343,18 +393,16 @@ class TestLogCondensing:
     from records on dedicated pages."""
 
     def test_compact_roundtrip_preserves_records(self):
-        from repro.wal import decode_records
-
         records = [
             record(0, offset=i + 1, size=8 + i) for i in range(10)
         ]
         body = b"".join(r.encode(compact=True) for r in records)
-        assert decode_records(body, PADDR) == records
+        assert full_forms(body, PADDR) == [r.encode() for r in records]
 
     def test_dedicated_page_smaller_than_full_format(self):
-        page = LogPage.of(PADDR, [record(0, offset=i + 1) for i in range(20)])
+        page = page_of(PADDR, [record(0, offset=i + 1) for i in range(20)])
         compact_size = len(page.encode())
-        full_size = sum(len(r.encode()) for r in page.records) + 22
+        full_size = sum(len(record(0, offset=i + 1).encode()) for i in range(20)) + 22
         assert compact_size < full_size
         # exactly 8 bytes per record saved
         assert full_size - compact_size == 8 * 20
@@ -362,9 +410,9 @@ class TestLogCondensing:
     def test_disk_roundtrip_with_condensing(self):
         log_disk = make_log_disk()
         records = [record(0, offset=i + 1, size=30) for i in range(5)]
-        lsn = log_disk.append_page(LogPage.of(PADDR, records))
+        lsn = log_disk.append_page(page_of(PADDR, records))
         read = log_disk.read_page(lsn, expected=PADDR)
-        assert read.records == records
+        assert read.body == b"".join(r.encode(compact=True) for r in records)
 
     def test_archive_pages_keep_full_format(self):
         from repro.common import EntityAddress
@@ -375,11 +423,11 @@ class TestLogCondensing:
             TupleInsert(1, 1, EntityAddress(1, 2, 1), b"b"),  # other partition
         ]
         log_disk = make_log_disk()
-        page = LogPage.of(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed)
+        page = page_of(PartitionAddress(ARCHIVE_SEGMENT, 0), mixed)
         lsn = log_disk.append_page(page)
         read = log_disk.read_page(lsn)
-        assert read.records == mixed
-        assert {r.partition_address for r in read.records} == {
-            PartitionAddress(1, 1),
-            PartitionAddress(1, 2),
+        assert read.body == b"".join(r.encode() for r in mixed)
+        assert split_by_owner(read.body) == {
+            PartitionAddress(1, 1): mixed[0].encode(compact=True),
+            PartitionAddress(1, 2): mixed[1].encode(compact=True),
         }
