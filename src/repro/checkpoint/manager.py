@@ -210,7 +210,7 @@ class CheckpointManager:
                         bin_index = db.slt.bin_index_of(address)
                         db.append_log(
                             txn.txn_id,
-                            SweepMarker(txn.txn_id, bin_index, address, watermark),
+                            SweepMarker.pack(txn.txn_id, bin_index, address, watermark),
                         )
                 crash_point("checkpoint.sweep.markers-appended")
             # commit releases any lock still held, after the commit point

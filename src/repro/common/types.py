@@ -11,8 +11,7 @@ Log sequence numbers are plain integers; ``NULL_LSN`` (``-1``) denotes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NewType
+from typing import NamedTuple, NewType
 
 TransactionId = NewType("TransactionId", int)
 
@@ -32,12 +31,14 @@ class SegmentKind(enum.Enum):
     CATALOG = "catalog"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class PartitionAddress:
+class PartitionAddress(NamedTuple):
     """Stable name of one partition: (segment number, partition number).
 
     The address is attached to every log page written for the partition and
     is checked during recovery (paper section 2.3.3, "Partition Address").
+    A tuple, so hashing and comparing it — the lock table, the bin lookup
+    and the node cache do so on every change — run in C; it equals the
+    plain tuple of its fields.
     """
 
     segment: int
@@ -47,12 +48,12 @@ class PartitionAddress:
         return f"S{self.segment}.P{self.partition}"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class EntityAddress:
+class EntityAddress(NamedTuple):
     """Memory address of a database entity: a tuple or an index component.
 
     Entities never cross partition boundaries, so (segment, partition,
-    offset) uniquely names one entity for the life of the partition.
+    offset) uniquely names one entity for the life of the partition.  A
+    tuple, like :class:`PartitionAddress`.
     """
 
     segment: int

@@ -72,7 +72,6 @@ from repro.txn.registry import ScriptRegistry
 from repro.txn.transaction import Transaction
 from repro.wal.audit import AuditLog
 from repro.wal.log_disk import LogDisk
-from repro.wal.records import RedoRecord
 from repro.wal.slb import StableLogBuffer
 from repro.wal.slt import StableLogTail
 
@@ -198,16 +197,16 @@ class Database:
 
     # -- transaction plumbing (called by Transaction) ----------------------------------
 
-    def append_log(self, txn_id: int, record: RedoRecord) -> None:
-        """Write a REDO record to the SLB, draining on back-pressure.
+    def append_log(self, txn_id: int, data: bytes) -> None:
+        """Write one REDO record's bytes to the SLB, draining on
+        back-pressure.
 
         Section 2.2: copying REDO records into the Stable Log Buffer is
         the only logging work the main CPU does, and it pays the
         stable-memory copy for it; everything downstream belongs to the
-        recovery CPU.  The record is encoded here, once, in full form: from
-        the SLB to the disk it is bytes.
+        recovery CPU.  ``data`` is the record in full form, as its class's
+        ``pack`` made it at the change: from here to the disk it is bytes.
         """
-        data = record.encode()
         self.main_cpu.charge_stable_bytes(len(data), "slb-write")
         try:
             self.slb.append(txn_id, data)
@@ -721,6 +720,7 @@ class Database:
                 "catalog_restore_seconds": coordinator.catalog_restore_seconds,
                 "pending_partitions": coordinator.pending_partitions(),
                 "history_scan": dict(coordinator.history_scan) or None,
+                "partitions": [dict(entry) for entry in coordinator.partitions],
             },
             "audit_entries": self.audit.entries_written,
             "audit_pages_flushed": self.audit.pages_flushed,

@@ -95,20 +95,16 @@ class RecoveryProcessor:
         as they appear; checkpoint triggers are evaluated as pages are
         written (age) and after the drain (update count).
         """
-        records = split_records(self.slb.drain_committed())
+        drained = self.slb.drain_committed()
+        if not drained:
+            return 0
+        records = split_records(drained)
         deposited = 0
-        # Table 2's sorting costs, charged one by one in this order (each
-        # advances the shared clock), then the deposit.
-        params = self.params
-        lookup, check, update = params.i_record_lookup, params.i_page_check, params.i_page_update
-        charge, charge_stable_bytes = self.cpu.charge, self.cpu.charge_stable_bytes
-        deposit = self.slt.deposit
+        # Table 2's sorting costs, one charge per record, then the deposit.
+        charge_sort, deposit = self.cpu.charge_sort, self.slt.deposit
         try:
             for record in records:
-                charge(lookup, "record-lookup")
-                charge(check, "page-check")
-                charge_stable_bytes(len(record), "record-copy")
-                charge(update, "page-update")
+                charge_sort(len(record))
                 page_full = deposit(record)
                 deposited += 1
                 crash_point("recovery.sort.after-deposit")
@@ -121,8 +117,7 @@ class RecoveryProcessor:
             self.slb.requeue_committed(records[deposited:])
             raise
         self.records_sorted += len(records)
-        if records:
-            self._check_update_count_triggers()
+        self._check_update_count_triggers()
         return len(records)
 
     def run_until_drained(self) -> int:

@@ -177,6 +177,9 @@ class RestartCoordinator:
         #: ``source``): the checkpoint image, an empty partition, or the
         #: full log history.
         self.sources = dict.fromkeys(("image", "empty", "history"), 0)
+        #: One record per rebuilt partition, in rebuild order: its address,
+        #: source, pages read, records applied and simulated seconds.
+        self.partitions: list[dict] = []
         #: Set once a background step finds nothing missing; no partition
         #: goes missing after phase 1, so the pump's duty is then free.
         self._swept = False
@@ -301,8 +304,9 @@ class RestartCoordinator:
         )
 
     def _rebuild(self, address: PartitionAddress) -> tuple[Partition, dict]:
+        start = self.db.clock.now
         partition, stats = rebuild_partition_resilient(**self._sources(address))
-        self._note(stats)
+        self._note(address, stats, start)
         return partition, stats
 
     # -- command closures (docs/LOGGING.md) ---------------------------------------------------
@@ -405,21 +409,33 @@ class RestartCoordinator:
             len(segment.missing_partitions()) for segment in self.db.memory.segments()
         )
 
-    def _note(self, stats: dict) -> None:
-        """Tally one finished rebuild — by the pipeline here or by the
-        command replay planner, which walks the same streams."""
+    def _note(self, address: PartitionAddress, stats: dict, start: float) -> None:
+        """Tally one finished rebuild of ``address``, begun at simulated
+        time ``start`` — by the pipeline here or by the command replay
+        planner, which walks the same streams — and record it."""
+        db = self.db
         if self.history is not None and stats["records_applied"]:
             # Full-history replay is recovery-component work: charge the
             # Table 2 record lookup + page update per record, the same
             # work the sorting step pays.
-            params = self.db.config.analysis
-            self.db.recovery_cpu.charge(
+            params = db.config.analysis
+            db.recovery_cpu.charge(
                 (params.i_record_lookup + params.i_page_update)
                 * stats["records_applied"],
                 "media-replay",
             )
+        pages = stats["pages_read"] + stats["backward_reads"]
         self.partitions_recovered += 1
         self.records_replayed += stats["records_applied"]
-        self.pages_read += stats["pages_read"] + stats["backward_reads"]
+        self.pages_read += pages
         self.backward_reads += stats["backward_reads"]
         self.sources[stats["source"]] += 1
+        self.partitions.append(
+            {
+                "address": str(address),
+                "source": stats["source"],
+                "pages_read": pages,
+                "records_applied": stats["records_applied"],
+                "seconds": db.clock.now - start,
+            }
+        )

@@ -74,6 +74,26 @@ class CpuMeter:
             raise ValueError("cannot copy a negative number of bytes")
         return self.charge(self._copy_fixed + self._copy_per_byte * nbytes, category)
 
+    def charge_sort(self, nbytes: int) -> None:
+        """Charge the sorting step for one ``nbytes`` record (section 2.3):
+        record lookup, page check, the record's copy into stable memory,
+        page update — what four :meth:`charge` calls in that order charge,
+        the same additions to the categories, the total and the clock in
+        the same order, so every simulated figure stays bit for bit."""
+        if nbytes < 0:
+            raise ValueError("cannot copy a negative number of bytes")
+        params = self.params
+        by_category, rate, advance = self._by_category, self._rate, self.clock.advance
+        for instructions, category in (
+            (params.i_record_lookup, "record-lookup"),
+            (params.i_page_check, "page-check"),
+            (self._copy_fixed + self._copy_per_byte * nbytes, "record-copy"),
+            (params.i_page_update, "page-update"),
+        ):
+            by_category[category] += instructions
+            self._total_instructions += instructions
+            advance(instructions / rate)
+
     # -- inspection ----------------------------------------------------------
 
     @property

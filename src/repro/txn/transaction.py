@@ -4,8 +4,9 @@ The transaction object doubles as the *change sink* for every layer that
 mutates partitions on its behalf — relation operations, catalog updates,
 and index component writes all report here, producing:
 
-* a REDO record appended to the transaction's Stable Log Buffer chain
-  (with the target partition's bin index stamped in, section 2.3.2),
+* a REDO record, packed straight to its bytes (no record object) and
+  appended to the transaction's Stable Log Buffer chain, with the target
+  partition's bin index stamped in (section 2.3.2),
 * an UNDO entry in the volatile UNDO space — the *inverse* REDO record,
   the same operation with the before-image where the after-image was;
   never encoded, never stable (section 2.3.1), discarded at commit — and
@@ -112,7 +113,7 @@ class Transaction:
         self.system = system
         self.state = TxnState.ACTIVE
         #: The volatile UNDO space, oldest first: inverse REDO records
-        #: (bytes) and compensations (:meth:`on_rollback`).
+        #: (objects, never encoded) and compensations (:meth:`on_rollback`).
         self._undo: list[redo.RedoRecord | _StableRelease | Callable[[], None]] = []
         #: segment id -> the S or X lock held on its relation, which
         #: covers the segment's rows (:meth:`lock_relation`).
@@ -339,13 +340,9 @@ class Transaction:
                 self.txn_id, csn, name, version, args, self.declared_relations
             )
             barriers = [
-                redo.CommandBarrier(
-                    self.txn_id,
-                    bin_index,
-                    address,
-                    csn,
-                    changes.get((address.segment, address.partition), 0),
-                ).encode()
+                redo.CommandBarrier.pack(
+                    self.txn_id, bin_index, address, csn, changes.get(address, 0)
+                )
                 for address, bin_index in targets
             ]
             return command.encode(), barriers
@@ -445,9 +442,9 @@ class Transaction:
 
     # -- logging core ------------------------------------------------------------------
 
-    def _redo(self, record: redo.RedoRecord) -> None:
-        """Append a value-logged change's forward record to the stable
-        chain.  Its inverse is on UNDO already: the mutation is applied,
+    def _redo(self, record: bytes) -> None:
+        """Append a value-logged change's forward record, packed, to the
+        stable chain.  Its inverse is on UNDO already: the mutation is applied,
         so if this write fails (stable buffer exhausted even after
         draining — a transaction too large for the SLB) the rollback must
         already know how to reverse it."""
@@ -469,7 +466,7 @@ class Transaction:
     # -- the nine change sinks ------------------------------------------------------------------
     #
     # Each pushes its change's inverse onto UNDO, then — value-logged only —
-    # builds and appends the forward record.
+    # packs and appends the forward record.
 
     def _head(self, address: _Address, owner: PartitionAddress) -> tuple[int, int, _Address]:
         """(txn id, bin index of ``owner``, address): the header a change's
@@ -489,13 +486,13 @@ class Transaction:
         head = self._head(address, address.partition_address)
         self._undo.append(redo.TupleDelete(*head))
         if self.command is None:
-            self._redo(redo.TupleInsert(*head, data))
+            self._redo(redo.TupleInsert.pack(*head, data))
 
     def entity_updated(self, address: EntityAddress, before: bytes, after: bytes) -> None:
         head = self._head(address, address.partition_address)
         self._undo.append(redo.TupleUpdate(*head, before))
         if self.command is None:
-            self._redo(redo.TupleUpdate(*head, after))
+            self._redo(redo.TupleUpdate.pack(*head, after))
 
     def entity_patched(
         self, address: EntityAddress, start: int, before: bytes, after: bytes
@@ -504,13 +501,13 @@ class Transaction:
         head = self._head(address, address.partition_address)
         self._undo.append(redo.FieldPatch(*head, start, before))
         if self.command is None:
-            self._redo(redo.FieldPatch(*head, start, after))
+            self._redo(redo.FieldPatch.pack(*head, start, after))
 
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None:
         head = self._head(address, address.partition_address)
         self._undo.append(redo.TupleInsert(*head, before))
         if self.command is None:
-            self._redo(redo.TupleDelete(*head))
+            self._redo(redo.TupleDelete.pack(*head))
 
     # heap (string space) operations
 
@@ -518,7 +515,7 @@ class Transaction:
         head = self._head(partition, partition)
         self._undo.append(redo.HeapDelete(*head, handle))
         if self.command is None:
-            self._redo(redo.HeapPut(*head, handle, data))
+            self._redo(redo.HeapPut.pack(*head, handle, data))
 
     def heap_replace(
         self, partition: PartitionAddress, handle: int, before: bytes, after: bytes
@@ -526,7 +523,7 @@ class Transaction:
         head = self._head(partition, partition)
         self._undo.append(redo.HeapReplace(*head, handle, before))
         if self.command is None:
-            self._redo(redo.HeapReplace(*head, handle, after))
+            self._redo(redo.HeapReplace.pack(*head, handle, after))
 
     def heap_delete(
         self, partition: PartitionAddress, handle: int, before: bytes
@@ -534,7 +531,7 @@ class Transaction:
         head = self._head(partition, partition)
         self._undo.append(redo.HeapPut(*head, handle, before))
         if self.command is None:
-            self._redo(redo.HeapDelete(*head, handle))
+            self._redo(redo.HeapDelete.pack(*head, handle))
 
     # ChangeSink: index component changes (physical before-images — safe
     # because components are two-phase locked until commit, section 2.3.2)
@@ -560,14 +557,14 @@ class Transaction:
             redo.IndexNodeFree(*head) if before is None else redo.IndexNodeWrite(*head, before)
         )
         if self.command is None:
-            self._redo(redo.IndexNodeWrite(*head, after))
+            self._redo(redo.IndexNodeWrite.pack(*head, after))
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
         head = self._head(address, address.partition_address)
         self.lock_entity(address, LockMode.EXCLUSIVE)
         self._undo.append(redo.IndexNodeWrite(*head, before))
         if self.command is None:
-            self._redo(redo.IndexNodeFree(*head))
+            self._redo(redo.IndexNodeFree.pack(*head))
 
     # -- segment growth ----------------------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Logging component: the paper's recovery core.
 
 * :mod:`repro.wal.records` — REDO log record formats (section 2.3.2):
-  TAG, bin index, transaction id, operation; encoded once, read as
-  bytes from the SLB to the disk.  UNDO has no format of its own:
+  TAG, bin index, transaction id, operation; packed once, at the change,
+  and read as bytes from the SLB to the disk.  UNDO has no format of its own:
   it is never written anywhere, so a transaction keeps the *inverse*
   REDO record of each change in its volatile UNDO space
   (:mod:`repro.txn.transaction`), discarded at commit, applied at abort.

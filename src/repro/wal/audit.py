@@ -31,9 +31,23 @@ AUDIT_SEGMENT = -2
 _ENTRY_HEADER = struct.Struct("<I")
 
 
+def _encode(txn_id: int, event: str, timestamp: float, user_data: str) -> bytes:
+    """One entry's bytes: a ``u32`` length, then what ``json.dumps({...},
+    sort_keys=True)`` writes, filled into its fixed key order directly.
+    The byte count at append, the reload sum and the page flush all read
+    these same bytes."""
+    body = (
+        f'{{"at": {float.__repr__(timestamp)}, "event": {_json_str(event)}, '
+        f'"txn": {int.__repr__(txn_id)}, "user": {_json_str(user_data)}}}'
+    ).encode("ascii")
+    return _ENTRY_HEADER.pack(len(body)) + body
+
+
 @dataclass(frozen=True)
 class AuditEntry:
-    """One audit record: what started/finished, when, on whose behalf."""
+    """One audit record: what started/finished, when, on whose behalf.
+
+    Built only when the trail is read: the log itself holds bytes."""
 
     txn_id: int
     event: str  # "begin" | "commit" | "abort" | application-defined
@@ -41,15 +55,9 @@ class AuditEntry:
     user_data: str = ""
 
     def __post_init__(self) -> None:
-        # Serialised once, at construction: the byte count at append, the
-        # reload sum and the page flush all read these same bytes.  The
-        # body is what ``json.dumps({...}, sort_keys=True)`` writes, filled
-        # into its fixed key order directly.
-        body = (
-            f'{{"at": {float.__repr__(self.timestamp)}, "event": {_json_str(self.event)}, '
-            f'"txn": {int.__repr__(self.txn_id)}, "user": {_json_str(self.user_data)}}}'
-        ).encode("ascii")
-        object.__setattr__(self, "_encoded", _ENTRY_HEADER.pack(len(body)) + body)
+        # Serialised once, at construction.
+        encoded = _encode(self.txn_id, self.event, self.timestamp, self.user_data)
+        object.__setattr__(self, "_encoded", encoded)
 
     def encode(self) -> bytes:
         return self._encoded
@@ -67,11 +75,23 @@ class AuditEntry:
         return len(self._encoded)
 
 
+def _decode_all(body: bytes) -> list[AuditEntry]:
+    """Every entry of a run of encoded entries, in order."""
+    entries = []
+    cursor = 0
+    while cursor < len(body):
+        entry, cursor = AuditEntry.decode(body, cursor)
+        entries.append(entry)
+    return entries
+
+
 class AuditLog:
     """Stable-memory audit buffer with lazy page-sized disk flushes.
 
     The buffer lives in stable memory, so committed audit entries survive
-    a crash even before they reach the disk.
+    a crash even before they reach the disk.  It holds each entry's
+    encoded bytes; :class:`AuditEntry` objects are made only by the
+    readers.
     """
 
     STABLE_KEY = "audit-buffer"
@@ -84,11 +104,11 @@ class AuditLog:
         self.entries_written = 0
         self.pages_flushed = 0
         if self.STABLE_KEY in stable:
-            self._buffer: list[AuditEntry] = stable.load(self.STABLE_KEY)
+            self._buffer: list[bytes] = stable.load(self.STABLE_KEY)
         else:
             self._buffer = []
             stable.allocate(self.STABLE_KEY, page_size * 2, self._buffer)
-        self._buffer_bytes = sum(e.size_bytes for e in self._buffer)
+        self._buffer_bytes = sum(map(len, self._buffer))
         #: LSNs of flushed audit pages, newest last (kept in stable memory
         #: alongside the buffer so the trail remains discoverable).
         self._page_lsns_key = "audit-page-lsns"
@@ -100,17 +120,14 @@ class AuditLog:
 
     # -- writing ---------------------------------------------------------------
 
-    def record(
-        self, txn_id: int, event: str, timestamp: float, user_data: str = ""
-    ) -> AuditEntry:
-        """Append one entry; flushes a page when the buffer fills."""
-        entry = AuditEntry(txn_id, event, timestamp, user_data)
+    def record(self, txn_id: int, event: str, timestamp: float, user_data: str = "") -> None:
+        """Append one entry's bytes; flushes a page when the buffer fills."""
+        entry = _encode(txn_id, event, timestamp, user_data)
         self._buffer.append(entry)
-        self._buffer_bytes += entry.size_bytes
+        self._buffer_bytes += len(entry)
         self.entries_written += 1
         if self._buffer_bytes >= self.page_size:
             self.flush()
-        return entry
 
     def flush(self) -> int | None:
         """Write the buffered entries to the log disk as one audit page.
@@ -119,7 +136,7 @@ class AuditLog:
         """
         if not self._buffer:
             return None
-        body = b"".join(entry.encode() for entry in self._buffer)
+        body = b"".join(self._buffer)
         lsn = self.log_disk.append_opaque_page(AUDIT_SEGMENT, body)
         self._page_lsns.append(lsn)
         self._buffer.clear()
@@ -131,23 +148,17 @@ class AuditLog:
 
     def pending_entries(self) -> list[AuditEntry]:
         """Entries still in stable memory, not yet flushed."""
-        return list(self._buffer)
+        return _decode_all(b"".join(self._buffer))
 
     def read_page(self, lsn: int) -> list[AuditEntry]:
-        body = self.log_disk.read_opaque_page(lsn, AUDIT_SEGMENT)
-        entries = []
-        cursor = 0
-        while cursor < len(body):
-            entry, cursor = AuditEntry.decode(body, cursor)
-            entries.append(entry)
-        return entries
+        return _decode_all(self.log_disk.read_opaque_page(lsn, AUDIT_SEGMENT))
 
     def trail(self) -> list[AuditEntry]:
         """The full audit trail: flushed pages (oldest first) + buffer."""
         entries: list[AuditEntry] = []
         for lsn in self._page_lsns:
             entries.extend(self.read_page(lsn))
-        entries.extend(self._buffer)
+        entries.extend(self.pending_entries())
         return entries
 
     def entries_for(self, txn_id: int) -> list[AuditEntry]:

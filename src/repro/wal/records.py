@@ -16,12 +16,13 @@ Two flavours exist, mirroring the paper:
   so REDO must replay the operation rather than patch bytes.  Heap handle
   allocation is deterministic, which :class:`HeapPut` verifies at replay.
 
-A record object exists only where a change is made and on the volatile
-UNDO list: it is encoded once, into the SLB, and from there to the disk
-it is bytes.  Each class states its Operation part once, as a
-:class:`Layout`, and its effect once, as ``redo`` on the layout's
-wire-order operands; :func:`_register` compiles the layout into the two
-forms a record takes:
+A forward record is never an object: the change sink packs its fields
+straight to bytes (``cls.pack``), into the SLB, and from there to the
+disk it is bytes.  A record object exists only on the volatile UNDO
+list.  Each class states its Operation part once, as a :class:`Layout`,
+and its effect once, as ``redo`` on the layout's wire-order operands;
+:func:`_register` compiles the layout into the packer of the full form
+and the operand reader of the compact one.  The two forms:
 
 * *full* — header, address, fixed fields, ``u32`` length + ``data``: the
   SLB's form, and a mixed archive page's (its records span partitions);
@@ -82,16 +83,10 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
     if len(rest) != len(layout.fixed) + layout.blob or (layout.blob and rest[-1] != "data"):
         raise AssertionError(f"{cls.__name__} fields do not fit {layout}")
     codes = _ADDRESS_CODES[layout.address]
-    parts = [f"{address}.{field.name}" for field in dataclasses.fields(layout.address)]
-    # The compact form is the full form minus (segment, partition).
-    cls._FORMS = tuple(
-        (
-            struct.Struct(_HEADER + codes[skip:] + layout.fixed + ("I" if layout.blob else "")),
-            attrgetter("TAG", "bin_index", "txn_id", *parts[skip:], *rest),
-        )
-        for skip in (0, 2)
-    )
-    cls._SIZE = cls._FORMS[0][0].size
+    head = struct.Struct(_HEADER + codes + layout.fixed + ("I" if layout.blob else ""))
+    setattr(cls, "pack", staticmethod(_packer(cls.TAG, head.pack, layout.blob)))
+    cls._FIELDS = attrgetter("txn_id", "bin_index", address, *rest)
+    cls._SIZE = head.size
     if not layout.blob:  # fixed length: a class constant, not a property
         setattr(cls, "size_bytes", cls._SIZE)
     cls._OWNER = attrgetter(
@@ -108,6 +103,24 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
     return cls
 
 
+def _packer(tag: int, pack: Callable[..., bytes], blob: bool) -> Callable[..., bytes]:
+    """One class's full-form packer: ``(txn_id, bin_index, address,
+    *fields)`` — the dataclass's fields, in order — to the record's bytes,
+    with ``data`` (a blob class's last field) after its ``u32`` length."""
+    if not blob:
+
+        def packed(txn_id: int, bin_index: int, address: tuple, *fields: Any) -> bytes:
+            return pack(tag, bin_index, txn_id, *address, *fields)
+
+        return packed
+
+    def packed_blob(txn_id: int, bin_index: int, address: tuple, *fields: Any) -> bytes:
+        *fixed, data = fields
+        return pack(tag, bin_index, txn_id, *address, *fixed, len(data)) + data
+
+    return packed_blob
+
+
 @dataclass(frozen=True, slots=True)
 class RedoRecord:
     """Base class: header fields shared by every REDO record, and the one
@@ -115,10 +128,11 @@ class RedoRecord:
 
     TAG: ClassVar[int] = 0
     LAYOUT: ClassVar[Layout]
-    #: Compiled by :func:`_register`, full form first, compact second:
-    #: the struct covering everything but ``data``, and the getter of the
-    #: values it packs (``data`` itself last, where its length goes).
-    _FORMS: ClassVar[tuple[tuple[struct.Struct, Callable[[Any], tuple]], ...]]
+    #: Compiled by :func:`_register`: ``cls.pack(txn_id, bin_index,
+    #: address, *fields)`` is the full form of the record those fields
+    #: make, packed with no record built — what a change sink appends.
+    pack: ClassVar[Callable[..., bytes]]
+    _FIELDS: ClassVar[Callable[[Any], tuple]]  # the fields, in ``pack``'s order
     _SIZE: ClassVar[int]  # the full form's struct size: all of it but ``data``
     _OWNER: ClassVar[Callable[[Any], PartitionAddress]]
 
@@ -140,7 +154,8 @@ class RedoRecord:
             raise LogError(
                 f"log record for {self.partition_address} applied to {partition.address}"
             )
-        self.redo(partition, *self._FORMS[1][1](self)[3:])
+        _, _, address, *operands = self._FIELDS(self)
+        self.redo(partition, *address[2:], *operands)
 
     @staticmethod
     def redo(partition: Partition, *operands: Any) -> None:
@@ -153,14 +168,11 @@ class RedoRecord:
     # -- wire format --------------------------------------------------------------
 
     def encode(self, compact: bool = False) -> bytes:
-        """The record's wire bytes; ``compact`` strips the partition
-        address (the form records take on a dedicated log page)."""
-        packed, fields = self._FORMS[compact]
-        values = fields(self)
-        if not self.LAYOUT.blob:
-            return packed.pack(*values)
-        data = values[-1]
-        return packed.pack(*values[:-1], len(data)) + data
+        """The record's wire bytes, by its class's :meth:`pack`;
+        ``compact`` strips the partition address (the form records take
+        on a dedicated log page)."""
+        record = self.pack(*self._FIELDS(self))
+        return compact_form(record) if compact else record
 
     @property
     def size_bytes(self) -> int:

@@ -3,7 +3,8 @@
 Section 2.3.1: REDO log records are placed in stable memory so that
 transactions commit *instantly* — they never wait for a log-disk flush.
 The SLB is managed as a set of fixed-size blocks handed to transactions on
-demand; a block belongs to one transaction for its lifetime, so critical
+demand (a record longer than a block gets one block of its own length);
+a block belongs to one transaction for its lifetime, so critical
 sections are needed only for block allocation, never for log writing —
 this removes the classical log-tail hot spot.
 
@@ -125,7 +126,7 @@ class StableLogBuffer:
         for record in records:
             size = len(record)
             if block is None or len(block.data) + size > self.block_size:
-                block = self._allocate_block(chain)
+                block = self._allocate_block(chain, size)
             block.data += record
             chain.record_count += 1
             filled += size
@@ -145,12 +146,17 @@ class StableLogBuffer:
         self.bytes_written -= sum(map(len, unwritten))
         return len(unwritten)
 
-    def _allocate_block(self, chain: TransactionLogChain) -> _LogBlock:
+    def _allocate_block(self, chain: TransactionLogChain, record_size: int) -> _LogBlock:
+        """A fresh block for the chain, its first record ``record_size``
+        bytes long: a record longer than a block goes whole into one
+        block of its own length, and stable memory is charged for that."""
         # Block allocation is the one critical section of the log path.
         with self.block_latch.held_by(chain.txn_id):
             block_id = self._next_block_id
             try:
-                self.stable.allocate(f"slb-block-{block_id}", self.block_size)
+                self.stable.allocate(
+                    f"slb-block-{block_id}", max(self.block_size, record_size)
+                )
             except StableMemoryFullError:
                 raise StableMemoryFullError(
                     "Stable Log Buffer exhausted; drain committed records"

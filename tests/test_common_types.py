@@ -1,6 +1,10 @@
 """Tests for repro.common: types, units, config validation."""
 
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common import (
     NULL_LSN,
@@ -42,6 +46,70 @@ class TestEntityAddress:
         entity = EntityAddress(1, 2, 3)
         with pytest.raises(AttributeError):
             entity.offset = 9  # type: ignore[misc]
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class _DataclassPartitionAddress:
+    """The dataclass :class:`PartitionAddress` was before it became a
+    tuple: the reference its hash, equality, order and text must keep."""
+
+    segment: int
+    partition: int
+
+    def __str__(self) -> str:
+        return f"S{self.segment}.P{self.partition}"
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class _DataclassEntityAddress:
+    segment: int
+    partition: int
+    offset: int
+
+    def __str__(self) -> str:
+        return f"S{self.segment}.P{self.partition}+{self.offset}"
+
+
+_INT32 = st.integers(-(2**31), 2**31 - 1)
+
+
+class TestAddressesAreTuples:
+    """Addresses are ``NamedTuple``s: hashing and comparing them run in C,
+    and they behave exactly as the dataclasses they replace."""
+
+    @given(st.lists(st.tuples(_INT32, _INT32), min_size=2, max_size=2))
+    def test_partition_address_matches_the_dataclass(self, pairs):
+        (a, b) = pairs
+        new = [PartitionAddress(*a), PartitionAddress(*b)]
+        old = [_DataclassPartitionAddress(*a), _DataclassPartitionAddress(*b)]
+        assert [hash(x) for x in new] == [hash(x) for x in old]
+        assert [str(x) for x in new] == [str(x) for x in old]
+        assert (new[0] == new[1]) == (old[0] == old[1])
+        assert (new[0] < new[1]) == (old[0] < old[1])
+        assert new[0] == a  # equal to the plain tuple of its fields
+
+    @given(st.lists(st.tuples(_INT32, _INT32, st.integers(0, 2**40)), min_size=2, max_size=2))
+    def test_entity_address_matches_the_dataclass(self, triples):
+        (a, b) = triples
+        new = [EntityAddress(*a), EntityAddress(*b)]
+        old = [_DataclassEntityAddress(*a), _DataclassEntityAddress(*b)]
+        assert [hash(x) for x in new] == [hash(x) for x in old]
+        assert [str(x) for x in new] == [str(x) for x in old]
+        assert (new[0] == new[1]) == (old[0] == old[1])
+        assert (new[0] < new[1]) == (old[0] < old[1])
+        assert new[0].partition_address == PartitionAddress(a[0], a[1])
+
+    @given(_INT32, _INT32, st.integers(0, 2**40))
+    def test_an_address_is_never_a_relation_lock(self, segment, partition, offset):
+        """The lock table holds entity addresses beside ``("rel",
+        segment)`` resources: no address equals one."""
+        for address in (
+            EntityAddress(segment, partition, offset),
+            PartitionAddress(segment, partition),
+        ):
+            for number in (segment, partition, offset):
+                assert address != ("rel", number)
+                assert len({address, ("rel", number)}) == 2
 
 
 class TestUnits:

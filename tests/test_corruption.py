@@ -37,7 +37,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.disk import CORRUPTION_KINDS, DuplexedDisk, SimulatedDisk
 from repro.sim.faults import SimulatedCrash
 from repro.workloads.debit_credit import DebitCreditWorkload
-from tests import CONDENSED
 
 ALL_KINDS = list(CORRUPTION_KINDS)
 
@@ -196,11 +195,6 @@ class TestNoInPlaceOverwrites:
                 )
 
 
-@CONDENSED
-class TestNoInPlaceOverwritesCondensed(TestNoInPlaceOverwrites):
-    pass
-
-
 class TestLogBlockCorruption:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_single_spindle_corruption_survived(self, kind, condense_enabled):
@@ -257,11 +251,6 @@ class TestLogBlockCorruption:
         assert scrub_log_disk(db) == victims
         assert [(e.partition, e.state) for e in db.checkpoint_queue.pending()] == queued
         assert len(db.checkpoint_queue) == len(queued)
-
-
-@CONDENSED
-class TestLogBlockCorruptionCondensed(TestLogBlockCorruption):
-    pass
 
 
 class TestLostLogPageIsFatal:
@@ -404,11 +393,6 @@ class TestCheckpointImageCorruption:
         expected = crash(db)
         db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == expected
-
-
-@CONDENSED
-class TestCheckpointImageCorruptionCondensed(TestCheckpointImageCorruption):
-    pass
 
 
 class TestOracle:

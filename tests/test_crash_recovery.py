@@ -9,7 +9,6 @@ come back structurally sound.
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from tests import CONDENSED
 
 
 def small_config(**kwargs):
@@ -261,11 +260,6 @@ class TestTwoPhaseRestart:
         assert coordinator.records_replayed > 0
 
 
-@CONDENSED
-class TestTwoPhaseRestartCondensed(TestTwoPhaseRestart):
-    pass
-
-
 class TestRepeatedCrashes:
     def test_double_crash(self, db):
         accounts = make_accounts(db)
@@ -322,11 +316,6 @@ class TestRepeatedCrashes:
 
         with pytest.raises(RecoveryError):
             db.restart()
-
-
-@CONDENSED
-class TestRepeatedCrashesCondensed(TestRepeatedCrashes):
-    pass
 
 
 class TestIndexRecovery:

@@ -447,6 +447,25 @@ class TestRestoreStats:
         assert snap["restart"]["sources"]["history"] == totals["partitions_rebuilt"]
         assert f"({totals['partitions_rebuilt']} history)" in status_page(snap)
 
+    def test_restart_record_names_each_partition(self):
+        """One entry per rebuilt partition, in rebuild order: with the
+        images lost every source is the full history, and the entries add
+        up to the restart's totals."""
+        db, rel, addrs = loaded_db()
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        restore_after_checkpoint_media_failure(db)
+        restart = db.stats()["restart"]
+        entries = restart["partitions"]
+        assert entries and {entry["source"] for entry in entries} == {"history"}
+        assert len(entries) == restart["partitions_recovered"]
+        assert sum(e["records_applied"] for e in entries) == restart["records_replayed"]
+        assert sum(e["pages_read"] for e in entries) == restart["pages_read"]
+        assert all(entry["seconds"] >= 0.0 for entry in entries)
+        addresses = [entry["address"] for entry in entries]
+        assert len(set(addresses)) == len(addresses)
+        assert str(rel.descriptor.partition_addresses()[0]) in addresses
+
 
 class TestMediaChaos:
     """The media restore is the restart sequence, so it passes the

@@ -96,6 +96,32 @@ class TestCpuMeter:
         with pytest.raises(ValueError):
             CpuMeter("r", mips=0.0, clock=VirtualClock())
 
+    def test_one_call_sorting_charge_is_the_four_charges_bit_for_bit(self):
+        """``charge_sort`` makes Table 2's four sorting charges — lookup,
+        page check, the stable copy, page update — with the same float
+        additions in the same order: after every record length 0..2000,
+        charged one after another, the clock, the total and every
+        category are identical, not merely close."""
+        params = AnalysisParameters()
+        one = CpuMeter("recovery", params.p_recovery_mips, VirtualClock(), params)
+        four = CpuMeter("recovery", params.p_recovery_mips, VirtualClock(), params)
+        for nbytes in range(2001):
+            one.charge_sort(nbytes)
+            four.charge(params.i_record_lookup, "record-lookup")
+            four.charge(params.i_page_check, "page-check")
+            four.charge_stable_bytes(nbytes, "record-copy")
+            four.charge(params.i_page_update, "page-update")
+            assert one.clock.now == four.clock.now, nbytes
+            assert one.total_instructions == four.total_instructions, nbytes
+        assert one.category_breakdown() == four.category_breakdown()
+        assert list(one.category_breakdown()) == list(four.category_breakdown())
+
+    def test_sorting_charge_rejects_a_negative_length(self):
+        cpu = CpuMeter("r", mips=1.0, clock=VirtualClock())
+        with pytest.raises(ValueError):
+            cpu.charge_sort(-1)
+        assert cpu.total_instructions == 0
+
 
 @pytest.fixture()
 def disk():

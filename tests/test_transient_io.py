@@ -24,7 +24,6 @@ from repro.recovery.oracle import committed_digests, logical_digest
 from repro.sim.chaos import FAULT, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import IO_COUNTERS, TransientIOError, run_with_retry
 from repro.workloads.debit_credit import DebitCreditWorkload
-from tests import CONDENSED
 
 #: The default retry budget: bursts of this length are absorbed, one
 #: fault more escalates.
@@ -166,11 +165,6 @@ class TestUnderBudgetBursts:
         )
 
 
-@CONDENSED
-class TestUnderBudgetBurstsCondensed(TestUnderBudgetBursts):
-    pass
-
-
 class TestEscalationBoundary:
     def test_log_write_escalation_is_fatal(self, condense_enabled):
         """One fault past the budget on the duplexed log write: the log
@@ -214,8 +208,3 @@ class TestEscalationBoundary:
         assert snap["transient_io"]["log"]["write_faults"] == 2
         assert snap["transient_io"]["log"]["write_escalations"] == 0
         assert "transient I/O    2 faults" in status_page(snap)
-
-
-@CONDENSED
-class TestEscalationBoundaryCondensed(TestEscalationBoundary):
-    pass

@@ -10,7 +10,7 @@ from repro.common import EntityAddress, PartitionAddress
 from repro.common.config import DiskParameters
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
 from repro.storage import Partition
-from repro.common.errors import LogError, StorageError
+from repro.common.errors import LogError, StableMemoryFullError, StorageError
 from repro.wal import (
     FieldPatch,
     HeapDelete,
@@ -324,17 +324,30 @@ def test_slb_backpressure_stalls_and_recovers():
     """A tiny SLB forces the main CPU to stall while the recovery CPU
     drains — and the workload still completes correctly."""
     config = SystemConfig(
-        slb_capacity=WELL_KNOWN_RESERVE + 8 * 1024,
+        slb_capacity=WELL_KNOWN_RESERVE + 10 * 1024,
         log_block_size=512,
         log_page_size=1024,
     )
     db = Database(config)
     rel = db.create_relation("t", [("id", "int"), ("v", "int")], primary_key="id")
+    refusals = 0
+    append = db.slb.append
+
+    def counted(txn_id, record):
+        nonlocal refusals
+        try:
+            append(txn_id, record)
+        except StableMemoryFullError:
+            refusals += 1  # append_log drains, then retries
+            raise
+
+    db.slb.append = counted
     # many small committed transactions, never pumped explicitly: their
     # chains pile up until the SLB fills and append_log must stall/drain
     for i in range(200):
         with db.transaction(pump=False) as txn:
             rel.insert(txn, {"id": i, "v": i})
+    assert refusals >= 1
     with db.transaction() as txn:
         assert rel.count(txn) == 200
     db.crash()

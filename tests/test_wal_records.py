@@ -1,7 +1,11 @@
 """Tests for REDO record formats: the wire bytes, reading them by span,
 and REDO apply."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import EntityAddress, LogError, PartitionAddress
 from repro.common.errors import LogError as LogErrorAlias  # noqa: F401
@@ -406,5 +410,43 @@ class TestSizeBytesWithoutPacking:
         struct's size plus the length of ``data`` when there is one."""
         for record in self.samples():
             if isinstance(record, records.RedoRecord):
-                reference = record._FORMS[False][0].size + len(getattr(record, "data", b""))
+                layout = record.LAYOUT
+                codes = "iiq" if layout.address is EntityAddress else "ii"
+                full = struct.calcsize("<BIQ" + codes + layout.fixed + "I" * layout.blob)
+                reference = full + len(getattr(record, "data", b""))
                 assert record.size_bytes == reference, record
+
+
+#: A value for each ``struct`` code a layout's fixed fields use.
+_CODE_VALUES = {"H": st.integers(0, 2**16 - 1), "I": st.integers(0, 2**32 - 1)}
+_I32 = st.integers(-(2**31), 2**31 - 1)
+
+
+@st.composite
+def _record_fields(draw):
+    """A registered REDO class and ``(txn_id, bin_index, address,
+    *fields)`` that fit its layout."""
+    cls = draw(st.sampled_from(sorted(records._REGISTRY.values(), key=lambda c: c.TAG)))
+    layout = cls.LAYOUT
+    if layout.address is EntityAddress:
+        address = EntityAddress(draw(_I32), draw(_I32), draw(st.integers(0, 2**63 - 1)))
+    else:
+        address = PartitionAddress(draw(_I32), draw(_I32))
+    fields = [draw(_CODE_VALUES[code]) for code in layout.fixed]
+    if layout.blob:
+        fields.append(draw(st.binary(max_size=300)))
+    head = (draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**32 - 1)), address)
+    return cls, (*head, *fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_fields())
+def test_pack_is_the_records_encoding_property(case):
+    """What a change sink appends — ``cls.pack`` on the fields, no record
+    built — is byte for byte the encoding of the record those fields
+    make, for every registered REDO class."""
+    cls, fields = case
+    packed = cls.pack(*fields)
+    assert packed == cls(*fields).encode()
+    assert len(packed) == cls(*fields).size_bytes
+    assert records.split_records(packed) == [packed]

@@ -9,7 +9,7 @@ from repro.common import (
     TransactionStateError,
 )
 from repro.sim import StableMemory
-from repro.wal import StableLogBuffer, TupleInsert
+from repro.wal import IndexNodeWrite, StableLogBuffer, TupleInsert
 from repro.wal.records import CommandBarrier, split_records
 from repro.wal.slb import WELL_KNOWN_RESERVE
 
@@ -63,6 +63,24 @@ class TestChains:
         with pytest.raises(StableMemoryFullError):
             for i in range(100):
                 slb.append(1, record(1, i, size=100))
+
+    def test_a_record_longer_than_a_block_is_charged_whole(self):
+        """A hash directory chunk's after-image (1 060 B) does not fit a
+        1 024 B block: it goes whole into a block of its own, and stable
+        memory is charged for every byte the chain holds."""
+        stable = StableMemory("slb", WELL_KNOWN_RESERVE + 64 * 1024)
+        slb = StableLogBuffer(stable, block_size=1024)
+        chunk = IndexNodeWrite(1, 0, EntityAddress(2, 1, 0), bytes(1027)).encode()
+        assert len(chunk) == 1060
+        slb.open_chain(1)
+        slb.append(1, record(1))
+        slb.append(1, chunk)
+        chain = slb._uncommitted[1]
+        assert len(chain.blocks) == 2 and chain.logged_bytes == len(record(1)) + 1060
+        assert stable.used_bytes - WELL_KNOWN_RESERVE == 1024 + 1060
+        slb.commit(1)
+        slb.drain_committed()
+        assert stable.used_bytes == WELL_KNOWN_RESERVE
 
 
 class TestCommitAbort:
