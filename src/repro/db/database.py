@@ -526,20 +526,14 @@ class Database:
         index_class = TTreeIndex if kind == "ttree" else LinearHashIndex
         return index_class(store, anchor=anchor)
 
-    def reload_index_mirrors(self, segment_ids: set[int]) -> None:
-        """Flag cached index objects whose segments just rolled back.
-
-        An abort (or statement rollback) restores index component *bytes*
-        through UNDO records, but a cached ``TTreeIndex`` /
-        ``LinearHashIndex`` also mirrors its anchor in decoded form
-        (bucket directory, split pointer, root address, item count).
-        Called by the transaction layer after applying UNDO; each flagged
-        index re-decodes the mirror from the restored bytes at the start
-        of its next operation.
-        """
+    def forget_index_counts(self, segment_ids: set[int]) -> None:
+        """The component bytes of ``segment_ids`` were restored (a
+        rollback) or replayed (a command replay): a cached hash index over
+        one of them forgets its item count, the only index state not read
+        from those bytes."""
         for index in self._index_objects.values():
-            if index.store.segment.segment_id in segment_ids:
-                index.mark_mirror_stale()
+            if isinstance(index, LinearHashIndex) and index.store.segment.segment_id in segment_ids:
+                index.forget_count()
 
     def forget_index_objects(self, segment_ids: list[int]) -> None:
         """Drop the cached index objects over ``segment_ids``, which went

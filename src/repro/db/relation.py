@@ -88,19 +88,25 @@ class Relation:
             return self._insert_step(txn, row, descriptor, schema)
 
     def _insert_step(self, txn: "Transaction", row, descriptor, schema) -> EntityAddress:
-        partition = self._partition_for(txn, row, descriptor.segment_id, schema)
+        # Each heap-backed value's bytes, encoded once: sizing, heap and log.
+        strings = [
+            self._to_bytes(field.type, row[field.name])
+            if field.type.heap_backed and row[field.name] is not None
+            else None
+            for field in schema
+        ]
+        partition = self._partition_for(txn, strings, descriptor.segment_id, schema)
         paddr = partition.address
         cells = []
-        for field in schema:
-            value = row[field.name]
-            if field.type is FieldType.INT:
-                cells.append(int(value))
-            elif value is None:
-                cells.append(NULL_HANDLE)
-            else:
-                handle = partition.heap.put(self._to_bytes(field.type, value))
-                txn.heap_put(paddr, handle, self._to_bytes(field.type, value))
+        for field, encoded in zip(schema, strings):
+            if encoded is not None:
+                handle = partition.heap.put(encoded)
+                txn.heap_put(paddr, handle, encoded)
                 cells.append(handle)
+            elif field.type is FieldType.INT:
+                cells.append(int(row[field.name]))
+            else:
+                cells.append(NULL_HANDLE)
         data = schema.encode_tuple(cells)
         offset = partition.insert(data)
         address = EntityAddress(paddr.segment, paddr.partition, offset)
@@ -336,16 +342,13 @@ class Relation:
         return self.db.ensure_partition(PartitionAddress(segment_id, number))
 
     def _partition_for(
-        self, txn: "Transaction", row: dict, segment_id: int, schema
+        self, txn: "Transaction", strings: list[bytes | None], segment_id: int, schema
     ) -> Partition:
-        """Pick a resident partition with room for the tuple and its
-        strings, or have the segment grown by one partition."""
+        """Pick a resident partition with room for the tuple and its heap
+        strings (``None`` for a cell that takes none), or have the segment
+        grown by one partition."""
         tuple_need = schema.tuple_width + ENTITY_HEADER_BYTES
-        heap_need = 0
-        for field in schema:
-            value = row[field.name]
-            if field.type.heap_backed and value is not None:
-                heap_need += len(self._to_bytes(field.type, value)) + 8
+        heap_need = sum(len(encoded) + 8 for encoded in strings if encoded is not None)
         segment = self.db.memory.segment(segment_id)
         fits = lambda p: p.free_bytes >= tuple_need and p.heap.free_bytes >= heap_need
         partition = segment.first_fit(fits)

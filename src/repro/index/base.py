@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import functools
 import struct
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Iterator
 
 from repro.common.errors import IndexStructureError
 from repro.common.types import EntityAddress
@@ -71,34 +70,6 @@ def zip_items(keys: tuple[Key, ...], values: bytes) -> Iterator[tuple[Key, Entit
     return zip(keys, (EntityAddress(*fields) for fields in _ADDRESS.iter_unpack(values)))
 
 
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def refreshed(method: _F) -> _F:
-    """Run an index operation on a current anchor mirror: one a rollback
-    flagged stale (:meth:`Index.mark_mirror_stale`) is re-decoded first."""
-
-    @functools.wraps(method)
-    def wrapper(self: "Index", *args: Any, **kwargs: Any) -> Any:
-        self._refresh_mirror_if_stale()
-        return method(self, *args, **kwargs)
-
-    return wrapper  # type: ignore[return-value]
-
-
-def refreshed_scan(method: Callable[..., Iterator[Any]]) -> Callable[..., Iterator[Any]]:
-    """Like :func:`refreshed` for generator methods: the scan is
-    materialised before it is returned, so iteration never interleaves
-    with a structural change the consumer makes."""
-
-    @functools.wraps(method)
-    def wrapper(self: "Index", *args: Any, **kwargs: Any) -> Iterator[Any]:
-        self._refresh_mirror_if_stale()
-        return iter(list(method(self, *args, **kwargs)))
-
-    return wrapper
-
-
 class Index:
     """Interface shared by the T-Tree and the linear hash index.
 
@@ -108,33 +79,6 @@ class Index:
 
     #: Set by subclasses: True when the index supports range scans.
     ORDERED: bool = False
-
-    def __init__(self) -> None:
-        #: See :meth:`mark_mirror_stale`.
-        self._mirror_stale = False
-
-    # -- mirror staleness ---------------------------------------------------------
-
-    def mark_mirror_stale(self) -> None:
-        """A rollback restored this index's component bytes: the decoded
-        anchor state held on the object (bucket directory, split pointer,
-        root address, item count) no longer matches them.
-
-        The reload happens *lazily* at the start of the next operation
-        (:func:`refreshed`), so a rollback that touches an index several
-        times decodes its anchor once.
-        """
-        self._mirror_stale = True
-
-    def _refresh_mirror_if_stale(self) -> None:
-        """Called by :func:`refreshed` before every operation."""
-        if self._mirror_stale:
-            self._mirror_stale = False
-            self._reload_mirror()
-
-    def _reload_mirror(self) -> None:
-        """Re-decode anchor state from component bytes (subclass hook)."""
-        raise NotImplementedError
 
     def insert(self, key: Key, value: EntityAddress) -> None:
         raise NotImplementedError

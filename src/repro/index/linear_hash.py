@@ -9,8 +9,10 @@ with overflow chaining.
 
 Components stored in the index segment:
 
-* the **anchor**: level, split pointer, record count and the bucket
-  directory (addresses of primary buckets);
+* the **anchor**: level, split pointer, record count and the addresses
+  of the bucket directory's chunks;
+* **directory chunks**: the addresses of up to ``CHUNK_CAPACITY``
+  primary buckets each;
 * **bucket nodes**: sorted-insertion-order item arrays with an overflow
   pointer.
 
@@ -32,8 +34,6 @@ from repro.index.base import (
     Index,
     pack_address,
     pack_item,
-    refreshed,
-    refreshed_scan,
     unpack_address,
     unpack_items,
     value_at,
@@ -80,6 +80,78 @@ class _BucketForm(NamedTuple):
     overflow: EntityAddress
     keys: tuple[Key, ...]
     values: bytes  # packed addresses, see :func:`repro.index.base.value_at`
+
+
+class _AnchorForm(NamedTuple):
+    """The anchor decoded.  ``count_at_last_split`` is the item count the
+    last structural change wrote, not a live one (see ``_count``)."""
+
+    level: int
+    split: int
+    base_buckets: int
+    count_at_last_split: int
+    chunk_addresses: tuple[EntityAddress, ...]
+
+    def bucket_number(self, key: Key) -> int:
+        h = stable_hash(key)
+        number = h % (self.base_buckets << self.level)
+        if number < self.split:
+            number = h % (self.base_buckets << (self.level + 1))
+        return number
+
+    @property
+    def bucket_count(self) -> int:
+        return (self.base_buckets << self.level) + self.split
+
+
+def _encode_anchor(form: _AnchorForm) -> bytes:
+    parts = [
+        _ANCHOR_HEADER.pack(
+            ANCHOR_TYPE,
+            form.level,
+            form.split,
+            form.count_at_last_split,
+            len(form.chunk_addresses),
+        ),
+        struct.pack("<I", form.base_buckets),
+    ]
+    parts.extend(pack_address(addr) for addr in form.chunk_addresses)
+    return b"".join(parts)
+
+
+def _decode_anchor(address: EntityAddress, blob: bytes) -> _AnchorForm:
+    anchor_type, level, split, count, nchunks = _ANCHOR_HEADER.unpack_from(blob, 0)
+    if anchor_type != ANCHOR_TYPE:
+        raise IndexStructureError(f"entity at {address} is not a hash anchor")
+    pos = _ANCHOR_HEADER.size
+    (base_buckets,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    chunks = []
+    for _ in range(nchunks):
+        chunk_address, pos = unpack_address(blob, pos)
+        chunks.append(chunk_address)
+    return _AnchorForm(level, split, base_buckets, count, tuple(chunks))
+
+
+def _encode_chunk(addresses: tuple[EntityAddress, ...]) -> bytes:
+    """Chunks are padded to full capacity so they never grow in place
+    (in-place growth would need free space the partition may not have)."""
+    parts = [_CHUNK_HEADER.pack(CHUNK_TYPE, len(addresses))]
+    parts.extend(pack_address(addr) for addr in addresses)
+    parts.append(_NULL_PACKED * (CHUNK_CAPACITY - len(addresses)))
+    return b"".join(parts)
+
+
+def _decode_chunk(address: EntityAddress, blob: bytes) -> tuple[EntityAddress, ...]:
+    chunk_type, count = _CHUNK_HEADER.unpack_from(blob, 0)
+    if chunk_type != CHUNK_TYPE:
+        raise IndexStructureError(f"entity at {address} is not a directory chunk")
+    pos = _CHUNK_HEADER.size
+    addresses = []
+    for _ in range(count):
+        bucket_address, pos = unpack_address(blob, pos)
+        addresses.append(bucket_address)
+    return tuple(addresses)
 
 
 def _bucket_header(address: EntityAddress, blob: bytes) -> tuple[int, EntityAddress, int]:
@@ -132,116 +204,62 @@ class LinearHashIndex(Index):
             raise IndexStructureError("need at least one initial bucket")
         if bucket_capacity < 1:
             raise IndexStructureError("bucket_capacity must be positive")
-        super().__init__()
         self.store = store
         self.bucket_capacity = bucket_capacity
         self.split_load = split_load
-        #: ``None`` = unknown, counted on demand (see :meth:`__len__`).
-        self._count: int | None = 0
+        #: The live item count, the one piece of state not read from the
+        #: component bytes: the anchor's count is only written at splits.
+        #: ``None`` = unknown, counted on demand (see :meth:`__len__`);
+        #: a rollback or a command replay forgets it (:meth:`forget_count`).
+        self._count: int | None = 0 if anchor is None else None
         if anchor is None:
-            self._level = 0
-            self._split = 0
-            self._base_buckets = initial_buckets
-            self._directory = [
-                self._new_bucket().address for _ in range(initial_buckets)
-            ]
-            self._chunk_addresses: list[EntityAddress] = []
-            for start in range(0, len(self._directory), CHUNK_CAPACITY):
-                chunk = self._directory[start : start + CHUNK_CAPACITY]
-                self._chunk_addresses.append(
-                    self.store.allocate(self._encode_chunk(chunk))
-                )
-            self.anchor = store.allocate(self._encode_anchor())
-        else:
-            self.anchor = anchor
-            self._load_anchor()
+            buckets = tuple(self._new_bucket().address for _ in range(initial_buckets))
+            chunks = tuple(
+                store.allocate(_encode_chunk(buckets[start : start + CHUNK_CAPACITY]))
+                for start in range(0, initial_buckets, CHUNK_CAPACITY)
+            )
+            anchor = store.allocate(
+                _encode_anchor(_AnchorForm(0, 0, initial_buckets, 0, chunks))
+            )
+        self.anchor = anchor
 
     # -- anchor and directory chunks ------------------------------------------------
 
-    def _encode_anchor(self) -> bytes:
-        parts = [
-            _ANCHOR_HEADER.pack(
-                ANCHOR_TYPE,
-                self._level,
-                self._split,
-                len(self),
-                len(self._chunk_addresses),
-            ),
-            struct.pack("<I", self._base_buckets),
-        ]
-        parts.extend(pack_address(addr) for addr in self._chunk_addresses)
-        return b"".join(parts)
+    def _anchor(self) -> _AnchorForm:
+        return self.store.load(self.anchor, _decode_anchor)
 
-    @staticmethod
-    def _encode_chunk(addresses: list[EntityAddress]) -> bytes:
-        """Chunks are padded to full capacity so they never grow in place
-        (in-place growth would need free space the partition may not have)."""
-        parts = [_CHUNK_HEADER.pack(CHUNK_TYPE, len(addresses))]
-        parts.extend(pack_address(addr) for addr in addresses)
-        parts.append(_NULL_PACKED * (CHUNK_CAPACITY - len(addresses)))
-        return b"".join(parts)
+    def _save_anchor(self, form: _AnchorForm) -> None:
+        self.store.write(self.anchor, _encode_anchor(form), form)
 
-    @staticmethod
-    def _decode_chunk(address: EntityAddress, blob: bytes) -> tuple[EntityAddress, ...]:
-        chunk_type, count = _CHUNK_HEADER.unpack_from(blob, 0)
-        if chunk_type != CHUNK_TYPE:
-            raise IndexStructureError("directory chunk entity has wrong type")
-        pos = _CHUNK_HEADER.size
-        addresses = []
-        for _ in range(count):
-            bucket_address, pos = unpack_address(blob, pos)
-            addresses.append(bucket_address)
-        return tuple(addresses)
+    def _chunk(self, address: EntityAddress) -> tuple[EntityAddress, ...]:
+        return self.store.load(address, _decode_chunk)
 
-    def _load_anchor(self) -> None:
-        blob = self.store.read(self.anchor)
-        anchor_type, level, split, count, nchunks = _ANCHOR_HEADER.unpack_from(blob, 0)
-        if anchor_type != ANCHOR_TYPE:
-            raise IndexStructureError("anchor entity has wrong type")
-        pos = _ANCHOR_HEADER.size
-        (self._base_buckets,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        self._level = level
-        self._split = split
-        self._chunk_addresses = []
-        for _ in range(nchunks):
-            address, pos = unpack_address(blob, pos)
-            self._chunk_addresses.append(address)
-        self._directory = []
-        for chunk_address in self._chunk_addresses:
-            self._directory.extend(self.store.load(chunk_address, self._decode_chunk))
-        # The anchor's count is only persisted at structural changes, so
-        # it is not taken from there; the recount is left to the next
-        # ``len()``: a load costs the anchor and its directory chunks.
-        self._count = None
+    def _head(self, anchor: _AnchorForm, number: int) -> EntityAddress:
+        """Bucket ``number``'s primary node, read from its directory chunk."""
+        chunk, slot = divmod(number, CHUNK_CAPACITY)
+        return self._chunk(anchor.chunk_addresses[chunk])[slot]
 
-    def _save_anchor(self) -> None:
-        self.store.write(self.anchor, self._encode_anchor())
+    def _heads(self) -> Iterator[EntityAddress]:
+        """Every primary node, in bucket-number order."""
+        for chunk_address in self._anchor().chunk_addresses:
+            yield from self._chunk(chunk_address)
 
-    def _reload_mirror(self) -> None:
-        """Re-decode the anchor after a rollback restored its bytes.
-
-        A transaction abort applies byte-level UNDO to the anchor,
-        directory chunks, and buckets; the decoded directory, split
-        pointer, level, and count held here would otherwise keep the
-        rolled-back structure."""
-        self._load_anchor()
-
-    def _append_to_directory(self, bucket_address: EntityAddress) -> None:
-        """Grow the directory by one bucket, rewriting only the tail chunk
-        (or allocating a fresh one when the tail is full)."""
-        self._directory.append(bucket_address)
-        tail_len = len(self._directory) % CHUNK_CAPACITY or CHUNK_CAPACITY
-        tail = self._directory[-tail_len:]
-        if tail_len == 1 and len(self._directory) > 1:
-            # previous chunk just filled: start a new one
-            self._chunk_addresses.append(
-                self.store.allocate(self._encode_chunk(tail))
-            )
-        else:
-            self.store.write(
-                self._chunk_addresses[-1], self._encode_chunk(tail)
-            )
+    def _append_to_directory(
+        self, anchor: _AnchorForm, bucket_address: EntityAddress
+    ) -> tuple[EntityAddress, ...]:
+        """Give the directory bucket ``anchor.bucket_count``, rewriting only
+        the tail chunk (or allocating a fresh one when the tail is full);
+        returns the chunk addresses the anchor must now list."""
+        chunks = anchor.chunk_addresses
+        tail = self._chunk(chunks[-1])
+        if (len(chunks) - 1) * CHUNK_CAPACITY + len(tail) != anchor.bucket_count:
+            raise IndexStructureError("directory out of step with split pointer")
+        if len(tail) == CHUNK_CAPACITY:
+            # the tail chunk is full: start a new one
+            return (*chunks, self.store.allocate(_encode_chunk((bucket_address,))))
+        tail = (*tail, bucket_address)
+        self.store.write(chunks[-1], _encode_chunk(tail), tail)
+        return chunks
 
     # -- bucket I/O ---------------------------------------------------------------
 
@@ -261,36 +279,34 @@ class LinearHashIndex(Index):
     def _save(self, bucket: _Bucket) -> None:
         self.store.write(bucket.address, bucket.encode())
 
-    # -- addressing ------------------------------------------------------------------
-
-    def _bucket_number(self, key: Key) -> int:
-        h = stable_hash(key)
-        number = h % (self._base_buckets << self._level)
-        if number < self._split:
-            number = h % (self._base_buckets << (self._level + 1))
-        return number
+    def _bucket_head(self, key: Key) -> EntityAddress:
+        anchor = self._anchor()
+        return self._head(anchor, anchor.bucket_number(key))
 
     # -- public API ----------------------------------------------------------------------
 
-    @refreshed
     def __len__(self) -> int:
         if self._count is None:
             # From each chain node's header; no key is decoded.
             count = 0
-            for address in self._directory:
+            for address in self._heads():
                 while address != NULL_ADDRESS:
                     nitems, address, _ = _bucket_header(address, self.store.read(address))
                     count += nitems
             self._count = count
         return self._count
 
+    def forget_count(self) -> None:
+        """The component bytes were replaced behind the index's back (a
+        rollback, a command replay): count again on the next ``len()``."""
+        self._count = None
+
     def _counted(self, delta: int) -> None:
         if self._count is not None:
             self._count += delta
 
-    @refreshed
     def search(self, key: Key) -> list[EntityAddress]:
-        address = self._directory[self._bucket_number(key)]
+        address = self._bucket_head(key)
         results = []
         while address != NULL_ADDRESS:
             bucket = self._form(address)
@@ -302,12 +318,11 @@ class LinearHashIndex(Index):
             address = bucket.overflow
         return results
 
-    @refreshed
     def insert(self, key: Key, value: EntityAddress) -> None:
         # Append to the first chain node with room (a full chain gets a fresh
         # empty node): its old bytes with the count raised and the item packed
         # on, as ``_Bucket.encode`` would write them, and its form to match.
-        address = self._directory[self._bucket_number(key)]
+        address = self._bucket_head(key)
         form = self._form(address)
         while len(form.keys) >= self.bucket_capacity:
             if form.overflow == NULL_ADDRESS:
@@ -328,10 +343,8 @@ class LinearHashIndex(Index):
         if self._load_factor() > self.split_load:
             self._split_next()
 
-    @refreshed
     def delete(self, key: Key, value: EntityAddress) -> None:
-        number = self._bucket_number(key)
-        address = self._directory[number]
+        address = self._bucket_head(key)
         previous: _Bucket | None = None
         while address != NULL_ADDRESS:
             bucket = self._load(address)
@@ -350,15 +363,17 @@ class LinearHashIndex(Index):
             address = bucket.overflow
         raise self._not_found(key, value)
 
-    @refreshed_scan
     def items(self) -> Iterator[tuple[Key, EntityAddress]]:
-        for _, bucket in self._buckets():
-            yield from zip_items(bucket.keys, bucket.values)
+        """Every item, materialised before it is returned, so the caller
+        may change the index while iterating."""
+        return iter(
+            [item for _, form in self._buckets() for item in zip_items(form.keys, form.values)]
+        )
 
     def _buckets(self) -> Iterator[tuple[int, _BucketForm]]:
         """Every chain node as ``(bucket number, form)``; a whole-index
-        walk, so it leaves the component cache as it found it."""
-        for number, address in enumerate(self._directory):
+        walk, so it reads the chain nodes without caching them."""
+        for number, address in enumerate(self._heads()):
             while address != NULL_ADDRESS:
                 bucket = self._form(address, False)
                 yield number, bucket
@@ -367,16 +382,19 @@ class LinearHashIndex(Index):
     # -- splitting ----------------------------------------------------------------------------
 
     def _load_factor(self) -> float:
-        return len(self) / (len(self._directory) * self.bucket_capacity)
+        return len(self) / (self._anchor().bucket_count * self.bucket_capacity)
 
     def _split_next(self) -> None:
         """Split the bucket under the split pointer into itself and a new
-        buddy at ``split + base * 2^level``."""
-        victim_number = self._split
-        buddy_number = victim_number + (self._base_buckets << self._level)
+        buddy at ``split + base * 2^level``.  The new addressing is worked
+        out on a local anchor form, written once the buckets are."""
+        count = len(self)
+        anchor = self._anchor()
+        victim_number = anchor.split
+        buddy_number = anchor.bucket_count
         # collect the whole chain of the victim, freeing overflow nodes
         items: list[tuple[Key, EntityAddress]] = []
-        head = self._load(self._directory[victim_number])
+        head = self._load(self._head(anchor, victim_number))
         items.extend(head.items)
         address = head.overflow
         while address != NULL_ADDRESS:
@@ -386,19 +404,17 @@ class LinearHashIndex(Index):
             self.store.free(bucket.address)
             address = next_address
         buddy = self._new_bucket()
-        self._append_to_directory(buddy.address)
-        if len(self._directory) != buddy_number + 1:
-            raise IndexStructureError("directory out of step with split pointer")
-        self._split += 1
-        if self._split >= (self._base_buckets << self._level):
-            self._split = 0
-            self._level += 1
-        # redistribute under the *new* addressing (handled by _bucket_number)
+        chunks = self._append_to_directory(anchor, buddy.address)
+        level, split = anchor.level, victim_number + 1
+        if split >= (anchor.base_buckets << level):
+            level, split = level + 1, 0
+        anchor = _AnchorForm(level, split, anchor.base_buckets, count, chunks)
+        # redistribute under the *new* addressing
         head.items = []
         head.overflow = NULL_ADDRESS
         tails: dict[int, _Bucket] = {victim_number: head, buddy_number: buddy}
         for key, value in items:
-            target = self._bucket_number(key)
+            target = anchor.bucket_number(key)
             if target not in tails:
                 raise IndexStructureError(
                     f"rehash sent key to bucket {target}, expected "
@@ -414,14 +430,14 @@ class LinearHashIndex(Index):
             tail.items.append((key, value))
         for tail in tails.values():
             self._save(tail)
-        self._save_anchor()
+        self._save_anchor(anchor)
 
     # -- invariants ---------------------------------------------------------------------------------
 
-    @refreshed
     def verify_invariants(self) -> None:
         """Every item must be reachable at its own bucket number, counts
         must agree, and chains must respect capacity."""
+        anchor = self._anchor()
         seen = 0
         for number, bucket in self._buckets():
             if len(bucket.keys) > self.bucket_capacity:
@@ -429,10 +445,10 @@ class LinearHashIndex(Index):
                     f"bucket {number} chain node exceeds capacity"
                 )
             for key in bucket.keys:
-                if self._bucket_number(key) != number:
+                if anchor.bucket_number(key) != number:
                     raise IndexStructureError(
                         f"key {key!r} stored in bucket {number}, "
-                        f"hashes to {self._bucket_number(key)}"
+                        f"hashes to {anchor.bucket_number(key)}"
                     )
             seen += len(bucket.keys)
         if seen != len(self):
@@ -442,8 +458,8 @@ class LinearHashIndex(Index):
 
     @property
     def bucket_count(self) -> int:
-        return len(self._directory)
+        return self._anchor().bucket_count
 
     @property
     def level(self) -> int:
-        return self._level
+        return self._anchor().level

@@ -29,8 +29,6 @@ from repro.index.base import (
     Index,
     pack_address,
     pack_item,
-    refreshed,
-    refreshed_scan,
     split_items,
     unpack_address,
     unpack_items,
@@ -87,6 +85,26 @@ class _NodeForm(NamedTuple):
 
 #: A leaf with no items yet: the form a new leaf's working copy starts from.
 _LEAF = _NodeForm(1, NULL_ADDRESS, NULL_ADDRESS, (), b"", b"")
+
+
+class _AnchorForm(NamedTuple):
+    """The anchor decoded: the node bounds and the root's address."""
+
+    min_items: int
+    max_items: int
+    root: EntityAddress
+
+
+def _encode_anchor(form: _AnchorForm) -> bytes:
+    header = _ANCHOR_HEADER.pack(ANCHOR_TYPE, form.min_items, form.max_items)
+    return header + pack_address(form.root)
+
+
+def _decode_anchor(address: EntityAddress, blob: bytes) -> _AnchorForm:
+    anchor_type, min_items, max_items = _ANCHOR_HEADER.unpack_from(blob, 0)
+    if anchor_type != ANCHOR_TYPE:
+        raise IndexStructureError(f"entity at {address} is not a T-Tree anchor")
+    return _AnchorForm(min_items, max_items, unpack_address(blob, _ANCHOR_HEADER.size)[0])
 
 
 def _decode_node(address: EntityAddress, blob: bytes) -> _NodeForm:
@@ -176,50 +194,27 @@ class TTreeIndex(Index):
     ):
         if not 1 <= min_items <= max_items:
             raise IndexStructureError("need 1 <= min_items <= max_items")
-        super().__init__()
         self.store = store
-        self.min_items = min_items
-        self.max_items = max_items
-        self._root = NULL_ADDRESS
-        #: Feeds only ``len()``; ``None`` = unknown, counted on demand.
-        self._count: int | None = 0
         if anchor is None:
-            self.anchor = store.allocate(self._encode_anchor())
+            form = _AnchorForm(min_items, max_items, NULL_ADDRESS)
+            self.anchor = store.allocate(_encode_anchor(form))
         else:
             self.anchor = anchor
-            self._reload_mirror()
+            form = self._anchor()
+        #: Fixed when the tree is created; the root is read from the anchor.
+        self.min_items = form.min_items
+        self.max_items = form.max_items
 
     # -- anchor ------------------------------------------------------------------
 
-    def _encode_anchor(self) -> bytes:
-        return (
-            _ANCHOR_HEADER.pack(ANCHOR_TYPE, self.min_items, self.max_items)
-            + pack_address(self._root)
-        )
-
-    def _load_anchor(self) -> None:
-        blob = self.store.read(self.anchor)
-        anchor_type, min_items, max_items = _ANCHOR_HEADER.unpack_from(blob, 0)
-        if anchor_type != ANCHOR_TYPE:
-            raise IndexStructureError("anchor entity has wrong type")
-        self.min_items = min_items
-        self.max_items = max_items
-        self._root, _ = unpack_address(blob, _ANCHOR_HEADER.size)
-
-    def _reload_mirror(self) -> None:
-        """Re-decode the anchor after a rollback restored its bytes.
-
-        A transaction abort applies byte-level UNDO to the anchor and
-        nodes; the decoded root address and item count held here would
-        otherwise keep the rolled-back structure.  The recount is left to
-        the next ``len()``: a reload costs one anchor decode."""
-        self._load_anchor()
-        self._count = None
+    def _anchor(self) -> _AnchorForm:
+        return self.store.load(self.anchor, _decode_anchor)
 
     def _set_root(self, address: EntityAddress) -> None:
-        if address != self._root:
-            self._root = address
-            self.store.write(self.anchor, self._encode_anchor())
+        form = self._anchor()
+        if address != form.root:
+            form = form._replace(root=address)
+            self.store.write(self.anchor, _encode_anchor(form), form)
 
     # -- node I/O ------------------------------------------------------------------
 
@@ -241,17 +236,9 @@ class TTreeIndex(Index):
 
     # -- public API --------------------------------------------------------------------
 
-    @refreshed
     def __len__(self) -> int:
-        if self._count is None:
-            self._count = sum(1 for _ in self._walk(None, None, False))
-        return self._count
+        return sum(1 for _ in self._walk(None, None, False))
 
-    def _counted(self, delta: int) -> None:
-        if self._count is not None:
-            self._count += delta
-
-    @refreshed
     def search(self, key: Key) -> list[EntityAddress]:
         return [value for _, value in self._walk(key, key)]
 
@@ -269,7 +256,7 @@ class TTreeIndex(Index):
         """
         load = self.store.load
         stack: list[_NodeForm] = []
-        address = self._root
+        address = self._anchor().root
         while True:
             while address != NULL_ADDRESS:
                 node = load(address, _decode_node, keep)
@@ -291,14 +278,13 @@ class TTreeIndex(Index):
                 return  # a key above high: so is every later one
             address = node.right
 
-    @refreshed
     def insert(self, key: Key, value: EntityAddress) -> None:
         item = (key, value, pack_item(key, value))
-        if self._root == NULL_ADDRESS:
+        root = self._anchor().root
+        if root == NULL_ADDRESS:
             self._set_root(self._new_leaf(item))
-            self._counted(+1)
             return
-        path, side, node = self._descend(key, value)
+        path, side, node = self._descend(root, key, value)
         if side == 0 and node.count >= self.max_items:
             # Bounding node is full: the new item displaces the node's
             # minimum, which is reinserted at its greatest-lower-bound
@@ -319,14 +305,13 @@ class TTreeIndex(Index):
                 node.right = self._new_leaf(item)
             self._save(node)
             self._rebalance_path(path)
-        self._counted(+1)
 
-    @refreshed
     def delete(self, key: Key, value: EntityAddress) -> None:
-        if self._root == NULL_ADDRESS:
+        root = self._anchor().root
+        if root == NULL_ADDRESS:
             raise self._not_found(key, value)
         # The last node searched holds the item if any node does.
-        path, _, node = self._descend(key, value)
+        path, _, node = self._descend(root, key, value)
         keys, values = node.form.keys, node.form.values
         for index in range(bisect_left(keys, key), bisect_right(keys, key)):
             if value_at(values, index) == value:
@@ -334,27 +319,27 @@ class TTreeIndex(Index):
         else:
             raise self._not_found(key, value)
         del node.items[index]
-        self._counted(-1)
         self._fix_after_delete(path, node)
 
-    @refreshed_scan
     def items(self) -> Iterator[tuple[Key, EntityAddress]]:
-        return self._walk(None, None, False)
+        """Every item in order, materialised before it is returned, so the
+        caller may change the index while iterating."""
+        return iter(list(self._walk(None, None, False)))
 
-    @refreshed_scan
     def range_scan(
         self, low: Key | None = None, high: Key | None = None
     ) -> Iterator[tuple[Key, EntityAddress]]:
-        """Items with ``low <= key <= high`` in key order (None = open end)."""
-        return self._walk(low, high)
+        """Items with ``low <= key <= high`` in key order (None = open
+        end), materialised like :meth:`items`."""
+        return iter(list(self._walk(low, high)))
 
     def _descend(
-        self, key: Key, value: EntityAddress
+        self, root: EntityAddress, key: Key, value: EntityAddress
     ) -> tuple[list[EntityAddress], int, _TNode]:
-        """Path from the root of a non-empty tree to the node bounding
+        """Path from ``root`` (of a non-empty tree) to the node bounding
         ``(key, value)`` (side 0), or else to the last node searched and
         the side (-1 / 1) the item falls off; and that node."""
-        path = [self._root]
+        path = [root]
         while True:
             form = self._form(path[-1])
             side = _side(form, key, value)
@@ -531,14 +516,13 @@ class TTreeIndex(Index):
 
     # -- invariants -------------------------------------------------------------------------------
 
-    @refreshed
     def verify_invariants(self) -> None:
         """Check BST ordering, AVL balance, stored heights and item sorting."""
         all_items = list(self.items())
         for first, second in zip(all_items, all_items[1:]):
             if compare_items(first, second) >= 0:
                 raise IndexStructureError("in-order traversal is not strictly sorted")
-        self._verify_node(self._root)
+        self._verify_node(self._anchor().root)
 
     def _verify_node(self, address: EntityAddress) -> int:
         if address == NULL_ADDRESS:

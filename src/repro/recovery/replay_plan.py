@@ -295,7 +295,7 @@ def replay_live_commands(db: "Database", batch: list[TxnCommand]) -> int:
         # relation after this one committed.  A stream that runs dry
         # had its bin reset by a checkpoint acknowledgement; the
         # re-execution regenerates its effects.  Only the index
-        # segments a record was applied to have stale cached mirrors.
+        # segments a record was applied to have stale hash counts.
         touched: set[int] = set()
         for number, (partition, pages, stats) in enumerate(streams):
             positions[number], applied = _advance(
@@ -304,13 +304,13 @@ def replay_live_commands(db: "Database", batch: list[TxnCommand]) -> int:
             stats["records_applied"] += applied
             if applied and partition.address.segment in index_segments:
                 touched.add(partition.address.segment)
-        db.reload_index_mirrors(touched)
+        db.forget_index_counts(touched)
         reexecute(db, command)
         crash_point("replay.batch.command-executed")
     for (partition, pages, stats), position in zip(streams, positions):
         stats["records_applied"] += _advance(partition, pages, position, None)[1]
         coordinator._note(partition.address, stats, start)
-    db.reload_index_mirrors(index_segments)
+    db.forget_index_counts(index_segments)
     db.last_command_replay["commands_replayed"] += len(batch)
     return len(batch)
 

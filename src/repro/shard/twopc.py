@@ -36,7 +36,7 @@ from repro.common.errors import ReproError
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.txn.transaction import TxnState
-from repro.wal.records import TxnDecision, TxnPrepare
+from repro.wal.records import TxnPrepare
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.shard.sharded import DistributedTransaction, ShardedDatabase
@@ -129,13 +129,11 @@ class TwoPhaseCommit:
 
     def _log_decision(self, dtxn: "DistributedTransaction") -> None:
         """The commit point: one stable write on the coordinator node."""
-        record = TxnDecision(0, dtxn.gtid, "commit", dtxn.shard_ids)
         coordinator_db = self.facade.nodes[dtxn.coordinator]
         table = dict(coordinator_db.slb.get_well_known(DECISIONS_KEY) or {})
         table[dtxn.gtid] = {
             "verdict": "commit",
             "pending": list(dtxn.shard_ids),
-            "record": record.encode(),
         }
         coordinator_db.slb.put_well_known(DECISIONS_KEY, table)
         coordinator_db.twopc.inc("decisions_logged")

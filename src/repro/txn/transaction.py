@@ -264,11 +264,11 @@ class Transaction:
         del self._undo[mark:]
         # Before the locks release, so no later operation runs on a
         # rolled-back mirror: the catalog re-derives the descriptors whose
-        # entities were restored (and only those), cached index objects
-        # are flagged to re-decode their anchors.
+        # entities were restored (and only those), cached hash indexes
+        # forget their item counts.
         if descriptors:
             db.catalog.resync(descriptors)
-        db.reload_index_mirrors(segments)
+        db.forget_index_counts(segments)
 
     def on_rollback(self, compensate: Callable[[], None], *, stable: bool = False) -> None:
         """Register state that has no byte image — a new partition's bin,

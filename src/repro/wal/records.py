@@ -606,8 +606,8 @@ def split_by_owner(body: bytes) -> dict[PartitionAddress, bytes]:
 # coordinator's well-known area.  Control records are deliberately *not*
 # RedoRecord subclasses: they name no entity and no partition, so they
 # must never enter the bin-sort pipeline — they live beside a prepared
-# chain (or in the decision table) and are consumed by restart's
-# in-doubt resolution, not by REDO replay.  Their fields vary in length,
+# chain (or in the stable command log) and are consumed by restart's
+# in-doubt resolution (or command replay), not by REDO replay.  Their fields vary in length,
 # so each class lists one codec per field instead of compiling a struct.
 
 _CONTROL_HEADER = struct.Struct("<BQ")  # tag, txn_id
@@ -616,7 +616,6 @@ _CONTROL_REGISTRY: dict[int, type["ControlRecord"]] = {}
 #: Control tags live in their own high range so a control byte stream can
 #: never be mistaken for (or decoded as) a REDO record.
 PREPARE_TAG = 128
-DECISION_TAG = 129
 COMMAND_TAG = 130
 
 
@@ -690,7 +689,7 @@ def _register_control(cls: type["ControlRecord"]) -> type["ControlRecord"]:
 
 @dataclass(frozen=True, slots=True)
 class ControlRecord:
-    """Base class for 2PC control records (prepare / decision)."""
+    """Base class for control records (a 2PC prepare, a logged command)."""
 
     TAG: ClassVar[int] = 0
     #: One codec per field after ``txn_id``, in wire order.
@@ -728,24 +727,6 @@ class TxnPrepare(ControlRecord):
     gtid: str
     shard: int
     coordinator: int
-    participants: tuple[int, ...]
-
-
-@_register_control
-@dataclass(frozen=True, slots=True)
-class TxnDecision(ControlRecord):
-    """The coordinator's logged verdict for one global transaction.
-
-    Presumed abort: only COMMIT decisions are ever logged — an absent
-    decision *is* the abort verdict — but the record format carries the
-    verdict explicitly so the decision table stays self-describing.
-    """
-
-    TAG: ClassVar[int] = DECISION_TAG
-    WIRE: ClassVar[tuple[_Field, ...]] = (_STR, _STR, _tuple_field(_U16))
-
-    gtid: str
-    verdict: str
     participants: tuple[int, ...]
 
 

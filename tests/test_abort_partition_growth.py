@@ -285,13 +285,13 @@ class TestAbortedGrowthIsTakenBack:
             assert [rel.lookup(txn, key + value)["v"] for value in range(3)] == [0, 1, 2]
 
 
-def insert_delete_abort_crash_loop(seed, condense_enabled):
+def insert_delete_abort_crash_loop(seed):
     """Inserts, deletes and aborts (whole transactions and single
     statements) on a relation small enough to grow every few dozen rows,
     with a crash every round: the recovered state must equal the model,
     and every partition an aborted insert grew is still there."""
     rng = random.Random(seed)
-    db = Database(SystemConfig(condense_enabled=condense_enabled, **SMALL))
+    db = Database(SystemConfig(**SMALL))
     rel = db.create_relation(
         "items", [("k", "int"), ("v", "int"), ("pad", "str")], primary_key="k",
         primary_index=rng.choice(["hash", "ttree"]),
@@ -341,12 +341,7 @@ def insert_delete_abort_crash_loop(seed, condense_enabled):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_seeded_insert_delete_abort_crash_loop(seed):
-    insert_delete_abort_crash_loop(seed, condense_enabled=False)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_seeded_insert_delete_abort_crash_loop_condensed(seed):
-    insert_delete_abort_crash_loop(seed, condense_enabled=False)
+    insert_delete_abort_crash_loop(seed)
 
 
 class TestKeptPartitionStaysCatalogued:
@@ -688,7 +683,7 @@ class TestUndoIntoRoomAPeerTook:
         crash_and_restart(db)
 
 
-def insert_storm(seed, condense_enabled, rounds=3, scripts=16):
+def insert_storm(seed, rounds=3, scripts=16):
     """Sixteen scripts interleave inserts, one per step, into one relation
     on 4 KB partitions — every partition is filled, and grown past, by
     several open transactions — with a third of the scripts aborting their
@@ -699,7 +694,6 @@ def insert_storm(seed, condense_enabled, rounds=3, scripts=16):
         SystemConfig(
             log_page_size=512,
             update_count_threshold=16,
-            condense_enabled=condense_enabled,
             **SMALL,
         )
     )
@@ -747,9 +741,4 @@ def test_four_worker_insert_storm_then_crash(seed):
     """ROADMAP item 4's four-worker storm (29 of 40 runs lost committed
     rows while growth rode in user transactions), its scripts interleaved
     by the round-robin instead of raced on threads."""
-    insert_storm(seed, condense_enabled=False)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_four_worker_insert_storm_then_crash_condensed(seed):
-    insert_storm(seed, condense_enabled=False)
+    insert_storm(seed)

@@ -12,7 +12,6 @@ from repro.recovery import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import logical_digest
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
-from tests import CONDENSED
 
 
 def loaded_db(condense_enabled=False):
@@ -179,11 +178,6 @@ class TestFullReloadRestart:
             assert db2.table("items").lookup(txn, 1) is not None
         on_demand = db2.clock.now - start
         assert on_demand < full
-
-
-@CONDENSED
-class TestFullReloadRestartCondensed(TestFullReloadRestart):
-    pass
 
 
 class TestCommitProtocolModel:

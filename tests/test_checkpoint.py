@@ -21,7 +21,6 @@ from repro.sim.chaos import (
     set_crash_point_observer,
 )
 from repro.wal.slt import CheckpointReason
-from tests import CONDENSED
 
 
 def config(**kwargs):
@@ -97,11 +96,6 @@ class TestAgeTrigger:
             req.reason for req in db.checkpoint_queue._entries()
         } | ({CheckpointReason.AGE} if db.checkpoints.checkpoints_taken else set())
         assert db.checkpoints.checkpoints_taken > 0 or CheckpointReason.AGE in reasons
-
-
-@CONDENSED
-class TestAgeTriggerCondensed(TestAgeTrigger):
-    pass
 
 
 class TestRequestProtocol:

@@ -4,7 +4,6 @@ import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common import CatalogError, StorageError
-from tests import CONDENSED
 
 
 def small_config(condense_enabled=False):
@@ -110,11 +109,6 @@ class TestDropRelation:
         db, rel = loaded_db(condense_enabled)
         with pytest.raises(CatalogError):
             db.drop_relation("ghost")
-
-
-@CONDENSED
-class TestDropRelationCondensed(TestDropRelation):
-    pass
 
 
 class TestPredeclaredAccess:

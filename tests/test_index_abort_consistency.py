@@ -12,10 +12,12 @@ script):
    found its own previous attempt in the unique check.
 
 2. Byte-level UNDO restores anchors, buckets, and nodes, but a cached
-   index object also mirrors its anchor in decoded form (bucket
+   index object used to mirror its anchor in decoded form (bucket
    directory, split pointer, level, root address, item count).  After an
    abort rolled back a structural change, the mirror kept the
-   rolled-back structure.
+   rolled-back structure.  An index now reads its anchor through the
+   component cache on every operation; only a hash index's item count
+   is kept on the object, and a rollback makes it count again.
 """
 
 import pytest
@@ -88,21 +90,21 @@ class TestAbortedStructuralChange:
             for k in range(10):
                 rel.insert(txn, {"hid": k, "v": k})
         index = db.index_object(db.catalog.index("history__pk"), None)
-        directory_before = len(index._directory)
+        directory_before = index.bucket_count
         txn = db.transactions.begin()
         for k in range(10, 60):
             rel.insert(txn, {"hid": k, "v": k})
-        assert len(index._directory) > directory_before  # splits happened
+        assert index.bucket_count > directory_before  # splits happened
         txn.abort()
-        # the next serialised operations reload the mirror from the
-        # restored bytes: structure, contents, and count all roll back
+        # the index reads its anchor and directory from the restored
+        # bytes: structure, contents, and count all roll back
         index.verify_invariants()
         with db.transaction() as txn:
             for k in range(10):
                 assert rel.lookup(txn, k)["v"] == k
             for k in range(10, 60):
                 assert rel.lookup(txn, k) is None
-        assert len(index._directory) == directory_before
+        assert index.bucket_count == directory_before
         assert len(index) == 10
         # and the structure stays fully usable for committed growth
         with db.transaction() as txn:

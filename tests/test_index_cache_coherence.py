@@ -29,12 +29,15 @@ from repro.common import EntityAddress, SegmentKind
 from repro.common.errors import TransactionAborted
 from repro.index import NodeStore, TTreeIndex
 from repro.index import linear_hash, ttree
+from repro.recovery.oracle import logical_digest
 from repro.storage import MemoryManager
 
 DECODERS = {
+    ttree.ANCHOR_TYPE: ttree._decode_anchor,
     ttree.NODE_TYPE: ttree._decode_node,
+    linear_hash.ANCHOR_TYPE: linear_hash._decode_anchor,
     linear_hash.BUCKET_TYPE: linear_hash._decode_bucket,
-    linear_hash.CHUNK_TYPE: linear_hash.LinearHashIndex._decode_chunk,
+    linear_hash.CHUNK_TYPE: linear_hash._decode_chunk,
 }
 
 
@@ -246,9 +249,160 @@ class TestNodeStoreLoad:
         list(tree.items())
         tree.verify_invariants()
         assert len(tree) == 64
-        assert not tree.store._decoded
+        assert list(tree.store._decoded) == [tree.anchor]  # every walk starts there
         assert tree.search(40) == [addr(40)]
-        assert 0 < len(tree.store._decoded) < 10  # one root-to-node path
+        assert 1 < len(tree.store._decoded) < 10  # one root-to-node path
+
+    # An index's anchor is a component like any other: every operation
+    # reads it through ``load``, so the writers that replace its bytes
+    # behind the index object — an abort, a statement rollback, a command
+    # replay — are seen by the identity check alone.
+
+    @pytest.fixture
+    def anchor_decodes(self, monkeypatch):
+        """Every anchor blob either index kind decodes, in order."""
+        blobs = []
+        for module in (ttree, linear_hash):
+
+            def counting(address, blob, decode=module._decode_anchor):
+                blobs.append(blob)
+                return decode(address, blob)
+
+            monkeypatch.setattr(module, "_decode_anchor", counting)
+        return blobs
+
+    @staticmethod
+    def items_db(**config):
+        """``items(k, g)``: a hash primary key and a T-Tree on ``g``."""
+        db = Database(SystemConfig(partition_size=8192, **config))
+        db.create_relation("items", [("k", "int"), ("g", "int")], primary_key="k")
+        db.create_index("items_by_g", "items", "g", kind="ttree")
+        indexes = [
+            db.index_object(db.catalog.index(name), None) for name in ("items__pk", "items_by_g")
+        ]
+        return db, db.table("items"), indexes
+
+    @staticmethod
+    def anchors(indexes):
+        return [index.store.read(index.anchor) for index in indexes]
+
+    @staticmethod
+    def look_up(db, rel, keys):
+        with db.transaction() as txn:
+            for key in keys:
+                rel.lookup(txn, key)
+                rel.lookup_by(txn, "items_by_g", key)
+
+    @pytest.mark.parametrize("undo", ["abort", "statement"])
+    def test_an_anchor_is_decoded_once_per_blob_and_again_after_a_rollback(
+        self, anchor_decodes, undo
+    ):
+        db, rel, indexes = self.items_db()
+        empty = self.anchors(indexes)
+        self.look_up(db, rel, range(20))
+        assert [id(blob) for blob in anchor_decodes] == [id(blob) for blob in empty]
+
+        def doomed_load(txn):
+            # 30 rows: the hash index splits, the T-Tree gets a root — both
+            # anchors are rewritten, each write handing its form to the cache
+            for key in range(30):
+                rel.insert(txn, {"k": key, "g": key})
+            assert all(now != before for now, before in zip(self.anchors(indexes), empty))
+            raise Doomed
+
+        if undo == "abort":
+            with pytest.raises(Doomed), db.transaction() as txn:
+                doomed_load(txn)
+        else:
+            with db.transaction() as txn:
+                with pytest.raises(Doomed), txn.statement():
+                    doomed_load(txn)
+        restored = self.anchors(indexes)
+        assert restored == empty
+        anchor_decodes.clear()
+        self.look_up(db, rel, range(20))
+        assert sorted(map(id, anchor_decodes)) == sorted(map(id, restored))
+        for index in indexes:
+            assert len(index) == 0
+            index.verify_invariants()
+
+    def test_an_anchor_is_decoded_again_after_command_replay_replaces_it(
+        self, anchor_decodes
+    ):
+        """A value-logged load between two command-logged ones: replay
+        re-executes the first command, its cursor then installs the value
+        run's anchor images, and the second command's re-execution must
+        read those."""
+        db, rel, _ = self.items_db(
+            logging_mode="command",
+            update_count_threshold=10_000,  # no checkpoint settles a command
+            log_window_pages=256,
+            log_window_grace_pages=0,
+        )
+
+        def load(txn, start):
+            for key in range(start, start + 30):
+                rel.insert(txn, {"k": key, "g": key % 7})
+
+        db.register_script("load", load, relations=["items"])
+        db.run_script("load", 0)
+        db.run_script("load", 100, logging="value")
+        db.run_script("load", 200)
+        expected = logical_digest(db)
+        db.crash()
+        anchor_decodes.clear()
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 2
+        assert logical_digest(db) == expected
+        hash_anchors = [blob for blob in anchor_decodes if blob[0] == linear_hash.ANCHOR_TYPE]
+        assert len(hash_anchors) >= 2  # the image's, then the value run's
+        assert len(set(map(id, anchor_decodes))) == len(anchor_decodes)  # once per blob
+        for name in ("items__pk", "items_by_g"):
+            index = db.index_object(db.catalog.index(name), None)
+            assert len(index) == 90
+            index.verify_invariants()
+            assert_cache_coherent(index.store)
+
+
+class TestScansAreSnapshots:
+    """``items`` and ``range_scan`` return materialised lists, so a
+    consumer may change the index while it iterates."""
+
+    @pytest.mark.parametrize("kind", [TTreeIndex, linear_hash.LinearHashIndex])
+    def test_items_while_the_index_changes(self, kind):
+        index = kind(make_store())
+        for n in range(100):
+            index.insert(n, addr(n))
+        seen = []
+        for key, value in index.items():  # deletes and splits under it
+            seen.append(key)
+            index.delete(key, value)
+            index.insert(key + 1000, value)
+        assert sorted(seen) == list(range(100))
+        assert sorted(key for key, _ in index.items()) == list(range(1000, 1100))
+        index.verify_invariants()
+
+    def test_range_by_while_the_rows_it_indexes_move(self):
+        db = Database(SystemConfig(partition_size=8192))
+        rel = db.create_relation("items", [("k", "int"), ("g", "int")], primary_key="k")
+        db.create_index("items_by_g", "items", "g", kind="ttree")
+        with db.transaction() as txn:
+            for key in range(200):
+                rel.insert(txn, {"k": key, "g": key})
+        with db.transaction() as txn:
+            seen = []
+            for row in rel.range_by(txn, "items_by_g", 50, 149):
+                seen.append(row["k"])
+                # out of the range, and a new row into it: the tree rotates
+                rel.update(txn, row.address, {"g": row["g"] + 1000})
+                rel.insert(txn, {"k": 1000 + row["k"], "g": row["g"]})
+        assert seen == list(range(50, 150))
+        with db.transaction() as txn:
+            moved = [row["k"] for row in rel.range_by(txn, "items_by_g", 1050, 1149)]
+            assert moved == list(range(50, 150))
+            inserted = [row["k"] for row in rel.range_by(txn, "items_by_g", 50, 149)]
+            assert inserted == list(range(1050, 1150))
+        db.index_object(db.catalog.index("items_by_g"), None).verify_invariants()
 
 
 # -- range descent == filtered items() ---------------------------------------------------

@@ -213,7 +213,7 @@ class _UndoSink:
     def commit(self):
         self.undo.clear()
 
-    def abort(self, tree):
+    def abort(self):
         while self.undo:
             address, before, freed = self.undo.pop()
             partition = self.segment.get(address.partition)
@@ -223,7 +223,6 @@ class _UndoSink:
                 partition.insert_at(address.offset, before)
             else:
                 partition.update(address.offset, before)
-        tree.mark_mirror_stale()
 
 
 def _session(seed, min_items, max_items, transactions=160):
@@ -265,7 +264,7 @@ def _session(seed, min_items, max_items, transactions=160):
                 assert tree.search(key) == [value for _, value in expected]
             tree.verify_invariants()
         if rng.random() < 1 / 6:
-            sink.abort(tree)
+            sink.abort()
             model = saved
             tree.verify_invariants()
         else:

@@ -1,8 +1,10 @@
 """A rollback leaves no decoded mirror ahead of the bytes.
 
 ``Transaction._rollback`` restores entity *bytes* through inverse REDO
-records; what is decoded from those bytes (catalog descriptors, cached
-index objects) re-syncs from them in the same place, and volatile state
+records; what is derived from those bytes re-syncs in the same place —
+catalog descriptors are decoded again, a cached hash index forgets its
+item count, and index components (anchors included) need nothing, being
+read through the identity-checked component cache — and volatile state
 with no byte image (a DDL-created segment, a cached index object) is
 taken back by a compensation registered on the UNDO list
 (docs/INTERNALS.md, "Decoded mirrors of byte state").  Before this an

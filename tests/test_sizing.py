@@ -3,7 +3,6 @@ planned for."""
 
 from repro import Database, SystemConfig
 from repro.workloads import MixedWorkload, OperationMix
-from tests import CONDENSED
 
 
 class TestPlanIsSufficientInPractice:
@@ -36,8 +35,3 @@ class TestPlanIsSufficientInPractice:
         workload.load()
         workload.run(100)
         assert db.stats()["transactions_committed"] >= 100
-
-
-@CONDENSED
-class TestPlanIsSufficientInPracticeCondensed(TestPlanIsSufficientInPractice):
-    pass

@@ -7,13 +7,12 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.db.integrity import verify_integrity
 
 
-def soak(condense_enabled):
+def soak():
     config = SystemConfig(
         log_page_size=1024,
         update_count_threshold=80,
         log_window_pages=512,
         log_window_grace_pages=32,
-        condense_enabled=condense_enabled,
     )
     db = Database(config)
     rel = db.create_relation(
@@ -75,8 +74,4 @@ def soak(condense_enabled):
 
 
 def test_soak_mixed_workload_with_periodic_crashes():
-    soak(condense_enabled=False)
-
-
-def test_soak_mixed_workload_with_periodic_crashes_condensed():
-    soak(condense_enabled=False)
+    soak()

@@ -102,10 +102,6 @@ GOLDEN_CONTROL = {
         records.TxnPrepare(7, "gtid-é", 1, 0, (0, 1, 2)),
         "8007000000000000000700677469642dc3a9010000000300000001000200",
     ),
-    "TxnDecision": (
-        records.TxnDecision(7, "gtid", "commit", ()),
-        "8107000000000000000400677469640600636f6d6d69740000",
-    ),
     "TxnCommand": (
         records.TxnCommand(7, 9, "bump", "1", b"[1, 2]", ("a", "bé")),
         "82070000000000000009000000040062756d70010031060000005b312c20325d"
@@ -389,7 +385,6 @@ class TestSizeBytesWithoutPacking:
         out += [cls(7, 4, *fields) for cls, fields in fixed.items()]
         out += [
             records.TxnPrepare(7, "gtid-é", 1, 0, (0, 1, 2)),
-            records.TxnDecision(7, "gtid", "commit", ()),
             records.TxnCommand(7, 9, "bump", "1", b"[1, 2]", ("a", "bé")),
         ]
         return out
