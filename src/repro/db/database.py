@@ -527,10 +527,11 @@ class Database:
         return index_class(store, anchor=anchor)
 
     def forget_index_counts(self, segment_ids: set[int]) -> None:
-        """The component bytes of ``segment_ids`` were restored (a
-        rollback) or replayed (a command replay): a cached hash index over
-        one of them forgets its item count, the only index state not read
-        from those bytes."""
+        """The component bytes of ``segment_ids`` were replayed (a command
+        replay): a cached hash index over one of them forgets its item
+        count, the only index state not read from those bytes.  A rollback
+        needs none of this: each insert and delete puts its own count
+        compensation on the UNDO list."""
         for index in self._index_objects.values():
             if isinstance(index, LinearHashIndex) and index.store.segment.segment_id in segment_ids:
                 index.forget_count()
@@ -573,7 +574,7 @@ class Database:
                 f"restart is in progress"
             )
         self.restart_coordinator.recover(
-            PartitionAddress(segment_id, number) for number in missing
+            (PartitionAddress(segment_id, number) for number in missing), "touch"
         )
 
     # -- crash / restart -----------------------------------------------------------------------------------
@@ -715,6 +716,7 @@ class Database:
                 "pending_partitions": coordinator.pending_partitions(),
                 "history_scan": dict(coordinator.history_scan) or None,
                 "partitions": [dict(entry) for entry in coordinator.partitions],
+                "phases": coordinator.phases(),
             },
             "audit_entries": self.audit.entries_written,
             "audit_pages_flushed": self.audit.pages_flushed,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from repro.common.errors import IndexStructureError
@@ -209,8 +210,9 @@ class LinearHashIndex(Index):
         self.split_load = split_load
         #: The live item count, the one piece of state not read from the
         #: component bytes: the anchor's count is only written at splits.
-        #: ``None`` = unknown, counted on demand (see :meth:`__len__`);
-        #: a rollback or a command replay forgets it (:meth:`forget_count`).
+        #: ``None`` = unknown, counted on demand (see :meth:`__len__`).  A
+        #: rollback takes its own changes back (:meth:`_counted`); a
+        #: command replay forgets it (:meth:`forget_count`).
         self._count: int | None = 0 if anchor is None else None
         if anchor is None:
             buckets = tuple(self._new_bucket().address for _ in range(initial_buckets))
@@ -298,10 +300,18 @@ class LinearHashIndex(Index):
 
     def forget_count(self) -> None:
         """The component bytes were replaced behind the index's back (a
-        rollback, a command replay): count again on the next ``len()``."""
+        command replay): count again on the next ``len()``."""
         self._count = None
 
     def _counted(self, delta: int) -> None:
+        """One item more or fewer; the sink's UNDO list takes it back
+        with the bytes, so a rollback leaves the count exact (it may be
+        counted, from the bytes, in between)."""
+        self._adjust_count(delta)
+        if self.store.sink is not None:
+            self.store.sink.on_rollback(partial(self._adjust_count, -delta))
+
+    def _adjust_count(self, delta: int) -> None:
         if self._count is not None:
             self._count += delta
 

@@ -61,6 +61,11 @@ class ChangeSink(Protocol):
     def grow_segment(self, segment: Segment, fits: Callable[[Partition], bool]) -> Partition:
         """No resident partition has room: one ``fits`` accepts."""
 
+    def on_rollback(self, compensate: Callable[[], None]) -> None:
+        """Run ``compensate`` if the change now being made is rolled
+        back: index state the component bytes do not hold (a hash
+        index's item count) is taken back with them."""
+
 
 class NodeStore:
     """Allocate / read / write / free serialised index components.

@@ -280,7 +280,7 @@ def replay_live_commands(db: "Database", batch: list[TxnCommand]) -> int:
         index.segment_id for name in relations for index in db.catalog.indexes_of(name)
     }
     streams: list[tuple[Partition, list[LogPage], dict]] = []
-    start = db.clock.now  # the streams replay interleaved: each is timed from here
+    start = db.clock.now
     for address in db.commands.partitions(relations):
         partition, pages, stats = plan_rebuild(**coordinator._sources(address))
         stats["records_applied"] = 0
@@ -309,7 +309,12 @@ def replay_live_commands(db: "Database", batch: list[TxnCommand]) -> int:
         crash_point("replay.batch.command-executed")
     for (partition, pages, stats), position in zip(streams, positions):
         stats["records_applied"] += _advance(partition, pages, position, None)[1]
-        coordinator._note(partition.address, stats, start)
+    # The streams replay interleaved, so the closure is timed once, on its
+    # first partition's record.
+    seconds = db.clock.now - start
+    for partition, _, stats in streams:
+        coordinator._note(partition.address, stats, seconds, "closure")
+        seconds = 0.0
     db.forget_index_counts(index_segments)
     db.last_command_replay["commands_replayed"] += len(batch)
     return len(batch)

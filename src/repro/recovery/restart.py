@@ -81,6 +81,15 @@ register_crash_point(
 )
 
 
+#: What started a rebuild, as each ``partitions`` record names it: phase 1's
+#: catalog restore; a transaction touching a missing partition or segment;
+#: the pump's background sweep; a caller asking by name (a predeclared
+#: relation, ``recover_everything``, ``recover``); a command closure's
+#: replay.  ``stats()["restart"]["phases"]`` sums the simulated seconds of
+#: each.
+TRIGGERS = ("catalog", "touch", "background", "explicit", "closure")
+
+
 class RecoveryMode(enum.Enum):
     """Post-crash restoration policy (paper section 2.5)."""
 
@@ -178,7 +187,8 @@ class RestartCoordinator:
         #: full log history.
         self.sources = dict.fromkeys(("image", "empty", "history"), 0)
         #: One record per rebuilt partition, in rebuild order: its address,
-        #: source, pages read, records applied and simulated seconds.
+        #: source, trigger (:data:`TRIGGERS`), pages read, records applied
+        #: and simulated seconds.
         self.partitions: list[dict] = []
         #: Set once a background step finds nothing missing; no partition
         #: goes missing after phase 1, so the pump's duty is then free.
@@ -221,7 +231,7 @@ class RestartCoordinator:
             return
         db.catalog, locations = Catalog.from_well_known_entry(db.memory, entry)
         for address, _ in locations:
-            db.catalog.segment.install(self._rebuild(address)[0])
+            db.catalog.segment.install(self._rebuild(address, "catalog")[0])
         db.catalog.rebuild()
         crash_point("restart.phase1.catalog-recovered")
         self._register_segments()
@@ -256,10 +266,13 @@ class RestartCoordinator:
 
     # -- per-partition recovery transactions ------------------------------------------------
 
-    def recover_partition(self, address: PartitionAddress) -> dict | None:
+    def recover_partition(
+        self, address: PartitionAddress, trigger: str = "touch"
+    ) -> dict | None:
         """Recovery transaction for one partition; returns its stats, or
         None if the partition is already resident or came back with its
-        command closure, which replays whole.
+        command closure, which replays whole.  ``trigger`` is what asked
+        for it (:data:`TRIGGERS`).
 
         An unusable checkpoint image — torn by the crash, failing its
         CRC on both mirrors, or holding a stale image of the wrong
@@ -269,7 +282,7 @@ class RestartCoordinator:
         segment = self._missing_from(address)
         if segment is None or self.replay_closure(address.segment):
             return None
-        partition, stats = self._rebuild(address)
+        partition, stats = self._rebuild(address, trigger)
         segment.install(partition)
         crash_point("restart.phase2.partition-recovered")
         return stats
@@ -303,10 +316,10 @@ class RestartCoordinator:
             history=self.history,
         )
 
-    def _rebuild(self, address: PartitionAddress) -> tuple[Partition, dict]:
+    def _rebuild(self, address: PartitionAddress, trigger: str) -> tuple[Partition, dict]:
         start = self.db.clock.now
         partition, stats = rebuild_partition_resilient(**self._sources(address))
-        self._note(address, stats, start)
+        self._note(address, stats, self.db.clock.now - start, trigger)
         return partition, stats
 
     # -- command closures (docs/LOGGING.md) ---------------------------------------------------
@@ -360,9 +373,12 @@ class RestartCoordinator:
         """Database-level restoration: restore all partitions now."""
         return self.recover(self._missing())
 
-    def recover(self, addresses: Iterable[PartitionAddress]) -> int:
+    def recover(
+        self, addresses: Iterable[PartitionAddress], trigger: str = "explicit"
+    ) -> int:
         """The one restore loop: rebuild those of ``addresses`` still
-        missing, in order; returns how many it rebuilt.
+        missing, in order, for ``trigger`` (:data:`TRIGGERS`); returns how
+        many it rebuilt.
 
         Nothing is claimed beforehand, so a failure needs no undoing:
         whatever was not rebuilt is still missing, for a retry or the
@@ -372,7 +388,7 @@ class RestartCoordinator:
         for address in addresses:
             if self._missing_from(address) is not None:
                 crash_point("engine.restore.before-partition")
-                self.recover_partition(address)
+                self.recover_partition(address, trigger)
         return self.partitions_recovered - before
 
     def background_step(self) -> PartitionAddress | None:
@@ -388,7 +404,7 @@ class RestartCoordinator:
         if address is None:
             self._swept = True
             return None
-        self.recover((address,))
+        self.recover((address,), "background")
         return address
 
     def _missing(self) -> Iterator[PartitionAddress]:
@@ -409,10 +425,21 @@ class RestartCoordinator:
             len(segment.missing_partitions()) for segment in self.db.memory.segments()
         )
 
-    def _note(self, address: PartitionAddress, stats: dict, start: float) -> None:
-        """Tally one finished rebuild of ``address``, begun at simulated
-        time ``start`` — by the pipeline here or by the command replay
-        planner, which walks the same streams — and record it."""
+    def phases(self) -> dict[str, float]:
+        """Simulated seconds of the rebuilds so far, summed by trigger:
+        which restores the restart spent its time on."""
+        seconds = dict.fromkeys(TRIGGERS, 0.0)
+        for entry in self.partitions:
+            seconds[entry["trigger"]] += entry["seconds"]
+        return seconds
+
+    def _note(
+        self, address: PartitionAddress, stats: dict, seconds: float, trigger: str
+    ) -> None:
+        """Tally one finished rebuild of ``address``, which took
+        ``seconds`` of simulated time for ``trigger`` — by the pipeline
+        here or by the command replay planner, which walks the same
+        streams — and record it."""
         db = self.db
         if self.history is not None and stats["records_applied"]:
             # Full-history replay is recovery-component work: charge the
@@ -434,8 +461,9 @@ class RestartCoordinator:
             {
                 "address": str(address),
                 "source": stats["source"],
+                "trigger": trigger,
                 "pages_read": pages,
                 "records_applied": stats["records_applied"],
-                "seconds": db.clock.now - start,
+                "seconds": seconds,
             }
         )

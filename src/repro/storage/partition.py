@@ -22,9 +22,9 @@ from __future__ import annotations
 import struct
 from typing import Iterator
 
-from repro.common.errors import PartitionFullError, StorageError
+from repro.common.errors import LogError, PartitionFullError, StorageError
 from repro.common.types import PartitionAddress
-from repro.storage.heap import StringHeap
+from repro.storage.heap import STRING_HEADER_BYTES, StringHeap
 
 #: Per-entity bookkeeping charge, in bytes (offset + length + type slot).
 ENTITY_HEADER_BYTES = 8
@@ -36,6 +36,27 @@ _IMAGE_HEADER = struct.Struct("<iiQIIII")
 # segment, partition, next_offset, entity_count, entity_used,
 # entity_capacity, heap_blob_length
 _ENTRY_HEADER = struct.Struct("<QI")  # offset, length
+
+#: The primitive effects a REDO record class may name, each with whether
+#: it carries ``data``: what applying one record does to the entity area
+#: (keyed by offset) or the string heap (keyed by handle), stated once, in
+#: :meth:`Partition.apply_records`.  The ``upsert``/``remove`` kinds
+#: tolerate a duplicate replay prefix; ``overwrite`` and ``patch`` need
+#: the entity, ``heap_overwrite`` the handle and the room.
+EFFECTS = {
+    "upsert": True,
+    "overwrite": True,
+    "patch": True,
+    "heap_upsert": True,
+    "heap_overwrite": True,
+    "remove": False,
+    "heap_remove": False,
+    "none": False,
+}
+
+#: ``(tag, value)`` that no record matches: :meth:`Partition.apply_records`
+#: with no halt.
+NO_HALT = (-1, 0)
 
 
 class Partition:
@@ -134,6 +155,150 @@ class Partition:
         data = self.read(offset)
         del self._entities[offset]
         self._used -= len(data) + ENTITY_HEADER_BYTES
+
+    # -- REDO and UNDO: one applier -------------------------------------------------
+
+    def apply_records(
+        self,
+        body: bytes,
+        table: dict[int, tuple],
+        pos: int = 0,
+        halt: tuple[int, int] = NO_HALT,
+        own: bytes | None = None,
+    ) -> tuple[int, int | None]:
+        """Apply compact REDO records — ``body`` from byte offset ``pos``
+        on, in order — with no call per record.
+
+        ``table`` maps a record's tag to ``(operand unpacker, its width,
+        effect, ends in data?, class name)``: the unpacker reads the
+        operands after the record header — the entity offset or heap
+        handle first, then the fixed fields, then the ``data`` length —
+        and the effect is one of :data:`EFFECTS` (``none``: nothing).
+        ``halt=(tag, value)`` stops the walk at the first record of that
+        tag whose first operand is ``value`` or more: just past it when
+        it is exactly ``value``, in front of it when more.  Returns
+        ``(records applied, halt offset)``, ``None`` when the walk ran
+        off the end; the halting record is not counted.
+
+        ``own`` is a one-record body's ``data`` as an object, installed
+        in place of its slice: UNDO puts back the very before-image it
+        took, which :meth:`NodeStore.load
+        <repro.index.node_store.NodeStore.load>` finds its cached form
+        by.
+
+        The byte accounting lives in locals for the walk and is written
+        back in a ``finally``, so a record that raises leaves every
+        record before it applied, and nothing of itself.
+
+        Lock discipline: a restart applies before the partition is
+        published; a transaction's UNDO holds the locks of the changes
+        it takes back (section 2.3.2).
+        """
+        if type(body) is not bytes:  # entities are immutable ``bytes`` objects
+            body = bytes(body)
+        halt_tag, halt_value = halt
+        entities = self._entities
+        heap = self.heap
+        strings = heap._strings
+        used = self._used
+        next_offset = self._next_offset
+        heap_used = heap._used
+        next_handle = heap._next_handle
+        entry_charge = ENTITY_HEADER_BYTES
+        string_charge = STRING_HEADER_BYTES
+        count = 0
+        size = len(body)
+        try:
+            while pos < size:
+                tag = body[pos]
+                entry = table.get(tag)
+                if entry is None:
+                    raise LogError(f"unknown log record tag {tag} at {pos}")
+                unpack_from, width, effect, blob, name = entry
+                try:
+                    operands = unpack_from(body, pos)
+                except struct.error as exc:
+                    raise LogError(f"truncated {name} record at {pos}") from exc
+                key = operands[0]
+                if tag == halt_tag and key >= halt_value:
+                    return count, pos if key > halt_value else pos + width
+                pos += width
+                if blob:
+                    end = pos + operands[-1]
+                    if end > size:
+                        raise LogError(f"truncated {name} data at {pos}")
+                    data = body[pos:end] if own is None else own
+                    pos = end
+                    if effect == "upsert":
+                        # A replayed log may repeat a prefix the image
+                        # already reflects: the last writer wins, and an
+                        # offset is never reused.
+                        old = entities.get(key)
+                        entities[key] = data
+                        if old is None:
+                            used += len(data) + entry_charge
+                            if key >= next_offset:
+                                next_offset = key + 1
+                        else:
+                            used += len(data) - len(old)
+                    elif effect == "patch":
+                        current = entities.get(key)
+                        if current is None:
+                            raise StorageError(f"{self.address} has no entity at {key}")
+                        start = operands[1]
+                        stop = start + len(data)
+                        if stop > len(current):
+                            raise LogError(
+                                f"field patch [{start}:{stop}] exceeds tuple of "
+                                f"{len(current)} bytes at {self.address} offset {key}"
+                            )
+                        # same length: the accounting does not move
+                        entities[key] = current[:start] + data + current[stop:]
+                    elif effect == "overwrite":
+                        old = entities.get(key)
+                        if old is None:
+                            raise StorageError(f"{self.address} has no entity at {key}")
+                        entities[key] = data
+                        used += len(data) - len(old)
+                    elif effect == "heap_upsert":
+                        # the heap's upsert: a later replace may already be
+                        # in the image, so the bytes may differ (last
+                        # writer wins), and only a replace is capped
+                        old = strings.get(key)
+                        if old is None:
+                            strings[key] = data
+                            heap_used += len(data) + string_charge
+                            if key >= next_handle:
+                                next_handle = key + 1
+                        else:
+                            if heap_used + len(data) - len(old) > heap.capacity_bytes:
+                                raise PartitionFullError("string heap full on replace")
+                            strings[key] = data
+                            heap_used += len(data) - len(old)
+                    elif effect == "heap_overwrite":
+                        old = strings.get(key)
+                        if old is None:
+                            raise StorageError(f"string heap has no handle {key}")
+                        if heap_used + len(data) - len(old) > heap.capacity_bytes:
+                            raise PartitionFullError("string heap full on replace")
+                        strings[key] = data
+                        heap_used += len(data) - len(old)
+                elif effect == "remove":
+                    # tolerates an entity already gone (duplicate prefix)
+                    old = entities.pop(key, None)
+                    if old is not None:
+                        used -= len(old) + entry_charge
+                elif effect == "heap_remove":
+                    old = strings.pop(key, None)
+                    if old is not None:
+                        heap_used -= len(old) + string_charge
+                count += 1
+        finally:
+            self._used = used
+            self._next_offset = next_offset
+            heap._used = heap_used
+            heap._next_handle = next_handle
+        return count, None
 
     # -- inspection ----------------------------------------------------------------
 

@@ -238,21 +238,20 @@ class Transaction:
     def _rollback(self, mark: int = 0, *, crashing: bool = False) -> None:
         """Undo everything past ``mark`` newest-first and drop it: an
         inverse record puts bytes back through its own ``apply``, a
-        compensation takes back what bytes do not cover, and then every
-        decoded mirror of the touched segments re-syncs from the restored
-        bytes (docs/INTERNALS.md, "Decoded mirrors of byte state").
+        compensation takes back what bytes do not cover (a hash index's
+        item count among them), and then the catalog's descriptors re-sync
+        from the restored bytes (docs/INTERNALS.md, "Decoded mirrors of
+        byte state").
         ``crashing`` is the recovery oracle's rollback at a crash: stable
         storage stays as the crash leaves it, so stable releases are
         skipped."""
         db = self.db
         catalog_segment = db.catalog.segment.segment_id
-        segments: set[int] = set()
         descriptors: set[EntityAddress] = set()
         for entry in reversed(self._undo[mark:]):
             if isinstance(entry, redo.RedoRecord):
                 address = entry.partition_address
                 entry.apply(db.memory.partition(address))
-                segments.add(address.segment)
                 if address.segment == catalog_segment:
                     # catalog partitions hold entities only: the record names one
                     descriptors.add(getattr(entry, "address", None))
@@ -264,11 +263,9 @@ class Transaction:
         del self._undo[mark:]
         # Before the locks release, so no later operation runs on a
         # rolled-back mirror: the catalog re-derives the descriptors whose
-        # entities were restored (and only those), cached hash indexes
-        # forget their item counts.
+        # entities were restored (and only those).
         if descriptors:
             db.catalog.resync(descriptors)
-        db.forget_index_counts(segments)
 
     def on_rollback(self, compensate: Callable[[], None], *, stable: bool = False) -> None:
         """Register state that has no byte image — a new partition's bin,

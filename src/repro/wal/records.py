@@ -20,7 +20,9 @@ A forward record is never an object: the change sink packs its fields
 straight to bytes (``cls.pack``), into the SLB, and from there to the
 disk it is bytes.  A record object exists only on the volatile UNDO
 list.  Each class states its Operation part once, as a :class:`Layout`,
-and its effect once, as ``redo`` on the layout's wire-order operands;
+and names its effect once, as ``EFFECT`` — one of the storage layer's
+primitive effects (:data:`~repro.storage.partition.EFFECTS`: ``upsert``,
+``overwrite``, ``remove``, ``patch``, the three heap ones, ``none``);
 :func:`_register` compiles the layout into the packer of the full form
 and the operand reader of the compact one.  The two forms:
 
@@ -32,9 +34,12 @@ and the operand reader of the compact one.  The two forms:
   condensing the log."  The sorting step strips it on the way into the
   bin; a dedicated page names its partition once, in its header.
 
-:func:`replay_records` applies a compact body, calling each class's
-``redo`` on the unpacked operands, and halts at a marker when asked —
-every restart path walks a partition's log this one way.
+:func:`replay_records` applies a compact body through the one applier,
+:meth:`Partition.apply_records <repro.storage.partition.Partition.apply_records>`,
+and halts at a marker when asked — every restart path walks a
+partition's log this one way, and a record object on the UNDO list
+(:meth:`RedoRecord.apply`) runs its own compact bytes through the same
+loop, so each effect is stated once.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import Any, Callable, ClassVar, NamedTuple
 
 from repro.common.errors import LogError
 from repro.common.types import EntityAddress, PartitionAddress
-from repro.storage.partition import Partition
+from repro.storage.partition import EFFECTS, NO_HALT, Partition
 
 _HEADER = "<BIQ"  # tag, bin_index, txn_id
 #: Both address kinds start with (segment, partition) — what a log page's
@@ -55,9 +60,10 @@ _HEADER = "<BIQ"  # tag, bin_index, txn_id
 _ADDRESS_CODES = {EntityAddress: "iiq", PartitionAddress: "ii"}
 
 _REGISTRY: dict[int, type["RedoRecord"]] = {}
-#: tag -> (operand unpacker, its size, ``redo``, ends in data?, class name):
-#: the compact form again, header skipped, for :func:`replay_records`.
-_REPLAY: dict[int, tuple[Callable[..., tuple], int, Callable[..., None], bool, str]] = {}
+#: tag -> (operand unpacker, its size, effect, ends in data?, class name):
+#: the compact form again, header skipped — the table
+#: :meth:`Partition.apply_records` dispatches on.
+_REPLAY: dict[int, tuple[Callable[..., tuple], int, str, bool, str]] = {}
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,8 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
     address, *rest = (field.name for field in dataclasses.fields(cls)[2:])
     if len(rest) != len(layout.fixed) + layout.blob or (layout.blob and rest[-1] != "data"):
         raise AssertionError(f"{cls.__name__} fields do not fit {layout}")
+    if EFFECTS.get(cls.EFFECT) is not layout.blob:
+        raise AssertionError(f"{cls.__name__}'s effect {cls.EFFECT!r} does not fit {layout}")
     codes = _ADDRESS_CODES[layout.address]
     head = struct.Struct(_HEADER + codes + layout.fixed + ("I" if layout.blob else ""))
     setattr(cls, "pack", staticmethod(_packer(cls.TAG, head.pack, layout.blob)))
@@ -92,13 +100,17 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
     cls._OWNER = attrgetter(
         f"{address}.partition_address" if layout.address is EntityAddress else address
     )
-    # ``redo``'s operands are what the compact form carries after the
+    # The effect's operands are what the compact form carries after the
     # header: the address's own part (an entity's offset; nothing for a
-    # partition), the fixed fields, ``data``.
-    operands = struct.Struct(
-        f"<{struct.calcsize(_HEADER)}x{codes[2:]}{layout.fixed}{'I' if layout.blob else ''}"
+    # partition), the fixed fields, ``data``'s length.  The first is the
+    # key the effect (or a halting cursor) reads.
+    operand_codes = f"{codes[2:]}{layout.fixed}{'I' if layout.blob else ''}"
+    if not operand_codes:
+        raise AssertionError(f"{cls.__name__} carries no operand")
+    operands = struct.Struct(f"<{struct.calcsize(_HEADER)}x{operand_codes}")
+    _REPLAY[cls.TAG] = (
+        operands.unpack_from, operands.size, cls.EFFECT, layout.blob, cls.__name__
     )
-    _REPLAY[cls.TAG] = (operands.unpack_from, operands.size, cls.redo, layout.blob, cls.__name__)
     _REGISTRY[cls.TAG] = cls
     return cls
 
@@ -128,6 +140,9 @@ class RedoRecord:
 
     TAG: ClassVar[int] = 0
     LAYOUT: ClassVar[Layout]
+    #: What applying the record does: a key of
+    #: :data:`~repro.storage.partition.EFFECTS`.
+    EFFECT: ClassVar[str]
     #: Compiled by :func:`_register`: ``cls.pack(txn_id, bin_index,
     #: address, *fields)`` is the full form of the record those fields
     #: make, packed with no record built — what a change sink appends.
@@ -147,23 +162,20 @@ class RedoRecord:
 
     def apply(self, partition: Partition) -> None:
         """Re-execute this operation against ``partition``: the address
-        check, then :meth:`redo` on the operands the compact form packs
-        after the header.  Only a transaction's UNDO list applies record
-        objects; the log is replayed from its bytes."""
+        check, then its own compact bytes through the applier the log's
+        replay uses, installing its own ``data`` object (the
+        before-image an inverse record holds).  Only a transaction's UNDO
+        list applies record objects; the log is replayed from its
+        bytes."""
         if self.partition_address != partition.address:
             raise LogError(
                 f"log record for {self.partition_address} applied to {partition.address}"
             )
-        _, _, address, *operands = self._FIELDS(self)
-        self.redo(partition, *address[2:], *operands)
-
-    @staticmethod
-    def redo(partition: Partition, *operands: Any) -> None:
-        """The operation's effect on ``partition``, stated once, on the
-        layout's wire-order operands after the (segment, partition) pair.
-        No address check: :meth:`apply` makes it per record,
-        :func:`replay_records`' caller once per page."""
-        raise NotImplementedError
+        partition.apply_records(
+            compact_form(self.pack(*self._FIELDS(self))),
+            _REPLAY,
+            own=getattr(self, "data", None),
+        )
 
     # -- wire format --------------------------------------------------------------
 
@@ -189,39 +201,30 @@ class RedoRecord:
 
 @dataclass(frozen=True, slots=True)
 class _Install(RedoRecord):
-    """Upsert ``data`` at an entity address."""
+    """Upsert ``data`` at an entity address.
+
+    After a crash the replayed log may repeat a prefix of records already
+    reflected in the recovered image (a page written but not yet noted,
+    or an image newer than part of its log).  Full-order replay makes the
+    last writer win, so re-installing at an occupied offset is safe;
+    offsets are never reused."""
 
     LAYOUT: ClassVar[Layout] = Layout(EntityAddress, blob=True)
+    EFFECT: ClassVar[str] = "upsert"
 
     address: EntityAddress
     data: bytes
 
-    @staticmethod
-    def redo(partition: Partition, offset: int, data: bytes) -> None:
-        # Upsert: after a crash the replayed log may repeat a prefix of
-        # records already reflected in the recovered image (a page written
-        # but not yet noted, or an image newer than part of its log).
-        # Full-order replay makes the last writer win, so re-installing at
-        # an occupied offset is safe; offsets are never reused.
-        if offset in partition:
-            partition.update(offset, data)
-        else:
-            partition.insert_at(offset, data)
-
 
 @dataclass(frozen=True, slots=True)
 class _Remove(RedoRecord):
-    """Drop the entity at an address, if it is still there."""
+    """Drop the entity at an address, if it is still there (a duplicate
+    replay prefix may have dropped it already)."""
 
     LAYOUT: ClassVar[Layout] = Layout(EntityAddress)
+    EFFECT: ClassVar[str] = "remove"
 
     address: EntityAddress
-
-    @staticmethod
-    def redo(partition: Partition, offset: int) -> None:
-        # Tolerates an already-deleted entity (duplicate replay prefix).
-        if offset in partition:
-            partition.delete(offset)
 
 
 @_register
@@ -239,13 +242,10 @@ class TupleUpdate(RedoRecord):
 
     TAG: ClassVar[int] = 2
     LAYOUT: ClassVar[Layout] = Layout(EntityAddress, blob=True)
+    EFFECT: ClassVar[str] = "overwrite"
 
     address: EntityAddress
     data: bytes
-
-    @staticmethod
-    def redo(partition: Partition, offset: int, data: bytes) -> None:
-        partition.update(offset, data)
 
 
 @_register
@@ -267,21 +267,11 @@ class FieldPatch(RedoRecord):
 
     TAG: ClassVar[int] = 4
     LAYOUT: ClassVar[Layout] = Layout(EntityAddress, "H", blob=True)
+    EFFECT: ClassVar[str] = "patch"
 
     address: EntityAddress
     start: int
     data: bytes
-
-    @staticmethod
-    def redo(partition: Partition, offset: int, start: int, data: bytes) -> None:
-        current = partition.read(offset)
-        end = start + len(data)
-        if end > len(current):
-            raise LogError(
-                f"field patch [{start}:{end}] exceeds tuple of "
-                f"{len(current)} bytes at {partition.address} offset {offset}"
-            )
-        partition.update(offset, current[:start] + data + current[end:])
 
 
 # ------------------------------------------------------------------------------
@@ -292,24 +282,19 @@ class FieldPatch(RedoRecord):
 @_register
 @dataclass(frozen=True, slots=True)
 class HeapPut(RedoRecord):
-    """Re-execute a string-space put at its recorded handle."""
+    """Re-execute a string-space put at its recorded handle.
+
+    An upsert on a duplicate replay prefix (see :class:`_Install`): a
+    later :class:`HeapReplace` may already be reflected in the image, so
+    the occupied bytes can legitimately differ — last writer wins."""
 
     TAG: ClassVar[int] = 5
     LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I", blob=True)
+    EFFECT: ClassVar[str] = "heap_upsert"
 
     partition: PartitionAddress
     handle: int
     data: bytes
-
-    @staticmethod
-    def redo(partition: Partition, handle: int, data: bytes) -> None:
-        # Upsert on duplicate replay prefix (see _Install.redo): a
-        # later HeapReplace may already be reflected in the image, so the
-        # occupied bytes can legitimately differ — last writer wins.
-        if handle in partition.heap:
-            partition.heap.replace(handle, data)
-        else:
-            partition.heap.put_at(handle, data)
 
 
 @_register
@@ -319,32 +304,25 @@ class HeapReplace(RedoRecord):
 
     TAG: ClassVar[int] = 6
     LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I", blob=True)
+    EFFECT: ClassVar[str] = "heap_overwrite"
 
     partition: PartitionAddress
     handle: int
     data: bytes
 
-    @staticmethod
-    def redo(partition: Partition, handle: int, data: bytes) -> None:
-        partition.heap.replace(handle, data)
-
 
 @_register
 @dataclass(frozen=True, slots=True)
 class HeapDelete(RedoRecord):
-    """Re-execute a string-space delete."""
+    """Re-execute a string-space delete; tolerates an already-deleted
+    handle (duplicate replay prefix)."""
 
     TAG: ClassVar[int] = 7
     LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I")
+    EFFECT: ClassVar[str] = "heap_remove"
 
     partition: PartitionAddress
     handle: int
-
-    @staticmethod
-    def redo(partition: Partition, handle: int) -> None:
-        # Tolerates an already-deleted handle (duplicate replay prefix).
-        if handle in partition.heap:
-            partition.heap.delete(handle)
 
 
 # ------------------------------------------------------------------------------
@@ -392,15 +370,13 @@ class IndexNodeFree(_Remove):
 
 @dataclass(frozen=True, slots=True)
 class _Marker(RedoRecord):
-    """A position in one partition's stream; applying it changes nothing."""
+    """A position in one partition's stream; applying it changes nothing.
+    The effects come from re-executing the command's script (or from the
+    sweep's image), never from this record."""
+
+    EFFECT: ClassVar[str] = "none"
 
     partition: PartitionAddress
-
-    @staticmethod
-    def redo(partition: Partition, *operands: int) -> None:
-        # Position-only: the effects come from re-executing the command's
-        # script (or from the sweep's image), never from this record.
-        pass
 
 
 @_register
@@ -485,10 +461,10 @@ def replay_records(
     written — to ``partition``, from byte offset ``pos`` on.
 
     What each record's :meth:`RedoRecord.apply` does, with no record
-    built: one ``unpack_from`` per record, then the class's ``redo`` on
-    the operands and a slice of ``body``.  The caller checks *once* that
-    the page is ``partition``'s.  ``partition=None`` applies nothing and
-    only walks.
+    built: :meth:`Partition.apply_records` on this module's per-tag table,
+    one ``unpack_from`` per record and no call.  The caller checks *once*
+    that the page is ``partition``'s.  ``partition=None`` applies nothing
+    and only walks.
 
     It is a cursor: ``until=(tag, value)`` halts it at the first marker
     of that tag (:class:`CommandBarrier` or :class:`SweepMarker`)
@@ -497,7 +473,9 @@ def replay_records(
     halt)``: ``halt`` is the offset to resume from, ``None`` when the
     walk ran off the end.  The halting marker is not counted.
     """
-    halt_tag, halt_value = until or (-1, 0)
+    if partition is not None:
+        return partition.apply_records(body, _REPLAY, pos, until or NO_HALT)
+    halt_tag, halt_value = until or NO_HALT
     count = 0
     size = len(body)
     while pos < size:
@@ -505,7 +483,7 @@ def replay_records(
         entry = _REPLAY.get(tag)
         if entry is None:
             raise LogError(f"unknown log record tag {tag} at {pos}")
-        unpack_from, width, redo, blob, name = entry
+        unpack_from, width, _, blob, name = entry
         try:
             operands = unpack_from(body, pos)
         except struct.error as exc:
@@ -517,11 +495,7 @@ def replay_records(
             end = pos + operands[-1]
             if end > size:
                 raise LogError(f"truncated {name} data at {pos}")
-            if partition is not None:
-                redo(partition, *operands[:-1], body[pos:end])
             pos = end
-        elif partition is not None:
-            redo(partition, *operands)
         count += 1
     return count, None
 

@@ -272,11 +272,6 @@ class TestModes:
         assert "mode commits" in status_page(db.stats())
 
 
-@CONDENSED
-class TestModesCondensed(TestModes):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # recovery: digest identity across modes
 # ---------------------------------------------------------------------------
@@ -404,11 +399,6 @@ class TestDigestIdentity:
         assert logical_digest(db) == expected
 
 
-@CONDENSED
-class TestDigestIdentityCondensed(TestDigestIdentity):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # crash windows
 # ---------------------------------------------------------------------------
@@ -470,11 +460,6 @@ class TestScriptsThatGrowASegment:
         assert db.last_command_replay["commands_replayed"] == 7
         assert logical_digest(db) == expected
         assert verify_integrity(db) == []
-
-
-@CONDENSED
-class TestScriptsThatGrowASegmentCondensed(TestScriptsThatGrowASegment):
-    pass
 
 
 class TestCrashWindows:

@@ -114,10 +114,10 @@ class TestBulkRestore:
         boom = addresses[len(addresses) // 2]
         real = coordinator.recover_partition
 
-        def failing(address):
+        def failing(address, *trigger):
             if address == boom:
                 raise RuntimeError("injected restore failure")
-            return real(address)
+            return real(address, *trigger)
 
         coordinator.recover_partition = failing
         with pytest.raises(RuntimeError, match="injected restore failure"):

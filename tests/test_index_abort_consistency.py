@@ -17,7 +17,7 @@ script):
    abort rolled back a structural change, the mirror kept the
    rolled-back structure.  An index now reads its anchor through the
    component cache on every operation; only a hash index's item count
-   is kept on the object, and a rollback makes it count again.
+   is kept on the object, and a rollback takes its changes back.
 """
 
 import pytest

@@ -242,6 +242,9 @@ class _RecordingSink:
         self.events.append(("grow", segment.segment_id))
         return segment.allocate_partition()
 
+    def on_rollback(self, compensate):
+        pass  # a count compensation: no store operation
+
 
 def _run_inserts(keys, reference, **shape):
     sink = _RecordingSink()

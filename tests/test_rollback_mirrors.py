@@ -2,11 +2,11 @@
 
 ``Transaction._rollback`` restores entity *bytes* through inverse REDO
 records; what is derived from those bytes re-syncs in the same place —
-catalog descriptors are decoded again, a cached hash index forgets its
-item count, and index components (anchors included) need nothing, being
-read through the identity-checked component cache — and volatile state
-with no byte image (a DDL-created segment, a cached index object) is
-taken back by a compensation registered on the UNDO list
+catalog descriptors are decoded again, and index components (anchors
+included) need nothing, being read through the identity-checked
+component cache — and volatile state with no byte image (a DDL-created
+segment, a cached index object, a hash index's item count) is taken back
+by a compensation registered on the UNDO list
 (docs/INTERNALS.md, "Decoded mirrors of byte state").  Before this an
 aborted DDL left a ghost: a relation registered in memory that no
 catalog entity described.
@@ -18,6 +18,7 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.catalog.catalog import PartitionInfo, RelationDescriptor
 from repro.common import CatalogError, SegmentKind, TransactionAborted
 from repro.db.integrity import verify_integrity
+from repro.index.linear_hash import LinearHashIndex
 from repro.recovery.oracle import logical_digest
 
 SCHEMA = [("k", "int"), ("v", "int")]
@@ -169,3 +170,57 @@ class TestCatalogResync:
                     raise Doomed
             assert relation.command_watermark == 0
         self.usable(db)
+
+
+class TestHashCountAcrossRollback:
+    """A hash insert or delete puts its own count compensation on the
+    UNDO list, so neither an abort nor a statement rollback leaves the
+    item count unknown: no ``len()`` after one counts the chain nodes."""
+
+    def test_rollbacks_among_commits_never_recount(self, monkeypatch):
+        db = Database()
+        rel = db.create_relation("h", SCHEMA, "k")
+        load(rel, db, 5000, per_txn=250)
+        index = db.index_object(db.catalog.index("h__pk"), None)
+        recounts = []
+        counted = LinearHashIndex.__len__
+
+        def spy(self):
+            if self._count is None:
+                recounts.append(self)
+            return counted(self)
+
+        monkeypatch.setattr(LinearHashIndex, "__len__", spy)
+        present = set(range(5000))
+        fresh = iter(range(5000, 10_000))
+        rollbacks = 0
+        for number in range(200):
+            if number % 8 == 0:  # an aborted single-row insert
+                with pytest.raises(Doomed), db.transaction() as txn:
+                    rel.insert(txn, {"k": next(fresh), "v": 0})
+                    raise Doomed
+            elif number % 8 == 4:  # a statement rolled back, then a commit
+                with db.transaction() as txn:
+                    with pytest.raises(Doomed), txn.statement():
+                        rel.insert(txn, {"k": next(fresh), "v": 0})
+                        rel.delete(txn, rel.lookup(txn, min(present)).address)
+                        raise Doomed
+                    key = next(fresh)
+                    rel.insert(txn, {"k": key, "v": 0})
+                present.add(key)
+            else:  # committed: an insert, or a delete
+                with db.transaction() as txn:
+                    if number % 2:
+                        key = next(fresh)
+                        rel.insert(txn, {"k": key, "v": 0})
+                        present.add(key)
+                    else:
+                        key = min(present)
+                        rel.delete(txn, rel.lookup(txn, key).address)
+                        present.remove(key)
+            if number % 4 == 0:
+                rollbacks += 1
+                assert len(index) == sum(1 for _ in index.items()) == len(present)
+            assert len(index) == len(present)
+        assert rollbacks == 50
+        assert recounts == []

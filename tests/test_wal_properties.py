@@ -1,6 +1,7 @@
 """Property-based tests on the WAL structures' core invariants."""
 
 import dataclasses
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,7 @@ from repro.wal.records import (
 )
 from repro.wal.slb import WELL_KNOWN_RESERVE
 from tests import page_of
+from tests.redo_model import model_apply
 
 PADDR = PartitionAddress(3, 4)
 
@@ -150,9 +152,10 @@ def _outcome(run, partition):
 
 
 def _apply_objects(logged, body, partition):
-    """The reference: each record object's own ``apply``, in order, for
-    the records ``body`` holds whole — then the refusal of what is left,
-    a cut record or bytes no record class claims."""
+    """The reference: each record through the reference model
+    (``tests/redo_model.py``), in order, for the records ``body`` holds
+    whole — then the refusal of what is left, a cut record or bytes no
+    record class claims."""
     pos = 0
     for count, record in enumerate(logged):
         encoded = record.encode(compact=True)
@@ -164,7 +167,7 @@ def _apply_objects(logged, body, partition):
             if pos + fixed > len(body):
                 raise LogError(f"truncated {name} record at {pos}")
             raise LogError(f"truncated {name} data at {pos + fixed}")
-        record.apply(partition)
+        model_apply(partition, record)
         pos += len(encoded)
     if pos < len(body):
         raise LogError(f"unknown log record tag {body[pos]} at {pos}")
@@ -202,8 +205,9 @@ def _stepped(replay, stops):
 )
 def test_replay_from_bytes_equals_decode_then_apply(records, repeated, damage, cut, stops):
     """``replay_records`` over a compact body leaves the partition that
-    each encoded record's own ``apply`` leaves, counts the same, and
-    refuses the same malformed or inapplicable input at the same record.
+    the reference model leaves applying each encoded record, counts the
+    same, and refuses the same malformed or inapplicable input at the
+    same record.
     As a cursor — halted at barriers and sweep markers, resumed from each
     halt — it walks the same records in the same order, so it leaves the
     same partition and refuses at the same record, whether the damage
@@ -245,6 +249,86 @@ def test_page_of_another_partition_is_refused_before_any_record(records):
         result, after = _outcome(page.replay, other)
         assert result[0] is LogError and "applied to" in result[1]
         assert after == before
+
+
+#: A small partition's records (its heap holds 140 bytes, 112 of them
+#: taken) over a few keys, on top of short tuples and strings: half of
+#: them put 40 bytes or more at a handle, so replaces and re-puts overflow the
+#: heap; patches run past the tuples, updates and patches find entities
+#: and handles a delete took away or never put there.
+TIGHT = 560
+_grow = (st.just(1), st.just(0), st.just(PADDR), st.integers(1, 5), st.binary(min_size=40))
+_growing = st.one_of(st.builds(HeapPut, *_grow), st.builds(HeapReplace, *_grow))
+tight_records = st.lists(
+    st.one_of(record_strategy_over(st.integers(1, 7), st.integers(1, 7)), _growing),
+    max_size=40,
+).map(
+    lambda records: [
+        *(TupleInsert(1, 0, EntityAddress(3, 4, n), b"t" * 4 * n) for n in range(1, 5)),
+        *(HeapPut(1, 0, PADDR, n, b"h" * 8 * n) for n in range(1, 5)),
+        *records,
+    ]
+)
+
+
+def _fields(run, partition):
+    """What applying did, field by field: its result or the refusal's
+    type and message; the entities, the strings, both byte tallies, the
+    next offset and the handle counter."""
+    try:
+        result = run(partition)
+    except (LogError, StorageError) as exc:
+        result = (type(exc), str(exc))
+    heap = partition.heap
+    return result, (
+        dict(partition.entities()),
+        {handle: heap.get(handle) for handle in heap.handles()},
+        partition.used_bytes,
+        partition.next_offset,
+        heap.used_bytes,
+        struct.unpack_from("<I", heap.to_bytes())[0],  # the image's next handle
+    )
+
+
+def _each(apply, logged):
+    def run(partition):
+        for record in logged:
+            apply(partition, record)
+        return len(logged)
+
+    return run
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tight_records,
+    st.integers(0, 40),
+    st.sampled_from(["whole", "truncated", "unknown-tag"]),
+    st.integers(1, 12),
+    st.lists(
+        st.tuples(st.sampled_from([CommandBarrier.TAG, SweepMarker.TAG]), st.integers(0, 9)),
+        max_size=12,
+    ),
+)
+def test_applier_matches_the_reference_model(records, repeated, damage, cut, stops):
+    """The one applier against the per-class model, on a stream with a
+    duplicate replay prefix, perhaps a damaged tail, walked whole or as a
+    cursor halting at markers: the same fields after it, the same
+    refusal at the same record.  Record objects applied one by one — the
+    UNDO path — match the model too."""
+    logged = records[:repeated] + records
+    body = b"".join(r.encode(compact=True) for r in logged)
+    if damage == "truncated":
+        body = body[:-cut]
+    elif damage == "unknown-tag":
+        body += b"\xff" * cut
+    model = _fields(lambda p: _apply_objects(logged, body, p), Partition(PADDR, TIGHT))
+    assert _fields(lambda p: replay_records(body, p)[0], Partition(PADDR, TIGHT)) == model
+    refused = model[0] if isinstance(model[0], tuple) else None
+    cursor = _stepped(lambda p, start, until: replay_records(body, p, start, until), stops)
+    assert _fields(cursor, Partition(PADDR, TIGHT)) == (refused, model[1])
+    undo = _fields(_each(lambda p, r: r.apply(p), logged), Partition(PADDR, TIGHT))
+    assert undo == _fields(_each(model_apply, logged), Partition(PADDR, TIGHT))
 
 
 @settings(max_examples=40, deadline=None)
