@@ -28,7 +28,6 @@ from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
-    from repro.db.query import Query
     from repro.txn.transaction import Transaction
 
 
@@ -291,32 +290,6 @@ class Relation:
 
     def count(self, txn: "Transaction") -> int:
         return sum(1 for _ in self.scan(txn))
-
-    def query(self) -> "Query":
-        """Start a filtered/projected query over this relation."""
-        from repro.db.query import Query
-
-        return Query(self)
-
-    def update_where(
-        self, txn: "Transaction", field: str, op: str, value, changes: dict
-    ) -> int:
-        """Update every row matching ``field op value``; returns the count.
-
-        Matching rows are materialised first (a row must not be re-matched
-        because the update moved it within an index scan).
-        """
-        matches = list(self.query().where(field, op, value).rows(txn))
-        for row in matches:
-            self.update(txn, row.address, changes)
-        return len(matches)
-
-    def delete_where(self, txn: "Transaction", field: str, op: str, value) -> int:
-        """Delete every row matching ``field op value``; returns the count."""
-        matches = list(self.query().where(field, op, value).rows(txn))
-        for row in matches:
-            self.delete(txn, row.address)
-        return len(matches)
 
     # -- internals ------------------------------------------------------------------------
 

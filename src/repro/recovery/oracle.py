@@ -15,15 +15,22 @@ the digest each database must recover to; after restart and full
 recovery the recovered digest must be byte-identical to it
 (:func:`repro.sim.chaos.crash_restart_verify` is the one place that
 compares).
+
+:func:`log_order_violations` checks what the digest cannot see: that
+each partition's REDO stream holds its transactions in commit order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+from collections import Counter
+from itertools import combinations, groupby
 from typing import TYPE_CHECKING
 
 from repro.common.errors import RecoveryError
+from repro.recovery.redo import partition_record_stream
+from repro.wal.records import txn_ids
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -98,3 +105,53 @@ def committed_digests(databases: "list[Database]") -> list[str]:
                 txn._rollback(crashing=True)
         digests.append(logical_digest(db))
     return digests
+
+
+def log_order_violations(db: "Database") -> list[str]:
+    """Where a partition's REDO stream breaks commit order.
+
+    The recovery CPU deposits each committed chain whole, in commit order,
+    so in every stream :func:`~repro.recovery.redo.plan_rebuild` starts
+    from (Zhou et al.'s constraint):
+
+    * (a) each transaction's records form one run;
+    * (b) runs of transactions the audit trail saw commit follow the
+      order of their ``commit`` entries;
+    * (c) no two partitions order a pair of transactions oppositely.
+
+    Transaction ids restart at 1 after each restart, so only an id the
+    trail saw begin exactly once names one transaction; the others are
+    skipped.  (b) also skips a transaction with no ``commit`` entry: one
+    the crash caught between its SLB commit and its audit entry, or an
+    in-doubt branch restart committed.  An empty list means none found.
+    """
+    trail = db.audit.trail()
+    begun = Counter(entry.txn_id for entry in trail if entry.event == "begin")
+    commit_at = {entry.txn_id: at for at, entry in enumerate(trail) if entry.event == "commit"}
+    problems = []
+    ranks = {}
+    for bin_ in db.slt.bins():
+        pages, _ = partition_record_stream(bin_, db.log_disk)
+        ids = [txn for page in pages for txn in txn_ids(page.body)]
+        runs = [txn for txn, _ in groupby(ids) if begun[txn] == 1]
+        where = bin_.partition
+        problems += [
+            f"{where}: txn {txn}'s records are split into {count} runs"
+            for txn, count in Counter(runs).items()
+            if count > 1
+        ]
+        committed = [txn for txn in runs if txn in commit_at]
+        problems += [
+            f"{where}: txn {later} is logged after txn {earlier} but committed first"
+            for earlier, later in zip(committed, committed[1:])
+            if commit_at[earlier] > commit_at[later]
+        ]
+        ranks[where] = {txn: rank for rank, txn in enumerate(runs)}
+    for (one, rank_one), (other, rank_other) in combinations(ranks.items(), 2):
+        shared = sorted(rank_one.keys() & rank_other.keys(), key=rank_one.__getitem__)
+        problems += [
+            f"{one} logs txn {first} before txn {second}, {other} after it"
+            for first, second in zip(shared, shared[1:])
+            if rank_other[first] > rank_other[second]
+        ]
+    return problems

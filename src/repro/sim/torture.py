@@ -27,6 +27,10 @@ Verification is layered:
 * **Recovery stability** — recovering, crashing again with no new work,
   and recovering again must reproduce the identical digest (recovery is
   a fixed point).
+* **Log order** — after each recovery, every partition's REDO stream
+  holds its transactions in commit order
+  (:func:`~repro.recovery.oracle.log_order_violations`), which no digest
+  shows when two transactions wrote the same bytes.
 * **Fault accounting** — every injected transient fault must be counted
   by the retry layer, and plans keep per-rule fires within the retry
   budget, so a round with faults must see zero ``MediaFailure``
@@ -52,7 +56,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.db.database import Database, RecoveryMode
-from repro.recovery.oracle import logical_digest
+from repro.recovery.oracle import log_order_violations, logical_digest
 from repro.sim.chaos import (
     ChaosEngine,
     ChaosPlan,
@@ -283,9 +287,9 @@ class TortureHarness:
     ) -> tuple[DebitCreditWorkload | ShardedBankWorkload, list[Database], int]:
         """Build and load the round's databases, queue its scripts (a
         single node's accounts drawn from ``pool_seed``), then run them
-        under ``injector`` through one power failure, restart and exact
-        check (in-doubt 2PC branches resolve against the stable decision
-        tables during each node's restart)."""
+        under ``injector`` through one power failure, restart, exact check
+        and log-order check (in-doubt 2PC branches resolve against the
+        stable decision tables during each node's restart)."""
         config = SystemConfig(**ROUND_CONFIG)
         power_fail: Callable[[], None] | None = None
         workload: DebitCreditWorkload | ShardedBankWorkload
@@ -314,6 +318,7 @@ class TortureHarness:
         attempts = crash_restart_verify(
             dbs, scheduler.run, injector, recovery_mode, power_fail=power_fail
         )
+        self._check_log_order(dbs)
         return workload, dbs, attempts
 
     # -- checks ---------------------------------------------------------------
@@ -322,12 +327,21 @@ class TortureHarness:
         with db.transaction() as txn:
             return sum(1 for _ in db.table("history").scan(txn))
 
+    def _check_log_order(self, dbs: list[Database]) -> None:
+        problems = [
+            f"database {number}: {problem}"
+            for number, db in enumerate(dbs)
+            for problem in log_order_violations(db)
+        ]
+        if problems:
+            raise TortureFailure(f"log order broken: {'; '.join(problems)}")
+
     def _check_recovery_stability(
         self, dbs: list[Database], mode: RecoveryMode, digests: list[str]
     ) -> None:
         """Recovery must be a fixed point on every database of the round:
         crash again with no new work, recover, and land on byte-identical
-        digests."""
+        digests and logs still in commit order."""
         for db in dbs:
             db.crash()
         restart_until_recovered(dbs, mode)
@@ -342,6 +356,7 @@ class TortureHarness:
                 f"recovery is not stable: second recovery digest of database "
                 f"{'; '.join(changed)}"
             )
+        self._check_log_order(dbs)
 
     def _check_fault_accounting(
         self, dbs: list[Database], injector: ChaosEngine

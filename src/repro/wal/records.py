@@ -432,6 +432,7 @@ class SweepMarker(_Marker):
 _HEADER_SIZE = struct.calcsize(_HEADER)
 _PAIR = struct.Struct("<ii")  # (segment, partition): what the compact form strips
 _BIN_INDEX = struct.Struct("<xI")  # the header's Bin Index, after the tag
+_TXN_ID = struct.Struct("<5xQ")  # the header's transaction id, after the Bin Index
 
 
 def bin_index_of(record: bytes) -> int:
@@ -523,6 +524,11 @@ def _spans(body: bytes, full: bool = False) -> list[tuple[int, int]]:
         spans.append((pos, end))
         pos = end
     return spans
+
+
+def txn_ids(body: bytes) -> list[int]:
+    """The transaction id each compact record of ``body`` carries, in order."""
+    return [_TXN_ID.unpack_from(body, start)[0] for start, _ in _spans(body)]
 
 
 def split_records(body: bytes) -> list[bytes]:

@@ -14,8 +14,8 @@ from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
 
 
-def loaded_db(condense_enabled=False):
-    db = Database(SystemConfig(log_page_size=1024, condense_enabled=condense_enabled))
+def loaded_db():
+    db = Database(SystemConfig(log_page_size=1024))
     rel = db.create_relation("items", [("id", "int"), ("v", "int")], primary_key="id")
     addrs = {}
     with db.transaction() as txn:
@@ -140,8 +140,8 @@ class TestFullReloadRestart:
     """Database-level recovery is an eager restart: every partition before
     the first transaction (section 3.4.1)."""
 
-    def test_reports_timing_and_restores(self, condense_enabled):
-        db, rel, addrs = loaded_db(condense_enabled)
+    def test_reports_timing_and_restores(self):
+        db, rel, addrs = loaded_db()
         db.crash()
         start = db.clock.now
         coordinator = db.restart(RecoveryMode.EAGER)
@@ -152,8 +152,8 @@ class TestFullReloadRestart:
             assert db.table("items").count(txn) == 50
 
     @staticmethod
-    def _db_with_cold_bulk(condense_enabled):
-        db, rel, addrs = loaded_db(condense_enabled)
+    def _db_with_cold_bulk():
+        db, rel, addrs = loaded_db()
         bulk = db.create_relation(
             "bulk", [("id", "int"), ("pad", "str")], primary_key="id"
         )
@@ -162,15 +162,15 @@ class TestFullReloadRestart:
                 bulk.insert(txn, {"id": i, "pad": "z" * 200})
         return db
 
-    def test_full_reload_slower_to_first_txn_than_on_demand(self, condense_enabled):
+    def test_full_reload_slower_to_first_txn_than_on_demand(self):
         # measure full reload (everything, including the cold bulk data)
-        db1 = self._db_with_cold_bulk(condense_enabled)
+        db1 = self._db_with_cold_bulk()
         db1.crash()
         start = db1.clock.now
         db1.restart(RecoveryMode.EAGER)
         full = db1.clock.now - start
         # measure on-demand first-transaction latency on identical state
-        db2 = self._db_with_cold_bulk(condense_enabled)
+        db2 = self._db_with_cold_bulk()
         db2.crash()
         start = db2.clock.now
         db2.restart(RecoveryMode.ON_DEMAND)

@@ -76,13 +76,12 @@ class TestUpdateCountTrigger:
 
 
 class TestAgeTrigger:
-    def test_aged_partition_checkpointed(self, condense_enabled):
+    def test_aged_partition_checkpointed(self):
         # tiny window: pages age out fast; cold partition gets caught
         cfg = config(
             update_count_threshold=100000,  # never by update count
             log_window_pages=12,
             log_window_grace_pages=6,
-            condense_enabled=condense_enabled,
         )
         db, rel, addrs = loaded_db(cfg)
         # one early write to the cold row, then hammer the others
@@ -288,7 +287,6 @@ class TestFailedCheckpointLeavesNoZombie:
             config(
                 checkpoint_slots=slots,
                 update_count_threshold=8,
-                condense_enabled=False,
                 **overrides,
             )
         )
@@ -379,7 +377,7 @@ class TestFailedAttemptLeavesNothingAheadOfTheBytes:
     @pytest.mark.parametrize("after_visits", range(4))
     def test_data_and_index_partitions(self, after_visits):
         db = Database(
-            config(update_count_threshold=50, io_retry_budget=0, condense_enabled=False)
+            config(update_count_threshold=50, io_retry_budget=0)
         )
         rel = db.create_relation("a", [("k", "int"), ("v", "int")], primary_key="k")
         taken = db.checkpoints.checkpoints_taken
@@ -393,7 +391,7 @@ class TestFailedAttemptLeavesNothingAheadOfTheBytes:
         self.retry_completes(db, db.checkpoint_queue.pending()[0])
 
     def test_catalog_partition(self):
-        db = Database(config(io_retry_budget=0, condense_enabled=False))
+        db = Database(config(io_retry_budget=0))
         db.create_relation("a", [("k", "int")], primary_key="k")
         address = PartitionAddress(db.catalog.segment.segment_id, 1)
         bin_index = db.slt.bin_index_of(address)
@@ -413,7 +411,7 @@ class TestFailedAttemptLeavesNothingAheadOfTheBytes:
 
     def test_group_settlement_sweep_failing_on_its_second_image(self):
         db = Database(
-            config(io_retry_budget=0, condense_enabled=False, logging_mode="command")
+            config(io_retry_budget=0, logging_mode="command")
         )
         rel = db.create_relation("items", [("id", "int"), ("v", "int")], primary_key="id")
         db.register_script(

@@ -180,13 +180,13 @@ def rows(db):
 
 
 class TestNoInPlaceOverwrites:
-    def test_stable_blocks_are_never_overwritten_in_place(self, condense_enabled):
+    def test_stable_blocks_are_never_overwritten_in_place(self):
         """The invariant that makes stale-version corruption detectable
         everywhere it can occur: no log block or checkpoint slot is ever
         rewritten while holding data (freed blocks are deleted, so a
         reused id starts with no previous image and stale-version
         degenerates to a CRC-caught zero-fill)."""
-        db = loaded_bank(condense_enabled=condense_enabled)
+        db = loaded_bank()
         spindles = [db.log_disk.disks.primary, db.log_disk.disks.mirror]
         for disk in spindles + [db.checkpoint_disk.disk]:
             for block_id in disk.block_ids():
@@ -197,12 +197,12 @@ class TestNoInPlaceOverwrites:
 
 class TestLogBlockCorruption:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_single_spindle_corruption_survived(self, kind, condense_enabled):
+    def test_single_spindle_corruption_survived(self, kind):
         """Every log block's primary copy damaged: recovery reads fail
         over to the mirror and the digest still matches exactly."""
         # a huge update-count threshold keeps checkpoints away, so every
         # partition must be rebuilt from the log alone
-        db = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
+        db = loaded_bank(update_count_threshold=10_000)
         expected = crash(db)
         blocks = db.log_disk.disks.primary.block_ids()
         assert blocks, "scenario must have flushed log pages"
@@ -212,11 +212,11 @@ class TestLogBlockCorruption:
         assert logical_digest(db) == expected
         assert db.log_disk.disks.failovers > 0
 
-    def test_both_spindles_corrupt_escalates_and_is_rescued(self, condense_enabled):
+    def test_both_spindles_corrupt_escalates_and_is_rescued(self):
         """Both copies of log blocks unreadable: the duplex read raises a
         distinct MediaFailure; the live-system rescue cuts fresh
         checkpoints and the digest survives the next crash exactly."""
-        db = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
+        db = loaded_bank(update_count_threshold=10_000)
         victims = db.log_disk.disks.block_ids()[:3]
         assert victims
         for lsn in victims:
@@ -234,10 +234,10 @@ class TestLogBlockCorruption:
         assert logical_digest(db) == expected
 
 
-    def test_rescue_refuses_before_touching_anything_mid_restart(self, condense_enabled):
+    def test_rescue_refuses_before_touching_anything_mid_restart(self):
         """The rescue needs every partition resident; mid-restart it must
         refuse before it drops a page or checkpoints anything."""
-        db = loaded_bank(condense_enabled=condense_enabled, update_count_threshold=10_000)
+        db = loaded_bank(update_count_threshold=10_000)
         db.crash()
         coordinator = db.restart(RecoveryMode.ON_DEMAND)
         assert coordinator.pending_partitions() > 0
@@ -261,7 +261,7 @@ class TestLostLogPageIsFatal:
     #: no page leaves the spindles — for the archive, or folded into a
     #: shadow image — so any page can be damaged and is certain to be read
     WIDE_WINDOW = dict(
-        log_window_pages=4096, log_window_grace_pages=64, condense_enabled=False
+        log_window_pages=4096, log_window_grace_pages=64
     )
 
     def _lose_page(self, db, lsn):
@@ -323,11 +323,11 @@ class TestCheckpointImageCorruption:
         )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_corrupt_image_survived_by_history_replay(self, kind, condense_enabled):
+    def test_corrupt_image_survived_by_history_replay(self, kind):
         """Every data checkpoint image damaged: recovery detects each one
         (torn flag, CRC, or wrong-partition image) and falls back to
         full-history log replay, digest-exact."""
-        db = loaded_bank(condense_enabled=condense_enabled)
+        db = loaded_bank()
         assert db.checkpoints.checkpoints_taken > 0
         expected = crash(db)
         slots = self._occupied_slots(db)
@@ -338,7 +338,7 @@ class TestCheckpointImageCorruption:
         assert logical_digest(db) == expected
         assert db.restart_coordinator.sources["history"] > 0
 
-    def test_torn_catalog_images_keep_archive_buffer_leftovers(self, condense_enabled):
+    def test_torn_catalog_images_keep_archive_buffer_leftovers(self):
         """Catalog records a checkpoint moved to the stable archive buffer
         are on no log page yet; the phase-1 fallback must replay them or
         the newest relation comes back with no partitions."""
@@ -348,7 +348,6 @@ class TestCheckpointImageCorruption:
                 update_count_threshold=10,
                 log_window_pages=512,
                 log_window_grace_pages=32,
-                condense_enabled=condense_enabled,
             )
         )
         for r in range(6):
@@ -378,10 +377,10 @@ class TestCheckpointImageCorruption:
         with db.transaction() as txn:
             assert [db.table(f"r{r}").count(txn) for r in range(6)] == [3] * 6
 
-    def test_checkpoint_disk_destroyed_media_restore_is_exact(self, condense_enabled):
+    def test_checkpoint_disk_destroyed_media_restore_is_exact(self):
         """The whole checkpoint disk gone: section 2.6 archive recovery
         rebuilds everything from log history, digest-exact."""
-        db = loaded_bank(condense_enabled=condense_enabled)
+        db = loaded_bank()
         before = rows(db)
         db.crash()
         assert db.checkpoint_disk.disk.destroy() > 0

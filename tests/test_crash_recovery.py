@@ -23,8 +23,8 @@ def small_config(**kwargs):
 
 
 @pytest.fixture()
-def db(condense_enabled):
-    return Database(small_config(condense_enabled=condense_enabled))
+def db():
+    return Database(small_config())
 
 
 def make_accounts(db):
@@ -190,8 +190,8 @@ class TestCheckpointInteraction:
 
 
 class TestTwoPhaseRestart:
-    def _loaded_db(self, condense_enabled):
-        db = Database(small_config(condense_enabled=condense_enabled))
+    def _loaded_db(self):
+        db = Database(small_config())
         for name in ("alpha", "beta"):
             rel = db.create_relation(
                 name, [("id", "int"), ("v", "int")], primary_key="id"
@@ -201,8 +201,8 @@ class TestTwoPhaseRestart:
                     rel.insert(txn, {"id": i, "v": i * 2})
         return db
 
-    def test_on_demand_recovers_only_touched_relation(self, condense_enabled):
-        db = self._loaded_db(condense_enabled)
+    def test_on_demand_recovers_only_touched_relation(self):
+        db = self._loaded_db()
         db.crash()
         db.restart(RecoveryMode.ON_DEMAND)
         resident_before = db.memory.resident_partition_count()
@@ -215,8 +215,8 @@ class TestTwoPhaseRestart:
         assert db.memory.segment(beta_seg).missing_partitions() != []
         assert db.memory.resident_partition_count() > resident_before
 
-    def test_background_recovery_completes(self, condense_enabled):
-        db = self._loaded_db(condense_enabled)
+    def test_background_recovery_completes(self):
+        db = self._loaded_db()
         db.crash()
         coordinator = db.restart(RecoveryMode.ON_DEMAND)
         steps = 0
@@ -227,8 +227,8 @@ class TestTwoPhaseRestart:
         with db.transaction() as txn:
             assert db.table("beta").count(txn) == 60
 
-    def test_predeclared_relation_recovery(self, condense_enabled):
-        db = self._loaded_db(condense_enabled)
+    def test_predeclared_relation_recovery(self):
+        db = self._loaded_db()
         db.crash()
         coordinator = db.restart(RecoveryMode.ON_DEMAND)
         recovered = coordinator.recover_relation("beta")
@@ -236,15 +236,15 @@ class TestTwoPhaseRestart:
         beta_seg = db.catalog.relation("beta").segment_id
         assert db.memory.segment(beta_seg).fully_resident
 
-    def test_eager_mode_restores_everything(self, condense_enabled):
-        db = self._loaded_db(condense_enabled)
+    def test_eager_mode_restores_everything(self):
+        db = self._loaded_db()
         db.crash()
         coordinator = db.restart(RecoveryMode.EAGER)
         assert coordinator.fully_recovered
         assert coordinator.pending_partitions() == 0
 
-    def test_catalogs_restore_before_transactions(self, condense_enabled):
-        db = self._loaded_db(condense_enabled)
+    def test_catalogs_restore_before_transactions(self):
+        db = self._loaded_db()
         db.crash()
         coordinator = db.restart(RecoveryMode.ON_DEMAND)
         assert coordinator.catalog_restore_seconds is not None
@@ -252,8 +252,8 @@ class TestTwoPhaseRestart:
         assert db.catalog.has_relation("alpha")
         assert db.catalog.has_relation("beta")
 
-    def test_recovery_stats_reported(self, condense_enabled):
-        db = self._loaded_db(condense_enabled)
+    def test_recovery_stats_reported(self):
+        db = self._loaded_db()
         db.crash()
         coordinator = db.restart(RecoveryMode.EAGER)
         assert coordinator.partitions_recovered > 0
@@ -294,8 +294,8 @@ class TestRepeatedCrashes:
         assert reads[0] == reads[1]
         assert reads[0][0] > 0
 
-    def test_crash_during_partial_recovery(self, condense_enabled):
-        db = Database(small_config(condense_enabled=condense_enabled))
+    def test_crash_during_partial_recovery(self):
+        db = Database(small_config())
         for name in ("alpha", "beta"):
             rel = db.create_relation(name, [("id", "int"), ("v", "int")], primary_key="id")
             with db.transaction() as txn:

@@ -6,18 +6,17 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.common import CatalogError, StorageError
 
 
-def small_config(condense_enabled=False):
+def small_config():
     return SystemConfig(
         log_page_size=1024,
         update_count_threshold=50,
         log_window_pages=512,
         log_window_grace_pages=32,
-        condense_enabled=condense_enabled,
     )
 
 
-def loaded_db(condense_enabled=False):
-    db = Database(small_config(condense_enabled))
+def loaded_db():
+    db = Database(small_config())
     rel = db.create_relation(
         "items", [("id", "int"), ("v", "int")], primary_key="id"
     )
@@ -67,8 +66,8 @@ class TestDropIndex:
 
 
 class TestDropRelation:
-    def test_drop_removes_relation_and_indexes(self, condense_enabled):
-        db, rel = loaded_db(condense_enabled)
+    def test_drop_removes_relation_and_indexes(self):
+        db, rel = loaded_db()
         segment_id = db.catalog.relation("items").segment_id
         db.drop_relation("items")
         with pytest.raises(CatalogError):
@@ -78,8 +77,8 @@ class TestDropRelation:
         with pytest.raises(StorageError):
             db.memory.segment(segment_id)
 
-    def test_drop_frees_checkpoint_slots(self, condense_enabled):
-        db, rel = loaded_db(condense_enabled)
+    def test_drop_frees_checkpoint_slots(self):
+        db, rel = loaded_db()
         # force checkpoints so slots exist
         with db.transaction() as txn:
             for i in range(30):
@@ -89,24 +88,24 @@ class TestDropRelation:
         db.drop_relation("items")
         assert db.checkpoint_disk.occupied_count <= before
 
-    def test_name_reusable_after_drop(self, condense_enabled):
-        db, rel = loaded_db(condense_enabled)
+    def test_name_reusable_after_drop(self):
+        db, rel = loaded_db()
         db.drop_relation("items")
         fresh = db.create_relation("items", [("id", "int")], primary_key="id")
         with db.transaction() as txn:
             fresh.insert(txn, {"id": 1})
             assert fresh.count(txn) == 1
 
-    def test_drop_survives_crash(self, condense_enabled):
-        db, rel = loaded_db(condense_enabled)
+    def test_drop_survives_crash(self):
+        db, rel = loaded_db()
         db.drop_relation("items")
         db.crash()
         db.restart(RecoveryMode.EAGER)
         with pytest.raises(CatalogError):
             db.table("items")
 
-    def test_unknown_relation_rejected(self, condense_enabled):
-        db, rel = loaded_db(condense_enabled)
+    def test_unknown_relation_rejected(self):
+        db, rel = loaded_db()
         with pytest.raises(CatalogError):
             db.drop_relation("ghost")
 

@@ -49,6 +49,5 @@ def test_expected_examples_present():
         "checkpoint_tuning.py",
         "paper_analysis.py",
         "media_failure.py",
-        "inventory_queries.py",
         "concurrent_transfers.py",
     } <= set(EXAMPLES)

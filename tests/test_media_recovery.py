@@ -211,12 +211,8 @@ class TestFreshCheckpointFailsDuringRestore:
     while a descriptor still names it."""
 
     @staticmethod
-    def failed_restore(after_visits, condense_enabled):
-        db = Database(
-            small_config(
-                partition_size=4096, io_retry_budget=0, condense_enabled=condense_enabled
-            )
-        )
+    def failed_restore(after_visits):
+        db = Database(small_config(partition_size=4096, io_retry_budget=0))
         rel = db.create_relation(
             "items", [("id", "int"), ("v", "int"), ("s", "str")], primary_key="id"
         )
@@ -236,8 +232,8 @@ class TestFreshCheckpointFailsDuringRestore:
         return db, lost
 
     @pytest.mark.parametrize("after_visits", [1, 2, 5])
-    def test_no_lost_slot_comes_back(self, after_visits, condense_enabled):
-        db, lost = self.failed_restore(after_visits, condense_enabled)
+    def test_no_lost_slot_comes_back(self, after_visits):
+        db, lost = self.failed_restore(after_visits)
         # all or nothing: every slot the catalog names is a lost one, and
         # each is still reserved in the replacement disk's map
         assert db.checkpoints.occupied_slots() == lost
@@ -254,10 +250,10 @@ class TestFreshCheckpointFailsDuringRestore:
             assert [row["v"] for row in db.table("items").scan(txn)] == list(range(300))
 
     @pytest.mark.parametrize("after_visits", [0, 1, 2, 5])
-    def test_crash_after_failed_restore_loses_nothing(self, after_visits, condense_enabled):
+    def test_crash_after_failed_restore_loses_nothing(self, after_visits):
         """A crash after the failed restore sends an ordinary restart to
         the log history for every partition, not to an empty one."""
-        db, _ = self.failed_restore(after_visits, condense_enabled)
+        db, _ = self.failed_restore(after_visits)
         assert verify_integrity(db) == []
         db.crash()
         coordinator = db.restart()

@@ -133,12 +133,11 @@ class TestCheckpointSignalling:
 
 
 class TestAgeTriggerEndToEnd:
-    def test_cold_partition_caught_by_window(self, condense_enabled):
+    def test_cold_partition_caught_by_window(self):
         db, rel, addrs = small_db(
             update_count_threshold=10_000,
             log_window_pages=20,
             log_window_grace_pages=10,
-            condense_enabled=condense_enabled,
         )
         cold = db.create_relation("cold", [("id", "int"), ("v", "int")], primary_key="id")
         with db.transaction() as txn:

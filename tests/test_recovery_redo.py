@@ -178,7 +178,7 @@ class TestRestartBuildsNoRecord:
     included: a value-logged restart builds no record at all."""
 
     @staticmethod
-    def crashed_db(condense_enabled):
+    def crashed_db():
         from repro.recovery.oracle import logical_digest
 
         db = Database(
@@ -187,7 +187,6 @@ class TestRestartBuildsNoRecord:
                 update_count_threshold=100_000,
                 log_window_pages=4096,
                 log_window_grace_pages=64,
-                condense_enabled=condense_enabled,
             )
         )
         rel = db.create_relation(
@@ -208,17 +207,17 @@ class TestRestartBuildsNoRecord:
         db.crash()
         return db, digest
 
-    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch, condense_enabled):
+    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch):
         """Restart reads the log as bytes: it constructs no record object
         at all, and replays what a twin restart replays."""
         from repro import RecoveryMode
         from repro.recovery.oracle import logical_digest
 
-        twin, digest = self.crashed_db(condense_enabled)
+        twin, digest = self.crashed_db()
         expected = twin.restart(RecoveryMode.EAGER)
         assert logical_digest(twin) == digest
 
-        db, _ = self.crashed_db(condense_enabled)
+        db, _ = self.crashed_db()
         refuse_records(monkeypatch)
         coordinator = db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == digest
@@ -226,7 +225,7 @@ class TestRestartBuildsNoRecord:
         assert coordinator.pages_read == expected.pages_read > 0
 
     def test_eager_restart_with_records_binned_applies_no_record(
-        self, monkeypatch, condense_enabled
+        self, monkeypatch
     ):
         """The bins still hold records at the crash; restart replays them
         from the bytes as it does a flushed page, so no record is built
@@ -238,7 +237,7 @@ class TestRestartBuildsNoRecord:
         def refuse(*args):
             raise AssertionError("restart applied a record object")
 
-        db, digest = self.crashed_db(condense_enabled)
+        db, digest = self.crashed_db()
         assert any(bin_.buffer for bin_ in db.slt.bins())
         with monkeypatch.context() as patched:
             refuse_records(patched)

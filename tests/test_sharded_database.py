@@ -141,7 +141,7 @@ class TestCrossShard:
         # Fully acknowledged decisions are forgotten.
         assert cluster.twopc.decision_table(0) == {}
         with cluster.transaction(relations=["accounts", "ledger"]) as txn:
-            assert acc.query().sum(txn, "balance") == 375
+            assert sum(row["balance"] for row in acc.scan(txn)) == 375
             assert led.lookup(txn, 0)["total"] == 25
 
     def test_cross_shard_abort_rolls_back_everywhere(self, cluster):

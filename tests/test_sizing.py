@@ -11,7 +11,7 @@ class TestPlanIsSufficientInPractice:
     #: records, 4 open transactions, 1 KB pages and N_update 100.
     PLAN = {"slt_bytes": 11_240, "slb_bytes": 56_192, "log_window_pages": 24}
 
-    def test_recommended_sizes_run_the_workload(self, condense_enabled):
+    def test_recommended_sizes_run_the_workload(self):
         """A database configured from the plan sustains the profiled
         workload without stable-memory exhaustion or aged checkpoints."""
         plan = self.PLAN
@@ -22,7 +22,6 @@ class TestPlanIsSufficientInPractice:
             slt_capacity=max(512 * 1024, plan["slt_bytes"] * 2),
             log_window_pages=max(64, plan["log_window_pages"] * 4),
             log_window_grace_pages=16,
-            condense_enabled=condense_enabled,
         )
         db = Database(config)
         workload = MixedWorkload(

@@ -16,6 +16,8 @@ import json
 
 import pytest
 
+from repro import Database, RecoveryMode, SystemConfig
+from repro.recovery.oracle import committed_digests, log_order_violations, logical_digest
 from repro.sim import torture
 from repro.sim.chaos import registered_crash_points, registered_fault_points
 from repro.sim.torture import (
@@ -29,6 +31,7 @@ from repro.sim.torture import (
     main,
 )
 from repro.txn.scheduler import Scheduler
+from repro.wal.slb import StableLogBuffer
 from repro.workloads.debit_credit import DebitCreditWorkload
 
 SEEDS = [0, 1, 2]
@@ -182,6 +185,62 @@ class TestFailureReporting:
         message = str(excinfo.value)
         assert "seed=8" in message
         assert "--seed 8" in message
+        assert "reproduce with" in message
+
+
+def swap_the_next_two_drained_chains(monkeypatch) -> None:
+    """Make the recovery CPU deposit the first two committed chains it
+    drains in the wrong order."""
+    drain = StableLogBuffer.drain_committed
+
+    def swapped(slb):
+        slb._committed[:2] = slb._committed[1::-1]
+        return drain(slb)
+
+    monkeypatch.setattr(StableLogBuffer, "drain_committed", swapped)
+
+
+class TestLogOrder:
+    """Two transactions write the same value to one row, so replaying
+    their records in either order gives the same bytes: only the log-order
+    check sees a drain that swapped them."""
+
+    @staticmethod
+    def same_value_pair(monkeypatch, swap):
+        db = Database(SystemConfig(log_page_size=512))
+        cells = db.create_relation("cells", [("id", "int"), ("v", "int")], primary_key="id")
+        with db.transaction() as txn:
+            address = cells.insert(txn, {"id": 1, "v": 7})
+        pair = []
+        for _ in range(2):
+            with db.transaction(pump=False) as txn:
+                cells.update(txn, address, {"v": 7})
+                pair.append(txn.txn_id)
+        if swap:
+            swap_the_next_two_drained_chains(monkeypatch)
+        db.pump()
+        return db, pair
+
+    def test_commit_order_passes(self, monkeypatch):
+        db, _ = self.same_value_pair(monkeypatch, swap=False)
+        assert log_order_violations(db) == []
+
+    def test_swapped_pair_is_named_though_recovery_is_exact(self, monkeypatch):
+        db, (first, second) = self.same_value_pair(monkeypatch, swap=True)
+        (expected,) = committed_digests([db])
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert logical_digest(db) == expected
+        problems = log_order_violations(db)
+        assert len(problems) == 1
+        assert f"txn {first} is logged after txn {second} but committed first" in problems[0]
+
+    def test_the_rig_fails_a_round_whose_log_is_out_of_order(self, monkeypatch):
+        swap_the_next_two_drained_chains(monkeypatch)
+        with pytest.raises(TortureFailure) as excinfo:
+            TortureHarness().run_round(RoundSpec(100, "fault"))
+        message = str(excinfo.value)
+        assert "log order broken" in message
         assert "reproduce with" in message
 
 

@@ -30,13 +30,12 @@ from repro.workloads.debit_credit import DebitCreditWorkload
 BUDGET = SystemConfig().io_retry_budget
 
 
-def _config(condense_enabled):
+def _config():
     return SystemConfig(
         log_page_size=512,
         update_count_threshold=16,
         log_window_pages=64,
         log_window_grace_pages=8,
-        condense_enabled=condense_enabled,
     )
 
 
@@ -120,11 +119,11 @@ class TestConfigWiring:
 
 class TestUnderBudgetBursts:
     @pytest.mark.usefixtures("no_host_sleep")
-    def test_bursts_on_all_four_points_are_invisible(self, condense_enabled):
+    def test_bursts_on_all_four_points_are_invisible(self):
         """Max-length bursts on every duplex operation: commits succeed,
         restart recovers digest-exact, and nothing escalates — and every
         retry is immediate (``time.sleep`` refuses to run)."""
-        db = Database(_config(condense_enabled))
+        db = Database(_config())
         workload = _bank(db)
         plan = ChaosPlan(
             101,
@@ -166,10 +165,10 @@ class TestUnderBudgetBursts:
 
 
 class TestEscalationBoundary:
-    def test_log_write_escalation_is_fatal(self, condense_enabled):
+    def test_log_write_escalation_is_fatal(self):
         """One fault past the budget on the duplexed log write: the log
         is the last copy, so MediaFailure reaches the caller."""
-        db = Database(_config(condense_enabled))
+        db = Database(_config())
         workload = _bank(db)
         plan = ChaosPlan(202, (fault_rule("log-disk.write", BUDGET + 1),))
         with chaos(ChaosEngine(plan)):
@@ -177,11 +176,11 @@ class TestEscalationBoundary:
                 workload.run(60)
         assert db.stats()["transient_io"]["log"]["write_escalations"] == 1
 
-    def test_checkpoint_read_escalation_falls_back_to_history(self, condense_enabled):
+    def test_checkpoint_read_escalation_falls_back_to_history(self):
         """A checkpoint image lost past the retry budget during eager
         restart is survivable: full-history replay rebuilds the partition
         and recovery stays digest-exact."""
-        db = Database(_config(condense_enabled))
+        db = Database(_config())
         workload = _bank(db)
         workload.run(60)
         assert db.checkpoints.checkpoints_taken > 0
@@ -198,8 +197,8 @@ class TestEscalationBoundary:
         assert stats["read_escalations"] == 1
         assert stats["read_faults"] == BUDGET + 1
 
-    def test_monitor_surfaces_the_counters(self, condense_enabled):
-        db = Database(_config(condense_enabled))
+    def test_monitor_surfaces_the_counters(self):
+        db = Database(_config())
         workload = _bank(db)
         plan = ChaosPlan(404, (fault_rule("log-disk.write", 2),))
         with chaos(ChaosEngine(plan)):
