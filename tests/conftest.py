@@ -7,6 +7,9 @@ fails the test that commits it, at the crash point itself.
 
 ``no_host_sleep`` makes ``time.sleep`` raise for the tests that use it:
 all time is simulated, so nothing on those paths may wait on the host.
+
+``condense_enabled`` is off, the only value ``SystemConfig`` accepts; the
+``tests.CONDENSED`` twins run with it too.
 """
 
 import time
@@ -30,3 +33,8 @@ def no_host_sleep(monkeypatch):
         raise AssertionError(f"time.sleep({seconds!r}) on a simulated-time path")
 
     monkeypatch.setattr(time, "sleep", refuse)
+
+
+@pytest.fixture
+def condense_enabled():
+    return False

@@ -28,11 +28,12 @@ from repro.sim.faults import SimulatedCrash
 from repro.txn.registry import ScriptError, ScriptRegistry
 from repro.txn.transaction import TxnState
 from repro.wal.records import CommandBarrier, SweepMarker, TxnPrepare
-from tests import record_bytes, refuse_records
+from tests import CONDENSED, record_bytes, refuse_records
 
 
-def small_config(**kwargs):
+def small_config(condense_enabled=False, **kwargs):
     defaults = dict(
+        condense_enabled=condense_enabled,
         log_page_size=1024,
         update_count_threshold=10_000,  # checkpoints only when forced
         log_window_pages=256,
@@ -108,13 +109,13 @@ def flushed_tags(db):
     ]
 
 
-def four_closures():
+def four_closures(condense_enabled):
     """Three banks with four command-logged transfers each, plus a
     two-relation script over ``left`` and ``right`` run twice: four
     closures, 14 live commands.  Returns the database and a model of
     every row — relation -> key -> balance (banks) or v — as the scripts
     left it."""
-    db = Database(small_config())
+    db = Database(small_config(condense_enabled))
     model = {}
     for i in range(3):
         make_bank(db, name=f"bank{i}")
@@ -207,10 +208,10 @@ class TestScriptRegistry:
 
 
 class TestModes:
-    def test_invalid_mode_rejected(self):
+    def test_invalid_mode_rejected(self, condense_enabled):
         """The two places a mode is spelled refuse alike, naming the two
         that exist."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         for mode in ("logical", "adaptive"):
             refusal = f"={mode!r}: expected one of value, command$"
@@ -219,8 +220,8 @@ class TestModes:
             with pytest.raises(ConfigurationError, match="^logging_mode" + refusal):
                 SystemConfig(logging_mode=mode)
 
-    def test_command_mode_logs_less(self):
-        db = Database(small_config())
+    def test_command_mode_logs_less(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 8, logging="value")
         run_transfers(db, 8, logging="command")
@@ -237,8 +238,8 @@ class TestModes:
         assert stats["live_commands"] == 8
         assert stats["command_seq"] == 8
 
-    def test_config_mode_applies_and_override_wins(self):
-        db = Database(small_config(logging_mode="command"))
+    def test_config_mode_applies_and_override_wins(self, condense_enabled):
+        db = Database(small_config(condense_enabled, logging_mode="command"))
         make_bank(db)
         run_transfers(db, 3)
         run_transfers(db, 2, logging="value")
@@ -247,8 +248,8 @@ class TestModes:
         assert commits["value"] >= 2
         assert commits == {"command": 3, "value": commits["value"]}
 
-    def test_stats_surface(self):
-        db = Database(small_config())
+    def test_stats_surface(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 4, logging="command")
         logging = db.stats()["logging"]
@@ -276,8 +277,8 @@ class TestModes:
 # ---------------------------------------------------------------------------
 
 
-def _run_to_digest(mode):
-    db = Database(small_config(logging_mode=mode))
+def _run_to_digest(condense_enabled, mode):
+    db = Database(small_config(condense_enabled, logging_mode=mode))
     accounts = make_bank(db)
     run_transfers(db, 24)
     settled = db.stats()["logging"]["commands_settled"]
@@ -292,8 +293,8 @@ def _run_to_digest(mode):
 
 class TestDigestIdentity:
     @pytest.mark.parametrize("mode", ["value", "command"])
-    def test_recovery_is_exact_per_mode(self, mode):
-        expected, recovered, replay, settled = _run_to_digest(mode)
+    def test_recovery_is_exact_per_mode(self, mode, condense_enabled):
+        expected, recovered, replay, settled = _run_to_digest(condense_enabled, mode)
         assert recovered == expected
         if mode == "value":
             assert replay is None  # no live command, no replay plan
@@ -302,18 +303,18 @@ class TestDigestIdentity:
             assert replay["commands_replayed"] == 24 - settled
             assert replay["commands_replayed"] > 0
 
-    def test_modes_converge(self):
+    def test_modes_converge(self, condense_enabled):
         digests = set()
         for mode in ("value", "command"):
-            expected, recovered, _, _ = _run_to_digest(mode)
+            expected, recovered, _, _ = _run_to_digest(condense_enabled, mode)
             digests.update({expected, recovered})
         assert len(digests) == 1
 
-    def test_replay_rewinds_a_failed_statement_like_the_live_run(self):
+    def test_replay_rewinds_a_failed_statement_like_the_live_run(self, condense_enabled):
         """A script that survives a failed statement is re-executed
         statement rollback and all: the replay transaction has no SLB
         chain to truncate and must not ask for one."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
 
         def credit_capped(txn, key, amount):
@@ -338,11 +339,11 @@ class TestDigestIdentity:
         assert logical_digest(db) == expected
 
     @pytest.mark.parametrize("mode", ["command", "value"])
-    def test_script_survives_a_key_collision(self, mode):
+    def test_script_survives_a_key_collision(self, mode, condense_enabled):
         """A statement that patched a tuple and moved a heap string, then
         hit a primary-key collision, is rewound from UNDO alone when no
         REDO record was built beside it — live and at replay."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         notes = db.create_relation(
             "notes", [("id", "int"), ("v", "int"), ("note", "str")], primary_key="id"
         )
@@ -386,8 +387,8 @@ class TestDigestIdentity:
             assert db.last_command_replay is None  # no live command, no plan
             assert rewound == [True] * 2
 
-    def test_disjoint_closures_batch_independently(self):
-        db, _ = four_closures()
+    def test_disjoint_closures_batch_independently(self, condense_enabled):
+        db, _ = four_closures(condense_enabled)
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -410,8 +411,8 @@ class TestScriptsThatGrowASegment:
     re-execution fills it exactly as the live run did."""
 
     @staticmethod
-    def ledger():
-        db = Database(small_config(partition_size=4096))
+    def ledger(condense_enabled):
+        db = Database(small_config(condense_enabled, partition_size=4096))
         ledger = db.create_relation(
             "ledger", [("id", "int"), ("memo", "str")], primary_key="id"
         )
@@ -426,8 +427,8 @@ class TestScriptsThatGrowASegment:
         assert len(db.catalog.relation("ledger").partitions) > 2
         return db
 
-    def test_replay_reaches_the_same_digest(self):
-        db = self.ledger()
+    def test_replay_reaches_the_same_digest(self, condense_enabled):
+        db = self.ledger(condense_enabled)
         expected = logical_digest(db)
         db.crash()
         db.restart(RecoveryMode.EAGER)
@@ -435,10 +436,10 @@ class TestScriptsThatGrowASegment:
         assert logical_digest(db) == expected
         assert verify_integrity(db) == []
 
-    def test_crash_between_the_growth_commit_and_the_scripts_own(self):
+    def test_crash_between_the_growth_commit_and_the_scripts_own(self, condense_enabled):
         """The script dies, its growth does not: the partition is there,
         empty, and the same script run again fills it."""
-        db = self.ledger()
+        db = self.ledger(condense_enabled)
         expected = logical_digest(db)
         partitions = len(db.catalog.relation("ledger").partitions)
         injector = ChaosEngine(ChaosPlan.crash_at(0, "growth.committed"))
@@ -472,10 +473,10 @@ class TestCrashWindows:
         ):
             assert name in points and points[name]
 
-    def test_crash_after_command_commit_point(self):
+    def test_crash_after_command_commit_point(self, condense_enabled):
         """The commit point precedes the crash point: the transaction's
         effect must survive."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 5, logging="command")
         injector = ChaosEngine(ChaosPlan.crash_at(0, "txn.commit.command-emitted"))
@@ -498,8 +499,8 @@ class TestCrashWindows:
             for point in ("replay.batch.before-command", "replay.batch.command-executed")
         ],
     )
-    def test_crash_during_replay_is_recoverable(self, point, interleaved):
-        db = Database(small_config())
+    def test_crash_during_replay_is_recoverable(self, point, interleaved, condense_enabled):
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         if interleaved:
             run_interleaved(db, 30)
@@ -524,10 +525,10 @@ class TestCrashWindows:
         assert logical_digest(db) == expected
         assert total_balance(db, accounts) == ACCOUNTS * OPENING
 
-    def test_crash_mid_sweep_before_commit(self):
+    def test_crash_mid_sweep_before_commit(self, condense_enabled):
         """A sweep dying after appending markers but before its commit
         leaves the command suffix live and the old images authoritative."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         expected = logical_digest(db)
@@ -549,14 +550,19 @@ class TestCrashWindows:
         assert logical_digest(db) == expected
 
 
+@CONDENSED
+class TestCrashWindowsCondensed(TestCrashWindows):
+    test_new_points_are_registered = None  # builds no database
+
+
 # ---------------------------------------------------------------------------
 # group settlement sweeps and DDL fences
 # ---------------------------------------------------------------------------
 
 
 class TestSettlement:
-    def test_sweep_settles_and_prunes(self):
-        db = Database(small_config())
+    def test_sweep_settles_and_prunes(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         sweep(db, accounts)
@@ -566,10 +572,10 @@ class TestSettlement:
         assert stats["live_commands"] == 0
         assert db.catalog.relation("accounts").command_watermark == 6
 
-    def test_replay_over_settled_images(self):
+    def test_replay_over_settled_images(self, condense_enabled):
         """Commands after a sweep replay on top of the swept images; the
         settled prefix is never re-executed."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         sweep(db, accounts)
@@ -585,13 +591,13 @@ class TestSettlement:
 
     @pytest.mark.parametrize("live_after_sweep", [0, 4])
     def test_unusable_image_of_settled_relation_refuses_history(
-        self, live_after_sweep
+        self, live_after_sweep, condense_enabled
     ):
         """Settled command effects exist only in the swept images, so a
         torn one cannot be survived by history replay — neither by the
         restart's own rebuild nor by the replay planner's (which loads
         the closure first when commands are still live)."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         target = sweep(db, accounts)
@@ -605,8 +611,8 @@ class TestSettlement:
             db.restart(RecoveryMode.EAGER)
 
     @pytest.mark.parametrize("ddl", ["create_index", "drop_relation", "drop_index"])
-    def test_ddl_settles_live_commands_first(self, ddl):
-        db = Database(small_config())
+    def test_ddl_settles_live_commands_first(self, ddl, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         db.create_index("accounts_by_balance", "accounts", "balance")
         run_transfers(db, 5, logging="command")
@@ -620,6 +626,11 @@ class TestSettlement:
         stats = db.stats()["logging"]
         assert stats["live_commands"] == 0
         assert stats["commands_settled"] == 5
+
+
+@CONDENSED
+class TestSettlementCondensed(TestSettlement):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +648,10 @@ class TestUpdateCount:
     ordinary trigger's settlement sweeps bound the live command suffix."""
 
     @staticmethod
-    def edited(mode):
+    def edited(condense_enabled, mode):
         """One script that patches, moves a heap string, inserts, deletes
         and rewinds a colliding statement; the bin counts it added."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         notes = db.create_relation(
             "notes", [("id", "int"), ("v", "int"), ("note", "str")], primary_key="id"
         )
@@ -667,9 +678,9 @@ class TestUpdateCount:
         db.recovery_processor.run_until_drained()
         return db, {p: count - before.get(p, 0) for p, count in bin_counts(db).items()}
 
-    def test_a_command_counts_what_its_value_twin_deposits(self):
-        _, value = self.edited("value")
-        db, command = self.edited("command")
+    def test_a_command_counts_what_its_value_twin_deposits(self, condense_enabled):
+        _, value = self.edited(condense_enabled, "value")
+        db, command = self.edited(condense_enabled, "command")
         assert set(command) == set(value)
         closure = {
             address
@@ -684,12 +695,12 @@ class TestUpdateCount:
                 assert command[partition] == deposited == 0, partition
         assert max(value.values()) > 1
 
-    def test_the_trigger_bounds_the_live_suffix(self):
+    def test_the_trigger_bounds_the_live_suffix(self, condense_enabled):
         """At the Table-2 threshold a transfer's two changes count two, so
         the trigger sweeps the accounts closure every 500 commands at most
         (update_count_threshold / 2), and restart replays no more.  No
         grace pages: no age trigger sweeps instead."""
-        db = Database(SystemConfig(log_window_grace_pages=0))
+        db = Database(SystemConfig(condense_enabled=condense_enabled, log_window_grace_pages=0))
         accounts = make_bank(db)
         run_transfers(db, 900, logging="command")
         bound = db.config.update_count_threshold // 2
@@ -703,12 +714,12 @@ class TestUpdateCount:
         assert logical_digest(db) == expected
         assert total_balance(db, accounts) == ACCOUNTS * OPENING
 
-    def test_a_crash_after_the_commit_point_keeps_the_counts(self):
+    def test_a_crash_after_the_commit_point_keeps_the_counts(self, condense_enabled):
         """Barriers still in the SLB at a crash are sorted in by restart
         with the changes they carry: the bins end as without the crash."""
 
         def counts(crash):
-            db = Database(small_config())
+            db = Database(small_config(condense_enabled))
             accounts = make_bank(db)
             run_transfers(db, 5, logging="command")
             if crash:
@@ -730,13 +741,13 @@ class TestUpdateCount:
         assert crashed == clean
         assert clean[target] == ACCOUNTS + 2 * 6  # the load, then two per transfer
 
-    def test_a_checkpoint_leaves_a_command_counted_as_its_twin(self):
+    def test_a_checkpoint_leaves_a_command_counted_as_its_twin(self, condense_enabled):
         """A command committed between a checkpoint and its acknowledgement
         ends counted as its value twin: the checkpoint archives it with the
         bin's other leftovers."""
 
         def run(mode):
-            db = Database(small_config(log_page_size=512))
+            db = Database(small_config(condense_enabled, log_page_size=512))
             accounts = make_bank(db)
             run_transfers(db, 60)
             db.recovery_processor.run_until_drained()
@@ -754,6 +765,11 @@ class TestUpdateCount:
         assert run("value") == run("command")
 
 
+@CONDENSED
+class TestUpdateCountCondensed(TestUpdateCount):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # the checkpoint disk dies too: restart with the images lost
 # ---------------------------------------------------------------------------
@@ -765,10 +781,10 @@ class TestMediaRestore:
     re-execute from it, and a settled relation — whose command effects
     lived only in the lost images — is refused, never regressed."""
 
-    def test_unsettled_commands_survive_the_media_restore(self):
+    def test_unsettled_commands_survive_the_media_restore(self, condense_enabled):
         rows = {}
         for how in ("restart", "media restore"):
-            db = Database(small_config())
+            db = Database(small_config(condense_enabled))
             make_bank(db)
             run_transfers(db, 12, logging="command")
             live = db.stats()["logging"]["live_commands"]
@@ -800,9 +816,9 @@ class TestMediaRestore:
 
     @pytest.mark.parametrize("live_after_sweep", [0, 4])
     def test_settled_relation_is_refused_not_regressed(
-        self, live_after_sweep
+        self, live_after_sweep, condense_enabled
     ):
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 6, logging="command")
         assert db.checkpoints.settle_relation("accounts") == 6
@@ -819,6 +835,11 @@ class TestMediaRestore:
             db.restart(RecoveryMode.EAGER)
 
 
+@CONDENSED
+class TestMediaRestoreCondensed(TestMediaRestore):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # command replay walks page bytes and is tallied like any rebuild
 # ---------------------------------------------------------------------------
@@ -826,12 +847,12 @@ class TestMediaRestore:
 
 class TestReplayFromPageBytes:
     @staticmethod
-    def crashed_db():
+    def crashed_db(condense_enabled):
         """Two banks whose streams put both cursors on flushed pages:
         ``accounts`` holds live commands between value transactions,
         ``swept`` a settlement sweep whose marker went to disk ahead of
         value records, then two live commands of its own."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         swept = make_bank(db, "swept")
         run_transfers(db, 6, name="swept", logging="command")
@@ -844,23 +865,23 @@ class TestReplayFromPageBytes:
         db.crash()
         return db, digest
 
-    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch):
-        twin, digest = self.crashed_db()
+    def test_eager_restart_with_the_decoder_disabled(self, monkeypatch, condense_enabled):
+        twin, digest = self.crashed_db(condense_enabled)
         expected = twin.restart(RecoveryMode.EAGER)
         assert logical_digest(twin) == digest
 
-        db, _ = self.crashed_db()
+        db, _ = self.crashed_db(condense_enabled)
         refuse_records(monkeypatch, sinks=True)
         coordinator = db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 14
         assert logical_digest(db) == digest
         assert coordinator.records_replayed == expected.records_replayed > 0
 
-    def test_planner_rebuilds_are_tallied(self):
+    def test_planner_rebuilds_are_tallied(self, condense_enabled):
         """Every catalogued partition is counted once, whether phase 1,
         the replay planner or phase 2 rebuilt it, and the planner counts
         the records it applied — not the barriers its cursor halted at."""
-        db, _ = self.crashed_db()
+        db, _ = self.crashed_db(condense_enabled)
         coordinator = db.restart(RecoveryMode.EAGER)
         restart = db.stats()["restart"]
         addresses = db.catalog.partition_addresses()
@@ -877,6 +898,11 @@ class TestReplayFromPageBytes:
             )
         assert restart["records_replayed"] == records
         assert restart["pages_read"] == pages_read > 0
+
+
+@CONDENSED
+class TestReplayFromPageBytesCondensed(TestReplayFromPageBytes):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +981,8 @@ class TestLazyReplay:
     restore loop or the relation-lock and settlement fences."""
 
     @pytest.mark.parametrize("action", list(WINDOW))
-    def test_the_window_recovers_exactly(self, action):
-        db, model = four_closures()
+    def test_the_window_recovers_exactly(self, action, condense_enabled):
+        db, model = four_closures(condense_enabled)
         db.crash()
         coordinator = db.restart(RecoveryMode.ON_DEMAND)
         assert pending(db) == set(model)
@@ -972,8 +998,8 @@ class TestLazyReplay:
         assert stored_rows(db) == model
         assert verify_integrity(db) == []
 
-    def test_a_touch_replays_exactly_its_closure(self, monkeypatch):
-        db, _ = four_closures()
+    def test_a_touch_replays_exactly_its_closure(self, monkeypatch, condense_enabled):
+        db, _ = four_closures(condense_enabled)
         live = len(db.slb.live_commands())
         replay, calls = restart_module.replay_live_commands, []
 
@@ -993,8 +1019,8 @@ class TestLazyReplay:
         assert db.last_command_replay["commands_replayed"] == live == 14
 
     @pytest.mark.parametrize("point", REPLAY_POINTS)
-    def test_a_crash_inside_a_replay_a_touch_started(self, point):
-        db, model = four_closures()
+    def test_a_crash_inside_a_replay_a_touch_started(self, point, condense_enabled):
+        db, model = four_closures(condense_enabled)
         db.crash()
         db.restart(RecoveryMode.ON_DEMAND)
         injector = ChaosEngine(ChaosPlan.crash_at(0, point))
@@ -1008,10 +1034,10 @@ class TestLazyReplay:
         assert verify_integrity(db) == []
 
     @pytest.mark.parametrize("point", REPLAY_POINTS)
-    def test_a_crash_inside_a_replay_the_background_started(self, point):
+    def test_a_crash_inside_a_replay_the_background_started(self, point, condense_enabled):
         """The on-demand restart replays nothing, so the point fires in
         the ``recover_everything`` that follows it."""
-        db, model = four_closures()
+        db, model = four_closures(condense_enabled)
         injector = ChaosEngine(ChaosPlan.crash_at(0, point))
         attempts = crash_restart_verify(
             [db],
@@ -1023,10 +1049,10 @@ class TestLazyReplay:
         transferred(3, balances=model["bank2"])
         assert stored_rows(db) == model
 
-    def test_a_crash_after_a_command_on_a_replayed_closure(self):
+    def test_a_crash_after_a_command_on_a_replayed_closure(self, condense_enabled):
         """One closure replayed and given a new command, the others still
         pending: the next restart replays old and new alike."""
-        db, model = four_closures()
+        db, model = four_closures(condense_enabled)
         db.crash()
         db.restart(RecoveryMode.ON_DEMAND)
         run_transfers(db, 2, name="bank0", logging="command", pump=False)
@@ -1038,11 +1064,11 @@ class TestLazyReplay:
         assert stored_rows(db) == model
         assert verify_integrity(db) == []
 
-    def test_a_failed_replay_leaves_its_closure_pending(self):
+    def test_a_failed_replay_leaves_its_closure_pending(self, condense_enabled):
         """A replay that fails part-way restores nothing: its closure is
         pending again, the index objects it built are gone, and a lookup
         once the script is fixed replays it whole."""
-        db, model = four_closures()
+        db, model = four_closures(condense_enabled)
         db.crash()
         db.restart(RecoveryMode.ON_DEMAND)
         script, calls = db.scripts.get("transfer_bank1"), []
@@ -1065,27 +1091,32 @@ class TestLazyReplay:
         assert stored_rows(db) == model
 
 
+@CONDENSED
+class TestLazyReplayCondensed(TestLazyReplay):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # replay failure fences
 # ---------------------------------------------------------------------------
 
 
 class TestReplayFences:
-    def _crashed_bank(self):
-        db = Database(small_config())
+    def _crashed_bank(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         run_transfers(db, 4, logging="command")
         db.crash()
         return db
 
-    def test_unregistered_script_fails_restart(self):
-        db = self._crashed_bank()
+    def test_unregistered_script_fails_restart(self, condense_enabled):
+        db = self._crashed_bank(condense_enabled)
         db.scripts.unregister("transfer_accounts")
         with pytest.raises(RecoveryError, match="no such script"):
             db.restart(RecoveryMode.EAGER)
 
-    def test_version_drift_fails_restart(self):
-        db = self._crashed_bank()
+    def test_version_drift_fails_restart(self, condense_enabled):
+        db = self._crashed_bank(condense_enabled)
         db.register_script(
             "transfer_accounts",
             lambda txn, *a: None,
@@ -1095,8 +1126,8 @@ class TestReplayFences:
         with pytest.raises(RecoveryError, match="version"):
             db.restart(RecoveryMode.EAGER)
 
-    def test_declared_set_drift_fails_restart(self):
-        db = Database(small_config())
+    def test_declared_set_drift_fails_restart(self, condense_enabled):
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         db.create_relation("other", [("id", "int")], "id")
         run_transfers(db, 4, logging="command")
@@ -1109,10 +1140,10 @@ class TestReplayFences:
         with pytest.raises(RecoveryError, match="declare"):
             db.restart(RecoveryMode.EAGER)
 
-    def test_command_logged_transaction_refuses_prepare(self):
+    def test_command_logged_transaction_refuses_prepare(self, condense_enabled):
         """How a transaction is logged is fixed at begin, and one logged
         by command cannot be drafted into 2PC afterwards."""
-        db = Database(small_config())
+        db = Database(small_config(condense_enabled))
         make_bank(db)
         txn = db.transactions.begin(
             command=("transfer_accounts", "1", b"[0, 1, 5]"),
@@ -1125,11 +1156,16 @@ class TestReplayFences:
         assert txn.txn_id not in db.slb.prepared_txn_ids
         txn.abort()
 
-    def test_sharded_scripts_force_value_mode(self):
-        db = Database(small_config(logging_mode="command"))
+    def test_sharded_scripts_force_value_mode(self, condense_enabled):
+        db = Database(small_config(condense_enabled, logging_mode="command"))
         db.shard_id = 0
         make_bank(db)
         run_transfers(db, 3)
         commits, _ = db.slb.mode_stats()
         assert "command" not in commits
         assert db.stats()["logging"]["live_commands"] == 0
+
+
+@CONDENSED
+class TestReplayFencesCondensed(TestReplayFences):
+    pass
