@@ -150,9 +150,6 @@ class SystemConfig:
     partition_size: int = 48 * KILOBYTE
     #: Size of one log page in bytes (Table 2: 8 KB).
     log_page_size: int = 8 * KILOBYTE
-    #: Average log record size in bytes (Table 2: 24 B). Actual records
-    #: vary; this enters sizing heuristics only.
-    log_record_size: int = 24
     #: Number of log records a partition may accumulate before a checkpoint
     #: is triggered by update count (Table 2: 1000).
     update_count_threshold: int = 1000
@@ -205,8 +202,6 @@ class SystemConfig:
             raise ConfigurationError("partition_size must be positive")
         if self.log_page_size <= 0:
             raise ConfigurationError("log_page_size must be positive")
-        if self.log_record_size <= 0:
-            raise ConfigurationError("log_record_size must be positive")
         if self.update_count_threshold <= 0:
             raise ConfigurationError("update_count_threshold must be positive")
         if self.log_directory_size <= 0:
@@ -222,15 +217,3 @@ class SystemConfig:
         if self.io_retry_budget < 0:
             raise ConfigurationError("io_retry_budget cannot be negative")
         expect_one_of("logging_mode", self.logging_mode, LOGGING_MODES)
-
-    @property
-    def records_per_page(self) -> int:
-        """Average-size log records that fit in one log page."""
-        return max(1, self.log_page_size // self.log_record_size)
-
-    @property
-    def pages_per_checkpoint(self) -> float:
-        """Average log pages accumulated before an update-count checkpoint."""
-        return (
-            self.update_count_threshold * self.log_record_size / self.log_page_size
-        )

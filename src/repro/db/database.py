@@ -174,7 +174,7 @@ class Database:
         self.catalog = Catalog(self.memory)
         self._relations: dict[str, Relation] = {}
         self._index_objects: dict[str, TTreeIndex | LinearHashIndex] = {}
-        #: The live command-log suffix, decoded, and its closures.
+        #: The live command-log suffix's closures, read from the SLB.
         self.commands = LiveCommands(self)
 
     def _build_recovery_component(self) -> None:
@@ -586,7 +586,6 @@ class Database:
         self.transactions.crash()
         self._relations.clear()
         self._index_objects.clear()
-        self.commands = LiveCommands(self)
         self.restart_coordinator = None
         self.crashed = True
 
@@ -717,6 +716,7 @@ class Database:
                 "history_scan": dict(coordinator.history_scan) or None,
                 "partitions": [dict(entry) for entry in coordinator.partitions],
                 "phases": coordinator.phases(),
+                "restore_histogram": coordinator.restore_histogram(),
             },
             "audit_entries": self.audit.entries_written,
             "audit_pages_flushed": self.audit.pages_flushed,

@@ -3,10 +3,10 @@
 Value logging recovers a partition by re-applying after-images; command
 logging recovers a *transaction* by re-executing its registered script.
 :class:`LiveCommands` is the one owner of the live command-log suffix:
-it decodes it and groups it into closures by the commands' declared
-relation access lists (union-find over relation sets — the dependency
-oracle of the predeclaration router, after Wu et al.'s dependency
-tracking, PAPERS.md).  Two commands that share no relation — directly or
+it reads it from stable memory and groups it into closures by the
+commands' declared relation access lists (union-find over relation sets
+— the dependency oracle of the predeclaration router, after Wu et al.'s
+dependency tracking, PAPERS.md).  Two commands that share no relation — directly or
 transitively — commute, so each closure replays with no regard for the
 others: after restart phase 1 recovers the catalog (always value-logged),
 :func:`plan_replay` hands the closures to the restart coordinator, which
@@ -42,7 +42,7 @@ from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
 from repro.txn.manager import transaction_scope
 from repro.txn.transaction import Transaction, TxnState
-from repro.wal.records import CommandBarrier, TxnCommand, decode_control
+from repro.wal.records import CommandBarrier, TxnCommand
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -63,24 +63,15 @@ REPLAY_TXN_BASE = 1_000_000_000
 
 
 class LiveCommands:
-    """Main memory's view of the stable command log: the live suffix,
-    each csn decoded once, and the three questions asked of it — the
-    closures, the closure covering a segment, and the partitions a set
-    of relations covers.
-
-    Every read syncs with the stable log, so settled commands drop out.
-    A command is handed over at its commit (:meth:`logged`) and is never
-    decoded; :meth:`settle` is the one way a command leaves the stable
-    log; ``Database.crash()`` replaces the view.
+    """The three questions asked of the stable command log's live suffix
+    — the closures, the closure covering a segment, and the partitions a
+    set of relations covers — answered from the log itself, which keeps
+    no copy of it: :meth:`settle` is the one way a command leaves the
+    log, and the next read no longer sees it.
     """
 
     def __init__(self, db: "Database"):
         self.db = db
-        self._decoded: dict[int, TxnCommand] = {}
-
-    def logged(self, command: TxnCommand) -> None:
-        """``command`` just committed: its payload need not be decoded."""
-        self._decoded[command.csn] = command
 
     def settle(self, csns: Iterable[int]) -> None:
         """Prune settled commands — their effects live in the checkpoint
@@ -88,14 +79,8 @@ class LiveCommands:
         self.db.slb.discard_commands(csns)
 
     def live(self) -> list[TxnCommand]:
-        """The live suffix, decoded, in csn order."""
-        known = self._decoded
-        live: dict[int, TxnCommand] = {}
-        for csn, payload in self.db.slb.live_commands():
-            record = known.get(csn)
-            live[csn] = _decode_command(csn, payload) if record is None else record
-        self._decoded = live
-        return list(live.values())
+        """The live suffix, in csn order."""
+        return self.db.slb.live_commands()
 
     def closures(self) -> list[tuple[set[str], list[TxnCommand]]]:
         """Union-find over the live commands' declared relation sets.
@@ -160,18 +145,6 @@ class LiveCommands:
             for member in catalog.with_indexes(relation.name for relation in ordered)
             for address in member.partition_addresses()
         ]
-
-
-def _decode_command(csn: int, payload: bytes) -> TxnCommand:
-    record, _ = decode_control(payload)
-    if not isinstance(record, TxnCommand):
-        raise RecoveryError(
-            f"command log entry {csn} decoded to "
-            f"{type(record).__name__}, not TxnCommand"
-        )
-    if record.csn != csn:
-        raise RecoveryError(f"command log entry keyed {csn} carries csn {record.csn}")
-    return record
 
 
 def plan_replay(db: "Database") -> list[tuple[set[str], list[TxnCommand]]]:

@@ -39,6 +39,7 @@ and a closure whose replay failed is pending again.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog, IndexDescriptor
@@ -52,7 +53,7 @@ from repro.recovery.redo import (
 )
 from repro.recovery.replay_plan import plan_replay, replay_live_commands
 from repro.txn.manager import TransactionManager
-from repro.wal.records import TxnCommand, TxnPrepare, decode_control
+from repro.wal.records import TxnCommand, TxnPrepare
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -89,6 +90,11 @@ register_crash_point(
 #: each.
 TRIGGERS = ("catalog", "touch", "background", "explicit", "closure")
 
+#: Upper bounds, in simulated milliseconds, of the buckets
+#: ``stats()["restart"]["restore_histogram"]`` counts rebuilds into; a
+#: slower rebuild counts under ``"inf"``.
+RESTORE_BOUNDS_MS = (1, 2, 5, 10, 20, 50, 100, 200, 500)
+
 
 class RecoveryMode(enum.Enum):
     """Post-crash restoration policy (paper section 2.5)."""
@@ -109,13 +115,7 @@ def in_doubt_verdicts(db: "Database") -> list[tuple[int, TxnPrepare, str]]:
     a resolver it is the presumed-abort default."""
     verdicts = []
     resolver = db.in_doubt_resolver
-    for txn_id, payload in db.slb.prepared_txns():
-        record, _ = decode_control(payload)
-        if not isinstance(record, TxnPrepare):
-            raise RecoveryError(
-                f"prepared chain of txn {txn_id} carries a "
-                f"{type(record).__name__}, expected TxnPrepare"
-            )
+    for txn_id, record in db.slb.prepared_txns():
         verdict = "abort" if resolver is None else resolver.decide(record)
         verdicts.append((txn_id, record, verdict))
     return verdicts
@@ -432,6 +432,16 @@ class RestartCoordinator:
         for entry in self.partitions:
             seconds[entry["trigger"]] += entry["seconds"]
         return seconds
+
+    def restore_histogram(self) -> dict[str, int]:
+        """The rebuilds so far counted by simulated seconds, each under the
+        first bound of :data:`RESTORE_BOUNDS_MS` it does not exceed
+        (``"1ms"`` … ``"500ms"``), else under ``"inf"``."""
+        bounds = [ms / 1000 for ms in RESTORE_BOUNDS_MS]
+        counts = [0] * (len(bounds) + 1)
+        for entry in self.partitions:
+            counts[bisect_left(bounds, entry["seconds"])] += 1
+        return dict(zip([f"{ms}ms" for ms in RESTORE_BOUNDS_MS] + ["inf"], counts))
 
     def _note(
         self, address: PartitionAddress, stats: dict, seconds: float, trigger: str

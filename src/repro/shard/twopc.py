@@ -90,10 +90,9 @@ class TwoPhaseCommit:
         try:
             for sid in dtxn.shard_ids:
                 txn = dtxn.branches[sid]
-                record = TxnPrepare(
-                    txn.txn_id, dtxn.gtid, sid, dtxn.coordinator, dtxn.shard_ids
+                txn.prepare(
+                    TxnPrepare(txn.txn_id, dtxn.gtid, sid, dtxn.coordinator, dtxn.shard_ids)
                 )
-                txn.prepare(record.encode())
         except SimulatedCrash:
             # a crash is not an abort (txn/manager.py: settle); the dead
             # node's crash_shard() sweep settles the surviving branches

@@ -330,10 +330,9 @@ class Transaction:
                 targets.append((partition.address, partition.bin_index))
         name, version, args = self.command  # type: ignore[misc]
         changes = Counter(map(_PARTITION_KEY, self._changed))
-        logged: dict[int, redo.TxnCommand] = {}
 
         def build(csn: int):
-            logged[csn] = command = redo.TxnCommand(
+            command = redo.TxnCommand(
                 self.txn_id, csn, name, version, args, self.declared_relations
             )
             barriers = [
@@ -342,7 +341,7 @@ class Transaction:
                 )
                 for address, bin_index in targets
             ]
-            return command.encode(), barriers
+            return command, barriers
 
         crash_point("txn.commit.before-slb")
         try:
@@ -353,19 +352,18 @@ class Transaction:
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
         self.state = TxnState.COMMITTED
-        db.commands.logged(logged[self.command_csn])
         crash_point("txn.commit.command-emitted")
         self._end(TxnState.COMMITTED)
 
     # -- two-phase commit (repro.shard) ----------------------------------------------
 
-    def prepare(self, prepare_record: bytes) -> None:
+    def prepare(self, record: redo.TxnPrepare) -> None:
         """Force this branch's PREPARE: the chain becomes in-doubt.
 
-        The encoded :class:`~repro.wal.records.TxnPrepare` moves into
-        stable memory with the chain.  Locks and UNDO survive — the
-        branch must stay able to go either way until the coordinator's
-        verdict arrives (:meth:`commit_prepared` / :meth:`abort_prepared`).
+        ``record`` moves into stable memory with the chain.  Locks and
+        UNDO survive — the branch must stay able to go either way until
+        the coordinator's verdict arrives (:meth:`commit_prepared` /
+        :meth:`abort_prepared`).
         """
         self._ensure_active()
         if self.command is not None:
@@ -375,7 +373,7 @@ class Transaction:
                 f"distributed transactions are value-logged"
             )
         crash_point("txn.prepare.before-slb")
-        self.db.slb.prepare(self.txn_id, prepare_record)
+        self.db.slb.prepare(self.txn_id, record)
         self.state = TxnState.PREPARED
         crash_point("txn.prepare.after-slb")
         self.db.audit.record(self.txn_id, "prepare", self.db.clock.now)

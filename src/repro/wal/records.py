@@ -48,7 +48,7 @@ import dataclasses
 import struct
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, NamedTuple
+from typing import Any, Callable, ClassVar
 
 from repro.common.errors import LogError
 from repro.common.types import EntityAddress, PartitionAddress
@@ -357,15 +357,15 @@ class IndexNodeFree(_Remove):
 # ------------------------------------------------------------------------------
 #
 # Command logging (docs/LOGGING.md) replaces a transaction's after-images
-# with one TxnCommand control record, but the *ordering* of that command
-# against the surrounding value-REDO stream must survive the bin sort.
-# Barrier records solve this: they are ordinary REDO records — they carry
-# a bin index, ride the transaction's SLB chain, and drain through the
-# normal bins in commit order — whose ``apply`` is a no-op.  Their only
-# job is to mark, inside every involved partition's record stream, the
-# exact point at which the command (or a settlement sweep's checkpoint
-# image) took effect, so the replay planner can interleave re-execution
-# with value REDO at the right LSN.
+# with one TxnCommand in the stable command log, but the *ordering* of
+# that command against the surrounding value-REDO stream must survive the
+# bin sort.  Barrier records solve this: they are ordinary REDO records
+# — they carry a bin index, ride the transaction's SLB chain, and drain
+# through the normal bins in commit order — whose ``apply`` is a no-op.
+# Their only job is to mark, inside every involved partition's record
+# stream, the exact point at which the command (or a settlement sweep's
+# checkpoint image) took effect, so the replay planner can interleave
+# re-execution with value REDO at the right LSN.
 
 
 @dataclass(frozen=True, slots=True)
@@ -578,120 +578,19 @@ def split_by_owner(body: bytes) -> dict[PartitionAddress, bytes]:
 
 
 # ------------------------------------------------------------------------------
-# Two-phase-commit control records
+# Stable-memory records: a 2PC prepare, a logged command
 # ------------------------------------------------------------------------------
 #
-# Cross-shard transactions (repro.shard) force a PREPARE record into the
-# participant's Stable Log Buffer and a decision entry into the
-# coordinator's well-known area.  Control records are deliberately *not*
-# RedoRecord subclasses: they name no entity and no partition, so they
-# must never enter the bin-sort pipeline — they live beside a prepared
-# chain (or in the stable command log) and are consumed by restart's
-# in-doubt resolution (or command replay), not by REDO replay.  Their fields vary in length,
-# so each class lists one codec per field instead of compiling a struct.
-
-_CONTROL_HEADER = struct.Struct("<BQ")  # tag, txn_id
-_CONTROL_REGISTRY: dict[int, type["ControlRecord"]] = {}
-
-#: Control tags live in their own high range so a control byte stream can
-#: never be mistaken for (or decoded as) a REDO record.
-PREPARE_TAG = 128
-COMMAND_TAG = 130
-
-
-class _Field(NamedTuple):
-    """Codec of one control-record field; ``decode`` takes (buf, pos) and
-    returns (value, next_pos)."""
-
-    encode: Callable[[Any], bytes]
-    decode: Callable[[bytes, int], tuple[Any, int]]
-
-
-def _int_field(code: str) -> _Field:
-    packed = struct.Struct("<" + code)
-
-    def decode(buf: bytes, pos: int) -> tuple[int, int]:
-        return packed.unpack_from(buf, pos)[0], pos + packed.size
-
-    return _Field(packed.pack, decode)
-
-
-_U16 = _int_field("H")
-_U32 = _int_field("I")
-
-
-def _bytes_field(length: _Field, text: bool = False) -> _Field:
-    """``length`` then that many bytes; UTF-8 when ``text``."""
-
-    def encode(value) -> bytes:
-        raw = value.encode("utf-8") if text else value
-        return length.encode(len(raw)) + raw
-
-    def decode(buf: bytes, pos: int):
-        size, pos = length.decode(buf, pos)
-        raw = buf[pos : pos + size]
-        return (raw.decode("utf-8") if text else raw), pos + size
-
-    return _Field(encode, decode)
-
-
-_STR = _bytes_field(_U16, text=True)
-_BLOB = _bytes_field(_U32)
-
-
-def _tuple_field(item: _Field) -> _Field:
-    """A ``u16`` count, then that many ``item`` values."""
-
-    def encode(values: tuple) -> bytes:
-        return _U16.encode(len(values)) + b"".join(map(item.encode, values))
-
-    def decode(buf: bytes, pos: int) -> tuple[tuple, int]:
-        count, pos = _U16.decode(buf, pos)
-        values = []
-        for _ in range(count):
-            value, pos = item.decode(buf, pos)
-            values.append(value)
-        return tuple(values), pos
-
-    return _Field(encode, decode)
-
-
-def _register_control(cls: type["ControlRecord"]) -> type["ControlRecord"]:
-    if cls.TAG in _CONTROL_REGISTRY:
-        raise AssertionError(f"duplicate control record tag {cls.TAG}")
-    names = [field.name for field in dataclasses.fields(cls)[1:]]
-    if len(cls.WIRE) != len(names):
-        raise AssertionError(f"{cls.__name__} needs one codec per field")
-    cls._ENCODERS = tuple((name, codec.encode) for name, codec in zip(names, cls.WIRE))
-    _CONTROL_REGISTRY[cls.TAG] = cls
-    return cls
+# Neither is a RedoRecord: they name no entity and no partition, so they
+# never enter the bin-sort pipeline and are never bytes.  Stable memory
+# holds live structures (repro.sim.stable_memory), so the SLB keeps each
+# object as it is — a PREPARE beside its prepared chain, a command in the
+# stable command log — and restart's in-doubt resolution and command
+# replay read them back as they were stored.
 
 
 @dataclass(frozen=True, slots=True)
-class ControlRecord:
-    """Base class for control records (a 2PC prepare, a logged command)."""
-
-    TAG: ClassVar[int] = 0
-    #: One codec per field after ``txn_id``, in wire order.
-    WIRE: ClassVar[tuple[_Field, ...]] = ()
-    #: (field name, its codec's encoder) pairs, paired up at registration.
-    _ENCODERS: ClassVar[tuple[tuple[str, Callable[[Any], bytes]], ...]]
-
-    txn_id: int
-
-    def encode(self) -> bytes:
-        return _CONTROL_HEADER.pack(self.TAG, self.txn_id) + b"".join(
-            encode(getattr(self, name)) for name, encode in self._ENCODERS
-        )
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.encode())
-
-
-@_register_control
-@dataclass(frozen=True, slots=True)
-class TxnPrepare(ControlRecord):
+class TxnPrepare:
     """A participant's promise: the branch's REDO chain is stable and its
     locks are held until the coordinator's verdict arrives.
 
@@ -701,18 +600,20 @@ class TxnPrepare(ControlRecord):
     verdict), and the full participant set.
     """
 
-    TAG: ClassVar[int] = PREPARE_TAG
-    WIRE: ClassVar[tuple[_Field, ...]] = (_STR, _U16, _U16, _tuple_field(_U16))
-
+    txn_id: int
     gtid: str
     shard: int
     coordinator: int
     participants: tuple[int, ...]
 
 
-@_register_control
+def _text_size(text: str) -> int:
+    """A ``u16`` length and ``text`` in UTF-8."""
+    return 2 + len(text.encode("utf-8"))
+
+
 @dataclass(frozen=True, slots=True)
-class TxnCommand(ControlRecord):
+class TxnCommand:
     """A command-logged transaction: re-execute the script, don't patch bytes.
 
     Carries everything replay needs — the registered script's name and
@@ -720,34 +621,25 @@ class TxnCommand(ControlRecord):
     declared relation list the replay planner partitions batches by.
     ``csn`` is the command sequence number the SLB assigned at commit;
     the matching :class:`CommandBarrier` records carry the same number.
-
-    Control record, so it never enters the bin-sort pipeline: it lives in
-    the SLB's stable command log until a settlement sweep's checkpoint
-    images cover its effects.
+    It lives in the SLB's stable command log until a settlement sweep's
+    checkpoint images cover its effects.
     """
 
-    TAG: ClassVar[int] = COMMAND_TAG
-    WIRE: ClassVar[tuple[_Field, ...]] = (_U32, _STR, _STR, _BLOB, _tuple_field(_STR))
-
+    txn_id: int
     csn: int
     name: str
     version: str
     args: bytes
     relations: tuple[str, ...]
 
-
-def decode_control(buf: bytes, pos: int = 0) -> tuple[ControlRecord, int]:
-    """Decode one control record starting at ``pos``."""
-    try:
-        tag, txn_id = _CONTROL_HEADER.unpack_from(buf, pos)
-    except struct.error as exc:
-        raise LogError(f"truncated control record header at {pos}") from exc
-    cls = _CONTROL_REGISTRY.get(tag)
-    if cls is None:
-        raise LogError(f"unknown control record tag {tag} at {pos}")
-    pos += _CONTROL_HEADER.size
-    values = []
-    for codec in cls.WIRE:
-        value, pos = codec.decode(buf, pos)
-        values.append(value)
-    return cls(txn_id, *values), pos
+    @property
+    def size_bytes(self) -> int:
+        """The command's logged volume, as a byte format would spell it: a
+        9-byte header (tag, txn id), ``u32`` csn, name and version as
+        ``u16``-length UTF-8, ``u32``-length args, and a ``u16`` count of
+        ``u16``-length UTF-8 relation names."""
+        return (
+            9 + 4 + _text_size(self.name) + _text_size(self.version)
+            + 4 + len(self.args)
+            + 2 + sum(map(_text_size, self.relations))
+        )

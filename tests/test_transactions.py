@@ -289,7 +289,7 @@ def _end_command_commit(db, accounts, captured):
 def _prepared(db):
     txn = db.transactions.begin()
     insert_account(db, txn, 11)
-    txn.prepare(TxnPrepare(txn.txn_id, "g1", 0, 0, (0, 1)).encode())
+    txn.prepare(TxnPrepare(txn.txn_id, "g1", 0, 0, (0, 1)))
     assert txn.state is TxnState.PREPARED
     assert db.slb.prepared_txn_ids == [txn.txn_id]
     return txn

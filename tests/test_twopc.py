@@ -15,6 +15,7 @@ from repro.recovery import restore_after_checkpoint_media_failure
 from repro.shard import DECISIONS_KEY, ShardedDatabase
 from repro.sim.chaos import CRASH, ChaosEngine, ChaosPlan, ChaosRule, chaos
 from repro.sim.faults import SimulatedCrash
+from repro.wal.records import TxnPrepare
 
 ACCOUNT_SCHEMA = [("id", "int"), ("balance", "int")]
 
@@ -154,6 +155,47 @@ class TestParticipantCrash:
         assert cluster.nodes[0].twopc.snapshot()["in_doubt_committed"] == 1
         assert balances(cluster, left, right) == (70, 130)
         assert cluster.twopc.decision_table(0) == {}
+
+
+class TestStoredPrepare:
+    @pytest.mark.parametrize(
+        "point,verdict,expected",
+        [
+            ("shard.2pc.before-decision", "abort", (100, 100)),
+            ("shard.2pc.after-decision", "commit", (70, 130)),
+        ],
+    )
+    def test_restart_resolves_from_the_record_prepare_stored(
+        self, cluster, monkeypatch, point, verdict, expected
+    ):
+        """The whole cluster dies between prepare and phase 2: the
+        participant's SLB still holds the very ``TxnPrepare`` its branch
+        stored, and restart hands that object to the resolver."""
+        left, right = load(cluster)
+        with chaos(crash_at(point)):
+            with pytest.raises(SimulatedCrash):
+                transfer(cluster, left, right)
+        cluster.crash()
+        participant = cluster.nodes[1]
+        ((txn_id, stored),) = participant.slb.prepared_txns()
+        assert stored == TxnPrepare(txn_id, stored.gtid, 1, 0, (0, 1))
+        resolver = participant.in_doubt_resolver
+        decided = []
+        real_decide = resolver.decide
+        monkeypatch.setattr(
+            resolver,
+            "decide",
+            lambda prepare: decided.append(prepare) or real_decide(prepare),
+        )
+        cluster.restart_shard(1)
+        assert decided == [stored] and decided[0] is stored
+        assert participant.slb.prepared_txns() == []
+        resolved = participant.twopc.snapshot()
+        assert resolved["in_doubt_committed"] == (verdict == "commit")
+        assert resolved["in_doubt_aborted"] == (verdict == "abort")
+        cluster.restart_shard(0)
+        cluster.recover_everything()
+        assert balances(cluster, left, right) == expected
 
 
 class TestMediaRestoreResolvesInDoubt:

@@ -10,7 +10,7 @@ from repro.common import (
 )
 from repro.sim import StableMemory
 from repro.wal import IndexNodeWrite, StableLogBuffer, TupleInsert
-from repro.wal.records import CommandBarrier, split_records
+from repro.wal.records import CommandBarrier, TxnCommand, split_records
 from repro.wal.slb import WELL_KNOWN_RESERVE
 
 
@@ -76,7 +76,7 @@ class TestChains:
         slb.append(1, record(1))
         slb.append(1, chunk)
         chain = slb._uncommitted[1]
-        assert len(chain.blocks) == 2 and chain.logged_bytes == len(record(1)) + 1060
+        assert len(chain.blocks) == 2 and chain.size_bytes == len(record(1)) + 1060
         assert stable.used_bytes - WELL_KNOWN_RESERVE == 1024 + 1060
         slb.commit(1)
         slb.drain_committed()
@@ -193,9 +193,10 @@ class TestRepack:
         chain_before = list(slb._uncommitted[2].records())
         counters_before = (slb.records_written, slb.bytes_written, slb.commits)
         partition = PartitionAddress(1, 1)
+        command = TxnCommand(2, 1, "bump", "1", b"[]", ("a",))
 
         def build(csn):
-            return b"command", [CommandBarrier(2, n, partition, csn).encode() for n in range(3)]
+            return command, [CommandBarrier(2, n, partition, csn).encode() for n in range(3)]
 
         with pytest.raises(StableMemoryFullError):
             slb.commit_command(2, build)
@@ -205,10 +206,10 @@ class TestRepack:
         assert slb.used_blocks() == 3
         assert slb.drain_committed() == record(1)  # the caller's back-pressure drain
         assert slb.commit_command(2, build) == 1
-        assert slb.live_commands() == [(1, b"command")]
+        assert slb.live_commands() == [command]
         assert slb.uncommitted_txn_ids == [3]
         drained = split_records(slb.drain_committed())
         assert drained[:5] == chain_before
         assert drained[5:] == build(1)[1]
         assert slb.records_written == counters_before[0] + 3
-        assert slb.bytes_written == counters_before[1] + 3 * 29 + len(b"command")
+        assert slb.bytes_written == counters_before[1] + 3 * 29 + command.size_bytes
