@@ -5,7 +5,11 @@ scripted workload.  This module attacks the claim with interleavings the
 sweep does not reach.  Each **round** runs interleaved debit/credit
 scripts under a randomly generated :class:`~repro.sim.chaos.ChaosPlan`
 (a crash rule, or transient I/O faults into the duplex retry loops),
-then crashes, restarts, and checks the recovered state.
+then crashes, restarts, and checks the recovered state.  A ``mixed``
+round runs :class:`~repro.workloads.generator.MixedWorkload` instead, on
+a T-tree primary key: updates, inserts, deletes and lookups, with every
+:data:`MIXED_ABORT_EVERY`-th transaction inserting rows and then
+aborting.
 
 Everything in a round derives from one integer seed: the plan, the
 workload skew, the interleaving.  A failing round raises
@@ -23,7 +27,8 @@ Verification is layered:
   transactions must be atomic across all four relations: with ``C``
   history rows, accounts total ``1000·N + 10·C`` and tellers and
   branches each total ``10·C``.  This checks what the committed history
-  means, which no equality between two states can.
+  means, which no equality between two states can.  A ``mixed`` round
+  checks instead that no row an aborted transaction inserted survived.
 * **Recovery stability** — recovering, crashing again with no new work,
   and recovering again must reproduce the identical digest (recovery is
   a fixed point).
@@ -45,6 +50,7 @@ Run from the command line::
 
     python -m repro.sim.torture --seed 7 --rounds 3 \
         --kinds crash fault --log rounds.jsonl
+    python -m repro.sim.torture --seed 300 --rounds 3 --workload mixed
 """
 
 from __future__ import annotations
@@ -68,12 +74,17 @@ from repro.sim.chaos import (
 from repro.sim.clock import host_now
 from repro.txn.scheduler import Scheduler
 from repro.workloads.debit_credit import DebitCreditWorkload
+from repro.workloads.generator import MixedWorkload, OperationMix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.sharded_bank import ShardedBankWorkload
 
 #: The round kinds (the action the generated plan injects).
 KINDS = ("crash", "fault")
+
+#: What a round runs: ``bank`` — debit/credit scripts, or routed
+#: transfers on a cluster; ``mixed`` — :class:`MixedWorkload` on one node.
+WORKLOADS = ("bank", "mixed")
 
 #: The transient-fault sites a fault plan draws from (``tests/test_torture.py``
 #: pins them to the live registry).
@@ -87,10 +98,21 @@ FAULT_POINTS = (
 #: Concurrent scripts per round.
 POOL_SCRIPTS = 16
 
+#: A ``mixed`` round: its rows, its transactions (each of
+#: ``MIXED_OPS`` operations), and every how-many-th of them inserts
+#: :data:`MIXED_DOOMED_ROWS` rows with string payloads of
+#: ``MIXED_DOOMED_PAYLOAD`` bytes and then aborts.
+MIXED_ROWS = 48
+MIXED_TRANSACTIONS = 24
+MIXED_OPS = 4
+MIXED_ABORT_EVERY = 4
+MIXED_DOOMED_ROWS = 3
+MIXED_DOOMED_PAYLOAD = 160
+MIXED_MIX = OperationMix(update=0.5, insert=0.2, delete=0.15, lookup=0.15)
+
 #: Sized like the chaos sweep's scenario: small pages and a tight window
 #: so a short workload still crosses checkpoints and window slides, and
 #: 4 KB partitions so every round's inserts grow segments (``growth.*``).
-#: The update-count trigger is set per round (:meth:`TortureHarness._play`).
 ROUND_CONFIG = dict(
     partition_size=4096,
     log_page_size=512,
@@ -115,12 +137,17 @@ class RoundSpec:
     #: (whole-cluster crash, per-shard bank invariants) instead of a
     #: single node.
     shards: int = 1
+    workload: str = "bank"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown round kind {self.kind!r}; expected {KINDS}")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
+        if self.workload not in WORKLOADS:
+            raise ValueError(f"unknown workload {self.workload!r}; expected {WORKLOADS}")
+        if self.workload != "bank" and self.shards > 1:
+            raise ValueError(f"a {self.workload} round runs on one node")
 
     def repro_command(self) -> str:
         command = (
@@ -129,6 +156,8 @@ class RoundSpec:
         )
         if self.shards > 1:
             command += f" --shards {self.shards}"
+        if self.workload != "bank":
+            command += f" --workload {self.workload}"
         return command
 
 
@@ -138,8 +167,10 @@ class RoundResult:
 
     seed: int
     kind: str
-    #: Committed transactions that survived recovery (debit/credits on a
-    #: single node, scheduler-routed transfers on a sharded round).
+    #: Committed transactions that survived recovery: debit/credits on a
+    #: single bank node, else the SLB's tally of every commit (routed
+    #: transfers on a sharded round, the mixed workload's transactions
+    #: and its segment growth).
     committed: int
     crashes_fired: int
     faults_fired: int
@@ -151,9 +182,13 @@ class RoundResult:
     digest: str
     host_seconds: float
     shards: int = 1
+    workload: str = "bank"
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        record = dict(self.__dict__)
+        if self.workload == "bank":
+            del record["workload"]  # the record every bank round has always had
+        return record
 
 
 def build_plan(spec: RoundSpec, rng: random.Random, hits: dict[str, int]) -> ChaosPlan:
@@ -201,6 +236,31 @@ def _build_cluster(spec: RoundSpec, config: SystemConfig) -> ShardedBankWorkload
     return ShardedBankWorkload(cluster, accounts_per_shard=16, cross_ratio=0.25, seed=spec.seed)
 
 
+class _DeliberateAbort(Exception):
+    """Raised inside a mixed round's doomed transaction to abort it."""
+
+
+def _run_mixed(workload: MixedWorkload) -> None:
+    """A mixed round's transactions, in order: the workload's mix, and
+    every :data:`MIXED_ABORT_EVERY`-th one inserting rows (keys below
+    zero, which no other transaction uses) that its abort takes back."""
+    db, relation = workload.db, workload.relation
+    for number in range(1, MIXED_TRANSACTIONS + 1):
+        if number % MIXED_ABORT_EVERY:
+            workload.run_transaction()
+            continue
+        try:
+            with db.transaction() as txn:
+                for row in range(MIXED_DOOMED_ROWS):
+                    key = -(number * MIXED_DOOMED_ROWS + row)
+                    # long enough that the last of them grows the segment
+                    payload = f"doomed-{key}-".ljust(MIXED_DOOMED_PAYLOAD, "x")
+                    relation.insert(txn, {"key": key, "value": number, "payload": payload})
+                raise _DeliberateAbort
+        except _DeliberateAbort:
+            pass
+
+
 class TortureHarness:
     """Runs and verifies seeded chaos rounds."""
 
@@ -219,7 +279,7 @@ class TortureHarness:
         except Exception as exc:
             raise TortureFailure(
                 f"torture round seed={spec.seed} kind={spec.kind} "
-                f"shards={spec.shards} failed: {exc!r}; "
+                f"shards={spec.shards} workload={spec.workload} failed: {exc!r}; "
                 f"reproduce with: {spec.repro_command()}"
             ) from exc
         result.host_seconds = host_now() - started
@@ -249,10 +309,13 @@ class TortureHarness:
             spec, injector, recovery_mode, pool_seed
         )
         self.passed.update(injector.hits())
-        try:
-            workload.check_invariants()
-        except AssertionError as exc:
-            raise TortureFailure(str(exc)) from exc
+        if isinstance(workload, MixedWorkload):
+            self._check_no_doomed_row(workload)
+        else:
+            try:
+                workload.check_invariants()
+            except AssertionError as exc:
+                raise TortureFailure(str(exc)) from exc
         digests = [logical_digest(db) for db in dbs]
         self._check_recovery_stability(dbs, recovery_mode, digests)
         self._check_fault_accounting(dbs, injector)
@@ -261,7 +324,9 @@ class TortureHarness:
             committed = sum(db.slb.commits for db in dbs)
             digest = "|".join(f"{sid}:{d[:16]}" for sid, d in enumerate(digests))
         else:
-            committed = self._count_history(dbs[0])
+            committed = (
+                dbs[0].slb.commits if spec.workload == "mixed" else self._count_history(dbs[0])
+            )
             digest = digests[0]
         crash = injector.plan.rules[0] if spec.kind == "crash" else None
         return RoundResult(
@@ -276,6 +341,7 @@ class TortureHarness:
             digest=digest,
             host_seconds=0.0,
             shards=spec.shards,
+            workload=spec.workload,
         )
 
     def _play(
@@ -284,15 +350,32 @@ class TortureHarness:
         injector: ChaosEngine,
         recovery_mode: RecoveryMode,
         pool_seed: int,
-    ) -> tuple[DebitCreditWorkload | ShardedBankWorkload, list[Database], int]:
+    ) -> tuple[DebitCreditWorkload | ShardedBankWorkload | MixedWorkload, list[Database], int]:
         """Build and load the round's databases, queue its scripts (a
         single node's accounts drawn from ``pool_seed``), then run them
         under ``injector`` through one power failure, restart, exact check
         and log-order check (in-doubt 2PC branches resolve against the
-        stable decision tables during each node's restart)."""
+        stable decision tables during each node's restart).  A mixed
+        round runs its transactions in order instead of a script pool."""
         config = SystemConfig(**ROUND_CONFIG)
         power_fail: Callable[[], None] | None = None
-        workload: DebitCreditWorkload | ShardedBankWorkload
+        workload: DebitCreditWorkload | ShardedBankWorkload | MixedWorkload
+        if spec.workload == "mixed":
+            dbs = [Database(config)]
+            workload = MixedWorkload(
+                dbs[0],
+                initial_rows=MIXED_ROWS,
+                mix=MIXED_MIX,
+                ops_per_transaction=MIXED_OPS,
+                seed=pool_seed,
+                primary_index="ttree",
+            )
+            workload.load()
+            attempts = crash_restart_verify(
+                dbs, lambda: _run_mixed(workload), injector, recovery_mode
+            )
+            self._check_log_order(dbs)
+            return workload, dbs, attempts
         if spec.shards > 1:
             workload = _build_cluster(spec, config)
             workload.load()
@@ -322,6 +405,13 @@ class TortureHarness:
         return workload, dbs, attempts
 
     # -- checks ---------------------------------------------------------------
+
+    def _check_no_doomed_row(self, workload: MixedWorkload) -> None:
+        """An aborted transaction's inserts (negative keys) are all gone."""
+        with workload.db.transaction() as txn:
+            doomed = sorted(row["key"] for row in workload.relation.scan(txn) if row["key"] < 0)
+        if doomed:
+            raise TortureFailure(f"rows of aborted inserts survived: keys {doomed}")
 
     def _count_history(self, db: Database) -> int:
         with db.transaction() as txn:
@@ -385,13 +475,14 @@ class TortureHarness:
         kinds: tuple[str, ...] = KINDS,
         shards: int = 1,
         on_result=None,
+        workload: str = "bank",
     ) -> list[RoundResult]:
         """Run every (seed, kind) combination; the first failure raises
         with its reproducing seed, so a returned list means all passed."""
         results = []
         for seed in seeds:
             for kind in kinds:
-                result = self.run_round(RoundSpec(seed, kind, shards))
+                result = self.run_round(RoundSpec(seed, kind, shards, workload))
                 if on_result is not None:
                     on_result(result)
                 results.append(result)
@@ -418,6 +509,12 @@ def main(argv: list[str] | None = None) -> int:
         help="run each round against a cluster of this many shard nodes",
     )
     parser.add_argument(
+        "--workload",
+        choices=WORKLOADS,
+        default="bank",
+        help="what each round runs (mixed: one node, T-tree key, aborted inserts)",
+    )
+    parser.add_argument(
         "--log", default=None, help="append one JSON line per round here"
     )
     args = parser.parse_args(argv)
@@ -433,6 +530,8 @@ def main(argv: list[str] | None = None) -> int:
             log_file.write(json.dumps(line) + "\n")
             log_file.flush()
         topology = "" if result.shards == 1 else f" shards={result.shards}"
+        if result.workload != "bank":
+            topology += f" workload={result.workload}"
         crash = "" if result.point is None else f" at {result.point} visit {result.visit}"
         print(
             f"round seed={result.seed} kind={result.kind}"
@@ -446,6 +545,7 @@ def main(argv: list[str] | None = None) -> int:
             kinds=tuple(args.kinds),
             shards=args.shards,
             on_result=report,
+            workload=args.workload,
         )
     except TortureFailure as failure:
         if log_file is not None:

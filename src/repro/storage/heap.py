@@ -18,12 +18,12 @@ import struct
 from typing import Iterator
 
 from repro.common.errors import PartitionFullError, StorageError
+from repro.storage.entries import STRING_ENTRY, decode_entries, encode_entries
 
 #: Per-string bookkeeping charge, in bytes (handle + length word).
 STRING_HEADER_BYTES = 8
 
-_BLOB_HEADER = struct.Struct("<III")  # next_handle, count, used_bytes
-_ENTRY_HEADER = struct.Struct("<II")  # handle, length
+_BLOB_HEADER = struct.Struct("<III")  # next_handle, count, used_bytes; then the strings
 
 
 class StringHeap:
@@ -109,24 +109,26 @@ class StringHeap:
 
     def to_bytes(self) -> bytes:
         """Serialise for inclusion in a partition checkpoint image."""
-        parts = [_BLOB_HEADER.pack(self._next_handle, len(self._strings), self._used)]
-        for handle in sorted(self._strings):
-            data = self._strings[handle]
-            parts.append(_ENTRY_HEADER.pack(handle, len(data)))
-            parts.append(data)
-        return b"".join(parts)
+        header = _BLOB_HEADER.pack(self._next_handle, len(self._strings), self._used)
+        return b"".join([header, *encode_entries(self._strings, STRING_ENTRY)])
 
     @classmethod
     def from_bytes(cls, blob: bytes, capacity_bytes: int) -> "StringHeap":
-        """Rebuild a heap from a checkpoint image."""
+        """Rebuild a heap from a checkpoint image; :class:`StorageError`
+        unless its strings end exactly where ``blob`` does."""
+        if len(blob) < _BLOB_HEADER.size:
+            raise StorageError(f"{len(blob)}-byte string heap image has no header")
         heap = cls(capacity_bytes)
         next_handle, count, used = _BLOB_HEADER.unpack_from(blob, 0)
-        pos = _BLOB_HEADER.size
-        for _ in range(count):
-            handle, length = _ENTRY_HEADER.unpack_from(blob, pos)
-            pos += _ENTRY_HEADER.size
-            heap._strings[handle] = blob[pos : pos + length]
-            pos += length
+        try:
+            heap._strings, end = decode_entries(blob, _BLOB_HEADER.size, count, STRING_ENTRY)
+        except StorageError as exc:
+            raise StorageError(f"string heap image: {exc}") from None
+        if end != len(blob):
+            raise StorageError(
+                f"string heap image: its {count} strings end at byte {end}, "
+                f"the image at {len(blob)}"
+            )
         heap._next_handle = next_handle
         heap._used = used
         return heap

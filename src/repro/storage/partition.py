@@ -24,6 +24,7 @@ from typing import Iterator
 
 from repro.common.errors import LogError, PartitionFullError, StorageError
 from repro.common.types import PartitionAddress
+from repro.storage.entries import ENTITY_ENTRY, decode_entries, encode_entries
 from repro.storage.heap import STRING_HEADER_BYTES, StringHeap
 
 #: Per-entity bookkeeping charge, in bytes (offset + length + type slot).
@@ -34,8 +35,8 @@ DEFAULT_HEAP_FRACTION = 0.25
 
 _IMAGE_HEADER = struct.Struct("<iiQIIII")
 # segment, partition, next_offset, entity_count, entity_used,
-# entity_capacity, heap_blob_length
-_ENTRY_HEADER = struct.Struct("<QI")  # offset, length
+# entity_capacity, heap_blob_length; then the entities
+# (:func:`~repro.storage.entries.encode_entries`), then the heap's blob
 
 #: The primitive effects a REDO record class may name, each with whether
 #: it carries ``data``: what applying one record does to the entity area
@@ -342,23 +343,17 @@ class Partition:
         excludes writers (they hold IX).
         """
         heap_blob = self.heap.to_bytes()
-        parts = [
-            _IMAGE_HEADER.pack(
-                self.address.segment,
-                self.address.partition,
-                self._next_offset,
-                len(self._entities),
-                self._used,
-                self.entity_capacity,
-                len(heap_blob),
-            )
-        ]
-        for offset in sorted(self._entities):
-            data = self._entities[offset]
-            parts.append(_ENTRY_HEADER.pack(offset, len(data)))
-            parts.append(data)
-        parts.append(heap_blob)
-        return b"".join(parts)
+        header = _IMAGE_HEADER.pack(
+            self.address.segment,
+            self.address.partition,
+            self._next_offset,
+            len(self._entities),
+            self._used,
+            self.entity_capacity,
+            len(heap_blob),
+        )
+        entries = encode_entries(self._entities, ENTITY_ENTRY)
+        return b"".join([header, *entries, heap_blob])
 
     @classmethod
     def from_bytes(
@@ -371,8 +366,12 @@ class Partition:
 
         ``expected_address`` enables the consistency check the paper
         performs with the partition address stamped on recovery data
-        (section 2.3.3): a mismatch raises :class:`StorageError`.
+        (section 2.3.3): a mismatch raises :class:`StorageError`, as does
+        an image whose entities and heap do not end exactly where it
+        does, so restart takes the log-history fallback for it.
         """
+        if len(blob) < _IMAGE_HEADER.size:
+            raise StorageError(f"{len(blob)}-byte checkpoint image has no header")
         (
             segment,
             partition_no,
@@ -392,17 +391,21 @@ class Partition:
         instance.address = address
         instance.entity_capacity = entity_capacity
         instance.capacity_bytes = entity_capacity + heap_capacity
-        instance._entities = {}
         instance.bin_index = None
-        pos = _IMAGE_HEADER.size
-        for _ in range(count):
-            offset, length = _ENTRY_HEADER.unpack_from(blob, pos)
-            pos += _ENTRY_HEADER.size
-            instance._entities[offset] = blob[pos : pos + length]
-            pos += length
+        try:
+            instance._entities, pos = decode_entries(
+                blob, _IMAGE_HEADER.size, count, ENTITY_ENTRY
+            )
+        except StorageError as exc:
+            raise StorageError(f"checkpoint image of {address}: {exc}") from None
+        if pos + heap_len != len(blob):
+            raise StorageError(
+                f"checkpoint image of {address}: its entities and {heap_len}-byte "
+                f"heap end at byte {pos + heap_len}, the image at {len(blob)}"
+            )
         instance._next_offset = next_offset
         instance._used = used
-        instance.heap = StringHeap.from_bytes(blob[pos : pos + heap_len], heap_capacity)
+        instance.heap = StringHeap.from_bytes(blob[pos:], heap_capacity)
         return instance
 
     def __repr__(self) -> str:

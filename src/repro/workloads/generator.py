@@ -53,11 +53,13 @@ class MixedWorkload:
         ops_per_transaction: int = 5,
         seed: int = 0,
         relation_name: str = "items",
+        primary_index: str = "hash",
     ):
         self.db = db
         self.mix = mix if mix is not None else OperationMix()
         self.ops_per_transaction = ops_per_transaction
         self.relation_name = relation_name
+        self.primary_index = primary_index
         self._rng = random.Random(seed)
         self._next_key = initial_rows
         self._live: dict[int, object] = {}
@@ -74,6 +76,7 @@ class MixedWorkload:
             self.relation_name,
             [("key", "int"), ("value", "int"), ("payload", "str")],
             primary_key="key",
+            primary_index=self.primary_index,
         )
         with self.db.transaction() as txn:
             for key in range(self._initial_rows):

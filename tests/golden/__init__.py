@@ -3,7 +3,7 @@
 Three files, each rebuilt by one command (``python -m tests.golden`` from
 the repository root, with ``PYTHONPATH=src``):
 
-* ``torture.jsonl`` — the records of CI's four seeded torture batches,
+* ``torture.jsonl`` — the records of CI's seeded torture batches,
   without their host time;
 * ``sim_tables.txt`` — the tables ``bench_sim_vs_model`` and
   ``bench_table2_parameters`` print through ``report(...)``: Table 2 and
@@ -39,6 +39,7 @@ TORTURE_BATCHES = (
     {"seeds": list(range(100, 110))},
     {"seeds": [200, 201, 202], "shards": 2},
     {"seeds": [200, 201, 202], "shards": 4},
+    {"seeds": list(range(300, 305)), "workload": "mixed"},
 )
 SIM_BENCHES = ("bench_table2_parameters.py", "bench_sim_vs_model.py")
 HOST_COMMAND = ("benchmarks/host/run.py", "--quick", "--seed", "101")

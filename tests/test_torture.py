@@ -128,6 +128,67 @@ class TestAcceptanceMatrix:
         assert fired[kind] > 0
 
 
+class TestMixedRounds:
+    """The mixed round: ``MixedWorkload`` on a T-tree primary key, with
+    deletes and an insert-then-abort every ``MIXED_ABORT_EVERY``-th
+    transaction, through the same crash, restart and checks."""
+
+    def test_spec_checks_the_workload(self):
+        with pytest.raises(ValueError, match="unknown workload"):
+            RoundSpec(1, "crash", workload="ledger")
+        with pytest.raises(ValueError, match="runs on one node"):
+            RoundSpec(1, "crash", shards=2, workload="mixed")
+        command = RoundSpec(41, "fault", workload="mixed").repro_command()
+        assert command.endswith("--kinds fault --workload mixed")
+        assert "--workload" not in RoundSpec(41, "fault").repro_command()
+
+    @pytest.mark.usefixtures("no_host_sleep")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rounds_verify(self, kind):
+        results = TortureHarness().run_rounds(SEEDS, kinds=(kind,), workload="mixed")
+        assert [r.to_json()["workload"] for r in results] == ["mixed"] * len(SEEDS)
+        if kind == "crash":
+            assert all(r.crashes_fired == 1 and r.point for r in results)
+
+    def test_bank_record_names_no_workload(self):
+        assert "workload" not in TortureHarness().run_round(RoundSpec(0, "fault")).to_json()
+
+    def test_driver_deletes_and_aborts_inserts_on_a_ttree_key(self):
+        """What the round runs, with nothing injected: deletes, one aborted
+        insert-then-abort per ``MIXED_ABORT_EVERY`` transactions that
+        grows the segment, and a T-tree primary key; after a crash the
+        heap images hold strings of several widths."""
+        db = Database(SystemConfig(**torture.ROUND_CONFIG))
+        workload = torture.MixedWorkload(
+            db,
+            initial_rows=torture.MIXED_ROWS,
+            mix=torture.MIXED_MIX,
+            ops_per_transaction=torture.MIXED_OPS,
+            seed=3,
+            primary_index="ttree",
+        )
+        workload.load()
+        partitions_before = len(db.catalog.relation("items").partitions)
+        torture._run_mixed(workload)
+        doomed = torture.MIXED_TRANSACTIONS // torture.MIXED_ABORT_EVERY
+        assert db.stats()["transactions_aborted"] == doomed
+        assert db.catalog.index("items__pk").kind == "ttree"
+        assert workload.live_rows < torture.MIXED_ROWS + workload.operations_run
+        assert len(db.catalog.relation("items").partitions) > partitions_before
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        segment = db.memory.segment(db.catalog.relation("items").segment_id)
+        widths = {
+            len(data)
+            for partition in segment.resident_partitions()
+            for data in partition.heap._strings.values()
+        }
+        assert len(widths) > 1
+        with db.transaction() as txn:
+            keys = [row["key"] for row in db.table("items").scan(txn)]
+        assert keys and min(keys) >= 0
+
+
 class TestKeptSeeds:
     """Rounds kept because they catch a mutation no seed of CI's batches
     does: a commit acknowledged (state ``COMMITTED``) before
@@ -303,6 +364,21 @@ class TestCommandLine:
         assert "FAILED" in capsys.readouterr().err
         (entry,) = [json.loads(line) for line in log.read_text().splitlines()]
         assert "failure" in entry
+
+    def test_cli_runs_mixed_rounds(self, tmp_path, capsys):
+        log = tmp_path / "rounds.jsonl"
+        code = main(
+            ["--seed", "300", "--rounds", "1", "--workload", "mixed", "--log", str(log)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "all 2 rounds passed" in out
+        assert "workload=mixed" in out
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(entry["kind"], entry["workload"]) for entry in lines] == [
+            ("crash", "mixed"),
+            ("fault", "mixed"),
+        ]
 
     def test_module_is_executable(self):
         assert torture.__name__ == "repro.sim.torture"
