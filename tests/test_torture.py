@@ -153,7 +153,7 @@ class TestMixedRounds:
     def test_bank_record_names_no_workload(self):
         assert "workload" not in TortureHarness().run_round(RoundSpec(0, "fault")).to_json()
 
-    def test_driver_deletes_and_aborts_inserts_on_a_ttree_key(self):
+    def test_round_deletes_and_aborts_inserts_on_a_ttree_key(self):
         """What the round runs, with nothing injected: deletes, one aborted
         insert-then-abort per ``MIXED_ABORT_EVERY`` transactions that
         grows the segment, and a T-tree primary key; after a crash the
