@@ -59,6 +59,12 @@ class Schema:
             raise CatalogError(f"duplicate field names in {names}")
         self.fields = list(fields)
         self._positions = {field.name: i for i, field in enumerate(fields)}
+        #: The field names, for checking a whole row's keys at once.
+        self.names = frozenset(names)
+        #: Each field's cell codec, by position: an int or a heap handle.
+        self.cell_codecs = tuple(
+            _INT_FIELD if field.type is FieldType.INT else _HANDLE_FIELD for field in fields
+        )
         #: The whole tuple's codec: one cell per field, an int or a handle.
         self._tuple = struct.Struct(
             "<" + "".join("q" if field.type is FieldType.INT else "Q" for field in fields)
@@ -89,15 +95,6 @@ class Schema:
     @property
     def tuple_width(self) -> int:
         return len(self.fields) * FIELD_WIDTH
-
-    # -- field-level encoding ----------------------------------------------------------
-
-    def encode_field(self, name: str, value: int) -> bytes:
-        """Encode one fixed-width cell (an int value or a heap handle)."""
-        field = self.field(name)
-        if field.type is FieldType.INT:
-            return _INT_FIELD.pack(value)
-        return _HANDLE_FIELD.pack(value)
 
     # -- tuple-level encoding ------------------------------------------------------------
 

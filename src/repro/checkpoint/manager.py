@@ -128,8 +128,14 @@ class CheckpointManager:
             with self.db.transactions.scope(system=True) as txn:
                 yield txn
             crash_point("checkpoint.committed")
-        except (TransactionAborted, NotResidentError):
+        except (TransactionAborted, NotResidentError) as refused:
             self.checkpoints_deferred += 1  # retry on a later pass
+            self.db.events.emit(
+                "checkpoint.deferred",
+                partition=None if request is None else str(request.partition),
+                cause=type(refused).__name__,
+                queue_depth=len(self.db.checkpoint_queue),
+            )
         finally:
             if request is not None and txn is not None and txn.state is TxnState.ABORTED:
                 request.state = RequestState.REQUEST
@@ -194,6 +200,13 @@ class CheckpointManager:
             # Step 6: write the images to their fresh slots.
             for address, image in zip(addresses, images):
                 db.checkpoint_disk.write_image(slots[address], image)
+                db.events.emit(
+                    "checkpoint.written",
+                    partition=str(address),
+                    slot=slots[address],
+                    bytes=len(image),
+                    queue_depth=len(db.checkpoint_queue),
+                )
             if catalog.segment.segment_id in covering:
                 # Publish the catalog's own new locations only once the
                 # images are durable: the well-known areas are not logged,

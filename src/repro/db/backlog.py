@@ -1,0 +1,65 @@
+"""``python -m repro.db.backlog EVENTS.jsonl`` — what the recovery CPU
+was doing when the checkpoint queue backed up.
+
+Reads the event ring a run wrote (:meth:`repro.db.events.EventRing.write_jsonl`)
+and prints the longest stretch in which the checkpoint queue stayed
+non-empty: each checkpoint the recovery CPU requested (with its trigger)
+and acknowledged, each with its running totals of records sorted and
+pages flushed, and each image the main CPU wrote or deferred (with the
+refusal that deferred it), in simulated-time order.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from typing import Iterable
+
+
+def backlog(events: Iterable[dict]) -> list[dict]:
+    """The events of the longest stretch, in simulated time, in which the
+    checkpoint queue stayed non-empty: from the event that left it
+    non-empty to the one that left it empty again (or to the end).
+    Checkpoint events carry the depth they left (``queue_depth``); restart
+    events fall inside whichever stretch they occur in."""
+    stretches: list[list[dict]] = []
+    current: list[dict] = []
+    for entry in events:
+        depth = entry.get("queue_depth")
+        if current or depth:
+            current.append(entry)
+        if current and depth == 0:
+            stretches.append(current)
+            current = []
+    if current:
+        stretches.append(current)
+    return max(stretches, key=lambda s: s[-1]["sim_s"] - s[0]["sim_s"], default=[])
+
+
+def _describe(entry: dict) -> str:
+    skip = {"event", "sim_s", "host_s"}
+    return " ".join(f"{key}={entry[key]}" for key in sorted(entry) if key not in skip)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python -m repro.db.backlog EVENTS.jsonl", file=sys.stderr)
+        return 2
+    with open(args[0], encoding="utf-8") as handle:
+        window = backlog(json.loads(line) for line in handle if line.strip())
+    if not window:
+        print("the checkpoint queue never held a request")
+        return 0
+    peak = max(entry.get("queue_depth", 0) for entry in window)
+    print(
+        f"checkpoint queue peaked at {peak} between sim {window[0]['sim_s']:.6f} s "
+        f"and {window[-1]['sim_s']:.6f} s ({len(window)} events):"
+    )
+    for entry in window:
+        print(f"  {entry['sim_s']:12.6f} s  {entry['event']:<24} {_describe(entry)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -26,7 +26,6 @@ section 2.5.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from typing import Callable
 
@@ -51,6 +50,7 @@ from repro.common.errors import (
 )
 from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
 from repro.concurrency.locks import LockManager, LockMode
+from repro.db.events import EventRing
 from repro.db.relation import Relation
 from repro.engine import SimEngine
 from repro.index.linear_hash import LinearHashIndex
@@ -67,7 +67,7 @@ from repro.sim.stable_memory import StableMemory
 from repro.storage.memory_manager import MemoryManager
 from repro.storage.partition import Partition
 from repro.storage.segment import Segment
-from repro.txn.manager import TransactionManager
+from repro.txn.manager import TransactionManager, TransactionScope
 from repro.txn.registry import ScriptRegistry
 from repro.txn.transaction import Transaction
 from repro.wal.audit import AuditLog
@@ -146,6 +146,9 @@ class Database:
     def _build_hardware(self) -> None:
         config = self.config
         self.clock = VirtualClock()
+        #: Checkpoint and restart events for the operator
+        #: (:mod:`repro.db.events`); kept across :meth:`crash`.
+        self.events = EventRing(self.clock)
         self.main_cpu = CpuMeter("main", MAIN_CPU_MIPS, self.clock, config.analysis)
         self.recovery_cpu = CpuMeter(
             "recovery", config.analysis.p_recovery_mips, self.clock, config.analysis
@@ -189,6 +192,7 @@ class Database:
             self.log_disk,
             self.checkpoint_queue,
             config,
+            self.events,
         )
         self.recovery_processor.bind_slot_free(self.checkpoint_disk.free)
         self.audit = AuditLog(self.slb_memory, self.log_disk, config.log_page_size)
@@ -272,12 +276,11 @@ class Database:
         """Run the between-transactions duties of both processors."""
         self.engine.pump()
 
-    @contextlib.contextmanager
     def transaction(
         self, *, pump: bool = True, relations: list[str] | None = None
-    ):
+    ) -> TransactionScope:
         """``with db.transaction() as txn:`` — commit on success, abort on
-        exception, then run the between-transactions pump.
+        exception; after a commit, run the between-transactions pump.
 
         ``relations`` implements the paper's predeclared access (section
         2.5 method 1): the named relations — and their indexes — are
@@ -287,10 +290,7 @@ class Database:
         """
         if relations:
             self.ensure_recovered(relations)
-        with self.transactions.scope() as txn:
-            yield txn
-        if pump:
-            self.pump()
+        return self.transactions.scope(self.pump if pump else None)
 
     def ensure_recovered(self, relations) -> None:
         """Predeclared recovery (section 2.5 method 1): while a restart
@@ -553,8 +553,9 @@ class Database:
         transaction for the duration of a disk read.
         """
         segment = self.memory.segment(address.segment)
-        if segment.is_resident(address.partition):
-            return segment.get(address.partition)
+        partition = segment.resident(address.partition)
+        if partition is not None:
+            return partition
         if self.restart_coordinator is None:
             return segment.get(address.partition)  # raises the right error
         self.slb.block_latch.assert_unheld("on-demand partition recovery")

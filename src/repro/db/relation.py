@@ -52,6 +52,7 @@ class Relation:
     def __init__(self, db: "Database", name: str):
         self.db = db
         self.name = name
+        self._primary_index = f"{name}__pk"
 
     # -- catalog plumbing ---------------------------------------------------------
 
@@ -140,14 +141,16 @@ class Relation:
         partition = self._resident_partition(descriptor.segment_id, address.partition)
         data = partition.read(address.offset)
         cells = schema.decode_tuple(data)
-        moved = [
-            index_descriptor
-            for index_descriptor in self._indexes(descriptor)
-            if index_descriptor.key_field in changes
-        ]
-        if moved:
+        index_of = self.db.catalog.index
+        moved = ()
+        if any(index_of(name).key_field in changes for name in descriptor.index_names):
             before = self._row(schema, partition, address, cells)
-            moved = [ix for ix in moved if changes[ix.key_field] != before[ix.key_field]]
+            moved = [
+                index_descriptor
+                for index_descriptor in self._indexes(descriptor)
+                if index_descriptor.key_field in changes
+                and changes[index_descriptor.key_field] != before[index_descriptor.key_field]
+            ]
             key = descriptor.primary_key
             if key in changes and changes[key] != before[key] and self._primary_search(
                 txn, changes[key]
@@ -167,11 +170,11 @@ class Relation:
         paddr = partition.address
         for name, value in changes.items():
             position = schema.position(name)
-            field = schema.fields[position]
-            old_cell_bytes = data[
-                position * FIELD_WIDTH : (position + 1) * FIELD_WIDTH
-            ]
-            if field.type is FieldType.INT:
+            field_type = schema.fields[position].type
+            start = position * FIELD_WIDTH
+            end = start + FIELD_WIDTH
+            old_cell_bytes = data[start:end]
+            if field_type is FieldType.INT:
                 new_cell = int(value)
             else:
                 old_handle = cells[position]
@@ -182,20 +185,14 @@ class Relation:
                 if value is None:
                     new_cell = NULL_HANDLE
                 else:
-                    encoded = self._to_bytes(field.type, value)
+                    encoded = self._to_bytes(field_type, value)
                     new_cell = partition.heap.put(encoded)
                     txn.heap_put(paddr, new_cell, encoded)
             cells[position] = new_cell
-            new_cell_bytes = schema.encode_field(name, new_cell)
-            data = (
-                data[: position * FIELD_WIDTH]
-                + new_cell_bytes
-                + data[(position + 1) * FIELD_WIDTH :]
-            )
+            new_cell_bytes = schema.cell_codecs[position].pack(new_cell)
+            data = data[:start] + new_cell_bytes + data[end:]
             partition.update(address.offset, data)
-            txn.entity_patched(
-                address, position * FIELD_WIDTH, old_cell_bytes, new_cell_bytes
-            )
+            txn.entity_patched(address, start, old_cell_bytes, new_cell_bytes)
 
     def delete(self, txn: "Transaction", address: EntityAddress) -> None:
         """Delete one tuple (and its heap strings, and its index entries);
@@ -294,7 +291,7 @@ class Relation:
     # -- internals ------------------------------------------------------------------------
 
     def _primary_search(self, txn: "Transaction", key_value) -> list[EntityAddress]:
-        index_descriptor = self.db.catalog.index(f"{self.name}__pk")
+        index_descriptor = self.db.catalog.index(self._primary_index)
         index = self.db.index_object(index_descriptor, txn)
         return index.search(key_value)
 
@@ -303,16 +300,19 @@ class Relation:
         return [self.db.catalog.index(name) for name in descriptor.index_names]
 
     def _check_row_fields(self, schema, row: dict) -> None:
-        expected = {field.name for field in schema}
-        provided = set(row)
-        if expected != provided:
+        if row.keys() != schema.names:
             raise CatalogError(
-                f"row fields {sorted(provided)} do not match schema "
-                f"{sorted(expected)}"
+                f"row fields {sorted(row)} do not match schema "
+                f"{sorted(schema.names)}"
             )
 
     def _resident_partition(self, segment_id: int, number: int) -> Partition:
-        return self.db.ensure_partition(PartitionAddress(segment_id, number))
+        """The partition, looked up once when resident; otherwise through
+        :meth:`Database.ensure_partition`, which recovers it on demand."""
+        partition = self.db.memory.segment(segment_id).resident(number)
+        if partition is None:
+            return self.db.ensure_partition(PartitionAddress(segment_id, number))
+        return partition
 
     def _partition_for(
         self, txn: "Transaction", strings: list[bytes | None], segment_id: int, schema

@@ -12,7 +12,9 @@ from repro.index.keys import Key, decode_key, encode_key
 #: Null component pointer.
 NULL_ADDRESS = EntityAddress(-1, -1, -1)
 
-_ADDRESS = struct.Struct("<iiq")
+#: An entity address's struct codes: (segment, partition, offset).
+ADDRESS_CODES = "iiq"
+_ADDRESS = struct.Struct("<" + ADDRESS_CODES)
 _U16 = struct.Struct("<H")
 
 

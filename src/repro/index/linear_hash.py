@@ -26,11 +26,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from repro.common.errors import IndexStructureError
 from repro.common.types import EntityAddress
 from repro.index.base import (
+    ADDRESS_CODES,
     NULL_ADDRESS,
     Index,
     pack_address,
@@ -57,7 +59,8 @@ CHUNK_TYPE = 0x44  # 'D'
 #: must stay well under a partition's size.
 CHUNK_CAPACITY = 64
 
-_NULL_PACKED = pack_address(NULL_ADDRESS)
+#: A whole directory chunk: its header and ``CHUNK_CAPACITY`` addresses.
+_CHUNK = struct.Struct(_CHUNK_HEADER.format + ADDRESS_CODES * CHUNK_CAPACITY)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -136,11 +139,10 @@ def _decode_anchor(address: EntityAddress, blob: bytes) -> _AnchorForm:
 
 def _encode_chunk(addresses: tuple[EntityAddress, ...]) -> bytes:
     """Chunks are padded to full capacity so they never grow in place
-    (in-place growth would need free space the partition may not have)."""
-    parts = [_CHUNK_HEADER.pack(CHUNK_TYPE, len(addresses))]
-    parts.extend(pack_address(addr) for addr in addresses)
-    parts.append(_NULL_PACKED * (CHUNK_CAPACITY - len(addresses)))
-    return b"".join(parts)
+    (in-place growth would need free space the partition may not have).
+    One ``pack`` writes the header and every address, padding included."""
+    padding = (CHUNK_CAPACITY - len(addresses)) * (NULL_ADDRESS,)
+    return _CHUNK.pack(CHUNK_TYPE, len(addresses), *chain.from_iterable(addresses + padding))
 
 
 def _decode_chunk(address: EntityAddress, blob: bytes) -> tuple[EntityAddress, ...]:

@@ -53,10 +53,12 @@ class ChangeSink(Protocol):
     def index_node_written(
         self, address: EntityAddress, before: bytes | None, after: bytes
     ) -> None:
-        """A component was created (``before is None``) or overwritten."""
+        """A component was created (``before is None``) or overwritten,
+        its lock already settled by :meth:`lock_component`."""
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
-        """A component was released."""
+        """A component was released, its lock already settled by
+        :meth:`lock_component`."""
 
     def grow_segment(self, segment: Segment, fits: Callable[[Partition], bool]) -> Partition:
         """No resident partition has room: one ``fits`` accepts."""
@@ -95,8 +97,10 @@ class NodeStore:
         address = EntityAddress(
             partition.address.segment, partition.address.partition, offset
         )
-        if self.sink is not None:
-            self.sink.index_node_written(address, None, data)
+        sink = self.sink
+        if sink is not None:
+            sink.lock_component(address)  # as write() and free() do
+            sink.index_node_written(address, None, data)
         return address
 
     def read(self, address: EntityAddress) -> bytes:

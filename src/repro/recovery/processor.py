@@ -13,16 +13,20 @@ closed-form model of section 3.2 (`benchmarks/bench_sim_vs_model.py`).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.checkpoint.protocol import CheckpointQueue
 from repro.common.config import SystemConfig
 from repro.common.types import PartitionAddress
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.cpu import CpuMeter
-from repro.sim.faults import SimulatedCrash
 from repro.wal.log_disk import ARCHIVE_SEGMENT, LogDisk, LogPage
-from repro.wal.records import bin_index_of, compact_form, full_forms, split_records
+from repro.wal.records import bin_index_of, compact_form, full_forms
 from repro.wal.slb import StableLogBuffer
 from repro.wal.slt import CheckpointReason, PartitionBin, StableLogTail
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.events import EventRing
 
 register_crash_point(
     "recovery.sort.after-deposit",
@@ -65,6 +69,7 @@ class RecoveryProcessor:
         log_disk: LogDisk,
         checkpoint_queue: CheckpointQueue,
         config: SystemConfig,
+        events: EventRing,
     ):
         self.cpu = cpu
         self.slb = slb
@@ -73,6 +78,7 @@ class RecoveryProcessor:
         self.checkpoint_queue = checkpoint_queue
         self.config = config
         self.params = config.analysis
+        self.events = events
         #: Leftover records from checkpointed bins, combined into full
         #: mixed pages before hitting the log disk (section 2.4): each is
         #: ``(partition, full-form bytes)``, the bytes a mixed page carries.
@@ -95,10 +101,9 @@ class RecoveryProcessor:
         as they appear; checkpoint triggers are evaluated as pages are
         written (age) and after the drain (update count).
         """
-        drained = self.slb.drain_committed()
-        if not drained:
+        records = self.slb.drain_committed()
+        if not records:
             return 0
-        records = split_records(drained)
         deposited = 0
         # Table 2's sorting costs, one charge per record, then the deposit.
         charge_sort, deposit = self.cpu.charge_sort, self.slt.deposit
@@ -110,10 +115,12 @@ class RecoveryProcessor:
                 crash_point("recovery.sort.after-deposit")
                 if page_full:
                     self._flush_bin(bin_index_of(record))
-        except SimulatedCrash:
+        except BaseException:
             # The SLB → SLT move is stable-to-stable and record-atomic:
             # records drained but not yet deposited go back to the
-            # committed list so the post-restart drain finds them.
+            # committed list, whatever stopped the loop — a crash, a
+            # failed page write, a refused record — so the next drain
+            # finds them.
             self.slb.requeue_committed(records[deposited:])
             raise
         self.records_sorted += len(records)
@@ -170,6 +177,19 @@ class RecoveryProcessor:
         self.checkpoint_queue.submit(bin_.partition, bin_.bin_index, reason)
         crash_point("checkpoint.request.submitted")
         self.checkpoints_requested += 1
+        self._emit("checkpoint.requested", bin_.partition, reason=reason)
+
+    def _emit(self, event: str, partition: PartitionAddress, **fields) -> None:
+        """One of the recovery CPU's checkpoint events, with the queue
+        depth it left and the running totals of its sorting duty."""
+        self.events.emit(
+            event,
+            partition=str(partition),
+            queue_depth=len(self.checkpoint_queue),
+            records_sorted=self.records_sorted,
+            pages_flushed=self.pages_flushed,
+            **fields,
+        )
 
     # -- finished-checkpoint acknowledgement ------------------------------------------------
 
@@ -191,6 +211,12 @@ class RecoveryProcessor:
             self.checkpoint_queue.remove(request)
             acknowledged += 1
             crash_point("checkpoint.acknowledged")
+            self._emit(
+                "checkpoint.acknowledged",
+                request.partition,
+                freed_slot=request.previous_slot,
+                leftover_bytes=len(leftovers),
+            )
         return acknowledged
 
     def _archive(self, partition: PartitionAddress, leftovers: bytes) -> None:

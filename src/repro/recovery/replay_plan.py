@@ -40,7 +40,7 @@ from repro.recovery.redo import plan_rebuild
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.storage.partition import Partition
-from repro.txn.manager import transaction_scope
+from repro.txn.manager import TransactionScope
 from repro.txn.transaction import Transaction, TxnState
 from repro.wal.records import CommandBarrier, TxnCommand
 
@@ -311,7 +311,7 @@ def reexecute(db: "Database", command: TxnCommand) -> None:
             f"undecodable arguments: {exc}"
         ) from exc
     try:
-        with transaction_scope(
+        with TransactionScope(
             ReplayTransaction,
             db=db,
             txn_id=REPLAY_TXN_BASE + command.csn,

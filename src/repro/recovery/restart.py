@@ -154,6 +154,7 @@ def restart(
     """
     if not db.crashed:
         raise RecoveryError("restart() called but the system is not crashed")
+    db.events.emit("restart.begin", mode=mode.value, images_lost=images_lost)
     db.slb.discard_uncommitted()
     resolve_in_doubt(db)
     db.transactions = TransactionManager(db)
@@ -167,6 +168,7 @@ def restart(
     coordinator.plan_commands()
     if mode is RecoveryMode.EAGER:
         coordinator.recover_everything()
+    coordinator.note_if_recovered()
     return coordinator
 
 
@@ -202,6 +204,8 @@ class RestartCoordinator:
         #: segment it restores: its relations and their indexes.  Empty in
         #: steady state — the one check the relation-lock fence costs.
         self.closures: dict[int, list[TxnCommand]] = {}
+        #: Set once the ``restart.recovered`` event is emitted.
+        self._recovered = False
 
     # -- phase one: system state ----------------------------------------------------
 
@@ -285,6 +289,8 @@ class RestartCoordinator:
         partition, stats = self._rebuild(address, trigger)
         segment.install(partition)
         crash_point("restart.phase2.partition-recovered")
+        if segment.fully_resident:
+            self.note_if_recovered()
         return stats
 
     def _missing_from(self, address: PartitionAddress) -> "Segment | None":
@@ -294,7 +300,7 @@ class RestartCoordinator:
             segment = self.db.memory.segment(address.segment)
         except StorageError:
             return None
-        return None if segment.is_resident(address.partition) else segment
+        return None if segment.resident(address.partition) is not None else segment
 
     def _sources(self, address: PartitionAddress) -> dict:
         """The rebuild pipeline's arguments for one partition of this
@@ -353,6 +359,7 @@ class RestartCoordinator:
                 self.closures[key] = batch
             self.db.forget_index_objects(segments)
             raise
+        self.note_if_recovered()
         return True
 
     def replay_closures(self) -> None:
@@ -420,6 +427,18 @@ class RestartCoordinator:
         db = self.db
         return all(segment.fully_resident for segment in db.memory.segments())
 
+    def note_if_recovered(self) -> None:
+        """Emit ``restart.recovered`` the first time every partition is
+        resident: after phase one, after a rebuild that completed its
+        segment, and after each closure."""
+        if not self._recovered and self.fully_recovered:
+            self._recovered = True
+            self.db.events.emit(
+                "restart.recovered",
+                partitions=self.partitions_recovered,
+                records=self.records_replayed,
+            )
+
     def pending_partitions(self) -> int:
         return sum(
             len(segment.missing_partitions()) for segment in self.db.memory.segments()
@@ -467,13 +486,13 @@ class RestartCoordinator:
         self.pages_read += pages
         self.backward_reads += stats["backward_reads"]
         self.sources[stats["source"]] += 1
-        self.partitions.append(
-            {
-                "address": str(address),
-                "source": stats["source"],
-                "trigger": trigger,
-                "pages_read": pages,
-                "records_applied": stats["records_applied"],
-                "seconds": seconds,
-            }
-        )
+        entry = {
+            "address": str(address),
+            "source": stats["source"],
+            "trigger": trigger,
+            "pages_read": pages,
+            "records_applied": stats["records_applied"],
+            "seconds": seconds,
+        }
+        self.partitions.append(entry)
+        db.events.emit("restart.rebuilt", **entry)

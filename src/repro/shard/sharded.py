@@ -32,7 +32,7 @@ from repro.db.relation import Relation
 from repro.recovery.oracle import logical_digest
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import TwoPhaseCommit
-from repro.txn.manager import settle, transaction_scope
+from repro.txn.manager import TransactionScope, settle
 from repro.txn.transaction import Transaction, TxnState
 
 
@@ -182,7 +182,7 @@ class ShardedDatabase:
         commit (2PC when distributed) on success, roll back everywhere on
         exception, then pump the nodes it touched."""
         relations = relations or []
-        with transaction_scope(self.begin, relations=relations) as txn:
+        with TransactionScope(self.begin, relations=relations) as txn:
             yield txn
         if pump:
             for sid in self.router.route(relations):

@@ -83,16 +83,24 @@ class CpuMeter:
         if nbytes < 0:
             raise ValueError("cannot copy a negative number of bytes")
         params = self.params
-        by_category, rate, advance = self._by_category, self._rate, self.clock.advance
-        for instructions, category in (
-            (params.i_record_lookup, "record-lookup"),
-            (params.i_page_check, "page-check"),
-            (self._copy_fixed + self._copy_per_byte * nbytes, "record-copy"),
-            (params.i_page_update, "page-update"),
-        ):
-            by_category[category] += instructions
-            self._total_instructions += instructions
-            advance(instructions / rate)
+        by_category, rate, clock = self._by_category, self._rate, self.clock
+        lookup, check, update = params.i_record_lookup, params.i_page_check, params.i_page_update
+        copy = self._copy_fixed + self._copy_per_byte * nbytes
+        total, now = self._total_instructions, clock.now
+        by_category["record-lookup"] += lookup
+        total += lookup
+        now += lookup / rate
+        by_category["page-check"] += check
+        total += check
+        now += check / rate
+        by_category["record-copy"] += copy
+        total += copy
+        now += copy / rate
+        by_category["page-update"] += update
+        total += update
+        now += update / rate
+        self._total_instructions = total
+        clock.advance_to(now)
 
     # -- inspection ----------------------------------------------------------
 

@@ -138,8 +138,10 @@ class Segment:
             f"segment {self.segment_id} has no partition {number}"
         )
 
-    def is_resident(self, number: int) -> bool:
-        return number in self._partitions
+    def resident(self, number: int) -> Partition | None:
+        """The partition if it is resident, else ``None``: one lookup,
+        no error for a missing or unknown number."""
+        return self._partitions.get(number)
 
     def resident_partitions(self) -> Iterator[Partition]:
         for number in sorted(self._partitions):

@@ -11,16 +11,15 @@ stated once in :func:`settle`:
    transaction's volatile state is lost with main memory and its
    uncommitted SLB chain is discarded at restart.
 
-:func:`transaction_scope` is the ``with`` form; drivers that step a
-generator script call :func:`settle` when the body ends.  Both work on
+:class:`TransactionScope` is the ``with`` form; a scheduler stepping a
+generator script calls :func:`settle` when the body ends.  Both work on
 anything with ``state`` / ``commit()`` / ``abort()`` — a local
 :class:`Transaction` or a cross-shard ``DistributedTransaction``.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import TransactionStateError
 from repro.sim.faults import SimulatedCrash
@@ -50,17 +49,35 @@ def settle(txn, error: BaseException | None = None) -> None:
         )
 
 
-@contextlib.contextmanager
-def transaction_scope(begin: Callable[..., Any], **begin_kwargs) -> Iterator[Any]:
-    """``with transaction_scope(begin, ...) as txn:`` — begin, run the
-    body, :func:`settle`."""
-    txn = begin(**begin_kwargs)
-    try:
-        yield txn
-    except BaseException as error:
-        settle(txn, error)
-        raise
-    settle(txn)
+class TransactionScope:
+    """``with TransactionScope(begin, then, ...) as txn:`` — begin (with
+    the remaining keyword arguments), run the body, :func:`settle`; then,
+    if the body returned, ``then()`` when one is given (the pump that
+    ``Database.transaction`` runs after a commit).  A class, not a
+    generator, so the frame costs no generator on every transaction."""
+
+    __slots__ = ("_begin", "_then", "_begin_kwargs", "_txn")
+
+    def __init__(
+        self,
+        begin: Callable[..., Any],
+        then: Callable[[], Any] | None = None,
+        **begin_kwargs: Any,
+    ):
+        self._begin = begin
+        self._then = then
+        self._begin_kwargs = begin_kwargs
+        self._txn: Any = None
+
+    def __enter__(self) -> Any:
+        self._txn = self._begin(**self._begin_kwargs)
+        return self._txn
+
+    def __exit__(self, exc_type, error, tb) -> bool:
+        settle(self._txn, error)
+        if error is None and self._then is not None:
+            self._then()
+        return False  # the error, if any, propagates
 
 
 class TransactionManager:
@@ -107,11 +124,11 @@ class TransactionManager:
     def active_transactions(self) -> list[Transaction]:
         return [self._active[txn_id] for txn_id in sorted(self._active)]
 
-    def scope(self, **begin_kwargs) -> contextlib.AbstractContextManager[Transaction]:
-        """``with manager.scope() as txn:`` — :func:`transaction_scope`
-        over :meth:`begin`: commit on success, abort on any exception
-        (then re-raise), hands off on a simulated crash."""
-        return transaction_scope(self.begin, **begin_kwargs)
+    def scope(self, then: Callable[[], Any] | None = None, **begin_kwargs) -> TransactionScope:
+        """``with manager.scope() as txn:`` — a :class:`TransactionScope`
+        over :meth:`begin`: commit on success (then ``then()``), abort on
+        any exception (then re-raise), hands off on a simulated crash."""
+        return TransactionScope(self.begin, then, **begin_kwargs)
 
     def crash(self) -> None:
         """Active transactions simply vanish with main memory; their SLB

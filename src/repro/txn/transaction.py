@@ -534,10 +534,12 @@ class Transaction:
     def lock_component(self, address: EntityAddress) -> None:
         """Settle the no-wait exclusive lock before a component mutates.
 
-        ``NodeStore`` calls this ahead of the physical write/free so a
-        refused lock (which aborts this transaction immediately) finds the
-        component untouched — at that point no UNDO entry for the change
-        exists yet.
+        ``NodeStore`` calls this ahead of the physical write/free (and
+        ahead of reporting a new component) so a refused lock (which
+        aborts this transaction immediately) finds the component
+        untouched — at that point no UNDO entry for the change exists
+        yet.  It is the component's one lock request: the write and free
+        sinks that follow take none.
         """
         self._ensure_active()
         self.lock_entity(address, LockMode.EXCLUSIVE)
@@ -546,7 +548,6 @@ class Transaction:
         self, address: EntityAddress, before: bytes | None, after: bytes
     ) -> None:
         head = self._head(address, address.partition_address)
-        self.lock_entity(address, LockMode.EXCLUSIVE)
         # a component this transaction created is removed again
         self._undo.append(
             redo.IndexNodeFree(*head) if before is None else redo.IndexNodeWrite(*head, before)
@@ -556,7 +557,6 @@ class Transaction:
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
         head = self._head(address, address.partition_address)
-        self.lock_entity(address, LockMode.EXCLUSIVE)
         self._undo.append(redo.IndexNodeWrite(*head, before))
         if self.command is None:
             self._redo(redo.IndexNodeFree.pack(*head))

@@ -531,20 +531,17 @@ def txn_ids(body: bytes) -> list[int]:
     return [_TXN_ID.unpack_from(body, start)[0] for start, _ in _spans(body)]
 
 
-def split_records(body: bytes) -> list[bytes]:
-    """Each full-form record of ``body`` (records back to back, as an SLB
-    chain holds them) as its own bytes."""
-    return [body[start:end] for start, end in _spans(body, full=True)]
-
-
 def count_updates(record: bytes) -> int:
     """What one compact record adds to its partition's update count
     (section 2.4's checkpoint trigger): one change, and a
     :class:`CommandBarrier` the changes its command made there, at least
-    one."""
-    if record[0] != CommandBarrier.TAG:
-        return 1
-    return _REPLAY[CommandBarrier.TAG][0](record)[1] or 1  # (csn, changes)
+    one.  A tag no record class registered is refused."""
+    tag = record[0]
+    if tag == CommandBarrier.TAG:
+        return _REPLAY[tag][0](record)[1] or 1  # (csn, changes)
+    if tag not in _REPLAY:
+        raise LogError(f"unknown log record tag {tag}")
+    return 1
 
 
 def full_forms(body: bytes, partition: PartitionAddress) -> list[bytes]:

@@ -8,8 +8,11 @@ a block belongs to one transaction for its lifetime, so critical
 sections are needed only for block allocation, never for log writing —
 this removes the classical log-tail hot spot.
 
-A block holds its records' bytes, full form, back to back.  Chains of
-blocks live on one of two lists: the *uncommitted* transaction list and
+A block holds its records as the ``bytes`` objects their classes'
+``pack`` made, full form, in order, with a tally of their bytes that
+decides when it is full; nothing is copied or re-parsed on the way to
+the recovery CPU, which gets the records themselves.  Chains of blocks
+live on one of two lists: the *uncommitted* transaction list and
 the *committed* transaction list, the latter kept in commit order so the
 recovery CPU can drain records to the Stable Log Tail in that order.
 After a crash the committed list (stable) is drained normally and the
@@ -26,13 +29,12 @@ memory holds live structures, so both are kept as the objects they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.common.errors import StableMemoryFullError, TransactionStateError
 from repro.concurrency.latch import Latch
 from repro.sim.stable_memory import StableMemory
-from repro.wal.records import TxnCommand, TxnPrepare, split_records
+from repro.wal.records import TxnCommand, TxnPrepare
 
 #: Stable bytes reserved for the well-known communication areas.
 WELL_KNOWN_RESERVE = 64 * 1024
@@ -44,12 +46,16 @@ WELL_KNOWN_RESERVE = 64 * 1024
 COMMAND_LOG_KEY = "command-log"
 
 
-@dataclass
 class _LogBlock:
-    """One fixed-size block of the SLB, dedicated to a single transaction."""
+    """One fixed-size block of the SLB, dedicated to a single transaction:
+    its records, full form, in order, and their byte total."""
 
-    block_id: int
-    data: bytearray = field(default_factory=bytearray)
+    __slots__ = ("block_id", "records", "nbytes")
+
+    def __init__(self, block_id: int):
+        self.block_id = block_id
+        self.records: list[bytes] = []
+        self.nbytes = 0
 
 
 class TransactionLogChain:
@@ -62,11 +68,11 @@ class TransactionLogChain:
 
     @property
     def size_bytes(self) -> int:
-        return sum(len(block.data) for block in self.blocks)
+        return sum(block.nbytes for block in self.blocks)
 
     def records(self) -> Iterator[bytes]:
         for block in self.blocks:
-            yield from split_records(bytes(block.data))
+            yield from block.records
 
 
 class StableLogBuffer:
@@ -117,23 +123,27 @@ class StableLogBuffer:
         allocated — the main CPU must let the recovery CPU drain the
         committed list and retry (back-pressure).
         """
-        self.bytes_written += self._fill(self._require_open(txn_id), (record,))
+        self.bytes_written += self._put(self._require_open(txn_id), record)
         self.records_written += 1
 
+    def _put(self, chain: TransactionLogChain, record: bytes) -> int:
+        """Append one record to the chain's last block, or to a fresh one
+        when it does not fit; returns its size."""
+        size = len(record)
+        blocks = chain.blocks
+        if not blocks or blocks[-1].nbytes + size > self.block_size:
+            block = self._allocate_block(chain, size)
+        else:
+            block = blocks[-1]
+        block.records.append(record)
+        block.nbytes += size
+        chain.record_count += 1
+        return size
+
     def _fill(self, chain: TransactionLogChain, records) -> int:
-        """Append ``records`` to the chain's last block, allocating a
-        fresh block whenever the next record does not fit; returns the
+        """Append ``records`` in order (:meth:`_put` each); returns the
         bytes appended."""
-        block = chain.blocks[-1] if chain.blocks else None
-        filled = 0
-        for record in records:
-            size = len(record)
-            if block is None or len(block.data) + size > self.block_size:
-                block = self._allocate_block(chain, size)
-            block.data += record
-            chain.record_count += 1
-            filled += size
-        return filled
+        return sum(self._put(chain, record) for record in records)
 
     def _repack(self, chain: TransactionLogChain, kept, unwritten=()) -> int:
         """Rebuild the chain to hold exactly ``kept``: free its blocks and
@@ -349,20 +359,21 @@ class StableLogBuffer:
     def committed_record_count(self) -> int:
         return sum(chain.record_count for chain in self._committed)
 
-    def drain_committed(self) -> bytes:
-        """Remove and return committed records in commit order, full form,
-        back to back.
+    def drain_committed(self) -> list[bytes]:
+        """Remove and return the committed records in commit order, each
+        the full-form ``bytes`` its chain holds.
 
         The recovery CPU calls this to feed the Stable Log Tail.  Blocks
         are freed as their chains are consumed.
         """
-        drained = bytearray()
-        while self._committed:
-            chain = self._committed.pop(0)
+        drained: list[bytes] = []
+        committed = self._committed
+        for chain in committed:
             for block in chain.blocks:
-                drained += block.data
+                drained += block.records
             self._free_chain(chain)
-        return bytes(drained)
+        committed.clear()
+        return drained
 
     def requeue_committed(self, records: list[bytes]) -> None:
         """Return drained-but-unsorted records to the head of the

@@ -89,6 +89,11 @@ class StableLogTail:
         self._next_bin_index = 0
         #: First-LSN min-heap with lazy invalidation: (first_lsn, bin_index).
         self._first_lsn_heap: list[tuple[int, int]] = []
+        #: Indexes of the unmarked bins whose update count reached the
+        #: threshold: the update-count trigger's candidates, kept as
+        #: deposits, marks, resets and drops change them, so no drain
+        #: scans the bin table.
+        self._due: set[int] = set()
         self._well_known: dict[str, object] = {}
         self.stable.allocate("slt-well-known", 16 * 1024, self._well_known)
         # statistics of the recovery CPU's sorting/sealing duties
@@ -114,6 +119,7 @@ class StableLogTail:
         bin_index = self.bin_index_of(partition)
         bin_ = self._bins.pop(bin_index)
         del self._by_partition[partition]
+        self._due.discard(bin_index)
         self.stable.release(f"slt-info-{bin_index}")
         if f"slt-page-{bin_index}" in self.stable:
             self.stable.release(f"slt-page-{bin_index}")
@@ -158,17 +164,24 @@ class StableLogTail:
         became full, i.e. the caller (recovery processor) should seal and
         flush a page.
         """
-        bin_ = self.bin(bin_index_of(record))
+        bin_index = bin_index_of(record)
+        bin_ = self._bins.get(bin_index)
+        if bin_ is None:
+            raise LogError(f"no partition bin {bin_index}")
         check_owner(record, bin_.partition)
-        if not bin_.buffer and f"slt-page-{bin_.bin_index}" not in self.stable:
-            # Partition becomes active: allocate its page buffer.
-            self.stable.allocate(
-                f"slt-page-{bin_.bin_index}", self.config.log_page_size
-            )
         compact = compact_form(record)
+        updates = count_updates(compact)  # refuses an unknown tag
+        if not bin_.buffer and f"slt-page-{bin_index}" not in self.stable:
+            # Partition becomes active: allocate its page buffer.
+            self.stable.allocate(f"slt-page-{bin_index}", self.config.log_page_size)
         bin_.buffer += compact
         bin_.buffer_bytes += len(record)
-        bin_.update_count += count_updates(compact)
+        bin_.update_count += updates
+        if (
+            bin_.update_count >= self.config.update_count_threshold
+            and not bin_.marked_for_checkpoint
+        ):
+            self._due.add(bin_index)
         self.records_binned += 1
         return bin_.buffer_bytes >= self.config.log_page_size
 
@@ -214,13 +227,9 @@ class StableLogTail:
 
     def update_count_candidates(self) -> list[PartitionBin]:
         """Bins whose update count crossed the threshold and are not yet
-        marked for a checkpoint."""
-        threshold = self.config.update_count_threshold
-        return [
-            b
-            for b in self.bins()
-            if not b.marked_for_checkpoint and b.update_count >= threshold
-        ]
+        marked for a checkpoint, in bin index order."""
+        bins = self._bins
+        return [bins[bin_index] for bin_index in sorted(self._due)]
 
     def age_candidates(self, age_trigger_lsn: int) -> list[PartitionBin]:
         """Bins whose first log page is about to fall off the log window.
@@ -249,6 +258,7 @@ class StableLogTail:
         bin_ = self.bin(bin_index)
         bin_.marked_for_checkpoint = True
         bin_.checkpoint_reason = reason
+        self._due.discard(bin_index)
 
     def reset_after_checkpoint(self, bin_index: int) -> bytes:
         """Complete a checkpoint: the bin's log information is no longer
@@ -269,6 +279,7 @@ class StableLogTail:
         bin_.flushed_pages = 0
         bin_.marked_for_checkpoint = False
         bin_.checkpoint_reason = None
+        self._due.discard(bin_index)
         if f"slt-page-{bin_index}" in self.stable:
             self.stable.release(f"slt-page-{bin_index}")
         return leftovers

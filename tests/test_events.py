@@ -1,0 +1,128 @@
+"""The operator event ring: checkpoint and restart events, both clocks,
+bounded, and the one command that reads a checkpoint-queue backlog."""
+
+import json
+
+from repro import Database, RecoveryMode, SystemConfig
+from repro.db import events as events_module
+from repro.db.backlog import backlog, main
+
+
+def bank(**overrides):
+    config = dict(
+        log_page_size=512,
+        update_count_threshold=16,
+        log_window_pages=256,
+        log_window_grace_pages=16,
+    )
+    config.update(overrides)
+    db = Database(SystemConfig(**config))
+    rel = db.create_relation("acct", [("id", "int"), ("bal", "int")], primary_key="id")
+    with db.transaction() as txn:
+        addrs = [rel.insert(txn, {"id": i, "bal": 0}) for i in range(40)]
+    return db, rel, addrs
+
+
+def run_updates(db, rel, addrs, count, start=0):
+    for n in range(start, start + count):
+        with db.transaction() as txn:
+            rel.update(txn, addrs[n % len(addrs)], {"bal": n})
+
+
+def read_back(db, tmp_path) -> list[dict]:
+    path = tmp_path / "events.jsonl"
+    assert db.events.write_jsonl(path) == len(db.events)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestCheckpointEvents:
+    def test_each_request_is_written_then_acknowledged(self, tmp_path):
+        db, rel, addrs = bank()
+        run_updates(db, rel, addrs, 120)
+        events = read_back(db, tmp_path)
+        assert all({"event", "sim_s", "host_s"} <= set(entry) for entry in events)
+        requested = [e for e in events if e["event"] == "checkpoint.requested"]
+        assert "update-count" in {e["reason"] for e in requested} <= {"update-count", "age"}
+        for request in requested:
+            later = events[events.index(request) + 1 :]
+            mine = [e["event"] for e in later if e.get("partition") == request["partition"]]
+            assert mine[:2] == ["checkpoint.written", "checkpoint.acknowledged"]
+        written = [e for e in events if e["event"] == "checkpoint.written"]
+        assert all(e["bytes"] > 0 and e["slot"] is not None for e in written)
+        assert [e["sim_s"] for e in events] == sorted(e["sim_s"] for e in events)
+
+    def test_a_transaction_without_a_checkpoint_emits_nothing(self):
+        db, rel, addrs = bank(update_count_threshold=10_000)
+        before = len(db.events)
+        run_updates(db, rel, addrs, 50)
+        assert len(db.events) == before
+
+    def test_a_held_relation_lock_defers_and_the_command_shows_it(self, tmp_path, capsys):
+        """A writer holding the relation's IX lock refuses the checkpoint
+        transaction its S lock: the request waits, deferred on every pump,
+        and the backlog command prints the window with the deferral."""
+        db, rel, addrs = bank()
+        settled = len(db.events)
+        holder = db.transactions.begin()
+        rel.update(holder, addrs[0], {"bal": -1})
+        run_updates(db, rel, addrs[1:], 60)
+        deferred = [e for e in db.events if e["event"] == "checkpoint.deferred"]
+        assert deferred and {e["cause"] for e in deferred} == {"TransactionAborted"}
+        holder.commit()
+        db.pump()
+        events = read_back(db, tmp_path)
+        data = str(addrs[0].partition_address)
+        mine = [e["event"] for e in events[settled:] if e.get("partition") == data]
+        assert mine.index("checkpoint.requested") < mine.index("checkpoint.deferred")
+        assert mine.index("checkpoint.deferred") < mine.index("checkpoint.written")
+        assert main([str(tmp_path / "events.jsonl")]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("checkpoint queue peaked at ")
+        assert "checkpoint.deferred" in printed and "checkpoint.acknowledged" in printed
+        window = backlog(events)
+        assert window[0]["event"] == "checkpoint.requested"
+        assert window[-1]["event"] == "checkpoint.acknowledged"
+        assert window[-1]["queue_depth"] == 0
+
+
+class TestRestartEvents:
+    def test_begin_each_rebuild_then_recovered_and_the_ring_survives_the_crash(self):
+        db, rel, addrs = bank()
+        run_updates(db, rel, addrs, 60)
+        before = list(db.events)
+        db.crash()
+        db.restart(RecoveryMode.ON_DEMAND)
+        db.restart_coordinator.recover_everything()
+        events = list(db.events)
+        assert events[: len(before)] == before
+        after = events[len(before) :]
+        kinds = [e["event"] for e in after]
+        assert kinds[0] == "restart.begin" and after[0]["mode"] == "on-demand"
+        assert kinds[-1] == "restart.recovered" and kinds.count("restart.recovered") == 1
+        rebuilt = [
+            {k: v for k, v in e.items() if k not in ("event", "sim_s", "host_s")}
+            for e in after
+            if e["event"] == "restart.rebuilt"
+        ]
+        assert rebuilt == db.stats()["restart"]["partitions"]
+
+    def test_an_eager_restart_is_recovered_when_restart_returns(self):
+        db, rel, addrs = bank()
+        run_updates(db, rel, addrs, 20)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert [e["event"] for e in db.events][-1] == "restart.recovered"
+
+
+def test_the_ring_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(events_module, "EVENT_RING_SIZE", 6)
+    db, rel, addrs = bank()
+    sizes = []
+    for round_ in range(3):
+        run_updates(db, rel, addrs, 40, start=40 * round_)
+        sizes.append(len(db.events))
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        sizes.append(len(db.events))
+    assert max(sizes) == 6
+    assert [e["event"] for e in db.events][-1] == "restart.recovered"

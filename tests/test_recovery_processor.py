@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
+from repro.recovery.processor import RecoveryProcessor
+from repro.common import EntityAddress, LogError
+from repro.common.errors import MediaFailure
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
+from repro.sim.faults import SimulatedCrash
 from repro.wal.log_disk import ARCHIVE_SEGMENT
-from repro.wal.records import split_by_owner
+from repro.wal.records import FieldPatch, split_by_owner
+from repro.workloads.debit_credit import DebitCreditWorkload
 
 
 def small_db(**kwargs):
@@ -43,6 +49,150 @@ class TestSortingStep:
         seg = db.catalog.relation("t").segment_id
         data_bins = [b for b in db.slt.bins() if b.partition.segment == seg]
         assert sum(b.update_count for b in data_bins) >= 10
+
+
+def thirty_committed_updates():
+    """30 committed single-field updates of the small relation, not yet
+    drained (``pump=False``): the records the tests below drain."""
+    db, rel, addrs = small_db()
+    with db.transaction(pump=False) as txn:
+        for i in range(30):
+            rel.update(txn, addrs[i], {"v": 1})
+    return db, rel, addrs
+
+
+class TestDrainIsRecordAtomic:
+    """Whatever stops the sorting loop, every drained record is either in
+    its bin or back on the committed list, in commit order, and the next
+    drain deposits the rest."""
+
+    @staticmethod
+    def committed(db) -> list[bytes]:
+        return [record for chain in db.slb._committed for record in chain.records()]
+
+    def test_a_failed_page_write_requeues_the_undeposited_records(self, monkeypatch):
+        db, _, _ = thirty_committed_updates()
+        records = self.committed(db)
+        binned_before = db.slt.records_binned
+        append_page = db.log_disk.append_page
+        failures = []
+
+        def fail_once(page):
+            if not failures:
+                failures.append(page)
+                raise MediaFailure("log disk write failed")
+            return append_page(page)
+
+        monkeypatch.setattr(db.log_disk, "append_page", fail_once)
+        with pytest.raises(MediaFailure):
+            db.recovery_processor.run_until_drained()
+        deposited = db.slt.records_binned - binned_before
+        assert 0 < deposited < len(records)
+        assert self.committed(db) == records[deposited:]
+        db.recovery_processor.run_until_drained()
+        assert db.slt.records_binned - binned_before == len(records)
+        assert db.slb.committed_chain_count == 0
+
+    def test_a_crash_after_a_deposit_requeues_exactly_the_rest(self):
+        db, _, _ = thirty_committed_updates()
+        records = self.committed(db)
+        binned_before = db.slt.records_binned
+        engine = ChaosEngine(
+            ChaosPlan.crash_at(0, "recovery.sort.after-deposit", after_visits=4)
+        )
+        with chaos(engine), pytest.raises(SimulatedCrash):
+            db.recovery_processor.run_until_drained()
+        assert db.slt.records_binned - binned_before == 5
+        assert self.committed(db) == records[5:]
+        db.recovery_processor.run_until_drained()
+        assert db.slt.records_binned - binned_before == len(records)
+
+
+class TestRefusedAtTheSortingStep:
+    """The drain hands over the records as appended, unparsed: the
+    deposit refuses a malformed one with ``LogError`` and it goes back
+    to the committed list with everything after it."""
+
+    @staticmethod
+    def refused(db, record: bytes) -> None:
+        db.recovery_processor.run_until_drained()
+        binned = db.slt.records_binned
+        with db.transaction(pump=False) as txn:
+            db.append_log(txn.txn_id, record)
+        with pytest.raises(LogError):
+            db.recovery_processor.run_until_drained()
+        assert db.slt.records_binned == binned
+        assert [list(chain.records()) for chain in db.slb._committed] == [[record]]
+
+    def test_an_unknown_tag(self):
+        db, _, addrs = small_db()
+        bin_index = db.slt.bin_index_of(addrs[0].partition_address)
+        record = FieldPatch.pack(99, bin_index, addrs[0], 0, b"\x01")
+        self.refused(db, bytes([255]) + record[1:])
+
+    def test_an_unknown_bin(self):
+        db, _, addrs = small_db()
+        self.refused(db, FieldPatch.pack(99, 10_000, addrs[0], 0, b"\x01"))
+
+    def test_a_record_naming_another_partition(self):
+        db, _, addrs = small_db()
+        bin_index = db.slt.bin_index_of(addrs[0].partition_address)
+        other = EntityAddress(addrs[0].segment, addrs[0].partition + 7, 0)
+        self.refused(db, FieldPatch.pack(99, bin_index, other, 0, b"\x01"))
+
+
+def scanned_update_count_candidates(slt) -> list:
+    """The update-count trigger's candidates by a scan of every bin — how
+    the SLT found them before it kept them as a set — kept here as the
+    oracle for that set."""
+    threshold = slt.config.update_count_threshold
+    return [
+        bin_
+        for bin_ in slt.bins()
+        if not bin_.marked_for_checkpoint and bin_.update_count >= threshold
+    ]
+
+
+class TestUpdateCountCandidates:
+    def test_the_kept_set_is_the_scan_at_every_drain(self, monkeypatch):
+        """Through a seeded debit/credit run with three crashes and
+        on-demand restarts — partly drained with no checkpoint between
+        drains, so marked bins wait unreset — the candidates the SLT keeps
+        are, at every drain that sorted anything, the bins the scan finds,
+        in bin index order, and the trigger did fire."""
+        compared = []
+        check = RecoveryProcessor._check_update_count_triggers
+
+        def compare_then_check(processor):
+            kept = processor.slt.update_count_candidates()
+            assert kept == scanned_update_count_candidates(processor.slt)
+            compared.append(len(kept))
+            check(processor)
+
+        monkeypatch.setattr(
+            RecoveryProcessor, "_check_update_count_triggers", compare_then_check
+        )
+        db = Database(
+            SystemConfig(
+                log_page_size=512,
+                update_count_threshold=16,
+                log_window_pages=64,
+                log_window_grace_pages=8,
+            )
+        )
+        workload = DebitCreditWorkload(db, accounts_per_branch=20, seed=1987)
+        workload.load()
+        for _ in range(3):
+            for _ in range(6):
+                # drained with no checkpoint run between: marks persist
+                workload.run(5, pump=False)
+                db.recovery_processor.run_until_drained()
+            workload.run(30)
+            db.crash()
+            db.restart(RecoveryMode.ON_DEMAND)
+        workload.run(30)
+        workload.check_invariants()
+        assert len(compared) > 100 and sum(compared) > 0
 
 
 class TestArchiveOrderInvariant:

@@ -60,9 +60,11 @@ class TestTupleEncoding:
             schema.decode_tuple(b"\x00" * 7)
 
     def test_field_cell_roundtrip(self, schema):
-        # encode_field writes the cell encode_tuple would, where decode_tuple reads it
+        # a field's cell codec writes the cell encode_tuple would, where decode_tuple reads it
         cells = [("id", 7), ("balance", -5), ("owner", 9)]
-        data = b"".join(schema.encode_field(name, value) for name, value in cells)
+        data = b"".join(
+            schema.cell_codecs[schema.position(name)].pack(value) for name, value in cells
+        )
         assert data == schema.encode_tuple([value for _, value in cells])
         assert schema.decode_tuple(data) == [7, -5, 9]
 

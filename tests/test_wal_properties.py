@@ -33,10 +33,9 @@ from repro.wal.records import (
     full_forms,
     replay_records,
     split_by_owner,
-    split_records,
 )
 from repro.wal.slb import WELL_KNOWN_RESERVE
-from tests import page_of
+from tests import page_of, record_bytes
 from tests.redo_model import model_apply
 
 PADDR = PartitionAddress(3, 4)
@@ -106,7 +105,7 @@ def test_archive_split_undoes_full_forms_property(owned):
     mixed = b"".join(next(forms[owner]) for owner, _ in owned)
     assert split_by_owner(mixed) == bodies
     # the records' own owner is PADDR: there a full form is the encoding
-    assert [full for (owner, _), full in zip(owned, split_records(mixed)) if owner == PADDR] == [
+    assert [full for (owner, _), full in zip(owned, record_bytes(mixed, full=True)) if owner == PADDR] == [
         record.encode() for owner, record in owned if owner == PADDR
     ]
 
@@ -361,9 +360,9 @@ def test_slb_commit_order_property(appends):
         commit_sequence.append(txn_id)
     drained = slb.drain_committed()
     # grouped by transaction in commit order, in-order within each
-    assert drained == b"".join(
+    assert drained == [
         record for txn_id in commit_sequence for record in expected[txn_id]
-    )
+    ]
     # all blocks freed once drained
     assert slb.used_blocks() == 0
 

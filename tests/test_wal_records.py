@@ -196,7 +196,7 @@ class TestWireFormat:
         """Full form to compact and back, and its one span: the bytes
         are all the log path reads."""
         full = record.encode()
-        assert records.split_records(full) == [full]
+        assert record_bytes(full, full=True) == [full]
         assert records.full_forms(records.compact_form(full), PADDR) == [full]
         assert records.split_by_owner(full) == {PADDR: record.encode(compact=True)}
 
@@ -206,25 +206,25 @@ class TestWireFormat:
 
     def test_decode_records_sequence(self):
         blob = b"".join(r.encode() for r in ALL_RECORDS)
-        assert records.split_records(blob) == [r.encode() for r in ALL_RECORDS]
+        assert record_bytes(blob, full=True) == [r.encode() for r in ALL_RECORDS]
 
     def test_unknown_tag_rejected(self):
         blob = bytes([255]) + b"\x00" * 12
         with pytest.raises(LogError):
-            records.split_records(blob)
+            record_bytes(blob, full=True)
         with pytest.raises(LogError):
             records.replay_records(blob, None)
 
     def test_truncated_header_rejected(self):
         with pytest.raises(LogError):
-            records.split_records(b"\x01\x02")
+            record_bytes(b"\x01\x02", full=True)
         with pytest.raises(LogError):
             records.replay_records(b"\x01\x02", None)
 
     def test_truncated_fixed_fields_rejected(self):
         _, full, compact = GOLDEN_REDO["HeapDelete"]
         with pytest.raises(LogError):
-            records.split_records(bytes.fromhex(full)[:-1])
+            record_bytes(bytes.fromhex(full)[:-1], full=True)
         with pytest.raises(LogError):
             records.replay_records(bytes.fromhex(compact)[:-1], None)
 
@@ -237,7 +237,7 @@ class TestWireFormat:
         record, full, compact = GOLDEN_REDO[name]
         for cut in range(1, len(record.data) + 1):
             with pytest.raises(LogError, match=f"truncated {name} record"):
-                records.split_records(bytes.fromhex(full)[:-cut])
+                record_bytes(bytes.fromhex(full)[:-cut], full=True)
             partition = Partition(PADDR, 4096)
             with pytest.raises(LogError, match=f"truncated {name} data"):
                 records.replay_records(bytes.fromhex(compact)[:-cut], partition)
@@ -436,4 +436,4 @@ def test_pack_is_the_records_encoding_property(case):
     packed = cls.pack(*fields)
     assert packed == cls(*fields).encode()
     assert len(packed) == cls(*fields).size_bytes
-    assert records.split_records(packed) == [packed]
+    assert record_bytes(packed, full=True) == [packed]

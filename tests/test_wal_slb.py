@@ -10,7 +10,7 @@ from repro.common import (
 )
 from repro.sim import StableMemory
 from repro.wal import IndexNodeWrite, StableLogBuffer, TupleInsert
-from repro.wal.records import CommandBarrier, TxnCommand, split_records
+from repro.wal.records import CommandBarrier, TxnCommand
 from repro.wal.slb import WELL_KNOWN_RESERVE
 
 
@@ -97,7 +97,7 @@ class TestCommitAbort:
             slb.append(txn, record(txn, txn))
         for txn in (2, 3, 1):  # commit in a different order
             slb.commit(txn)
-        assert slb.drain_committed() == record(2, 2) + record(3, 3) + record(1, 1)
+        assert slb.drain_committed() == [record(2, 2), record(3, 3), record(1, 1)]
 
     def test_abort_discards_and_frees(self, slb):
         slb.open_chain(1)
@@ -125,12 +125,12 @@ class TestDrain:
         slb.commit(1)
         used_before = slb.stable.used_bytes
         drained = slb.drain_committed()
-        assert split_records(drained) == [record(1, i) for i in range(10)]
+        assert drained == [record(1, i) for i in range(10)]
         assert slb.stable.used_bytes < used_before
         assert slb.committed_chain_count == 0
 
     def test_drain_empty_returns_nothing(self, slb):
-        assert slb.drain_committed() == b""
+        assert slb.drain_committed() == []
 
 
 class TestCrashSemantics:
@@ -143,7 +143,7 @@ class TestCrashSemantics:
         # crash: stable object survives; restart policy discards losers
         discarded = slb.discard_uncommitted()
         assert discarded == 1
-        assert slb.drain_committed() == record(2)
+        assert slb.drain_committed() == [record(2)]
 
     def test_well_known_area_survives(self, slb):
         slb.put_well_known("catalog-partitions", [(1, 1), (1, 2)])
@@ -174,7 +174,7 @@ class TestRepack:
         assert (slb.records_written, slb.bytes_written) == (records, nbytes)
         assert slb.used_blocks() == 1
         slb.commit(1)
-        assert slb.drain_committed() == record(1, 0)
+        assert slb.drain_committed() == [record(1, 0)]
 
     def test_commit_command_unwinds_then_retries_after_drain(self):
         """Barriers needing a block the SLB cannot allocate: the chain and
@@ -204,11 +204,11 @@ class TestRepack:
         assert (slb.records_written, slb.bytes_written, slb.commits) == counters_before
         assert slb.command_seq == 0 and slb.live_commands() == []
         assert slb.used_blocks() == 3
-        assert slb.drain_committed() == record(1)  # the caller's back-pressure drain
+        assert slb.drain_committed() == [record(1)]  # the caller's back-pressure drain
         assert slb.commit_command(2, build) == 1
         assert slb.live_commands() == [command]
         assert slb.uncommitted_txn_ids == [3]
-        drained = split_records(slb.drain_committed())
+        drained = slb.drain_committed()
         assert drained[:5] == chain_before
         assert drained[5:] == build(1)[1]
         assert slb.records_written == counters_before[0] + 3

@@ -21,7 +21,6 @@ from repro.wal.records import (
     compact_form,
     full_forms,
     split_by_owner,
-    split_records,
 )
 from repro.wal.slb import WELL_KNOWN_RESERVE
 from repro.wal.slt import CheckpointReason
@@ -152,9 +151,9 @@ class TestDeposit:
             slb.append(3, logged_record.encode())
         slb.commit(3)
         drained = slb.drain_committed()
-        assert drained == b"".join(r.encode() for r in logged)
+        assert drained == [r.encode() for r in logged]
         bin_ = slt.bin(idx)
-        for logged_record, full in zip(logged, split_records(drained), strict=True):
+        for logged_record, full in zip(logged, drained, strict=True):
             before = bytes(bin_.buffer)
             slt.deposit(full)
             assert bin_.buffer == before + compact_form(full)
@@ -172,6 +171,15 @@ class TestDeposit:
         slt = make_slt()
         with pytest.raises(LogError):
             slt.deposit(record(99).encode())
+
+    def test_unknown_tag_rejected_before_the_bin_changes(self):
+        slt = make_slt()
+        idx = slt.register_partition(PADDR)
+        with pytest.raises(LogError, match="unknown log record tag 255"):
+            slt.deposit(bytes([255]) + record(idx).encode()[1:])
+        bin_ = slt.bin(idx)
+        assert (bin_.buffer, bin_.update_count, slt.records_binned) == (bytearray(), 0, 0)
+        assert f"slt-page-{idx}" not in slt.stable
 
 
 class TestSealAndDirectory:
