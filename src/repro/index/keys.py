@@ -24,7 +24,7 @@ _TAG_STR = 2
 
 Key = int | str | bytes
 
-_INT_BIAS = 1 << 63
+INT_BIAS = 1 << 63
 
 
 def encode_key(key: Key) -> bytes:
@@ -32,9 +32,9 @@ def encode_key(key: Key) -> bytes:
     if isinstance(key, bool):  # bool is an int subclass; reject explicitly
         raise IndexStructureError("bool is not a valid index key")
     if isinstance(key, int):
-        if not -_INT_BIAS <= key < _INT_BIAS:
+        if not -INT_BIAS <= key < INT_BIAS:
             raise IndexStructureError(f"integer key {key} out of 64-bit range")
-        return bytes([_TAG_INT]) + struct.pack(">Q", key + _INT_BIAS)
+        return bytes([_TAG_INT]) + struct.pack(">Q", key + INT_BIAS)
     if isinstance(key, bytes):
         return bytes([_TAG_BYTES]) + key
     if isinstance(key, str):
@@ -49,7 +49,7 @@ def decode_key(blob: bytes) -> Key:
     tag, payload = blob[0], blob[1:]
     if tag == _TAG_INT:
         (biased,) = struct.unpack(">Q", payload)
-        return biased - _INT_BIAS
+        return biased - INT_BIAS
     if tag == _TAG_BYTES:
         return payload
     if tag == _TAG_STR:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -37,12 +36,13 @@ from repro.index.base import (
     Index,
     pack_address,
     pack_item,
+    split_items,
     unpack_address,
     unpack_items,
     value_at,
     zip_items,
 )
-from repro.index.keys import Key, encode_key
+from repro.index.keys import INT_BIAS, Key, encode_key
 from repro.index.node_store import NodeStore
 
 _BUCKET_HEADER = struct.Struct("<BH")  # type, nitems
@@ -59,21 +59,40 @@ CHUNK_TYPE = 0x44  # 'D'
 #: must stay well under a partition's size.
 CHUNK_CAPACITY = 64
 
+_ADDRESS_BYTES = struct.calcsize("<" + ADDRESS_CODES)
+#: Where a chain node's first item starts: after its header and overflow pointer.
+_ITEMS_AT = _BUCKET_HEADER.size + _ADDRESS_BYTES
+
+#: A chain node with no item and no overflow node.
+_EMPTY_BUCKET = _BUCKET_HEADER.pack(BUCKET_TYPE, 0) + pack_address(NULL_ADDRESS)
+
 #: A whole directory chunk: its header and ``CHUNK_CAPACITY`` addresses.
 _CHUNK = struct.Struct(_CHUNK_HEADER.format + ADDRESS_CODES * CHUNK_CAPACITY)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_MASK = 0xFFFFFFFFFFFFFFFF
+#: FNV-1a's state after an int key's tag byte (0): the offset times the prime.
+_FNV_INT_START = (_FNV_OFFSET * _FNV_PRIME) & _FNV_MASK
 
 
 def stable_hash(key: Key) -> int:
     """FNV-1a over the encoded key: deterministic across runs, unlike
     Python's randomised ``hash``. Determinism matters because bucket
-    placement is reconstructed from logged component images."""
+    placement is reconstructed from logged component images.
+
+    An ``int`` in range starts from the tag byte's state and hashes the
+    eight biased bytes ``encode_key`` would append, without building the
+    encoding; ``bool`` and out-of-range ints take the general path, which
+    refuses them."""
+    if type(key) is int and -INT_BIAS <= key < INT_BIAS:
+        value = _FNV_INT_START
+        for byte in (key + INT_BIAS).to_bytes(8, "big"):
+            value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
+        return value
     value = _FNV_OFFSET
     for byte in encode_key(key):
-        value ^= byte
-        value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
     return value
 
 
@@ -216,6 +235,9 @@ class LinearHashIndex(Index):
         #: rollback takes its own changes back (:meth:`_counted`); a
         #: command replay forgets it (:meth:`forget_count`).
         self._count: int | None = 0 if anchor is None else None
+        #: ``(anchor form, key, head)`` of the last bucket resolved; see
+        #: :meth:`_bucket_head`.
+        self._head_memo: tuple[_AnchorForm, Key, EntityAddress] | None = None
         if anchor is None:
             buckets = tuple(self._new_bucket().address for _ in range(initial_buckets))
             chunks = tuple(
@@ -268,9 +290,7 @@ class LinearHashIndex(Index):
     # -- bucket I/O ---------------------------------------------------------------
 
     def _new_bucket(self) -> _Bucket:
-        bucket = _Bucket(NULL_ADDRESS)
-        bucket.address = self.store.allocate(bucket.encode())
-        return bucket
+        return _Bucket(self.store.allocate(_EMPTY_BUCKET))
 
     def _form(self, address: EntityAddress, keep: bool = True) -> _BucketForm:
         return self.store.load(address, _decode_bucket, keep)
@@ -284,8 +304,20 @@ class LinearHashIndex(Index):
         self.store.write(bucket.address, bucket.encode())
 
     def _bucket_head(self, key: Key) -> EntityAddress:
+        """The primary node of ``key``'s bucket, hashed once per statement:
+        a uniqueness probe and the insert after it pass the same key object
+        under the same anchor form.  The memo is reused only while both are
+        the very objects it holds.  Any split, UNDO or replay writes a new
+        anchor blob, and so a new form object (:meth:`NodeStore.load`); a
+        chunk slot changes only with the anchor, and a head never moves
+        (a split keeps the victim's, a delete never frees one)."""
         anchor = self._anchor()
-        return self._head(anchor, anchor.bucket_number(key))
+        memo = self._head_memo
+        if memo is not None and memo[0] is anchor and memo[1] is key:
+            return memo[2]
+        head = self._head(anchor, anchor.bucket_number(key))
+        self._head_memo = (anchor, key, head)
+        return head
 
     # -- public API ----------------------------------------------------------------------
 
@@ -311,11 +343,21 @@ class LinearHashIndex(Index):
         counted, from the bytes, in between)."""
         self._adjust_count(delta)
         if self.store.sink is not None:
-            self.store.sink.on_rollback(partial(self._adjust_count, -delta))
+            self.store.sink.on_rollback(self._uninsert if delta > 0 else self._undelete)
 
     def _adjust_count(self, delta: int) -> None:
         if self._count is not None:
             self._count += delta
+
+    # The compensations, plain methods: one kept bound on the index would
+    # make a reference cycle that holds a dropped index object, and its
+    # component cache, until a full garbage collection.
+
+    def _uninsert(self) -> None:
+        self._adjust_count(-1)
+
+    def _undelete(self) -> None:
+        self._adjust_count(+1)
 
     def search(self, key: Key) -> list[EntityAddress]:
         address = self._bucket_head(key)
@@ -335,12 +377,16 @@ class LinearHashIndex(Index):
         # empty node): its old bytes with the count raised and the item packed
         # on, as ``_Bucket.encode`` would write them, and its form to match.
         address = self._bucket_head(key)
+        anchor = self._head_memo[0]  # the form _bucket_head read: only a split writes one
         form = self._form(address)
         while len(form.keys) >= self.bucket_capacity:
             if form.overflow == NULL_ADDRESS:
-                full = self._load(address)
-                full.overflow = address = self._new_bucket().address
-                self._save(full)
+                # relink the full node: its bytes with the overflow pointer set
+                overflow = self._new_bucket().address
+                blob = self.store.read(address)
+                data = blob[: _BUCKET_HEADER.size] + pack_address(overflow) + blob[_ITEMS_AT:]
+                self.store.write(address, data, form._replace(overflow=overflow))
+                address = overflow
             else:
                 address = form.overflow
             form = self._form(address)
@@ -352,7 +398,7 @@ class LinearHashIndex(Index):
         form = _BucketForm(form.overflow, (*form.keys, key), form.values + pack_address(value))
         self.store.write(address, data, form)
         self._counted(+1)
-        if self._load_factor() > self.split_load:
+        if self._load_factor(anchor) > self.split_load:
             self._split_next()
 
     def delete(self, key: Key, value: EntityAddress) -> None:
@@ -393,56 +439,73 @@ class LinearHashIndex(Index):
 
     # -- splitting ----------------------------------------------------------------------------
 
-    def _load_factor(self) -> float:
-        return len(self) / (self._anchor().bucket_count * self.bucket_capacity)
+    def _load_factor(self, anchor: _AnchorForm | None = None) -> float:
+        """Items per bucket slot; ``anchor`` is the current anchor's form
+        when the caller holds it."""
+        anchor = anchor or self._anchor()
+        return len(self) / (anchor.bucket_count * self.bucket_capacity)
 
     def _split_next(self) -> None:
         """Split the bucket under the split pointer into itself and a new
         buddy at ``split + base * 2^level``.  The new addressing is worked
-        out on a local anchor form, written once the buckets are."""
+        out on a local anchor form, written once the buckets are.
+
+        Items move as the bytes :func:`pack_item` wrote, beside their
+        decoded keys, so no item is decoded or packed again; each tail is
+        written with its form."""
         count = len(self)
         anchor = self._anchor()
         victim_number = anchor.split
         buddy_number = anchor.bucket_count
         # collect the whole chain of the victim, freeing overflow nodes
-        items: list[tuple[Key, EntityAddress]] = []
-        head = self._load(self._head(anchor, victim_number))
-        items.extend(head.items)
-        address = head.overflow
+        head = self._head(anchor, victim_number)
+        keys: list[Key] = []
+        packed: list[bytes] = []
+        address = head
         while address != NULL_ADDRESS:
-            bucket = self._load(address)
-            items.extend(bucket.items)
-            next_address = bucket.overflow
-            self.store.free(bucket.address)
-            address = next_address
-        buddy = self._new_bucket()
-        chunks = self._append_to_directory(anchor, buddy.address)
+            form = self._form(address)
+            keys.extend(form.keys)
+            packed.extend(split_items(self.store.read(address), _ITEMS_AT, len(form.keys)))
+            if address != head:
+                self.store.free(address)
+            address = form.overflow
+        buddy = self._new_bucket().address
+        chunks = self._append_to_directory(anchor, buddy)
         level, split = anchor.level, victim_number + 1
         if split >= (anchor.base_buckets << level):
             level, split = level + 1, 0
         anchor = _AnchorForm(level, split, anchor.base_buckets, count, chunks)
-        # redistribute under the *new* addressing
-        head.items = []
-        head.overflow = NULL_ADDRESS
-        tails: dict[int, _Bucket] = {victim_number: head, buddy_number: buddy}
-        for key, value in items:
+        # redistribute under the *new* addressing: each target's open tail
+        # node as [address, keys, packed items]
+        tails = {victim_number: [head, [], []], buddy_number: [buddy, [], []]}
+        for key, item in zip(keys, packed):
             target = anchor.bucket_number(key)
-            if target not in tails:
+            tail = tails.get(target)
+            if tail is None:
                 raise IndexStructureError(
                     f"rehash sent key to bucket {target}, expected "
                     f"{victim_number} or {buddy_number}"
                 )
-            tail = tails[target]
-            if len(tail.items) >= self.bucket_capacity:
-                overflow = self._new_bucket()
-                tail.overflow = overflow.address
-                self._save(tail)
-                tails[target] = overflow
-                tail = overflow
-            tail.items.append((key, value))
+            if len(tail[1]) >= self.bucket_capacity:
+                overflow = self._new_bucket().address
+                self._write_node(*tail, overflow)
+                tail = tails[target] = [overflow, [], []]
+            tail[1].append(key)
+            tail[2].append(item)
         for tail in tails.values():
-            self._save(tail)
+            self._write_node(*tail, NULL_ADDRESS)
         self._save_anchor(anchor)
+
+    def _write_node(
+        self, address: EntityAddress, keys: list[Key], packed: list[bytes], overflow: EntityAddress
+    ) -> None:
+        """Write one chain node from its items' packed bytes, as
+        ``_Bucket.encode`` would, with its form."""
+        data = b"".join(
+            [_BUCKET_HEADER.pack(BUCKET_TYPE, len(packed)), pack_address(overflow), *packed]
+        )
+        values = b"".join([item[-_ADDRESS_BYTES:] for item in packed])
+        self.store.write(address, data, _BucketForm(overflow, tuple(keys), values))
 
     # -- invariants ---------------------------------------------------------------------------------
 

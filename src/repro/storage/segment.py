@@ -13,6 +13,7 @@ manager can schedule recovery transactions (section 2.5).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterator
 
 from repro.common.errors import NotResidentError, StorageError
@@ -37,6 +38,9 @@ class Segment:
         self.partition_size = partition_size
         self.heap_fraction = heap_fraction
         self._partitions: dict[int, Partition] = {}
+        #: The same partitions in number order, kept by :meth:`install` and
+        #: :meth:`evict_all`, so a placement scans without sorting.
+        self._in_order: list[Partition] = []
         self._next_partition = 1
         #: Partition numbers that exist in the catalog but are not resident;
         #: populated after a crash, drained as recovery proceeds.
@@ -77,7 +81,7 @@ class Segment:
 
     def first_fit(self, fits: Callable[[Partition], bool]) -> Partition | None:
         """The lowest-numbered resident partition ``fits`` accepts."""
-        return next(filter(fits, self.resident_partitions()), None)
+        return next(filter(fits, self._in_order), None)
 
     def install(self, partition: Partition) -> None:
         """Install a recovered partition (post-crash path), or a new one
@@ -93,6 +97,12 @@ class Segment:
                 f"{self.segment_id}"
             )
         number = partition.address.partition
+        in_order = self._in_order
+        position = bisect_left(in_order, number, key=_number)
+        if number in self._partitions:
+            in_order[position] = partition
+        else:
+            in_order.insert(position, partition)
         self._partitions[number] = partition
         self._missing.discard(number)
         if number >= self._next_partition:
@@ -114,6 +124,7 @@ class Segment:
         main memory itself; the lock tables vanish in the same instant."""
         self._missing.update(self._partitions)
         self._partitions.clear()
+        self._in_order.clear()
 
     # -- access -----------------------------------------------------------------
 
@@ -144,8 +155,8 @@ class Segment:
         return self._partitions.get(number)
 
     def resident_partitions(self) -> Iterator[Partition]:
-        for number in sorted(self._partitions):
-            yield self._partitions[number]
+        """The resident partitions in number order, as they stood when called."""
+        return iter(tuple(self._in_order))
 
     def partition_numbers(self) -> list[int]:
         """All partition numbers, resident or missing."""
@@ -167,3 +178,7 @@ class Segment:
             f"name={self.name!r}, resident={len(self._partitions)}, "
             f"missing={len(self._missing)})"
         )
+
+
+def _number(partition: Partition) -> int:
+    return partition.address.partition

@@ -431,21 +431,34 @@ class SweepMarker(_Marker):
 
 _HEADER_SIZE = struct.calcsize(_HEADER)
 _PAIR = struct.Struct("<ii")  # (segment, partition): what the compact form strips
-_BIN_INDEX = struct.Struct("<xI")  # the header's Bin Index, after the tag
+BIN_INDEX = struct.Struct("<xI")  # the header's Bin Index, after the tag
+#: A full-form record's ``[OWNER_START:OWNER_END]``: its (segment,
+#: partition) pair, which the compact form strips.
+OWNER_START = _HEADER_SIZE
+OWNER_END = _HEADER_SIZE + _PAIR.size
+#: The tags whose record adds one change to its partition's update count:
+#: every registered class but :class:`CommandBarrier` (:func:`count_updates`).
+ONE_CHANGE_TAGS = frozenset(_REGISTRY) - {CommandBarrier.TAG}
 _TXN_ID = struct.Struct("<5xQ")  # the header's transaction id, after the Bin Index
 
 
 def bin_index_of(record: bytes) -> int:
     """The Bin Index a record's header carries: its bin, found with no
     search (section 2.3.2)."""
-    return _BIN_INDEX.unpack_from(record)[0]
+    return BIN_INDEX.unpack_from(record)[0]
+
+
+def owner_pair(partition: PartitionAddress) -> bytes:
+    """The (segment, partition) pair a full-form record of ``partition``
+    carries at ``[OWNER_START:OWNER_END]``."""
+    return _PAIR.pack(partition.segment, partition.partition)
 
 
 def check_owner(record: bytes, partition: PartitionAddress) -> None:
     """Refuse a full-form record whose (segment, partition) pair names
     another partition than ``partition``: eight bytes compared."""
-    pair = record[_HEADER_SIZE : _HEADER_SIZE + _PAIR.size]
-    if pair != _PAIR.pack(partition.segment, partition.partition):
+    pair = record[OWNER_START:OWNER_END]
+    if pair != owner_pair(partition):
         raise LogError(
             f"record for {PartitionAddress(*_PAIR.unpack(pair))} carries bin "
             f"index {bin_index_of(record)} of {partition}"
@@ -558,7 +571,7 @@ def full_forms(body: bytes, partition: PartitionAddress) -> list[bytes]:
 
 def compact_form(record: bytes) -> bytes:
     """One full-form record's compact form (:func:`full_forms` undone)."""
-    return record[:_HEADER_SIZE] + record[_HEADER_SIZE + _PAIR.size :]
+    return record[:OWNER_START] + record[OWNER_END:]
 
 
 def split_by_owner(body: bytes) -> dict[PartitionAddress, bytes]:

@@ -34,7 +34,15 @@ from repro.common.errors import LogError
 from repro.common.types import NULL_LSN, PartitionAddress
 from repro.sim.stable_memory import StableMemory
 from repro.wal.log_disk import LogPage
-from repro.wal.records import bin_index_of, check_owner, compact_form, count_updates
+from repro.wal.records import (
+    BIN_INDEX,
+    ONE_CHANGE_TAGS,
+    OWNER_END,
+    OWNER_START,
+    check_owner,
+    count_updates,
+    owner_pair,
+)
 
 #: Stable bytes for one permanent partition information block ("on the
 #: order of 50 bytes", section 2.3.3).
@@ -54,6 +62,9 @@ class PartitionBin:
     bin_index: int
     partition: PartitionAddress
     update_count: int = 0
+    #: ``partition`` as the (segment, partition) pair a full-form record
+    #: carries, packed once for the sorting step's owner check.
+    pair: bytes = b""
     first_page_lsn: int = NULL_LSN
     #: LSNs of the current directory group, oldest first (≤ directory_size).
     directory: list[int] = field(default_factory=list)
@@ -109,7 +120,7 @@ class StableLogTail:
         bin_index = self._next_bin_index
         self._next_bin_index += 1
         self.stable.allocate(f"slt-info-{bin_index}", INFO_BLOCK_BYTES)
-        bin_ = PartitionBin(bin_index, partition)
+        bin_ = PartitionBin(bin_index, partition, pair=owner_pair(partition))
         self._bins[bin_index] = bin_
         self._by_partition[partition] = bin_index
         return bin_index
@@ -160,21 +171,30 @@ class StableLogTail:
 
         The bin index travels in the record's header (direct index — no
         search, section 2.3.2), and a record whose address names another
-        partition is refused.  Returns True when the bin's page buffer
-        became full, i.e. the caller (recovery processor) should seal and
-        flush a page.
+        partition is refused, as is a tag no record class registered; each
+        refusal comes before the bin changes.  The update count grows by
+        :func:`~repro.wal.records.count_updates`' rule: one for a record
+        of ``ONE_CHANGE_TAGS``, read off the bytes for any other tag.
+        Returns True when the bin's page buffer became full, i.e. the
+        caller (recovery processor) should seal and flush a page.
         """
-        bin_index = bin_index_of(record)
+        bin_index = BIN_INDEX.unpack_from(record)[0]
         bin_ = self._bins.get(bin_index)
         if bin_ is None:
             raise LogError(f"no partition bin {bin_index}")
-        check_owner(record, bin_.partition)
-        compact = compact_form(record)
-        updates = count_updates(compact)  # refuses an unknown tag
-        if not bin_.buffer and f"slt-page-{bin_index}" not in self.stable:
+        if record[OWNER_START:OWNER_END] != bin_.pair:
+            check_owner(record, bin_.partition)  # refuses it
+        if record[0] in ONE_CHANGE_TAGS:
+            updates = 1
+        else:  # a command barrier, or a tag no class registered (refused)
+            updates = count_updates(record[:OWNER_START] + record[OWNER_END:])
+        buffer = bin_.buffer
+        if not buffer and f"slt-page-{bin_index}" not in self.stable:
             # Partition becomes active: allocate its page buffer.
             self.stable.allocate(f"slt-page-{bin_index}", self.config.log_page_size)
-        bin_.buffer += compact
+        # The compact form: the record minus its (segment, partition) pair.
+        buffer += record[:OWNER_START]
+        buffer += record[OWNER_END:]
         bin_.buffer_bytes += len(record)
         bin_.update_count += updates
         if (

@@ -1,5 +1,7 @@
 """Tests for Modified Linear Hashing, including model-based properties."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.index import LinearHashIndex, NodeStore
 from repro.index.base import NULL_ADDRESS, zip_items
 from repro.index.linear_hash import _Bucket, _decode_bucket, stable_hash
 from repro.storage import MemoryManager
+from tests.hash_model import ModelHashIndex, RecordingSink, reference_hash, stale_cache_entries
 
 
 def make_store():
@@ -342,3 +345,173 @@ class TestAppendBytes:
             m.setattr(LinearHashIndex, "insert", _reference_insert)
             reference = run()
         assert patched == reference
+
+
+# ---------------------------------------------------------------------------
+# Against the reference model: the same bytes, REDO stream and answers
+# ---------------------------------------------------------------------------
+
+INT_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+
+
+def _key_pool(rng, kind):
+    """Keys of one type, few enough that duplicates are common."""
+    if kind == "int":
+        return INT_EDGES + [rng.randrange(-(2**63), 2**63) for _ in range(12)]
+    if kind == "str":
+        return [f"k{n}" * rng.randint(1, 3) for n in range(16)] + ["", "é"]
+    return [bytes([n]) * rng.randint(0, 4) for n in range(16)] + [b"\x00\xff"]
+
+
+class _Pair:
+    """The reference model and the index, each over its own store, fed
+    the same operations."""
+
+    def __init__(self, **shape):
+        self.model = self._build(ModelHashIndex, shape)
+        self.index = self._build(LinearHashIndex, shape)
+        self.sinks = (self.model.store.sink, self.index.store.sink)
+
+    @staticmethod
+    def _build(cls, shape):
+        store = make_store()
+        store.sink = RecordingSink(store.segment)
+        return cls(store, **shape)
+
+    def both(self, operation, *args):
+        """``operation`` on each; the model's outcome, which the index's must equal."""
+        outcomes = []
+        for index in (self.model, self.index):
+            try:
+                outcomes.append(getattr(index, operation)(*args))
+            except IndexStructureError as exc:
+                outcomes.append(("raised", str(exc)))
+        assert outcomes[0] == outcomes[1], (operation, args)
+        return outcomes[0]
+
+    def statement(self, steps, keep):
+        marks = [sink.mark() for sink in self.sinks]
+        for operation, *args in steps:
+            self.both(operation, *args)
+        if not keep:
+            for sink, mark in zip(self.sinks, marks):
+                sink.rollback_to(mark)
+
+    def check(self):
+        model, index = self.model, self.index
+        assert self.sinks[1].events == self.sinks[0].events
+        assert _components(index) == _components(model)
+        assert stale_cache_entries(index) == []
+        assert len(index) == len(model)
+        index.verify_invariants()
+        model.verify_invariants()
+
+
+def _components(index):
+    return [
+        (partition.address, list(partition.entities()))
+        for partition in index.store.segment.resident_partitions()
+    ]
+
+
+def _stream(seed, capacity, initial):
+    rng = random.Random(seed)
+    kind = ("int", "str", "bytes")[seed % 3]
+    pool = _key_pool(rng, kind)
+    pair = _Pair(bucket_capacity=capacity, initial_buckets=initial)
+    present = []  # (key, value) pairs in the index
+    values = iter(range(1, 10**6))
+
+    def step():
+        roll = rng.random()
+        if roll < 0.55 or not present:
+            key = rng.choice(pool)
+            if rng.random() < 0.5:
+                pair.both("search", key)  # the probe an insert statement makes first
+            item = (key, addr(next(values)))
+            present.append(item)
+            return ("insert", *item)
+        if roll < 0.8:
+            item = present.pop(rng.randrange(len(present)))
+            return ("delete", *item)
+        return ("search", rng.choice(pool))
+
+    for _ in range(120):
+        if rng.random() < 0.2:
+            before = list(present)
+            steps = [step() for _ in range(rng.randint(1, 3))]
+            keep = rng.random() < 0.5
+            pair.statement(steps, keep)
+            if not keep:
+                present[:] = before
+        else:
+            pair.both(*step())
+        pair.check()
+    for key in pool:
+        pair.both("search", key)
+    assert sorted(pair.index.items()) == sorted(present)
+
+
+@pytest.mark.parametrize("initial", range(1, 6))
+@pytest.mark.parametrize("capacity", range(1, 9))
+def test_streams_match_the_reference_model(capacity, initial):
+    """Seeded insert / delete / statement-rollback streams (int keys at
+    the 64-bit edges, str and bytes keys, duplicate keys with distinct
+    values): after every step the index has the model's component bytes
+    and REDO stream, a cache of true decodings, the same ``len()`` and
+    whole invariants."""
+    _stream(capacity * 10 + initial, capacity, initial)
+
+
+class TestStableHashFastPath:
+    @pytest.mark.parametrize("key", INT_EDGES + [12345, -98765, 2**40 + 7])
+    def test_an_int_hashes_as_its_encoding(self, key):
+        assert stable_hash(key) == reference_hash(key)
+
+    def test_random_ints_hash_as_their_encoding(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            key = rng.randrange(-(2**63), 2**63)
+            assert stable_hash(key) == reference_hash(key)
+
+    def test_other_types_unchanged(self):
+        for key in ("", "abc", "é", b"", b"\x00\xff"):
+            assert stable_hash(key) == reference_hash(key)
+
+    @pytest.mark.parametrize("key", [True, False, 2**63, -(2**63) - 1, 1.5])
+    def test_refused_keys_still_raise(self, key):
+        with pytest.raises(IndexStructureError):
+            stable_hash(key)
+
+
+class TestHeadMemo:
+    """A statement hashes its key once; the memo must never outlive the
+    anchor form it was taken under."""
+
+    @staticmethod
+    def _buddy_key():
+        """An int key (no cached small int) that bucket 0's first split
+        moves to the buddy, bucket 1."""
+        return next(k for k in range(1000, 5000) if stable_hash(k) % 2 == 1)
+
+    def test_search_then_a_split_then_insert_of_the_same_key_object(self):
+        pair = _Pair(initial_buckets=1, bucket_capacity=2)
+        pair.both("insert", 1, addr(1))
+        key = self._buddy_key()
+        pair.both("search", key)  # memo: (anchor, key, bucket 0's head)
+        pair.both("insert", 2, addr(2))  # splits bucket 0
+        assert pair.index.bucket_count == 2
+        pair.both("insert", key, addr(3))  # same key object
+        pair.check()
+        assert pair.index.search(key) == [addr(3)]
+
+    def test_rolled_back_split_then_the_same_key_again(self):
+        pair = _Pair(initial_buckets=1, bucket_capacity=2)
+        pair.both("insert", 1, addr(1))
+        key = self._buddy_key()
+        pair.statement([("search", key), ("insert", key, addr(2))], keep=False)
+        assert pair.index.bucket_count == 1  # the split went with the statement
+        pair.check()
+        pair.both("insert", key, addr(3))
+        pair.check()
+        assert pair.index.search(key) == [addr(3)]

@@ -215,6 +215,42 @@ class TestSegment:
         assert seg.missing_partitions() == [1, 2]
         assert not seg.fully_resident
 
+    def test_out_of_order_installs_keep_the_first_fit_choice(self):
+        """Restart installs partitions in recovery order, not by number, and
+        a re-installed number replaces its partition: the first fit is
+        still the lowest-numbered resident partition that fits, as a scan
+        in sorted order finds it, and the resident partitions come in
+        number order."""
+        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg.mark_missing(list(range(1, 9)))
+        parts = {}
+        for number in (5, 2, 8, 1, 7, 3, 2, 6, 4):
+            parts[number] = Partition(PartitionAddress(seg.segment_id, number), 4096)
+            parts[number].insert(b"x" * (number * 300))
+            seg.install(parts[number])
+            for room in (0, 1500, 2500, 3000, 5000):
+
+                def fits(partition, room=room):
+                    return partition.free_bytes >= room
+
+                by_sorted_scan = next(
+                    (parts[n] for n in sorted(parts) if fits(parts[n])), None
+                )
+                assert seg.first_fit(fits) is by_sorted_scan
+            assert list(seg.resident_partitions()) == [parts[n] for n in sorted(parts)]
+        seg.evict_all()
+        assert seg.first_fit(lambda partition: True) is None
+        assert list(seg.resident_partitions()) == []
+
+    def test_resident_partitions_is_a_snapshot(self):
+        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        first = seg.allocate_partition()
+        seen = []
+        for partition in seg.resident_partitions():
+            seen.append(partition)
+            seg.allocate_partition()
+        assert seen == [first]
+
     def test_allocation_continues_after_missing_marks(self):
         seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
         seg.mark_missing([5])

@@ -14,6 +14,7 @@ from repro.wal import (
     StableLogTail,
     TupleInsert,
 )
+from repro.wal import records
 from repro.wal.log_disk import ARCHIVE_SEGMENT
 from repro.wal.records import (
     CommandBarrier,
@@ -159,18 +160,45 @@ class TestDeposit:
             assert bin_.buffer == before + compact_form(full)
             assert compact_form(full) == logged_record.encode(compact=True)
 
-    def test_wrong_bin_index_rejected(self):
-        slt = make_slt()
-        slt.register_partition(PADDR)
+    @staticmethod
+    def _loaded(threshold=3):
+        """A tail with two bins, one record short of its update-count
+        threshold in the first (so a further deposit would make it due)."""
+        slt = make_slt(make_config(update_count_threshold=threshold))
+        idx = slt.register_partition(PADDR)
         other = slt.register_partition(PartitionAddress(1, 2))
+        for offset in range(1, threshold):
+            slt.deposit(record(idx, offset=offset).encode())
+        return slt, idx, other
+
+    @staticmethod
+    def _state(slt):
+        """Everything a deposit may change."""
+        return (
+            [(bytes(b.buffer), b.buffer_bytes, b.update_count) for b in slt.bins()],
+            slt.records_binned,
+            set(slt._due),
+            sorted(key for key in slt.stable.keys() if key.startswith("slt-page-")),
+        )
+
+    def test_wrong_bin_index_rejected(self):
+        slt, idx, other = self._loaded()
+        before = self._state(slt)
         bad = TupleInsert(1, other, EntityAddress(1, 1, 1), b"x")
+        with pytest.raises(LogError, match="record for S1.P1 carries bin index 1 of S1.P2"):
+            slt.deposit(bad.encode())
+        assert self._state(slt) == before
+        bad = TupleInsert(1, idx, EntityAddress(1, 2, 1), b"x")
         with pytest.raises(LogError):
             slt.deposit(bad.encode())
+        assert self._state(slt) == before
 
     def test_unknown_bin_rejected(self):
-        slt = make_slt()
-        with pytest.raises(LogError):
+        slt, idx, other = self._loaded()
+        before = self._state(slt)
+        with pytest.raises(LogError, match="no partition bin 99"):
             slt.deposit(record(99).encode())
+        assert self._state(slt) == before
 
     def test_unknown_tag_rejected_before_the_bin_changes(self):
         slt = make_slt()
@@ -180,6 +208,30 @@ class TestDeposit:
         bin_ = slt.bin(idx)
         assert (bin_.buffer, bin_.update_count, slt.records_binned) == (bytearray(), 0, 0)
         assert f"slt-page-{idx}" not in slt.stable
+
+    def test_every_record_class_deposits_its_compact_form(self):
+        """Each registered class's golden sample grows its bin by exactly
+        ``compact_form`` of its bytes (the golden compact encoding) and its
+        update count by ``count_updates``' rule."""
+        from tests.test_wal_records import GOLDEN_REDO
+        from tests.test_wal_records import PADDR as SAMPLE_PADDR
+
+        slt = make_slt(make_config(log_page_size=4096, update_count_threshold=1000))
+        for number in range(4):  # the samples carry bin index 4
+            slt.register_partition(PartitionAddress(9, number))
+        idx = slt.register_partition(SAMPLE_PADDR)
+        bin_ = slt.bin(idx)
+        for cls in records._REGISTRY.values():
+            sample, full, compact = GOLDEN_REDO[cls.__name__]
+            assert sample.bin_index == idx
+            full = bytes.fromhex(full)
+            before, count = bytes(bin_.buffer), bin_.update_count
+            slt.deposit(full)
+            assert bytes(bin_.buffer) == before + compact_form(full) == before + bytes.fromhex(
+                compact
+            )
+            assert bin_.update_count == count + records.count_updates(compact_form(full))
+        assert slt.records_binned == len(records._REGISTRY)
 
 
 class TestSealAndDirectory:
