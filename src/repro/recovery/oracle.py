@@ -36,13 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
 
 
-def logical_digest(db: "Database") -> str:
+def logical_digest(db: "Database", slots: bool = True) -> str:
     """SHA-256 over the database's committed logical state.
 
     Deterministic: descriptors in name order, each followed by its
     segment's occupied partitions, entities, and heap strings in address
     order (the catalog's own entities *are* the descriptors).  Requires
     every partition to be memory-resident (run full recovery first).
+    ``slots=False`` leaves each partition's checkpoint slot out: a media
+    restore images everything afresh, so across one only the rest can
+    match.
     """
     h = hashlib.sha256()
     for descriptor in [*db.catalog.relations(), *db.catalog.indexes()]:
@@ -56,6 +59,8 @@ def logical_digest(db: "Database") -> str:
         occupied = [p for p in segment.resident_partitions() if len(p) or len(p.heap)]
         listed = {
             number: descriptor.partitions[number]
+            if slots
+            else dataclasses.replace(descriptor.partitions[number], checkpoint_slot=None)
             for number in (p.address.partition for p in occupied)
         }
         h.update(b"D")
@@ -75,7 +80,7 @@ def logical_digest(db: "Database") -> str:
     return h.hexdigest()
 
 
-def committed_digests(databases: "list[Database]") -> list[str]:
+def committed_digests(databases: "list[Database]", slots: bool = True) -> list[str]:
     """The digest each of ``databases`` must recover to, read at the crash.
 
     A crash loses only volatile memory, and only committed REDO is stable
@@ -88,7 +93,7 @@ def committed_digests(databases: "list[Database]") -> list[str]:
     prepared 2PC branch stays when its coordinator's verdict is commit
     (:func:`~repro.recovery.restart.in_doubt_verdicts`) and is rolled back
     otherwise (presumed abort).  Memory is left rolled back: call each
-    database's ``crash()`` next.
+    database's ``crash()`` next.  ``slots`` is :func:`logical_digest`'s.
     """
     from repro.recovery.restart import in_doubt_verdicts
     from repro.txn.transaction import TxnState
@@ -103,7 +108,7 @@ def committed_digests(databases: "list[Database]") -> list[str]:
                 txn.state is TxnState.PREPARED and txn.txn_id not in decided
             ):
                 txn._rollback(crashing=True)
-        digests.append(logical_digest(db))
+        digests.append(logical_digest(db, slots))
     return digests
 
 

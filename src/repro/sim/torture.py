@@ -9,7 +9,11 @@ then crashes, restarts, and checks the recovered state.  A ``mixed``
 round runs :class:`~repro.workloads.generator.MixedWorkload` instead, on
 a T-tree primary key: updates, inserts, deletes and lookups, with every
 :data:`MIXED_ABORT_EVERY`-th transaction inserting rows and then
-aborting.
+aborting.  A ``media`` round runs the bank round, then destroys the
+checkpoint disk before its restart and restores from the log history
+(:func:`~repro.recovery.media.restore_after_checkpoint_media_failure`,
+paper section 2.6); its crash rounds crash inside that restore, and an
+ordinary restart, whose partitions take the ``history`` source, follows.
 
 Everything in a round derives from one integer seed: the plan, the
 workload skew, the interleaving.  A failing round raises
@@ -23,6 +27,8 @@ Verification is layered:
   database of the round must recover to, byte for byte, mid-pool or not,
   with :func:`~repro.db.integrity.verify_integrity` finding nothing.
   :func:`~repro.sim.chaos.crash_restart_verify` runs it, as for the sweep.
+  A media restore images every partition afresh, so a media round
+  compares the digest without checkpoint slots.
 * **Bank invariants** — after any recovery, committed debit/credit
   transactions must be atomic across all four relations: with ``C``
   history rows, accounts total ``1000·N + 10·C`` and tellers and
@@ -43,7 +49,8 @@ Verification is layered:
 
 A crash round first runs its seed with nothing injected, then crashes at
 a registered crash point that run passed and at one of its passages,
-each drawn uniformly, so every crash round fires.  After a batch the
+each drawn uniformly, so every crash round fires (a media round draws
+from what the dry run's restore passed).  After a batch the
 command line lists the registered crash points no round passed.
 
 Run from the command line::
@@ -51,6 +58,7 @@ Run from the command line::
     python -m repro.sim.torture --seed 7 --rounds 3 \
         --kinds crash fault --log rounds.jsonl
     python -m repro.sim.torture --seed 300 --rounds 3 --workload mixed
+    python -m repro.sim.torture --seed 400 --rounds 3 --media
 """
 
 from __future__ import annotations
@@ -62,16 +70,20 @@ from typing import TYPE_CHECKING, Callable
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.db.database import Database, RecoveryMode
-from repro.recovery.oracle import log_order_violations, logical_digest
+from repro.common.errors import RecoveryError
+from repro.recovery.media import restore_after_checkpoint_media_failure
+from repro.recovery.oracle import committed_digests, log_order_violations, logical_digest
 from repro.sim.chaos import (
     ChaosEngine,
     ChaosPlan,
     ChaosRule,
+    chaos,
     crash_restart_verify,
     registered_crash_points,
     restart_until_recovered,
 )
 from repro.sim.clock import host_now
+from repro.sim.faults import SimulatedCrash
 from repro.txn.scheduler import Scheduler
 from repro.workloads.debit_credit import DebitCreditWorkload
 from repro.workloads.generator import MixedWorkload, OperationMix
@@ -138,6 +150,9 @@ class RoundSpec:
     #: single node.
     shards: int = 1
     workload: str = "bank"
+    #: Destroy the checkpoint disk before the restart and restore from the
+    #: log history (a single-node bank round).
+    media: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -148,6 +163,8 @@ class RoundSpec:
             raise ValueError(f"unknown workload {self.workload!r}; expected {WORKLOADS}")
         if self.workload != "bank" and self.shards > 1:
             raise ValueError(f"a {self.workload} round runs on one node")
+        if self.media and (self.workload != "bank" or self.shards > 1):
+            raise ValueError("a media round is a single-node bank round")
 
     def repro_command(self) -> str:
         command = (
@@ -158,6 +175,8 @@ class RoundSpec:
             command += f" --shards {self.shards}"
         if self.workload != "bank":
             command += f" --workload {self.workload}"
+        if self.media:
+            command += " --media"
         return command
 
 
@@ -183,32 +202,44 @@ class RoundResult:
     host_seconds: float
     shards: int = 1
     workload: str = "bank"
+    media: bool = False
 
     def to_json(self) -> dict:
         record = dict(self.__dict__)
         if self.workload == "bank":
             del record["workload"]  # the record every bank round has always had
+        if not self.media:
+            del record["media"]
         return record
 
 
-def build_plan(spec: RoundSpec, rng: random.Random, hits: dict[str, int]) -> ChaosPlan:
+def build_plan(
+    spec: RoundSpec,
+    rng: random.Random,
+    hits: dict[str, int],
+    before: dict[str, int] | None = None,
+) -> ChaosPlan:
     """Generate the round's injection plan from its seed.
 
     A crash plan draws from ``hits``, the passages the round's dry run
     counted (:meth:`ChaosEngine.hits`): first a registered crash point
     among those it passed, uniformly, so rare points get as many draws as
-    the commit path, then one of that point's passages, uniformly.  A
-    fault plan ignores ``hits``.  Pure function of ``(spec, rng state,
-    hits)``: the same seed always yields the same plan, which is what
+    the commit path, then one of that point's passages, uniformly.  With
+    ``before`` — a media round's passages ahead of its restore — it draws
+    only from the passages after them, counted on from there.  A fault
+    plan ignores both.  Pure function of ``(spec, rng state, hits,
+    before)``: the same seed always yields the same plan, which is what
     makes a failed round replayable.
     """
     if spec.kind == "crash":
+        before = before or {}
         crash_points = registered_crash_points()
-        passed = sorted(name for name in hits if name in crash_points)
+        own = {name: count - before.get(name, 0) for name, count in hits.items()}
+        passed = sorted(name for name, count in own.items() if count and name in crash_points)
         if not passed:
             raise ValueError(f"seed {spec.seed}: the dry run passed no registered crash point")
         point = rng.choice(passed)
-        visit = rng.randint(1, hits[point])
+        visit = before.get(point, 0) + rng.randint(1, own[point])
         return ChaosPlan.crash_at(spec.seed, point, after_visits=visit - 1)
     rules: list[ChaosRule] = []
     for point in rng.sample(FAULT_POINTS, k=rng.randint(1, 2)):
@@ -261,6 +292,49 @@ def _run_mixed(workload: MixedWorkload) -> None:
             pass
 
 
+def media_restore_verify(
+    db: Database, run: Callable[[], object], engine: ChaosEngine, mode: RecoveryMode
+) -> tuple[int, dict[str, int]]:
+    """:func:`~repro.sim.chaos.crash_restart_verify` across a media failure.
+
+    Run ``run`` under ``engine`` until it returns or crashes, read what
+    the database must recover to, power-fail, destroy the checkpoint disk
+    and restore from the log history.  A crash inside the restore is
+    followed by an ordinary restart in ``mode``, whose partitions take
+    the ``history`` source.  The restore images every partition afresh, so
+    the digest is compared without checkpoint slots; then
+    :func:`~repro.db.integrity.verify_integrity` must find nothing.
+    Returns the restore and restart attempts (1: no crash in them) and
+    the passages ``engine`` counted before the restore."""
+    from repro.db.integrity import verify_integrity
+
+    with chaos(engine):
+        try:
+            run()
+        except SimulatedCrash:
+            pass
+        (expected,) = committed_digests([db], slots=False)
+        before = engine.hits()
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        try:
+            restore_after_checkpoint_media_failure(db)
+            attempts = 1
+        except SimulatedCrash:
+            db.crash()
+            attempts = 1 + restart_until_recovered([db], mode)
+    actual = logical_digest(db, slots=False)
+    if actual != expected:
+        raise RecoveryError(
+            f"media restore recovered to digest {actual[:16]}…, not the committed "
+            f"state's {expected[:16]}… ({engine.plan.describe()})"
+        )
+    problems = verify_integrity(db)
+    if problems:
+        raise RecoveryError(f"media restore left the database inconsistent: {problems}")
+    return attempts, before
+
+
 class TortureHarness:
     """Runs and verifies seeded chaos rounds."""
 
@@ -299,13 +373,14 @@ class TortureHarness:
         recovery_mode = rng.choice([RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
         pool_seed = rng.getrandbits(64)
         hits: dict[str, int] = {}
+        before: dict[str, int] | None = None
         if spec.kind == "crash":
             dry = ChaosEngine(ChaosPlan(spec.seed))
-            self._play(spec, dry, recovery_mode, pool_seed)
+            *_, before = self._play(spec, dry, recovery_mode, pool_seed)
             hits = dry.hits()
             self.passed.update(hits)
-        injector = ChaosEngine(build_plan(spec, rng, hits))
-        workload, dbs, restart_attempts = self._play(
+        injector = ChaosEngine(build_plan(spec, rng, hits, before))
+        workload, dbs, restart_attempts, _ = self._play(
             spec, injector, recovery_mode, pool_seed
         )
         self.passed.update(injector.hits())
@@ -342,6 +417,7 @@ class TortureHarness:
             host_seconds=0.0,
             shards=spec.shards,
             workload=spec.workload,
+            media=spec.media,
         )
 
     def _play(
@@ -350,13 +426,22 @@ class TortureHarness:
         injector: ChaosEngine,
         recovery_mode: RecoveryMode,
         pool_seed: int,
-    ) -> tuple[DebitCreditWorkload | ShardedBankWorkload | MixedWorkload, list[Database], int]:
+    ) -> tuple[
+        DebitCreditWorkload | ShardedBankWorkload | MixedWorkload,
+        list[Database],
+        int,
+        dict[str, int] | None,
+    ]:
         """Build and load the round's databases, queue its scripts (a
         single node's accounts drawn from ``pool_seed``), then run them
         under ``injector`` through one power failure, restart, exact check
         and log-order check (in-doubt 2PC branches resolve against the
         stable decision tables during each node's restart).  A mixed
-        round runs its transactions in order instead of a script pool."""
+        round runs its transactions in order instead of a script pool; a
+        media round restores from the log history instead of restarting
+        (:func:`media_restore_verify`), and its last element is the
+        passages ``injector`` counted before the restore (``None`` for
+        any other round)."""
         config = SystemConfig(**ROUND_CONFIG)
         power_fail: Callable[[], None] | None = None
         workload: DebitCreditWorkload | ShardedBankWorkload | MixedWorkload
@@ -375,7 +460,7 @@ class TortureHarness:
                 dbs, lambda: _run_mixed(workload), injector, recovery_mode
             )
             self._check_log_order(dbs)
-            return workload, dbs, attempts
+            return workload, dbs, attempts, None
         if spec.shards > 1:
             workload = _build_cluster(spec, config)
             workload.load()
@@ -398,11 +483,15 @@ class TortureHarness:
                 scheduler.submit(
                     workload.script(aid, workload.next_history_id()), name=f"torture-{i}"
                 )
-        attempts = crash_restart_verify(
-            dbs, scheduler.run, injector, recovery_mode, power_fail=power_fail
-        )
+        before = None
+        if spec.media:
+            attempts, before = media_restore_verify(dbs[0], scheduler.run, injector, recovery_mode)
+        else:
+            attempts = crash_restart_verify(
+                dbs, scheduler.run, injector, recovery_mode, power_fail=power_fail
+            )
         self._check_log_order(dbs)
-        return workload, dbs, attempts
+        return workload, dbs, attempts, before
 
     # -- checks ---------------------------------------------------------------
 
@@ -476,13 +565,14 @@ class TortureHarness:
         shards: int = 1,
         on_result=None,
         workload: str = "bank",
+        media: bool = False,
     ) -> list[RoundResult]:
         """Run every (seed, kind) combination; the first failure raises
         with its reproducing seed, so a returned list means all passed."""
         results = []
         for seed in seeds:
             for kind in kinds:
-                result = self.run_round(RoundSpec(seed, kind, shards, workload))
+                result = self.run_round(RoundSpec(seed, kind, shards, workload, media))
                 if on_result is not None:
                     on_result(result)
                 results.append(result)
@@ -515,6 +605,11 @@ def main(argv: list[str] | None = None) -> int:
         help="what each round runs (mixed: one node, T-tree key, aborted inserts)",
     )
     parser.add_argument(
+        "--media",
+        action="store_true",
+        help="destroy the checkpoint disk before each restart and restore from the log",
+    )
+    parser.add_argument(
         "--log", default=None, help="append one JSON line per round here"
     )
     args = parser.parse_args(argv)
@@ -532,6 +627,8 @@ def main(argv: list[str] | None = None) -> int:
         topology = "" if result.shards == 1 else f" shards={result.shards}"
         if result.workload != "bank":
             topology += f" workload={result.workload}"
+        if result.media:
+            topology += " media"
         crash = "" if result.point is None else f" at {result.point} visit {result.visit}"
         print(
             f"round seed={result.seed} kind={result.kind}"
@@ -546,6 +643,7 @@ def main(argv: list[str] | None = None) -> int:
             shards=args.shards,
             on_result=report,
             workload=args.workload,
+            media=args.media,
         )
     except TortureFailure as failure:
         if log_file is not None:

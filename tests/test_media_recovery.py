@@ -11,6 +11,7 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.common import RecoveryError
 from repro.common.errors import MediaFailure
 from repro.db.integrity import verify_integrity
+from repro.recovery.oracle import committed_digests
 from repro.recovery import (
     demultiplex_log_history,
     logical_digest,
@@ -201,6 +202,29 @@ class TestCheckpointDiskFailure:
             assert [r["id"] for r in rows] == [7]
         for descriptor in db.catalog.indexes():
             db.index_object(descriptor, None).verify_invariants()
+
+
+class TestCrashAcknowledgingTheFreshImages:
+    def test_an_ordinary_restart_keeps_the_fresh_images(self):
+        """A crash inside the acknowledgement of the restore's checkpoint
+        leaves its slot installs in the log, after the catalog image it
+        took.  The ordinary restart acknowledges the checkpoint before it
+        drains them, so they replay over that image: every partition
+        comes back from its fresh image, none from the history."""
+        db, rel, addrs = loaded_db(partition_size=4096)
+        (expected,) = committed_digests([db], slots=False)
+        db.crash()
+        db.checkpoint_disk.disk.destroy()
+        injector = ChaosEngine(ChaosPlan.crash_at(0, "recovery.archive.page-written"))
+        with chaos(injector):
+            with pytest.raises(SimulatedCrash):
+                restore_after_checkpoint_media_failure(db)
+        db.crash()
+        coordinator = db.restart(RecoveryMode.EAGER)
+        assert coordinator.sources["history"] == 0
+        assert coordinator.sources["image"] == len(db.catalog.image_slots())
+        assert logical_digest(db, slots=False) == expected
+        assert verify_integrity(db) == []
 
 
 class TestFreshCheckpointFailsDuringRestore:

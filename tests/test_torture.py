@@ -189,6 +189,56 @@ class TestMixedRounds:
         assert keys and min(keys) >= 0
 
 
+class TestMediaRounds:
+    """The media round: the bank round with the checkpoint disk destroyed
+    before its restart and a restore from the log history; a crash round
+    crashes inside the restore, and an ordinary restart follows."""
+
+    def test_spec_checks_the_topology(self):
+        with pytest.raises(ValueError, match="single-node bank round"):
+            RoundSpec(1, "crash", media=True, workload="mixed")
+        with pytest.raises(ValueError, match="single-node bank round"):
+            RoundSpec(1, "crash", media=True, shards=2)
+        assert RoundSpec(41, "fault", media=True).repro_command().endswith(
+            "--kinds fault --media"
+        )
+        assert "--media" not in RoundSpec(41, "fault").repro_command()
+
+    def test_a_crash_plan_draws_after_the_restore_began(self):
+        import random
+
+        hits = {**HITS, "checkpoint.begin": 2}
+        before = {"txn.commit.before-slb": 3, "checkpoint.begin": 1}
+        for seed in range(20):
+            plan = build_plan(RoundSpec(seed, "crash"), random.Random(seed), hits, before)
+            (rule,) = plan.rules
+            # only checkpoint.begin passed after ``before``: its second passage
+            assert (rule.point, rule.after_visits) == ("checkpoint.begin", 1)
+
+    @pytest.mark.usefixtures("no_host_sleep")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rounds_verify(self, kind):
+        harness = TortureHarness()
+        results = harness.run_rounds([400, 401, 402], kinds=(kind,), media=True)
+        assert all(r.to_json()["media"] is True for r in results)
+        assert "media.scan.page-routed" in harness.passed
+        if kind == "crash":
+            assert all(r.crashes_fired == 1 and r.restart_attempts >= 2 for r in results)
+
+    def test_bank_record_names_no_media(self):
+        assert "media" not in TortureHarness().run_round(RoundSpec(0, "fault")).to_json()
+
+    def test_crash_acknowledging_the_restores_checkpoint(self):
+        """Seed 406 crashes at an archive-page write inside the
+        acknowledgement of the restore's whole-database checkpoint.  Restart must
+        acknowledge that checkpoint before it drains the log: drained
+        first, the checkpoint's own slot installs (logged to the catalog
+        partition it imaged) left with the catalog's leftovers, and a
+        partition first imaged by the restore came back empty."""
+        result = TortureHarness().run_round(RoundSpec(406, "crash", media=True))
+        assert (result.point, result.crashes_fired) == ("log-disk.append.before-write", 1)
+
+
 class TestKeptSeeds:
     """Rounds kept because they catch a mutation no seed of CI's batches
     does: a commit acknowledged (state ``COMMITTED``) before
