@@ -214,15 +214,15 @@ class RestartCoordinator:
         start = db.clock.now
         db.checkpoint_queue.revert_in_progress()
         crash_point("restart.phase1.queue-reverted")
-        # A finished checkpoint is acknowledged before the drain: its bin
-        # still holds only what its image covers.  A record committed
-        # after the copy — the whole-database checkpoint's own slot
-        # installs, logged to the catalog partition it imaged — then
-        # lands in the reset bin and is replayed over the image, instead
-        # of leaving with the leftovers for the archive alone.  With the
-        # images lost too: the history source reads neither the bin
-        # directory nor the freed slot, and a finished checkpoint's
-        # leftovers reach it through the stable archive buffer.
+        # A finished checkpoint is acknowledged before the drain, while
+        # its bin holds only what its image covers: a record committed
+        # after the copy (the whole-database checkpoint's own slot
+        # installs, logged to the catalog partition it imaged) must land
+        # in the reset bin to replay over the image, not among the
+        # leftovers only the archive keeps.  With the images lost too:
+        # the history source reads neither the bin directory nor the
+        # freed slot, and a finished checkpoint's leftovers reach it
+        # through the stable archive buffer.
         db.recovery_processor.acknowledge_finished()
         db.recovery_processor.run_until_drained()
         crash_point("restart.phase1.log-drained")
