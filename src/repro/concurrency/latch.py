@@ -19,6 +19,8 @@ crash-point observer.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.common.errors import ReproError
 
@@ -85,18 +87,11 @@ class Latch:
                 f"the holder must release it or abort (paper section 2.5)"
             )
 
-    class _Guard:
-        def __init__(self, latch: "Latch", owner: int):
-            self._latch = latch
-            self._owner = owner
-
-        def __enter__(self) -> "Latch":
-            self._latch.acquire(self._owner)
-            return self._latch
-
-        def __exit__(self, *exc_info: object) -> None:
-            self._latch.release(self._owner)
-
-    def held_by(self, owner: int) -> "Latch._Guard":
+    @contextmanager
+    def held_by(self, owner: int) -> Iterator["Latch"]:
         """Context manager: ``with latch.held_by(txn_id): ...``."""
-        return Latch._Guard(self, owner)
+        self.acquire(owner)
+        try:
+            yield self
+        finally:
+            self.release(owner)

@@ -8,7 +8,7 @@ read locks that checkpoint transactions take (paper section 2.4).
 Lock modes are intent / shared / exclusive with upgrade support.  Every
 conflict is resolved **no-wait**: a request that cannot be granted is
 refused on the spot and the table is left exactly as it was — the
-requester aborts (:meth:`~repro.txn.transaction.Transaction.lock`) or, for
+requester aborts (:meth:`~repro.txn.transaction.Transaction.lock_entity`) or, for
 a checkpoint's relation lock, tries again on a later pump.  Nothing ever
 waits for a lock, so there is no queue, no waits-for graph and no
 deadlock to detect; the manager is a table of who holds what.
@@ -33,6 +33,9 @@ class LockMode(enum.Enum):
     INTENT_EXCLUSIVE = "IX"
     SHARED = "S"
     EXCLUSIVE = "X"
+
+    #: Identity, as members are singletons: ``Enum``'s hash is a Python call.
+    __hash__ = object.__hash__
 
     def compatible_with(self, other: "LockMode") -> bool:
         return other in _COMPATIBLE[self]
@@ -66,6 +69,11 @@ def covers(held: LockMode, wanted: LockMode) -> bool:
     return held is wanted or held is LockMode.EXCLUSIVE or wanted is LockMode.INTENT_SHARED
 
 
+#: :func:`covers` and :func:`join` as tables, for the lock paths.
+_COVERS = frozenset((a, b) for a in LockMode for b in LockMode if covers(a, b))
+_JOIN = {(a, b): join(a, b) for a in LockMode for b in LockMode}
+
+
 class LockManager:
     """Strict two-phase locking over named resources, no-wait."""
 
@@ -91,11 +99,11 @@ class LockManager:
             self._holders[resource] = {txn_id: mode}
         else:
             held = holders.get(txn_id)
-            if held is not None and covers(held, mode):
+            if (held, mode) in _COVERS:
                 return True
-            wanted = mode if held is None else join(held, mode)
+            wanted = mode if held is None else _JOIN[held, mode]
             for holder, other in holders.items():
-                if holder != txn_id and not wanted.compatible_with(other):
+                if holder != txn_id and other not in _COMPATIBLE[wanted]:
                     return False
             holders[txn_id] = wanted
         resources = self._held_by_txn.get(txn_id)
@@ -114,21 +122,22 @@ class LockManager:
         exists for checkpoint transactions, which release their relation
         read lock as soon as the partition copy is made (section 2.4).
         """
-        if txn_id not in self._holders.get(resource, ()):
+        holders = self._holders.get(resource, {})
+        if txn_id not in holders:
             raise LockNotHeldError(f"txn {txn_id} does not hold {resource!r}")
-        self._drop(txn_id, resource)
+        del holders[txn_id]
+        if not holders:
+            del self._holders[resource]
         self._held_by_txn[txn_id].discard(resource)
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock of a committing or aborting transaction."""
+        table = self._holders
         for resource in self._held_by_txn.pop(txn_id, ()):
-            self._drop(txn_id, resource)
-
-    def _drop(self, txn_id: int, resource: Resource) -> None:
-        holders = self._holders[resource]
-        del holders[txn_id]
-        if not holders:
-            del self._holders[resource]
+            holders = table[resource]
+            del holders[txn_id]
+            if not holders:
+                del table[resource]
 
     # -- inspection ----------------------------------------------------------------
 

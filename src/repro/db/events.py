@@ -5,15 +5,16 @@ none of them happens per transaction or per record: a checkpoint
 requested (with its trigger), deferred, its image written (slot and
 bytes) and acknowledged; a restart begun, each partition rebuilt (the
 restart record of ``stats()["restart"]["partitions"]``) and the database
-fully recovered.  Each carries simulated seconds (``sim_s``, the
-machine's clock) and host seconds (``host_s``, :func:`host_now`).
-Emitting charges no simulated instruction.
+fully recovered; a 2PC branch prepared, and the verdict.  Each carries
+simulated seconds (``sim_s``, the machine's clock) and host seconds
+(``host_s``, :func:`host_now`).  Emitting charges no simulated instruction.
 
 The ring is the observer's, not the simulated machine's: it lives
 outside stable and main memory alike, so :meth:`Database.crash` keeps it
 and a restart's events follow the ones before the crash.  It holds the
 newest :data:`EVENT_RING_SIZE` events; :meth:`EventRing.write_jsonl`
-writes them out, and :mod:`repro.db.backlog` reads that file.
+writes them out (:meth:`EventRing.write_chrome` for a trace viewer), and
+:mod:`repro.db.backlog` reads that file.
 """
 
 from __future__ import annotations
@@ -54,3 +55,16 @@ class EventRing:
             for entry in self._events:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")
         return len(self._events)
+
+    def write_chrome(self, path) -> int:
+        """Write the ring in Chrome Trace Event Format: one instant event per
+        entry at its host time, ``sim_s`` and its fields as ``args``; returns
+        how many."""
+        trace = [
+            {"name": e["event"], "ph": "i", "s": "g", "ts": e["host_s"] * 1e6, "pid": 0, "tid": 0,
+             "args": {k: v for k, v in e.items() if k not in ("event", "host_s")}}
+            for e in self._events
+        ]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, handle, sort_keys=True)
+        return len(trace)

@@ -75,9 +75,12 @@ class Relation:
         the stable REDO chain, while the transaction stays usable.
         """
         txn = txn.resolve(self.db)
-        descriptor = self.descriptor
+        descriptor = self.db.catalog.relation(self.name)
         schema = descriptor.schema
-        self._check_row_fields(schema, row)
+        if row.keys() != schema.names:
+            raise CatalogError(
+                f"row fields {sorted(row)} do not match schema {sorted(schema.names)}"
+            )
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         key_value = row[descriptor.primary_key]
         if self._primary_search(txn, key_value):
@@ -93,12 +96,12 @@ class Relation:
             self._to_bytes(field.type, row[field.name])
             if field.type.heap_backed and row[field.name] is not None
             else None
-            for field in schema
+            for field in schema.fields
         ]
         partition = self._partition_for(txn, strings, descriptor.segment_id, schema)
         paddr = partition.address
         cells = []
-        for field, encoded in zip(schema, strings):
+        for field, encoded in zip(schema.fields, strings):
             if encoded is not None:
                 handle = partition.heap.put(encoded)
                 txn.heap_put(paddr, handle, encoded)
@@ -120,7 +123,7 @@ class Relation:
     def read(self, txn: "Transaction", address: EntityAddress) -> Row:
         """Read one tuple under a shared lock."""
         txn = txn.resolve(self.db)
-        descriptor = self.descriptor
+        descriptor = self.db.catalog.relation(self.name)
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
         txn.lock_entity(address, LockMode.SHARED)
         partition = self._resident_partition(descriptor.segment_id, address.partition)
@@ -132,10 +135,10 @@ class Relation:
         The tuple is read and decoded once; its before-row is materialised
         only when a changed field is indexed (the primary key is)."""
         txn = txn.resolve(self.db)
-        descriptor = self.descriptor
+        descriptor = self.db.catalog.relation(self.name)
         schema = descriptor.schema
-        for name in changes:
-            schema.position(name)  # validate early
+        if not changes.keys() <= schema.names:  # raise for the first unknown field
+            schema.position(next(name for name in changes if name not in schema.names))
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
         partition = self._resident_partition(descriptor.segment_id, address.partition)
@@ -198,7 +201,7 @@ class Relation:
         """Delete one tuple (and its heap strings, and its index entries);
         statement-atomic."""
         txn = txn.resolve(self.db)
-        descriptor = self.descriptor
+        descriptor = self.db.catalog.relation(self.name)
         schema = descriptor.schema
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_EXCLUSIVE)
         txn.lock_entity(address, LockMode.EXCLUSIVE)
@@ -214,7 +217,7 @@ class Relation:
         self, txn: "Transaction", address, schema, indexes, partition, data, cells, row
     ) -> None:
         paddr = partition.address
-        for position, field in enumerate(schema):
+        for position, field in enumerate(schema.fields):
             if field.type.heap_backed and cells[position] != NULL_HANDLE:
                 handle = cells[position]
                 old_string = partition.heap.get(handle)
@@ -274,7 +277,7 @@ class Relation:
         """Full scan in (partition, offset) order; recovers missing
         partitions on demand."""
         txn = txn.resolve(self.db)
-        descriptor = self.descriptor
+        descriptor = self.db.catalog.relation(self.name)
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
         # The segment's numbers, not the descriptor's: a partition being
         # grown is listed before its growth commits, installed only after.
@@ -298,13 +301,6 @@ class Relation:
     def _indexes(self, descriptor: RelationDescriptor) -> list:
         """The descriptors of the relation's indexes, resolved by name."""
         return [self.db.catalog.index(name) for name in descriptor.index_names]
-
-    def _check_row_fields(self, schema, row: dict) -> None:
-        if row.keys() != schema.names:
-            raise CatalogError(
-                f"row fields {sorted(row)} do not match schema "
-                f"{sorted(schema.names)}"
-            )
 
     def _resident_partition(self, segment_id: int, number: int) -> Partition:
         """The partition, looked up once when resident; otherwise through
@@ -345,7 +341,7 @@ class Relation:
     def _row(schema, partition: Partition, address: EntityAddress, cells: list[int]) -> Row:
         """The row a tuple's decoded cells spell, heap strings fetched."""
         values: dict[str, int | str | bytes | None] = {}
-        for field, cell in zip(schema, cells):
+        for field, cell in zip(schema.fields, cells):
             if field.type is FieldType.INT:
                 values[field.name] = cell
             elif cell == NULL_HANDLE:

@@ -105,11 +105,24 @@ class RecoveryProcessor:
         if not records:
             return 0
         deposited = 0
-        # Table 2's sorting costs, one charge per record, then the deposit.
-        charge_sort, deposit = self.cpu.charge_sort, self.slt.deposit
+        # Table 2's sorting costs for each record, then its deposit: the
+        # additions CpuMeter.charge_sort makes, inline and in its order.
+        cpu, clock, deposit = self.cpu, self.cpu.clock, self.slt.deposit
+        by_category, rate, params = cpu._by_category, cpu._rate, cpu.params
         try:
             for record in records:
-                charge_sort(len(record))
+                total, now = cpu._total_instructions, clock._now
+                for category, instructions in (
+                    ("record-lookup", params.i_record_lookup),
+                    ("page-check", params.i_page_check),
+                    ("record-copy", cpu._copy_fixed + cpu._copy_per_byte * len(record)),
+                    ("page-update", params.i_page_update),
+                ):
+                    by_category[category] += instructions
+                    total += instructions
+                    now += instructions / rate
+                cpu._total_instructions = total
+                clock._now = now  # every addition is positive: advance_to's move
                 page_full = deposit(record)
                 deposited += 1
                 crash_point("recovery.sort.after-deposit")
@@ -205,7 +218,7 @@ class RecoveryProcessor:
         for request in self.checkpoint_queue.finished():
             leftovers = self.slt.reset_after_checkpoint(request.bin_index)
             self._archive(request.partition, leftovers)
-            self._maybe_flush_archive()
+            self._flush_archive(force=False)
             if request.previous_slot is not None:
                 self._free_slot(request.previous_slot)
             self.checkpoint_queue.remove(request)
@@ -233,9 +246,6 @@ class RecoveryProcessor:
 
     def bind_slot_free(self, free_slot) -> None:
         self._free_slot = free_slot
-
-    def _maybe_flush_archive(self) -> None:
-        self._flush_archive(force=False)
 
     def _flush_archive(self, *, force: bool) -> None:
         """Write mixed archive pages once a full page accumulates —

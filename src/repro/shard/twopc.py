@@ -93,6 +93,8 @@ class TwoPhaseCommit:
                 txn.prepare(
                     TxnPrepare(txn.txn_id, dtxn.gtid, sid, dtxn.coordinator, dtxn.shard_ids)
                 )
+                txn.db.events.emit("twopc.prepare", gtid=dtxn.gtid, shard=sid,
+                                   txn_id=txn.txn_id, coordinator=dtxn.coordinator)
         except SimulatedCrash:
             # a crash is not an abort (txn/manager.py: settle); the dead
             # node's crash_shard() sweep settles the surviving branches
@@ -120,6 +122,8 @@ class TwoPhaseCommit:
                 txn.abort()
             elif txn.state is TxnState.PREPARED:
                 txn.abort_prepared()
+        self.facade.nodes[dtxn.coordinator].events.emit(  # the verdict presumed abort never logs
+            "twopc.decision", gtid=dtxn.gtid, verdict="abort", shards=list(dtxn.shard_ids))
         dtxn.state = TxnState.ABORTED
         self.distributed_aborted += 1
         self.forget(dtxn.gtid)
@@ -136,6 +140,8 @@ class TwoPhaseCommit:
         }
         coordinator_db.slb.put_well_known(DECISIONS_KEY, table)
         coordinator_db.twopc.inc("decisions_logged")
+        coordinator_db.events.emit(
+            "twopc.decision", gtid=dtxn.gtid, verdict="commit", shards=list(dtxn.shard_ids))
 
     def lookup_decision(self, coordinator: int, gtid: str) -> str:
         """The coordinator's verdict for ``gtid`` — absent means abort."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, TypeVar
 
 from repro.common.errors import (
     ShardingError,
@@ -38,7 +38,7 @@ from repro.common.errors import (
     TransactionStateError,
 )
 from repro.common.types import EntityAddress, PartitionAddress
-from repro.concurrency.locks import LockMode, covers, join
+from repro.concurrency.locks import _COVERS, _JOIN, LockMode
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.wal import records as redo
@@ -170,31 +170,23 @@ class Transaction:
             )
         return self
 
-    # -- locking ----------------------------------------------------------------
+    # -- locking (coverage inline: ``_COVERS`` has no pair with ``None``) ------
 
-    def lock(self, resource, mode: LockMode) -> None:
-        """Acquire a lock or die: a refused request aborts this transaction."""
-        if self.state is not TxnState.ACTIVE:
-            self._ensure_active()
-        if not self.db.locks.acquire(self.txn_id, resource, mode):
-            self.abort()
-            raise TransactionAborted(
-                f"txn {self.txn_id} aborted: lock conflict on {resource!r}",
-                txn_id=self.txn_id,
-            )
-
-    def _covered(self, segment_id: int, mode: LockMode) -> bool:
-        """Whether the relation lock held on ``segment_id`` already grants
-        ``mode`` on the relation or any row of it."""
-        held = self._covering.get(segment_id)
-        if held is None or not covers(held, mode):
-            return False
-        self._ensure_active()
-        return True
+    def _lock_refused(self, resource) -> NoReturn:
+        """A refused lock request: abort this transaction and say why."""
+        self.abort()
+        raise TransactionAborted(
+            f"txn {self.txn_id} aborted: lock conflict on {resource!r}",
+            txn_id=self.txn_id,
+        )
 
     def lock_entity(self, address: EntityAddress, mode: LockMode) -> None:
-        if not self._covered(address.segment, mode):
-            self.lock(address, mode)
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
+        if (self._covering.get(address.segment), mode) not in _COVERS and not (
+            self.db.locks.acquire(self.txn_id, address, mode)
+        ):
+            self._lock_refused(address)
 
     def lock_relation(self, segment_id: int, mode: LockMode) -> None:
         """Lock a relation; an S or X grant covers its rows from here on.
@@ -202,15 +194,19 @@ class Transaction:
         After a restart, the relation's pending command closure replays
         first (docs/LOGGING.md): no transaction locks a closure, or reads
         it, before its replay has taken and released its own locks."""
-        if self._covered(segment_id, mode):
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
+        if (self._covering.get(segment_id), mode) in _COVERS:
             return
         coordinator = self.db.restart_coordinator
         if coordinator is not None and coordinator.closures:
             coordinator.replay_closure(segment_id)
-        self.lock(("rel", segment_id), mode)
+        resource = ("rel", segment_id)
+        if not self.db.locks.acquire(self.txn_id, resource, mode):
+            self._lock_refused(resource)
         held = self._covering.get(segment_id)
         if held is not None:
-            self._covering[segment_id] = join(held, mode)
+            self._covering[segment_id] = _JOIN[held, mode]
         elif mode is LockMode.SHARED or mode is LockMode.EXCLUSIVE:
             self._covering[segment_id] = mode
 
@@ -274,7 +270,8 @@ class Transaction:
         inverse records (so statement rollback's mark covers it) and is
         discarded at commit.  ``stable`` marks one that frees stable
         storage, which the oracle's rollback at a crash skips."""
-        self._ensure_active()
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
         self._undo.append(_StableRelease(compensate) if stable else compensate)
 
     def _end(self, state: TxnState) -> None:
@@ -292,7 +289,8 @@ class Transaction:
 
     def commit(self) -> None:
         """Instant commit: the REDO chain is already stable."""
-        self._ensure_active()
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
         if self.command is not None:
             self._commit_as_command()
             return
@@ -422,13 +420,11 @@ class Transaction:
         transaction replays exactly the work that logically happened.
         The exception propagates; the transaction itself stays active.
         """
-        return _StatementScope(self)
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
+        return _StatementScope((self, len(self._undo), self.redo_records, len(self._changed)))
 
-    def _statement_mark(self) -> tuple[int, int, int]:
-        return len(self._undo), self.redo_records, len(self._changed)
-
-    def _statement_rollback(self, mark: tuple[int, int, int]) -> None:
-        undo_mark, redo_mark, changed_mark = mark
+    def _statement_rollback(self, undo_mark: int, redo_mark: int, changed_mark: int) -> None:
         self._rollback(undo_mark)
         del self._changed[changed_mark:]
         if self.redo_records > redo_mark:  # never true of a replay: no chain
@@ -463,28 +459,29 @@ class Transaction:
     # Each pushes its change's inverse onto UNDO, then — value-logged only —
     # packs and appends the forward record.
 
-    def _head(self, address: _Address, owner: PartitionAddress) -> tuple[int, int, _Address]:
-        """(txn id, bin index of ``owner``, address): the header a change's
-        inverse and forward record share, resolved once.  With no forward
-        record — command-logged — the bin is not looked up: an inverse is
-        never encoded, and nothing reads its bin index; the change is
-        tallied for its partition's barrier instead."""
-        self._ensure_active()
+    def _head(self, address: _Address) -> tuple[int, int, _Address]:
+        """(txn id, bin index, address): the header a change's inverse and
+        forward record share, resolved once; the bin is that of the address's
+        (segment, partition) pair, ``address[:2]``.  With no forward record —
+        command-logged — no bin is looked up: an inverse is never encoded, and
+        the change is tallied for its partition's barrier instead."""
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
         if self.command is not None:
             self._changed.append(address)
             return self.txn_id, 0, address
-        return self.txn_id, self.db.slt.bin_index_of(owner), address
+        return self.txn_id, self.db.slt.bin_index_of(address[:2]), address
 
     # EntitySink: tuple / catalog entity changes
 
     def entity_inserted(self, address: EntityAddress, data: bytes) -> None:
-        head = self._head(address, address.partition_address)
+        head = self._head(address)
         self._undo.append(redo.TupleDelete(*head))
         if self.command is None:
             self._redo(redo.TupleInsert.pack(*head, data))
 
     def entity_updated(self, address: EntityAddress, before: bytes, after: bytes) -> None:
-        head = self._head(address, address.partition_address)
+        head = self._head(address)
         self._undo.append(redo.TupleUpdate(*head, before))
         if self.command is None:
             self._redo(redo.TupleUpdate.pack(*head, after))
@@ -493,13 +490,13 @@ class Transaction:
         self, address: EntityAddress, start: int, before: bytes, after: bytes
     ) -> None:
         """A single-field byte-range update (the compact relation record)."""
-        head = self._head(address, address.partition_address)
+        head = self._head(address)
         self._undo.append(redo.FieldPatch(*head, start, before))
         if self.command is None:
             self._redo(redo.FieldPatch.pack(*head, start, after))
 
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None:
-        head = self._head(address, address.partition_address)
+        head = self._head(address)
         self._undo.append(redo.TupleInsert(*head, before))
         if self.command is None:
             self._redo(redo.TupleDelete.pack(*head))
@@ -507,7 +504,7 @@ class Transaction:
     # heap (string space) operations
 
     def heap_put(self, partition: PartitionAddress, handle: int, data: bytes) -> None:
-        head = self._head(partition, partition)
+        head = self._head(partition)
         self._undo.append(redo.HeapDelete(*head, handle))
         if self.command is None:
             self._redo(redo.HeapPut.pack(*head, handle, data))
@@ -515,7 +512,7 @@ class Transaction:
     def heap_replace(
         self, partition: PartitionAddress, handle: int, before: bytes, after: bytes
     ) -> None:
-        head = self._head(partition, partition)
+        head = self._head(partition)
         self._undo.append(redo.HeapReplace(*head, handle, before))
         if self.command is None:
             self._redo(redo.HeapReplace.pack(*head, handle, after))
@@ -523,7 +520,7 @@ class Transaction:
     def heap_delete(
         self, partition: PartitionAddress, handle: int, before: bytes
     ) -> None:
-        head = self._head(partition, partition)
+        head = self._head(partition)
         self._undo.append(redo.HeapPut(*head, handle, before))
         if self.command is None:
             self._redo(redo.HeapDelete.pack(*head, handle))
@@ -541,13 +538,12 @@ class Transaction:
         yet.  It is the component's one lock request: the write and free
         sinks that follow take none.
         """
-        self._ensure_active()
         self.lock_entity(address, LockMode.EXCLUSIVE)
 
     def index_node_written(
         self, address: EntityAddress, before: bytes | None, after: bytes
     ) -> None:
-        head = self._head(address, address.partition_address)
+        head = self._head(address)
         # a component this transaction created is removed again
         self._undo.append(
             redo.IndexNodeFree(*head) if before is None else redo.IndexNodeWrite(*head, before)
@@ -556,7 +552,7 @@ class Transaction:
             self._redo(redo.IndexNodeWrite.pack(*head, after))
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
-        head = self._head(address, address.partition_address)
+        head = self._head(address)
         self._undo.append(redo.IndexNodeWrite(*head, before))
         if self.command is None:
             self._redo(redo.IndexNodeFree.pack(*head))
@@ -576,20 +572,17 @@ class Transaction:
         )
 
 
-class _StatementScope:
-    """Context manager backing :meth:`Transaction.statement`."""
+class _StatementScope(tuple):
+    """What :meth:`Transaction.statement` returns: the transaction and its
+    (UNDO, REDO, changed) marks as the statement began."""
 
-    def __init__(self, txn: Transaction):
-        self._txn = txn
-        self._mark: tuple[int, int, int] | None = None
+    __slots__ = ()
 
-    def __enter__(self) -> Transaction:
-        self._txn._ensure_active()
-        self._mark = self._txn._statement_mark()
-        return self._txn
+    #: ``statement()`` took the marks, so entering is a no-op C slot.
+    __enter__ = object.__init__
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None and self._txn.state is TxnState.ACTIVE:
-            assert self._mark is not None
-            self._txn._statement_rollback(self._mark)
+        txn = self[0]
+        if exc_type is not None and txn.state is TxnState.ACTIVE:
+            txn._statement_rollback(*self[1:])
         return False  # never swallow the exception

@@ -123,12 +123,8 @@ class StableLogBuffer:
         allocated — the main CPU must let the recovery CPU drain the
         committed list and retry (back-pressure).
         """
-        self.bytes_written += self._put(self._require_open(txn_id), record)
-        self.records_written += 1
-
-    def _put(self, chain: TransactionLogChain, record: bytes) -> int:
-        """Append one record to the chain's last block, or to a fresh one
-        when it does not fit; returns its size."""
+        # one frame per record: _require_open only to refuse, _fill's step inline
+        chain = self._uncommitted.get(txn_id) or self._require_open(txn_id)
         size = len(record)
         blocks = chain.blocks
         if not blocks or blocks[-1].nbytes + size > self.block_size:
@@ -138,12 +134,25 @@ class StableLogBuffer:
         block.records.append(record)
         block.nbytes += size
         chain.record_count += 1
-        return size
+        self.bytes_written += size
+        self.records_written += 1
 
     def _fill(self, chain: TransactionLogChain, records) -> int:
-        """Append ``records`` in order (:meth:`_put` each); returns the
-        bytes appended."""
-        return sum(self._put(chain, record) for record in records)
+        """Append ``records`` in order, each to the chain's last block or to
+        a fresh one when it does not fit; returns the bytes appended."""
+        appended = 0
+        for record in records:
+            size = len(record)
+            blocks = chain.blocks
+            if not blocks or blocks[-1].nbytes + size > self.block_size:
+                block = self._allocate_block(chain, size)
+            else:
+                block = blocks[-1]
+            block.records.append(record)
+            block.nbytes += size
+            chain.record_count += 1
+            appended += size
+        return appended
 
     def _repack(self, chain: TransactionLogChain, kept, unwritten=()) -> int:
         """Rebuild the chain to hold exactly ``kept``: free its blocks and
@@ -164,7 +173,9 @@ class StableLogBuffer:
         bytes long: a record longer than a block goes whole into one
         block of its own length, and stable memory is charged for that."""
         # Block allocation is the one critical section of the log path.
-        with self.block_latch.held_by(chain.txn_id):
+        latch, owner = self.block_latch, chain.txn_id
+        latch.acquire(owner)
+        try:
             block_id = self._next_block_id
             try:
                 self.stable.allocate(
@@ -178,6 +189,8 @@ class StableLogBuffer:
             block = _LogBlock(block_id)
             chain.blocks.append(block)
             return block
+        finally:
+            latch.release(owner)
 
     def _require_open(self, txn_id: int) -> TransactionLogChain:
         try:

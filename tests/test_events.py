@@ -3,9 +3,12 @@ bounded, and the one command that reads a checkpoint-queue backlog."""
 
 import json
 
+import pytest
+
 from repro import Database, RecoveryMode, SystemConfig
 from repro.db import events as events_module
 from repro.db.backlog import backlog, main
+from repro.shard import ShardedDatabase
 
 
 def bank(**overrides):
@@ -126,3 +129,68 @@ def test_the_ring_never_exceeds_its_bound(monkeypatch):
         sizes.append(len(db.events))
     assert max(sizes) == 6
     assert [e["event"] for e in db.events][-1] == "restart.recovered"
+
+
+def twopc_events(db) -> list[dict]:
+    return [dict(e) for e in db.events if e["event"].startswith("twopc.")]
+
+
+class TestTwoPhaseCommitEvents:
+    def cluster(self):
+        cluster = ShardedDatabase(
+            shards=2, config=SystemConfig(log_page_size=1024, update_count_threshold=10_000)
+        )
+        schema = [("id", "int"), ("bal", "int")]
+        accounts = cluster.create_relation("accounts", schema, "id", shard=0)
+        ledger = cluster.create_relation("ledger", schema, "id", shard=1)
+        with cluster.transaction(relations=["accounts"]) as txn:
+            source = accounts.insert(txn, {"id": 0, "bal": 100})
+        with cluster.transaction(relations=["ledger"]) as txn:
+            target = ledger.insert(txn, {"id": 0, "bal": 0})
+        assert twopc_events(cluster.nodes[0]) == twopc_events(cluster.nodes[1]) == []
+        return cluster, accounts, ledger, source, target
+
+    def test_a_transfer_prepares_each_branch_then_decides(self, tmp_path):
+        cluster, accounts, ledger, source, target = self.cluster()
+        with cluster.transaction(relations=["accounts", "ledger"]) as txn:
+            accounts.update(txn, source, {"bal": 90})
+            ledger.update(txn, target, {"bal": 10})
+            gtid = txn.gtid
+        coordinator, participant = (twopc_events(node) for node in cluster.nodes)
+        assert [e["event"] for e in coordinator] == ["twopc.prepare", "twopc.decision"]
+        assert [e["event"] for e in participant] == ["twopc.prepare"]
+        prepares = [coordinator[0], participant[0]]
+        assert [(e["gtid"], e["shard"], e["coordinator"]) for e in prepares] == [
+            (gtid, 0, 0),
+            (gtid, 1, 0),
+        ]
+        assert [e["txn_id"] for e in prepares] == [txn.branches[0].txn_id, txn.branches[1].txn_id]
+        decision = coordinator[1]
+        assert (decision["gtid"], decision["verdict"], decision["shards"]) == (
+            gtid, "commit", [0, 1],
+        )
+
+        path = tmp_path / "trace.json"
+        ring = [dict(e) for e in cluster.nodes[0].events]
+        assert cluster.nodes[0].events.write_chrome(path) == len(ring)
+        trace = json.loads(path.read_text())["traceEvents"]
+        assert [e["name"] for e in trace] == [e["event"] for e in ring]
+        assert [e["name"] for e in trace][-2:] == ["twopc.prepare", "twopc.decision"]
+        for entry, event in zip(ring, trace):
+            assert (event["ph"], event["s"]) == ("i", "g")
+            assert event["ts"] == entry["host_s"] * 1e6
+            assert event["args"] == {
+                k: v for k, v in entry.items() if k not in ("event", "host_s")
+            }
+            assert event["args"]["sim_s"] == entry["sim_s"]
+        assert trace[-1]["args"]["gtid"] == gtid
+
+    def test_an_aborted_transfer_decides_abort(self):
+        cluster, accounts, ledger, source, target = self.cluster()
+        with pytest.raises(RuntimeError):
+            with cluster.transaction(relations=["accounts", "ledger"]) as txn:
+                accounts.update(txn, source, {"bal": 90})
+                raise RuntimeError("client gives up")
+        decided = twopc_events(cluster.nodes[0])
+        assert [(e["event"], e["verdict"]) for e in decided] == [("twopc.decision", "abort")]
+        assert twopc_events(cluster.nodes[1]) == []
