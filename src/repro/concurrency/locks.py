@@ -8,7 +8,7 @@ read locks that checkpoint transactions take (paper section 2.4).
 Lock modes are intent / shared / exclusive with upgrade support.  Every
 conflict is resolved **no-wait**: a request that cannot be granted is
 refused on the spot and the table is left exactly as it was — the
-requester aborts (:meth:`~repro.txn.transaction.Transaction.lock_entity`) or, for
+requester aborts (:meth:`~repro.txn.transaction.Transaction.lock`) or, for
 a checkpoint's relation lock, tries again on a later pump.  Nothing ever
 waits for a lock, so there is no queue, no waits-for graph and no
 deadlock to detect; the manager is a table of who holds what.

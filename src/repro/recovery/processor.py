@@ -105,24 +105,11 @@ class RecoveryProcessor:
         if not records:
             return 0
         deposited = 0
-        # Table 2's sorting costs for each record, then its deposit: the
-        # additions CpuMeter.charge_sort makes, inline and in its order.
-        cpu, clock, deposit = self.cpu, self.cpu.clock, self.slt.deposit
-        by_category, rate, params = cpu._by_category, cpu._rate, cpu.params
+        # Table 2's sorting costs, one charge per record, then the deposit.
+        charge_sort, deposit = self.cpu.charge_sort, self.slt.deposit
         try:
             for record in records:
-                total, now = cpu._total_instructions, clock._now
-                for category, instructions in (
-                    ("record-lookup", params.i_record_lookup),
-                    ("page-check", params.i_page_check),
-                    ("record-copy", cpu._copy_fixed + cpu._copy_per_byte * len(record)),
-                    ("page-update", params.i_page_update),
-                ):
-                    by_category[category] += instructions
-                    total += instructions
-                    now += instructions / rate
-                cpu._total_instructions = total
-                clock._now = now  # every addition is positive: advance_to's move
+                charge_sort(len(record))
                 page_full = deposit(record)
                 deposited += 1
                 crash_point("recovery.sort.after-deposit")

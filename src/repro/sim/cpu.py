@@ -82,19 +82,25 @@ class CpuMeter:
         the same order, so every simulated figure stays bit for bit."""
         if nbytes < 0:
             raise ValueError("cannot copy a negative number of bytes")
-        params, by_category, rate = self.params, self._by_category, self._rate
-        total, now = self._total_instructions, self.clock.now
-        for category, instructions in (
-            ("record-lookup", params.i_record_lookup),
-            ("page-check", params.i_page_check),
-            ("record-copy", self._copy_fixed + self._copy_per_byte * nbytes),
-            ("page-update", params.i_page_update),
-        ):
-            by_category[category] += instructions
-            total += instructions
-            now += instructions / rate
+        params = self.params
+        by_category, rate, clock = self._by_category, self._rate, self.clock
+        lookup, check, update = params.i_record_lookup, params.i_page_check, params.i_page_update
+        copy = self._copy_fixed + self._copy_per_byte * nbytes
+        total, now = self._total_instructions, clock._now
+        by_category["record-lookup"] += lookup
+        total += lookup
+        now += lookup / rate
+        by_category["page-check"] += check
+        total += check
+        now += check / rate
+        by_category["record-copy"] += copy
+        total += copy
+        now += copy / rate
+        by_category["page-update"] += update
+        total += update
+        now += update / rate
         self._total_instructions = total
-        self.clock.advance_to(now)
+        clock._now = now  # every addition is positive: advance_to's move
 
     # -- inspection ----------------------------------------------------------
 

@@ -172,6 +172,13 @@ class Transaction:
 
     # -- locking (coverage inline: ``_COVERS`` has no pair with ``None``) ------
 
+    def lock(self, resource, mode: LockMode) -> None:
+        """Acquire a lock or die: a refused request aborts this transaction."""
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
+        if not self.db.locks.acquire(self.txn_id, resource, mode):
+            self._lock_refused(resource)
+
     def _lock_refused(self, resource) -> NoReturn:
         """A refused lock request: abort this transaction and say why."""
         self.abort()

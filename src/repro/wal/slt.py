@@ -148,7 +148,7 @@ class StableLogTail:
         try:
             return self._by_partition[partition]
         except KeyError:
-            raise LogError(f"{partition} has no bin") from None
+            raise LogError(f"{PartitionAddress(*partition)} has no bin") from None
 
     def bin_for_partition(self, partition: PartitionAddress) -> PartitionBin:
         return self.bin(self.bin_index_of(partition))

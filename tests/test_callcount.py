@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tools import callcount
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,3 +41,8 @@ def test_two_runs_give_identical_counts():
 
 def test_every_workload_has_a_ceiling():
     assert list(callcount.CEILINGS) == list(callcount._workloads())
+
+
+def test_check_refuses_a_scale_its_ceilings_were_not_recorded_at():
+    with pytest.raises(SystemExit):
+        callcount.main(["--check", "--scale", "0.02"])

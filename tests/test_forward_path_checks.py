@@ -11,7 +11,8 @@ from itertools import product
 import pytest
 
 from repro import Database, SystemConfig
-from repro.common.errors import TransactionAborted, TransactionStateError
+from repro.common.errors import LogError, TransactionAborted, TransactionStateError
+from repro.common.types import EntityAddress
 from repro.concurrency.latch import assert_no_latch_held
 from repro.concurrency.locks import _COVERS, _JOIN, LockMode, covers, join
 from repro.sim.chaos import set_crash_point_observer
@@ -53,6 +54,8 @@ class TestAnAbortedTransactionRefusesEverything:
             txn.lock_relation(address.segment, LockMode.INTENT_SHARED)
         with pytest.raises(TransactionStateError):
             txn.lock_component(address)
+        with pytest.raises(TransactionStateError):
+            txn.lock(address, LockMode.SHARED)
 
     def test_a_covering_relation_lock_does_not_skip_the_check(self):
         db, rel, addrs = bank()
@@ -118,6 +121,21 @@ class TestARefusedLock:
         assert lock_table(db) == before
         writer.commit()
 
+    def test_the_public_lock_refuses_the_same_way(self):
+        db, rel, addrs = bank()
+        writer = db.transactions.begin()
+        rel.update(writer, addrs[0], {"bal": 5})
+        other = db.transactions.begin()
+        other.lock(("app", 1), LockMode.EXCLUSIVE)  # any hashable resource
+        before = lock_table(db)
+        with pytest.raises(TransactionAborted):
+            other.lock(addrs[0], LockMode.SHARED)
+        assert other.state is TxnState.ABORTED
+        assert ("app", 1) not in lock_table(db)  # the abort released it
+        del before[("app", 1)]
+        assert lock_table(db) == before
+        writer.commit()
+
 
 def test_the_lock_tables_agree_with_the_functions():
     pairs = list(product(LockMode, LockMode))
@@ -128,6 +146,13 @@ def test_the_lock_tables_agree_with_the_functions():
 
 
 class TestTheStableLogBuffer:
+    def test_a_change_to_a_partition_with_no_bin_names_it(self):
+        db, rel, addrs = bank()
+        txn = db.transactions.begin()
+        with pytest.raises(LogError, match=r"S99\.P1 has no bin"):
+            txn.entity_updated(EntityAddress(99, 1, 0), b"x", b"y")
+        txn.abort()
+
     def test_append_to_a_chain_that_is_not_open_is_refused(self):
         db, rel, addrs = bank()
         with pytest.raises(TransactionStateError):
@@ -164,7 +189,7 @@ class TestTheSortingLoop:
         assert deposited == 5
         assert seen.count("recovery.sort.after-deposit") == deposited
 
-    def test_its_charges_are_charge_sorts_bit_for_bit(self):
+    def test_its_charges_are_table_2s_four_charges_bit_for_bit(self):
         db, rel, addrs = bank(log_page_size=8192)
         self.drained(db, rel, addrs, transactions=12)
         cpu = db.recovery_cpu
@@ -173,7 +198,10 @@ class TestTheSortingLoop:
         reference._total_instructions = cpu.total_instructions
         reference._by_category = Counter(cpu.category_breakdown())
         for size in sizes:
-            reference.charge_sort(size)
+            reference.charge(cpu.params.i_record_lookup, "record-lookup")
+            reference.charge(cpu.params.i_page_check, "page-check")
+            reference.charge_stable_bytes(size, "record-copy")
+            reference.charge(cpu.params.i_page_update, "page-update")
         assert db.recovery_processor.step() == len(sizes) > 0
         assert db.recovery_processor.pages_flushed == 0  # nothing but the sort charged
         assert cpu.total_instructions == reference.total_instructions

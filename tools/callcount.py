@@ -6,9 +6,9 @@ in order with no crash between segments, then one crash epilogue (crash,
 on-demand restart, the first transaction, full recovery).  The operations
 and the epilogue run under :func:`sys.setprofile`, and the tool prints
 their Python function calls (``"call"`` profile events, generator
-resumptions included) per transaction and per restart, in total and by
-``repro`` package (``other`` is the standard library and the workload's
-own code).  Set-up is not counted.
+resumptions included) per transaction and per restart, in total, in
+``repro``'s own code, and by ``repro`` package (``other`` is the standard
+library and the workload's own code).  Set-up is not counted.
 
 A count has no noise: two runs of one tree give the same numbers, on any
 host with the same Python minor version.  It is a proxy for host time,
@@ -16,7 +16,7 @@ not a claim; ``benchmarks/host/run.py`` still measures the time.
 
     PYTHONPATH=src python -m tools.callcount              # all five
     PYTHONPATH=src python -m tools.callcount --check      # and the ceilings
-    PYTHONPATH=src python -m tools.callcount --workload debit_credit --json
+    PYTHONPATH=src python -m tools.callcount --scale 0.02 --json
 """
 
 from __future__ import annotations
@@ -35,16 +35,18 @@ _HOST = Path(__file__).resolve().parents[1] / "benchmarks" / "host"
 SEED = 1987
 SCALE = 0.2
 
-#: Calls per transaction no workload may exceed (``--check``).  Measured on
-#: CPython 3.11.7 at 379.29, 140.14, 1 027.53, 149.55 and 631.12; each
-#: ceiling leaves about 1 % for another 3.11 release's standard library,
-#: and ``debit_credit``'s is the forward path's 430 target.
+#: Calls per transaction in ``repro``'s own code no workload may exceed
+#: (``--check``, at ``SCALE``).  They leave out ``other``, whose count moves
+#: with the standard library's patch release.  Measured on CPython 3.11.7
+#: at 369.05, 131.81, 988.96, 144.50 and 585.25; each ceiling leaves about
+#: 1 % for a change that has to add a call.  ``debit_credit``'s total,
+#: ``other`` included, was 385.32: under the forward path's 430 target.
 CEILINGS = {
-    "debit_credit": 430.0,
-    "point_read": 142.0,
-    "mixed_churn": 1038.0,
-    "crash_restart": 152.0,
-    "scripted_command": 638.0,
+    "debit_credit": 373.0,
+    "point_read": 134.0,
+    "mixed_churn": 999.0,
+    "crash_restart": 146.0,
+    "scripted_command": 592.0,
 }
 
 
@@ -93,12 +95,12 @@ class _Profile:
         return packages
 
 
-def count(name: str, *, seed: int = SEED, scale: float = SCALE) -> dict:
+def count(name: str, *, scale: float = SCALE) -> dict:
     """One workload's calls: ``{"transactions", "per_txn", "per_restart"}``,
-    each per-unit entry ``{"total", package: calls}``."""
+    each per-unit entry ``{"total", "repro", package: calls}``."""
     from repro import Database, RecoveryMode
 
-    workload = _workloads()[name](seed, scale)
+    workload = _workloads()[name](SEED, scale)
     db = Database()
     workload.setup(db)
     gc.collect()
@@ -123,36 +125,45 @@ def count(name: str, *, seed: int = SEED, scale: float = SCALE) -> dict:
 
 def _per_unit(packages: Counter, units: int) -> dict:
     shares = {name: round(calls / units, 2) for name, calls in packages.most_common()}
-    return {"total": round(sum(packages.values()) / units, 2), **shares}
+    total = sum(packages.values())
+    return {
+        "total": round(total / units, 2),
+        "repro": round((total - packages["other"]) / units, 2),
+        **shares,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
-    workloads = list(_workloads())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", action="append", choices=workloads)
-    parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--scale", type=float, default=SCALE)
     parser.add_argument("--json", action="store_true", help="one JSON object per workload")
     parser.add_argument(
         "--check", action="store_true", help="exit 1 when a workload exceeds its ceiling"
     )
     args = parser.parse_args(argv)
+    if args.check and args.scale != SCALE:
+        parser.error(f"--check holds the ceilings recorded at --scale {SCALE}")
     over = []
-    for name in args.workload or workloads:
-        result = count(name, seed=args.seed, scale=args.scale)
+    for name in _workloads():
+        result = count(name, scale=args.scale)
         per_txn = result["per_txn"]
         if args.json:
             print(json.dumps({"workload": name, **result}))
         else:
             print(
-                f"{name}: {per_txn['total']:.2f} calls/txn over {result['transactions']} "
-                f"transactions, {result['per_restart']['total']:.0f} calls/restart"
+                f"{name}: {per_txn['total']:.2f} calls/txn ({per_txn['repro']:.2f} in repro) "
+                f"over {result['transactions']} transactions, "
+                f"{result['per_restart']['total']:.0f} calls/restart"
             )
             print("  per txn: " + ", ".join(
-                f"{package} {calls:.2f}" for package, calls in per_txn.items() if package != "total"
+                f"{package} {calls:.2f}"
+                for package, calls in per_txn.items()
+                if package not in ("total", "repro")
             ))
-        if args.check and per_txn["total"] > CEILINGS[name]:
-            over.append(f"{name}: {per_txn['total']:.2f} calls/txn > ceiling {CEILINGS[name]:g}")
+        if args.check and per_txn["repro"] > CEILINGS[name]:
+            over.append(
+                f"{name}: {per_txn['repro']:.2f} repro calls/txn > ceiling {CEILINGS[name]:g}"
+            )
     for line in over:
         print(f"OVER CEILING {line}", file=sys.stderr)
     return 1 if over else 0
