@@ -45,34 +45,36 @@ class CheckpointQueue:
     """FIFO of checkpoint requests stored in stable memory."""
 
     def __init__(self, slb: StableLogBuffer):
-        self._slb = slb
         if slb.get_well_known(_QUEUE_KEY) is None:
             slb.put_well_known(_QUEUE_KEY, [])
-
-    def _entries(self) -> list[CheckpointRequest]:
-        return self._slb.get_well_known(_QUEUE_KEY)  # type: ignore[return-value]
+        #: The well-known list, kept: only this constructor puts the key,
+        #: and the list survives a crash with the SLB that holds it.
+        self._entries: list[CheckpointRequest] = slb.get_well_known(_QUEUE_KEY)  # type: ignore
 
     def submit(self, partition: PartitionAddress, bin_index: int, reason: str) -> None:
         """Recovery CPU: enter a checkpoint request (deduplicated)."""
-        if any(entry.partition == partition for entry in self._entries()):
+        if any(entry.partition == partition for entry in self._entries):
             return
-        self._entries().append(CheckpointRequest(partition, bin_index, reason))
+        self._entries.append(CheckpointRequest(partition, bin_index, reason))
 
+    # every pump asks both, of a queue that is nearly always empty
     def pending(self) -> list[CheckpointRequest]:
-        return [e for e in self._entries() if e.state is RequestState.REQUEST]
+        entries = self._entries
+        return [e for e in entries if e.state is RequestState.REQUEST] if entries else []
 
     def finished(self) -> list[CheckpointRequest]:
-        return [e for e in self._entries() if e.state is RequestState.FINISHED]
+        entries = self._entries
+        return [e for e in entries if e.state is RequestState.FINISHED] if entries else []
 
     def in_flight(self) -> list[CheckpointRequest]:
         """Entries whose checkpoint has started (in-progress or awaiting
         acknowledgement)."""
         return [
-            e for e in self._entries() if e.state is not RequestState.REQUEST
+            e for e in self._entries if e.state is not RequestState.REQUEST
         ]
 
     def remove(self, request: CheckpointRequest) -> None:
-        self._entries().remove(request)
+        self._entries.remove(request)
 
     def finish_for(
         self,
@@ -86,12 +88,12 @@ class CheckpointQueue:
         partitions that never requested it, and each copied partition
         needs a FINISHED entry so the recovery CPU flushes its leftovers,
         resets its bin and frees ``previous_slot``."""
-        for entry in self._entries():
+        for entry in self._entries:
             if entry.partition == partition:
                 entry.state = RequestState.FINISHED
                 entry.previous_slot = previous_slot
                 return
-        self._entries().append(
+        self._entries.append(
             CheckpointRequest(
                 partition, bin_index, reason, RequestState.FINISHED, previous_slot
             )
@@ -100,7 +102,7 @@ class CheckpointQueue:
     def revert_in_progress(self) -> int:
         """Post-crash: in-progress checkpoints died with the main CPU."""
         reverted = 0
-        for entry in self._entries():
+        for entry in self._entries:
             if entry.state is RequestState.IN_PROGRESS:
                 entry.state = RequestState.REQUEST
                 entry.previous_slot = None
@@ -108,4 +110,4 @@ class CheckpointQueue:
         return reverted
 
     def __len__(self) -> int:
-        return len(self._entries())
+        return len(self._entries)

@@ -290,7 +290,7 @@ class Database:
         """
         if relations:
             self.ensure_recovered(relations)
-        return self.transactions.scope(self.pump if pump else None)
+        return TransactionScope(self.transactions.begin, self.engine.pump if pump else None)
 
     def ensure_recovered(self, relations) -> None:
         """Predeclared recovery (section 2.5 method 1): while a restart

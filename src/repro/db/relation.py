@@ -16,8 +16,8 @@ its branch here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.catalog.catalog import RelationDescriptor
 from repro.catalog.schema import FIELD_WIDTH, NULL_HANDLE, FieldType
@@ -35,15 +35,18 @@ class UniqueViolation(ReproError):
     """An insert or update would duplicate a primary key."""
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One materialised tuple: its address plus decoded field values."""
 
     address: EntityAddress
     values: dict[str, int | str | bytes | None]
 
-    def __getitem__(self, field_name: str):
+    def __getitem__(self, field_name: str):  # type: ignore[override]
         return self.values[field_name]
+
+
+#: A :class:`Row` of ``(address, values)`` built in C, not by its Python ``__new__``.
+_new_row = partial(tuple.__new__, Row)
 
 
 class Relation:
@@ -123,11 +126,20 @@ class Relation:
     def read(self, txn: "Transaction", address: EntityAddress) -> Row:
         """Read one tuple under a shared lock."""
         txn = txn.resolve(self.db)
-        descriptor = self.db.catalog.relation(self.name)
-        txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
+        return self._read(txn, self.db.catalog.relation(self.name), address)
+
+    def _read(self, txn: "Transaction", descriptor, address: EntityAddress) -> Row:
+        """:meth:`read` once a query has resolved ``txn`` and fetched
+        ``descriptor``, with :meth:`_resident_partition` inline."""
+        segment_id = descriptor.segment_id
+        txn.lock_relation(segment_id, LockMode.INTENT_SHARED)
         txn.lock_entity(address, LockMode.SHARED)
-        partition = self._resident_partition(descriptor.segment_id, address.partition)
-        return self._materialise(descriptor.schema, partition, address)
+        partition = self.db.memory.segment(segment_id).resident(address.partition)
+        if partition is None:
+            partition = self.db.ensure_partition(PartitionAddress(segment_id, address.partition))
+        schema = descriptor.schema
+        cells = schema.decode_tuple(partition.read(address.offset))
+        return self._row(schema, partition, address, cells)
 
     def update(self, txn: "Transaction", address: EntityAddress, changes: dict) -> None:
         """Update named fields of one tuple in place (statement-atomic).
@@ -237,7 +249,7 @@ class Relation:
         addresses = self._primary_search(txn, key_value)
         if not addresses:
             return None
-        return self.read(txn, addresses[0])
+        return self._read(txn, self.db.catalog.relation(self.name), addresses[0])
 
     def lookup_by(self, txn: "Transaction", index_name: str, key_value) -> list[Row]:
         """Point lookup through any index on this relation."""
@@ -246,7 +258,8 @@ class Relation:
         if index_descriptor.relation_name != self.name:
             raise CatalogError(f"index {index_name!r} is not on {self.name!r}")
         index = self.db.index_object(index_descriptor, txn)
-        return [self.read(txn, address) for address in index.search(key_value)]
+        descriptor = self.db.catalog.relation(self.name)
+        return [self._read(txn, descriptor, address) for address in index.search(key_value)]
 
     def range_by(
         self,
@@ -270,8 +283,9 @@ class Relation:
                 f"index {index_name!r} is a hash index; range queries need "
                 f"a T-Tree"
             )
+        descriptor = self.db.catalog.relation(self.name)
         for _, address in index.range_scan(low, high):
-            yield self.read(txn, address)
+            yield self._read(txn, descriptor, address)
 
     def scan(self, txn: "Transaction") -> Iterator[Row]:
         """Full scan in (partition, offset) order; recovers missing
@@ -281,12 +295,14 @@ class Relation:
         txn.lock_relation(descriptor.segment_id, LockMode.INTENT_SHARED)
         # The segment's numbers, not the descriptor's: a partition being
         # grown is listed before its growth commits, installed only after.
+        schema = descriptor.schema
         for number in self.db.memory.segment(descriptor.segment_id).partition_numbers():
             partition = self._resident_partition(descriptor.segment_id, number)
             for offset, _ in list(partition.entities()):
                 address = EntityAddress(descriptor.segment_id, number, offset)
                 txn.lock_entity(address, LockMode.SHARED)
-                yield self._materialise(descriptor.schema, partition, address)
+                cells = schema.decode_tuple(partition.read(offset))
+                yield self._row(schema, partition, address, cells)
 
     def count(self, txn: "Transaction") -> int:
         return sum(1 for _ in self.scan(txn))
@@ -333,10 +349,6 @@ class Relation:
             )
         return txn.grow_segment(segment, fits)
 
-    def _materialise(self, schema, partition: Partition, address: EntityAddress) -> Row:
-        cells = schema.decode_tuple(partition.read(address.offset))
-        return self._row(schema, partition, address, cells)
-
     @staticmethod
     def _row(schema, partition: Partition, address: EntityAddress, cells: list[int]) -> Row:
         """The row a tuple's decoded cells spell, heap strings fetched."""
@@ -351,7 +363,7 @@ class Relation:
                 values[field.name] = (
                     raw.decode("utf-8") if field.type is FieldType.STR else raw
                 )
-        return Row(address, values)
+        return _new_row((address, values))
 
     @staticmethod
     def _to_bytes(field_type: FieldType, value) -> bytes:

@@ -61,6 +61,6 @@ class SimEngine:
     def pump(self) -> None:
         """Run the between-transactions duties of both processors, one
         at a time in :data:`DUTIES` order."""
-        db = self._require_db()
+        db = self.db or self._require_db()  # _require_db only to refuse
         for duty in DUTIES:
             duty(db)()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Iterator
 
 from repro.common.errors import IndexStructureError
@@ -16,6 +17,8 @@ NULL_ADDRESS = EntityAddress(-1, -1, -1)
 ADDRESS_CODES = "iiq"
 _ADDRESS = struct.Struct("<" + ADDRESS_CODES)
 _U16 = struct.Struct("<H")
+#: An :class:`EntityAddress` of its unpacked fields, built in C, not by its Python ``__new__``.
+_address = partial(tuple.__new__, EntityAddress)
 
 
 def pack_address(address: EntityAddress) -> bytes:
@@ -23,8 +26,7 @@ def pack_address(address: EntityAddress) -> bytes:
 
 
 def unpack_address(buf: bytes, pos: int) -> tuple[EntityAddress, int]:
-    segment, partition, offset = _ADDRESS.unpack_from(buf, pos)
-    return EntityAddress(segment, partition, offset), pos + _ADDRESS.size
+    return _address(_ADDRESS.unpack_from(buf, pos)), pos + _ADDRESS.size
 
 
 def pack_item(key: Key, value: EntityAddress) -> bytes:
@@ -64,12 +66,12 @@ def split_items(buf: bytes, pos: int, count: int) -> list[bytes]:
 
 def value_at(values: bytes, index: int) -> EntityAddress:
     """The ``index``-th address of a packed value array."""
-    return EntityAddress(*_ADDRESS.unpack_from(values, index * _ADDRESS.size))
+    return _address(_ADDRESS.unpack_from(values, index * _ADDRESS.size))
 
 
 def zip_items(keys: tuple[Key, ...], values: bytes) -> Iterator[tuple[Key, EntityAddress]]:
     """``(key, address)`` pairs of a decoded component, in stored order."""
-    return zip(keys, (EntityAddress(*fields) for fields in _ADDRESS.iter_unpack(values)))
+    return zip(keys, map(_address, _ADDRESS.iter_unpack(values)))
 
 
 class Index:

@@ -364,11 +364,9 @@ class LinearHashIndex(Index):
         results = []
         while address != NULL_ADDRESS:
             bucket = self._form(address)
-            results.extend(
-                value_at(bucket.values, index)
-                for index, stored in enumerate(bucket.keys)
-                if stored == key
-            )
+            for index, stored in enumerate(bucket.keys):  # no generator to resume
+                if stored == key:
+                    results.append(value_at(bucket.values, index))
             address = bucket.overflow
         return results
 

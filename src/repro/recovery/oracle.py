@@ -17,7 +17,8 @@ recovery the recovered digest must be byte-identical to it
 compares).
 
 :func:`log_order_violations` checks what the digest cannot see: that
-each partition's REDO stream holds its transactions in commit order.
+each partition's REDO stream holds its transactions in commit order, and
+:func:`serialization_violations` that the conflicts behind it do too.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from itertools import combinations, groupby
 from typing import TYPE_CHECKING
 
 from repro.common.errors import RecoveryError
+from repro.concurrency.locks import LockMode, join
 from repro.recovery.redo import partition_record_stream
 from repro.wal.records import txn_ids
 
@@ -160,3 +162,37 @@ def log_order_violations(db: "Database") -> list[str]:
             if rank_other[first] > rank_other[second]
         ]
     return problems
+
+
+#: The modes a writer takes: a conflict's kind is ``"rw"[mode in _WRITES]`` per side.
+_WRITES = frozenset({LockMode.INTENT_EXCLUSIVE, LockMode.EXCLUSIVE})
+
+
+def serialization_violations(grants, commits) -> list[str]:
+    """Where a conflict between committed transactions runs against commit order.
+
+    ``grants`` is one incarnation's lock grants in order, ``(txn id, resource,
+    mode)``, and ``commits`` its ids in commit order.  A grant (as the join of
+    its transaction's modes there) incompatible with an earlier one is a wr, ww
+    or rw edge; strict 2PL held the earlier lock to its commit, so every edge
+    between committed transactions follows commit order, and the graph is
+    acyclic.  Ids restart at 1 after a restart: check each incarnation alone."""
+    rank = {txn: at for at, txn in enumerate(commits)}
+    granted: dict = {}  # resource -> mode -> committed txns granted it, in order
+    held: dict = {}
+    problems: dict[str, None] = {}
+    for txn, resource, mode in grants:
+        if txn not in rank:
+            continue
+        wanted = held[txn, resource] = join(held.get((txn, resource), mode), mode)
+        by_mode = granted.setdefault(resource, {})
+        for earlier, others in by_mode.items():
+            if wanted.compatible_with(earlier):
+                continue
+            kind = "rw"[earlier in _WRITES] + "rw"[wanted in _WRITES]
+            for other in others:
+                if rank[other] > rank[txn]:
+                    problems[f"txn {other} -> txn {txn} ({kind} on {resource!r}), "
+                             f"but txn {txn} committed first"] = None
+        by_mode.setdefault(wanted, {})[txn] = None
+    return list(problems)

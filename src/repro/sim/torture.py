@@ -41,7 +41,9 @@ Verification is layered:
 * **Log order** — after each recovery, every partition's REDO stream
   holds its transactions in commit order
   (:func:`~repro.recovery.oracle.log_order_violations`), which no digest
-  shows when two transactions wrote the same bytes.
+  shows when two transactions wrote the same bytes; and so does every
+  conflict between the committed transactions of the round's lock history
+  (:func:`_record_history`, :func:`~repro.recovery.oracle.serialization_violations`).
 * **Fault accounting** — every injected transient fault must be counted
   by the retry layer, and plans keep per-rule fires within the retry
   budget, so a round with faults must see zero ``MediaFailure``
@@ -73,6 +75,7 @@ from repro.db.database import Database, RecoveryMode
 from repro.common.errors import RecoveryError
 from repro.recovery.media import restore_after_checkpoint_media_failure
 from repro.recovery.oracle import committed_digests, log_order_violations, logical_digest
+from repro.recovery.oracle import serialization_violations
 from repro.sim.chaos import (
     ChaosEngine,
     ChaosPlan,
@@ -267,6 +270,28 @@ def _build_cluster(spec: RoundSpec, config: SystemConfig) -> ShardedBankWorkload
     return ShardedBankWorkload(cluster, accounts_per_shard=16, cross_ratio=0.25, seed=spec.seed)
 
 
+def _record_history(db: Database) -> dict:
+    """Wrap the instance's ``locks.acquire`` and ``slb.commit`` (every mode's
+    commit point, before the locks release): per transaction manager, which
+    restart replaces after it commits in-doubt branches, the granted ``(txn
+    id, resource, mode)`` and the committed ids, in order."""
+    history: dict = {}
+    acquire, commit = db.locks.acquire, db.slb.commit
+
+    def recorded_acquire(txn_id, resource, mode) -> bool:
+        granted = acquire(txn_id, resource, mode)
+        if granted:
+            history.setdefault(db.transactions, ([], []))[0].append((txn_id, resource, mode))
+        return granted
+
+    def recorded_commit(txn_id, *args) -> None:
+        commit(txn_id, *args)
+        history.setdefault(db.transactions, ([], []))[1].append(txn_id)
+
+    db.locks.acquire, db.slb.commit = recorded_acquire, recorded_commit  # type: ignore
+    return history
+
+
 class _DeliberateAbort(Exception):
     """Raised inside a mixed round's doomed transaction to abort it."""
 
@@ -456,10 +481,11 @@ class TortureHarness:
                 primary_index="ttree",
             )
             workload.load()
+            histories = (_record_history(dbs[0]),)
             attempts = crash_restart_verify(
                 dbs, lambda: _run_mixed(workload), injector, recovery_mode
             )
-            self._check_log_order(dbs)
+            self._check_commit_order(dbs, histories)
             return workload, dbs, attempts, None
         if spec.shards > 1:
             workload = _build_cluster(spec, config)
@@ -483,6 +509,7 @@ class TortureHarness:
                 scheduler.submit(
                     workload.script(aid, workload.next_history_id()), name=f"torture-{i}"
                 )
+        histories = tuple(_record_history(db) for db in dbs)
         before = None
         if spec.media:
             attempts, before = media_restore_verify(dbs[0], scheduler.run, injector, recovery_mode)
@@ -490,7 +517,7 @@ class TortureHarness:
             attempts = crash_restart_verify(
                 dbs, scheduler.run, injector, recovery_mode, power_fail=power_fail
             )
-        self._check_log_order(dbs)
+        self._check_commit_order(dbs, histories)
         return workload, dbs, attempts, before
 
     # -- checks ---------------------------------------------------------------
@@ -506,7 +533,7 @@ class TortureHarness:
         with db.transaction() as txn:
             return sum(1 for _ in db.table("history").scan(txn))
 
-    def _check_log_order(self, dbs: list[Database]) -> None:
+    def _check_commit_order(self, dbs: list[Database], histories: tuple[dict, ...] = ()) -> None:
         problems = [
             f"database {number}: {problem}"
             for number, db in enumerate(dbs)
@@ -514,6 +541,14 @@ class TortureHarness:
         ]
         if problems:
             raise TortureFailure(f"log order broken: {'; '.join(problems)}")
+        problems = [
+            f"database {number}: {problem}"
+            for number, history in enumerate(histories)
+            for grants, commits in history.values()
+            for problem in serialization_violations(grants, commits)
+        ]
+        if problems:
+            raise TortureFailure(f"conflicts out of commit order: {'; '.join(problems)}")
 
     def _check_recovery_stability(
         self, dbs: list[Database], mode: RecoveryMode, digests: list[str]
@@ -535,7 +570,7 @@ class TortureHarness:
                 f"recovery is not stable: second recovery digest of database "
                 f"{'; '.join(changed)}"
             )
-        self._check_log_order(dbs)
+        self._check_commit_order(dbs)
 
     def _check_fault_accounting(
         self, dbs: list[Database], injector: ChaosEngine

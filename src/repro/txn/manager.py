@@ -74,7 +74,11 @@ class TransactionScope:
         return self._txn
 
     def __exit__(self, exc_type, error, tb) -> bool:
-        settle(self._txn, error)
+        txn = self._txn
+        if error is None and txn.state is TxnState.ACTIVE:
+            txn.commit()  # settle's first rule, without its frame
+        else:
+            settle(txn, error)
         if error is None and self._then is not None:
             self._then()
         return False  # the error, if any, propagates
@@ -112,10 +116,6 @@ class TransactionManager:
         )
         self._active[txn.txn_id] = txn
         return txn
-
-    def finished(self, txn: Transaction) -> None:
-        """Called by the transaction on commit/abort."""
-        self._active.pop(txn.txn_id, None)
 
     @property
     def active_count(self) -> int:

@@ -202,28 +202,20 @@ class StableLogBuffer:
 
     # -- commit / abort --------------------------------------------------------------
 
-    def commit(self, txn_id: int) -> None:
+    def commit(self, txn_id: int, mode: str = "value", extra_bytes: int = 0) -> None:
         """Move the chain to the committed list (in commit order).
 
         This is the *entire* commit-time log work: the records are already
         in stable memory, so the transaction is durable the moment the
-        chain changes lists.
+        chain changes lists.  It is the commit point of every mode: the
+        commit is counted, with its stable log bytes, under ``mode``.
         """
-        chain = self._require_open(txn_id)
-        del self._uncommitted[txn_id]
-        self._join_committed(chain, "value")
-
-    def _join_committed(
-        self, chain: TransactionLogChain, mode: str, extra_bytes: int = 0
-    ) -> None:
-        """The commit point of every mode: the chain is on the committed
-        list, in commit order, for the recovery CPU to drain — and the
-        commit is counted, with its stable log bytes, under ``mode``."""
+        # _require_open only to refuse
+        chain = self._uncommitted.pop(txn_id, None) or self._require_open(txn_id)
         self._committed.append(chain)
         self.mode_commits[mode] = self.mode_commits.get(mode, 0) + 1
-        self.mode_bytes[mode] = (
-            self.mode_bytes.get(mode, 0) + chain.size_bytes + extra_bytes
-        )
+        size = chain.size_bytes if chain.blocks else 0  # read-only: no sum to take
+        self.mode_bytes[mode] = self.mode_bytes.get(mode, 0) + size + extra_bytes
 
     @property
     def commits(self) -> int:
@@ -288,8 +280,7 @@ class StableLogBuffer:
         self.bytes_written += filled + size
         log["seq"] = csn
         log["entries"][csn] = command
-        del self._uncommitted[txn_id]
-        self._join_committed(chain, "command", size)
+        self.commit(txn_id, "command", size)
         return csn
 
     def live_commands(self) -> list[TxnCommand]:
@@ -332,8 +323,10 @@ class StableLogBuffer:
             raise TransactionStateError(f"txn {txn_id} has no prepared chain") from None
 
     def commit_prepared(self, txn_id: int) -> None:
-        """Phase-2 COMMIT: append the prepared chain to the committed list."""
-        self._join_committed(self._take_prepared(txn_id), "value")
+        """Phase-2 COMMIT: append the prepared chain to the committed list,
+        through the one commit point."""
+        self._uncommitted[txn_id] = self._take_prepared(txn_id)
+        self.commit(txn_id)
 
     def abort_prepared(self, txn_id: int) -> None:
         """Phase-2 ABORT (or presumed abort at restart): free the chain."""
@@ -382,9 +375,10 @@ class StableLogBuffer:
         drained: list[bytes] = []
         committed = self._committed
         for chain in committed:
-            for block in chain.blocks:
-                drained += block.records
-            self._free_chain(chain)
+            if chain.blocks:  # a read-only chain holds none to free
+                for block in chain.blocks:
+                    drained += block.records
+                self._free_chain(chain)
         committed.clear()
         return drained
 

@@ -1,8 +1,10 @@
 """What the forward path's folded entry points must keep checking.
 
 The value-logged commit path checks the transaction's state, the lock
-table and the open chain inline rather than through helper calls; these
-tests pin each check where it now lives.
+table and the open chain inline rather than through helper calls, and
+the transaction's frame (scope, commit, idle pump) and the point read
+do their work in fewer frames; these tests pin each check where it now
+lives.
 """
 
 from collections import Counter
@@ -10,14 +12,17 @@ from itertools import product
 
 import pytest
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
+from repro.checkpoint.protocol import RequestState
 from repro.common.errors import LogError, TransactionAborted, TransactionStateError
-from repro.common.types import EntityAddress
+from repro.common.types import EntityAddress, PartitionAddress
 from repro.concurrency.latch import assert_no_latch_held
 from repro.concurrency.locks import _COVERS, _JOIN, LockMode, covers, join
+from repro.recovery.replay_plan import ReplayTransaction
 from repro.sim.chaos import set_crash_point_observer
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuMeter
+from repro.sim.faults import SimulatedCrash
 from repro.txn.transaction import TxnState
 
 
@@ -207,3 +212,162 @@ class TestTheSortingLoop:
         assert cpu.total_instructions == reference.total_instructions
         assert cpu.category_breakdown() == reference.category_breakdown()
         assert db.clock.now == reference.clock.now
+
+
+class TestTheTransactionScope:
+    """``Database.transaction``'s scope commits itself when the body
+    returned and settles every other ending: its three rules, and the
+    pump after a commit only."""
+
+    @pytest.fixture()
+    def pumped(self):
+        db, rel, addrs = bank()
+        states = []
+        pump = db.engine.pump
+
+        def recording():
+            states.append(db.transactions._active.copy())
+            pump()
+
+        db.engine.pump = recording
+        return db, rel, addrs, states
+
+    def test_a_body_that_returns_commits_then_pumps(self, pumped):
+        db, rel, addrs, states = pumped
+        with db.transaction() as txn:
+            rel.update(txn, addrs[0], {"bal": 5})
+        assert txn.state is TxnState.COMMITTED
+        assert states == [{}]  # the pump ran once, after the commit ended it
+
+    def test_a_body_that_raises_aborts_reraises_and_does_not_pump(self, pumped):
+        db, rel, addrs, states = pumped
+        with pytest.raises(ZeroDivisionError):
+            with db.transaction() as txn:
+                rel.update(txn, addrs[0], {"bal": 5})
+                1 / 0
+        assert txn.state is TxnState.ABORTED and states == []
+        with db.transaction() as check:
+            assert rel.read(check, addrs[0])["bal"] == 0
+
+    def test_a_crash_leaves_the_transaction_alone(self, pumped):
+        db, rel, addrs, states = pumped
+        with pytest.raises(SimulatedCrash):
+            with db.transaction() as txn:
+                rel.update(txn, addrs[0], {"bal": 5})
+                raise SimulatedCrash("power")
+        assert txn.state is TxnState.ACTIVE and states == []
+        assert db.slb.uncommitted_txn_ids == [txn.txn_id]
+
+    def test_aborting_inside_the_body_without_raising_is_refused(self, pumped):
+        db, rel, addrs, states = pumped
+        with pytest.raises(TransactionStateError, match="without an exception"):
+            with db.transaction() as txn:
+                txn.abort()
+        assert states == []
+
+    def test_pump_false_never_pumps(self, pumped):
+        db, rel, addrs, states = pumped
+        with db.transaction(pump=False) as txn:
+            rel.update(txn, addrs[0], {"bal": 5})
+        assert txn.state is TxnState.COMMITTED and states == []
+
+
+def test_a_read_only_commit_counts_and_adds_no_log_bytes():
+    db, rel, addrs = bank()
+    before = db.stats()
+    written = db.slb.bytes_written
+    with db.transaction() as txn:
+        rel.read(txn, addrs[0])
+    after = db.stats()
+    assert after["transactions_committed"] == before["transactions_committed"] + 1
+    assert after["logging"]["mode_bytes"] == before["logging"]["mode_bytes"]
+    assert db.slb.bytes_written == written
+
+
+class TestTheCheckpointQueue:
+    """The queue keeps the SLB's well-known list: its answers are a
+    fresh scan's, and the list is the one stable memory holds."""
+
+    @staticmethod
+    def agrees(db):
+        queue = db.checkpoint_queue
+        entries = db.slb.get_well_known("checkpoint-requests")
+        assert queue._entries is entries
+        assert queue.pending() == [e for e in entries if e.state is RequestState.REQUEST]
+        assert queue.finished() == [e for e in entries if e.state is RequestState.FINISHED]
+
+    def test_after_every_change_and_across_a_restart(self):
+        db, rel, addrs = bank()
+        queue = db.checkpoint_queue
+        self.agrees(db)
+        assert queue.pending() == queue.finished() == []
+        one, two, three = (PartitionAddress(seg, 1) for seg in (91, 92, 93))
+        queue.submit(one, 0, "test")
+        queue.submit(two, 1, "test")
+        self.agrees(db)
+        queue.finish_for(two, 1, None)
+        queue.finish_for(three, 2, None)
+        self.agrees(db)
+        queue.pending()[0].state = RequestState.IN_PROGRESS
+        assert queue.revert_in_progress() == 1
+        self.agrees(db)
+        queue.remove(queue.finished()[0])
+        self.agrees(db)
+        listed = queue._entries
+        db.crash()
+        queue.revert_in_progress()
+        db.slb.discard_uncommitted()
+        assert db.checkpoint_queue is queue and queue._entries is listed
+        self.agrees(db)
+
+    def test_a_restarted_database_keeps_the_list(self):
+        db, rel, addrs = bank(update_count_threshold=4)
+        for n in range(12):
+            with db.transaction() as txn:
+                rel.update(txn, addrs[n % 3], {"bal": n})
+        listed = db.checkpoint_queue._entries
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert db.checkpoint_queue._entries is listed
+        self.agrees(db)
+
+
+class TestAReadOfAPartitionNotYetRecovered:
+    @pytest.fixture()
+    def restarted(self):
+        db, rel, addrs = bank()
+        with db.transaction() as txn:
+            rel.update(txn, addrs[3], {"bal": 33})
+        db.crash()
+        db.restart(RecoveryMode.ON_DEMAND)
+        segment = db.memory.segment(addrs[3].segment)
+        assert segment.resident(addrs[3].partition) is None
+        return db, rel, addrs, segment
+
+    def test_read_recovers_it_on_demand(self, restarted):
+        db, rel, addrs, segment = restarted
+        with db.transaction() as txn:
+            row = rel.read(txn, addrs[3])
+        assert row["bal"] == 33 and row.address == addrs[3]
+        assert segment.resident(addrs[3].partition) is not None
+
+    def test_lookup_recovers_it_on_demand(self, restarted):
+        db, rel, addrs, segment = restarted
+        with db.transaction() as txn:
+            row = rel.lookup(txn, 3)
+        assert row.values == {"id": 3, "bal": 33} and row.address == addrs[3]
+        assert segment.resident(addrs[3].partition) is not None
+
+
+def test_a_replayed_command_opens_no_chain_and_writes_no_audit_entry():
+    db, rel, addrs = bank()
+    entries, chains = db.audit.entries_written, db.slb.committed_chain_count
+    txn = ReplayTransaction(db, 10_000, command=("s", "1", b"[]"), declared_relations=("acct",))
+    assert db.slb.uncommitted_txn_ids == []
+    txn.lock_relation(addrs[0].segment, LockMode.EXCLUSIVE)
+    txn.commit()
+    assert txn.state is TxnState.COMMITTED
+    assert db.slb.uncommitted_txn_ids == [] and db.slb.committed_chain_count == chains
+    assert db.audit.entries_written == entries
+    assert db.locks.locks_held(10_000) == set()
+

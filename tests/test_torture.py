@@ -17,7 +17,15 @@ import json
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.recovery.oracle import committed_digests, log_order_violations, logical_digest
+from repro.common.types import EntityAddress
+from repro.concurrency.locks import LockMode
+from repro.db.relation import Relation
+from repro.recovery.oracle import (
+    committed_digests,
+    log_order_violations,
+    logical_digest,
+    serialization_violations,
+)
 from repro.sim import torture
 from repro.sim.chaos import registered_crash_points, registered_fault_points
 from repro.sim.torture import (
@@ -353,6 +361,67 @@ class TestLogOrder:
         message = str(excinfo.value)
         assert "log order broken" in message
         assert "reproduce with" in message
+
+
+class TestSerializability:
+    """The rig's conflict check.  The histories are hand-built; the first
+    is seed 200's (``--shards 2``, database 1) with ``Relation.read``
+    releasing its row S lock right after reading: txn 16's upgrade to X
+    was granted while txn 19 had read the row, so txn 19 overwrote 16's
+    balance with one read before it."""
+
+    ROW = EntityAddress(2, 1, 3)
+    REL = ("rel", 2)
+    IS, IX, S, X = (LockMode.INTENT_SHARED, LockMode.INTENT_EXCLUSIVE,
+                    LockMode.SHARED, LockMode.EXCLUSIVE)
+
+    def test_a_row_lock_released_before_commit(self):
+        grants = [
+            (16, self.REL, self.IS), (16, self.ROW, self.S),
+            (19, self.REL, self.IS), (19, self.ROW, self.S),
+            (16, self.REL, self.IX), (16, self.ROW, self.X),
+            (19, self.REL, self.IX), (19, self.ROW, self.X),
+        ]
+        assert serialization_violations(grants, [16, 19]) == [
+            f"txn 19 -> txn 16 (rw on {self.ROW!r}), but txn 16 committed first"
+        ]
+
+    def test_the_same_transactions_under_strict_locking(self):
+        grants = [
+            (16, self.REL, self.IS), (16, self.ROW, self.S),
+            (16, self.REL, self.IX), (16, self.ROW, self.X),
+            (19, self.REL, self.IS), (19, self.ROW, self.S),
+            (19, self.REL, self.IX), (19, self.ROW, self.X),
+        ]
+        assert serialization_violations(grants, [16, 19]) == []
+
+    def test_a_relation_lock_conflicts_with_intent_and_an_aborted_one_is_left_out(self):
+        grants = [
+            (3, self.REL, self.IX), (3, self.ROW, self.X),
+            (4, self.REL, self.S),  # a checkpoint's read of the whole relation
+            (5, self.REL, self.IX),
+        ]
+        assert serialization_violations(grants, [4, 3]) == [
+            f"txn 3 -> txn 4 (wr on {self.REL!r}), but txn 4 committed first"
+        ]
+        assert serialization_violations(grants, [3, 4]) == []
+        assert serialization_violations(grants, [5, 3]) == []  # 4 never committed
+
+    def test_the_rig_fails_that_round(self, monkeypatch):
+        read = Relation._read
+
+        def releasing(self, txn, descriptor, address):
+            row = read(self, txn, descriptor, address)
+            if self.db.locks._holders[address].get(txn.txn_id) is LockMode.SHARED:
+                self.db.locks.release(txn.txn_id, address)
+            return row
+
+        monkeypatch.setattr(Relation, "_read", releasing)
+        with pytest.raises(TortureFailure) as excinfo:
+            TortureHarness().run_round(RoundSpec(200, "crash", shards=2))
+        assert "conflicts out of commit order: database 1: txn 19 -> txn 16 (rw on" in str(
+            excinfo.value
+        )
 
 
 class TestInterruptIsNotAFailure:
