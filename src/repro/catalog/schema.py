@@ -77,9 +77,6 @@ class Schema:
 
     # -- introspection -------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.fields)
-
     def __iter__(self):
         return iter(self.fields)
 

@@ -86,7 +86,7 @@ class CheckpointManager:
         self.sweeps_taken = 0
         self.commands_settled = 0
 
-    def process_pending(self, limit: int | None = None) -> int:
+    def process_pending(self) -> int:
         """Run checkpoint transactions for queued requests.
 
         Returns the number completed.  Requests whose relation lock is
@@ -96,8 +96,6 @@ class CheckpointManager:
         live = self.db.commands
         done = 0
         for request in self.db.checkpoint_queue.pending():
-            if limit is not None and done >= limit:
-                break
             if request.state is not RequestState.REQUEST:
                 # An earlier sweep in this pass already checkpointed this
                 # partition and set its entry to FINISHED.
@@ -125,7 +123,7 @@ class CheckpointManager:
             request.state = RequestState.IN_PROGRESS
         txn: Transaction | None = None
         try:
-            with self.db.transactions.scope(system=True) as txn:
+            with self.db.transactions.scope() as txn:
                 yield txn
             crash_point("checkpoint.committed")
         except (TransactionAborted, NotResidentError) as refused:

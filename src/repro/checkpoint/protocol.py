@@ -48,61 +48,59 @@ class CheckpointQueue:
         if slb.get_well_known(_QUEUE_KEY) is None:
             slb.put_well_known(_QUEUE_KEY, [])
         #: The well-known list, kept: only this constructor puts the key,
-        #: and the list survives a crash with the SLB that holds it.
-        self._entries: list[CheckpointRequest] = slb.get_well_known(_QUEUE_KEY)  # type: ignore
+        #: and the list survives a crash with the SLB that holds it.  Read
+        #: it to ask "is anything queued?" with no call; change it only
+        #: through the methods below.
+        self.entries: list[CheckpointRequest] = slb.get_well_known(_QUEUE_KEY)  # type: ignore
 
     def submit(self, partition: PartitionAddress, bin_index: int, reason: str) -> None:
         """Recovery CPU: enter a checkpoint request (deduplicated)."""
-        if any(entry.partition == partition for entry in self._entries):
+        if any(entry.partition == partition for entry in self.entries):
             return
-        self._entries.append(CheckpointRequest(partition, bin_index, reason))
+        self.entries.append(CheckpointRequest(partition, bin_index, reason))
 
     # every pump asks both, of a queue that is nearly always empty
     def pending(self) -> list[CheckpointRequest]:
-        entries = self._entries
+        entries = self.entries
         return [e for e in entries if e.state is RequestState.REQUEST] if entries else []
 
     def finished(self) -> list[CheckpointRequest]:
-        entries = self._entries
+        entries = self.entries
         return [e for e in entries if e.state is RequestState.FINISHED] if entries else []
 
     def in_flight(self) -> list[CheckpointRequest]:
         """Entries whose checkpoint has started (in-progress or awaiting
         acknowledgement)."""
         return [
-            e for e in self._entries if e.state is not RequestState.REQUEST
+            e for e in self.entries if e.state is not RequestState.REQUEST
         ]
 
     def remove(self, request: CheckpointRequest) -> None:
-        self._entries.remove(request)
+        self.entries.remove(request)
 
     def finish_for(
-        self,
-        partition: PartitionAddress,
-        bin_index: int,
-        previous_slot: int | None,
-        reason: str = "sweep",
+        self, partition: PartitionAddress, bin_index: int, previous_slot: int | None
     ) -> None:
         """Mark the entry for ``partition`` FINISHED, creating one if none
         exists: a settlement sweep or a whole-database checkpoint copies
         partitions that never requested it, and each copied partition
         needs a FINISHED entry so the recovery CPU flushes its leftovers,
         resets its bin and frees ``previous_slot``."""
-        for entry in self._entries:
+        for entry in self.entries:
             if entry.partition == partition:
                 entry.state = RequestState.FINISHED
                 entry.previous_slot = previous_slot
                 return
-        self._entries.append(
+        self.entries.append(
             CheckpointRequest(
-                partition, bin_index, reason, RequestState.FINISHED, previous_slot
+                partition, bin_index, "sweep", RequestState.FINISHED, previous_slot
             )
         )
 
     def revert_in_progress(self) -> int:
         """Post-crash: in-progress checkpoints died with the main CPU."""
         reverted = 0
-        for entry in self._entries:
+        for entry in self.entries:
             if entry.state is RequestState.IN_PROGRESS:
                 entry.state = RequestState.REQUEST
                 entry.previous_slot = None
@@ -110,4 +108,4 @@ class CheckpointQueue:
         return reverted
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)

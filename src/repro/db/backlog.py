@@ -4,9 +4,10 @@ was doing when the checkpoint queue backed up.
 Reads the event ring a run wrote (:meth:`repro.db.events.EventRing.write_jsonl`)
 and prints the longest stretch in which the checkpoint queue stayed
 non-empty: each checkpoint the recovery CPU requested (with its trigger)
-and acknowledged, each with its running totals of records sorted and
-pages flushed, and each image the main CPU wrote or deferred (with the
-refusal that deferred it), in simulated-time order.
+and acknowledged and each log page it wrote, each with its running
+totals of records sorted and pages flushed, and each image the main CPU
+wrote or deferred (with the refusal that deferred it), in simulated-time
+order.
 """
 
 from __future__ import annotations

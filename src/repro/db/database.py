@@ -244,7 +244,7 @@ class Database:
         elif segment.segment_id in txn.created_segments:
             self._catalogue(partition, txn)
         else:
-            with self.transactions.scope(system=True) as growth:
+            with self.transactions.scope() as growth:
                 self._catalogue(partition, growth)
                 crash_point("growth.catalogued")
             crash_point("growth.committed")

@@ -3,9 +3,10 @@
 The events are the moments an operator asks about after the fact, and
 none of them happens per transaction or per record: a checkpoint
 requested (with its trigger), deferred, its image written (slot and
-bytes) and acknowledged; a restart begun, each partition rebuilt (the
-restart record of ``stats()["restart"]["partitions"]``) and the database
-fully recovered; a 2PC branch prepared, and the verdict.  Each carries
+bytes) and acknowledged, and each log page the recovery CPU writes
+while a request is queued (``log.page-written``: LSN and bytes); a
+restart begun, each partition rebuilt (the restart record of
+``stats()["restart"]["partitions"]``) and the database fully recovered; a 2PC branch prepared, and the verdict.  Each carries
 simulated seconds (``sim_s``, the machine's clock) and host seconds
 (``host_s``, :func:`host_now`).  Emitting charges no simulated instruction.
 

@@ -63,10 +63,6 @@ class Relation:
     def descriptor(self) -> RelationDescriptor:
         return self.db.catalog.relation(self.name)
 
-    @property
-    def schema(self):
-        return self.descriptor.schema
-
     # -- DML ------------------------------------------------------------------------
 
     def insert(self, txn: "Transaction", row: dict) -> EntityAddress:

@@ -159,6 +159,8 @@ class RecoveryProcessor:
         crash_point("recovery.flush.after-directory-update")
         self.cpu.charge(params.i_process_lsn, "process-lsn")
         self.pages_flushed += 1
+        if self.checkpoint_queue.entries:  # a backlog's page, not every page
+            self._emit("log.page-written", partition, lsn=lsn, bytes=len(page.body))
         self._check_age_triggers()
 
     # -- checkpoint triggers --------------------------------------------------------------
@@ -180,8 +182,9 @@ class RecoveryProcessor:
         self._emit("checkpoint.requested", bin_.partition, reason=reason)
 
     def _emit(self, event: str, partition: PartitionAddress, **fields) -> None:
-        """One of the recovery CPU's checkpoint events, with the queue
-        depth it left and the running totals of its sorting duty."""
+        """One of the recovery CPU's events — a checkpoint's, or a log page
+        written while the checkpoint queue holds a request — with the
+        queue depth it left and the running totals of its sorting duty."""
         self.events.emit(
             event,
             partition=str(partition),
@@ -260,11 +263,13 @@ class RecoveryProcessor:
         history)."""
         page = LogPage(PartitionAddress(ARCHIVE_SEGMENT, 0), b"".join(records))
         self.cpu.charge(self.params.i_write_init, "write-init")
-        self.log_disk.append_page(page)
+        lsn = self.log_disk.append_page(page)
         crash_point("recovery.archive.page-written")
         del self._archive_buffer[: len(records)]
         self._archive_bytes -= nbytes
         self.archive_pages_written += 1
+        if self.checkpoint_queue.entries:
+            self._emit("log.page-written", page.partition, lsn=lsn, bytes=len(page.body))
         self._check_age_triggers()  # archive pages advance the window too
 
     @property

@@ -69,7 +69,7 @@ def load_base(
     """The image in ``slot``, or an empty partition when there is none."""
     if slot is None:
         return Partition(address, partition_size)
-    return Partition.from_bytes(disk_queue.read_image(slot), address)
+    return Partition.from_bytes(disk_queue.read_image(slot), address, partition_size)
 
 
 def enumerate_log_pages(

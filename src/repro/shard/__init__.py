@@ -14,7 +14,7 @@ digest-identically to a standalone database.
 from repro.common.errors import ShardingError
 from repro.shard.router import RoutingError, ShardRouter
 from repro.shard.sharded import DistributedTransaction, ShardedDatabase
-from repro.shard.twopc import DECISIONS_KEY, TwoPCError, TwoPhaseCommit
+from repro.shard.twopc import DECISIONS_KEY, TwoPhaseCommit
 
 __all__ = [
     "DECISIONS_KEY",
@@ -23,6 +23,5 @@ __all__ = [
     "ShardRouter",
     "ShardedDatabase",
     "ShardingError",
-    "TwoPCError",
     "TwoPhaseCommit",
 ]

@@ -29,13 +29,11 @@ class ShardRouter:
     are re-derived from the facade's DDL replay, not persisted here).
     """
 
-    def __init__(self, shards: int, placement: dict[str, int] | None = None):
+    def __init__(self, shards: int):
         if shards < 1:
             raise RoutingError("a sharded topology needs at least one shard")
         self.shards = shards
         self._placement: dict[str, int] = {}
-        for name, shard in (placement or {}).items():
-            self.assign(name, shard)
 
     # -- placement ----------------------------------------------------------------
 

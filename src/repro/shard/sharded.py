@@ -91,10 +91,6 @@ class DistributedTransaction:
         wherever a plain transaction's ``txn_id`` would."""
         return self.branches[self.coordinator].txn_id
 
-    @property
-    def txn_ids(self) -> dict[int, int]:
-        return {sid: txn.txn_id for sid, txn in self.branches.items()}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DistributedTransaction(gtid={self.gtid!r}, shards={self.shard_ids}, "
@@ -105,13 +101,8 @@ class DistributedTransaction:
 class ShardedDatabase:
     """N shared-nothing :class:`Database` nodes behind the single-database API."""
 
-    def __init__(
-        self,
-        shards: int = 1,
-        config: SystemConfig | None = None,
-        placement: dict[str, int] | None = None,
-    ):
-        self.router = ShardRouter(shards, placement)
+    def __init__(self, shards: int = 1, config: SystemConfig | None = None):
+        self.router = ShardRouter(shards)
         self.twopc = TwoPhaseCommit(self)
         self.nodes: list[Database] = []
         for sid in range(shards):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.errors import ReproError
 from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.txn.transaction import TxnState
@@ -52,10 +51,6 @@ register_crash_point(
     "shard.2pc.after-decision",
     "COMMIT decision logged, before any branch runs phase 2",
 )
-
-
-class TwoPCError(ReproError):
-    """A protocol-state violation in the 2PC layer."""
 
 
 class TwoPhaseCommit:

@@ -70,18 +70,6 @@ class StableMemory:
         del self._allocations[key]
         self._used -= nbytes
 
-    def resize(self, key: str, nbytes: int) -> None:
-        """Change the capacity charge of an existing allocation."""
-        if nbytes < 0:
-            raise ValueError("allocation size cannot be negative")
-        old_bytes, value = self._require(key)
-        if self._used - old_bytes + nbytes > self.capacity_bytes:
-            raise StableMemoryFullError(
-                f"stable memory {self.name!r} full resizing {key!r}"
-            )
-        self._allocations[key] = (nbytes, value)
-        self._used += nbytes - old_bytes
-
     def _require(self, key: str) -> tuple[int, Any]:
         try:
             return self._allocations[key]

@@ -19,11 +19,10 @@ from repro.storage.segment import Segment
 class MemoryManager:
     """Allocator and directory for all in-memory segments."""
 
-    def __init__(self, partition_size: int, heap_fraction: float = 0.25):
+    def __init__(self, partition_size: int):
         if partition_size <= 0:
             raise ValueError("partition_size must be positive")
         self.partition_size = partition_size
-        self.heap_fraction = heap_fraction
         self._segments: dict[int, Segment] = {}
         self._next_segment = 1
 
@@ -33,9 +32,7 @@ class MemoryManager:
         """Allocate a fresh segment for a new database object."""
         segment_id = self._next_segment
         self._next_segment += 1
-        segment = Segment(
-            segment_id, kind, name, self.partition_size, self.heap_fraction
-        )
+        segment = Segment(segment_id, kind, name, self.partition_size)
         self._segments[segment_id] = segment
         return segment
 
@@ -50,9 +47,7 @@ class MemoryManager:
         """
         if segment_id in self._segments:
             raise StorageError(f"segment {segment_id} is already registered")
-        segment = Segment(
-            segment_id, kind, name, self.partition_size, self.heap_fraction
-        )
+        segment = Segment(segment_id, kind, name, self.partition_size)
         self._segments[segment_id] = segment
         if segment_id >= self._next_segment:
             self._next_segment = segment_id + 1

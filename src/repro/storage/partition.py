@@ -30,8 +30,11 @@ from repro.storage.heap import STRING_HEADER_BYTES, StringHeap
 #: Per-entity bookkeeping charge, in bytes (offset + length + type slot).
 ENTITY_HEADER_BYTES = 8
 
-#: Fraction of a partition's capacity reserved for the string heap.
-DEFAULT_HEAP_FRACTION = 0.25
+#: A partition's string heap is ``capacity_bytes // HEAP_SHARE`` of its
+#: bytes, the entities the rest: the one split, read by
+#: :class:`Partition` and :meth:`Segment.fresh_partition_capacities
+#: <repro.storage.segment.Segment.fresh_partition_capacities>`.
+HEAP_SHARE = 4
 
 _IMAGE_HEADER = struct.Struct("<iiQIIII")
 # segment, partition, next_offset, entity_count, entity_used,
@@ -43,13 +46,12 @@ _IMAGE_HEADER = struct.Struct("<iiQIIII")
 #: (keyed by offset) or the string heap (keyed by handle), stated once, in
 #: :meth:`Partition.apply_records`.  The ``upsert``/``remove`` kinds
 #: tolerate a duplicate replay prefix; ``overwrite`` and ``patch`` need
-#: the entity, ``heap_overwrite`` the handle and the room.
+#: the entity.
 EFFECTS = {
     "upsert": True,
     "overwrite": True,
     "patch": True,
     "heap_upsert": True,
-    "heap_overwrite": True,
     "remove": False,
     "heap_remove": False,
     "none": False,
@@ -63,19 +65,12 @@ NO_HALT = (-1, 0)
 class Partition:
     """One fixed-size partition of a segment."""
 
-    def __init__(
-        self,
-        address: PartitionAddress,
-        capacity_bytes: int,
-        heap_fraction: float = DEFAULT_HEAP_FRACTION,
-    ):
+    def __init__(self, address: PartitionAddress, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if not 0.0 <= heap_fraction < 1.0:
-            raise ValueError("heap_fraction must be in [0, 1)")
         self.address = address
         self.capacity_bytes = capacity_bytes
-        heap_capacity = int(capacity_bytes * heap_fraction)
+        heap_capacity = capacity_bytes // HEAP_SHARE
         self.entity_capacity = capacity_bytes - heap_capacity
         self.heap = StringHeap(heap_capacity)
         self._entities: dict[int, bytes] = {}
@@ -262,9 +257,9 @@ class Partition:
                         entities[key] = data
                         used += len(data) - len(old)
                     elif effect == "heap_upsert":
-                        # the heap's upsert: a later replace may already be
-                        # in the image, so the bytes may differ (last
-                        # writer wins), and only a replace is capped
+                        # the heap's upsert: a replayed prefix may find its
+                        # handle in the image (last writer wins), and only
+                        # such a rewrite is capped
                         old = strings.get(key)
                         if old is None:
                             strings[key] = data
@@ -276,14 +271,6 @@ class Partition:
                                 raise PartitionFullError("string heap full on replace")
                             strings[key] = data
                             heap_used += len(data) - len(old)
-                    elif effect == "heap_overwrite":
-                        old = strings.get(key)
-                        if old is None:
-                            raise StorageError(f"string heap has no handle {key}")
-                        if heap_used + len(data) - len(old) > heap.capacity_bytes:
-                            raise PartitionFullError("string heap full on replace")
-                        strings[key] = data
-                        heap_used += len(data) - len(old)
                 elif effect == "remove":
                     # tolerates an entity already gone (duplicate prefix)
                     old = entities.pop(key, None)
@@ -357,18 +344,16 @@ class Partition:
 
     @classmethod
     def from_bytes(
-        cls,
-        blob: bytes,
-        expected_address: PartitionAddress | None = None,
-        heap_fraction: float = DEFAULT_HEAP_FRACTION,
+        cls, blob: bytes, expected_address: PartitionAddress, capacity_bytes: int
     ) -> "Partition":
-        """Rebuild a partition from a checkpoint image.
+        """Rebuild a ``capacity_bytes`` partition from a checkpoint image.
 
-        ``expected_address`` enables the consistency check the paper
-        performs with the partition address stamped on recovery data
-        (section 2.3.3): a mismatch raises :class:`StorageError`, as does
-        an image whose entities and heap do not end exactly where it
-        does, so restart takes the log-history fallback for it.
+        ``expected_address`` is the consistency check the paper performs
+        with the partition address stamped on recovery data (section
+        2.3.3): a mismatch raises :class:`StorageError`, as does an image
+        whose entity capacity is not that size's or whose entities and
+        heap do not end exactly where it does, so restart takes the
+        log-history fallback for it.
         """
         if len(blob) < _IMAGE_HEADER.size:
             raise StorageError(f"{len(blob)}-byte checkpoint image has no header")
@@ -382,15 +367,20 @@ class Partition:
             heap_len,
         ) = _IMAGE_HEADER.unpack_from(blob, 0)
         address = PartitionAddress(segment, partition_no)
-        if expected_address is not None and address != expected_address:
+        if address != expected_address:
             raise StorageError(
                 f"checkpoint image is for {address}, expected {expected_address}"
             )
-        heap_capacity = int(entity_capacity / (1.0 - heap_fraction) * heap_fraction)
+        heap_capacity = capacity_bytes // HEAP_SHARE
+        if entity_capacity != capacity_bytes - heap_capacity:
+            raise StorageError(
+                f"checkpoint image of {address} holds {entity_capacity} entity "
+                f"bytes, not a {capacity_bytes}-byte partition's"
+            )
         instance = cls.__new__(cls)
         instance.address = address
         instance.entity_capacity = entity_capacity
-        instance.capacity_bytes = entity_capacity + heap_capacity
+        instance.capacity_bytes = capacity_bytes
         instance.bin_index = None
         try:
             instance._entities, pos = decode_entries(

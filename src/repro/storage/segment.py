@@ -18,25 +18,17 @@ from typing import Callable, Iterator
 
 from repro.common.errors import NotResidentError, StorageError
 from repro.common.types import PartitionAddress, SegmentKind
-from repro.storage.partition import Partition
+from repro.storage.partition import HEAP_SHARE, Partition
 
 
 class Segment:
     """An ordered set of partitions belonging to one database object."""
 
-    def __init__(
-        self,
-        segment_id: int,
-        kind: SegmentKind,
-        name: str,
-        partition_size: int,
-        heap_fraction: float = 0.25,
-    ):
+    def __init__(self, segment_id: int, kind: SegmentKind, name: str, partition_size: int):
         self.segment_id = segment_id
         self.kind = kind
         self.name = name
         self.partition_size = partition_size
-        self.heap_fraction = heap_fraction
         self._partitions: dict[int, Partition] = {}
         #: The same partitions in number order, kept by :meth:`install` and
         #: :meth:`evict_all`, so a placement scans without sorting.
@@ -52,7 +44,7 @@ class Segment:
         """(entity capacity, heap capacity) a newly allocated partition
         would have — for fit checks *before* allocating, so oversized
         requests never leave an orphaned empty partition behind."""
-        heap_capacity = int(self.partition_size * self.heap_fraction)
+        heap_capacity = self.partition_size // HEAP_SHARE
         return self.partition_size - heap_capacity, heap_capacity
 
     def new_partition(self) -> Partition:
@@ -66,11 +58,7 @@ class Segment:
         """
         number = self._next_partition
         self._next_partition += 1
-        return Partition(
-            PartitionAddress(self.segment_id, number),
-            self.partition_size,
-            self.heap_fraction,
-        )
+        return Partition(PartitionAddress(self.segment_id, number), self.partition_size)
 
     def allocate_partition(self) -> Partition:
         """:meth:`new_partition` installed at once — a segment outside any

@@ -99,7 +99,6 @@ class TransactionManager:
     def begin(
         self,
         *,
-        system: bool = False,
         user_data: str = "",
         command: tuple[str, str, bytes] | None = None,
         declared_relations: tuple[str, ...] = (),
@@ -109,7 +108,6 @@ class TransactionManager:
         txn = Transaction(
             self.db,
             txn_id,
-            system=system,
             user_data=user_data,
             command=command,
             declared_relations=declared_relations,
@@ -124,11 +122,11 @@ class TransactionManager:
     def active_transactions(self) -> list[Transaction]:
         return [self._active[txn_id] for txn_id in sorted(self._active)]
 
-    def scope(self, then: Callable[[], Any] | None = None, **begin_kwargs) -> TransactionScope:
+    def scope(self, **begin_kwargs) -> TransactionScope:
         """``with manager.scope() as txn:`` — a :class:`TransactionScope`
-        over :meth:`begin`: commit on success (then ``then()``), abort on
-        any exception (then re-raise), hands off on a simulated crash."""
-        return TransactionScope(self.begin, then, **begin_kwargs)
+        over :meth:`begin`: commit on success, abort on any exception
+        (then re-raise), hands off on a simulated crash."""
+        return TransactionScope(self.begin, None, **begin_kwargs)
 
     def crash(self) -> None:
         """Active transactions simply vanish with main memory; their SLB

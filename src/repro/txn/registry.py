@@ -100,12 +100,6 @@ class ScriptRegistry:
         except KeyError:
             raise ScriptError(f"no script registered as {name!r}") from None
 
-    def has(self, name: str) -> bool:
-        return name in self._scripts
-
-    def names(self) -> list[str]:
-        return sorted(self._scripts)
-
     def get_for_replay(self, name: str, version: str) -> ScriptInfo:
         """Resolve a logged command's script, enforcing the drift fence."""
         info = self._scripts.get(name)

@@ -103,14 +103,12 @@ class Transaction:
         db: "Database",
         txn_id: int,
         *,
-        system: bool = False,
         user_data: str = "",
         command: "tuple[str, str, bytes] | None" = None,
         declared_relations: "tuple[str, ...]" = (),
     ):
         self.db = db
         self.txn_id = txn_id
-        self.system = system
         self.state = TxnState.ACTIVE
         #: The volatile UNDO space, oldest first: inverse REDO records
         #: (objects, never encoded) and compensations (:meth:`on_rollback`).
@@ -515,14 +513,6 @@ class Transaction:
         self._undo.append(redo.HeapDelete(*head, handle))
         if self.command is None:
             self._redo(redo.HeapPut.pack(*head, handle, data))
-
-    def heap_replace(
-        self, partition: PartitionAddress, handle: int, before: bytes, after: bytes
-    ) -> None:
-        head = self._head(partition)
-        self._undo.append(redo.HeapReplace(*head, handle, before))
-        if self.command is None:
-            self._redo(redo.HeapReplace.pack(*head, handle, after))
 
     def heap_delete(
         self, partition: PartitionAddress, handle: int, before: bytes

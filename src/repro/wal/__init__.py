@@ -20,7 +20,6 @@ from repro.wal.records import (
     FieldPatch,
     HeapDelete,
     HeapPut,
-    HeapReplace,
     IndexNodeFree,
     IndexNodeWrite,
     RedoRecord,
@@ -39,7 +38,6 @@ __all__ = [
     "FieldPatch",
     "HeapDelete",
     "HeapPut",
-    "HeapReplace",
     "IndexNodeFree",
     "IndexNodeWrite",
     "LogDisk",

@@ -22,7 +22,7 @@ disk it is bytes.  A record object exists only on the volatile UNDO
 list.  Each class states its Operation part once, as a :class:`Layout`,
 and names its effect once, as ``EFFECT`` — one of the storage layer's
 primitive effects (:data:`~repro.storage.partition.EFFECTS`: ``upsert``,
-``overwrite``, ``remove``, ``patch``, the three heap ones, ``none``);
+``overwrite``, ``remove``, ``patch``, the two heap ones, ``none``);
 :func:`_register` compiles the layout into the packer of the full form
 and the operand reader of the compact one.  The two forms:
 
@@ -284,27 +284,13 @@ class FieldPatch(RedoRecord):
 class HeapPut(RedoRecord):
     """Re-execute a string-space put at its recorded handle.
 
-    An upsert on a duplicate replay prefix (see :class:`_Install`): a
-    later :class:`HeapReplace` may already be reflected in the image, so
-    the occupied bytes can legitimately differ — last writer wins."""
+    An upsert on a duplicate replay prefix (see :class:`_Install`): the
+    handle may already be in the image — last writer wins.  Tag 6, an
+    in-place replacement no path wrote, is retired, not reused."""
 
     TAG: ClassVar[int] = 5
     LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I", blob=True)
     EFFECT: ClassVar[str] = "heap_upsert"
-
-    partition: PartitionAddress
-    handle: int
-    data: bytes
-
-
-@_register
-@dataclass(frozen=True, slots=True)
-class HeapReplace(RedoRecord):
-    """Re-execute an in-place string replacement."""
-
-    TAG: ClassVar[int] = 6
-    LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I", blob=True)
-    EFFECT: ClassVar[str] = "heap_overwrite"
 
     partition: PartitionAddress
     handle: int

@@ -52,13 +52,11 @@ class MixedWorkload:
         skew_theta: float = 0.0,
         ops_per_transaction: int = 5,
         seed: int = 0,
-        relation_name: str = "items",
         primary_index: str = "hash",
     ):
         self.db = db
         self.mix = mix if mix is not None else OperationMix()
         self.ops_per_transaction = ops_per_transaction
-        self.relation_name = relation_name
         self.primary_index = primary_index
         self._rng = random.Random(seed)
         self._next_key = initial_rows
@@ -73,7 +71,7 @@ class MixedWorkload:
 
     def load(self) -> None:
         self.relation = self.db.create_relation(
-            self.relation_name,
+            "items",
             [("key", "int"), ("value", "int"), ("payload", "str")],
             primary_key="key",
             primary_index=self.primary_index,

@@ -4,7 +4,7 @@ Each shard owns an ``account<k>`` relation and a one-row ``ledger<k>``
 relation (both pinned to shard *k*), so the placement is explicit and
 the conservation law is checkable **per shard**:
 
-    sum(balances on shard k) == accounts * initial + incoming_k - outgoing_k
+    sum(balances on shard k) == accounts * INITIAL_BALANCE + incoming_k - outgoing_k
 
 where the ledger row's ``incoming``/``outgoing`` counters are updated
 inside the same (distributed) transaction that moves the money.  Local
@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 ACCOUNT_SCHEMA = [("aid", "int"), ("balance", "int")]
 LEDGER_SCHEMA = [("lid", "int"), ("incoming", "int"), ("outgoing", "int")]
+#: Every account's opening balance.
+INITIAL_BALANCE = 1000
 
 
 class ShardedBankWorkload:
@@ -36,7 +38,6 @@ class ShardedBankWorkload:
         cluster: "ShardedDatabase",
         *,
         accounts_per_shard: int = 16,
-        initial_balance: int = 1000,
         cross_ratio: float = 0.1,
         seed: int = 0,
     ):
@@ -44,7 +45,6 @@ class ShardedBankWorkload:
             raise ValueError("cross_ratio must be within [0, 1]")
         self.cluster = cluster
         self.accounts_per_shard = accounts_per_shard
-        self.initial_balance = initial_balance
         self.cross_ratio = cross_ratio
         self._rng = random.Random(seed)
         self._script_seq = 0
@@ -73,9 +73,7 @@ class ShardedBankWorkload:
                 relations=[self.account_name(shard), self.ledger_name(shard)]
             ) as txn:
                 for aid in range(self.accounts_per_shard):
-                    account.insert(
-                        txn, {"aid": aid, "balance": self.initial_balance}
-                    )
+                    account.insert(txn, {"aid": aid, "balance": INITIAL_BALANCE})
                 ledger.insert(txn, {"lid": 0, "incoming": 0, "outgoing": 0})
 
     # -- scripts ------------------------------------------------------------------
@@ -183,7 +181,7 @@ class ShardedBankWorkload:
 
     def check_invariants(self) -> dict:
         """Assert per-shard and global conservation; return the totals."""
-        expected_base = self.accounts_per_shard * self.initial_balance
+        expected_base = self.accounts_per_shard * INITIAL_BALANCE
         totals = {}
         for shard in range(self.cluster.shards):
             t = self.shard_totals(shard)

@@ -1,11 +1,5 @@
 """The tier-1 suite.
 
-A ``Test...Condensed`` class marked :data:`CONDENSED` and a module-level
-``..._condensed`` function are twins of the test they name.  They ran it
-again with the background condenser on; condensing is gone, so each now
-runs its base test's configuration under the old name (``[condensed]``),
-and they leave in batches small enough for one change each (ROADMAP.md).
-
 `page_of` and `record_bytes` build and read log pages from the
 tests' side: ``repro`` itself keeps a record as bytes from the SLB on.
 """
@@ -13,15 +7,11 @@ tests' side: ``repro`` itself keeps a record as bytes from the SLB on.
 import os
 import sys
 
-import pytest
-
 from repro.common.types import NULL_LSN
 from repro.wal import records
 from repro.wal.log_disk import ARCHIVE_SEGMENT, LogPage
 
 SINKS_FILE = os.path.join("repro", "txn", "transaction.py")
-
-CONDENSED = pytest.mark.parametrize("condense_enabled", [False], ids=["condensed"])
 
 
 def page_of(partition, logged, embedded_directory=None, lsn=NULL_LSN) -> LogPage:

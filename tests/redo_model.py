@@ -20,7 +20,6 @@ from repro.wal.records import (
     FieldPatch,
     HeapDelete,
     HeapPut,
-    HeapReplace,
     IndexNodeFree,
     IndexNodeWrite,
     RedoRecord,
@@ -66,10 +65,6 @@ def _heap_put(partition: Partition, handle: int, data: bytes) -> None:
         partition.heap.put_at(handle, data)
 
 
-def _heap_replace(partition: Partition, handle: int, data: bytes) -> None:
-    partition.heap.replace(handle, data)
-
-
 def _heap_delete(partition: Partition, handle: int) -> None:
     if handle in partition.heap:
         partition.heap.delete(handle)
@@ -103,7 +98,6 @@ MODEL = {
     IndexNodeFree: (_remove, _entity),
     FieldPatch: (_patch, _entity),
     HeapPut: (_heap_put, _string),
-    HeapReplace: (_heap_replace, _string),
     HeapDelete: (_heap_delete, _string),
     CommandBarrier: (_marker, _after_address),
     SweepMarker: (_marker, _after_address),

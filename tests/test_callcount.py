@@ -41,6 +41,35 @@ def test_two_runs_give_identical_counts():
 
 def test_every_workload_has_a_ceiling():
     assert list(callcount.CEILINGS) == list(callcount._workloads())
+    assert list(callcount.RESTART_CEILINGS) == list(callcount.CEILINGS)
+
+
+@pytest.mark.parametrize("unit", ["per_txn", "per_restart"])
+def test_check_fails_a_workload_over_either_ceiling(monkeypatch, capsys, unit):
+    """One call over a ceiling, per transaction or per restart, fails
+    ``--check`` and names the workload; at the ceiling it passes."""
+
+    def at_ceiling(name, *, scale):
+        return {
+            "transactions": 1,
+            "per_txn": {"total": 0.0, "repro": callcount.CEILINGS[name]},
+            "per_restart": {"total": 0.0, "repro": callcount.RESTART_CEILINGS[name]},
+        }
+
+    monkeypatch.setattr(callcount, "count", at_ceiling)
+    assert callcount.main(["--check"]) == 0
+
+    def over(name, *, scale):
+        result = at_ceiling(name, scale=scale)
+        if name == "crash_restart":
+            result[unit]["repro"] += 1
+        return result
+
+    monkeypatch.setattr(callcount, "count", over)
+    assert callcount.main(["--check"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("OVER CEILING crash_restart: ")
+    assert ("calls/restart" in line) == (unit == "per_restart")
 
 
 def test_check_refuses_a_scale_its_ceilings_were_not_recorded_at():

@@ -92,7 +92,7 @@ class TestAgeTrigger:
                 for i in range(1, 30):
                     rel.update(txn, addrs[i], {"v": round_})
         reasons = {
-            req.reason for req in db.checkpoint_queue._entries
+            req.reason for req in db.checkpoint_queue.entries
         } | ({CheckpointReason.AGE} if db.checkpoints.checkpoints_taken else set())
         assert db.checkpoints.checkpoints_taken > 0 or CheckpointReason.AGE in reasons
 

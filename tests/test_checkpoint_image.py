@@ -26,7 +26,7 @@ from repro.recovery.oracle import logical_digest
 from repro.storage import Partition, StringHeap, entries
 from repro.wal.records import (
     HeapDelete,
-    HeapReplace,
+    HeapPut,
     TupleDelete,
     TupleInsert,
     TupleUpdate,
@@ -86,8 +86,8 @@ def undo(rng: random.Random, partition: Partition) -> None:
     else:
         handle = rng.choice(handles)
         before = heap.get(handle)
-        heap.replace(handle, rng.randbytes(rng.randrange(0, 20)))
-        HeapReplace(1, 0, ADDRESS, handle, before).apply(partition)
+        heap.delete(handle)
+        HeapPut(1, 0, ADDRESS, handle, before).apply(partition)
 
 
 def random_partition(seed: int) -> Partition:
@@ -157,16 +157,16 @@ class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_partition_survives_its_image(self, seed):
         original = random_partition(seed)
-        restored = Partition.from_bytes(original.to_bytes(), ADDRESS)
+        restored = Partition.from_bytes(original.to_bytes(), ADDRESS, CAPACITY)
         assert state(restored) == keyed(original)
         assert restored.to_bytes() == original.to_bytes()
 
     @pytest.mark.parametrize("seed", range(60))
     def test_per_entry_loop_decodes_the_same(self, seed, monkeypatch):
         image = random_partition(seed).to_bytes()
-        fast = state(Partition.from_bytes(image, ADDRESS))
+        fast = state(Partition.from_bytes(image, ADDRESS, CAPACITY))
         monkeypatch.setattr(entries, "_fixed_width", lambda *args: None)
-        assert state(Partition.from_bytes(image, ADDRESS)) == fast
+        assert state(Partition.from_bytes(image, ADDRESS, CAPACITY)) == fast
 
     def test_both_paths_are_taken(self, monkeypatch):
         """The fixed-width seeds reach the one-call path, the others the
@@ -180,7 +180,7 @@ class TestRoundTrip:
 
         monkeypatch.setattr(entries, "_fixed_width", spy)
         for seed in range(60):
-            Partition.from_bytes(random_partition(seed).to_bytes(), ADDRESS)
+            Partition.from_bytes(random_partition(seed).to_bytes(), ADDRESS, CAPACITY)
         fixed = sum(width is not None for width in widths)
         assert 20 < fixed < len(widths) - 20
 
@@ -190,7 +190,7 @@ class TestRoundTrip:
         if path == "per entry":
             request.getfixturevalue("per_entry")
         original = crafted(*CRAFTED[case])
-        restored = Partition.from_bytes(original.to_bytes(), ADDRESS)
+        restored = Partition.from_bytes(original.to_bytes(), ADDRESS, CAPACITY)
         assert state(restored) == keyed(original)
 
     def test_differing_widths_of_a_uniform_length_take_the_loop(self):
@@ -203,7 +203,7 @@ class TestRoundTrip:
 
     def test_decoded_data_are_bytes(self):
         for case in CRAFTED:
-            restored = Partition.from_bytes(crafted(*CRAFTED[case]).to_bytes(), ADDRESS)
+            restored = Partition.from_bytes(crafted(*CRAFTED[case]).to_bytes(), ADDRESS, CAPACITY)
             assert all(type(data) is bytes for data in restored._entities.values())
             assert all(type(data) is bytes for data in restored.heap._strings.values())
 
@@ -227,26 +227,26 @@ class TestMalformedImages:
     def test_cut_inside_an_entry(self, path, uniform):
         image = self.image(uniform)
         with pytest.raises(StorageError, match="runs past"):
-            Partition.from_bytes(image[: IMAGE_HEADER_BYTES + 35], ADDRESS)
+            Partition.from_bytes(image[: IMAGE_HEADER_BYTES + 35], ADDRESS, CAPACITY)
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_cut_inside_an_entry_header(self, path, uniform):
         image = self.image(uniform)
         with pytest.raises(StorageError, match="runs past"):
-            Partition.from_bytes(image[: IMAGE_HEADER_BYTES + 5], ADDRESS)
+            Partition.from_bytes(image[: IMAGE_HEADER_BYTES + 5], ADDRESS, CAPACITY)
 
     def test_cut_inside_the_heap(self, path):
         image = self.image()
         with pytest.raises(StorageError, match="heap end at"):
-            Partition.from_bytes(image[:-2], ADDRESS)
+            Partition.from_bytes(image[:-2], ADDRESS, CAPACITY)
 
     def test_a_byte_past_the_heap(self, path):
         with pytest.raises(StorageError, match="heap end at"):
-            Partition.from_bytes(self.image() + b"\0", ADDRESS)
+            Partition.from_bytes(self.image() + b"\0", ADDRESS, CAPACITY)
 
     def test_cut_inside_the_header(self):
         with pytest.raises(StorageError, match="no header"):
-            Partition.from_bytes(self.image()[: IMAGE_HEADER_BYTES - 1], ADDRESS)
+            Partition.from_bytes(self.image()[: IMAGE_HEADER_BYTES - 1], ADDRESS, CAPACITY)
 
     def test_heap_strings_must_fill_the_heap(self, path):
         blob = StringHeap(64).to_bytes()
@@ -322,3 +322,35 @@ class TestRestartRefusesAMalformedImage:
         ]
         assert record["source"] == "history"
         assert db.restart_coordinator.sources["history"] == 1
+
+
+class TestGeometry:
+    """A restored partition is the partition that was checkpointed: the
+    configured size, split the one way (``HEAP_SHARE``), at any size."""
+
+    @staticmethod
+    def geometry(db: Database) -> dict:
+        return {
+            part.address: (part.capacity_bytes, part.entity_capacity, part.heap.capacity_bytes)
+            for segment in db.memory.segments()
+            for part in segment.resident_partitions()
+        }
+
+    def test_an_odd_size_survives_checkpoint_crash_and_restart(self):
+        db = Database(SystemConfig(partition_size=4099))
+        rel = db.create_relation("items", [("id", "int"), ("s", "str")], primary_key="id")
+        with db.transaction() as txn:
+            for i in range(20):
+                rel.insert(txn, {"id": i, "s": "x" * i})
+        assert db.checkpoints.checkpoint_all() > 0
+        before = self.geometry(db)
+        assert set(before.values()) == {(4099, 3075, 1024)}
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        assert self.geometry(db) == before
+        assert db.restart_coordinator.sources["history"] == 0
+
+    def test_an_image_offered_as_another_size_is_refused(self):
+        image = Partition(ADDRESS, 4096).to_bytes()
+        with pytest.raises(StorageError, match="not a 4099-byte partition"):
+            Partition.from_bytes(image, ADDRESS, 4099)

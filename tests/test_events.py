@@ -32,6 +32,21 @@ def run_updates(db, rel, addrs, count, start=0):
             rel.update(txn, addrs[n % len(addrs)], {"bal": n})
 
 
+def held_lock_backlog():
+    """A writer holds the relation's IX lock while 60 updates run, so the
+    checkpoint transactions' S locks are refused and the queue backs up;
+    then it commits and a pump drains the queue."""
+    db, rel, addrs = bank()
+    settled = len(db.events)
+    holder = db.transactions.begin()
+    rel.update(holder, addrs[0], {"bal": -1})
+    run_updates(db, rel, addrs[1:], 60)
+    deferred = [e for e in db.events if e["event"] == "checkpoint.deferred"]
+    holder.commit()
+    db.pump()
+    return db, addrs, settled, deferred
+
+
 def read_back(db, tmp_path) -> list[dict]:
     path = tmp_path / "events.jsonl"
     assert db.events.write_jsonl(path) == len(db.events)
@@ -48,7 +63,11 @@ class TestCheckpointEvents:
         assert "update-count" in {e["reason"] for e in requested} <= {"update-count", "age"}
         for request in requested:
             later = events[events.index(request) + 1 :]
-            mine = [e["event"] for e in later if e.get("partition") == request["partition"]]
+            mine = [
+                e["event"]
+                for e in later
+                if e.get("partition") == request["partition"] and e["event"] != "log.page-written"
+            ]
             assert mine[:2] == ["checkpoint.written", "checkpoint.acknowledged"]
         written = [e for e in events if e["event"] == "checkpoint.written"]
         assert all(e["bytes"] > 0 and e["slot"] is not None for e in written)
@@ -57,22 +76,17 @@ class TestCheckpointEvents:
     def test_a_transaction_without_a_checkpoint_emits_nothing(self):
         db, rel, addrs = bank(update_count_threshold=10_000)
         before = len(db.events)
+        pages = db.recovery_processor.pages_flushed
         run_updates(db, rel, addrs, 50)
+        assert db.recovery_processor.pages_flushed > pages
         assert len(db.events) == before
 
     def test_a_held_relation_lock_defers_and_the_command_shows_it(self, tmp_path, capsys):
         """A writer holding the relation's IX lock refuses the checkpoint
         transaction its S lock: the request waits, deferred on every pump,
         and the backlog command prints the window with the deferral."""
-        db, rel, addrs = bank()
-        settled = len(db.events)
-        holder = db.transactions.begin()
-        rel.update(holder, addrs[0], {"bal": -1})
-        run_updates(db, rel, addrs[1:], 60)
-        deferred = [e for e in db.events if e["event"] == "checkpoint.deferred"]
+        db, addrs, settled, deferred = held_lock_backlog()
         assert deferred and {e["cause"] for e in deferred} == {"TransactionAborted"}
-        holder.commit()
-        db.pump()
         events = read_back(db, tmp_path)
         data = str(addrs[0].partition_address)
         mine = [e["event"] for e in events[settled:] if e.get("partition") == data]
@@ -86,6 +100,31 @@ class TestCheckpointEvents:
         assert window[0]["event"] == "checkpoint.requested"
         assert window[-1]["event"] == "checkpoint.acknowledged"
         assert window[-1]["queue_depth"] == 0
+        assert "log.page-written" in printed
+
+    def test_a_backlog_shows_each_log_page_the_recovery_cpu_wrote(self):
+        """Between the request and its acknowledgement each page the
+        recovery CPU writes is an event, in LSN order; outside a backlog
+        none is (the test above)."""
+        db, *_ = held_lock_backlog()
+        events = list(db.events)
+        kinds = [e["event"] for e in events]
+        start = kinds.index("checkpoint.requested")
+        end = len(kinds) - kinds[::-1].index("checkpoint.acknowledged")
+        pages = [e for e in events if e["event"] == "log.page-written"]
+        assert pages and pages == [e for e in events[start:end] if e in pages]
+        assert all(e["queue_depth"] > 0 and e["bytes"] > 0 for e in pages)
+        assert [e["lsn"] for e in pages] == sorted({e["lsn"] for e in pages})
+
+    def test_page_events_move_neither_the_clock_nor_a_cpu(self, monkeypatch):
+        def totals(db):
+            return db.clock.now, db.main_cpu.total_instructions, db.recovery_cpu.total_instructions
+
+        db, *_ = held_lock_backlog()
+        monkeypatch.setattr(events_module.EventRing, "emit", lambda self, event, **fields: None)
+        quiet, *_ = held_lock_backlog()
+        assert len(quiet.events) == 0
+        assert totals(quiet) == totals(db)
 
 
 class TestRestartEvents:

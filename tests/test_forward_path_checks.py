@@ -81,7 +81,6 @@ class TestAnAbortedTransactionRefusesEverything:
             lambda: txn.entity_patched(address, 0, b"x", b"y"),
             lambda: txn.entity_deleted(address, b"x"),
             lambda: txn.heap_put(partition, 1, b"x"),
-            lambda: txn.heap_replace(partition, 1, b"x", b"y"),
             lambda: txn.heap_delete(partition, 1, b"x"),
             lambda: txn.index_node_written(address, None, b"x"),
             lambda: txn.index_node_freed(address, b"x"),
@@ -292,7 +291,7 @@ class TestTheCheckpointQueue:
     def agrees(db):
         queue = db.checkpoint_queue
         entries = db.slb.get_well_known("checkpoint-requests")
-        assert queue._entries is entries
+        assert queue.entries is entries
         assert queue.pending() == [e for e in entries if e.state is RequestState.REQUEST]
         assert queue.finished() == [e for e in entries if e.state is RequestState.FINISHED]
 
@@ -313,11 +312,11 @@ class TestTheCheckpointQueue:
         self.agrees(db)
         queue.remove(queue.finished()[0])
         self.agrees(db)
-        listed = queue._entries
+        listed = queue.entries
         db.crash()
         queue.revert_in_progress()
         db.slb.discard_uncommitted()
-        assert db.checkpoint_queue is queue and queue._entries is listed
+        assert db.checkpoint_queue is queue and queue.entries is listed
         self.agrees(db)
 
     def test_a_restarted_database_keeps_the_list(self):
@@ -325,10 +324,10 @@ class TestTheCheckpointQueue:
         for n in range(12):
             with db.transaction() as txn:
                 rel.update(txn, addrs[n % 3], {"bal": n})
-        listed = db.checkpoint_queue._entries
+        listed = db.checkpoint_queue.entries
         db.crash()
         db.restart(RecoveryMode.EAGER)
-        assert db.checkpoint_queue._entries is listed
+        assert db.checkpoint_queue.entries is listed
         self.agrees(db)
 
 

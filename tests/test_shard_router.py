@@ -5,6 +5,13 @@ import pytest
 from repro.shard import RoutingError, ShardRouter
 
 
+def pinned(shards: int, placement: dict[str, int]) -> ShardRouter:
+    router = ShardRouter(shards)
+    for name, shard in placement.items():
+        router.assign(name, shard)
+    return router
+
+
 class TestPlacement:
     def test_default_shard_is_stable(self):
         a = ShardRouter(4)
@@ -46,15 +53,14 @@ class TestPlacement:
             router.assign("accounts", -1)
 
     def test_constructor_placement_and_validation(self):
-        router = ShardRouter(3, placement={"a": 0, "b": 2})
-        assert router.placement() == {"a": 0, "b": 2}
+        assert ShardRouter(3).placement() == {}
         with pytest.raises(RoutingError, match="at least one shard"):
             ShardRouter(0)
 
 
 class TestRouting:
     def test_route_is_sorted_shard_set(self):
-        router = ShardRouter(4, placement={"a": 3, "b": 1, "c": 3})
+        router = pinned(4, {"a": 3, "b": 1, "c": 3})
         assert router.route(["a", "b", "c"]) == (1, 3)
         assert router.route(["c", "a"]) == (3,)
 
@@ -63,7 +69,7 @@ class TestRouting:
         assert router.route([]) == (0,)
 
     def test_stats_counts_pins_per_shard(self):
-        router = ShardRouter(3, placement={"a": 0, "b": 0, "c": 2})
+        router = pinned(3, {"a": 0, "b": 0, "c": 2})
         stats = router.stats()
         assert stats["shards"] == 3
         assert stats["placed_relations"] == 3

@@ -241,15 +241,6 @@ class TestStableMemory:
         mem.allocate("b", 90)
         assert mem.used_bytes == 90
 
-    def test_resize(self):
-        mem = StableMemory("slt", 100)
-        mem.allocate("bin", 10, value="x")
-        mem.resize("bin", 60)
-        assert mem.used_bytes == 60
-        assert mem.load("bin") == "x"
-        with pytest.raises(StableMemoryFullError):
-            mem.resize("bin", 200)
-
     def test_duplicate_key_rejected(self):
         mem = StableMemory("slb", 100)
         mem.allocate("a", 1)

@@ -112,8 +112,8 @@ class TestPartition:
         assert partition.insert(b"next") == 11
 
     def test_capacity_enforced(self):
-        small = Partition(PartitionAddress(1, 1), 256, heap_fraction=0.0)
-        big_entity = b"x" * (256 - ENTITY_HEADER_BYTES)
+        small = Partition(PartitionAddress(1, 1), 256)
+        big_entity = b"x" * (small.entity_capacity - ENTITY_HEADER_BYTES)
         small.insert(big_entity)
         with pytest.raises(PartitionFullError):
             small.insert(b"y")
@@ -121,7 +121,7 @@ class TestPartition:
     def test_update_may_overflow_capacity(self):
         """In-place growth is allowed past nominal capacity (entities
         never move), but it is visible as overflow_bytes."""
-        small = Partition(PartitionAddress(1, 1), 256, heap_fraction=0.0)
+        small = Partition(PartitionAddress(1, 1), 256)
         offset = small.insert(b"x" * 100)
         small.update(offset, b"y" * 400)
         assert small.read(offset) == b"y" * 400
@@ -148,7 +148,7 @@ class TestPartition:
         handle = partition.heap.put(b"a long string value")
         partition.delete(o1)
         image = partition.to_bytes()
-        restored = Partition.from_bytes(image, partition.address)
+        restored = Partition.from_bytes(image, partition.address, partition.capacity_bytes)
         assert list(restored.entities()) == list(partition.entities())
         assert restored.heap.get(handle) == b"a long string value"
         assert restored.next_offset == partition.next_offset
@@ -158,12 +158,12 @@ class TestPartition:
     def test_image_address_consistency_check(self, partition):
         image = partition.to_bytes()
         with pytest.raises(StorageError):
-            Partition.from_bytes(image, PartitionAddress(9, 9))
+            Partition.from_bytes(image, PartitionAddress(9, 9), partition.capacity_bytes)
 
-    def test_heap_fraction_splits_capacity(self):
-        part = Partition(PartitionAddress(1, 1), 1000, heap_fraction=0.4)
-        assert part.heap.capacity_bytes == 400
-        assert part.entity_capacity == 600
+    def test_heap_takes_a_quarter(self):
+        part = Partition(PartitionAddress(1, 1), 4099)
+        assert part.heap.capacity_bytes == 1024
+        assert part.entity_capacity == 3075
 
 
 class TestSegment:

@@ -102,11 +102,6 @@ def do_heap_put(txn, part, _):
     txn.heap_put(part.address, handle, b"string")
 
 
-def do_heap_replace(txn, part, handle):
-    part.heap.replace(handle, b"new")
-    txn.heap_replace(part.address, handle, b"old", b"new")
-
-
 def do_heap_delete(txn, part, handle):
     part.heap.delete(handle)
     txn.heap_delete(part.address, handle, b"bye")
@@ -143,7 +138,6 @@ SINK_OPS = {
     "entity_patched": (_entity(b"AAAABBBB"), do_entity_patched),
     "entity_deleted": (_entity(b"gone"), do_entity_deleted),
     "heap_put": (_none, do_heap_put),
-    "heap_replace": (_string(b"old"), do_heap_replace),
     "heap_delete": (_string(b"bye"), do_heap_delete),
     "index_node_written": (_entity(b"node-v1"), do_index_node_overwritten),
     "index_node_written/created": (_none, do_index_node_created),
@@ -199,9 +193,6 @@ class TestTupleUndo:
 class TestHeapUndo:
     def test_undo_put_deletes(self, db):
         check(db, "heap_put")
-
-    def test_undo_replace_restores(self, db):
-        check(db, "heap_replace")
 
     def test_undo_delete_restores_same_handle(self, db):
         check(db, "heap_delete")

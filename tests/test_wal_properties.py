@@ -16,7 +16,6 @@ from repro.wal import (
     FieldPatch,
     HeapDelete,
     HeapPut,
-    HeapReplace,
     IndexNodeFree,
     IndexNodeWrite,
     LogDisk,
@@ -55,7 +54,6 @@ def record_strategy_over(offsets, handles):
         st.builds(TupleDelete, *header, address),
         st.builds(FieldPatch, *header, address, st.integers(0, 100), st.binary(max_size=16)),
         st.builds(HeapPut, *header, st.just(PADDR), handles, data),
-        st.builds(HeapReplace, *header, st.just(PADDR), handles, data),
         st.builds(HeapDelete, *header, st.just(PADDR), handles),
         st.builds(IndexNodeWrite, *header, address, data),
         st.builds(IndexNodeFree, *header, address),
@@ -252,12 +250,11 @@ def test_page_of_another_partition_is_refused_before_any_record(records):
 
 #: A small partition's records (its heap holds 140 bytes, 112 of them
 #: taken) over a few keys, on top of short tuples and strings: half of
-#: them put 40 bytes or more at a handle, so replaces and re-puts overflow the
-#: heap; patches run past the tuples, updates and patches find entities
+#: them put 40 bytes or more at a handle, so re-puts overflow the heap; patches run past the tuples, updates and patches find entities
 #: and handles a delete took away or never put there.
 TIGHT = 560
 _grow = (st.just(1), st.just(0), st.just(PADDR), st.integers(1, 5), st.binary(min_size=40))
-_growing = st.one_of(st.builds(HeapPut, *_grow), st.builds(HeapReplace, *_grow))
+_growing = st.builds(HeapPut, *_grow)
 tight_records = st.lists(
     st.one_of(record_strategy_over(st.integers(1, 7), st.integers(1, 7)), _growing),
     max_size=40,
@@ -392,7 +389,9 @@ def test_partition_image_roundtrip_property(operations):
             partition.delete(live_offsets.pop(key))
         elif op == "heap":
             live_handles.append(partition.heap.put(payload))
-    restored = Partition.from_bytes(partition.to_bytes(), partition.address)
+    restored = Partition.from_bytes(
+        partition.to_bytes(), partition.address, partition.capacity_bytes
+    )
     assert list(restored.entities()) == list(partition.entities())
     assert restored.used_bytes == partition.used_bytes
     assert restored.next_offset == partition.next_offset

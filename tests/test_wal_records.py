@@ -15,7 +15,6 @@ from repro.wal import (
     FieldPatch,
     HeapDelete,
     HeapPut,
-    HeapReplace,
     IndexNodeFree,
     IndexNodeWrite,
     LogPage,
@@ -64,12 +63,6 @@ GOLDEN_REDO = {
         "05040000000700000000000000020000000300000003000000"
         "0c000000737472696e672d76616c7565",
         "05040000000700000000000000030000000c000000737472696e672d76616c7565",
-    ),
-    "HeapReplace": (
-        records.HeapReplace(7, 4, PADDR, 3, b"replacement"),
-        "06040000000700000000000000020000000300000003000000"
-        "0b0000007265706c6163656d656e74",
-        "06040000000700000000000000030000000b0000007265706c6163656d656e74",
     ),
     "HeapDelete": (
         records.HeapDelete(7, 4, PADDR, 3),
@@ -187,7 +180,7 @@ class TestLogPageRoundTrip:
         body = page_of(PADDR, ALL_RECORDS + barriers).body
         counts = list(map(records.count_updates, record_bytes(body)))
         # the golden barrier carries 3 changes: two more than a record's one
-        assert counts == [1] * 9 + [3, 1] + [1, 1, 5]
+        assert counts == [1] * 8 + [3, 1] + [1, 1, 5]
 
 
 class TestWireFormat:
@@ -303,11 +296,6 @@ class TestRedoApply:
         # counter advanced past the replayed handle
         assert partition.heap.put(b"next") == 8
 
-    def test_heap_replace(self, partition):
-        handle = partition.heap.put(b"before")
-        HeapReplace(1, 0, PADDR, handle, b"after").apply(partition)
-        assert partition.heap.get(handle) == b"after"
-
     def test_heap_delete(self, partition):
         handle = partition.heap.put(b"bye")
         HeapDelete(1, 0, PADDR, handle).apply(partition)
@@ -364,7 +352,6 @@ class TestSizeBytesWithoutPacking:
             records.TupleUpdate: lambda d: (EADDR, d),
             records.FieldPatch: lambda d: (EADDR, 8, d),
             records.HeapPut: lambda d: (PADDR, 3, d),
-            records.HeapReplace: lambda d: (PADDR, 3, d),
             records.IndexNodeWrite: lambda d: (EADDR, d),
         }
         fixed = {
