@@ -16,15 +16,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
 
 #: The between-transactions duty sequence, in the paper's order (sections
-#: 2.2/2.4): the recovery CPU sorts and acknowledges, the main CPU runs
-#: the checkpoint transactions, the recovery CPU acknowledges again, the
-#: main CPU takes one background restore step.  Each entry resolves the
-#: duty on the database at pump time.
+#: 2.2/2.4): the recovery CPU sorts (acknowledging any finished checkpoint
+#: first), the main CPU runs the checkpoint transactions, the recovery CPU
+#: acknowledges them, the main CPU takes one background restore step.
+#: Each entry resolves the duty on the database at pump time.
 DUTIES = tuple(
     attrgetter(duty)
     for duty in (
         "recovery_processor.run_until_drained",
-        "recovery_processor.acknowledge_finished",
         "checkpoints.process_pending",
         "recovery_processor.acknowledge_finished",
         "background_restore",

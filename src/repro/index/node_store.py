@@ -120,9 +120,12 @@ class NodeStore:
         — *replaces* the object, so "the partition still holds it" implies
         "the form is current": no invalidation hook exists or is needed.
         Whole-index scans pass ``keep=False`` so they do not fill the
-        cache with components no point operation asked for.
+        cache with components no point operation asked for.  The bytes come
+        from the partition dicts in this frame; :meth:`read` only raises.
         """
-        blob = self.read(address)
+        partition = self.segment._partitions.get(address.partition)
+        entities = partition._entities if partition is not None else {}
+        blob = entities.get(address.offset) or self.read(address)
         entry = self._decoded.get(address)
         if entry is not None and entry[0] is blob:
             return entry[1]  # type: ignore[return-value]

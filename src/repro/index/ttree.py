@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from repro.common.errors import IndexStructureError
@@ -51,6 +52,7 @@ Item = tuple[Key, EntityAddress]
 #: Tuple order is compound order: no ``(key, address)`` repeats, so the
 #: bytes never decide.
 _Packed = tuple[Key, EntityAddress, bytes]
+_VALUE = itemgetter(1)
 
 
 def compare_items(a: Item, b: Item) -> int:
@@ -118,19 +120,6 @@ def _decode_node(address: EntityAddress, blob: bytes) -> _NodeForm:
     return _NodeForm(height, left, right, *unpack_items(blob, pos, nitems), blob)
 
 
-def _side(form: _NodeForm, key: Key, value: EntityAddress) -> int:
-    """-1 / 1 when ``(key, value)`` sorts below / above every item of the
-    node (:func:`compare_items`), 0 when the node bounds it."""
-    keys = form.keys
-    by_key = compare_keys(key, keys[0])
-    if by_key < 0 or (by_key == 0 and value < value_at(form.values, 0)):
-        return -1
-    by_key = compare_keys(key, keys[-1])
-    if by_key > 0 or (by_key == 0 and value > value_at(form.values, len(keys) - 1)):
-        return 1
-    return 0
-
-
 class _TNode:
     """Working copy of one node a write path saves (a descent that only
     passes a node reads its cached form).
@@ -171,10 +160,10 @@ class _TNode:
                 return form
             body = form.blob[_ITEMS_AT:]
             keys, values = form.keys, form.values
-        else:
-            body = b"".join(data for _, _, data in items)
-            keys = tuple(key for key, _, _ in items)
-            values = b"".join(data[-_ADDRESS_BYTES:] for _, _, data in items)
+        else:  # columns by zip, not a generator step per item
+            keys, _, parts = zip(*items) if items else ((), (), ())
+            body = b"".join(parts)
+            values = b"".join([part[-_ADDRESS_BYTES:] for part in parts])
         header = _NODE_HEADER.pack(NODE_TYPE, self.height, len(keys))
         blob = b"".join((header, pack_address(self.left), pack_address(self.right), body))
         return _NodeForm(self.height, self.left, self.right, keys, values, blob)
@@ -225,7 +214,7 @@ class TTreeIndex(Index):
         """A private working copy: write paths edit it before ``_save``,
         and a no-wait lock refusal inside ``store.write`` can abort in
         between — the cached form must never see the edit."""
-        return _TNode(address, self._form(address))
+        return _TNode(address, self.store.load(address, _decode_node))
 
     def _save(self, node: _TNode) -> None:
         node.form = node.encode()
@@ -237,12 +226,19 @@ class TTreeIndex(Index):
     # -- public API --------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._walk(None, None, False))
+        load, count, stack = self.store.load, 0, [self._anchor().root]
+        while stack:
+            address = stack.pop()
+            if address != NULL_ADDRESS:
+                node = load(address, _decode_node, False)
+                count += len(node.keys)
+                stack += node.left, node.right
+        return count
 
     def search(self, key: Key) -> list[EntityAddress]:
-        return [value for _, value in self._walk(key, key)]
+        return list(map(_VALUE, self._walk(key, key)))
 
-    def _walk(self, low: Key | None, high: Key | None, keep: bool = True) -> Iterator[Item]:
+    def _walk(self, low: Key | None, high: Key | None, keep: bool = True) -> list[Item]:
         """Items with ``low <= key <= high`` (``None`` = open end), in order.
 
         An in-order walk over cached forms on an explicit stack: a left
@@ -250,37 +246,45 @@ class TTreeIndex(Index):
         and the walk ends in the first node that holds a key above
         ``high``.  Equal keys are contiguous in compound order but may
         straddle node boundaries, so only a *strict* inequality prunes;
-        inside a node, bisection on its keys finds the span.  Each bound
-        meets :func:`compare_keys` before any bisection, so a mixed-type or
-        ``bool`` bound raises :class:`IndexStructureError`.
+        inside a node, bisection on its keys finds the span.  A bound of
+        another type than the keys (``bool`` too) meets :func:`compare_keys`,
+        which raises :class:`IndexStructureError`.
         """
         load = self.store.load
+        found: list[Item] = []
         stack: list[_NodeForm] = []
-        address = self._anchor().root
+        address = load(self.anchor, _decode_anchor).root
         while True:
             while address != NULL_ADDRESS:
                 node = load(address, _decode_node, keep)
                 stack.append(node)
-                if low is not None and compare_keys(low, node.keys[0]) > 0:
-                    break
+                if low is not None:
+                    if type(low) is not type(node.keys[0]):
+                        compare_keys(low, node.keys[0])
+                    if low > node.keys[0]:
+                        break
                 address = node.left
             if not stack:
-                return
+                return found
             node = stack.pop()
             keys = node.keys
             start = 0 if low is None else bisect_left(keys, low)
             stop = len(keys)
-            if high is not None and compare_keys(high, keys[-1]) < 0:
-                stop = bisect_right(keys, high)
-            for index in range(start, stop):
-                yield keys[index], value_at(node.values, index)
+            if high is not None:
+                if type(high) is not type(keys[-1]):
+                    compare_keys(high, keys[-1])
+                if high < keys[-1]:
+                    stop = bisect_right(keys, high)
+            if start < stop:
+                values = node.values[start * _ADDRESS_BYTES : stop * _ADDRESS_BYTES]
+                found += zip_items(keys[start:stop], values)
             if stop < len(keys):
-                return  # a key above high: so is every later one
+                return found  # a key above high: so is every later one
             address = node.right
 
     def insert(self, key: Key, value: EntityAddress) -> None:
         item = (key, value, pack_item(key, value))
-        root = self._anchor().root
+        root = self.store.load(self.anchor, _decode_anchor).root
         if root == NULL_ADDRESS:
             self._set_root(self._new_leaf(item))
             return
@@ -307,7 +311,7 @@ class TTreeIndex(Index):
             self._rebalance_path(path)
 
     def delete(self, key: Key, value: EntityAddress) -> None:
-        root = self._anchor().root
+        root = self.store.load(self.anchor, _decode_anchor).root
         if root == NULL_ADDRESS:
             raise self._not_found(key, value)
         # The last node searched holds the item if any node does.
@@ -324,26 +328,34 @@ class TTreeIndex(Index):
     def items(self) -> Iterator[tuple[Key, EntityAddress]]:
         """Every item in order, materialised before it is returned, so the
         caller may change the index while iterating."""
-        return iter(list(self._walk(None, None, False)))
+        return iter(self._walk(None, None, False))
 
     def range_scan(
         self, low: Key | None = None, high: Key | None = None
     ) -> Iterator[tuple[Key, EntityAddress]]:
         """Items with ``low <= key <= high`` in key order (None = open
         end), materialised like :meth:`items`."""
-        return iter(list(self._walk(low, high)))
+        return iter(self._walk(low, high))
 
     def _descend(
         self, root: EntityAddress, key: Key, value: EntityAddress
     ) -> tuple[list[EntityAddress], int, _TNode]:
         """Path from ``root`` (of a non-empty tree) to the node bounding
         ``(key, value)`` (side 0), or else to the last node searched and
-        the side (-1 / 1) the item falls off; and that node."""
-        path = [root]
+        the side (-1 / 1) the item falls off; and that node.  A key of
+        another type than the node's meets :func:`compare_keys` to raise."""
+        load, path = self.store.load, [root]
         while True:
-            form = self._form(path[-1])
-            side = _side(form, key, value)
-            child = form.left if side < 0 else form.right
+            form = load(path[-1], _decode_node)
+            keys, values = form.keys, form.values
+            if type(key) is not type(keys[0]):
+                compare_keys(key, keys[0])
+            if key < keys[0] or (key == keys[0] and value < value_at(values, 0)):
+                side, child = -1, form.left
+            elif key > keys[-1] or (key == keys[-1] and value > value_at(values, len(keys) - 1)):
+                side, child = 1, form.right
+            else:
+                side = child = 0
             if not side or child == NULL_ADDRESS:
                 return path, side, _TNode(path[-1], form)
             path.append(child)
@@ -434,7 +446,7 @@ class TTreeIndex(Index):
     def _height(self, address: EntityAddress) -> int:
         if address == NULL_ADDRESS:
             return 0
-        return self._form(address).height
+        return self.store.load(address, _decode_node).height
 
     def _rebalance_path(self, path: list[EntityAddress]) -> None:
         """Walk from the deepest touched node to the root, updating heights

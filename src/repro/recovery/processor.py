@@ -129,7 +129,10 @@ class RecoveryProcessor:
 
     def run_until_drained(self) -> int:
         """Sort everything currently committed (used at commit barriers,
-        restart, and by back-pressure when the SLB fills)."""
+        restart, and by back-pressure when the SLB fills), acknowledging
+        finished checkpoints first: a bin's reset keeps what sorts after."""
+        if self.checkpoint_queue.entries:
+            self.acknowledge_finished()
         total = 0
         while True:
             sorted_now = self.step()

@@ -214,16 +214,9 @@ class RestartCoordinator:
         start = db.clock.now
         db.checkpoint_queue.revert_in_progress()
         crash_point("restart.phase1.queue-reverted")
-        # A finished checkpoint is acknowledged before the drain, while
-        # its bin holds only what its image covers: a record committed
-        # after the copy (the whole-database checkpoint's own slot
-        # installs, logged to the catalog partition it imaged) must land
-        # in the reset bin to replay over the image, not among the
-        # leftovers only the archive keeps.  With the images lost too:
-        # the history source reads neither the bin directory nor the
-        # freed slot, and a finished checkpoint's leftovers reach it
-        # through the stable archive buffer.
-        db.recovery_processor.acknowledge_finished()
+        # The drain acknowledges finished checkpoints first; with the images
+        # lost, the history source reads neither bin directory nor freed slot,
+        # and a finished checkpoint's leftovers reach it via the archive buffer.
         db.recovery_processor.run_until_drained()
         crash_point("restart.phase1.log-drained")
         if images_lost:

@@ -68,11 +68,15 @@ class CpuMeter:
         """Charge a byte copy that touches stable reliable memory.
 
         The per-byte cost is Table 2's ``I_copy_add`` scaled by the stable
-        memory slowdown, plus the fixed ``I_copy_fixed`` start-up cost.
-        """
+        memory slowdown, plus the fixed ``I_copy_fixed`` start-up cost,
+        accounted as :meth:`charge` does, in this one frame."""
         if nbytes < 0:
             raise ValueError("cannot copy a negative number of bytes")
-        return self.charge(self._copy_fixed + self._copy_per_byte * nbytes, category)
+        instructions = self._copy_fixed + self._copy_per_byte * nbytes
+        self._by_category[category] += instructions
+        self._total_instructions += instructions
+        self.clock._now += instructions / self._rate  # what clock.advance adds
+        return instructions / self._rate
 
     def charge_sort(self, nbytes: int) -> None:
         """Charge the sorting step for one ``nbytes`` record (section 2.3):

@@ -14,6 +14,8 @@ checkpoint disk before its restart and restores from the log history
 (:func:`~repro.recovery.media.restore_after_checkpoint_media_failure`,
 paper section 2.6); its crash rounds crash inside that restore, and an
 ordinary restart, whose partitions take the ``history`` source, follows.
+An ``overload`` round is the bank round on an SLB its pool runs dry: a
+full SLB stalls a log write for a drain, or aborts its transaction.
 
 Everything in a round derives from one integer seed: the plan, the
 workload skew, the interleaving.  A failing round raises
@@ -61,16 +63,18 @@ Run from the command line::
         --kinds crash fault --log rounds.jsonl
     python -m repro.sim.torture --seed 300 --rounds 3 --workload mixed
     python -m repro.sim.torture --seed 400 --rounds 3 --media
+    python -m repro.sim.torture --seed 500 --rounds 3 --workload overload
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import SystemConfig
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, StableMemoryFullError
 from repro.db.database import Database, RecoveryMode
 from repro.common.errors import RecoveryError
 from repro.recovery.media import restore_after_checkpoint_media_failure
@@ -98,8 +102,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 KINDS = ("crash", "fault")
 
 #: What a round runs: ``bank`` — debit/credit scripts, or routed
-#: transfers on a cluster; ``mixed`` — :class:`MixedWorkload` on one node.
-WORKLOADS = ("bank", "mixed")
+#: transfers on a cluster; ``mixed`` — :class:`MixedWorkload` on one node;
+#: ``overload`` — the bank, its SLB left ``OVERLOAD_SLB_BLOCKS`` free blocks.
+WORKLOADS = ("bank", "mixed", "overload")
+OVERLOAD_SLB_BLOCKS = 3
 
 #: The transient-fault sites a fault plan draws from (``tests/test_torture.py``
 #: pins them to the live registry).
@@ -206,6 +212,9 @@ class RoundResult:
     shards: int = 1
     workload: str = "bank"
     media: bool = False
+    #: An overload round's log writes a drain let through, and those it did not.
+    back_pressure: int = 0
+    exhausted: int = 0
 
     def to_json(self) -> dict:
         record = dict(self.__dict__)
@@ -213,6 +222,8 @@ class RoundResult:
             del record["workload"]  # the record every bank round has always had
         if not self.media:
             del record["media"]
+        if self.workload != "overload":
+            del record["back_pressure"], record["exhausted"]
         return record
 
 
@@ -290,6 +301,31 @@ def _record_history(db: Database) -> dict:
 
     db.locks.acquire, db.slb.commit = recorded_acquire, recorded_commit  # type: ignore
     return history
+
+
+def _overload(db: Database) -> Counter:
+    """Leave ``db``'s drained SLB room for :data:`OVERLOAD_SLB_BLOCKS` more
+    blocks, and count the log writes that find it full (``stalls``: each
+    drains and retries) and those whose retry fails too (``exhausted``)."""
+    db.engine.drain_log()
+    memory = db.slb_memory
+    memory.capacity_bytes = memory.used_bytes + OVERLOAD_SLB_BLOCKS * db.config.log_block_size
+    tally: Counter = Counter(stalls=0, exhausted=0)
+    append_log, drain_log = db.append_log, db.engine.drain_log
+
+    def counted_append(txn_id: int, data: bytes) -> None:
+        try:
+            append_log(txn_id, data)
+        except StableMemoryFullError:
+            tally["exhausted"] += 1
+            raise
+
+    def counted_drain() -> int:
+        tally["stalls"] += 1
+        return drain_log()
+
+    db.append_log, db.engine.drain_log = counted_append, counted_drain  # type: ignore
+    return tally
 
 
 class _DeliberateAbort(Exception):
@@ -401,11 +437,11 @@ class TortureHarness:
         before: dict[str, int] | None = None
         if spec.kind == "crash":
             dry = ChaosEngine(ChaosPlan(spec.seed))
-            *_, before = self._play(spec, dry, recovery_mode, pool_seed)
+            _, _, _, before, _ = self._play(spec, dry, recovery_mode, pool_seed)
             hits = dry.hits()
             self.passed.update(hits)
         injector = ChaosEngine(build_plan(spec, rng, hits, before))
-        workload, dbs, restart_attempts, _ = self._play(
+        workload, dbs, restart_attempts, _, overload = self._play(
             spec, injector, recovery_mode, pool_seed
         )
         self.passed.update(injector.hits())
@@ -443,6 +479,8 @@ class TortureHarness:
             shards=spec.shards,
             workload=spec.workload,
             media=spec.media,
+            back_pressure=overload["stalls"] - overload["exhausted"],
+            exhausted=overload["exhausted"],
         )
 
     def _play(
@@ -456,6 +494,7 @@ class TortureHarness:
         list[Database],
         int,
         dict[str, int] | None,
+        Counter,
     ]:
         """Build and load the round's databases, queue its scripts (a
         single node's accounts drawn from ``pool_seed``), then run them
@@ -464,11 +503,12 @@ class TortureHarness:
         stable decision tables during each node's restart).  A mixed
         round runs its transactions in order instead of a script pool; a
         media round restores from the log history instead of restarting
-        (:func:`media_restore_verify`), and its last element is the
+        (:func:`media_restore_verify`), and its fourth element is the
         passages ``injector`` counted before the restore (``None`` for
-        any other round)."""
+        any other round); the fifth, an overload round's :func:`_overload`."""
         config = SystemConfig(**ROUND_CONFIG)
         power_fail: Callable[[], None] | None = None
+        overload: Counter = Counter()
         workload: DebitCreditWorkload | ShardedBankWorkload | MixedWorkload
         if spec.workload == "mixed":
             dbs = [Database(config)]
@@ -486,7 +526,7 @@ class TortureHarness:
                 dbs, lambda: _run_mixed(workload), injector, recovery_mode
             )
             self._check_commit_order(dbs, histories)
-            return workload, dbs, attempts, None
+            return workload, dbs, attempts, None, overload
         if spec.shards > 1:
             workload = _build_cluster(spec, config)
             workload.load()
@@ -501,6 +541,8 @@ class TortureHarness:
                 seed=spec.seed,
             )
             workload.load()
+            if spec.workload == "overload":
+                overload = _overload(dbs[0])
             scheduler = Scheduler(dbs[0], max_attempts=500)
             # a fresh stream per play: the dry run and the crash run submit alike
             accounts = random.Random(pool_seed)
@@ -518,7 +560,7 @@ class TortureHarness:
                 dbs, scheduler.run, injector, recovery_mode, power_fail=power_fail
             )
         self._check_commit_order(dbs, histories)
-        return workload, dbs, attempts, before
+        return workload, dbs, attempts, before, overload
 
     # -- checks ---------------------------------------------------------------
 
@@ -603,7 +645,8 @@ class TortureHarness:
         media: bool = False,
     ) -> list[RoundResult]:
         """Run every (seed, kind) combination; the first failure raises
-        with its reproducing seed, so a returned list means all passed."""
+        with its reproducing seed, so a returned list means all passed (an
+        overload batch only if it saw both endings of a full SLB)."""
         results = []
         for seed in seeds:
             for kind in kinds:
@@ -611,6 +654,9 @@ class TortureHarness:
                 if on_result is not None:
                     on_result(result)
                 results.append(result)
+        drained = sum(r.back_pressure for r in results)
+        if workload == "overload" and not (drained and sum(r.exhausted for r in results)):
+            raise TortureFailure(f"overload seeds {seeds} never both drained and aborted")
         return results
 
 
@@ -637,7 +683,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workload",
         choices=WORKLOADS,
         default="bank",
-        help="what each round runs (mixed: one node, T-tree key, aborted inserts)",
+        help="what each round runs (mixed: one node, T-tree key, aborted inserts; "
+        "overload: the bank on an SLB the pool runs dry)",
     )
     parser.add_argument(
         "--media",

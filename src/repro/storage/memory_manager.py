@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.common.errors import StorageError
-from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
+from repro.common.types import PartitionAddress, SegmentKind
 from repro.storage.partition import Partition
 from repro.storage.segment import Segment
 
@@ -68,9 +68,6 @@ class MemoryManager:
     def partition(self, address: PartitionAddress) -> Partition:
         """Resolve a partition address; raises NotResidentError post-crash."""
         return self.segment(address.segment).get(address.partition)
-
-    def read_entity(self, address: EntityAddress) -> bytes:
-        return self.partition(address.partition_address).read(address.offset)
 
     def segments(self) -> Iterator[Segment]:
         for segment_id in sorted(self._segments):

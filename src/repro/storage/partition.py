@@ -138,7 +138,7 @@ class Partition:
         Lock discipline: the caller holds an X lock on the entity, or S/X
         on its relation, two-phase until commit (section 2.3.2).
         """
-        old = self.read(offset)
+        old = self._entities.get(offset) or self.read(offset)  # read() only raises
         self._entities[offset] = bytes(data)
         self._used += len(data) - len(old)
 

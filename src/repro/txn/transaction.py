@@ -7,9 +7,9 @@ and index component writes all report here, producing:
 * a REDO record, packed straight to its bytes (no record object) and
   appended to the transaction's Stable Log Buffer chain, with the target
   partition's bin index stamped in (section 2.3.2),
-* an UNDO entry in the volatile UNDO space — the *inverse* REDO record,
-  the same operation with the before-image where the after-image was;
-  never encoded, never stable (section 2.3.1), discarded at commit — and
+* an UNDO entry in the volatile UNDO space — the *inverse* REDO record's
+  class and fields, the before-image where the after-image was, built
+  only by a rollback, never stable (section 2.3.1), discarded at commit — and
 * a two-phase lock on the touched entity, held until commit.
 
 A command-logged transaction skips the REDO record: its commit logs the
@@ -110,9 +110,10 @@ class Transaction:
         self.db = db
         self.txn_id = txn_id
         self.state = TxnState.ACTIVE
-        #: The volatile UNDO space, oldest first: inverse REDO records
-        #: (objects, never encoded) and compensations (:meth:`on_rollback`).
-        self._undo: list[redo.RedoRecord | _StableRelease | Callable[[], None]] = []
+        #: The volatile UNDO space, oldest first: inverse REDO records as
+        #: tuples ``(class, txn id, bin index, address, *fields)``, and
+        #: compensations (:meth:`on_rollback`).
+        self._undo: list[tuple | _StableRelease | Callable[[], None]] = []
         #: segment id -> the S or X lock held on its relation, which
         #: covers the segment's rows (:meth:`lock_relation`).
         self._covering: dict[int, LockMode] = {}
@@ -238,7 +239,8 @@ class Transaction:
 
     def _rollback(self, mark: int = 0, *, crashing: bool = False) -> None:
         """Undo everything past ``mark`` newest-first and drop it: an
-        inverse record puts bytes back through its own ``apply``, a
+        inverse record, built here from its tuple, puts its very
+        before-image object back through its own ``apply``, a
         compensation takes back what bytes do not cover (a hash index's
         item count among them), and then the catalog's descriptors re-sync
         from the restored bytes (docs/INTERNALS.md, "Decoded mirrors of
@@ -250,12 +252,13 @@ class Transaction:
         catalog_segment = db.catalog.segment.segment_id
         descriptors: set[EntityAddress] = set()
         for entry in reversed(self._undo[mark:]):
-            if isinstance(entry, redo.RedoRecord):
-                address = entry.partition_address
-                entry.apply(db.memory.partition(address))
+            if type(entry) is tuple:  # an inverse: a _StableRelease is a subclass
+                record = entry[0](*entry[1:])
+                address = record.partition_address
+                record.apply(db.memory.partition(address))
                 if address.segment == catalog_segment:
                     # catalog partitions hold entities only: the record names one
-                    descriptors.add(getattr(entry, "address", None))
+                    descriptors.add(getattr(record, "address", None))
             elif isinstance(entry, _StableRelease):
                 if not crashing:
                     entry.release()
@@ -461,8 +464,8 @@ class Transaction:
 
     # -- the nine change sinks ------------------------------------------------------------------
     #
-    # Each pushes its change's inverse onto UNDO, then — value-logged only —
-    # packs and appends the forward record.
+    # Each pushes its change's inverse onto UNDO as ``(class, *head, *fields)``,
+    # then — value-logged only — packs and appends the forward record.
 
     def _head(self, address: _Address) -> tuple[int, int, _Address]:
         """(txn id, bin index, address): the header a change's inverse and
@@ -481,13 +484,13 @@ class Transaction:
 
     def entity_inserted(self, address: EntityAddress, data: bytes) -> None:
         head = self._head(address)
-        self._undo.append(redo.TupleDelete(*head))
+        self._undo.append((redo.TupleDelete, *head))
         if self.command is None:
             self._redo(redo.TupleInsert.pack(*head, data))
 
     def entity_updated(self, address: EntityAddress, before: bytes, after: bytes) -> None:
         head = self._head(address)
-        self._undo.append(redo.TupleUpdate(*head, before))
+        self._undo.append((redo.TupleUpdate, *head, before))
         if self.command is None:
             self._redo(redo.TupleUpdate.pack(*head, after))
 
@@ -496,13 +499,13 @@ class Transaction:
     ) -> None:
         """A single-field byte-range update (the compact relation record)."""
         head = self._head(address)
-        self._undo.append(redo.FieldPatch(*head, start, before))
+        self._undo.append((redo.FieldPatch, *head, start, before))
         if self.command is None:
             self._redo(redo.FieldPatch.pack(*head, start, after))
 
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None:
         head = self._head(address)
-        self._undo.append(redo.TupleInsert(*head, before))
+        self._undo.append((redo.TupleInsert, *head, before))
         if self.command is None:
             self._redo(redo.TupleDelete.pack(*head))
 
@@ -510,7 +513,7 @@ class Transaction:
 
     def heap_put(self, partition: PartitionAddress, handle: int, data: bytes) -> None:
         head = self._head(partition)
-        self._undo.append(redo.HeapDelete(*head, handle))
+        self._undo.append((redo.HeapDelete, *head, handle))
         if self.command is None:
             self._redo(redo.HeapPut.pack(*head, handle, data))
 
@@ -518,7 +521,7 @@ class Transaction:
         self, partition: PartitionAddress, handle: int, before: bytes
     ) -> None:
         head = self._head(partition)
-        self._undo.append(redo.HeapPut(*head, handle, before))
+        self._undo.append((redo.HeapPut, *head, handle, before))
         if self.command is None:
             self._redo(redo.HeapDelete.pack(*head, handle))
 
@@ -543,14 +546,14 @@ class Transaction:
         head = self._head(address)
         # a component this transaction created is removed again
         self._undo.append(
-            redo.IndexNodeFree(*head) if before is None else redo.IndexNodeWrite(*head, before)
+            (redo.IndexNodeFree, *head) if before is None else (redo.IndexNodeWrite, *head, before)
         )
         if self.command is None:
             self._redo(redo.IndexNodeWrite.pack(*head, after))
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
         head = self._head(address)
-        self._undo.append(redo.IndexNodeWrite(*head, before))
+        self._undo.append((redo.IndexNodeWrite, *head, before))
         if self.command is None:
             self._redo(redo.IndexNodeFree.pack(*head))
 

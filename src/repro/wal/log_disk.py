@@ -234,9 +234,6 @@ class LogDisk:
         their space can be reclaimed after the grace period."""
         return max(0, self.window_start + self.grace_pages)
 
-    def in_window(self, lsn: int) -> bool:
-        return self.window_start <= lsn < self._next_lsn
-
     # -- I/O -----------------------------------------------------------------------
 
     def append_page(self, page: LogPage) -> int:

@@ -18,8 +18,8 @@ Two flavours exist, mirroring the paper:
 
 A forward record is never an object: the change sink packs its fields
 straight to bytes (``cls.pack``), into the SLB, and from there to the
-disk it is bytes.  A record object exists only on the volatile UNDO
-list.  Each class states its Operation part once, as a :class:`Layout`,
+disk it is bytes.  A record object is built only by a rollback, from
+an UNDO entry.  Each class states its Operation part once, as a :class:`Layout`,
 and names its effect once, as ``EFFECT`` — one of the storage layer's
 primitive effects (:data:`~repro.storage.partition.EFFECTS`: ``upsert``,
 ``overwrite``, ``remove``, ``patch``, the two heap ones, ``none``);
@@ -37,7 +37,7 @@ and the operand reader of the compact one.  The two forms:
 :func:`replay_records` applies a compact body through the one applier,
 :meth:`Partition.apply_records <repro.storage.partition.Partition.apply_records>`,
 and halts at a marker when asked — every restart path walks a
-partition's log this one way, and a record object on the UNDO list
+partition's log this one way, and a record object a rollback builds
 (:meth:`RedoRecord.apply`) runs its own compact bytes through the same
 loop, so each effect is stated once.
 """
@@ -164,8 +164,8 @@ class RedoRecord:
         """Re-execute this operation against ``partition``: the address
         check, then its own compact bytes through the applier the log's
         replay uses, installing its own ``data`` object (the
-        before-image an inverse record holds).  Only a transaction's UNDO
-        list applies record objects; the log is replayed from its
+        before-image an inverse record holds).  Only a transaction's
+        rollback applies record objects; the log is replayed from its
         bytes."""
         if self.partition_address != partition.address:
             raise LogError(

@@ -51,11 +51,3 @@ class ZipfPicker:
     def pick(self) -> int:
         point = self._rng.random()
         return bisect.bisect_left(self._cdf, point)
-
-    def hot_fraction(self, top: int) -> float:
-        """Probability mass carried by the ``top`` hottest items."""
-        if top <= 0:
-            return 0.0
-        if top >= self.n:
-            return 1.0
-        return self._cdf[top - 1]

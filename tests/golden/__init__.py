@@ -41,6 +41,7 @@ TORTURE_BATCHES = (
     {"seeds": [200, 201, 202], "shards": 4},
     {"seeds": list(range(300, 305)), "workload": "mixed"},
     {"seeds": [400, 401, 402], "media": True},
+    {"seeds": [500, 501, 502], "workload": "overload"},
 )
 SIM_BENCHES = ("bench_table2_parameters.py", "bench_sim_vs_model.py")
 HOST_COMMAND = ("benchmarks/host/run.py", "--quick", "--seed", "101")

@@ -354,7 +354,10 @@ class TestFailedAttemptLeavesNothingAheadOfTheBytes:
     def assert_mirrors_match_bytes(db):
         catalog = db.catalog
         for descriptor in (*catalog.relations(), *catalog.indexes()):
-            assert descriptor.encode() == db.memory.read_entity(descriptor.entity)
+            entity = descriptor.entity
+            assert descriptor.encode() == db.memory.partition(entity.partition_address).read(
+                entity.offset
+            )
         published = catalog.well_known_entry()
         assert db.slb.get_well_known(CATALOG_LOCATIONS_KEY) == published
         assert db.slt.get_well_known(CATALOG_LOCATIONS_KEY) == published

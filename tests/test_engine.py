@@ -77,8 +77,7 @@ class TestDutyOrder:
         recording(db, "background_restore")
         db.pump()
         assert calls == [
-            "run_until_drained",
-            "acknowledge_finished",
+            "run_until_drained",  # acknowledges a finished checkpoint first
             "process_pending",
             "acknowledge_finished",
             "background_restore",

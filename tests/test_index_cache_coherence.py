@@ -26,7 +26,12 @@ from hypothesis.stateful import (
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common import EntityAddress, SegmentKind
-from repro.common.errors import TransactionAborted
+from repro.common.errors import (
+    NotResidentError,
+    StableMemoryFullError,
+    StorageError,
+    TransactionAborted,
+)
 from repro.index import NodeStore, TTreeIndex
 from repro.index import linear_hash, ttree
 from repro.recovery.oracle import logical_digest
@@ -203,6 +208,10 @@ TestIndexCacheMachine = IndexCacheMachine.TestCase
 # -- the cache itself ---------------------------------------------------------------
 
 
+def refuse_log_write(txn_id, data):
+    raise StableMemoryFullError("Stable Log Buffer exhausted")
+
+
 def make_store() -> NodeStore:
     manager = MemoryManager(partition_size=48 * 1024)
     return NodeStore(manager.create_segment(SegmentKind.INDEX, "idx"))
@@ -230,6 +239,17 @@ class TestNodeStoreLoad:
         store.segment.get(address.partition).update(address.offset, b"undo")
         assert store.load(address, decode) == (4,)
         assert len(calls) == 3
+
+    def test_a_missing_component_raises_as_the_partition_read_does(self):
+        store = make_store()
+        address = store.allocate(b"blob")
+        with pytest.raises(StorageError, match="no entity at 99"):
+            store.load(address._replace(offset=99), lambda a, b: b)
+        with pytest.raises(StorageError, match="has no partition 7"):
+            store.load(address._replace(partition=7), lambda a, b: b)
+        store.segment.evict_all()
+        with pytest.raises(NotResidentError):
+            store.load(address, lambda a, b: b)
 
     def test_scans_do_not_populate_and_free_drops(self):
         store = make_store()
@@ -293,7 +313,7 @@ class TestNodeStoreLoad:
                 rel.lookup(txn, key)
                 rel.lookup_by(txn, "items_by_g", key)
 
-    @pytest.mark.parametrize("undo", ["abort", "statement"])
+    @pytest.mark.parametrize("undo", ["abort", "statement", "log full"])
     def test_an_anchor_is_decoded_once_per_blob_and_again_after_a_rollback(
         self, anchor_decodes, undo
     ):
@@ -313,6 +333,15 @@ class TestNodeStoreLoad:
         if undo == "abort":
             with pytest.raises(Doomed), db.transaction() as txn:
                 doomed_load(txn)
+        elif undo == "log full":
+            # the abort a failed log write makes: the next record finds the SLB full
+            with pytest.raises(TransactionAborted, match="log write failed"):
+                with db.transaction() as txn:
+                    with pytest.raises(Doomed):
+                        doomed_load(txn)
+                    db.append_log = refuse_log_write
+                    rel.insert(txn, {"k": 99, "g": 99})
+            del db.append_log
         else:
             with db.transaction() as txn:
                 with pytest.raises(Doomed), txn.statement():

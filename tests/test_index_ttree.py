@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import EntityAddress, IndexStructureError, SegmentKind
-from repro.index import NodeStore, TTreeIndex
+from repro.index import NodeStore, TTreeIndex, ttree
 from repro.storage import MemoryManager
 
 
@@ -305,3 +305,65 @@ def test_search_still_rejects_mixed_type_and_bool_keys(tree):
             tree.range_scan(bad, None)
         with pytest.raises(IndexStructureError):
             tree.range_scan(None, bad)
+
+
+def test_insert_and_delete_descents_reject_mixed_type_and_bool_keys(tree):
+    for key in range(40):
+        tree.insert(key, addr(key))
+    before = list(tree.items())
+    for bad in ("one", b"one", True, False):
+        with pytest.raises(IndexStructureError):
+            tree.insert(bad, addr(99))
+        with pytest.raises(IndexStructureError):
+            tree.delete(bad, addr(1))
+    assert list(tree.items()) == before
+    tree.verify_invariants()
+
+
+def test_queries_match_a_sorted_list_when_duplicates_straddle_nodes(tree):
+    """Six copies of each key in 4-item nodes: every run of equal keys
+    spans nodes, and ``search``, ``range_scan`` (each bound open, inside,
+    between and outside the keys), ``items`` and ``len`` all read as the
+    sorted list of ``(key, value)`` pairs does."""
+    rng = random.Random(54)
+    pairs = [(key, addr(10 * key + copy)) for key in range(0, 30, 3) for copy in range(6)]
+    rng.shuffle(pairs)
+    for key, value in pairs:
+        tree.insert(key, value)
+    for key, value in pairs[::4]:  # deletes leave runs split across nodes too
+        tree.delete(key, value)
+    model = sorted(set(pairs) - set(pairs[::4]))
+    tree.verify_invariants()
+    spans = {}
+    stack = [tree._anchor().root]
+    while stack:
+        address = stack.pop()
+        if address != ttree.NULL_ADDRESS:
+            node = tree._form(address)
+            for key in set(node.keys):
+                spans[key] = spans.get(key, 0) + 1
+            stack += node.left, node.right
+    assert max(spans.values()) > 1  # a run of equal keys crosses a node boundary
+    assert list(tree.items()) == model
+    assert len(tree) == len(model)
+    for key in range(-1, 31):
+        assert tree.search(key) == [value for k, value in model if k == key]
+    for low in (None, -1, 0, 4, 6, 29):
+        for high in (None, -1, 0, 6, 7, 27, 40):
+            expected = [
+                (k, v)
+                for k, v in model
+                if (low is None or k >= low) and (high is None or k <= high)
+            ]
+            assert list(tree.range_scan(low, high)) == expected, (low, high)
+
+
+def test_len_counts_node_keys_without_building_the_items(tree, monkeypatch):
+    for key in range(25):
+        tree.insert(key % 7, addr(key))
+
+    def no_walk(*args):
+        raise AssertionError("len() walked the items")
+
+    monkeypatch.setattr(tree, "_walk", no_walk)
+    assert len(tree) == 25

@@ -8,8 +8,9 @@ failed) and stay consistent.
 
 import pytest
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
 from repro.common import TransactionAborted
+from repro.common.errors import StableMemoryFullError
 from repro.wal.slb import WELL_KNOWN_RESERVE
 
 
@@ -85,3 +86,32 @@ class TestOversizedTransaction:
         with db.transaction() as txn:
             for i in range(len(inserted) + 1):
                 assert rel.lookup(txn, i) is None
+
+
+class TestBackPressure:
+    def test_a_stall_acknowledges_a_finished_checkpoint_before_it_drains(self):
+        """A finished checkpoint resets its bin when it is acknowledged.  A
+        back-pressure drain before that — a log write inside a pump's
+        checkpoint pass finding the SLB full, say — must acknowledge it
+        first: drained first, a record committed after the copy lands in
+        that bin, and the reset drops it."""
+        db, rel = tiny_slb_db()
+        with db.transaction() as txn:
+            address = rel.insert(txn, {"id": 1, "pad": "before"})
+        assert db.checkpoints.copy([address.partition_address])  # finished, unacknowledged
+        with db.transaction(pump=False) as txn:
+            rel.update(txn, address, {"pad": "after"})
+        append = db.slb.append
+
+        def full_once(txn_id, record):
+            db.slb.append = append
+            raise StableMemoryFullError("Stable Log Buffer exhausted")
+
+        db.slb.append = full_once  # the next log write stalls for a drain
+        with db.transaction() as txn:
+            rel.insert(txn, {"id": 2, "pad": "stalled"})
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        with db.transaction() as txn:
+            assert db.table("t").lookup(txn, 1)["pad"] == "after"
+            assert db.table("t").lookup(txn, 2)["pad"] == "stalled"

@@ -116,6 +116,26 @@ class TestCpuMeter:
         assert one.category_breakdown() == four.category_breakdown()
         assert list(one.category_breakdown()) == list(four.category_breakdown())
 
+    def test_stable_copy_charge_is_the_charge_it_replaces_bit_for_bit(self):
+        """``charge_stable_bytes`` accounts in its own frame: after every
+        length 0..2000 the clock, the total, each category and the
+        returned seconds equal those of the ``charge`` call of the same
+        cost, exactly."""
+        params = AnalysisParameters()
+        inline = CpuMeter("main", 10.0, VirtualClock(), params)
+        reference = CpuMeter("main", 10.0, VirtualClock(), params)
+        per_byte = params.i_copy_add * params.stable_memory_slowdown
+        for nbytes in range(2001):
+            category = "slb-write" if nbytes % 3 else "archive-copy"
+            seconds = inline.charge_stable_bytes(nbytes, category)
+            expected = reference.charge(params.i_copy_fixed + per_byte * nbytes, category)
+            assert seconds == expected, nbytes
+            assert inline.clock.now == reference.clock.now, nbytes
+            assert inline.total_instructions == reference.total_instructions, nbytes
+        assert inline.category_breakdown() == reference.category_breakdown()
+        with pytest.raises(ValueError):
+            inline.charge_stable_bytes(-1)
+
     def test_sorting_charge_rejects_a_negative_length(self):
         cpu = CpuMeter("r", mips=1.0, clock=VirtualClock())
         with pytest.raises(ValueError):

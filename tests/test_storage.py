@@ -271,16 +271,6 @@ class TestMemoryManager:
         part = seg.allocate_partition()
         assert manager.partition(part.address) is part
 
-    def test_read_entity(self):
-        manager = MemoryManager(partition_size=4096)
-        seg = manager.create_segment(SegmentKind.RELATION, "a")
-        part = seg.allocate_partition()
-        offset = part.insert(b"payload")
-        from repro.common import EntityAddress
-
-        address = EntityAddress(seg.segment_id, part.address.partition, offset)
-        assert manager.read_entity(address) == b"payload"
-
     def test_crash_clears_everything(self):
         manager = MemoryManager(partition_size=4096)
         seg = manager.create_segment(SegmentKind.RELATION, "a")

@@ -247,6 +247,57 @@ class TestMediaRounds:
         assert (result.point, result.crashes_fired) == ("log-disk.append.before-write", 1)
 
 
+class TestOverloadRounds:
+    """The overload round: the bank round on an SLB its pool runs dry,
+    where every log write that finds it full ends in back-pressure (a
+    drain, then a retry that writes) or in a clean ``TransactionAborted``,
+    which the scheduler retries; anything else escapes the pool and fails
+    the round."""
+
+    def test_spec_checks_the_topology(self):
+        for other in ({"shards": 2}, {"media": True}):
+            with pytest.raises(ValueError, match="round"):
+                RoundSpec(1, "crash", workload="overload", **other)
+        assert RoundSpec(41, "fault", workload="overload").repro_command().endswith(
+            "--kinds fault --workload overload"
+        )
+        record = TortureHarness().run_round(RoundSpec(0, "fault")).to_json()
+        assert not {"back_pressure", "exhausted"} & set(record)
+
+    @pytest.mark.usefixtures("no_host_sleep")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rounds_run_the_slb_dry_both_ways(self, kind):
+        harness = TortureHarness()
+        results = harness.run_rounds([500, 501, 502], kinds=(kind,), workload="overload")
+        assert all(r.to_json()["workload"] == "overload" for r in results)
+        assert sum(r.back_pressure for r in results) > 0
+        assert sum(r.exhausted for r in results) > 0
+
+    def test_a_batch_that_never_runs_dry_fails(self, monkeypatch):
+        monkeypatch.setattr(torture, "OVERLOAD_SLB_BLOCKS", 4096)
+        with pytest.raises(TortureFailure, match="never both drained and aborted"):
+            TortureHarness().run_rounds([500], kinds=("fault",), workload="overload")
+
+    def test_half_logged_transactions_are_rolled_back(self):
+        """Seed 500's crash round: 21 log writes find the SLB exhausted,
+        each after the change it logs is applied, so the abort ``_redo``
+        makes must roll that change back.  Skipping the rollback fails this
+        round (the recovered account total keeps the aborted changes)."""
+        result = TortureHarness().run_round(RoundSpec(500, "crash", workload="overload"))
+        assert (result.exhausted, result.crashes_fired) == (21, 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_stall_in_a_checkpoint_pass_loses_no_record(self, kind):
+        """Seed 502: a checkpoint's log write stalls for a drain while an
+        earlier checkpoint of the same pump pass is finished but not yet
+        acknowledged.  Drained first, a record committed after that
+        checkpoint's copy (the branch's new image slot, in the catalog
+        partition's bin) was dropped by the bin's reset, and the branch
+        relation came back empty."""
+        result = TortureHarness().run_round(RoundSpec(502, kind, workload="overload"))
+        assert result.exhausted > 0
+
+
 class TestKeptSeeds:
     """Rounds kept because they catch a mutation no seed of CI's batches
     does: a commit acknowledged (state ``COMMITTED``) before
@@ -498,6 +549,11 @@ class TestCommandLine:
             ("crash", "mixed"),
             ("fault", "mixed"),
         ]
+
+    def test_cli_runs_overload_rounds(self, capsys):
+        argv = ["--seed", "500", "--rounds", "1", "--kinds", "fault", "--workload", "overload"]
+        assert main(argv) == 0
+        assert "workload=overload" in capsys.readouterr().out
 
     def test_module_is_executable(self):
         assert torture.__name__ == "repro.sim.torture"

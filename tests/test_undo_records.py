@@ -1,21 +1,26 @@
-"""Rollback of each change sink, by statement rollback and by abort.
+"""Rollback of each change sink: by statement rollback, by abort, and
+by the abort a failed log write makes.
 
 UNDO has no record format of its own: every sink operation of
-``Transaction`` logs the forward REDO record and keeps its *inverse*
-record in the volatile UNDO space, and ``_rollback`` applies the
-inverses newest-first through ``RedoRecord.apply``.  One table lists the
-nine sink operations (the index write in its three shapes); each row
-performs the physical mutation plus the sink call the way the storage
-layers do, and :func:`check` asserts that both kinds of rollback put back
-the entity bytes, offsets and heap handles — while the ``next_offset`` /
-handle counters never move backwards (offsets and handles are not
-reused).
+``Transaction`` logs the forward REDO record and keeps its *inverse* in
+the volatile UNDO space as ``(record class, *fields)``, and
+``_rollback`` builds each inverse newest-first and applies it through
+``RedoRecord.apply``.  One table lists the nine sink operations (the
+index write in its three shapes); each row performs the physical
+mutation plus the sink call the way the storage layers do, and
+:func:`check` asserts that every kind of rollback puts back the entity
+bytes, offsets and heap handles — the very ``bytes`` objects an
+inverse's before-image holds, which ``NodeStore.load`` revalidates its
+cached forms by — while the ``next_offset`` / handle counters never move
+backwards (offsets and handles are not reused).
 """
 
 import pytest
 
 from repro import Database, SystemConfig
-from repro.common import EntityAddress
+from repro.common import EntityAddress, TransactionAborted
+from repro.common.errors import StableMemoryFullError
+from repro.txn.transaction import TxnState
 
 
 class Doomed(Exception):
@@ -53,12 +58,25 @@ def counters(part):
     return part.next_offset, part.heap._next_handle
 
 
+def objects(part):
+    """Every entity and heap string object, by offset and handle."""
+    return dict(part.entities()), {h: part.heap.get(h) for h in part.heap.handles()}
+
+
+def full_log(db):
+    """Make every log write of ``db`` fail, as an exhausted SLB does."""
+
+    def refused(txn_id, data):
+        raise StableMemoryFullError("Stable Log Buffer exhausted")
+
+    db.append_log = refused
+
+
 # -- the nine sink operations ------------------------------------------------------
 #
 # ``setup(part)`` builds committed pre-state without a sink and returns
-# what ``do`` needs; ``do(txn, part, ctx)`` mutates and reports, and
-# returns ``(offset, before)`` when rollback must put that very ``bytes``
-# object back (``NodeStore.load``'s identity validation relies on it).
+# what ``do`` needs; ``do(txn, part, ctx)`` mutates and reports, passing
+# the stored object as the before-image, as the storage layers do.
 
 
 def _none(part):
@@ -82,7 +100,6 @@ def do_entity_updated(txn, part, offset):
     before = part.read(offset)
     part.update(offset, b"after")
     txn.entity_updated(eaddr(part, offset), before, b"after")
-    return offset, before
 
 
 def do_entity_patched(txn, part, offset):
@@ -94,7 +111,6 @@ def do_entity_deleted(txn, part, offset):
     before = part.read(offset)
     part.delete(offset)
     txn.entity_deleted(eaddr(part, offset), before)
-    return offset, before
 
 
 def do_heap_put(txn, part, _):
@@ -103,15 +119,15 @@ def do_heap_put(txn, part, _):
 
 
 def do_heap_delete(txn, part, handle):
+    before = part.heap.get(handle)
     part.heap.delete(handle)
-    txn.heap_delete(part.address, handle, b"bye")
+    txn.heap_delete(part.address, handle, before)
 
 
 def do_index_node_overwritten(txn, part, offset):
     before = part.read(offset)
     part.update(offset, b"node-v2")
     txn.index_node_written(eaddr(part, offset), before, b"node-v2")
-    return offset, before
 
 
 def do_index_node_created(txn, part, _):
@@ -120,16 +136,16 @@ def do_index_node_created(txn, part, _):
 
 
 def do_index_node_overwritten_then_lost(txn, part, offset):
-    same = do_index_node_overwritten(txn, part, offset)
+    before = part.read(offset)
+    part.update(offset, b"node-v2")
     part.delete(offset)  # behind the sink's back: the inverse is an upsert
-    return same
+    txn.index_node_written(eaddr(part, offset), before, b"node-v2")
 
 
 def do_index_node_freed(txn, part, offset):
     before = part.read(offset)
     part.delete(offset)
     txn.index_node_freed(eaddr(part, offset), before)
-    return offset, before
 
 
 SINK_OPS = {
@@ -147,32 +163,44 @@ SINK_OPS = {
 
 
 def check(db, name):
-    """do -> statement rollback, then do -> abort, on the same partition."""
+    """do -> statement rollback, do -> abort, then do with the log full
+    (``_redo``'s abort), on the same partition.  Every rollback puts back
+    each entity and string object that was there, as that object — except
+    a patch's, whose entity is rebuilt around the before-image."""
     setup, do = SINK_OPS[name]
     part = partition_of(db)
-    for ending in ("statement", "abort"):
+    for ending in ("statement", "abort", "log full"):
         ctx = setup(part)
-        before = state(part)
+        before, kept = state(part), objects(part)
         txn = db.transactions.begin()
         if ending == "statement":
             with pytest.raises(Doomed):
                 with txn.statement():
-                    same = do(txn, part, ctx)
+                    do(txn, part, ctx)
                     reached = counters(part)
                     assert state(part) != before
                     raise Doomed
             assert txn.redo_records == 0 and txn.undo_record_count == 0
             txn.commit()
-        else:
-            same = do(txn, part, ctx)
+        elif ending == "abort":
+            do(txn, part, ctx)
             reached = counters(part)
             assert state(part) != before
             txn.abort()
+        else:
+            full_log(db)
+            with pytest.raises(TransactionAborted, match="log write failed"):
+                do(txn, part, ctx)
+            del db.append_log
+            reached = counters(part)
+            assert txn.state is TxnState.ABORTED
         assert state(part) == before
         assert counters(part) == reached  # offsets / handles are never reused
-        if same is not None:
-            offset, blob = same
-            assert part.read(offset) is blob
+        entities, strings = objects(part)
+        for offset, blob in kept[0].items():
+            assert name == "entity_patched" or entities[offset] is blob, offset
+        for handle, blob in kept[1].items():
+            assert strings[handle] is blob, handle
     assert db.slb.uncommitted_txn_ids == []
 
 

@@ -34,12 +34,6 @@ class TestDistributions:
         seen = {picker.pick() for _ in range(500)}
         assert seen == set(range(10))
 
-    def test_hot_fraction_monotone(self):
-        picker = ZipfPicker(100, theta=0.99)
-        assert picker.hot_fraction(0) == 0.0
-        assert picker.hot_fraction(100) == 1.0
-        assert picker.hot_fraction(10) < picker.hot_fraction(50)
-
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             UniformPicker(0)

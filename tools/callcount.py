@@ -38,27 +38,27 @@ SCALE = 0.2
 #: Calls per transaction in ``repro``'s own code no workload may exceed
 #: (``--check``, at ``SCALE``; :data:`RESTART_CEILINGS` per restart).  They leave out ``other``, whose count moves
 #: with the standard library's patch release.  Measured on CPython 3.11.7
-#: at 348.88, 101.21, 952.01, 123.50 and 542.75; each ceiling leaves about
+#: at 311.40, 83.19, 602.66, 109.51 and 471.22; each ceiling leaves about
 #: 1 % for a change that has to add a call.  The totals, ``other``
-#: included, were 362.06 on ``debit_credit`` (the forward path's target is
-#: 430) and 104.14 on ``point_read`` (target 112).
+#: included, were 318.56 on ``debit_credit`` (the forward path's target is
+#: 430), 86.12 on ``point_read`` and 623.20 on ``mixed_churn`` (target 700).
 CEILINGS = {
-    "debit_credit": 353.0,
-    "point_read": 103.0,
-    "mixed_churn": 962.0,
-    "crash_restart": 125.0,
-    "scripted_command": 549.0,
+    "debit_credit": 315.0,
+    "point_read": 84.0,
+    "mixed_churn": 609.0,
+    "crash_restart": 111.0,
+    "scripted_command": 476.0,
 }
 
 #: The same for the crash epilogue's calls in ``repro``'s own code, per
-#: restart: measured at 2 721, 1 260, 1 927, 1 333 and 17 419, with about
+#: restart: measured at 2 708, 1 247, 1 889, 1 320 and 15 297, with about
 #: 1 % over each.
 RESTART_CEILINGS = {
-    "debit_credit": 2750,
-    "point_read": 1275,
-    "mixed_churn": 1950,
-    "crash_restart": 1350,
-    "scripted_command": 17600,
+    "debit_credit": 2735,
+    "point_read": 1260,
+    "mixed_churn": 1910,
+    "crash_restart": 1335,
+    "scripted_command": 15450,
 }
 
 
