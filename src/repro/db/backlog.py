@@ -1,5 +1,6 @@
 """``python -m repro.db.backlog EVENTS.jsonl`` — what the recovery CPU
-was doing when the checkpoint queue backed up.
+was doing when the checkpoint queue backed up, and why the last restart
+took as long as it did.
 
 Reads the event ring a run wrote (:meth:`repro.db.events.EventRing.write_jsonl`)
 and prints the longest stretch in which the checkpoint queue stayed
@@ -7,7 +8,9 @@ non-empty: each checkpoint the recovery CPU requested (with its trigger)
 and acknowledged and each log page it wrote, each with its running
 totals of records sorted and pages flushed, and each image the main CPU
 wrote or deferred (with the refusal that deferred it), in simulated-time
-order.
+order.  Then, if the file holds a restart, the last one: its mode, its
+simulated milliseconds, the seconds its rebuilds took summed by trigger,
+and each partition rebuilt from the full log ``history``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import json
 import sys
 from typing import Iterable
+
+from repro.recovery.restart import TRIGGERS
 
 
 def backlog(events: Iterable[dict]) -> list[dict]:
@@ -37,6 +42,15 @@ def backlog(events: Iterable[dict]) -> list[dict]:
     return max(stretches, key=lambda s: s[-1]["sim_s"] - s[0]["sim_s"], default=[])
 
 
+def last_restart(events: list[dict]) -> list[dict]:
+    """The events of the last restart, from its ``restart.begin`` to its
+    ``restart.recovered`` (or to the end); empty if none began."""
+    begins = [n for n, entry in enumerate(events) if entry["event"] == "restart.begin"]
+    restart = events[begins[-1] :] if begins else []
+    ends = [n for n, entry in enumerate(restart) if entry["event"] == "restart.recovered"]
+    return restart[: ends[0] + 1] if ends else restart
+
+
 def _describe(entry: dict) -> str:
     skip = {"event", "sim_s", "host_s"}
     return " ".join(f"{key}={entry[key]}" for key in sorted(entry) if key not in skip)
@@ -48,17 +62,35 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python -m repro.db.backlog EVENTS.jsonl", file=sys.stderr)
         return 2
     with open(args[0], encoding="utf-8") as handle:
-        window = backlog(json.loads(line) for line in handle if line.strip())
+        events = [json.loads(line) for line in handle if line.strip()]
+    window = backlog(events)
     if not window:
         print("the checkpoint queue never held a request")
-        return 0
-    peak = max(entry.get("queue_depth", 0) for entry in window)
-    print(
-        f"checkpoint queue peaked at {peak} between sim {window[0]['sim_s']:.6f} s "
-        f"and {window[-1]['sim_s']:.6f} s ({len(window)} events):"
-    )
-    for entry in window:
-        print(f"  {entry['sim_s']:12.6f} s  {entry['event']:<24} {_describe(entry)}")
+    else:
+        peak = max(entry.get("queue_depth", 0) for entry in window)
+        print(
+            f"checkpoint queue peaked at {peak} between sim {window[0]['sim_s']:.6f} s "
+            f"and {window[-1]['sim_s']:.6f} s ({len(window)} events):"
+        )
+        for entry in window:
+            print(f"  {entry['sim_s']:12.6f} s  {entry['event']:<24} {_describe(entry)}")
+    restart = last_restart(events)
+    if restart:
+        begin, end = restart[0], restart[-1]
+        until = "recovered" if end["event"] == "restart.recovered" else "the file's end"
+        rebuilt = [entry for entry in restart if entry["event"] == "restart.rebuilt"]
+        print(
+            f"last restart ({begin['mode']}): {(end['sim_s'] - begin['sim_s']) * 1000:.3f} "
+            f"simulated ms to {until}; rebuild seconds by trigger: "
+            + ", ".join(
+                f"{trigger} {sum(e['seconds'] for e in rebuilt if e['trigger'] == trigger):.6f}"
+                for trigger in TRIGGERS
+            )
+        )
+        for e in rebuilt:
+            if e["source"] == "history":
+                print(f"  from history: {e['address']} ({e['pages_read']} pages, "
+                      f"{e['records_applied']} records)")
     return 0
 
 

@@ -130,16 +130,11 @@ class RecoveryProcessor:
     def run_until_drained(self) -> int:
         """Sort everything currently committed (used at commit barriers,
         restart, and by back-pressure when the SLB fills), acknowledging
-        finished checkpoints first: a bin's reset keeps what sorts after."""
+        finished checkpoints first: a bin's reset keeps what sorts after.
+        One step: its drain takes the whole committed list, and no step commits."""
         if self.checkpoint_queue.entries:
             self.acknowledge_finished()
-        total = 0
-        while True:
-            sorted_now = self.step()
-            if sorted_now == 0:
-                break
-            total += sorted_now
-        return total
+        return self.step()
 
     # -- page flushing ----------------------------------------------------------------
 

@@ -12,13 +12,12 @@ and duplexed two-head log disks.  This package simulates each of them:
   seek/rotate/transfer timing, surviving simulated crashes.
 * :mod:`repro.sim.stable_memory` — capacity-tracked stable reliable RAM.
 * :mod:`repro.sim.faults` — crash and torn-write injection.
-* :mod:`repro.sim.chaos` — the named crash-point registry and the sweep
-  harness that crashes a workload at every point and verifies recovery.
+* :mod:`repro.sim.chaos` — the named crash-point registry, the chaos
+  engine, and the one routine that crashes a workload, restarts and
+  verifies recovery.
 """
 
 from repro.sim.chaos import (
-    ChaosHarness,
-    CrashPointRun,
     chaos,
     crash_point,
     register_crash_point,
@@ -32,9 +31,7 @@ from repro.sim.stable_memory import StableMemory
 
 __all__ = [
     "CORRUPTION_KINDS",
-    "ChaosHarness",
     "CpuMeter",
-    "CrashPointRun",
     "DuplexedDisk",
     "SimulatedCrash",
     "SimulatedDisk",

@@ -26,15 +26,18 @@ checkable:
   run a workload under an engine, read at the crash what each database
   must recover to (:func:`~repro.recovery.oracle.committed_digests`),
   crash, restart (retrying when the crash lands *inside* restart), and
-  compare.  :class:`ChaosHarness` runs it for every registered point and
-  recovery mode; :mod:`repro.sim.torture` runs it for seeded rounds.
+  compare; with ``media=True`` the checkpoint disk is destroyed and the
+  database restored from its log history instead.  The chaos sweep
+  (``tests/test_chaos_sweep.py``) runs it for every registered point and
+  recovery mode, :mod:`repro.sim.torture` for seeded rounds and their
+  stability check.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.common.errors import RecoveryError
@@ -109,7 +112,7 @@ def fault_point(name: str) -> None:
     """
     injector = _active
     if injector is not None:
-        injector.visit_fault(name)
+        injector.visit(name)
 
 
 def set_crash_point_observer(observer: "Callable[[str], None] | None") -> None:
@@ -288,9 +291,6 @@ class ChaosEngine:
     def faults_fired(self) -> int:
         return sum(1 for f in self.fired if f.action == FAULT)
 
-    def fires(self) -> list[ChaosFire]:
-        return list(self.fired)
-
     def hits(self) -> dict[str, int]:
         """Passages of every crash and fault point shown to this engine
         while it was active, ruled or not."""
@@ -299,12 +299,8 @@ class ChaosEngine:
     # -- hook dispatch ------------------------------------------------------
 
     def visit(self, name: str) -> None:
-        self._dispatch(name)
-
-    def visit_fault(self, name: str) -> None:
-        self._dispatch(name)
-
-    def _dispatch(self, name: str) -> None:
+        """One passage of crash or fault point ``name``: count it, then
+        raise for the first rule that fires."""
         visit = self._visits.get(name, 0) + 1
         self._visits[name] = visit
         for state in self._states.get(name, ()):
@@ -330,25 +326,8 @@ class ChaosEngine:
 
 
 # ---------------------------------------------------------------------------
-# The sweep harness
+# Crash, restart, verify
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CrashPointRun:
-    """Outcome of one crash-at-point replay."""
-
-    point: str
-    mode: str
-    #: Did the armed point actually fire during this replay?
-    fired: bool
-    #: Crashes that landed inside restart/recovery (crash-during-recovery).
-    nested_crashes: int
-    #: Stable commit count at verification time.
-    commits: int
-    #: Points passed during the replay (diagnostics).
-    hits: dict[str, int] = field(default_factory=dict)
-
 
 #: A crash during restart is retried; crash rules latch after firing, so
 #: convergence is guaranteed — the bound is defensive.
@@ -387,6 +366,7 @@ def crash_restart_verify(
     mode,
     *,
     power_fail: Callable[[], None] | None = None,
+    media: bool = False,
 ) -> int:
     """Run ``run`` under ``engine`` until it returns or crashes, read what
     each database must recover to (:func:`~repro.recovery.oracle.committed_digests`),
@@ -395,24 +375,43 @@ def crash_restart_verify(
     digest matches and :func:`~repro.db.integrity.verify_integrity` finds
     nothing.  The crash is unconditional, so restart-path points fire in
     the recovery that follows.  Returns the restart attempts (1: no crash
-    inside recovery)."""
+    inside recovery).
+
+    With ``media`` (one database) the checkpoint disk is destroyed after
+    the power failure and the database restored from its log history
+    (:func:`~repro.recovery.media.restore_after_checkpoint_media_failure`,
+    paper section 2.6); a crash inside the restore is followed by an
+    ordinary restart in ``mode``.  The restore images every partition
+    afresh, so the digests leave the checkpoint slots out."""
     from repro.db.integrity import verify_integrity
+    from repro.recovery.media import restore_after_checkpoint_media_failure
     from repro.recovery.oracle import committed_digests, logical_digest
 
+    slots = not media
     with chaos(engine):
         try:
             run()
         except SimulatedCrash:
             pass
-        expected = committed_digests(databases)
+        expected = committed_digests(databases, slots=slots)
         if power_fail is not None:
             power_fail()
         for db in databases:
             if not db.crashed:
                 db.crash()
-        attempts = restart_until_recovered(databases, mode)
+        if media:
+            (db,) = databases
+            db.checkpoint_disk.disk.destroy()
+            try:
+                restore_after_checkpoint_media_failure(db)
+                attempts = 1
+            except SimulatedCrash:
+                db.crash()
+                attempts = 1 + restart_until_recovered(databases, mode)
+        else:
+            attempts = restart_until_recovered(databases, mode)
     for number, (db, digest) in enumerate(zip(databases, expected)):
-        actual = logical_digest(db)
+        actual = logical_digest(db, slots=slots)
         if actual != digest:
             raise RecoveryError(
                 f"database {number} recovered to digest {actual[:16]}…, "
@@ -422,56 +421,3 @@ def crash_restart_verify(
         if problems:
             raise RecoveryError(f"database {number} recovered inconsistent: {problems}")
     return attempts
-
-
-class ChaosHarness:
-    """Replays a workload crashing at every registered point.
-
-    ``scenario_factory`` builds a fresh scenario and returns
-    ``(db, run_workload)`` — a loaded :class:`~repro.db.database.Database`
-    plus a zero-argument callable that runs the workload.  The factory is
-    invoked once per (point, mode) pair so replays are independent.
-    """
-
-    def __init__(
-        self,
-        scenario_factory: Callable[[], tuple[object, Callable[[], None]]],
-    ):
-        self._factory = scenario_factory
-
-    def run_point(self, point: str, mode: str = "on-demand") -> CrashPointRun:
-        """Crash one replay at ``point``, restart in ``mode`` (a
-        :class:`~repro.recovery.restart.RecoveryMode` value; anything else
-        is a ``ValueError``), verify."""
-        from repro.db.database import RecoveryMode
-
-        recovery_mode = RecoveryMode(mode)
-        db, run_workload = self._factory()
-        engine = ChaosEngine(ChaosPlan.crash_at(0, point))
-        attempts = crash_restart_verify([db], run_workload, engine, recovery_mode)
-        return CrashPointRun(
-            point=point,
-            mode=mode,
-            fired=bool(engine.fired),
-            nested_crashes=attempts - 1,
-            commits=db.slb.commits,
-            hits=engine.hits(),
-        )
-
-    def sweep(
-        self,
-        modes: tuple[str, ...] | None = None,
-        points: list[str] | None = None,
-    ) -> list[CrashPointRun]:
-        """Run every (point, mode) combination — every recovery mode
-        unless ``modes`` narrows it; verification failures raise, so a
-        returned list means the whole sweep passed."""
-        from repro.db.database import RecoveryMode
-
-        if modes is None:
-            modes = tuple(mode.value for mode in RecoveryMode)
-        results = []
-        for point in points if points is not None else sorted(_REGISTRY):
-            for mode in modes:
-                results.append(self.run_point(point, mode))
-        return results

@@ -1,11 +1,12 @@
 """The torture harness: seeded randomized chaos rounds.
 
-The chaos *sweep* proves exact recovery for every crash point on one
-scripted workload.  This module attacks the claim with interleavings the
-sweep does not reach.  Each **round** runs interleaved debit/credit
-scripts under a randomly generated :class:`~repro.sim.chaos.ChaosPlan`
-(a crash rule, or transient I/O faults into the duplex retry loops),
-then crashes, restarts, and checks the recovered state.  A ``mixed``
+The chaos sweep (``tests/test_chaos_sweep.py``) proves exact recovery
+for every crash point on one scripted workload.  This module attacks the
+claim with interleavings the sweep does not reach.  Each **round** runs
+interleaved debit/credit scripts under a randomly generated
+:class:`~repro.sim.chaos.ChaosPlan` (a crash rule, or transient I/O
+faults into the duplex retry loops), then crashes, restarts, and checks
+the recovered state.  A ``mixed``
 round runs :class:`~repro.workloads.generator.MixedWorkload` instead, on
 a T-tree primary key: updates, inserts, deletes and lookups, with every
 :data:`MIXED_ABORT_EVERY`-th transaction inserting rows and then
@@ -28,9 +29,9 @@ Verification is layered:
   memory with every uncommitted transaction's UNDO applied is what every
   database of the round must recover to, byte for byte, mid-pool or not,
   with :func:`~repro.db.integrity.verify_integrity` finding nothing.
-  :func:`~repro.sim.chaos.crash_restart_verify` runs it, as for the sweep.
-  A media restore images every partition afresh, so a media round
-  compares the digest without checkpoint slots.
+  :func:`~repro.sim.chaos.crash_restart_verify` runs it, as for the sweep;
+  a media round passes ``media=True``, and since the restore images every
+  partition afresh, compares the digest without checkpoint slots.
 * **Bank invariants** — after any recovery, committed debit/credit
   transactions must be atomic across all four relations: with ``C``
   history rows, accounts total ``1000·N + 10·C`` and tellers and
@@ -39,7 +40,8 @@ Verification is layered:
   checks instead that no row an aborted transaction inserted survived.
 * **Recovery stability** — recovering, crashing again with no new work,
   and recovering again must reproduce the identical digest (recovery is
-  a fixed point).
+  a fixed point): :func:`~repro.sim.chaos.crash_restart_verify` again,
+  with nothing to run and nothing injected.
 * **Log order** — after each recovery, every partition's REDO stream
   holds its transactions in commit order
   (:func:`~repro.recovery.oracle.log_order_violations`), which no digest
@@ -76,21 +78,16 @@ from typing import TYPE_CHECKING, Callable
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError, StableMemoryFullError
 from repro.db.database import Database, RecoveryMode
-from repro.common.errors import RecoveryError
-from repro.recovery.media import restore_after_checkpoint_media_failure
-from repro.recovery.oracle import committed_digests, log_order_violations, logical_digest
+from repro.recovery.oracle import log_order_violations, logical_digest
 from repro.recovery.oracle import serialization_violations
 from repro.sim.chaos import (
     ChaosEngine,
     ChaosPlan,
     ChaosRule,
-    chaos,
     crash_restart_verify,
     registered_crash_points,
-    restart_until_recovered,
 )
 from repro.sim.clock import host_now
-from repro.sim.faults import SimulatedCrash
 from repro.txn.scheduler import Scheduler
 from repro.workloads.debit_credit import DebitCreditWorkload
 from repro.workloads.generator import MixedWorkload, OperationMix
@@ -353,49 +350,6 @@ def _run_mixed(workload: MixedWorkload) -> None:
             pass
 
 
-def media_restore_verify(
-    db: Database, run: Callable[[], object], engine: ChaosEngine, mode: RecoveryMode
-) -> tuple[int, dict[str, int]]:
-    """:func:`~repro.sim.chaos.crash_restart_verify` across a media failure.
-
-    Run ``run`` under ``engine`` until it returns or crashes, read what
-    the database must recover to, power-fail, destroy the checkpoint disk
-    and restore from the log history.  A crash inside the restore is
-    followed by an ordinary restart in ``mode``, whose partitions take
-    the ``history`` source.  The restore images every partition afresh, so
-    the digest is compared without checkpoint slots; then
-    :func:`~repro.db.integrity.verify_integrity` must find nothing.
-    Returns the restore and restart attempts (1: no crash in them) and
-    the passages ``engine`` counted before the restore."""
-    from repro.db.integrity import verify_integrity
-
-    with chaos(engine):
-        try:
-            run()
-        except SimulatedCrash:
-            pass
-        (expected,) = committed_digests([db], slots=False)
-        before = engine.hits()
-        db.crash()
-        db.checkpoint_disk.disk.destroy()
-        try:
-            restore_after_checkpoint_media_failure(db)
-            attempts = 1
-        except SimulatedCrash:
-            db.crash()
-            attempts = 1 + restart_until_recovered([db], mode)
-    actual = logical_digest(db, slots=False)
-    if actual != expected:
-        raise RecoveryError(
-            f"media restore recovered to digest {actual[:16]}…, not the committed "
-            f"state's {expected[:16]}… ({engine.plan.describe()})"
-        )
-    problems = verify_integrity(db)
-    if problems:
-        raise RecoveryError(f"media restore left the database inconsistent: {problems}")
-    return attempts, before
-
-
 class TortureHarness:
     """Runs and verifies seeded chaos rounds."""
 
@@ -453,7 +407,7 @@ class TortureHarness:
             except AssertionError as exc:
                 raise TortureFailure(str(exc)) from exc
         digests = [logical_digest(db) for db in dbs]
-        self._check_recovery_stability(dbs, recovery_mode, digests)
+        self._check_recovery_stability(dbs, recovery_mode)
         self._check_fault_accounting(dbs, injector)
         if spec.shards > 1:
             # The SLB's commit tally is stable: it survives the crash.
@@ -499,13 +453,14 @@ class TortureHarness:
         """Build and load the round's databases, queue its scripts (a
         single node's accounts drawn from ``pool_seed``), then run them
         under ``injector`` through one power failure, restart, exact check
-        and log-order check (in-doubt 2PC branches resolve against the
-        stable decision tables during each node's restart).  A mixed
-        round runs its transactions in order instead of a script pool; a
-        media round restores from the log history instead of restarting
-        (:func:`media_restore_verify`), and its fourth element is the
-        passages ``injector`` counted before the restore (``None`` for
-        any other round); the fifth, an overload round's :func:`_overload`."""
+        and log-order check (:func:`~repro.sim.chaos.crash_restart_verify`;
+        in-doubt 2PC branches resolve against the stable decision tables
+        during each node's restart).  A mixed round runs its transactions
+        in order instead of a script pool; a media round restores from the
+        log history instead of restarting, and its fourth element is the
+        passages ``injector`` counted before the restore, once the pool
+        returned (``None`` for any other round); the fifth, an overload
+        round's :func:`_overload`."""
         config = SystemConfig(**ROUND_CONFIG)
         power_fail: Callable[[], None] | None = None
         overload: Counter = Counter()
@@ -521,19 +476,14 @@ class TortureHarness:
                 primary_index="ttree",
             )
             workload.load()
-            histories = (_record_history(dbs[0]),)
-            attempts = crash_restart_verify(
-                dbs, lambda: _run_mixed(workload), injector, recovery_mode
-            )
-            self._check_commit_order(dbs, histories)
-            return workload, dbs, attempts, None, overload
-        if spec.shards > 1:
+            pool: Callable[[], object] = lambda: _run_mixed(workload)
+        elif spec.shards > 1:
             workload = _build_cluster(spec, config)
             workload.load()
             dbs = workload.cluster.nodes
             scheduler = Scheduler(workload.cluster, max_attempts=500)
             workload.submit(scheduler, POOL_SCRIPTS)
-            power_fail = workload.cluster.crash
+            pool, power_fail = scheduler.run, workload.cluster.crash
         else:
             dbs = [Database(config)]
             workload = DebitCreditWorkload(
@@ -551,16 +501,19 @@ class TortureHarness:
                 scheduler.submit(
                     workload.script(aid, workload.next_history_id()), name=f"torture-{i}"
                 )
+            pool = scheduler.run
+        before: dict[str, int] = {}
+
+        def run() -> None:
+            pool()
+            before.update(injector.hits())
+
         histories = tuple(_record_history(db) for db in dbs)
-        before = None
-        if spec.media:
-            attempts, before = media_restore_verify(dbs[0], scheduler.run, injector, recovery_mode)
-        else:
-            attempts = crash_restart_verify(
-                dbs, scheduler.run, injector, recovery_mode, power_fail=power_fail
-            )
+        attempts = crash_restart_verify(
+            dbs, run, injector, recovery_mode, power_fail=power_fail, media=spec.media
+        )
         self._check_commit_order(dbs, histories)
-        return workload, dbs, attempts, before, overload
+        return workload, dbs, attempts, before if spec.media else None, overload
 
     # -- checks ---------------------------------------------------------------
 
@@ -592,26 +545,11 @@ class TortureHarness:
         if problems:
             raise TortureFailure(f"conflicts out of commit order: {'; '.join(problems)}")
 
-    def _check_recovery_stability(
-        self, dbs: list[Database], mode: RecoveryMode, digests: list[str]
-    ) -> None:
+    def _check_recovery_stability(self, dbs: list[Database], mode: RecoveryMode) -> None:
         """Recovery must be a fixed point on every database of the round:
-        crash again with no new work, recover, and land on byte-identical
-        digests and logs still in commit order."""
-        for db in dbs:
-            db.crash()
-        restart_until_recovered(dbs, mode)
-        again = [logical_digest(db) for db in dbs]
-        if again != digests:
-            changed = [
-                f"{i}: {b[:16]}… != first {a[:16]}…"
-                for i, (a, b) in enumerate(zip(digests, again))
-                if a != b
-            ]
-            raise TortureFailure(
-                f"recovery is not stable: second recovery digest of database "
-                f"{'; '.join(changed)}"
-            )
+        crash again with no new work, recover, and land on the digests the
+        first recovery left, with logs still in commit order."""
+        crash_restart_verify(dbs, lambda: None, ChaosEngine(ChaosPlan(0)), mode)
         self._check_commit_order(dbs)
 
     def _check_fault_accounting(

@@ -101,7 +101,7 @@ class TestDispatch:
             with pytest.raises(SimulatedCrash, match=r"seed=3"):
                 crash_point(POINT)
         assert engine.crashes_fired == 1
-        (fire,) = engine.fires()
+        (fire,) = engine.fired
         assert (fire.point, fire.action, fire.visit) == (POINT, CRASH, 3)
 
     def test_crash_latches_after_max_fires(self):
@@ -121,7 +121,7 @@ class TestDispatch:
         with chaos(engine):
             for _ in range(50):
                 crash_point(POINT)
-        assert engine.fires() == []
+        assert engine.fired == []
 
     def test_same_seed_same_fire_schedule(self):
         def schedule(seed):
@@ -131,7 +131,7 @@ class TestDispatch:
                 for _ in range(60):
                     with contextlib.suppress(SimulatedCrash):
                         crash_point(POINT)
-            return [fire.visit for fire in engine.fires()]
+            return [fire.visit for fire in engine.fired]
 
         first = schedule(99)
         assert first  # p=0.5 over 60 visits fires essentially surely
@@ -154,7 +154,7 @@ class TestDispatch:
             with pytest.raises(SimulatedCrash):
                 crash_point(POINT)
         assert engine.hits() == {FAULT_POINT: 2, POINT: 1}
-        assert [fire.point for fire in engine.fires()] == [POINT]
+        assert [fire.point for fire in engine.fired] == [POINT]
 
 
 class TestAtomicPublication:

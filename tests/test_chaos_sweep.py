@@ -1,17 +1,23 @@
 """The chaos sweep: crash at every registered point, recover, verify.
 
 This is the tentpole robustness check — the paper's central claim is that
-recovery is exact no matter when the system dies, so the harness replays
-a debit/credit workload once per (crash point, recovery mode) pair,
-crashes at the armed point, restarts (retrying when the crash lands
-inside restart itself), and asserts the recovered state is byte-identical
-to the state committed at the crash (a verification failure raises).
+recovery is exact no matter when the system dies, so the sweep replays
+a debit/credit workload once per (crash point, recovery mode) pair
+through :func:`~repro.sim.chaos.crash_restart_verify`: it crashes at the
+armed point, restarts (retrying when the crash lands inside restart
+itself), and raises unless the recovered state is byte-identical to the
+state committed at the crash.
 """
 
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.sim.chaos import ChaosHarness, registered_crash_points
+from repro.sim.chaos import (
+    ChaosEngine,
+    ChaosPlan,
+    crash_restart_verify,
+    registered_crash_points,
+)
 from repro.workloads.debit_credit import DebitCreditWorkload
 
 #: Points that must fire somewhere in workload + restart for the sweep to
@@ -25,7 +31,6 @@ RESTART_POINTS = {
     "restart.phase1.catalog-recovered",
     "restart.phase2.partition-recovered",
 }
-
 
 
 def sweep_config():
@@ -53,9 +58,12 @@ def make_scenario():
     return db, lambda: workload.run(80)
 
 
-@pytest.fixture(scope="module")
-def harness():
-    return ChaosHarness(make_scenario)
+def crash_at(point, mode="on-demand"):
+    """Crash a fresh replay at ``point``, recover in ``mode``, verify:
+    the database, the engine and the restart attempts."""
+    db, run = make_scenario()
+    engine = ChaosEngine(ChaosPlan.crash_at(0, point))
+    return db, engine, crash_restart_verify([db], run, engine, RecoveryMode(mode))
 
 
 def test_registry_has_enough_points():
@@ -77,35 +85,28 @@ def test_scenario_reaches_every_subsystem():
 
 
 @pytest.mark.parametrize("mode", ["on-demand", "eager"])
-def test_sweep_all_points(harness, mode):
-    results = harness.sweep(modes=(mode,))
-    fired = {run.point for run in results if run.fired}
+def test_sweep_all_points(mode):
+    fired = set()
+    for point in sorted(registered_crash_points()):
+        _, engine, attempts = crash_at(point, mode)
+        if engine.fired:
+            fired.add(point)
+            # Crash-during-recovery: restart-path points can only fire
+            # during the recovery that follows the unconditional crash,
+            # and each such crash must itself be recovered from.
+            if point in RESTART_POINTS:
+                assert attempts >= 2, point
     assert len(fired) >= MIN_FIRED_POINTS, (
         f"only {len(fired)} points fired in {mode} mode: {sorted(fired)}"
     )
-    # Crash-during-recovery: restart-path points can only fire during the
-    # recovery that follows the unconditional crash, and each such crash
-    # must itself be recovered from.
-    for run in results:
-        if run.point in RESTART_POINTS and run.fired:
-            assert run.nested_crashes >= 1, run.point
-    assert {run.point for run in results if run.point in RESTART_POINTS and run.fired}
+    assert fired & RESTART_POINTS
 
 
-def test_commit_boundary_points_split_exactly(harness):
+def test_commit_boundary_points_split_exactly():
     """Crashing before the SLB list move loses the in-flight transaction;
     crashing after it keeps the transaction.  Both recover exactly."""
-    before = harness.run_point("txn.commit.before-slb")
-    after = harness.run_point("txn.commit.after-slb")
+    before_db, before, _ = crash_at("txn.commit.before-slb")
+    after_db, after, _ = crash_at("txn.commit.after-slb")
     assert before.fired and after.fired
     # the after-slb replay has durably committed one more transaction
-    assert after.commits == before.commits + 1
-
-
-def test_recovery_mode_is_resolved_not_guessed(harness):
-    """A mode is a ``RecoveryMode`` value: a typo is refused instead of
-    quietly sweeping on-demand, and the default sweep is every mode."""
-    with pytest.raises(ValueError, match="egaer"):
-        harness.run_point("txn.commit.before-slb", "egaer")
-    runs = harness.sweep(points=["txn.commit.before-slb"])
-    assert sorted(run.mode for run in runs) == sorted(m.value for m in RecoveryMode)
+    assert after_db.slb.commits == before_db.slb.commits + 1

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.common.types import PartitionAddress
 from repro.db import events as events_module
 from repro.db.backlog import backlog, main
 from repro.shard import ShardedDatabase
@@ -101,6 +102,7 @@ class TestCheckpointEvents:
         assert window[-1]["event"] == "checkpoint.acknowledged"
         assert window[-1]["queue_depth"] == 0
         assert "log.page-written" in printed
+        assert "last restart" not in printed  # the file holds none
 
     def test_a_backlog_shows_each_log_page_the_recovery_cpu_wrote(self):
         """Between the request and its acknowledgement each page the
@@ -154,6 +156,28 @@ class TestRestartEvents:
         db.crash()
         db.restart(RecoveryMode.EAGER)
         assert [e["event"] for e in db.events][-1] == "restart.recovered"
+
+    def test_the_command_names_a_partition_rebuilt_from_history(self, tmp_path, capsys):
+        """The backlog command ends with the last restart: an eager one
+        that met a torn image rebuilt that partition from the log history,
+        and the command names it there with its pages and records."""
+        db, rel, addrs = bank()
+        run_updates(db, rel, addrs, 120)
+        descriptor = db.catalog.relation("acct")
+        [(number, info)] = descriptor.partitions.items()
+        db.crash()
+        db.checkpoint_disk.disk.corrupt_block(info.checkpoint_slot, "torn")
+        db.restart(RecoveryMode.EAGER)
+        [record] = [e for e in db.stats()["restart"]["partitions"] if e["source"] == "history"]
+        assert record["address"] == str(PartitionAddress(descriptor.segment_id, number))
+        db.events.write_jsonl(tmp_path / "events.jsonl")
+        assert main([str(tmp_path / "events.jsonl")]) == 0
+        last = capsys.readouterr().out.split("last restart ")[1]
+        assert last.startswith("(eager): ") and "simulated ms to recovered" in last
+        assert (
+            f"  from history: {record['address']} ({record['pages_read']} pages, "
+            f"{record['records_applied']} records)\n"
+        ) in last
 
 
 def test_the_ring_never_exceeds_its_bound(monkeypatch):

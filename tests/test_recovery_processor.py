@@ -50,6 +50,29 @@ class TestSortingStep:
         data_bins = [b for b in db.slt.bins() if b.partition.segment == seg]
         assert sum(b.update_count for b in data_bins) >= 10
 
+    def test_one_step_drains_and_nothing_in_it_commits(self, monkeypatch):
+        """``run_until_drained`` makes one step: the drain takes the whole
+        committed list, and a step that flushes pages, writes an archive
+        page and requests checkpoints commits nothing to the SLB."""
+        db, rel, addrs = small_db()
+        for value in range(6):  # three pumped, so checkpoints finish; three not
+            with db.transaction(pump=value < 3) as txn:
+                for i in range(30):
+                    rel.update(txn, addrs[i], {"v": value})
+        processor = db.recovery_processor
+        counters = ("pages_flushed", "archive_pages_written", "checkpoints_requested")
+        before = [getattr(processor, name) for name in counters]
+        commits = []
+        monkeypatch.setattr(db.slb, "commit", lambda *args: commits.append(args))
+        steps = []
+        step = processor.step
+        monkeypatch.setattr(processor, "step", lambda: steps.append(1) or step())
+        assert processor.run_until_drained() > 0
+        after = [getattr(processor, name) for name in counters]
+        assert all(now > then for now, then in zip(after, before)), (before, after)
+        assert commits == [] and len(steps) == 1
+        assert db.slb.committed_chain_count == 0
+
 
 def thirty_committed_updates():
     """30 committed single-field updates of the small relation, not yet

@@ -358,6 +358,33 @@ class TestFailureReporting:
         assert "reproduce with" in message
 
 
+class TestRecoveryStability:
+    def test_a_second_recovery_that_differs_fails_the_round(self, monkeypatch):
+        """The stability check crashes the recovered round again with no
+        new work: a restart whose second run per database drops one
+        committed history row fails the round, though the first
+        recovery was exact."""
+        restart = Database.restart
+        runs: dict[int, int] = {}
+
+        def forgetful(db, mode=RecoveryMode.ON_DEMAND):
+            coordinator = restart(db, mode)
+            runs[id(db)] = runs.get(id(db), 0) + 1
+            if runs[id(db)] == 2:
+                coordinator.recover_everything()
+                history = db.table("history")
+                with db.transaction() as txn:
+                    history.delete(txn, next(history.scan(txn)).address)
+            return coordinator
+
+        monkeypatch.setattr(Database, "restart", forgetful)
+        with pytest.raises(TortureFailure) as excinfo:
+            TortureHarness().run_round(RoundSpec(3, "fault"))
+        assert list(runs.values()) == [2]
+        message = str(excinfo.value)
+        assert "recovered to digest" in message and "--seed 3" in message
+
+
 def swap_the_next_two_drained_chains(monkeypatch) -> None:
     """Make the recovery CPU deposit the first two committed chains it
     drains in the wrong order."""

@@ -38,16 +38,16 @@ SCALE = 0.2
 #: Calls per transaction in ``repro``'s own code no workload may exceed
 #: (``--check``, at ``SCALE``; :data:`RESTART_CEILINGS` per restart).  They leave out ``other``, whose count moves
 #: with the standard library's patch release.  Measured on CPython 3.11.7
-#: at 311.40, 83.19, 602.66, 109.51 and 471.22; each ceiling leaves about
+#: at 309.40, 83.19, 600.76, 107.51 and 469.22; each ceiling leaves about
 #: 1 % for a change that has to add a call.  The totals, ``other``
-#: included, were 318.56 on ``debit_credit`` (the forward path's target is
-#: 430), 86.12 on ``point_read`` and 623.20 on ``mixed_churn`` (target 700).
+#: included, were 316.56 on ``debit_credit`` (the forward path's target is
+#: 430), 86.12 on ``point_read`` and 621.30 on ``mixed_churn`` (target 700).
 CEILINGS = {
-    "debit_credit": 315.0,
+    "debit_credit": 312.5,
     "point_read": 84.0,
-    "mixed_churn": 609.0,
-    "crash_restart": 111.0,
-    "scripted_command": 476.0,
+    "mixed_churn": 607.0,
+    "crash_restart": 108.6,
+    "scripted_command": 474.0,
 }
 
 #: The same for the crash epilogue's calls in ``repro``'s own code, per
