@@ -124,23 +124,23 @@ def log_order_violations(db: "Database") -> list[str]:
     * (a) each transaction's records form one run;
     * (b) runs of transactions the audit trail saw commit follow the
       order of their ``commit`` entries;
-    * (c) no two partitions order a pair of transactions oppositely.
+    * (c) no two partitions order a pair of transactions oppositely;
+    * (d) no id begins twice in the audit trail: the SLB keeps the id
+      sequence across a crash, so an id names one transaction.
 
-    Transaction ids restart at 1 after each restart, so only an id the
-    trail saw begin exactly once names one transaction; the others are
-    skipped.  (b) also skips a transaction with no ``commit`` entry: one
-    the crash caught between its SLB commit and its audit entry, or an
-    in-doubt branch restart committed.  An empty list means none found.
+    (b) skips a transaction with no ``commit`` entry: one the crash
+    caught between its SLB commit and its audit entry, or an in-doubt
+    branch restart committed.  An empty list means none found.
     """
     trail = db.audit.trail()
     begun = Counter(entry.txn_id for entry in trail if entry.event == "begin")
     commit_at = {entry.txn_id: at for at, entry in enumerate(trail) if entry.event == "commit"}
-    problems = []
+    problems = [f"txn {txn} began {count} times" for txn, count in begun.items() if count > 1]
     ranks = {}
     for bin_ in db.slt.bins():
         pages, _ = partition_record_stream(bin_, db.log_disk)
         ids = [txn for page in pages for txn in txn_ids(page.body)]
-        runs = [txn for txn, _ in groupby(ids) if begun[txn] == 1]
+        runs = [txn for txn, _ in groupby(ids)]
         where = bin_.partition
         problems += [
             f"{where}: txn {txn}'s records are split into {count} runs"
@@ -171,12 +171,12 @@ _WRITES = frozenset({LockMode.INTENT_EXCLUSIVE, LockMode.EXCLUSIVE})
 def serialization_violations(grants, commits) -> list[str]:
     """Where a conflict between committed transactions runs against commit order.
 
-    ``grants`` is one incarnation's lock grants in order, ``(txn id, resource,
+    ``grants`` is a database's lock grants in order, ``(txn id, resource,
     mode)``, and ``commits`` its ids in commit order.  A grant (as the join of
     its transaction's modes there) incompatible with an earlier one is a wr, ww
     or rw edge; strict 2PL held the earlier lock to its commit, so every edge
     between committed transactions follows commit order, and the graph is
-    acyclic.  Ids restart at 1 after a restart: check each incarnation alone."""
+    acyclic."""
     rank = {txn: at for at, txn in enumerate(commits)}
     granted: dict = {}  # resource -> mode -> committed txns granted it, in order
     held: dict = {}

@@ -4,7 +4,7 @@
 up":
 
 1. Discard uncommitted SLB chains and settle prepared (in-doubt) ones
-   (:func:`resolve_in_doubt`); start a fresh transaction manager.
+   (:func:`resolve_in_doubt`); the transaction manager stays (ids are the SLB's).
 2. Revert in-progress checkpoint requests (their transactions died).
 3. Drain the SLB's committed records into the Stable Log Tail — they were
    durable at commit, the sorting step just had not caught up — and
@@ -52,7 +52,6 @@ from repro.recovery.redo import (
     rebuild_partition_resilient,
 )
 from repro.recovery.replay_plan import plan_replay, replay_live_commands
-from repro.txn.manager import TransactionManager
 from repro.wal.records import TxnCommand, TxnPrepare
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -157,7 +156,6 @@ def restart(
     db.events.emit("restart.begin", mode=mode.value, images_lost=images_lost)
     db.slb.discard_uncommitted()
     resolve_in_doubt(db)
-    db.transactions = TransactionManager(db)
     coordinator = RestartCoordinator(db)
     coordinator.restore_system_state(images_lost)
     db.restart_coordinator = coordinator

@@ -278,26 +278,26 @@ def _build_cluster(spec: RoundSpec, config: SystemConfig) -> ShardedBankWorkload
     return ShardedBankWorkload(cluster, accounts_per_shard=16, cross_ratio=0.25, seed=spec.seed)
 
 
-def _record_history(db: Database) -> dict:
+def _record_history(db: Database) -> tuple[list, list]:
     """Wrap the instance's ``locks.acquire`` and ``slb.commit`` (every mode's
-    commit point, before the locks release): per transaction manager, which
-    restart replaces after it commits in-doubt branches, the granted ``(txn
-    id, resource, mode)`` and the committed ids, in order."""
-    history: dict = {}
+    commit point, before the locks release): the granted ``(txn id,
+    resource, mode)`` and the committed ids, in order."""
+    grants: list = []
+    commits: list = []
     acquire, commit = db.locks.acquire, db.slb.commit
 
     def recorded_acquire(txn_id, resource, mode) -> bool:
         granted = acquire(txn_id, resource, mode)
         if granted:
-            history.setdefault(db.transactions, ([], []))[0].append((txn_id, resource, mode))
+            grants.append((txn_id, resource, mode))
         return granted
 
     def recorded_commit(txn_id, *args) -> None:
         commit(txn_id, *args)
-        history.setdefault(db.transactions, ([], []))[1].append(txn_id)
+        commits.append(txn_id)
 
     db.locks.acquire, db.slb.commit = recorded_acquire, recorded_commit  # type: ignore
-    return history
+    return grants, commits
 
 
 def _overload(db: Database) -> Counter:
@@ -528,7 +528,7 @@ class TortureHarness:
         with db.transaction() as txn:
             return sum(1 for _ in db.table("history").scan(txn))
 
-    def _check_commit_order(self, dbs: list[Database], histories: tuple[dict, ...] = ()) -> None:
+    def _check_commit_order(self, dbs: list[Database], histories: tuple = ()) -> None:
         problems = [
             f"database {number}: {problem}"
             for number, db in enumerate(dbs)
@@ -538,8 +538,7 @@ class TortureHarness:
             raise TortureFailure(f"log order broken: {'; '.join(problems)}")
         problems = [
             f"database {number}: {problem}"
-            for number, history in enumerate(histories)
-            for grants, commits in history.values()
+            for number, (grants, commits) in enumerate(histories)
             for problem in serialization_violations(grants, commits)
         ]
         if problems:

@@ -85,15 +85,12 @@ class TransactionScope:
 
 
 class TransactionManager:
-    """Creates transactions and tracks the active set.
-
-    Endings are counted where they become stable, by the SLB
-    (``Database.stats()``), not here: restart replaces the manager.
-    """
+    """Creates transactions and tracks the active set: one per database for
+    its whole life.  Ids and endings are kept where they are stable, by the
+    SLB (``Database.stats()``); a crash empties only the active set."""
 
     def __init__(self, db: "Database"):
         self.db = db
-        self._next_id = 1
         self._active: dict[int, Transaction] = {}
 
     def begin(
@@ -103,8 +100,8 @@ class TransactionManager:
         command: tuple[str, str, bytes] | None = None,
         declared_relations: tuple[str, ...] = (),
     ) -> Transaction:
-        txn_id = self._next_id
-        self._next_id += 1
+        txn_id = self.db.slb.next_txn_id
+        self.db.slb.next_txn_id = txn_id + 1
         txn = Transaction(
             self.db,
             txn_id,

@@ -292,7 +292,7 @@ class Transaction:
 
     def _record_end(self, event: str) -> None:
         self.db.audit.record(self.txn_id, event, self.db.clock.now)
-        # looked up at call time (restart replaces the manager); no frame of its own
+        # the manager's dict directly: no frame of its own
         self.db.transactions._active.pop(self.txn_id, None)
 
     def commit(self) -> None:

@@ -101,6 +101,7 @@ class StableLogBuffer:
         self.bytes_written = 0
         self.aborts = 0
         self.prepares = 0
+        self.next_txn_id = 1  # stable: after a restart no id names two transactions
         #: Per-logging-mode commit counts and stable log bytes, keyed by
         #: the mode a transaction committed under ("value", "command");
         #: the commit tally is their sum (:attr:`commits`).

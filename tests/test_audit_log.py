@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
 from repro.common import LogError
 from repro.common.config import DiskParameters
 from repro.sim import DuplexedDisk, SimulatedDisk, StableMemory, VirtualClock
@@ -195,6 +195,18 @@ class TestDatabaseAuditIntegration:
             rel.insert(txn, {"id": 1})
             txn_id = txn.txn_id
         events = [e.event for e in db.audit.entries_for(txn_id)]
+        assert events == ["begin", "commit"]
+
+    def test_an_id_names_one_transaction_across_a_restart(self):
+        db = Database()
+        rel = db.create_relation("t", [("id", "int")], primary_key="id")
+        with db.transaction() as txn:
+            rel.insert(txn, {"id": 1})
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        with db.transaction() as txn:
+            db.table("t").lookup(txn, 1)
+        events = [e.event for e in db.audit.entries_for(txn.txn_id)]
         assert events == ["begin", "commit"]
 
     def test_abort_audited(self):

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_tool(hash_seed: str) -> list[dict]:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-m", "tools.callcount", "--scale", "0.02", "--json"],
+        [sys.executable, "-m", "tools.callcount", "--scale", "0.02", "--json", "--by", "function"],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -30,13 +30,29 @@ def run_tool(hash_seed: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
-def test_two_runs_give_identical_counts():
-    first = run_tool("0")
+@pytest.fixture(scope="module")
+def first() -> list[dict]:
+    return run_tool("0")
+
+
+def test_two_runs_give_identical_counts(first):
     assert [result["workload"] for result in first] == list(callcount.CEILINGS)
     for result in first:
         assert result["transactions"] > 0 and result["per_txn"]["total"] > 0
         assert result["per_restart"]["total"] > 0
     assert run_tool("1") == first
+
+
+def test_function_counts_sum_to_the_package_counts(first):
+    for result in first:
+        per_txn, units = result["per_txn"], result["transactions"]
+        packages: dict = {}
+        for package, _, calls in result["functions"]:
+            packages[package] = packages.get(package, 0) + calls
+        assert {name: round(calls / units, 2) for name, calls in packages.items()} == {
+            name: share for name, share in per_txn.items() if name not in ("total", "repro")
+        }
+        assert round(sum(packages.values()) / units, 2) == per_txn["total"]
 
 
 def test_every_workload_has_a_ceiling():

@@ -4,7 +4,7 @@ deterministic interleaving ("guaranteed lock conflict")."""
 
 import pytest
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
 from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
 from repro.sim.faults import SimulatedCrash
 from repro.txn.scheduler import Scheduler, SchedulerError
@@ -283,3 +283,31 @@ class TestCrashIsNotAnAbort:
         with db.transaction() as check:
             assert accounts.lookup(check, key) is None
             assert accounts.count(check) == key
+
+
+class TestQueuedAcrossACrash:
+    def test_a_script_queued_before_a_crash_runs_on_the_live_manager(self, bank):
+        """``submit`` binds ``db.transactions.begin``; restart keeps that
+        manager, so the script begins above every pre-crash id and is in
+        the active set a crash would roll back."""
+        db, accounts = bank
+        for src in range(3):
+            with db.transaction() as txn:
+                row = accounts.lookup(txn, src)
+                accounts.update(txn, row.address, {"balance": row["balance"] - 1})
+        before = {entry.txn_id for entry in db.audit.trail()}
+        seen = []
+
+        def script(txn):
+            seen.append((txn.txn_id, txn in db.transactions.active_transactions()))
+            yield
+
+        scheduler = Scheduler(db)
+        scheduler.submit(script)
+        db.crash()
+        db.restart(RecoveryMode.EAGER)
+        [result] = scheduler.run()
+        assert result.committed
+        [(txn_id, active)] = seen
+        assert txn_id > max(before)
+        assert active

@@ -20,6 +20,7 @@ from repro import Database, RecoveryMode, SystemConfig
 from repro.common.types import EntityAddress
 from repro.concurrency.locks import LockMode
 from repro.db.relation import Relation
+from repro.recovery import restart as restart_module
 from repro.recovery.oracle import (
     committed_digests,
     log_order_violations,
@@ -500,6 +501,21 @@ class TestSerializability:
         assert "conflicts out of commit order: database 1: txn 19 -> txn 16 (rw on" in str(
             excinfo.value
         )
+
+    def test_an_id_reused_across_a_restart_fails_the_round(self, monkeypatch):
+        """Restart starting the id sequence over: each REDO stream holds only
+        the records since its partition's last checkpoint, so only the audit
+        trail's second ``begin`` shows it."""
+        resolve = restart_module.resolve_in_doubt
+
+        def resetting(db):
+            resolve(db)
+            db.slb.next_txn_id = 1
+
+        monkeypatch.setattr(restart_module, "resolve_in_doubt", resetting)
+        with pytest.raises(TortureFailure) as excinfo:
+            TortureHarness().run_round(RoundSpec(100, "crash"))
+        assert "log order broken: database 0: txn 1 began 2 times" in str(excinfo.value)
 
 
 class TestInterruptIsNotAFailure:

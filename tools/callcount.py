@@ -8,7 +8,9 @@ and the epilogue run under :func:`sys.setprofile`, and the tool prints
 their Python function calls (``"call"`` profile events, generator
 resumptions included) per transaction and per restart, in total, in
 ``repro``'s own code, and by ``repro`` package (``other`` is the standard
-library and the workload's own code).  Set-up is not counted.
+library and the workload's own code).  Set-up is not counted.  ``--by
+function`` also prints the :data:`TOP_FUNCTIONS` functions that make the
+most calls per transaction, each with its package.
 
 A count has no noise: two runs of one tree give the same numbers, on any
 host with the same Python minor version.  It is a proxy for host time,
@@ -16,6 +18,7 @@ not a claim; ``benchmarks/host/run.py`` still measures the time.
 
     PYTHONPATH=src python -m tools.callcount              # all five
     PYTHONPATH=src python -m tools.callcount --check      # and the ceilings
+    PYTHONPATH=src python -m tools.callcount --by function
     PYTHONPATH=src python -m tools.callcount --scale 0.02 --json
 """
 
@@ -60,6 +63,9 @@ RESTART_CEILINGS = {
     "crash_restart": 1335,
     "scripted_command": 15450,
 }
+
+#: The functions ``--by function`` prints per workload.
+TOP_FUNCTIONS = 20
 
 
 def _workloads() -> dict:
@@ -106,10 +112,22 @@ class _Profile:
             packages[_package(code.co_filename)] += calls
         return packages
 
+    def by_function(self) -> list:
+        """``[package, "module.qualname", calls]``, most calls first."""
+        functions: Counter = Counter()
+        for code, calls in self.codes.items():
+            qualname = getattr(code, "co_qualname", code.co_name)  # 3.11 and later
+            name = f"{Path(code.co_filename).stem}.{qualname}"
+            functions[_package(code.co_filename), name] += calls
+        ranked = sorted(functions.items(), key=lambda item: (-item[1], item[0]))
+        return [[package, name, calls] for (package, name), calls in ranked]
+
 
 def count(name: str, *, scale: float = SCALE) -> dict:
-    """One workload's calls: ``{"transactions", "per_txn", "per_restart"}``,
-    each per-unit entry ``{"total", "repro", package: calls}``."""
+    """One workload's calls: ``{"transactions", "per_txn", "per_restart",
+    "functions"}``, each per-unit entry ``{"total", "repro", package:
+    calls}``; ``functions`` is :meth:`_Profile.by_function` over every
+    transaction, not per transaction."""
     from repro import Database, RecoveryMode
 
     workload = _workloads()[name](SEED, scale)
@@ -132,6 +150,7 @@ def count(name: str, *, scale: float = SCALE) -> dict:
         "transactions": len(operations),
         "per_txn": _per_unit(forward.by_package(), len(operations)),
         "per_restart": _per_unit(restart.by_package(), 1),
+        "functions": forward.by_function(),
     }
 
 
@@ -152,6 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", action="store_true", help="exit 1 when a workload exceeds its ceiling"
     )
+    parser.add_argument(
+        "--by", choices=("package", "function"), default="package",
+        help=f"function: also the top {TOP_FUNCTIONS} functions per transaction",
+    )
     args = parser.parse_args(argv)
     if args.check and args.scale != SCALE:
         parser.error(f"--check holds the ceilings recorded at --scale {SCALE}")
@@ -159,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in _workloads():
         result = count(name, scale=args.scale)
         per_txn = result["per_txn"]
+        if args.by == "package":
+            result.pop("functions", None)
         if args.json:
             print(json.dumps({"workload": name, **result}))
         else:
@@ -172,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
                 for package, calls in per_txn.items()
                 if package not in ("total", "repro")
             ))
+            for package, function, calls in result.get("functions", [])[:TOP_FUNCTIONS]:
+                print(f"  {calls / result['transactions']:8.2f}  {package:<12} {function}")
         per_restart = result["per_restart"]["repro"]
         if args.check and per_txn["repro"] > CEILINGS[name]:
             over.append(
