@@ -366,7 +366,12 @@ class Catalog:
         if name in self._relations or name in self._indexes:
             raise CatalogError(f"catalog already has an object named {name!r}")
         data = descriptor.encode()
-        partition = self._partition_with_room(len(data), sink)
+        needed = len(data) + ENTITY_HEADER_BYTES
+        partition = self.segment.place(
+            lambda p: p.free_bytes >= needed,
+            self._grow_own if sink is None else sink.grow_segment,
+            needed,
+        )
         offset = partition.insert(data)
         descriptor.entity = EntityAddress(
             partition.address.segment, partition.address.partition, offset
@@ -419,15 +424,10 @@ class Catalog:
         else:
             del self._indexes[descriptor.name]
 
-    def _partition_with_room(self, nbytes: int, sink: EntitySink | None) -> Partition:
-        needed = nbytes + ENTITY_HEADER_BYTES
-        fits = lambda p: p.free_bytes >= needed
-        partition = self.segment.first_fit(fits)
-        if partition is not None:
-            return partition
-        if sink is not None:
-            return sink.grow_segment(self.segment, fits)
-        partition = self.segment.allocate_partition()
+    def _grow_own(self, segment: Segment, fits: Callable[[Partition], bool]) -> Partition:
+        """A partition for a catalog with no database behind it (no
+        transaction to grow it): it has no checkpoint image yet."""
+        partition = segment.allocate_partition()
         self.own_partition_slots[partition.address.partition] = None
         return partition
 

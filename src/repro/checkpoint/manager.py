@@ -113,11 +113,12 @@ class CheckpointManager:
     def _attempt(self, request: CheckpointRequest | None) -> Iterator[Transaction]:
         """One attempt at a checkpoint procedure: step 2, then the body as
         a system transaction inside the transaction frame
-        (:meth:`TransactionManager.scope`).  A lock conflict or a partition
-        still awaiting recovery *defers* the attempt — swallowed here, the
-        caller finds the transaction ``ABORTED``; any other error
-        propagates.  Either way a rolled-back attempt returns its request
-        to the queue; a crash leaves it ``IN_PROGRESS`` for restart."""
+        (:meth:`TransactionManager.scope`).  A lock conflict, a partition
+        awaiting recovery or a refused log write *defers* the attempt —
+        swallowed here, the caller finds the transaction ``ABORTED``; any
+        other error propagates.  Either way a rolled-back attempt returns
+        its request to the queue; a crash leaves it ``IN_PROGRESS`` for
+        restart."""
         crash_point("checkpoint.begin")
         if request is not None:
             request.state = RequestState.IN_PROGRESS
@@ -193,6 +194,10 @@ class CheckpointManager:
             # nothing yet to re-derive), then log the catalog updates
             # before any image is written.
             slots = {address: self.claim_slot(txn) for address in addresses}
+            if catalog.segment.segment_id in covering:
+                # run by a rollback after it restores the installs below: an
+                # abort past the publish (a refused marker) republishes the old list
+                txn.on_rollback(db.publish_catalog_locations, stable=True)
             previous = catalog.install_images(slots, txn, settled, watermark)
             crash_point("checkpoint.slot-installed")
             # Step 6: write the images to their fresh slots.
@@ -215,14 +220,12 @@ class CheckpointManager:
                 # One marker per closure partition, through this
                 # transaction's own chain while the closure locks still
                 # exclude writers: its stream position is the image point.
+                # A marker refused even after a drain defers the sweep.
                 closure = {relation.segment_id for relation in settled}
                 for address, segment_id in zip(addresses, covering):
                     if segment_id in closure:
                         bin_index = db.slt.bin_index_of(address)
-                        db.append_log(
-                            txn.txn_id,
-                            SweepMarker.pack(txn.txn_id, bin_index, address, watermark),
-                        )
+                        txn._redo(SweepMarker.pack(txn.txn_id, bin_index, address, watermark))
                 crash_point("checkpoint.sweep.markers-appended")
             # commit releases any lock still held, after the commit point
         if txn.state is TxnState.ABORTED:

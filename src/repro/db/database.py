@@ -45,7 +45,6 @@ from repro.common.counters import Counters
 from repro.common.errors import (
     CatalogError,
     RecoveryError,
-    StableMemoryFullError,
     StorageError,
 )
 from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
@@ -200,24 +199,6 @@ class Database:
         self.checkpoints = CheckpointManager(self)
 
     # -- transaction plumbing (called by Transaction) ----------------------------------
-
-    def append_log(self, txn_id: int, data: bytes) -> None:
-        """Write one REDO record's bytes to the SLB, draining on
-        back-pressure.
-
-        Section 2.2: copying REDO records into the Stable Log Buffer is
-        the only logging work the main CPU does, and it pays the
-        stable-memory copy for it; everything downstream belongs to the
-        recovery CPU.  ``data`` is the record in full form, as its class's
-        ``pack`` made it at the change: from here to the disk it is bytes.
-        """
-        self.main_cpu.charge_stable_bytes(len(data), "slb-write")
-        try:
-            self.slb.append(txn_id, data)
-        except StableMemoryFullError:
-            # The main CPU stalls while the recovery CPU frees blocks.
-            self.engine.drain_log()
-            self.slb.append(txn_id, data)
 
     def grow_segment(
         self, segment: Segment, fits: Callable[[Partition], bool], txn: Transaction

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.catalog.catalog import RelationDescriptor
 from repro.catalog.schema import FIELD_WIDTH, NULL_HANDLE, FieldType
-from repro.common.errors import CatalogError, PartitionFullError, ReproError
+from repro.common.errors import CatalogError, ReproError
 from repro.common.types import EntityAddress, PartitionAddress
 from repro.concurrency.locks import LockMode
 from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
@@ -97,7 +97,15 @@ class Relation:
             else None
             for field in schema.fields
         ]
-        partition = self._partition_for(txn, strings, descriptor.segment_id, schema)
+        # room for the tuple and its heap strings
+        tuple_need = schema.tuple_width + ENTITY_HEADER_BYTES
+        heap_need = sum(len(encoded) + 8 for encoded in strings if encoded is not None)
+        partition = self.db.memory.segment(descriptor.segment_id).place(
+            lambda p: p.free_bytes >= tuple_need and p.heap.free_bytes >= heap_need,
+            txn.grow_segment,
+            tuple_need,
+            heap_need,
+        )
         paddr = partition.address
         cells = []
         for field, encoded in zip(schema.fields, strings):
@@ -321,29 +329,6 @@ class Relation:
         if partition is None:
             return self.db.ensure_partition(PartitionAddress(segment_id, number))
         return partition
-
-    def _partition_for(
-        self, txn: "Transaction", strings: list[bytes | None], segment_id: int, schema
-    ) -> Partition:
-        """Pick a resident partition with room for the tuple and its heap
-        strings (``None`` for a cell that takes none), or have the segment
-        grown by one partition."""
-        tuple_need = schema.tuple_width + ENTITY_HEADER_BYTES
-        heap_need = sum(len(encoded) + 8 for encoded in strings if encoded is not None)
-        segment = self.db.memory.segment(segment_id)
-        fits = lambda p: p.free_bytes >= tuple_need and p.heap.free_bytes >= heap_need
-        partition = segment.first_fit(fits)
-        if partition is not None:
-            return partition
-        # check fit BEFORE growing: an oversized row must not leave an
-        # empty partition behind
-        entity_capacity, heap_capacity = segment.fresh_partition_capacities()
-        if tuple_need > entity_capacity or heap_need > heap_capacity:
-            raise PartitionFullError(
-                f"tuple of {tuple_need}B + {heap_need}B strings exceeds a "
-                f"fresh partition ({entity_capacity}B + {heap_capacity}B)"
-            )
-        return txn.grow_segment(segment, fits)
 
     @staticmethod
     def _row(schema, partition: Partition, address: EntityAddress, cells: list[int]) -> Row:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, TypeVar
 
-from repro.common.errors import PartitionFullError
 from repro.common.types import EntityAddress
 from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
 from repro.storage.segment import Segment
@@ -92,12 +91,17 @@ class NodeStore:
 
     def allocate(self, data: bytes) -> EntityAddress:
         """Store a new component, growing the segment if necessary."""
-        partition = self._partition_with_room(len(data))
+        needed = len(data) + ENTITY_HEADER_BYTES
+        sink = self.sink
+        partition = self.segment.place(
+            lambda p: p.free_bytes - int(p.entity_capacity * GROWTH_RESERVE) >= needed,
+            None if sink is None else sink.grow_segment,
+            needed,
+        )
         offset = partition.insert(data)
         address = EntityAddress(
             partition.address.segment, partition.address.partition, offset
         )
-        sink = self.sink
         if sink is not None:
             sink.lock_component(address)  # as write() and free() do
             sink.index_node_written(address, None, data)
@@ -162,21 +166,3 @@ class NodeStore:
         self._decoded.pop(address, None)
         if sink is not None:
             sink.index_node_freed(address, before)
-
-    # -- placement ----------------------------------------------------------------
-
-    def _partition_with_room(self, nbytes: int) -> Partition:
-        needed = nbytes + ENTITY_HEADER_BYTES
-        fits = lambda p: p.free_bytes - int(p.entity_capacity * GROWTH_RESERVE) >= needed
-        partition = self.segment.first_fit(fits)
-        if partition is not None:
-            return partition
-        entity_capacity, _ = self.segment.fresh_partition_capacities()
-        if needed > entity_capacity:
-            raise PartitionFullError(
-                f"index component of {nbytes} bytes exceeds partition capacity"
-            )
-        sink = self.sink
-        if sink is None:
-            return self.segment.allocate_partition()
-        return sink.grow_segment(self.segment, fits)

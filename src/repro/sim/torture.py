@@ -302,26 +302,27 @@ def _record_history(db: Database) -> tuple[list, list]:
 
 def _overload(db: Database) -> Counter:
     """Leave ``db``'s drained SLB room for :data:`OVERLOAD_SLB_BLOCKS` more
-    blocks, and count the log writes that find it full (``stalls``: each
-    drains and retries) and those whose retry fails too (``exhausted``)."""
+    blocks, and count the SLB's refusals of a log write and the drains
+    (``stalls``): each stall follows a first refusal and retries, so the
+    refusals past the stalls are the retries that failed too."""
     db.engine.drain_log()
     memory = db.slb_memory
     memory.capacity_bytes = memory.used_bytes + OVERLOAD_SLB_BLOCKS * db.config.log_block_size
-    tally: Counter = Counter(stalls=0, exhausted=0)
-    append_log, drain_log = db.append_log, db.engine.drain_log
+    tally: Counter = Counter(stalls=0, refusals=0)
+    append, drain_log = db.slb.append, db.engine.drain_log
 
-    def counted_append(txn_id: int, data: bytes) -> None:
+    def counted_append(txn_id: int, record: bytes) -> None:
         try:
-            append_log(txn_id, data)
+            append(txn_id, record)
         except StableMemoryFullError:
-            tally["exhausted"] += 1
+            tally["refusals"] += 1
             raise
 
     def counted_drain() -> int:
         tally["stalls"] += 1
         return drain_log()
 
-    db.append_log, db.engine.drain_log = counted_append, counted_drain  # type: ignore
+    db.slb.append, db.engine.drain_log = counted_append, counted_drain  # type: ignore
     return tally
 
 
@@ -419,6 +420,7 @@ class TortureHarness:
             )
             digest = digests[0]
         crash = injector.plan.rules[0] if spec.kind == "crash" else None
+        exhausted = overload["refusals"] - overload["stalls"]
         return RoundResult(
             seed=spec.seed,
             kind=spec.kind,
@@ -433,8 +435,8 @@ class TortureHarness:
             shards=spec.shards,
             workload=spec.workload,
             media=spec.media,
-            back_pressure=overload["stalls"] - overload["exhausted"],
-            exhausted=overload["exhausted"],
+            back_pressure=overload["stalls"] - exhausted,
+            exhausted=exhausted,
         )
 
     def _play(

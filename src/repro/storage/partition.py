@@ -32,8 +32,8 @@ ENTITY_HEADER_BYTES = 8
 
 #: A partition's string heap is ``capacity_bytes // HEAP_SHARE`` of its
 #: bytes, the entities the rest: the one split, read by
-#: :class:`Partition` and :meth:`Segment.fresh_partition_capacities
-#: <repro.storage.segment.Segment.fresh_partition_capacities>`.
+#: :class:`Partition` and :meth:`Segment.place
+#: <repro.storage.segment.Segment.place>`.
 HEAP_SHARE = 4
 
 _IMAGE_HEADER = struct.Struct("<iiQIIII")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Iterator
 
-from repro.common.errors import NotResidentError, StorageError
+from repro.common.errors import NotResidentError, PartitionFullError, StorageError
 from repro.common.types import PartitionAddress, SegmentKind
 from repro.storage.partition import HEAP_SHARE, Partition
 
@@ -40,13 +40,6 @@ class Segment:
 
     # -- allocation -------------------------------------------------------------
 
-    def fresh_partition_capacities(self) -> tuple[int, int]:
-        """(entity capacity, heap capacity) a newly allocated partition
-        would have — for fit checks *before* allocating, so oversized
-        requests never leave an orphaned empty partition behind."""
-        heap_capacity = self.partition_size // HEAP_SHARE
-        return self.partition_size - heap_capacity, heap_capacity
-
     def new_partition(self) -> Partition:
         """Reserve the next partition number and build its partition, not
         yet installed: nothing is placed in it until :meth:`install`, which
@@ -67,9 +60,34 @@ class Segment:
         self.install(partition)
         return partition
 
-    def first_fit(self, fits: Callable[[Partition], bool]) -> Partition | None:
-        """The lowest-numbered resident partition ``fits`` accepts."""
-        return next(filter(fits, self._in_order), None)
+    def place(
+        self,
+        fits: Callable[[Partition], bool],
+        grow: Callable[["Segment", Callable[[Partition], bool]], Partition] | None,
+        entity_need: int,
+        heap_need: int = 0,
+    ) -> Partition:
+        """The lowest-numbered resident partition ``fits`` accepts, else a
+        new one from ``grow(self, fits)`` (a change sink's ``grow_segment``;
+        with none, :meth:`allocate_partition`).  A request a fresh
+        partition cannot hold — ``entity_need`` bytes of entities,
+        ``heap_need`` of strings — is refused first, so it leaves no empty
+        partition behind.
+
+        Lock discipline: none of its own.  It changes the segment only by
+        growing it, and no transaction reaches a new partition before it
+        is installed."""
+        partition = next(filter(fits, self._in_order), None)
+        if partition is not None:
+            return partition
+        heap_capacity = self.partition_size // HEAP_SHARE
+        entity_capacity = self.partition_size - heap_capacity
+        if entity_need > entity_capacity or heap_need > heap_capacity:
+            raise PartitionFullError(
+                f"{entity_need}B of entity and {heap_need}B of strings exceed a fresh "
+                f"partition of {self.name!r} ({entity_capacity}B + {heap_capacity}B)"
+            )
+        return self.allocate_partition() if grow is None else grow(self, fits)
 
     def install(self, partition: Partition) -> None:
         """Install a recovered partition (post-crash path), or a new one

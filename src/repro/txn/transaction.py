@@ -8,8 +8,9 @@ and index component writes all report here, producing:
   appended to the transaction's Stable Log Buffer chain, with the target
   partition's bin index stamped in (section 2.3.2),
 * an UNDO entry in the volatile UNDO space — the *inverse* REDO record's
-  class and fields, the before-image where the after-image was, built
-  only by a rollback, never stable (section 2.3.1), discarded at commit — and
+  class and fields, the before-image where the after-image was, packed
+  and applied as bytes only by a rollback, never stable (section 2.3.1),
+  discarded at commit — and
 * a two-phase lock on the touched entity, held until commit.
 
 A command-logged transaction skips the REDO record: its commit logs the
@@ -80,8 +81,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class _StableRelease(NamedTuple):
-    """A compensation that frees stable storage (an SLT bin, a
-    checkpoint-disk block): a crash keeps what it would free."""
+    """A compensation that changes stable storage (frees an SLT bin or a
+    checkpoint-disk block, republishes the catalog's list): a crash keeps
+    what it would change."""
 
     release: Callable[[], None]
 
@@ -239,12 +241,13 @@ class Transaction:
 
     def _rollback(self, mark: int = 0, *, crashing: bool = False) -> None:
         """Undo everything past ``mark`` newest-first and drop it: an
-        inverse record, built here from its tuple, puts its very
-        before-image object back through its own ``apply``, a
-        compensation takes back what bytes do not cover (a hash index's
-        item count among them), and then the catalog's descriptors re-sync
-        from the restored bytes (docs/INTERNALS.md, "Decoded mirrors of
-        byte state").
+        inverse tuple ``(class, txn id, bin index, address, *fields)`` is
+        packed and applied as bytes (:func:`repro.wal.records.apply_fields`,
+        the applier replay uses), putting its very before-image object
+        back; a compensation takes back what bytes do not cover (a hash
+        index's item count among them), and then the catalog's
+        descriptors re-sync from the restored bytes (docs/INTERNALS.md,
+        "Decoded mirrors of byte state").
         ``crashing`` is the recovery oracle's rollback at a crash: stable
         storage stays as the crash leaves it, so stable releases are
         skipped."""
@@ -253,12 +256,10 @@ class Transaction:
         descriptors: set[EntityAddress] = set()
         for entry in reversed(self._undo[mark:]):
             if type(entry) is tuple:  # an inverse: a _StableRelease is a subclass
-                record = entry[0](*entry[1:])
-                address = record.partition_address
-                record.apply(db.memory.partition(address))
-                if address.segment == catalog_segment:
-                    # catalog partitions hold entities only: the record names one
-                    descriptors.add(getattr(record, "address", None))
+                address = entry[3]
+                redo.apply_fields(db.memory.partition(address), *entry)
+                if address.segment == catalog_segment:  # entities only: an entity address
+                    descriptors.add(address)
             elif isinstance(entry, _StableRelease):
                 if not crashing:
                     entry.release()
@@ -276,7 +277,7 @@ class Transaction:
         a claimed checkpoint slot, a DDL-created segment — on the UNDO
         list: ``compensate()`` runs in the same newest-first loop as the
         inverse records (so statement rollback's mark covers it) and is
-        discarded at commit.  ``stable`` marks one that frees stable
+        discarded at commit.  ``stable`` marks one that changes stable
         storage, which the oracle's rollback at a crash skips."""
         if self.state is not TxnState.ACTIVE:
             self._ensure_active()
@@ -353,7 +354,7 @@ class Transaction:
         try:
             self.command_csn = db.slb.commit_command(self.txn_id, build)
         except StableMemoryFullError:
-            # Back-pressure, as in append_log: stall while the recovery
+            # Back-pressure, as in _redo: stall while the recovery
             # CPU frees blocks, then retry once.
             db.engine.drain_log()
             self.command_csn = db.slb.commit_command(self.txn_id, build)
@@ -442,17 +443,23 @@ class Transaction:
     # -- logging core ------------------------------------------------------------------
 
     def _redo(self, record: bytes) -> None:
-        """Append a value-logged change's forward record, packed, to the
-        stable chain.  Its inverse is on UNDO already: the mutation is applied,
-        so if this write fails (stable buffer exhausted even after
-        draining — a transaction too large for the SLB) the rollback must
-        already know how to reverse it."""
+        """The one door a REDO record (a class's ``pack`` output, full form)
+        takes into the stable chain: the main CPU pays the stable copy,
+        section 2.2's only logging work, and a full SLB stalls it for a
+        drain and one retry.  The inverse is on UNDO already, so if the
+        write still fails (a transaction too large for the SLB) the abort
+        reverses the applied mutation."""
+        db = self.db
         try:
-            self.db.append_log(self.txn_id, record)
+            db.main_cpu.charge_stable_bytes(len(record), "slb-write")
+            try:
+                db.slb.append(self.txn_id, record)
+            except StableMemoryFullError:
+                db.engine.drain_log()
+                db.slb.append(self.txn_id, record)
         except SimulatedCrash:
-            # a crash is not an abort (txn/manager.py: settle) — and it can
-            # surface here: back-pressure draining runs instrumented
-            # recovery-CPU code inside append_log
+            # a crash is not an abort (txn/manager.py: settle) — and the
+            # back-pressure drain runs instrumented recovery-CPU code
             raise
         except Exception as exc:
             self.abort()

@@ -16,10 +16,11 @@ Two flavours exist, mirroring the paper:
   so REDO must replay the operation rather than patch bytes.  Heap handle
   allocation is deterministic, which :class:`HeapPut` verifies at replay.
 
-A forward record is never an object: the change sink packs its fields
-straight to bytes (``cls.pack``), into the SLB, and from there to the
-disk it is bytes.  A record object is built only by a rollback, from
-an UNDO entry.  Each class states its Operation part once, as a :class:`Layout`,
+A record is never an object in the running system: a change sink packs
+its fields straight to bytes (``cls.pack``), into the SLB, and from there
+to the disk it is bytes; a rollback packs each inverse's fields the same
+way and applies them (:func:`apply_fields`).  Record objects serve
+tests.  Each class states its Operation part once, as a :class:`Layout`,
 and names its effect once, as ``EFFECT`` — one of the storage layer's
 primitive effects (:data:`~repro.storage.partition.EFFECTS`: ``upsert``,
 ``overwrite``, ``remove``, ``patch``, the two heap ones, ``none``);
@@ -37,9 +38,9 @@ and the operand reader of the compact one.  The two forms:
 :func:`replay_records` applies a compact body through the one applier,
 :meth:`Partition.apply_records <repro.storage.partition.Partition.apply_records>`,
 and halts at a marker when asked — every restart path walks a
-partition's log this one way, and a record object a rollback builds
-(:meth:`RedoRecord.apply`) runs its own compact bytes through the same
-loop, so each effect is stated once.
+partition's log this one way, and a rollback's inverse
+(:func:`apply_fields`, which :meth:`RedoRecord.apply` also calls) runs
+its compact bytes through the same loop, so each effect is stated once.
 """
 
 from __future__ import annotations
@@ -162,20 +163,12 @@ class RedoRecord:
 
     def apply(self, partition: Partition) -> None:
         """Re-execute this operation against ``partition``: the address
-        check, then its own compact bytes through the applier the log's
-        replay uses, installing its own ``data`` object (the
-        before-image an inverse record holds).  Only a transaction's
-        rollback applies record objects; the log is replayed from its
-        bytes."""
+        check, then :func:`apply_fields` on its own fields."""
         if self.partition_address != partition.address:
             raise LogError(
                 f"log record for {self.partition_address} applied to {partition.address}"
             )
-        partition.apply_records(
-            compact_form(self.pack(*self._FIELDS(self))),
-            _REPLAY,
-            own=getattr(self, "data", None),
-        )
+        apply_fields(partition, type(self), *self._FIELDS(self))
 
     # -- wire format --------------------------------------------------------------
 
@@ -498,6 +491,16 @@ def replay_records(
             pos = end
         count += 1
     return count, None
+
+
+def apply_fields(partition: Partition, cls: type[RedoRecord], *fields: Any) -> None:
+    """Apply the record ``cls`` makes of ``fields`` (``pack``'s arguments)
+    to ``partition``, compact, through replay's applier, with no record
+    built; ``data`` goes in as that very object, the before-image whose
+    identity :meth:`NodeStore.load <repro.index.node_store.NodeStore.load>` checks."""
+    partition.apply_records(
+        compact_form(cls.pack(*fields)), _REPLAY, own=fields[-1] if cls.LAYOUT.blob else None
+    )
 
 
 def _spans(body: bytes, full: bool = False) -> list[tuple[int, int]]:

@@ -4,14 +4,9 @@
 tests' side: ``repro`` itself keeps a record as bytes from the SLB on.
 """
 
-import os
-import sys
-
 from repro.common.types import NULL_LSN
 from repro.wal import records
 from repro.wal.log_disk import ARCHIVE_SEGMENT, LogPage
-
-SINKS_FILE = os.path.join("repro", "txn", "transaction.py")
 
 
 def page_of(partition, logged, embedded_directory=None, lsn=NULL_LSN) -> LogPage:
@@ -27,18 +22,11 @@ def record_bytes(body: bytes, full: bool = False) -> list[bytes]:
     return [body[start:end] for start, end in records._spans(body, full)]
 
 
-def refuse_records(monkeypatch, sinks=False) -> None:
-    """Make building a REDO record object fail for the rest of the test;
-    with ``sinks``, except in a transaction's change sinks, where a
-    re-executed command makes its changes."""
+def refuse_records(monkeypatch) -> None:
+    """Make building a REDO record object fail for the rest of the test."""
 
-    def guard(init):
-        def refuse(self, *args, **kwargs):
-            if sinks and sys._getframe(1).f_code.co_filename.endswith(SINKS_FILE):
-                return init(self, *args, **kwargs)
-            raise AssertionError(f"built a {type(self).__name__} object")
-
-        return refuse
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__} object")
 
     for cls in records._REGISTRY.values():
-        monkeypatch.setattr(cls, "__init__", guard(cls.__init__))
+        monkeypatch.setattr(cls, "__init__", refuse)

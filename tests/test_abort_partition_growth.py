@@ -613,16 +613,19 @@ class TestCrashInsideAGrowth:
         db, rel = small_db()
         key = fill_until_next_insert_grows(db, rel)
         bins = len(db.slt.bins())
-        append_log = db.append_log
+        refused = []
 
         def refuse(txn_id, record):
-            db.append_log = append_log
+            refused.append(record)
+            if len(refused) == 2:  # the retry after the drain: refused too
+                del db.slb.append
             raise StableMemoryFullError("no room for the descriptor record")
 
-        db.append_log = refuse
+        db.slb.append = refuse
         with pytest.raises(TransactionAborted):
             with db.transaction() as txn:
                 rel.insert(txn, {"k": key, "v": 0})
+        assert len(refused) == 2 and refused[0] is refused[1]
         assert sorted(rel.descriptor.partitions) == [1]
         assert len(db.slt.bins()) == bins
         assert verify_integrity(db) == []

@@ -12,7 +12,14 @@ import random
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.common.errors import ConfigurationError, RecoveryError, TransactionStateError
+from repro.checkpoint.protocol import RequestState
+from repro.common.errors import (
+    CheckpointError,
+    ConfigurationError,
+    RecoveryError,
+    StableMemoryFullError,
+    TransactionStateError,
+)
 from repro.db.integrity import verify_integrity
 from repro.db.relation import UniqueViolation
 import repro.recovery.restart as restart_module
@@ -87,17 +94,38 @@ def run_interleaved(db, count, name="accounts"):
         )
 
 
-def sweep(db, accounts):
-    """Settle the relation's closure by a group sweep and acknowledge it;
-    returns the partition whose checkpoint request started it."""
+def request_checkpoint(db, accounts):
+    """Queue a checkpoint request for account 0's partition; returns it."""
     with db.transaction() as txn:
         target = accounts.lookup(txn, 0).address.partition_address
     bin_ = db.slt.bin_for_partition(target)
     db.slt.mark_for_checkpoint(bin_.bin_index, "test")
     db.checkpoint_queue.submit(target, bin_.bin_index, "test")
+    return target
+
+
+def sweep(db, accounts):
+    """Settle the relation's closure by a group sweep and acknowledge it;
+    returns the partition whose checkpoint request started it."""
+    target = request_checkpoint(db, accounts)
     assert db.checkpoints.process_pending() >= 1
     db.recovery_processor.acknowledge_finished()
     return target
+
+
+def refuse_sweep_markers(db):
+    """Make ``db``'s SLB refuse every sweep marker; returns the refused records."""
+    append = db.slb.append
+    refused = []
+
+    def refuse_markers(txn_id, record):
+        if record[0] == SweepMarker.TAG:
+            refused.append(record)
+            raise StableMemoryFullError("no room for a sweep marker")
+        append(txn_id, record)
+
+    db.slb.append = refuse_markers
+    return refused
 
 
 def flushed_tags(db):
@@ -553,11 +581,7 @@ class TestCrashWindows:
         accounts = make_bank(db)
         run_transfers(db, 6, logging="command")
         expected = logical_digest(db)
-        with db.transaction() as txn:
-            target = accounts.lookup(txn, 0).address.partition_address
-        bin_ = db.slt.bin_for_partition(target)
-        db.slt.mark_for_checkpoint(bin_.bin_index, "test")
-        db.checkpoint_queue.submit(target, bin_.bin_index, "test")
+        request_checkpoint(db, accounts)
         injector = ChaosEngine(ChaosPlan.crash_at(0, "checkpoint.sweep.markers-appended"))
         with chaos(injector):
             with pytest.raises(SimulatedCrash):
@@ -587,6 +611,50 @@ class TestSettlement:
         assert stats["commands_settled"] == 6
         assert stats["live_commands"] == 0
         assert db.catalog.relation("accounts").command_watermark == 6
+
+    def test_a_sweep_whose_markers_the_slb_refuses_is_deferred(self):
+        """A pump whose checkpoint escalates to a sweep, on an SLB that
+        refuses its markers even after the drain: the checkpoint
+        transaction aborts and is deferred like any refused checkpoint.
+        Nothing raises, the request stays queued, and the rollback frees
+        the claimed slots and restores the descriptors."""
+        db = Database(small_config())
+        accounts = make_bank(db)
+        run_transfers(db, 6, logging="command")
+        target = request_checkpoint(db, accounts)
+        deferred = db.checkpoints.checkpoints_deferred
+        slots, allocated = db.catalog.image_slots(), db.checkpoint_disk.allocated_slots()
+        refused = refuse_sweep_markers(db)
+        db.pump()
+        assert len(refused) == 2 and refused[0] is refused[1]  # the retry after the drain
+        assert db.checkpoints.checkpoints_deferred == deferred + 1
+        assert db.checkpoints.sweeps_taken == 0
+        assert [(r.partition, r.state) for r in db.checkpoint_queue.entries] == [
+            (target, RequestState.REQUEST)
+        ]
+        assert db.catalog.image_slots() == slots
+        assert db.checkpoint_disk.allocated_slots() == allocated
+        assert db.stats()["logging"]["live_commands"] == 6
+        assert verify_integrity(db) == []
+        del db.slb.append
+        db.pump()  # the next pass takes the sweep
+        assert db.checkpoints.sweeps_taken == 1
+        assert db.stats()["logging"]["live_commands"] == 0
+        assert verify_integrity(db) == []
+
+    def test_a_refused_whole_database_sweep_leaves_the_catalog_list_as_it_was(self):
+        """The whole-database checkpoint publishes the catalog's own new
+        slots before its markers: when one is refused, the rollback
+        publishes the restored list again."""
+        db = Database(small_config())
+        make_bank(db)
+        run_transfers(db, 6, logging="command")
+        db.checkpoints.checkpoint_all()
+        run_transfers(db, 3, logging="command")
+        refuse_sweep_markers(db)
+        with pytest.raises(CheckpointError):
+            db.checkpoints.checkpoint_all()
+        assert verify_integrity(db) == []
 
     def test_replay_over_settled_images(self):
         """Commands after a sweep replay on top of the swept images; the
@@ -872,7 +940,7 @@ class TestReplayFromPageBytes:
         assert logical_digest(twin) == digest
 
         db, _ = self.crashed_db()
-        refuse_records(monkeypatch, sinks=True)
+        refuse_records(monkeypatch)
         coordinator = db.restart(RecoveryMode.EAGER)
         assert db.last_command_replay["commands_replayed"] == 14
         assert logical_digest(db) == digest

@@ -339,9 +339,9 @@ class TestNodeStoreLoad:
                 with db.transaction() as txn:
                     with pytest.raises(Doomed):
                         doomed_load(txn)
-                    db.append_log = refuse_log_write
+                    db.slb.append = refuse_log_write
                     rel.insert(txn, {"k": 99, "g": 99})
-            del db.append_log
+            del db.slb.append
         else:
             with db.transaction() as txn:
                 with pytest.raises(Doomed), txn.statement():

@@ -141,7 +141,7 @@ class TestRefusedAtTheSortingStep:
         db.recovery_processor.run_until_drained()
         binned = db.slt.records_binned
         with db.transaction(pump=False) as txn:
-            db.append_log(txn.txn_id, record)
+            txn._redo(record)
         with pytest.raises(LogError):
             db.recovery_processor.run_until_drained()
         assert db.slt.records_binned == binned

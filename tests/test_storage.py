@@ -223,6 +223,11 @@ class TestSegment:
         number order."""
         seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
         seg.mark_missing(list(range(1, 9)))
+        grown = Partition(PartitionAddress(seg.segment_id, 99), 4096)
+
+        def grow(segment, fits):
+            return grown
+
         parts = {}
         for number in (5, 2, 8, 1, 7, 3, 2, 6, 4):
             parts[number] = Partition(PartitionAddress(seg.segment_id, number), 4096)
@@ -236,11 +241,29 @@ class TestSegment:
                 by_sorted_scan = next(
                     (parts[n] for n in sorted(parts) if fits(parts[n])), None
                 )
-                assert seg.first_fit(fits) is by_sorted_scan
+                expected = grown if by_sorted_scan is None else by_sorted_scan
+                assert seg.place(fits, grow, 0) is expected
             assert list(seg.resident_partitions()) == [parts[n] for n in sorted(parts)]
         seg.evict_all()
-        assert seg.first_fit(lambda partition: True) is None
+        assert seg.place(lambda partition: True, grow, 0) is grown
         assert list(seg.resident_partitions()) == []
+
+    def test_place_refuses_what_a_fresh_partition_cannot_hold(self):
+        """An oversized request fails before any growth, so it leaves no
+        empty partition behind; with no ``grow`` the segment allocates."""
+        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+
+        def grow(segment, fits):
+            raise AssertionError("grew for a request no partition can hold")
+
+        with pytest.raises(PartitionFullError):
+            seg.place(lambda partition: False, grow, 3073)
+        with pytest.raises(PartitionFullError):
+            seg.place(lambda partition: False, grow, 8, 1025)
+        assert len(seg) == 0
+        placed = seg.place(lambda partition: False, None, 3072, 1024)
+        assert placed.address == PartitionAddress(seg.segment_id, 1)
+        assert seg.get(1) is placed
 
     def test_resident_partitions_is_a_snapshot(self):
         seg = self._manager().create_segment(SegmentKind.RELATION, "emp")

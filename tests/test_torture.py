@@ -40,6 +40,7 @@ from repro.sim.torture import (
     main,
 )
 from repro.txn.scheduler import Scheduler
+from repro.wal.records import bin_index_of
 from repro.wal.slb import StableLogBuffer
 from repro.workloads.debit_credit import DebitCreditWorkload
 
@@ -516,6 +517,36 @@ class TestSerializability:
         with pytest.raises(TortureFailure) as excinfo:
             TortureHarness().run_round(RoundSpec(100, "crash"))
         assert "log order broken: database 0: txn 1 began 2 times" in str(excinfo.value)
+
+    def test_swapped_deposits_fail_the_round(self, monkeypatch):
+        """The recovery CPU sorting two adjacent records of one bin, from
+        different transactions, out of commit order: the partition's REDO
+        stream no longer replays the history, and the log-order check sees
+        it.  The swap is the drain's, so it reaches every deposit."""
+        record_history = torture._record_history
+
+        def swapping(db):
+            drain = db.slb.drain_committed
+
+            def swapped_drain():
+                records = drain()
+                for i, (first, second) in enumerate(zip(records, records[1:])):
+                    # same Bin Index, different transaction id (header bytes 5-12)
+                    if bin_index_of(first) == bin_index_of(second) and first[5:13] != second[5:13]:
+                        records[i : i + 2] = second, first
+                        break
+                return records
+
+            db.slb.drain_committed = swapped_drain
+            return record_history(db)
+
+        monkeypatch.setattr(torture, "_record_history", swapping)
+        with pytest.raises(TortureFailure) as excinfo:
+            TortureHarness().run_round(RoundSpec(100, "crash"))
+        assert (
+            "log order broken: database 0: S1.P1: txn 15 is logged after txn 16 "
+            "but committed first" in str(excinfo.value)
+        )
 
 
 class TestInterruptIsNotAFailure:

@@ -4,8 +4,8 @@ by the abort a failed log write makes.
 UNDO has no record format of its own: every sink operation of
 ``Transaction`` logs the forward REDO record and keeps its *inverse* in
 the volatile UNDO space as ``(record class, *fields)``, and
-``_rollback`` builds each inverse newest-first and applies it through
-``RedoRecord.apply``.  One table lists the nine sink operations (the
+``_rollback`` packs each inverse newest-first and applies it as bytes,
+building no record object.  One table lists the nine sink operations (the
 index write in its three shapes); each row performs the physical
 mutation plus the sink call the way the storage layers do, and
 :func:`check` asserts that every kind of rollback puts back the entity
@@ -21,6 +21,7 @@ from repro import Database, SystemConfig
 from repro.common import EntityAddress, TransactionAborted
 from repro.common.errors import StableMemoryFullError
 from repro.txn.transaction import TxnState
+from tests import refuse_records
 
 
 class Doomed(Exception):
@@ -28,7 +29,8 @@ class Doomed(Exception):
 
 
 @pytest.fixture()
-def db():
+def db(monkeypatch):
+    refuse_records(monkeypatch)  # a rollback applies its inverses as bytes
     db = Database(SystemConfig(log_page_size=1024))
     rel = db.create_relation("t", [("k", "int")], primary_key="k")
     with db.transaction() as txn:
@@ -69,7 +71,7 @@ def full_log(db):
     def refused(txn_id, data):
         raise StableMemoryFullError("Stable Log Buffer exhausted")
 
-    db.append_log = refused
+    db.slb.append = refused
 
 
 # -- the nine sink operations ------------------------------------------------------
@@ -191,7 +193,7 @@ def check(db, name):
             full_log(db)
             with pytest.raises(TransactionAborted, match="log write failed"):
                 do(txn, part, ctx)
-            del db.append_log
+            del db.slb.append
             reached = counters(part)
             assert txn.state is TxnState.ABORTED
         assert state(part) == before

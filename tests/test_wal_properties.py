@@ -420,12 +420,12 @@ def test_slb_backpressure_stalls_and_recovers():
         try:
             append(txn_id, record)
         except StableMemoryFullError:
-            refusals += 1  # append_log drains, then retries
+            refusals += 1  # _redo drains, then retries
             raise
 
     db.slb.append = counted
     # many small committed transactions, never pumped explicitly: their
-    # chains pile up until the SLB fills and append_log must stall/drain
+    # chains pile up until the SLB fills and _redo must stall/drain
     for i in range(200):
         with db.transaction(pump=False) as txn:
             rel.insert(txn, {"id": i, "v": i})

@@ -41,15 +41,15 @@ SCALE = 0.2
 #: Calls per transaction in ``repro``'s own code no workload may exceed
 #: (``--check``, at ``SCALE``; :data:`RESTART_CEILINGS` per restart).  They leave out ``other``, whose count moves
 #: with the standard library's patch release.  Measured on CPython 3.11.7
-#: at 309.40, 83.19, 600.76, 107.51 and 469.22; each ceiling leaves about
+#: at 302.14, 83.19, 580.09, 106.51 and 469.18; each ceiling leaves about
 #: 1 % for a change that has to add a call.  The totals, ``other``
-#: included, were 316.56 on ``debit_credit`` (the forward path's target is
-#: 430), 86.12 on ``point_read`` and 621.30 on ``mixed_churn`` (target 700).
+#: included, were 309.30 on ``debit_credit`` (the forward path's target is
+#: 430), 86.12 on ``point_read`` and 598.85 on ``mixed_churn`` (target 700).
 CEILINGS = {
-    "debit_credit": 312.5,
+    "debit_credit": 305.2,
     "point_read": 84.0,
-    "mixed_churn": 607.0,
-    "crash_restart": 108.6,
+    "mixed_churn": 586.0,
+    "crash_restart": 107.6,
     "scripted_command": 474.0,
 }
 
