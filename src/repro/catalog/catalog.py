@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.catalog.schema import Schema
@@ -96,6 +97,10 @@ class RelationDescriptor:
     command_watermark: int = 0
     #: Catalog entity holding this descriptor (assigned at store time).
     entity: EntityAddress | None = None
+    #: The key fields of the indexes named in ``index_names``: derived,
+    #: never encoded — :meth:`Catalog.derive_indexed_fields` rebuilds it
+    #: wherever ``index_names`` changes.
+    indexed_fields: frozenset[str] = field(default=frozenset(), compare=False, repr=False)
 
     def partition_addresses(self) -> list[PartitionAddress]:
         return [
@@ -233,6 +238,12 @@ class Catalog:
     def indexes(self) -> Iterator[IndexDescriptor]:
         for name in sorted(self._indexes):
             yield self._indexes[name]
+
+    def derive_indexed_fields(self, descriptor: RelationDescriptor) -> None:
+        """Rebuild ``descriptor.indexed_fields`` from its index names: after
+        an index is created or dropped, and for a descriptor decoded again."""
+        indexes = map(self._indexes.__getitem__, descriptor.index_names)
+        descriptor.indexed_fields = frozenset(map(attrgetter("key_field"), indexes))
 
     def indexes_of(self, relation_name: str) -> list[IndexDescriptor]:
         descriptor = self.relation(relation_name)
@@ -439,6 +450,8 @@ class Catalog:
         self._indexes.clear()
         for entity, data in self.entities():
             self._register(_decode_descriptor(data, entity))
+        for descriptor in self._relations.values():
+            self.derive_indexed_fields(descriptor)
 
     def resync(self, entities: Iterable[EntityAddress]) -> None:
         """Re-derive, in place, the descriptors stored at ``entities`` —
@@ -447,7 +460,8 @@ class Catalog:
         transaction.  A descriptor whose entity is still there keeps its
         object identity (interleaved scripts and checkpoint procedures
         hold references) and takes the decoded fields; one whose entity is
-        gone — an aborted create — is unregistered."""
+        gone — an aborted create — is unregistered.  Then every relation's
+        derived ``indexed_fields`` is rebuilt from its index names."""
         registered = {
             descriptor.entity: descriptor
             for descriptor in (*self._relations.values(), *self._indexes.values())
@@ -462,6 +476,8 @@ class Catalog:
                 vars(current).update(vars(decoded))
             else:
                 self._unregister(current)
+        for descriptor in self._relations.values():
+            self.derive_indexed_fields(descriptor)
 
     def entities(self) -> Iterator[tuple[EntityAddress, bytes]]:
         """Every stored descriptor entity: the bytes the descriptor

@@ -85,6 +85,8 @@ class CheckpointManager:
         self.checkpoints_deferred = 0
         self.sweeps_taken = 0
         self.commands_settled = 0
+        #: What deferred the last deferred attempt (:meth:`_attempt`).
+        self.last_refusal: TransactionAborted | NotResidentError | None = None
 
     def process_pending(self) -> int:
         """Run checkpoint transactions for queued requests.
@@ -115,10 +117,10 @@ class CheckpointManager:
         a system transaction inside the transaction frame
         (:meth:`TransactionManager.scope`).  A lock conflict, a partition
         awaiting recovery or a refused log write *defers* the attempt —
-        swallowed here, the caller finds the transaction ``ABORTED``; any
-        other error propagates.  Either way a rolled-back attempt returns
-        its request to the queue; a crash leaves it ``IN_PROGRESS`` for
-        restart."""
+        swallowed here and kept as :attr:`last_refusal`, the caller finds
+        the transaction ``ABORTED``; any other error propagates.  Either
+        way a rolled-back attempt returns its request to the queue; a
+        crash leaves it ``IN_PROGRESS`` for restart."""
         crash_point("checkpoint.begin")
         if request is not None:
             request.state = RequestState.IN_PROGRESS
@@ -129,6 +131,7 @@ class CheckpointManager:
             crash_point("checkpoint.committed")
         except (TransactionAborted, NotResidentError) as refused:
             self.checkpoints_deferred += 1  # retry on a later pass
+            self.last_refusal = refused
             self.db.events.emit(
                 "checkpoint.deferred",
                 partition=None if request is None else str(request.partition),
@@ -224,8 +227,7 @@ class CheckpointManager:
                 closure = {relation.segment_id for relation in settled}
                 for address, segment_id in zip(addresses, covering):
                     if segment_id in closure:
-                        bin_index = db.slt.bin_index_of(address)
-                        txn._redo(SweepMarker.pack(txn.txn_id, bin_index, address, watermark))
+                        txn._redo(None, SweepMarker, address, watermark)
                 crash_point("checkpoint.sweep.markers-appended")
             # commit releases any lock still held, after the commit point
         if txn.state is TxnState.ABORTED:
@@ -264,7 +266,8 @@ class CheckpointManager:
             for partition in segment.resident_partitions()
         ]
         if not self.copy(addresses, db.commands.live()):
-            raise CheckpointError("whole-database checkpoint deferred: a relation is busy")
+            refusal = self.last_refusal
+            raise CheckpointError(f"whole-database checkpoint deferred: {refusal}") from refusal
         db.recovery_processor.acknowledge_finished()
         return len(addresses)
 

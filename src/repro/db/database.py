@@ -405,6 +405,7 @@ class Database:
         descriptor.anchor = index.anchor
         self.catalog.update(descriptor, txn)
         relation_descriptor.index_names.append(index_name)
+        self.catalog.derive_indexed_fields(relation_descriptor)
         self.catalog.update(relation_descriptor, txn)
         self._index_objects[index_name] = index
         txn.on_rollback(lambda: self._index_objects.pop(index_name, None))
@@ -434,6 +435,7 @@ class Database:
             # as in create_index: the relation's descriptor is rewritten
             txn.lock_relation(relation_descriptor.segment_id, LockMode.SHARED)
             relation_descriptor.index_names.remove(index_name)
+            self.catalog.derive_indexed_fields(relation_descriptor)
             self.catalog.update(relation_descriptor, txn)
             self.catalog.drop(descriptor, txn)
         # physical release only after the drop is durable: an aborted or

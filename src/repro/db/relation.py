@@ -160,9 +160,8 @@ class Relation:
         partition = self._resident_partition(descriptor.segment_id, address.partition)
         data = partition.read(address.offset)
         cells = schema.decode_tuple(data)
-        index_of = self.db.catalog.index
         moved = ()
-        if any(index_of(name).key_field in changes for name in descriptor.index_names):
+        if not descriptor.indexed_fields.isdisjoint(changes):
             before = self._row(schema, partition, address, cells)
             moved = [
                 index_descriptor

@@ -104,18 +104,21 @@ class RecoveryProcessor:
         records = self.slb.drain_committed()
         if not records:
             return 0
-        deposited = 0
-        # Table 2's sorting costs, one charge per record, then the deposit.
+        # Table 2's sorting costs, a run at a time: before a page flush, at
+        # the end, and for every record whose deposit was tried if it stops.
         charge_sort, deposit = self.cpu.charge_sort, self.slt.deposit
+        charged = attempted = deposited = 0
         try:
-            for record in records:
-                charge_sort(len(record))
+            for attempted, record in enumerate(records, 1):
                 page_full = deposit(record)
-                deposited += 1
+                deposited = attempted
                 crash_point("recovery.sort.after-deposit")
                 if page_full:
+                    charge_sort(map(len, records[charged:attempted]))
+                    charged = attempted
                     self._flush_bin(bin_index_of(record))
         except BaseException:
+            charge_sort(map(len, records[charged:attempted]))
             # The SLB → SLT move is stable-to-stable and record-atomic:
             # records drained but not yet deposited go back to the
             # committed list, whatever stopped the loop — a crash, a
@@ -123,6 +126,7 @@ class RecoveryProcessor:
             # finds them.
             self.slb.requeue_committed(records[deposited:])
             raise
+        charge_sort(map(len, records[charged:]))
         self.records_sorted += len(records)
         self._check_update_count_triggers()
         return len(records)

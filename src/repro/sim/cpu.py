@@ -15,6 +15,7 @@ callers charge those through :meth:`CpuMeter.charge_stable_bytes`.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable
 
 from repro.common.config import AnalysisParameters
 from repro.sim.clock import VirtualClock
@@ -78,33 +79,40 @@ class CpuMeter:
         self.clock._now += instructions / self._rate  # what clock.advance adds
         return instructions / self._rate
 
-    def charge_sort(self, nbytes: int) -> None:
-        """Charge the sorting step for one ``nbytes`` record (section 2.3):
-        record lookup, page check, the record's copy into stable memory,
-        page update — what four :meth:`charge` calls in that order charge,
-        the same additions to the categories, the total and the clock in
-        the same order, so every simulated figure stays bit for bit."""
-        if nbytes < 0:
-            raise ValueError("cannot copy a negative number of bytes")
+    def charge_sort(self, sizes: Iterable[int]) -> None:
+        """Charge the sorting step (section 2.3) for a run of records of
+        ``sizes`` bytes, one after another: per record, record lookup, page
+        check, the record's copy into stable memory, page update — what
+        four :meth:`charge` calls in that order charge, the same additions
+        to the categories, the total and the clock in the same order, so
+        every simulated figure stays bit for bit.  A negative size refuses
+        the whole run, with nothing charged."""
         params = self.params
-        by_category, rate, clock = self._by_category, self._rate, self.clock
         lookup, check, update = params.i_record_lookup, params.i_page_check, params.i_page_update
-        copy = self._copy_fixed + self._copy_per_byte * nbytes
-        total, now = self._total_instructions, clock._now
-        by_category["record-lookup"] += lookup
-        total += lookup
-        now += lookup / rate
-        by_category["page-check"] += check
-        total += check
-        now += check / rate
-        by_category["record-copy"] += copy
-        total += copy
-        now += copy / rate
-        by_category["page-update"] += update
-        total += update
-        now += update / rate
-        self._total_instructions = total
-        clock._now = now  # every addition is positive: advance_to's move
+        fixed, per_byte, rate = self._copy_fixed, self._copy_per_byte, self._rate
+        lookup_s, check_s, update_s = lookup / rate, check / rate, update / rate
+        by_category = self._by_category
+        lookups, checks = by_category["record-lookup"], by_category["page-check"]
+        copies, updates = by_category["record-copy"], by_category["page-update"]
+        total, now = self._total_instructions, self.clock._now
+        charged = False
+        for nbytes in sizes:
+            if nbytes < 0:
+                raise ValueError("cannot copy a negative number of bytes")
+            copy = fixed + per_byte * nbytes
+            lookups += lookup
+            checks += check
+            copies += copy
+            updates += update
+            # four additions each, left to right: the four charges' order
+            total = total + lookup + check + copy + update
+            now = now + lookup_s + check_s + copy / rate + update_s
+            charged = True
+        if charged:
+            by_category["record-lookup"], by_category["page-check"] = lookups, checks
+            by_category["record-copy"], by_category["page-update"] = copies, updates
+            self._total_instructions = total
+            self.clock._now = now  # every addition is positive: advance_to's move
 
     # -- inspection ----------------------------------------------------------
 

@@ -8,9 +8,9 @@ and index component writes all report here, producing:
   appended to the transaction's Stable Log Buffer chain, with the target
   partition's bin index stamped in (section 2.3.2),
 * an UNDO entry in the volatile UNDO space — the *inverse* REDO record's
-  class and fields, the before-image where the after-image was, packed
-  and applied as bytes only by a rollback, never stable (section 2.3.1),
-  discarded at commit — and
+  class, address and fields, the before-image where the after-image was,
+  packed and applied as bytes only by a rollback, never stable (section
+  2.3.1), discarded at commit — and
 * a two-phase lock on the touched entity, held until commit.
 
 A command-logged transaction skips the REDO record: its commit logs the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
 from repro.common.errors import (
     ShardingError,
@@ -44,7 +44,6 @@ from repro.sim.chaos import crash_point, register_crash_point
 from repro.sim.faults import SimulatedCrash
 from repro.wal import records as redo
 
-_Address = TypeVar("_Address", EntityAddress, PartitionAddress)
 #: (segment, partition) of either address kind: the partition a change is in.
 _PARTITION_KEY = attrgetter("segment", "partition")
 
@@ -113,8 +112,8 @@ class Transaction:
         self.txn_id = txn_id
         self.state = TxnState.ACTIVE
         #: The volatile UNDO space, oldest first: inverse REDO records as
-        #: tuples ``(class, txn id, bin index, address, *fields)``, and
-        #: compensations (:meth:`on_rollback`).
+        #: tuples ``(class, address, *fields)`` — no header: the applier
+        #: skips it — and compensations (:meth:`on_rollback`).
         self._undo: list[tuple | _StableRelease | Callable[[], None]] = []
         #: segment id -> the S or X lock held on its relation, which
         #: covers the segment's rows (:meth:`lock_relation`).
@@ -241,8 +240,8 @@ class Transaction:
 
     def _rollback(self, mark: int = 0, *, crashing: bool = False) -> None:
         """Undo everything past ``mark`` newest-first and drop it: an
-        inverse tuple ``(class, txn id, bin index, address, *fields)`` is
-        packed and applied as bytes (:func:`repro.wal.records.apply_fields`,
+        inverse tuple ``(class, address, *fields)`` is packed and applied
+        as bytes (:func:`repro.wal.records.apply_fields`,
         the applier replay uses), putting its very before-image object
         back; a compensation takes back what bytes do not cover (a hash
         index's item count among them), and then the catalog's
@@ -256,7 +255,7 @@ class Transaction:
         descriptors: set[EntityAddress] = set()
         for entry in reversed(self._undo[mark:]):
             if type(entry) is tuple:  # an inverse: a _StableRelease is a subclass
-                address = entry[3]
+                address = entry[1]
                 redo.apply_fields(db.memory.partition(address), *entry)
                 if address.segment == catalog_segment:  # entities only: an entity address
                     descriptors.add(address)
@@ -442,16 +441,46 @@ class Transaction:
 
     # -- logging core ------------------------------------------------------------------
 
-    def _redo(self, record: bytes) -> None:
-        """The one door a REDO record (a class's ``pack`` output, full form)
-        takes into the stable chain: the main CPU pays the stable copy,
-        section 2.2's only logging work, and a full SLB stalls it for a
-        drain and one retry.  The inverse is on UNDO already, so if the
-        write still fails (a transaction too large for the SLB) the abort
-        reverses the applied mutation."""
+    def _redo(
+        self,
+        inverse: tuple | None,
+        cls: type[redo.RedoRecord],
+        address: EntityAddress | PartitionAddress,
+        *fields,
+    ) -> None:
+        """The one door a change takes into the stable chain: look up the
+        bin of ``address``'s partition in the SLT's map, push ``inverse`` on
+        UNDO (a sweep's marker has none), pack ``cls``'s full form with its
+        compiled struct, charge the main CPU the stable copy (section 2.2;
+        ``charge_stable_bytes``' float additions, in order) and append it.
+        A full SLB stalls for a drain and one retry; a second refusal
+        aborts, and the abort reverses the applied mutation.  Command-logged,
+        only the inverse is kept and the change tallied for its barrier."""
+        if self.state is not TxnState.ACTIVE:
+            self._ensure_active()
+        if self.command is not None:
+            self._changed.append(address)
+            self._undo.append(inverse)
+            return
         db = self.db
+        slt = db.slt
+        bin_index = slt._by_partition.get(address[:2])
+        if bin_index is None:
+            slt.bin_index_of(address[:2])  # refuses it, naming the partition
+        if inverse is not None:
+            self._undo.append(inverse)
+        tag, pack, blob = cls._WIRE
+        if blob:
+            data = fields[-1]
+            record = pack(tag, bin_index, self.txn_id, *address, *fields[:-1], len(data)) + data
+        else:
+            record = pack(tag, bin_index, self.txn_id, *address, *fields)
         try:
-            db.main_cpu.charge_stable_bytes(len(record), "slb-write")
+            cpu = db.main_cpu
+            instructions = cpu._copy_fixed + cpu._copy_per_byte * len(record)
+            cpu._by_category["slb-write"] += instructions
+            cpu._total_instructions += instructions
+            cpu.clock._now += instructions / cpu._rate
             try:
                 db.slb.append(self.txn_id, record)
             except StableMemoryFullError:
@@ -471,66 +500,36 @@ class Transaction:
 
     # -- the nine change sinks ------------------------------------------------------------------
     #
-    # Each pushes its change's inverse onto UNDO as ``(class, *head, *fields)``,
-    # then — value-logged only — packs and appends the forward record.
-
-    def _head(self, address: _Address) -> tuple[int, int, _Address]:
-        """(txn id, bin index, address): the header a change's inverse and
-        forward record share, resolved once; the bin is that of the address's
-        (segment, partition) pair, ``address[:2]``.  With no forward record —
-        command-logged — no bin is looked up: an inverse is never encoded, and
-        the change is tallied for its partition's barrier instead."""
-        if self.state is not TxnState.ACTIVE:
-            self._ensure_active()
-        if self.command is not None:
-            self._changed.append(address)
-            return self.txn_id, 0, address
-        return self.txn_id, self.db.slt.bin_index_of(address[:2]), address
+    # Each hands :meth:`_redo` its change's inverse, ``(class, address,
+    # *fields)``, and the forward record's class, address and fields.
 
     # EntitySink: tuple / catalog entity changes
 
     def entity_inserted(self, address: EntityAddress, data: bytes) -> None:
-        head = self._head(address)
-        self._undo.append((redo.TupleDelete, *head))
-        if self.command is None:
-            self._redo(redo.TupleInsert.pack(*head, data))
+        self._redo((redo.TupleDelete, address), redo.TupleInsert, address, data)
 
     def entity_updated(self, address: EntityAddress, before: bytes, after: bytes) -> None:
-        head = self._head(address)
-        self._undo.append((redo.TupleUpdate, *head, before))
-        if self.command is None:
-            self._redo(redo.TupleUpdate.pack(*head, after))
+        self._redo((redo.TupleUpdate, address, before), redo.TupleUpdate, address, after)
 
     def entity_patched(
         self, address: EntityAddress, start: int, before: bytes, after: bytes
     ) -> None:
         """A single-field byte-range update (the compact relation record)."""
-        head = self._head(address)
-        self._undo.append((redo.FieldPatch, *head, start, before))
-        if self.command is None:
-            self._redo(redo.FieldPatch.pack(*head, start, after))
+        inverse = (redo.FieldPatch, address, start, before)
+        self._redo(inverse, redo.FieldPatch, address, start, after)
 
     def entity_deleted(self, address: EntityAddress, before: bytes) -> None:
-        head = self._head(address)
-        self._undo.append((redo.TupleInsert, *head, before))
-        if self.command is None:
-            self._redo(redo.TupleDelete.pack(*head))
+        self._redo((redo.TupleInsert, address, before), redo.TupleDelete, address)
 
     # heap (string space) operations
 
     def heap_put(self, partition: PartitionAddress, handle: int, data: bytes) -> None:
-        head = self._head(partition)
-        self._undo.append((redo.HeapDelete, *head, handle))
-        if self.command is None:
-            self._redo(redo.HeapPut.pack(*head, handle, data))
+        self._redo((redo.HeapDelete, partition, handle), redo.HeapPut, partition, handle, data)
 
     def heap_delete(
         self, partition: PartitionAddress, handle: int, before: bytes
     ) -> None:
-        head = self._head(partition)
-        self._undo.append((redo.HeapPut, *head, handle, before))
-        if self.command is None:
-            self._redo(redo.HeapDelete.pack(*head, handle))
+        self._redo((redo.HeapPut, partition, handle, before), redo.HeapDelete, partition, handle)
 
     # ChangeSink: index component changes (physical before-images — safe
     # because components are two-phase locked until commit, section 2.3.2)
@@ -550,19 +549,15 @@ class Transaction:
     def index_node_written(
         self, address: EntityAddress, before: bytes | None, after: bytes
     ) -> None:
-        head = self._head(address)
         # a component this transaction created is removed again
-        self._undo.append(
-            (redo.IndexNodeFree, *head) if before is None else (redo.IndexNodeWrite, *head, before)
-        )
-        if self.command is None:
-            self._redo(redo.IndexNodeWrite.pack(*head, after))
+        if before is None:
+            inverse: tuple = (redo.IndexNodeFree, address)
+        else:
+            inverse = (redo.IndexNodeWrite, address, before)
+        self._redo(inverse, redo.IndexNodeWrite, address, after)
 
     def index_node_freed(self, address: EntityAddress, before: bytes) -> None:
-        head = self._head(address)
-        self._undo.append((redo.IndexNodeWrite, *head, before))
-        if self.command is None:
-            self._redo(redo.IndexNodeFree.pack(*head))
+        self._redo((redo.IndexNodeWrite, address, before), redo.IndexNodeFree, address)
 
     # -- segment growth ----------------------------------------------------------------------------
 

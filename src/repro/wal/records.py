@@ -16,11 +16,12 @@ Two flavours exist, mirroring the paper:
   so REDO must replay the operation rather than patch bytes.  Heap handle
   allocation is deterministic, which :class:`HeapPut` verifies at replay.
 
-A record is never an object in the running system: a change sink packs
-its fields straight to bytes (``cls.pack``), into the SLB, and from there
-to the disk it is bytes; a rollback packs each inverse's fields the same
-way and applies them (:func:`apply_fields`).  Record objects serve
-tests.  Each class states its Operation part once, as a :class:`Layout`,
+A record is never an object in the running system: ``Transaction._redo``
+packs a change's fields straight to bytes with the class's compiled
+struct (``_WIRE``), into the SLB, and from there to the disk it is bytes;
+a rollback packs each inverse's fields the same way (``cls.pack``) and
+applies them (:func:`apply_fields`).  Record objects serve tests.  Each
+class states its Operation part once, as a :class:`Layout`,
 and names its effect once, as ``EFFECT`` — one of the storage layer's
 primitive effects (:data:`~repro.storage.partition.EFFECTS`: ``upsert``,
 ``overwrite``, ``remove``, ``patch``, the two heap ones, ``none``);
@@ -93,7 +94,7 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
         raise AssertionError(f"{cls.__name__}'s effect {cls.EFFECT!r} does not fit {layout}")
     codes = _ADDRESS_CODES[layout.address]
     head = struct.Struct(_HEADER + codes + layout.fixed + ("I" if layout.blob else ""))
-    setattr(cls, "pack", staticmethod(_packer(cls.TAG, head.pack, layout.blob)))
+    cls._WIRE = (cls.TAG, head.pack, layout.blob)
     cls._FIELDS = attrgetter("txn_id", "bin_index", address, *rest)
     cls._SIZE = head.size
     if not layout.blob:  # fixed length: a class constant, not a property
@@ -116,24 +117,6 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
     return cls
 
 
-def _packer(tag: int, pack: Callable[..., bytes], blob: bool) -> Callable[..., bytes]:
-    """One class's full-form packer: ``(txn_id, bin_index, address,
-    *fields)`` — the dataclass's fields, in order — to the record's bytes,
-    with ``data`` (a blob class's last field) after its ``u32`` length."""
-    if not blob:
-
-        def packed(txn_id: int, bin_index: int, address: tuple, *fields: Any) -> bytes:
-            return pack(tag, bin_index, txn_id, *address, *fields)
-
-        return packed
-
-    def packed_blob(txn_id: int, bin_index: int, address: tuple, *fields: Any) -> bytes:
-        *fixed, data = fields
-        return pack(tag, bin_index, txn_id, *address, *fixed, len(data)) + data
-
-    return packed_blob
-
-
 @dataclass(frozen=True, slots=True)
 class RedoRecord:
     """Base class: header fields shared by every REDO record, and the one
@@ -144,10 +127,9 @@ class RedoRecord:
     #: What applying the record does: a key of
     #: :data:`~repro.storage.partition.EFFECTS`.
     EFFECT: ClassVar[str]
-    #: Compiled by :func:`_register`: ``cls.pack(txn_id, bin_index,
-    #: address, *fields)`` is the full form of the record those fields
-    #: make, packed with no record built — what a change sink appends.
-    pack: ClassVar[Callable[..., bytes]]
+    #: Compiled by :func:`_register`: ``(TAG, the full form's struct pack,
+    #: ends in data?)``, what :meth:`pack` runs (``_redo`` runs it inline).
+    _WIRE: ClassVar[tuple[int, Callable[..., bytes], bool]]
     _FIELDS: ClassVar[Callable[[Any], tuple]]  # the fields, in ``pack``'s order
     _SIZE: ClassVar[int]  # the full form's struct size: all of it but ``data``
     _OWNER: ClassVar[Callable[[Any], PartitionAddress]]
@@ -156,6 +138,16 @@ class RedoRecord:
     bin_index: int
 
     # -- interface -------------------------------------------------------------
+
+    @classmethod
+    def pack(cls, txn_id: int, bin_index: int, address: tuple, *fields: Any) -> bytes:
+        """The full form of the record the dataclass's fields make, in order,
+        with no record built: ``data``, if any, after its ``u32`` length."""
+        tag, pack, blob = cls._WIRE
+        if blob:
+            *fixed, data = fields
+            return pack(tag, bin_index, txn_id, *address, *fixed, len(data)) + data
+        return pack(tag, bin_index, txn_id, *address, *fields)
 
     @property
     def partition_address(self) -> PartitionAddress:
@@ -168,7 +160,7 @@ class RedoRecord:
             raise LogError(
                 f"log record for {self.partition_address} applied to {partition.address}"
             )
-        apply_fields(partition, type(self), *self._FIELDS(self))
+        apply_fields(partition, type(self), *self._FIELDS(self)[2:])
 
     # -- wire format --------------------------------------------------------------
 
@@ -493,14 +485,14 @@ def replay_records(
     return count, None
 
 
-def apply_fields(partition: Partition, cls: type[RedoRecord], *fields: Any) -> None:
-    """Apply the record ``cls`` makes of ``fields`` (``pack``'s arguments)
-    to ``partition``, compact, through replay's applier, with no record
+def apply_fields(partition: Partition, cls: type[RedoRecord], address: tuple, *fields: Any) -> None:
+    """Apply the record ``cls`` makes of ``address`` and ``fields``
+    (``pack``'s arguments past the header, which the applier skips) to
+    ``partition``, compact, through replay's applier, with no record
     built; ``data`` goes in as that very object, the before-image whose
     identity :meth:`NodeStore.load <repro.index.node_store.NodeStore.load>` checks."""
-    partition.apply_records(
-        compact_form(cls.pack(*fields)), _REPLAY, own=fields[-1] if cls.LAYOUT.blob else None
-    )
+    own = fields[-1] if cls.LAYOUT.blob else None
+    partition.apply_records(compact_form(cls.pack(0, 0, address, *fields)), _REPLAY, own=own)
 
 
 def _spans(body: bytes, full: bool = False) -> list[tuple[int, int]]:

@@ -17,10 +17,13 @@ from tools import callcount
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_tool(hash_seed: str) -> list[dict]:
+def run_tool(hash_seed: str, *flags: str) -> list[dict]:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-m", "tools.callcount", "--scale", "0.02", "--json", "--by", "function"],
+        [
+            sys.executable, "-m", "tools.callcount",
+            "--scale", "0.02", "--json", "--by", "function", *flags,
+        ],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -53,6 +56,54 @@ def test_function_counts_sum_to_the_package_counts(first):
             name: share for name, share in per_txn.items() if name not in ("total", "repro")
         }
         assert round(sum(packages.values()) / units, 2) == per_txn["total"]
+
+
+#: What a package column may be named: a ``repro`` subpackage, ``repro``
+#: itself (its top-level modules) or ``other``.
+PACKAGES = {
+    path.name for path in (ROOT / "src" / "repro").iterdir() if (path / "__init__.py").exists()
+} | {"repro", "other"}
+
+
+@pytest.fixture(scope="module")
+def profiled() -> list[dict]:
+    return run_tool("0", "--profile")
+
+
+def test_a_profiled_run_counts_what_a_plain_one_does(first, profiled):
+    assert [{k: v for k, v in result.items() if k != "traced"} for result in profiled] == first
+
+
+def test_traced_self_times_sum_to_the_package_totals(profiled):
+    for result in profiled:
+        traced, units = result["traced"], result["transactions"]
+        assert set(traced) == {"overhead", "self_us_per_txn", "functions"}
+        assert traced["overhead"] > 1.0  # a profiler only adds
+        self_us = traced["self_us_per_txn"]
+        assert self_us["total"] > self_us["repro"] > 0
+        packages: dict = {}
+        for package, function, micros in traced["functions"]:
+            assert package in PACKAGES and function and micros >= 0
+            packages[package] = packages.get(package, 0.0) + micros
+        assert set(packages) == set(self_us) - {"total", "repro"}
+        assert {"txn", "wal", "db"} <= set(packages)
+        for package, micros in packages.items():
+            assert abs(micros / units - self_us[package]) <= 0.005 + 1e-9, package
+        total = sum(packages.values()) / units
+        assert abs(total - self_us["total"]) <= 0.005 + 1e-9
+        assert abs(total - packages.get("other", 0.0) / units - self_us["repro"]) <= 0.005 + 1e-9
+
+
+def test_the_traced_lines_name_their_overhead(profiled, capsys):
+    result = profiled[0]
+    callcount._print_traced(result["traced"], result["transactions"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("  traced (cProfile, ") and "x the untraced wall time" in lines[0]
+    assert lines[1].startswith("  traced self µs per txn: ")
+    assert len(lines) == 2 + min(callcount.TOP_FUNCTIONS, len(result["traced"]["functions"]))
+    for line in lines[2:]:
+        micros, unit, package, function = line.split(maxsplit=3)
+        assert float(micros) >= 0 and unit == "µs" and package in PACKAGES
 
 
 def test_every_workload_has_a_ceiling():

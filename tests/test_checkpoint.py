@@ -339,6 +339,22 @@ class TestFailedCheckpointLeavesNoZombie:
         assert db.stats()["transactions_committed"] == before + 1
 
 
+class TestADeferredWholeDatabaseCheckpointSaysWhy:
+    """``checkpoint_all`` raises with the refusal that deferred it."""
+
+    def test_a_held_lock(self):
+        db, rel, addrs = loaded_db()
+        writer = db.transactions.begin()
+        rel.update(writer, addrs[0], {"v": 1})  # holds IX on the relation
+        deferred = db.checkpoints.checkpoints_deferred
+        with pytest.raises(CheckpointError, match=r"deferred: .*lock conflict on \('rel', "):
+            db.checkpoints.checkpoint_all()
+        assert db.checkpoints.checkpoints_deferred == deferred + 1
+        writer.commit()
+        assert db.checkpoints.checkpoint_all() > 0
+        assert verify_integrity(db) == []
+
+
 class TestFailedAttemptLeavesNothingAheadOfTheBytes:
     """A checkpoint attempt that rolls back *after* installing its slots
     (here: the image write escalating to ``MediaFailure`` on its first

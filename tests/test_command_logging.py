@@ -652,7 +652,9 @@ class TestSettlement:
         db.checkpoints.checkpoint_all()
         run_transfers(db, 3, logging="command")
         refuse_sweep_markers(db)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(
+            CheckpointError, match=r"deferred: .*log write failed \(no room for a sweep marker\)"
+        ):
             db.checkpoints.checkpoint_all()
         assert verify_integrity(db) == []
 

@@ -213,6 +213,148 @@ class TestTheSortingLoop:
         assert db.clock.now == reference.clock.now
 
 
+class TheRecoveryCpuAsItWas:
+    """The sorting step's charges as they were made before the sorting
+    loop charged a run at a time: Table 2's four (``charge`` ×3 and
+    ``charge_stable_bytes``) per record, just before its deposit is
+    tried.  Installed on ``db``'s instances, it checks the recovery CPU
+    against that reference at every page flush and on :meth:`check`."""
+
+    def __init__(self, db):
+        self.db, self.cpu = db, db.recovery_cpu
+        self.reference = CpuMeter("reference", self.cpu.mips, VirtualClock(), self.cpu.params)
+        self.flushes = 0
+        self.sync()
+        deposit, flush = db.slt.deposit, db.recovery_processor._flush_bin
+        params = self.cpu.params
+
+        def charged_deposit(record):
+            self.reference.charge(params.i_record_lookup, "record-lookup")
+            self.reference.charge(params.i_page_check, "page-check")
+            self.reference.charge_stable_bytes(len(record), "record-copy")
+            self.reference.charge(params.i_page_update, "page-update")
+            return deposit(record)
+
+        def checked_flush(bin_index):
+            self.check()
+            self.flushes += 1
+            flush(bin_index)
+            self.sync()  # the flush's own charges and disk time
+
+        db.slt.deposit = charged_deposit
+        db.recovery_processor._flush_bin = checked_flush
+
+    def sync(self) -> None:
+        self.reference._total_instructions = self.cpu.total_instructions
+        self.reference._by_category = Counter(self.cpu.category_breakdown())
+        self.reference.clock._now = self.db.clock.now
+
+    def check(self) -> None:
+        assert self.cpu.total_instructions == self.reference.total_instructions
+        assert self.cpu.category_breakdown() == self.reference.category_breakdown()
+        assert list(self.cpu.category_breakdown()) == list(self.reference.category_breakdown())
+        assert self.db.clock.now == self.reference.clock.now
+
+
+def committed_records(db) -> list[bytes]:
+    return [record for chain in db.slb._committed for record in chain.records()]
+
+
+class TestTheSortingLoopChargesAsItDidPerRecord:
+    """``charge_sort`` takes a run of records: before a page flush, at the
+    end of the drain, and for every record whose deposit was tried when
+    the loop stops — so every figure read there is what per-record
+    charging gave."""
+
+    def test_a_drain_that_fills_a_page_mid_run(self):
+        db, rel, addrs = bank(log_page_size=512)
+        TestTheSortingLoop().drained(db, rel, addrs, transactions=40)
+        records = committed_records(db)
+        referee = TheRecoveryCpuAsItWas(db)
+        assert db.recovery_processor.step() == len(records)
+        referee.check()
+        assert referee.flushes >= 2  # pages filled mid-run, not at its end only
+        assert db.slt.records_binned and committed_records(db) == []
+
+    @pytest.mark.parametrize("stop", ["crash", "refused"])
+    def test_a_drain_stopped_at_the_kth_deposit(self, stop):
+        db, rel, addrs = bank(log_page_size=512)
+        TestTheSortingLoop().drained(db, rel, addrs, transactions=20)
+        k = 11
+        if stop == "refused":  # the k-th record's deposit refuses it
+            records = committed_records(db)
+            bad = bytes([255]) + records[k][1:]
+            db.slb._committed.clear()
+            db.slb.requeue_committed(records[:k] + [bad] + records[k + 1 :])
+            records = committed_records(db)
+            error = LogError
+        else:  # a crash just after the k-th deposit
+            records = committed_records(db)
+            error = SimulatedCrash
+        referee = TheRecoveryCpuAsItWas(db)
+        passages = []
+
+        def observer(point):
+            assert_no_latch_held(point)
+            if point == "recovery.sort.after-deposit":
+                passages.append(point)
+                if len(passages) == k:
+                    raise SimulatedCrash(point)
+
+        set_crash_point_observer(observer if stop == "crash" else assert_no_latch_held)
+        try:
+            with pytest.raises(error):
+                db.recovery_processor.step()
+        finally:
+            set_crash_point_observer(assert_no_latch_held)
+        referee.check()
+        assert referee.flushes >= 1  # a page flushed before the stop
+        assert committed_records(db) == records[k:]
+
+
+class TestTheMainCpuChargesTheStableCopyAsItDid:
+    """``Transaction._redo`` charges the SLB copy itself, with
+    ``charge_stable_bytes``' float additions in its order."""
+
+    def test_records_of_every_size_up_to_2000_data_bytes(self):
+        """Each record appended through the real sinks is charged, before
+        its append, what ``charge_stable_bytes`` charges a reference meter
+        whose clock also takes every other advance the database's does
+        (the audit trail's page writes), in the same order."""
+        db = Database(SystemConfig(slb_capacity=16 * 1024 * 1024))
+        rel = db.create_relation("doc", [("id", "int"), ("body", "bytes")], primary_key="id")
+        cpu, recovered = db.main_cpu, db.recovery_cpu.total_instructions
+        reference = CpuMeter("reference", cpu.mips, VirtualClock(db.clock.now), cpu.params)
+        reference._total_instructions = cpu.total_instructions
+        reference._by_category = Counter(cpu.category_breakdown())
+        sizes, differed = [], []
+        append, advance = db.slb.append, db.clock.advance
+
+        def charged_then_appended(txn_id, record):
+            reference.charge_stable_bytes(len(record), "slb-write")
+            sizes.append(len(record))
+            if (cpu.total_instructions, db.clock.now) != (
+                reference.total_instructions, reference.clock.now
+            ):
+                differed.append(len(sizes) - 1)  # asserted outside _redo's abort
+            append(txn_id, record)
+
+        def mirrored(seconds):
+            reference.clock.advance(seconds)
+            advance(seconds)
+
+        db.slb.append, db.clock.advance = charged_then_appended, mirrored
+        for n in range(2001):
+            with db.transaction(pump=False) as txn:
+                rel.insert(txn, {"id": n, "body": bytes(n % 251 for _ in range(n))})
+        assert db.recovery_cpu.total_instructions == recovered  # no drain ran
+        assert max(sizes) >= 2000 and len(sizes) > 2 * 2001
+        assert differed == []
+        assert cpu.total_instructions == reference.total_instructions
+        assert cpu.category_breakdown() == reference.category_breakdown()
+        assert db.clock.now == reference.clock.now
+
+
 class TestTheTransactionScope:
     """``Database.transaction``'s scope commits itself when the body
     returned and settles every other ending: its three rules, and the

@@ -141,7 +141,7 @@ class TestRefusedAtTheSortingStep:
         db.recovery_processor.run_until_drained()
         binned = db.slt.records_binned
         with db.transaction(pump=False) as txn:
-            txn._redo(record)
+            db.slb.append(txn.txn_id, record)  # past _redo, which packs its own
         with pytest.raises(LogError):
             db.recovery_processor.run_until_drained()
         assert db.slt.records_binned == binned

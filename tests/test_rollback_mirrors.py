@@ -89,6 +89,47 @@ class TestAbortedDdlLeavesNoGhost:
         assert verify_integrity(db) == []
 
 
+class TestIndexedFieldsFollowTheIndexNames:
+    """``Relation.update`` moves index entries by the descriptor's derived
+    ``indexed_fields``: rebuilt by ``create_index`` and by the re-sync
+    after a rolled-back one."""
+
+    @staticmethod
+    def moved(db, field, old, new, key=3):
+        rel = db.table("a")
+        with db.transaction() as txn:
+            rel.update(txn, rel.lookup(txn, key).address, {field: new})
+        with db.transaction() as txn:
+            assert [row["k"] for row in rel.lookup_by(txn, "a_v", new)] == [key]
+            assert [row["k"] for row in rel.lookup_by(txn, "a_v", old)] == []
+        assert verify_integrity(db) == []
+
+    def test_an_update_of_a_non_key_field(self, monkeypatch):
+        db = Database()
+        rel = db.create_relation("a", [("k", "int"), ("v", "int"), ("w", "int")], "k")
+        with db.transaction() as txn:
+            for key in range(10):
+                rel.insert(txn, {"k": key, "v": 1000 + key, "w": 0})
+        assert rel.descriptor.indexed_fields == {"k"}
+        db.create_index("a_v", "a", "v")
+        assert rel.descriptor.indexed_fields == {"k", "v"}
+        self.moved(db, "v", 1003, 500)
+
+        def doomed(self, txn):
+            raise Doomed
+
+        monkeypatch.setattr(type(rel), "scan", doomed)
+        with pytest.raises(Doomed):
+            db.create_index("a_w", "a", "w")  # the backfill fails: rolled back
+        monkeypatch.undo()
+        assert rel.descriptor.index_names == ["a__pk", "a_v"]
+        assert rel.descriptor.indexed_fields == {"k", "v"}
+        self.moved(db, "v", 500, 600)
+        with db.transaction() as txn:  # no index on w: nothing to move
+            rel.update(txn, rel.lookup(txn, 3).address, {"w": 7})
+        assert verify_integrity(db) == []
+
+
 class TestCatalogResync:
     """The seam itself: descriptor changes a transaction rolls back."""
 

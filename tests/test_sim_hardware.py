@@ -100,21 +100,33 @@ class TestCpuMeter:
         """``charge_sort`` makes Table 2's four sorting charges — lookup,
         page check, the stable copy, page update — with the same float
         additions in the same order: after every record length 0..2000,
-        charged one after another, the clock, the total and every
-        category are identical, not merely close."""
+        charged one after another (a run of one each time) or as one run,
+        the clock, the total and every category are identical, not merely
+        close."""
         params = AnalysisParameters()
         one = CpuMeter("recovery", params.p_recovery_mips, VirtualClock(), params)
+        run = CpuMeter("recovery", params.p_recovery_mips, VirtualClock(), params)
         four = CpuMeter("recovery", params.p_recovery_mips, VirtualClock(), params)
         for nbytes in range(2001):
-            one.charge_sort(nbytes)
+            one.charge_sort([nbytes])
             four.charge(params.i_record_lookup, "record-lookup")
             four.charge(params.i_page_check, "page-check")
             four.charge_stable_bytes(nbytes, "record-copy")
             four.charge(params.i_page_update, "page-update")
             assert one.clock.now == four.clock.now, nbytes
             assert one.total_instructions == four.total_instructions, nbytes
-        assert one.category_breakdown() == four.category_breakdown()
-        assert list(one.category_breakdown()) == list(four.category_breakdown())
+        run.charge_sort(iter(range(2001)))
+        for meter in (one, run):
+            assert meter.clock.now == four.clock.now
+            assert meter.total_instructions == four.total_instructions
+            assert meter.category_breakdown() == four.category_breakdown()
+            assert list(meter.category_breakdown()) == list(four.category_breakdown())
+
+    def test_an_empty_sorting_run_charges_nothing(self):
+        cpu = CpuMeter("r", mips=1.0, clock=VirtualClock())
+        cpu.charge_sort([])
+        assert cpu.total_instructions == 0 and cpu.clock.now == 0
+        assert cpu.category_breakdown() == {}
 
     def test_stable_copy_charge_is_the_charge_it_replaces_bit_for_bit(self):
         """``charge_stable_bytes`` accounts in its own frame: after every
@@ -139,8 +151,9 @@ class TestCpuMeter:
     def test_sorting_charge_rejects_a_negative_length(self):
         cpu = CpuMeter("r", mips=1.0, clock=VirtualClock())
         with pytest.raises(ValueError):
-            cpu.charge_sort(-1)
-        assert cpu.total_instructions == 0
+            cpu.charge_sort([24, -1])  # the whole run refused
+        assert cpu.total_instructions == 0 and cpu.clock.now == 0
+        assert cpu.category_breakdown() == {}
 
 
 @pytest.fixture()

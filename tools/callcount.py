@@ -16,18 +16,30 @@ A count has no noise: two runs of one tree give the same numbers, on any
 host with the same Python minor version.  It is a proxy for host time,
 not a claim; ``benchmarks/host/run.py`` still measures the time.
 
+``--profile`` adds, after every count, two timed runs of each workload's
+operations on a fresh database: one untraced, one under :mod:`cProfile`.
+It prints the traced run's self time per transaction (µs, a function's
+own time without its callees') by ``repro`` package and for the
+:data:`TOP_FUNCTIONS` functions with the most, labelled *traced* with
+its overhead, the traced run's wall time over the untraced run's: a
+profiler inflates a function's time by its calls, so read shares, not
+absolute µs.  Without it nothing is timed.
+
     PYTHONPATH=src python -m tools.callcount              # all five
     PYTHONPATH=src python -m tools.callcount --check      # and the ceilings
     PYTHONPATH=src python -m tools.callcount --by function
+    PYTHONPATH=src python -m tools.callcount --profile    # and traced self µs
     PYTHONPATH=src python -m tools.callcount --scale 0.02 --json
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import gc
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -39,29 +51,30 @@ SEED = 1987
 SCALE = 0.2
 
 #: Calls per transaction in ``repro``'s own code no workload may exceed
-#: (``--check``, at ``SCALE``; :data:`RESTART_CEILINGS` per restart).  They leave out ``other``, whose count moves
-#: with the standard library's patch release.  Measured on CPython 3.11.7
-#: at 302.14, 83.19, 580.09, 106.51 and 469.18; each ceiling leaves about
-#: 1 % for a change that has to add a call.  The totals, ``other``
-#: included, were 309.30 on ``debit_credit`` (the forward path's target is
-#: 430), 86.12 on ``point_read`` and 598.85 on ``mixed_churn`` (target 700).
+#: (``--check``, at ``SCALE``; :data:`RESTART_CEILINGS` per restart).
+#: They leave out ``other``, whose count moves with the standard
+#: library's patch release.  Measured on CPython 3.11.7 at 264.09, 83.19,
+#: 489.51, 97.51 and 449.81; each ceiling leaves about 1 % for a change
+#: that has to add a call.  The totals, ``other`` included, were 271.24
+#: on ``debit_credit`` (the forward path's target is 260), 86.12 on
+#: ``point_read`` and 508.27 on ``mixed_churn`` (target 480).
 CEILINGS = {
-    "debit_credit": 305.2,
+    "debit_credit": 266.7,
     "point_read": 84.0,
-    "mixed_churn": 586.0,
-    "crash_restart": 107.6,
-    "scripted_command": 474.0,
+    "mixed_churn": 494.4,
+    "crash_restart": 98.5,
+    "scripted_command": 454.3,
 }
 
 #: The same for the crash epilogue's calls in ``repro``'s own code, per
-#: restart: measured at 2 708, 1 247, 1 889, 1 320 and 15 297, with about
+#: restart: measured at 2 709, 1 247, 1 889, 1 320 and 14 724, with about
 #: 1 % over each.
 RESTART_CEILINGS = {
     "debit_credit": 2735,
     "point_read": 1260,
     "mixed_churn": 1910,
     "crash_restart": 1335,
-    "scripted_command": 15450,
+    "scripted_command": 14870,
 }
 
 #: The functions ``--by function`` prints per workload.
@@ -116,11 +129,27 @@ class _Profile:
         """``[package, "module.qualname", calls]``, most calls first."""
         functions: Counter = Counter()
         for code, calls in self.codes.items():
-            qualname = getattr(code, "co_qualname", code.co_name)  # 3.11 and later
-            name = f"{Path(code.co_filename).stem}.{qualname}"
-            functions[_package(code.co_filename), name] += calls
+            functions[_function_name(code)] += calls
         ranked = sorted(functions.items(), key=lambda item: (-item[1], item[0]))
         return [[package, name, calls] for (package, name), calls in ranked]
+
+
+def _function_name(code) -> tuple[str, str]:
+    """``(package, "module.qualname")`` of a code object."""
+    qualname = getattr(code, "co_qualname", code.co_name)  # 3.11 and later
+    return _package(code.co_filename), f"{Path(code.co_filename).stem}.{qualname}"
+
+
+def _operations(name: str, scale: float):
+    """``name``'s workload, a fresh default database with its set-up done,
+    and its operations in order."""
+    from repro import Database
+
+    workload = _workloads()[name](SEED, scale)
+    db = Database()
+    workload.setup(db)
+    gc.collect()
+    return workload, db, [op for segment in workload.segments for op in segment]
 
 
 def count(name: str, *, scale: float = SCALE) -> dict:
@@ -128,13 +157,9 @@ def count(name: str, *, scale: float = SCALE) -> dict:
     "functions"}``, each per-unit entry ``{"total", "repro", package:
     calls}``; ``functions`` is :meth:`_Profile.by_function` over every
     transaction, not per transaction."""
-    from repro import Database, RecoveryMode
+    from repro import RecoveryMode
 
-    workload = _workloads()[name](SEED, scale)
-    db = Database()
-    workload.setup(db)
-    gc.collect()
-    operations = [op for segment in workload.segments for op in segment]
+    workload, db, operations = _operations(name, scale)
     execute = workload.execute
     with _Profile() as forward:
         for op in operations:
@@ -151,6 +176,43 @@ def count(name: str, *, scale: float = SCALE) -> dict:
         "per_txn": _per_unit(forward.by_package(), len(operations)),
         "per_restart": _per_unit(restart.by_package(), 1),
         "functions": forward.by_function(),
+    }
+
+
+def traced(name: str, *, scale: float = SCALE) -> dict:
+    """One workload's operations run twice, each on a fresh database: once
+    untraced, once under cProfile.  ``{"overhead", "self_us_per_txn",
+    "functions"}``: the traced wall time over the untraced one, the self
+    µs per transaction by package as :func:`_per_unit` gives them, and
+    ``[package, "module.qualname", self µs]`` over every transaction,
+    most first (a C function is ``other``, named as cProfile names it)."""
+    walls = []
+    profiler = cProfile.Profile()
+    for profile in (None, profiler):
+        workload, db, operations = _operations(name, scale)
+        execute = workload.execute
+        start = time.perf_counter()
+        if profile is not None:
+            profile.enable()
+        for op in operations:
+            execute(db, op)
+        if profile is not None:
+            profile.disable()
+        walls.append(time.perf_counter() - start)
+        db.close()
+    functions: Counter = Counter()
+    for entry in profiler.getstats():
+        code = entry.code
+        key = ("other", code) if isinstance(code, str) else _function_name(code)
+        functions[key] += entry.inlinetime * 1e6
+    packages: Counter = Counter()
+    for (package, _), micros in functions.items():
+        packages[package] += micros
+    ranked = sorted(functions.items(), key=lambda item: (-item[1], item[0]))
+    return {
+        "overhead": round(walls[1] / walls[0], 2),
+        "self_us_per_txn": _per_unit(packages, len(operations)),
+        "functions": [[package, function, micros] for (package, function), micros in ranked],
     }
 
 
@@ -175,12 +237,20 @@ def main(argv: list[str] | None = None) -> int:
         "--by", choices=("package", "function"), default="package",
         help=f"function: also the top {TOP_FUNCTIONS} functions per transaction",
     )
+    parser.add_argument(
+        "--profile", action="store_true",
+        help="also a traced (cProfile) run: self µs per transaction, and its overhead",
+    )
     args = parser.parse_args(argv)
     if args.check and args.scale != SCALE:
         parser.error(f"--check holds the ceilings recorded at --scale {SCALE}")
+    # every count first: a timed run fills caches the next count would fill
+    results = {name: count(name, scale=args.scale) for name in _workloads()}
+    if args.profile:
+        for name, result in results.items():
+            result["traced"] = traced(name, scale=args.scale)
     over = []
-    for name in _workloads():
-        result = count(name, scale=args.scale)
+    for name, result in results.items():
         per_txn = result["per_txn"]
         if args.by == "package":
             result.pop("functions", None)
@@ -199,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
             ))
             for package, function, calls in result.get("functions", [])[:TOP_FUNCTIONS]:
                 print(f"  {calls / result['transactions']:8.2f}  {package:<12} {function}")
+            if "traced" in result:
+                _print_traced(result["traced"], result["transactions"])
         per_restart = result["per_restart"]["repro"]
         if args.check and per_txn["repro"] > CEILINGS[name]:
             over.append(
@@ -212,6 +284,21 @@ def main(argv: list[str] | None = None) -> int:
     for line in over:
         print(f"OVER CEILING {line}", file=sys.stderr)
     return 1 if over else 0
+
+
+def _print_traced(traced: dict, units: int) -> None:
+    self_us = traced["self_us_per_txn"]
+    print(
+        f"  traced (cProfile, {traced['overhead']:.2f}x the untraced wall time): "
+        f"self {self_us['total']:.2f} µs/txn ({self_us['repro']:.2f} in repro)"
+    )
+    print("  traced self µs per txn: " + ", ".join(
+        f"{package} {micros:.2f}"
+        for package, micros in self_us.items()
+        if package not in ("total", "repro")
+    ))
+    for package, function, micros in traced["functions"][:TOP_FUNCTIONS]:
+        print(f"  {micros / units:8.2f} µs  {package:<12} {function}")
 
 
 if __name__ == "__main__":
