@@ -11,8 +11,8 @@ from repro.catalog.schema import Field, FieldType, Schema
 from repro.catalog.catalog import (
     Catalog,
     IndexDescriptor,
-    PartitionInfo,
     RelationDescriptor,
+    decode_descriptor,
 )
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "Field",
     "FieldType",
     "IndexDescriptor",
-    "PartitionInfo",
     "RelationDescriptor",
     "Schema",
+    "decode_descriptor",
 ]

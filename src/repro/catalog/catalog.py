@@ -19,9 +19,10 @@ from them, so nothing outside this module restores a field by hand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
+from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from repro.catalog.schema import Schema
 from repro.common.errors import CatalogError
@@ -54,149 +55,106 @@ class EntitySink(Protocol):
     def on_rollback(self, compensate: Callable[[], None]) -> None: ...
 
 
-def _address_to_json(address: EntityAddress | None) -> list | None:
-    if address is None:
-        return None
-    return [address.segment, address.partition, address.offset]
-
-
-def _address_from_json(data: list | None) -> EntityAddress | None:
-    if data is None:
-        return None
-    return EntityAddress(*data)
-
-
 @dataclass
-class PartitionInfo:
-    """Catalogued facts about one partition: its number within the segment
-    and its current checkpoint image location (a disk slot)."""
+class Descriptor:
+    """What every catalogued object's descriptor shares, and its one codec."""
 
-    number: int
-    checkpoint_slot: int | None = None
-
-    def to_json(self) -> list:
-        return [self.number, self.checkpoint_slot]
-
-    @classmethod
-    def from_json(cls, data: list) -> "PartitionInfo":
-        return cls(data[0], data[1])
-
-
-@dataclass
-class RelationDescriptor:
     name: str
     segment_id: int
+    _: KW_ONLY
+    #: Partition number → the disk slot of its current checkpoint image
+    #: (``None`` before the first checkpoint), in the order catalogued.
+    partitions: dict[int, int | None] = field(default_factory=dict)
+    #: Catalog entity holding this descriptor (assigned at store time).
+    entity: EntityAddress | None = None
+
+    def partition_addresses(self) -> list[PartitionAddress]:
+        return [
+            PartitionAddress(self.segment_id, number)
+            for number in sorted(self.partitions)
+        ]
+
+    def _own_json(self) -> dict:
+        raise NotImplementedError
+
+    def encode(self) -> bytes:
+        doc = self._own_json()
+        doc["name"] = self.name
+        doc["segment"] = self.segment_id
+        doc["partitions"] = [[number, slot] for number, slot in self.partitions.items()]
+        return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+@dataclass
+class RelationDescriptor(Descriptor):
     schema: Schema
     primary_key: str
     index_names: list[str] = field(default_factory=list)
-    partitions: dict[int, PartitionInfo] = field(default_factory=dict)
     #: Highest command sequence number whose effects are fully reflected
     #: in this relation's checkpoint images (docs/LOGGING.md).  Updated
     #: atomically for a whole declared closure by settlement sweeps;
     #: commands at or below the watermark are settled and never replayed.
     command_watermark: int = 0
-    #: Catalog entity holding this descriptor (assigned at store time).
-    entity: EntityAddress | None = None
     #: The key fields of the indexes named in ``index_names``: derived,
-    #: never encoded — :meth:`Catalog.derive_indexed_fields` rebuilds it
-    #: wherever ``index_names`` changes.
-    indexed_fields: frozenset[str] = field(default=frozenset(), compare=False, repr=False)
+    #: never encoded — the catalog rebuilds it wherever it writes or
+    #: decodes the descriptor.
+    indexed_fields: frozenset[str] = field(
+        default=frozenset(), init=False, compare=False, repr=False
+    )
 
-    def partition_addresses(self) -> list[PartitionAddress]:
-        return [
-            PartitionAddress(self.segment_id, number)
-            for number in sorted(self.partitions)
-        ]
-
-    def encode(self) -> bytes:
-        return json.dumps(
-            {
-                "kind": "relation",
-                "name": self.name,
-                "segment": self.segment_id,
-                "schema": self.schema.to_json(),
-                "primary_key": self.primary_key,
-                "indexes": self.index_names,
-                "partitions": [p.to_json() for p in self.partitions.values()],
-                "command_watermark": self.command_watermark,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-
-    @classmethod
-    def decode(cls, data: bytes, entity: EntityAddress) -> "RelationDescriptor":
-        doc = json.loads(data.decode("utf-8"))
-        partitions = {
-            info[0]: PartitionInfo.from_json(info) for info in doc["partitions"]
+    def _own_json(self) -> dict:
+        return {
+            "kind": "relation",
+            "schema": self.schema.to_json(),
+            "primary_key": self.primary_key,
+            "indexes": self.index_names,
+            "command_watermark": self.command_watermark,
         }
-        return cls(
-            name=doc["name"],
-            segment_id=doc["segment"],
-            schema=Schema.from_json(doc["schema"]),
-            primary_key=doc["primary_key"],
-            index_names=list(doc["indexes"]),
-            partitions=partitions,
-            command_watermark=doc.get("command_watermark", 0),
-            entity=entity,
-        )
 
 
 @dataclass
-class IndexDescriptor:
-    name: str
+class IndexDescriptor(Descriptor):
     relation_name: str
-    segment_id: int
     kind: str  # "ttree" | "hash"
     key_field: str
     anchor: EntityAddress | None = None
-    partitions: dict[int, PartitionInfo] = field(default_factory=dict)
-    entity: EntityAddress | None = None
 
-    def partition_addresses(self) -> list[PartitionAddress]:
-        return [
-            PartitionAddress(self.segment_id, number)
-            for number in sorted(self.partitions)
-        ]
-
-    def encode(self) -> bytes:
-        return json.dumps(
-            {
-                "kind": "index",
-                "name": self.name,
-                "relation": self.relation_name,
-                "segment": self.segment_id,
-                "type": self.kind,
-                "field": self.key_field,
-                "anchor": _address_to_json(self.anchor),
-                "partitions": [p.to_json() for p in self.partitions.values()],
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-
-    @classmethod
-    def decode(cls, data: bytes, entity: EntityAddress) -> "IndexDescriptor":
-        doc = json.loads(data.decode("utf-8"))
-        partitions = {
-            info[0]: PartitionInfo.from_json(info) for info in doc["partitions"]
+    def _own_json(self) -> dict:
+        return {
+            "kind": "index",
+            "relation": self.relation_name,
+            "type": self.kind,
+            "field": self.key_field,
+            "anchor": self.anchor,
         }
-        return cls(
-            name=doc["name"],
+
+
+def decode_descriptor(data: bytes, entity: EntityAddress) -> Descriptor:
+    """The descriptor a catalog entity's bytes encode, stored at ``entity``."""
+    doc = json.loads(data)
+    shared: dict[str, Any] = {
+        "name": doc["name"],
+        "segment_id": doc["segment"],
+        "partitions": dict(doc["partitions"]),
+        "entity": entity,
+    }
+    if doc["kind"] == "relation":
+        return RelationDescriptor(
+            schema=Schema.from_json(doc["schema"]),
+            primary_key=doc["primary_key"],
+            index_names=list(doc["indexes"]),
+            command_watermark=doc.get("command_watermark", 0),
+            **shared,
+        )
+    if doc["kind"] == "index":
+        anchor = doc["anchor"]
+        return IndexDescriptor(
             relation_name=doc["relation"],
-            segment_id=doc["segment"],
             kind=doc["type"],
             key_field=doc["field"],
-            anchor=_address_from_json(doc["anchor"]),
-            partitions=partitions,
-            entity=entity,
+            anchor=None if anchor is None else EntityAddress(*anchor),
+            **shared,
         )
-
-
-def _decode_descriptor(data: bytes, entity: EntityAddress):
-    doc = json.loads(data.decode("utf-8"))
-    if doc["kind"] == "relation":
-        return RelationDescriptor.decode(data, entity)
-    if doc["kind"] == "index":
-        return IndexDescriptor.decode(data, entity)
     raise CatalogError(f"unknown catalog entity kind {doc['kind']!r}")
 
 
@@ -210,6 +168,8 @@ class Catalog:
         self.segment = segment
         self._relations: dict[str, RelationDescriptor] = {}
         self._indexes: dict[str, IndexDescriptor] = {}
+        #: Both kinds by the segment each owns (never the catalog's own).
+        self._by_segment: dict[int, RelationDescriptor | IndexDescriptor] = {}
         #: Checkpoint slots of the catalog's own partitions, mirrored into
         #: the well-known stable areas by the checkpoint manager.
         self.own_partition_slots: dict[int, int | None] = {}
@@ -239,21 +199,13 @@ class Catalog:
         for name in sorted(self._indexes):
             yield self._indexes[name]
 
-    def derive_indexed_fields(self, descriptor: RelationDescriptor) -> None:
-        """Rebuild ``descriptor.indexed_fields`` from its index names: after
-        an index is created or dropped, and for a descriptor decoded again."""
-        indexes = map(self._indexes.__getitem__, descriptor.index_names)
-        descriptor.indexed_fields = frozenset(map(attrgetter("key_field"), indexes))
-
     def indexes_of(self, relation_name: str) -> list[IndexDescriptor]:
         descriptor = self.relation(relation_name)
         return [self._indexes[name] for name in descriptor.index_names]
 
-    def with_indexes(
-        self, relation_names: Iterable[str]
-    ) -> list[RelationDescriptor | IndexDescriptor]:
+    def with_indexes(self, relation_names: Iterable[str]) -> list[Descriptor]:
         """Each named relation, in the order given, followed by its indexes."""
-        members: list[RelationDescriptor | IndexDescriptor] = []
+        members: list[Descriptor] = []
         for name in relation_names:
             indexes = self.indexes_of(name)
             members += (self._relations[name], *indexes)
@@ -263,15 +215,12 @@ class Catalog:
         """Every catalogued partition: the catalog's own and the descriptors'."""
         return set(self.image_slots())
 
-    def descriptor_for_segment(self, segment_id: int):
+    def descriptor_for_segment(self, segment_id: int) -> RelationDescriptor | IndexDescriptor:
         """Find the relation or index descriptor owning a segment."""
-        for descriptor in self._relations.values():
-            if descriptor.segment_id == segment_id:
-                return descriptor
-        for descriptor in self._indexes.values():
-            if descriptor.segment_id == segment_id:
-                return descriptor
-        raise CatalogError(f"no catalogued object owns segment {segment_id}")
+        try:
+            return self._by_segment[segment_id]
+        except KeyError:
+            raise CatalogError(f"no catalogued object owns segment {segment_id}") from None
 
     def relation_of_segment(self, segment_id: int) -> RelationDescriptor:
         """The relation whose lock covers a segment (its own, or the one an
@@ -290,18 +239,21 @@ class Catalog:
     # every other partition is recorded in its relation's or index's
     # descriptor and covered by its relation.
 
-    def _info(self, address: PartitionAddress):
+    def _slots_of(
+        self, address: PartitionAddress
+    ) -> tuple[Descriptor | None, dict[int, int | None]]:
+        """The descriptor recording ``address``'s image slot (``None`` for
+        the catalog's own partitions) and the number → slot map holding it."""
+        if address.segment == self.segment.segment_id:
+            return None, self.own_partition_slots
         descriptor = self.descriptor_for_segment(address.segment)
-        info = descriptor.partitions.get(address.partition)
-        if info is None:
+        if address.partition not in descriptor.partitions:
             raise CatalogError(f"{address} is not catalogued under {descriptor.name!r}")
-        return descriptor, info
+        return descriptor, descriptor.partitions
 
     def image_slot(self, address: PartitionAddress) -> int | None:
         """The slot of ``address``'s current image (``None``: never checkpointed)."""
-        if address.segment == self.segment.segment_id:
-            return self.own_partition_slots.get(address.partition)
-        return self._info(address)[1].checkpoint_slot
+        return self._slots_of(address)[1].get(address.partition)
 
     def covering_segment(self, address: PartitionAddress) -> int:
         """The segment whose relation lock covers ``address`` (section 2.4
@@ -318,14 +270,13 @@ class Catalog:
 
     def image_slots(self) -> dict[PartitionAddress, int | None]:
         """Every catalogued partition and its image slot."""
-        slots = {
-            PartitionAddress(self.segment.segment_id, number): slot
-            for number, slot in self.own_partition_slots.items()
+        held = [(self.segment.segment_id, self.own_partition_slots)]
+        held += [(d.segment_id, d.partitions) for d in self._by_segment.values()]
+        return {
+            PartitionAddress(segment, number): slot
+            for segment, numbered in held
+            for number, slot in numbered.items()
         }
-        for descriptor in (*self._relations.values(), *self._indexes.values()):
-            for number, info in descriptor.partitions.items():
-                slots[PartitionAddress(descriptor.segment_id, number)] = info.checkpoint_slot
-        return slots
 
     def install_images(
         self,
@@ -340,23 +291,18 @@ class Catalog:
         the ``settled`` relations' watermarks advance to ``watermark``.
         The catalog's own slots change in place (undone on rollback); the
         caller publishes them once the images are durable."""
-        own_segment = self.segment.segment_id
         # resolve every address before changing any descriptor
-        owners = {a: None if a.segment == own_segment else self._info(a) for a in slots}
-        own = self.own_partition_slots
+        owners = {address: self._slots_of(address) for address in slots}
         previous: dict[PartitionAddress, int | None] = {}
-        touched: dict[str, RelationDescriptor | IndexDescriptor] = {}
+        touched: dict[str, Descriptor] = {}
         for address, slot in slots.items():
-            owner = owners[address]
-            if owner is None:
-                number = address.partition
-                previous[address] = old = own.get(number)
-                own[number] = slot
-                sink.on_rollback(lambda number=number, old=old: own.__setitem__(number, old))
+            descriptor, held = owners[address]
+            number = address.partition
+            previous[address] = old = held.get(number)
+            held[number] = slot
+            if descriptor is None:
+                sink.on_rollback(partial(held.__setitem__, number, old))
             else:
-                descriptor, info = owner
-                previous[address] = info.checkpoint_slot
-                info.checkpoint_slot = slot
                 touched.setdefault(descriptor.name, descriptor)
         for relation in settled:
             relation.command_watermark = watermark
@@ -369,7 +315,7 @@ class Catalog:
 
     def store_new(
         self,
-        descriptor: RelationDescriptor | IndexDescriptor,
+        descriptor: Descriptor,
         sink: EntitySink | None,
     ) -> None:
         """Persist a brand-new descriptor and register it."""
@@ -393,12 +339,15 @@ class Catalog:
 
     def update(
         self,
-        descriptor: RelationDescriptor | IndexDescriptor,
+        descriptor: Descriptor,
         sink: EntitySink | None,
     ) -> None:
-        """Rewrite a descriptor's catalog entity after a change."""
+        """Rewrite a descriptor's catalog entity after a change (and a
+        relation's derived ``indexed_fields`` with it)."""
         if descriptor.entity is None:
             raise CatalogError(f"descriptor {descriptor.name!r} was never stored")
+        if isinstance(descriptor, RelationDescriptor):
+            self._derive_indexed_fields(descriptor)
         partition = self.segment.get(descriptor.entity.partition)
         before = partition.read(descriptor.entity.offset)
         after = descriptor.encode()
@@ -408,7 +357,7 @@ class Catalog:
 
     def drop(
         self,
-        descriptor: RelationDescriptor | IndexDescriptor,
+        descriptor: Descriptor,
         sink: EntitySink | None,
     ) -> None:
         if descriptor.entity is None:
@@ -423,17 +372,23 @@ class Catalog:
             sink.on_rollback(lambda: self._register(descriptor))
         self._unregister(descriptor)
 
-    def _register(self, descriptor: RelationDescriptor | IndexDescriptor) -> None:
+    def _register(self, descriptor: Descriptor) -> None:
         if isinstance(descriptor, RelationDescriptor):
-            self._relations[descriptor.name] = descriptor
-        else:
-            self._indexes[descriptor.name] = descriptor
+            self._relations[descriptor.name] = self._by_segment[descriptor.segment_id] = descriptor
+        elif isinstance(descriptor, IndexDescriptor):
+            self._indexes[descriptor.name] = self._by_segment[descriptor.segment_id] = descriptor
 
-    def _unregister(self, descriptor: RelationDescriptor | IndexDescriptor) -> None:
+    def _unregister(self, descriptor: Descriptor) -> None:
         if isinstance(descriptor, RelationDescriptor):
             del self._relations[descriptor.name]
         else:
             del self._indexes[descriptor.name]
+        del self._by_segment[descriptor.segment_id]
+
+    def _derive_indexed_fields(self, descriptor: RelationDescriptor) -> None:
+        """Rebuild ``descriptor.indexed_fields`` from its index names."""
+        indexes = map(self._indexes.__getitem__, descriptor.index_names)
+        descriptor.indexed_fields = frozenset(map(attrgetter("key_field"), indexes))
 
     def _grow_own(self, segment: Segment, fits: Callable[[Partition], bool]) -> Partition:
         """A partition for a catalog with no database behind it (no
@@ -448,10 +403,11 @@ class Catalog:
         """Repopulate the descriptor maps from recovered catalog partitions."""
         self._relations.clear()
         self._indexes.clear()
+        self._by_segment.clear()
         for entity, data in self.entities():
-            self._register(_decode_descriptor(data, entity))
+            self._register(decode_descriptor(data, entity))
         for descriptor in self._relations.values():
-            self.derive_indexed_fields(descriptor)
+            self._derive_indexed_fields(descriptor)
 
     def resync(self, entities: Iterable[EntityAddress]) -> None:
         """Re-derive, in place, the descriptors stored at ``entities`` —
@@ -462,22 +418,19 @@ class Catalog:
         hold references) and takes the decoded fields; one whose entity is
         gone — an aborted create — is unregistered.  Then every relation's
         derived ``indexed_fields`` is rebuilt from its index names."""
-        registered = {
-            descriptor.entity: descriptor
-            for descriptor in (*self._relations.values(), *self._indexes.values())
-        }
+        registered = {descriptor.entity: descriptor for descriptor in self._by_segment.values()}
         for entity in entities:
             current = registered.get(entity)
             if current is None:
                 continue  # a create that failed before it registered
             partition = self.segment.get(entity.partition)
             if entity.offset in partition:
-                decoded = _decode_descriptor(partition.read(entity.offset), entity)
+                decoded = decode_descriptor(partition.read(entity.offset), entity)
                 vars(current).update(vars(decoded))
             else:
                 self._unregister(current)
         for descriptor in self._relations.values():
-            self.derive_indexed_fields(descriptor)
+            self._derive_indexed_fields(descriptor)
 
     def entities(self) -> Iterator[tuple[EntityAddress, bytes]]:
         """Every stored descriptor entity: the bytes the descriptor

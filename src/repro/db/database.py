@@ -33,7 +33,6 @@ from repro.catalog.catalog import (
     CATALOG_LOCATIONS_KEY,
     Catalog,
     IndexDescriptor,
-    PartitionInfo,
     RelationDescriptor,
 )
 from repro.catalog.schema import Schema
@@ -240,7 +239,7 @@ class Database:
         partition.bin_index = self.slt.register_partition(address)
         txn.on_rollback(lambda: self.slt.drop_partition(address), stable=True)
         descriptor = self.catalog.descriptor_for_segment(address.segment)
-        descriptor.partitions[address.partition] = PartitionInfo(address.partition)
+        descriptor.partitions[address.partition] = None
         self.catalog.update(descriptor, txn)
 
     def publish_catalog_locations(self) -> None:
@@ -405,7 +404,6 @@ class Database:
         descriptor.anchor = index.anchor
         self.catalog.update(descriptor, txn)
         relation_descriptor.index_names.append(index_name)
-        self.catalog.derive_indexed_fields(relation_descriptor)
         self.catalog.update(relation_descriptor, txn)
         self._index_objects[index_name] = index
         txn.on_rollback(lambda: self._index_objects.pop(index_name, None))
@@ -435,7 +433,6 @@ class Database:
             # as in create_index: the relation's descriptor is rewritten
             txn.lock_relation(relation_descriptor.segment_id, LockMode.SHARED)
             relation_descriptor.index_names.remove(index_name)
-            self.catalog.derive_indexed_fields(relation_descriptor)
             self.catalog.update(relation_descriptor, txn)
             self.catalog.drop(descriptor, txn)
         # physical release only after the drop is durable: an aborted or
@@ -468,12 +465,12 @@ class Database:
         """Free a dropped object's partitions: SLT bins, checkpoint
         images, and the in-memory segment.  Runs after the catalog drop
         committed."""
-        for number, info in sorted(descriptor.partitions.items()):
+        for number, slot in sorted(descriptor.partitions.items()):
             address = PartitionAddress(descriptor.segment_id, number)
             if self.slt.has_partition(address):
                 self.slt.drop_partition(address)
-            if info.checkpoint_slot is not None:
-                self.checkpoint_disk.free(info.checkpoint_slot)
+            if slot is not None:
+                self.checkpoint_disk.free(slot)
         if descriptor.segment_id in self.memory:
             self.memory.drop_segment(descriptor.segment_id)
 

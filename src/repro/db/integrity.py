@@ -141,14 +141,14 @@ def _check_checkpoint_slots(db: "Database") -> list[str]:
 def _check_mirrors(db: "Database") -> list[str]:
     """Mirror ≡ bytes (docs/INTERNALS.md, "Decoded mirrors of byte
     state"): the registered descriptors are exactly what the catalog
-    entities decode to, and the catalog's own slot list is what both
-    well-known areas publish."""
+    entities decode to, the catalog's own slot list is what both
+    well-known areas publish, and the catalog's derived state — each
+    relation's ``indexed_fields`` and the segment-id map — is what the
+    registered descriptors derive to."""
     problems = []
     catalog = db.catalog
-    registered = {
-        descriptor.entity: descriptor
-        for descriptor in list(catalog.relations()) + list(catalog.indexes())
-    }
+    relations, indexes = list(catalog.relations()), list(catalog.indexes())
+    registered = {descriptor.entity: descriptor for descriptor in relations + indexes}
     for entity, data in catalog.entities():
         descriptor = registered.pop(entity, None)
         if descriptor is None:
@@ -160,6 +160,23 @@ def _check_mirrors(db: "Database") -> list[str]:
             )
     for descriptor in registered.values():
         problems.append(f"{descriptor.name}: registered but has no catalog entity")
+    key_fields = {index.name: index.key_field for index in indexes}
+    for relation in relations:
+        expected = {key_fields[name] for name in relation.index_names if name in key_fields}
+        if relation.indexed_fields != expected:
+            problems.append(
+                f"{relation.name}: indexed fields {sorted(relation.indexed_fields)} "
+                f"differ from its indexes' key fields {sorted(expected)}"
+            )
+    owners = {descriptor.segment_id: descriptor for descriptor in relations + indexes}
+    mapped = catalog._by_segment
+    for segment_id in sorted(owners.keys() | mapped.keys()):
+        held, owner = mapped.get(segment_id), owners.get(segment_id)
+        if held is not owner:
+            problems.append(
+                f"segment {segment_id}: the catalog's segment map holds "
+                f"{held and held.name!r}, its registered owner is {owner and owner.name!r}"
+            )
     entry = catalog.well_known_entry()
     for area, store in (("SLB", db.slb), ("SLT", db.slt)):
         if (store.get_well_known(CATALOG_LOCATIONS_KEY) or []) != entry:

@@ -60,9 +60,7 @@ def logical_digest(db: "Database", slots: bool = True) -> str:
             )
         occupied = [p for p in segment.resident_partitions() if len(p) or len(p.heap)]
         listed = {
-            number: descriptor.partitions[number]
-            if slots
-            else dataclasses.replace(descriptor.partitions[number], checkpoint_slot=None)
+            number: descriptor.partitions[number] if slots else None
             for number in (p.address.partition for p in occupied)
         }
         h.update(b"D")

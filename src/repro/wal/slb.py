@@ -59,16 +59,14 @@ class _LogBlock:
 
 
 class TransactionLogChain:
-    """The chain of SLB blocks belonging to one transaction."""
+    """The chain of SLB blocks belonging to one transaction, with its
+    record and byte tallies."""
 
     def __init__(self, txn_id: int):
         self.txn_id = txn_id
         self.blocks: list[_LogBlock] = []
         self.record_count = 0
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(block.nbytes for block in self.blocks)
+        self.nbytes = 0
 
     def records(self) -> Iterator[bytes]:
         for block in self.blocks:
@@ -135,6 +133,7 @@ class StableLogBuffer:
         block.records.append(record)
         block.nbytes += size
         chain.record_count += 1
+        chain.nbytes += size
         self.bytes_written += size
         self.records_written += 1
 
@@ -152,6 +151,7 @@ class StableLogBuffer:
             block.records.append(record)
             block.nbytes += size
             chain.record_count += 1
+            chain.nbytes += size
             appended += size
         return appended
 
@@ -163,7 +163,7 @@ class StableLogBuffer:
         written counters too.  Returns how many."""
         self._free_chain(chain)
         chain.blocks = []
-        chain.record_count = 0
+        chain.record_count = chain.nbytes = 0
         self._fill(chain, kept)
         self.records_written -= len(unwritten)
         self.bytes_written -= sum(map(len, unwritten))
@@ -215,8 +215,7 @@ class StableLogBuffer:
         chain = self._uncommitted.pop(txn_id, None) or self._require_open(txn_id)
         self._committed.append(chain)
         self.mode_commits[mode] = self.mode_commits.get(mode, 0) + 1
-        size = chain.size_bytes if chain.blocks else 0  # read-only: no sum to take
-        self.mode_bytes[mode] = self.mode_bytes.get(mode, 0) + size + extra_bytes
+        self.mode_bytes[mode] = self.mode_bytes.get(mode, 0) + chain.nbytes + extra_bytes
 
     @property
     def commits(self) -> int:

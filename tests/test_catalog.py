@@ -1,13 +1,15 @@
 """Unit tests for the catalog: descriptors, persistence, rebuild."""
 
+import dataclasses
+
 import pytest
 
 from repro.catalog import (
     Catalog,
     IndexDescriptor,
-    PartitionInfo,
     RelationDescriptor,
     Schema,
+    decode_descriptor,
 )
 from repro.common import CatalogError, EntityAddress, PartitionAddress
 from repro.storage import MemoryManager
@@ -24,7 +26,7 @@ def relation_descriptor(name="emp", segment_id=7):
         segment_id=segment_id,
         schema=Schema.of([("id", "int"), ("name", "str")]),
         primary_key="id",
-        partitions={1: PartitionInfo(1, checkpoint_slot=5)},
+        partitions={1: 5},
     )
 
 
@@ -36,34 +38,52 @@ def index_descriptor(name="emp__pk", segment_id=8):
         kind="hash",
         key_field="id",
         anchor=EntityAddress(8, 1, 1),
-        partitions={1: PartitionInfo(1)},
+        partitions={1: None},
     )
+
+
+def roundtrip(descriptor, entity):
+    """Decode ``descriptor``'s bytes as stored at ``entity``; every field
+    (the schema by its JSON form) must come back, and the same bytes."""
+    restored = decode_descriptor(descriptor.encode(), entity)
+    assert type(restored) is type(descriptor)
+    for field in dataclasses.fields(descriptor):
+        expected = entity if field.name == "entity" else getattr(descriptor, field.name)
+        actual = getattr(restored, field.name)
+        if field.name == "schema":
+            expected, actual = expected.to_json(), actual.to_json()
+        assert actual == expected, field.name
+    assert restored.encode() == descriptor.encode()
+    return restored
 
 
 class TestDescriptorEncoding:
     def test_relation_roundtrip(self):
         descriptor = relation_descriptor()
-        restored = RelationDescriptor.decode(
-            descriptor.encode(), EntityAddress(1, 1, 1)
-        )
+        descriptor.index_names = ["emp__pk", "emp_by_name"]
+        descriptor.command_watermark = 12
+        descriptor.partitions = {3: None, 1: 5}  # catalogued order, not sorted
+        restored = roundtrip(descriptor, EntityAddress(1, 1, 1))
         assert restored.name == "emp"
         assert restored.segment_id == 7
         assert restored.primary_key == "id"
-        assert restored.partitions[1].checkpoint_slot == 5
+        assert list(restored.partitions.items()) == [(3, None), (1, 5)]
         assert [f.name for f in restored.schema] == ["id", "name"]
         assert restored.entity == EntityAddress(1, 1, 1)
 
     def test_index_roundtrip(self):
         descriptor = index_descriptor()
-        restored = IndexDescriptor.decode(descriptor.encode(), EntityAddress(1, 1, 2))
+        restored = roundtrip(descriptor, EntityAddress(1, 1, 2))
         assert restored.kind == "hash"
         assert restored.anchor == EntityAddress(8, 1, 1)
         assert restored.key_field == "id"
-        assert restored.partitions[1].checkpoint_slot is None
+        assert restored.partitions == {1: None}
+        descriptor.anchor = None  # an index not yet built
+        assert roundtrip(descriptor, EntityAddress(1, 1, 2)).anchor is None
 
     def test_partition_addresses(self):
         descriptor = relation_descriptor()
-        descriptor.partitions[3] = PartitionInfo(3)
+        descriptor.partitions[3] = None
         assert descriptor.partition_addresses() == [
             PartitionAddress(7, 1),
             PartitionAddress(7, 3),
@@ -90,13 +110,13 @@ class TestCatalogPersistence:
         catalog, _ = make_catalog()
         descriptor = relation_descriptor()
         catalog.store_new(descriptor, None)
-        descriptor.partitions[2] = PartitionInfo(2, checkpoint_slot=9)
+        descriptor.partitions[2] = 9
         catalog.update(descriptor, None)
         data = catalog.segment.get(descriptor.entity.partition).read(
             descriptor.entity.offset
         )
-        restored = RelationDescriptor.decode(data, descriptor.entity)
-        assert restored.partitions[2].checkpoint_slot == 9
+        restored = decode_descriptor(data, descriptor.entity)
+        assert restored.partitions[2] == 9
 
     def test_update_unstored_rejected(self):
         catalog, _ = make_catalog()

@@ -303,15 +303,15 @@ class TestRestartRefusesAMalformedImage:
     def test_truncated_image_takes_the_history_fallback(self, cut):
         db = self.loaded_db()
         descriptor = db.catalog.relation("items")
-        [(number, info)] = descriptor.partitions.items()
+        [(number, slot)] = descriptor.partitions.items()
         address = PartitionAddress(descriptor.segment_id, number)
-        image = db.checkpoint_disk.read_image(info.checkpoint_slot)
+        image = db.checkpoint_disk.read_image(slot)
         heap_bytes = struct.unpack_from("<I", image, IMAGE_HEADER_BYTES - 4)[0]
         assert heap_bytes > 12, "the image must hold strings"
         end = IMAGE_HEADER_BYTES + 50 if cut == "inside an entry" else len(image) - 3
         expected = logical_digest(db)
         db.crash()
-        db.checkpoint_disk.disk.write_track(info.checkpoint_slot, seal_frame(image[:end]))
+        db.checkpoint_disk.disk.write_track(slot, seal_frame(image[:end]))
         db.restart(RecoveryMode.EAGER)
         assert logical_digest(db) == expected
         assert verify_integrity(db) == []

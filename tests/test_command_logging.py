@@ -690,7 +690,7 @@ class TestSettlement:
         descriptor = db.catalog.relation("accounts")
         assert descriptor.command_watermark > 0
         run_transfers(db, live_after_sweep, logging="command")
-        slot = descriptor.partitions[target.partition].checkpoint_slot
+        slot = descriptor.partitions[target.partition]
         db.crash()
         db.checkpoint_disk.disk.corrupt_block(slot, "torn")
         with pytest.raises(RecoveryError, match="settled commands"):

@@ -295,10 +295,10 @@ class TestLostLogPageIsFatal:
             for lsn in enumerate_log_pages(bin_, db.log_disk)[0]
         }
         slots = {
-            PartitionAddress(descriptor.segment_id, number): info.checkpoint_slot
+            PartitionAddress(descriptor.segment_id, number): slot
             for descriptor in db.catalog.relations()
-            for number, info in descriptor.partitions.items()
-            if info.checkpoint_slot is not None
+            for number, slot in descriptor.partitions.items()
+            if slot is not None
         }
         lsn, slot = next(
             (lsn, slots[owner])
@@ -318,8 +318,8 @@ class TestCheckpointImageCorruption:
         return sorted(
             slot
             for descriptor in list(db.catalog.relations()) + list(db.catalog.indexes())
-            for info in descriptor.partitions.values()
-            if (slot := info.checkpoint_slot) is not None
+            for slot in descriptor.partitions.values()
+            if slot is not None
         )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

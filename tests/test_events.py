@@ -164,9 +164,9 @@ class TestRestartEvents:
         db, rel, addrs = bank()
         run_updates(db, rel, addrs, 120)
         descriptor = db.catalog.relation("acct")
-        [(number, info)] = descriptor.partitions.items()
+        [(number, slot)] = descriptor.partitions.items()
         db.crash()
-        db.checkpoint_disk.disk.corrupt_block(info.checkpoint_slot, "torn")
+        db.checkpoint_disk.disk.corrupt_block(slot, "torn")
         db.restart(RecoveryMode.EAGER)
         [record] = [e for e in db.stats()["restart"]["partitions"] if e["source"] == "history"]
         assert record["address"] == str(PartitionAddress(descriptor.segment_id, number))

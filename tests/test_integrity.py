@@ -121,7 +121,7 @@ class TestDetectsMirrorDrift:
 
     def test_detects_descriptor_ahead_of_its_entity(self):
         db, rel, addrs = loaded_db()
-        db.catalog.relation("items").partitions[1].checkpoint_slot = 77
+        db.catalog.relation("items").partitions[1] = 77
         problems = verify_integrity(db)
         assert any("items: decoded descriptor differs" in p for p in problems)
 
@@ -139,6 +139,34 @@ class TestDetectsMirrorDrift:
         del db.catalog._indexes["by_v"]
         problems = verify_integrity(db)
         assert any("has no registered descriptor" in p for p in problems)
+
+    def test_detects_stale_indexed_fields(self):
+        db, rel, addrs = loaded_db()
+        db.catalog.relation("items").indexed_fields = frozenset({"id"})  # by_v's "v" left out
+        problems = verify_integrity(db)
+        assert (
+            "items: indexed fields ['id'] differ from its indexes' key fields ['id', 'v']"
+            in problems
+        )
+
+    def test_detects_a_dropped_segment_map_entry(self):
+        db, rel, addrs = loaded_db()
+        descriptor = db.catalog.index("by_v")
+        del db.catalog._by_segment[descriptor.segment_id]
+        problems = verify_integrity(db)
+        assert (
+            f"segment {descriptor.segment_id}: the catalog's segment map holds None, "
+            f"its registered owner is 'by_v'"
+        ) in problems
+
+    def test_detects_an_extra_segment_map_entry(self):
+        db, rel, addrs = loaded_db()
+        db.catalog._by_segment[999] = db.catalog.relation("items")
+        problems = verify_integrity(db)
+        assert (
+            "segment 999: the catalog's segment map holds 'items', its registered owner is None"
+            in problems
+        )
 
     def test_detects_own_slots_differing_from_the_well_known_copies(self):
         db, rel, addrs = loaded_db()

@@ -105,12 +105,12 @@ class TestFullHistoryReplay:
 
         taken = set()
         for descriptor in list(db.catalog.relations()) + list(db.catalog.indexes()):
-            for number, info in sorted(descriptor.partitions.items()):
+            for number, slot in sorted(descriptor.partitions.items()):
                 address = PartitionAddress(descriptor.segment_id, number)
 
                 def rebuild(**source):
                     partition, stats = rebuild_partition_resilient(
-                        address, info.checkpoint_slot, db.checkpoint_disk,
+                        address, slot, db.checkpoint_disk,
                         db.log_disk, db.slt, db.config.partition_size,
                         pending_archive=db.recovery_processor.pending_archive_records,
                         **source,
@@ -124,7 +124,7 @@ class TestFullHistoryReplay:
                 best, source = rebuild()
                 assert best == expected, f"{source} diverged for {address}"
                 if source == "image":
-                    db.checkpoint_disk.disk.corrupt_block(info.checkpoint_slot, "torn")
+                    db.checkpoint_disk.disk.corrupt_block(slot, "torn")
                     assert rebuild() == (expected, "history")
         assert taken == {"image", "history"}
 
@@ -333,10 +333,7 @@ class TestRestartSources:
             fresh = db.create_relation("fresh", [("id", "int")], primary_key="id")
             with db.transaction() as txn:
                 fresh.insert(txn, {"id": 1})
-        [slot] = [
-            info.checkpoint_slot
-            for info in db.catalog.relation("items").partitions.values()
-        ]
+        [slot] = db.catalog.relation("items").partitions.values()
         db.crash()
         if kind == "torn image":
             db.checkpoint_disk.disk.corrupt_block(slot, "torn")

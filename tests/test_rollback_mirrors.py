@@ -15,7 +15,7 @@ catalog entity described.
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.catalog.catalog import PartitionInfo, RelationDescriptor
+from repro.catalog.catalog import RelationDescriptor
 from repro.common import CatalogError, SegmentKind, TransactionAborted
 from repro.db.integrity import verify_integrity
 from repro.index.linear_hash import LinearHashIndex
@@ -181,7 +181,7 @@ class TestCatalogResync:
         and ``catalog.update``: this rollback must not take that away."""
         relation = db.catalog.relation("a")
         index = db.catalog.index("a_v")
-        index.partitions[99] = PartitionInfo(99)
+        index.partitions[99] = None
         txn = db.transactions.begin()
         relation.command_watermark = 3
         db.catalog.update(relation, txn)

@@ -76,7 +76,7 @@ class TestChains:
         slb.append(1, record(1))
         slb.append(1, chunk)
         chain = slb._uncommitted[1]
-        assert len(chain.blocks) == 2 and chain.size_bytes == len(record(1)) + 1060
+        assert len(chain.blocks) == 2 and chain.nbytes == len(record(1)) + 1060
         assert stable.used_bytes - WELL_KNOWN_RESERVE == 1024 + 1060
         slb.commit(1)
         slb.drain_committed()
@@ -173,7 +173,9 @@ class TestRepack:
         assert slb.truncate_chain(1, 1) == 11
         assert (slb.records_written, slb.bytes_written) == (records, nbytes)
         assert slb.used_blocks() == 1
+        assert slb._uncommitted[1].nbytes == len(record(1, 0))
         slb.commit(1)
+        assert slb.mode_bytes == {"value": len(record(1, 0))}
         assert slb.drain_committed() == [record(1, 0)]
 
     def test_commit_command_unwinds_then_retries_after_drain(self):
@@ -213,3 +215,5 @@ class TestRepack:
         assert drained[5:] == build(1)[1]
         assert slb.records_written == counters_before[0] + 3
         assert slb.bytes_written == counters_before[1] + 3 * 29 + command.size_bytes
+        chain_bytes = sum(map(len, chain_before)) + 3 * 29
+        assert slb.mode_bytes["command"] == chain_bytes + command.size_bytes

@@ -53,28 +53,28 @@ SCALE = 0.2
 #: Calls per transaction in ``repro``'s own code no workload may exceed
 #: (``--check``, at ``SCALE``; :data:`RESTART_CEILINGS` per restart).
 #: They leave out ``other``, whose count moves with the standard
-#: library's patch release.  Measured on CPython 3.11.7 at 264.09, 83.19,
-#: 489.51, 97.51 and 449.81; each ceiling leaves about 1 % for a change
-#: that has to add a call.  The totals, ``other`` included, were 271.24
+#: library's patch release.  Measured on CPython 3.11.7 at 260.74, 83.19,
+#: 485.43, 94.51 and 446.75; each ceiling leaves about 1 % for a change
+#: that has to add a call.  The totals, ``other`` included, were 267.90
 #: on ``debit_credit`` (the forward path's target is 260), 86.12 on
-#: ``point_read`` and 508.27 on ``mixed_churn`` (target 480).
+#: ``point_read`` and 504.19 on ``mixed_churn`` (target 480).
 CEILINGS = {
-    "debit_credit": 266.7,
+    "debit_credit": 263.4,
     "point_read": 84.0,
-    "mixed_churn": 494.4,
-    "crash_restart": 98.5,
-    "scripted_command": 454.3,
+    "mixed_churn": 490.3,
+    "crash_restart": 95.5,
+    "scripted_command": 451.2,
 }
 
 #: The same for the crash epilogue's calls in ``repro``'s own code, per
-#: restart: measured at 2 709, 1 247, 1 889, 1 320 and 14 724, with about
+#: restart: measured at 2 680, 1 236, 1 877, 1 309 and 14 699, with about
 #: 1 % over each.
 RESTART_CEILINGS = {
-    "debit_credit": 2735,
-    "point_read": 1260,
-    "mixed_churn": 1910,
-    "crash_restart": 1335,
-    "scripted_command": 14870,
+    "debit_credit": 2707,
+    "point_read": 1249,
+    "mixed_churn": 1896,
+    "crash_restart": 1323,
+    "scripted_command": 14846,
 }
 
 #: The functions ``--by function`` prints per workload.
