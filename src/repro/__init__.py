@@ -24,7 +24,7 @@ paper-versus-measured record of every table and figure.
 """
 
 from repro.common.config import AnalysisParameters, DiskParameters, SystemConfig
-from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
+from repro.common.types import EntityAddress, PartitionAddress
 from repro.db.database import Database, RecoveryMode
 from repro.db.relation import Relation, Row, UniqueViolation
 
@@ -39,7 +39,6 @@ __all__ = [
     "RecoveryMode",
     "Relation",
     "Row",
-    "SegmentKind",
     "SystemConfig",
     "UniqueViolation",
     "__version__",

@@ -26,9 +26,10 @@ from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from repro.catalog.schema import Schema
 from repro.common.errors import CatalogError
-from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
+from repro.common.types import EntityAddress, PartitionAddress
 from repro.storage.memory_manager import MemoryManager
-from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
+from repro.storage.entries import ENTRY_CHARGE_BYTES
+from repro.storage.partition import Partition
 from repro.storage.segment import Segment
 
 CATALOG_SEGMENT_NAME = "__catalog__"
@@ -164,7 +165,7 @@ class Catalog:
     def __init__(self, memory: MemoryManager, segment: Segment | None = None):
         self.memory = memory
         if segment is None:
-            segment = memory.create_segment(SegmentKind.CATALOG, CATALOG_SEGMENT_NAME)
+            segment = memory.create_segment(CATALOG_SEGMENT_NAME)
         self.segment = segment
         self._relations: dict[str, RelationDescriptor] = {}
         self._indexes: dict[str, IndexDescriptor] = {}
@@ -323,7 +324,7 @@ class Catalog:
         if name in self._relations or name in self._indexes:
             raise CatalogError(f"catalog already has an object named {name!r}")
         data = descriptor.encode()
-        needed = len(data) + ENTITY_HEADER_BYTES
+        needed = len(data) + ENTRY_CHARGE_BYTES
         partition = self.segment.place(
             lambda p: p.free_bytes >= needed,
             self._grow_own if sink is None else sink.grow_segment,
@@ -460,9 +461,7 @@ class Catalog:
         if not entry:
             raise CatalogError("well-known catalog partition list is empty")
         segment_id = entry[0][0]
-        segment = memory.register_segment(
-            segment_id, SegmentKind.CATALOG, CATALOG_SEGMENT_NAME
-        )
+        segment = memory.register_segment(segment_id, CATALOG_SEGMENT_NAME)
         catalog = cls(memory, segment)
         locations = []
         for seg, number, slot in entry:

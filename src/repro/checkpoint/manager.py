@@ -260,6 +260,10 @@ class CheckpointManager:
         db = self.db
         if db.restart_coordinator is not None:
             db.restart_coordinator.replay_closures()
+        # drain before the copy, as the pump does (``DUTIES``): the copy
+        # holds every committed effect, so the acknowledgement's bin reset
+        # must leave no committed record for restart to replay again
+        db.recovery_processor.run_until_drained()
         addresses = [
             partition.address
             for segment in db.memory.segments()

@@ -26,7 +26,6 @@ from repro.common.types import (
     NULL_LSN,
     EntityAddress,
     PartitionAddress,
-    SegmentKind,
     TransactionId,
 )
 from repro.common.config import (
@@ -56,7 +55,6 @@ __all__ = [
     "PartitionFullError",
     "RecoveryError",
     "ReproError",
-    "SegmentKind",
     "StableMemoryFullError",
     "StorageError",
     "SystemConfig",

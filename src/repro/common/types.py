@@ -10,25 +10,12 @@ Log sequence numbers are plain integers; ``NULL_LSN`` (``-1``) denotes
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple, NewType
 
 TransactionId = NewType("TransactionId", int)
 
 #: Sentinel LSN meaning "no page has been written".
 NULL_LSN = -1
-
-
-class SegmentKind(enum.Enum):
-    """What a logical segment stores.
-
-    Every database object gets its own segment (paper section 2): relations,
-    indexes, and the system catalogs themselves.
-    """
-
-    RELATION = "relation"
-    INDEX = "index"
-    CATALOG = "catalog"
 
 
 class PartitionAddress(NamedTuple):

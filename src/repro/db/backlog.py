@@ -10,7 +10,8 @@ totals of records sorted and pages flushed, and each image the main CPU
 wrote or deferred (with the refusal that deferred it), in simulated-time
 order.  Then, if the file holds a restart, the last one: its mode, its
 simulated milliseconds, the seconds its rebuilds took summed by trigger,
-and each partition rebuilt from the full log ``history``.
+each partition rebuilt from the full log ``history``, and each whose
+rebuild failed, with the error that stopped the restart.
 """
 
 from __future__ import annotations
@@ -87,8 +88,11 @@ def main(argv: list[str] | None = None) -> int:
                 for trigger in TRIGGERS
             )
         )
-        for e in rebuilt:
-            if e["source"] == "history":
+        for e in restart:
+            if e["event"] == "restart.rebuild-failed":
+                print(f"  rebuild failed: {e['address']} ({e['trigger']}): "
+                      f"{e['error']}: {e['message']}")
+            elif e["event"] == "restart.rebuilt" and e["source"] == "history":
                 print(f"  from history: {e['address']} ({e['pages_read']} pages, "
                       f"{e['records_applied']} records)")
     return 0

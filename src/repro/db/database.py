@@ -46,7 +46,7 @@ from repro.common.errors import (
     RecoveryError,
     StorageError,
 )
-from repro.common.types import EntityAddress, PartitionAddress, SegmentKind
+from repro.common.types import EntityAddress, PartitionAddress
 from repro.concurrency.locks import LockManager, LockMode
 from repro.db.events import EventRing
 from repro.db.relation import Relation
@@ -348,7 +348,7 @@ class Database:
         schema.position(primary_key)  # validate
         with self.transactions.scope() as txn:
             txn.lock_relation(self.catalog.segment.segment_id, LockMode.INTENT_EXCLUSIVE)
-            segment = self._create_segment(txn, SegmentKind.RELATION, name)
+            segment = self._create_segment(txn, name)
             descriptor = RelationDescriptor(
                 name=name,
                 segment_id=segment.segment_id,
@@ -390,7 +390,7 @@ class Database:
             raise CatalogError(f"unknown index kind {kind!r}")
         relation_descriptor = self.catalog.relation(relation_name)
         relation_descriptor.schema.position(field)  # validate
-        segment = self._create_segment(txn, SegmentKind.INDEX, index_name)
+        segment = self._create_segment(txn, index_name)
         descriptor = IndexDescriptor(
             name=index_name,
             relation_name=relation_name,
@@ -408,12 +408,12 @@ class Database:
         self._index_objects[index_name] = index
         txn.on_rollback(lambda: self._index_objects.pop(index_name, None))
 
-    def _create_segment(self, txn: Transaction, kind: SegmentKind, name: str) -> Segment:
+    def _create_segment(self, txn: Transaction, name: str) -> Segment:
         """A DDL transaction's new segment.  A rollback takes it back:
         registered before anything touches the segment, so it runs after
         every entity, partition and catalog entry the transaction put
         there is gone."""
-        segment = self.memory.create_segment(kind, name)
+        segment = self.memory.create_segment(name)
         txn.on_rollback(lambda: self.memory.drop_segment(segment.segment_id))
         txn.created_segments.add(segment.segment_id)
         return segment

@@ -6,7 +6,9 @@ requested (with its trigger), deferred, its image written (slot and
 bytes) and acknowledged, and each log page the recovery CPU writes
 while a request is queued (``log.page-written``: LSN and bytes); a
 restart begun, each partition rebuilt (the restart record of
-``stats()["restart"]["partitions"]``) and the database fully recovered; a 2PC branch prepared, and the verdict.  Each carries
+``stats()["restart"]["partitions"]``) or whose rebuild failed
+(``restart.rebuild-failed``: address, trigger, error type and message)
+and the database fully recovered; a 2PC branch prepared, and the verdict.  Each carries
 simulated seconds (``sim_s``, the machine's clock) and host seconds
 (``host_s``, :func:`host_now`).  Emitting charges no simulated instruction.
 

@@ -24,7 +24,8 @@ from repro.catalog.schema import FIELD_WIDTH, NULL_HANDLE, FieldType
 from repro.common.errors import CatalogError, ReproError
 from repro.common.types import EntityAddress, PartitionAddress
 from repro.concurrency.locks import LockMode
-from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
+from repro.storage.entries import ENTRY_CHARGE_BYTES
+from repro.storage.partition import Partition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Database
@@ -98,8 +99,8 @@ class Relation:
             for field in schema.fields
         ]
         # room for the tuple and its heap strings
-        tuple_need = schema.tuple_width + ENTITY_HEADER_BYTES
-        heap_need = sum(len(encoded) + 8 for encoded in strings if encoded is not None)
+        tuple_need = schema.tuple_width + ENTRY_CHARGE_BYTES
+        heap_need = sum(len(value) + ENTRY_CHARGE_BYTES for value in strings if value is not None)
         partition = self.db.memory.segment(descriptor.segment_id).place(
             lambda p: p.free_bytes >= tuple_need and p.heap.free_bytes >= heap_need,
             txn.grow_segment,

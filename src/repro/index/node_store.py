@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Callable, Protocol, TypeVar
 
 from repro.common.types import EntityAddress
-from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
+from repro.storage.entries import ENTRY_CHARGE_BYTES
+from repro.storage.partition import Partition
 from repro.storage.segment import Segment
 
 _Form = TypeVar("_Form")
@@ -91,7 +92,7 @@ class NodeStore:
 
     def allocate(self, data: bytes) -> EntityAddress:
         """Store a new component, growing the segment if necessary."""
-        needed = len(data) + ENTITY_HEADER_BYTES
+        needed = len(data) + ENTRY_CHARGE_BYTES
         sink = self.sink
         partition = self.segment.place(
             lambda p: p.free_bytes - int(p.entity_capacity * GROWTH_RESERVE) >= needed,

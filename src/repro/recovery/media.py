@@ -117,7 +117,6 @@ def restore_after_log_media_failure(db: "Database") -> dict:
     # further log append.
     for lsn in unreadable:
         db.log_disk.drop_page(lsn)
-    db.recovery_processor.run_until_drained()
     return {
         "unreadable_pages": unreadable,
         "partitions_checkpointed": db.checkpoints.checkpoint_all(),

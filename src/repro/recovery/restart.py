@@ -42,10 +42,11 @@ import enum
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog, IndexDescriptor
+from repro.catalog.catalog import CATALOG_LOCATIONS_KEY, Catalog
 from repro.common.errors import RecoveryError, StorageError
 from repro.sim.chaos import crash_point, register_crash_point
-from repro.common.types import PartitionAddress, SegmentKind
+from repro.sim.faults import SimulatedCrash
+from repro.common.types import PartitionAddress
 from repro.recovery.redo import (
     History,
     demultiplex_log_history,
@@ -255,14 +256,7 @@ class RestartCoordinator:
             if bin_.partition not in listed:
                 db.slt.drop_partition(bin_.partition)
         for descriptor in (*db.catalog.relations(), *db.catalog.indexes()):
-            kind = (
-                SegmentKind.INDEX
-                if isinstance(descriptor, IndexDescriptor)
-                else SegmentKind.RELATION
-            )
-            segment = db.memory.register_segment(
-                descriptor.segment_id, kind, descriptor.name
-            )
+            segment = db.memory.register_segment(descriptor.segment_id, descriptor.name)
             segment.mark_missing(sorted(descriptor.partitions))
 
     # -- per-partition recovery transactions ------------------------------------------------
@@ -320,8 +314,23 @@ class RestartCoordinator:
         )
 
     def _rebuild(self, address: PartitionAddress, trigger: str) -> tuple[Partition, dict]:
+        """Rebuild ``address``; a failure other than a crash emits
+        ``restart.rebuild-failed``, naming the partition that stopped the
+        restart, and propagates."""
         start = self.db.clock.now
-        partition, stats = rebuild_partition_resilient(**self._sources(address))
+        try:
+            partition, stats = rebuild_partition_resilient(**self._sources(address))
+        except SimulatedCrash:
+            raise
+        except Exception as exc:
+            self.db.events.emit(
+                "restart.rebuild-failed",
+                address=str(address),
+                trigger=trigger,
+                error=type(exc).__name__,
+                message=str(exc),
+            )
+            raise
         self._note(address, stats, self.db.clock.now - start, trigger)
         return partition, stats
 

@@ -11,13 +11,14 @@ Everything in this package is *volatile*: a simulated crash discards it all
 and recovery rebuilds it from checkpoint images plus the log.
 """
 
+from repro.storage.entries import ENTRY_CHARGE_BYTES
 from repro.storage.heap import StringHeap
 from repro.storage.memory_manager import MemoryManager
-from repro.storage.partition import ENTITY_HEADER_BYTES, Partition
+from repro.storage.partition import Partition
 from repro.storage.segment import Segment
 
 __all__ = [
-    "ENTITY_HEADER_BYTES",
+    "ENTRY_CHARGE_BYTES",
     "MemoryManager",
     "Partition",
     "Segment",

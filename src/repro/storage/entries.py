@@ -21,6 +21,9 @@ from functools import lru_cache
 
 from repro.common.errors import StorageError
 
+#: The bytes either store tallies per entry beyond its data (key and
+#: length word): a partition's entities and its string heap alike.
+ENTRY_CHARGE_BYTES = 8
 #: An entity entry's header: the entity's offset, then its length.
 ENTITY_ENTRY = struct.Struct("<QI")
 #: A string entry's header: the string's handle, then its length.

@@ -18,10 +18,7 @@ import struct
 from typing import Iterator
 
 from repro.common.errors import PartitionFullError, StorageError
-from repro.storage.entries import STRING_ENTRY, decode_entries, encode_entries
-
-#: Per-string bookkeeping charge, in bytes (handle + length word).
-STRING_HEADER_BYTES = 8
+from repro.storage.entries import ENTRY_CHARGE_BYTES, STRING_ENTRY, decode_entries, encode_entries
 
 _BLOB_HEADER = struct.Struct("<III")  # next_handle, count, used_bytes; then the strings
 
@@ -41,7 +38,7 @@ class StringHeap:
 
     def put(self, data: bytes) -> int:
         """Store ``data`` and return its handle."""
-        charge = len(data) + STRING_HEADER_BYTES
+        charge = len(data) + ENTRY_CHARGE_BYTES
         if self._used + charge > self.capacity_bytes:
             raise PartitionFullError(
                 f"string heap full: {self._used} + {charge} > {self.capacity_bytes}"
@@ -62,7 +59,7 @@ class StringHeap:
         if handle in self._strings:
             raise StorageError(f"string heap handle {handle} is occupied")
         self._strings[handle] = bytes(data)
-        self._used += len(data) + STRING_HEADER_BYTES
+        self._used += len(data) + ENTRY_CHARGE_BYTES
         if handle >= self._next_handle:
             self._next_handle = handle + 1
 
@@ -75,7 +72,7 @@ class StringHeap:
     def delete(self, handle: int) -> None:
         data = self.get(handle)
         del self._strings[handle]
-        self._used -= len(data) + STRING_HEADER_BYTES
+        self._used -= len(data) + ENTRY_CHARGE_BYTES
 
     def replace(self, handle: int, data: bytes) -> None:
         """Overwrite the string stored at ``handle`` in place."""
@@ -103,7 +100,7 @@ class StringHeap:
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
+        return max(0, self.capacity_bytes - self._used)
 
     # -- serialisation (checkpoint images) --------------------------------------
 

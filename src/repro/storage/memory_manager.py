@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.common.errors import StorageError
-from repro.common.types import PartitionAddress, SegmentKind
+from repro.common.types import PartitionAddress
 from repro.storage.partition import Partition
 from repro.storage.segment import Segment
 
@@ -28,17 +28,15 @@ class MemoryManager:
 
     # -- allocation -------------------------------------------------------------
 
-    def create_segment(self, kind: SegmentKind, name: str) -> Segment:
+    def create_segment(self, name: str) -> Segment:
         """Allocate a fresh segment for a new database object."""
         segment_id = self._next_segment
         self._next_segment += 1
-        segment = Segment(segment_id, kind, name, self.partition_size)
+        segment = Segment(segment_id, name, self.partition_size)
         self._segments[segment_id] = segment
         return segment
 
-    def register_segment(
-        self, segment_id: int, kind: SegmentKind, name: str
-    ) -> Segment:
+    def register_segment(self, segment_id: int, name: str) -> Segment:
         """Re-create a segment shell with a known id (post-crash path).
 
         The segment starts with no resident partitions; recovery marks the
@@ -47,7 +45,7 @@ class MemoryManager:
         """
         if segment_id in self._segments:
             raise StorageError(f"segment {segment_id} is already registered")
-        segment = Segment(segment_id, kind, name, self.partition_size)
+        segment = Segment(segment_id, name, self.partition_size)
         self._segments[segment_id] = segment
         if segment_id >= self._next_segment:
             self._next_segment = segment_id + 1

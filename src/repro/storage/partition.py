@@ -24,17 +24,21 @@ from typing import Iterator
 
 from repro.common.errors import LogError, PartitionFullError, StorageError
 from repro.common.types import PartitionAddress
-from repro.storage.entries import ENTITY_ENTRY, decode_entries, encode_entries
-from repro.storage.heap import STRING_HEADER_BYTES, StringHeap
-
-#: Per-entity bookkeeping charge, in bytes (offset + length + type slot).
-ENTITY_HEADER_BYTES = 8
+from repro.storage.entries import ENTITY_ENTRY, ENTRY_CHARGE_BYTES, decode_entries, encode_entries
+from repro.storage.heap import StringHeap
 
 #: A partition's string heap is ``capacity_bytes // HEAP_SHARE`` of its
-#: bytes, the entities the rest: the one split, read by
-#: :class:`Partition` and :meth:`Segment.place
-#: <repro.storage.segment.Segment.place>`.
+#: bytes, the entities the rest (:func:`split_capacity`).
 HEAP_SHARE = 4
+
+
+def split_capacity(capacity_bytes: int) -> tuple[int, int]:
+    """A ``capacity_bytes`` partition's ``(entity capacity, heap
+    capacity)``: the one split, read by :class:`Partition` and
+    :meth:`Segment.place <repro.storage.segment.Segment.place>`."""
+    heap_capacity = capacity_bytes // HEAP_SHARE
+    return capacity_bytes - heap_capacity, heap_capacity
+
 
 _IMAGE_HEADER = struct.Struct("<iiQIIII")
 # segment, partition, next_offset, entity_count, entity_used,
@@ -42,20 +46,16 @@ _IMAGE_HEADER = struct.Struct("<iiQIIII")
 # (:func:`~repro.storage.entries.encode_entries`), then the heap's blob
 
 #: The primitive effects a REDO record class may name, each with whether
-#: it carries ``data``: what applying one record does to the entity area
-#: (keyed by offset) or the string heap (keyed by handle), stated once, in
-#: :meth:`Partition.apply_records`.  The ``upsert``/``remove`` kinds
-#: tolerate a duplicate replay prefix; ``overwrite`` and ``patch`` need
-#: the entity.
-EFFECTS = {
-    "upsert": True,
-    "overwrite": True,
-    "patch": True,
-    "heap_upsert": True,
-    "remove": False,
-    "heap_remove": False,
-    "none": False,
-}
+#: it carries ``data``: what applying one record does to the store it
+#: keys — the entity area (by offset) or the string heap (by handle) —
+#: stated once, in :meth:`Partition.apply_records`.  ``upsert`` and
+#: ``remove`` tolerate a duplicate replay prefix in either store;
+#: ``overwrite`` and ``patch`` need the entity.
+EFFECTS = {"upsert": True, "overwrite": True, "patch": True, "remove": False, "none": False}
+
+#: A record's store, as :meth:`Partition.apply_records` indexes its
+#: per-store state: the entity area, or the string heap.
+ENTITY_STORE, HEAP_STORE = 0, 1
 
 #: ``(tag, value)`` that no record matches: :meth:`Partition.apply_records`
 #: with no halt.
@@ -70,8 +70,7 @@ class Partition:
             raise ValueError("capacity_bytes must be positive")
         self.address = address
         self.capacity_bytes = capacity_bytes
-        heap_capacity = capacity_bytes // HEAP_SHARE
-        self.entity_capacity = capacity_bytes - heap_capacity
+        self.entity_capacity, heap_capacity = split_capacity(capacity_bytes)
         self.heap = StringHeap(heap_capacity)
         self._entities: dict[int, bytes] = {}
         self._next_offset = 1
@@ -90,7 +89,7 @@ class Partition:
         S/X on its relation — an X lock there covers the entity, an S lock
         keeps every other writer out (section 2.3.2).
         """
-        charge = len(data) + ENTITY_HEADER_BYTES
+        charge = len(data) + ENTRY_CHARGE_BYTES
         if self._used + charge > self.entity_capacity:
             raise PartitionFullError(
                 f"{self.address} full: {self._used} + {charge} "
@@ -115,7 +114,7 @@ class Partition:
         if offset in self._entities:
             raise StorageError(f"{self.address} offset {offset} is occupied")
         self._entities[offset] = bytes(data)
-        self._used += len(data) + ENTITY_HEADER_BYTES
+        self._used += len(data) + ENTRY_CHARGE_BYTES
         if offset >= self._next_offset:
             self._next_offset = offset + 1
 
@@ -150,7 +149,7 @@ class Partition:
         """
         data = self.read(offset)
         del self._entities[offset]
-        self._used -= len(data) + ENTITY_HEADER_BYTES
+        self._used -= len(data) + ENTRY_CHARGE_BYTES
 
     # -- REDO and UNDO: one applier -------------------------------------------------
 
@@ -166,10 +165,12 @@ class Partition:
         on, in order — with no call per record.
 
         ``table`` maps a record's tag to ``(operand unpacker, its width,
-        effect, ends in data?, class name)``: the unpacker reads the
-        operands after the record header — the entity offset or heap
-        handle first, then the fixed fields, then the ``data`` length —
-        and the effect is one of :data:`EFFECTS` (``none``: nothing).
+        effect, ends in data?, class name, store)``: the unpacker reads the
+        operands after the record header — the key first (an entity
+        offset or a heap handle), then the fixed fields, then the
+        ``data`` length — the effect is one of :data:`EFFECTS` (``none``:
+        nothing), and the store is the one the key names
+        (:data:`ENTITY_STORE` or :data:`HEAP_STORE`).
         ``halt=(tag, value)`` stops the walk at the first record of that
         tag whose first operand is ``value`` or more: just past it when
         it is exactly ``value``, in front of it when more.  Returns
@@ -182,26 +183,23 @@ class Partition:
         <repro.index.node_store.NodeStore.load>` finds its cached form
         by.
 
-        The byte accounting lives in locals for the walk and is written
-        back in a ``finally``, so a record that raises leaves every
-        record before it applied, and nothing of itself.
+        Each store's byte tally and next key live in locals for the walk
+        and are written back in a ``finally``, so a record that raises
+        leaves every record before it applied, and nothing of itself.
 
         Lock discipline: a restart applies before the partition is
         published; a transaction's UNDO holds the locks of the changes
         it takes back (section 2.3.2).
         """
-        if type(body) is not bytes:  # entities are immutable ``bytes`` objects
+        if type(body) is not bytes:  # entries are immutable ``bytes`` objects
             body = bytes(body)
         halt_tag, halt_value = halt
-        entities = self._entities
         heap = self.heap
-        strings = heap._strings
-        used = self._used
-        next_offset = self._next_offset
-        heap_used = heap._used
-        next_handle = heap._next_handle
-        entry_charge = ENTITY_HEADER_BYTES
-        string_charge = STRING_HEADER_BYTES
+        entities = self._entities
+        stores = (entities, heap._strings)  # indexed by ENTITY_STORE, HEAP_STORE
+        used = [self._used, heap._used]
+        next_key = [self._next_offset, heap._next_handle]
+        charge = ENTRY_CHARGE_BYTES
         count = 0
         size = len(body)
         try:
@@ -210,7 +208,7 @@ class Partition:
                 entry = table.get(tag)
                 if entry is None:
                     raise LogError(f"unknown log record tag {tag} at {pos}")
-                unpack_from, width, effect, blob, name = entry
+                unpack_from, width, effect, blob, name, store = entry
                 try:
                     operands = unpack_from(body, pos)
                 except struct.error as exc:
@@ -227,16 +225,18 @@ class Partition:
                     pos = end
                     if effect == "upsert":
                         # A replayed log may repeat a prefix the image
-                        # already reflects: the last writer wins, and an
-                        # offset is never reused.
-                        old = entities.get(key)
-                        entities[key] = data
+                        # already reflects: the last writer wins, uncapped
+                        # (a replay puts back what was there), and a key
+                        # is never reused.
+                        keyed = stores[store]
+                        old = keyed.get(key)
+                        keyed[key] = data
                         if old is None:
-                            used += len(data) + entry_charge
-                            if key >= next_offset:
-                                next_offset = key + 1
+                            used[store] += len(data) + charge
+                            if key >= next_key[store]:
+                                next_key[store] = key + 1
                         else:
-                            used += len(data) - len(old)
+                            used[store] += len(data) - len(old)
                     elif effect == "patch":
                         current = entities.get(key)
                         if current is None:
@@ -255,37 +255,16 @@ class Partition:
                         if old is None:
                             raise StorageError(f"{self.address} has no entity at {key}")
                         entities[key] = data
-                        used += len(data) - len(old)
-                    elif effect == "heap_upsert":
-                        # the heap's upsert: a replayed prefix may find its
-                        # handle in the image (last writer wins), and only
-                        # such a rewrite is capped
-                        old = strings.get(key)
-                        if old is None:
-                            strings[key] = data
-                            heap_used += len(data) + string_charge
-                            if key >= next_handle:
-                                next_handle = key + 1
-                        else:
-                            if heap_used + len(data) - len(old) > heap.capacity_bytes:
-                                raise PartitionFullError("string heap full on replace")
-                            strings[key] = data
-                            heap_used += len(data) - len(old)
+                        used[ENTITY_STORE] += len(data) - len(old)
                 elif effect == "remove":
-                    # tolerates an entity already gone (duplicate prefix)
-                    old = entities.pop(key, None)
+                    # tolerates a key already gone (duplicate prefix)
+                    old = stores[store].pop(key, None)
                     if old is not None:
-                        used -= len(old) + entry_charge
-                elif effect == "heap_remove":
-                    old = strings.pop(key, None)
-                    if old is not None:
-                        heap_used -= len(old) + string_charge
+                        used[store] -= len(old) + charge
                 count += 1
         finally:
-            self._used = used
-            self._next_offset = next_offset
-            heap._used = heap_used
-            heap._next_handle = next_handle
+            self._used, heap._used = used
+            self._next_offset, heap._next_handle = next_key
         return count, None
 
     # -- inspection ----------------------------------------------------------------
@@ -371,8 +350,8 @@ class Partition:
             raise StorageError(
                 f"checkpoint image is for {address}, expected {expected_address}"
             )
-        heap_capacity = capacity_bytes // HEAP_SHARE
-        if entity_capacity != capacity_bytes - heap_capacity:
+        expected_capacity, heap_capacity = split_capacity(capacity_bytes)
+        if entity_capacity != expected_capacity:
             raise StorageError(
                 f"checkpoint image of {address} holds {entity_capacity} entity "
                 f"bytes, not a {capacity_bytes}-byte partition's"

@@ -17,16 +17,15 @@ from bisect import bisect_left
 from typing import Callable, Iterator
 
 from repro.common.errors import NotResidentError, PartitionFullError, StorageError
-from repro.common.types import PartitionAddress, SegmentKind
-from repro.storage.partition import HEAP_SHARE, Partition
+from repro.common.types import PartitionAddress
+from repro.storage.partition import Partition, split_capacity
 
 
 class Segment:
     """An ordered set of partitions belonging to one database object."""
 
-    def __init__(self, segment_id: int, kind: SegmentKind, name: str, partition_size: int):
+    def __init__(self, segment_id: int, name: str, partition_size: int):
         self.segment_id = segment_id
-        self.kind = kind
         self.name = name
         self.partition_size = partition_size
         self._partitions: dict[int, Partition] = {}
@@ -80,8 +79,7 @@ class Segment:
         partition = next(filter(fits, self._in_order), None)
         if partition is not None:
             return partition
-        heap_capacity = self.partition_size // HEAP_SHARE
-        entity_capacity = self.partition_size - heap_capacity
+        entity_capacity, heap_capacity = split_capacity(self.partition_size)
         if entity_need > entity_capacity or heap_need > heap_capacity:
             raise PartitionFullError(
                 f"{entity_need}B of entity and {heap_need}B of strings exceed a fresh "
@@ -180,9 +178,8 @@ class Segment:
 
     def __repr__(self) -> str:
         return (
-            f"Segment(id={self.segment_id}, kind={self.kind.value}, "
-            f"name={self.name!r}, resident={len(self._partitions)}, "
-            f"missing={len(self._missing)})"
+            f"Segment(id={self.segment_id}, name={self.name!r}, "
+            f"resident={len(self._partitions)}, missing={len(self._missing)})"
         )
 
 

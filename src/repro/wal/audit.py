@@ -22,11 +22,14 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 from repro.common.errors import LogError
+from repro.common.types import PartitionAddress
 from repro.sim.stable_memory import StableMemory
-from repro.wal.log_disk import LogDisk
+from repro.wal.log_disk import LogDisk, LogPage
 
-#: Segment marker distinguishing audit pages from REDO/archive pages.
-AUDIT_SEGMENT = -2
+#: The owner an audit page carries, its segment marking it apart from
+#: REDO and archive pages: a log page like any other, its body audit
+#: entries, opaque to the REDO machinery.
+AUDIT_OWNER = PartitionAddress(-2, 0)
 
 _ENTRY_HEADER = struct.Struct("<I")
 
@@ -137,7 +140,7 @@ class AuditLog:
         if not self._buffer:
             return None
         body = b"".join(self._buffer)
-        lsn = self.log_disk.append_opaque_page(AUDIT_SEGMENT, body)
+        lsn = self.log_disk.append_page(LogPage(AUDIT_OWNER, body))
         self._page_lsns.append(lsn)
         self._buffer.clear()
         self._buffer_bytes = 0
@@ -151,7 +154,7 @@ class AuditLog:
         return _decode_all(b"".join(self._buffer))
 
     def read_page(self, lsn: int) -> list[AuditEntry]:
-        return _decode_all(self.log_disk.read_opaque_page(lsn, AUDIT_SEGMENT))
+        return _decode_all(self.log_disk.read_page(lsn, expected=AUDIT_OWNER).body)
 
     def trail(self) -> list[AuditEntry]:
         """The full audit trail: flushed pages (oldest first) + buffer."""

@@ -57,16 +57,6 @@ ARCHIVE_SEGMENT = -1
 _PAGE_HEADER = struct.Struct("<iiqHI")  # segment, partition, lsn, dir_len, body_len
 
 
-def _split_page(blob: bytes) -> tuple[PartitionAddress, int, int, slice]:
-    """A page blob's header: (owner, lsn, directory entries, body span).
-
-    The embedded directory — ``<q`` per entry — sits between the header
-    and the body."""
-    segment, partition, lsn, dir_len, body_len = _PAGE_HEADER.unpack_from(blob, 0)
-    start = _PAGE_HEADER.size + 8 * dir_len
-    return PartitionAddress(segment, partition), lsn, dir_len, slice(start, start + body_len)
-
-
 class LogPage:
     """One page of REDO records for a single partition (or a mixed
     archive page), held as its body bytes.
@@ -135,10 +125,13 @@ class LogPage:
 
     @classmethod
     def decode(cls, blob: bytes) -> "LogPage":
-        partition, lsn, dir_len, body = _split_page(blob)
+        # the embedded directory — ``<q`` per entry — sits between the
+        # header and the body
+        segment, partition, lsn, dir_len, body_len = _PAGE_HEADER.unpack_from(blob, 0)
+        start = _PAGE_HEADER.size + 8 * dir_len
         return cls(
-            partition,
-            blob[body],
+            PartitionAddress(segment, partition),
+            blob[start : start + body_len],
             list(struct.unpack_from(f"<{dir_len}q", blob, _PAGE_HEADER.size)),
             lsn,
         )
@@ -246,23 +239,6 @@ class LogDisk:
         self._reclaim_expired()
         return page.lsn
 
-    def append_opaque_page(self, marker_segment: int, body: bytes) -> int:
-        """Write a non-REDO page (audit trail) in the same LSN space.
-
-        The page carries the standard framing with ``marker_segment`` as
-        its owner so scans can classify it, but its body is opaque to the
-        REDO machinery.
-        """
-        lsn = self._next_lsn
-        self._next_lsn += 1
-        header = _PAGE_HEADER.pack(marker_segment, 0, lsn, 0, len(body))
-        # Same crash bracket and retry path as append_page: opaque
-        # pages share the LSN space and the duplexed write path.
-        self._write_duplexed(lsn, header + body)
-        self.pages_written += 1
-        self._reclaim_expired()
-        return lsn
-
     def _write_duplexed(self, lsn: int, blob: bytes) -> None:
         # The fault hook and the primitive write share one lambda so the
         # retry wrapper re-runs both; a fault past the budget escalates to
@@ -279,14 +255,6 @@ class LogDisk:
             f"log-disk write of page {lsn}",
         )
         crash_point("log-disk.append.after-write")
-
-    def read_opaque_page(self, lsn: int, marker_segment: int) -> bytes:
-        """Read back an opaque page's body, checking its marker."""
-        blob = self.fetch_blob(lsn)
-        owner, page_lsn, _, body = _split_page(blob)
-        if owner.segment != marker_segment or page_lsn != lsn:
-            raise LogError(f"page {lsn} is not an opaque page of {marker_segment}")
-        return blob[body]
 
     def fetch_blob(self, lsn: int) -> bytes:
         """One verified read of a page's raw bytes, wherever it lives.

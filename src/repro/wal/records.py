@@ -24,7 +24,8 @@ applies them (:func:`apply_fields`).  Record objects serve tests.  Each
 class states its Operation part once, as a :class:`Layout`,
 and names its effect once, as ``EFFECT`` — one of the storage layer's
 primitive effects (:data:`~repro.storage.partition.EFFECTS`: ``upsert``,
-``overwrite``, ``remove``, ``patch``, the two heap ones, ``none``);
+``overwrite``, ``remove``, ``patch``, ``none``) on the store its address
+keys — the entity area by offset, the string heap by handle;
 :func:`_register` compiles the layout into the packer of the full form
 and the operand reader of the compact one.  The two forms:
 
@@ -54,18 +55,20 @@ from typing import Any, Callable, ClassVar
 
 from repro.common.errors import LogError
 from repro.common.types import EntityAddress, PartitionAddress
-from repro.storage.partition import EFFECTS, NO_HALT, Partition
+from repro.storage.partition import EFFECTS, ENTITY_STORE, HEAP_STORE, NO_HALT, Partition
 
 _HEADER = "<BIQ"  # tag, bin_index, txn_id
 #: Both address kinds start with (segment, partition) — what a log page's
-#: header carries and the compact form therefore strips.
-_ADDRESS_CODES = {EntityAddress: "iiq", PartitionAddress: "ii"}
+#: header carries and the compact form therefore strips — and each keys
+#: one store: an entity's offset the entity area, a partition-addressed
+#: record's first field the heap.
+_ADDRESS_CODES = {EntityAddress: ("iiq", ENTITY_STORE), PartitionAddress: ("ii", HEAP_STORE)}
 
 _REGISTRY: dict[int, type["RedoRecord"]] = {}
-#: tag -> (operand unpacker, its size, effect, ends in data?, class name):
-#: the compact form again, header skipped — the table
+#: tag -> (operand unpacker, its size, effect, ends in data?, class name,
+#: store): the compact form again, header skipped — the table
 #: :meth:`Partition.apply_records` dispatches on.
-_REPLAY: dict[int, tuple[Callable[..., tuple], int, str, bool, str]] = {}
+_REPLAY: dict[int, tuple[Callable[..., tuple], int, str, bool, str, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,9 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
         raise AssertionError(f"{cls.__name__} fields do not fit {layout}")
     if EFFECTS.get(cls.EFFECT) is not layout.blob:
         raise AssertionError(f"{cls.__name__}'s effect {cls.EFFECT!r} does not fit {layout}")
-    codes = _ADDRESS_CODES[layout.address]
+    codes, store = _ADDRESS_CODES[layout.address]
+    if store == HEAP_STORE and cls.EFFECT in ("overwrite", "patch"):  # entity effects
+        raise AssertionError(f"{cls.__name__}'s effect {cls.EFFECT!r} needs an entity address")
     head = struct.Struct(_HEADER + codes + layout.fixed + ("I" if layout.blob else ""))
     cls._WIRE = (cls.TAG, head.pack, layout.blob)
     cls._FIELDS = attrgetter("txn_id", "bin_index", address, *rest)
@@ -105,13 +110,13 @@ def _register(cls: type["RedoRecord"]) -> type["RedoRecord"]:
     # The effect's operands are what the compact form carries after the
     # header: the address's own part (an entity's offset; nothing for a
     # partition), the fixed fields, ``data``'s length.  The first is the
-    # key the effect (or a halting cursor) reads.
+    # key the effect (or a halting cursor) reads, in ``store``.
     operand_codes = f"{codes[2:]}{layout.fixed}{'I' if layout.blob else ''}"
     if not operand_codes:
         raise AssertionError(f"{cls.__name__} carries no operand")
     operands = struct.Struct(f"<{struct.calcsize(_HEADER)}x{operand_codes}")
     _REPLAY[cls.TAG] = (
-        operands.unpack_from, operands.size, cls.EFFECT, layout.blob, cls.__name__
+        operands.unpack_from, operands.size, cls.EFFECT, layout.blob, cls.__name__, store
     )
     _REGISTRY[cls.TAG] = cls
     return cls
@@ -270,12 +275,12 @@ class HeapPut(RedoRecord):
     """Re-execute a string-space put at its recorded handle.
 
     An upsert on a duplicate replay prefix (see :class:`_Install`): the
-    handle may already be in the image — last writer wins.  Tag 6, an
+    handle may already be in the image — last writer wins, uncapped.  Tag 6, an
     in-place replacement no path wrote, is retired, not reused."""
 
     TAG: ClassVar[int] = 5
     LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I", blob=True)
-    EFFECT: ClassVar[str] = "heap_upsert"
+    EFFECT: ClassVar[str] = "upsert"
 
     partition: PartitionAddress
     handle: int
@@ -290,7 +295,7 @@ class HeapDelete(RedoRecord):
 
     TAG: ClassVar[int] = 7
     LAYOUT: ClassVar[Layout] = Layout(PartitionAddress, "I")
-    EFFECT: ClassVar[str] = "heap_remove"
+    EFFECT: ClassVar[str] = "remove"
 
     partition: PartitionAddress
     handle: int
@@ -468,7 +473,7 @@ def replay_records(
         entry = _REPLAY.get(tag)
         if entry is None:
             raise LogError(f"unknown log record tag {tag} at {pos}")
-        unpack_from, width, _, blob, name = entry
+        unpack_from, width, _, blob, name, _ = entry
         try:
             operands = unpack_from(body, pos)
         except struct.error as exc:
@@ -509,7 +514,7 @@ def _spans(body: bytes, full: bool = False) -> list[tuple[int, int]]:
         entry = _REPLAY.get(body[pos])
         if entry is None:
             raise LogError(f"unknown log record tag {body[pos]} at {pos}")
-        unpack_from, width, _, blob, name = entry
+        unpack_from, width, _, blob, name, _ = entry
         end = pos + shift + width
         if blob and end <= size:
             end += unpack_from(body, pos + shift)[-1]

@@ -8,13 +8,15 @@ partition's dictionaries and byte accounting directly.  Comparing that
 loop with itself proves nothing, so the property tests compare it with
 this model: the per-class bodies the loop replaced, on
 :meth:`Partition.insert_at` / ``update`` / ``read`` / ``delete`` and the
-heap's ``put_at`` / ``replace`` / ``delete``.
+heap's ``put_at`` / ``delete``.  The two stores share one upsert and one
+remove: a record keys the entity area by its offset, the heap by its
+handle.
 """
 
 import dataclasses
 
 from repro.common.errors import LogError
-from repro.storage import Partition
+from repro.storage import Partition, StringHeap
 from repro.wal.records import (
     CommandBarrier,
     FieldPatch,
@@ -30,21 +32,24 @@ from repro.wal.records import (
 )
 
 
-def _install(partition: Partition, offset: int, data: bytes) -> None:
-    # upsert: a duplicate replay prefix may find the entity there already
-    if offset in partition:
-        partition.update(offset, data)
-    else:
-        partition.insert_at(offset, data)
+#: Each store's replay put, uncapped: a replay puts back what was there.
+_PUT_AT = {Partition: Partition.insert_at, StringHeap: StringHeap.put_at}
+
+
+def _upsert(store: Partition | StringHeap, key: int, data: bytes) -> None:
+    # a duplicate replay prefix may find the key there already: last writer wins
+    if key in store:
+        store.delete(key)
+    _PUT_AT[type(store)](store, key, data)
 
 
 def _overwrite(partition: Partition, offset: int, data: bytes) -> None:
     partition.update(offset, data)
 
 
-def _remove(partition: Partition, offset: int) -> None:
-    if offset in partition:
-        partition.delete(offset)
+def _remove(store: Partition | StringHeap, key: int) -> None:
+    if key in store:
+        store.delete(key)
 
 
 def _patch(partition: Partition, offset: int, start: int, data: bytes) -> None:
@@ -58,18 +63,6 @@ def _patch(partition: Partition, offset: int, start: int, data: bytes) -> None:
     partition.update(offset, current[:start] + data + current[end:])
 
 
-def _heap_put(partition: Partition, handle: int, data: bytes) -> None:
-    if handle in partition.heap:
-        partition.heap.replace(handle, data)
-    else:
-        partition.heap.put_at(handle, data)
-
-
-def _heap_delete(partition: Partition, handle: int) -> None:
-    if handle in partition.heap:
-        partition.heap.delete(handle)
-
-
 def _marker(partition: Partition, *operands: int) -> None:
     pass
 
@@ -80,31 +73,38 @@ def _after_address(record) -> tuple:
     return tuple(getattr(record, field.name) for field in dataclasses.fields(record)[3:])
 
 
-def _entity(record) -> tuple:
-    return (record.address.offset, *_after_address(record))
+def _entity(partition: Partition, record) -> tuple:
+    return (partition, record.address.offset, *_after_address(record))
 
 
-_string = _after_address  # a heap record's handle is its first field
+def _string(partition: Partition, record) -> tuple:
+    # a heap record's handle is its first field
+    return (partition.heap, *_after_address(record))
 
 
-#: record class -> (its effect on ``(partition, key, *operands)``, the
-#: record's ``(key, *operands)``): the key is the entity offset or heap
-#: handle, the operands the fixed fields after it, ``data`` last.
+def _partition(partition: Partition, record) -> tuple:
+    return (partition, *_after_address(record))
+
+
+#: record class -> (its effect on ``(store, key, *operands)``, the
+#: record's ``(store, key, *operands)`` in a partition): the store is the
+#: partition or its heap, the key the entity offset or heap handle, the
+#: operands the fixed fields after it, ``data`` last.
 MODEL = {
-    TupleInsert: (_install, _entity),
-    IndexNodeWrite: (_install, _entity),
+    TupleInsert: (_upsert, _entity),
+    IndexNodeWrite: (_upsert, _entity),
     TupleUpdate: (_overwrite, _entity),
     TupleDelete: (_remove, _entity),
     IndexNodeFree: (_remove, _entity),
     FieldPatch: (_patch, _entity),
-    HeapPut: (_heap_put, _string),
-    HeapDelete: (_heap_delete, _string),
-    CommandBarrier: (_marker, _after_address),
-    SweepMarker: (_marker, _after_address),
+    HeapPut: (_upsert, _string),
+    HeapDelete: (_remove, _string),
+    CommandBarrier: (_marker, _partition),
+    SweepMarker: (_marker, _partition),
 }
 
 
 def model_apply(partition: Partition, record: RedoRecord) -> None:
     """Apply ``record`` to ``partition`` the way the model states it."""
     effect, operands = MODEL[type(record)]
-    effect(partition, *operands(record))
+    effect(*operands(partition, record))

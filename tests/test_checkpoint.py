@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, SystemConfig
+from repro import Database, RecoveryMode, SystemConfig
 from repro.catalog.catalog import CATALOG_LOCATIONS_KEY
 from repro.checkpoint.disk_queue import CheckpointDiskQueue
 from repro.checkpoint.protocol import RequestState
@@ -11,6 +11,7 @@ from repro.common.errors import MediaFailure
 from repro.common.config import DiskParameters
 from repro.concurrency.latch import assert_no_latch_held
 from repro.db.integrity import verify_integrity
+from repro.recovery import logical_digest
 from repro.sim import SimulatedDisk, VirtualClock
 from repro.sim.chaos import (
     FAULT,
@@ -454,3 +455,26 @@ class TestFailedAttemptLeavesNothingAheadOfTheBytes:
         self.retry_completes(db, request)
         assert db.checkpoints.sweeps_taken == 1
         assert rel.descriptor.command_watermark == 5
+
+
+class TestWholeDatabaseCheckpointOfUnsortedCommits:
+    """``checkpoint_all`` right after commits the pump has not sorted yet:
+    its copy holds their effects, so it drains them into their bins
+    first, and the acknowledgement that resets those bins leaves no record
+    for restart to replay onto the image a second time."""
+
+    @pytest.mark.parametrize("mode", [RecoveryMode.EAGER, RecoveryMode.ON_DEMAND])
+    def test_restart_after_an_update_then_a_delete(self, mode):
+        db, rel, addrs = loaded_db()
+        db.recovery_processor.run_until_drained()
+        with db.transaction(pump=False) as txn:
+            rel.update(txn, addrs[0], {"v": 7})
+        with db.transaction(pump=False) as txn:
+            rel.delete(txn, addrs[0])
+        assert db.checkpoints.checkpoint_all() > 0
+        digest = logical_digest(db)
+        db.crash()
+        db.restart(mode)
+        db.restart_coordinator.recover_everything()
+        assert logical_digest(db) == digest
+        assert verify_integrity(db) == []

@@ -6,10 +6,14 @@ import json
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
+from repro.common.errors import MediaFailure
 from repro.common.types import PartitionAddress
 from repro.db import events as events_module
 from repro.db.backlog import backlog, main
+from repro.recovery.redo import enumerate_log_pages
 from repro.shard import ShardedDatabase
+from repro.sim.chaos import ChaosEngine, ChaosPlan, chaos
+from repro.sim.faults import SimulatedCrash
 
 
 def bank(**overrides):
@@ -178,6 +182,54 @@ class TestRestartEvents:
             f"  from history: {record['address']} ({record['pages_read']} pages, "
             f"{record['records_applied']} records)\n"
         ) in last
+
+    def test_a_lost_log_page_names_the_partition_that_stopped_the_restart(
+        self, tmp_path, capsys
+    ):
+        """A partition whose log page is lost on both mirrors stops the
+        restart: one ``restart.rebuild-failed`` names it, its trigger and
+        the error, and the backlog command prints it under the restart."""
+        db, rel, addrs = bank(
+            update_count_threshold=10_000, log_window_pages=4096, log_window_grace_pages=64
+        )
+        run_updates(db, rel, addrs, 120)
+        db.recovery_processor.run_until_drained()
+        segment = db.catalog.relation("acct").segment_id
+        [bin_] = [b for b in db.slt.bins() if b.partition.segment == segment]
+        lost = enumerate_log_pages(bin_, db.log_disk)[0][-1]
+        db.crash()
+        for spindle in (db.log_disk.disks.primary, db.log_disk.disks.mirror):
+            spindle.corrupt_block(lost, "bit-flip")
+        with pytest.raises(MediaFailure) as raised:
+            db.restart(RecoveryMode.EAGER)
+        [failed] = [e for e in db.events if e["event"] == "restart.rebuild-failed"]
+        assert failed["address"] == str(bin_.partition)
+        assert (failed["error"], failed["message"]) == ("MediaFailure", str(raised.value))
+        db.events.write_jsonl(tmp_path / "events.jsonl")
+        assert main([str(tmp_path / "events.jsonl")]) == 0
+        last = capsys.readouterr().out.split("last restart ")[1]
+        assert (
+            f"  rebuild failed: {failed['address']} ({failed['trigger']}): "
+            f"MediaFailure: {raised.value}\n"
+        ) in last
+
+    def test_a_crash_inside_a_rebuild_is_no_failed_rebuild(self):
+        """A crash injected in a rebuild (the history scan behind a torn
+        image) is the crash the next restart recovers from, not a failed
+        rebuild: no ``restart.rebuild-failed``."""
+        db, rel, addrs = bank()
+        run_updates(db, rel, addrs, 120)
+        [slot] = db.catalog.relation("acct").partitions.values()
+        db.crash()
+        db.checkpoint_disk.disk.corrupt_block(slot, "torn")
+        with chaos(ChaosEngine(ChaosPlan.crash_at(0, "media.scan.page-routed"))) as engine:
+            with pytest.raises(SimulatedCrash):
+                db.restart(RecoveryMode.EAGER)
+            assert engine.fired
+            db.crash()
+            db.restart(RecoveryMode.EAGER)
+        assert [e["event"] for e in db.events][-1] == "restart.recovered"
+        assert not [e for e in db.events if e["event"] == "restart.rebuild-failed"]
 
 
 def test_the_ring_never_exceeds_its_bound(monkeypatch):

@@ -25,7 +25,7 @@ from hypothesis.stateful import (
 )
 
 from repro import Database, RecoveryMode, SystemConfig
-from repro.common import EntityAddress, SegmentKind
+from repro.common import EntityAddress
 from repro.common.errors import (
     NotResidentError,
     StableMemoryFullError,
@@ -214,7 +214,7 @@ def refuse_log_write(txn_id, data):
 
 def make_store() -> NodeStore:
     manager = MemoryManager(partition_size=48 * 1024)
-    return NodeStore(manager.create_segment(SegmentKind.INDEX, "idx"))
+    return NodeStore(manager.create_segment("idx"))
 
 
 def addr(n: int) -> EntityAddress:

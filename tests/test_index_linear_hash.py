@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import EntityAddress, IndexStructureError, SegmentKind
+from repro.common import EntityAddress, IndexStructureError
 from repro.index import LinearHashIndex, NodeStore
 from repro.index.base import NULL_ADDRESS, zip_items
 from repro.index.linear_hash import _Bucket, _decode_bucket, stable_hash
@@ -16,7 +16,7 @@ from tests.hash_model import ModelHashIndex, RecordingSink, reference_hash, stal
 
 def make_store():
     manager = MemoryManager(partition_size=48 * 1024)
-    segment = manager.create_segment(SegmentKind.INDEX, "idx")
+    segment = manager.create_segment("idx")
     return NodeStore(segment)
 
 

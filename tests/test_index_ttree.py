@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import EntityAddress, IndexStructureError, SegmentKind
+from repro.common import EntityAddress, IndexStructureError
 from repro.index import NodeStore, TTreeIndex, ttree
 from repro.storage import MemoryManager
 
 
 def make_store():
     manager = MemoryManager(partition_size=48 * 1024)
-    segment = manager.create_segment(SegmentKind.INDEX, "idx")
+    segment = manager.create_segment("idx")
     return NodeStore(segment)
 
 
@@ -232,7 +232,7 @@ def _session(seed, min_items, max_items, transactions=160):
     checked against a sorted-list model and the structure after every
     operation; returns the change stream's digest."""
     rng = random.Random(seed)
-    segment = MemoryManager(partition_size=8 * 1024).create_segment(SegmentKind.INDEX, "idx")
+    segment = MemoryManager(partition_size=8 * 1024).create_segment("idx")
     sink = _UndoSink(segment)
     tree = TTreeIndex(NodeStore(segment, sink), min_items=min_items, max_items=max_items)
     sink.commit()

@@ -194,7 +194,7 @@ class TestDetectsMirrorDrift:
         descriptor = db.catalog.index("by_v")
         segment = db.memory.segment(descriptor.segment_id)
         db.memory.drop_segment(segment.segment_id)  # an empty shell in its place
-        db.memory.register_segment(segment.segment_id, segment.kind, segment.name)
+        db.memory.register_segment(segment.segment_id, segment.name)
         db._index_objects.clear()  # cached over the old segment object
         problems = verify_integrity(db)
         assert any("by_v: partition 1 catalogued but unknown" in p for p in problems)

@@ -16,7 +16,7 @@ import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.catalog.catalog import RelationDescriptor
-from repro.common import CatalogError, SegmentKind, TransactionAborted
+from repro.common import CatalogError, TransactionAborted
 from repro.db.integrity import verify_integrity
 from repro.index.linear_hash import LinearHashIndex
 from repro.recovery.oracle import logical_digest
@@ -190,7 +190,7 @@ class TestCatalogResync:
         assert 99 in index.partitions
 
     def test_create_and_drop_in_one_aborted_transaction(self, db):
-        segment = db.memory.create_segment(SegmentKind.RELATION, "b")
+        segment = db.memory.create_segment("b")
         schema = db.catalog.relation("a").schema
         descriptor = RelationDescriptor("b", segment.segment_id, schema, "k")
         txn = db.transactions.begin()

@@ -6,10 +6,9 @@ from repro.common import (
     NotResidentError,
     PartitionAddress,
     PartitionFullError,
-    SegmentKind,
     StorageError,
 )
-from repro.storage import ENTITY_HEADER_BYTES, MemoryManager, Partition, StringHeap
+from repro.storage import ENTRY_CHARGE_BYTES, MemoryManager, Partition, StringHeap
 
 
 class TestStringHeap:
@@ -113,7 +112,7 @@ class TestPartition:
 
     def test_capacity_enforced(self):
         small = Partition(PartitionAddress(1, 1), 256)
-        big_entity = b"x" * (small.entity_capacity - ENTITY_HEADER_BYTES)
+        big_entity = b"x" * (small.entity_capacity - ENTRY_CHARGE_BYTES)
         small.insert(big_entity)
         with pytest.raises(PartitionFullError):
             small.insert(b"y")
@@ -133,7 +132,7 @@ class TestPartition:
 
     def test_used_bytes_accounting(self, partition):
         offset = partition.insert(b"12345")
-        assert partition.used_bytes == 5 + ENTITY_HEADER_BYTES
+        assert partition.used_bytes == 5 + ENTRY_CHARGE_BYTES
         partition.delete(offset)
         assert partition.used_bytes == 0
 
@@ -171,31 +170,31 @@ class TestSegment:
         return MemoryManager(partition_size=4096)
 
     def test_allocate_partitions_numbered_from_one(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         p1 = seg.allocate_partition()
         p2 = seg.allocate_partition()
         assert p1.address == PartitionAddress(seg.segment_id, 1)
         assert p2.address == PartitionAddress(seg.segment_id, 2)
 
     def test_get_resident(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         part = seg.allocate_partition()
         assert seg.get(1) is part
 
     def test_get_unknown_raises_storage_error(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         with pytest.raises(StorageError):
             seg.get(99)
 
     def test_missing_partition_raises_not_resident(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         seg.mark_missing([3])
         with pytest.raises(NotResidentError) as excinfo:
             seg.get(3)
         assert excinfo.value.partitions == (PartitionAddress(seg.segment_id, 3),)
 
     def test_install_clears_missing(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         seg.mark_missing([1])
         part = Partition(PartitionAddress(seg.segment_id, 1), 4096)
         seg.install(part)
@@ -203,12 +202,12 @@ class TestSegment:
         assert seg.fully_resident
 
     def test_install_wrong_segment_rejected(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         with pytest.raises(StorageError):
             seg.install(Partition(PartitionAddress(999, 1), 4096))
 
     def test_evict_all_marks_everything_missing(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         seg.allocate_partition()
         seg.allocate_partition()
         seg.evict_all()
@@ -221,7 +220,7 @@ class TestSegment:
         still the lowest-numbered resident partition that fits, as a scan
         in sorted order finds it, and the resident partitions come in
         number order."""
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         seg.mark_missing(list(range(1, 9)))
         grown = Partition(PartitionAddress(seg.segment_id, 99), 4096)
 
@@ -251,7 +250,7 @@ class TestSegment:
     def test_place_refuses_what_a_fresh_partition_cannot_hold(self):
         """An oversized request fails before any growth, so it leaves no
         empty partition behind; with no ``grow`` the segment allocates."""
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
 
         def grow(segment, fits):
             raise AssertionError("grew for a request no partition can hold")
@@ -266,7 +265,7 @@ class TestSegment:
         assert seg.get(1) is placed
 
     def test_resident_partitions_is_a_snapshot(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         first = seg.allocate_partition()
         seen = []
         for partition in seg.resident_partitions():
@@ -275,7 +274,7 @@ class TestSegment:
         assert seen == [first]
 
     def test_allocation_continues_after_missing_marks(self):
-        seg = self._manager().create_segment(SegmentKind.RELATION, "emp")
+        seg = self._manager().create_segment("emp")
         seg.mark_missing([5])
         new = seg.allocate_partition()
         assert new.address.partition == 6
@@ -284,19 +283,19 @@ class TestSegment:
 class TestMemoryManager:
     def test_segment_ids_unique(self):
         manager = MemoryManager(partition_size=4096)
-        s1 = manager.create_segment(SegmentKind.RELATION, "a")
-        s2 = manager.create_segment(SegmentKind.INDEX, "a-idx")
+        s1 = manager.create_segment("a")
+        s2 = manager.create_segment("a-idx")
         assert s1.segment_id != s2.segment_id
 
     def test_partition_resolution(self):
         manager = MemoryManager(partition_size=4096)
-        seg = manager.create_segment(SegmentKind.RELATION, "a")
+        seg = manager.create_segment("a")
         part = seg.allocate_partition()
         assert manager.partition(part.address) is part
 
     def test_crash_clears_everything(self):
         manager = MemoryManager(partition_size=4096)
-        seg = manager.create_segment(SegmentKind.RELATION, "a")
+        seg = manager.create_segment("a")
         seg.allocate_partition()
         manager.crash()
         with pytest.raises(StorageError):
@@ -304,25 +303,25 @@ class TestMemoryManager:
 
     def test_register_segment_post_crash(self):
         manager = MemoryManager(partition_size=4096)
-        seg = manager.create_segment(SegmentKind.RELATION, "a")
+        seg = manager.create_segment("a")
         segment_id = seg.segment_id
         manager.crash()
-        restored = manager.register_segment(segment_id, SegmentKind.RELATION, "a")
+        restored = manager.register_segment(segment_id, "a")
         restored.mark_missing([1, 2])
         assert manager.segment(segment_id) is restored
         # new ids never collide with re-registered ones
-        fresh = manager.create_segment(SegmentKind.RELATION, "b")
+        fresh = manager.create_segment("b")
         assert fresh.segment_id > segment_id
 
     def test_register_duplicate_rejected(self):
         manager = MemoryManager(partition_size=4096)
-        seg = manager.create_segment(SegmentKind.RELATION, "a")
+        seg = manager.create_segment("a")
         with pytest.raises(StorageError):
-            manager.register_segment(seg.segment_id, SegmentKind.RELATION, "a")
+            manager.register_segment(seg.segment_id, "a")
 
     def test_resident_statistics(self):
         manager = MemoryManager(partition_size=4096)
-        seg = manager.create_segment(SegmentKind.RELATION, "a")
+        seg = manager.create_segment("a")
         part = seg.allocate_partition()
         part.insert(b"12345678")
         assert manager.resident_partition_count() == 1

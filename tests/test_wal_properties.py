@@ -250,8 +250,10 @@ def test_page_of_another_partition_is_refused_before_any_record(records):
 
 #: A small partition's records (its heap holds 140 bytes, 112 of them
 #: taken) over a few keys, on top of short tuples and strings: half of
-#: them put 40 bytes or more at a handle, so re-puts overflow the heap; patches run past the tuples, updates and patches find entities
-#: and handles a delete took away or never put there.
+#: them put 40 bytes or more at a handle, so re-puts overflow the heap,
+#: which a replay allows (it puts back what was there); patches run past
+#: the tuples, updates and patches find entities and handles a delete
+#: took away or never put there.
 TIGHT = 560
 _grow = (st.just(1), st.just(0), st.just(PADDR), st.integers(1, 5), st.binary(min_size=40))
 _growing = st.builds(HeapPut, *_grow)
@@ -325,6 +327,28 @@ def test_applier_matches_the_reference_model(records, repeated, damage, cut, sto
     assert _fields(cursor, Partition(PADDR, TIGHT)) == (refused, model[1])
     undo = _fields(_each(lambda p, r: r.apply(p), logged), Partition(PADDR, TIGHT))
     assert undo == _fields(_each(model_apply, logged), Partition(PADDR, TIGHT))
+
+
+def test_a_duplicate_heap_put_replays_onto_an_over_full_heap():
+    """A heap an aborted delete's UNDO left past its capacity takes a
+    replayed ``HeapPut`` it already holds — or one that grows the string
+    — as the entity area takes a replayed insert: uncapped, as the model
+    does, by the page path and the UNDO path alike."""
+
+    def over_full():
+        partition = Partition(PADDR, TIGHT)
+        for handle in (1, 2):
+            partition.heap.put_at(handle, b"h" * 100)
+        assert partition.heap.used_bytes > partition.heap.capacity_bytes
+        assert partition.heap.free_bytes == 0
+        return partition
+
+    logged = [HeapPut(1, 0, PADDR, 1, b"h" * 100), HeapPut(1, 0, PADDR, 2, b"g" * 120)]
+    body = b"".join(r.encode(compact=True) for r in logged)
+    model = _fields(_each(model_apply, logged), over_full())
+    assert model[0] == 2
+    assert _fields(lambda p: replay_records(body, p)[0], over_full()) == model
+    assert _fields(_each(lambda p, r: r.apply(p), logged), over_full()) == model
 
 
 @settings(max_examples=40, deadline=None)

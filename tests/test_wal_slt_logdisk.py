@@ -1,5 +1,7 @@
 """Tests for the Stable Log Tail and the log disk (window, directories)."""
 
+import struct
+
 import pytest
 
 from repro.common import EntityAddress, LogError, PartitionAddress, SystemConfig
@@ -10,11 +12,13 @@ from repro.wal import (
     FieldPatch,
     HeapPut,
     LogDisk,
+    LogPage,
     StableLogBuffer,
     StableLogTail,
     TupleInsert,
 )
 from repro.wal import records
+from repro.wal.audit import AUDIT_OWNER
 from repro.wal.log_disk import ARCHIVE_SEGMENT
 from repro.wal.records import (
     CommandBarrier,
@@ -370,17 +374,21 @@ class TestLogDiskWindow:
         assert page.lsn == 0
 
     def test_every_expired_block_leaves_the_spindles(self):
-        """Whatever wrote or removed the pages — REDO and opaque (audit)
+        """Whatever wrote or removed the pages — REDO and audit page
         appends, a rescue's drop — after each append the spindles hold
         exactly the rest of the window, and the archive every page that
-        left it."""
+        left it.  An audit page is framed as it always was: the page
+        header, owner segment -2, no directory, then its body."""
         log_disk = make_log_disk(window=4, grace=1)
         dropped = set()
         for step in range(20):
             if step % 3:
                 log_disk.append_page(page_of(PADDR, [record(0)]))
             else:
-                log_disk.append_opaque_page(-2, b"audit")
+                lsn = log_disk.append_page(LogPage(AUDIT_OWNER, b"audit"))
+                expected = struct.pack("<iiqHI", -2, 0, lsn, 0, 5) + b"audit"
+                assert log_disk.fetch_blob(lsn) == expected
+                assert log_disk.read_page(lsn, expected=AUDIT_OWNER).body == b"audit"
             if step == 11:
                 dropped.add(log_disk.next_lsn - 1)
                 log_disk.drop_page(log_disk.next_lsn - 1)
