@@ -9,9 +9,9 @@ and acknowledged and each log page it wrote, each with its running
 totals of records sorted and pages flushed, and each image the main CPU
 wrote or deferred (with the refusal that deferred it), in simulated-time
 order.  Then, if the file holds a restart, the last one: its mode, its
-simulated milliseconds, the seconds its rebuilds took summed by trigger,
-each partition rebuilt from the full log ``history``, and each whose
-rebuild failed, with the error that stopped the restart.
+simulated milliseconds, its rebuilds counted and timed by trigger, each
+partition rebuilt for a ``touch`` (what the first transactions waited
+for) or from the full log ``history``, and each whose rebuild failed.
 """
 
 from __future__ import annotations
@@ -80,21 +80,25 @@ def main(argv: list[str] | None = None) -> int:
         begin, end = restart[0], restart[-1]
         until = "recovered" if end["event"] == "restart.recovered" else "the file's end"
         rebuilt = [entry for entry in restart if entry["event"] == "restart.rebuilt"]
+        by_trigger = {t: [e for e in rebuilt if e["trigger"] == t] for t in TRIGGERS}
         print(
             f"last restart ({begin['mode']}): {(end['sim_s'] - begin['sim_s']) * 1000:.3f} "
-            f"simulated ms to {until}; rebuild seconds by trigger: "
+            f"simulated ms to {until}; rebuilds by trigger: "
             + ", ".join(
-                f"{trigger} {sum(e['seconds'] for e in rebuilt if e['trigger'] == trigger):.6f}"
-                for trigger in TRIGGERS
+                f"{trigger} {len(of)} in {sum(e['seconds'] for e in of):.6f} s"
+                for trigger, of in by_trigger.items()
             )
         )
         for e in restart:
             if e["event"] == "restart.rebuild-failed":
                 print(f"  rebuild failed: {e['address']} ({e['trigger']}): "
                       f"{e['error']}: {e['message']}")
-            elif e["event"] == "restart.rebuilt" and e["source"] == "history":
-                print(f"  from history: {e['address']} ({e['pages_read']} pages, "
-                      f"{e['records_applied']} records)")
+            elif e["event"] == "restart.rebuilt":
+                counts = f"{e['address']} ({e['pages_read']} pages, {e['records_applied']} records)"
+                if e["trigger"] == "touch":
+                    print(f"  touch: {counts}")
+                if e["source"] == "history":
+                    print(f"  from history: {counts}")
     return 0
 
 

@@ -41,11 +41,7 @@ from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.protocol import CheckpointQueue
 from repro.common.config import LOGGING_MODES, SystemConfig, expect_one_of
 from repro.common.counters import Counters
-from repro.common.errors import (
-    CatalogError,
-    RecoveryError,
-    StorageError,
-)
+from repro.common.errors import CatalogError, StorageError
 from repro.common.types import EntityAddress, PartitionAddress
 from repro.concurrency.locks import LockManager, LockMode
 from repro.db.events import EventRing
@@ -399,8 +395,7 @@ class Database:
             key_field=field,
         )
         self.catalog.store_new(descriptor, txn)
-        store = NodeStore(segment, txn)
-        index = self._build_index(kind, store)
+        index = self._build_index(kind, segment, txn)
         descriptor.anchor = index.anchor
         self.catalog.update(descriptor, txn)
         relation_descriptor.index_names.append(index_name)
@@ -490,21 +485,21 @@ class Database:
         locks through whichever transaction uses it."""
         index = self._index_objects.get(descriptor.name)
         if index is None:
-            self.ensure_segment_resident(descriptor.segment_id)
-            segment = self.memory.segment(descriptor.segment_id)
-            store = NodeStore(segment)
             if descriptor.anchor is None:
                 raise CatalogError(f"index {descriptor.name!r} has no anchor")
-            index = self._build_index(descriptor.kind, store, descriptor.anchor)
+            segment = self.memory.segment(descriptor.segment_id)
+            index = self._build_index(descriptor.kind, segment, anchor=descriptor.anchor)
             self._index_objects[descriptor.name] = index
         index.store.sink = txn
         return index
 
     def _build_index(
-        self, kind: str, store: NodeStore, anchor: EntityAddress | None = None
+        self, kind: str, segment: Segment, sink=None, anchor: EntityAddress | None = None
     ) -> TTreeIndex | LinearHashIndex:
+        """An index object over ``segment`` whose store restores a missing
+        partition when a probe first reaches it."""
         index_class = TTreeIndex if kind == "ttree" else LinearHashIndex
-        return index_class(store, anchor=anchor)
+        return index_class(NodeStore(segment, sink, self.ensure_partition), anchor=anchor)
 
     def forget_index_counts(self, segment_ids: set[int]) -> None:
         """The component bytes of ``segment_ids`` were replayed (a command
@@ -542,21 +537,6 @@ class Database:
         self.checkpoint_disk.map_latch.assert_unheld("on-demand partition recovery")
         self.restart_coordinator.recover_partition(address)
         return segment.get(address.partition)
-
-    def ensure_segment_resident(self, segment_id: int) -> None:
-        """Recover every partition of a segment (index segments are used
-        whole, so first touch restores them fully)."""
-        missing = self.memory.segment(segment_id).missing_partitions()
-        if not missing:
-            return
-        if self.restart_coordinator is None:
-            raise RecoveryError(
-                f"segment {segment_id} has unrecovered partitions but no "
-                f"restart is in progress"
-            )
-        self.restart_coordinator.recover(
-            (PartitionAddress(segment_id, number) for number in missing), "touch"
-        )
 
     # -- crash / restart -----------------------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, TypeVar
 
-from repro.common.types import EntityAddress
+from repro.common.types import EntityAddress, PartitionAddress
 from repro.storage.entries import ENTRY_CHARGE_BYTES
 from repro.storage.partition import Partition
 from repro.storage.segment import Segment
@@ -80,11 +80,18 @@ class NodeStore:
 
     The database rebinds a cached index object's :attr:`sink` to the
     calling transaction before every index operation.
+
+    A partition missing since a crash is rebuilt through ``restore``
+    (``Database.ensure_partition``; without one, :meth:`Segment.get`
+    raises) when a component in it is first reached (section 2.5).
+    :meth:`allocate` places only among resident partitions.
     """
 
-    def __init__(self, segment: Segment, sink: ChangeSink | None = None):
+    def __init__(self, segment: Segment, sink: ChangeSink | None = None,
+                 restore: Callable[[PartitionAddress], Partition] | None = None):
         self.segment = segment
         self.sink = sink
+        self._restore = restore or (lambda address: segment.get(address.partition))
         #: address -> (blob, decoded form), see :meth:`load`.
         self._decoded: dict[EntityAddress, tuple[bytes, object]] = {}
 
@@ -109,7 +116,10 @@ class NodeStore:
         return address
 
     def read(self, address: EntityAddress) -> bytes:
-        return self.segment.get(address.partition).read(address.offset)
+        partition = self.segment.resident(address.partition)
+        if partition is None:
+            partition = self._restore(PartitionAddress(address.segment, address.partition))
+        return partition.read(address.offset)
 
     def load(
         self,
@@ -126,7 +136,8 @@ class NodeStore:
         "the form is current": no invalidation hook exists or is needed.
         Whole-index scans pass ``keep=False`` so they do not fill the
         cache with components no point operation asked for.  The bytes come
-        from the partition dicts in this frame; :meth:`read` only raises.
+        from the partition dicts in this frame; :meth:`read` only restores
+        a missing partition, or raises.
         """
         partition = self.segment._partitions.get(address.partition)
         entities = partition._entities if partition is not None else {}
@@ -143,7 +154,9 @@ class NodeStore:
 
     def write(self, address: EntityAddress, data: bytes, form: object = None) -> None:
         """Overwrite a component; ``form`` is ``data`` decoded, kept for :meth:`load`."""
-        partition = self.segment.get(address.partition)
+        partition = self.segment.resident(address.partition)
+        if partition is None:
+            partition = self._restore(PartitionAddress(address.segment, address.partition))
         sink = self.sink
         if sink is not None:
             # Lock before mutating: a no-wait refusal aborts the calling
@@ -158,7 +171,9 @@ class NodeStore:
             sink.index_node_written(address, before, data)
 
     def free(self, address: EntityAddress) -> None:
-        partition = self.segment.get(address.partition)
+        partition = self.segment.resident(address.partition)
+        if partition is None:
+            partition = self._restore(PartitionAddress(address.segment, address.partition))
         sink = self.sink
         if sink is not None:
             sink.lock_component(address)  # see write(): lock, then mutate

@@ -83,7 +83,7 @@ register_crash_point(
 
 
 #: What started a rebuild, as each ``partitions`` record names it: phase 1's
-#: catalog restore; a transaction touching a missing partition or segment;
+#: catalog restore; a transaction (or an index probe) touching a missing partition;
 #: the pump's background sweep; a caller asking by name (a predeclared
 #: relation, ``recover_everything``, ``recover``); a command closure's
 #: replay.  ``stats()["restart"]["phases"]`` sums the simulated seconds of

@@ -42,7 +42,7 @@ def test_two_runs_give_identical_counts(first):
     assert [result["workload"] for result in first] == list(callcount.CEILINGS)
     for result in first:
         assert result["transactions"] > 0 and result["per_txn"]["total"] > 0
-        assert result["per_restart"]["total"] > 0
+        assert result["per_restart"]["total"] > 0 and result["first_txn_partitions"] > 0
     assert run_tool("1") == first
 
 
@@ -109,11 +109,21 @@ def test_the_traced_lines_name_their_overhead(profiled, capsys):
 def test_every_workload_has_a_ceiling():
     assert list(callcount.CEILINGS) == list(callcount._workloads())
     assert list(callcount.RESTART_CEILINGS) == list(callcount.CEILINGS)
+    assert list(callcount.FIRST_TXN_CEILINGS) == list(callcount.CEILINGS)
 
 
-@pytest.mark.parametrize("unit", ["per_txn", "per_restart"])
+#: What each ``--check`` ceiling holds, and the words its failure line says.
+OVER_LINES = {
+    "per_txn": "calls/txn",
+    "per_restart": "calls/restart",
+    "first_txn_partitions": "partitions rebuilt by the first commit",
+}
+
+
+@pytest.mark.parametrize("unit", list(OVER_LINES))
 def test_check_fails_a_workload_over_either_ceiling(monkeypatch, capsys, unit):
-    """One call over a ceiling, per transaction or per restart, fails
+    """One call over a ceiling, per transaction or per restart, or one
+    partition more rebuilt by the first commit after a crash, fails
     ``--check`` and names the workload; at the ceiling it passes."""
 
     def at_ceiling(name, *, scale):
@@ -121,6 +131,7 @@ def test_check_fails_a_workload_over_either_ceiling(monkeypatch, capsys, unit):
             "transactions": 1,
             "per_txn": {"total": 0.0, "repro": callcount.CEILINGS[name]},
             "per_restart": {"total": 0.0, "repro": callcount.RESTART_CEILINGS[name]},
+            "first_txn_partitions": callcount.FIRST_TXN_CEILINGS[name],
         }
 
     monkeypatch.setattr(callcount, "count", at_ceiling)
@@ -128,7 +139,9 @@ def test_check_fails_a_workload_over_either_ceiling(monkeypatch, capsys, unit):
 
     def over(name, *, scale):
         result = at_ceiling(name, scale=scale)
-        if name == "crash_restart":
+        if name == "crash_restart" and unit == "first_txn_partitions":
+            result[unit] += 1
+        elif name == "crash_restart":
             result[unit]["repro"] += 1
         return result
 
@@ -136,7 +149,7 @@ def test_check_fails_a_workload_over_either_ceiling(monkeypatch, capsys, unit):
     assert callcount.main(["--check"]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("OVER CEILING crash_restart: ")
-    assert ("calls/restart" in line) == (unit == "per_restart")
+    assert [words for words in OVER_LINES.values() if words in line] == [OVER_LINES[unit]]
 
 
 def test_check_refuses_a_scale_its_ceilings_were_not_recorded_at():

@@ -183,6 +183,38 @@ class TestRestartEvents:
             f"{record['records_applied']} records)\n"
         ) in last
 
+    def test_the_command_lists_what_the_first_transaction_waited_for(self, tmp_path, capsys):
+        """After an on-demand restart and one lookup, the command counts
+        the rebuilds of each trigger beside their seconds, and lists each
+        partition the lookup's touch rebuilt with its pages and records."""
+        db, rel, addrs = bank(partition_size=4096)
+        with db.transaction() as txn:
+            for i in range(40, 600):
+                rel.insert(txn, {"id": i, "bal": 0})
+        run_updates(db, rel, addrs, 60)
+        db.crash()
+        db.restart(RecoveryMode.ON_DEMAND)
+        with db.transaction() as txn:
+            assert rel.lookup(txn, 7)["bal"] == 47
+        assert db.restart_coordinator.pending_partitions()
+        restart = db.stats()["restart"]
+        touched = [e for e in restart["partitions"] if e["trigger"] == "touch"]
+        assert touched
+        db.events.write_jsonl(tmp_path / "events.jsonl")
+        assert main([str(tmp_path / "events.jsonl")]) == 0
+        last = capsys.readouterr().out.split("last restart ")[1]
+        header, *lines = last.splitlines()
+        assert header.startswith("(on-demand): ") and " simulated ms to " in header
+        assert header.endswith("; rebuilds by trigger: " + ", ".join(
+            f"{trigger} {sum(e['trigger'] == trigger for e in restart['partitions'])} "
+            f"in {seconds:.6f} s"
+            for trigger, seconds in restart["phases"].items()
+        ))
+        assert lines == [
+            f"  touch: {e['address']} ({e['pages_read']} pages, {e['records_applied']} records)"
+            for e in touched
+        ]
+
     def test_a_lost_log_page_names_the_partition_that_stopped_the_restart(
         self, tmp_path, capsys
     ):
